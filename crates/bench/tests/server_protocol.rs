@@ -288,6 +288,51 @@ fn idle_connections_are_reaped_but_sessions_survive() {
     handle.join().unwrap();
 }
 
+/// Regression: `memory_bytes` had a floor but no ceiling, so one `tenant`
+/// frame asking for 64 TiB followed by an `open` died in
+/// `handle_alloc_error` — an abort of the whole server that no
+/// `catch_unwind` contains. The frame is refused with a typed error and
+/// everyone else keeps being served.
+#[test]
+fn oversized_tenant_memory_is_refused_and_the_server_survives() {
+    let (addr, handle) = spawn_server();
+    let mut c = Client::connect(&addr).unwrap();
+    upload_and_tenant(&mut c);
+    ok(&c
+        .request("{\"op\":\"open\",\"tenant\":\"t\",\"program\":\"poly\",\"session\":\"s\"}")
+        .unwrap());
+    let call = "{\"op\":\"call\",\"session\":\"s\",\"func\":\"poly\",\"args\":[3,4]}";
+    let before = ok(&c.request(call).unwrap());
+
+    for bytes in [70_368_744_177_664u64, (1 << 30) + 1] {
+        let r = c
+            .request(&format!(
+                "{{\"op\":\"tenant\",\"tenant\":\"huge\",\"memory_bytes\":{bytes}}}"
+            ))
+            .unwrap();
+        assert_eq!(err_kind(&r), "bad-request", "memory_bytes {bytes}");
+    }
+    // The refused tenant was never defined, so nothing can open under it.
+    let r = c
+        .request("{\"op\":\"open\",\"tenant\":\"huge\",\"program\":\"poly\",\"session\":\"h\"}")
+        .unwrap();
+    assert_eq!(err_kind(&r), "no-such-tenant");
+    // The bound itself is accepted, and costs nothing until touched.
+    ok(&c
+        .request("{\"op\":\"tenant\",\"tenant\":\"big\",\"memory_bytes\":1073741824}")
+        .unwrap());
+
+    ok(&c.request("{\"op\":\"ping\"}").unwrap());
+    let after = ok(&c.request(call).unwrap());
+    assert_eq!(
+        after.get("result").and_then(Json::as_int),
+        before.get("result").and_then(Json::as_int)
+    );
+    let _ = c.request("{\"op\":\"shutdown\"}");
+    drop(c);
+    handle.join().unwrap();
+}
+
 #[test]
 fn empty_frame_is_a_typed_error() {
     let (addr, handle) = spawn_server();

@@ -634,9 +634,14 @@ impl Program {
 // The compile artifact must stay thread-shareable; a non-Sync field
 // sneaking into any of its component crates should fail compilation here,
 // not at a distant `Arc<Program>` use site.
+// Likewise an owned session must stay movable to (and shareable with) a
+// worker thread: its VM data memory may be a raw mapping
+// (`dyncomp_ir::zeroed`), whose `Send`/`Sync` are asserted by hand there
+// and relied on here.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Program>();
+    assert_send_sync::<Session<std::sync::Arc<Program>>>();
 };
 
 #[cfg(test)]

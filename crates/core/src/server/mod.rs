@@ -29,5 +29,7 @@ pub mod state;
 pub use json::{escape, Json, JsonError};
 pub use net::{Client, Server, ServerOptions};
 pub use pool::{PoolStats, WorkPool};
-pub use proto::{read_frame, write_frame, ErrorKind, Frame, ProtoError, MAX_FRAME};
+pub use proto::{
+    read_frame, write_frame, ErrorKind, Frame, ProtoError, MAX_FRAME, MAX_SESSION_MEMORY,
+};
 pub use state::{fold_checksum, ServerEngine, TenantOptions};

@@ -18,6 +18,12 @@ use std::io::{Read, Write};
 /// source this compiler accepts, far below a memory-exhaustion vector).
 pub const MAX_FRAME: usize = 4 << 20;
 
+/// Largest per-session data memory a `tenant` frame may ask for (1 GiB).
+/// A session's memory is allocated when it opens, and a failed
+/// allocation aborts the process — which `catch_unwind` cannot contain —
+/// so the bound is enforced where the number arrives.
+pub const MAX_SESSION_MEMORY: usize = 1 << 30;
+
 /// Stable error kinds carried in the `"error"` field of a failure
 /// response. Clients and tests match on [`ErrorKind::name`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -25,7 +25,7 @@
 
 use super::json::{escape, Json};
 use super::pool::PoolStats;
-use super::proto::{ErrorKind, ProtoError};
+use super::proto::{ErrorKind, ProtoError, MAX_SESSION_MEMORY};
 use crate::cache::SharedCodeCache;
 use crate::engine::{EngineOptions, Session};
 use crate::faults::RecoveryPolicy;
@@ -282,7 +282,14 @@ impl ServerEngine {
             options.max_sessions = usize_field(v, "max_sessions")?;
         }
         if let Some(v) = req.get("memory_bytes").and_then(Json::as_int) {
-            options.memory_bytes = usize_field(v, "memory_bytes")?.max(1 << 12);
+            let bytes = usize_field(v, "memory_bytes")?;
+            if bytes > MAX_SESSION_MEMORY {
+                return Err(ProtoError::new(
+                    ErrorKind::BadRequest,
+                    format!("field `memory_bytes` exceeds the {MAX_SESSION_MEMORY}-byte bound"),
+                ));
+            }
+            options.memory_bytes = bytes.max(1 << 12);
         }
         if let Some(v) = req.get("code_budget_bytes").and_then(Json::as_int) {
             options.code_budget_bytes = Some(usize_field(v, "code_budget_bytes")? as u64);

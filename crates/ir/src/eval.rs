@@ -11,6 +11,7 @@ use crate::func::{Function, Module};
 use crate::ids::{FuncId, GlobalId, IndexVec, InstId, RegionId, VarId};
 use crate::inst::{InstKind, Intrinsic, SlotPath, TemplateMarker, Terminator};
 use crate::ops::{Const, MemSize, Signedness, UnOp};
+use crate::zeroed::ZeroedBytes;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -60,11 +61,23 @@ pub enum EvalOutcome {
 
 /// Flat byte-addressable memory with a bump allocator.
 ///
-/// Address 0 is reserved (null); globals start at a fixed base.
-#[derive(Debug, Clone)]
+/// Address 0 is reserved (null); globals start at a fixed base. The
+/// bytes are zero until written and cost host memory only once touched
+/// (see [`crate::zeroed`]), so creating, cloning and dropping a large
+/// memory is proportional to what the program used of it.
+#[derive(Clone)]
 pub struct Memory {
-    bytes: Vec<u8>,
+    bytes: ZeroedBytes,
     brk: u64,
+}
+
+impl fmt::Debug for Memory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memory")
+            .field("capacity", &self.capacity())
+            .field("brk", &self.brk)
+            .finish()
+    }
 }
 
 /// Base address where globals (and then the heap) are laid out.
@@ -74,7 +87,7 @@ impl Memory {
     /// Empty memory with the given capacity in bytes.
     pub fn with_capacity(cap: usize) -> Self {
         Memory {
-            bytes: vec![0; cap],
+            bytes: ZeroedBytes::new(cap),
             brk: MEM_BASE,
         }
     }
@@ -787,5 +800,151 @@ mod tests {
         let fid = m.funcs.push(f);
         let mut ev = Evaluator::new(&m);
         assert_eq!(ev.call(fid, &[]).unwrap(), EvalOutcome::Return(Some(42)));
+    }
+
+    // ---- heap-backed vs mapped memory --------------------------------
+
+    use crate::prng::SplitMix64;
+    use crate::zeroed::{ZeroedBytes, MAP_THRESHOLD};
+
+    /// Capacities on both sides of a page and of the mapping threshold.
+    const CAPS: [usize; 7] = [
+        4095,
+        4096,
+        MAP_THRESHOLD - 1,
+        MAP_THRESHOLD,
+        MAP_THRESHOLD + 1,
+        MAP_THRESHOLD + 3 * 4096 + 17,
+        16 << 20,
+    ];
+
+    /// The same capacity on each backing, whatever `with_capacity` would
+    /// have picked. `None` only where the target has no mapping path.
+    fn heap_and_mapped(cap: usize) -> Option<(Memory, Memory)> {
+        let over = |bytes| Memory {
+            bytes,
+            brk: MEM_BASE,
+        };
+        let mapped = ZeroedBytes::mapped(cap);
+        if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+            assert!(mapped.is_some(), "kernel refused a {cap}-byte mapping");
+        }
+        Some((over(ZeroedBytes::heap(cap)), over(mapped?)))
+    }
+
+    const SIZES: [MemSize; 4] = [MemSize::B1, MemSize::B2, MemSize::B4, MemSize::B8];
+
+    #[test]
+    fn heap_and_mapped_memories_agree_on_random_operations() {
+        for (i, &cap) in CAPS.iter().enumerate() {
+            let Some((mut heap, mut mapped)) = heap_and_mapped(cap) else {
+                return;
+            };
+            assert_eq!(heap.capacity(), cap);
+            assert_eq!(mapped.capacity(), cap);
+            assert_eq!(mapped.bytes_mut().len(), cap);
+            let mut rng = SplitMix64::new(0x5EED_0000 + i as u64);
+            let cap = cap as u64;
+            for _ in 0..4000 {
+                let size = SIZES[rng.below(4) as usize];
+                // Mostly in range, with the boundaries over-sampled.
+                let addr = match rng.below(8) {
+                    0 => rng.below(16),
+                    1 => cap - rng.below(16),
+                    2 => cap + rng.below(16),
+                    3 => u64::MAX - rng.below(16),
+                    _ => rng.below(cap),
+                };
+                match rng.below(5) {
+                    0 => {
+                        let n = match rng.below(4) {
+                            0 => u64::MAX - rng.below(1 << 12),
+                            1 => cap,
+                            _ => rng.below(cap / 64),
+                        };
+                        assert_eq!(heap.alloc(n), mapped.alloc(n));
+                        assert_eq!(heap.brk(), mapped.brk());
+                    }
+                    1 | 2 => {
+                        let val = rng.next_u64();
+                        assert_eq!(heap.write(addr, size, val), mapped.write(addr, size, val));
+                    }
+                    _ => {
+                        let sign = if rng.chance(1, 2) {
+                            Signedness::Signed
+                        } else {
+                            Signedness::Unsigned
+                        };
+                        assert_eq!(heap.read(addr, size, sign), mapped.read(addr, size, sign));
+                    }
+                }
+            }
+            assert!(heap.bytes[..] == mapped.bytes[..], "images differ at {cap}");
+        }
+    }
+
+    #[test]
+    fn heap_and_mapped_memories_agree_on_bounds_errors() {
+        for &cap in &CAPS {
+            let Some((heap, mapped)) = heap_and_mapped(cap) else {
+                return;
+            };
+            let cap = cap as u64;
+            for mut mem in [heap, mapped] {
+                let oob = |addr| Some(EvalError::OutOfBounds { addr });
+                assert_eq!(mem.read(0, MemSize::B1, Signedness::Unsigned).err(), oob(0));
+                assert_eq!(mem.write(0, MemSize::B8, 1).err(), oob(0));
+                assert_eq!(mem.write(cap - 1, MemSize::B1, 0xAB), Ok(()));
+                assert_eq!(
+                    mem.read(cap - 1, MemSize::B1, Signedness::Unsigned),
+                    Ok(0xAB)
+                );
+                assert_eq!(mem.write_u64(cap - 8, 7), Ok(()));
+                assert_eq!(mem.read_u64(cap - 7).err(), oob(cap - 7));
+                assert_eq!(
+                    mem.read(cap, MemSize::B1, Signedness::Unsigned).err(),
+                    oob(cap)
+                );
+                assert_eq!(mem.write(cap - 1, MemSize::B2, 0).err(), oob(cap - 1));
+                assert_eq!(mem.read_u64(u64::MAX).err(), oob(u64::MAX));
+                assert_eq!(mem.write_u64(u64::MAX - 7, 0).err(), oob(u64::MAX - 7));
+                let brk = (mem.brk() + 7) & !7;
+                assert_eq!(mem.alloc(u64::MAX).err(), oob(brk));
+                assert_eq!(mem.alloc(cap).err(), oob(brk));
+            }
+        }
+    }
+
+    #[test]
+    fn clone_equals_source_after_scattered_writes() {
+        for (i, &cap) in CAPS.iter().enumerate() {
+            // `with_capacity` picks the backing; the clone picks again.
+            let mut mem = Memory::with_capacity(cap);
+            let mut rng = SplitMix64::new(0xC10E + i as u64);
+            mem.alloc(rng.below(cap as u64 / 2)).unwrap();
+            for _ in 0..64 {
+                let addr = rng.range_u64(1, cap as u64 - 8);
+                mem.write_u64(addr, rng.next_u64() | 1).unwrap();
+            }
+            // The last (possibly partial) page and the very first byte.
+            mem.write(cap as u64 - 1, MemSize::B1, 0x5A).unwrap();
+            mem.bytes_mut()[0] = 0xA5;
+            let mut fork = mem.clone();
+            assert_eq!(fork.capacity(), cap);
+            assert_eq!(fork.brk(), mem.brk());
+            assert!(fork.bytes[..] == mem.bytes[..], "clone differs at {cap}");
+            // The fork owns its bytes.
+            fork.write(cap as u64 - 1, MemSize::B1, 0).unwrap();
+            assert_eq!(
+                mem.read(cap as u64 - 1, MemSize::B1, Signedness::Unsigned),
+                Ok(0x5A)
+            );
+        }
+    }
+
+    #[test]
+    fn debug_shows_capacity_and_brk_not_bytes() {
+        let s = format!("{:?}", Memory::with_capacity(1 << 20));
+        assert_eq!(s, "Memory { capacity: 1048576, brk: 1024 }");
     }
 }

@@ -21,6 +21,9 @@
 //!   *specialized* IR (set-up code, constants-table holes, constant
 //!   branches, unrolled-loop markers), defining the semantics the
 //!   run-time stitcher must reproduce.
+//! * [`eval::Memory`] — the flat data memory shared with the simulated
+//!   machine, backed by [`zeroed::ZeroedBytes`] so a session pays for the
+//!   pages it touches, not for its address space.
 //! * Dynamic-region metadata ([`DynRegion`]) and the template
 //!   pseudo-instructions of §3.2 ([`InstKind::Hole`],
 //!   [`Terminator::ConstBranch`], [`TemplateMarker`]).
@@ -51,7 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod cfg;
 pub mod dom;
@@ -68,6 +71,7 @@ pub mod print;
 pub mod prng;
 pub mod ssa;
 pub mod verify;
+pub mod zeroed;
 
 pub use func::{Block, DynRegion, Function, Global, InstData, Module, VarInfo};
 pub use ids::{BlockId, FuncId, GlobalId, IdSet, IndexVec, InstId, RegionId, VarId};
