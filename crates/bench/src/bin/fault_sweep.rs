@@ -23,8 +23,8 @@ use dyncomp::{
     Compiler, EngineOptions, FaultPlan, FaultPoint, KernelSetup, PersistentCache, Program, Session,
     SharedCodeCache, TieredOptions,
 };
-use dyncomp_bench::json_str;
 use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
+use dyncomp_bench::{json_str, render_json_array, Artifact};
 use std::sync::Arc;
 
 struct Workload {
@@ -177,13 +177,7 @@ impl Row {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(p) => args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("fault_sweep: --json needs a path");
-            std::process::exit(2);
-        }),
-        None => "BENCH_fault_sweep.json".to_string(),
-    };
+    let artifact = Artifact::from_args("fault_sweep", &args, "BENCH_fault_sweep.json");
 
     let scale = if smoke { "Smoke" } else { "Paper" };
     println!("Fault sweep: every fault point x every kernel ({scale} scale)");
@@ -325,46 +319,8 @@ fn main() {
         }
     }
 
-    let mut rendered = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        rendered.push_str("  ");
-        rendered.push_str(&row.json());
-        if i + 1 < rows.len() {
-            rendered.push(',');
-        }
-        rendered.push('\n');
-    }
-    rendered.push_str("]\n");
-
-    match std::fs::write(&json_path, &rendered) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("fault_sweep: cannot write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(p) = args.iter().position(|a| a == "--check") {
-        let reference_path = args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("fault_sweep: --check needs a path");
-            std::process::exit(2);
-        });
-        let reference = std::fs::read_to_string(&reference_path).unwrap_or_else(|e| {
-            eprintln!("fault_sweep: cannot read reference {reference_path}: {e}");
-            std::process::exit(2);
-        });
-        if rendered == reference {
-            println!("check: matches {reference_path}");
-        } else {
-            eprintln!("fault_sweep: results drifted from {reference_path}:");
-            for (want, got) in reference.lines().zip(rendered.lines()) {
-                if want != got {
-                    eprintln!("  - {want}");
-                    eprintln!("  + {got}");
-                }
-            }
-            std::process::exit(1);
-        }
-    }
+    let objects: Vec<String> = rows.iter().map(Row::json).collect();
+    artifact.write_and_check(&render_json_array(&objects), None);
     if bad > 0 {
         eprintln!("fault_sweep: {bad} violation(s) of the robustness invariant");
         std::process::exit(1);

@@ -20,7 +20,7 @@
 
 use dyncomp::{Compiler, EngineOptions};
 use dyncomp_bench::kernels::{protomsg, queryexec};
-use dyncomp_bench::{json_str, KernelResult};
+use dyncomp_bench::{json_str, render_json_array, Artifact, KernelResult};
 
 /// Inline depth used for the "on" mode (2 covers helper-in-helper
 /// nesting; both workloads converge at 1 round).
@@ -75,16 +75,14 @@ fn row_json(r: &Row) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(p) => args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("inline_bench: --json needs a path");
-            std::process::exit(2);
-        }),
-        // Scale-dependent default so a bare `--smoke` run can't clobber
-        // the committed paper-scale artifact.
-        None if smoke => "BENCH_inline_smoke.json".to_string(),
-        None => "BENCH_inline.json".to_string(),
+    // Scale-dependent default so a bare `--smoke` run can't clobber the
+    // committed paper-scale artifact.
+    let default_json = if smoke {
+        "BENCH_inline_smoke.json"
+    } else {
+        "BENCH_inline.json"
     };
+    let artifact = Artifact::from_args("inline_bench", &args, default_json);
 
     let opts = EngineOptions::default;
     let on = Compiler::with_inline_depth(DEPTH);
@@ -159,43 +157,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    let mut rendered = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        rendered.push_str("  ");
-        rendered.push_str(&row_json(r));
-        if i + 1 < rows.len() {
-            rendered.push(',');
-        }
-        rendered.push('\n');
-    }
-    rendered.push_str("]\n");
-    match std::fs::write(&json_path, &rendered) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("inline_bench: cannot write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(p) = args.iter().position(|a| a == "--check") {
-        let reference_path = args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("inline_bench: --check needs a path");
-            std::process::exit(2);
-        });
-        let reference = std::fs::read_to_string(&reference_path).unwrap_or_else(|e| {
-            eprintln!("inline_bench: cannot read reference {reference_path}: {e}");
-            std::process::exit(2);
-        });
-        if rendered == reference {
-            println!("check: matches {reference_path}");
-        } else {
-            eprintln!("inline_bench: results drifted from {reference_path}:");
-            for (want, got) in reference.lines().zip(rendered.lines()) {
-                if want != got {
-                    eprintln!("  - {want}");
-                    eprintln!("  + {got}");
-                }
-            }
-            std::process::exit(1);
-        }
-    }
+    let objects: Vec<String> = rows.iter().map(row_json).collect();
+    artifact.write_and_check(&render_json_array(&objects), None);
 }

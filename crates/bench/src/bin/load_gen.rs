@@ -35,7 +35,7 @@
 
 use dyncomp::server::{Json, ServerEngine, WorkPool};
 use dyncomp::{Compiler, Session};
-use dyncomp_bench::{json_str, jsonv};
+use dyncomp_bench::{flag_value, json_str, render_json_array, Artifact};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -128,28 +128,6 @@ impl Row {
             self.wall_ms,
         )
     }
-
-    /// The drift-gated prefix: everything before the first wall-clock
-    /// field (`sessions_per_sec`).
-    fn deterministic_key(&self) -> String {
-        let checksums: Vec<String> = self
-            .class_checksums
-            .iter()
-            .map(|c| format!("\"{c:016x}\""))
-            .collect();
-        format!(
-            "{{\"mode\": {}, \"sessions\": {}, \"tenants\": {}, \
-             \"key_classes\": {}, \"calls\": {}, \"checksums_match\": {}, \
-             \"class_checksums\": [{}]",
-            json_str(self.mode),
-            self.sessions,
-            TENANTS,
-            KEY_CLASSES,
-            self.calls,
-            self.checksums_match,
-            checksums.join(", "),
-        )
-    }
 }
 
 /// Extract each row's drift-gated prefix from a rendered document.
@@ -169,26 +147,19 @@ fn deterministic_keys(doc: &str) -> Vec<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let value_of = |name: &str, default: &str| -> String {
-        match args.iter().position(|a| a == name) {
-            Some(p) => args.get(p + 1).cloned().unwrap_or_else(|| {
-                eprintln!("load_gen: {name} needs a value");
-                std::process::exit(2);
-            }),
-            None => default.to_string(),
-        }
-    };
-    let workers: usize = value_of("--workers", "4").parse().unwrap_or_else(|_| {
-        eprintln!("load_gen: --workers needs a positive integer");
-        std::process::exit(2);
-    });
+    let workers: usize = flag_value("load_gen", &args, "--workers")
+        .map_or(Ok(4), |v| v.parse())
+        .unwrap_or_else(|_| {
+            eprintln!("load_gen: --workers needs a positive integer");
+            std::process::exit(2);
+        });
     let workers = workers.max(1);
     let default_json = if smoke {
         "BENCH_server_smoke.json"
     } else {
         "BENCH_server.json"
     };
-    let json_path = value_of("--json", default_json);
+    let artifact = Artifact::from_args("load_gen", &args, default_json);
 
     // (sessions, mode, wave size). `open` keeps every session of the row
     // concurrently open; `churn` bounds residency at the wave size.
@@ -243,46 +214,8 @@ fn main() {
         rows.push(row);
     }
 
-    let mut rendered = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        rendered.push_str("  ");
-        rendered.push_str(&row.json());
-        if i + 1 < rows.len() {
-            rendered.push(',');
-        }
-        rendered.push('\n');
-    }
-    rendered.push_str("]\n");
-    if let Err(e) = jsonv::validate(&rendered) {
-        eprintln!("load_gen: generated JSON failed validation: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = std::fs::write(&json_path, &rendered) {
-        eprintln!("load_gen: cannot write {json_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("\nwrote {json_path} (schema validated)");
-
-    if let Some(p) = args.iter().position(|a| a == "--check") {
-        let reference_path = args.get(p + 1).unwrap_or_else(|| {
-            eprintln!("load_gen: --check needs a path");
-            std::process::exit(2);
-        });
-        let reference_doc = std::fs::read_to_string(reference_path).unwrap_or_else(|e| {
-            eprintln!("load_gen: cannot read {reference_path}: {e}");
-            std::process::exit(1);
-        });
-        let want = deterministic_keys(&reference_doc);
-        let got: Vec<String> = rows.iter().map(Row::deterministic_key).collect();
-        if want != got {
-            eprintln!(
-                "load_gen: deterministic fields drifted from {reference_path}:\n\
-                 want: {want:#?}\n got: {got:#?}"
-            );
-            std::process::exit(1);
-        }
-        println!("deterministic fields match {reference_path}");
-    }
+    let objects: Vec<String> = rows.iter().map(Row::json).collect();
+    artifact.write_and_check(&render_json_array(&objects), Some(deterministic_keys));
 }
 
 /// Serve one row's worth of sessions and measure it.

@@ -32,7 +32,7 @@
 
 use dyncomp::{run_session_differential, run_session_timed, Compiler, EngineOptions, KernelSetup};
 use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
-use dyncomp_bench::{json_str, jsonv};
+use dyncomp_bench::{json_str, render_json_array, Artifact};
 use std::sync::Arc;
 
 struct Workload {
@@ -177,31 +177,12 @@ impl Row {
             self.native_active,
         )
     }
-
-    /// The deterministic prefix the drift gate compares (wall-clock
-    /// fields are host noise; the dispatch-split counters are simulated
-    /// and repeat-stable on a given host). Matches the rendered
-    /// object's field order: everything before `interp_ns`.
-    fn deterministic_key(&self) -> String {
-        format!(
-            "{{\"kernel\": {}, \"config\": {}, \"iterations\": {}, \
-             \"checksum\": {}, \"checksums_match\": {}, \
-             \"native_entries\": {}, \"native_chained\": {}, \
-             \"unchained_entries\": {}",
-            json_str(self.kernel),
-            json_str(&self.config),
-            self.iterations,
-            self.checksum,
-            self.checksums_match,
-            self.native_entries,
-            self.native_chained,
-            self.unchained_entries,
-        )
-    }
 }
 
 /// Extract each row's drift-gated prefix (everything before the first
-/// wall-clock field) from a rendered document, in row order.
+/// wall-clock field, `interp_ns`) from a rendered document, in row
+/// order. Wall-clock fields are host noise; the dispatch-split counters
+/// are simulated and repeat-stable on a given host.
 fn deterministic_keys(doc: &str) -> Vec<String> {
     doc.split("{\"kernel\"")
         .skip(1)
@@ -229,13 +210,7 @@ fn main() {
         None => 3,
     };
     let repeat = repeat.max(1);
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(p) => args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("native_comparison: --json needs a path");
-            std::process::exit(2);
-        }),
-        None => "BENCH_native.json".to_string(),
-    };
+    let artifact = Artifact::from_args("native_comparison", &args, "BENCH_native.json");
 
     let scale = if smoke { "Smoke" } else { "Paper" };
     println!("Backend wall-clock comparison ({scale} scale, best of {repeat})");
@@ -356,56 +331,8 @@ fn main() {
         });
     }
 
-    let mut rendered = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        rendered.push_str("  ");
-        rendered.push_str(&row.json());
-        if i + 1 < rows.len() {
-            rendered.push(',');
-        }
-        rendered.push('\n');
-    }
-    rendered.push_str("]\n");
-
-    if let Err(e) = jsonv::validate(&rendered) {
-        eprintln!("native_comparison: rendered document is not valid JSON: {e}");
-        std::process::exit(1);
-    }
-    match std::fs::write(&json_path, &rendered) {
-        Ok(()) => println!("\nwrote {json_path} (schema validated)"),
-        Err(e) => {
-            eprintln!("native_comparison: cannot write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(p) = args.iter().position(|a| a == "--check") {
-        let reference_path = args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("native_comparison: --check needs a path");
-            std::process::exit(2);
-        });
-        let reference = std::fs::read_to_string(&reference_path).unwrap_or_else(|e| {
-            eprintln!("native_comparison: cannot read reference {reference_path}: {e}");
-            std::process::exit(2);
-        });
-        let want = deterministic_keys(&reference);
-        let got: Vec<String> = rows.iter().map(Row::deterministic_key).collect();
-        if want == got {
-            println!("check: deterministic fields match {reference_path}");
-        } else {
-            eprintln!("native_comparison: deterministic fields drifted from {reference_path}:");
-            for (w, g) in want.iter().zip(got.iter()) {
-                if w != g {
-                    eprintln!("  - {w}");
-                    eprintln!("  + {g}");
-                }
-            }
-            if want.len() != got.len() {
-                eprintln!("  (row count {} vs reference {})", got.len(), want.len());
-            }
-            std::process::exit(1);
-        }
-    }
+    let objects: Vec<String> = rows.iter().map(Row::json).collect();
+    artifact.write_and_check(&render_json_array(&objects), Some(deterministic_keys));
 
     if bad > 0 {
         std::process::exit(1);

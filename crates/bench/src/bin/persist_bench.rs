@@ -32,8 +32,8 @@
 
 use dyncomp::measure::{run_session_trace, KernelSetup, SessionTrace};
 use dyncomp::{Compiler, EngineOptions, PersistentCache, Program};
-use dyncomp_bench::json_str;
 use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
+use dyncomp_bench::{flag_value, json_str, render_json_array, Artifact};
 use std::sync::Arc;
 
 fn workloads(smoke: bool) -> Vec<(&'static str, KernelSetup<'static>)> {
@@ -149,16 +149,8 @@ fn persist_options(cache: &Arc<PersistentCache>) -> EngineOptions {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let value_of = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).map(|p| {
-            args.get(p + 1).cloned().unwrap_or_else(|| {
-                eprintln!("persist_bench: {name} needs a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    let json_path = value_of("--json").unwrap_or_else(|| "BENCH_persist.json".to_string());
-    let work_dir = value_of("--dir")
+    let artifact = Artifact::from_args("persist_bench", &args, "BENCH_persist.json");
+    let work_dir = flag_value("persist_bench", &args, "--dir")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| {
             std::env::temp_dir().join(format!("dyncomp-persist-bench-{}", std::process::id()))
@@ -296,42 +288,8 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&work_dir);
 
-    let mut rendered = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        rendered.push_str("  ");
-        rendered.push_str(&row.json());
-        if i + 1 < rows.len() {
-            rendered.push(',');
-        }
-        rendered.push('\n');
-    }
-    rendered.push_str("]\n");
-
-    match std::fs::write(&json_path, &rendered) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("persist_bench: cannot write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(reference_path) = value_of("--check") {
-        let reference = std::fs::read_to_string(&reference_path).unwrap_or_else(|e| {
-            eprintln!("persist_bench: cannot read reference {reference_path}: {e}");
-            std::process::exit(2);
-        });
-        if rendered == reference {
-            println!("check: matches {reference_path}");
-        } else {
-            eprintln!("persist_bench: results drifted from {reference_path}:");
-            for (want, got) in reference.lines().zip(rendered.lines()) {
-                if want != got {
-                    eprintln!("  - {want}");
-                    eprintln!("  + {got}");
-                }
-            }
-            std::process::exit(1);
-        }
-    }
+    let objects: Vec<String> = rows.iter().map(Row::json).collect();
+    artifact.write_and_check(&render_json_array(&objects), None);
     if bad > 0 {
         eprintln!("persist_bench: {bad} violation(s) of the warm-start invariants");
         std::process::exit(1);

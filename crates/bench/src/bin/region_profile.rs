@@ -11,12 +11,13 @@
 //! Usage: `cargo run --release -p dyncomp-bench --bin region_profile
 //! [--smoke] [--json <path>] [--check <path>]`
 
+use dyncomp::server::Json;
 use dyncomp::{
     run_session_profiled, Compiler, EngineOptions, KernelSetup, ProfiledSession, RegionProfile,
     TieredOptions,
 };
-use dyncomp_bench::jsonv;
 use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
+use dyncomp_bench::{render_json_array, Artifact};
 use std::sync::Arc;
 
 /// One kernel workload at the chosen scale.
@@ -202,13 +203,7 @@ fn run_json(kernel: &str, mode: &str, s: &ProfiledSession) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(p) => args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("region_profile: --json needs a path");
-            std::process::exit(2);
-        }),
-        None => "BENCH_region_profile.json".to_string(),
-    };
+    let artifact = Artifact::from_args("region_profile", &args, "BENCH_region_profile.json");
     println!(
         "Per-region profiles ({} scale), five kernels x {{sync, tiered, tiered+spec}}",
         if smoke { "Smoke" } else { "Paper" }
@@ -256,19 +251,23 @@ fn main() {
             // Tracing and tiering are observation/latency layers: results
             // must be identical across modes.
             checksums.push(s.outcome.checksum);
-            if let Err(e) = jsonv::validate(&s.chrome) {
+            if let Err(e) = Json::parse(&s.chrome) {
                 eprintln!(
                     "region_profile: {} [{mode}]: Chrome export is not valid JSON: {e}",
                     w.kernel
                 );
                 std::process::exit(1);
             }
-            if let Err(e) = jsonv::validate_jsonl(&s.jsonl) {
-                eprintln!(
-                    "region_profile: {} [{mode}]: JSONL export has a bad line: {e}",
-                    w.kernel
-                );
-                std::process::exit(1);
+            let lines = s.jsonl.lines().enumerate();
+            for (n, line) in lines.filter(|(_, l)| !l.trim().is_empty()) {
+                if let Err(e) = Json::parse(line) {
+                    eprintln!(
+                        "region_profile: {} [{mode}]: JSONL export has a bad line: line {}: {e}",
+                        w.kernel,
+                        n + 1
+                    );
+                    std::process::exit(1);
+                }
             }
             for p in &s.profiles {
                 let keyhit = if p.keyed_lookups > 0 {
@@ -302,47 +301,5 @@ fn main() {
         }
     }
 
-    let mut rendered = String::from("[\n");
-    for (i, o) in objects.iter().enumerate() {
-        rendered.push_str("  ");
-        rendered.push_str(o);
-        if i + 1 < objects.len() {
-            rendered.push(',');
-        }
-        rendered.push('\n');
-    }
-    rendered.push_str("]\n");
-    if let Err(e) = jsonv::validate(&rendered) {
-        eprintln!("region_profile: rendered document is not valid JSON: {e}");
-        std::process::exit(1);
-    }
-    match std::fs::write(&json_path, &rendered) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("region_profile: cannot write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(p) = args.iter().position(|a| a == "--check") {
-        let reference_path = args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("region_profile: --check needs a path");
-            std::process::exit(2);
-        });
-        let reference = std::fs::read_to_string(&reference_path).unwrap_or_else(|e| {
-            eprintln!("region_profile: cannot read reference {reference_path}: {e}");
-            std::process::exit(2);
-        });
-        if rendered == reference {
-            println!("check: matches {reference_path}");
-        } else {
-            eprintln!("region_profile: results drifted from {reference_path}:");
-            for (want, got) in reference.lines().zip(rendered.lines()) {
-                if want != got {
-                    eprintln!("  - {want}");
-                    eprintln!("  + {got}");
-                }
-            }
-            std::process::exit(1);
-        }
-    }
+    artifact.write_and_check(&render_json_array(&objects), None);
 }

@@ -22,7 +22,7 @@
 //! plumbing itself is free.
 
 use dyncomp::{EngineOptions, FaultPlan, TraceOptions};
-use dyncomp_bench::{render_table2_json, run_all_with, table2_header, Scale};
+use dyncomp_bench::{render_table2_json, run_all_with, table2_header, Artifact, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,13 +38,7 @@ fn main() {
     if args.iter().any(|a| a == "--faults-idle") {
         options.faults = Some(FaultPlan::idle());
     }
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(p) => args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("table2: --json needs a path");
-            std::process::exit(2);
-        }),
-        None => "BENCH_table2.json".to_string(),
-    };
+    let artifact = Artifact::from_args("table2", &args, "BENCH_table2.json");
     println!("Table 2: Speedup and Breakeven Point Results ({scale:?} scale)");
     println!("{}", table2_header());
     println!("{}", "-".repeat(180));
@@ -59,34 +53,5 @@ fn main() {
     println!("Columns: speedup (static/dynamic cycles per execution), breakeven point,");
     println!("dynamic compilation overhead as set-up / stitcher cycles (thousands),");
     println!("and overhead cycles per stitched instruction (stitched instruction count).");
-    let rendered = render_table2_json(&rows);
-    match std::fs::write(&json_path, &rendered) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => {
-            eprintln!("table2: cannot write {json_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(p) = args.iter().position(|a| a == "--check") {
-        let reference_path = args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("table2: --check needs a path");
-            std::process::exit(2);
-        });
-        let reference = std::fs::read_to_string(&reference_path).unwrap_or_else(|e| {
-            eprintln!("table2: cannot read reference {reference_path}: {e}");
-            std::process::exit(2);
-        });
-        if rendered == reference {
-            println!("check: matches {reference_path}");
-        } else {
-            eprintln!("table2: results drifted from {reference_path}:");
-            for (want, got) in reference.lines().zip(rendered.lines()) {
-                if want != got {
-                    eprintln!("  - {want}");
-                    eprintln!("  + {got}");
-                }
-            }
-            std::process::exit(1);
-        }
-    }
+    artifact.write_and_check(&render_table2_json(&rows), None);
 }

@@ -25,11 +25,14 @@ pub mod kernels {
     pub mod spmv;
 }
 
-pub mod jsonv;
 pub mod warmup;
 
+/// Escape a string for a JSON literal (shared by the bench binaries —
+/// the workspace takes no external JSON dependency).
+pub use dyncomp::server::escape as json_str;
 pub use dyncomp::KernelMeasurement;
 
+use dyncomp::server::Json;
 use dyncomp::{EngineOptions, Error};
 
 /// One measured Table 2 row.
@@ -182,31 +185,20 @@ pub fn run_all_with(scale: Scale, options: EngineOptions) -> Result<Vec<KernelRe
     Ok(rows)
 }
 
-/// Escape a string for a JSON literal (shared by the bench binaries —
-/// the workspace takes no external JSON dependency).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Render every row as the machine-readable `BENCH_table2.json` document
 /// (a top-level array, one object per Table 2 row).
 pub fn render_table2_json(rows: &[KernelResult]) -> String {
+    let objects: Vec<String> = rows.iter().map(KernelResult::json_object).collect();
+    render_json_array(&objects)
+}
+
+/// Render pre-rendered JSON values as the `[\n  row,\n …]\n` array every
+/// committed `BENCH_*.json` uses: one row per line, so drift diffs by row.
+pub fn render_json_array<S: AsRef<str>>(rows: &[S]) -> String {
     let mut out = String::from("[\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str("  ");
-        out.push_str(&row.json_object());
+        out.push_str(row.as_ref());
         if i + 1 < rows.len() {
             out.push(',');
         }
@@ -214,6 +206,100 @@ pub fn render_table2_json(rows: &[KernelResult]) -> String {
     }
     out.push_str("]\n");
     out
+}
+
+/// The value following `flag` on a harness command line (`None` when
+/// the flag is absent). A flag without its value is a usage error: the
+/// process exits with status 2.
+pub fn flag_value(bin: &str, args: &[String], flag: &str) -> Option<String> {
+    let at = args.iter().position(|a| a == flag)?;
+    Some(args.get(at + 1).cloned().unwrap_or_else(|| {
+        eprintln!("{bin}: {flag} needs a value");
+        std::process::exit(2);
+    }))
+}
+
+/// Where a drift-gated harness writes its `BENCH_*.json` (`--json
+/// <path>`) and which committed reference it is checked against
+/// (`--check <path>`). Parsed before the run, so a usage error costs
+/// nothing.
+pub struct Artifact {
+    bin: &'static str,
+    json_path: String,
+    check_path: Option<String>,
+}
+
+impl Artifact {
+    /// Read `--json` (falling back to `default_json`) and `--check` from
+    /// `args`; a flag without its path exits with status 2.
+    pub fn from_args(bin: &'static str, args: &[String], default_json: &str) -> Self {
+        Artifact {
+            bin,
+            json_path: flag_value(bin, args, "--json").unwrap_or_else(|| default_json.to_string()),
+            check_path: flag_value(bin, args, "--check"),
+        }
+    }
+
+    /// Validate `rendered` as JSON and write it; then, under `--check`,
+    /// compare it with the reference and exit 1 on any drift, printing
+    /// the differing rows. Without `deterministic` the comparison is
+    /// byte-for-byte (every field is simulated-deterministic); harnesses
+    /// that also report host wall-clock pass the function extracting each
+    /// row's deterministic fields, applied to both documents. An
+    /// unreadable reference exits with status 2.
+    pub fn write_and_check(&self, rendered: &str, deterministic: Option<fn(&str) -> Vec<String>>) {
+        let bin = self.bin;
+        if let Err(e) = Json::parse(rendered) {
+            eprintln!("{bin}: rendered document is not valid JSON: {e}");
+            std::process::exit(1);
+        }
+        if let Err(e) = std::fs::write(&self.json_path, rendered) {
+            eprintln!("{bin}: cannot write {}: {e}", self.json_path);
+            std::process::exit(1);
+        }
+        println!("wrote {}", self.json_path);
+        let Some(reference_path) = &self.check_path else {
+            return;
+        };
+        let reference = std::fs::read_to_string(reference_path).unwrap_or_else(|e| {
+            eprintln!("{bin}: cannot read reference {reference_path}: {e}");
+            std::process::exit(2);
+        });
+        let lines = |doc: &str| doc.lines().map(str::to_string).collect::<Vec<_>>();
+        let (matches, drifted, want, got) = match deterministic {
+            Some(fields) => (
+                "deterministic fields match",
+                "deterministic fields drifted",
+                fields(&reference),
+                fields(rendered),
+            ),
+            None => (
+                "matches",
+                "results drifted",
+                lines(&reference),
+                lines(rendered),
+            ),
+        };
+        let same = match deterministic {
+            Some(_) => want == got,
+            None => rendered == reference,
+        };
+        if same {
+            println!("check: {matches} {reference_path}");
+            return;
+        }
+        eprintln!("{bin}: {drifted} from {reference_path}:");
+        for (w, g) in want.iter().zip(&got) {
+            if w != g {
+                eprintln!("  - {w}");
+                eprintln!("  + {g}");
+            }
+        }
+        if want.len() != got.len() {
+            eprintln!("  ({} rows vs reference {})", got.len(), want.len());
+        }
+        std::process::exit(1);
+    }
 }
 
 /// The Table 2 header line.

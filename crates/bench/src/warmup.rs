@@ -224,15 +224,6 @@ pub fn run_warmup(scale: crate::Scale) -> Result<Vec<WarmupRow>, Error> {
 
 /// Render the rows as the `BENCH_warmup.json` document.
 pub fn render_warmup_json(rows: &[WarmupRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&row.json_object());
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    let objects: Vec<String> = rows.iter().map(WarmupRow::json_object).collect();
+    crate::render_json_array(&objects)
 }

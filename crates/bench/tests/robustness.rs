@@ -91,8 +91,9 @@ fn quarantine_pins_failing_region_to_fallback() {
 
 #[test]
 fn failure_ring_keeps_records_for_every_failing_region() {
-    // Regression for the single-slot `last_background_failure`: with two
-    // regions failing in the background, both must appear in the log.
+    // Regression for the single-slot failure record the health ring
+    // replaced (PR 5): with two regions failing in the background, both
+    // must appear in the log.
     let src = "int f(int a, int x) {
         dynamicRegion key(a) (a) { return a * x + a; }
     }

@@ -20,11 +20,46 @@
 //! and pay a cache-lookup cost per entry, with one stitched instance per
 //! distinct key tuple.
 //!
-//! With [`EngineOptions::shared_cache`] set, sessions additionally consult
-//! a process-wide [`SharedCodeCache`] before running set-up code: an
-//! instance some other session already stitched is installed with a bulk
-//! copy + relocation instead of being re-stitched (see [`crate::cache`]
-//! for the sharding and the cycle-accounting caveat).
+//! # Mode interactions
+//!
+//! An entry the session's own cache cannot serve walks one ladder
+//! (`probe_caches`): the process-wide [`SharedCodeCache`], the on-disk
+//! [`PersistentCache`], then the session's own set-up + stitch. *Where*
+//! it probes depends on what identifies an instance:
+//!
+//! | tier                           | keyed region        | unkeyed region                |
+//! |--------------------------------|---------------------|-------------------------------|
+//! | session cache                  | at the trap, by key | trap retired at first install |
+//! | `shared_cache`, then `persist` | at the trap, by key | after set-up, reads replayed  |
+//! | stitch (or background stitch)  | after set-up        | after set-up                  |
+//!
+//! A key tuple *is* the instance's identity, readable at the trap, so a
+//! keyed hit skips set-up and stitching. An unkeyed region's identity is
+//! the run-time constants its set-up code has yet to produce: an entry
+//! filed under the empty key would alias instances specialized to
+//! different constants across sessions (silently wrong results). Unkeyed
+//! regions therefore probe at `EndSetup`, and accept a cached instance
+//! only when replaying the publishing stitch's recorded table reads
+//! ([`dyncomp_stitcher::Stitched::reads`]) against this session's memory
+//! reproduces every value: a local stitch would then walk the same
+//! template paths and bake in the same constants.
+//!
+//! Code this session did not stitch (either cache, a background stitch)
+//! enters through one choke-point, `copy_install`: relocate, re-verify,
+//! charge per word, append. A refusal degrades to the next rung, never to
+//! an error. The other rules that couple two options:
+//!
+//! - A shared-cache probe charges `shared_lookup_cycles`, hit or miss;
+//!   disk traffic is free and a persistent hit charges the shared-cache
+//!   model, so cold runs are bit-identical with `persist` on or off.
+//! - Tiering needs a fallback copy
+//!   ([`crate::CompileOptions::tiered_fallback`]); regions without one
+//!   stitch synchronously.
+//! - A guard-sled hit bypasses the trap handler, so `native_chain`'s
+//!   guards are off under tiering (the key predictor feeds on traps) and
+//!   under a `keyed_cache_capacity` bound (hits touch the LRU).
+//! - Persisted native bytes are position-dependent: reused only when
+//!   installing at the publisher's base, re-translated otherwise.
 
 use crate::cache::{LruOrder, SharedCodeCache, SharedKey};
 use crate::faults::{
@@ -42,7 +77,7 @@ use dyncomp_machine::isa::{decode, encode, Inst, Op, CTP, SP};
 use dyncomp_machine::template::ValueLoc;
 use dyncomp_machine::verify::verify_code;
 use dyncomp_machine::vm::{Stop, Vm, VmError};
-use dyncomp_stitcher::{StitchOptions, StitchStats};
+use dyncomp_stitcher::{StitchOptions, StitchStats, Stitched};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,19 +109,10 @@ pub struct EngineOptions {
     /// Process-wide stitched-code cache shared between sessions. `None`
     /// (the default) keeps today's per-session caching and its exact
     /// simulated-cycle accounting — the mode the paper tables are measured
-    /// in. With a cache, a session entering a *keyed* region some other
-    /// session already stitched installs that instance (bulk copy +
-    /// relocation) instead of running set-up code and the stitcher,
-    /// charging [`EngineOptions::shared_lookup_cycles`] and
-    /// [`EngineOptions::shared_install_cycles_per_word`] instead. Unkeyed
-    /// regions probe only *after* running their set-up code — the
-    /// run-time constants it produces are the instance's identity, which
-    /// nothing at the `EnterRegion` trap reveals — and install a cached
-    /// instance only when replaying the publishing stitch's recorded
-    /// table reads ([`dyncomp_stitcher::Stitched::reads`]) against this
-    /// session's memory reproduces every value; a mismatch stitches
-    /// locally, so sessions specializing the same region to different
-    /// constants never alias each other's code.
+    /// in. With a cache, an instance some other session already stitched
+    /// is installed (bulk copy + relocation) instead of running the
+    /// stitcher. Where keyed and unkeyed regions probe, and what each hit
+    /// charges: module docs, "Mode interactions".
     pub shared_cache: Option<Arc<SharedCodeCache>>,
     /// Cycles charged per shared-cache probe (hash + stripe lock + bucket
     /// walk), hit or miss. Only charged when `shared_cache` is set.
@@ -98,9 +124,8 @@ pub struct EngineOptions {
     /// compiled fallback copy while a background worker stitches (see
     /// [`crate::tiered`]). `None` (the default) keeps fully synchronous
     /// set-up + stitching and bit-identical accounting to the paper
-    /// tables. Requires a program compiled with
-    /// [`crate::CompileOptions::tiered_fallback`]; regions without a
-    /// fallback copy fall back to synchronous stitching.
+    /// tables. Needs a per-region fallback copy (module docs, "Mode
+    /// interactions").
     pub tiered: Option<TieredOptions>,
     /// Structured tracing ([`crate::trace`]). `None` (the default) records
     /// nothing and allocates nothing. When set, every region-lifecycle
@@ -132,18 +157,12 @@ pub struct EngineOptions {
     pub native: bool,
     /// Crash-safe on-disk cache for stitched instances
     /// ([`crate::persist`]). `None` (the default) keeps everything
-    /// in-process. When set, a session entering a region it has not
-    /// stitched probes the directory for an instance published by an
-    /// earlier process — keyed regions right at the trap (skipping both
-    /// set-up and the stitch), unkeyed regions after set-up (validated
-    /// by replaying the publishing stitch's recorded table reads, same
-    /// rule as the shared cache) — and every freshly stitched instance
-    /// is stored for the next process. Loaded files are untrusted: they
-    /// re-pass `verify_code` before install, and any corruption
-    /// degrades to a local stitch with a typed health entry. Disk I/O
-    /// is host-side (zero simulated cycles); a hit charges the
-    /// shared-cache install model, so cold runs are bit-identical with
-    /// this on or off.
+    /// in-process. When set, the rung below the shared cache is an
+    /// instance published by an earlier *process*, and every freshly
+    /// stitched instance is stored for the next one. Loaded files are
+    /// untrusted: they re-pass `verify_code` before install, and any
+    /// corruption degrades to a local stitch with a typed health entry.
+    /// Probe points and accounting: module docs, "Mode interactions".
     pub persist: Option<Arc<PersistentCache>>,
     /// Direct-threaded native dispatch (only meaningful with `native`):
     /// the whole static code region is installed as one native instance,
@@ -152,13 +171,12 @@ pub struct EngineOptions {
     /// back-patched into direct jumps, so hot control flow transfers
     /// between native instances without bouncing through the VM loop.
     /// Keyed `EnterRegion` traps additionally get patchable monomorphic
-    /// inline-cache guards (when no keyed-cache capacity bound and no
-    /// tiering is configured, whose bookkeeping needs the trap). Chained
-    /// transfers charge *exactly* the simulated cycles and fuel the
-    /// VM-dispatched path would, so all simulated quantities stay
-    /// bit-identical. On by default; `false` reproduces the PR 6
-    /// one-instance-per-dispatch behaviour (the `--no-native-chain`
-    /// ablation).
+    /// inline-cache guards (unless another option needs the trap — module
+    /// docs, "Mode interactions"). Chained transfers charge *exactly* the
+    /// simulated cycles and fuel the VM-dispatched path would, so all
+    /// simulated quantities stay bit-identical. On by default; `false`
+    /// reproduces the PR 6 one-instance-per-dispatch behaviour (the
+    /// `--no-native-chain` ablation).
     pub native_chain: bool,
 }
 
@@ -196,6 +214,7 @@ const STATIC_CHAIN_THRESHOLD: u64 = 4;
 /// Per-session state of the host-native backend (`Some` iff
 /// [`EngineOptions::native`] was set). All counters are host-side
 /// bookkeeping: nothing here charges simulated cycles.
+#[derive(Default)]
 struct NativeState {
     /// Installed instances and their executable arena.
     backend: dyncomp_native::Backend,
@@ -206,15 +225,13 @@ struct NativeState {
     /// is recorded at most once per session).
     reported: bool,
     /// Artifact pre-translated by `end_setup` (so the published
-    /// [`dyncomp_stitcher::Stitched`] carries its native footprint),
-    /// keyed by install base and consumed by `index_instance`.
+    /// [`Stitched`] carries its native footprint), keyed by install base
+    /// and consumed by `index_instance`.
     pending: Option<(u32, dyncomp_native::Artifact)>,
-    installs: u64,
-    declined: u64,
-    entries: u64,
-    translate_ns: u64,
-    translated_instructions: u64,
-    covered_instructions: u64,
+    /// The session-accumulated counters of [`Session::native_report`]
+    /// (`enabled`, `active`, `chained` and `bytes` are read off the
+    /// backend when the report is taken).
+    counters: NativeReport,
     /// Whether the whole-static-code instance install was attempted
     /// (chain mode; tried once, lazily, when a single call shows
     /// repeated native dispatches — the VM-bounce pattern chaining
@@ -230,9 +247,9 @@ struct NativeState {
     /// words into branches, and the guard-sled protocol is defined
     /// against the original traps. Consumed (freed) by the install.
     static_code: Vec<u32>,
-    /// Value of `entries` when the current `call` started; the install
-    /// heuristic compares against it to detect repeated dispatches
-    /// within one call.
+    /// Value of `counters.entries` when the current `call` started; the
+    /// install heuristic compares against it to detect repeated
+    /// dispatches within one call.
     call_entries: u64,
     /// pcs marked for native dispatch, per install base — retired when
     /// the instance is severed so the VM never bounces on a dead pc.
@@ -243,30 +260,6 @@ struct NativeState {
     /// Direct transfers attributed to the static-code instance (it has
     /// no per-region report row).
     static_chained: u64,
-}
-
-impl NativeState {
-    fn new() -> Self {
-        NativeState {
-            backend: dyncomp_native::Backend::new(),
-            disabled: false,
-            reported: false,
-            pending: None,
-            installs: 0,
-            declined: 0,
-            entries: 0,
-            translate_ns: 0,
-            translated_instructions: 0,
-            covered_instructions: 0,
-            static_attempted: false,
-            static_end: 0,
-            static_code: Vec::new(),
-            call_entries: 0,
-            marks: FxHashMap::default(),
-            region_of: FxHashMap::default(),
-            static_chained: 0,
-        }
-    }
 }
 
 /// Host-native backend counters ([`Session::native_report`]). All
@@ -331,56 +324,13 @@ struct RegionState {
     /// Every stitched instance ever installed: (key, code base, length in
     /// words). Survives eviction — code space is append-only.
     instances: Vec<(Vec<u64>, u32, u32)>,
-    /// Cache entries dropped to stay within the configured capacity.
-    evictions: u64,
     /// Key recorded at `EnterRegion`, consumed at `EndSetup`.
     pending_key: Option<Vec<u64>>,
     /// Cycle counter value when set-up started.
     setup_start: u64,
-    /// Accumulated set-up cycles (VM-measured).
-    setup_cycles: u64,
-    /// Accumulated stitcher statistics.
-    stitch: StitchStats,
-    /// Number of stitches performed.
-    stitches: u32,
-    /// Instances installed from the process-wide shared cache (set-up and
-    /// stitching skipped).
-    shared_hits: u64,
-    /// Instances installed from the persistent on-disk cache.
-    persist_hits: u64,
-    /// Persistent-cache probes that found nothing usable.
-    persist_misses: u64,
-    /// Persistent-cache files refused (corrupt, stale reads, verifier
-    /// reject): each one degraded to a local stitch.
-    persist_rejects: u64,
-    /// Region entries observed (including fast-path re-entries only for
-    /// keyed regions; patched unkeyed regions bypass the trap, so the
-    /// session counts their entries via [`Session::call`]'s bookkeeping).
-    invocations: u64,
-    /// Entries that ran the statically compiled fallback copy while a
-    /// background stitch was in flight (tiered mode).
-    fallback_runs: u64,
-    /// Instances installed from background workers (tiered mode).
-    bg_installs: u64,
-    /// Of [`RegionState::bg_installs`], those stitched speculatively
-    /// (predicted key, ahead of demand).
-    spec_installs: u64,
-    /// Set-up cycles spent on background forks (worker clocks, never the
-    /// session's — kept separate from [`RegionState::setup_cycles`] so
-    /// synchronous accounting is untouched).
-    bg_setup_cycles: u64,
-    /// Stitch cycles spent on background forks.
-    bg_stitch_cycles: u64,
-    /// Faults the plan injected into this region.
-    faults_injected: u64,
-    /// Recovery retries charged against this region.
-    retries: u64,
-    /// Compile-time inline sites replayed by this session's synchronous
-    /// stitches (one per site per stitch).
-    inlined_calls: u64,
-    /// Direct (chained) native transfers taken by dispatches that entered
-    /// through this region's instances.
-    native_chained: u64,
+    /// Every per-region counter, kept in the shape it is reported in
+    /// ([`Session::region_report`] is a copy).
+    report: RegionReport,
 }
 
 /// Per-region measurement report (feeds Table 2 / Table 3).
@@ -504,7 +454,7 @@ impl<P: Borrow<Program>> Session<P> {
             .as_ref()
             .map(|plan| Box::new(FaultState::new(plan)));
         let recovery = RecoveryState::new(options.recovery.clone(), p.compiled.regions.len());
-        let mut native = options.native.then(|| Box::new(NativeState::new()));
+        let mut native = options.native.then(Box::<NativeState>::default);
         if let Some(ns) = native.as_deref_mut() {
             // Snapshot the static-code extent before any dynamic install
             // grows the code space (chain mode translates exactly this
@@ -549,7 +499,7 @@ impl<P: Borrow<Program>> Session<P> {
             // Call boundary for the static-instance install heuristic:
             // only repeated dispatches *within* one call count as the
             // bounce pattern worth paying the snapshot translate for.
-            ns.call_entries = ns.entries;
+            ns.call_entries = ns.counters.entries;
         }
         let entry = self
             .program
@@ -583,14 +533,6 @@ impl<P: Borrow<Program>> Session<P> {
         }
     }
 
-    /// Serve a [`Stop::Native`] dispatch: run the installed host
-    /// instance, then resume the VM at the native exit pc (or surface
-    /// the identical `VmError` the interpreter would have produced).
-    ///
-    /// A bail-out that made no progress — fuel too low to charge the
-    /// first block, or an entry the translator could not cover — hands
-    /// the pc back to the interpreter exactly once
-    /// ([`Vm::skip_native_once`]), so execution always advances.
     /// Checked accessor for the native-backend state at call sites whose
     /// surrounding control flow has already established it exists (the
     /// former `expect("checked above")` sites). A refactor slip that
@@ -640,6 +582,14 @@ impl<P: Borrow<Program>> Session<P> {
         self.native = None;
     }
 
+    /// Serve a [`Stop::Native`] dispatch: run the installed host
+    /// instance, then resume the VM at the native exit pc (or surface
+    /// the identical `VmError` the interpreter would have produced).
+    ///
+    /// A bail-out that made no progress — fuel too low to charge the
+    /// first block, or an entry the translator could not cover — hands
+    /// the pc back to the interpreter exactly once
+    /// ([`Vm::skip_native_once`]), so execution always advances.
     fn native_dispatch(&mut self, at: u32) -> Result<(), Error> {
         let (out, delta, region) = {
             // Field-level borrow (not `native_checked`): the backend run
@@ -673,14 +623,14 @@ impl<P: Borrow<Program>> Session<P> {
         if progressed {
             let mut bounce = false;
             if let Some(ns) = self.native_checked(region.unwrap_or(crate::STATIC_REGION)) {
-                ns.entries += 1;
+                ns.counters.entries += 1;
                 // The bounce heuristic: one call re-dispatching this
                 // often is ping-ponging between native code and the VM
                 // loop, so the one-time static-snapshot translate will
                 // pay for itself. Kernels that enter native once per
                 // call never trip it and never pay.
-                bounce =
-                    !ns.static_attempted && ns.entries - ns.call_entries >= STATIC_CHAIN_THRESHOLD;
+                bounce = !ns.static_attempted
+                    && ns.counters.entries - ns.call_entries >= STATIC_CHAIN_THRESHOLD;
             }
             if bounce {
                 self.install_static_native();
@@ -689,7 +639,7 @@ impl<P: Borrow<Program>> Session<P> {
         if delta > 0 {
             match region {
                 Some(r) if (r as usize) < self.regions.len() => {
-                    self.regions[r as usize].native_chained += delta;
+                    self.regions[r as usize].report.native_chained += delta;
                     self.tr(EventKind::NativeChained {
                         region: r,
                         count: delta,
@@ -727,10 +677,19 @@ impl<P: Borrow<Program>> Session<P> {
         }
     }
 
+    /// Fold one translation's host wall-clock and coverage into the
+    /// session counters (skipped, via [`Session::native_checked`], if the
+    /// state vanished between the caller's check and here).
+    fn note_translation(&mut self, region: u16, start: Instant, a: &dyncomp_native::Artifact) {
+        if let Some(ns) = self.native_checked(region) {
+            ns.counters.translate_ns += start.elapsed().as_nanos() as u64;
+            ns.counters.translated_instructions += u64::from(a.instructions);
+            ns.counters.covered_instructions += u64::from(a.covered);
+        }
+    }
+
     /// Translate the `len` code words installed at `base` for the native
-    /// backend, folding host wall-clock and coverage into the session
-    /// counters (skipped, via [`Session::native_checked`], if the state
-    /// vanished between the caller's check and here).
+    /// backend.
     fn translate_native(&mut self, region: u16, base: u32, len: u32) -> dyncomp_native::Artifact {
         let start = Instant::now();
         let code = &self.vm.code[base as usize..(base as usize + len as usize)];
@@ -743,18 +702,12 @@ impl<P: Borrow<Program>> Session<P> {
             leaders: Vec::new(),
         };
         let artifact = dyncomp_native::translate_with(code, base, &self.vm.model, &spec);
-        if let Some(ns) = self.native_checked(region) {
-            ns.translate_ns += start.elapsed().as_nanos() as u64;
-            ns.translated_instructions += u64::from(artifact.instructions);
-            ns.covered_instructions += u64::from(artifact.covered);
-        }
+        self.note_translation(region, start, &artifact);
         artifact
     }
 
-    /// Whether `EnterRegion` inline-cache guards may be patched: a guard
-    /// hit bypasses the trap handler, so it is only bit-identical when
-    /// nothing on the hit path has observable state — no keyed-cache LRU
-    /// to touch (capacity bound) and no key predictor to feed (tiering).
+    /// Whether `EnterRegion` inline-cache guards may be patched (module
+    /// docs, "Mode interactions").
     fn guards_enabled(&self) -> bool {
         self.options.native_chain
             && self.options.keyed_cache_capacity.is_none()
@@ -776,17 +729,14 @@ impl<P: Borrow<Program>> Session<P> {
         if !self.options.native_chain {
             return;
         }
-        let Some(ns) = self.native.as_deref() else {
+        let Some(ns) = self.native.as_deref_mut() else {
             return;
         };
         if ns.static_attempted || ns.disabled {
             return;
         }
-        let end = ns.static_end;
-        let Some(ns) = self.native_checked(crate::STATIC_REGION) else {
-            return;
-        };
         ns.static_attempted = true;
+        let (end, snapshot) = (ns.static_end, std::mem::take(&mut ns.static_code));
         if !dyncomp_native::available() || end == 0 {
             // `maybe_install_native` reports host unavailability once.
             return;
@@ -824,24 +774,16 @@ impl<P: Borrow<Program>> Session<P> {
             leaders,
         };
         let start = Instant::now();
-        let snapshot = match self.native_checked(crate::STATIC_REGION) {
-            Some(ns) => std::mem::take(&mut ns.static_code),
-            None => return,
-        };
-        let artifact = {
-            let code = &snapshot[..end as usize];
-            dyncomp_native::translate_with(code, 0, &self.vm.model, &spec)
-        };
+        let code = &snapshot[..end as usize];
+        let artifact = dyncomp_native::translate_with(code, 0, &self.vm.model, &spec);
+        self.note_translation(crate::STATIC_REGION, start, &artifact);
         let Some(ns) = self.native_checked(crate::STATIC_REGION) else {
             return;
         };
-        ns.translate_ns += start.elapsed().as_nanos() as u64;
-        ns.translated_instructions += u64::from(artifact.instructions);
-        ns.covered_instructions += u64::from(artifact.covered);
         if ns.backend.install_any(0, &artifact).is_err() {
             return;
         }
-        ns.installs += 1;
+        ns.counters.installs += 1;
         ns.region_of.insert(0, crate::STATIC_REGION);
         // Deliberately mark *no* VM dispatch pc for the static snapshot:
         // marking every leader would hand the VM off into many short
@@ -1046,7 +988,7 @@ impl<P: Borrow<Program>> Session<P> {
         };
         if !artifact.entry_supported {
             if let Some(ns) = self.native_checked(region) {
-                ns.declined += 1;
+                ns.counters.declined += 1;
             }
             return 0;
         }
@@ -1057,7 +999,7 @@ impl<P: Borrow<Program>> Session<P> {
         };
         match ns.backend.install(base, &artifact) {
             Ok(()) => {
-                ns.installs += 1;
+                ns.counters.installs += 1;
                 ns.region_of.insert(base, region);
                 // Chain mode marks every dispatchable leader, so the VM
                 // re-enters native code mid-instance after any exit;
@@ -1165,7 +1107,7 @@ impl<P: Borrow<Program>> Session<P> {
             return;
         };
         for (point, region) in f.drain_pending() {
-            self.regions[region as usize].faults_injected += 1;
+            self.regions[region as usize].report.faults_injected += 1;
             self.recovery.note_fault();
             self.tr(EventKind::FaultInjected { region, point });
         }
@@ -1195,7 +1137,7 @@ impl<P: Borrow<Program>> Session<P> {
     fn charge_retry(&mut self, region: u16, attempt: u32) {
         let backoff = self.recovery.policy().retry_backoff_cycles * u64::from(attempt);
         self.vm.cycles += backoff;
-        self.regions[region as usize].retries += 1;
+        self.regions[region as usize].report.retries += 1;
         self.recovery.note_retry();
         self.tr(EventKind::RecoveryRetry {
             region,
@@ -1207,7 +1149,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// Serve an entry from the region's statically compiled fallback copy
     /// (quarantine, budget exhaustion, or a failed background install).
     fn run_fallback(&mut self, region: u16, fallback_pc: u32) {
-        self.regions[region as usize].fallback_runs += 1;
+        self.regions[region as usize].report.fallback_runs += 1;
         self.tr(EventKind::FallbackRun { region });
         self.vm.pc = fallback_pc;
     }
@@ -1217,7 +1159,7 @@ impl<P: Borrow<Program>> Session<P> {
         let key = self.read_key(&rc.key_locs)?;
         let keyed = !rc.key_locs.is_empty();
         let (setup_pc, fallback_pc, key_len) = (rc.setup_pc, rc.fallback_pc, rc.key_locs.len());
-        self.regions[region as usize].invocations += 1;
+        self.regions[region as usize].report.invocations += 1;
         self.vm.cycles += self.options.trap_cycles;
         self.tr(EventKind::RegionEnter { region, keyed });
         if keyed {
@@ -1249,34 +1191,10 @@ impl<P: Borrow<Program>> Session<P> {
                         return Ok(());
                     }
                 }
-                // Not stitched here yet. Keyed regions consult the
-                // process-wide cache before paying for set-up + stitching:
-                // the key *is* the instance's identity, readable right at
-                // the trap. Unkeyed regions must not probe here — their
-                // identity is the run-time constants set-up has yet to
-                // produce, and an entry filed under the empty key would
-                // alias instances specialized to different constants
-                // across sessions (wrong code, silently wrong results).
-                // They probe in `end_setup` instead, validated against the
-                // publishing stitch's recorded table reads. A degraded
-                // install (injected failure, failed relocation, verifier
-                // reject) falls through to the session's own stitch path.
-                let mut installed = if keyed {
-                    match self.shared_lookup(region, &key) {
-                        Some(stitched) => self.install_shared(region, key.clone(), &stitched)?,
-                        None => false,
-                    }
-                } else {
-                    false
-                };
-                // After the in-process cache, the on-disk one: a keyed
-                // instance an earlier *process* stitched skips set-up and
-                // stitching here too (unkeyed regions probe in
-                // `end_setup`, for the same identity reason as above).
-                if !installed && keyed {
-                    installed = self.persist_probe(region, &key, false)?;
-                }
-                if installed {
+                // Not stitched here yet. Keyed regions walk the cache
+                // ladder at the trap; unkeyed regions only in `end_setup`
+                // (module docs, "Mode interactions").
+                if keyed && self.probe_caches(region, &key, false)? {
                     self.speculate_after(region, &key);
                 } else if let (true, Some(fallback)) = (self.tiered.is_some(), fallback_pc) {
                     self.tiered_miss(region, key, fallback, setup_pc)?;
@@ -1322,6 +1240,13 @@ impl<P: Borrow<Program>> Session<P> {
             }
             self.charge_retry(region, attempt);
         }
+        self.start_setup(region, key, setup_pc);
+    }
+
+    /// Enter set-up code, leaving the key and the clock for `end_setup`.
+    /// Called directly, skipping [`Session::begin_setup`]'s `SetupVmTrap`
+    /// pre-flight, when a failed background job degrades a tiered entry.
+    fn start_setup(&mut self, region: u16, key: Vec<u64>, setup_pc: u32) {
         let st = &mut self.regions[region as usize];
         st.pending_key = Some(key);
         st.setup_start = self.vm.cycles;
@@ -1341,7 +1266,6 @@ impl<P: Borrow<Program>> Session<P> {
         fallback_pc: u32,
         setup_pc: u32,
     ) -> Result<(), Error> {
-        let now = self.vm.cycles;
         let (decision, enqueued, dispatch) = {
             let Some(tiered) = self.tiered.as_mut() else {
                 // The caller checked `tiered.is_some()`; if the state is
@@ -1356,7 +1280,7 @@ impl<P: Borrow<Program>> Session<P> {
                 region,
                 &key,
                 &self.options.stitch,
-                now,
+                self.vm.cycles,
                 self.faults.as_deref_mut(),
             );
             (decision, enqueued, dispatch)
@@ -1374,70 +1298,30 @@ impl<P: Borrow<Program>> Session<P> {
                 stitch_cycles,
                 speculative,
             } => {
-                // Injected arena exhaustion: back off deterministically
-                // (the simulated arena grows) before installing.
-                let mut attempt = 0u32;
-                while self.fire(FaultPoint::CodeArenaExhausted, region).is_some() {
-                    self.record_failure(
-                        region,
-                        FailureKind::Install,
-                        true,
-                        "injected code-arena exhaustion installing background stitch".to_string(),
-                    );
-                    attempt += 1;
-                    if attempt > self.recovery.policy().max_retries {
-                        break;
-                    }
-                    self.charge_retry(region, attempt);
-                }
-                // Same bulk copy + relocation (and per-word charge) as a
-                // shared-cache install. A relocation failure or a verifier
-                // reject consumes the job and degrades this entry to the
-                // fallback copy; the next entry re-enqueues.
-                let base = self.vm.code.len() as u32;
-                let code = match stitched.relocate(base, &mut self.vm.mem) {
-                    Ok((code, _lin_addr)) => match verify_code(&code, base) {
-                        Ok(()) => code,
-                        Err(e) => {
-                            self.tr(EventKind::VerifyReject { region });
-                            self.record_failure(
-                                region,
-                                FailureKind::Verify,
-                                false,
-                                format!(
-                                    "background instance rejected by pre-install \
-                                     verification: {e}"
-                                ),
-                            );
-                            self.run_fallback(region, fallback_pc);
-                            self.speculate_after(region, &key);
-                            return Ok(());
-                        }
-                    },
-                    Err(e) => {
-                        self.record_failure(
-                            region,
-                            FailureKind::Install,
-                            false,
-                            format!("background instance failed to relocate: {e}"),
-                        );
+                self.arena_backoff(region, "installing background stitch");
+                // A relocation failure or a verifier reject consumes the
+                // job and degrades this entry to the fallback copy; the
+                // next entry re-enqueues.
+                let (base, len) = match self.copy_install(region, "background", &stitched) {
+                    Ok(at) => at,
+                    Err(f) => {
+                        let (kind, msg) = f.split(FailureKind::Install);
+                        self.record_failure(region, kind, false, msg);
                         self.run_fallback(region, fallback_pc);
                         self.speculate_after(region, &key);
                         return Ok(());
                     }
                 };
-                self.vm.cycles += self.options.shared_install_cycles_per_word * code.len() as u64;
-                self.vm.append_code(&code);
                 let st = &mut self.regions[region as usize];
-                st.bg_installs += 1;
+                st.report.bg_installs += 1;
                 if speculative {
-                    st.spec_installs += 1;
+                    st.report.spec_installs += 1;
                 }
-                st.bg_setup_cycles += setup_cycles;
-                st.bg_stitch_cycles += stitch_cycles;
+                st.report.bg_setup_cycles += setup_cycles;
+                st.report.bg_stitch_cycles += stitch_cycles;
                 self.tr(EventKind::BgInstall {
                     region,
-                    words: code.len() as u32,
+                    words: len,
                     speculative,
                     setup_cycles,
                     stitch_cycles,
@@ -1445,39 +1329,16 @@ impl<P: Borrow<Program>> Session<P> {
                 if speculative {
                     self.tr(EventKind::SpeculateHit { region });
                 }
-                if let Some(cache) = &self.options.shared_cache {
-                    let evicted = cache.insert(
-                        SharedKey {
-                            program: self.program.borrow().id(),
-                            region,
-                            key: key.clone(),
-                        },
-                        Arc::clone(&stitched),
-                    );
-                    if evicted > 0 {
-                        self.tr(EventKind::CacheEvict {
-                            region,
-                            count: evicted as u64,
-                        });
-                    }
-                }
+                self.publish_shared(region, &key, Arc::clone(&stitched));
                 self.persist_store(region, &key, &stitched, base);
-                self.index_instance(region, key.clone(), base, code.len() as u32)?;
+                self.index_instance(region, key.clone(), base, len)?;
                 self.speculate_after(region, &key);
             }
             TierDecision::Fallback => {
-                self.regions[region as usize].fallback_runs += 1;
-                self.tr(EventKind::FallbackRun { region });
+                self.run_fallback(region, fallback_pc);
                 self.speculate_after(region, &key);
-                self.vm.pc = fallback_pc;
             }
-            TierDecision::Synchronous => {
-                let st = &mut self.regions[region as usize];
-                st.pending_key = Some(key);
-                st.setup_start = self.vm.cycles;
-                self.vm.pc = setup_pc;
-                self.tr(EventKind::SetupStart { region });
-            }
+            TierDecision::Synchronous => self.start_setup(region, key, setup_pc),
         }
         Ok(())
     }
@@ -1487,12 +1348,8 @@ impl<P: Borrow<Program>> Session<P> {
     /// job. No-op when tiering or speculation is off, or the region is
     /// unkeyed.
     fn speculate_after(&mut self, region: u16, key: &[u64]) {
-        if self.tiered.is_none() || key.is_empty() {
-            return;
-        }
-        let now = self.vm.cycles;
         let (enqueued, dispatch) = {
-            let Some(tiered) = self.tiered.as_mut() else {
+            let Some(tiered) = self.tiered.as_mut().filter(|_| !key.is_empty()) else {
                 return;
             };
             let dispatch = tiered.options().dispatch_cycles;
@@ -1504,7 +1361,7 @@ impl<P: Borrow<Program>> Session<P> {
                 key,
                 &is_cached,
                 &self.options.stitch,
-                now,
+                self.vm.cycles,
                 self.faults.as_deref_mut(),
             );
             (enqueued, dispatch)
@@ -1516,126 +1373,175 @@ impl<P: Borrow<Program>> Session<P> {
         }
     }
 
-    /// Probe the shared cache (when configured), charging the probe cost.
-    /// An injected poisoned shard abandons the probe: the charge is paid
-    /// and the entry proceeds as a miss.
-    fn shared_lookup(
+    /// The cache ladder below the session's own cache: the shared cache,
+    /// then the persistent cache. `Ok(true)`: an instance was installed
+    /// and the VM resumes in it. `Ok(false)`: nothing usable — the caller
+    /// goes on to the session's own set-up + stitch path.
+    ///
+    /// Keyed regions call this at the trap with `validate_reads: false`;
+    /// unkeyed regions after set-up with `true`, which admits a candidate
+    /// only if [`Session::replay_reads`] passes (module docs, "Mode
+    /// interactions").
+    ///
+    /// # Errors
+    /// Only install-side errors ([`Session::index_instance`]); anything
+    /// wrong with a cached instance degrades to a miss.
+    fn probe_caches(
         &mut self,
         region: u16,
         key: &[u64],
-    ) -> Option<Arc<dyncomp_stitcher::Stitched>> {
-        let cache = Arc::clone(self.options.shared_cache.as_ref()?);
-        self.vm.cycles += self.options.shared_lookup_cycles;
-        if self
-            .fire(FaultPoint::SharedCachePoisonedShard, region)
-            .is_some()
-        {
-            self.record_failure(
-                region,
-                FailureKind::SharedCache,
-                true,
-                "injected poisoned shared-cache shard: probe abandoned".to_string(),
-            );
-            self.tr(EventKind::CacheLookup { region, hit: false });
-            return None;
+        validate_reads: bool,
+    ) -> Result<bool, Error> {
+        Ok(self.shared_probe(region, key, validate_reads)?
+            || self.persist_probe(region, key, validate_reads)?)
+    }
+
+    /// Replay the publishing stitch's recorded table reads against this
+    /// session's memory, charging the stitcher's per-read cost.
+    fn replay_reads(&mut self, stitched: &Stitched) -> bool {
+        self.vm.cycles += self.options.stitch.cost.table_read * stitched.reads.len() as u64;
+        stitched.reads_match(&self.vm.mem)
+    }
+
+    /// The one way code this session did not stitch enters its code
+    /// space: relocate to the end of it, re-verify (the words came from
+    /// another session, process or thread), charge the per-word copy and
+    /// append. Returns `(base, len)`; counters, trace events and
+    /// [`Session::index_instance`] stay with the caller. On a refusal
+    /// nothing was installed or charged, and the caller picks the failure
+    /// sink; `origin` names the source in the message.
+    fn copy_install(
+        &mut self,
+        region: u16,
+        origin: &str,
+        stitched: &Stitched,
+    ) -> Result<(u32, u32), CopyFailure> {
+        let base = self.vm.code.len() as u32;
+        let (code, _lin_addr) = stitched.relocate(base, &mut self.vm.mem).map_err(|e| {
+            CopyFailure::Relocate(format!("{origin} instance failed to relocate: {e}"))
+        })?;
+        if let Err(e) = verify_code(&code, base) {
+            self.tr(EventKind::VerifyReject { region });
+            return Err(CopyFailure::Verify(format!(
+                "{origin} instance rejected by pre-install verification: {e}"
+            )));
         }
-        let hit = cache.lookup(&SharedKey {
+        self.vm.cycles += self.options.shared_install_cycles_per_word * code.len() as u64;
+        self.vm.append_code(&code);
+        Ok((base, code.len() as u32))
+    }
+
+    /// Injected code-arena exhaustion: back off deterministically (the
+    /// simulated arena grows) before an install. `when` finishes the
+    /// health-ring message.
+    fn arena_backoff(&mut self, region: u16, when: &str) {
+        let mut attempt = 0u32;
+        while self.fire(FaultPoint::CodeArenaExhausted, region).is_some() {
+            let msg = format!("injected code-arena exhaustion {when}");
+            self.record_failure(region, FailureKind::Install, true, msg);
+            attempt += 1;
+            if attempt > self.recovery.policy().max_retries {
+                break;
+            }
+            self.charge_retry(region, attempt);
+        }
+    }
+
+    /// This session's name for `(region, key)` in the process-wide cache.
+    fn shared_key(&self, region: u16, key: &[u64]) -> SharedKey {
+        SharedKey {
             program: self.program.borrow().id(),
             region,
             key: key.to_vec(),
-        });
+        }
+    }
+
+    /// Publish an instance to the process-wide cache (when configured) so
+    /// other sessions can skip set-up and stitching for this
+    /// `(region, key)`.
+    fn publish_shared(&mut self, region: u16, key: &[u64], stitched: impl Into<Arc<Stitched>>) {
+        let Some(cache) = &self.options.shared_cache else {
+            return;
+        };
+        let evicted = cache.insert(self.shared_key(region, key), stitched.into());
+        if evicted > 0 {
+            self.tr(EventKind::CacheEvict {
+                region,
+                count: evicted as u64,
+            });
+        }
+    }
+
+    /// Shared-cache rung: probe the process-wide cache (when configured),
+    /// charging the probe cost hit or miss, and install another session's
+    /// stitched instance. `Ok(false)` on a miss, an injected fault (a
+    /// poisoned shard abandons the probe), stale reads, or a refused
+    /// install: any failure is recorded and the ladder moves on.
+    fn shared_probe(
+        &mut self,
+        region: u16,
+        key: &[u64],
+        validate_reads: bool,
+    ) -> Result<bool, Error> {
+        let Some(cache) = self.options.shared_cache.as_ref().map(Arc::clone) else {
+            return Ok(false);
+        };
+        self.vm.cycles += self.options.shared_lookup_cycles;
+        let poisoned = self
+            .fire(FaultPoint::SharedCachePoisonedShard, region)
+            .is_some();
+        let hit = if poisoned {
+            let msg = "injected poisoned shared-cache shard: probe abandoned";
+            self.record_failure(region, FailureKind::SharedCache, true, msg.to_string());
+            None
+        } else {
+            cache.lookup(&self.shared_key(region, key))
+        };
         self.tr(EventKind::CacheLookup {
             region,
             hit: hit.is_some(),
         });
-        hit
-    }
-
-    /// Install another session's stitched instance: bulk copy + base and
-    /// linearized-table relocation, charged per word. No set-up code runs
-    /// and no stitch is performed. Returns `Ok(false)` when the install
-    /// degraded (injected failure, failed relocation, or a verifier
-    /// reject): the failure is recorded and the caller falls through to
-    /// the session's own set-up + stitch path.
-    fn install_shared(
-        &mut self,
-        region: u16,
-        key: Vec<u64>,
-        stitched: &dyncomp_stitcher::Stitched,
-    ) -> Result<bool, Error> {
-        if self.fire(FaultPoint::SharedCacheInstall, region).is_some() {
-            self.record_failure(
-                region,
-                FailureKind::SharedCache,
-                true,
-                "injected shared-cache install failure".to_string(),
-            );
+        let Some(stitched) = hit else {
+            return Ok(false);
+        };
+        if validate_reads && !self.replay_reads(&stitched) {
             return Ok(false);
         }
-        let base = self.vm.code.len() as u32;
-        let code = match stitched.relocate(base, &mut self.vm.mem) {
-            Ok((code, _lin_addr)) => code,
-            Err(e) => {
-                self.record_failure(
-                    region,
-                    FailureKind::SharedCache,
-                    false,
-                    format!("shared-cache instance failed to relocate: {e}"),
-                );
+        if self.fire(FaultPoint::SharedCacheInstall, region).is_some() {
+            let msg = "injected shared-cache install failure";
+            self.record_failure(region, FailureKind::SharedCache, true, msg.to_string());
+            return Ok(false);
+        }
+        let (base, len) = match self.copy_install(region, "shared-cache", &stitched) {
+            Ok(at) => at,
+            Err(f) => {
+                let (kind, msg) = f.split(FailureKind::SharedCache);
+                self.record_failure(region, kind, false, msg);
                 return Ok(false);
             }
         };
-        if let Err(e) = verify_code(&code, base) {
-            self.tr(EventKind::VerifyReject { region });
-            self.record_failure(
-                region,
-                FailureKind::Verify,
-                false,
-                format!("shared-cache instance rejected by pre-install verification: {e}"),
-            );
-            return Ok(false);
-        }
-        self.vm.cycles += self.options.shared_install_cycles_per_word * code.len() as u64;
-        self.vm.append_code(&code);
-        self.regions[region as usize].shared_hits += 1;
-        self.tr(EventKind::CacheInstall {
-            region,
-            words: code.len() as u32,
-        });
-        self.index_instance(region, key, base, code.len() as u32)?;
+        self.regions[region as usize].report.shared_hits += 1;
+        self.tr(EventKind::CacheInstall { region, words: len });
+        self.index_instance(region, key.to_vec(), base, len)?;
         Ok(true)
     }
 
     /// Bookkeeping for a refused persistent-cache load: the per-region
     /// counter, a [`EventKind::PersistReject`] trace event, and a typed
-    /// `persist` health entry. The caller falls through to the session's
+    /// `persist` health entry. The ladder falls through to the session's
     /// own set-up + stitch path, whose store then overwrites the bad
     /// file — corruption is self-healing and never fatal.
     fn persist_reject(&mut self, region: u16, injected: bool, message: String) {
-        self.regions[region as usize].persist_rejects += 1;
+        self.regions[region as usize].report.persist_rejects += 1;
         self.tr(EventKind::PersistReject { region });
         self.record_failure(region, FailureKind::Persist, injected, message);
     }
 
-    /// Probe the persistent on-disk cache (when configured) for this
-    /// `(region, key)` and install a valid instance. Keyed regions call
-    /// this at the trap with `validate_reads: false` (the key is the
-    /// instance's full identity); unkeyed regions call it after set-up
-    /// with `validate_reads: true`, accepting the instance only when the
-    /// publishing stitch's recorded table reads replay exactly against
-    /// this session's memory (the same anti-aliasing rule as the shared
-    /// cache — see [`Session::end_setup`]'s probe).
-    ///
-    /// Disk traffic charges zero simulated cycles; a hit charges the
-    /// shared-cache install model (lookup + per-word copy), and the
-    /// unkeyed validation replay charges the stitcher's per-read cost.
-    /// Every loaded instance re-passes `verify_code` before install;
-    /// any refusal degrades through [`Session::persist_reject`] and
-    /// returns `Ok(false)` so the caller stitches locally.
-    ///
-    /// # Errors
-    /// Only install-side errors propagate ([`Session::index_instance`]);
-    /// anything wrong with the cached bytes degrades to a miss.
+    /// Persistent-cache rung: probe the on-disk cache (when configured)
+    /// for this `(region, key)` and install a valid instance. Disk
+    /// traffic charges zero simulated cycles; a hit charges the
+    /// shared-cache model (lookup + per-word copy). Any refusal degrades
+    /// through [`Session::persist_reject`] and returns `Ok(false)`.
     fn persist_probe(
         &mut self,
         region: u16,
@@ -1646,83 +1552,51 @@ impl<P: Borrow<Program>> Session<P> {
             return Ok(false);
         };
         let hash = self.program.borrow().artifact_hash();
-        match cache.load_instance(hash, region, key) {
+        let inst = match cache.load_instance(hash, region, key) {
             InstanceProbe::Miss => {
-                self.regions[region as usize].persist_misses += 1;
+                self.regions[region as usize].report.persist_misses += 1;
                 self.tr(EventKind::PersistLookup { region, hit: false });
-                Ok(false)
+                return Ok(false);
             }
             InstanceProbe::Reject(reason) => {
-                self.persist_reject(
-                    region,
-                    false,
-                    format!("persistent instance refused: {reason}"),
-                );
-                Ok(false)
+                let msg = format!("persistent instance refused: {reason}");
+                self.persist_reject(region, false, msg);
+                return Ok(false);
             }
-            InstanceProbe::Hit(inst) => {
-                if self.fire(FaultPoint::PersistLoadCorrupt, region).is_some() {
-                    let msg = "injected persist load corruption: cached instance discarded";
-                    cache.note_injected_instance_reject(msg);
-                    self.persist_reject(region, true, msg.to_string());
-                    return Ok(false);
-                }
-                if validate_reads {
-                    self.vm.cycles +=
-                        self.options.stitch.cost.table_read * inst.stitched.reads.len() as u64;
-                    if !inst.stitched.reads_match(&self.vm.mem) {
-                        self.persist_reject(
-                            region,
-                            false,
-                            "persistent instance stale: recorded table reads do not replay"
-                                .to_string(),
-                        );
-                        return Ok(false);
-                    }
-                }
-                let base = self.vm.code.len() as u32;
-                let code = match inst.stitched.relocate(base, &mut self.vm.mem) {
-                    Ok((code, _lin_addr)) => code,
-                    Err(e) => {
-                        self.persist_reject(
-                            region,
-                            false,
-                            format!("persistent instance failed to relocate: {e}"),
-                        );
-                        return Ok(false);
-                    }
-                };
-                if let Err(e) = verify_code(&code, base) {
-                    self.tr(EventKind::VerifyReject { region });
-                    self.persist_reject(
-                        region,
-                        false,
-                        format!("persistent instance rejected by pre-install verification: {e}"),
-                    );
-                    return Ok(false);
-                }
-                self.vm.cycles += self.options.shared_lookup_cycles
-                    + self.options.shared_install_cycles_per_word * code.len() as u64;
-                self.vm.append_code(&code);
-                // Native stub bytes are position-dependent: reusable only
-                // when this session installs at the very base the
-                // publisher did (deterministic replicas do). Otherwise
-                // `index_instance` re-translates locally.
-                if inst.install_base == base {
-                    if let (Some(ns), Some(artifact)) = (self.native.as_deref_mut(), inst.native) {
-                        ns.pending = Some((base, artifact));
-                    }
-                }
-                self.regions[region as usize].persist_hits += 1;
-                self.tr(EventKind::PersistLookup { region, hit: true });
-                self.tr(EventKind::PersistInstall {
-                    region,
-                    words: code.len() as u32,
-                });
-                self.index_instance(region, key.to_vec(), base, code.len() as u32)?;
-                Ok(true)
+            InstanceProbe::Hit(inst) => inst,
+        };
+        if self.fire(FaultPoint::PersistLoadCorrupt, region).is_some() {
+            let msg = "injected persist load corruption: cached instance discarded";
+            cache.note_injected_instance_reject(msg);
+            self.persist_reject(region, true, msg.to_string());
+            return Ok(false);
+        }
+        if validate_reads && !self.replay_reads(&inst.stitched) {
+            let msg = "persistent instance stale: recorded table reads do not replay";
+            self.persist_reject(region, false, msg.to_string());
+            return Ok(false);
+        }
+        let (base, len) = match self.copy_install(region, "persistent", &inst.stitched) {
+            Ok(at) => at,
+            Err(f) => {
+                let (_, msg) = f.split(FailureKind::Persist);
+                self.persist_reject(region, false, msg);
+                return Ok(false);
+            }
+        };
+        self.vm.cycles += self.options.shared_lookup_cycles;
+        // Native stub bytes are reusable only at the publisher's base
+        // (module docs); otherwise `index_instance` re-translates.
+        if inst.install_base == base {
+            if let (Some(ns), Some(artifact)) = (self.native.as_deref_mut(), inst.native) {
+                ns.pending = Some((base, artifact));
             }
         }
+        self.regions[region as usize].report.persist_hits += 1;
+        self.tr(EventKind::PersistLookup { region, hit: true });
+        self.tr(EventKind::PersistInstall { region, words: len });
+        self.index_instance(region, key.to_vec(), base, len)?;
+        Ok(true)
     }
 
     /// Store a freshly stitched instance in the persistent cache (when
@@ -1732,13 +1606,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// an injected torn write deliberately leaves a truncated file for
     /// the next load to refuse, and an I/O failure records one typed
     /// `persist` health entry.
-    fn persist_store(
-        &mut self,
-        region: u16,
-        key: &[u64],
-        stitched: &dyncomp_stitcher::Stitched,
-        base: u32,
-    ) {
+    fn persist_store(&mut self, region: u16, key: &[u64], stitched: &Stitched, base: u32) {
         let Some(cache) = self.options.persist.as_ref().map(Arc::clone) else {
             return;
         };
@@ -1796,7 +1664,7 @@ impl<P: Borrow<Program>> Session<P> {
         region: u16,
         table: u64,
         base: u32,
-    ) -> Result<dyncomp_stitcher::Stitched, StitchFailure> {
+    ) -> Result<Stitched, StitchFailure> {
         if self.fire(FaultPoint::StitchBadTemplate, region).is_some() {
             return Err(StitchFailure::Retryable(
                 FailureKind::Stitch,
@@ -1861,40 +1729,17 @@ impl<P: Borrow<Program>> Session<P> {
             region,
             cycles: setup_delta,
         });
-        // Unkeyed regions probe the shared cache here, now that set-up
-        // has produced the constants that define the instance's identity.
-        // The probe is validated by replaying the publishing stitch's
-        // table reads against this session's memory: a match proves a
-        // local stitch would traverse the same template paths and bake in
-        // the same values, so the cached code is this instance. Any
-        // divergence — different constants, different memory layout — is
-        // a miss and the session stitches for itself (the aliasing this
-        // prevents: two sessions, same program, different set-up
-        // constants, one empty-key cache entry serving both).
+        // Unkeyed regions walk the cache ladder here, now that set-up has
+        // produced the constants that identify the instance (module docs,
+        // "Mode interactions"); a hit skips only the stitch.
         let unkeyed = self.program.borrow().compiled.regions[region as usize]
             .key_locs
             .is_empty();
-        if unkeyed {
-            if let Some(stitched) = self.shared_lookup(region, &[]) {
-                self.vm.cycles += self.options.stitch.cost.table_read * stitched.reads.len() as u64;
-                if stitched.reads_match(&self.vm.mem)
-                    && self.install_shared(region, Vec::new(), &stitched)?
-                {
-                    let st = &mut self.regions[region as usize];
-                    st.setup_cycles += setup_delta;
-                    st.pending_key = None;
-                    return Ok(());
-                }
-            }
-            // Then the on-disk cache, under the same reads-replay
-            // validation. Set-up already ran (its constants are the
-            // validation input), so a hit skips only the stitch.
-            if self.persist_probe(region, &[], true)? {
-                let st = &mut self.regions[region as usize];
-                st.setup_cycles += setup_delta;
-                st.pending_key = None;
-                return Ok(());
-            }
+        if unkeyed && self.probe_caches(region, &[], true)? {
+            let st = &mut self.regions[region as usize];
+            st.report.setup_cycles += setup_delta;
+            st.pending_key = None;
+            return Ok(());
         }
         // Stitch under the recovery policy: injected stitch failures and
         // verifier rejects (corrupted instances) are retried with a
@@ -1923,22 +1768,7 @@ impl<P: Borrow<Program>> Session<P> {
                 }
             }
         };
-        // Injected arena exhaustion: back off deterministically (the
-        // simulated arena grows) before installing.
-        let mut attempt = 0u32;
-        while self.fire(FaultPoint::CodeArenaExhausted, region).is_some() {
-            self.record_failure(
-                region,
-                FailureKind::Install,
-                true,
-                "injected code-arena exhaustion during install".to_string(),
-            );
-            attempt += 1;
-            if attempt > self.recovery.policy().max_retries {
-                break;
-            }
-            self.charge_retry(region, attempt);
-        }
+        self.arena_backoff(region, "during install");
         self.vm.append_code(&stitched.code);
         let code_len = stitched.code.len() as u32;
 
@@ -1959,9 +1789,11 @@ impl<P: Borrow<Program>> Session<P> {
         }
 
         let st = &mut self.regions[region as usize];
-        st.setup_cycles += setup_delta;
-        st.stitches += 1;
-        accumulate(&mut st.stitch, &stitched.stats);
+        st.report.setup_cycles += setup_delta;
+        st.report.stitches += 1;
+        accumulate(&mut st.report.stitch_stats, &stitched.stats);
+        st.report.stitch_cycles = st.report.stitch_stats.cycles;
+        st.report.instructions_stitched = st.report.stitch_stats.instructions_stitched;
         st.tables.push(table);
         let key = st.pending_key.take().unwrap_or_default();
         let s = &stitched.stats;
@@ -1993,7 +1825,7 @@ impl<P: Borrow<Program>> Session<P> {
             .map(|s| (s.callee.index() as u32, s.depth))
             .collect();
         for (callee, depth) in inlined {
-            self.regions[region as usize].inlined_calls += 1;
+            self.regions[region as usize].report.inlined_calls += 1;
             self.tr(EventKind::Inlined {
                 region,
                 callee,
@@ -2005,25 +1837,7 @@ impl<P: Borrow<Program>> Session<P> {
         // work (host-side, zero simulated cycles).
         self.persist_store(region, &key, &stitched, base);
 
-        // Publish to the process-wide cache so other sessions can skip
-        // set-up and stitching for this (region, key).
-        if let Some(cache) = &self.options.shared_cache {
-            let evicted = cache.insert(
-                SharedKey {
-                    program: self.program.borrow().id(),
-                    region,
-                    key: key.clone(),
-                },
-                Arc::new(stitched),
-            );
-            if evicted > 0 {
-                self.tr(EventKind::CacheEvict {
-                    region,
-                    count: evicted as u64,
-                });
-            }
-        }
-
+        self.publish_shared(region, &key, stitched);
         self.index_instance(region, key, base, code_len)?;
         Ok(())
     }
@@ -2076,7 +1890,7 @@ impl<P: Borrow<Program>> Session<P> {
                             if let Some(e) = st.cache.remove(&victim) {
                                 evicted_bases.push(e.base);
                             }
-                            st.evictions += 1;
+                            st.report.evictions += 1;
                             evicted += 1;
                         }
                         None => break,
@@ -2131,29 +1945,7 @@ impl<P: Borrow<Program>> Session<P> {
 
     /// Measurement report for region `index`.
     pub fn region_report(&self, index: usize) -> RegionReport {
-        let st = &self.regions[index];
-        RegionReport {
-            invocations: st.invocations,
-            stitches: st.stitches,
-            shared_hits: st.shared_hits,
-            persist_hits: st.persist_hits,
-            persist_misses: st.persist_misses,
-            persist_rejects: st.persist_rejects,
-            setup_cycles: st.setup_cycles,
-            stitch_cycles: st.stitch.cycles,
-            instructions_stitched: st.stitch.instructions_stitched,
-            stitch_stats: st.stitch,
-            evictions: st.evictions,
-            fallback_runs: st.fallback_runs,
-            bg_installs: st.bg_installs,
-            spec_installs: st.spec_installs,
-            bg_setup_cycles: st.bg_setup_cycles,
-            bg_stitch_cycles: st.bg_stitch_cycles,
-            faults_injected: st.faults_injected,
-            retries: st.retries,
-            inlined_calls: st.inlined_calls,
-            native_chained: st.native_chained,
-        }
+        self.regions[index].report
     }
 
     /// Total VM cycles so far.
@@ -2188,28 +1980,11 @@ impl<P: Borrow<Program>> Session<P> {
             Some(ns) => NativeReport {
                 enabled: true,
                 active: !ns.disabled && dyncomp_native::available(),
-                installs: ns.installs,
-                declined: ns.declined,
-                entries: ns.entries,
                 chained: ns.backend.chained(),
                 bytes: ns.backend.bytes(),
-                translate_ns: ns.translate_ns,
-                translated_instructions: ns.translated_instructions,
-                covered_instructions: ns.covered_instructions,
+                ..ns.counters
             },
         }
-    }
-
-    /// Message from the most recent background stitch failure (error or
-    /// panic), for diagnostics. `None` when no background job has failed
-    /// (or its record aged out of the bounded log — see
-    /// [`Session::health`] for the full picture).
-    pub fn last_background_failure(&self) -> Option<&str> {
-        self.recovery
-            .failures()
-            .rev()
-            .find(|r| matches!(r.kind, FailureKind::Background { .. }))
-            .map(|r| r.message.as_str())
     }
 
     /// Per-region trace aggregates ([`RegionProfile`]), when tracing.
@@ -2247,9 +2022,7 @@ impl<P: Borrow<Program>> Session<P> {
         let Some(t) = self.trace.as_ref() else {
             return Ok(());
         };
-        let reports: Vec<RegionReport> = (0..self.regions.len())
-            .map(|i| self.region_report(i))
-            .collect();
+        let reports: Vec<RegionReport> = self.regions.iter().map(|st| st.report).collect();
         t.self_check(&reports).map_err(Error::Trace)
     }
 
@@ -2301,6 +2074,26 @@ enum StitchFailure {
     /// A real [`dyncomp_stitcher::StitchError`]: deterministic, so
     /// retrying cannot help; the caller propagates it as-is.
     Fatal(dyncomp_stitcher::StitchError),
+}
+
+/// Why [`Session::copy_install`] refused an instance; each variant
+/// carries the health-ring message.
+enum CopyFailure {
+    /// Relocation failed (the linearized constants table did not fit).
+    Relocate(String),
+    /// The pre-install verifier rejected the relocated code.
+    Verify(String),
+}
+
+impl CopyFailure {
+    /// The health-ring entry for this refusal: a verifier reject is
+    /// always `verify`, a relocation failure takes the caller's kind.
+    fn split(self, relocate: FailureKind) -> (FailureKind, String) {
+        match self {
+            CopyFailure::Relocate(msg) => (relocate, msg),
+            CopyFailure::Verify(msg) => (FailureKind::Verify, msg),
+        }
+    }
 }
 
 /// Mirror a region-key [`ValueLoc`] into the native translator's

@@ -543,11 +543,6 @@ impl RecoveryState {
         }
     }
 
-    /// Iterate the retained failure records, oldest first.
-    pub(crate) fn failures(&self) -> impl DoubleEndedIterator<Item = &FailureRecord> {
-        self.ring.iter()
-    }
-
     pub(crate) fn report(&self) -> HealthReport {
         HealthReport {
             failures: self.ring.iter().cloned().collect(),

@@ -899,3 +899,117 @@ fn shared_install_is_cheaper_than_stitching() {
         first.cycles()
     );
 }
+
+/// The copy-install core's two refusals, driven through every caller
+/// that probes a cache: a corrupted instance (one instruction-start word
+/// flipped to a value nothing decodes) and an unrelocatable one (a
+/// linearized table that cannot fit in the session's memory) are planted
+/// in the shared and in the persistent cache, for a keyed region (probed
+/// at the trap) and an unkeyed one (probed after set-up). Every cell must
+/// record exactly one typed health entry, install nothing from the cache,
+/// stitch locally, and return the fault-free result.
+#[test]
+fn refused_cached_instances_degrade_to_a_local_stitch() {
+    use crate::{
+        EngineOptions, EventKind, FailureKind, PersistentCache, SharedCodeCache, SharedKey,
+        TraceOptions,
+    };
+    use std::sync::Arc;
+
+    const MEMORY: usize = 1 << 16;
+    let root = std::env::temp_dir().join(format!("dyncomp-refused-{}", std::process::id()));
+    for keyed in [true, false] {
+        let annotation = if keyed { "key(c) (c)" } else { "(c)" };
+        let src = format!(
+            "int f(int c, int x) {{ dynamicRegion {annotation} {{ return c * x * x + c * x + c; }} }}"
+        );
+        let p = Arc::new(Compiler::new().compile(&src).unwrap());
+        let key: Vec<u64> = if keyed { vec![3] } else { Vec::new() };
+        let shared_key = SharedKey {
+            program: p.id(),
+            region: 0,
+            key: key.clone(),
+        };
+        let options = || EngineOptions {
+            memory_bytes: MEMORY,
+            trace: Some(TraceOptions::default()),
+            ..EngineOptions::default()
+        };
+
+        // A fault-free donor publishes the instance the cells doctor.
+        let donor_cache = Arc::new(SharedCodeCache::default());
+        let mut donor = Session::with_options(
+            Arc::clone(&p),
+            EngineOptions {
+                shared_cache: Some(Arc::clone(&donor_cache)),
+                ..options()
+            },
+        );
+        let want = donor.call("f", &[3, 10]).unwrap();
+        let good = donor_cache.lookup(&shared_key).expect("donor published");
+
+        for corrupt in [true, false] {
+            let mut bad = (*good).clone();
+            if corrupt {
+                bad.code[0] = 0xFF00_0000;
+            } else {
+                bad.lin_words = vec![0; MEMORY];
+            }
+            for shared in [true, false] {
+                let cell = format!("keyed={keyed} corrupt={corrupt} shared={shared}");
+                let mut opts = options();
+                let dir = root.join(cell.replace(' ', "-"));
+                let expect = if shared {
+                    let cache = Arc::new(SharedCodeCache::default());
+                    cache.insert(shared_key.clone(), Arc::new(bad.clone()));
+                    opts.shared_cache = Some(cache);
+                    if corrupt {
+                        FailureKind::Verify
+                    } else {
+                        FailureKind::SharedCache
+                    }
+                } else {
+                    let cache = Arc::new(PersistentCache::open(&dir).unwrap());
+                    cache.store_instance(p.artifact_hash(), 0, &key, &bad, 0, None, false);
+                    opts.persist = Some(cache);
+                    FailureKind::Persist
+                };
+
+                let mut s = Session::with_options(Arc::clone(&p), opts);
+                assert_eq!(s.call("f", &[3, 10]).unwrap(), want, "{cell}");
+                assert_eq!(s.call("f", &[3, 7]).unwrap(), 3 * 49 + 3 * 7 + 3, "{cell}");
+
+                let r = s.region_report(0);
+                assert_eq!(
+                    (r.stitches, r.shared_hits, r.persist_hits),
+                    (1, 0, 0),
+                    "{cell}"
+                );
+                assert_eq!(r.persist_rejects, u64::from(!shared), "{cell}");
+                assert_eq!(
+                    s.stitched_instances(0).len(),
+                    1,
+                    "{cell}: one local instance"
+                );
+                let health = s.health();
+                assert_eq!(health.failures.len(), 1, "{cell}: {:?}", health.failures);
+                let rec = &health.failures[0];
+                assert_eq!((rec.kind, rec.injected), (expect, false), "{cell}");
+                let what = if corrupt {
+                    "rejected by pre-install verification"
+                } else {
+                    "failed to relocate"
+                };
+                assert!(rec.message.contains(what), "{cell}: {}", rec.message);
+                let t = s.trace().expect("tracing on");
+                let rejects = t
+                    .events()
+                    .filter(|e| matches!(e.kind, EventKind::VerifyReject { region: 0 }))
+                    .count();
+                assert_eq!(rejects, usize::from(corrupt), "{cell}");
+                s.trace_self_check().expect("attribution exact");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
