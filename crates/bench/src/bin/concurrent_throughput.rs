@@ -29,6 +29,10 @@ const SESSIONS: usize = 24;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    // Not `dyncomp_bench::table2_workloads`: every size here is run as
+    // SESSIONS whole sessions per thread count per pass (hundreds of
+    // replicas), so the sizes sit below the Table 2 rows of the same
+    // scale — the unit measured is sessions per second, not a Table 2 row.
     let workloads: Vec<(&str, KernelSetup<'static>)> = if smoke {
         vec![
             ("calculator", calculator::setup(40)),

@@ -21,85 +21,22 @@
 
 use dyncomp::{
     Compiler, EngineOptions, FaultPlan, FaultPoint, KernelSetup, PersistentCache, Program, Session,
-    SharedCodeCache, TieredOptions,
+    SessionRun, SharedCodeCache, TieredOptions,
 };
-use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
-use dyncomp_bench::{json_str, render_json_array, Artifact};
+use dyncomp_bench::{json_str, kernel_workloads, render_json_array, Artifact, Scale};
 use std::sync::Arc;
-
-struct Workload {
-    kernel: &'static str,
-    setup: KernelSetup<'static>,
-}
-
-fn workloads(smoke: bool) -> Vec<Workload> {
-    if smoke {
-        vec![
-            Workload {
-                kernel: "calculator",
-                setup: calculator::setup(80),
-            },
-            Workload {
-                kernel: "smatmul",
-                setup: smatmul::setup(8, 16, 8),
-            },
-            Workload {
-                kernel: "spmv",
-                setup: spmv::setup(12, 3, 20),
-            },
-            Workload {
-                kernel: "dispatch",
-                setup: dispatch::setup(10, 60),
-            },
-            Workload {
-                kernel: "sorter",
-                setup: sorter::setup(40, 4, 5),
-            },
-        ]
-    } else {
-        vec![
-            Workload {
-                kernel: "calculator",
-                setup: calculator::setup(2000),
-            },
-            Workload {
-                kernel: "smatmul",
-                setup: smatmul::setup(100, 800, 100),
-            },
-            Workload {
-                kernel: "spmv",
-                setup: spmv::setup(200, 10, 300),
-            },
-            Workload {
-                kernel: "dispatch",
-                setup: dispatch::setup(10, 2000),
-            },
-            Workload {
-                kernel: "sorter",
-                setup: sorter::setup(500, 4, 20),
-            },
-        ]
-    }
-}
 
 /// Run the workload twice over on a fresh session (two passes, so every
 /// keyed region re-enters each key at least once — background jobs get
 /// resolved and re-entry fault points get an opportunity) and keep the
 /// session for health inspection.
 fn run(program: &Arc<Program>, setup: &KernelSetup<'_>, options: EngineOptions) -> (u64, Session) {
-    let mut session = Session::with_options(Arc::clone(program), options);
-    let prepared = (setup.prepare)(&mut session);
-    let mut checksum = 0u64;
+    let mut run = SessionRun::start(program, setup, options);
     for _pass in 0..2 {
-        for i in 0..setup.iterations {
-            let args = (setup.args)(i, &prepared);
-            let r = session
-                .call(setup.func, &args)
-                .unwrap_or_else(|e| panic!("session must survive injected faults: {e}"));
-            checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
-        }
+        run.pass(|_, _| {})
+            .unwrap_or_else(|e| panic!("session must survive injected faults: {e}"));
     }
-    (checksum, session)
+    (run.outcome.checksum, run.session)
 }
 
 /// Engine options arming `point`: worker faults get a tiered pool,
@@ -179,8 +116,8 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let artifact = Artifact::from_args("fault_sweep", &args, "BENCH_fault_sweep.json");
 
-    let scale = if smoke { "Smoke" } else { "Paper" };
-    println!("Fault sweep: every fault point x every kernel ({scale} scale)");
+    let scale = if smoke { Scale::Smoke } else { Scale::Paper };
+    println!("Fault sweep: every fault point x every kernel ({scale:?} scale)");
     println!(
         "{:<12} | {:<24} | {:<20} | {:>7} | {:>7} | {:>8} | {:>6} | {:>8} | {:>8} | match",
         "kernel",
@@ -197,7 +134,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut bad = 0u32;
-    for w in workloads(smoke) {
+    for w in kernel_workloads(scale) {
         // One program per kernel, compiled with static fallback copies so
         // quarantine and worker faults have somewhere to degrade to.
         let program = Arc::new(

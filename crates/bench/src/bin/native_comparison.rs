@@ -30,85 +30,9 @@
 //! is meaningful against a same-host reference — CI runs the bench
 //! twice and diffs).
 
-use dyncomp::{run_session_differential, run_session_timed, Compiler, EngineOptions, KernelSetup};
-use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
-use dyncomp_bench::{json_str, render_json_array, Artifact};
+use dyncomp::{run_session_differential, run_session_timed, Compiler, EngineOptions};
+use dyncomp_bench::{json_str, render_json_array, table2_workloads, Artifact, Scale};
 use std::sync::Arc;
-
-struct Workload {
-    kernel: &'static str,
-    config: String,
-    setup: KernelSetup<'static>,
-}
-
-fn workloads(smoke: bool) -> Vec<Workload> {
-    let w = |kernel, config: String, setup| Workload {
-        kernel,
-        config,
-        setup,
-    };
-    if smoke {
-        vec![
-            w(
-                "calculator",
-                "80 interpretations".into(),
-                calculator::setup(80),
-            ),
-            w(
-                "smatmul",
-                "8x16, scalars 1..8".into(),
-                smatmul::setup(8, 16, 8),
-            ),
-            w("spmv", "12x12, 3/row".into(), spmv::setup(12, 3, 20)),
-            w("spmv", "8x8, 2/row".into(), spmv::setup(8, 2, 20)),
-            w(
-                "dispatch",
-                "10 guards, 60 events".into(),
-                dispatch::setup(10, 60),
-            ),
-            w(
-                "sorter",
-                "4 keys, 40 records".into(),
-                sorter::setup(40, 4, 5),
-            ),
-            w(
-                "sorter",
-                "12 keys, 40 records".into(),
-                sorter::setup(40, 12, 5),
-            ),
-        ]
-    } else {
-        vec![
-            w(
-                "calculator",
-                "2000 interpretations".into(),
-                calculator::setup(2000),
-            ),
-            w(
-                "smatmul",
-                "100x800, scalars 1..100".into(),
-                smatmul::setup(100, 800, 100),
-            ),
-            w("spmv", "200x200, 10/row".into(), spmv::setup(200, 10, 300)),
-            w("spmv", "96x96, 5/row".into(), spmv::setup(96, 5, 300)),
-            w(
-                "dispatch",
-                "10 guards, 2000 events".into(),
-                dispatch::setup(10, 2000),
-            ),
-            w(
-                "sorter",
-                "4 keys, 500 records".into(),
-                sorter::setup(500, 4, 20),
-            ),
-            w(
-                "sorter",
-                "12 keys, 500 records".into(),
-                sorter::setup(500, 12, 20),
-            ),
-        ]
-    }
-}
 
 struct Row {
     kernel: &'static str,
@@ -212,8 +136,8 @@ fn main() {
     let repeat = repeat.max(1);
     let artifact = Artifact::from_args("native_comparison", &args, "BENCH_native.json");
 
-    let scale = if smoke { "Smoke" } else { "Paper" };
-    println!("Backend wall-clock comparison ({scale} scale, best of {repeat})");
+    let scale = if smoke { Scale::Smoke } else { Scale::Paper };
+    println!("Backend wall-clock comparison ({scale:?} scale, best of {repeat})");
     println!(
         "{:<12} | {:<28} | {:>12} | {:>12} | {:>12} | {:>12} | {:>7} | {:>7} | match",
         "kernel", "config", "interp ns", "vm ns", "chained ns", "unchain ns", "nat/vm", "chain x",
@@ -222,7 +146,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut bad = 0u32;
-    for w in workloads(smoke) {
+    for w in table2_workloads(scale) {
         let static_prog = Arc::new(
             Compiler::static_baseline()
                 .compile(w.setup.src)

@@ -30,31 +30,10 @@
 //! (default: a pid-keyed directory under the OS temp dir, wiped at
 //! start and removed at exit).
 
-use dyncomp::measure::{run_session_trace, KernelSetup, SessionTrace};
+use dyncomp::measure::{run_session_trace, SessionTrace};
 use dyncomp::{Compiler, EngineOptions, PersistentCache, Program};
-use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
-use dyncomp_bench::{flag_value, json_str, render_json_array, Artifact};
+use dyncomp_bench::{flag_value, json_str, kernel_workloads, render_json_array, Artifact, Scale};
 use std::sync::Arc;
-
-fn workloads(smoke: bool) -> Vec<(&'static str, KernelSetup<'static>)> {
-    if smoke {
-        vec![
-            ("calculator", calculator::setup(80)),
-            ("smatmul", smatmul::setup(8, 16, 8)),
-            ("spmv", spmv::setup(12, 3, 20)),
-            ("dispatch", dispatch::setup(10, 60)),
-            ("sorter", sorter::setup(40, 4, 5)),
-        ]
-    } else {
-        vec![
-            ("calculator", calculator::setup(2000)),
-            ("smatmul", smatmul::setup(100, 800, 100)),
-            ("spmv", spmv::setup(200, 10, 300)),
-            ("dispatch", dispatch::setup(10, 2000)),
-            ("sorter", sorter::setup(500, 4, 20)),
-        ]
-    }
-}
 
 /// One kernel × mode row of `BENCH_persist.json`.
 struct Row {
@@ -156,8 +135,8 @@ fn main() {
             std::env::temp_dir().join(format!("dyncomp-persist-bench-{}", std::process::id()))
         });
 
-    let scale = if smoke { "Smoke" } else { "Paper" };
-    println!("Persistent-cache warm start: cold populate vs reopened cache ({scale} scale)");
+    let scale = if smoke { Scale::Smoke } else { Scale::Paper };
+    println!("Persistent-cache warm start: cold populate vs reopened cache ({scale:?} scale)");
     println!(
         "{:<12} {:<5} | {:>12} | {:>9} | {:>20} | persist counters",
         "kernel", "mode", "1st result", "breakeven", "checksum",
@@ -166,7 +145,8 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     let mut bad = 0u32;
-    for (kernel, setup) in workloads(smoke) {
+    for w in kernel_workloads(scale) {
+        let (kernel, setup) = (w.kernel, w.setup);
         let static_prog = Arc::new(
             Compiler::static_baseline()
                 .compile(setup.src)
@@ -200,7 +180,7 @@ fn main() {
         let cold = run_session_trace(&cold_prog, &setup, persist_options(&cold_cache))
             .unwrap_or_else(|e| panic!("{kernel} cold run: {e}"));
         let cold_stats = cold_cache.stats();
-        let cold_ok = cold.checksum == baseline.checksum
+        let cold_ok = cold.outcome.checksum == baseline.outcome.checksum
             && cold.per_call_cycles == baseline.per_call_cycles
             && !cold_loaded
             && cold_stats.instance_rejects == 0;
@@ -233,7 +213,7 @@ fn main() {
         // cache install replaces set-up + stitching and must only get
         // cheaper — so the warm trace is elementwise ≤ the cold trace,
         // strictly cheaper on invocation 1.
-        let warm_ok = warm.checksum == baseline.checksum
+        let warm_ok = warm.outcome.checksum == baseline.outcome.checksum
             && warm_loaded
             && warm_stats.instance_rejects == 0
             && warm_stats.instance_hits > 0
@@ -261,7 +241,7 @@ fn main() {
                 iterations: cold.per_call_cycles.len() as u64,
                 time_to_first_result: cold_first,
                 effective_breakeven: breakeven(&cold, &static_trace),
-                checksum: cold.checksum,
+                checksum: cold.outcome.checksum,
                 artifact_loaded: cold_loaded,
                 instance_hits: cold_stats.instance_hits,
                 instance_stores: cold_stats.instance_stores,
@@ -274,7 +254,7 @@ fn main() {
                 iterations: warm.per_call_cycles.len() as u64,
                 time_to_first_result: warm_first,
                 effective_breakeven: breakeven(&warm, &static_trace),
-                checksum: warm.checksum,
+                checksum: warm.outcome.checksum,
                 artifact_loaded: warm_loaded,
                 instance_hits: warm_stats.instance_hits,
                 instance_stores: warm_stats.instance_stores,

@@ -13,79 +13,10 @@
 
 use dyncomp::server::Json;
 use dyncomp::{
-    run_session_profiled, Compiler, EngineOptions, KernelSetup, ProfiledSession, RegionProfile,
-    TieredOptions,
+    run_session_profiled, Compiler, EngineOptions, ProfiledSession, RegionProfile, TieredOptions,
 };
-use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
-use dyncomp_bench::{render_json_array, Artifact};
+use dyncomp_bench::{kernel_workloads, render_json_array, Artifact, Scale};
 use std::sync::Arc;
-
-/// One kernel workload at the chosen scale.
-struct Workload {
-    kernel: &'static str,
-    src: &'static str,
-    setup: KernelSetup<'static>,
-}
-
-fn workloads(smoke: bool) -> Vec<Workload> {
-    if smoke {
-        vec![
-            Workload {
-                kernel: "calculator",
-                src: calculator::SRC,
-                setup: calculator::setup(80),
-            },
-            Workload {
-                kernel: "smatmul",
-                src: smatmul::SRC,
-                setup: smatmul::setup(8, 16, 8),
-            },
-            Workload {
-                kernel: "spmv",
-                src: spmv::SRC,
-                setup: spmv::setup(12, 3, 20),
-            },
-            Workload {
-                kernel: "dispatch",
-                src: dispatch::SRC,
-                setup: dispatch::setup(10, 60),
-            },
-            Workload {
-                kernel: "sorter",
-                src: sorter::SRC,
-                setup: sorter::setup(40, 4, 5),
-            },
-        ]
-    } else {
-        vec![
-            Workload {
-                kernel: "calculator",
-                src: calculator::SRC,
-                setup: calculator::setup(2000),
-            },
-            Workload {
-                kernel: "smatmul",
-                src: smatmul::SRC,
-                setup: smatmul::setup(100, 800, 100),
-            },
-            Workload {
-                kernel: "spmv",
-                src: spmv::SRC,
-                setup: spmv::setup(200, 10, 300),
-            },
-            Workload {
-                kernel: "dispatch",
-                src: dispatch::SRC,
-                setup: dispatch::setup(10, 2000),
-            },
-            Workload {
-                kernel: "sorter",
-                src: sorter::SRC,
-                setup: sorter::setup(500, 4, 20),
-            },
-        ]
-    }
-}
 
 /// The three engine configurations profiled per kernel.
 fn modes() -> Vec<(&'static str, EngineOptions)> {
@@ -101,7 +32,6 @@ fn modes() -> Vec<(&'static str, EngineOptions)> {
         tiered: Some(TieredOptions {
             workers: 2,
             speculate: true,
-            ..TieredOptions::default()
         }),
         ..EngineOptions::default()
     };
@@ -204,10 +134,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let artifact = Artifact::from_args("region_profile", &args, "BENCH_region_profile.json");
-    println!(
-        "Per-region profiles ({} scale), five kernels x {{sync, tiered, tiered+spec}}",
-        if smoke { "Smoke" } else { "Paper" }
-    );
+    let scale = if smoke { Scale::Smoke } else { Scale::Paper };
+    println!("Per-region profiles ({scale:?} scale), five kernels x {{sync, tiered, tiered+spec}}");
     println!(
         "{:<12} {:<12} {:>4} {:>8} {:>8} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}",
         "kernel",
@@ -225,16 +153,16 @@ fn main() {
     println!("{}", "-".repeat(104));
 
     let mut objects: Vec<String> = Vec::new();
-    for w in workloads(smoke) {
+    for w in kernel_workloads(scale) {
         let sync_prog = Arc::new(
             Compiler::new()
-                .compile(w.src)
+                .compile(w.setup.src)
                 .unwrap_or_else(|e| panic!("{}: compile failed: {e}", w.kernel)),
         );
         // Tiered mode needs the fallback copies `Compiler::tiered` lowers.
         let tiered_prog = Arc::new(
             Compiler::tiered()
-                .compile(w.src)
+                .compile(w.setup.src)
                 .unwrap_or_else(|e| panic!("{}: tiered compile failed: {e}", w.kernel)),
         );
         let mut checksums: Vec<u64> = Vec::new();

@@ -13,7 +13,7 @@
 //! switch per unrolled copy), and patches pushed literals as immediates —
 //! the interpreter compiles itself away.
 
-use crate::KernelResult;
+use crate::{KernelResult, Workload};
 use dyncomp::{Error, KernelSetup, Program, Session};
 use std::borrow::Borrow;
 
@@ -145,25 +145,23 @@ pub fn setup(iterations: u64) -> KernelSetup<'static> {
     }
 }
 
+/// The Table 2 row for [`setup`]`(iterations)`.
+pub fn workload(iterations: u64) -> Workload {
+    Workload {
+        kernel: "calculator",
+        config: format!("{iterations} interpretations"),
+        setup: setup(iterations),
+        name: "Reverse-polish stack-based desk calculator",
+        table2_config: format!("{iterations} interpretations, varying x, y"),
+        unit: "interpretations",
+        unit_scale: 1,
+    }
+}
+
 /// Measure the calculator over `iterations` interpretations with varying
 /// `x`, `y`.
 pub fn measure(iterations: u64) -> Result<KernelResult, Error> {
-    measure_with(iterations, dyncomp::EngineOptions::default())
-}
-
-/// [`measure`] under explicit engine options (tracing harnesses).
-pub fn measure_with(
-    iterations: u64,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    let m = dyncomp::measure_kernel_with(&setup(iterations), options)?;
-    Ok(KernelResult {
-        name: "Reverse-polish stack-based desk calculator",
-        config: format!("{iterations} interpretations, varying x, y"),
-        unit: "interpretations",
-        unit_scale: 1,
-        measurement: m,
-    })
+    workload(iterations).measure_with(dyncomp::EngineOptions::default())
 }
 
 /// Measure the global-stack variant, optionally with register actions

@@ -9,7 +9,7 @@
 //! parameters as immediates — leaving a flat sequence of compare-and-act
 //! code, one per installed guard.
 
-use crate::KernelResult;
+use crate::{KernelResult, Workload};
 use dyncomp::{Error, KernelSetup, Program, Session};
 use dyncomp_ir::prng::SplitMix64;
 use std::borrow::Borrow;
@@ -108,25 +108,22 @@ pub fn setup(n_guards: u64, iterations: u64) -> KernelSetup<'static> {
     }
 }
 
-/// Measure `iterations` event dispatches against `n_guards` guards.
-pub fn measure(n_guards: u64, iterations: u64) -> Result<KernelResult, Error> {
-    measure_with(n_guards, iterations, dyncomp::EngineOptions::default())
-}
-
-/// [`measure`] under explicit engine options (tracing harnesses).
-pub fn measure_with(
-    n_guards: u64,
-    iterations: u64,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    let m = dyncomp::measure_kernel_with(&setup(n_guards, iterations), options)?;
-    Ok(KernelResult {
+/// The Table 2 row for [`setup`]`(n_guards, iterations)`.
+pub fn workload(n_guards: u64, iterations: u64) -> Workload {
+    Workload {
+        kernel: "dispatch",
+        config: format!("{n_guards} guards, {iterations} events"),
+        setup: setup(n_guards, iterations),
         name: "Event dispatcher in an extensible OS",
-        config: format!("6 predicate types; {n_guards} different event guards"),
+        table2_config: format!("6 predicate types; {n_guards} different event guards"),
         unit: "event dispatches",
         unit_scale: 1,
-        measurement: m,
-    })
+    }
+}
+
+/// Measure `iterations` event dispatches against `n_guards` guards.
+pub fn measure(n_guards: u64, iterations: u64) -> Result<KernelResult, Error> {
+    workload(n_guards, iterations).measure_with(dyncomp::EngineOptions::default())
 }
 
 #[cfg(test)]

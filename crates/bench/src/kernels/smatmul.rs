@@ -8,7 +8,7 @@
 //! strength reduction: `element * scalar` becomes shifts/adds chosen for
 //! the actual scalar, plus the constant trip count as an immediate.
 
-use crate::KernelResult;
+use crate::{KernelResult, Workload};
 use dyncomp::{Error, KernelSetup, Program, Session};
 use std::borrow::Borrow;
 
@@ -55,26 +55,22 @@ pub fn setup(rows: u64, cols: u64, n_scalars: u64) -> KernelSetup<'static> {
     }
 }
 
-/// Measure `n_scalars` full multiplications of a `rows × cols` matrix.
-pub fn measure(rows: u64, cols: u64, n_scalars: u64) -> Result<KernelResult, Error> {
-    measure_with(rows, cols, n_scalars, dyncomp::EngineOptions::default())
-}
-
-/// [`measure`] under explicit engine options (tracing harnesses).
-pub fn measure_with(
-    rows: u64,
-    cols: u64,
-    n_scalars: u64,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    let m = dyncomp::measure_kernel_with(&setup(rows, cols, n_scalars), options)?;
-    Ok(KernelResult {
+/// The Table 2 row for [`setup`]`(rows, cols, n_scalars)`.
+pub fn workload(rows: u64, cols: u64, n_scalars: u64) -> Workload {
+    Workload {
+        kernel: "smatmul",
+        config: format!("{rows}x{cols}, scalars 1..{n_scalars}"),
+        setup: setup(rows, cols, n_scalars),
         name: "Scalar-matrix multiply",
-        config: format!("{rows}x{cols} matrix, multiplied by all scalars 1..{n_scalars}"),
+        table2_config: format!("{rows}x{cols} matrix, multiplied by all scalars 1..{n_scalars}"),
         unit: "individual multiplications",
         unit_scale: rows * cols,
-        measurement: m,
-    })
+    }
+}
+
+/// Measure `n_scalars` full multiplications of a `rows × cols` matrix.
+pub fn measure(rows: u64, cols: u64, n_scalars: u64) -> Result<KernelResult, Error> {
+    workload(rows, cols, n_scalars).measure_with(dyncomp::EngineOptions::default())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! and the offsets become immediates. QuickSort itself stays ordinary
 //! static code calling the (once-stitched) comparator.
 
-use crate::KernelResult;
+use crate::{KernelResult, Workload};
 use dyncomp::{Error, KernelSetup, Program, Session};
 use dyncomp_ir::prng::SplitMix64;
 use std::borrow::Borrow;
@@ -111,26 +111,22 @@ pub fn setup(n: u64, nkeys: u64, sorts: u64) -> KernelSetup<'static> {
     }
 }
 
-/// Measure `sorts` sorts of `n` records with `nkeys`-key comparators.
-pub fn measure(n: u64, nkeys: u64, sorts: u64) -> Result<KernelResult, Error> {
-    measure_with(n, nkeys, sorts, dyncomp::EngineOptions::default())
-}
-
-/// [`measure`] under explicit engine options (tracing harnesses).
-pub fn measure_with(
-    n: u64,
-    nkeys: u64,
-    sorts: u64,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    let m = dyncomp::measure_kernel_with(&setup(n, nkeys, sorts), options)?;
-    Ok(KernelResult {
+/// The Table 2 row for [`setup`]`(n, nkeys, sorts)`.
+pub fn workload(n: u64, nkeys: u64, sorts: u64) -> Workload {
+    Workload {
+        kernel: "sorter",
+        config: format!("{nkeys} keys, {n} records"),
+        setup: setup(n, nkeys, sorts),
         name: "QuickSort record sorter",
-        config: format!("{nkeys} keys, each of a different type; {n} records"),
+        table2_config: format!("{nkeys} keys, each of a different type; {n} records"),
         unit: "records",
         unit_scale: n,
-        measurement: m,
-    })
+    }
+}
+
+/// Measure `sorts` sorts of `n` records with `nkeys`-key comparators.
+pub fn measure(n: u64, nkeys: u64, sorts: u64) -> Result<KernelResult, Error> {
+    workload(n, nkeys, sorts).measure_with(dyncomp::EngineOptions::default())
 }
 
 #[cfg(test)]

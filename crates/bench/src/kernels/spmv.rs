@@ -8,7 +8,7 @@
 //! patches the matrix values through the linearized constants table
 //! (floats never fit immediates, §4).
 
-use crate::KernelResult;
+use crate::{KernelResult, Workload};
 use dyncomp::{Error, KernelSetup, Program, Session};
 use dyncomp_ir::prng::SplitMix64;
 use std::borrow::Borrow;
@@ -115,28 +115,24 @@ pub fn setup(n: u64, per_row: u64, iterations: u64) -> KernelSetup<'static> {
     }
 }
 
+/// The Table 2 row for [`setup`]`(n, per_row, iterations)`.
+pub fn workload(n: u64, per_row: u64, iterations: u64) -> Workload {
+    let density = 100.0 * per_row as f64 / n as f64;
+    Workload {
+        kernel: "spmv",
+        config: format!("{n}x{n}, {per_row}/row"),
+        setup: setup(n, per_row, iterations),
+        name: "Sparse matrix-vector multiply",
+        table2_config: format!("{n}x{n} matrix, {per_row} elements/row, {density:.0}% density"),
+        unit: "matrix multiplications",
+        unit_scale: 1,
+    }
+}
+
 /// Measure `iterations` multiplications of an `n × n` matrix with
 /// `per_row` entries per row.
 pub fn measure(n: u64, per_row: u64, iterations: u64) -> Result<KernelResult, Error> {
-    measure_with(n, per_row, iterations, dyncomp::EngineOptions::default())
-}
-
-/// [`measure`] under explicit engine options (tracing harnesses).
-pub fn measure_with(
-    n: u64,
-    per_row: u64,
-    iterations: u64,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    let m = dyncomp::measure_kernel_with(&setup(n, per_row, iterations), options)?;
-    let density = 100.0 * per_row as f64 / n as f64;
-    Ok(KernelResult {
-        name: "Sparse matrix-vector multiply",
-        config: format!("{n}x{n} matrix, {per_row} elements/row, {density:.0}% density"),
-        unit: "matrix multiplications",
-        unit_scale: 1,
-        measurement: m,
-    })
+    workload(n, per_row, iterations).measure_with(dyncomp::EngineOptions::default())
 }
 
 #[cfg(test)]

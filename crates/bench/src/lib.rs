@@ -33,7 +33,7 @@ pub use dyncomp::server::escape as json_str;
 pub use dyncomp::KernelMeasurement;
 
 use dyncomp::server::Json;
-use dyncomp::{EngineOptions, Error};
+use dyncomp::{EngineOptions, Error, KernelSetup};
 
 /// One measured Table 2 row.
 #[derive(Clone, Debug)]
@@ -121,17 +121,17 @@ impl KernelResult {
 
     /// Render as one row of the Table 3 report.
     pub fn table3_row(&self) -> String {
-        let marks = self.measurement.optimizations().checkmarks();
+        let o = self.measurement.optimizations();
         let cell = |b: bool| if b { "  ✓  " } else { "     " };
         format!(
             "{:<42} |{}|{}|{}|{}|{}|{}|",
             self.name,
-            cell(marks[0]),
-            cell(marks[1]),
-            cell(marks[2]),
-            cell(marks[3]),
-            cell(marks[4]),
-            cell(marks[5]),
+            cell(o.constant_folding),
+            cell(o.static_branch_elimination),
+            cell(o.load_elimination),
+            cell(o.dead_code_elimination),
+            cell(o.complete_loop_unrolling),
+            cell(o.strength_reduction),
         )
     }
 }
@@ -143,6 +143,75 @@ pub enum Scale {
     Smoke,
     /// The paper's §5 configurations (run in release builds).
     Paper,
+}
+
+/// One Table 2 workload: a paper kernel at one problem size. Built by
+/// each kernel module's `workload`; [`table2_workloads`] is the one place
+/// the sizes the harnesses run are written down.
+pub struct Workload {
+    /// Short kernel name (the `kernel` field of the JSON artifacts).
+    pub kernel: &'static str,
+    /// Short problem-size label.
+    pub config: String,
+    /// How to run it.
+    pub setup: KernelSetup<'static>,
+    // The Table 2 presentation of a measurement of `setup`: the fields
+    // of `KernelResult` that do not depend on the run.
+    name: &'static str,
+    table2_config: String,
+    unit: &'static str,
+    unit_scale: u64,
+}
+
+impl Workload {
+    /// Measure the workload the Table 2 way (static vs dynamic), the
+    /// dynamic version under `options`.
+    ///
+    /// # Errors
+    /// Compilation or execution failure in either version.
+    pub fn measure_with(&self, options: EngineOptions) -> Result<KernelResult, Error> {
+        Ok(KernelResult {
+            name: self.name,
+            config: self.table2_config.clone(),
+            unit: self.unit,
+            unit_scale: self.unit_scale,
+            measurement: dyncomp::measure_kernel_with(&self.setup, options)?,
+        })
+    }
+}
+
+/// The rows of Table 2 at `scale`, in table order: the paper's §5
+/// configurations, and CI-sized stand-ins for them.
+pub fn table2_workloads(scale: Scale) -> Vec<Workload> {
+    use kernels::{calculator, dispatch, smatmul, sorter, spmv};
+    match scale {
+        Scale::Smoke => vec![
+            calculator::workload(80),
+            smatmul::workload(8, 16, 8),
+            spmv::workload(12, 3, 20),
+            spmv::workload(8, 2, 20),
+            dispatch::workload(10, 60),
+            sorter::workload(40, 4, 5),
+            sorter::workload(40, 12, 5),
+        ],
+        Scale::Paper => vec![
+            calculator::workload(2000),
+            smatmul::workload(100, 800, 100),
+            spmv::workload(200, 10, 300),
+            spmv::workload(96, 5, 300),
+            dispatch::workload(10, 2000),
+            sorter::workload(500, 4, 20),
+            sorter::workload(500, 12, 20),
+        ],
+    }
+}
+
+/// Each kernel's first Table 2 row: what the harnesses that run every
+/// kernel once (fault sweep, warm-up, persistence, region profiles) use.
+pub fn kernel_workloads(scale: Scale) -> Vec<Workload> {
+    let mut rows = table2_workloads(scale);
+    rows.dedup_by_key(|w| w.kernel);
+    rows
 }
 
 /// Run every Table 2 row at the given scale.
@@ -160,29 +229,10 @@ pub fn run_all(scale: Scale) -> Result<Vec<KernelResult>, Error> {
 /// # Errors
 /// Propagates the first kernel failure.
 pub fn run_all_with(scale: Scale, options: EngineOptions) -> Result<Vec<KernelResult>, Error> {
-    let o = &options;
-    let mut rows = Vec::new();
-    match scale {
-        Scale::Smoke => {
-            rows.push(kernels::calculator::measure_with(80, o.clone())?);
-            rows.push(kernels::smatmul::measure_with(8, 16, 8, o.clone())?);
-            rows.push(kernels::spmv::measure_with(12, 3, 20, o.clone())?);
-            rows.push(kernels::spmv::measure_with(8, 2, 20, o.clone())?);
-            rows.push(kernels::dispatch::measure_with(10, 60, o.clone())?);
-            rows.push(kernels::sorter::measure_with(40, 4, 5, o.clone())?);
-            rows.push(kernels::sorter::measure_with(40, 12, 5, o.clone())?);
-        }
-        Scale::Paper => {
-            rows.push(kernels::calculator::measure_with(2000, o.clone())?);
-            rows.push(kernels::smatmul::measure_with(100, 800, 100, o.clone())?);
-            rows.push(kernels::spmv::measure_with(200, 10, 300, o.clone())?);
-            rows.push(kernels::spmv::measure_with(96, 5, 300, o.clone())?);
-            rows.push(kernels::dispatch::measure_with(10, 2000, o.clone())?);
-            rows.push(kernels::sorter::measure_with(500, 4, 20, o.clone())?);
-            rows.push(kernels::sorter::measure_with(500, 12, 20, o.clone())?);
-        }
-    }
-    Ok(rows)
+    table2_workloads(scale)
+        .iter()
+        .map(|w| w.measure_with(options.clone()))
+        .collect()
 }
 
 /// Render every row as the machine-readable `BENCH_table2.json` document

@@ -108,11 +108,7 @@ pub fn warmup_header() -> String {
 
 fn tiered_engine(workers: usize, speculate: bool) -> EngineOptions {
     EngineOptions {
-        tiered: Some(TieredOptions {
-            workers,
-            speculate,
-            ..TieredOptions::default()
-        }),
+        tiered: Some(TieredOptions { workers, speculate }),
         ..EngineOptions::default()
     }
 }
@@ -124,7 +120,7 @@ fn row(
     trace: &SessionTrace,
 ) -> WarmupRow {
     assert_eq!(
-        static_trace.checksum, trace.checksum,
+        static_trace.outcome.checksum, trace.outcome.checksum,
         "{kernel}/{mode}: checksum diverged from the static baseline"
     );
     let mut first_fast_call = None;
@@ -148,7 +144,7 @@ fn row(
             effective_breakeven = Some(i as u64 + 1);
         }
     }
-    let sum = |f: &dyn Fn(&dyncomp::RegionReport) -> u64| trace.reports.iter().map(f).sum();
+    let sum = |f: &dyn Fn(&dyncomp::RegionReport) -> u64| trace.outcome.reports.iter().map(f).sum();
     WarmupRow {
         kernel,
         mode,
@@ -160,7 +156,7 @@ fn row(
         fallback_runs: sum(&|r| r.fallback_runs),
         bg_installs: sum(&|r| r.bg_installs),
         spec_installs: sum(&|r| r.spec_installs),
-        checksum: trace.checksum,
+        checksum: trace.outcome.checksum,
     }
 }
 
@@ -197,27 +193,18 @@ pub fn measure_warmup(
 /// # Errors
 /// Propagates the first kernel failure.
 pub fn run_warmup(scale: crate::Scale) -> Result<Vec<WarmupRow>, Error> {
-    use crate::kernels::{calculator, dispatch, smatmul, sorter, spmv};
     let workers = 1;
-    let sets: Vec<(&'static str, KernelSetup<'static>)> = match scale {
-        crate::Scale::Smoke => vec![
-            ("calculator", calculator::setup(80)),
-            ("smatmul", smatmul::setup(8, 16, 8)),
-            ("spmv 12x12", spmv::setup(12, 3, 20)),
-            ("dispatch", dispatch::setup(10, 60)),
-            ("sorter 4-key", sorter::setup(40, 4, 5)),
-        ],
-        crate::Scale::Paper => vec![
-            ("calculator", calculator::setup(2000)),
-            ("smatmul", smatmul::setup(100, 800, 100)),
-            ("spmv 200x200", spmv::setup(200, 10, 300)),
-            ("dispatch", dispatch::setup(10, 2000)),
-            ("sorter 4-key", sorter::setup(500, 4, 20)),
-        ],
-    };
     let mut rows = Vec::new();
-    for (name, setup) in &sets {
-        rows.extend(measure_warmup(name, setup, workers)?);
+    for w in crate::kernel_workloads(scale) {
+        // `BENCH_warmup.json` names the two kernels Table 2 runs at two
+        // sizes after the size measured here.
+        let name = match (w.kernel, scale) {
+            ("spmv", crate::Scale::Smoke) => "spmv 12x12",
+            ("spmv", crate::Scale::Paper) => "spmv 200x200",
+            ("sorter", _) => "sorter 4-key",
+            (kernel, _) => kernel,
+        };
+        rows.extend(measure_warmup(name, &w.setup, workers)?);
     }
     Ok(rows)
 }

@@ -121,7 +121,6 @@ fn eight_threads_bit_identical_with_tiering() {
                 tiered: Some(dyncomp::TieredOptions {
                     workers: 2,
                     speculate,
-                    ..dyncomp::TieredOptions::default()
                 }),
                 ..EngineOptions::default()
             };

@@ -4,7 +4,7 @@
 //! compiled fallback copy permanently, a `BgFailed` event is traced, and
 //! the session's results stay bit-identical to a synchronous run.
 
-use dyncomp::measure::run_session;
+use dyncomp::measure::{run_session, SessionRun};
 use dyncomp::{
     Compiler, EngineOptions, EventKind, FailureKind, FaultPlan, FaultPoint, Injection, Session,
     TieredOptions, TraceOptions,
@@ -39,17 +39,10 @@ fn traced_tiered(faults: Option<FaultPlan>) -> EngineOptions {
 fn run_inspectable(options: EngineOptions) -> (u64, Session) {
     let setup = calculator::setup(80);
     let program = Arc::new(Compiler::tiered().compile(setup.src).expect("compiles"));
-    let mut session = Session::with_options(Arc::clone(&program), options);
-    let prepared = (setup.prepare)(&mut session);
-    let mut checksum = 0u64;
-    for i in 0..setup.iterations {
-        let args = (setup.args)(i, &prepared);
-        let r = session
-            .call(setup.func, &args)
-            .expect("session must survive background failures");
-        checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
-    }
-    (checksum, session)
+    let mut run = SessionRun::start(&program, &setup, options);
+    run.pass(|_, _| {})
+        .expect("session must survive background failures");
+    (run.outcome.checksum, run.session)
 }
 
 /// Messages of the `background` entries in the session's health ring.

@@ -47,7 +47,6 @@ fn tiered_options(speculate: bool) -> EngineOptions {
         tiered: Some(TieredOptions {
             workers: 1,
             speculate,
-            ..TieredOptions::default()
         }),
         ..EngineOptions::default()
     }

@@ -35,9 +35,15 @@ impl SplitMix64 {
 /// Bind on an ephemeral port, serve on a background thread, return the
 /// address and the join handle (joined after a `shutdown` op).
 fn spawn_server() -> (String, std::thread::JoinHandle<()>) {
+    spawn_server_at(None)
+}
+
+/// [`spawn_server`] with an optional `--persist-root`.
+fn spawn_server_at(persist_root: Option<String>) -> (String, std::thread::JoinHandle<()>) {
     let server = Server::bind(&ServerOptions {
         listen: "127.0.0.1:0".to_string(),
         workers: 2,
+        persist_root,
         ..ServerOptions::default()
     })
     .expect("bind an ephemeral port");
@@ -331,6 +337,157 @@ fn oversized_tenant_memory_is_refused_and_the_server_survives() {
     let _ = c.request("{\"op\":\"shutdown\"}");
     drop(c);
     handle.join().unwrap();
+}
+
+/// Regression: `cache_shards` reached the shared cache's eager
+/// per-stripe allocation unbounded (2^40 stripes abort the process, and
+/// `op_tenant` is not under `catch_unwind`), `cache_capacity` had no
+/// ceiling either, and `quarantine_after` was truncated with `as u32`
+/// (2^32 became 0). All three are typed `bad-request`s now.
+#[test]
+fn oversized_tenant_cache_geometry_is_refused_and_the_server_survives() {
+    let (addr, handle) = spawn_server();
+    let mut c = Client::connect(&addr).unwrap();
+    upload_and_tenant(&mut c);
+    ok(&c
+        .request("{\"op\":\"open\",\"tenant\":\"t\",\"program\":\"poly\",\"session\":\"s\"}")
+        .unwrap());
+    let call = "{\"op\":\"call\",\"session\":\"s\",\"func\":\"poly\",\"args\":[3,4]}";
+    let before = ok(&c.request(call).unwrap());
+
+    for (field, value) in [
+        ("cache_shards", 1u64 << 40),
+        ("cache_shards", (1 << 10) + 1),
+        ("cache_capacity", 1 << 40),
+        ("cache_capacity", (1 << 20) + 1),
+        ("quarantine_after", 1 << 32),
+    ] {
+        let r = c
+            .request(&format!(
+                "{{\"op\":\"tenant\",\"tenant\":\"huge\",\"{field}\":{value}}}"
+            ))
+            .unwrap();
+        assert_eq!(err_kind(&r), "bad-request", "{field} {value}");
+    }
+    let r = c
+        .request("{\"op\":\"open\",\"tenant\":\"huge\",\"program\":\"poly\",\"session\":\"h\"}")
+        .unwrap();
+    assert_eq!(
+        err_kind(&r),
+        "no-such-tenant",
+        "a refused tenant is never defined"
+    );
+    // The bounds themselves are accepted.
+    ok(&c
+        .request(
+            "{\"op\":\"tenant\",\"tenant\":\"big\",\"cache_shards\":1024,\
+             \"cache_capacity\":1048576,\"quarantine_after\":4294967295}",
+        )
+        .unwrap());
+
+    let after = ok(&c.request(call).unwrap());
+    assert_eq!(
+        after.get("result").and_then(Json::as_int),
+        before.get("result").and_then(Json::as_int)
+    );
+    let _ = c.request("{\"op\":\"shutdown\"}");
+    drop(c);
+    handle.join().unwrap();
+}
+
+/// Every path under `dir`, relative to it, sorted.
+fn tree(dir: &std::path::Path) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            out.push(path.strip_prefix(dir).unwrap().display().to_string());
+            if path.is_dir() {
+                stack.push(path);
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Regression: a tenant's name is joined into its directory under
+/// `--persist-root`, and was joined unvalidated — `../../escaped` with
+/// `persist:true` answered `ok` and created `escaped/artifacts` two
+/// levels above the root (an absolute name replaces the root outright).
+/// A name must be one normal path component, persisting or not.
+#[test]
+fn tenant_names_are_one_normal_path_component() {
+    let base = std::env::temp_dir().join(format!("dyncomp-proto-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let root = base.join("a").join("b").join("root");
+    std::fs::create_dir_all(&root).unwrap();
+    let (addr, handle) = spawn_server_at(Some(root.display().to_string()));
+    let mut c = Client::connect(&addr).unwrap();
+    upload_and_tenant(&mut c);
+    let before = tree(&base);
+
+    let absolute = base.join("abs").display().to_string();
+    let too_long = "n".repeat(65);
+    for name in [
+        "../../escaped",
+        "..",
+        ".",
+        "",
+        "a/b",
+        "a\\b",
+        "sp ace",
+        absolute.as_str(),
+        too_long.as_str(),
+    ] {
+        for persist in [true, false] {
+            let r = c
+                .request(&format!(
+                    "{{\"op\":\"tenant\",\"tenant\":{},\"persist\":{persist}}}",
+                    escape(name)
+                ))
+                .unwrap();
+            assert_eq!(
+                err_kind(&r),
+                "bad-request",
+                "name {name:?} persist {persist}"
+            );
+        }
+    }
+    assert_eq!(
+        tree(&base),
+        before,
+        "a refused name creates nothing anywhere"
+    );
+
+    // A well-formed name persists inside the root, and only there.
+    let longest = "n".repeat(64);
+    for name in ["ok-1.x_Y", longest.as_str()] {
+        ok(&c
+            .request(&format!(
+                "{{\"op\":\"tenant\",\"tenant\":\"{name}\",\"persist\":true}}"
+            ))
+            .unwrap());
+        assert!(root.join("tenants").join(name).join("artifacts").is_dir());
+    }
+    let outside: Vec<String> = tree(&base)
+        .into_iter()
+        .filter(|p| !std::path::Path::new(p).starts_with("a/b/root") && !before.contains(p))
+        .collect();
+    assert!(outside.is_empty(), "created outside the root: {outside:?}");
+
+    // The engine still serves the next frame.
+    ok(&c
+        .request("{\"op\":\"open\",\"tenant\":\"t\",\"program\":\"poly\",\"session\":\"s\"}")
+        .unwrap());
+    ok(&c
+        .request("{\"op\":\"call\",\"session\":\"s\",\"func\":\"poly\",\"args\":[3,4]}")
+        .unwrap());
+    let _ = c.request("{\"op\":\"shutdown\"}");
+    drop(c);
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]

@@ -15,11 +15,7 @@ use std::sync::Arc;
 
 fn tiered_options(workers: usize, speculate: bool) -> EngineOptions {
     EngineOptions {
-        tiered: Some(TieredOptions {
-            workers,
-            speculate,
-            ..TieredOptions::default()
-        }),
+        tiered: Some(TieredOptions { workers, speculate }),
         ..EngineOptions::default()
     }
 }

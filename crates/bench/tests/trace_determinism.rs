@@ -26,11 +26,7 @@ fn traced() -> EngineOptions {
 fn tiered(workers: usize, speculate: bool) -> EngineOptions {
     EngineOptions {
         trace: Some(TraceOptions::default()),
-        tiered: Some(TieredOptions {
-            workers,
-            speculate,
-            ..TieredOptions::default()
-        }),
+        tiered: Some(TieredOptions { workers, speculate }),
         ..EngineOptions::default()
     }
 }

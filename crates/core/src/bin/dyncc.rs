@@ -367,7 +367,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
             true => Some(TieredOptions {
                 workers: numeric(args, "--stitch-workers", 1)?.max(1),
                 speculate: flag("--speculate"),
-                ..TieredOptions::default()
             }),
             false => None,
         };

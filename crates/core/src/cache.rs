@@ -196,9 +196,15 @@ pub struct SharedCodeCache {
 }
 
 impl SharedCodeCache {
+    /// Most lock stripes a cache will allocate; larger requests saturate
+    /// here (every stripe is allocated up front, and `next_power_of_two`
+    /// overflows near `usize::MAX`).
+    pub const MAX_SHARDS: usize = 1 << 16;
+
     /// A cache with `shards` lock stripes (rounded up to a power of two,
-    /// minimum 1) and at most `per_shard_capacity` instances per shard
-    /// (minimum 1; evictions are LRU within the shard).
+    /// between 1 and [`SharedCodeCache::MAX_SHARDS`]) and at most
+    /// `per_shard_capacity` instances per shard (minimum 1; evictions are
+    /// LRU within the shard).
     pub fn new(shards: usize, per_shard_capacity: usize) -> Self {
         SharedCodeCache::with_byte_budget(shards, per_shard_capacity, None)
     }
@@ -214,7 +220,7 @@ impl SharedCodeCache {
         per_shard_capacity: usize,
         byte_budget: Option<u64>,
     ) -> Self {
-        let n = shards.max(1).next_power_of_two();
+        let n = shards.clamp(1, Self::MAX_SHARDS).next_power_of_two();
         SharedCodeCache {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             shard_mask: n as u64 - 1,

@@ -49,7 +49,7 @@
 //! charge per word, append. A refusal degrades to the next rung, never to
 //! an error. The other rules that couple two options:
 //!
-//! - A shared-cache probe charges `shared_lookup_cycles`, hit or miss;
+//! - A shared-cache probe charges [`SHARED_LOOKUP_CYCLES`], hit or miss;
 //!   disk traffic is free and a persistent hit charges the shared-cache
 //!   model, so cold runs are bit-identical with `persist` on or off.
 //! - Tiering needs a fallback copy
@@ -89,16 +89,6 @@ pub struct EngineOptions {
     pub memory_bytes: usize,
     /// Stitcher options (peephole, linearized table, cost model).
     pub stitch: StitchOptions,
-    /// Cycles charged for an `EnterRegion` trap serviced by the runtime.
-    pub trap_cycles: u64,
-    /// Cycles charged for a keyed code-cache lookup (plus per-key
-    /// hash/compare). The default models the O(1) hashed lookup the
-    /// session implements (one hash-bucket probe plus an O(1) LRU splice);
-    /// see EXPERIMENTS.md for the recalibration from the earlier
-    /// linear-probe model.
-    pub keyed_lookup_cycles: u64,
-    /// Per-key-word hash-and-compare cycles in the keyed lookup.
-    pub per_key_cycles: u64,
     /// Maximum stitched instances kept per keyed region (`None` =
     /// unbounded, the paper's model). When the cache is full the
     /// least-recently-entered key is evicted: its mapping is dropped and
@@ -114,12 +104,6 @@ pub struct EngineOptions {
     /// stitcher. Where keyed and unkeyed regions probe, and what each hit
     /// charges: module docs, "Mode interactions".
     pub shared_cache: Option<Arc<SharedCodeCache>>,
-    /// Cycles charged per shared-cache probe (hash + stripe lock + bucket
-    /// walk), hit or miss. Only charged when `shared_cache` is set.
-    pub shared_lookup_cycles: u64,
-    /// Cycles charged per code word when installing a shared-cache hit
-    /// (the bulk copy + patch relocation).
-    pub shared_install_cycles_per_word: u64,
     /// Tiered execution: on a cold region entry, run the statically
     /// compiled fallback copy while a background worker stitches (see
     /// [`crate::tiered`]). `None` (the default) keeps fully synchronous
@@ -185,13 +169,8 @@ impl Default for EngineOptions {
         EngineOptions {
             memory_bytes: 1 << 24,
             stitch: StitchOptions::default(),
-            trap_cycles: 18,
-            keyed_lookup_cycles: 16,
-            per_key_cycles: 4,
             keyed_cache_capacity: None,
             shared_cache: None,
-            shared_lookup_cycles: 30,
-            shared_install_cycles_per_word: 1,
             tiered: None,
             trace: None,
             faults: None,
@@ -202,6 +181,38 @@ impl Default for EngineOptions {
         }
     }
 }
+
+// ---- The engine's share of the simulated clock ----
+//
+// Everything the program itself runs is priced by the VM's
+// `dyncomp_machine::CycleModel`, and every stitcher action by
+// `dyncomp_stitcher::StitchCost`. What is left — the work the run-time
+// does between the two — is charged here and nowhere else. These are
+// constants, not options: nothing ever measured a second value, and the
+// committed `BENCH_*.json` artifacts pin these ones.
+
+/// Cycles charged for an `EnterRegion` trap serviced by the runtime.
+pub const TRAP_CYCLES: u64 = 18;
+/// Cycles charged for a keyed code-cache lookup, on top of
+/// [`PER_KEY_CYCLES`] per key word. Models the O(1) hashed lookup the
+/// session implements (one hash-bucket probe plus an O(1) LRU splice);
+/// see EXPERIMENTS.md for the recalibration from the earlier
+/// linear-probe model.
+pub const KEYED_LOOKUP_CYCLES: u64 = 16;
+/// Per-key-word hash-and-compare cycles in the keyed lookup.
+pub const PER_KEY_CYCLES: u64 = 4;
+/// Cycles charged per shared-cache probe (hash + stripe lock + bucket
+/// walk), hit or miss; a persistent-cache hit charges the same.
+pub const SHARED_LOOKUP_CYCLES: u64 = 30;
+/// Cycles charged per code word by `copy_install` (the bulk copy + patch
+/// relocation of an instance this session did not stitch).
+pub const SHARED_INSTALL_CYCLES_PER_WORD: u64 = 1;
+/// Cycles the session is charged per background stitch job it enqueues
+/// (snapshotting and queuing in the trap handler; [`crate::tiered`]).
+pub const DISPATCH_CYCLES: u64 = 25;
+/// Virtual-cycle backoff charged per retry, scaled linearly by the
+/// attempt number (attempt `n` charges `n * RETRY_BACKOFF_CYCLES`).
+pub const RETRY_BACKOFF_CYCLES: u64 = 200;
 
 /// Native dispatches within a single `call` before the whole-static-code
 /// instance is installed (chain mode). Kernels that bounce between
@@ -881,9 +892,7 @@ impl<P: Borrow<Program>> Session<P> {
         let cycles = if key.is_empty() {
             self.vm.model.cost(Op::Br, true)
         } else {
-            self.options.trap_cycles
-                + self.options.keyed_lookup_cycles
-                + self.options.per_key_cycles * key.len() as u64
+            TRAP_CYCLES + KEYED_LOOKUP_CYCLES + PER_KEY_CYCLES * key.len() as u64
         };
         let Some(ns) = self.native_checked(region) else {
             return;
@@ -1135,7 +1144,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// Charge the deterministic retry backoff for attempt `attempt`
     /// (linear in the attempt number) and count the retry.
     fn charge_retry(&mut self, region: u16, attempt: u32) {
-        let backoff = self.recovery.policy().retry_backoff_cycles * u64::from(attempt);
+        let backoff = RETRY_BACKOFF_CYCLES * u64::from(attempt);
         self.vm.cycles += backoff;
         self.regions[region as usize].report.retries += 1;
         self.recovery.note_retry();
@@ -1160,11 +1169,10 @@ impl<P: Borrow<Program>> Session<P> {
         let keyed = !rc.key_locs.is_empty();
         let (setup_pc, fallback_pc, key_len) = (rc.setup_pc, rc.fallback_pc, rc.key_locs.len());
         self.regions[region as usize].report.invocations += 1;
-        self.vm.cycles += self.options.trap_cycles;
+        self.vm.cycles += TRAP_CYCLES;
         self.tr(EventKind::RegionEnter { region, keyed });
         if keyed {
-            self.vm.cycles +=
-                self.options.keyed_lookup_cycles + self.options.per_key_cycles * key_len as u64;
+            self.vm.cycles += KEYED_LOOKUP_CYCLES + PER_KEY_CYCLES * key_len as u64;
         }
         let cached = self.regions[region as usize].cache.get(&key).copied();
         if keyed {
@@ -1258,7 +1266,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// the fallback copy while one is in flight, or (if the background run
     /// failed) stitch synchronously. The jobs-map probe piggybacks on the
     /// trap / keyed-lookup charges already paid by the caller; enqueued
-    /// jobs are charged [`TieredOptions::dispatch_cycles`] each.
+    /// jobs are charged [`DISPATCH_CYCLES`] each.
     fn tiered_miss(
         &mut self,
         region: u16,
@@ -1266,26 +1274,22 @@ impl<P: Borrow<Program>> Session<P> {
         fallback_pc: u32,
         setup_pc: u32,
     ) -> Result<(), Error> {
-        let (decision, enqueued, dispatch) = {
-            let Some(tiered) = self.tiered.as_mut() else {
-                // The caller checked `tiered.is_some()`; if the state is
-                // gone anyway, degrade to the synchronous set-up path
-                // rather than aborting the process.
-                self.begin_setup(region, key, setup_pc, Some(fallback_pc));
-                return Ok(());
-            };
-            let dispatch = tiered.options().dispatch_cycles;
-            let (decision, enqueued) = tiered.decide(
-                &self.vm,
-                region,
-                &key,
-                &self.options.stitch,
-                self.vm.cycles,
-                self.faults.as_deref_mut(),
-            );
-            (decision, enqueued, dispatch)
+        let Some(tiered) = self.tiered.as_mut() else {
+            // The caller checked `tiered.is_some()`; if the state is
+            // gone anyway, degrade to the synchronous set-up path
+            // rather than aborting the process.
+            self.begin_setup(region, key, setup_pc, Some(fallback_pc));
+            return Ok(());
         };
-        self.vm.cycles += enqueued * dispatch;
+        let (decision, enqueued) = tiered.decide(
+            &self.vm,
+            region,
+            &key,
+            &self.options.stitch,
+            self.vm.cycles,
+            self.faults.as_deref_mut(),
+        );
+        self.vm.cycles += enqueued * DISPATCH_CYCLES;
         self.drain_injected();
         self.relay_tiered_events();
         for _ in 0..enqueued {
@@ -1348,25 +1352,21 @@ impl<P: Borrow<Program>> Session<P> {
     /// job. No-op when tiering or speculation is off, or the region is
     /// unkeyed.
     fn speculate_after(&mut self, region: u16, key: &[u64]) {
-        let (enqueued, dispatch) = {
-            let Some(tiered) = self.tiered.as_mut().filter(|_| !key.is_empty()) else {
-                return;
-            };
-            let dispatch = tiered.options().dispatch_cycles;
-            let cache = &self.regions[region as usize].cache;
-            let is_cached = |k: &[u64]| cache.contains_key(k);
-            let enqueued = tiered.observe_and_speculate(
-                &self.vm,
-                region,
-                key,
-                &is_cached,
-                &self.options.stitch,
-                self.vm.cycles,
-                self.faults.as_deref_mut(),
-            );
-            (enqueued, dispatch)
+        let Some(tiered) = self.tiered.as_mut().filter(|_| !key.is_empty()) else {
+            return;
         };
-        self.vm.cycles += enqueued * dispatch;
+        let cache = &self.regions[region as usize].cache;
+        let is_cached = |k: &[u64]| cache.contains_key(k);
+        let enqueued = tiered.observe_and_speculate(
+            &self.vm,
+            region,
+            key,
+            &is_cached,
+            &self.options.stitch,
+            self.vm.cycles,
+            self.faults.as_deref_mut(),
+        );
+        self.vm.cycles += enqueued * DISPATCH_CYCLES;
         self.drain_injected();
         for _ in 0..enqueued {
             self.tr(EventKind::SpeculateIssue { region });
@@ -1426,7 +1426,7 @@ impl<P: Borrow<Program>> Session<P> {
                 "{origin} instance rejected by pre-install verification: {e}"
             )));
         }
-        self.vm.cycles += self.options.shared_install_cycles_per_word * code.len() as u64;
+        self.vm.cycles += SHARED_INSTALL_CYCLES_PER_WORD * code.len() as u64;
         self.vm.append_code(&code);
         Ok((base, code.len() as u32))
     }
@@ -1486,7 +1486,7 @@ impl<P: Borrow<Program>> Session<P> {
         let Some(cache) = self.options.shared_cache.as_ref().map(Arc::clone) else {
             return Ok(false);
         };
-        self.vm.cycles += self.options.shared_lookup_cycles;
+        self.vm.cycles += SHARED_LOOKUP_CYCLES;
         let poisoned = self
             .fire(FaultPoint::SharedCachePoisonedShard, region)
             .is_some();
@@ -1584,7 +1584,7 @@ impl<P: Borrow<Program>> Session<P> {
                 return Ok(false);
             }
         };
-        self.vm.cycles += self.options.shared_lookup_cycles;
+        self.vm.cycles += SHARED_LOOKUP_CYCLES;
         // Native stub bytes are reusable only at the publisher's base
         // (module docs); otherwise `index_instance` re-translates.
         if inst.install_base == base {
@@ -1791,7 +1791,7 @@ impl<P: Borrow<Program>> Session<P> {
         let st = &mut self.regions[region as usize];
         st.report.setup_cycles += setup_delta;
         st.report.stitches += 1;
-        accumulate(&mut st.report.stitch_stats, &stitched.stats);
+        st.report.stitch_stats += stitched.stats;
         st.report.stitch_cycles = st.report.stitch_stats.cycles;
         st.report.instructions_stitched = st.report.stitch_stats.instructions_stitched;
         st.tables.push(table);
@@ -2042,7 +2042,7 @@ impl<P: Borrow<Program>> Session<P> {
         for (idx, rc) in program.compiled.regions.iter().enumerate() {
             for &table in &self.regions[idx].tables {
                 let s = dyncomp_stitcher::stitch(rc, table, &mut self.vm.mem, base, opts)?;
-                accumulate(&mut total, &s.stats);
+                total += s.stats;
             }
         }
         Ok(total)
@@ -2119,21 +2119,4 @@ fn instruction_starts(code: &[u32]) -> Vec<usize> {
         i += if wide { 2 } else { 1 };
     }
     starts
-}
-
-fn accumulate(into: &mut StitchStats, s: &StitchStats) {
-    into.instructions_stitched += s.instructions_stitched;
-    into.words_emitted += s.words_emitted;
-    into.holes_inline += s.holes_inline;
-    into.holes_big += s.holes_big;
-    into.const_branches_resolved += s.const_branches_resolved;
-    into.blocks_skipped += s.blocks_skipped;
-    into.loop_iterations += s.loop_iterations;
-    into.strength_reductions += s.strength_reductions;
-    into.regaction_loads_removed += s.regaction_loads_removed;
-    into.regaction_stores_rewritten += s.regaction_stores_rewritten;
-    into.regaction_promoted += s.regaction_promoted;
-    into.plan_hits += s.plan_hits;
-    into.plan_misses += s.plan_misses;
-    into.cycles += s.cycles;
 }

@@ -323,9 +323,6 @@ pub struct RecoveryPolicy {
     /// Retries per failed operation (stitch, install, set-up) before the
     /// operation gives up.
     pub max_retries: u32,
-    /// Virtual-cycle backoff charged per retry, scaled linearly by the
-    /// attempt number (attempt `n` charges `n * retry_backoff_cycles`).
-    pub retry_backoff_cycles: u64,
     /// Failures recorded against a region before it is quarantined:
     /// pinned to its static fallback copy when the artifact has one,
     /// otherwise degraded to interpretive stitching with injection
@@ -345,7 +342,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_retries: 2,
-            retry_backoff_cycles: 200,
             quarantine_after: 4,
             code_budget_bytes: None,
             failure_log: 64,

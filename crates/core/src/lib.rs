@@ -94,10 +94,10 @@ pub use faults::{
     FailureKind, FailureRecord, FaultPlan, FaultPoint, HealthReport, Injection, RecoveryPolicy,
 };
 pub use measure::{
-    measure_kernel, measure_kernel_full, measure_kernel_with, run_session,
-    run_session_differential, run_session_profiled, run_session_timed, run_session_trace,
-    BackendRun, DifferentialOutcome, KernelMeasurement, KernelSetup, OptProfile, ProfiledSession,
-    SessionOutcome, SessionTrace,
+    fold_checksum, measure_kernel_full, measure_kernel_with, run_session, run_session_differential,
+    run_session_profiled, run_session_timed, run_session_trace, BackendRun, DifferentialOutcome,
+    KernelMeasurement, KernelSetup, OptProfile, ProfiledSession, SessionOutcome, SessionRun,
+    SessionTrace,
 };
 pub use persist::{PersistIncident, PersistStats, PersistentCache};
 pub use tiered::{KeyPredictor, TieredOptions};
@@ -188,37 +188,25 @@ from_err!(Vm, dyncomp_machine::VmError);
 /// constant — the *demand* — so specialization flows through the callee
 /// body. Each round only considers calls that existed before the round,
 /// so `depth` bounds the transitive inlining depth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InlineOptions {
     /// Maximum inlining depth (rounds of the demand-driven fixpoint).
     /// `0` disables the pass.
     pub depth: u32,
-    /// Refuse to inline callees with more placed instructions than this.
-    pub max_callee_insts: usize,
-    /// Stop inlining into a function once this many instructions have
-    /// been cloned into it (growth budget).
-    pub max_growth: usize,
-}
-
-impl Default for InlineOptions {
-    fn default() -> Self {
-        InlineOptions {
-            depth: 0,
-            max_callee_insts: 512,
-            max_growth: 4096,
-        }
-    }
 }
 
 impl InlineOptions {
-    /// Enabled at `depth`, with default budgets.
+    /// Enabled at `depth`.
     pub fn at_depth(depth: u32) -> Self {
-        InlineOptions {
-            depth,
-            ..Default::default()
-        }
+        InlineOptions { depth }
     }
 }
+
+/// The inliner refuses callees with more placed instructions than this.
+const INLINE_MAX_CALLEE_INSTS: usize = 512;
+/// The inliner stops growing a function once this many instructions have
+/// been cloned into it.
+const INLINE_MAX_GROWTH: usize = 4096;
 
 /// One call site the demand-driven inliner expanded (recorded on the
 /// [`Program`] artifact for observability: the engine replays these as
@@ -332,8 +320,9 @@ impl Compiler {
         h.u8(u8::from(o.analysis.use_reachability));
         h.u8(u8::from(o.tiered_fallback));
         h.u64(u64::from(o.inline.depth));
-        h.u64(o.inline.max_callee_insts as u64);
-        h.u64(o.inline.max_growth as u64);
+        // Hashed although constant: persisted artifact ids must not move.
+        h.u64(INLINE_MAX_CALLEE_INSTS as u64);
+        h.u64(INLINE_MAX_GROWTH as u64);
         h.finish()
     }
 
@@ -479,7 +468,7 @@ impl Compiler {
                 let eligible_max = module.funcs[fid].insts.len();
                 let mut rejected: Vec<dyncomp_ir::InstId> = Vec::new();
                 loop {
-                    if grown.get(&fid).copied().unwrap_or(0) >= opts.max_growth {
+                    if grown.get(&fid).copied().unwrap_or(0) >= INLINE_MAX_GROWTH {
                         break;
                     }
                     let Some((rid, block, call, callee)) =
@@ -552,7 +541,7 @@ impl Compiler {
                         continue;
                     };
                     if !target.regions.is_empty()
-                        || target.placed_inst_count() > self.options.inline.max_callee_insts
+                        || target.placed_inst_count() > INLINE_MAX_CALLEE_INSTS
                     {
                         continue;
                     }

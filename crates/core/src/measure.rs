@@ -20,6 +20,7 @@ use std::sync::Arc;
 /// The closures are `Send + Sync` so one setup can drive many concurrent
 /// sessions over a shared `Arc<Program>` (the determinism suite and the
 /// `concurrent_throughput` bench).
+#[allow(clippy::type_complexity)]
 pub struct KernelSetup<'a> {
     /// Annotated MiniC source (compiled both ways).
     pub src: &'a str,
@@ -29,10 +30,8 @@ pub struct KernelSetup<'a> {
     pub iterations: u64,
     /// Build input data in VM memory; returns values (typically addresses)
     /// that [`KernelSetup::args`] may use.
-    #[allow(clippy::type_complexity)]
     pub prepare: Box<dyn Fn(&mut Session) -> Vec<u64> + Send + Sync + 'a>,
     /// Arguments for invocation `i`, given the prepared values.
-    #[allow(clippy::type_complexity)]
     pub args: Box<dyn Fn(u64, &[u64]) -> Vec<u64> + Send + Sync + 'a>,
 }
 
@@ -81,7 +80,8 @@ impl KernelMeasurement {
     }
 }
 
-/// Which of the paper's Table 3 optimization categories fired.
+/// Which of the paper's Table 3 optimization categories fired (fields in
+/// the table's column order).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptProfile {
     /// Run-time constant propagation and folding planned into set-up code.
@@ -98,21 +98,9 @@ pub struct OptProfile {
     pub strength_reduction: bool,
 }
 
-impl OptProfile {
-    /// Render as the paper's check-mark row.
-    pub fn checkmarks(&self) -> [bool; 6] {
-        [
-            self.constant_folding,
-            self.static_branch_elimination,
-            self.load_elimination,
-            self.dead_code_elimination,
-            self.complete_loop_unrolling,
-            self.strength_reduction,
-        ]
-    }
-}
-
-/// Run one kernel both ways and measure (default engine options).
+/// Run one kernel both ways and measure, the dynamic version under
+/// `engine_options` (ablations: peephole off, fused cost model, register
+/// actions).
 ///
 /// # Errors
 /// Compilation or execution failure in either version.
@@ -120,104 +108,57 @@ impl OptProfile {
 /// # Panics
 /// Panics when the static and dynamic versions disagree on any result —
 /// a mismatch is a correctness bug, not an environmental error.
-pub fn measure_kernel(setup: &KernelSetup<'_>) -> Result<KernelMeasurement, Error> {
-    measure_kernel_with(setup, crate::EngineOptions::default())
-}
-
-/// Like [`measure_kernel`], with explicit engine options for the dynamic
-/// version (ablations: peephole off, fused cost model, register actions).
-///
-/// # Errors
-/// Compilation or execution failure in either version.
-///
-/// # Panics
-/// Panics when the static and dynamic versions disagree on any result.
 pub fn measure_kernel_with(
     setup: &KernelSetup<'_>,
-    engine_options: crate::EngineOptions,
+    engine_options: EngineOptions,
 ) -> Result<KernelMeasurement, Error> {
     measure_kernel_full(setup, &Compiler::new(), engine_options)
 }
 
-/// The fully general entry: explicit compiler (analysis ablations) and
-/// engine options for the dynamic version.
-///
-/// # Errors
-/// Compilation or execution failure in either version.
-///
-/// # Panics
-/// Panics when the static and dynamic versions disagree on any result.
+/// [`measure_kernel_with`] (same errors, same panic) with an explicit
+/// compiler for the dynamic version as well (analysis ablations, inlining).
 pub fn measure_kernel_full(
     setup: &KernelSetup<'_>,
     dynamic_compiler: &Compiler,
-    engine_options: crate::EngineOptions,
+    engine_options: EngineOptions,
 ) -> Result<KernelMeasurement, Error> {
-    // ---- static baseline ----
     let static_prog = Arc::new(Compiler::static_baseline().compile(setup.src)?);
     let static_run = run_session(&static_prog, setup, EngineOptions::default())?;
-
-    // ---- dynamic version ----
     let dyn_prog = Arc::new(dynamic_compiler.compile(setup.src)?);
     let dyn_run = run_session(&dyn_prog, setup, engine_options)?;
-    let (static_total, static_checksum) = (static_run.call_cycles, static_run.checksum);
-    let (dyn_result, dyn_checksum, reports) =
-        (dyn_run.call_cycles, dyn_run.checksum, dyn_run.reports);
-
     assert_eq!(
-        static_checksum, dyn_checksum,
+        static_run.checksum, dyn_run.checksum,
         "static and dynamic versions disagree for {}",
         setup.func
     );
 
-    let setup_cycles: u64 = reports.iter().map(|r| r.setup_cycles).sum();
-    let stitch_cycles: u64 = reports.iter().map(|r| r.stitch_cycles).sum();
-    let instructions_stitched: u32 = reports.iter().map(|r| r.instructions_stitched).sum();
+    let mut setup_cycles = 0u64;
     let mut stitch = StitchStats::default();
-    for r in &reports {
-        let s = r.stitch_stats;
-        stitch.instructions_stitched += s.instructions_stitched;
-        stitch.words_emitted += s.words_emitted;
-        stitch.holes_inline += s.holes_inline;
-        stitch.holes_big += s.holes_big;
-        stitch.const_branches_resolved += s.const_branches_resolved;
-        stitch.blocks_skipped += s.blocks_skipped;
-        stitch.loop_iterations += s.loop_iterations;
-        stitch.strength_reductions += s.strength_reductions;
-        stitch.regaction_loads_removed += s.regaction_loads_removed;
-        stitch.regaction_stores_rewritten += s.regaction_stores_rewritten;
-        stitch.regaction_promoted += s.regaction_promoted;
-        stitch.plan_hits += s.plan_hits;
-        stitch.plan_misses += s.plan_misses;
-        stitch.cycles += s.cycles;
+    for r in &dyn_run.reports {
+        setup_cycles += r.setup_cycles;
+        stitch += r.stitch_stats;
     }
+    let (stitch_cycles, instructions_stitched) = (stitch.cycles, stitch.instructions_stitched);
     let mut spec = SpecStats::default();
     for (_, s) in &dyn_prog.spec_stats {
-        spec.const_insts_eliminated += s.const_insts_eliminated;
-        spec.loads_eliminated += s.loads_eliminated;
-        spec.const_branches += s.const_branches;
-        spec.unrolled_loops += s.unrolled_loops;
-        spec.holes += s.holes;
+        spec += *s;
     }
 
     let n = setup.iterations.max(1) as f64;
-    let static_cycles = static_total as f64 / n;
+    let static_cycles = static_run.call_cycles as f64 / n;
     // Exclude one-time set-up from the asymptotic dynamic cost.
-    let dynamic_cycles = (dyn_result.saturating_sub(setup_cycles)) as f64 / n;
+    let dynamic_cycles = dyn_run.call_cycles.saturating_sub(setup_cycles) as f64 / n;
     let speedup = if dynamic_cycles > 0.0 {
         static_cycles / dynamic_cycles
     } else {
         f64::NAN
     };
     let overhead = setup_cycles + stitch_cycles;
-    let breakeven = if static_cycles > dynamic_cycles {
-        Some((overhead as f64 / (static_cycles - dynamic_cycles)).ceil() as u64)
-    } else {
-        None
-    };
-    let cycles_per_stitched_instruction = if instructions_stitched > 0 {
-        overhead as f64 / f64::from(instructions_stitched)
-    } else {
-        0.0
+    let breakeven = (static_cycles > dynamic_cycles)
+        .then(|| (overhead as f64 / (static_cycles - dynamic_cycles)).ceil() as u64);
+    let cycles_per_stitched_instruction = match instructions_stitched {
+        0 => 0.0,
+        n => overhead as f64 / f64::from(n),
     };
 
     Ok(KernelMeasurement {
@@ -232,15 +173,23 @@ pub fn measure_kernel_full(
         cycles_per_stitched_instruction,
         spec,
         stitch,
-        checksum: dyn_checksum,
+        checksum: dyn_run.checksum,
     })
+}
+
+/// Fold one invocation's result into a running checksum (FNV-style).
+/// Every harness and the server fold with this one function, so a served
+/// checksum and a harness checksum over the same results are equal by
+/// construction.
+pub fn fold_checksum(checksum: u64, result: u64) -> u64 {
+    checksum.wrapping_mul(1099511628211).wrapping_add(result)
 }
 
 /// What one session produced running a kernel workload: everything the
 /// determinism suite compares bit-for-bit across threads.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionOutcome {
-    /// FNV-style checksum over every invocation's result, in order.
+    /// [`fold_checksum`] over every invocation's result, in order.
     pub checksum: u64,
     /// Simulated cycles spent inside the measured calls.
     pub call_cycles: u64,
@@ -250,17 +199,88 @@ pub struct SessionOutcome {
     pub reports: Vec<RegionReport>,
 }
 
+/// One kernel workload on one live session: a fresh [`Session`] with the
+/// workload's data prepared, then any number of [`SessionRun::pass`]es
+/// over its invocations. Every `run_session*` entry point is a projection
+/// of this; harnesses that want the session afterwards (health, traces,
+/// a second pass) use it directly.
+pub struct SessionRun<'a> {
+    /// The live session.
+    pub session: Session,
+    /// The outcome so far (cycle totals and reports as of the last pass).
+    pub outcome: SessionOutcome,
+    setup: &'a KernelSetup<'a>,
+    prepared: Vec<u64>,
+}
+
+impl<'a> SessionRun<'a> {
+    /// Create the session and build the workload's input data in it.
+    pub fn start(
+        program: &Arc<Program>,
+        setup: &'a KernelSetup<'a>,
+        options: EngineOptions,
+    ) -> Self {
+        let mut session = Session::with_options(Arc::clone(program), options);
+        let prepared = (setup.prepare)(&mut session);
+        SessionRun {
+            session,
+            outcome: SessionOutcome::default(),
+            setup,
+            prepared,
+        }
+    }
+
+    /// Run every invocation of the workload once, in order: args → call →
+    /// cycles delta → checksum fold. After each call `per_call` sees the
+    /// session and the simulated cycles that call took.
+    ///
+    /// # Errors
+    /// Execution failure (VM fault, stitch failure, unknown function).
+    pub fn pass(&mut self, mut per_call: impl FnMut(&Session, u64)) -> Result<(), Error> {
+        let (session, setup, out) = (&mut self.session, self.setup, &mut self.outcome);
+        for i in 0..setup.iterations {
+            let args = (setup.args)(i, &self.prepared);
+            let before = session.cycles();
+            let r = session.call(setup.func, &args)?;
+            let cycles = session.cycles() - before;
+            out.call_cycles += cycles;
+            out.checksum = fold_checksum(out.checksum, r);
+            per_call(session, cycles);
+        }
+        out.total_cycles = session.cycles();
+        out.reports = (0..session.program().region_count())
+            .map(|i| session.region_report(i))
+            .collect();
+        Ok(())
+    }
+}
+
+/// Run one complete session of a kernel workload over a shared program:
+/// fresh [`Session`], prepare data, run every invocation, collect region
+/// reports. This is the unit the concurrency harnesses replicate across
+/// threads — with default options every replica is bit-identical.
+///
+/// # Errors
+/// As [`SessionRun::pass`], like every `run_session*` below.
+pub fn run_session(
+    program: &Arc<Program>,
+    setup: &KernelSetup<'_>,
+    options: EngineOptions,
+) -> Result<SessionOutcome, Error> {
+    let mut run = SessionRun::start(program, setup, options);
+    run.pass(|_, _| {})?;
+    Ok(run.outcome)
+}
+
 /// A [`run_session`] run with the per-invocation cycle trace kept: what
 /// the warm-up/latency analyses consume (time to first result, time to
 /// first fast execution, empirical breakeven).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionTrace {
-    /// FNV-style checksum over every invocation's result, in order.
-    pub checksum: u64,
+    /// The ordinary session outcome (checksum, cycles, reports).
+    pub outcome: SessionOutcome,
     /// Simulated cycles of each invocation, in call order.
     pub per_call_cycles: Vec<u64>,
-    /// Per-region measurement reports.
-    pub reports: Vec<RegionReport>,
 }
 
 /// Like [`run_session`], but recording each invocation's cycle cost
@@ -272,39 +292,27 @@ pub struct SessionTrace {
 /// already; stitcher cycles are cost-model accounted). Background
 /// stitches in tiered mode spend their cycles on worker clocks and are
 /// correctly absent from the trace.
-///
-/// # Errors
-/// Execution failure (VM fault, stitch failure, unknown function).
 pub fn run_session_trace(
     program: &Arc<Program>,
     setup: &KernelSetup<'_>,
     options: EngineOptions,
 ) -> Result<SessionTrace, Error> {
-    let mut session = Session::with_options(Arc::clone(program), options);
-    let prepared = (setup.prepare)(&mut session);
-    let mut checksum = 0u64;
-    let mut per_call_cycles = Vec::with_capacity(setup.iterations as usize);
+    let mut run = SessionRun::start(program, setup, options);
     let stitched_so_far = |s: &Session| -> u64 {
         (0..s.program().region_count())
             .map(|i| s.region_report(i).stitch_cycles)
             .sum()
     };
-    for i in 0..setup.iterations {
-        let args = (setup.args)(i, &prepared);
-        let before = session.cycles();
-        let stitch_before = stitched_so_far(&session);
-        let r = session.call(setup.func, &args)?;
-        let stitch_in_call = stitched_so_far(&session) - stitch_before;
-        per_call_cycles.push(session.cycles() - before + stitch_in_call);
-        checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
-    }
-    let reports = (0..program.region_count())
-        .map(|i| session.region_report(i))
-        .collect();
+    let mut stitched = stitched_so_far(&run.session);
+    let mut per_call_cycles = Vec::with_capacity(setup.iterations as usize);
+    run.pass(|session, cycles| {
+        let now = stitched_so_far(session);
+        per_call_cycles.push(cycles + now - stitched);
+        stitched = now;
+    })?;
     Ok(SessionTrace {
-        checksum,
+        outcome: run.outcome,
         per_call_cycles,
-        reports,
     })
 }
 
@@ -331,79 +339,27 @@ pub struct ProfiledSession {
 /// cycle-attribution self-check run before returning.
 ///
 /// # Errors
-/// Execution failure, or [`Error::Trace`] when the trace-event sums
-/// disagree with the [`RegionReport`] counters.
+/// Additionally [`Error::Trace`] when the trace-event sums disagree with
+/// the [`RegionReport`] counters.
 pub fn run_session_profiled(
     program: &Arc<Program>,
     setup: &KernelSetup<'_>,
     mut options: EngineOptions,
 ) -> Result<ProfiledSession, Error> {
-    if options.trace.is_none() {
-        options.trace = Some(TraceOptions::default());
-    }
-    let mut session = Session::with_options(Arc::clone(program), options);
-    let prepared = (setup.prepare)(&mut session);
-    let mut checksum = 0u64;
-    let mut total = 0u64;
-    for i in 0..setup.iterations {
-        let args = (setup.args)(i, &prepared);
-        let before = session.cycles();
-        let r = session.call(setup.func, &args)?;
-        total += session.cycles() - before;
-        checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
-    }
+    options.trace.get_or_insert_with(TraceOptions::default);
+    let mut run = SessionRun::start(program, setup, options);
+    run.pass(|_, _| {})?;
+    let session = &mut run.session;
     session.trace_self_check()?;
-    let reports: Vec<RegionReport> = (0..program.region_count())
-        .map(|i| session.region_report(i))
-        .collect();
     let jsonl = session.trace_jsonl().expect("tracing forced on");
     let chrome = session.trace_chrome().expect("tracing forced on");
     let trace = session.trace().expect("tracing forced on");
     Ok(ProfiledSession {
-        outcome: SessionOutcome {
-            checksum,
-            call_cycles: total,
-            total_cycles: session.cycles(),
-            reports,
-        },
+        outcome: run.outcome,
         profiles: trace.profiles().to_vec(),
         dropped: trace.dropped(),
         jsonl,
         chrome,
-    })
-}
-
-/// Run one complete session of a kernel workload over a shared program:
-/// fresh [`Session`], prepare data, run every invocation, collect region
-/// reports. This is the unit the concurrency harnesses replicate across
-/// threads — with default options every replica is bit-identical.
-///
-/// # Errors
-/// Execution failure (VM fault, stitch failure, unknown function).
-pub fn run_session(
-    program: &Arc<Program>,
-    setup: &KernelSetup<'_>,
-    options: EngineOptions,
-) -> Result<SessionOutcome, Error> {
-    let mut session = Session::with_options(Arc::clone(program), options);
-    let prepared = (setup.prepare)(&mut session);
-    let mut checksum = 0u64;
-    let mut total = 0u64;
-    for i in 0..setup.iterations {
-        let args = (setup.args)(i, &prepared);
-        let before = session.cycles();
-        let r = session.call(setup.func, &args)?;
-        total += session.cycles() - before;
-        checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
-    }
-    let reports = (0..program.region_count())
-        .map(|i| session.region_report(i))
-        .collect();
-    Ok(SessionOutcome {
-        checksum,
-        call_cycles: total,
-        total_cycles: session.cycles(),
-        reports,
     })
 }
 
@@ -435,83 +391,48 @@ pub struct DifferentialOutcome {
 /// Run a kernel workload like [`run_session`], additionally timing the
 /// measured calls in host nanoseconds and collecting the session's
 /// native-backend counters.
-///
-/// # Errors
-/// Execution failure (VM fault, stitch failure, unknown function).
 pub fn run_session_timed(
     program: &Arc<Program>,
     setup: &KernelSetup<'_>,
     options: EngineOptions,
 ) -> Result<BackendRun, Error> {
-    let mut session = Session::with_options(Arc::clone(program), options);
-    let prepared = (setup.prepare)(&mut session);
-    let mut checksum = 0u64;
-    let mut total = 0u64;
+    let mut run = SessionRun::start(program, setup, options);
     let start = std::time::Instant::now();
-    for i in 0..setup.iterations {
-        let args = (setup.args)(i, &prepared);
-        let before = session.cycles();
-        let r = session.call(setup.func, &args)?;
-        total += session.cycles() - before;
-        checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
-    }
+    run.pass(|_, _| {})?;
     let wall_ns = start.elapsed().as_nanos() as u64;
-    let reports = (0..program.region_count())
-        .map(|i| session.region_report(i))
-        .collect();
     Ok(BackendRun {
-        outcome: SessionOutcome {
-            checksum,
-            call_cycles: total,
-            total_cycles: session.cycles(),
-            reports,
-        },
+        native: run.session.native_report(),
+        outcome: run.outcome,
         wall_ns,
-        native: session.native_report(),
     })
 }
 
-/// Run the same kernel workload on both backends — once with
-/// [`EngineOptions::native`] off (the VM cycle oracle) and once with it
-/// on — over identical key streams, and assert the results are
-/// bit-identical: same per-invocation checksum, same simulated call and
-/// total cycles. The native backend only changes *host* wall-clock;
-/// every simulated quantity must match the oracle exactly.
-///
-/// On hosts without the native backend the second half runs on the VM
-/// too (recording one `backend-unavailable` health entry), so the
-/// comparison degenerates to a trivially-equal self-check and the suite
-/// still passes.
+/// Run the same kernel workload with [`EngineOptions::native`] off (the
+/// VM cycle oracle) and on, over identical key streams, and require the
+/// same checksum and the same simulated call and total cycles: the native
+/// backend may only change *host* wall-clock. On hosts without the
+/// backend the second half runs on the VM too (one `backend-unavailable`
+/// health entry), so the comparison is a trivially-equal self-check.
 ///
 /// # Errors
-/// Execution failure from either half, or [`Error::Differential`] when
-/// the halves disagree.
+/// Additionally [`Error::Differential`] when the halves disagree.
 pub fn run_session_differential(
     program: &Arc<Program>,
     setup: &KernelSetup<'_>,
     options: EngineOptions,
 ) -> Result<DifferentialOutcome, Error> {
-    let mut vm_opts = options.clone();
-    vm_opts.native = false;
-    let mut native_opts = options;
-    native_opts.native = true;
-    let vm = run_session_timed(program, setup, vm_opts)?;
-    let native = run_session_timed(program, setup, native_opts)?;
-    if vm.outcome.checksum != native.outcome.checksum {
+    let with_native = |native| EngineOptions {
+        native,
+        ..options.clone()
+    };
+    let vm = run_session_timed(program, setup, with_native(false))?;
+    let native = run_session_timed(program, setup, with_native(true))?;
+    let simulated = |o: &SessionOutcome| (o.checksum, o.call_cycles, o.total_cycles);
+    if simulated(&vm.outcome) != simulated(&native.outcome) {
         return Err(Error::Differential(format!(
-            "checksum mismatch: vm {:#x} vs native {:#x}",
-            vm.outcome.checksum, native.outcome.checksum
-        )));
-    }
-    if vm.outcome.call_cycles != native.outcome.call_cycles
-        || vm.outcome.total_cycles != native.outcome.total_cycles
-    {
-        return Err(Error::Differential(format!(
-            "cycle mismatch: vm {}/{} vs native {}/{} (call/total)",
-            vm.outcome.call_cycles,
-            vm.outcome.total_cycles,
-            native.outcome.call_cycles,
-            native.outcome.total_cycles
+            "vm {:?} vs native {:?} (checksum, call cycles, total cycles)",
+            simulated(&vm.outcome),
+            simulated(&native.outcome)
         )));
     }
     Ok(DifferentialOutcome { vm, native })

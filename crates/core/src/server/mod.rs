@@ -26,10 +26,13 @@ pub mod pool;
 pub mod proto;
 pub mod state;
 
+/// The harnesses' checksum fold: a served session's checksum is the same
+/// function of its results as a [`crate::measure::run_session`] one.
+pub use crate::measure::fold_checksum;
 pub use json::{escape, Json, JsonError};
 pub use net::{Client, Server, ServerOptions};
 pub use pool::{PoolStats, WorkPool};
 pub use proto::{
     read_frame, write_frame, ErrorKind, Frame, ProtoError, MAX_FRAME, MAX_SESSION_MEMORY,
 };
-pub use state::{fold_checksum, ServerEngine, TenantOptions};
+pub use state::{ServerEngine, TenantOptions};

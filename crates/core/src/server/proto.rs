@@ -24,6 +24,43 @@ pub const MAX_FRAME: usize = 4 << 20;
 /// so the bound is enforced where the number arrives.
 pub const MAX_SESSION_MEMORY: usize = 1 << 30;
 
+/// Most lock stripes a `tenant` frame may ask of its shared code cache.
+/// Every stripe is allocated when the tenant is declared, so an
+/// unbounded count is the same process abort as an unbounded
+/// [`MAX_SESSION_MEMORY`].
+pub const MAX_CACHE_SHARDS: usize = 1 << 10;
+
+/// Most instances per stripe a `tenant` frame may ask its shared code
+/// cache to keep.
+pub const MAX_CACHE_CAPACITY: usize = 1 << 20;
+
+/// Longest tenant name, in bytes (see [`check_tenant_name`]).
+pub const MAX_TENANT_NAME: usize = 64;
+
+/// A tenant name must be one normal path component — it names the
+/// tenant's directory under `--persist-root`: non-empty, at most
+/// [`MAX_TENANT_NAME`] bytes of `[A-Za-z0-9._-]`, and neither `.` nor
+/// `..`. Checked on every `tenant` frame, persisting or not.
+///
+/// # Errors
+/// [`ErrorKind::BadRequest`] naming the rule.
+pub fn check_tenant_name(name: &str) -> Result<(), ProtoError> {
+    let normal = !name.is_empty()
+        && name.len() <= MAX_TENANT_NAME
+        && name != "."
+        && name != ".."
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'));
+    if normal {
+        return Ok(());
+    }
+    Err(ProtoError::new(
+        ErrorKind::BadRequest,
+        format!("tenant names are 1..={MAX_TENANT_NAME} bytes of [A-Za-z0-9._-], not `.` or `..`"),
+    ))
+}
+
 /// Stable error kinds carried in the `"error"` field of a failure
 /// response. Clients and tests match on [`ErrorKind::name`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -25,10 +25,14 @@
 
 use super::json::{escape, Json};
 use super::pool::PoolStats;
-use super::proto::{ErrorKind, ProtoError, MAX_SESSION_MEMORY};
+use super::proto::{
+    check_tenant_name, ErrorKind, ProtoError, MAX_CACHE_CAPACITY, MAX_CACHE_SHARDS,
+    MAX_SESSION_MEMORY,
+};
 use crate::cache::SharedCodeCache;
 use crate::engine::{EngineOptions, Session};
 use crate::faults::RecoveryPolicy;
+use crate::measure::fold_checksum;
 use crate::persist::PersistentCache;
 use crate::trace::TraceOptions;
 use crate::{CompileOptions, Compiler, InlineOptions, Program};
@@ -37,13 +41,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// The checksum fold shared with [`crate::measure::run_session`]: server
-/// sessions fold every call result through it, so a served key stream's
-/// checksum is bit-comparable with the single-session reference.
-pub fn fold_checksum(checksum: u64, result: u64) -> u64 {
-    checksum.wrapping_mul(1099511628211).wrapping_add(result)
-}
 
 /// Per-tenant quota and configuration knobs, set by the `tenant` op.
 #[derive(Clone, Debug)]
@@ -277,18 +274,13 @@ impl ServerEngine {
 
     fn op_tenant(&self, req: &Json) -> Result<String, ProtoError> {
         let name = str_field(req, "tenant")?;
+        check_tenant_name(name)?;
         let mut options = TenantOptions::default();
         if let Some(v) = req.get("max_sessions").and_then(Json::as_int) {
             options.max_sessions = usize_field(v, "max_sessions")?;
         }
         if let Some(v) = req.get("memory_bytes").and_then(Json::as_int) {
-            let bytes = usize_field(v, "memory_bytes")?;
-            if bytes > MAX_SESSION_MEMORY {
-                return Err(ProtoError::new(
-                    ErrorKind::BadRequest,
-                    format!("field `memory_bytes` exceeds the {MAX_SESSION_MEMORY}-byte bound"),
-                ));
-            }
+            let bytes = bounded_field(v, "memory_bytes", MAX_SESSION_MEMORY)?;
             options.memory_bytes = bytes.max(1 << 12);
         }
         if let Some(v) = req.get("code_budget_bytes").and_then(Json::as_int) {
@@ -298,13 +290,16 @@ impl ServerEngine {
             options.cache_bytes = Some(usize_field(v, "cache_bytes")? as u64);
         }
         if let Some(v) = req.get("cache_shards").and_then(Json::as_int) {
-            options.cache_shards = usize_field(v, "cache_shards")?.max(1);
+            options.cache_shards = bounded_field(v, "cache_shards", MAX_CACHE_SHARDS)?.max(1);
         }
         if let Some(v) = req.get("cache_capacity").and_then(Json::as_int) {
-            options.cache_capacity = usize_field(v, "cache_capacity")?.max(1);
+            options.cache_capacity = bounded_field(v, "cache_capacity", MAX_CACHE_CAPACITY)?.max(1);
         }
         if let Some(v) = req.get("quarantine_after").and_then(Json::as_int) {
-            options.quarantine_after = usize_field(v, "quarantine_after")? as u32;
+            options.quarantine_after = u32::try_from(v).map_err(|_| {
+                let msg = "field `quarantine_after` must fit an unsigned 32-bit count";
+                ProtoError::new(ErrorKind::BadRequest, msg)
+            })?;
         }
         options.native = req.get("native").and_then(Json::as_bool).unwrap_or(false);
         options.trace = req.get("trace").and_then(Json::as_bool).unwrap_or(false);
@@ -819,6 +814,19 @@ fn usize_field(v: i64, key: &str) -> Result<usize, ProtoError> {
             format!("field `{key}` must be non-negative"),
         )
     })
+}
+
+/// A non-negative wire integer that sizes an allocation: refused above
+/// `max` where it arrives, never clamped silently.
+fn bounded_field(v: i64, key: &str, max: usize) -> Result<usize, ProtoError> {
+    let n = usize_field(v, key)?;
+    if n > max {
+        return Err(ProtoError::new(
+            ErrorKind::BadRequest,
+            format!("field `{key}` exceeds the bound of {max}"),
+        ));
+    }
+    Ok(n)
 }
 
 fn no_such(kind: ErrorKind, what: &str, name: &str) -> ProtoError {

@@ -1,7 +1,7 @@
 //! End-to-end tests: full static pipeline + VM + stitcher, with
 //! differential checks against the static baseline and speedup sanity.
 
-use crate::{measure_kernel, Compiler, Engine, KernelSetup, Session};
+use crate::{measure_kernel_with, Compiler, Engine, EngineOptions, KernelSetup, Session};
 
 /// Run the same calls on static and dynamic builds; results must agree.
 /// Each argument set gets a fresh dynamic engine: an unkeyed region's
@@ -107,7 +107,7 @@ fn dynamic_beats_static_on_unrolled_kernel() {
         }),
         args: Box::new(|i, prepared| vec![prepared[0], i % 17]),
     };
-    let m = measure_kernel(&setup).unwrap();
+    let m = measure_kernel_with(&setup, EngineOptions::default()).unwrap();
     assert!(
         m.speedup > 1.05,
         "expected speedup, got {:.3} (static {:.0}, dynamic {:.0})",
@@ -373,7 +373,7 @@ fn measurement_checksums_agree_and_report_is_consistent() {
         prepare: Box::new(|_| vec![12]),
         args: Box::new(|i, p| vec![p[0], i]),
     };
-    let m = measure_kernel(&setup).unwrap();
+    let m = measure_kernel_with(&setup, EngineOptions::default()).unwrap();
     assert!(m.static_cycles > 0.0);
     assert!(m.dynamic_cycles > 0.0);
     assert!(m.setup_cycles > 0);

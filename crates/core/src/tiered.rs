@@ -32,24 +32,25 @@
 //!   `recv`) only at resolution points, which affects wall-clock time but
 //!   never simulated results.
 //!
-//! The session is charged [`TieredOptions::dispatch_cycles`] per enqueued
-//! job and the shared-cache constants
-//! ([`crate::EngineOptions::shared_install_cycles_per_word`]) per installed
-//! word; the worker's set-up and stitch cycles are spent on the worker's
-//! clock, never the session's.
+//! The session is charged [`DISPATCH_CYCLES`] per enqueued job and
+//! [`crate::engine::SHARED_INSTALL_CYCLES_PER_WORD`] per installed word;
+//! the worker's set-up and stitch cycles are spent on the worker's clock,
+//! never the session's.
 //!
 //! # Speculative pre-stitching
 //!
 //! Keyed regions feed every observed key tuple to a per-region
 //! [`KeyPredictor`] (element-wise stride + bounded frequency table). With
 //! [`TieredOptions::speculate`] on, predicted keys are enqueued before they
-//! are demanded, capped by [`TieredOptions::max_inflight`], so e.g. a
+//! are demanded (`SPECULATE_DEPTH` keys ahead, at most `MAX_INFLIGHT`
+//! unresolved speculative jobs), so e.g. a
 //! `1..100` scalar sweep has key *k+1* stitched by the time it arrives.
 //! Speculation relies on the same invariant the keyed cache already
 //! assumes: the key tuple (together with the region's other run-time
 //! constants, which are taken from the forked snapshot) fully determines
 //! the stitched code.
 
+use crate::engine::DISPATCH_CYCLES;
 use crate::faults::{FaultPoint, FaultState};
 use crate::trace::{ClockDomain, EventKind, TraceEvent};
 use dyncomp_ir::fxhash::FxHashMap;
@@ -71,17 +72,6 @@ pub struct TieredOptions {
     pub workers: usize,
     /// Enqueue predicted keys ahead of demand.
     pub speculate: bool,
-    /// How many keys ahead the stride predictor enqueues per entry.
-    pub speculate_depth: usize,
-    /// Cap on outstanding (unresolved) speculative jobs per session; no
-    /// unbounded queue growth regardless of the key stream.
-    pub max_inflight: usize,
-    /// Cycles the session is charged per job it enqueues (snapshotting and
-    /// queuing in the trap handler).
-    pub dispatch_cycles: u64,
-    /// Instruction budget for each background fork (a runaway set-up loop
-    /// fails the job instead of hanging a worker).
-    pub job_fuel: u64,
 }
 
 impl Default for TieredOptions {
@@ -89,13 +79,18 @@ impl Default for TieredOptions {
         TieredOptions {
             workers: 1,
             speculate: false,
-            speculate_depth: 4,
-            max_inflight: 8,
-            dispatch_cycles: 25,
-            job_fuel: 2_000_000_000,
         }
     }
 }
+
+/// How many keys ahead the stride predictor enqueues per entry.
+const SPECULATE_DEPTH: usize = 4;
+/// Cap on outstanding (unresolved) speculative jobs per session; no
+/// unbounded queue growth regardless of the key stream.
+const MAX_INFLIGHT: usize = 8;
+/// Instruction budget for each background fork (a runaway set-up loop
+/// fails the job instead of hanging a worker).
+const JOB_FUEL: u64 = 2_000_000_000;
 
 /// Lightweight per-region key predictor: element-wise stride over the last
 /// two keys plus a bounded frequency table. All arithmetic wraps, so
@@ -202,7 +197,6 @@ struct JobRequest {
     /// `Some` for speculative jobs: write these key values over the key
     /// locations before running set-up (the reverse of `read_key`).
     key_override: Option<Vec<u64>>,
-    job_fuel: u64,
     /// Fault injection ([`FaultPoint::WorkerPanic`]): panic at the top
     /// of the job body, exercising the `catch_unwind` hardening path.
     inject_panic: bool,
@@ -215,7 +209,6 @@ fn run_job(req: JobRequest) -> Result<JobOutput, String> {
         rc,
         stitch_opts,
         key_override,
-        job_fuel,
         inject_panic,
         ..
     } = req;
@@ -236,7 +229,7 @@ fn run_job(req: JobRequest) -> Result<JobOutput, String> {
     }
     fork.pc = rc.setup_pc;
     fork.cycles = 0;
-    fork.fuel = job_fuel;
+    fork.fuel = JOB_FUEL;
     match fork.run() {
         Ok(Stop::EndSetup { region }) if region == rc.region_index => {}
         Ok(stop) => return Err(format!("unexpected stop in background set-up: {stop:?}")),
@@ -456,10 +449,6 @@ impl TieredState {
         std::mem::take(&mut self.failures)
     }
 
-    pub(crate) fn options(&self) -> &TieredOptions {
-        &self.opts
-    }
-
     /// Whether a job for `(region, key)` is already tracked.
     fn has_job(&self, region: u16, key: &[u64]) -> bool {
         self.jobs.contains_key(&(region, key.to_vec()))
@@ -493,7 +482,6 @@ impl TieredState {
             rc: Arc::clone(&self.rcs[region as usize]),
             stitch_opts: stitch_opts.clone(),
             key_override: speculative.then(|| key.clone()),
-            job_fuel: self.opts.job_fuel,
             inject_panic,
             reply: tx,
         });
@@ -632,7 +620,7 @@ impl TieredState {
         }
         let mut enqueued = 0u64;
         if !self.has_job(region, key) {
-            let at = now + self.opts.dispatch_cycles;
+            let at = now + DISPATCH_CYCLES;
             self.enqueue(vm, region, key.to_vec(), false, stitch_opts, at, faults);
             enqueued = 1;
             return (TierDecision::Fallback, enqueued);
@@ -701,14 +689,14 @@ impl TieredState {
             return 0;
         }
         let mut enqueued = 0u64;
-        for pk in self.predictors[region as usize].predict(self.opts.speculate_depth) {
-            if self.spec_inflight >= self.opts.max_inflight {
+        for pk in self.predictors[region as usize].predict(SPECULATE_DEPTH) {
+            if self.spec_inflight >= MAX_INFLIGHT {
                 break;
             }
             if pk.as_slice() == key || is_cached(&pk) || self.has_job(region, &pk) {
                 continue;
             }
-            let at = now + (enqueued + 1) * self.opts.dispatch_cycles;
+            let at = now + (enqueued + 1) * DISPATCH_CYCLES;
             self.enqueue(vm, region, pk, true, stitch_opts, at, faults.as_deref_mut());
             enqueued += 1;
         }

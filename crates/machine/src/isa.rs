@@ -57,180 +57,6 @@ pub const FARG0: Reg = 16;
 /// Float return-value register.
 pub const FRET: Reg = 0;
 
-/// Opcodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-#[allow(missing_docs)] // the variants are the ISA reference table below
-pub enum Op {
-    // Integer operate (register or 8-bit literal second operand).
-    Addq = 0,
-    Subq,
-    Mulq,
-    Divq,
-    Divqu,
-    Remq,
-    Remqu,
-    And,
-    Bis, // or
-    Xor,
-    Ornot, // rc = ra | !rb  (NOT via ra = zero)
-    Sll,
-    Srl,
-    Sra,
-    Cmpeq,
-    Cmpne,
-    Cmplt,
-    Cmple,
-    Cmpult,
-    Cmpule,
-    Sextb,
-    Sextw,
-    Sextl,
-    Zextb,
-    Zextw,
-    Zextl,
-    Cmoveq, // rc = rb if ra == 0
-    Cmovne, // rc = rb if ra != 0
-    // Memory format.
-    Lda,  // ra = rb + disp
-    Ldbu, // zero-extending loads
-    Ldwu,
-    Ldlu,
-    Ldb, // sign-extending loads
-    Ldw,
-    Ldl,
-    Ldq,
-    Stb,
-    Stw,
-    Stl,
-    Stq,
-    Ldt, // float load (fa)
-    Stt, // float store (fa)
-    // Branch format (conditional on ra; Br/Bsr write the link into ra).
-    Br,
-    Bsr,
-    Beq,
-    Bne,
-    Blt,
-    Ble,
-    Bgt,
-    Bge,
-    // Jump format (special): ra = link, rb = target address register.
-    Jmp,
-    Jsr,
-    // Float operate: fa op fb -> fc (register form only).
-    Addt,
-    Subt,
-    Mult,
-    Divt,
-    Cmpteq, // writes 0/1 to INTEGER rc
-    Cmptlt,
-    Cmptle,
-    Sqrtt,
-    Cvtqt,   // int ra -> float fc
-    Cvttq,   // float fa -> int rc
-    Fmov,    // fc = fb
-    Fneg,    // fc = -fb
-    Fcmovne, // fc = fb if integer ra != 0
-    // Specials.
-    Ldiw,        // rc = sext(imm32 in next word)
-    Alloc,       // rc = bump-allocate ra bytes (operate form)
-    EnterRegion, // trap: dynamic region entry; imm = region number
-    EndSetup,    // trap: set-up finished, table address in r28; imm = region number
-    Halt,
-}
-
-impl Op {
-    /// All opcodes, for decode validation.
-    pub const COUNT: u8 = Op::Halt as u8 + 1;
-
-    /// Decode an opcode byte.
-    pub fn from_u8(v: u8) -> Option<Op> {
-        if v < Self::COUNT {
-            // SAFETY-free transmute alternative: match through a table.
-            Some(OP_TABLE[v as usize])
-        } else {
-            None
-        }
-    }
-}
-
-const OP_TABLE: [Op; Op::COUNT as usize] = {
-    use Op::*;
-    [
-        Addq,
-        Subq,
-        Mulq,
-        Divq,
-        Divqu,
-        Remq,
-        Remqu,
-        And,
-        Bis,
-        Xor,
-        Ornot,
-        Sll,
-        Srl,
-        Sra,
-        Cmpeq,
-        Cmpne,
-        Cmplt,
-        Cmple,
-        Cmpult,
-        Cmpule,
-        Sextb,
-        Sextw,
-        Sextl,
-        Zextb,
-        Zextw,
-        Zextl,
-        Cmoveq,
-        Cmovne,
-        Lda,
-        Ldbu,
-        Ldwu,
-        Ldlu,
-        Ldb,
-        Ldw,
-        Ldl,
-        Ldq,
-        Stb,
-        Stw,
-        Stl,
-        Stq,
-        Ldt,
-        Stt,
-        Br,
-        Bsr,
-        Beq,
-        Bne,
-        Blt,
-        Ble,
-        Bgt,
-        Bge,
-        Jmp,
-        Jsr,
-        Addt,
-        Subt,
-        Mult,
-        Divt,
-        Cmpteq,
-        Cmptlt,
-        Cmptle,
-        Sqrtt,
-        Cvtqt,
-        Cvttq,
-        Fmov,
-        Fneg,
-        Fcmovne,
-        Ldiw,
-        Alloc,
-        EnterRegion,
-        EndSetup,
-        Halt,
-    ]
-};
-
 /// Instruction format classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Format {
@@ -246,23 +72,119 @@ pub enum Format {
     Special,
 }
 
-impl Op {
-    /// The format class of this opcode.
-    pub fn format(self) -> Format {
-        use Op::*;
-        match self {
-            Addq | Subq | Mulq | Divq | Divqu | Remq | Remqu | And | Bis | Xor | Ornot | Sll
-            | Srl | Sra | Cmpeq | Cmpne | Cmplt | Cmple | Cmpult | Cmpule | Sextb | Sextw
-            | Sextl | Zextb | Zextw | Zextl | Cmoveq | Cmovne | Addt | Subt | Mult | Divt
-            | Cmpteq | Cmptlt | Cmptle | Sqrtt | Cvtqt | Cvttq | Fmov | Fneg | Fcmovne | Alloc => {
-                Format::Operate
-            }
-            Lda | Ldbu | Ldwu | Ldlu | Ldb | Ldw | Ldl | Ldq | Stb | Stw | Stl | Stq | Ldt
-            | Stt => Format::Memory,
-            Br | Bsr | Beq | Bne | Blt | Ble | Bgt | Bge => Format::Branch,
-            Jmp | Jsr => Format::Jump,
-            Ldiw | EnterRegion | EndSetup | Halt => Format::Special,
+/// Declare the opcode list once: each `Name = Format` row becomes an
+/// [`Op`] variant (discriminants count up from 0 in row order), its slot
+/// in the decode table behind [`Op::from_u8`], and its arm of
+/// [`Op::format`].
+macro_rules! opcodes {
+    ($($name:ident = $format:ident),* $(,)?) => {
+        /// Opcodes.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        #[allow(missing_docs)] // the rows of `opcodes!` are the ISA reference table
+        pub enum Op {
+            $($name),*
         }
+
+        const OP_TABLE: [Op; Op::COUNT as usize] = [$(Op::$name),*];
+
+        impl Op {
+            /// The format class of this opcode.
+            pub fn format(self) -> Format {
+                match self {
+                    $(Op::$name => Format::$format),*
+                }
+            }
+        }
+    };
+}
+
+opcodes! {
+    // Integer operate (register or 8-bit literal second operand).
+    Addq = Operate,
+    Subq = Operate,
+    Mulq = Operate,
+    Divq = Operate,
+    Divqu = Operate,
+    Remq = Operate,
+    Remqu = Operate,
+    And = Operate,
+    Bis = Operate, // or
+    Xor = Operate,
+    Ornot = Operate, // rc = ra | !rb  (NOT via ra = zero)
+    Sll = Operate,
+    Srl = Operate,
+    Sra = Operate,
+    Cmpeq = Operate,
+    Cmpne = Operate,
+    Cmplt = Operate,
+    Cmple = Operate,
+    Cmpult = Operate,
+    Cmpule = Operate,
+    Sextb = Operate,
+    Sextw = Operate,
+    Sextl = Operate,
+    Zextb = Operate,
+    Zextw = Operate,
+    Zextl = Operate,
+    Cmoveq = Operate, // rc = rb if ra == 0
+    Cmovne = Operate, // rc = rb if ra != 0
+    // Memory format.
+    Lda = Memory,  // ra = rb + disp
+    Ldbu = Memory, // zero-extending loads
+    Ldwu = Memory,
+    Ldlu = Memory,
+    Ldb = Memory, // sign-extending loads
+    Ldw = Memory,
+    Ldl = Memory,
+    Ldq = Memory,
+    Stb = Memory,
+    Stw = Memory,
+    Stl = Memory,
+    Stq = Memory,
+    Ldt = Memory, // float load (fa)
+    Stt = Memory, // float store (fa)
+    // Branch format (conditional on ra; Br/Bsr write the link into ra).
+    Br = Branch,
+    Bsr = Branch,
+    Beq = Branch,
+    Bne = Branch,
+    Blt = Branch,
+    Ble = Branch,
+    Bgt = Branch,
+    Bge = Branch,
+    // Jump format: ra = link, rb = target address register.
+    Jmp = Jump,
+    Jsr = Jump,
+    // Float operate: fa op fb -> fc (register form only).
+    Addt = Operate,
+    Subt = Operate,
+    Mult = Operate,
+    Divt = Operate,
+    Cmpteq = Operate, // writes 0/1 to INTEGER rc
+    Cmptlt = Operate,
+    Cmptle = Operate,
+    Sqrtt = Operate,
+    Cvtqt = Operate,   // int ra -> float fc
+    Cvttq = Operate,   // float fa -> int rc
+    Fmov = Operate,    // fc = fb
+    Fneg = Operate,    // fc = -fb
+    Fcmovne = Operate, // fc = fb if integer ra != 0
+    // Specials.
+    Ldiw = Special,        // rc = sext(imm32 in next word)
+    Alloc = Operate,       // rc = bump-allocate ra bytes (operate form)
+    EnterRegion = Special, // trap: dynamic region entry; imm = region number
+    EndSetup = Special,    // trap: set-up finished, table address in r28; imm = region number
+    Halt = Special,
+}
+
+impl Op {
+    /// All opcodes, for decode validation.
+    pub const COUNT: u8 = Op::Halt as u8 + 1;
+
+    /// Decode an opcode byte.
+    pub fn from_u8(v: u8) -> Option<Op> {
+        OP_TABLE.get(v as usize).copied()
     }
 
     /// Whether this is a float-operand operate instruction.
@@ -672,18 +594,6 @@ mod tests {
     fn ldiw_is_wide() {
         assert!(Inst::ldiw(0, 0).is_wide());
         assert!(!Inst::op3(Op::Addq, 0, Operand::Lit(0), 0).is_wide());
-    }
-
-    #[test]
-    fn every_opcode_decodes_its_own_byte() {
-        for b in 0..Op::COUNT {
-            let op = Op::from_u8(b).unwrap();
-            assert_eq!(
-                op as u8, b,
-                "OP_TABLE order must match discriminants for {op:?}"
-            );
-        }
-        assert_eq!(Op::from_u8(Op::COUNT), None);
     }
 }
 

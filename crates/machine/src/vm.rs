@@ -11,7 +11,11 @@ use crate::isa::{decode, Inst, Op, Operand, Reg, CTP, RA, SP, ZERO};
 use dyncomp_ir::eval::{EvalError, Memory};
 use std::fmt;
 
-/// Per-instruction-class cycle costs.
+/// Per-instruction-class cycle costs: one of the three parts of the
+/// simulated clock. The stitcher's actions are priced by
+/// `dyncomp_stitcher::StitchCost`, and what the run-time does between
+/// the two (trap, keyed lookup, cache probe and install, tiered dispatch,
+/// retry backoff) by the constant block in `crates/core/src/engine.rs`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CycleModel {
     /// Simple integer operate (add, logic, shifts, compares, cmov, lda).

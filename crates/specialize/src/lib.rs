@@ -72,6 +72,16 @@ pub struct SpecStats {
     pub holes: usize,
 }
 
+impl std::ops::AddAssign for SpecStats {
+    fn add_assign(&mut self, s: SpecStats) {
+        self.const_insts_eliminated += s.const_insts_eliminated;
+        self.loads_eliminated += s.loads_eliminated;
+        self.const_branches += s.const_branches;
+        self.unrolled_loops += s.unrolled_loops;
+        self.holes += s.holes;
+    }
+}
+
 /// Everything the back end needs about one specialized region.
 #[derive(Clone, Debug)]
 pub struct RegionSpec {

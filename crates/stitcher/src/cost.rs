@@ -8,7 +8,11 @@
 //! cost dominates, table traversal is pointer chasing, and instruction
 //! copying is cheap per word.
 
-/// Per-action stitcher costs, in simulated cycles.
+/// Per-action stitcher costs, in simulated cycles. The program's own
+/// instructions are priced by `dyncomp_machine::CycleModel`; the
+/// run-time's work around a stitch (trap, keyed lookup, cache probe and
+/// install, tiered dispatch, retry backoff) by the constant block in
+/// `crates/core/src/engine.rs`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StitchCost {
     /// Decoding one directive (block header, hole, marker, …).

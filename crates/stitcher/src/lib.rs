@@ -66,9 +66,6 @@ pub struct StitchOptions {
     /// aid. Ignored (treated as off) when `register_actions` is active,
     /// whose bookkeeping needs the word-by-word walk.
     pub plans: bool,
-    /// Print register-action diagnostics to stderr (debugging aid for the
-    /// §5 extension; off by default).
-    pub debug_regactions: bool,
     /// Record every copy-and-patch plan patch applied into
     /// [`Stitched::plan_patches`] (consumed by the engine's tracing
     /// layer). Off by default; recording is host-side bookkeeping only and
@@ -85,7 +82,6 @@ impl Default for StitchOptions {
             max_blocks: 200_000,
             register_actions: None,
             plans: true,
-            debug_regactions: false,
             record_patches: false,
         }
     }
@@ -133,6 +129,25 @@ pub struct StitchStats {
     pub plan_misses: u32,
     /// Simulated stitcher cycles.
     pub cycles: u64,
+}
+
+impl std::ops::AddAssign for StitchStats {
+    fn add_assign(&mut self, s: StitchStats) {
+        self.instructions_stitched += s.instructions_stitched;
+        self.words_emitted += s.words_emitted;
+        self.holes_inline += s.holes_inline;
+        self.holes_big += s.holes_big;
+        self.const_branches_resolved += s.const_branches_resolved;
+        self.blocks_skipped += s.blocks_skipped;
+        self.loop_iterations += s.loop_iterations;
+        self.strength_reductions += s.strength_reductions;
+        self.regaction_loads_removed += s.regaction_loads_removed;
+        self.regaction_stores_rewritten += s.regaction_stores_rewritten;
+        self.regaction_promoted += s.regaction_promoted;
+        self.plan_hits += s.plan_hits;
+        self.plan_misses += s.plan_misses;
+        self.cycles += s.cycles;
+    }
 }
 
 /// The stitched, executable code for one region instance.
@@ -377,9 +392,6 @@ pub fn stitch(
     // §5 register actions: promote hot constant addresses.
     if let (Some(k), Some(slot_base)) = (opts.register_actions, ra_slots) {
         let accesses = std::mem::take(&mut st.accesses);
-        if opts.debug_regactions {
-            eprintln!("[regactions] {} const accesses recorded", accesses.len());
-        }
         let (preamble, _rewritten, ra_stats) =
             crate::regactions::apply_register_actions(&mut st.out, &accesses, k);
         let mut at = slot_base;
