@@ -103,6 +103,7 @@ impl Memory {
         Ok(addr)
     }
 
+    #[inline]
     fn check(&self, addr: u64, len: u64) -> Result<usize, EvalError> {
         let end = addr
             .checked_add(len)
@@ -111,6 +112,29 @@ impl Memory {
             return Err(EvalError::OutOfBounds { addr });
         }
         Ok(addr as usize)
+    }
+
+    /// Read the `N` bytes at `addr`: [`Memory::read`] for a width known at
+    /// compile time, under the same bounds rules. The simulated machine's
+    /// loads go through here. It is `#[inline]` because that interpreter
+    /// lives in another crate and the workspace builds without LTO, so a
+    /// plain function would be an out-of-line call per simulated load that
+    /// rebuilds the width from two enums.
+    #[inline]
+    pub fn load<const N: usize>(&self, addr: u64) -> Result<[u8; N], EvalError> {
+        let a = self.check(addr, N as u64)?;
+        let mut raw = [0u8; N];
+        raw.copy_from_slice(&self.bytes[a..a + N]);
+        Ok(raw)
+    }
+
+    /// Write `raw` at `addr`: the fixed-width counterpart of
+    /// [`Memory::write`], see [`Memory::load`].
+    #[inline]
+    pub fn store<const N: usize>(&mut self, addr: u64, raw: [u8; N]) -> Result<(), EvalError> {
+        let a = self.check(addr, N as u64)?;
+        self.bytes[a..a + N].copy_from_slice(&raw);
+        Ok(())
     }
 
     /// Read `size` bytes at `addr` (little-endian), extended per `sign`.
@@ -163,12 +187,12 @@ impl Memory {
 
     /// Convenience: read a 64-bit word.
     pub fn read_u64(&self, addr: u64) -> Result<u64, EvalError> {
-        self.read(addr, MemSize::B8, Signedness::Unsigned)
+        self.load(addr).map(u64::from_le_bytes)
     }
 
     /// Convenience: write a 64-bit word.
     pub fn write_u64(&mut self, addr: u64, val: u64) -> Result<(), EvalError> {
-        self.write(addr, MemSize::B8, val)
+        self.store(addr, val.to_le_bytes())
     }
 }
 
@@ -642,6 +666,29 @@ mod tests {
             mem.read(a, MemSize::B2, Signedness::Unsigned).unwrap(),
             0xFFFE
         );
+    }
+
+    #[test]
+    fn fixed_width_accessors_agree_with_read_and_write() {
+        let mut mem = Memory::with_capacity(4096);
+        let a = mem.alloc(16).unwrap();
+        mem.store(a, 0x1122_3344_5566_7788u64.to_le_bytes())
+            .unwrap();
+        assert_eq!(
+            mem.read(a, MemSize::B4, Signedness::Unsigned).unwrap(),
+            u64::from(u32::from_le_bytes(mem.load(a).unwrap()))
+        );
+        mem.write(a + 8, MemSize::B2, 0xBEEF).unwrap();
+        assert_eq!(mem.load::<2>(a + 8).unwrap(), 0xBEEFu16.to_le_bytes());
+        // Same faults at the same addresses: null, straddling the end,
+        // and an address range that wraps.
+        for addr in [0, 4093, 4096, u64::MAX - 1] {
+            let want = mem.read(addr, MemSize::B4, Signedness::Unsigned).err();
+            assert_eq!(want, Some(EvalError::OutOfBounds { addr }));
+            assert_eq!(mem.load::<4>(addr).err(), want);
+            assert_eq!(mem.store(addr, [0u8; 4]).err(), want);
+        }
+        assert!(mem.load::<4>(4092).is_ok());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! branches 2) — all reported results are relative, so the model only needs
 //! to preserve the *shape* of the paper's numbers.
 
-use crate::isa::{decode, Inst, Op, Operand, Reg, CTP, RA, SP, ZERO};
+use crate::isa::{decode, Inst, Op, Operand, Reg, RA, SP, ZERO};
 use dyncomp_ir::eval::{EvalError, Memory};
 use std::fmt;
 
@@ -111,7 +111,7 @@ pub enum Stop {
         at: u32,
     },
     /// `EndSetup` trap: set-up code finished; the constants-table address
-    /// is in `r28` ([`CTP`]).
+    /// is in `r28` ([`crate::isa::CTP`]).
     EndSetup {
         /// Region number from the instruction.
         region: u16,
@@ -183,12 +183,94 @@ impl From<EvalError> for VmError {
     }
 }
 
+/// Slot flag: this code word has not been decoded under the current cost
+/// model, or a patch invalidated it. The other fields are meaningless.
+const UNDECODED: u8 = 1 << 0;
+/// Slot flag: native dispatch mark ([`Vm::mark_native`]).
+const NATIVE: u8 = 1 << 1;
+/// Slot flag: the next arrival here is interpreted even if the word is
+/// marked ([`Vm::skip_native_once`]).
+const SKIP: u8 = 1 << 2;
+/// Slot flag: a float operate decoded with a literal second operand.
+/// There is no literal float form, so executing it is a
+/// [`VmError::BadInstruction`]; decoding it is not.
+const MALFORMED: u8 = 1 << 3;
+
+/// One predecoded instruction: everything [`Vm::run`] needs to execute
+/// the code word at this address, resolved when the word is first reached.
+///
+/// * `rb` and `imm` are stored so that the second operand of every format
+///   is the branch-free `regs[rb] + imm`: an operate literal becomes
+///   `rb = r31` with the literal in `imm` (register operates keep
+///   `imm = 0`), a memory op's base and displacement are already that
+///   sum, and `Ldiw` is `r31 + imm32`.
+/// * `cost` and `cost_taken` are [`CycleModel::cost`] for the opcode,
+///   untaken and taken, under the model the slot was decoded with.
+/// * `flags` is zero for a word the hot loop may execute without looking
+///   further; any set bit sends that arrival through [`Vm::arrive`].
+#[derive(Clone, Copy)]
+struct Slot {
+    imm: i32,
+    cost: u16,
+    cost_taken: u16,
+    op: Op,
+    ra: Reg,
+    rb: Reg,
+    rc: Reg,
+    flags: u8,
+}
+
+// The slot replaces a 16-byte `Option<(Inst, u32)>`; a wider one would
+// grow every session's predecode cache.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 16);
+
+impl Slot {
+    /// What a code address holds before its word is first reached.
+    const EMPTY: Slot = Slot {
+        imm: 0,
+        cost: 0,
+        cost_taken: 0,
+        op: Op::Halt,
+        ra: ZERO,
+        rb: ZERO,
+        rc: ZERO,
+        flags: UNDECODED,
+    };
+
+    fn new(inst: &Inst, model: &CycleModel) -> Slot {
+        use Op::*;
+        let cost = |taken| {
+            u16::try_from(model.cost(inst.op, taken))
+                .expect("a predecoded slot holds per-instruction costs below 65,536 cycles")
+        };
+        let (rb, imm, literal) = match inst.rb {
+            Operand::Reg(r) => (r, inst.imm, false),
+            Operand::Lit(l) => (ZERO, i32::from(l), true),
+        };
+        let reads_fb = matches!(
+            inst.op,
+            Addt | Subt | Mult | Divt | Cmpteq | Cmptlt | Cmptle | Sqrtt | Fmov | Fneg | Fcmovne
+        );
+        Slot {
+            imm,
+            cost: cost(false),
+            cost_taken: cost(true),
+            op: inst.op,
+            ra: inst.ra,
+            rb,
+            rc: inst.rc,
+            flags: if literal && reads_fb { MALFORMED } else { 0 },
+        }
+    }
+}
+
 /// The simulated machine.
 ///
-/// `Clone` forks the whole machine — code, predecode cache, registers,
-/// memory, cycle state — giving an independent machine that can run
-/// elsewhere (the tiered runtime forks the session VM so background
-/// workers can execute region set-up code against a detached snapshot).
+/// `Clone` forks the whole machine — code, predecode cache (native marks
+/// included), registers, memory, cycle state — giving an independent
+/// machine that can run elsewhere (the tiered runtime forks the session VM
+/// so background workers can execute region set-up code against a
+/// detached snapshot).
 #[derive(Clone)]
 pub struct Vm {
     /// Code space (word-addressed; stitched code is appended here).
@@ -198,15 +280,29 @@ pub struct Vm {
     /// cache stays coherent. Writing `code` directly leaves stale decoded
     /// entries behind and the VM will keep executing the old instruction.
     pub code: Vec<u32>,
-    /// Predecode cache: each code word decoded at most once. `None` means
-    /// not yet decoded (or invalidated by a patch). Purely a host-side
+    /// Predecode cache, one [`Slot`] per code address: each word is
+    /// decoded, its operands resolved and its cycle cost looked up at most
+    /// once per patch. At least as long as `code`; it is longer only when
+    /// an address beyond the end has been marked. Purely a host-side
     /// speedup — it changes no simulated cycle counts, because decoding
     /// was never a modeled cost (the simulated 21064 fetches from I-cache
-    /// either way).
-    decoded: Vec<Option<(Inst, u32)>>,
-    /// Integer registers (`r31` reads as zero).
+    /// either way) and the costs it stores are the model's own.
+    ///
+    /// A slot also carries its address's native mark and pending skip, so
+    /// the run loop learns everything about an arrival from one load.
+    /// Every method that moves code or marks keeps the two in step:
+    /// [`Vm::append_code`], [`Vm::patch_code`], [`Vm::mark_native`],
+    /// [`Vm::unmark_native`], [`Vm::skip_native_once`],
+    /// [`Vm::clear_native_marks`] and `Clone`.
+    decoded: Vec<Slot>,
+    /// The model `decoded`'s costs were taken from. [`Vm::run`] compares
+    /// it with `model` on entry and re-decodes everything on a mismatch,
+    /// so a write to the public field takes effect at the next run.
+    decoded_model: CycleModel,
+    /// Integer registers. `r31` reads as zero: use [`Vm::reg`], or rely
+    /// on [`Vm::run`] zeroing `regs[31]` on entry and after every write.
     pub regs: [u64; 32],
-    /// Float registers (`f31` reads as 0.0).
+    /// Float registers. `f31` reads as 0.0, kept the same way as `r31`.
     pub fregs: [f64; 32],
     /// Data memory (shared layout with the reference interpreter).
     pub mem: Memory,
@@ -214,19 +310,23 @@ pub struct Vm {
     pub pc: u32,
     /// Accumulated cycles.
     pub cycles: u64,
-    /// The cost model.
+    /// The cost model. A write takes effect at the next [`Vm::run`]. Each
+    /// cost must stay below 65,536 cycles (the predecode cache stores them
+    /// in 16 bits and refuses, by panicking, to truncate one).
     pub model: CycleModel,
     /// Remaining instruction budget.
     pub fuel: u64,
     halt_stub: Option<u32>,
-    /// Code addresses where [`Vm::run`] yields [`Stop::Native`] instead
-    /// of interpreting. Empty (the default) costs one branch per run
-    /// loop. Cloned VMs inherit marks; forks that run without a native
-    /// dispatcher must call [`Vm::clear_native_marks`].
-    native_marks: Vec<bool>,
-    /// One-shot suppression of the mark at this pc, so a native bail-out
-    /// that made no progress (fuel too low, unsupported entry) can hand
-    /// the address to the interpreter exactly once without bouncing.
+    /// Whether [`Vm::mark_native`] has been called since construction or
+    /// the last [`Vm::clear_native_marks`]. Until it has, the run loop
+    /// looks at neither marks nor the pending skip. Cloned VMs inherit
+    /// marks; forks that run without a native dispatcher must call
+    /// [`Vm::clear_native_marks`].
+    native_armed: bool,
+    /// The address whose slot carries [`SKIP`]: one-shot suppression of
+    /// the mark there, so a native bail-out that made no progress (fuel
+    /// too low, unsupported entry) can hand the address to the
+    /// interpreter exactly once without bouncing.
     native_skip: Option<u32>,
 }
 
@@ -240,6 +340,7 @@ impl Vm {
         Vm {
             code: Vec::new(),
             decoded: Vec::new(),
+            decoded_model: CycleModel::default(),
             regs,
             fregs: [0.0; 32],
             mem,
@@ -248,25 +349,33 @@ impl Vm {
             model: CycleModel::default(),
             fuel: 2_000_000_000,
             halt_stub: None,
-            native_marks: Vec::new(),
+            native_armed: false,
             native_skip: None,
         }
+    }
+
+    /// The slot for `at`, growing the cache when `at` lies beyond it (a
+    /// mark or skip may be placed before the code it refers to).
+    fn slot_mut(&mut self, at: u32) -> &mut Slot {
+        let i = at as usize;
+        if self.decoded.len() <= i {
+            self.decoded.resize(i + 1, Slot::EMPTY);
+        }
+        &mut self.decoded[i]
     }
 
     /// Mark `at` as a native dispatch point: when the run loop reaches
     /// it, [`Vm::run`] returns [`Stop::Native`] without fetching the
     /// instruction there.
     pub fn mark_native(&mut self, at: u32) {
-        if self.native_marks.len() <= at as usize {
-            self.native_marks.resize(at as usize + 1, false);
-        }
-        self.native_marks[at as usize] = true;
+        self.slot_mut(at).flags |= NATIVE;
+        self.native_armed = true;
     }
 
     /// Remove the native dispatch mark at `at`, if any.
     pub fn unmark_native(&mut self, at: u32) {
-        if let Some(m) = self.native_marks.get_mut(at as usize) {
-            *m = false;
+        if let Some(s) = self.decoded.get_mut(at as usize) {
+            s.flags &= !NATIVE;
         }
     }
 
@@ -274,27 +383,36 @@ impl Vm {
     /// VMs that run without a native dispatcher must call this, or the
     /// run loop would surface [`Stop::Native`] nobody handles.
     pub fn clear_native_marks(&mut self) {
-        self.native_marks = Vec::new();
+        for s in &mut self.decoded {
+            s.flags &= !(NATIVE | SKIP);
+        }
+        self.native_armed = false;
         self.native_skip = None;
     }
 
     /// Suppress the native mark at `at` for the next arrival only. Used
     /// after a native bail-out at its own entry pc, letting the
-    /// interpreter make progress before native dispatch re-arms.
+    /// interpreter make progress before native dispatch re-arms. The
+    /// arrival uses the skip up whether or not `at` is marked by then.
     pub fn skip_native_once(&mut self, at: u32) {
-        self.native_skip = Some(at);
+        if let Some(old) = self.native_skip.replace(at) {
+            self.slot_mut(old).flags &= !SKIP;
+        }
+        self.slot_mut(at).flags |= SKIP;
     }
 
     /// Append raw code words, returning the address of the first.
     pub fn append_code(&mut self, words: &[u32]) -> u32 {
         let at = self.code.len() as u32;
         self.code.extend_from_slice(words);
-        self.decoded.resize(self.code.len(), None);
+        if self.decoded.len() < self.code.len() {
+            self.decoded.resize(self.code.len(), Slot::EMPTY);
+        }
         // A wide instruction whose second word was missing may have been
         // fetched (and faulted) before this append completed it; drop any
         // cached decode of the previous last word.
         if at > 0 {
-            self.decoded[at as usize - 1] = None;
+            self.decoded[at as usize - 1].flags |= UNDECODED;
         }
         at
     }
@@ -307,14 +425,11 @@ impl Vm {
     /// # Errors
     /// [`VmError::PatchOutOfRange`] when `at` is outside the code area.
     pub fn patch_code(&mut self, at: u32, word: u32) -> Result<(), VmError> {
-        let slot = self
-            .code
-            .get_mut(at as usize)
-            .ok_or(VmError::PatchOutOfRange(at))?;
-        *slot = word;
-        self.decoded[at as usize] = None;
-        if at > 0 {
-            self.decoded[at as usize - 1] = None;
+        let i = at as usize;
+        *self.code.get_mut(i).ok_or(VmError::PatchOutOfRange(at))? = word;
+        self.decoded[i].flags |= UNDECODED;
+        if i > 0 {
+            self.decoded[i - 1].flags |= UNDECODED;
         }
         // A patched word no longer matches any translated code.
         self.unmark_native(at);
@@ -340,7 +455,8 @@ impl Vm {
         s
     }
 
-    /// Read an integer register (`r31` = 0).
+    /// Read an integer register (`r31` = 0, whatever a caller may have
+    /// stored in `regs[31]` since the last [`Vm::run`]).
     #[inline]
     pub fn reg(&self, r: Reg) -> u64 {
         if r == ZERO {
@@ -350,7 +466,8 @@ impl Vm {
         }
     }
 
-    /// Write an integer register (writes to `r31` are discarded).
+    /// Write an integer register (writes to `r31` are discarded, which
+    /// keeps `regs[31] == 0` for the run loop).
     #[inline]
     pub fn set_reg(&mut self, r: Reg, v: u64) {
         if r != ZERO {
@@ -400,347 +517,294 @@ impl Vm {
         Ok(())
     }
 
-    fn fetch(&mut self, pc: u32) -> Result<(Inst, u32), VmError> {
-        if let Some(Some(hit)) = self.decoded.get(pc as usize) {
-            return Ok(*hit);
-        }
-        let w = *self
-            .code
-            .get(pc as usize)
-            .ok_or(VmError::PcOutOfRange(pc))?;
-        let opbyte = (w >> 24) as u8;
-        let extra = if Op::from_u8(opbyte) == Some(Op::Ldiw) {
-            Some(
-                *self
-                    .code
-                    .get(pc as usize + 1)
-                    .ok_or(VmError::PcOutOfRange(pc + 1))?,
-            )
-        } else {
-            None
-        };
-        let inst = decode(w, extra).map_err(|_| VmError::BadInstruction { pc })?;
-        let len = if inst.is_wide() { 2 } else { 1 };
-        self.decoded[pc as usize] = Some((inst, len));
-        Ok((inst, len))
-    }
-
     /// Run until a trap ([`Stop`]) or an error.
+    ///
+    /// This is the only interpreter: the semantic and cycle oracle every
+    /// other execution mode is checked against. Each instruction costs
+    /// one unit of `fuel` when it is reached and its [`CycleModel`] cost
+    /// when it completes.
+    ///
+    /// On a [`Stop`], `pc` is past the trapping instruction (at the
+    /// marked one for [`Stop::Native`], which has not been reached).
     ///
     /// # Errors
     /// Returns [`VmError`] on faults; the machine state is left at the
-    /// faulting instruction for inspection.
+    /// faulting instruction for inspection: `pc` addresses it, its unit
+    /// of fuel is spent, its cycles are not charged and it has written
+    /// nothing. ([`VmError::OutOfFuel`] leaves `pc` at the instruction
+    /// that could not be paid for.)
     pub fn run(&mut self) -> Result<Stop, VmError> {
+        if self.model != self.decoded_model {
+            for s in &mut self.decoded {
+                s.flags |= UNDECODED;
+            }
+            self.decoded_model = self.model.clone();
+        }
+        // The loop reads registers without testing for 31, so the zero
+        // registers must hold zero: here, and after every write below.
+        self.regs[ZERO as usize] = 0;
+        self.fregs[ZERO as usize] = 0.0;
         loop {
-            if !self.native_marks.is_empty() {
-                let pc = self.pc;
-                if self.native_skip == Some(pc) {
-                    self.native_skip = None;
-                } else if self.native_marks.get(pc as usize) == Some(&true) {
-                    return Ok(Stop::Native { at: pc });
-                }
-            }
-            if self.fuel == 0 {
-                return Err(VmError::OutOfFuel);
-            }
-            self.fuel -= 1;
-            let pc = self.pc;
-            let (inst, len) = self.fetch(pc)?;
-            let next = pc + len;
-            let mut taken = false;
-            match self.step(&inst, pc, next, &mut taken)? {
-                Some(stop) => {
-                    self.cycles += self.model.cost(inst.op, taken);
-                    return Ok(stop);
-                }
-                None => {
-                    self.cycles += self.model.cost(inst.op, taken);
-                }
+            let Some(first) = self.arrive()? else {
+                return Ok(Stop::Native { at: self.pc });
+            };
+            if let Some(stop) = self.execute(first)? {
+                return Ok(stop);
             }
         }
     }
 
-    fn operand(&self, o: Operand) -> u64 {
-        match o {
-            Operand::Reg(r) => self.reg(r),
-            Operand::Lit(l) => u64::from(l),
+    /// Everything that can happen on arrival at `self.pc` other than
+    /// executing a clean slot: use up a pending skip, report a native
+    /// mark (`None`), pay for the instruction, decode it, refuse a
+    /// malformed one. Returns the slot to execute, its fuel already spent.
+    /// [`Vm::run`] enters through here and [`Vm::execute`] comes back
+    /// whenever the next slot has a flag set.
+    #[cold]
+    #[inline(never)]
+    fn arrive(&mut self) -> Result<Option<Slot>, VmError> {
+        let pc = self.pc;
+        let i = pc as usize;
+        let flags = self.decoded.get(i).map_or(UNDECODED, |s| s.flags);
+        if self.native_armed {
+            if flags & SKIP != 0 {
+                self.decoded[i].flags &= !SKIP;
+                self.native_skip = None;
+            } else if flags & NATIVE != 0 {
+                return Ok(None);
+            }
         }
+        if self.fuel == 0 {
+            return Err(VmError::OutOfFuel);
+        }
+        self.fuel -= 1;
+        if flags & UNDECODED != 0 {
+            let w = *self.code.get(i).ok_or(VmError::PcOutOfRange(pc))?;
+            let extra = if Op::from_u8((w >> 24) as u8) == Some(Op::Ldiw) {
+                Some(*self.code.get(i + 1).ok_or(VmError::PcOutOfRange(pc + 1))?)
+            } else {
+                None
+            };
+            let inst = decode(w, extra).map_err(|_| VmError::BadInstruction { pc })?;
+            let mut slot = Slot::new(&inst, &self.model);
+            slot.flags |= self.decoded[i].flags & (NATIVE | SKIP);
+            self.decoded[i] = slot;
+        }
+        let slot = self.decoded[i];
+        if slot.flags & MALFORMED != 0 {
+            return Err(VmError::BadInstruction { pc });
+        }
+        Ok(Some(Slot { flags: 0, ..slot }))
     }
 
-    #[inline]
-    fn step(
-        &mut self,
-        inst: &Inst,
-        pc: u32,
-        next: u32,
-        taken: &mut bool,
-    ) -> Result<Option<Stop>, VmError> {
+    /// The hot loop: execute `first` (vetted and paid for by
+    /// [`Vm::arrive`]) and then every clean slot control reaches.
+    /// Returns `None` when the next slot needs [`Vm::arrive`].
+    ///
+    /// `pc`, `fuel` and `cycles` live in locals and are written back at
+    /// the single exit below the loop, so nothing inside it may `return`
+    /// or use `?`: every way out is a `break`.
+    ///
+    /// Kept out of line: inlined into [`Vm::run`] the loop shares a
+    /// register allocation with the glue around it and spills `fuel` and
+    /// the slot-table bounds to the stack on every instruction.
+    #[inline(never)]
+    fn execute(&mut self, first: Slot) -> Result<Option<Stop>, VmError> {
         use Op::*;
-        let Inst {
-            op,
-            ra,
-            rb,
-            rc,
-            imm,
-        } = *inst;
-        self.pc = next;
-        match op {
-            // ---- integer operate ----
-            Addq | Subq | Mulq | And | Bis | Xor | Ornot | Sll | Srl | Sra | Cmpeq | Cmpne
-            | Cmplt | Cmple | Cmpult | Cmpule | Sextb | Sextw | Sextl | Zextb | Zextw | Zextl => {
-                let a = self.reg(ra);
-                let b = self.operand(rb);
-                let v = match op {
-                    Addq => a.wrapping_add(b),
-                    Subq => a.wrapping_sub(b),
-                    Mulq => a.wrapping_mul(b),
-                    And => a & b,
-                    Bis => a | b,
-                    Xor => a ^ b,
-                    Ornot => a | !b,
-                    Sll => a.wrapping_shl(b as u32 & 63),
-                    Srl => a.wrapping_shr(b as u32 & 63),
-                    Sra => ((a as i64).wrapping_shr(b as u32 & 63)) as u64,
-                    Cmpeq => u64::from(a == b),
-                    Cmpne => u64::from(a != b),
-                    Cmplt => u64::from((a as i64) < (b as i64)),
-                    Cmple => u64::from((a as i64) <= (b as i64)),
-                    Cmpult => u64::from(a < b),
-                    Cmpule => u64::from(a <= b),
-                    Sextb => (a as i8) as i64 as u64,
-                    Sextw => (a as i16) as i64 as u64,
-                    Sextl => (a as i32) as i64 as u64,
-                    Zextb => a & 0xFF,
-                    Zextw => a & 0xFFFF,
-                    Zextl => a & 0xFFFF_FFFF,
-                    _ => unreachable!(),
+        let Vm {
+            regs,
+            fregs,
+            mem,
+            decoded,
+            ..
+        } = self;
+        let (mut pc, mut fuel, mut cycles) = (self.pc, self.fuel, self.cycles);
+        let mut s = first;
+        let exit = loop {
+            // Unwrap a memory access or leave with the fault.
+            macro_rules! mem {
+                ($access:expr) => {
+                    match $access {
+                        Ok(v) => v,
+                        Err(e) => break Err(VmError::Mem(e)),
+                    }
                 };
-                self.set_reg(rc, v);
             }
-            Divq | Divqu | Remq | Remqu => {
-                let a = self.reg(ra);
-                let b = self.operand(rb);
-                if b == 0 || (matches!(op, Divq | Remq) && a as i64 == i64::MIN && b as i64 == -1) {
-                    return Err(VmError::DivideByZero { pc });
+            // Register writes re-zero r31/f31 rather than test for them.
+            macro_rules! set {
+                ($r:expr, $v:expr) => {{
+                    regs[($r & 31) as usize] = $v;
+                    regs[ZERO as usize] = 0;
+                }};
+            }
+            macro_rules! fset {
+                ($r:expr, $v:expr) => {{
+                    fregs[($r & 31) as usize] = $v;
+                    fregs[ZERO as usize] = 0.0;
+                }};
+            }
+            // Only `Ldiw` is wider than one word, and says so in its arm:
+            // the address of the next slot must not wait on a load from
+            // this one, or that load paces the whole loop.
+            let next = pc + 1;
+            let mut target = next;
+            let mut cost = s.cost;
+            let a = regs[(s.ra & 31) as usize];
+            // Register or literal operand, effective address, jump
+            // target or wide immediate, by the slot's encoding.
+            let b = regs[(s.rb & 31) as usize].wrapping_add(s.imm as i64 as u64);
+            let fa = fregs[(s.ra & 31) as usize];
+            let fb = fregs[(s.rb & 31) as usize];
+            match s.op {
+                // ---- integer operate ----
+                Addq => set!(s.rc, a.wrapping_add(b)),
+                Subq => set!(s.rc, a.wrapping_sub(b)),
+                Mulq => set!(s.rc, a.wrapping_mul(b)),
+                And => set!(s.rc, a & b),
+                Bis => set!(s.rc, a | b),
+                Xor => set!(s.rc, a ^ b),
+                Ornot => set!(s.rc, a | !b),
+                Sll => set!(s.rc, a.wrapping_shl(b as u32 & 63)),
+                Srl => set!(s.rc, a.wrapping_shr(b as u32 & 63)),
+                Sra => set!(s.rc, (a as i64).wrapping_shr(b as u32 & 63) as u64),
+                Cmpeq => set!(s.rc, u64::from(a == b)),
+                Cmpne => set!(s.rc, u64::from(a != b)),
+                Cmplt => set!(s.rc, u64::from((a as i64) < (b as i64))),
+                Cmple => set!(s.rc, u64::from((a as i64) <= (b as i64))),
+                Cmpult => set!(s.rc, u64::from(a < b)),
+                Cmpule => set!(s.rc, u64::from(a <= b)),
+                Sextb => set!(s.rc, a as i8 as i64 as u64),
+                Sextw => set!(s.rc, a as i16 as i64 as u64),
+                Sextl => set!(s.rc, a as i32 as i64 as u64),
+                Zextb => set!(s.rc, a & 0xFF),
+                Zextw => set!(s.rc, a & 0xFFFF),
+                Zextl => set!(s.rc, a & 0xFFFF_FFFF),
+                Divq | Remq => {
+                    let (a, b) = (a as i64, b as i64);
+                    if b == 0 || (a == i64::MIN && b == -1) {
+                        break Err(VmError::DivideByZero { pc });
+                    }
+                    set!(s.rc, if s.op == Divq { a / b } else { a % b } as u64);
                 }
-                let v = match op {
-                    Divq => ((a as i64) / (b as i64)) as u64,
-                    Divqu => a / b,
-                    Remq => ((a as i64) % (b as i64)) as u64,
-                    Remqu => a % b,
-                    _ => unreachable!(),
-                };
-                self.set_reg(rc, v);
-            }
-            Cmoveq | Cmovne => {
-                let a = self.reg(ra);
-                let b = self.operand(rb);
-                let cond = if op == Cmoveq { a == 0 } else { a != 0 };
-                if cond {
-                    self.set_reg(rc, b);
+                Divqu | Remqu => {
+                    if b == 0 {
+                        break Err(VmError::DivideByZero { pc });
+                    }
+                    set!(s.rc, if s.op == Divqu { a / b } else { a % b });
                 }
-            }
-            // ---- memory ----
-            // Memory- and jump-format words have no literal-operand bit:
-            // `decode` always produces `Operand::Reg` for them, so the
-            // `else` arms below are decode invariants, not reachable
-            // through any code word.
-            Lda => {
-                let Operand::Reg(base) = rb else {
-                    unreachable!()
-                };
-                self.set_reg(ra, self.reg(base).wrapping_add(imm as i64 as u64));
-            }
-            Ldbu | Ldwu | Ldlu | Ldb | Ldw | Ldl | Ldq => {
-                let Operand::Reg(base) = rb else {
-                    unreachable!()
-                };
-                let addr = self.reg(base).wrapping_add(imm as i64 as u64);
-                use dyncomp_ir::{MemSize, Signedness};
-                let (sz, sg) = match op {
-                    Ldbu => (MemSize::B1, Signedness::Unsigned),
-                    Ldwu => (MemSize::B2, Signedness::Unsigned),
-                    Ldlu => (MemSize::B4, Signedness::Unsigned),
-                    Ldb => (MemSize::B1, Signedness::Signed),
-                    Ldw => (MemSize::B2, Signedness::Signed),
-                    Ldl => (MemSize::B4, Signedness::Signed),
-                    Ldq => (MemSize::B8, Signedness::Unsigned),
-                    _ => unreachable!(),
-                };
-                let v = self.mem.read(addr, sz, sg)?;
-                self.set_reg(ra, v);
-            }
-            Stb | Stw | Stl | Stq => {
-                let Operand::Reg(base) = rb else {
-                    unreachable!()
-                };
-                let addr = self.reg(base).wrapping_add(imm as i64 as u64);
-                use dyncomp_ir::MemSize;
-                let sz = match op {
-                    Stb => MemSize::B1,
-                    Stw => MemSize::B2,
-                    Stl => MemSize::B4,
-                    Stq => MemSize::B8,
-                    _ => unreachable!(),
-                };
-                self.mem.write(addr, sz, self.reg(ra))?;
-            }
-            Ldt => {
-                let Operand::Reg(base) = rb else {
-                    unreachable!()
-                };
-                let addr = self.reg(base).wrapping_add(imm as i64 as u64);
-                let v = self.mem.read_u64(addr)?;
-                self.set_freg(ra, f64::from_bits(v));
-            }
-            Stt => {
-                let Operand::Reg(base) = rb else {
-                    unreachable!()
-                };
-                let addr = self.reg(base).wrapping_add(imm as i64 as u64);
-                self.mem.write_u64(addr, self.freg(ra).to_bits())?;
-            }
-            // ---- branches ----
-            Br | Bsr => {
-                self.set_reg(ra, u64::from(next));
-                self.pc = next.wrapping_add_signed(imm);
-                *taken = true;
-            }
-            Beq | Bne | Blt | Ble | Bgt | Bge => {
-                let a = self.reg(ra) as i64;
-                let t = match op {
-                    Beq => a == 0,
-                    Bne => a != 0,
-                    Blt => a < 0,
-                    Ble => a <= 0,
-                    Bgt => a > 0,
-                    Bge => a >= 0,
-                    _ => unreachable!(),
-                };
-                if t {
-                    self.pc = next.wrapping_add_signed(imm);
-                    *taken = true;
+                Cmoveq => {
+                    if a == 0 {
+                        set!(s.rc, b);
+                    }
                 }
-            }
-            Jmp | Jsr => {
-                let Operand::Reg(target) = rb else {
-                    unreachable!()
-                };
-                let t = self.reg(target) as u32;
-                self.set_reg(ra, u64::from(next));
-                self.pc = t;
-                *taken = true;
-            }
-            // ---- float operate ----
-            // Float operate instructions use the Operate encoding, whose
-            // literal-operand bit a crafted or patched code word can set;
-            // there is no literal float form, so that decodes must fault
-            // rather than hit an unreachable arm.
-            Addt | Subt | Mult | Divt => {
-                let a = self.freg(ra);
-                let Operand::Reg(b) = rb else {
-                    return Err(VmError::BadInstruction { pc });
-                };
-                let b = self.freg(b);
-                let v = match op {
-                    Addt => a + b,
-                    Subt => a - b,
-                    Mult => a * b,
-                    Divt => a / b,
-                    _ => unreachable!(),
-                };
-                self.set_freg(rc, v);
-            }
-            Cmpteq | Cmptlt | Cmptle => {
-                let a = self.freg(ra);
-                let Operand::Reg(b) = rb else {
-                    return Err(VmError::BadInstruction { pc });
-                };
-                let b = self.freg(b);
-                let v = match op {
-                    Cmpteq => a == b,
-                    Cmptlt => a < b,
-                    Cmptle => a <= b,
-                    _ => unreachable!(),
-                };
-                self.set_reg(rc, u64::from(v));
-            }
-            Sqrtt => {
-                let Operand::Reg(b) = rb else {
-                    return Err(VmError::BadInstruction { pc });
-                };
-                let v = self.freg(b).sqrt();
-                self.set_freg(rc, v);
-            }
-            Cvtqt => {
-                let v = self.reg(ra) as i64 as f64;
-                self.set_freg(rc, v);
-            }
-            Cvttq => {
-                let v = self.freg(ra);
-                let i = if v.is_nan() {
-                    0
-                } else if v >= i64::MAX as f64 {
-                    i64::MAX
-                } else if v <= i64::MIN as f64 {
-                    i64::MIN
-                } else {
-                    v as i64
-                };
-                self.set_reg(rc, i as u64);
-            }
-            Fmov => {
-                let Operand::Reg(b) = rb else {
-                    return Err(VmError::BadInstruction { pc });
-                };
-                let v = self.freg(b);
-                self.set_freg(rc, v);
-            }
-            Fneg => {
-                let Operand::Reg(b) = rb else {
-                    return Err(VmError::BadInstruction { pc });
-                };
-                let v = -self.freg(b);
-                self.set_freg(rc, v);
-            }
-            Fcmovne => {
-                let Operand::Reg(b) = rb else {
-                    return Err(VmError::BadInstruction { pc });
-                };
-                if self.reg(ra) != 0 {
-                    let v = self.freg(b);
-                    self.set_freg(rc, v);
+                Cmovne => {
+                    if a != 0 {
+                        set!(s.rc, b);
+                    }
+                }
+                // ---- memory ----
+                Lda => set!(s.ra, b),
+                Ldbu => set!(s.ra, u64::from(u8::from_le_bytes(mem!(mem.load(b))))),
+                Ldwu => set!(s.ra, u64::from(u16::from_le_bytes(mem!(mem.load(b))))),
+                Ldlu => set!(s.ra, u64::from(u32::from_le_bytes(mem!(mem.load(b))))),
+                Ldb => set!(s.ra, i8::from_le_bytes(mem!(mem.load(b))) as i64 as u64),
+                Ldw => set!(s.ra, i16::from_le_bytes(mem!(mem.load(b))) as i64 as u64),
+                Ldl => set!(s.ra, i32::from_le_bytes(mem!(mem.load(b))) as i64 as u64),
+                Ldq => set!(s.ra, u64::from_le_bytes(mem!(mem.load(b)))),
+                Stb => mem!(mem.store(b, (a as u8).to_le_bytes())),
+                Stw => mem!(mem.store(b, (a as u16).to_le_bytes())),
+                Stl => mem!(mem.store(b, (a as u32).to_le_bytes())),
+                Stq => mem!(mem.store(b, a.to_le_bytes())),
+                Ldt => fset!(s.ra, f64::from_le_bytes(mem!(mem.load(b)))),
+                Stt => mem!(mem.store(b, fa.to_le_bytes())),
+                // ---- branches ----
+                Br | Bsr => {
+                    set!(s.ra, u64::from(next));
+                    target = next.wrapping_add_signed(s.imm);
+                }
+                Beq | Bne | Blt | Ble | Bgt | Bge => {
+                    let a = a as i64;
+                    let taken = match s.op {
+                        Beq => a == 0,
+                        Bne => a != 0,
+                        Blt => a < 0,
+                        Ble => a <= 0,
+                        Bgt => a > 0,
+                        _ => a >= 0,
+                    };
+                    if taken {
+                        target = next.wrapping_add_signed(s.imm);
+                        cost = s.cost_taken;
+                    }
+                }
+                Jmp | Jsr => {
+                    set!(s.ra, u64::from(next));
+                    target = b as u32;
+                }
+                // ---- float operate ----
+                Addt => fset!(s.rc, fa + fb),
+                Subt => fset!(s.rc, fa - fb),
+                Mult => fset!(s.rc, fa * fb),
+                Divt => fset!(s.rc, fa / fb),
+                Cmpteq => set!(s.rc, u64::from(fa == fb)),
+                Cmptlt => set!(s.rc, u64::from(fa < fb)),
+                Cmptle => set!(s.rc, u64::from(fa <= fb)),
+                Sqrtt => fset!(s.rc, fb.sqrt()),
+                Cvtqt => fset!(s.rc, a as i64 as f64),
+                // Saturating, NaN to 0: what `as` does.
+                Cvttq => set!(s.rc, fa as i64 as u64),
+                Fmov => fset!(s.rc, fb),
+                Fneg => fset!(s.rc, -fb),
+                Fcmovne => {
+                    if a != 0 {
+                        fset!(s.rc, fb);
+                    }
+                }
+                // ---- specials ----
+                Ldiw => {
+                    set!(s.rc, b);
+                    target = next + 1;
+                }
+                Alloc => set!(s.rc, mem!(mem.alloc(a))),
+                EnterRegion | EndSetup | Halt => {
+                    let stop = match s.op {
+                        EnterRegion => Stop::EnterRegion {
+                            region: s.imm as u16,
+                            at: pc,
+                        },
+                        // The table address is in r28 for the runtime.
+                        EndSetup => Stop::EndSetup {
+                            region: s.imm as u16,
+                        },
+                        _ => Stop::Halted,
+                    };
+                    cycles += u64::from(cost);
+                    pc = next;
+                    break Ok(Some(stop));
                 }
             }
-            // ---- specials ----
-            Ldiw => {
-                self.set_reg(rc, imm as i64 as u64);
+            cycles += u64::from(cost);
+            pc = target;
+            s = match decoded.get(pc as usize) {
+                Some(clean) if clean.flags == 0 => *clean,
+                _ => break Ok(None),
+            };
+            if fuel == 0 {
+                break Err(VmError::OutOfFuel);
             }
-            Alloc => {
-                let n = self.reg(ra);
-                let addr = self.mem.alloc(n)?;
-                self.set_reg(rc, addr);
-            }
-            EnterRegion => {
-                return Ok(Some(Stop::EnterRegion {
-                    region: imm as u16,
-                    at: pc,
-                }));
-            }
-            EndSetup => {
-                let _ = self.reg(CTP); // table address available to the runtime
-                return Ok(Some(Stop::EndSetup { region: imm as u16 }));
-            }
-            Halt => return Ok(Some(Stop::Halted)),
-        }
-        Ok(None)
+            fuel -= 1;
+        };
+        self.pc = pc;
+        self.fuel = fuel;
+        self.cycles = cycles;
+        exit
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::encode;
+    use crate::isa::{encode, CTP};
 
     fn emit(vm: &mut Vm, i: Inst) -> u32 {
         let (w, extra) = encode(&i).unwrap();
@@ -1232,6 +1296,27 @@ mod tests {
     }
 
     #[test]
+    fn a_model_written_between_runs_prices_the_next_run() {
+        // Slots carry their cost, so the second run must not reuse the
+        // ones the first run decoded under the old `load` price.
+        let mut vm = Vm::new(1 << 12);
+        let a = vm.mem.alloc(8).unwrap();
+        vm.append_code(&assemble(&[
+            Inst::ldiw(1, a as i32),
+            Inst::op3(Op::Addq, ZERO, Operand::Lit(4), 2),
+            Inst::mem(Op::Ldq, 3, 1, 0),
+            Inst::op3(Op::Subq, 2, Operand::Lit(1), 2),
+            Inst::branch(Op::Bne, 2, -3),
+            special(Op::Halt, 0),
+        ]));
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        let first = vm.cycles;
+        vm.model.load += 10;
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        assert_eq!(vm.cycles - first, first + 4 * 10, "four loads, repriced");
+    }
+
+    #[test]
     fn cycle_accounting_is_deterministic() {
         let build = || {
             let mut vm = Vm::new(1 << 12);
@@ -1295,5 +1380,479 @@ mod tests {
         vm.pc = start;
         let err = vm.run().unwrap_err();
         assert!(matches!(err, VmError::BadInstruction { .. }), "{err}");
+    }
+
+    fn special(op: Op, imm: i32) -> Inst {
+        Inst {
+            op,
+            ra: 0,
+            rb: Operand::Reg(ZERO),
+            rc: 0,
+            imm,
+        }
+    }
+
+    fn assemble(insts: &[Inst]) -> Vec<u32> {
+        let mut out = Vec::new();
+        for i in insts {
+            let (w, extra) = encode(i).unwrap();
+            out.push(w);
+            out.extend(extra);
+        }
+        out
+    }
+
+    /// Sentinel preset into every destination register of the exit-state
+    /// table, so "the faulting instruction wrote nothing" is observable.
+    const UNWRITTEN: u64 = 0xDEAD;
+
+    enum Dest {
+        Int(Reg, u64),
+        Float(Reg, u64),
+    }
+
+    /// One row of the exit-state table: a program at address 0, how it
+    /// must leave `run()`, and the machine state it must leave behind.
+    struct ExitCase {
+        name: &'static str,
+        code: Vec<u32>,
+        prep: fn(&mut Vm),
+        fuel: u64,
+        exit: Result<Stop, VmError>,
+        /// `vm.pc` afterwards: past a trap, at a fault, at a native mark.
+        pc: u32,
+        /// Instructions that consumed fuel (a faulting one included).
+        executed: u64,
+        /// Cycles charged (a faulting instruction charges none).
+        cycles: u64,
+        dest: Dest,
+    }
+
+    const MEM: usize = 1 << 12;
+
+    fn exit_cases() -> Vec<ExitCase> {
+        let m = CycleModel::default();
+        // Every program opens with `r1 = 5`, so each exit is reached with
+        // one instruction's worth of fuel and cycles already on the books.
+        let five = Inst::op3(Op::Addq, ZERO, Operand::Lit(5), 1);
+        let then = |second: Inst| assemble(&[five, second]);
+        let oob = |addr| Err(VmError::Mem(EvalError::OutOfBounds { addr }));
+        let fault = |name, code, prep, exit, dest| ExitCase {
+            name,
+            code,
+            prep,
+            fuel: 10,
+            exit,
+            pc: 1,
+            executed: 2,
+            cycles: m.int_op,
+            dest,
+        };
+        let (ldiw_head, _) = encode(&Inst::ldiw(2, 123_456)).unwrap();
+        let (five_w, _) = encode(&five).unwrap();
+        vec![
+            ExitCase {
+                name: "halted",
+                code: then(special(Op::Halt, 0)),
+                prep: |_| {},
+                fuel: 10,
+                exit: Ok(Stop::Halted),
+                pc: 2,
+                executed: 2,
+                cycles: m.int_op,
+                dest: Dest::Int(1, 5),
+            },
+            ExitCase {
+                name: "halted on the last unit of fuel",
+                code: then(special(Op::Halt, 0)),
+                prep: |_| {},
+                fuel: 2,
+                exit: Ok(Stop::Halted),
+                pc: 2,
+                executed: 2,
+                cycles: m.int_op,
+                dest: Dest::Int(1, 5),
+            },
+            ExitCase {
+                name: "enter-region trap",
+                code: then(special(Op::EnterRegion, 7)),
+                prep: |_| {},
+                fuel: 10,
+                exit: Ok(Stop::EnterRegion { region: 7, at: 1 }),
+                pc: 2,
+                executed: 2,
+                cycles: m.int_op,
+                dest: Dest::Int(1, 5),
+            },
+            ExitCase {
+                name: "end-setup trap",
+                code: assemble(&[Inst::ldiw(CTP, 0x4000), special(Op::EndSetup, 3)]),
+                prep: |_| {},
+                fuel: 10,
+                exit: Ok(Stop::EndSetup { region: 3 }),
+                pc: 3,
+                executed: 2,
+                cycles: m.ldiw,
+                dest: Dest::Int(CTP, 0x4000),
+            },
+            ExitCase {
+                name: "native mark",
+                code: then(Inst::op3(Op::Addq, ZERO, Operand::Lit(6), 2)),
+                prep: |vm| vm.mark_native(1),
+                fuel: 10,
+                exit: Ok(Stop::Native { at: 1 }),
+                pc: 1,
+                executed: 1,
+                cycles: m.int_op,
+                dest: Dest::Int(2, UNWRITTEN),
+            },
+            ExitCase {
+                name: "native mark is seen before the fuel check",
+                code: then(special(Op::Halt, 0)),
+                prep: |vm| vm.mark_native(0),
+                fuel: 0,
+                exit: Ok(Stop::Native { at: 0 }),
+                pc: 0,
+                executed: 0,
+                cycles: 0,
+                dest: Dest::Int(1, UNWRITTEN),
+            },
+            fault(
+                "load from the null page",
+                then(Inst::mem(Op::Ldq, 2, ZERO, 0)),
+                |_| {},
+                oob(0),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            fault(
+                "narrow sign-extending load past the end",
+                then(Inst::mem(Op::Ldw, 2, 3, 1)),
+                |vm| vm.regs[3] = MEM as u64 - 2,
+                oob(MEM as u64 - 1),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            fault(
+                "store straddling the end",
+                then(Inst::mem(Op::Stq, 1, 3, 0)),
+                |vm| vm.regs[3] = MEM as u64 - 4,
+                oob(MEM as u64 - 4),
+                Dest::Int(1, 5),
+            ),
+            fault(
+                "float load whose address range overflows",
+                then(Inst::mem(Op::Ldt, 2, 3, 0)),
+                |vm| vm.regs[3] = u64::MAX - 3,
+                oob(u64::MAX - 3),
+                Dest::Float(2, UNWRITTEN),
+            ),
+            fault(
+                "float store at the end",
+                then(Inst::mem(Op::Stt, 2, 3, 0)),
+                |vm| vm.regs[3] = MEM as u64,
+                oob(MEM as u64),
+                Dest::Float(2, UNWRITTEN),
+            ),
+            fault(
+                "alloc beyond capacity",
+                then(Inst::op3(Op::Alloc, 3, Operand::Reg(ZERO), 2)),
+                |vm| vm.regs[3] = u64::MAX,
+                oob(dyncomp_ir::eval::MEM_BASE),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            fault(
+                "divide by a zero register",
+                then(Inst::op3(Op::Divq, 1, Operand::Reg(ZERO), 2)),
+                |_| {},
+                Err(VmError::DivideByZero { pc: 1 }),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            fault(
+                "unsigned remainder by a zero literal",
+                then(Inst::op3(Op::Remqu, 1, Operand::Lit(0), 2)),
+                |_| {},
+                Err(VmError::DivideByZero { pc: 1 }),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            fault(
+                "i64::MIN / -1",
+                then(Inst::op3(Op::Divq, 3, Operand::Reg(4), 2)),
+                |vm| {
+                    vm.regs[3] = i64::MIN as u64;
+                    vm.regs[4] = -1i64 as u64;
+                },
+                Err(VmError::DivideByZero { pc: 1 }),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            fault(
+                "i64::MIN % -1",
+                then(Inst::op3(Op::Remq, 3, Operand::Reg(4), 2)),
+                |vm| {
+                    vm.regs[3] = i64::MIN as u64;
+                    vm.regs[4] = -1i64 as u64;
+                },
+                Err(VmError::DivideByZero { pc: 1 }),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            fault(
+                "float operate with a literal operand",
+                then(Inst::op3(Op::Addt, 1, Operand::Lit(5), 2)),
+                |_| {},
+                Err(VmError::BadInstruction { pc: 1 }),
+                Dest::Float(2, UNWRITTEN),
+            ),
+            fault(
+                "unknown opcode byte",
+                vec![five_w, 0xFF00_0000],
+                |_| {},
+                Err(VmError::BadInstruction { pc: 1 }),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            // The missing second word is what is out of range, so the
+            // error names it; `pc` stays on the Ldiw itself.
+            fault(
+                "Ldiw truncated by the end of the code area",
+                vec![five_w, ldiw_head],
+                |_| {},
+                Err(VmError::PcOutOfRange(2)),
+                Dest::Int(2, UNWRITTEN),
+            ),
+            ExitCase {
+                name: "branch out of the code area",
+                code: then(Inst::branch(Op::Br, ZERO, 100)),
+                prep: |_| {},
+                fuel: 10,
+                exit: Err(VmError::PcOutOfRange(102)),
+                pc: 102,
+                executed: 3,
+                cycles: m.int_op + m.branch_taken,
+                dest: Dest::Int(1, 5),
+            },
+            ExitCase {
+                name: "out of fuel before the first instruction",
+                code: then(special(Op::Halt, 0)),
+                prep: |_| {},
+                fuel: 0,
+                exit: Err(VmError::OutOfFuel),
+                pc: 0,
+                executed: 0,
+                cycles: 0,
+                dest: Dest::Int(1, UNWRITTEN),
+            },
+            // r1 = 5; loop { r1 -= 1; bne r1, loop }: six units of fuel
+            // buy the set-up, three decrements and two taken branches.
+            ExitCase {
+                name: "out of fuel in the middle of a loop",
+                code: assemble(&[
+                    five,
+                    Inst::op3(Op::Subq, 1, Operand::Lit(1), 1),
+                    Inst::branch(Op::Bne, 1, -2),
+                ]),
+                prep: |_| {},
+                fuel: 6,
+                exit: Err(VmError::OutOfFuel),
+                pc: 2,
+                executed: 6,
+                cycles: 4 * m.int_op + 2 * m.branch_taken,
+                dest: Dest::Int(1, 2),
+            },
+        ]
+    }
+
+    #[test]
+    fn every_exit_leaves_the_documented_machine_state() {
+        for case in exit_cases() {
+            let name = case.name;
+            let mut vm = Vm::new(MEM);
+            vm.append_code(&case.code);
+            for r in 1..ZERO as usize {
+                if r != SP as usize {
+                    vm.regs[r] = UNWRITTEN;
+                    vm.fregs[r] = f64::from_bits(UNWRITTEN);
+                }
+            }
+            (case.prep)(&mut vm);
+            vm.pc = 0;
+            vm.fuel = case.fuel;
+            assert_eq!(vm.run(), case.exit, "{name}: exit");
+            assert_eq!(vm.pc, case.pc, "{name}: pc");
+            assert_eq!(vm.fuel, case.fuel - case.executed, "{name}: fuel");
+            assert_eq!(vm.cycles, case.cycles, "{name}: cycles");
+            assert_eq!(vm.regs[ZERO as usize], 0, "{name}: r31");
+            assert_eq!(vm.fregs[ZERO as usize].to_bits(), 0, "{name}: f31");
+            match case.dest {
+                Dest::Int(r, v) => assert_eq!(vm.regs[r as usize], v, "{name}: r{r}"),
+                Dest::Float(r, bits) => {
+                    assert_eq!(vm.fregs[r as usize].to_bits(), bits, "{name}: f{r}");
+                }
+            }
+        }
+    }
+
+    /// The program the mark-coherence tests run:
+    /// `0: r1 = 1`, `1: r1 += 1`, `2: r2 = 1000` (two words),
+    /// `4: r1 += 1`, `5: halt`.
+    fn marked_program() -> Vm {
+        let mut vm = Vm::new(MEM);
+        vm.append_code(&assemble(&[
+            Inst::op3(Op::Addq, ZERO, Operand::Lit(1), 1),
+            Inst::op3(Op::Addq, 1, Operand::Lit(1), 1),
+            Inst::ldiw(2, 1000),
+            Inst::op3(Op::Addq, 1, Operand::Lit(1), 1),
+            special(Op::Halt, 0),
+        ]));
+        vm
+    }
+
+    fn run_from(vm: &mut Vm, pc: u32) -> Result<Stop, VmError> {
+        vm.pc = pc;
+        vm.run()
+    }
+
+    #[test]
+    fn marks_on_decoded_undecoded_and_beyond_end_addresses() {
+        // Decoded: every word has been through the predecode cache.
+        let mut vm = marked_program();
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        vm.mark_native(1);
+        let fuel = vm.fuel;
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 1 }));
+        assert_eq!(
+            (vm.pc, fuel - vm.fuel),
+            (1, 1),
+            "the marked word is not run"
+        );
+
+        // Undecoded: nothing has executed yet.
+        let mut vm = marked_program();
+        vm.mark_native(4);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 4 }));
+        assert_eq!((vm.reg(1), vm.reg(2)), (2, 1000));
+
+        // Beyond the end: inert until code is appended under it, except
+        // that a pc sent there directly still reports the mark.
+        let mut vm = marked_program();
+        let end = vm.code.len() as u32;
+        vm.mark_native(end + 1);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        assert_eq!(run_from(&mut vm, end + 1), Ok(Stop::Native { at: end + 1 }));
+        assert_eq!(run_from(&mut vm, end), Err(VmError::PcOutOfRange(end)));
+        assert_eq!(
+            run_from(&mut vm, end + 2),
+            Err(VmError::PcOutOfRange(end + 2))
+        );
+        let at = vm.append_code(&assemble(&[
+            Inst::op3(Op::Addq, ZERO, Operand::Lit(9), 3),
+            Inst::op3(Op::Addq, 3, Operand::Lit(9), 3),
+            special(Op::Halt, 0),
+        ]));
+        assert_eq!(at, end);
+        assert_eq!(run_from(&mut vm, end), Ok(Stop::Native { at: end + 1 }));
+        assert_eq!(vm.reg(3), 9);
+    }
+
+    #[test]
+    fn unmark_native_disarms_one_address() {
+        let mut vm = marked_program();
+        vm.mark_native(1);
+        vm.mark_native(4);
+        vm.unmark_native(1);
+        vm.unmark_native(1_000_000); // never marked, beyond the end: a no-op
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 4 }));
+        vm.unmark_native(4);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        assert_eq!(vm.reg(1), 3);
+    }
+
+    #[test]
+    fn patch_code_drops_the_mark_on_the_patched_word_only() {
+        let mut vm = marked_program();
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        vm.mark_native(1);
+        let (w, _) = encode(&Inst::op3(Op::Addq, 1, Operand::Lit(10), 1)).unwrap();
+        vm.patch_code(1, w).unwrap();
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        assert_eq!(vm.reg(1), 12, "patched word ran, unmarked");
+
+        // Patching the immediate word of a marked Ldiw re-decodes the
+        // Ldiw but leaves the mark on its first word.
+        vm.mark_native(2);
+        vm.patch_code(3, 2000).unwrap();
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 2 }));
+        vm.skip_native_once(2);
+        assert_eq!(vm.run(), Ok(Stop::Halted));
+        assert_eq!(vm.reg(2), 2000);
+    }
+
+    #[test]
+    fn skip_native_once_is_consumed_on_arrival() {
+        // At a marked pc: interpreted once, then the mark is live again.
+        let mut vm = marked_program();
+        vm.mark_native(1);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 1 }));
+        vm.skip_native_once(1);
+        assert_eq!(vm.run(), Ok(Stop::Halted));
+        assert_eq!(vm.reg(1), 3);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 1 }));
+
+        // At an unmarked pc that is marked later: passing it uses the
+        // skip up, so the later mark stops the first arrival.
+        let mut vm = marked_program();
+        vm.mark_native(4);
+        vm.skip_native_once(1);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 4 }));
+        vm.mark_native(1);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 1 }));
+
+        // While no mark has been set at all the run loop looks at neither
+        // marks nor the skip, so the skip is still pending when the first
+        // mark arrives.
+        let mut vm = marked_program();
+        vm.skip_native_once(1);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        vm.mark_native(1);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 1 }));
+
+        // A second skip replaces the first.
+        let mut vm = marked_program();
+        vm.mark_native(1);
+        vm.mark_native(4);
+        vm.skip_native_once(1);
+        vm.skip_native_once(4);
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 1 }));
+    }
+
+    #[test]
+    fn clearing_marks_on_a_fork_leaves_the_original_marked() {
+        let mut vm = marked_program();
+        vm.mark_native(1);
+        vm.skip_native_once(4);
+        let mut fork = vm.clone();
+        fork.clear_native_marks();
+        assert_eq!(run_from(&mut fork, 0), Ok(Stop::Halted));
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Native { at: 1 }));
+        // The fork's pending skip went with its marks.
+        fork.mark_native(4);
+        assert_eq!(run_from(&mut fork, 0), Ok(Stop::Native { at: 4 }));
+        // A fork that keeps its marks keeps them.
+        assert_eq!(run_from(&mut vm.clone(), 0), Ok(Stop::Native { at: 1 }));
+    }
+
+    #[test]
+    fn writing_r31_through_the_public_field_is_not_observable() {
+        let mut vm = Vm::new(MEM);
+        vm.append_code(&assemble(&[
+            Inst::op3(Op::Addq, ZERO, Operand::Lit(1), 1),
+            Inst::op3(Op::Fmov, ZERO, Operand::Reg(ZERO), 2),
+            Inst::mem(Op::Lda, 3, ZERO, 7),
+            special(Op::Halt, 0),
+        ]));
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        vm.regs[ZERO as usize] = 99;
+        vm.fregs[ZERO as usize] = 1.5;
+        vm.fregs[2] = -1.0;
+        assert_eq!(run_from(&mut vm, 0), Ok(Stop::Halted));
+        assert_eq!((vm.reg(1), vm.freg(2), vm.reg(3)), (1, 0.0, 7));
+        assert_eq!((vm.reg(ZERO), vm.freg(ZERO)), (0, 0.0));
     }
 }
