@@ -501,3 +501,78 @@ fn empty_frame_is_a_typed_error() {
     drop(c);
     handle.join().unwrap();
 }
+
+/// Regression: the dialect peek ran before the read tick was set, so a
+/// client that connected and sent nothing blocked its connection thread
+/// in `peek` forever, deaf to the shutdown flag: `shutdown` was
+/// acknowledged and `serve()` then hung joining that thread until the
+/// silent client went away. A silent connection now ticks like any quiet
+/// one, and `serve()` returns within a few 200 ms ticks.
+#[test]
+fn silent_connection_does_not_pin_shutdown() {
+    let (addr, handle) = spawn_server();
+    let silent = std::net::TcpStream::connect(&addr).unwrap();
+    let mut admin = Client::connect(&addr).unwrap();
+    ok(&admin.request("{\"op\":\"shutdown\"}").unwrap());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(handle.join().is_ok()));
+    assert_eq!(
+        done_rx.recv_timeout(std::time::Duration::from_secs(3)),
+        Ok(true),
+        "serve() drains past a connection that never sent a byte"
+    );
+    drop(silent);
+}
+
+/// The same defect's other face: `--idle-timeout` never fired for a
+/// connection that had not yet sent a byte. The server now closes it
+/// (EOF on our side, bounded by our own 3 s read timeout).
+#[test]
+fn silent_connection_is_reaped_when_idle() {
+    use std::io::Read;
+    let server = Server::bind(&ServerOptions {
+        listen: "127.0.0.1:0".to_string(),
+        workers: 2,
+        idle_timeout_ms: 400,
+        ..ServerOptions::default()
+    })
+    .expect("bind an ephemeral port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let handle = std::thread::spawn(move || server.serve());
+    let mut silent = std::net::TcpStream::connect(&addr).unwrap();
+    silent
+        .set_read_timeout(Some(std::time::Duration::from_secs(3)))
+        .unwrap();
+    assert!(
+        matches!(silent.read(&mut [0u8; 1]), Ok(0)),
+        "a connection that never sent a byte is reaped with a clean close"
+    );
+    let mut admin = Client::connect(&addr).unwrap();
+    let _ = admin.request("{\"op\":\"shutdown\"}");
+    drop(admin);
+    handle.join().unwrap();
+}
+
+/// A frame costs what its work costs: 200 `ping`s on one loopback
+/// connection, median under 5 ms. Linux's delayed ACK holds a response
+/// whose prefix went out alone for 40 ms, so the bound is an order of
+/// magnitude under the defect and two over the fix (tens of
+/// microseconds) — it cannot flake and cannot pass with the defect.
+#[test]
+fn ping_round_trips_are_not_held_by_delayed_ack() {
+    let (addr, handle) = spawn_server();
+    let mut c = Client::connect(&addr).unwrap();
+    let mut rtt_us: Vec<u128> = (0..200)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            ok(&c.request("{\"op\":\"ping\"}").unwrap());
+            t0.elapsed().as_micros()
+        })
+        .collect();
+    rtt_us.sort_unstable();
+    let median = rtt_us[rtt_us.len() / 2];
+    assert!(median < 5_000, "median ping round trip {median} µs");
+    let _ = c.request("{\"op\":\"shutdown\"}");
+    drop(c);
+    handle.join().unwrap();
+}

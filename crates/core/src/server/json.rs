@@ -8,7 +8,7 @@
 //! rendered with [`escape`] + `format!` (the same hand-rolled idiom the
 //! bench crate uses), so nothing here allocates a DOM on the send path.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by [`Json::parse`]. Deeper input is a
 /// typed parse error, not a stack overflow.
@@ -356,19 +356,35 @@ impl<'a> Parser<'a> {
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out.push('"');
     out
+}
+
+/// Append `s` to `out` escaped as the inside of a JSON string (no
+/// quotes), so a large string can be escaped piecewise into the buffer
+/// it is sent from. Every byte that needs escaping is ASCII, so the runs
+/// between them are copied whole.
+pub(super) fn escape_into(out: &mut String, s: &str) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[copied..i]);
+        copied = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[copied..]);
 }
 
 #[cfg(test)]

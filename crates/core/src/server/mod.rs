@@ -5,11 +5,12 @@
 //! module is the serving layer for that: a long-running process that
 //! accepts programs and key streams over a zero-dependency,
 //! length-prefixed JSON wire protocol ([`proto`]), multiplexes thousands
-//! of concurrent [`crate::Session`]s over a work-stealing thread pool
-//! ([`pool`]) sharing one `Arc<Program>` per uploaded artifact, and
-//! enforces per-tenant isolation with the recovery primitives
-//! ([`state`]): per-session stitched-code byte budgets, per-tenant
-//! shared-cache byte budgets, and per-tenant session quotas. Trace /
+//! of concurrent [`crate::Session`]s over a few connection threads and
+//! a bounded number of execution slots ([`pool`]) sharing one
+//! `Arc<Program>` per uploaded artifact, and enforces per-tenant
+//! isolation with the recovery primitives ([`state`]): per-session
+//! stitched-code byte budgets, per-tenant shared-cache byte budgets,
+//! and per-tenant session quotas. Trace /
 //! region-profile counters and [`crate::Session::health`] are exported
 //! as a plaintext metrics document ([`ServerEngine::metrics_text`]),
 //! also reachable over plain HTTP `GET` on the same port ([`net`]).
@@ -33,6 +34,7 @@ pub use json::{escape, Json, JsonError};
 pub use net::{Client, Server, ServerOptions};
 pub use pool::{PoolStats, WorkPool};
 pub use proto::{
-    read_frame, write_frame, ErrorKind, Frame, ProtoError, MAX_FRAME, MAX_SESSION_MEMORY,
+    read_frame, read_frame_into, write_frame, ErrorKind, Frame, ProtoError, MAX_FRAME,
+    MAX_SESSION_MEMORY,
 };
 pub use state::{ServerEngine, TenantOptions};

@@ -2,9 +2,10 @@
 //!
 //! The listener accepts connections on a dedicated thread per connection
 //! (connection count is small — clients multiplex many sessions over one
-//! connection); each frame's *work* is executed on the shared
-//! work-stealing pool, so a thousand sessions interleave fairly over a
-//! few workers regardless of how clients map sessions to connections.
+//! connection); each frame's *work* runs on the thread that read it,
+//! under one of the pool's `workers` slots, so a frame costs what its
+//! work costs and at most `workers` frames execute at once however
+//! clients map sessions to connections.
 //!
 //! Two wire dialects share the port:
 //!
@@ -15,9 +16,11 @@
 //!   `curl http://host:port/metrics` works with no client tooling.
 
 use super::pool::WorkPool;
-use super::proto::{read_frame, write_frame, ErrorKind, Frame, ProtoError};
+use super::proto::{
+    is_timeout, read_frame, read_frame_into, write_frame, write_pair, ErrorKind, Frame, ProtoError,
+};
 use super::state::ServerEngine;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,7 +30,7 @@ use std::time::Duration;
 pub struct ServerOptions {
     /// Listen address, e.g. `127.0.0.1:7878` (port `0` picks a free one).
     pub listen: String,
-    /// Worker threads in the shared pool.
+    /// Width of the shared pool: how many frames execute at once.
     pub workers: usize,
     /// Close a connection after this long with no frame activity
     /// (`0` disables the idle timeout). Sessions opened through a
@@ -66,7 +69,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener and spawn the worker pool.
+    /// Bind the listener and size the pool.
     ///
     /// # Errors
     /// I/O errors binding the address.
@@ -149,43 +152,59 @@ impl Server {
 ///
 /// Reads tick at [`READ_TICK`], so a quiet connection re-checks the
 /// shutdown flag (graceful drain) and its idle budget a few times a
-/// second without burning CPU; an in-flight frame is always finished
-/// and answered before either exit path is taken.
+/// second without burning CPU — from its first byte on: a client that
+/// connects and sends nothing ticks in the dialect peek exactly as it
+/// would between frames. An in-flight frame is always finished and
+/// answered before either exit path is taken.
 fn handle_connection(
     mut stream: TcpStream,
-    engine: &Arc<ServerEngine>,
-    pool: &Arc<WorkPool>,
+    engine: &ServerEngine,
+    pool: &WorkPool,
     idle_timeout_ms: u64,
 ) {
-    // Peek the dialect: an HTTP GET gets the one-shot metrics document.
-    let mut head = [0u8; 4];
-    match stream.peek(&mut head) {
-        Ok(4) if &head == b"GET " => {
-            serve_http_metrics(&mut stream, engine, pool);
-            return;
-        }
-        Ok(_) | Err(_) => {}
-    }
-    // Best-effort: without the tick the loop cannot poll shutdown or
+    // A response is one small segment the client is waiting for: never
+    // hold it back for coalescing.
+    let _ = stream.set_nodelay(true);
+    // Best-effort: without the tick the loops cannot poll shutdown or
     // idleness, but blocking reads still serve frames correctly.
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let mut idle = Duration::ZERO;
+    // One quiet tick: whether it spent the idle budget.
+    let reaped = |idle: &mut Duration| {
+        *idle += READ_TICK;
+        idle_timeout_ms > 0 && *idle >= Duration::from_millis(idle_timeout_ms)
+    };
+    // Peek the dialect: an HTTP GET gets the one-shot metrics document.
+    let mut head = [0u8; 4];
     loop {
         if engine.shutdown_requested() {
             return;
         }
-        match read_frame(&mut stream) {
+        match stream.peek(&mut head) {
+            Ok(4) if &head == b"GET " => return serve_http_metrics(&mut stream, engine, pool),
+            Err(e) if is_timeout(&e) => {
+                if reaped(&mut idle) {
+                    return;
+                }
+            }
+            Ok(_) | Err(_) => break,
+        }
+    }
+    let mut request = Vec::new();
+    loop {
+        if engine.shutdown_requested() {
+            return;
+        }
+        match read_frame_into(&mut stream, &mut request) {
             Ok(Frame::Eof) => return,
             Ok(Frame::Idle) => {
-                idle += READ_TICK;
-                if idle_timeout_ms > 0 && idle >= Duration::from_millis(idle_timeout_ms) {
-                    return; // reaped: quiet past the configured budget
+                if reaped(&mut idle) {
+                    return; // quiet past the configured budget
                 }
             }
             Ok(Frame::Body(body)) => {
                 idle = Duration::ZERO;
-                let engine = Arc::clone(engine);
-                let response = pool.run(move || engine.handle(&body));
+                let response = pool.run(|| engine.handle(body));
                 if write_frame(&mut stream, response.as_bytes()).is_err() {
                     return; // client went away mid-response
                 }
@@ -198,19 +217,18 @@ fn handle_connection(
     }
 }
 
-fn serve_http_metrics(stream: &mut TcpStream, engine: &Arc<ServerEngine>, pool: &Arc<WorkPool>) {
+fn serve_http_metrics(stream: &mut TcpStream, engine: &ServerEngine, pool: &WorkPool) {
     // Drain the request head (best effort; we answer any GET with the
     // metrics document).
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut buf = [0u8; 1024];
     let _ = stream.read(&mut buf);
     let body = engine.metrics_text(Some(pool.stats()));
-    let response = format!(
+    let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.write_all(response.as_bytes());
+    let _ = write_pair(stream, head.as_bytes(), body.as_bytes());
 }
 
 /// A minimal frame client for `dyncc --connect` and the test suites:

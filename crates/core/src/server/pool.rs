@@ -1,22 +1,33 @@
-//! A zero-dependency work-stealing thread pool.
+//! The server's execution budget: run slots for request frames and a
+//! zero-dependency work-stealing thread pool for detached jobs.
 //!
-//! `dynccd` multiplexes thousands of sessions over a handful of OS
-//! threads: connection handlers enqueue jobs, workers execute them. Jobs
-//! are distributed round-robin across per-worker deques; an idle worker
-//! first drains its own deque (LIFO, for cache warmth), then steals from
-//! siblings (FIFO, taking the oldest job so stolen work is the work
-//! least likely to be cache-warm anywhere). A shared [`Condvar`] parks
-//! idle workers, so an idle pool burns no CPU.
+//! A pool of `workers` bounds how much runs at once, in two ways:
+//!
+//! * [`WorkPool::run`] is the request path. The job runs on the calling
+//!   thread — for `dynccd`, the connection thread that read the frame —
+//!   under one of `workers` slots, so at most `workers` frames execute at
+//!   once however many connections are open, and a frame costs what its
+//!   work costs: no boxing, no queue, no hand-off to another thread and
+//!   back (two futex wake-ups per frame: measured in the server, 57 of
+//!   a 66 µs round trip when six threads share two cores).
+//! * [`WorkPool::spawn`] is fire-and-forget (the load generator's path).
+//!   Jobs are distributed round-robin across per-worker deques; an idle
+//!   worker first drains its own deque (LIFO, for cache warmth), then
+//!   steals from siblings (FIFO, taking the oldest job so stolen work is
+//!   the work least likely to be cache-warm anywhere). A shared
+//!   [`Condvar`] parks idle workers. The worker threads are started by
+//!   the first `spawn`: a pool that only ever `run`s keeps none.
 //!
 //! The pool never observes job panics: callers that need containment
 //! wrap the job body in `catch_unwind` (the server does — see
-//! `super::state`). A worker that *does* see a panic unwinds its thread
-//! without poisoning the shared queues, and the remaining workers keep
-//! serving; this is defense in depth, not the primary containment.
+//! `super::state`). A `run` job that unwinds gives its slot back on the
+//! way; a worker that sees a panic unwinds its thread without poisoning
+//! the shared queues, and the remaining workers keep serving. Both are
+//! defense in depth, not the primary containment.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -32,11 +43,13 @@ struct PoolShared {
     idle_guard: Mutex<bool>,
     /// Round-robin injection cursor.
     next: AtomicUsize,
-    /// Jobs dispatched to a worker, pool-wide (counted at pickup).
+    /// Jobs started, pool-wide: counted when a worker picks one up or a
+    /// `run` caller takes its slot.
     executed: AtomicU64,
     /// Of those, jobs a worker stole from a sibling's deque.
     stolen: AtomicU64,
-    /// Jobs enqueued and not yet picked up by a worker.
+    /// Jobs not yet started: enqueued and not picked up, or `run`
+    /// callers waiting for a slot.
     inflight: AtomicU64,
     /// Set by [`WorkPool::shutdown`]; workers exit once their queues are
     /// drained.
@@ -46,71 +59,89 @@ struct PoolShared {
 /// Pool-wide counters, exported on the metrics endpoint.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Worker threads.
+    /// The pool's width: `run` slots, and worker threads once `spawn`
+    /// has started them.
     pub workers: usize,
-    /// Jobs dispatched to a worker so far (counted at pickup).
+    /// Jobs started so far (counted at pickup or slot acquisition).
     pub executed: u64,
     /// Of those, jobs stolen across worker deques.
     pub stolen: u64,
-    /// Jobs enqueued and not yet picked up by a worker.
+    /// Jobs not yet started: queued, or waiting for a slot.
     pub inflight: u64,
 }
 
-/// The work-stealing pool.
+/// The slots-and-workers pool.
 pub struct WorkPool {
     shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
+    /// Free [`WorkPool::run`] slots, of `workers`.
+    free_slots: Mutex<usize>,
+    /// Wakes one `run` caller waiting on [`WorkPool::free_slots`].
+    slot_freed: Condvar,
+    /// The worker threads, started by the first [`WorkPool::spawn`].
+    workers: OnceLock<Vec<JoinHandle<()>>>,
+}
+
+/// One taken `run` slot; dropping it — on return or unwind — frees it.
+struct Slot<'a>(&'a WorkPool);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let pool = self.0;
+        *pool.free_slots.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        pool.slot_freed.notify_one();
+    }
 }
 
 impl WorkPool {
-    /// Spawn a pool with `workers` threads (clamped to at least 1).
+    /// A pool `workers` wide (clamped to at least 1). No thread is
+    /// started until the first [`WorkPool::spawn`].
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let shared = Arc::new(PoolShared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            idle: Condvar::new(),
-            idle_guard: Mutex::new(false),
-            next: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
-            stolen: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        });
-        // Thread spawning can fail under host resource pressure; a pool
-        // that comes up with fewer workers (even zero) still serves —
-        // `spawn`/`run` degrade to inline execution when no worker
-        // thread exists — so the server never aborts on a failed spawn.
-        let handles: Vec<JoinHandle<()>> = (0..workers)
+        WorkPool {
+            shared: Arc::new(PoolShared {
+                queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+                idle: Condvar::new(),
+                idle_guard: Mutex::new(false),
+                next: AtomicUsize::new(0),
+                executed: AtomicU64::new(0),
+                stolen: AtomicU64::new(0),
+                inflight: AtomicU64::new(0),
+                stop: AtomicBool::new(false),
+            }),
+            free_slots: Mutex::new(workers),
+            slot_freed: Condvar::new(),
+            workers: OnceLock::new(),
+        }
+    }
+
+    /// Start one worker thread per deque. Thread spawning can fail under
+    /// host resource pressure; a pool that comes up with fewer workers
+    /// (even zero) still serves — `spawn` degrades to inline execution
+    /// when no worker thread exists — so the caller never aborts on a
+    /// failed spawn.
+    fn start_workers(shared: &Arc<PoolShared>) -> Vec<JoinHandle<()>> {
+        (0..shared.queues.len())
             .filter_map(|me| {
-                let shared = Arc::clone(&shared);
+                let shared = Arc::clone(shared);
                 std::thread::Builder::new()
                     .name(format!("dynccd-worker-{me}"))
                     .spawn(move || worker_loop(me, &shared))
                     .ok()
             })
-            .collect();
-        WorkPool {
-            shared,
-            workers: handles,
-        }
-    }
-
-    /// Whether any worker thread is live (all spawns may have failed
-    /// under host resource pressure; callers then run jobs inline).
-    fn degraded(&self) -> bool {
-        self.workers.is_empty()
+            .collect()
     }
 
     /// Enqueue a job (round-robin over worker deques) and return
     /// immediately. With no live workers (degraded pool) the job runs
     /// inline on the calling thread instead of queueing forever.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        if self.degraded() {
-            self.shared.executed.fetch_add(1, Ordering::Relaxed);
+        let shared = &self.shared;
+        let workers = self.workers.get_or_init(|| Self::start_workers(shared));
+        if workers.is_empty() {
+            shared.executed.fetch_add(1, Ordering::Relaxed);
             job();
             return;
         }
-        let shared = &self.shared;
         let n = shared.queues.len();
         let slot = shared.next.fetch_add(1, Ordering::Relaxed) % n;
         shared.inflight.fetch_add(1, Ordering::Relaxed);
@@ -126,26 +157,32 @@ impl WorkPool {
         shared.idle.notify_one();
     }
 
-    /// Run one job on the pool and block until it completes, returning
+    /// Run one job on the calling thread under one of the pool's
+    /// `workers` slots, waiting for a slot if all are taken, and return
     /// its value. The building block for request/response dispatch: the
-    /// connection thread parks while a worker executes.
-    pub fn run<T: Send + 'static>(&self, job: impl FnOnce() -> T + Send + 'static) -> T {
-        let cell: Arc<(Mutex<Option<T>>, Condvar)> = Arc::new((Mutex::new(None), Condvar::new()));
-        let theirs = Arc::clone(&cell);
-        self.spawn(move || {
-            let value = job();
-            let (slot, done) = &*theirs;
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(value);
-            done.notify_all();
-        });
-        let (slot, done) = &*cell;
-        let mut got = slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(v) = got.take() {
-                return v;
+    /// thread that read the frame does the frame's work, and the pool
+    /// only bounds how many do so at once.
+    pub fn run<T>(&self, job: impl FnOnce() -> T) -> T {
+        let _slot = self.take_slot();
+        job()
+    }
+
+    fn take_slot(&self) -> Slot<'_> {
+        let shared = &self.shared;
+        let mut free = self.free_slots.lock().unwrap_or_else(|e| e.into_inner());
+        if *free == 0 {
+            shared.inflight.fetch_add(1, Ordering::Relaxed);
+            while *free == 0 {
+                free = self
+                    .slot_freed
+                    .wait(free)
+                    .unwrap_or_else(|e| e.into_inner());
             }
-            got = done.wait(got).unwrap_or_else(|e| e.into_inner());
+            shared.inflight.fetch_sub(1, Ordering::Relaxed);
         }
+        *free -= 1;
+        shared.executed.fetch_add(1, Ordering::Relaxed);
+        Slot(self)
     }
 
     /// Current counters.
@@ -159,7 +196,16 @@ impl WorkPool {
     }
 
     /// Drain remaining jobs and join every worker.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for WorkPool {
+    fn drop(&mut self) {
+        let Some(workers) = self.workers.take() else {
+            return; // never spawned
+        };
         self.shared.stop.store(true, Ordering::SeqCst);
         {
             let mut pending = self
@@ -170,20 +216,7 @@ impl WorkPool {
             *pending = true;
         }
         self.shared.idle.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for WorkPool {
-    fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return; // shutdown() already joined
-        }
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.idle.notify_all();
-        for h in self.workers.drain(..) {
+        for h in workers {
             let _ = h.join();
         }
     }
@@ -289,5 +322,69 @@ mod tests {
             let expect: u64 = (0..50).map(|j| i as u64 * 1000 + j).sum();
             assert_eq!(*sum, expect);
         }
+    }
+
+    #[test]
+    fn run_executes_on_the_calling_thread() {
+        let pool = WorkPool::new(2);
+        let me = std::thread::current().id();
+        assert_eq!(pool.run(|| std::thread::current().id()), me);
+        // ...so it can borrow from the caller's stack.
+        let local = [1u64, 2, 3];
+        assert_eq!(pool.run(|| local.iter().sum::<u64>()), 6);
+    }
+
+    #[test]
+    fn run_never_exceeds_the_pool_width() {
+        let pool = Arc::new(WorkPool::new(2));
+        let running = Arc::new(AtomicU64::new(0));
+        let most = Arc::new(AtomicU64::new(0));
+        let handles: Vec<_> = (0..8u64)
+            .map(|i| {
+                let (pool, running, most) =
+                    (Arc::clone(&pool), Arc::clone(&running), Arc::clone(&most));
+                std::thread::spawn(move || {
+                    (0..50)
+                        .map(|j| {
+                            pool.run(|| {
+                                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                                most.fetch_max(now, Ordering::SeqCst);
+                                std::thread::yield_now();
+                                running.fetch_sub(1, Ordering::SeqCst);
+                                i * 1000 + j
+                            })
+                        })
+                        .sum::<u64>()
+                })
+            })
+            .collect();
+        for (i, h) in handles.into_iter().enumerate() {
+            let expect: u64 = (0..50).map(|j| i as u64 * 1000 + j).sum();
+            assert_eq!(h.join().unwrap(), expect);
+        }
+        assert!(most.load(Ordering::SeqCst) <= 2);
+        let stats = pool.stats();
+        assert_eq!((stats.executed, stats.inflight), (400, 0));
+    }
+
+    #[test]
+    fn a_panicking_run_job_gives_its_slot_back() {
+        let pool = WorkPool::new(1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(|| std::panic::panic_any("job panic (slot release check)"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(*pool.free_slots.lock().unwrap(), 1);
+        assert_eq!(pool.run(|| 7), 7);
+    }
+
+    #[test]
+    fn no_thread_is_started_before_the_first_spawn() {
+        let pool = WorkPool::new(3);
+        assert_eq!(pool.run(|| 1), 1);
+        assert!(pool.workers.get().is_none());
+        pool.spawn(|| {});
+        assert_eq!(pool.workers.get().map(Vec::len), Some(3));
+        pool.shutdown();
     }
 }

@@ -12,7 +12,7 @@
 
 use super::json::escape;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Maximum frame body, in bytes (4 MiB — comfortably above any program
 /// source this compiler accepts, far below a memory-exhaustion vector).
@@ -150,11 +150,13 @@ impl fmt::Display for ProtoError {
     }
 }
 
-/// What reading one frame produced.
+/// What reading one frame produced. `B` is where the body lives: an
+/// owned `Vec<u8>` from [`read_frame`], a borrow of the connection's
+/// buffer from [`read_frame_into`].
 #[derive(Debug)]
-pub enum Frame {
+pub enum Frame<B = Vec<u8>> {
     /// A complete frame body.
-    Body(Vec<u8>),
+    Body(B),
     /// Clean end of stream at a frame boundary.
     Eof,
     /// A read timeout fired *between* frames (the stream has a read
@@ -171,14 +173,66 @@ pub enum Frame {
 /// not pin a connection thread forever through a graceful drain.
 const MID_FRAME_STALL_CAP: u32 = 150;
 
-fn is_timeout(e: &std::io::Error) -> bool {
+/// Most capacity a connection's request buffer keeps between frames. A
+/// larger frame's buffer is freed before the next read, so one
+/// [`MAX_FRAME`] upload does not pin 4 MiB for as long as its connection
+/// lives.
+const KEPT_FRAME_BUFFER: usize = 64 << 10;
+
+pub(super) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
 }
 
-/// Read one frame from `r`.
+/// Fill `buf` from `r`. `part` names what is being read, for the error
+/// text. At a frame `boundary` (no byte of this frame read yet) end of
+/// stream and a read timeout are the quiet outcomes [`Frame::Eof`] and
+/// [`Frame::Idle`]; anywhere later they are truncation and, after
+/// [`MID_FRAME_STALL_CAP`] consecutive ticks, a stall.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    part: &str,
+    boundary: bool,
+) -> Result<Frame<()>, ProtoError> {
+    let mut stalls = 0u32;
+    let mut at = 0;
+    while at < buf.len() {
+        let quiet = boundary && at == 0;
+        match r.read(&mut buf[at..]) {
+            Ok(0) if quiet => return Ok(Frame::Eof),
+            Ok(0) => {
+                return Err(ProtoError::new(
+                    ErrorKind::BadRequest,
+                    format!("stream truncated inside {part}"),
+                ))
+            }
+            Ok(n) => {
+                at += n;
+                stalls = 0;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) && quiet => return Ok(Frame::Idle),
+            Err(e) if is_timeout(&e) => {
+                stalls += 1;
+                if stalls >= MID_FRAME_STALL_CAP {
+                    return Err(ProtoError::new(
+                        ErrorKind::BadRequest,
+                        format!("stream stalled inside {part}"),
+                    ));
+                }
+            }
+            Err(e) => return Err(ProtoError::new(ErrorKind::BadRequest, format!("read: {e}"))),
+        }
+    }
+    Ok(Frame::Body(()))
+}
+
+/// Read one frame from `r` into `buf`, a buffer the connection owns and
+/// passes to every call: the body replaces `buf`'s contents, and a frame
+/// allocates only when it outgrows what `buf` kept.
 ///
 /// On a stream with a read timeout configured, a timeout before the
 /// first prefix byte returns [`Frame::Idle`] (the connection is simply
@@ -191,36 +245,18 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// prefix, or [`ErrorKind::BadRequest`] for a stream truncated or
 /// stalled mid-frame (either is fatal to the connection: framing is
 /// lost).
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
-    let mut stalls = 0u32;
+pub fn read_frame_into<'a>(
+    r: &mut impl Read,
+    buf: &'a mut Vec<u8>,
+) -> Result<Frame<&'a [u8]>, ProtoError> {
+    if buf.capacity() > KEPT_FRAME_BUFFER {
+        *buf = Vec::new();
+    }
     let mut prefix = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut prefix[got..]) {
-            Ok(0) if got == 0 => return Ok(Frame::Eof),
-            Ok(0) => {
-                return Err(ProtoError::new(
-                    ErrorKind::BadRequest,
-                    "stream truncated inside a length prefix",
-                ))
-            }
-            Ok(n) => {
-                got += n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) && got == 0 => return Ok(Frame::Idle),
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls >= MID_FRAME_STALL_CAP {
-                    return Err(ProtoError::new(
-                        ErrorKind::BadRequest,
-                        "stream stalled inside a length prefix",
-                    ));
-                }
-            }
-            Err(e) => return Err(ProtoError::new(ErrorKind::BadRequest, format!("read: {e}"))),
-        }
+    match fill(r, &mut prefix, "a length prefix", true)? {
+        Frame::Body(()) => {}
+        Frame::Eof => return Ok(Frame::Eof),
+        Frame::Idle => return Ok(Frame::Idle),
     }
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME {
@@ -229,37 +265,47 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
             format!("frame length {len} exceeds the {MAX_FRAME}-byte bound"),
         ));
     }
-    let mut body = vec![0u8; len];
-    let mut at = 0;
-    while at < len {
-        match r.read(&mut body[at..]) {
-            Ok(0) => {
-                return Err(ProtoError::new(
-                    ErrorKind::BadRequest,
-                    "stream truncated inside a frame body",
-                ))
-            }
-            Ok(n) => {
-                at += n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls >= MID_FRAME_STALL_CAP {
-                    return Err(ProtoError::new(
-                        ErrorKind::BadRequest,
-                        "stream stalled inside a frame body",
-                    ));
-                }
-            }
-            Err(e) => return Err(ProtoError::new(ErrorKind::BadRequest, format!("read: {e}"))),
-        }
-    }
-    Ok(Frame::Body(body))
+    buf.resize(len, 0);
+    fill(r, buf, "a frame body", false)?;
+    Ok(Frame::Body(buf))
 }
 
-/// Write one frame to `w`.
+/// [`read_frame_into`] a buffer of the frame's own, for callers that
+/// read one frame or keep the body.
+///
+/// # Errors
+/// As [`read_frame_into`].
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
+    let mut body = Vec::new();
+    Ok(match read_frame_into(r, &mut body)? {
+        Frame::Body(_) => Frame::Body(body),
+        Frame::Eof => Frame::Eof,
+        Frame::Idle => Frame::Idle,
+    })
+}
+
+/// Write `head` then `tail` to `w` as one `write_vectored` over both, so
+/// a socket sends them as one segment and neither is copied; a short or
+/// interrupted write resumes where it stopped, so any `impl Write`
+/// receives exactly `head ++ tail`.
+pub(super) fn write_pair(w: &mut impl Write, head: &[u8], tail: &[u8]) -> std::io::Result<()> {
+    let mut sent = 0;
+    while sent < head.len() + tail.len() {
+        let head_left = &head[sent.min(head.len())..];
+        let tail_left = &tail[sent.saturating_sub(head.len())..];
+        match w.write_vectored(&[IoSlice::new(head_left), IoSlice::new(tail_left)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Write one frame to `w`: prefix and body in one write, because a
+/// prefix sent alone waits out the peer's delayed ACK before the body
+/// may follow (40 ms per frame on Linux loopback).
 ///
 /// # Errors
 /// I/O failures, surfaced as [`ErrorKind::BadRequest`] (the connection
@@ -267,8 +313,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ProtoError> {
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ProtoError> {
     debug_assert!(body.len() <= MAX_FRAME);
     let prefix = (body.len() as u32).to_be_bytes();
-    w.write_all(&prefix)
-        .and_then(|()| w.write_all(body))
+    write_pair(w, &prefix, body)
         .and_then(|()| w.flush())
         .map_err(|e| ProtoError::new(ErrorKind::BadRequest, format!("write: {e}")))
 }
@@ -309,5 +354,119 @@ mod tests {
         // Truncated body.
         let mut r = &[0, 0, 0, 10, b'a', b'b'][..];
         assert_eq!(read_frame(&mut r).unwrap_err().kind, ErrorKind::BadRequest);
+    }
+
+    /// A sink that records what it was given and how: `calls` counts
+    /// `write` and `write_vectored` alike, a `short` sink takes 1, 2 or
+    /// 3 bytes per call in turn, and a `flaky` one fails every other
+    /// call with `Interrupted`.
+    #[derive(Default)]
+    struct Sink {
+        got: Vec<u8>,
+        calls: usize,
+        short: bool,
+        flaky: bool,
+    }
+
+    impl Sink {
+        fn take(&mut self, bufs: &[&[u8]]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.flaky && self.calls % 2 == 1 {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut room = if self.short {
+                1 + self.calls % 3
+            } else {
+                usize::MAX
+            };
+            let mut taken = 0;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.got.extend_from_slice(&b[..n]);
+                taken += n;
+                room -= n;
+            }
+            Ok(taken)
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.take(&[buf])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let bufs: Vec<&[u8]> = bufs.iter().map(|b| &**b).collect();
+            self.take(&bufs)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut v = (body.len() as u32).to_be_bytes().to_vec();
+        v.extend_from_slice(body);
+        v
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        // Prefix and body in separate writes are separate TCP segments,
+        // and the second waits out the peer's delayed ACK.
+        let mut sink = Sink::default();
+        write_frame(&mut sink, br#"{"ok":true,"pong":true}"#).unwrap();
+        assert_eq!(sink.calls, 1);
+        assert_eq!(sink.got, framed(br#"{"ok":true,"pong":true}"#));
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_still_deliver_the_exact_frame() {
+        let body: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        for (short, flaky) in [(true, false), (false, true), (true, true)] {
+            for body in [&body[..], &body[..1], b""] {
+                let mut sink = Sink {
+                    short,
+                    flaky,
+                    ..Sink::default()
+                };
+                write_frame(&mut sink, body).unwrap();
+                assert_eq!(sink.got, framed(body), "short={short} flaky={flaky}");
+                let mut r = &sink.got[..];
+                assert!(matches!(read_frame(&mut r), Ok(Frame::Body(b)) if b == body));
+            }
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error_not_a_spin() {
+        let mut full: &mut [u8] = &mut [0u8; 2];
+        assert_eq!(
+            write_frame(&mut full, b"abc").unwrap_err().kind,
+            ErrorKind::BadRequest
+        );
+    }
+
+    #[test]
+    fn a_connection_buffer_is_refilled_and_gives_a_large_frame_back() {
+        let big = vec![b'x'; KEPT_FRAME_BUFFER + 1];
+        let mut wire = Vec::new();
+        for body in [&b"first"[..], b"2nd", &big, b"", b"last"] {
+            write_frame(&mut wire, body).unwrap();
+        }
+        let mut r = &wire[..];
+        let mut buf = Vec::new();
+        assert!(matches!(read_frame_into(&mut r, &mut buf), Ok(Frame::Body(b)) if b == b"first"));
+        let first = buf.as_ptr();
+        assert!(matches!(read_frame_into(&mut r, &mut buf), Ok(Frame::Body(b)) if b == b"2nd"));
+        assert_eq!(buf.as_ptr(), first, "a frame that fits reuses the buffer");
+        assert!(matches!(read_frame_into(&mut r, &mut buf), Ok(Frame::Body(b)) if b == big));
+        assert!(buf.capacity() > KEPT_FRAME_BUFFER);
+        assert!(matches!(read_frame_into(&mut r, &mut buf), Ok(Frame::Body(b)) if b.is_empty()));
+        assert!(
+            buf.capacity() <= KEPT_FRAME_BUFFER,
+            "the upload's buffer is not kept"
+        );
+        assert!(matches!(read_frame_into(&mut r, &mut buf), Ok(Frame::Body(b)) if b == b"last"));
+        assert!(matches!(read_frame_into(&mut r, &mut buf), Ok(Frame::Eof)));
     }
 }

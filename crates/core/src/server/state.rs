@@ -23,7 +23,7 @@
 //!   request against it gets a typed `session-dead` error. The server —
 //!   and every other tenant — keeps serving.
 
-use super::json::{escape, Json};
+use super::json::{escape, escape_into, Json};
 use super::pool::PoolStats;
 use super::proto::{
     check_tenant_name, ErrorKind, ProtoError, MAX_CACHE_CAPACITY, MAX_CACHE_SHARDS,
@@ -37,6 +37,7 @@ use crate::persist::PersistentCache;
 use crate::trace::TraceOptions;
 use crate::{CompileOptions, Compiler, InlineOptions, Program};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -223,10 +224,7 @@ impl ServerEngine {
             "call" => self.op_call(&req),
             "close" => self.op_close(&req),
             "health" => self.op_health(&req),
-            "metrics" => Ok(format!(
-                "{{\"ok\":true,\"metrics\":{}}}",
-                escape(&self.metrics_text(None))
-            )),
+            "metrics" => Ok(self.render_metrics(None, true)),
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Ok("{\"ok\":true,\"shutdown\":true}".to_string())
@@ -599,15 +597,30 @@ impl ServerEngine {
     /// body). Pool counters are supplied by the transport layer, which
     /// owns the pool.
     pub fn metrics_text(&self, pool: Option<PoolStats>) -> String {
+        self.render_metrics(pool, false)
+    }
+
+    /// The metrics document, written once into the buffer it is sent
+    /// from: as plain text, or `framed` as the `metrics` op's reply
+    /// (`{"ok":true,"metrics":` + [`escape`] of the text + `}`, escaped
+    /// as it is written). The document is O(sessions × regions), so the
+    /// buffer is reserved up front and nothing is allocated per line:
+    /// the global lock is held for the one pass and no longer.
+    fn render_metrics(&self, pool: Option<PoolStats>, framed: bool) -> String {
         let inner = self.lock();
-        let mut out = String::with_capacity(1024);
-        out.push_str("# dynccd metrics (plaintext, one sample per line)\n");
+        let mut buf =
+            String::with_capacity(2048 + METRICS_BYTES_PER_SESSION * inner.sessions.len());
+        if framed {
+            buf.push_str("{\"ok\":true,\"metrics\":\"");
+        }
+        let mut out = MetricsOut { buf, framed };
+        let _ = out.write_str("# dynccd metrics (plaintext, one sample per line)\n");
         let mut line = |name: &str, labels: &str, v: u64| {
-            if labels.is_empty() {
-                out.push_str(&format!("{name} {v}\n"));
+            let _ = if labels.is_empty() {
+                writeln!(out, "{name} {v}")
             } else {
-                out.push_str(&format!("{name}{{{labels}}} {v}\n"));
-            }
+                writeln!(out, "{name}{{{labels}}} {v}")
+            };
         };
         line("dynccd_programs", "", inner.programs.len() as u64);
         line("dynccd_tenants", "", inner.tenants.len() as u64);
@@ -637,8 +650,10 @@ impl ServerEngine {
         }
         let mut tenants: Vec<(&String, &Tenant)> = inner.tenants.iter().collect();
         tenants.sort_by_key(|(name, _)| name.as_str());
+        let (mut l, mut rl) = (String::new(), String::new());
         for (name, t) in tenants {
-            let l = format!("tenant=\"{name}\"");
+            l.clear();
+            let _ = write!(l, "tenant=\"{name}\"");
             line("dynccd_tenant_sessions_open", &l, t.open_sessions as u64);
             line("dynccd_tenant_sessions_opened_total", &l, t.opened_total);
             line("dynccd_tenant_sessions_dead_total", &l, t.dead_sessions);
@@ -687,7 +702,8 @@ impl ServerEngine {
         let mut sessions: Vec<(&String, &Slot)> = inner.sessions.iter().collect();
         sessions.sort_by_key(|(name, _)| name.as_str());
         for (name, slot) in sessions {
-            let l = format!("session=\"{name}\",tenant=\"{}\"", slot.tenant);
+            l.clear();
+            let _ = write!(l, "session=\"{name}\",tenant=\"{}\"", slot.tenant);
             line("dynccd_session_calls_total", &l, slot.calls);
             match &slot.state {
                 SlotState::Idle(s) => {
@@ -716,7 +732,8 @@ impl ServerEngine {
                     // PR 4 region-profile counters, when the tenant traces.
                     if let Some(profiles) = s.region_profiles() {
                         for p in profiles {
-                            let rl = format!("{l},region=\"{}\"", p.region);
+                            rl.clear();
+                            let _ = write!(rl, "{l},region=\"{}\"", p.region);
                             line("dynccd_region_invocations_total", &rl, p.invocations);
                             line("dynccd_region_stitches_total", &rl, p.stitches);
                             line("dynccd_region_stitch_cycles_total", &rl, p.stitch_cycles);
@@ -734,7 +751,10 @@ impl ServerEngine {
                 SlotState::Dead(_) => line("dynccd_session_alive", &l, 0),
             }
         }
-        out
+        if framed {
+            out.buf.push_str("\"}");
+        }
+        out.buf
     }
 
     /// Test hook: drop the named session's native-backend state in place,
@@ -775,6 +795,30 @@ impl ServerEngine {
         // maps are still structurally valid (every mutation is a single
         // HashMap op or counter bump), so serving beats aborting.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// What one untraced session adds to the framed metrics document, with
+/// room for a name of a dozen bytes: the reservation that lets the
+/// document be written without regrowing. A tracing tenant's region
+/// lines come on top and grow the buffer as any `String` grows.
+const METRICS_BYTES_PER_SESSION: usize = 512;
+
+/// Where the metrics renderer writes: the reply buffer itself, with
+/// JSON string escaping applied on the way in when the reply is a frame.
+struct MetricsOut {
+    buf: String,
+    framed: bool,
+}
+
+impl fmt::Write for MetricsOut {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.framed {
+            escape_into(&mut self.buf, s);
+        } else {
+            self.buf.push_str(s);
+        }
+        Ok(())
     }
 }
 
@@ -840,5 +884,76 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ok(engine: &ServerEngine, request: &str) -> Json {
+        let response = engine.handle(request.as_bytes());
+        let j = Json::parse(&response).expect("response parses");
+        assert_eq!(
+            j.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{response}"
+        );
+        j
+    }
+
+    /// The framed `metrics` reply is written escaped in one pass; it must
+    /// stay what it was when it was assembled from the text: the prefix,
+    /// [`escape`] of [`ServerEngine::metrics_text`], the suffix. Session
+    /// names are the only client-chosen text in the document, so they
+    /// carry every byte class the escaper treats differently.
+    #[test]
+    fn framed_metrics_reply_is_the_escaped_text_byte_for_byte() {
+        let engine = ServerEngine::new();
+        let src = "int poly(int c, int x) { dynamicRegion key(c) (c) { return c * x + c; } }";
+        ok(
+            &engine,
+            &format!(
+                "{{\"op\":\"upload\",\"name\":\"poly\",\"src\":{}}}",
+                escape(src)
+            ),
+        );
+        ok(&engine, "{\"op\":\"tenant\",\"tenant\":\"plain\"}");
+        ok(
+            &engine,
+            "{\"op\":\"tenant\",\"tenant\":\"traced\",\"trace\":true}",
+        );
+        for i in 0..40u64 {
+            let name = escape(&format!(
+                "s{i} \"q\" back\\slash line\nbreak ctl\u{1}tab\té"
+            ));
+            let tenant = if i % 2 == 0 { "plain" } else { "traced" };
+            ok(
+                &engine,
+                &format!("{{\"op\":\"open\",\"tenant\":\"{tenant}\",\"program\":\"poly\",\"session\":{name}}}"),
+            );
+            // Region-profile lines exist only for sessions that ran.
+            if i % 4 != 0 {
+                ok(
+                    &engine,
+                    &format!(
+                        "{{\"op\":\"call\",\"session\":{name},\"func\":\"poly\",\"args\":[{i},3]}}"
+                    ),
+                );
+            }
+        }
+        let text = engine.metrics_text(None);
+        assert!(text
+            .contains("dynccd_region_stitches_total{session=\"s1 \"q\" back\\slash line\nbreak"));
+        let reply = engine.handle(b"{\"op\":\"metrics\"}");
+        assert_eq!(
+            reply,
+            format!("{{\"ok\":true,\"metrics\":{}}}", escape(&text))
+        );
+        let parsed = Json::parse(&reply).expect("the reply is JSON");
+        assert_eq!(
+            parsed.get("metrics").and_then(Json::as_str),
+            Some(text.as_str())
+        );
     }
 }
