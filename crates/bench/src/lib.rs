@@ -7,8 +7,9 @@
 //! Each kernel module provides the annotated MiniC source, reproducible
 //! workload generators, host-side reference implementations for
 //! cross-checking, and a `measure` function producing a [`KernelResult`]
-//! with the Table 2 quantities. The binaries (`table2`, `table3`,
-//! `regactions`, `ablation`) print the regenerated tables.
+//! with the Table 2 quantities. One binary, `bench <suite>`, runs every
+//! evaluation harness from the [`driver::SUITES`] registry; each suite
+//! builds its `BENCH_*.json` rows as [`row::Row`] field lists.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,15 +26,33 @@ pub mod kernels {
     pub mod spmv;
 }
 
-pub mod warmup;
+pub mod driver;
+pub mod row;
 
-/// Escape a string for a JSON literal (shared by the bench binaries —
-/// the workspace takes no external JSON dependency).
-pub use dyncomp::server::escape as json_str;
+mod suites {
+    //! The evaluation suites `bench` runs: one module per
+    //! [`crate::driver::SUITES`] entry, each a measurement loop with its
+    //! invariant checks.
+    pub mod ablation;
+    pub mod concurrent_throughput;
+    pub mod fault_sweep;
+    pub mod inline_bench;
+    pub mod load_gen;
+    pub mod native_comparison;
+    pub mod persist_bench;
+    pub mod regactions;
+    pub mod region_profile;
+    pub mod stitch_throughput;
+    pub mod table2;
+    pub mod table3;
+    pub mod warmup;
+}
+
 pub use dyncomp::KernelMeasurement;
 
-use dyncomp::server::Json;
-use dyncomp::{EngineOptions, Error, KernelSetup};
+use dyncomp::{Compiler, EngineOptions, Error, KernelSetup, Program};
+use row::{f4, Row};
+use std::sync::Arc;
 
 /// One measured Table 2 row.
 #[derive(Clone, Debug)]
@@ -74,49 +93,30 @@ impl KernelResult {
         )
     }
 
-    /// Render as one `BENCH_table2.json` object (hand-rolled JSON — the
-    /// workspace takes no external dependencies).
-    pub fn json_object(&self) -> String {
+    /// The `BENCH_table2.json` object for this row.
+    pub fn row(&self) -> Row {
         let m = &self.measurement;
-        let f = |v: f64| {
-            if v.is_finite() {
-                format!("{v:.4}")
-            } else {
-                "null".to_string()
-            }
-        };
-        let breakeven = match m.breakeven {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        };
-        let breakeven_units = match m.breakeven {
-            Some(b) => (b * self.unit_scale.max(1)).to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"name\": {}, \"config\": {}, \"unit\": {}, \"iterations\": {}, ",
-                "\"static_cycles\": {}, \"dynamic_cycles\": {}, \"speedup\": {}, ",
-                "\"breakeven\": {}, \"breakeven_units\": {}, ",
-                "\"setup_cycles\": {}, \"stitch_cycles\": {}, ",
-                "\"instructions_stitched\": {}, ",
-                "\"cycles_per_stitched_instruction\": {}, \"checksum\": {}}}"
-            ),
-            json_str(self.name),
-            json_str(&self.config),
-            json_str(self.unit),
-            m.iterations,
-            f(m.static_cycles),
-            f(m.dynamic_cycles),
-            f(m.speedup),
-            breakeven,
-            breakeven_units,
-            m.setup_cycles,
-            m.stitch_cycles,
-            m.instructions_stitched,
-            f(m.cycles_per_stitched_instruction),
-            m.checksum,
-        )
+        Row::new()
+            .field("name", self.name)
+            .field("config", self.config.as_str())
+            .field("unit", self.unit)
+            .field("iterations", m.iterations)
+            .field("static_cycles", f4(m.static_cycles))
+            .field("dynamic_cycles", f4(m.dynamic_cycles))
+            .field("speedup", f4(m.speedup))
+            .field("breakeven", m.breakeven)
+            .field(
+                "breakeven_units",
+                m.breakeven.map(|b| b * self.unit_scale.max(1)),
+            )
+            .field("setup_cycles", m.setup_cycles)
+            .field("stitch_cycles", m.stitch_cycles)
+            .field("instructions_stitched", m.instructions_stitched)
+            .field(
+                "cycles_per_stitched_instruction",
+                f4(m.cycles_per_stitched_instruction),
+            )
+            .field("checksum", m.checksum)
     }
 
     /// Render as one row of the Table 3 report.
@@ -164,6 +164,16 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// The workload's source compiled by `compiler`, ready to share
+    /// across sessions.
+    ///
+    /// # Panics
+    /// A paper kernel that does not compile is a bug in the harness.
+    pub fn compile(&self, compiler: &Compiler) -> Arc<Program> {
+        let program = compiler.compile(self.setup.src);
+        Arc::new(program.unwrap_or_else(|e| panic!("{} compiles: {e}", self.kernel)))
+    }
+
     /// Measure the workload the Table 2 way (static vs dynamic), the
     /// dynamic version under `options`.
     ///
@@ -238,118 +248,8 @@ pub fn run_all_with(scale: Scale, options: EngineOptions) -> Result<Vec<KernelRe
 /// Render every row as the machine-readable `BENCH_table2.json` document
 /// (a top-level array, one object per Table 2 row).
 pub fn render_table2_json(rows: &[KernelResult]) -> String {
-    let objects: Vec<String> = rows.iter().map(KernelResult::json_object).collect();
-    render_json_array(&objects)
-}
-
-/// Render pre-rendered JSON values as the `[\n  row,\n …]\n` array every
-/// committed `BENCH_*.json` uses: one row per line, so drift diffs by row.
-pub fn render_json_array<S: AsRef<str>>(rows: &[S]) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(row.as_ref());
-        if i + 1 < rows.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// The value following `flag` on a harness command line (`None` when
-/// the flag is absent). A flag without its value is a usage error: the
-/// process exits with status 2.
-pub fn flag_value(bin: &str, args: &[String], flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    Some(args.get(at + 1).cloned().unwrap_or_else(|| {
-        eprintln!("{bin}: {flag} needs a value");
-        std::process::exit(2);
-    }))
-}
-
-/// Where a drift-gated harness writes its `BENCH_*.json` (`--json
-/// <path>`) and which committed reference it is checked against
-/// (`--check <path>`). Parsed before the run, so a usage error costs
-/// nothing.
-pub struct Artifact {
-    bin: &'static str,
-    json_path: String,
-    check_path: Option<String>,
-}
-
-impl Artifact {
-    /// Read `--json` (falling back to `default_json`) and `--check` from
-    /// `args`; a flag without its path exits with status 2.
-    pub fn from_args(bin: &'static str, args: &[String], default_json: &str) -> Self {
-        Artifact {
-            bin,
-            json_path: flag_value(bin, args, "--json").unwrap_or_else(|| default_json.to_string()),
-            check_path: flag_value(bin, args, "--check"),
-        }
-    }
-
-    /// Validate `rendered` as JSON and write it; then, under `--check`,
-    /// compare it with the reference and exit 1 on any drift, printing
-    /// the differing rows. Without `deterministic` the comparison is
-    /// byte-for-byte (every field is simulated-deterministic); harnesses
-    /// that also report host wall-clock pass the function extracting each
-    /// row's deterministic fields, applied to both documents. An
-    /// unreadable reference exits with status 2.
-    pub fn write_and_check(&self, rendered: &str, deterministic: Option<fn(&str) -> Vec<String>>) {
-        let bin = self.bin;
-        if let Err(e) = Json::parse(rendered) {
-            eprintln!("{bin}: rendered document is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = std::fs::write(&self.json_path, rendered) {
-            eprintln!("{bin}: cannot write {}: {e}", self.json_path);
-            std::process::exit(1);
-        }
-        println!("wrote {}", self.json_path);
-        let Some(reference_path) = &self.check_path else {
-            return;
-        };
-        let reference = std::fs::read_to_string(reference_path).unwrap_or_else(|e| {
-            eprintln!("{bin}: cannot read reference {reference_path}: {e}");
-            std::process::exit(2);
-        });
-        let lines = |doc: &str| doc.lines().map(str::to_string).collect::<Vec<_>>();
-        let (matches, drifted, want, got) = match deterministic {
-            Some(fields) => (
-                "deterministic fields match",
-                "deterministic fields drifted",
-                fields(&reference),
-                fields(rendered),
-            ),
-            None => (
-                "matches",
-                "results drifted",
-                lines(&reference),
-                lines(rendered),
-            ),
-        };
-        let same = match deterministic {
-            Some(_) => want == got,
-            None => rendered == reference,
-        };
-        if same {
-            println!("check: {matches} {reference_path}");
-            return;
-        }
-        eprintln!("{bin}: {drifted} from {reference_path}:");
-        for (w, g) in want.iter().zip(&got) {
-            if w != g {
-                eprintln!("  - {w}");
-                eprintln!("  + {g}");
-            }
-        }
-        if want.len() != got.len() {
-            eprintln!("  ({} rows vs reference {})", got.len(), want.len());
-        }
-        std::process::exit(1);
-    }
+    let rows: Vec<Row> = rows.iter().map(KernelResult::row).collect();
+    row::render_json_array(&rows)
 }
 
 /// The Table 2 header line.

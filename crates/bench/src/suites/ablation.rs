@@ -14,18 +14,20 @@
 //! 5. **Keyed code-cache capacity** — bounding the per-region cache
 //!    trades stitch thrash for footprint; results stay identical.
 //!
-//! Usage: `cargo run --release -p dyncomp-bench --bin ablation [--smoke]`
+//! Usage: `bench ablation [--smoke]`
 
+use crate::driver::{Args, Report};
+use crate::kernels::{calculator, smatmul};
+use crate::Scale;
 use dyncomp::{
     measure_kernel_full, measure_kernel_with, CompileOptions, Compiler, Engine, EngineOptions,
-    KernelSetup, Session,
+    KernelSetup,
 };
 use dyncomp_analysis::AnalysisConfig;
-use dyncomp_bench::kernels::{calculator, smatmul, spmv};
 use dyncomp_stitcher::StitchCost;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(args: &Args) -> Report {
+    let smoke = matches!(args.scale, Scale::Smoke);
     let iters = if smoke { 80 } else { 1000 };
 
     println!("== Ablation 1: directive-interpreting stitcher vs fused fast path ==");
@@ -33,7 +35,7 @@ fn main() {
         let default = calculator::measure(iters).unwrap();
         let mut opts = EngineOptions::default();
         opts.stitch.cost = StitchCost::fused();
-        let setup = calc_setup(iters);
+        let setup = calculator::setup(iters);
         let fused = measure_kernel_with(&setup, opts).unwrap();
         let d = &default.measurement;
         println!(
@@ -85,7 +87,7 @@ fn main() {
         let rows = if smoke { 8 } else { 40 };
         let scalars = if smoke { 8 } else { 60 };
         let on = smatmul::measure(rows, 16, scalars).unwrap();
-        let setup = smatmul_setup(rows, 16, scalars);
+        let setup = smatmul::setup(rows, 16, scalars);
         let mut opts = EngineOptions::default();
         opts.stitch.peephole = false;
         let off = measure_kernel_with(&setup, opts).unwrap();
@@ -102,9 +104,9 @@ fn main() {
     println!();
     println!("== Ablation 4: reachability analysis on/off (calculator switches) ==");
     {
-        let setup = calc_setup(iters.min(300));
+        let setup = calculator::setup(iters.min(300));
         let with = measure_kernel_full(&setup, &Compiler::new(), EngineOptions::default()).unwrap();
-        let setup = calc_setup(iters.min(300));
+        let setup = calculator::setup(iters.min(300));
         let no_reach = Compiler::with_options(CompileOptions {
             analysis: AnalysisConfig {
                 use_reachability: false,
@@ -161,20 +163,7 @@ fn main() {
             );
         }
     }
-}
-
-fn calc_setup(iterations: u64) -> KernelSetup<'static> {
-    KernelSetup {
-        src: calculator::SRC,
-        func: "calc",
-        iterations,
-        prepare: Box::new(|e: &mut Session| vec![calculator::build_program(e)]),
-        args: Box::new(|i, p| {
-            let x = (i % 23) as i64 - 11;
-            let y = (i % 17) as i64 - 8;
-            vec![p[0], x as u64, y as u64]
-        }),
-    }
+    Report::default()
 }
 
 fn bigconst_setup(iterations: u64) -> KernelSetup<'static> {
@@ -193,33 +182,5 @@ fn bigconst_setup(iterations: u64) -> KernelSetup<'static> {
         iterations,
         prepare: Box::new(|_| vec![0x1234_5678_9ABC_DEF0u64]),
         args: Box::new(|i, p| vec![p[0], i]),
-    }
-}
-
-#[allow(dead_code)]
-fn spmv_setup(n: u64, per_row: u64, iterations: u64) -> KernelSetup<'static> {
-    KernelSetup {
-        src: spmv::SRC,
-        func: "spmv",
-        iterations,
-        prepare: Box::new(move |e: &mut Session| {
-            let m = spmv::gen_matrix(n, per_row, 42);
-            let (mp, xp, yp) = spmv::build(e, &m);
-            vec![mp, xp, yp]
-        }),
-        args: Box::new(|_, p| vec![p[0], p[1], p[2]]),
-    }
-}
-
-fn smatmul_setup(rows: u64, cols: u64, iterations: u64) -> KernelSetup<'static> {
-    KernelSetup {
-        src: smatmul::SRC,
-        func: "smatmul",
-        iterations,
-        prepare: Box::new(move |e: &mut Session| {
-            let (src, dst, len) = smatmul::build_matrices(e, rows, cols);
-            vec![src, dst, len]
-        }),
-        args: Box::new(|i, p| vec![i + 1, p[2], p[0], p[1]]),
     }
 }

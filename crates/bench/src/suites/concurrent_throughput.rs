@@ -14,12 +14,14 @@
 //! workers), where each session additionally owns a small host worker
 //! pool.
 //!
-//! Usage: `cargo run --release -p dyncomp-bench --bin concurrent_throughput [--smoke]`
+//! Usage: `bench concurrent_throughput [--smoke]`
 
+use crate::driver::{Args, Report};
+use crate::kernels::{calculator, dispatch, smatmul, sorter, spmv};
+use crate::Scale;
 use dyncomp::{
     run_session, Compiler, EngineOptions, KernelSetup, Program, SharedCodeCache, TieredOptions,
 };
-use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,28 +29,26 @@ use std::time::Instant;
 /// Sessions each thread-count configuration runs in total.
 const SESSIONS: usize = 24;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(args: &Args) -> Report {
     // Not `dyncomp_bench::table2_workloads`: every size here is run as
     // SESSIONS whole sessions per thread count per pass (hundreds of
     // replicas), so the sizes sit below the Table 2 rows of the same
     // scale — the unit measured is sessions per second, not a Table 2 row.
-    let workloads: Vec<(&str, KernelSetup<'static>)> = if smoke {
-        vec![
+    let workloads: Vec<(&str, KernelSetup<'static>)> = match args.scale {
+        Scale::Smoke => vec![
             ("calculator", calculator::setup(40)),
             ("smatmul", smatmul::setup(8, 16, 8)),
             ("spmv", spmv::setup(12, 3, 10)),
             ("dispatch", dispatch::setup(10, 30)),
             ("sorter", sorter::setup(40, 4, 3)),
-        ]
-    } else {
-        vec![
+        ],
+        Scale::Paper => vec![
             ("calculator", calculator::setup(400)),
             ("smatmul", smatmul::setup(32, 64, 32)),
             ("spmv", spmv::setup(64, 5, 60)),
             ("dispatch", dispatch::setup(10, 400)),
             ("sorter", sorter::setup(200, 4, 8)),
-        ]
+        ],
     };
 
     println!(
@@ -91,6 +91,7 @@ fn main() {
             }
         }
     }
+    Report::default()
 }
 
 /// How each ladder configures its sessions.

@@ -12,25 +12,30 @@
 //! records the checksum, the fault/recovery counters, and whether the
 //! checksum matched — any mismatch or unfired injection exits non-zero.
 //!
-//! Usage: `cargo run --release -p dyncomp-bench --bin fault_sweep
-//! [--smoke] [--json <path>] [--check <path>]`
+//! Usage: `bench fault_sweep [--smoke] [--json <path>] [--check <path>]`
 //!
-//! `--check <path>` compares the rendered JSON byte-for-byte against a
-//! committed reference (everything here is simulated-deterministic, so
-//! CI runs the sweep twice and diffs).
+//! Everything here is simulated-deterministic, so every field is gated:
+//! CI checks the sweep against the committed reference, then runs it
+//! again and diffs.
 
+use crate::driver::{Args, Report};
+use crate::kernel_workloads;
+use crate::row::Row;
 use dyncomp::{
     Compiler, EngineOptions, FaultPlan, FaultPoint, KernelSetup, PersistentCache, Program, Session,
     SessionRun, SharedCodeCache, TieredOptions,
 };
-use dyncomp_bench::{json_str, kernel_workloads, render_json_array, Artifact, Scale};
 use std::sync::Arc;
 
 /// Run the workload twice over on a fresh session (two passes, so every
 /// keyed region re-enters each key at least once — background jobs get
 /// resolved and re-entry fault points get an opportunity) and keep the
 /// session for health inspection.
-fn run(program: &Arc<Program>, setup: &KernelSetup<'_>, options: EngineOptions) -> (u64, Session) {
+fn run_twice(
+    program: &Arc<Program>,
+    setup: &KernelSetup<'_>,
+    options: EngineOptions,
+) -> (u64, Session) {
     let mut run = SessionRun::start(program, setup, options);
     for _pass in 0..2 {
         run.pass(|_, _| {})
@@ -57,17 +62,11 @@ fn options_for(point: FaultPoint, warmed: &Arc<SharedCodeCache>) -> EngineOption
         FaultPoint::SharedCacheInstall | FaultPoint::SharedCachePoisonedShard => {
             options.shared_cache = Some(Arc::clone(warmed));
         }
-        // The native arena can only be exhausted with the native backend
-        // requested; the fault fires before the availability check, so
-        // this row is exercised on every host.
-        FaultPoint::NativeArenaExhausted => {
-            options.native = true;
-        }
-        // Chain-patch faults need chain requests, which need the native
-        // backend requested (chaining is on by default). The fault fires
-        // in `request_chain` before any backend-availability check, so
-        // this row too is exercised on every host.
-        FaultPoint::NativeChainPatch => {
+        // The native arena can only be exhausted, and chain patches only
+        // requested (chaining is on by default), with the native backend
+        // requested. Both faults fire before any backend-availability
+        // check, so these rows are exercised on every host.
+        FaultPoint::NativeArenaExhausted | FaultPoint::NativeChainPatch => {
             options.native = true;
         }
         _ => {}
@@ -75,48 +74,8 @@ fn options_for(point: FaultPoint, warmed: &Arc<SharedCodeCache>) -> EngineOption
     options
 }
 
-struct Row {
-    kernel: &'static str,
-    point: FaultPoint,
-    checksum: u64,
-    matches: bool,
-    faults_injected: u64,
-    retries: u64,
-    failures: u64,
-    quarantined: usize,
-    fallback_runs: u64,
-    stitches: u64,
-}
-
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"kernel\": {}, \"point\": {}, \"checksum\": {}, ",
-                "\"matches_reference\": {}, \"faults_injected\": {}, ",
-                "\"retries\": {}, \"failures\": {}, \"quarantined\": {}, ",
-                "\"fallback_runs\": {}, \"stitches\": {}}}"
-            ),
-            json_str(self.kernel),
-            json_str(self.point.name()),
-            self.checksum,
-            self.matches,
-            self.faults_injected,
-            self.retries,
-            self.failures,
-            self.quarantined,
-            self.fallback_runs,
-            self.stitches,
-        )
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let artifact = Artifact::from_args("fault_sweep", &args, "BENCH_fault_sweep.json");
-
-    let scale = if smoke { Scale::Smoke } else { Scale::Paper };
+pub fn run(args: &Args) -> Report {
+    let scale = args.scale;
     println!("Fault sweep: every fault point x every kernel ({scale:?} scale)");
     println!(
         "{:<12} | {:<24} | {:<20} | {:>7} | {:>7} | {:>8} | {:>6} | {:>8} | {:>8} | match",
@@ -137,12 +96,8 @@ fn main() {
     for w in kernel_workloads(scale) {
         // One program per kernel, compiled with static fallback copies so
         // quarantine and worker faults have somewhere to degrade to.
-        let program = Arc::new(
-            Compiler::tiered()
-                .compile(w.setup.src)
-                .unwrap_or_else(|e| panic!("{} compiles: {e}", w.kernel)),
-        );
-        let (reference, _) = run(&program, &w.setup, EngineOptions::default());
+        let program = w.compile(&Compiler::tiered());
+        let (reference, _) = run_twice(&program, &w.setup, EngineOptions::default());
 
         // Warm a shared cache for the shared-cache fault points, so the
         // faulted session actually probes populated shards.
@@ -151,7 +106,7 @@ fn main() {
             shared_cache: Some(Arc::clone(&warmed)),
             ..EngineOptions::default()
         };
-        let (warm_checksum, _) = run(&program, &w.setup, warm_options);
+        let (warm_checksum, _) = run_twice(&program, &w.setup, warm_options);
         assert_eq!(warm_checksum, reference, "warming changes no result");
 
         for point in FaultPoint::ALL {
@@ -187,7 +142,7 @@ fn main() {
                         persist: Some(Arc::clone(&cache)),
                         ..EngineOptions::default()
                     };
-                    let (populate_checksum, _) = run(&program, &w.setup, populate);
+                    let (populate_checksum, _) = run_twice(&program, &w.setup, populate);
                     assert_eq!(
                         populate_checksum, reference,
                         "persist population changes no result"
@@ -198,7 +153,7 @@ fn main() {
             } else {
                 None
             };
-            let (checksum, session) = run(&program, &w.setup, options);
+            let (checksum, session) = run_twice(&program, &w.setup, options);
             if let Some(root) = &persist_root {
                 let _ = std::fs::remove_dir_all(root);
             }
@@ -241,25 +196,24 @@ fn main() {
                 stitches,
                 if matches { "ok" } else { "DRIFT" },
             );
-            rows.push(Row {
-                kernel: w.kernel,
-                point,
-                checksum,
-                matches,
-                faults_injected: health.faults_injected,
-                retries: health.retries,
-                failures: health.total_failures,
-                quarantined: health.quarantined.len(),
-                fallback_runs,
-                stitches,
-            });
+            rows.push(
+                Row::new()
+                    .field("kernel", w.kernel)
+                    .field("point", point.name())
+                    .field("checksum", checksum)
+                    .field("matches_reference", matches)
+                    .field("faults_injected", health.faults_injected)
+                    .field("retries", health.retries)
+                    .field("failures", health.total_failures)
+                    .field("quarantined", health.quarantined.len())
+                    .field("fallback_runs", fallback_runs)
+                    .field("stitches", stitches),
+            );
         }
     }
 
-    let objects: Vec<String> = rows.iter().map(Row::json).collect();
-    artifact.write_and_check(&render_json_array(&objects), None);
-    if bad > 0 {
-        eprintln!("fault_sweep: {bad} violation(s) of the robustness invariant");
-        std::process::exit(1);
+    Report {
+        rows,
+        violations: bad,
     }
 }

@@ -23,81 +23,19 @@
 //! Everything is simulated-deterministic: CI runs the bench twice and
 //! diffs the JSON (`--check`).
 //!
-//! Usage: `cargo run --release -p dyncomp-bench --bin persist_bench
-//! [--smoke] [--json <path>] [--check <path>] [--dir <path>]`
+//! Usage: `bench persist_bench [--smoke] [--json <path>] [--check <path>]
+//! [--dir <path>]`
 //!
 //! `--dir` overrides the working directory for the on-disk cache
 //! (default: a pid-keyed directory under the OS temp dir, wiped at
 //! start and removed at exit).
 
+use crate::driver::{Args, Report};
+use crate::kernel_workloads;
+use crate::row::Row;
 use dyncomp::measure::{run_session_trace, SessionTrace};
 use dyncomp::{Compiler, EngineOptions, PersistentCache, Program};
-use dyncomp_bench::{flag_value, json_str, kernel_workloads, render_json_array, Artifact, Scale};
 use std::sync::Arc;
-
-/// One kernel × mode row of `BENCH_persist.json`.
-struct Row {
-    kernel: &'static str,
-    /// `"cold"` (populating a wiped directory) or `"warm"` (a reopened
-    /// cache in a fresh session).
-    mode: &'static str,
-    iterations: u64,
-    /// Cycles of invocation 1.
-    time_to_first_result: u64,
-    /// Least `n` where cumulative cycles drop to the static baseline's
-    /// (`None`: not within the measured invocations).
-    effective_breakeven: Option<u64>,
-    checksum: u64,
-    artifact_loaded: bool,
-    instance_hits: u64,
-    instance_stores: u64,
-    instance_rejects: u64,
-    /// Checksum and (for cold) the full cycle trace match the
-    /// no-persist baseline.
-    matches_baseline: bool,
-}
-
-impl Row {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"kernel\": {}, \"mode\": {}, \"iterations\": {}, ",
-                "\"time_to_first_result\": {}, \"effective_breakeven\": {}, ",
-                "\"checksum\": {}, \"artifact_loaded\": {}, ",
-                "\"instance_hits\": {}, \"instance_stores\": {}, ",
-                "\"instance_rejects\": {}, \"matches_baseline\": {}}}"
-            ),
-            json_str(self.kernel),
-            json_str(self.mode),
-            self.iterations,
-            self.time_to_first_result,
-            self.effective_breakeven
-                .map_or("null".to_string(), |x| x.to_string()),
-            self.checksum,
-            self.artifact_loaded,
-            self.instance_hits,
-            self.instance_stores,
-            self.instance_rejects,
-            self.matches_baseline,
-        )
-    }
-
-    fn table(&self) -> String {
-        format!(
-            "{:<12} {:<5} | {:>12} | {:>9} | {:>20} | {:>5} hit {:>5} store {:>3} rej | {}",
-            self.kernel,
-            self.mode,
-            self.time_to_first_result,
-            self.effective_breakeven
-                .map_or("never".to_string(), |x| x.to_string()),
-            self.checksum,
-            self.instance_hits,
-            self.instance_stores,
-            self.instance_rejects,
-            if self.matches_baseline { "ok" } else { "DRIFT" },
-        )
-    }
-}
 
 /// Least `n` with `Σ trace(1..=n) ≤ Σ static(1..=n)`.
 fn breakeven(trace: &SessionTrace, static_trace: &SessionTrace) -> Option<u64> {
@@ -125,17 +63,12 @@ fn persist_options(cache: &Arc<PersistentCache>) -> EngineOptions {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let artifact = Artifact::from_args("persist_bench", &args, "BENCH_persist.json");
-    let work_dir = flag_value("persist_bench", &args, "--dir")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("dyncomp-persist-bench-{}", std::process::id()))
-        });
-
-    let scale = if smoke { Scale::Smoke } else { Scale::Paper };
+pub fn run(args: &Args) -> Report {
+    let work_dir = args.value(
+        "--dir",
+        std::env::temp_dir().join(format!("dyncomp-persist-bench-{}", std::process::id())),
+    );
+    let scale = args.scale;
     println!("Persistent-cache warm start: cold populate vs reopened cache ({scale:?} scale)");
     println!(
         "{:<12} {:<5} | {:>12} | {:>9} | {:>20} | persist counters",
@@ -146,21 +79,13 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut bad = 0u32;
     for w in kernel_workloads(scale) {
+        let compiler = Compiler::new();
+        let static_prog = w.compile(&Compiler::static_baseline());
+        let baseline_prog = w.compile(&compiler);
         let (kernel, setup) = (w.kernel, w.setup);
-        let static_prog = Arc::new(
-            Compiler::static_baseline()
-                .compile(setup.src)
-                .unwrap_or_else(|e| panic!("{kernel} compiles statically: {e}")),
-        );
         let static_trace = run_session_trace(&static_prog, &setup, EngineOptions::default())
             .unwrap_or_else(|e| panic!("{kernel} static baseline runs: {e}"));
 
-        let compiler = Compiler::new();
-        let baseline_prog = Arc::new(
-            compiler
-                .compile(setup.src)
-                .unwrap_or_else(|e| panic!("{kernel} compiles: {e}")),
-        );
         let baseline = run_session_trace(&baseline_prog, &setup, EngineOptions::default())
             .unwrap_or_else(|e| panic!("{kernel} baseline runs: {e}"));
 
@@ -234,44 +159,44 @@ fn main() {
         }
         let _ = std::fs::remove_dir_all(&root);
 
-        for row in [
-            Row {
-                kernel,
-                mode: "cold",
-                iterations: cold.per_call_cycles.len() as u64,
-                time_to_first_result: cold_first,
-                effective_breakeven: breakeven(&cold, &static_trace),
-                checksum: cold.outcome.checksum,
-                artifact_loaded: cold_loaded,
-                instance_hits: cold_stats.instance_hits,
-                instance_stores: cold_stats.instance_stores,
-                instance_rejects: cold_stats.instance_rejects,
-                matches_baseline: cold_ok,
-            },
-            Row {
-                kernel,
-                mode: "warm",
-                iterations: warm.per_call_cycles.len() as u64,
-                time_to_first_result: warm_first,
-                effective_breakeven: breakeven(&warm, &static_trace),
-                checksum: warm.outcome.checksum,
-                artifact_loaded: warm_loaded,
-                instance_hits: warm_stats.instance_hits,
-                instance_stores: warm_stats.instance_stores,
-                instance_rejects: warm_stats.instance_rejects,
-                matches_baseline: warm_ok,
-            },
+        // `"cold"` populated the wiped directory; `"warm"` is the reopened
+        // cache in a fresh session. `matches_baseline`: the checksum and
+        // (for cold) the full cycle trace match the no-persist baseline.
+        for (mode, trace, loaded, stats, ok) in [
+            ("cold", &cold, cold_loaded, cold_stats, cold_ok),
+            ("warm", &warm, warm_loaded, warm_stats, warm_ok),
         ] {
-            println!("{}", row.table());
-            rows.push(row);
+            let first = trace.per_call_cycles.first().copied().unwrap_or(0);
+            let breakeven = breakeven(trace, &static_trace);
+            println!(
+                "{kernel:<12} {mode:<5} | {first:>12} | {:>9} | {:>20} | {:>5} hit {:>5} store {:>3} rej | {}",
+                breakeven.map_or("never".to_string(), |x| x.to_string()),
+                trace.outcome.checksum,
+                stats.instance_hits,
+                stats.instance_stores,
+                stats.instance_rejects,
+                if ok { "ok" } else { "DRIFT" },
+            );
+            rows.push(
+                Row::new()
+                    .field("kernel", kernel)
+                    .field("mode", mode)
+                    .field("iterations", trace.per_call_cycles.len())
+                    .field("time_to_first_result", first)
+                    .field("effective_breakeven", breakeven)
+                    .field("checksum", trace.outcome.checksum)
+                    .field("artifact_loaded", loaded)
+                    .field("instance_hits", stats.instance_hits)
+                    .field("instance_stores", stats.instance_stores)
+                    .field("instance_rejects", stats.instance_rejects)
+                    .field("matches_baseline", ok),
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&work_dir);
 
-    let objects: Vec<String> = rows.iter().map(Row::json).collect();
-    artifact.write_and_check(&render_json_array(&objects), None);
-    if bad > 0 {
-        eprintln!("persist_bench: {bad} violation(s) of the warm-start invariants");
-        std::process::exit(1);
+    Report {
+        rows,
+        violations: bad,
     }
 }

@@ -3,15 +3,16 @@
 //! allocates constant-offset array elements (the operand stack) to
 //! registers.
 //!
-//! Usage: `cargo run --release -p dyncomp-bench --bin regactions [--smoke]`
+//! Usage: `bench regactions [--smoke]`
 
-use dyncomp_bench::kernels::calculator;
+use crate::driver::{Args, Report};
+use crate::kernels::calculator;
+use crate::Scale;
 
-fn main() {
-    let iters = if std::env::args().any(|a| a == "--smoke") {
-        100
-    } else {
-        2000
+pub fn run(args: &Args) -> Report {
+    let iters = match args.scale {
+        Scale::Smoke => 100,
+        Scale::Paper => 2000,
     };
     println!("Register actions experiment (calculator, {iters} interpretations)");
     println!();
@@ -43,6 +44,7 @@ fn main() {
         "speedup improvement factor: {:.2}x -> {:.2}x (paper: 1.7x -> 4.1x)",
         base.measurement.speedup, ra.measurement.speedup
     );
+    Report::default()
 }
 
 fn die<T>(e: dyncomp::Error) -> T {

@@ -1,16 +1,13 @@
 //! Regenerate the paper's **Table 3**: which optimizations were applied
 //! dynamically, per benchmark.
 //!
-//! Usage: `cargo run --release -p dyncomp-bench --bin table3 [--smoke]`
+//! Usage: `bench table3 [--smoke]`
 
-use dyncomp_bench::{run_all, table3_header, Scale};
+use crate::driver::{Args, Report};
+use crate::{run_all, table3_header};
 
-fn main() {
-    let scale = if std::env::args().any(|a| a == "--smoke") {
-        Scale::Smoke
-    } else {
-        Scale::Paper
-    };
+pub fn run(args: &Args) -> Report {
+    let scale = args.scale;
     println!("Table 3: Optimizations Applied Dynamically ({scale:?} scale)");
     println!("{}", table3_header());
     println!("{}", "-".repeat(90));
@@ -28,4 +25,5 @@ fn main() {
     println!();
     println!("Columns: constant folding, static branch elimination, load elimination,");
     println!("dead code elimination, complete loop unrolling, strength reduction.");
+    Report::default()
 }

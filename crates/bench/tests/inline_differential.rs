@@ -82,7 +82,7 @@ fn paper_kernel_artifacts_identical_with_pass_enabled() {
 
 /// The default compiler (depth 0) must keep the Table 2 rows exactly
 /// reproducible — the smoke-scale analogue of CI's paper-scale
-/// `table2 --check BENCH_table2.json` drift gate.
+/// `bench table2 --check BENCH_table2.json` drift gate.
 #[test]
 fn default_mode_table2_rows_are_deterministic() {
     let a = render_table2_json(&run_all(Scale::Smoke).unwrap());

@@ -18,7 +18,7 @@ const USAGE: &str =
     "usage: dynccd --listen ADDR [--workers N] [--idle-timeout MS] [--persist-root DIR]\n\
     \n\
     \t--listen ADDR       TCP listen address (e.g. 127.0.0.1:7878; port 0 picks a free one)\n\
-    \t--workers N         worker threads in the shared pool (default: host parallelism)\n\
+    \t--workers N         frames executed at once (default: host parallelism)\n\
     \t--idle-timeout MS   close a connection after MS milliseconds with no frame\n\
     \t                    activity (0 disables, the default; sessions survive reaping)\n\
     \t--persist-root DIR  root directory for the crash-safe artifact and stitched-code\n\

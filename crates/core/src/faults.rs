@@ -333,10 +333,11 @@ pub struct RecoveryPolicy {
     /// are disabled (interpretive stitching); at the full budget,
     /// regions with a fallback copy stop installing new code.
     pub code_budget_bytes: Option<u64>,
-    /// Capacity of the bounded failure ring behind
-    /// [`crate::Session::health`]; older records are dropped (counted).
-    pub failure_log: usize,
 }
+
+/// Capacity of the bounded failure ring behind
+/// [`crate::Session::health`]; older records are dropped (counted).
+pub const FAILURE_LOG: usize = 64;
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
@@ -344,7 +345,6 @@ impl Default for RecoveryPolicy {
             max_retries: 2,
             quarantine_after: 4,
             code_budget_bytes: None,
-            failure_log: 64,
         }
     }
 }
@@ -420,7 +420,7 @@ pub struct FailureRecord {
 #[derive(Clone, Debug)]
 pub struct HealthReport {
     /// The retained failure records, oldest first (bounded by
-    /// [`RecoveryPolicy::failure_log`]).
+    /// [`FAILURE_LOG`]).
     pub failures: Vec<FailureRecord>,
     /// Total failures ever recorded (including dropped records).
     pub total_failures: u64,
@@ -481,7 +481,7 @@ impl RecoveryState {
     pub(crate) fn record(&mut self, rec: FailureRecord) -> bool {
         let region = rec.region as usize;
         self.total += 1;
-        if self.ring.len() >= self.policy.failure_log.max(1) {
+        if self.ring.len() >= FAILURE_LOG {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -622,7 +622,6 @@ mod tests {
     fn recovery_ring_is_bounded_and_quarantines() {
         let mut r = RecoveryState::new(
             RecoveryPolicy {
-                failure_log: 2,
                 quarantine_after: 3,
                 ..RecoveryPolicy::default()
             },
@@ -641,10 +640,14 @@ mod tests {
         assert!(!r.record(rec(0)), "only the crossing reports true");
         assert!(r.is_quarantined(0));
         assert!(!r.is_quarantined(1));
+        // One record more than the ring holds: the oldest is dropped.
+        for _ in 4..=FAILURE_LOG {
+            r.record(rec(0));
+        }
         let h = r.report();
-        assert_eq!(h.failures.len(), 2);
-        assert_eq!(h.total_failures, 4);
-        assert_eq!(h.dropped, 2);
+        assert_eq!(h.failures.len(), FAILURE_LOG);
+        assert_eq!(h.total_failures, FAILURE_LOG as u64 + 1);
+        assert_eq!(h.dropped, 1);
         assert_eq!(h.quarantined, vec![0]);
     }
 

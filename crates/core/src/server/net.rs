@@ -103,8 +103,8 @@ impl Server {
     /// Serve until a `shutdown` request is accepted, then drain
     /// gracefully: the listener stops accepting, every connection
     /// handler finishes its in-flight frame (the 200 ms read tick means
-    /// even idle handlers notice within one tick) and is joined, and the
-    /// worker pool is shut down. Persistent-cache writes need no extra
+    /// even idle handlers notice within one tick) and is joined (the pool
+    /// owns no thread of its own). Persistent-cache writes need no extra
     /// flushing — every store is synchronous (temp file + fsync +
     /// rename) inside the call that produced it, so joining the handlers
     /// is the flush. Blocks the calling thread.
@@ -135,10 +135,6 @@ impl Server {
         }
         for h in handlers {
             let _ = h.join();
-        }
-        match Arc::try_unwrap(self.pool) {
-            Ok(pool) => pool.shutdown(),
-            Err(_still_shared) => {}
         }
     }
 }

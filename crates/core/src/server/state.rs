@@ -140,7 +140,7 @@ struct Inner {
 }
 
 /// The transport-independent server core. Thread-safe: connection
-/// handlers and pool workers share one `Arc<ServerEngine>`.
+/// handlers share one `Arc<ServerEngine>`.
 pub struct ServerEngine {
     inner: Mutex<Inner>,
     calls_total: AtomicU64,
@@ -645,7 +645,6 @@ impl ServerEngine {
         if let Some(p) = pool {
             line("dynccd_pool_workers", "", p.workers as u64);
             line("dynccd_pool_jobs_executed_total", "", p.executed);
-            line("dynccd_pool_jobs_stolen_total", "", p.stolen);
             line("dynccd_pool_jobs_inflight", "", p.inflight);
         }
         let mut tenants: Vec<(&String, &Tenant)> = inner.tenants.iter().collect();

@@ -77,9 +77,90 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// The event taxonomy: one variant per region-lifecycle transition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind {
+/// How a field of an event prints as a JSON value.
+trait FieldJson {
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! field_json_display {
+    ($($ty:ty),*) => {
+        $(impl FieldJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        })*
+    };
+}
+
+field_json_display!(bool, u8, u32, u64);
+
+impl FieldJson for FaultPoint {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.name());
+    }
+}
+
+/// Declare the event list once: each `Name { region, fields… }` row
+/// becomes an [`EventKind`] variant, its arm of [`EventKind::region`] and
+/// [`EventKind::name`] (the variant's name, verbatim), and its arm of
+/// [`event_fields`] — the `,"region":N,"field":value…` pairs, in
+/// declaration order, that the JSONL and Chrome exports share. What an
+/// event *means* is not a list and stays hand-written:
+/// `TraceState::aggregate`, and Chrome's two span cases.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident {
+            $(#[$region_doc:meta])*
+            region: u16
+            $(, $(#[$field_doc:meta])* $field:ident: $ty:ty)* $(,)?
+        }
+    ),* $(,)?) => {
+        /// The event taxonomy: one variant per region-lifecycle transition.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        pub enum EventKind {
+            $(
+                $(#[$doc])*
+                $name {
+                    $(#[$region_doc])*
+                    region: u16,
+                    $($(#[$field_doc])* $field: $ty,)*
+                }
+            ),*
+        }
+
+        impl EventKind {
+            /// The region this event belongs to.
+            pub fn region(&self) -> u16 {
+                match *self {
+                    $(EventKind::$name { region, .. } => region),*
+                }
+            }
+
+            /// Stable event name (JSONL `event` field, Chrome `name`).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$name { .. } => stringify!($name)),*
+                }
+            }
+        }
+
+        /// Append the `,"key":value` pairs specific to the event kind.
+        fn event_fields(kind: &EventKind, out: &mut String) {
+            match *kind {
+                $(EventKind::$name { region $(, $field)* } => {
+                    let _ = write!(out, ",\"region\":{region}");
+                    $(
+                        let _ = write!(out, ",\"{}\":", stringify!($field));
+                        $field.write_json(out);
+                    )*
+                })*
+            }
+        }
+    };
+}
+
+events! {
     /// An `EnterRegion` trap was serviced (patched-away unkeyed entries
     /// bypass the trap and are deliberately not traced — they are plain
     /// branches, invisible to the runtime).
@@ -323,80 +404,6 @@ pub enum EventKind {
         /// Region number.
         region: u16,
     },
-}
-
-impl EventKind {
-    /// The region this event belongs to.
-    pub fn region(&self) -> u16 {
-        match *self {
-            EventKind::RegionEnter { region, .. }
-            | EventKind::KeyedLookup { region, .. }
-            | EventKind::KeyedEvict { region }
-            | EventKind::SetupStart { region }
-            | EventKind::SetupEnd { region, .. }
-            | EventKind::StitchStart { region }
-            | EventKind::StitchEnd { region, .. }
-            | EventKind::Inlined { region, .. }
-            | EventKind::PlanPatch { region, .. }
-            | EventKind::CacheLookup { region, .. }
-            | EventKind::CacheInstall { region, .. }
-            | EventKind::CacheEvict { region, .. }
-            | EventKind::TierDispatch { region }
-            | EventKind::FallbackRun { region }
-            | EventKind::BgReady { region, .. }
-            | EventKind::BgFailed { region, .. }
-            | EventKind::BgInstall { region, .. }
-            | EventKind::SpeculateIssue { region }
-            | EventKind::SpeculateHit { region }
-            | EventKind::SpeculateWaste { region, .. }
-            | EventKind::FaultInjected { region, .. }
-            | EventKind::RecoveryRetry { region, .. }
-            | EventKind::Quarantined { region }
-            | EventKind::VerifyReject { region }
-            | EventKind::BudgetDegrade { region, .. }
-            | EventKind::NativeChained { region, .. }
-            | EventKind::NativeUnchained { region }
-            | EventKind::PersistLookup { region, .. }
-            | EventKind::PersistInstall { region, .. }
-            | EventKind::PersistReject { region } => region,
-        }
-    }
-
-    /// Stable event name (JSONL `event` field, Chrome `name`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::RegionEnter { .. } => "RegionEnter",
-            EventKind::KeyedLookup { .. } => "KeyedLookup",
-            EventKind::KeyedEvict { .. } => "KeyedEvict",
-            EventKind::SetupStart { .. } => "SetupStart",
-            EventKind::SetupEnd { .. } => "SetupEnd",
-            EventKind::StitchStart { .. } => "StitchStart",
-            EventKind::StitchEnd { .. } => "StitchEnd",
-            EventKind::Inlined { .. } => "Inlined",
-            EventKind::PlanPatch { .. } => "PlanPatch",
-            EventKind::CacheLookup { .. } => "CacheLookup",
-            EventKind::CacheInstall { .. } => "CacheInstall",
-            EventKind::CacheEvict { .. } => "CacheEvict",
-            EventKind::TierDispatch { .. } => "TierDispatch",
-            EventKind::FallbackRun { .. } => "FallbackRun",
-            EventKind::BgReady { .. } => "BgReady",
-            EventKind::BgFailed { .. } => "BgFailed",
-            EventKind::BgInstall { .. } => "BgInstall",
-            EventKind::SpeculateIssue { .. } => "SpeculateIssue",
-            EventKind::SpeculateHit { .. } => "SpeculateHit",
-            EventKind::SpeculateWaste { .. } => "SpeculateWaste",
-            EventKind::FaultInjected { .. } => "FaultInjected",
-            EventKind::RecoveryRetry { .. } => "RecoveryRetry",
-            EventKind::Quarantined { .. } => "Quarantined",
-            EventKind::VerifyReject { .. } => "VerifyReject",
-            EventKind::BudgetDegrade { .. } => "BudgetDegrade",
-            EventKind::NativeChained { .. } => "NativeChained",
-            EventKind::NativeUnchained { .. } => "NativeUnchained",
-            EventKind::PersistLookup { .. } => "PersistLookup",
-            EventKind::PersistInstall { .. } => "PersistInstall",
-            EventKind::PersistReject { .. } => "PersistReject",
-        }
-    }
 }
 
 /// Log₂-bucketed cycle histogram: bucket 0 counts zero-cycle samples,
@@ -831,123 +838,6 @@ fn jsonl_line(e: &TraceEvent, out: &mut String) {
     let _ = write!(out, ",\"event\":\"{}\"", e.kind.name());
     event_fields(&e.kind, out);
     out.push('}');
-}
-
-/// Append the `,"key":value` pairs specific to the event kind.
-fn event_fields(kind: &EventKind, out: &mut String) {
-    let _ = match *kind {
-        EventKind::RegionEnter { region, keyed } => {
-            write!(out, ",\"region\":{region},\"keyed\":{keyed}")
-        }
-        EventKind::KeyedLookup { region, hit } => {
-            write!(out, ",\"region\":{region},\"hit\":{hit}")
-        }
-        EventKind::KeyedEvict { region }
-        | EventKind::SetupStart { region }
-        | EventKind::StitchStart { region }
-        | EventKind::TierDispatch { region }
-        | EventKind::FallbackRun { region }
-        | EventKind::SpeculateIssue { region }
-        | EventKind::SpeculateHit { region } => write!(out, ",\"region\":{region}"),
-        EventKind::SetupEnd { region, cycles } => {
-            write!(out, ",\"region\":{region},\"cycles\":{cycles}")
-        }
-        EventKind::StitchEnd {
-            region,
-            cycles,
-            instructions,
-            holes_inline,
-            holes_big,
-            const_branches,
-            loop_iterations,
-            plan_hits,
-            plan_misses,
-        } => write!(
-            out,
-            ",\"region\":{region},\"cycles\":{cycles},\"instructions\":{instructions},\
-             \"holes_inline\":{holes_inline},\"holes_big\":{holes_big},\
-             \"const_branches\":{const_branches},\"loop_iterations\":{loop_iterations},\
-             \"plan_hits\":{plan_hits},\"plan_misses\":{plan_misses}"
-        ),
-        EventKind::Inlined {
-            region,
-            callee,
-            depth,
-        } => write!(
-            out,
-            ",\"region\":{region},\"callee\":{callee},\"depth\":{depth}"
-        ),
-        EventKind::PlanPatch {
-            region,
-            word,
-            value,
-        } => write!(
-            out,
-            ",\"region\":{region},\"word\":{word},\"value\":{value}"
-        ),
-        EventKind::CacheLookup { region, hit } => {
-            write!(out, ",\"region\":{region},\"hit\":{hit}")
-        }
-        EventKind::CacheInstall { region, words } => {
-            write!(out, ",\"region\":{region},\"words\":{words}")
-        }
-        EventKind::CacheEvict { region, count } => {
-            write!(out, ",\"region\":{region},\"count\":{count}")
-        }
-        EventKind::BgReady {
-            region,
-            speculative,
-        } => write!(out, ",\"region\":{region},\"speculative\":{speculative}"),
-        EventKind::BgFailed { region, panicked } => {
-            write!(out, ",\"region\":{region},\"panicked\":{panicked}")
-        }
-        EventKind::BgInstall {
-            region,
-            words,
-            speculative,
-            setup_cycles,
-            stitch_cycles,
-        } => write!(
-            out,
-            ",\"region\":{region},\"words\":{words},\"speculative\":{speculative},\
-             \"setup_cycles\":{setup_cycles},\"stitch_cycles\":{stitch_cycles}"
-        ),
-        EventKind::SpeculateWaste { region, wasted } => {
-            write!(out, ",\"region\":{region},\"wasted\":{wasted}")
-        }
-        EventKind::FaultInjected { region, point } => {
-            write!(out, ",\"region\":{region},\"point\":\"{}\"", point.name())
-        }
-        EventKind::RecoveryRetry {
-            region,
-            attempt,
-            backoff,
-        } => write!(
-            out,
-            ",\"region\":{region},\"attempt\":{attempt},\"backoff\":{backoff}"
-        ),
-        EventKind::Quarantined { region } | EventKind::VerifyReject { region } => {
-            write!(out, ",\"region\":{region}")
-        }
-        EventKind::BudgetDegrade { region, level } => {
-            write!(out, ",\"region\":{region},\"level\":{level}")
-        }
-        EventKind::NativeChained { region, count } => {
-            write!(out, ",\"region\":{region},\"count\":{count}")
-        }
-        EventKind::NativeUnchained { region } => {
-            write!(out, ",\"region\":{region}")
-        }
-        EventKind::PersistLookup { region, hit } => {
-            write!(out, ",\"region\":{region},\"hit\":{hit}")
-        }
-        EventKind::PersistInstall { region, words } => {
-            write!(out, ",\"region\":{region},\"words\":{words}")
-        }
-        EventKind::PersistReject { region } => {
-            write!(out, ",\"region\":{region}")
-        }
-    };
 }
 
 fn chrome_event(e: &TraceEvent, out: &mut String) {

@@ -41,6 +41,10 @@ use dyncomp_machine::isa::{decode, encode, Format, Inst, Op, Operand, LIN, SCRAT
 use dyncomp_machine::template::{HoleField, LoopMarker, RegionCode, StitchPlan, TmplExit};
 use std::fmt;
 
+/// Upper bound on stitched blocks per instance: runaway-unrolling
+/// protection ([`StitchError::UnrollBudget`]).
+pub const MAX_BLOCKS: usize = 200_000;
+
 /// Stitching options (ablations).
 #[derive(Clone, Debug)]
 pub struct StitchOptions {
@@ -52,8 +56,6 @@ pub struct StitchOptions {
     pub linearized_table: bool,
     /// Cost model.
     pub cost: StitchCost,
-    /// Upper bound on stitched blocks (unrolling runaway protection).
-    pub max_blocks: usize,
     /// Apply the §5 *register actions* extension, promoting up to this
     /// many constant-address memory locations into a register bank.
     /// **Only sound when the promoted memory is scratch** (dead outside
@@ -79,7 +81,6 @@ impl Default for StitchOptions {
             peephole: true,
             linearized_table: true,
             cost: StitchCost::default(),
-            max_blocks: 200_000,
             register_actions: None,
             plans: true,
             record_patches: false,
@@ -610,7 +611,7 @@ impl Stitcher<'_> {
                 self.emit(Inst::branch(Op::Br, ZERO, disp as i32))?;
                 return Ok(());
             }
-            if self.done.len() >= self.opts.max_blocks {
+            if self.done.len() >= MAX_BLOCKS {
                 return Err(StitchError::UnrollBudget);
             }
             next = self.stitch_block(key)?;

@@ -1,7 +1,7 @@
 //! Stitcher unit tests on hand-built templates (end-to-end pipeline tests
 //! live in the `dyncomp` core crate).
 
-use crate::{stitch, StitchError, StitchOptions};
+use crate::{stitch, StitchError, StitchOptions, MAX_BLOCKS};
 use dyncomp_ir::eval::Memory;
 use dyncomp_ir::SlotPath;
 use dyncomp_machine::isa::{encode, Inst, Op, Operand, Reg, ZERO};
@@ -498,16 +498,12 @@ fn merge_points_are_shared_not_duplicated() {
 
 #[test]
 fn unroll_budget_guards_against_runaway() {
-    // A very long chain with a tiny block budget.
-    let mut mem = Memory::with_capacity(1 << 22);
-    let values: Vec<u64> = (0..600).collect();
+    // A chain longer than the block budget.
+    let mut mem = Memory::with_capacity(1 << 23);
+    let values: Vec<u64> = (0..MAX_BLOCKS as u64 + 100).collect();
     let table = build_chain(&mut mem, &values);
     let rc = region(unrolled_template(), 1);
-    let opts = StitchOptions {
-        max_blocks: 100,
-        ..Default::default()
-    };
-    let err = stitch(&rc, table, &mut mem, 0, &opts).unwrap_err();
+    let err = stitch(&rc, table, &mut mem, 0, &StitchOptions::default()).unwrap_err();
     assert_eq!(err, StitchError::UnrollBudget);
 }
 
