@@ -1,0 +1,145 @@
+//! Golden bytes of the persistent cache: the FNV-1a-64 of the files the
+//! public API leaves in an empty directory, pinned as constants taken
+//! before the on-disk formats were restated as `codec!` declarations
+//! (PR 24). A changed constant means a persisted byte moved, which needs
+//! a `FORMAT_VERSION` (or `NATIVE_CODE_VERSION`) bump, not a new constant.
+
+use dyncomp::{Compiler, Engine, EngineOptions, PersistentCache};
+use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// The two-region program of `tests/persist_corruption.rs`.
+const INSTANCE_SRC: &str = r#"
+    int keyed(int k, int x) {
+        dynamicRegion key(k) (k) {
+            int i; int acc = 0;
+            unrolled for (i = 0; i < k; i++) { acc = acc + x; }
+            return acc + k * 7;
+        }
+    }
+    int unkeyed(int x) {
+        dynamicRegion (x) {
+            int acc = x * 3 + 1;
+            return acc * acc;
+        }
+    }
+"#;
+
+/// The host tag the native-section constants were taken under.
+const GOLDEN_HOST_TAG: &str = "x86_64-linux-v1";
+
+const ARTIFACTS: [(&str, u64); 9] = [
+    ("calculator", 0x81ad_ef25_32f4_41c7),
+    ("smatmul", 0xec96_6ee0_08f1_e991),
+    ("spmv", 0xf778_2c1f_baac_630b),
+    ("dispatch", 0xf2d6_2d0f_6b95_f637),
+    ("sorter", 0xed81_76de_7b46_5d5d),
+    ("protomsg", 0x3f67_cae4_7556_6ff3),
+    ("queryexec", 0x56e3_944f_30d0_b74b),
+    ("calculator-tiered", 0x874e_dc43_26a7_c586),
+    ("queryexec-inline2", 0xd692_025e_d4e2_4610),
+];
+
+/// `(keyed r0, unkeyed r1)` without a native section.
+const INSTANCES_VM: [u64; 2] = [0xeb6d_771d_b0c5_c585, 0xc328_28af_e202_a5d7];
+/// The same two files when the session translated natively.
+const INSTANCES_NATIVE: [u64; 2] = [0xd0f0_c627_4808_ab61, 0x32dd_fa9f_5235_5abc];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dyncomp-golden-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Hashes of every file with extension `ext` under `dir`, in path order.
+fn file_hashes(dir: &Path, ext: &str) -> Vec<u64> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    walk(dir, &mut files);
+    files.retain(|p| p.extension().is_some_and(|e| e == ext));
+    files.sort();
+    files
+        .iter()
+        .map(|p| fnv1a(&std::fs::read(p).expect("cache file reads")))
+        .collect()
+}
+
+#[test]
+fn artifact_files_match_the_pinned_hashes() {
+    let cases: [(&str, Compiler, &str); 9] = [
+        ("calculator", Compiler::new(), calculator::SRC),
+        ("smatmul", Compiler::new(), smatmul::SRC),
+        ("spmv", Compiler::new(), spmv::SRC),
+        ("dispatch", Compiler::new(), dispatch::SRC),
+        ("sorter", Compiler::new(), sorter::SRC),
+        ("protomsg", Compiler::new(), protomsg::SRC),
+        ("queryexec", Compiler::new(), queryexec::SRC),
+        ("calculator-tiered", Compiler::tiered(), calculator::SRC),
+        (
+            "queryexec-inline2",
+            Compiler::with_inline_depth(2),
+            queryexec::SRC,
+        ),
+    ];
+    let mut got = Vec::new();
+    for (name, compiler, src) in &cases {
+        let dir = fresh_dir(name);
+        let cache = PersistentCache::open(&dir).expect("cache opens");
+        let (_, cached) = cache.load_or_compile(compiler, src).expect("compiles");
+        assert!(!cached);
+        let hashes = file_hashes(&dir, "dyna");
+        assert_eq!(hashes.len(), 1, "{name}: one artifact file");
+        got.push((*name, hashes[0]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert_eq!(got, ARTIFACTS, "got {got:#x?}");
+}
+
+/// One cold session over [`INSTANCE_SRC`]; the `.dyns` hashes it leaves.
+fn instance_hashes(tag: &str, native: bool) -> Vec<u64> {
+    let dir = fresh_dir(tag);
+    let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+    let (program, _) = cache
+        .load_or_compile(&Compiler::new(), INSTANCE_SRC)
+        .expect("compiles");
+    let mut engine = Engine::with_options(
+        &program,
+        EngineOptions {
+            persist: Some(Arc::clone(&cache)),
+            native,
+            ..EngineOptions::default()
+        },
+    );
+    assert_eq!(engine.call("keyed", &[3, 5]).expect("keyed runs"), 36);
+    assert_eq!(engine.call("unkeyed", &[9]).expect("unkeyed runs"), 784);
+    let hashes = file_hashes(&dir, "dyns");
+    let _ = std::fs::remove_dir_all(&dir);
+    hashes
+}
+
+#[test]
+fn instance_files_match_the_pinned_hashes() {
+    let vm = instance_hashes("inst-vm", false);
+    assert_eq!(vm, INSTANCES_VM, "got {vm:#x?}");
+    if dyncomp_native::codec::host_tag() == GOLDEN_HOST_TAG {
+        let native = instance_hashes("inst-native", true);
+        assert_eq!(native, INSTANCES_NATIVE, "got {native:#x?}");
+        assert_ne!(native, vm, "a native session persists a native section");
+    }
+}

@@ -21,6 +21,7 @@ pub mod regalloc;
 use dyncomp_ir::eval::MEM_BASE;
 use dyncomp_ir::{FuncId, Module};
 use dyncomp_machine::asm::AsmError;
+use dyncomp_machine::isa::Op;
 use dyncomp_machine::template::RegionCode;
 use dyncomp_machine::vm::Vm;
 use dyncomp_specialize::RegionSpec;
@@ -89,10 +90,58 @@ pub struct CompiledModule {
     pub data_end: u64,
 }
 
+dyncomp_ir::codec! {
+    struct CompiledFunc { entry: u32, name: String }
+    struct CompiledModule {
+        code: Vec<u32>,
+        funcs: Vec<CompiledFunc>,
+        regions: Vec<RegionCode>,
+        global_addrs: Vec<u64>,
+        float_pool: Vec<(u64, u64)>,
+        data_end: u64,
+    }
+}
+
 impl CompiledModule {
     /// Entry address of a function by name.
     pub fn entry_of(&self, name: &str) -> Option<u32> {
         self.funcs.iter().find(|f| f.name == name).map(|f| f.entry)
+    }
+
+    /// Whether everything the module refers to exists: every function
+    /// entry inside the image, every `EnterRegion` / `EndSetup` operand
+    /// inside the region table (the engine indexes by it), and every
+    /// region's own references ([`RegionCode::check_refs`]).
+    /// [`compile_module`] returns nothing else; a module decoded from
+    /// untrusted bytes is checked before a session is built on it.
+    ///
+    /// # Errors
+    /// What is out of range.
+    pub fn check_refs(&self) -> Result<(), &'static str> {
+        if self
+            .funcs
+            .iter()
+            .any(|f| f.entry as usize >= self.code.len())
+        {
+            return Err("function entry outside the static image");
+        }
+        let mut words = self.code.iter();
+        while let Some(&word) = words.next() {
+            match Op::from_u8((word >> 24) as u8) {
+                Some(Op::Ldiw) => {
+                    words.next(); // the payload word is data
+                }
+                Some(Op::EnterRegion | Op::EndSetup)
+                    if (word & 0x3FFF) as usize >= self.regions.len() =>
+                {
+                    return Err("trap names a region the module does not have");
+                }
+                _ => {}
+            }
+        }
+        self.regions
+            .iter()
+            .try_for_each(|rc| rc.check_refs(self.code.len()))
     }
 }
 

@@ -1,12 +1,19 @@
 //! `dyncc` — compile, inspect and run annotated MiniC programs.
 //!
 //! ```text
-//! dyncc <file.mc> [--ir] [--templates] [--disasm] [--regions]
-//!                 [--static] [--run <func> [args…]] [--report] [--stitched]
-//!                 [--sessions N] [--threads T] [--shared-cache] [--native]
-//!                 [--no-native-chain] [--tiered] [--stitch-workers N]
-//!                 [--speculate] [--connect ADDR] [--persist-dir DIR]
+//! dyncc <file.mc> [--ir] [--templates] [--disasm] [--regions] [--static]
+//!                 [--advise] [--inline-depth N] [--run <func> [args…]]
+//!                 [--report] [--stitched] [--sessions N] [--threads T]
+//!                 [--shared-cache] [--tiered] [--stitch-workers N]
+//!                 [--speculate] [--native] [--no-native-chain]
+//!                 [--trace-out FILE] [--trace-format {jsonl,chrome}]
+//!                 [--fault-seed N] [--code-budget B] [--connect ADDR]
+//!                 [--persist-dir DIR]
 //! ```
+//!
+//! Anything else — an unknown flag, a stray word, `--stitch-workers` or
+//! `--speculate` without `--tiered`, `--no-native-chain` without
+//! `--native` — is a usage error ([`FLAGS`] is the one list).
 //!
 //! * `--ir`        print the final IR of every function
 //! * `--templates` print each region's template blocks and directives
@@ -128,19 +135,79 @@ impl std::fmt::Display for CliError {
     }
 }
 
+/// Every flag `dyncc` accepts, in usage-line order: its name, the
+/// placeholder of the value it takes (`""` for a switch) and the flag it
+/// means nothing without. [`check_flags`] and the usage line read this
+/// table; the module docs above describe each entry.
+const FLAGS: &[(&str, &str, Option<&str>)] = &[
+    ("--ir", "", None),
+    ("--templates", "", None),
+    ("--disasm", "", None),
+    ("--regions", "", None),
+    ("--static", "", None),
+    ("--advise", "", None),
+    ("--inline-depth", "N", None),
+    ("--run", "<func> [args…]", None),
+    ("--report", "", None),
+    ("--stitched", "", None),
+    ("--sessions", "N", None),
+    ("--threads", "T", None),
+    ("--shared-cache", "", None),
+    ("--tiered", "", None),
+    ("--stitch-workers", "N", Some("--tiered")),
+    ("--speculate", "", Some("--tiered")),
+    ("--native", "", None),
+    ("--no-native-chain", "", Some("--native")),
+    ("--trace-out", "FILE", None),
+    ("--trace-format", "{jsonl,chrome}", None),
+    ("--fault-seed", "N", None),
+    ("--code-budget", "B", None),
+    ("--connect", "ADDR", None),
+    ("--persist-dir", "DIR", None),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = run(&args) {
         eprintln!("dyncc: {e}");
         if matches!(e, CliError::Usage(_)) {
-            eprintln!(
-                "usage: dyncc <file.mc> [--ir] [--templates] [--disasm] [--regions] \
-                 [--static] [--run <func> [args…]] [--report] [--stitched] [--advise] \
-                 [--connect ADDR]"
-            );
+            let flags: Vec<String> = FLAGS
+                .iter()
+                .map(|&(name, value, _)| match value {
+                    "" => format!("[{name}]"),
+                    _ => format!("[{name} {value}]"),
+                })
+                .collect();
+            eprintln!("usage: dyncc <file.mc> {}", flags.join(" "));
         }
         exit(e.code());
     }
+}
+
+/// Refuse what [`FLAGS`] does not list: an unknown flag, a word no flag
+/// consumes, or a flag given without the one it modifies. (A missing or
+/// malformed *value* is reported where the value is parsed.)
+fn check_flags(args: &[String]) -> Result<(), CliError> {
+    let mut rest = args.iter().peekable();
+    while let Some(arg) = rest.next() {
+        let Some(&(name, value, requires)) = FLAGS.iter().find(|f| f.0 == arg) else {
+            let what = if arg.starts_with("--") {
+                "flag"
+            } else {
+                "argument"
+            };
+            return Err(CliError::Usage(format!("unknown {what} `{arg}`")));
+        };
+        if name == "--run" {
+            while rest.next_if(|a| !a.starts_with("--")).is_some() {}
+        } else if !value.is_empty() {
+            rest.next();
+        }
+        if let Some(other) = requires.filter(|o| !args.iter().any(|a| a == o)) {
+            return Err(CliError::Usage(format!("{name} needs {other}")));
+        }
+    }
+    Ok(())
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
@@ -149,6 +216,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             "the first argument must be a program file".to_string(),
         ));
     }
+    check_flags(&args[1..])?;
     let path = &args[0];
     let src = std::fs::read_to_string(path).map_err(|e| CliError::Io {
         path: path.clone(),

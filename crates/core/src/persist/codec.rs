@@ -1,9 +1,16 @@
-//! Payload codecs for the two persisted object kinds: compiled
-//! [`Program`] artifacts and stitched region instances.
+//! Payloads of the two persisted object kinds: compiled [`Program`]
+//! artifacts and stitched region instances.
 //!
-//! Both build on the bounds-checked [`dyncomp_machine::codec`] reader,
-//! so a corrupt payload (one that somehow passed the file checksum, or
-//! a fuzzer-mutated buffer fed to the decoder directly) always fails
+//! Every type inside a payload declares its own wire form
+//! ([`dyncomp_ir::codec`]); what is written out here is what is not a
+//! layout. [`write_program`] / [`read_program`] and [`write_instance`] /
+//! [`read_instance`] own the identity checks (the hash, region and key a
+//! file must carry for the path it was found under; trailing bytes), the
+//! [`Module`] stubs rebuilt from persisted names, the native section's
+//! presence flag, and the calls to the cross-reference checks
+//! ([`CompiledModule::check_refs`], the function indices,
+//! [`Stitched::patches_in_range`]). A corrupt payload (one that
+//! somehow passed the file checksum, or a re-sealed buffer) always fails
 //! with a typed [`CodecError`] and never panics or over-allocates.
 //!
 //! A loaded [`Program`] is a *replica* of the compile output: the
@@ -14,73 +21,38 @@
 //! `types` is empty. Everything a [`crate::Session`] touches is exact.
 
 use crate::{InlineSite, Program};
-use dyncomp_codegen::{CompiledFunc, CompiledModule};
+use dyncomp_codegen::CompiledModule;
 use dyncomp_frontend::TypeTable;
 use dyncomp_ir::{FuncId, Function, Global, Module, Ty};
-use dyncomp_machine::codec::{read_region_code, write_region_code, CodecError, Reader, Writer};
+use dyncomp_machine::codec::{Codec, CodecError, Reader, Writer};
+use dyncomp_native::codec::{read_artifact, write_artifact};
 use dyncomp_specialize::SpecStats;
-use dyncomp_stitcher::{StitchStats, Stitched};
+use dyncomp_stitcher::Stitched;
 
-fn err_at(r: &Reader<'_>, what: &'static str) -> CodecError {
-    CodecError {
-        at: r.offset(),
-        what,
+dyncomp_ir::codec! {
+    struct InlineSite {
+        func: FuncId,
+        region_index: u16,
+        callee: FuncId,
+        callee_name: String,
+        depth: u32,
+        cloned_insts: usize,
     }
 }
 
 // ---------------------------------------------------------------------
 // Program artifacts.
 
-/// Encode `p` as an artifact payload.
+/// Encode `p` as an artifact payload: its hash, the compiled module, the
+/// globals, the function names, the spec stats and the inline sites.
 pub(crate) fn write_program(w: &mut Writer, p: &Program) {
-    w.u64(p.artifact_hash());
-    let cm = &p.compiled;
-    w.words(&cm.code);
-    w.u32(cm.funcs.len() as u32);
-    for f in &cm.funcs {
-        w.u32(f.entry);
-        w.str(&f.name);
-    }
-    w.u32(cm.regions.len() as u32);
-    for rc in &cm.regions {
-        write_region_code(w, rc);
-    }
-    w.u64s(&cm.global_addrs);
-    w.u32(cm.float_pool.len() as u32);
-    for &(addr, bits) in &cm.float_pool {
-        w.u64(addr);
-        w.u64(bits);
-    }
-    w.u64(cm.data_end);
-    w.u32(p.module.globals.len() as u32);
-    for g in p.module.globals.iter() {
-        w.str(&g.name);
-        w.u64(g.size);
-        w.bytes(&g.init);
-        w.u64(g.align);
-    }
-    w.u32(p.module.funcs.len() as u32);
-    for f in p.module.funcs.iter() {
-        w.str(&f.name);
-    }
-    w.u32(p.spec_stats.len() as u32);
-    for &(fid, s) in &p.spec_stats {
-        w.u32(fid.index() as u32);
-        w.u64(s.const_insts_eliminated as u64);
-        w.u64(s.loads_eliminated as u64);
-        w.u64(s.const_branches as u64);
-        w.u64(s.unrolled_loops as u64);
-        w.u64(s.holes as u64);
-    }
-    w.u32(p.inline_sites.len() as u32);
-    for s in &p.inline_sites {
-        w.u32(s.func.index() as u32);
-        w.u16(s.region_index);
-        w.u32(s.callee.index() as u32);
-        w.str(&s.callee_name);
-        w.u32(s.depth);
-        w.u64(s.cloned_insts as u64);
-    }
+    p.artifact_hash().encode(w);
+    p.compiled.encode(w);
+    w.seq(p.module.globals.iter().as_slice());
+    let names: Vec<String> = p.module.funcs.iter().map(|f| f.name.clone()).collect();
+    names.encode(w);
+    p.spec_stats.encode(w);
+    p.inline_sites.encode(w);
 }
 
 /// Decode an artifact payload. `expected_hash` is the hash the caller
@@ -88,117 +60,43 @@ pub(crate) fn write_program(w: &mut Writer, p: &Program) {
 /// is corruption, not a different artifact.
 ///
 /// # Errors
-/// [`CodecError`] on any structural problem.
+/// [`CodecError`] on any structural problem or dangling reference.
 pub(crate) fn read_program(r: &mut Reader<'_>, expected_hash: u64) -> Result<Program, CodecError> {
-    let artifact_hash = r.u64()?;
+    let artifact_hash = u64::decode(r)?;
     if artifact_hash != expected_hash {
-        return Err(err_at(r, "artifact hash does not match its file name"));
+        return Err(r.err("artifact hash does not match its file name"));
     }
-    let code = r.words()?;
-    let nfuncs = r.len(5, "compiled function list")?;
-    let mut funcs = Vec::with_capacity(nfuncs);
-    for _ in 0..nfuncs {
-        funcs.push(CompiledFunc {
-            entry: r.u32()?,
-            name: r.str()?,
-        });
+    let compiled = CompiledModule::decode(r)?;
+    let globals = Vec::<Global>::decode(r)?;
+    let names = Vec::<String>::decode(r)?;
+    let spec_stats = Vec::<(FuncId, SpecStats)>::decode(r)?;
+    let inline_sites = Vec::<InlineSite>::decode(r)?;
+    if !r.is_exhausted() {
+        return Err(r.err("trailing bytes after artifact payload"));
     }
-    let nregions = r.len(8, "region list")?;
-    let mut regions = Vec::with_capacity(nregions);
-    for _ in 0..nregions {
-        regions.push(read_region_code(r)?);
+    if names.len() != compiled.funcs.len() {
+        return Err(r.err("function name count does not match compiled functions"));
     }
-    let global_addrs = r.u64s()?;
-    let npool = r.len(16, "float-pool list")?;
-    let mut float_pool = Vec::with_capacity(npool);
-    for _ in 0..npool {
-        float_pool.push((r.u64()?, r.u64()?));
+    // What `Compiler::compile` guarantees by construction, and the engine
+    // therefore indexes by without asking.
+    compiled.check_refs().map_err(|what| r.err(what))?;
+    let known = |f: FuncId| f.index() < names.len();
+    if !(spec_stats.iter().all(|&(f, _)| known(f))
+        && inline_sites
+            .iter()
+            .all(|s| known(s.func) && known(s.callee)))
+    {
+        return Err(r.err("function index out of range"));
     }
-    let data_end = r.u64()?;
-    let compiled = CompiledModule {
-        code,
-        funcs,
-        regions,
-        global_addrs,
-        float_pool,
-        data_end,
-    };
 
     let mut module = Module::new();
-    let nglobals = r.len(21, "global list")?;
-    for _ in 0..nglobals {
-        let name = r.str()?;
-        let size = r.u64()?;
-        let init = r.bytes()?;
-        let align = r.u64()?;
-        module.globals.push(Global {
-            name,
-            size,
-            init,
-            align,
-        });
+    for g in globals {
+        module.globals.push(g);
     }
     // IR bodies are not persisted: the engine executes the machine image,
     // never the IR. Named stubs keep function-indexed rendering working.
-    let nnames = r.len(5, "function name list")?;
-    let mut ids: Vec<FuncId> = Vec::with_capacity(nnames);
-    for _ in 0..nnames {
-        let name = r.str()?;
-        ids.push(module.funcs.push(Function::new(name, Vec::new(), Ty::None)));
-    }
-    if module.funcs.len() != compiled.funcs.len() {
-        return Err(err_at(
-            r,
-            "function name count does not match compiled functions",
-        ));
-    }
-
-    let nstats = r.len(44, "spec-stats list")?;
-    let mut spec_stats = Vec::with_capacity(nstats);
-    for _ in 0..nstats {
-        let idx = r.u32()? as usize;
-        let fid = *ids
-            .get(idx)
-            .ok_or_else(|| err_at(r, "spec-stats function index out of range"))?;
-        spec_stats.push((
-            fid,
-            SpecStats {
-                const_insts_eliminated: r.u64()? as usize,
-                loads_eliminated: r.u64()? as usize,
-                const_branches: r.u64()? as usize,
-                unrolled_loops: r.u64()? as usize,
-                holes: r.u64()? as usize,
-            },
-        ));
-    }
-
-    let nsites = r.len(24, "inline-site list")?;
-    let mut inline_sites = Vec::with_capacity(nsites);
-    for _ in 0..nsites {
-        let func_idx = r.u32()? as usize;
-        let region_index = r.u16()?;
-        let callee_idx = r.u32()? as usize;
-        let callee_name = r.str()?;
-        let depth = r.u32()?;
-        let cloned_insts = r.u64()? as usize;
-        let func = *ids
-            .get(func_idx)
-            .ok_or_else(|| err_at(r, "inline-site function index out of range"))?;
-        let callee = *ids
-            .get(callee_idx)
-            .ok_or_else(|| err_at(r, "inline-site callee index out of range"))?;
-        inline_sites.push(InlineSite {
-            func,
-            region_index,
-            callee,
-            callee_name,
-            depth,
-            cloned_insts,
-        });
-    }
-
-    if !r.is_exhausted() {
-        return Err(err_at(r, "trailing bytes after artifact payload"));
+    for name in names {
+        module.funcs.push(Function::new(name, Vec::new(), Ty::None));
     }
     Ok(Program {
         id: crate::NEXT_PROGRAM_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -228,7 +126,9 @@ pub(crate) struct LoadedInstance {
     pub native: Option<dyncomp_native::Artifact>,
 }
 
-/// Encode one stitched instance.
+/// Encode one stitched instance: its identity (artifact hash, region,
+/// key), the install base, the instance, and a flag byte followed by the
+/// tagged native section when there is one.
 pub(crate) fn write_instance(
     w: &mut Writer,
     artifact_hash: u64,
@@ -238,43 +138,14 @@ pub(crate) fn write_instance(
     install_base: u32,
     native: Option<&dyncomp_native::Artifact>,
 ) {
-    w.u64(artifact_hash);
-    w.u16(region);
-    w.u64s(key);
-    w.u32(install_base);
-    w.words(&stitched.code);
-    w.u64(stitched.lin_table_addr);
-    w.u64s(&stitched.lin_words);
-    w.words(&stitched.lin_addr_patches);
-    write_pairs(w, &stitched.lin_far_addr_patches);
-    write_pairs(w, &stitched.exit_patches);
-    let s = &stitched.stats;
-    w.u32(s.instructions_stitched);
-    w.u32(s.words_emitted);
-    w.u32(s.holes_inline);
-    w.u32(s.holes_big);
-    w.u32(s.const_branches_resolved);
-    w.u32(s.blocks_skipped);
-    w.u32(s.loop_iterations);
-    w.u32(s.strength_reductions);
-    w.u32(s.regaction_loads_removed);
-    w.u32(s.regaction_stores_rewritten);
-    w.u32(s.regaction_promoted);
-    w.u32(s.plan_hits);
-    w.u32(s.plan_misses);
-    w.u64(s.cycles);
-    w.u64(stitched.native_bytes);
-    w.u32(stitched.reads.len() as u32);
-    for &(addr, v) in &stitched.reads {
-        w.u64(addr);
-        w.u64(v);
-    }
-    match native {
-        Some(a) => {
-            w.bool(true);
-            dyncomp_native::codec::write_artifact(w, a);
-        }
-        None => w.bool(false),
+    artifact_hash.encode(w);
+    region.encode(w);
+    w.seq(key);
+    install_base.encode(w);
+    stitched.encode(w);
+    native.is_some().encode(w);
+    if let Some(a) = native {
+        write_artifact(w, a);
     }
 }
 
@@ -293,89 +164,34 @@ pub(crate) fn read_instance(
     region: u16,
     key: &[u64],
 ) -> Result<Option<LoadedInstance>, CodecError> {
-    if r.u64()? != artifact_hash {
-        return Err(err_at(
-            r,
-            "instance artifact hash does not match its directory",
-        ));
+    if u64::decode(r)? != artifact_hash {
+        return Err(r.err("instance artifact hash does not match its directory"));
     }
-    if r.u16()? != region {
-        return Err(err_at(r, "instance region does not match its file name"));
+    if u16::decode(r)? != region {
+        return Err(r.err("instance region does not match its file name"));
     }
-    let file_key = r.u64s()?;
-    let install_base = r.u32()?;
-    let code = r.words()?;
-    let lin_table_addr = r.u64()?;
-    let lin_words = r.u64s()?;
-    let lin_addr_patches = r.words()?;
-    let lin_far_addr_patches = read_pairs(r)?;
-    let exit_patches = read_pairs(r)?;
-    let stats = StitchStats {
-        instructions_stitched: r.u32()?,
-        words_emitted: r.u32()?,
-        holes_inline: r.u32()?,
-        holes_big: r.u32()?,
-        const_branches_resolved: r.u32()?,
-        blocks_skipped: r.u32()?,
-        loop_iterations: r.u32()?,
-        strength_reductions: r.u32()?,
-        regaction_loads_removed: r.u32()?,
-        regaction_stores_rewritten: r.u32()?,
-        regaction_promoted: r.u32()?,
-        plan_hits: r.u32()?,
-        plan_misses: r.u32()?,
-        cycles: r.u64()?,
-    };
-    let native_bytes = r.u64()?;
-    let nreads = r.len(16, "read-log list")?;
-    let mut reads = Vec::with_capacity(nreads);
-    for _ in 0..nreads {
-        reads.push((r.u64()?, r.u64()?));
-    }
-    let native = if r.bool()? {
-        dyncomp_native::codec::read_artifact(r)?
+    let file_key = Vec::<u64>::decode(r)?;
+    let install_base = u32::decode(r)?;
+    let stitched = Stitched::decode(r)?;
+    let native = if bool::decode(r)? {
+        read_artifact(r)?
     } else {
         None
     };
     if !r.is_exhausted() {
-        return Err(err_at(r, "trailing bytes after instance payload"));
+        return Err(r.err("trailing bytes after instance payload"));
+    }
+    if !stitched.patches_in_range() {
+        return Err(r.err("instance patch outside its code"));
     }
     if file_key != key {
         return Ok(None);
     }
     Ok(Some(LoadedInstance {
-        stitched: Stitched {
-            code,
-            lin_table_addr,
-            lin_words,
-            lin_addr_patches,
-            lin_far_addr_patches,
-            exit_patches,
-            stats,
-            plan_patches: Vec::new(),
-            native_bytes,
-            reads,
-        },
+        stitched,
         install_base,
         native,
     }))
-}
-
-fn write_pairs(w: &mut Writer, pairs: &[(u32, u32)]) {
-    w.u32(pairs.len() as u32);
-    for &(a, b) in pairs {
-        w.u32(a);
-        w.u32(b);
-    }
-}
-
-fn read_pairs(r: &mut Reader<'_>) -> Result<Vec<(u32, u32)>, CodecError> {
-    let n = r.len(8, "u32-pair list")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((r.u32()?, r.u32()?));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -411,36 +227,106 @@ mod tests {
         assert_eq!(cold.cycles(), warm.cycles());
     }
 
-    #[test]
-    fn program_truncations_are_typed_errors() {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut w = Writer::new();
-        write_program(&mut w, &p);
-        let bytes = w.into_bytes();
-        for n in (0..bytes.len()).step_by(7) {
-            assert!(read_program(&mut Reader::new(&bytes[..n]), p.artifact_hash()).is_err());
+    /// A global, a callee the inliner expands, and a keyed unrolled loop:
+    /// every persisted collection of a [`Program`] is non-empty.
+    const RICH_SRC: &str = "int table[4];
+    int helper(int a, int b) { return a * b + table[1]; }
+    int poly(int c, int x) {
+        dynamicRegion key(c) (c) {
+            int i; int acc = 0;
+            unrolled for (i = 0; i < c; i++) { acc = acc + helper(c, x); }
+            return acc;
         }
-        assert!(read_program(&mut Reader::new(&bytes), p.artifact_hash() ^ 1).is_err());
+    }";
+
+    fn payload(p: &Program) -> Vec<u8> {
+        let mut w = Writer::new();
+        write_program(&mut w, p);
+        w.into_bytes()
     }
 
     #[test]
-    fn instance_round_trips_and_foreign_key_is_none() {
-        let stitched = Stitched {
+    fn declared_types_hold_their_wire_form() {
+        use dyncomp_machine::codec::check_wire;
+        let p = Compiler::with_inline_depth(2).compile(RICH_SRC).unwrap();
+        assert!(!p.inline_sites.is_empty() && !p.spec_stats.is_empty());
+        check_wire(&p.compiled.funcs[0]);
+        check_wire(&p.compiled);
+        check_wire(&p.module.globals.iter().cloned().collect::<Vec<Global>>());
+        check_wire(&p.spec_stats);
+        check_wire(&p.inline_sites);
+        check_wire(&Compiler::tiered().compile(SRC).unwrap().compiled);
+        let stitched = sample_stitched();
+        check_wire(&stitched.stats);
+        check_wire(&stitched);
+
+        // The hand-written frame around them: every strict prefix of a
+        // payload, and a payload under another file's hash, is refused.
+        let bytes = payload(&p);
+        for n in 0..bytes.len() {
+            assert!(read_program(&mut Reader::new(&bytes[..n]), p.artifact_hash()).is_err());
+        }
+        assert!(read_program(&mut Reader::new(&bytes), p.artifact_hash() ^ 1).is_err());
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(read_program(&mut Reader::new(&longer), p.artifact_hash()).is_err());
+        assert!(read_program(&mut Reader::new(&bytes), p.artifact_hash()).is_ok());
+    }
+
+    #[test]
+    fn dangling_references_are_refused_at_the_decode_boundary() {
+        let reload = |p: &Program| read_program(&mut Reader::new(&payload(p)), p.artifact_hash());
+        let fresh = || Compiler::with_inline_depth(2).compile(RICH_SRC).unwrap();
+        assert!(reload(&fresh()).is_ok());
+        let breakers: [fn(&mut Program); 7] = [
+            // A static `EnterRegion` whose operand names no region: the
+            // engine would index its region table with it.
+            |p| {
+                let pc = p.compiled.regions[0].enter_pc as usize;
+                p.compiled.code[pc] = (p.compiled.code[pc] & !0x3FFF) | 0x80;
+            },
+            |p| p.compiled.funcs[0].entry = p.compiled.code.len() as u32,
+            |p| p.compiled.regions[0].setup_pc = u32::MAX,
+            |p| p.compiled.regions[0].exit_pcs.push(u32::MAX),
+            |p| p.compiled.regions[0].template.entry = u32::MAX,
+            |p| p.spec_stats[0].0 = FuncId(99),
+            |p| p.inline_sites[0].callee = FuncId(99),
+        ];
+        for (i, breaker) in breakers.iter().enumerate() {
+            let mut p = fresh();
+            breaker(&mut p);
+            assert!(reload(&p).is_err(), "breaker {i} loaded");
+        }
+
+        let mut stitched = sample_stitched();
+        stitched.lin_addr_patches = vec![2]; // its payload word would be code[3]
+        let mut w = Writer::new();
+        write_instance(&mut w, 1, 0, &[], &stitched, 0, None);
+        assert!(read_instance(&mut Reader::new(&w.into_bytes()), 1, 0, &[]).is_err());
+    }
+
+    fn sample_stitched() -> Stitched {
+        Stitched {
             code: vec![1, 2, 3],
             lin_table_addr: 640,
             lin_words: vec![9, 8],
             lin_addr_patches: vec![0],
             lin_far_addr_patches: vec![(1, 8)],
             exit_patches: vec![(2, 77)],
-            stats: StitchStats {
+            stats: dyncomp_stitcher::StitchStats {
                 instructions_stitched: 3,
                 cycles: 41,
-                ..StitchStats::default()
+                ..Default::default()
             },
             plan_patches: Vec::new(),
             native_bytes: 0,
             reads: vec![(640, 9)],
-        };
+        }
+    }
+
+    #[test]
+    fn instance_round_trips_and_foreign_key_is_none() {
+        let stitched = sample_stitched();
         let mut w = Writer::new();
         write_instance(&mut w, 0xabcd, 2, &[5, 6], &stitched, 100, None);
         let bytes = w.into_bytes();

@@ -267,6 +267,8 @@ pub struct Global {
     pub align: u64,
 }
 
+crate::codec! { struct Global { name: String, size: u64, init: Vec<u8>, align: u64 } }
+
 /// A compilation unit: functions plus global data.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Module {

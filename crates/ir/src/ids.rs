@@ -91,6 +91,10 @@ define_id!(
     "dr"
 );
 
+// On disk a function is its index; what decodes one checks it against
+// the function table it arrived with.
+crate::codec! { struct FuncId { 0: u32 } }
+
 /// A vector keyed by a typed id.
 ///
 /// A thin wrapper over `Vec<V>` that only admits indexing by `I`.

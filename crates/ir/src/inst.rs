@@ -38,6 +38,8 @@ pub enum Ty {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SlotPath(pub Vec<u32>);
 
+crate::codec! { struct SlotPath { 0: Vec<u32> } }
+
 impl SlotPath {
     /// A path to static slot `s`.
     pub fn stat(s: u32) -> Self {

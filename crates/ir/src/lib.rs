@@ -24,6 +24,9 @@
 //! * [`eval::Memory`] — the flat data memory shared with the simulated
 //!   machine, backed by [`zeroed::ZeroedBytes`] so a session pays for the
 //!   pages it touches, not for its address space.
+//! * [`codec`] — the one-wire-form-per-type trait, reader and writer
+//!   the persistent cache serializes through, here so that every crate
+//!   owning a persisted type can declare its layout.
 //! * Dynamic-region metadata ([`DynRegion`]) and the template
 //!   pseudo-instructions of §3.2 ([`InstKind::Hole`],
 //!   [`Terminator::ConstBranch`], [`TemplateMarker`]).
@@ -57,6 +60,7 @@
 #![deny(unsafe_code)]
 
 pub mod cfg;
+pub mod codec;
 pub mod dom;
 pub mod eval;
 pub mod func;

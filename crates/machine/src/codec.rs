@@ -1,674 +1,103 @@
-//! A small, dependency-free binary codec for the template data model.
+//! The template data model's wire forms.
 //!
-//! The persistent artifact cache (PR 10) serializes compiled state —
-//! code words, [`crate::template`] trees, stitched patch tables — to
-//! disk and must treat everything it reads back as **untrusted input**:
-//! a corrupt or adversarial file may contain any byte sequence. The
-//! [`Reader`] therefore never panics and never trusts a length field:
-//! every read is bounds-checked against the remaining input, every
-//! collection length is validated against the bytes actually present
-//! before allocating, and every failure is a typed [`CodecError`]
-//! naming the offset. The [`Writer`] is the exact inverse, so
-//! `decode(encode(x)) == x` for every encodable value, and encoding is
-//! deterministic (fixed-width little-endian fields, no padding) — the
-//! on-disk checksum of an artifact is reproducible across runs.
+//! [`Codec`], [`Reader`], [`Writer`] and [`CodecError`] are
+//! [`dyncomp_ir::codec`]'s, re-exported here beside one
+//! [`codec!`](dyncomp_ir::codec!) declaration per type of
+//! [`crate::template`]. One impl is written out: [`LoopMarker`]'s,
+//! because a block's `Option<LoopMarker>` keeps `None` in the marker's
+//! own tag byte (0, beside the variants' 1–3) where every other `Option`
+//! spends a byte of its own.
+//!
+//! A layout cannot say that a label, operand or word offset names
+//! something that exists; [`RegionCode::check_refs`] does, and what
+//! decodes an artifact calls it.
 
 use crate::template::{
     BranchFixup, Hole, HoleField, LoopMarker, PlanPatch, RegionCode, StitchPlan, Template,
-    TmplBlock, TmplExit, ValueLoc,
+    TmplBlock, TmplExit, TmplLabel, ValueLoc,
 };
-use dyncomp_ir::SlotPath;
-use std::fmt;
+use dyncomp_ir::{codec, SlotPath};
 
-/// A decode failure: the byte offset where decoding stopped and what
-/// was being decoded. Untrusted input makes these routine, not
-/// exceptional — callers degrade to a cache miss.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodecError {
-    /// Byte offset in the input where the failure was detected.
-    pub at: usize,
-    /// What the decoder was reading.
-    pub what: &'static str,
-}
+pub use dyncomp_ir::codec::{check_wire, Codec, CodecError, Reader, Writer};
 
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "decode failed at byte {}: {}", self.at, self.what)
+codec! {
+    enum HoleField: "hole-field tag" { 0 => Lit, 1 => MemDisp { float: bool } }
+    enum ValueLoc: "value-loc tag" { 0 => Reg(r: u8), 1 => FReg(r: u8), 2 => Frame(offset: i32) }
+    struct Hole { at: u32, field: HoleField, slot: SlotPath }
+    struct BranchFixup { at: u32, target: TmplLabel }
+    enum TmplExit: "template-exit tag" {
+        0 => Jump(to: TmplLabel),
+        1 => CondBranch { at: u32, taken: TmplLabel, fall: TmplLabel },
+        2 => ConstBranch { slot: SlotPath, then_l: TmplLabel, else_l: TmplLabel },
+        3 => ConstSwitch { slot: SlotPath, cases: Vec<(i64, TmplLabel)>, default: TmplLabel },
+        4 => Return,
+        5 => ExitRegion { exit: u32 },
+    }
+    struct PlanPatch { at: u32, field: HoleField, slot: SlotPath }
+    struct StitchPlan { code: Vec<u32>, patches: Vec<PlanPatch>, insts: u32, sr_candidate: bool }
+    struct TmplBlock {
+        start: u32,
+        end: u32,
+        holes: Vec<Hole>,
+        branches: Vec<BranchFixup>,
+        marker: Option<LoopMarker>,
+        exit: TmplExit,
+        plan: Option<StitchPlan>,
+    }
+    struct Template { code: Vec<u32>, blocks: Vec<TmplBlock>, entry: TmplLabel }
+    struct RegionCode {
+        region_index: u16,
+        enter_pc: u32,
+        setup_pc: u32,
+        fallback_pc: Option<u32>,
+        template: Template,
+        exit_pcs: Vec<u32>,
+        key_locs: Vec<ValueLoc>,
+        table_static_len: u32,
     }
 }
 
-impl std::error::Error for CodecError {}
+impl Codec for LoopMarker {
+    const MIN_BYTES: usize = 1;
 
-/// An append-only byte buffer with fixed-width little-endian writers.
-#[derive(Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        Writer::default()
-    }
-
-    /// The encoded bytes.
-    #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Append one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i32`.
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a bool as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    /// Append a `u32`-length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append a `u32`-length-prefixed raw byte slice.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Append a `u32`-length-prefixed slice of `u32` words.
-    pub fn words(&mut self, ws: &[u32]) {
-        self.u32(ws.len() as u32);
-        for &w in ws {
-            self.u32(w);
-        }
-    }
-
-    /// Append a `u32`-length-prefixed slice of `u64` values.
-    pub fn u64s(&mut self, vs: &[u64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-}
-
-/// A bounds-checked cursor over untrusted bytes.
-pub struct Reader<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader over `b`, positioned at the start.
-    #[must_use]
-    pub fn new(b: &'a [u8]) -> Self {
-        Reader { b, at: 0 }
-    }
-
-    /// The current byte offset.
-    #[must_use]
-    pub fn offset(&self) -> usize {
-        self.at
-    }
-
-    /// Bytes left to read.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.b.len() - self.at
-    }
-
-    /// Whether every byte has been consumed.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.at == self.b.len()
-    }
-
-    fn err(&self, what: &'static str) -> CodecError {
-        CodecError { at: self.at, what }
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(self.err(what));
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    /// Read one byte.
-    ///
-    /// # Errors
-    /// [`CodecError`] at end of input.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1, "u8")?[0])
-    }
-
-    /// Read a little-endian `u16`.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        let s = self.take(2, "u16")?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    /// Read a little-endian `u32`.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        let s = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    /// Read a little-endian `u64`.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let s = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    /// Read a little-endian `i32`.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn i32(&mut self) -> Result<i32, CodecError> {
-        let s = self.take(4, "i32")?;
-        Ok(i32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    /// Read a little-endian `i64`.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
-        let s = self.take(8, "i64")?;
-        Ok(i64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    /// Read a bool byte; any value other than 0 or 1 is an error (a
-    /// bit-rotted flag must not silently normalize).
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation or a non-boolean byte.
-    pub fn bool(&mut self) -> Result<bool, CodecError> {
-        match self.u8() {
-            Ok(0) => Ok(false),
-            Ok(1) => Ok(true),
-            Ok(_) => Err(CodecError {
-                at: self.at - 1,
-                what: "bool byte",
-            }),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Read a collection length prefix and validate it against the
-    /// bytes actually remaining (`min_elem_bytes` per element), so a
-    /// hostile length can never drive a huge allocation.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation or an impossible length.
-    pub fn len(&mut self, min_elem_bytes: usize, what: &'static str) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(self.err(what));
-        }
-        Ok(n)
-    }
-
-    /// Read a `u32`-length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation or invalid UTF-8.
-    pub fn str(&mut self) -> Result<String, CodecError> {
-        let n = self.len(1, "string length")?;
-        let s = self.take(n, "string bytes")?;
-        String::from_utf8(s.to_vec()).map_err(|_| CodecError {
-            at: self.at - n,
-            what: "string utf-8",
-        })
-    }
-
-    /// Read a `u32`-length-prefixed raw byte vector.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.len(1, "byte-vector length")?;
-        Ok(self.take(n, "byte-vector bytes")?.to_vec())
-    }
-
-    /// Read a `u32`-length-prefixed vector of `u32` words.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn words(&mut self) -> Result<Vec<u32>, CodecError> {
-        let n = self.len(4, "word-vector length")?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
-
-    /// Read a `u32`-length-prefixed vector of `u64` values.
-    ///
-    /// # Errors
-    /// [`CodecError`] on truncation.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.len(8, "u64-vector length")?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Template data model codecs.
-
-fn write_slot_path(w: &mut Writer, p: &SlotPath) {
-    w.words(&p.0);
-}
-
-fn read_slot_path(r: &mut Reader<'_>) -> Result<SlotPath, CodecError> {
-    Ok(SlotPath(r.words()?))
-}
-
-fn write_hole_field(w: &mut Writer, f: HoleField) {
-    match f {
-        HoleField::Lit => w.u8(0),
-        HoleField::MemDisp { float } => {
-            w.u8(1);
-            w.bool(float);
-        }
-    }
-}
-
-fn read_hole_field(r: &mut Reader<'_>) -> Result<HoleField, CodecError> {
-    match r.u8()? {
-        0 => Ok(HoleField::Lit),
-        1 => Ok(HoleField::MemDisp { float: r.bool()? }),
-        _ => Err(CodecError {
-            at: r.offset() - 1,
-            what: "hole-field tag",
-        }),
-    }
-}
-
-fn write_value_loc(w: &mut Writer, v: ValueLoc) {
-    match v {
-        ValueLoc::Reg(r) => {
-            w.u8(0);
-            w.u8(r);
-        }
-        ValueLoc::FReg(r) => {
-            w.u8(1);
-            w.u8(r);
-        }
-        ValueLoc::Frame(off) => {
-            w.u8(2);
-            w.i32(off);
-        }
-    }
-}
-
-fn read_value_loc(r: &mut Reader<'_>) -> Result<ValueLoc, CodecError> {
-    match r.u8()? {
-        0 => Ok(ValueLoc::Reg(r.u8()?)),
-        1 => Ok(ValueLoc::FReg(r.u8()?)),
-        2 => Ok(ValueLoc::Frame(r.i32()?)),
-        _ => Err(CodecError {
-            at: r.offset() - 1,
-            what: "value-loc tag",
-        }),
-    }
-}
-
-fn write_marker(w: &mut Writer, m: &Option<LoopMarker>) {
-    match m {
-        None => w.u8(0),
-        Some(LoopMarker::Enter { root }) => {
-            w.u8(1);
-            write_slot_path(w, root);
-        }
-        Some(LoopMarker::Restart { next_slot }) => {
-            w.u8(2);
-            w.u32(*next_slot);
-        }
-        Some(LoopMarker::Exit) => w.u8(3),
-    }
-}
-
-fn read_marker(r: &mut Reader<'_>) -> Result<Option<LoopMarker>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(LoopMarker::Enter {
-            root: read_slot_path(r)?,
-        })),
-        2 => Ok(Some(LoopMarker::Restart {
-            next_slot: r.u32()?,
-        })),
-        3 => Ok(Some(LoopMarker::Exit)),
-        _ => Err(CodecError {
-            at: r.offset() - 1,
-            what: "loop-marker tag",
-        }),
-    }
-}
-
-fn write_exit(w: &mut Writer, e: &TmplExit) {
-    match e {
-        TmplExit::Jump(l) => {
-            w.u8(0);
-            w.u32(*l);
-        }
-        TmplExit::CondBranch { at, taken, fall } => {
-            w.u8(1);
-            w.u32(*at);
-            w.u32(*taken);
-            w.u32(*fall);
-        }
-        TmplExit::ConstBranch {
-            slot,
-            then_l,
-            else_l,
-        } => {
-            w.u8(2);
-            write_slot_path(w, slot);
-            w.u32(*then_l);
-            w.u32(*else_l);
-        }
-        TmplExit::ConstSwitch {
-            slot,
-            cases,
-            default,
-        } => {
-            w.u8(3);
-            write_slot_path(w, slot);
-            w.u32(cases.len() as u32);
-            for (v, l) in cases {
-                w.i64(*v);
-                w.u32(*l);
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            LoopMarker::Enter { root } => {
+                w.put(&[1]);
+                root.encode(w);
             }
-            w.u32(*default);
-        }
-        TmplExit::Return => w.u8(4),
-        TmplExit::ExitRegion { exit } => {
-            w.u8(5);
-            w.u32(*exit);
-        }
-    }
-}
-
-fn read_exit(r: &mut Reader<'_>) -> Result<TmplExit, CodecError> {
-    match r.u8()? {
-        0 => Ok(TmplExit::Jump(r.u32()?)),
-        1 => Ok(TmplExit::CondBranch {
-            at: r.u32()?,
-            taken: r.u32()?,
-            fall: r.u32()?,
-        }),
-        2 => Ok(TmplExit::ConstBranch {
-            slot: read_slot_path(r)?,
-            then_l: r.u32()?,
-            else_l: r.u32()?,
-        }),
-        3 => {
-            let slot = read_slot_path(r)?;
-            let n = r.len(12, "switch-case list")?;
-            let mut cases = Vec::with_capacity(n);
-            for _ in 0..n {
-                let v = r.i64()?;
-                let l = r.u32()?;
-                cases.push((v, l));
+            LoopMarker::Restart { next_slot } => {
+                w.put(&[2]);
+                next_slot.encode(w);
             }
-            Ok(TmplExit::ConstSwitch {
-                slot,
-                cases,
-                default: r.u32()?,
-            })
-        }
-        4 => Ok(TmplExit::Return),
-        5 => Ok(TmplExit::ExitRegion { exit: r.u32()? }),
-        _ => Err(CodecError {
-            at: r.offset() - 1,
-            what: "template-exit tag",
-        }),
-    }
-}
-
-fn write_plan(w: &mut Writer, p: &Option<StitchPlan>) {
-    match p {
-        None => w.u8(0),
-        Some(plan) => {
-            w.u8(1);
-            w.words(&plan.code);
-            w.u32(plan.patches.len() as u32);
-            for patch in &plan.patches {
-                w.u32(patch.at);
-                write_hole_field(w, patch.field);
-                write_slot_path(w, &patch.slot);
-            }
-            w.u32(plan.insts);
-            w.bool(plan.sr_candidate);
+            LoopMarker::Exit => w.put(&[3]),
         }
     }
-}
 
-fn read_plan(r: &mut Reader<'_>) -> Result<Option<StitchPlan>, CodecError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let code = r.words()?;
-            let n = r.len(5, "plan-patch list")?;
-            let mut patches = Vec::with_capacity(n);
-            for _ in 0..n {
-                patches.push(PlanPatch {
-                    at: r.u32()?,
-                    field: read_hole_field(r)?,
-                    slot: read_slot_path(r)?,
-                });
-            }
-            Ok(Some(StitchPlan {
-                code,
-                patches,
-                insts: r.u32()?,
-                sr_candidate: r.bool()?,
-            }))
-        }
-        _ => Err(CodecError {
-            at: r.offset() - 1,
-            what: "stitch-plan tag",
-        }),
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Self::decode_opt(r)?.ok_or_else(|| r.bad_tag("loop-marker tag"))
     }
-}
 
-fn write_block(w: &mut Writer, b: &TmplBlock) {
-    w.u32(b.start);
-    w.u32(b.end);
-    w.u32(b.holes.len() as u32);
-    for h in &b.holes {
-        w.u32(h.at);
-        write_hole_field(w, h.field);
-        write_slot_path(w, &h.slot);
-    }
-    w.u32(b.branches.len() as u32);
-    for f in &b.branches {
-        w.u32(f.at);
-        w.u32(f.target);
-    }
-    write_marker(w, &b.marker);
-    write_exit(w, &b.exit);
-    write_plan(w, &b.plan);
-}
-
-fn read_block(r: &mut Reader<'_>) -> Result<TmplBlock, CodecError> {
-    let start = r.u32()?;
-    let end = r.u32()?;
-    let n = r.len(5, "hole list")?;
-    let mut holes = Vec::with_capacity(n);
-    for _ in 0..n {
-        holes.push(Hole {
-            at: r.u32()?,
-            field: read_hole_field(r)?,
-            slot: read_slot_path(r)?,
-        });
-    }
-    let n = r.len(8, "branch-fixup list")?;
-    let mut branches = Vec::with_capacity(n);
-    for _ in 0..n {
-        branches.push(BranchFixup {
-            at: r.u32()?,
-            target: r.u32()?,
-        });
-    }
-    Ok(TmplBlock {
-        start,
-        end,
-        holes,
-        branches,
-        marker: read_marker(r)?,
-        exit: read_exit(r)?,
-        plan: read_plan(r)?,
-    })
-}
-
-/// Encode one [`Template`].
-pub fn write_template(w: &mut Writer, t: &Template) {
-    w.words(&t.code);
-    w.u32(t.blocks.len() as u32);
-    for b in &t.blocks {
-        write_block(w, b);
-    }
-    w.u32(t.entry);
-}
-
-/// Decode one [`Template`] from untrusted bytes.
-///
-/// # Errors
-/// [`CodecError`] on any structural problem.
-pub fn read_template(r: &mut Reader<'_>) -> Result<Template, CodecError> {
-    let code = r.words()?;
-    let n = r.len(10, "template-block list")?;
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(read_block(r)?);
-    }
-    Ok(Template {
-        code,
-        blocks,
-        entry: r.u32()?,
-    })
-}
-
-/// Encode one [`RegionCode`] (template plus its region metadata).
-pub fn write_region_code(w: &mut Writer, rc: &RegionCode) {
-    w.u16(rc.region_index);
-    w.u32(rc.enter_pc);
-    w.u32(rc.setup_pc);
-    match rc.fallback_pc {
-        None => w.u8(0),
-        Some(pc) => {
-            w.u8(1);
-            w.u32(pc);
+    fn encode_opt(v: Option<&Self>, w: &mut Writer) {
+        match v {
+            None => w.put(&[0]),
+            Some(m) => m.encode(w),
         }
     }
-    write_template(w, &rc.template);
-    w.words(&rc.exit_pcs);
-    w.u32(rc.key_locs.len() as u32);
-    for &k in &rc.key_locs {
-        write_value_loc(w, k);
-    }
-    w.u32(rc.table_static_len);
-}
 
-/// Decode one [`RegionCode`] from untrusted bytes.
-///
-/// # Errors
-/// [`CodecError`] on any structural problem.
-pub fn read_region_code(r: &mut Reader<'_>) -> Result<RegionCode, CodecError> {
-    let region_index = r.u16()?;
-    let enter_pc = r.u32()?;
-    let setup_pc = r.u32()?;
-    let fallback_pc = match r.u8()? {
-        0 => None,
-        1 => Some(r.u32()?),
-        _ => {
-            return Err(CodecError {
-                at: r.offset() - 1,
-                what: "fallback-pc tag",
-            })
-        }
-    };
-    let template = read_template(r)?;
-    let exit_pcs = r.words()?;
-    let n = r.len(2, "key-loc list")?;
-    let mut key_locs = Vec::with_capacity(n);
-    for _ in 0..n {
-        key_locs.push(read_value_loc(r)?);
+    fn decode_opt(r: &mut Reader<'_>) -> Result<Option<Self>, CodecError> {
+        Ok(Some(match r.tag()? {
+            0 => return Ok(None),
+            1 => LoopMarker::Enter {
+                root: SlotPath::decode(r)?,
+            },
+            2 => LoopMarker::Restart {
+                next_slot: u32::decode(r)?,
+            },
+            3 => LoopMarker::Exit,
+            _ => return Err(r.bad_tag("loop-marker tag")),
+        }))
     }
-    Ok(RegionCode {
-        region_index,
-        enter_pc,
-        setup_pc,
-        fallback_pc,
-        template,
-        exit_pcs,
-        key_locs,
-        table_static_len: r.u32()?,
-    })
 }
 
 #[cfg(test)]
@@ -720,46 +149,68 @@ mod tests {
     }
 
     #[test]
+    fn every_declared_type_holds_its_wire_form() {
+        let rc = sample_region();
+        let block = &rc.template.blocks[0];
+        check_wire(&block.holes[0]);
+        check_wire(&block.branches[0]);
+        check_wire(&block.marker);
+        check_wire(&Some(LoopMarker::Restart { next_slot: 2 }));
+        check_wire(&LoopMarker::Exit);
+        check_wire(&block.exit);
+        check_wire(&block.plan);
+        check_wire(block);
+        check_wire(&rc.template);
+        check_wire(&rc.key_locs);
+        check_wire(&vec![HoleField::Lit, HoleField::MemDisp { float: false }]);
+        let exits = vec![
+            TmplExit::Jump(1),
+            TmplExit::CondBranch {
+                at: 3,
+                taken: 0,
+                fall: 1,
+            },
+            TmplExit::ConstBranch {
+                slot: SlotPath(vec![2]),
+                then_l: 0,
+                else_l: 1,
+            },
+            TmplExit::Return,
+            TmplExit::ExitRegion { exit: 1 },
+        ];
+        check_wire(&exits);
+        check_wire(&rc);
+    }
+
+    #[test]
     fn region_code_round_trips() {
+        // Length and FNV-1a-64 of `write_region_code`'s output on this
+        // sample, taken before the declarations replaced it.
         let rc = sample_region();
         let mut w = Writer::new();
-        write_region_code(&mut w, &rc);
+        rc.encode(&mut w);
         let bytes = w.into_bytes();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (197, 0x1a41_5f5e_9db2_a283));
         let mut r = Reader::new(&bytes);
-        let back = read_region_code(&mut r).expect("round trip");
+        let back = RegionCode::decode(&mut r).expect("round trip");
         assert!(r.is_exhausted());
-        // `RegionCode` has no PartialEq; compare through Debug.
-        assert_eq!(format!("{rc:?}"), format!("{back:?}"));
+        assert_eq!(rc, back);
     }
 
     #[test]
-    fn every_truncation_is_a_typed_error() {
-        let mut w = Writer::new();
-        write_region_code(&mut w, &sample_region());
-        let bytes = w.into_bytes();
-        for n in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..n]);
-            assert!(
-                read_region_code(&mut r).is_err(),
-                "truncation to {n} bytes decoded"
-            );
-        }
+    fn derived_minimums_are_exact() {
+        assert_eq!(Hole::MIN_BYTES, 9);
+        assert_eq!(TmplBlock::MIN_BYTES, 19);
+        assert_eq!(RegionCode::MIN_BYTES, 35);
+        assert_eq!(<Option<LoopMarker>>::MIN_BYTES, 1);
     }
 
     #[test]
-    fn hostile_lengths_do_not_allocate() {
-        // A word-vector claiming u32::MAX entries with 4 bytes behind it.
-        let mut w = Writer::new();
-        w.u32(u32::MAX);
-        w.u32(7);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(r.words().is_err());
-    }
-
-    #[test]
-    fn bool_rejects_rotted_bytes() {
-        let mut r = Reader::new(&[2]);
-        assert!(r.bool().is_err());
+    fn a_bare_marker_has_no_tag_zero() {
+        let err = LoopMarker::decode(&mut Reader::new(&[0])).unwrap_err();
+        assert_eq!((err.at, err.what), (0, "loop-marker tag"));
     }
 }

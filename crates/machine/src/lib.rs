@@ -21,8 +21,9 @@
 //! * [`verify`] — install-time verification of patched code: every word
 //!   of a stitched instance is decoded and range-checked before it may
 //!   join the code space;
-//! * [`codec`] — a deterministic, bounds-checked binary codec for the
-//!   template data model, used by the persistent on-disk artifact cache
+//! * [`codec`] — the template data model's wire forms, one declaration
+//!   per type over [`dyncomp_ir::codec`]'s deterministic, bounds-checked
+//!   reader and writer, used by the persistent on-disk artifact cache
 //!   (loads are untrusted input: every read is typed-error checked);
 //! * [`heap`] — host-side helpers for building C-like data structures in
 //!   VM memory;

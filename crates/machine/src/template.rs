@@ -316,9 +316,157 @@ pub struct RegionCode {
     pub table_static_len: u32,
 }
 
+impl RegionCode {
+    /// Whether everything this region refers to exists: its code
+    /// addresses inside the `code_len`-word static image, its labels
+    /// inside its block list, its blocks inside its template code (never
+    /// ending inside a two-word `Ldiw`), every directive inside its block
+    /// or plan, and its key locations among the 32 registers of a bank. The static compiler guarantees all of it by
+    /// construction and the engine and stitcher index by it, so a region
+    /// decoded from untrusted bytes is checked before anything runs it.
+    ///
+    /// # Errors
+    /// What is out of range.
+    pub fn check_refs(&self, code_len: usize) -> Result<(), &'static str> {
+        let pcs = [self.enter_pc, self.setup_pc];
+        let mut pcs = pcs.iter().chain(&self.fallback_pc).chain(&self.exit_pcs);
+        if pcs.any(|&pc| pc as usize >= code_len) {
+            return Err("region code address outside the static image");
+        }
+        let reg_ok = |l: &ValueLoc| !matches!(*l, ValueLoc::Reg(r) | ValueLoc::FReg(r) if r > 31);
+        if !self.key_locs.iter().all(reg_ok) {
+            return Err("key location names a register the machine does not have");
+        }
+        let t = &self.template;
+        let label_ok = |l: TmplLabel| (l as usize) < t.blocks.len();
+        if !label_ok(t.entry) {
+            return Err("template entry label out of range");
+        }
+        for b in &t.blocks {
+            if !(b.start <= b.end && b.end as usize <= t.code.len()) {
+                return Err("template block outside the template code");
+            }
+            let inside = |at: u32| b.start <= at && at < b.end;
+            let exit_ok = match &b.exit {
+                TmplExit::Jump(to) => label_ok(*to),
+                TmplExit::CondBranch { at, taken, fall } => {
+                    inside(*at) && label_ok(*taken) && label_ok(*fall)
+                }
+                TmplExit::ConstBranch { then_l, else_l, .. } => {
+                    label_ok(*then_l) && label_ok(*else_l)
+                }
+                TmplExit::ConstSwitch { cases, default, .. } => {
+                    label_ok(*default) && cases.iter().all(|&(_, l)| label_ok(l))
+                }
+                TmplExit::Return => true,
+                TmplExit::ExitRegion { exit } => (*exit as usize) < self.exit_pcs.len(),
+            };
+            if !exit_ok {
+                return Err("template exit out of range");
+            }
+            if !(b.holes.iter().all(|h| inside(h.at))
+                && b.branches
+                    .iter()
+                    .all(|f| inside(f.at) && label_ok(f.target)))
+            {
+                return Err("template directive outside its block");
+            }
+            // The stitcher's walk: a hole word is patched as one word, any
+            // other `Ldiw` is copied as two.
+            let mut holes = b.holes.iter().peekable();
+            let mut w = b.start;
+            while w < b.end {
+                let hole = holes.next_if(|h| h.at == w).is_some();
+                let ldiw = Op::from_u8((t.code[w as usize] >> 24) as u8) == Some(Op::Ldiw);
+                w += 1 + u32::from(ldiw && !hole);
+            }
+            if w != b.end {
+                return Err("template block ends inside a wide instruction");
+            }
+            let patch_ok = |plan: &StitchPlan| {
+                let inside = |p: &PlanPatch| (p.at as usize) < plan.code.len();
+                plan.patches.iter().all(inside)
+            };
+            if !b.plan.iter().all(patch_ok) {
+                return Err("plan patch outside its plan");
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dangling_references_are_refused() {
+        let valid = || RegionCode {
+            region_index: 0,
+            enter_pc: 10,
+            setup_pc: 12,
+            fallback_pc: Some(99),
+            template: Template {
+                code: vec![1, 2, 3, 4],
+                blocks: vec![TmplBlock {
+                    start: 0,
+                    end: 4,
+                    holes: vec![Hole {
+                        at: 1,
+                        field: HoleField::Lit,
+                        slot: SlotPath::stat(2),
+                    }],
+                    branches: vec![BranchFixup { at: 3, target: 0 }],
+                    marker: None,
+                    exit: TmplExit::ExitRegion { exit: 1 },
+                    plan: Some(StitchPlan {
+                        code: vec![9, 9],
+                        patches: vec![PlanPatch {
+                            at: 1,
+                            field: HoleField::Lit,
+                            slot: SlotPath::stat(4),
+                        }],
+                        insts: 2,
+                        sr_candidate: false,
+                    }),
+                }],
+                entry: 0,
+            },
+            exit_pcs: vec![40, 41],
+            key_locs: vec![ValueLoc::Reg(31), ValueLoc::Frame(-8)],
+            table_static_len: 6,
+        };
+        assert_eq!(valid().check_refs(100), Ok(()));
+        assert!(valid().check_refs(99).is_err(), "fallback_pc 99 is outside");
+        let breakers: [fn(&mut RegionCode); 11] = [
+            |rc| rc.template.entry = 1,
+            |rc| rc.template.blocks[0].end = 5,
+            |rc| rc.template.blocks[0].start = 5,
+            |rc| rc.template.blocks[0].holes[0].at = 4,
+            |rc| rc.template.blocks[0].branches[0].at = 9,
+            |rc| rc.template.blocks[0].branches[0].target = 1,
+            |rc| rc.template.blocks[0].exit = TmplExit::Jump(7),
+            |rc| rc.template.blocks[0].exit = TmplExit::ExitRegion { exit: 2 },
+            |rc| rc.exit_pcs[1] = 100,
+            |rc| rc.key_locs.push(ValueLoc::FReg(32)),
+            |rc| {
+                if let Some(plan) = &mut rc.template.blocks[0].plan {
+                    plan.patches[0].at = 2;
+                }
+            },
+        ];
+        for (i, breaker) in breakers.iter().enumerate() {
+            let mut rc = valid();
+            breaker(&mut rc);
+            assert!(rc.check_refs(100).is_err(), "breaker {i} passed");
+        }
+        // A block whose last word is the first half of a `Ldiw`...
+        let mut rc = valid();
+        rc.template.code[3] = u32::from(Op::Ldiw as u8) << 24;
+        assert!(rc.check_refs(100).is_err());
+        rc.template.blocks[0].holes[0].at = 3; // ... unless a hole patches it.
+        assert_eq!(rc.check_refs(100), Ok(()));
+    }
 
     #[test]
     fn template_words_sums_block_ranges() {

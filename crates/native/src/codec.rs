@@ -8,6 +8,9 @@
 //! Bump [`NATIVE_CODE_VERSION`] whenever stub byte sequences or the
 //! context-block ABI change, so stale cache files age out safely.
 //!
+//! The artifact's layout is a declaration ([`dyncomp_ir::codec!`]); the
+//! tag in front of it is a gate, not a field, and is written out.
+//!
 //! Like everything read back from the persistent cache, encoded
 //! artifacts are untrusted input: decoding is fully bounds-checked
 //! (see [`dyncomp_machine::codec`]) and the decoded artifact is only
@@ -17,7 +20,7 @@
 //! the enclosing file checksum rules out before decoding starts.
 
 use crate::translate::{Artifact, GuardArea};
-use dyncomp_machine::codec::{CodecError, Reader, Writer};
+use dyncomp_machine::codec::{Codec, CodecError, Reader, Writer};
 
 /// Version of the generated code (stub set + context ABI). Part of the
 /// host tag; bump on any change to emitted byte sequences.
@@ -36,94 +39,45 @@ pub fn host_tag() -> String {
     )
 }
 
-fn write_pc_pairs(w: &mut Writer, pairs: &[(u32, u32)]) {
-    w.u32(pairs.len() as u32);
-    for &(a, b) in pairs {
-        w.u32(a);
-        w.u32(b);
+dyncomp_ir::codec! {
+    struct GuardArea { pc: u32, offset: u32, len: u32 }
+    struct Artifact {
+        bytes: Vec<u8>,
+        entry_supported: bool,
+        instructions: u32,
+        covered: u32,
+        blocks: u32,
+        base: u32,
+        end: u32,
+        entries: Vec<(u32, u32)>,
+        block_offsets: Vec<(u32, u32)>,
+        exit_sites: Vec<(u32, u32)>,
+        guard_areas: Vec<GuardArea>,
     }
 }
 
-fn read_pc_pairs(r: &mut Reader<'_>) -> Result<Vec<(u32, u32)>, CodecError> {
-    let n = r.len(8, "pc-pair list")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let a = r.u32()?;
-        let b = r.u32()?;
-        out.push((a, b));
-    }
-    Ok(out)
-}
-
-/// Encode `a` (with its [`host_tag`]) into `w`.
+/// Encode `a` behind its [`host_tag`].
 pub fn write_artifact(w: &mut Writer, a: &Artifact) {
-    w.str(&host_tag());
-    w.bytes(&a.bytes);
-    w.bool(a.entry_supported);
-    w.u32(a.instructions);
-    w.u32(a.covered);
-    w.u32(a.blocks);
-    w.u32(a.base);
-    w.u32(a.end);
-    write_pc_pairs(w, &a.entries);
-    write_pc_pairs(w, &a.block_offsets);
-    write_pc_pairs(w, &a.exit_sites);
-    w.u32(a.guard_areas.len() as u32);
-    for g in &a.guard_areas {
-        w.u32(g.pc);
-        w.u32(g.offset);
-        w.u32(g.len);
-    }
+    host_tag().encode(w);
+    a.encode(w);
 }
 
-/// Decode one artifact. Returns `Ok(None)` when the encoded host tag
-/// does not match this host (the section is simply not for us);
+/// Decode one tagged artifact. Returns `Ok(None)` when the encoded host
+/// tag does not match this host (the section is simply not for us);
 /// `Err` only for structural corruption.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or malformed structure.
 pub fn read_artifact(r: &mut Reader<'_>) -> Result<Option<Artifact>, CodecError> {
-    let tag = r.str()?;
-    let bytes = r.bytes()?;
-    let entry_supported = r.bool()?;
-    let instructions = r.u32()?;
-    let covered = r.u32()?;
-    let blocks = r.u32()?;
-    let base = r.u32()?;
-    let end = r.u32()?;
-    let entries = read_pc_pairs(r)?;
-    let block_offsets = read_pc_pairs(r)?;
-    let exit_sites = read_pc_pairs(r)?;
-    let n = r.len(12, "guard-area list")?;
-    let mut guard_areas = Vec::with_capacity(n);
-    for _ in 0..n {
-        guard_areas.push(GuardArea {
-            pc: r.u32()?,
-            offset: r.u32()?,
-            len: r.u32()?,
-        });
-    }
-    if tag != host_tag() {
-        return Ok(None);
-    }
-    Ok(Some(Artifact {
-        bytes,
-        entry_supported,
-        instructions,
-        covered,
-        blocks,
-        base,
-        end,
-        entries,
-        block_offsets,
-        exit_sites,
-        guard_areas,
-    }))
+    let tag = String::decode(r)?;
+    let artifact = Artifact::decode(r)?;
+    Ok((tag == host_tag()).then_some(artifact))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyncomp_machine::codec::check_wire;
 
     fn sample() -> Artifact {
         Artifact {
@@ -146,6 +100,12 @@ mod tests {
     }
 
     #[test]
+    fn declared_types_hold_their_wire_form() {
+        check_wire(&sample().guard_areas[0]);
+        check_wire(&sample());
+    }
+
+    #[test]
     fn artifact_round_trips_on_matching_host() {
         let a = sample();
         let mut w = Writer::new();
@@ -157,33 +117,19 @@ mod tests {
             .expect("host tag matches");
         assert!(r.is_exhausted());
         assert_eq!(format!("{a:?}"), format!("{back:?}"));
+        for n in 0..bytes.len() {
+            assert!(read_artifact(&mut Reader::new(&bytes[..n])).is_err());
+        }
     }
 
     #[test]
     fn foreign_tag_decodes_to_none() {
-        let a = sample();
         let mut w = Writer::new();
-        w.str("alpha-osf1-v1");
-        // Re-encode the body fields by writing a full artifact then
-        // replacing its tag: simplest is encoding twice and splicing.
-        let mut full = Writer::new();
-        write_artifact(&mut full, &a);
-        let full = full.into_bytes();
-        let tag_len = 4 + host_tag().len();
-        let mut spliced = w.into_bytes();
-        spliced.extend_from_slice(&full[tag_len..]);
-        let mut r = Reader::new(&spliced);
+        String::from("alpha-osf1-v1").encode(&mut w);
+        sample().encode(&mut w);
+        let foreign = w.into_bytes();
+        let mut r = Reader::new(&foreign);
         assert!(read_artifact(&mut r).expect("decodes").is_none());
-    }
-
-    #[test]
-    fn truncations_are_typed_errors() {
-        let mut w = Writer::new();
-        write_artifact(&mut w, &sample());
-        let bytes = w.into_bytes();
-        for n in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..n]);
-            assert!(read_artifact(&mut r).is_err(), "truncation to {n} decoded");
-        }
+        assert!(r.is_exhausted());
     }
 }

@@ -72,6 +72,16 @@ pub struct SpecStats {
     pub holes: usize,
 }
 
+dyncomp_ir::codec! {
+    struct SpecStats {
+        const_insts_eliminated: usize,
+        loads_eliminated: usize,
+        const_branches: usize,
+        unrolled_loops: usize,
+        holes: usize,
+    }
+}
+
 impl std::ops::AddAssign for SpecStats {
     fn add_assign(&mut self, s: SpecStats) {
         self.const_insts_eliminated += s.const_insts_eliminated;

@@ -132,6 +132,25 @@ pub struct StitchStats {
     pub cycles: u64,
 }
 
+dyncomp_ir::codec! {
+    struct StitchStats {
+        instructions_stitched: u32,
+        words_emitted: u32,
+        holes_inline: u32,
+        holes_big: u32,
+        const_branches_resolved: u32,
+        blocks_skipped: u32,
+        loop_iterations: u32,
+        strength_reductions: u32,
+        regaction_loads_removed: u32,
+        regaction_stores_rewritten: u32,
+        regaction_promoted: u32,
+        plan_hits: u32,
+        plan_misses: u32,
+        cycles: u64,
+    }
+}
+
 impl std::ops::AddAssign for StitchStats {
     fn add_assign(&mut self, s: StitchStats) {
         self.instructions_stitched += s.instructions_stitched;
@@ -199,6 +218,23 @@ pub struct Stitched {
     pub reads: Vec<(u64, u64)>,
 }
 
+// Plan patches are a debugging record of one stitch, not part of the
+// instance: they are not persisted.
+dyncomp_ir::codec! {
+    struct Stitched {
+        code: Vec<u32>,
+        lin_table_addr: u64,
+        lin_words: Vec<u64>,
+        lin_addr_patches: Vec<u32>,
+        lin_far_addr_patches: Vec<(u32, u32)>,
+        exit_patches: Vec<(u32, u32)>,
+        stats: StitchStats,
+        native_bytes: u64,
+        reads: Vec<(u64, u64)>;
+        skip plan_patches
+    }
+}
+
 impl Stitched {
     /// Whether replaying this instance's recorded table reads against
     /// `mem` reproduces the values the publishing stitch saw. A match
@@ -218,6 +254,19 @@ impl Stitched {
     /// byte-budgeted caches account in.
     pub fn footprint_bytes(&self) -> u64 {
         4 * self.code.len() as u64 + 8 * self.lin_words.len() as u64 + self.native_bytes
+    }
+
+    /// Whether every patch names words of [`Stitched::code`]: a `Ldiw`
+    /// and its payload word for the table-address patches, one branch
+    /// word for an exit patch. [`stitch`] returns nothing else, and
+    /// [`Stitched::relocate`] indexes by it, so what decodes an instance
+    /// from disk checks it first.
+    pub fn patches_in_range(&self) -> bool {
+        let words = self.code.len();
+        let wide = |p: u32| (p as usize) + 1 < words;
+        self.lin_addr_patches.iter().all(|&p| wide(p))
+            && self.lin_far_addr_patches.iter().all(|&(p, _)| wide(p))
+            && self.exit_patches.iter().all(|&(p, _)| (p as usize) < words)
     }
 
     /// Re-create this instance for installation at `new_base`, with a

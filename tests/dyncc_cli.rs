@@ -216,6 +216,63 @@ fn bad_inline_depth_is_a_usage_error() {
 }
 
 #[test]
+fn unknown_flag_is_a_usage_error() {
+    // `--nativ` used to be ignored: exit 0, run on the VM.
+    let p = write_temp("good10.mc", "int f(int x) { return x; }");
+    let (code, err) = dyncc_code(&[p.to_str().unwrap(), "--nativ", "--run", "f", "1"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown flag `--nativ`"), "{err}");
+    // The usage line lists every flag, not a third of them.
+    for flag in [
+        "--native",
+        "--persist-dir DIR",
+        "--code-budget B",
+        "--speculate",
+    ] {
+        assert!(err.contains(flag), "usage line lacks {flag}: {err}");
+    }
+    let (code, err) = dyncc_code(&[p.to_str().unwrap(), "stray", "--run", "f", "1"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("unknown argument `stray`"), "{err}");
+}
+
+#[test]
+fn tiered_modifiers_without_tiered_are_usage_errors() {
+    let p = write_temp("good11.mc", "int f(int x) { return x; }");
+    let file = p.to_str().unwrap();
+    let (code, err) = dyncc_code(&[file, "--run", "f", "1", "--stitch-workers", "4"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--stitch-workers needs --tiered"), "{err}");
+    let (code, err) = dyncc_code(&[file, "--speculate", "--run", "f", "1"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--speculate needs --tiered"), "{err}");
+    let (out, err, ok) = dyncc(&[
+        file,
+        "--run",
+        "f",
+        "1",
+        "--tiered",
+        "--stitch-workers",
+        "2",
+        "--speculate",
+    ]);
+    assert!(ok, "{err}");
+    assert!(out.contains("f(1) = 1"), "{out}");
+}
+
+#[test]
+fn no_native_chain_without_native_is_a_usage_error() {
+    let p = write_temp("good12.mc", "int f(int x) { return x; }");
+    let file = p.to_str().unwrap();
+    let (code, err) = dyncc_code(&[file, "--run", "f", "1", "--no-native-chain"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--no-native-chain needs --native"), "{err}");
+    let (out, err, ok) = dyncc(&[file, "--run", "f", "-1", "--native", "--no-native-chain"]);
+    assert!(ok, "{err}");
+    assert!(out.contains("(-1 as signed)"), "{out}");
+}
+
+#[test]
 fn connect_without_run_is_a_usage_error() {
     let p = write_temp("good8.mc", "int f(int x) { return x; }");
     let (code, err) = dyncc_code(&[p.to_str().unwrap(), "--connect", "127.0.0.1:1"]);

@@ -9,6 +9,13 @@
 //! the pristine snapshot and applies one mutation — a bit flip, a
 //! truncation, or a header transplanted from another cache file — and
 //! replays the workload in a fresh session against a reopened cache.
+//!
+//! A second walk re-seals what it mutates: one payload byte changes and
+//! the header's length and checksum are recomputed, so the file verifies
+//! and only the decoder (layout, then cross-references) stands between
+//! the mutation and the engine. There the oracle is weaker — a re-sealed
+//! word that still decodes is outside what any load-time check can see —
+//! but it never includes a panic.
 
 use dyncomp::{Compiler, Engine, EngineOptions, PersistentCache};
 use dyncomp_ir::prng::SplitMix64;
@@ -198,5 +205,151 @@ fn every_mutation_degrades_to_recompilation_with_typed_entries() {
         );
     }
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Frame `payload` the way `persist::format` documents it: `file`'s
+/// magic, version and kind, then the payload's length and FNV-1a-64.
+fn reseal(file: &[u8], payload: &[u8]) -> Vec<u8> {
+    let fnv = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut out = file[..9].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv.to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// What one tolerant replay saw: every call's result (a typed error is
+/// an acceptable outcome for a file that verifies but lies) and the
+/// cache's reject counters.
+struct Replay {
+    checksum: Option<u64>,
+    artifact_rejects: u64,
+    instance_rejects: u64,
+}
+
+/// [`run_once`] without the `expect`s, on a short fuel leash: a mutated
+/// branch may loop, and must run out of fuel rather than out of patience.
+fn replay(root: &Path) -> Replay {
+    let cache = Arc::new(PersistentCache::open(root).expect("cache opens"));
+    let (program, _cached) = cache
+        .load_or_compile(&Compiler::new(), SRC)
+        .expect("source compiles");
+    let mut engine = Engine::with_options(
+        &program,
+        EngineOptions {
+            persist: Some(Arc::clone(&cache)),
+            ..EngineOptions::default()
+        },
+    );
+    let mut calls: Vec<(&str, Vec<u64>)> = Vec::new();
+    for k in 1..=4u64 {
+        for x in [3u64, 5] {
+            calls.push(("keyed", vec![k, x]));
+        }
+    }
+    calls.extend((0..3).map(|_| ("unkeyed", vec![9])));
+    let mut checksum = Some(0u64);
+    for (func, args) in calls {
+        engine.vm.fuel = 1_000_000;
+        checksum = match (checksum, engine.call(func, &args)) {
+            (Some(c), Ok(r)) => Some(c.wrapping_mul(1099511628211).wrapping_add(r)),
+            _ => None,
+        };
+    }
+    let stats = cache.stats();
+    Replay {
+        checksum,
+        artifact_rejects: stats.artifact_rejects,
+        instance_rejects: stats.instance_rejects,
+    }
+}
+
+#[test]
+fn resealed_mutations_never_panic_and_never_poison_the_cache() {
+    let root = std::env::temp_dir().join(format!("dyncomp-reseal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cold = run_once(&root);
+    let pristine: Vec<(PathBuf, Vec<u8>)> = cache_files(&root)
+        .into_iter()
+        .map(|p| (p.clone(), std::fs::read(&p).expect("snapshot cache file")))
+        .collect();
+    let artifact = pristine
+        .iter()
+        .position(|(p, _)| p.extension().is_some_and(|e| e == "dyna"))
+        .expect("the cold run stored an artifact");
+    let restore = || {
+        for path in cache_files(&root) {
+            std::fs::remove_file(path).expect("clear cache file");
+        }
+        for (path, bytes) in &pristine {
+            std::fs::write(path, bytes).expect("restore pristine file");
+        }
+    };
+
+    // Fixed cases first: the static `EnterRegion` of each region, its
+    // operand (the low bits of a little-endian code word) rewritten past
+    // the region table. The payload is the artifact hash, then the code
+    // words behind their `u32` count.
+    let program = Compiler::new().compile(SRC).expect("source compiles");
+    let mut mutations: Vec<(usize, usize, u8)> = (0..program.region_count())
+        .map(|r| program.compiled.regions[r].enter_pc as usize)
+        .map(|pc| (artifact, 8 + 4 + 4 * pc, 0x80))
+        .collect();
+    // Then seeded ones, uniform over every payload byte in the directory.
+    let payload_bytes: usize = pristine.iter().map(|(_, b)| b.len() - HEADER_LEN).sum();
+    let mut rng = SplitMix64::new(0x5eed_cafe_f00d_0002);
+    while mutations.len() < 600 {
+        let mut at = rng.next_u64() as usize % payload_bytes;
+        let mut victim = 0;
+        while at >= pristine[victim].1.len() - HEADER_LEN {
+            at -= pristine[victim].1.len() - HEADER_LEN;
+            victim += 1;
+        }
+        mutations.push((victim, at, [0x01, 0x80, 0xFF][rng.next_u64() as usize % 3]));
+    }
+
+    for (round, &(victim, at, xor)) in mutations.iter().enumerate() {
+        restore();
+        let (path, bytes) = &pristine[victim];
+        let what = format!(
+            "round {round}: payload byte {at} ^ {xor:#04x} of {}",
+            path.display()
+        );
+        let mut payload = bytes[HEADER_LEN..].to_vec();
+        payload[at] ^= xor;
+        std::fs::write(path, reseal(bytes, &payload)).expect("write mutated file");
+
+        let Ok(mutated) = std::panic::catch_unwind(|| replay(&root)) else {
+            panic!("{what}: panicked");
+        };
+        if victim == artifact {
+            // Refused, recompiled and healed — or loaded, and then every
+            // call came back `Ok` or a typed `Error` (it did not panic).
+            if mutated.artifact_rejects > 0 {
+                assert_eq!(mutated.checksum, Some(cold.checksum), "{what}");
+                let healed = replay(&root);
+                assert_eq!(healed.checksum, Some(cold.checksum), "{what}");
+                assert_eq!(
+                    healed.artifact_rejects + healed.instance_rejects,
+                    0,
+                    "{what}"
+                );
+            }
+            assert!(
+                round >= program.region_count() || mutated.artifact_rejects > 0,
+                "{what}"
+            );
+        } else {
+            // Whatever the mutated instance did to its own run, it wrote
+            // nothing the next run over the pristine file trips on.
+            std::fs::write(path, bytes).expect("restore the victim");
+            let clean = replay(&root);
+            assert_eq!(clean.checksum, Some(cold.checksum), "{what}");
+            assert_eq!(clean.artifact_rejects + clean.instance_rejects, 0, "{what}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
