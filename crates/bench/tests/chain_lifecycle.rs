@@ -176,3 +176,131 @@ fn chain_then_budget_degrade_keeps_results_identical() {
     );
     assert_chained(&session, "budget");
 }
+
+/// Two keyed regions entered from one loop, each falling out into its
+/// function instead of returning: a region exit is an exit blob
+/// back-patched into the static-code instance, so both chain-patch kinds
+/// are live (exit blobs in region instances, guard sleds in the static
+/// instance), and severing one region's instances leaves the static
+/// instance reachable through the other's.
+const TWO_REGION_SWEEP: &str = "int poly(int c, int x) {
+    int r = 0;
+    dynamicRegion key(c) (c) {
+        r = c * x * x + c * x + c;
+    }
+    return r + 1;
+}
+int scale(int k, int x) {
+    int r = 0;
+    dynamicRegion key(k) (k) {
+        r = k * x + k;
+    }
+    return r - 1;
+}
+int sweep(int c, int n) {
+    int acc = 0;
+    int i;
+    for (i = 0; i < n; i++) {
+        acc = acc * 31 + poly(c, 10 + i) + scale(3, i);
+    }
+    return acc;
+}";
+
+/// Drive `src` like [`drive`], arming `Session::fail_native_reseals(n)`
+/// just before call number `arm_at` (counting from 0 over all rounds;
+/// never when out of range).
+fn run_armed(src: &str, options: EngineOptions, keys: u64, arm_at: u64, n: u32) -> (u64, Session) {
+    let program = Arc::new(Compiler::tiered().compile(src).expect("compiles"));
+    let mut session = Session::with_options(program, options);
+    let mut checksum = 0u64;
+    let mut call = 0u64;
+    for _round in 0..3u64 {
+        for c in 1..=keys {
+            if call == arm_at {
+                session.fail_native_reseals(n);
+            }
+            call += 1;
+            let r = session
+                .call("sweep", &[c, 8])
+                .expect("sessions with discarded holders must still answer");
+            checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
+        }
+    }
+    (checksum, session)
+}
+
+/// A patch whose reseal fails leaves its holder writable and not
+/// executable: one more dispatch into it would fault the process, and a
+/// link it still holds into a released instance would jump into pages
+/// recycled for someone else. The backend must remove every such holder
+/// — and, transitively, every holder whose link into a removed instance
+/// cannot be restored — before any page is released. Failures are armed
+/// at every call of two workloads, for one patch batch and for all of
+/// them: [`KEYED_SWEEP`], whose first patch is a guard sled, and
+/// [`TWO_REGION_SWEEP`], whose first patches are exit blobs, each on the
+/// chaining path (default options) and on the severing path (region 0
+/// quarantined mid-session while any other region keeps running
+/// natively). Every run must end bit-identical, without a crash and with
+/// no genuine fault recorded.
+#[test]
+fn failed_reseals_discard_holders_and_keep_results_identical() {
+    for src in [KEYED_SWEEP, TWO_REGION_SWEEP] {
+        failed_reseals_keep_results_identical(src);
+    }
+}
+
+fn failed_reseals_keep_results_identical(src: &str) {
+    const KEYS: u64 = 6;
+    let (clean, _) = run_armed(src, EngineOptions::default(), KEYS, u64::MAX, 0);
+    let (native, reference) = run_armed(src, native_options(), KEYS, u64::MAX, 0);
+    assert_eq!(native, clean, "native backend changes no result");
+    let quarantine = EngineOptions {
+        faults: Some(FaultPlan {
+            seed: 1,
+            injections: vec![Injection {
+                region: Some(0),
+                max_fires: u32::MAX,
+                ..Injection::new(FaultPoint::SetupVmTrap)
+            }],
+        }),
+        recovery: RecoveryPolicy {
+            max_retries: 0,
+            quarantine_after: 2,
+            ..RecoveryPolicy::default()
+        },
+        ..native_options()
+    };
+    let (_, severed) = run_armed(src, quarantine.clone(), KEYS, u64::MAX, 0);
+    assert_eq!(
+        severed.health().quarantined,
+        vec![0],
+        "region 0 quarantined"
+    );
+    let mut discarded_somewhere = false;
+    for options in [native_options(), quarantine] {
+        for arm_at in 0..3 * KEYS {
+            for n in [1, u32::MAX] {
+                let (checksum, session) = run_armed(src, options.clone(), KEYS, arm_at, n);
+                assert_eq!(
+                    checksum, clean,
+                    "reseal failures from call {arm_at} (n = {n}) change no result"
+                );
+                let health = session.health();
+                assert!(
+                    health.failures.iter().all(|f| f.injected),
+                    "a discarded holder is not a fault: {:?}",
+                    health.failures
+                );
+                discarded_somewhere |=
+                    session.native_report().bytes < reference.native_report().bytes;
+            }
+        }
+    }
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        assert_chained(&reference, "reference");
+        assert!(
+            discarded_somewhere,
+            "some armed run must have discarded an installed holder"
+        );
+    }
+}

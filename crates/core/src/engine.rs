@@ -248,16 +248,6 @@ struct NativeState {
     /// repeated native dispatches — the VM-bounce pattern chaining
     /// exists to collapse).
     static_attempted: bool,
-    /// One past the last static code word, snapshotted at session build
-    /// (everything past it is dynamically installed).
-    static_end: u32,
-    /// Pristine static code words, snapshotted at session build (chain
-    /// mode). The whole-static-code instance is translated from this
-    /// copy, not the live code space: by the time the bounce heuristic
-    /// fires, trap retirement may already have patched `EnterRegion`
-    /// words into branches, and the guard-sled protocol is defined
-    /// against the original traps. Consumed (freed) by the install.
-    static_code: Vec<u32>,
     /// Value of `counters.entries` when the current `call` started; the
     /// install heuristic compares against it to detect repeated
     /// dispatches within one call.
@@ -465,18 +455,7 @@ impl<P: Borrow<Program>> Session<P> {
             .as_ref()
             .map(|plan| Box::new(FaultState::new(plan)));
         let recovery = RecoveryState::new(options.recovery.clone(), p.compiled.regions.len());
-        let mut native = options.native.then(Box::<NativeState>::default);
-        if let Some(ns) = native.as_deref_mut() {
-            // Snapshot the static-code extent before any dynamic install
-            // grows the code space (chain mode translates exactly this
-            // window as one instance), and keep a pristine copy of the
-            // words themselves — the lazy install may fire after trap
-            // retirement has patched some of them.
-            ns.static_end = vm.code.len() as u32;
-            if options.native_chain {
-                ns.static_code = vm.code.clone();
-            }
-        }
+        let native = options.native.then(Box::<NativeState>::default);
         Session {
             program,
             vm,
@@ -591,6 +570,18 @@ impl<P: Borrow<Program>> Session<P> {
     #[doc(hidden)]
     pub fn force_native_state_loss(&mut self) {
         self.native = None;
+    }
+
+    /// Test hook: the next `n` native patch batches (chain links, guard
+    /// sleds, and their restores on severing) land without resealing,
+    /// leaving the holder's pages writable and not executable — what a
+    /// refused `mprotect` leaves. The backend must discard every such
+    /// holder, and whatever links into it, before the next dispatch.
+    #[doc(hidden)]
+    pub fn fail_native_reseals(&mut self, n: u32) {
+        if let Some(ns) = self.native.as_deref_mut() {
+            ns.backend.fail_next_reseals(n);
+        }
     }
 
     /// Serve a [`Stop::Native`] dispatch: run the installed host
@@ -728,14 +719,14 @@ impl<P: Borrow<Program>> Session<P> {
     /// Install the whole static code region as one native instance
     /// (chain mode): every supported block leader becomes a dispatch
     /// point and a published chain target, `Jmp`/`Jsr` thread through
-    /// the dispatch table, and keyed `EnterRegion` pcs reserve
-    /// patchable guard sleds. Attempted once, lazily, when the bounce
-    /// heuristic fires ([`STATIC_CHAIN_THRESHOLD`] dispatches within one
-    /// call); a decline (nothing lowered, arena refused) leaves the
-    /// session on the PR 6 per-instance path. Translation reads the
-    /// pristine session-build snapshot, so traps retired before the
-    /// install still appear as `EnterRegion` words — their guard sleds
-    /// are armed retroactively below.
+    /// the dispatch table, and `EnterRegion` pcs reserve patchable guard
+    /// sleds. Attempted once, lazily, when the bounce heuristic fires
+    /// ([`STATIC_CHAIN_THRESHOLD`] dispatches within one call); a decline
+    /// (nothing lowered, arena refused) leaves the session on the
+    /// per-instance path. The translation is the program's
+    /// ([`Program::native_snapshot`]), made from the code as compiled, so
+    /// traps retired before the install still appear as `EnterRegion`
+    /// words — their guard sleds are armed retroactively below.
     fn install_static_native(&mut self) {
         if !self.options.native_chain {
             return;
@@ -747,46 +738,15 @@ impl<P: Borrow<Program>> Session<P> {
             return;
         }
         ns.static_attempted = true;
-        let (end, snapshot) = (ns.static_end, std::mem::take(&mut ns.static_code));
-        if !dyncomp_native::available() || end == 0 {
+        if !dyncomp_native::available() || self.program.borrow().compiled.code.is_empty() {
             // `maybe_install_native` reports host unavailability once.
             return;
         }
-        let guards: Vec<dyncomp_native::GuardSpec> = if self.guards_enabled() {
-            self.program
-                .borrow()
-                .compiled
-                .regions
-                .iter()
-                .filter(|rc| rc.enter_pc < end)
-                .map(|rc| dyncomp_native::GuardSpec {
-                    pc: rc.enter_pc,
-                    keys: rc.key_locs.iter().map(keyslot).collect(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Region exit continuations must be block leaders: a stitched
-        // instance's patched exit blob can only land on a block head
-        // (where the block's fuel and cycles are charged), and the
-        // static control flow alone often leaves those pcs mid-block.
-        let leaders: Vec<u32> = self
+        let start = Instant::now();
+        let artifact = self
             .program
             .borrow()
-            .compiled
-            .regions
-            .iter()
-            .flat_map(|rc| rc.exit_pcs.iter().copied())
-            .collect();
-        let spec = dyncomp_native::ChainSpec {
-            indirect: true,
-            guards,
-            leaders,
-        };
-        let start = Instant::now();
-        let code = &snapshot[..end as usize];
-        let artifact = dyncomp_native::translate_with(code, 0, &self.vm.model, &spec);
+            .native_snapshot(&self.vm.model, self.guards_enabled());
         self.note_translation(crate::STATIC_REGION, start, &artifact);
         let Some(ns) = self.native_checked(crate::STATIC_REGION) else {
             return;
@@ -806,6 +766,7 @@ impl<P: Borrow<Program>> Session<P> {
         // control is already native and the transfer is a bare `jmp`.
         ns.marks.insert(0, Vec::new());
         ns.backend.chain(0);
+        self.retire_discarded_native();
         // Unkeyed regions whose trap retired before this install left
         // their guard sleds unarmed (retirement arms the guard, but the
         // sled did not exist yet). Arm them now; keyed guards re-arm on
@@ -825,6 +786,21 @@ impl<P: Borrow<Program>> Session<P> {
             .collect();
         for (region, base) in retired {
             self.maybe_patch_guard(region, &[], base);
+        }
+    }
+
+    /// Retire the dispatch marks of every instance the backend removed
+    /// on its own because a patch on it, or on a link it held, failed:
+    /// the VM must not bounce on a pc whose code is gone.
+    fn retire_discarded_native(&mut self) {
+        let Some(ns) = self.native.as_deref_mut() else {
+            return;
+        };
+        for base in ns.backend.take_discarded() {
+            ns.region_of.remove(&base);
+            for pc in ns.marks.remove(&base).unwrap_or_default() {
+                self.vm.unmark_native(pc);
+            }
         }
     }
 
@@ -855,6 +831,7 @@ impl<P: Borrow<Program>> Session<P> {
             return;
         }
         ns.backend.chain(base);
+        self.retire_discarded_native();
     }
 
     /// Chain mode: patch the static instance's guard sled at this
@@ -903,11 +880,12 @@ impl<P: Borrow<Program>> Session<P> {
             ns.marks.entry(base).or_default().push(enter_pc);
             self.vm.mark_native(enter_pc);
         }
+        self.retire_discarded_native();
     }
 
     /// Tear down the native instance at `base` (evicted, quarantined,
     /// or shed by the byte-budget ladder): every chain link through it
-    /// is severed before its pages are unmapped, and its dispatch marks
+    /// is severed before its pages are released, and its dispatch marks
     /// are retired so the VM never bounces on a dead pc. Chain mode
     /// only — the unchained backend keeps instances installed for the
     /// append-only code space, exactly as in PR 6.
@@ -926,6 +904,7 @@ impl<P: Borrow<Program>> Session<P> {
         for pc in marks {
             self.vm.unmark_native(pc);
         }
+        self.retire_discarded_native();
         self.tr(EventKind::NativeUnchained { region });
     }
 
@@ -2098,7 +2077,7 @@ impl CopyFailure {
 
 /// Mirror a region-key [`ValueLoc`] into the native translator's
 /// [`dyncomp_native::KeySlot`] (same kinds, crate-local type).
-fn keyslot(l: &ValueLoc) -> dyncomp_native::KeySlot {
+pub(crate) fn keyslot(l: &ValueLoc) -> dyncomp_native::KeySlot {
     match *l {
         ValueLoc::Reg(r) => dyncomp_native::KeySlot::Reg(r),
         ValueLoc::FReg(r) => dyncomp_native::KeySlot::FReg(r),

@@ -114,8 +114,11 @@ use dyncomp_analysis::AnalysisConfig;
 use dyncomp_codegen::CompiledModule;
 use dyncomp_frontend::{FrontendError, LowerOptions, TypeTable};
 use dyncomp_ir::{FuncId, Module};
+use dyncomp_machine::CycleModel;
+use dyncomp_native::Artifact;
 use dyncomp_specialize::{RegionSpec, SpecError, SpecStats};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Any compilation or execution failure.
 #[derive(Debug)]
@@ -402,6 +405,7 @@ impl Compiler {
             compiled,
             spec_stats,
             inline_sites,
+            native_snapshots: NativeSnapshots::default(),
         })
     }
 
@@ -564,9 +568,13 @@ static NEXT_PROGRAM_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 
 /// A fully statically compiled program, ready to run on a [`Session`].
 ///
-/// The artifact is immutable after compilation and `Send + Sync`: wrap it
-/// in an `Arc` and any number of sessions — on any threads — can execute
-/// it concurrently. All mutable run-time state lives in [`Session`].
+/// The compiled artifact is immutable after compilation and `Send +
+/// Sync`: wrap it in an `Arc` and any number of sessions — on any threads
+/// — can execute it concurrently. All mutable run-time state lives in
+/// [`Session`]. The one thing filled in later is a memo of what is a pure
+/// function of the artifact: the native translation of its static code
+/// ([`Program::native_snapshot`]), made by the first session that needs
+/// it and shared by every later one.
 #[derive(Debug)]
 pub struct Program {
     /// Process-unique identity (see [`Program::id`]).
@@ -584,7 +592,13 @@ pub struct Program {
     /// Call sites expanded by the demand-driven inliner (empty unless
     /// [`InlineOptions::depth`] > 0).
     pub inline_sites: Vec<InlineSite>,
+    /// Memoized [`Program::native_snapshot`]s (never persisted).
+    native_snapshots: NativeSnapshots,
 }
+
+/// The static-code translations made so far, one per (cycle model,
+/// guards enabled); in practice one or two entries.
+type NativeSnapshots = Mutex<Vec<(CycleModel, bool, Arc<Artifact>)>>;
 
 impl Program {
     /// Entry address of a function (for advanced/VM-level use).
@@ -617,6 +631,62 @@ impl Program {
         self.inline_sites
             .iter()
             .filter(move |s| s.region_index == region_index)
+    }
+
+    /// The whole static code translated as one native instance, for
+    /// direct threading: every block leader a dispatch point and chain
+    /// target, `Jmp`/`Jsr` through the dispatch table, every region exit
+    /// continuation a block leader (a patched exit can only land on a
+    /// block head, where the block's fuel and cycles are charged), and,
+    /// with `guards`, a patchable guard sled in front of every region's
+    /// `EnterRegion`.
+    ///
+    /// The input is the program's code as compiled — never a session's
+    /// live code space, where trap retirement may already have patched
+    /// `EnterRegion` words into branches — plus `model` and `guards`, so
+    /// the translation is made once per (model, guards) and shared: each
+    /// session installs and patches its own copy of the bytes.
+    pub fn native_snapshot(&self, model: &CycleModel, guards: bool) -> Arc<Artifact> {
+        let find = |memo: &[(CycleModel, bool, Arc<Artifact>)]| {
+            memo.iter()
+                .find(|(m, g, _)| m == model && *g == guards)
+                .map(|(_, _, a)| Arc::clone(a))
+        };
+        let lock = || {
+            self.native_snapshots
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+        };
+        if let Some(a) = find(&lock()) {
+            return a;
+        }
+        let code = &self.compiled.code;
+        let regions = &self.compiled.regions;
+        let guards_at = regions
+            .iter()
+            .filter(|rc| guards && (rc.enter_pc as usize) < code.len())
+            .map(|rc| dyncomp_native::GuardSpec {
+                pc: rc.enter_pc,
+                keys: rc.key_locs.iter().map(engine::keyslot).collect(),
+            })
+            .collect();
+        let spec = dyncomp_native::ChainSpec {
+            indirect: true,
+            guards: guards_at,
+            leaders: regions
+                .iter()
+                .flat_map(|rc| rc.exit_pcs.iter().copied())
+                .collect(),
+        };
+        let artifact = Arc::new(dyncomp_native::translate_with(code, 0, model, &spec));
+        // Two sessions may race to the first translation; both made the
+        // same bytes, and the first one stored is the one shared.
+        let mut memo = lock();
+        if let Some(a) = find(&memo) {
+            return a;
+        }
+        memo.push((model.clone(), guards, Arc::clone(&artifact)));
+        artifact
     }
 }
 

@@ -106,6 +106,7 @@ pub(crate) fn read_program(r: &mut Reader<'_>, expected_hash: u64) -> Result<Pro
         compiled,
         spec_stats,
         inline_sites,
+        native_snapshots: Default::default(),
     })
 }
 

@@ -32,7 +32,7 @@ pub mod translate;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod arena;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub use arena::ExecMap;
+pub use arena::{ExecMap, Patched, POOL_BYTES, SLACK_FILL};
 
 pub use translate::{translate, translate_with, Artifact, ChainSpec, GuardSpec, KeySlot};
 
@@ -200,6 +200,16 @@ struct Link {
     kind: LinkKind,
 }
 
+/// A severed link's original bytes, to put back into a surviving holder.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+struct Restore {
+    holder: u32,
+    off: u32,
+    bytes: Vec<u8>,
+    /// `(pc, len)` of a guard sled the restore re-arms.
+    sled: Option<(u32, u32)>,
+}
+
 /// Byte length of a back-patched exit blob head: `inc [r15+chained]`,
 /// `movabs rax, target`, `jmp rax`.
 const EXIT_PATCH_LEN: usize = 20;
@@ -217,6 +227,21 @@ fn exit_blob_head(pc: u32) -> [u8; EXIT_PATCH_LEN] {
     let mut head = [0u8; EXIT_PATCH_LEN];
     head.copy_from_slice(&bytes[..EXIT_PATCH_LEN]);
     head
+}
+
+/// The back-patch over an exit blob's head that turns it into a direct
+/// jump to the host address `addr`: count the chained transfer, then
+/// `movabs rax, addr; jmp rax`.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn exit_patch(addr: u64) -> [u8; EXIT_PATCH_LEN] {
+    let mut patch = [0u8; EXIT_PATCH_LEN];
+    patch[0..3].copy_from_slice(&[0x49, 0x83, 0x87]); // add qword [r15+d32], 1
+    patch[3..7].copy_from_slice(&CTX_CHAINED.to_le_bytes());
+    patch[7] = 0x01;
+    patch[8..10].copy_from_slice(&[0x48, 0xB8]); // movabs rax, addr
+    patch[10..18].copy_from_slice(&addr.to_le_bytes());
+    patch[18..20].copy_from_slice(&[0xFF, 0xE0]); // jmp rax
+    patch
 }
 
 /// The set of installed native instances, keyed by the SimAlpha code
@@ -247,6 +272,13 @@ pub struct Backend {
     /// Already-patched exit sites, as (holder base, exit pc).
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     patched_exits: std::collections::HashSet<(u32, u32)>,
+    /// Instances removed because a patch on them, or on an instance they
+    /// link into, failed; drained by [`Backend::take_discarded`].
+    discarded: Vec<u32>,
+    /// Test hook: this many upcoming patch batches skip their reseal
+    /// ([`Backend::fail_next_reseals`]).
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fail_reseals: u32,
     /// Total direct transfers across all runs.
     chained: u64,
 }
@@ -329,21 +361,44 @@ impl Backend {
     /// returning whether one was installed.
     ///
     /// Every chain link into the instance is severed *before* its pages
-    /// are unmapped: back-patched exit blobs are restored to their
+    /// are released: back-patched exit blobs are restored to their
     /// original return-to-VM bytes, patched guards revert to NOP sleds,
     /// and its dispatch-table slots are nulled, so no stale direct jump
-    /// can outlive the target.
+    /// can outlive the target. A holder whose restore fails still jumps
+    /// into the instance (or can no longer run at all), so it is removed
+    /// too, transitively, and reported by [`Backend::take_discarded`].
     pub fn remove(&mut self, base: u32) -> bool {
+        if !self.instances.contains_key(&base) {
+            return false;
+        }
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        self.remove_closure(vec![base]);
+        #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
         {
-            if !self.instances.contains_key(&base) {
-                return false;
-            }
+            self.entry_index.retain(|_, b| *b != base);
+            self.instances.remove(&base);
+        }
+        true
+    }
+
+    /// Remove every instance in `doomed`, plus every holder whose
+    /// un-patch of a link into one of them fails, and only then release
+    /// their pages: nothing left installed jumps into a page that is
+    /// unmapped or recycled for another instance.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn remove_closure(&mut self, mut doomed: Vec<u32>) {
+        let requested = doomed.len();
+        let mut next = 0;
+        while next < doomed.len() {
+            let base = doomed[next];
+            next += 1;
             let (dead, live): (Vec<Link>, Vec<Link>) = std::mem::take(&mut self.links)
                 .into_iter()
                 .partition(|l| l.from == base || l.target == base);
             self.links = live;
+            let mut restores: Vec<Restore> = Vec::new();
             for link in dead {
+                let holder_survives = link.from != base && !doomed.contains(&link.from);
                 match link.kind {
                     LinkKind::Table { pc } => {
                         if link.from == base {
@@ -353,36 +408,104 @@ impl Backend {
                     }
                     LinkKind::Exit { pc, off, saved } => {
                         self.patched_exits.remove(&(link.from, pc));
-                        if link.from != base {
-                            if let Some(holder) = self.instances.get_mut(&link.from) {
-                                holder.map.patch(off as usize, &saved);
-                            }
+                        if holder_survives {
+                            restores.push(Restore {
+                                holder: link.from,
+                                off,
+                                bytes: saved.to_vec(),
+                                sled: None,
+                            });
                         }
                     }
                     LinkKind::Guard { pc, off, len } => {
-                        if link.from != base {
-                            if let Some(holder) = self.instances.get_mut(&link.from) {
-                                if holder.map.patch(off as usize, &vec![0x90u8; len as usize]) {
-                                    // The sled is pristine again: re-arm
-                                    // it for a future region instance.
-                                    holder.guards.insert(pc, (off, len));
-                                }
-                            }
+                        if holder_survives {
+                            restores.push(Restore {
+                                holder: link.from,
+                                off,
+                                bytes: vec![0x90u8; len as usize],
+                                sled: Some((pc, len)),
+                            });
                         }
                     }
                 }
             }
+            restores.sort_by_key(|r| r.holder);
+            for group in restores.chunk_by(|a, b| a.holder == b.holder) {
+                let holder = group[0].holder;
+                let edits: Vec<(usize, &[u8])> = group
+                    .iter()
+                    .map(|r| (r.off as usize, r.bytes.as_slice()))
+                    .collect();
+                let Some(inst) = self.instances.get_mut(&holder) else {
+                    continue;
+                };
+                if Self::patch_map(&mut self.fail_reseals, inst, &edits) == Patched::Applied {
+                    // The sleds are pristine again: re-arm them for a
+                    // future region instance.
+                    for r in group {
+                        if let Some((pc, len)) = r.sled {
+                            inst.guards.insert(pc, (r.off, len));
+                        }
+                    }
+                } else {
+                    doomed.push(holder);
+                }
+            }
+        }
+        self.discarded.extend_from_slice(&doomed[requested..]);
+        for base in doomed {
             self.chained_bases.remove(&base);
-            let old = self.instances.remove(&base).expect("checked above");
-            self.entry_index.retain(|_, b| *b != base);
-            self.bytes -= old.map.len() as u64;
-            true
+            if let Some(old) = self.instances.remove(&base) {
+                self.entry_index.retain(|_, b| *b != base);
+                self.bytes -= old.map.len() as u64;
+            }
+        }
+    }
+
+    /// Apply one batch of edits to `inst`'s mapping, or, while the
+    /// [`Backend::fail_next_reseals`] hook is armed, apply it without the
+    /// reseal.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn patch_map(fail_reseals: &mut u32, inst: &mut Instance, edits: &[(usize, &[u8])]) -> Patched {
+        if *fail_reseals > 0 {
+            *fail_reseals -= 1;
+            inst.map.patch_without_reseal(edits)
+        } else {
+            inst.map.patch(edits)
+        }
+    }
+
+    /// Instances removed since the last call because a patch failed on
+    /// them or on a link they hold; the caller retires their dispatch
+    /// marks.
+    pub fn take_discarded(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.discarded)
+    }
+
+    /// Test hook: the next `n` patch batches land without resealing,
+    /// leaving their mapping writable and not executable, as a refused
+    /// `mprotect` would.
+    #[doc(hidden)]
+    pub fn fail_next_reseals(&mut self, n: u32) {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            self.fail_reseals = n;
+        }
+        let _ = n;
+    }
+
+    /// `(address, bytes)` of every live mapping, for the W^X checks.
+    #[doc(hidden)]
+    pub fn mappings(&self) -> Vec<(usize, usize)> {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            self.instances
+                .values()
+                .map(|i| (i.map.entry() as usize, i.map.capacity()))
+                .collect()
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-        {
-            self.entry_index.retain(|_, b| *b != base);
-            self.instances.remove(&base).is_some()
-        }
+        Vec::new()
     }
 
     /// Number of installed instances.
@@ -464,27 +587,47 @@ impl Backend {
                     }
                 }
             }
+            // One read-write window per holder, however many of its exits
+            // are patched.
+            work.sort_unstable_by_key(|w| w.0);
             let mut patched = 0u32;
-            for (holder, pc, off, addr) in work {
-                let target = self.block_index[&pc];
-                let saved = exit_blob_head(pc);
-                let mut patch = [0u8; EXIT_PATCH_LEN];
-                patch[0..3].copy_from_slice(&[0x49, 0x83, 0x87]); // add qword [r15+d32], 1
-                patch[3..7].copy_from_slice(&CTX_CHAINED.to_le_bytes());
-                patch[7] = 0x01;
-                patch[8..10].copy_from_slice(&[0x48, 0xB8]); // movabs rax, addr
-                patch[10..18].copy_from_slice(&addr.to_le_bytes());
-                patch[18..20].copy_from_slice(&[0xFF, 0xE0]); // jmp rax
-                let holder_inst = self.instances.get_mut(&holder).expect("holder installed");
-                if holder_inst.map.patch(off as usize, &patch) {
+            let mut broken: Vec<u32> = Vec::new();
+            for group in work.chunk_by(|a, b| a.0 == b.0) {
+                let holder = group[0].0;
+                let patches: Vec<[u8; EXIT_PATCH_LEN]> = group
+                    .iter()
+                    .map(|&(_, _, _, addr)| exit_patch(addr))
+                    .collect();
+                let edits: Vec<(usize, &[u8])> = group
+                    .iter()
+                    .zip(&patches)
+                    .map(|(&(_, _, off, _), p)| (off as usize, p.as_slice()))
+                    .collect();
+                let inst = self.instances.get_mut(&holder).expect("holder installed");
+                match Self::patch_map(&mut self.fail_reseals, inst, &edits) {
+                    Patched::Applied => {}
+                    Patched::Refused => continue,
+                    Patched::Unsealed => {
+                        broken.push(holder);
+                        continue;
+                    }
+                }
+                for &(_, pc, off, _) in group {
                     self.patched_exits.insert((holder, pc));
                     self.links.push(Link {
                         from: holder,
-                        target,
-                        kind: LinkKind::Exit { pc, off, saved },
+                        target: self.block_index[&pc],
+                        kind: LinkKind::Exit {
+                            pc,
+                            off,
+                            saved: exit_blob_head(pc),
+                        },
                     });
                     patched += 1;
                 }
+            }
+            if !broken.is_empty() {
+                self.remove_closure(broken);
             }
             patched
         }
@@ -529,10 +672,16 @@ impl Backend {
             if code.len() > len as usize {
                 return false;
             }
-            if !inst.map.patch(off as usize, &code) {
-                return false;
+            match Self::patch_map(&mut self.fail_reseals, inst, &[(off as usize, &code)]) {
+                Patched::Applied => {
+                    inst.guards.remove(&pc); // at most one live patch per sled
+                }
+                Patched::Refused => return false,
+                Patched::Unsealed => {
+                    self.remove_closure(vec![holder]);
+                    return false;
+                }
             }
-            inst.guards.remove(&pc); // at most one live patch per sled
             self.links.push(Link {
                 from: holder,
                 target,

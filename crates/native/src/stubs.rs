@@ -231,13 +231,21 @@ pub struct Asm {
 }
 
 impl Asm {
+    /// A writer whose buffer holds `bytes` before it first grows.
+    pub fn with_capacity(bytes: usize) -> Asm {
+        Asm {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Current output offset.
     pub fn here(&self) -> usize {
         self.buf.len()
     }
 
-    /// Finish, returning the bytes.
-    pub fn finish(self) -> Vec<u8> {
+    /// Finish, returning the bytes without spare capacity.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.buf.shrink_to_fit();
         self.buf
     }
 

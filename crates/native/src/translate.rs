@@ -41,7 +41,6 @@ use crate::{
 };
 use dyncomp_machine::isa::{decode, Format, Inst, Op, Operand, Reg};
 use dyncomp_machine::vm::CycleModel;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Where one region-key value lives, mirrored from the engine's key
 /// descriptor. Only the *kind* matters at translate time (it sizes the
@@ -283,13 +282,113 @@ struct DInst {
     pc: u32,
     inst: Inst,
     len: u32,
+    /// Whether the instruction lowers natively ([`supported`]).
+    native: bool,
+    /// Whether it ends its block: a branch, a `Jmp`/`Jsr`, or an
+    /// operation left to the VM.
+    term: bool,
 }
 
-/// Emit a jump to the clean-exit blob for `pc`, registering the blob.
-fn exit_jump(a: &mut Asm, fixups: &mut Vec<(usize, Fix)>, exit_pcs: &mut BTreeSet<u32>, pc: u32) {
-    exit_pcs.insert(pc);
-    let h = a.jmp();
-    fixups.push((h, Fix::Exit(pc)));
+/// "Absent" in a per-word table.
+const NONE: u32 = u32::MAX;
+/// "Present, no offset yet" in a per-word table.
+const MARKED: u32 = u32::MAX - 1;
+
+/// A set of SimAlpha pcs, each later given a byte offset, visited in
+/// ascending pc order — the order every blob kind is emitted in, so the
+/// bytes are a function of the set alone. Pcs inside the instance live in
+/// a per-word array indexed by `pc - base`; the few outside it (region
+/// exits, out-of-instance branch targets) in a list sorted and
+/// deduplicated once, when offsets are assigned.
+struct PcOffsets {
+    base: u32,
+    /// Per word: [`NONE`], [`MARKED`], or the byte offset.
+    inside: Vec<u32>,
+    /// `(pc, byte offset)` for pcs outside `base..base + inside.len()`.
+    outside: Vec<(u32, u32)>,
+}
+
+impl PcOffsets {
+    fn new(base: u32, words: usize) -> PcOffsets {
+        PcOffsets {
+            base,
+            inside: vec![NONE; words],
+            outside: Vec::new(),
+        }
+    }
+
+    fn slot(&self, pc: u32) -> Option<usize> {
+        let i = pc.wrapping_sub(self.base) as usize;
+        (i < self.inside.len()).then_some(i)
+    }
+
+    fn insert(&mut self, pc: u32) {
+        match self.slot(pc) {
+            Some(i) if self.inside[i] == NONE => self.inside[i] = MARKED,
+            Some(_) => {}
+            None => self.outside.push((pc, NONE)),
+        }
+    }
+
+    /// Whether `pc` lies inside the instance and is in the set.
+    fn contains_inside(&self, pc: u32) -> bool {
+        self.slot(pc).is_some_and(|i| self.inside[i] != NONE)
+    }
+
+    /// Visit every pc in ascending order, recording the byte offset
+    /// `emit` returns for it.
+    fn assign(&mut self, mut emit: impl FnMut(u32) -> usize) {
+        self.outside.sort_unstable_by_key(|&(pc, _)| pc);
+        self.outside.dedup_by_key(|&mut (pc, _)| pc);
+        let split = self.outside.partition_point(|&(pc, _)| pc < self.base);
+        for e in &mut self.outside[..split] {
+            e.1 = emit(e.0) as u32;
+        }
+        for (i, off) in self.inside.iter_mut().enumerate() {
+            if *off != NONE {
+                *off = emit(self.base + i as u32) as u32;
+            }
+        }
+        for e in &mut self.outside[split..] {
+            e.1 = emit(e.0) as u32;
+        }
+    }
+
+    /// The byte offset assigned to `pc` (which must be in the set).
+    fn get(&self, pc: u32) -> usize {
+        let off = match self.slot(pc) {
+            Some(i) => self.inside[i],
+            None => {
+                let i = self
+                    .outside
+                    .binary_search_by_key(&pc, |&(p, _)| p)
+                    .expect("pc is in the set");
+                self.outside[i].1
+            }
+        };
+        debug_assert!(off < MARKED, "offset assigned");
+        off as usize
+    }
+}
+
+/// The per-translation tables: block leaders (then their body offsets),
+/// taken-branch thunks, clean exits and divide-fault blobs, plus the
+/// rel32 holes waiting for them.
+struct Tables {
+    blocks: PcOffsets,
+    thunks: PcOffsets,
+    exits: PcOffsets,
+    divs: PcOffsets,
+    fixups: Vec<(usize, Fix)>,
+}
+
+impl Tables {
+    /// Emit a jump to the clean-exit blob for `pc`, registering the blob.
+    fn exit_jump(&mut self, a: &mut Asm, pc: u32) {
+        self.exits.insert(pc);
+        let h = a.jmp();
+        self.fixups.push((h, Fix::Exit(pc)));
+    }
 }
 
 /// Translate a verified instance installed at word address `base` with
@@ -301,6 +400,10 @@ pub fn translate(code: &[u32], base: u32, model: &CycleModel) -> Artifact {
 /// Translate a verified instance installed at word address `base`.
 /// Deterministic: the same `(code, base, model, spec)` always yields the
 /// same bytes, so artifact sizes can be accounted before any install.
+///
+/// Every table is a per-word array or a sorted list, and the byte buffer
+/// is sized from the instruction and block counts up front; the returned
+/// bytes carry no spare capacity.
 pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainSpec) -> Artifact {
     let end = base + code.len() as u32;
     let indirect = spec.indirect;
@@ -309,67 +412,79 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
     // cannot occur on engine inputs; treat one defensively as an
     // unsupported terminator.
     let mut insts: Vec<DInst> = Vec::with_capacity(code.len());
-    let mut idx_of: Vec<Option<usize>> = vec![None; code.len()];
+    let mut idx_of: Vec<u32> = vec![NONE; code.len()];
     let mut i = 0usize;
     while i < code.len() {
-        let pc = base + i as u32;
-        match decode(code[i], code.get(i + 1).copied()) {
-            Ok(inst) => {
-                let len = if inst.is_wide() { 2 } else { 1 };
-                idx_of[i] = Some(insts.len());
-                insts.push(DInst { pc, inst, len });
-                i += len as usize;
-            }
-            Err(_) => {
-                idx_of[i] = Some(insts.len());
-                insts.push(DInst {
-                    pc,
-                    inst: Inst {
-                        op: Op::Halt,
-                        ra: 0,
-                        rb: Operand::Reg(31),
-                        rc: 0,
-                        imm: 0,
-                    },
-                    len: 1,
-                });
-                i += 1;
-            }
-        }
+        let inst = decode(code[i], code.get(i + 1).copied()).unwrap_or(Inst {
+            op: Op::Halt,
+            ra: 0,
+            rb: Operand::Reg(31),
+            rc: 0,
+            imm: 0,
+        });
+        let len = if inst.is_wide() { 2 } else { 1 };
+        let native = supported(&inst, indirect);
+        let term =
+            inst.op.format() == Format::Branch || matches!(inst.op, Op::Jmp | Op::Jsr) || !native;
+        idx_of[i] = insts.len() as u32;
+        insts.push(DInst {
+            pc: base + i as u32,
+            inst,
+            len,
+            native,
+            term,
+        });
+        i += len as usize;
     }
-    let is_start =
-        |pc: u32| -> bool { pc >= base && pc < end && idx_of[(pc - base) as usize].is_some() };
+    let is_start = |pc: u32| -> bool {
+        let i = pc.wrapping_sub(base) as usize;
+        i < code.len() && idx_of[i] != NONE
+    };
 
     // Leaders: the entry, every in-instance branch target, and the
     // instruction after every terminator.
-    let mut leaders: BTreeSet<u32> = BTreeSet::new();
-    leaders.insert(base);
+    let mut t = Tables {
+        blocks: PcOffsets::new(base, code.len()),
+        thunks: PcOffsets::new(base, code.len()),
+        exits: PcOffsets::new(base, code.len()),
+        divs: PcOffsets::new(base, code.len()),
+        fixups: Vec::with_capacity(2 * insts.len()),
+    };
+    if !code.is_empty() {
+        t.blocks.insert(base);
+    }
     for &pc in &spec.leaders {
         if is_start(pc) {
-            leaders.insert(pc);
+            t.blocks.insert(pc);
         }
     }
     for d in &insts {
         let next = d.pc + d.len;
-        let branch = d.inst.op.format() == Format::Branch;
-        let jump = matches!(d.inst.op, Op::Jmp | Op::Jsr);
-        if branch {
-            let t = next.wrapping_add_signed(d.inst.imm);
-            if is_start(t) {
-                leaders.insert(t);
+        if d.inst.op.format() == Format::Branch {
+            let target = next.wrapping_add_signed(d.inst.imm);
+            if is_start(target) {
+                t.blocks.insert(target);
             }
         }
-        if (branch || jump || !supported(&d.inst, indirect)) && next < end {
-            leaders.insert(next);
+        if d.term && next < end {
+            t.blocks.insert(next);
         }
     }
+    let leader_list: Vec<u32> = t
+        .blocks
+        .inside
+        .iter()
+        .enumerate()
+        .filter(|&(_, &m)| m != NONE)
+        .map(|(i, _)| base + i as u32)
+        .collect();
 
-    let mut a = Asm::default();
-    let mut fixups: Vec<(usize, Fix)> = Vec::new();
-    let mut block_off: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut thunk_targets: BTreeSet<u32> = BTreeSet::new();
-    let mut exit_pcs: BTreeSet<u32> = BTreeSet::new();
-    let mut div_pcs: BTreeSet<u32> = BTreeSet::new();
+    let sleds: usize = spec
+        .guards
+        .iter()
+        .map(|g| guard_sled_len(&g.keys) as usize)
+        .sum();
+    let mut a = Asm::with_capacity(48 * insts.len() + 128 * leader_list.len() + sleds + 64);
     let mut mem_fault = false;
     let mut covered = 0u32;
     let mut guard_areas: Vec<GuardArea> = Vec::new();
@@ -381,26 +496,23 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
     a.patch(s::LD_R13_SLOT, CTX_MEM_PTR);
     a.patch(s::LD_R12_SLOT, CTX_MEM_LEN);
 
-    let leader_list: Vec<u32> = leaders.iter().copied().collect();
     for &bpc in &leader_list {
-        block_off.insert(bpc, a.here());
-        let mut j = idx_of[(bpc - base) as usize].expect("leaders are instruction starts");
+        let slot = (bpc - base) as usize;
+        t.blocks.inside[slot] = a.here() as u32;
+        let start_j = idx_of[slot] as usize;
 
         // Scan the block: instructions up to (and including) a
         // terminator, or up to the next leader.
-        let start_j = j;
+        let mut j = start_j;
         let mut body_end = insts.len();
         let mut term: Option<usize> = None;
         while j < insts.len() {
             let d = &insts[j];
-            if j != start_j && leaders.contains(&d.pc) {
+            if j != start_j && t.blocks.contains_inside(d.pc) {
                 body_end = j;
                 break;
             }
-            if d.inst.op.format() == Format::Branch
-                || matches!(d.inst.op, Op::Jmp | Op::Jsr)
-                || !supported(&d.inst, indirect)
-            {
+            if d.term {
                 term = Some(j);
                 body_end = j + 1;
                 break;
@@ -411,19 +523,16 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
 
         // Fuel and cycles for the whole block, charged up front.
         // Unsupported terminators are excluded: the VM executes them.
-        let charged: Vec<usize> = (start_j..body_end)
-            .filter(|&k| supported(&insts[k].inst, indirect))
-            .collect();
-        let n = charged.len() as u32;
-        let cycles: u64 = charged
-            .iter()
-            .map(|&k| model.cost(insts[k].inst.op, false))
-            .sum();
+        let (mut n, mut cycles) = (0u32, 0u64);
+        for d in insts[start_j..body_end].iter().filter(|d| d.native) {
+            n += 1;
+            cycles += model.cost(d.inst.op, false);
+        }
         if n > 0 {
             a.cmp_slot_imm32(CTX_FUEL, n);
-            exit_pcs.insert(bpc);
+            t.exits.insert(bpc);
             let h = a.jcc(Cc::B);
-            fixups.push((h, Fix::Exit(bpc)));
+            t.fixups.push((h, Fix::Exit(bpc)));
             a.sub_slot_imm32(CTX_FUEL, n);
             if cycles > 0 {
                 a.add_slot_imm32(
@@ -434,7 +543,7 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
         }
 
         for (k, d) in insts.iter().enumerate().take(body_end).skip(start_j) {
-            if !supported(&d.inst, indirect) {
+            if !d.native {
                 // Reserve a patchable inline-cache sled in front of a
                 // guarded `EnterRegion`; unpatched it is a NOP slide
                 // into the ordinary exit.
@@ -449,61 +558,60 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
                         a.nops(len as usize);
                     }
                 }
-                exit_jump(&mut a, &mut fixups, &mut exit_pcs, d.pc);
+                t.exit_jump(&mut a, d.pc);
                 continue;
             }
             covered += 1;
             if Some(k) == term && matches!(d.inst.op, Op::Jmp | Op::Jsr) {
-                lower_jump(&mut a, &mut fixups, d);
+                lower_jump(&mut a, &mut t.fixups, d);
                 dyn_exit = true;
             } else if Some(k) == term {
-                lower_branch(
-                    &mut a,
-                    &mut fixups,
-                    d,
-                    end,
-                    &leaders,
-                    &mut thunk_targets,
-                    &mut exit_pcs,
-                );
+                lower_branch(&mut a, &mut t, d, end);
             } else {
-                lower(&mut a, &mut fixups, d, &mut mem_fault, &mut div_pcs);
+                lower(&mut a, &mut t, d, &mut mem_fault);
             }
         }
 
         // A block that ran off the end of the instance (no terminator,
         // no following leader) resumes interpretation there.
         if term.is_none() && body_end == insts.len() {
-            exit_jump(&mut a, &mut fixups, &mut exit_pcs, end);
+            t.exit_jump(&mut a, end);
         }
     }
 
     // Taken-branch thunks: charge the taken-minus-untaken difference,
     // then jump on (in-instance) or exit (region exits).
     let extra = model.branch_taken.saturating_sub(model.branch_untaken);
-    let mut thunk_off: BTreeMap<u32, usize> = BTreeMap::new();
-    for &t in &thunk_targets {
-        thunk_off.insert(t, a.here());
+    let Tables {
+        blocks,
+        mut thunks,
+        mut exits,
+        mut divs,
+        mut fixups,
+    } = t;
+    thunks.assign(|target| {
+        let off = a.here();
         if extra > 0 {
             a.add_slot_imm32(CTX_CYCLES, u32::try_from(extra).expect("cost fits u32"));
         }
         let h = a.jmp();
-        if leaders.contains(&t) {
-            fixups.push((h, Fix::Block(t)));
+        if blocks.contains_inside(target) {
+            fixups.push((h, Fix::Block(target)));
         } else {
-            exit_pcs.insert(t);
-            fixups.push((h, Fix::Exit(t)));
+            exits.insert(target);
+            fixups.push((h, Fix::Exit(target)));
         }
-    }
+        off
+    });
 
     // Exit blobs: status 0, resume pc for the VM.
-    let mut exit_off: BTreeMap<u32, usize> = BTreeMap::new();
-    for &pc in &exit_pcs {
-        exit_off.insert(pc, a.here());
+    exits.assign(|pc| {
+        let off = a.here();
         a.mov_slot_imm32(CTX_EXIT_PC, pc);
         a.mov_slot_imm32(CTX_STATUS, 0);
         a.copy(s::EPILOGUE);
-    }
+        off
+    });
 
     // Fault blobs.
     let mem_fault_off = if mem_fault {
@@ -515,13 +623,13 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
     } else {
         None
     };
-    let mut div_off: BTreeMap<u32, usize> = BTreeMap::new();
-    for &pc in &div_pcs {
-        div_off.insert(pc, a.here());
+    divs.assign(|pc| {
+        let off = a.here();
         a.mov_slot_imm32(CTX_FAULT_PC, pc);
         a.mov_slot_imm32(CTX_STATUS, 3);
         a.copy(s::EPILOGUE);
-    }
+        off
+    });
 
     // Dynamic-exit blob for dispatch-table misses: `rax` holds the
     // (u32-truncated) jump target the VM should resume at.
@@ -538,13 +646,8 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
     // FFI entry thunks: a full prologue per supported leader, so the
     // engine can dispatch a marked pc anywhere in the instance — chained
     // jumps skip these and land on the block bodies directly.
-    let leader_supported = |pc: u32| {
-        supported(
-            &insts[idx_of[(pc - base) as usize].expect("leader")].inst,
-            indirect,
-        )
-    };
-    let mut entries: Vec<(u32, u32)> = Vec::new();
+    let leader_supported = |pc: u32| insts[idx_of[(pc - base) as usize] as usize].native;
+    let mut entries: Vec<(u32, u32)> = Vec::with_capacity(leader_list.len() + guard_areas.len());
     for &bpc in &leader_list {
         if !leader_supported(bpc) {
             continue;
@@ -578,30 +681,24 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
     // blob.
     for (hole, fix) in fixups {
         let target = match fix {
-            Fix::Block(pc) => block_off[&pc],
-            Fix::Thunk(pc) => thunk_off[&pc],
-            Fix::Exit(pc) => exit_off[&pc],
+            Fix::Block(pc) => blocks.get(pc),
+            Fix::Thunk(pc) => thunks.get(pc),
+            Fix::Exit(pc) => exits.get(pc),
             Fix::MemFault => mem_fault_off.expect("mem fault blob emitted"),
-            Fix::DivFault(pc) => div_off[&pc],
+            Fix::DivFault(pc) => divs.get(pc),
             Fix::DynExit => dyn_exit_off.expect("dyn exit blob emitted"),
         };
         a.resolve(hole, target);
     }
 
-    let entry_supported = insts
-        .first()
-        .map(|d| supported(&d.inst, indirect))
-        .unwrap_or(false);
-    let block_offsets: Vec<(u32, u32)> = block_off
+    let entry_supported = insts.first().is_some_and(|d| d.native);
+    let block_offsets: Vec<(u32, u32)> = leader_list
         .iter()
-        .filter(|&(&pc, _)| leader_supported(pc))
-        .map(|(&pc, &off)| (pc, off as u32))
+        .filter(|&&pc| leader_supported(pc))
+        .map(|&pc| (pc, blocks.get(pc) as u32))
         .collect();
-    let exit_sites: Vec<(u32, u32)> = exit_off
-        .iter()
-        .filter(|&(&pc, _)| pc < base || pc >= end)
-        .map(|(&pc, &off)| (pc, off as u32))
-        .collect();
+    // Exits outside the instance are the back-patchable chain sites.
+    let exit_sites = exits.outside;
     entries.sort_unstable();
     Artifact {
         bytes: a.finish(),
@@ -645,15 +742,7 @@ fn lower_jump(a: &mut Asm, fixups: &mut Vec<(usize, Fix)>, d: &DInst) {
 
 /// Lower a block terminator that is a branch (conditional or
 /// unconditional).
-fn lower_branch(
-    a: &mut Asm,
-    fixups: &mut Vec<(usize, Fix)>,
-    d: &DInst,
-    end: u32,
-    leaders: &BTreeSet<u32>,
-    thunk_targets: &mut BTreeSet<u32>,
-    exit_pcs: &mut BTreeSet<u32>,
-) {
+fn lower_branch(a: &mut Asm, t: &mut Tables, d: &DInst, end: u32) {
     use Op::*;
     let next = d.pc + d.len;
     let target = next.wrapping_add_signed(d.inst.imm);
@@ -662,11 +751,11 @@ fn lower_branch(
             // Link register, then jump (cost already charged as taken).
             a.patch(s::MOV_EAX_IMM, next);
             a.patch(s::ST_RAX_SLOT, wslot(d.inst.ra));
-            if leaders.contains(&target) {
+            if t.blocks.contains_inside(target) {
                 let h = a.jmp();
-                fixups.push((h, Fix::Block(target)));
+                t.fixups.push((h, Fix::Block(target)));
             } else {
-                exit_jump(a, fixups, exit_pcs, target);
+                t.exit_jump(a, target);
             }
         }
         Beq | Bne | Blt | Ble | Bgt | Bge => {
@@ -681,13 +770,13 @@ fn lower_branch(
                 Bgt => Cc::G,
                 _ => unreachable!(),
             };
-            thunk_targets.insert(target);
+            t.thunks.insert(target);
             let h = a.jcc(cc);
-            fixups.push((h, Fix::Thunk(target)));
+            t.fixups.push((h, Fix::Thunk(target)));
             // Fall through to the next block (emitted immediately after)
             // or exit if the branch was the instance's last instruction.
             if next >= end {
-                exit_jump(a, fixups, exit_pcs, next);
+                t.exit_jump(a, next);
             }
         }
         _ => unreachable!("terminator is a branch"),
@@ -695,13 +784,7 @@ fn lower_branch(
 }
 
 /// Lower one straight-line instruction into its micro-stub chain.
-fn lower(
-    a: &mut Asm,
-    fixups: &mut Vec<(usize, Fix)>,
-    d: &DInst,
-    mem_fault: &mut bool,
-    div_pcs: &mut BTreeSet<u32>,
-) {
+fn lower(a: &mut Asm, t: &mut Tables, d: &DInst, mem_fault: &mut bool) {
     use Op::*;
     let Inst {
         op,
@@ -807,10 +890,11 @@ fn lower(
         Divq | Remq => {
             a.patch(s::LD_SLOT_RAX, rslot(ra));
             b_rcx(a);
-            div_pcs.insert(d.pc);
+            t.divs.insert(d.pc);
             a.copy(s::TEST_RCX_RCX);
-            fixups.push((a.jcc(Cc::Z), Fix::DivFault(d.pc)));
-            fixups.push((a.patch_rel(s::DIV_MIN_CHECK), Fix::DivFault(d.pc)));
+            t.fixups.push((a.jcc(Cc::Z), Fix::DivFault(d.pc)));
+            t.fixups
+                .push((a.patch_rel(s::DIV_MIN_CHECK), Fix::DivFault(d.pc)));
             a.copy(s::CQO);
             a.copy(s::IDIV_RCX);
             if op == Divq {
@@ -822,9 +906,9 @@ fn lower(
         Divqu | Remqu => {
             a.patch(s::LD_SLOT_RAX, rslot(ra));
             b_rcx(a);
-            div_pcs.insert(d.pc);
+            t.divs.insert(d.pc);
             a.copy(s::TEST_RCX_RCX);
-            fixups.push((a.jcc(Cc::Z), Fix::DivFault(d.pc)));
+            t.fixups.push((a.jcc(Cc::Z), Fix::DivFault(d.pc)));
             a.copy(s::XOR_EDX_EDX);
             a.copy(s::DIV_RCX);
             if op == Divqu {
@@ -849,7 +933,7 @@ fn lower(
                 Ldq => 8,
                 _ => unreachable!(),
             };
-            addr_check(a, fixups, mem_fault, size);
+            addr_check(a, &mut t.fixups, mem_fault, size);
             a.copy(match op {
                 Ldbu => s::LDBU_CORE,
                 Ldb => s::LDB_CORE,
@@ -871,7 +955,7 @@ fn lower(
                 Stq => 8,
                 _ => unreachable!(),
             };
-            addr_check(a, fixups, mem_fault, size);
+            addr_check(a, &mut t.fixups, mem_fault, size);
             a.copy(match op {
                 Stb => s::STB_CORE,
                 Stw => s::STW_CORE,
@@ -881,13 +965,13 @@ fn lower(
             });
         }
         Ldt => {
-            addr_check(a, fixups, mem_fault, 8);
+            addr_check(a, &mut t.fixups, mem_fault, 8);
             a.copy(s::LDQ_CORE);
             a.patch(s::ST_RAX_SLOT, fwslot(ra));
         }
         Stt => {
             a.patch(s::LD_SLOT_RCX, frslot(ra));
-            addr_check(a, fixups, mem_fault, 8);
+            addr_check(a, &mut t.fixups, mem_fault, 8);
             a.copy(s::STQ_CORE);
         }
         // ---- float operate ----

@@ -369,11 +369,15 @@ pub fn stitch(
         mem,
         base,
         opts,
-        out: Vec::new(),
+        out: Vec::with_capacity(rc.template.code.len() + 1),
         lin: Vec::new(),
         lin_dedup: FxHashMap::default(),
         stats: StitchStats::default(),
-        done: FxHashMap::default(),
+        done: FxHashMap::with_capacity_and_hasher(rc.template.blocks.len(), Default::default()),
+        ctx_words: Vec::new(),
+        ctx_spans: vec![(0, 0)],
+        ctx_ids: FxHashMap::default(),
+        ctx_next: Vec::new(),
         fixups: Vec::new(),
         lin_ldiw_patches: Vec::new(),
         lin_far_patches: Vec::new(),
@@ -384,6 +388,8 @@ pub fn stitch(
         known_load_at: FxHashMap::default(),
         plan_patch_log: Vec::new(),
         reads: Vec::new(),
+        plan_values: Vec::new(),
+        plan_lin: Vec::new(),
     };
 
     // Prologue: establish the linearized-table base register. The address
@@ -407,8 +413,7 @@ pub fn stitch(
         at
     });
 
-    let entry_key = (rc.template.entry, Vec::new());
-    st.queue.push(entry_key);
+    st.queue.push((rc.template.entry, EMPTY_CTX));
     while let Some(key) = st.queue.pop() {
         if st.done.contains_key(&key) {
             continue; // already stitched; fixups resolve to it
@@ -521,8 +526,14 @@ fn lin_near(off: i32) -> bool {
     off <= dyncomp_machine::isa::limits::DISP_MAX
 }
 
-/// A stitch point: template block + unrolled-loop record stack.
-type Key = (u32, Vec<u64>);
+/// A stitch point: template block + unrolled-loop record stack, the
+/// stack interned as an index into the stitcher's context table
+/// ([`EMPTY_CTX`] outside every loop), so a key is two words and copies
+/// without allocating.
+type Key = (u32, u32);
+
+/// The context id of the empty record stack.
+const EMPTY_CTX: u32 = 0;
 
 struct Stitcher<'a> {
     rc: &'a RegionCode,
@@ -536,6 +547,14 @@ struct Stitcher<'a> {
     stats: StitchStats,
     /// Output offset of each stitched (block, context).
     done: FxHashMap<Key, u32>,
+    /// Interned record stacks: context `id` is
+    /// `ctx_words[start..start + len]` for `(start, len) = ctx_spans[id]`.
+    ctx_words: Vec<u64>,
+    ctx_spans: Vec<(u32, u32)>,
+    /// Record stack → context id, for every non-empty stack seen.
+    ctx_ids: FxHashMap<Vec<u64>, u32>,
+    /// Scratch: the record stack a loop marker is building.
+    ctx_next: Vec<u64>,
     /// Pending pc-relative fixups: `(branch word offset, target key)`.
     fixups: Vec<(u32, Key)>,
     lin_ldiw_patches: Vec<u32>,
@@ -555,6 +574,10 @@ struct Stitcher<'a> {
     plan_patch_log: Vec<PlanPatchRecord>,
     /// Every data-memory read, in order (feeds [`Stitched::reads`]).
     reads: Vec<(u64, u64)>,
+    /// Scratch for [`Stitcher::try_plan`]: the value of each patch, and
+    /// the table entries a hit would append, in order.
+    plan_values: Vec<u64>,
+    plan_lin: Vec<u64>,
 }
 
 impl Stitcher<'_> {
@@ -582,7 +605,7 @@ impl Stitcher<'_> {
 
     /// Resolve a slot path against the current record stack and read it,
     /// recording the read for [`Stitched::reads`].
-    fn read_slot(&mut self, path: &SlotPath, ctx: &[u64]) -> Result<u64, StitchError> {
+    fn read_slot(&mut self, path: &SlotPath, ctx: u32) -> Result<u64, StitchError> {
         self.charge(self.opts.cost.table_read);
         let addr = self.slot_addr(path, ctx)?;
         let v = self.read_at(addr)?;
@@ -591,10 +614,11 @@ impl Stitcher<'_> {
     }
 
     /// Resolve a slot path to its data-memory address.
-    fn slot_addr(&self, path: &SlotPath, ctx: &[u64]) -> Result<u64, StitchError> {
+    fn slot_addr(&self, path: &SlotPath, ctx: u32) -> Result<u64, StitchError> {
         if path.is_static() {
             Ok(self.table + 8 * u64::from(path.0[0]))
         } else {
+            let ctx = self.ctx(ctx);
             let depth = path.depth();
             if depth > ctx.len() {
                 return Err(StitchError::Table(format!(
@@ -617,7 +641,7 @@ impl Stitcher<'_> {
     /// on a miss (the interpretive fallback re-reads and charges normally;
     /// the plan hit path charges [`StitchCost::table_read`] and records
     /// the read per patch itself).
-    fn peek_slot(&self, path: &SlotPath, ctx: &[u64]) -> Result<u64, StitchError> {
+    fn peek_slot(&self, path: &SlotPath, ctx: u32) -> Result<u64, StitchError> {
         self.read_at(self.slot_addr(path, ctx)?)
     }
 
@@ -646,15 +670,43 @@ impl Stitcher<'_> {
         self.emit(Inst::ldiw(SCRATCH0, 0))
     }
 
+    /// The record stack of context `id`.
+    fn ctx(&self, id: u32) -> &[u64] {
+        let (start, len) = self.ctx_spans[id as usize];
+        &self.ctx_words[start as usize..(start + len) as usize]
+    }
+
+    /// The context a loop marker leads to: context `from`'s record stack
+    /// after `edit`, interned. Only a stack never seen before allocates.
+    fn derive_ctx(&mut self, from: u32, edit: impl FnOnce(&mut Vec<u64>)) -> u32 {
+        let mut next = std::mem::take(&mut self.ctx_next);
+        next.clear();
+        next.extend_from_slice(self.ctx(from));
+        edit(&mut next);
+        let id = if next.is_empty() {
+            EMPTY_CTX
+        } else if let Some(&id) = self.ctx_ids.get(next.as_slice()) {
+            id
+        } else {
+            let id = self.ctx_spans.len() as u32;
+            self.ctx_spans
+                .push((self.ctx_words.len() as u32, next.len() as u32));
+            self.ctx_words.extend_from_slice(&next);
+            self.ctx_ids.insert(next.clone(), id);
+            id
+        };
+        self.ctx_next = next;
+        id
+    }
+
     /// Stitch a fall-through chain starting at `key`, queueing branch
     /// targets for later (iterative — unrolling can produce very long
     /// chains).
     fn stitch_chain(&mut self, key: Key) -> Result<(), StitchError> {
         let mut next = Some(key);
         while let Some(key) = next.take() {
-            if self.done.contains_key(&key) {
+            if let Some(&target) = self.done.get(&key) {
                 // Re-joining already stitched code: branch to it.
-                let target = self.done[&key];
                 self.charge(self.opts.cost.branch_fixup);
                 let disp = target as i64 - (self.abs_pos() as i64 + 1);
                 self.emit(Inst::branch(Op::Br, ZERO, disp as i32))?;
@@ -669,19 +721,22 @@ impl Stitcher<'_> {
     }
 
     /// Stitch one block; returns the next (fall-through) key, if any.
+    ///
+    /// The block, its holes, plan and exit are borrowed from the template
+    /// (`rc` outlives the stitcher), and the key is two words: a
+    /// loop-free block allocates nothing here.
     fn stitch_block(&mut self, key: Key) -> Result<Option<Key>, StitchError> {
-        let (label, mut ctx) = key.clone();
+        let (label, mut ctx) = key;
         self.done.insert(key, self.abs_pos());
         self.reg_known.clear();
         self.known_load_at.clear();
 
-        let blk = self
-            .rc
+        let rc = self.rc;
+        let blk = rc
             .template
             .blocks
             .get(label as usize)
-            .ok_or_else(|| StitchError::BadTemplate(format!("label {label}")))?
-            .clone();
+            .ok_or_else(|| StitchError::BadTemplate(format!("label {label}")))?;
 
         // ---- copy-and-patch fast path ----
         // Register actions need the word-by-word walk for their
@@ -691,7 +746,7 @@ impl Stitcher<'_> {
         if self.opts.plans && self.opts.register_actions.is_none() {
             if let Some(plan) = &blk.plan {
                 let out_start = self.out.len() as u32;
-                plan_hit = self.try_plan(plan, &ctx)?;
+                plan_hit = self.try_plan(plan, ctx)?;
                 if plan_hit {
                     // Plan output is in place (one word per template word),
                     // so the exit branch's position is statically known.
@@ -706,21 +761,17 @@ impl Stitcher<'_> {
         if !plan_hit {
             self.charge(self.opts.cost.directive);
             let mut w = blk.start as usize;
-            let code = &self.rc.template.code;
+            let code = &rc.template.code;
             let mut hole_idx = 0usize;
             while w < blk.end as usize {
                 let word = code[w];
                 let is_wide = Op::from_u8((word >> 24) as u8) == Some(Op::Ldiw);
                 // Holes at this template offset?
-                let hole = blk
-                    .holes
-                    .get(hole_idx)
-                    .filter(|h| h.at == w as u32)
-                    .cloned();
+                let hole = blk.holes.get(hole_idx).filter(|h| h.at == w as u32);
                 if let Some(h) = hole {
                     hole_idx += 1;
                     self.charge(self.opts.cost.directive);
-                    self.patch_hole(word, &h, &ctx)?;
+                    self.patch_hole(word, h, ctx)?;
                     w += 1;
                     continue;
                 }
@@ -752,70 +803,77 @@ impl Stitcher<'_> {
             self.charge(self.opts.cost.loop_op);
             match m {
                 LoopMarker::Enter { root } => {
-                    let head = self.read_slot(root, &ctx)?;
-                    ctx.push(head);
+                    let head = self.read_slot(root, ctx)?;
+                    ctx = self.derive_ctx(ctx, |c| c.push(head));
                 }
                 LoopMarker::Restart { next_slot } => {
-                    let cur = *ctx
+                    let cur = *self
+                        .ctx(ctx)
                         .last()
                         .ok_or_else(|| StitchError::BadTemplate("restart outside loop".into()))?;
                     let addr = cur + 8 * u64::from(*next_slot);
                     let next = self.read_at(addr)?;
                     self.reads.push((addr, next));
-                    *ctx.last_mut().unwrap() = next;
+                    ctx = self.derive_ctx(ctx, |c| {
+                        if let Some(last) = c.last_mut() {
+                            *last = next;
+                        }
+                    });
                     self.stats.loop_iterations += 1;
                 }
                 LoopMarker::Exit => {
-                    ctx.pop()
-                        .ok_or_else(|| StitchError::BadTemplate("exit outside loop".into()))?;
+                    if self.ctx(ctx).is_empty() {
+                        return Err(StitchError::BadTemplate("exit outside loop".into()));
+                    }
+                    ctx = self.derive_ctx(ctx, |c| {
+                        c.pop();
+                    });
                 }
             }
         }
 
         // ---- exit ----
-        match blk.exit.clone() {
+        match blk.exit {
             TmplExit::Jump(l) => Ok(Some((l, ctx))),
             TmplExit::CondBranch { taken, fall, .. } => {
                 let at = branch_at_out
                     .ok_or_else(|| StitchError::BadTemplate("missing branch word".into()))?;
-                self.fixups.push((at, (taken, ctx.clone())));
+                self.fixups.push((at, (taken, ctx)));
                 // The taken side is stitched later from the queue; fall
                 // through into the other side now.
-                self.queue.push((taken, ctx.clone()));
+                self.queue.push((taken, ctx));
                 Ok(Some((fall, ctx)))
             }
             TmplExit::ConstBranch {
-                slot,
+                ref slot,
                 then_l,
                 else_l,
             } => {
                 self.charge(self.opts.cost.const_branch);
                 self.stats.const_branches_resolved += 1;
                 self.stats.blocks_skipped += 1;
-                let v = self.read_slot(&slot, &ctx)?;
+                let v = self.read_slot(slot, ctx)?;
                 Ok(Some((if v != 0 { then_l } else { else_l }, ctx)))
             }
             TmplExit::ConstSwitch {
-                slot,
-                cases,
+                ref slot,
+                ref cases,
                 default,
             } => {
                 self.charge(self.opts.cost.const_branch);
                 self.stats.const_branches_resolved += 1;
                 self.stats.blocks_skipped += cases.len() as u32;
-                let v = self.read_slot(&slot, &ctx)? as i64;
+                let v = self.read_slot(slot, ctx)? as i64;
                 let target = cases
                     .iter()
                     .find(|(c, _)| *c == v)
-                    .map(|(_, l)| *l)
-                    .unwrap_or(default);
+                    .map_or(default, |&(_, l)| l);
                 Ok(Some((target, ctx)))
             }
             TmplExit::Return => Ok(None),
             TmplExit::ExitRegion { exit } => {
                 self.charge(self.opts.cost.branch_fixup);
-                let target = *self
-                    .rc
+                let target = *rc
                     .exit_pcs
                     .get(exit as usize)
                     .ok_or_else(|| StitchError::BadTemplate(format!("exit {exit}")))?;
@@ -922,7 +980,7 @@ impl Stitcher<'_> {
     /// strength-reduction candidate. The check predicts linearized-table
     /// offsets without inserting, so a miss leaves the table untouched for
     /// the interpretive fallback.
-    fn try_plan(&mut self, plan: &StitchPlan, ctx: &[u64]) -> Result<bool, StitchError> {
+    fn try_plan(&mut self, plan: &StitchPlan, ctx: u32) -> Result<bool, StitchError> {
         self.charge(self.opts.cost.plan_dispatch);
         if self.opts.peephole && plan.sr_candidate {
             self.stats.plan_misses += 1;
@@ -930,8 +988,10 @@ impl Stitcher<'_> {
         }
 
         // ---- applicability (side-effect-free) ----
-        let mut values = Vec::with_capacity(plan.patches.len());
-        let mut pending_lin: Vec<u64> = Vec::new(); // new table values, in order
+        // `plan_values` collects each patch's value, `plan_lin` the new
+        // table values in order; both are reused across blocks.
+        self.plan_values.clear();
+        self.plan_lin.clear();
         for p in &plan.patches {
             let v = self.peek_slot(&p.slot, ctx)?;
             match p.field {
@@ -945,11 +1005,11 @@ impl Stitcher<'_> {
                     // Predict the offset lin_offset() would assign.
                     let off = match self.lin_dedup.get(&v) {
                         Some(&o) => o as i32,
-                        None => match pending_lin.iter().position(|&x| x == v) {
+                        None => match self.plan_lin.iter().position(|&x| x == v) {
                             Some(i) => 8 * (self.lin.len() + i) as i32,
                             None => {
-                                let o = 8 * (self.lin.len() + pending_lin.len()) as i32;
-                                pending_lin.push(v);
+                                let o = 8 * (self.lin.len() + self.plan_lin.len()) as i32;
+                                self.plan_lin.push(v);
                                 o
                             }
                         },
@@ -960,7 +1020,7 @@ impl Stitcher<'_> {
                     }
                 }
             }
-            values.push(v);
+            self.plan_values.push(v);
         }
 
         // ---- hit: bulk copy, then patch in place ----
@@ -970,7 +1030,8 @@ impl Stitcher<'_> {
         self.charge(self.opts.cost.plan_copy_word * plan.code.len() as u64);
         self.stats.words_emitted += plan.code.len() as u32;
         self.stats.instructions_stitched += plan.insts;
-        for (p, &v) in plan.patches.iter().zip(&values) {
+        for (i, p) in plan.patches.iter().enumerate() {
+            let v = self.plan_values[i];
             self.charge(self.opts.cost.table_read + self.opts.cost.plan_patch);
             self.reads.push((self.slot_addr(&p.slot, ctx)?, v));
             let at = out_start + p.at as usize;
@@ -1009,7 +1070,7 @@ impl Stitcher<'_> {
         &mut self,
         word: u32,
         h: &dyncomp_machine::template::Hole,
-        ctx: &[u64],
+        ctx: u32,
     ) -> Result<(), StitchError> {
         let v = self.read_slot(&h.slot, ctx)?;
         match h.field {
@@ -1190,7 +1251,8 @@ impl Stitcher<'_> {
     }
 
     fn resolve_fixups(&mut self) -> Result<(), StitchError> {
-        for (at, key) in self.fixups.clone() {
+        for i in 0..self.fixups.len() {
+            let (at, key) = self.fixups[i];
             let target = *self
                 .done
                 .get(&key)
