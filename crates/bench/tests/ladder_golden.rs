@@ -8,8 +8,8 @@
 //! The constants were taken before the ladder became a rung list, so a
 //! mismatch means an event, a record or their order moved. The same
 //! matrix must reach every rung and every decline of DESIGN.md § "Engine:
-//! one ladder…" at least once; the evidence for each is what the decline
-//! sink and the served sink leave in a trace or the health ring.
+//! one miss path…" at least once; the evidence for each is what the rung
+//! or the decline sink leaves in a trace or the health ring.
 
 use dyncomp::{
     Compiler, EngineOptions, FaultPlan, FaultPoint, KernelSetup, PersistentCache, Program,
@@ -429,8 +429,8 @@ fn run_matrix() -> Vec<(String, Cell)> {
         .collect()
 }
 
-/// Where each rung and each decline leaves its mark (DESIGN.md's two
-/// tables name the same variants).
+/// Where each rung and each decline leaves its mark. The names are the
+/// ones DESIGN.md's two tables use (checked below).
 #[allow(clippy::type_complexity)]
 const REACHED: &[(&str, fn(&str, &Cell) -> bool)] = &[
     ("session", |_, c| c.count("KeyedLookup:hit") > 0),
@@ -458,6 +458,44 @@ const REACHED: &[(&str, fn(&str, &Cell) -> bool)] = &[
     }),
     ("Stitch", |_, c| c.any("stitch|false|")),
 ];
+
+/// The rung names of DESIGN.md's ladder table and the decline names of
+/// its decline table, each sorted.
+fn design_names() -> (Vec<String>, Vec<String>) {
+    let design = include_str!("../../../DESIGN.md");
+    let rows = |header: &str| -> Vec<String> {
+        let start = design.find(header).expect("DESIGN.md has the table");
+        design[start..]
+            .lines()
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(String::from)
+            .collect()
+    };
+    let mut rungs: Vec<String> = rows("| entry | rungs, in walk order |")
+        .iter()
+        .flat_map(|row| row.split('|').nth(2).unwrap_or("").split('→'))
+        .map(|r| r.trim().to_string())
+        .collect();
+    rungs.sort();
+    rungs.dedup();
+    let mut declines: Vec<String> = rows("| decline | raised by |")
+        .iter()
+        .map(|row| row.split('`').nth(1).unwrap_or("").to_string())
+        .collect();
+    declines.sort();
+    (rungs, declines)
+}
+
+#[test]
+fn reach_check_names_every_rung_and_decline_of_design() {
+    let (rungs, declines) = design_names();
+    let mut design: Vec<String> = rungs.into_iter().chain(declines).collect();
+    design.sort();
+    let mut checked: Vec<String> = REACHED.iter().map(|(n, _)| n.to_string()).collect();
+    checked.sort();
+    assert_eq!(checked, design);
+}
 
 #[test]
 fn ladder_traces_and_health_match_the_golden() {

@@ -90,6 +90,49 @@ fn quarantine_pins_failing_region_to_fallback() {
 }
 
 #[test]
+fn injected_stitch_faults_past_the_retry_cap_still_answer() {
+    // An injected stitch fault models a transient optimized-path failure.
+    // Once injected failures spend the retry cap (two by default), the
+    // entry stitches once more with injection suppressed: the answer is
+    // the clean one, the region is not quarantined, and a third fire
+    // costs a failure record but no third retry.
+    for point in [FaultPoint::StitchBadTemplate, FaultPoint::CodeCorruption] {
+        for (tiered, compiler) in [(false, Compiler::new()), (true, Compiler::tiered())] {
+            for fires in [2u32, 3] {
+                let program = Arc::new(compiler.compile(POLY).expect("compiles"));
+                let options = EngineOptions {
+                    faults: Some(FaultPlan::single(point, fires)),
+                    ..EngineOptions::default()
+                };
+                let mut session = Session::with_options(program, options);
+                let case = format!("{} x{fires}, fallback copy {tiered}", point.name());
+                match session.call("poly", &[3, 10]) {
+                    Ok(r) => assert_eq!(r, 333, "{case}"),
+                    Err(e) => panic!("{case}: {e}"),
+                }
+                let health = session.health();
+                assert_eq!(health.faults_injected, u64::from(fires), "{case}");
+                assert_eq!(health.total_failures, u64::from(fires), "{case}");
+                assert_eq!(health.retries, 2, "{case}");
+                assert!(health.quarantined.is_empty(), "{case}");
+            }
+        }
+    }
+
+    // The `dyncc --fault-seed` plan spends the cap this way on some seeds.
+    let (clean, _) = run(EngineOptions::default(), 16);
+    for seed in [27, 52, 85] {
+        let program = Arc::new(Compiler::tiered().compile(POLY).expect("compiles"));
+        let options = EngineOptions {
+            faults: Some(FaultPlan::seeded(seed)),
+            ..EngineOptions::default()
+        };
+        let mut session = Session::with_options(program, options);
+        assert_eq!(drive(&mut session, 16), clean, "seed {seed}");
+    }
+}
+
+#[test]
 fn failure_ring_keeps_records_for_every_failing_region() {
     // Regression for the single-slot failure record the health ring
     // replaced (PR 5): with two regions failing in the background, both

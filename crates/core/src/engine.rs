@@ -20,46 +20,22 @@
 //! and pay a cache-lookup cost per entry, with one stitched instance per
 //! distinct key tuple.
 //!
-//! # Mode interactions
+//! # The probe ladder
 //!
-//! An entry the session's own cache cannot serve walks one ladder
-//! (`probe_caches`): the process-wide [`SharedCodeCache`], the on-disk
-//! [`PersistentCache`], then the session's own set-up + stitch. *Where*
-//! it probes depends on what identifies an instance:
-//!
-//! | tier                           | keyed region        | unkeyed region                |
-//! |--------------------------------|---------------------|-------------------------------|
-//! | session cache                  | at the trap, by key | trap retired at first install |
-//! | `shared_cache`, then `persist` | at the trap, by key | after set-up, reads replayed  |
-//! | stitch (or background stitch)  | after set-up        | after set-up                  |
-//!
-//! A key tuple *is* the instance's identity, readable at the trap, so a
-//! keyed hit skips set-up and stitching. An unkeyed region's identity is
-//! the run-time constants its set-up code has yet to produce: an entry
-//! filed under the empty key would alias instances specialized to
-//! different constants across sessions (silently wrong results). Unkeyed
-//! regions therefore probe at `EndSetup`, and accept a cached instance
-//! only when replaying the publishing stitch's recorded table reads
-//! ([`dyncomp_stitcher::Stitched::reads`]) against this session's memory
-//! reproduces every value: a local stitch would then walk the same
-//! template paths and bake in the same constants.
+//! An entry the session's own cache cannot serve walks a ladder: the
+//! process-wide [`SharedCodeCache`], the on-disk [`PersistentCache`], a
+//! background stitch, the session's own set-up + stitch, the region's
+//! static fallback copy. The ladder is data — one rung list per kind of
+//! entry, walked by one loop — and every rung that declines says why, in
+//! one sink that writes the health record, counter and trace event. The
+//! rung lists, the decline table, and the rules that couple two options
+//! (probe accounting, tiering's fallback copy, guard sleds, persisted
+//! native bytes) are in DESIGN.md § "Engine: one miss path…"; a unit test
+//! holds the rung table to the code.
 //!
 //! Code this session did not stitch (either cache, a background stitch)
 //! enters through one choke-point, `copy_install`: relocate, re-verify,
-//! charge per word, append. A refusal degrades to the next rung, never to
-//! an error. The other rules that couple two options:
-//!
-//! - A shared-cache probe charges [`SHARED_LOOKUP_CYCLES`], hit or miss;
-//!   disk traffic is free and a persistent hit charges the shared-cache
-//!   model, so cold runs are bit-identical with `persist` on or off.
-//! - Tiering needs a fallback copy
-//!   ([`crate::CompileOptions::tiered_fallback`]); regions without one
-//!   stitch synchronously.
-//! - A guard-sled hit bypasses the trap handler, so `native_chain`'s
-//!   guards are off under tiering (the key predictor feeds on traps) and
-//!   under a `keyed_cache_capacity` bound (hits touch the LRU).
-//! - Persisted native bytes are position-dependent: reused only when
-//!   installing at the publisher's base, re-translated otherwise.
+//! charge per word, append. A refusal is a decline, never an error.
 
 use crate::cache::{LruOrder, SharedCodeCache, SharedKey};
 use crate::faults::{
@@ -75,9 +51,9 @@ use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_machine::heap::HeapBuilder;
 use dyncomp_machine::isa::{decode, encode, Inst, Op, CTP, SP};
 use dyncomp_machine::template::ValueLoc;
-use dyncomp_machine::verify::verify_code;
+use dyncomp_machine::verify::{verify_code, CodeVerifyError};
 use dyncomp_machine::vm::{Stop, Vm, VmError};
-use dyncomp_stitcher::{StitchOptions, StitchStats, Stitched};
+use dyncomp_stitcher::{StitchError, StitchOptions, StitchStats, Stitched};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,14 +78,14 @@ pub struct EngineOptions {
     /// in. With a cache, an instance some other session already stitched
     /// is installed (bulk copy + relocation) instead of running the
     /// stitcher. Where keyed and unkeyed regions probe, and what each hit
-    /// charges: module docs, "Mode interactions".
+    /// charges: DESIGN.md § "Engine: one miss path…".
     pub shared_cache: Option<Arc<SharedCodeCache>>,
     /// Tiered execution: on a cold region entry, run the statically
     /// compiled fallback copy while a background worker stitches (see
     /// [`crate::tiered`]). `None` (the default) keeps fully synchronous
     /// set-up + stitching and bit-identical accounting to the paper
-    /// tables. Needs a per-region fallback copy (module docs, "Mode
-    /// interactions").
+    /// tables. Needs a per-region fallback copy; regions without one
+    /// stitch synchronously.
     pub tiered: Option<TieredOptions>,
     /// Structured tracing ([`crate::trace`]). `None` (the default) records
     /// nothing and allocates nothing. When set, every region-lifecycle
@@ -146,7 +122,7 @@ pub struct EngineOptions {
     /// stitched instance is stored for the next one. Loaded files are
     /// untrusted: they re-pass `verify_code` before install, and any
     /// corruption degrades to a local stitch with a typed health entry.
-    /// Probe points and accounting: module docs, "Mode interactions".
+    /// Probe points and accounting: DESIGN.md § "Engine: one miss path…".
     pub persist: Option<Arc<PersistentCache>>,
     /// Direct-threaded native dispatch (only meaningful with `native`):
     /// the whole static code region is installed as one native instance,
@@ -155,8 +131,8 @@ pub struct EngineOptions {
     /// back-patched into direct jumps, so hot control flow transfers
     /// between native instances without bouncing through the VM loop.
     /// Keyed `EnterRegion` traps additionally get patchable monomorphic
-    /// inline-cache guards (unless another option needs the trap — module
-    /// docs, "Mode interactions"). Chained transfers charge *exactly* the
+    /// inline-cache guards (unless another option needs the trap: see
+    /// `Session::guards_enabled`). Chained transfers charge *exactly* the
     /// simulated cycles and fuel the VM-dispatched path would, so all
     /// simulated quantities stay bit-identical. On by default; `false`
     /// reproduces the PR 6 one-instance-per-dispatch behaviour (the
@@ -708,8 +684,10 @@ impl<P: Borrow<Program>> Session<P> {
         artifact
     }
 
-    /// Whether `EnterRegion` inline-cache guards may be patched (module
-    /// docs, "Mode interactions").
+    /// Whether `EnterRegion` inline-cache guards may be patched: a guard
+    /// hit bypasses the trap handler, so not under tiering (the key
+    /// predictor feeds on traps) nor under a `keyed_cache_capacity` bound
+    /// (hits touch the LRU).
     fn guards_enabled(&self) -> bool {
         self.options.native_chain
             && self.options.keyed_cache_capacity.is_none()
@@ -814,13 +792,7 @@ impl<P: Borrow<Program>> Session<P> {
         if self.native.is_none() || !self.options.native_chain {
             return;
         }
-        if self.fire(FaultPoint::NativeChainPatch, region).is_some() {
-            self.record_failure(
-                region,
-                FailureKind::BackendUnavailable,
-                true,
-                "injected native chain-patch failure: instance stays unchained".to_string(),
-            );
+        if self.injected(FaultPoint::NativeChainPatch, region) {
             self.tr(EventKind::NativeUnchained { region });
             return;
         }
@@ -938,16 +910,7 @@ impl<P: Borrow<Program>> Session<P> {
         // Consult the fault plan before the availability checks, so an
         // injected arena exhaustion is exercised (and counted) even on
         // hosts where the real backend cannot run.
-        if self
-            .fire(FaultPoint::NativeArenaExhausted, region)
-            .is_some()
-        {
-            self.record_failure(
-                region,
-                FailureKind::BackendUnavailable,
-                true,
-                "injected native-arena exhaustion: instance stays on the VM backend".to_string(),
-            );
+        if self.injected(FaultPoint::NativeArenaExhausted, region) {
             return 0;
         }
         let Some(ns) = self.native_checked(region) else {
@@ -1134,136 +1097,198 @@ impl<P: Borrow<Program>> Session<P> {
         });
     }
 
-    /// Serve an entry from the region's statically compiled fallback copy
-    /// (quarantine, budget exhaustion, or a failed background install).
-    fn run_fallback(&mut self, region: u16, fallback_pc: u32) {
-        self.regions[region as usize].report.fallback_runs += 1;
-        self.tr(EventKind::FallbackRun { region });
-        self.vm.pc = fallback_pc;
-    }
-
     fn enter_region(&mut self, region: u16, _at: u32) -> Result<(), Error> {
         let rc = &self.program.borrow().compiled.regions[region as usize];
         let key = self.read_key(&rc.key_locs)?;
-        let keyed = !rc.key_locs.is_empty();
-        let (setup_pc, fallback_pc, key_len) = (rc.setup_pc, rc.fallback_pc, rc.key_locs.len());
+        let (keyed, fallback) = (!rc.key_locs.is_empty(), rc.fallback_pc);
         self.regions[region as usize].report.invocations += 1;
         self.vm.cycles += TRAP_CYCLES;
         self.tr(EventKind::RegionEnter { region, keyed });
-        if keyed {
-            self.vm.cycles += KEYED_LOOKUP_CYCLES + PER_KEY_CYCLES * key_len as u64;
-        }
-        let cached = self.regions[region as usize].cache.get(&key).copied();
-        if keyed {
-            self.tr(EventKind::KeyedLookup {
-                region,
-                hit: cached.is_some(),
-            });
-        }
-        match cached {
-            Some(entry) => {
-                if keyed {
-                    self.regions[region as usize].lru.touch(entry.lru);
-                    self.maybe_patch_guard(region, &key, entry.base);
-                }
-                self.vm.pc = entry.base;
-                self.speculate_after(region, &key);
-            }
-            None => {
-                // Quarantined or budget-exhausted regions with a static
-                // fallback copy never attempt the optimized path again.
-                if let Some(fb) = fallback_pc {
-                    if self.recovery.is_quarantined(region) || self.recovery.level() >= 2 {
-                        self.run_fallback(region, fb);
-                        return Ok(());
+        self.walk(region, key, fallback, None)
+    }
+
+    fn end_setup(&mut self, region: u16) -> Result<(), Error> {
+        let st = &mut self.regions[region as usize];
+        let (key, cycles) = (st.pending_key.take(), self.vm.cycles - st.setup_start);
+        self.tr(EventKind::SetupEnd { region, cycles });
+        let table = self.vm.reg(CTP);
+        self.walk(region, key.unwrap_or_default(), None, Some((table, cycles)))
+    }
+
+    /// The one ladder walk: try the rungs of the entry's ladder in order.
+    /// Each rung books its own serve; [`Session::served`] books what all
+    /// serves share, [`Session::decline`] every decline before it. A rung
+    /// whose option is off is not on the ladder, and a region quarantine
+    /// or the byte budget shut declines all but its fallback copy.
+    fn walk(
+        &mut self,
+        region: u16,
+        key: Vec<u64>,
+        fallback: Option<u32>,
+        setup: Option<(u64, u64)>,
+    ) -> Result<(), Error> {
+        let keyed = !self.program.borrow().compiled.regions[region as usize]
+            .key_locs
+            .is_empty();
+        let shut = fallback.is_some()
+            && (self.recovery.is_quarantined(region) || self.recovery.level() >= 2);
+        let tiered = self.tiered.is_some() && fallback.is_some();
+        let mut e = Entry {
+            region,
+            key,
+            fallback,
+            shut,
+            setup,
+        };
+        for &rung in ladder(keyed, tiered, setup.is_some()) {
+            let outcome = match rung {
+                Rung::Session => self.session_rung(&e, keyed),
+                Rung::Fallback => self.fallback_rung(&e),
+                _ if shut => Err(Decline::Degraded),
+                Rung::Shared => match self.options.shared_cache.clone() {
+                    Some(cache) => self.shared_rung(&e, &cache),
+                    None => continue,
+                },
+                Rung::Persist => match self.options.persist.clone() {
+                    Some(cache) => self.persist_rung(&e, &cache),
+                    None => continue,
+                },
+                Rung::Background => self.background_rung(&mut e),
+                Rung::Setup => self.setup_rung(&mut e),
+                Rung::Stitch => self.stitch_rung(&e),
+            };
+            match outcome {
+                Ok(served) => return self.served(rung, served, e),
+                Err(d) => {
+                    self.decline(region, rung, &d);
+                    if let Decline::Stitch(err) = d {
+                        return Err(Error::Stitch(err));
                     }
                 }
-                // Not stitched here yet. Keyed regions walk the cache
-                // ladder at the trap; unkeyed regions only in `end_setup`
-                // (module docs, "Mode interactions").
-                if keyed && self.probe_caches(region, &key, false)? {
-                    self.speculate_after(region, &key);
-                } else if let (true, Some(fallback)) = (self.tiered.is_some(), fallback_pc) {
-                    self.tiered_miss(region, key, fallback, setup_pc)?;
-                } else {
-                    self.begin_setup(region, key, setup_pc, fallback_pc);
-                }
             }
+        }
+        let msg = format!("region {region}: every rung declined the entry");
+        Err(Error::Stitch(StitchError::BadTemplate(msg)))
+    }
+
+    /// The one served sink: index anything newly installed (booking the
+    /// set-up behind it), resume, and feed the key predictor with entries
+    /// served at the trap — except a shut region's fallback runs (and a
+    /// set-up, which took the key along).
+    fn served(&mut self, rung: Rung, served: Served, mut e: Entry) -> Result<(), Error> {
+        match served {
+            Served::Resume(pc) => self.vm.pc = pc,
+            Served::Installed(base, len) => {
+                // At the trap the key still feeds the predictor below.
+                let key = match e.setup {
+                    Some((_, cycles)) => {
+                        self.regions[e.region as usize].report.setup_cycles += cycles;
+                        std::mem::take(&mut e.key)
+                    }
+                    None => e.key.clone(),
+                };
+                self.index_instance(e.region, key, base, len)?;
+            }
+        }
+        if e.setup.is_none() && !(e.shut && rung == Rung::Fallback) {
+            self.speculate_after(e.region, &e.key);
         }
         Ok(())
     }
 
-    /// Redirect to the region's set-up code, pre-flighting injected
-    /// set-up traps under the recovery policy. A trap is modeled on a
-    /// probe fork of the VM with a small instruction budget
-    /// ([`crate::faults::Injection::magnitude`]); the attempt's cycles
-    /// are charged to the session, the failure is recorded, and set-up is
-    /// retried — or, once the region is quarantined, its fallback copy
-    /// (when the artifact has one) serves the entry.
-    fn begin_setup(&mut self, region: u16, key: Vec<u64>, setup_pc: u32, fallback_pc: Option<u32>) {
-        let mut attempt = 0u32;
-        while let Some(fuel) = self.fire(FaultPoint::SetupVmTrap, region) {
-            let mut fork = self.vm.clone();
-            // The probe fork has no native dispatcher; let it interpret.
-            fork.clear_native_marks();
-            fork.pc = setup_pc;
-            fork.cycles = 0;
-            fork.fuel = fuel.max(1);
-            let msg = match fork.run() {
-                Err(e) => format!("injected VM trap during set-up: {e}"),
-                Ok(_) => "injected VM trap during set-up (probe exhausted)".to_string(),
-            };
-            self.vm.cycles += fork.cycles;
-            self.record_failure(region, FailureKind::Setup, true, msg);
-            if self.recovery.is_quarantined(region) {
-                if let Some(fb) = fallback_pc {
-                    self.run_fallback(region, fb);
-                    return;
-                }
-            }
-            attempt += 1;
-            if attempt > self.recovery.policy().max_retries {
-                break;
-            }
-            self.charge_retry(region, attempt);
+    /// Session rung: this session's own cache. A keyed region pays the
+    /// hashed lookup (and re-arms its guard sled); an unkeyed one traps
+    /// only until its first install retires the trap.
+    fn session_rung(&mut self, e: &Entry, keyed: bool) -> Result<Served, Decline> {
+        let region = e.region;
+        if !keyed {
+            let cached = self.regions[region as usize].cache.get(&e.key);
+            return cached
+                .map(|hit| Served::Resume(hit.base))
+                .ok_or(Decline::Miss);
         }
-        self.start_setup(region, key, setup_pc);
+        self.vm.cycles += KEYED_LOOKUP_CYCLES + PER_KEY_CYCLES * e.key.len() as u64;
+        let cached = self.regions[region as usize].cache.get(&e.key).copied();
+        let hit = cached.is_some();
+        self.tr(EventKind::KeyedLookup { region, hit });
+        let hit = cached.ok_or(Decline::Miss)?;
+        self.regions[region as usize].lru.touch(hit.lru);
+        self.maybe_patch_guard(region, &e.key, hit.base);
+        Ok(Served::Resume(hit.base))
     }
 
-    /// Enter set-up code, leaving the key and the clock for `end_setup`.
-    /// Called directly, skipping [`Session::begin_setup`]'s `SetupVmTrap`
-    /// pre-flight, when a failed background job degrades a tiered entry.
-    fn start_setup(&mut self, region: u16, key: Vec<u64>, setup_pc: u32) {
-        let st = &mut self.regions[region as usize];
-        st.pending_key = Some(key);
-        st.setup_start = self.vm.cycles;
-        self.vm.pc = setup_pc;
-        self.tr(EventKind::SetupStart { region });
+    /// Shared rung: another session's instance from the process-wide
+    /// cache. The probe charges [`SHARED_LOOKUP_CYCLES`], hit or miss;
+    /// after set-up the instance must also replay its table reads.
+    fn shared_rung(&mut self, e: &Entry, cache: &SharedCodeCache) -> Result<Served, Decline> {
+        let region = e.region;
+        self.vm.cycles += SHARED_LOOKUP_CYCLES;
+        self.inject(FaultPoint::SharedCachePoisonedShard, region)?;
+        let found = cache.lookup(&self.shared_key(region, &e.key));
+        let hit = found.is_some();
+        self.tr(EventKind::CacheLookup { region, hit });
+        let stitched = found.ok_or(Decline::Miss)?;
+        if e.setup.is_some() && !self.replay_reads(&stitched) {
+            return Err(Decline::ReadsMismatch);
+        }
+        self.inject(FaultPoint::SharedCacheInstall, region)?;
+        let (base, words) = self.copy_install(&stitched)?;
+        self.regions[region as usize].report.shared_hits += 1;
+        self.tr(EventKind::CacheInstall { region, words });
+        Ok(Served::Installed(base, words))
     }
 
-    /// Tiered mode, cold entry: install a finished background stitch, run
-    /// the fallback copy while one is in flight, or (if the background run
-    /// failed) stitch synchronously. The jobs-map probe piggybacks on the
-    /// trap / keyed-lookup charges already paid by the caller; enqueued
-    /// jobs are charged [`DISPATCH_CYCLES`] each.
-    fn tiered_miss(
-        &mut self,
-        region: u16,
-        key: Vec<u64>,
-        fallback_pc: u32,
-        setup_pc: u32,
-    ) -> Result<(), Error> {
+    /// Persist rung: an instance an earlier process stored on disk. Disk
+    /// traffic is free; a hit charges the shared-cache model (lookup +
+    /// per-word copy), so cold runs are identical with `persist` on or
+    /// off. Its stubs are reused only at the publisher's base.
+    fn persist_rung(&mut self, e: &Entry, cache: &PersistentCache) -> Result<Served, Decline> {
+        let region = e.region;
+        let hash = self.program.borrow().artifact_hash();
+        let inst = match cache.load_instance(hash, region, &e.key) {
+            InstanceProbe::Hit(inst) => inst,
+            InstanceProbe::Reject(reason) => return Err(Decline::PersistReject(reason)),
+            InstanceProbe::Miss => {
+                self.regions[region as usize].report.persist_misses += 1;
+                self.tr(EventKind::PersistLookup { region, hit: false });
+                return Err(Decline::Miss);
+            }
+        };
+        if let Err(d) = self.inject(FaultPoint::PersistLoadCorrupt, region) {
+            if let Some((_, msg)) = FaultPoint::PersistLoadCorrupt.failure() {
+                cache.note_injected_instance_reject(msg);
+            }
+            return Err(d);
+        }
+        if e.setup.is_some() && !self.replay_reads(&inst.stitched) {
+            return Err(Decline::ReadsMismatch);
+        }
+        let (base, words) = self.copy_install(&inst.stitched)?;
+        self.vm.cycles += SHARED_LOOKUP_CYCLES;
+        if inst.install_base == base {
+            if let (Some(ns), Some(artifact)) = (self.native.as_deref_mut(), inst.native) {
+                ns.pending = Some((base, artifact));
+            }
+        }
+        self.regions[region as usize].report.persist_hits += 1;
+        self.tr(EventKind::PersistLookup { region, hit: true });
+        self.tr(EventKind::PersistInstall { region, words });
+        Ok(Served::Installed(base, words))
+    }
+
+    /// Background rung (tiered): install a finished background stitch,
+    /// publishing and storing it. A job still in flight (or just
+    /// enqueued, [`DISPATCH_CYCLES`] each) is a miss; a failed one hands
+    /// the entry to set-up, skipping the set-up rung's trap pre-flight.
+    fn background_rung(&mut self, e: &mut Entry) -> Result<Served, Decline> {
+        let region = e.region;
         let Some(tiered) = self.tiered.as_mut() else {
-            // The caller checked `tiered.is_some()`; if the state is
-            // gone anyway, degrade to the synchronous set-up path
-            // rather than aborting the process.
-            self.begin_setup(region, key, setup_pc, Some(fallback_pc));
-            return Ok(());
+            return Err(Decline::Miss);
         };
         let (decision, enqueued) = tiered.decide(
             &self.vm,
             region,
-            &key,
+            &e.key,
             &self.options.stitch,
             self.vm.cycles,
             self.faults.as_deref_mut(),
@@ -1275,36 +1300,24 @@ impl<P: Borrow<Program>> Session<P> {
             self.tr(EventKind::TierDispatch { region });
         }
         match decision {
+            TierDecision::Fallback => Err(Decline::Miss),
+            TierDecision::Synchronous => Ok(self.start_setup(e)),
             TierDecision::Install {
                 stitched,
                 setup_cycles,
                 stitch_cycles,
                 speculative,
             } => {
-                self.arena_backoff(region, "installing background stitch");
-                // A relocation failure or a verifier reject consumes the
-                // job and degrades this entry to the fallback copy; the
-                // next entry re-enqueues.
-                let (base, len) = match self.copy_install(region, "background", &stitched) {
-                    Ok(at) => at,
-                    Err(f) => {
-                        let (kind, msg) = f.split(FailureKind::Install);
-                        self.record_failure(region, kind, false, msg);
-                        self.run_fallback(region, fallback_pc);
-                        self.speculate_after(region, &key);
-                        return Ok(());
-                    }
-                };
-                let st = &mut self.regions[region as usize];
-                st.report.bg_installs += 1;
-                if speculative {
-                    st.report.spec_installs += 1;
-                }
-                st.report.bg_setup_cycles += setup_cycles;
-                st.report.bg_stitch_cycles += stitch_cycles;
+                self.arena_backoff(region, Rung::Background)?;
+                let (base, words) = self.copy_install(&stitched)?;
+                let report = &mut self.regions[region as usize].report;
+                report.bg_installs += 1;
+                report.spec_installs += u64::from(speculative);
+                report.bg_setup_cycles += setup_cycles;
+                report.bg_stitch_cycles += stitch_cycles;
                 self.tr(EventKind::BgInstall {
                     region,
-                    words: len,
+                    words,
                     speculative,
                     setup_cycles,
                     stitch_cycles,
@@ -1312,451 +1325,64 @@ impl<P: Borrow<Program>> Session<P> {
                 if speculative {
                     self.tr(EventKind::SpeculateHit { region });
                 }
-                self.publish_shared(region, &key, Arc::clone(&stitched));
-                self.persist_store(region, &key, &stitched, base);
-                self.index_instance(region, key.clone(), base, len)?;
-                self.speculate_after(region, &key);
+                self.publish_shared(region, &e.key, Arc::clone(&stitched));
+                self.persist_store(region, &e.key, &stitched, base);
+                Ok(Served::Installed(base, words))
             }
-            TierDecision::Fallback => {
-                self.run_fallback(region, fallback_pc);
-                self.speculate_after(region, &key);
-            }
-            TierDecision::Synchronous => self.start_setup(region, key, setup_pc),
-        }
-        Ok(())
-    }
-
-    /// Tiered mode: feed the region's key predictor and enqueue predicted
-    /// keys (bounded by the in-flight cap), charging dispatch cycles per
-    /// job. No-op when tiering or speculation is off, or the region is
-    /// unkeyed.
-    fn speculate_after(&mut self, region: u16, key: &[u64]) {
-        let Some(tiered) = self.tiered.as_mut().filter(|_| !key.is_empty()) else {
-            return;
-        };
-        let cache = &self.regions[region as usize].cache;
-        let is_cached = |k: &[u64]| cache.contains_key(k);
-        let enqueued = tiered.observe_and_speculate(
-            &self.vm,
-            region,
-            key,
-            &is_cached,
-            &self.options.stitch,
-            self.vm.cycles,
-            self.faults.as_deref_mut(),
-        );
-        self.vm.cycles += enqueued * DISPATCH_CYCLES;
-        self.drain_injected();
-        for _ in 0..enqueued {
-            self.tr(EventKind::SpeculateIssue { region });
         }
     }
 
-    /// The cache ladder below the session's own cache: the shared cache,
-    /// then the persistent cache. `Ok(true)`: an instance was installed
-    /// and the VM resumes in it. `Ok(false)`: nothing usable — the caller
-    /// goes on to the session's own set-up + stitch path.
-    ///
-    /// Keyed regions call this at the trap with `validate_reads: false`;
-    /// unkeyed regions after set-up with `true`, which admits a candidate
-    /// only if [`Session::replay_reads`] passes (module docs, "Mode
-    /// interactions").
-    ///
-    /// # Errors
-    /// Only install-side errors ([`Session::index_instance`]); anything
-    /// wrong with a cached instance degrades to a miss.
-    fn probe_caches(
-        &mut self,
-        region: u16,
-        key: &[u64],
-        validate_reads: bool,
-    ) -> Result<bool, Error> {
-        Ok(self.shared_probe(region, key, validate_reads)?
-            || self.persist_probe(region, key, validate_reads)?)
-    }
-
-    /// Replay the publishing stitch's recorded table reads against this
-    /// session's memory, charging the stitcher's per-read cost.
-    fn replay_reads(&mut self, stitched: &Stitched) -> bool {
-        self.vm.cycles += self.options.stitch.cost.table_read * stitched.reads.len() as u64;
-        stitched.reads_match(&self.vm.mem)
-    }
-
-    /// The one way code this session did not stitch enters its code
-    /// space: relocate to the end of it, re-verify (the words came from
-    /// another session, process or thread), charge the per-word copy and
-    /// append. Returns `(base, len)`; counters, trace events and
-    /// [`Session::index_instance`] stay with the caller. On a refusal
-    /// nothing was installed or charged, and the caller picks the failure
-    /// sink; `origin` names the source in the message.
-    fn copy_install(
-        &mut self,
-        region: u16,
-        origin: &str,
-        stitched: &Stitched,
-    ) -> Result<(u32, u32), CopyFailure> {
-        let base = self.vm.code.len() as u32;
-        let (code, _lin_addr) = stitched.relocate(base, &mut self.vm.mem).map_err(|e| {
-            CopyFailure::Relocate(format!("{origin} instance failed to relocate: {e}"))
+    /// Setup rung: enter the region's set-up code, pre-flighting injected
+    /// set-up traps. A trap is modeled on a probe fork of the VM with a
+    /// small instruction budget ([`crate::faults::Injection::magnitude`]);
+    /// the attempt's cycles are charged and set-up is retried — or, once
+    /// the region is quarantined, declined for its fallback copy.
+    fn setup_rung(&mut self, e: &mut Entry) -> Result<Served, Decline> {
+        let region = e.region;
+        let setup_pc = self.program.borrow().compiled.regions[region as usize].setup_pc;
+        self.retrying(region, Rung::Setup, e.fallback.is_some(), |s, trusted| {
+            let fired = (!trusted).then(|| s.fire(FaultPoint::SetupVmTrap, region));
+            let Some(fuel) = fired.flatten() else {
+                return Ok(());
+            };
+            let mut fork = s.vm.clone();
+            // The probe fork has no native dispatcher; let it interpret.
+            fork.clear_native_marks();
+            fork.pc = setup_pc;
+            fork.cycles = 0;
+            fork.fuel = fuel.max(1);
+            let trap = fork.run().err();
+            s.vm.cycles += fork.cycles;
+            Err(Decline::Injected(FaultPoint::SetupVmTrap, trap))
         })?;
-        if let Err(e) = verify_code(&code, base) {
-            self.tr(EventKind::VerifyReject { region });
-            return Err(CopyFailure::Verify(format!(
-                "{origin} instance rejected by pre-install verification: {e}"
-            )));
-        }
-        self.vm.cycles += SHARED_INSTALL_CYCLES_PER_WORD * code.len() as u64;
-        self.vm.append_code(&code);
-        Ok((base, code.len() as u32))
+        Ok(self.start_setup(e))
     }
 
-    /// Injected code-arena exhaustion: back off deterministically (the
-    /// simulated arena grows) before an install. `when` finishes the
-    /// health-ring message.
-    fn arena_backoff(&mut self, region: u16, when: &str) {
-        let mut attempt = 0u32;
-        while self.fire(FaultPoint::CodeArenaExhausted, region).is_some() {
-            let msg = format!("injected code-arena exhaustion {when}");
-            self.record_failure(region, FailureKind::Install, true, msg);
-            attempt += 1;
-            if attempt > self.recovery.policy().max_retries {
-                break;
-            }
-            self.charge_retry(region, attempt);
-        }
+    /// Enter set-up code, leaving the key and the clock for `end_setup`.
+    fn start_setup(&mut self, e: &mut Entry) -> Served {
+        let st = &mut self.regions[e.region as usize];
+        st.pending_key = Some(std::mem::take(&mut e.key));
+        st.setup_start = self.vm.cycles;
+        self.tr(EventKind::SetupStart { region: e.region });
+        Served::Resume(self.program.borrow().compiled.regions[e.region as usize].setup_pc)
     }
 
-    /// This session's name for `(region, key)` in the process-wide cache.
-    fn shared_key(&self, region: u16, key: &[u64]) -> SharedKey {
-        SharedKey {
-            program: self.program.borrow().id(),
-            region,
-            key: key.to_vec(),
-        }
-    }
-
-    /// Publish an instance to the process-wide cache (when configured) so
-    /// other sessions can skip set-up and stitching for this
-    /// `(region, key)`.
-    fn publish_shared(&mut self, region: u16, key: &[u64], stitched: impl Into<Arc<Stitched>>) {
-        let Some(cache) = &self.options.shared_cache else {
-            return;
-        };
-        let evicted = cache.insert(self.shared_key(region, key), stitched.into());
-        if evicted > 0 {
-            self.tr(EventKind::CacheEvict {
-                region,
-                count: evicted as u64,
-            });
-        }
-    }
-
-    /// Shared-cache rung: probe the process-wide cache (when configured),
-    /// charging the probe cost hit or miss, and install another session's
-    /// stitched instance. `Ok(false)` on a miss, an injected fault (a
-    /// poisoned shard abandons the probe), stale reads, or a refused
-    /// install: any failure is recorded and the ladder moves on.
-    fn shared_probe(
-        &mut self,
-        region: u16,
-        key: &[u64],
-        validate_reads: bool,
-    ) -> Result<bool, Error> {
-        let Some(cache) = self.options.shared_cache.as_ref().map(Arc::clone) else {
-            return Ok(false);
-        };
-        self.vm.cycles += SHARED_LOOKUP_CYCLES;
-        let poisoned = self
-            .fire(FaultPoint::SharedCachePoisonedShard, region)
-            .is_some();
-        let hit = if poisoned {
-            let msg = "injected poisoned shared-cache shard: probe abandoned";
-            self.record_failure(region, FailureKind::SharedCache, true, msg.to_string());
-            None
-        } else {
-            cache.lookup(&self.shared_key(region, key))
-        };
-        self.tr(EventKind::CacheLookup {
-            region,
-            hit: hit.is_some(),
-        });
-        let Some(stitched) = hit else {
-            return Ok(false);
-        };
-        if validate_reads && !self.replay_reads(&stitched) {
-            return Ok(false);
-        }
-        if self.fire(FaultPoint::SharedCacheInstall, region).is_some() {
-            let msg = "injected shared-cache install failure";
-            self.record_failure(region, FailureKind::SharedCache, true, msg.to_string());
-            return Ok(false);
-        }
-        let (base, len) = match self.copy_install(region, "shared-cache", &stitched) {
-            Ok(at) => at,
-            Err(f) => {
-                let (kind, msg) = f.split(FailureKind::SharedCache);
-                self.record_failure(region, kind, false, msg);
-                return Ok(false);
-            }
-        };
-        self.regions[region as usize].report.shared_hits += 1;
-        self.tr(EventKind::CacheInstall { region, words: len });
-        self.index_instance(region, key.to_vec(), base, len)?;
-        Ok(true)
-    }
-
-    /// Bookkeeping for a refused persistent-cache load: the per-region
-    /// counter, a [`EventKind::PersistReject`] trace event, and a typed
-    /// `persist` health entry. The ladder falls through to the session's
-    /// own set-up + stitch path, whose store then overwrites the bad
-    /// file — corruption is self-healing and never fatal.
-    fn persist_reject(&mut self, region: u16, injected: bool, message: String) {
-        self.regions[region as usize].report.persist_rejects += 1;
-        self.tr(EventKind::PersistReject { region });
-        self.record_failure(region, FailureKind::Persist, injected, message);
-    }
-
-    /// Persistent-cache rung: probe the on-disk cache (when configured)
-    /// for this `(region, key)` and install a valid instance. Disk
-    /// traffic charges zero simulated cycles; a hit charges the
-    /// shared-cache model (lookup + per-word copy). Any refusal degrades
-    /// through [`Session::persist_reject`] and returns `Ok(false)`.
-    fn persist_probe(
-        &mut self,
-        region: u16,
-        key: &[u64],
-        validate_reads: bool,
-    ) -> Result<bool, Error> {
-        let Some(cache) = self.options.persist.as_ref().map(Arc::clone) else {
-            return Ok(false);
-        };
-        let hash = self.program.borrow().artifact_hash();
-        let inst = match cache.load_instance(hash, region, key) {
-            InstanceProbe::Miss => {
-                self.regions[region as usize].report.persist_misses += 1;
-                self.tr(EventKind::PersistLookup { region, hit: false });
-                return Ok(false);
-            }
-            InstanceProbe::Reject(reason) => {
-                let msg = format!("persistent instance refused: {reason}");
-                self.persist_reject(region, false, msg);
-                return Ok(false);
-            }
-            InstanceProbe::Hit(inst) => inst,
-        };
-        if self.fire(FaultPoint::PersistLoadCorrupt, region).is_some() {
-            let msg = "injected persist load corruption: cached instance discarded";
-            cache.note_injected_instance_reject(msg);
-            self.persist_reject(region, true, msg.to_string());
-            return Ok(false);
-        }
-        if validate_reads && !self.replay_reads(&inst.stitched) {
-            let msg = "persistent instance stale: recorded table reads do not replay";
-            self.persist_reject(region, false, msg.to_string());
-            return Ok(false);
-        }
-        let (base, len) = match self.copy_install(region, "persistent", &inst.stitched) {
-            Ok(at) => at,
-            Err(f) => {
-                let (_, msg) = f.split(FailureKind::Persist);
-                self.persist_reject(region, false, msg);
-                return Ok(false);
-            }
-        };
-        self.vm.cycles += SHARED_LOOKUP_CYCLES;
-        // Native stub bytes are reusable only at the publisher's base
-        // (module docs); otherwise `index_instance` re-translates.
-        if inst.install_base == base {
-            if let (Some(ns), Some(artifact)) = (self.native.as_deref_mut(), inst.native) {
-                ns.pending = Some((base, artifact));
-            }
-        }
-        self.regions[region as usize].report.persist_hits += 1;
-        self.tr(EventKind::PersistLookup { region, hit: true });
-        self.tr(EventKind::PersistInstall { region, words: len });
-        self.index_instance(region, key.to_vec(), base, len)?;
-        Ok(true)
-    }
-
-    /// Store a freshly stitched instance in the persistent cache (when
-    /// configured), so the next *process* can skip the work. Host-side
-    /// only — zero simulated cycles — and never fatal: lock contention
-    /// skips the store (the competing writer's bytes are equivalent),
-    /// an injected torn write deliberately leaves a truncated file for
-    /// the next load to refuse, and an I/O failure records one typed
-    /// `persist` health entry.
-    fn persist_store(&mut self, region: u16, key: &[u64], stitched: &Stitched, base: u32) {
-        let Some(cache) = self.options.persist.as_ref().map(Arc::clone) else {
-            return;
-        };
-        if self
-            .fire(FaultPoint::PersistLockContended, region)
-            .is_some()
-        {
-            cache.note_lock_skip();
-            self.record_failure(
-                region,
-                FailureKind::Persist,
-                true,
-                "injected persist lock contention: store skipped".to_string(),
-            );
-            return;
-        }
-        let torn = self.fire(FaultPoint::PersistWriteTorn, region).is_some();
-        if torn {
-            self.record_failure(
-                region,
-                FailureKind::Persist,
-                true,
-                "injected torn persist write: truncated file left for the next load to refuse"
-                    .to_string(),
-            );
-        }
-        let hash = self.program.borrow().artifact_hash();
-        let outcome = {
-            // Persist the native stubs only when `end_setup` pre-translated
-            // this very base (`index_instance` has not consumed it yet) and
-            // the translation can actually serve entries.
-            let native = self.native.as_deref().and_then(|ns| match &ns.pending {
-                Some((b, a)) if *b == base && a.entry_supported => Some(a),
-                _ => None,
-            });
-            cache.store_instance(hash, region, key, stitched, base, native, torn)
-        };
-        if let StoreOutcome::Failed(reason) = outcome {
-            self.record_failure(
-                region,
-                FailureKind::Persist,
-                false,
-                format!("persist store failed: {reason}"),
-            );
-        }
-    }
-
-    /// One stitch attempt for `region` at code address `base`: consult
-    /// the fault plan (injected bad template, post-stitch corruption),
-    /// degrade to interpretive stitching when the budget ladder or
-    /// quarantine demands it, and run the pre-install verifier over the
-    /// result. Never installs anything.
-    fn stitch_once(
-        &mut self,
-        region: u16,
-        table: u64,
-        base: u32,
-    ) -> Result<Stitched, StitchFailure> {
-        if self.fire(FaultPoint::StitchBadTemplate, region).is_some() {
-            return Err(StitchFailure::Retryable(
-                FailureKind::Stitch,
-                true,
-                "injected stitch failure: malformed template".to_string(),
-            ));
-        }
-        // Recording plan patches is host-side bookkeeping only (no stats,
-        // no cycles); request it only when there is a trace to feed. The
-        // degradation ladder's first step (and quarantine without a
-        // fallback copy) turns copy-and-patch plans off — interpretive
-        // stitching, bit-identical output, no plan bookkeeping.
-        let record = self.trace.is_some() && !self.options.stitch.record_patches;
-        let degrade_plans = self.options.stitch.plans
-            && (self.recovery.level() >= 1 || self.recovery.is_quarantined(region));
-        let stitch_opts = if record || degrade_plans {
-            let mut o = self.options.stitch.clone();
-            o.record_patches = o.record_patches || record;
-            o.plans = o.plans && !degrade_plans;
-            Some(o)
-        } else {
-            None
-        };
-        let rc = &self.program.borrow().compiled.regions[region as usize];
-        let mut stitched = dyncomp_stitcher::stitch(
-            rc,
-            table,
-            &mut self.vm.mem,
-            base,
-            stitch_opts.as_ref().unwrap_or(&self.options.stitch),
-        )
-        .map_err(StitchFailure::Fatal)?;
-        let mut corrupted = false;
-        if self.fire(FaultPoint::CodeCorruption, region).is_some() && !stitched.code.is_empty() {
-            // Flip an instruction-start word (never an `Ldiw` payload,
-            // which no decoder could fault on) to a value nothing
-            // decodes: the pre-install verifier must catch it. A fault
-            // just fired, so the plan state exists; if it vanished
-            // anyway, skip the corruption rather than panic.
-            if let Some(f) = self.faults.as_mut() {
-                let starts = instruction_starts(&stitched.code);
-                let pick = f.draw_below(starts.len() as u64) as usize;
-                stitched.code[starts[pick]] = 0xFF00_0000;
-                corrupted = true;
-            }
-        }
-        if let Err(e) = verify_code(&stitched.code, base) {
-            self.tr(EventKind::VerifyReject { region });
-            return Err(StitchFailure::Retryable(
-                FailureKind::Verify,
-                corrupted,
-                format!("pre-install verification rejected instance: {e}"),
-            ));
-        }
-        Ok(stitched)
-    }
-
-    fn end_setup(&mut self, region: u16) -> Result<(), Error> {
-        let table = self.vm.reg(CTP);
-        let setup_delta = self.vm.cycles - self.regions[region as usize].setup_start;
-        self.tr(EventKind::SetupEnd {
-            region,
-            cycles: setup_delta,
-        });
-        // Unkeyed regions walk the cache ladder here, now that set-up has
-        // produced the constants that identify the instance (module docs,
-        // "Mode interactions"); a hit skips only the stitch.
-        let unkeyed = self.program.borrow().compiled.regions[region as usize]
-            .key_locs
-            .is_empty();
-        if unkeyed && self.probe_caches(region, &[], true)? {
-            let st = &mut self.regions[region as usize];
-            st.report.setup_cycles += setup_delta;
-            st.pending_key = None;
-            return Ok(());
-        }
-        // Stitch under the recovery policy: injected stitch failures and
-        // verifier rejects (corrupted instances) are retried with a
-        // deterministic backoff up to the policy cap; a genuine stitcher
-        // error propagates unchanged, exactly as before this layer
-        // existed.
-        let mut attempt = 0u32;
-        let (mut stitched, base) = loop {
-            self.tr(EventKind::StitchStart { region });
-            let base = self.vm.code.len() as u32;
-            match self.stitch_once(region, table, base) {
-                Ok(s) => break (s, base),
-                Err(StitchFailure::Fatal(e)) => {
-                    self.record_failure(region, FailureKind::Stitch, false, e.to_string());
-                    return Err(Error::Stitch(e));
-                }
-                Err(StitchFailure::Retryable(kind, injected, msg)) => {
-                    self.record_failure(region, kind, injected, msg.clone());
-                    attempt += 1;
-                    if attempt > self.recovery.policy().max_retries {
-                        return Err(Error::Stitch(dyncomp_stitcher::StitchError::BadTemplate(
-                            msg,
-                        )));
-                    }
-                    self.charge_retry(region, attempt);
-                }
-            }
-        };
-        self.arena_backoff(region, "during install");
+    /// Stitch rung: stitch the filled constants table under the recovery
+    /// policy, append it (after any injected arena backoff), store and
+    /// publish it. The native backend pre-translates it first, so the
+    /// published instance carries its native footprint (byte-budgeted
+    /// shards then govern both backends).
+    fn stitch_rung(&mut self, e: &Entry) -> Result<Served, Decline> {
+        let (region, table) = (e.region, e.setup.map_or(0, |(table, _)| table));
+        let mut stitched = self.retrying(region, Rung::Stitch, false, |s, trusted| {
+            s.tr(EventKind::StitchStart { region });
+            s.stitch_once(region, table, trusted)
+        })?;
+        self.arena_backoff(region, Rung::Stitch)?;
+        let (base, len) = (self.vm.code.len() as u32, stitched.code.len() as u32);
         self.vm.append_code(&stitched.code);
-        let code_len = stitched.code.len() as u32;
-
-        // Pre-translate for the native backend so the instance published
-        // to the shared cache carries its native footprint (byte-budgeted
-        // shards then govern both backends). The artifact is stashed for
-        // `index_instance`, which performs the actual install.
         if self.native.is_some() {
-            let artifact = self.translate_native(region, base, code_len);
+            let artifact = self.translate_native(region, base, len);
             stitched.native_bytes = if artifact.entry_supported {
                 artifact.bytes.len() as u64
             } else {
@@ -1766,15 +1392,12 @@ impl<P: Borrow<Program>> Session<P> {
                 ns.pending = Some((base, artifact));
             }
         }
-
         let st = &mut self.regions[region as usize];
-        st.report.setup_cycles += setup_delta;
         st.report.stitches += 1;
         st.report.stitch_stats += stitched.stats;
         st.report.stitch_cycles = st.report.stitch_stats.cycles;
         st.report.instructions_stitched = st.report.stitch_stats.instructions_stitched;
         st.tables.push(table);
-        let key = st.pending_key.take().unwrap_or_default();
         let s = &stitched.stats;
         self.tr(EventKind::StitchEnd {
             region,
@@ -1811,14 +1434,316 @@ impl<P: Borrow<Program>> Session<P> {
                 depth,
             });
         }
+        self.persist_store(region, &e.key, &stitched, base);
+        self.publish_shared(region, &e.key, stitched);
+        Ok(Served::Installed(base, len))
+    }
 
-        // Store to the on-disk cache so the next *process* can skip the
-        // work (host-side, zero simulated cycles).
-        self.persist_store(region, &key, &stitched, base);
+    /// Fallback rung: the region's statically compiled copy.
+    fn fallback_rung(&mut self, e: &Entry) -> Result<Served, Decline> {
+        let pc = e.fallback.ok_or(Decline::Miss)?;
+        self.regions[e.region as usize].report.fallback_runs += 1;
+        self.tr(EventKind::FallbackRun { region: e.region });
+        Ok(Served::Resume(pc))
+    }
 
-        self.publish_shared(region, &key, stitched);
-        self.index_instance(region, key, base, code_len)?;
-        Ok(())
+    /// The one decline sink: turn why `rung` declined into exactly its
+    /// health record, counter and trace event (DESIGN.md § "Engine: one
+    /// miss path…" tabulates them). A refused persistent file is counted
+    /// and traced before its record; the store after the local stitch
+    /// overwrites it, so corruption heals itself.
+    fn decline(&mut self, region: u16, rung: Rung, d: &Decline) {
+        let (origin, relocate) = match rung {
+            Rung::Shared => ("shared-cache", FailureKind::SharedCache),
+            Rung::Persist => ("persistent", FailureKind::Persist),
+            _ => ("background", FailureKind::Install),
+        };
+        let (kind, injected, message) = match d {
+            Decline::Miss | Decline::Degraded | Decline::Exhausted => return,
+            // A shared instance whose reads do not replay is a silent miss.
+            Decline::ReadsMismatch if rung == Rung::Shared => return,
+            Decline::ReadsMismatch => (
+                FailureKind::Persist,
+                false,
+                "persistent instance stale: recorded table reads do not replay".to_string(),
+            ),
+            Decline::PersistReject(reason) => (
+                FailureKind::Persist,
+                false,
+                format!("persistent instance refused: {reason}"),
+            ),
+            Decline::Injected(point, trap) => {
+                let Some((kind, msg)) = point.failure() else {
+                    return;
+                };
+                let message = match (point, trap) {
+                    (FaultPoint::SetupVmTrap, Some(e)) => format!("{msg}: {e}"),
+                    (FaultPoint::SetupVmTrap, None) => format!("{msg} (probe exhausted)"),
+                    (FaultPoint::CodeArenaExhausted, _) if rung == Rung::Background => {
+                        format!("{msg} installing background stitch")
+                    }
+                    (FaultPoint::CodeArenaExhausted, _) => format!("{msg} during install"),
+                    _ => msg.to_string(),
+                };
+                (kind, true, message)
+            }
+            Decline::Relocate(e) => (
+                relocate,
+                false,
+                format!("{origin} instance failed to relocate: {e}"),
+            ),
+            Decline::Verify(e, corrupted) => {
+                self.tr(EventKind::VerifyReject { region });
+                let message = match rung {
+                    Rung::Stitch => format!("pre-install verification rejected instance: {e}"),
+                    _ => format!("{origin} instance rejected by pre-install verification: {e}"),
+                };
+                let kind = match rung {
+                    Rung::Persist => FailureKind::Persist,
+                    _ => FailureKind::Verify,
+                };
+                (kind, *corrupted, message)
+            }
+            Decline::Stitch(e) => (FailureKind::Stitch, false, e.to_string()),
+        };
+        if rung == Rung::Persist {
+            self.regions[region as usize].report.persist_rejects += 1;
+            self.tr(EventKind::PersistReject { region });
+        }
+        self.record_failure(region, kind, injected, message);
+        if let Decline::Injected(FaultPoint::SharedCachePoisonedShard, _) = d {
+            self.tr(EventKind::CacheLookup { region, hit: false });
+        }
+    }
+
+    /// The one retry loop: run `attempt` until it succeeds. Each failure
+    /// goes through the decline sink; the first
+    /// [`RecoveryPolicy::max_retries`] are retried after a linear
+    /// backoff, and once the cap is spent one last attempt runs `trusted`
+    /// (injection suppressed). That attempt's failure, like a genuine
+    /// stitcher error, returns for the walk's sink. A `degradable`
+    /// attempt (set-up with a fallback copy) stops at quarantine.
+    fn retrying<T>(
+        &mut self,
+        region: u16,
+        rung: Rung,
+        degradable: bool,
+        mut attempt: impl FnMut(&mut Self, bool) -> Result<T, Decline>,
+    ) -> Result<T, Decline> {
+        let mut failures = 0u32;
+        loop {
+            let trusted = failures > self.recovery.policy().max_retries;
+            let d = match attempt(self, trusted) {
+                Ok(done) => return Ok(done),
+                Err(d) if trusted || matches!(d, Decline::Stitch(_)) => return Err(d),
+                Err(d) => d,
+            };
+            self.decline(region, rung, &d);
+            if degradable && self.recovery.is_quarantined(region) {
+                return Err(Decline::Degraded);
+            }
+            failures += 1;
+            if failures > self.recovery.policy().max_retries {
+                self.decline(region, rung, &Decline::Exhausted);
+            } else {
+                self.charge_retry(region, failures);
+            }
+        }
+    }
+
+    /// Injected code-arena exhaustion before an install: back off under
+    /// the recovery policy (the simulated arena grows). Never declines.
+    fn arena_backoff(&mut self, region: u16, rung: Rung) -> Result<(), Decline> {
+        self.retrying(region, rung, false, |s, trusted| match trusted {
+            true => Ok(()),
+            false => s.inject(FaultPoint::CodeArenaExhausted, region),
+        })
+    }
+
+    /// A fault point on the ladder: a fire is the rung's decline.
+    fn inject(&mut self, point: FaultPoint, region: u16) -> Result<(), Decline> {
+        let fired = self.fire(point, region);
+        fired.map_or(Ok(()), |_| Err(Decline::Injected(point, None)))
+    }
+
+    /// A fault point off the ladder (native install, chain request,
+    /// persist store), where a fire declines no entry: it is recorded
+    /// from [`FaultPoint::failure`], and `true` tells the caller to skip
+    /// or degrade the step.
+    fn injected(&mut self, point: FaultPoint, region: u16) -> bool {
+        let fired = self.inject(point, region).is_err();
+        if let Some((kind, msg)) = point.failure().filter(|_| fired) {
+            self.record_failure(region, kind, true, msg.to_string());
+        }
+        fired
+    }
+
+    /// Tiered mode: feed the region's key predictor and enqueue predicted
+    /// keys (bounded by the in-flight cap), charging dispatch cycles per
+    /// job. No-op when tiering or speculation is off, or the region is
+    /// unkeyed.
+    fn speculate_after(&mut self, region: u16, key: &[u64]) {
+        let Some(tiered) = self.tiered.as_mut().filter(|_| !key.is_empty()) else {
+            return;
+        };
+        let cache = &self.regions[region as usize].cache;
+        let is_cached = |k: &[u64]| cache.contains_key(k);
+        let enqueued = tiered.observe_and_speculate(
+            &self.vm,
+            region,
+            key,
+            &is_cached,
+            &self.options.stitch,
+            self.vm.cycles,
+            self.faults.as_deref_mut(),
+        );
+        self.vm.cycles += enqueued * DISPATCH_CYCLES;
+        self.drain_injected();
+        for _ in 0..enqueued {
+            self.tr(EventKind::SpeculateIssue { region });
+        }
+    }
+
+    /// Replay the publishing stitch's recorded table reads against this
+    /// session's memory, charging the stitcher's per-read cost.
+    fn replay_reads(&mut self, stitched: &Stitched) -> bool {
+        self.vm.cycles += self.options.stitch.cost.table_read * stitched.reads.len() as u64;
+        stitched.reads_match(&self.vm.mem)
+    }
+
+    /// The one way code this session did not stitch enters its code
+    /// space: relocate to the end of it, re-verify (the words came from
+    /// another session, process or thread), charge the per-word copy and
+    /// append. Returns `(base, len)`; on a refusal nothing was installed
+    /// or charged.
+    fn copy_install(&mut self, stitched: &Stitched) -> Result<(u32, u32), Decline> {
+        let base = self.vm.code.len() as u32;
+        let (code, _lin_addr) = stitched
+            .relocate(base, &mut self.vm.mem)
+            .map_err(Decline::Relocate)?;
+        verify_code(&code, base).map_err(|e| Decline::Verify(e, false))?;
+        self.vm.cycles += SHARED_INSTALL_CYCLES_PER_WORD * code.len() as u64;
+        self.vm.append_code(&code);
+        Ok((base, code.len() as u32))
+    }
+
+    /// This session's name for `(region, key)` in the process-wide cache.
+    fn shared_key(&self, region: u16, key: &[u64]) -> SharedKey {
+        SharedKey {
+            program: self.program.borrow().id(),
+            region,
+            key: key.to_vec(),
+        }
+    }
+
+    /// Publish an instance to the process-wide cache (when configured) so
+    /// other sessions can skip set-up and stitching for this
+    /// `(region, key)`.
+    fn publish_shared(&mut self, region: u16, key: &[u64], stitched: impl Into<Arc<Stitched>>) {
+        let Some(cache) = &self.options.shared_cache else {
+            return;
+        };
+        let evicted = cache.insert(self.shared_key(region, key), stitched.into());
+        if evicted > 0 {
+            self.tr(EventKind::CacheEvict {
+                region,
+                count: evicted as u64,
+            });
+        }
+    }
+
+    /// Store a freshly stitched instance in the persistent cache (when
+    /// configured), so the next *process* can skip the work. Host-side
+    /// only — zero simulated cycles — and never fatal: lock contention
+    /// skips the store (the competing writer's bytes are equivalent),
+    /// an injected torn write deliberately leaves a truncated file for
+    /// the next load to refuse, and an I/O failure records one typed
+    /// `persist` health entry.
+    fn persist_store(&mut self, region: u16, key: &[u64], stitched: &Stitched, base: u32) {
+        let Some(cache) = self.options.persist.as_ref().map(Arc::clone) else {
+            return;
+        };
+        if self.injected(FaultPoint::PersistLockContended, region) {
+            cache.note_lock_skip();
+            return;
+        }
+        let torn = self.injected(FaultPoint::PersistWriteTorn, region);
+        let hash = self.program.borrow().artifact_hash();
+        let outcome = {
+            // Persist the native stubs only when the stitch rung
+            // pre-translated this very base (`index_instance` has not
+            // consumed it yet) and the translation can serve entries.
+            let native = self.native.as_deref().and_then(|ns| match &ns.pending {
+                Some((b, a)) if *b == base && a.entry_supported => Some(a),
+                _ => None,
+            });
+            cache.store_instance(hash, region, key, stitched, base, native, torn)
+        };
+        if let StoreOutcome::Failed(reason) = outcome {
+            self.record_failure(
+                region,
+                FailureKind::Persist,
+                false,
+                format!("persist store failed: {reason}"),
+            );
+        }
+    }
+
+    /// One stitch attempt for `region` at the end of the code space:
+    /// consult the fault plan (injected bad template, post-stitch
+    /// corruption) unless `trusted`, stitch interpretively when the
+    /// budget ladder, quarantine or a trusted retry demands it, and run
+    /// the pre-install verifier over the result. Never installs anything.
+    fn stitch_once(&mut self, region: u16, table: u64, trusted: bool) -> Result<Stitched, Decline> {
+        if !trusted {
+            self.inject(FaultPoint::StitchBadTemplate, region)?;
+        }
+        // Recording plan patches is host-side bookkeeping only (no stats,
+        // no cycles); request it only when there is a trace to feed. The
+        // degradation ladder's first step, quarantine without a fallback
+        // copy and a trusted retry turn copy-and-patch plans off —
+        // interpretive stitching, bit-identical output, no plan
+        // bookkeeping.
+        let record = self.trace.is_some() && !self.options.stitch.record_patches;
+        let degrade_plans = self.options.stitch.plans
+            && (trusted || self.recovery.level() >= 1 || self.recovery.is_quarantined(region));
+        let stitch_opts = if record || degrade_plans {
+            let mut o = self.options.stitch.clone();
+            o.record_patches = o.record_patches || record;
+            o.plans = o.plans && !degrade_plans;
+            Some(o)
+        } else {
+            None
+        };
+        let base = self.vm.code.len() as u32;
+        let rc = &self.program.borrow().compiled.regions[region as usize];
+        let mut stitched = dyncomp_stitcher::stitch(
+            rc,
+            table,
+            &mut self.vm.mem,
+            base,
+            stitch_opts.as_ref().unwrap_or(&self.options.stitch),
+        )
+        .map_err(Decline::Stitch)?;
+        let mut corrupted = false;
+        if !trusted
+            && self.fire(FaultPoint::CodeCorruption, region).is_some()
+            && !stitched.code.is_empty()
+        {
+            // Flip an instruction-start word (never an `Ldiw` payload,
+            // which no decoder could fault on) to a value nothing
+            // decodes: the pre-install verifier must catch it. A fault
+            // just fired, so the plan state exists; if it vanished
+            // anyway, skip the corruption rather than panic.
+            if let Some(f) = self.faults.as_mut() {
+                let starts = instruction_starts(&stitched.code);
+                let pick = f.draw_below(starts.len() as u64) as usize;
+                stitched.code[starts[pick]] = 0xFF00_0000;
+                corrupted = true;
+            }
+        }
+        verify_code(&stitched.code, base).map_err(|e| Decline::Verify(e, corrupted))?;
+        Ok(stitched)
     }
 
     /// Record a freshly installed instance (stitched here or copied from
@@ -1905,7 +1830,7 @@ impl<P: Borrow<Program>> Session<P> {
                 disp as i32,
             ))
             .map_err(|e| {
-                Error::Stitch(dyncomp_stitcher::StitchError::BadTemplate(format!(
+                Error::Stitch(StitchError::BadTemplate(format!(
                     "trap-retirement branch to stitched code does not encode \
                      (region {region}, base {base}, enter_pc {enter_pc}): {e}"
                 )))
@@ -2045,34 +1970,84 @@ impl<P: Borrow<Program>> Session<P> {
     }
 }
 
-/// A failed stitch attempt: retryable under the recovery policy, or a
-/// genuine stitcher error propagated unchanged.
-enum StitchFailure {
-    /// `(kind, injected, message)` — retried with backoff up to the cap.
-    Retryable(FailureKind, bool, String),
-    /// A real [`dyncomp_stitcher::StitchError`]: deterministic, so
-    /// retrying cannot help; the caller propagates it as-is.
-    Fatal(dyncomp_stitcher::StitchError),
+/// A rung of the probe ladder: one way to serve a region entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rung {
+    /// The session's own cache.
+    Session,
+    /// The process-wide [`SharedCodeCache`].
+    Shared,
+    /// The on-disk [`PersistentCache`].
+    Persist,
+    /// Tiered: a finished background stitch.
+    Background,
+    /// Set-up code; the entry walks on from `EndSetup`.
+    Setup,
+    /// This session's own stitch of the filled constants table.
+    Stitch,
+    /// The region's statically compiled fallback copy.
+    Fallback,
 }
 
-/// Why [`Session::copy_install`] refused an instance; each variant
-/// carries the health-ring message.
-enum CopyFailure {
-    /// Relocation failed (the linearized constants table did not fit).
-    Relocate(String),
-    /// The pre-install verifier rejected the relocated code.
-    Verify(String),
-}
-
-impl CopyFailure {
-    /// The health-ring entry for this refusal: a verifier reject is
-    /// always `verify`, a relocation failure takes the caller's kind.
-    fn split(self, relocate: FailureKind) -> (FailureKind, String) {
-        match self {
-            CopyFailure::Relocate(msg) => (relocate, msg),
-            CopyFailure::Verify(msg) => (FailureKind::Verify, msg),
-        }
+/// The rungs an entry walks, in order. DESIGN.md § "Engine: one miss
+/// path…" tabulates these slices (a unit test holds it to them): a keyed
+/// region's instance is named by its key, readable at the trap; an
+/// unkeyed one's by the constants its set-up has yet to produce, so it
+/// probes the caches only after set-up, replaying the publisher's reads.
+fn ladder(keyed: bool, tiered: bool, after_setup: bool) -> &'static [Rung] {
+    use Rung::*;
+    match (after_setup, keyed, tiered) {
+        (false, true, false) => &[Session, Shared, Persist, Setup, Fallback],
+        (false, true, true) => &[Session, Shared, Persist, Background, Fallback],
+        (false, false, false) => &[Session, Setup, Fallback],
+        (false, false, true) => &[Session, Background, Fallback],
+        (true, true, _) => &[Stitch],
+        (true, false, _) => &[Shared, Persist, Stitch],
     }
+}
+
+/// Why a rung did not serve an entry; [`Session::decline`] books each.
+enum Decline {
+    /// Nothing under this identity (a background job: not finished yet).
+    Miss,
+    /// The publisher's recorded table reads do not replay here.
+    ReadsMismatch,
+    /// The persistent cache refused its file.
+    PersistReject(String),
+    /// The fault plan fired here; a set-up trap carries what its probe
+    /// fork hit (`None`: the probe finished).
+    Injected(FaultPoint, Option<VmError>),
+    /// The instance does not relocate into this session.
+    Relocate(StitchError),
+    /// The pre-install verifier refused the code (`true`: the fault plan
+    /// corrupted it).
+    Verify(CodeVerifyError, bool),
+    /// Quarantine or the byte budget shut the region's optimized path.
+    Degraded,
+    /// Failures spent the retry cap; one trusted attempt follows.
+    Exhausted,
+    /// A genuine stitcher error: recorded, then propagated.
+    Stitch(StitchError),
+}
+
+/// A region entry on its way down its ladder.
+struct Entry {
+    region: u16,
+    key: Vec<u64>,
+    /// The static fallback copy (trap walks only).
+    fallback: Option<u32>,
+    /// Quarantine or the byte budget shut the optimized path.
+    shut: bool,
+    /// After set-up: the filled constants table and the set-up cycles.
+    setup: Option<(u64, u64)>,
+}
+
+/// How a rung served an entry.
+enum Served {
+    /// Resume at this pc: a cached instance, set-up, the fallback copy.
+    Resume(u32),
+    /// Resume in the instance just installed at `base` (`len` words).
+    Installed(u32, u32),
 }
 
 /// Mirror a region-key [`ValueLoc`] into the native translator's
@@ -2098,4 +2073,44 @@ fn instruction_starts(code: &[u32]) -> Vec<usize> {
         i += if wide { 2 } else { 1 };
     }
     starts
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ladder;
+
+    /// DESIGN.md's ladder table is these slices, row for row.
+    #[test]
+    fn design_ladder_table_is_the_code() {
+        let mut table = String::from("| entry | rungs, in walk order |\n|---|---|\n");
+        for (after_setup, keyed, tiered) in [
+            (false, true, false),
+            (false, true, true),
+            (false, false, false),
+            (false, false, true),
+            (true, true, false),
+            (true, false, false),
+        ] {
+            let rungs: Vec<String> = ladder(keyed, tiered, after_setup)
+                .iter()
+                .map(|r| format!("{r:?}").to_lowercase())
+                .collect();
+            table += &format!(
+                "| {}, {}{} | {} |\n",
+                if keyed { "keyed" } else { "unkeyed" },
+                if after_setup {
+                    "after set-up"
+                } else {
+                    "at the trap"
+                },
+                if tiered { ", tiered" } else { "" },
+                rungs.join(" → ")
+            );
+        }
+        let design = include_str!("../../../DESIGN.md");
+        assert!(
+            design.contains(&table),
+            "DESIGN.md drifted; the code says:\n{table}"
+        );
+    }
 }

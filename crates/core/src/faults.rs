@@ -14,9 +14,12 @@
 //!
 //! Recovery is governed by a [`RecoveryPolicy`]:
 //!
-//! * **capped retry** — a failed stitch or install is retried up to
-//!   [`RecoveryPolicy::max_retries`] times, charging a deterministic
-//!   virtual-cycle backoff per attempt;
+//! * **capped retry** — a failed set-up, stitch or install is retried up
+//!   to [`RecoveryPolicy::max_retries`] times, charging a deterministic
+//!   virtual-cycle backoff per attempt; once injected failures spend the
+//!   cap, the operation runs once more with injection suppressed (the
+//!   trusted path: interpretive stitching), so an injected fault never
+//!   fails a call — only a genuine error does;
 //! * **per-region quarantine** — after
 //!   [`RecoveryPolicy::quarantine_after`] failures a region stops
 //!   retrying the optimized path: artifacts with a static fallback copy
@@ -131,6 +134,48 @@ impl FaultPoint {
             FaultPoint::PersistLoadCorrupt => "PersistLoadCorrupt",
             FaultPoint::PersistLockContended => "PersistLockContended",
         }
+    }
+
+    /// The health record one fire of this point leaves: its kind and
+    /// message (injected, always). The engine appends what only the fire
+    /// site knows: what a set-up probe fork hit, and which install an
+    /// exhausted arena stalled. `None` for the points whose failure is
+    /// recorded by what they break: a corrupted instance by the
+    /// verifier's reject, a worker panic by the background failure it
+    /// causes; a slowed worker records nothing.
+    pub(crate) fn failure(self) -> Option<(FailureKind, &'static str)> {
+        use {FailureKind as K, FaultPoint as P};
+        Some(match self {
+            P::StitchBadTemplate => (K::Stitch, "injected stitch failure: malformed template"),
+            P::CodeArenaExhausted => (K::Install, "injected code-arena exhaustion"),
+            P::SharedCacheInstall => (K::SharedCache, "injected shared-cache install failure"),
+            P::SharedCachePoisonedShard => (
+                K::SharedCache,
+                "injected poisoned shared-cache shard: probe abandoned",
+            ),
+            P::SetupVmTrap => (K::Setup, "injected VM trap during set-up"),
+            P::NativeArenaExhausted => (
+                K::BackendUnavailable,
+                "injected native-arena exhaustion: instance stays on the VM backend",
+            ),
+            P::NativeChainPatch => (
+                K::BackendUnavailable,
+                "injected native chain-patch failure: instance stays unchained",
+            ),
+            P::PersistWriteTorn => (
+                K::Persist,
+                "injected torn persist write: truncated file left for the next load to refuse",
+            ),
+            P::PersistLoadCorrupt => (
+                K::Persist,
+                "injected persist load corruption: cached instance discarded",
+            ),
+            P::PersistLockContended => (
+                K::Persist,
+                "injected persist lock contention: store skipped",
+            ),
+            P::CodeCorruption | P::WorkerPanic | P::WorkerSlow => return None,
+        })
     }
 }
 
@@ -320,8 +365,11 @@ impl FaultState {
 /// retry actually happens).
 #[derive(Clone, Debug)]
 pub struct RecoveryPolicy {
-    /// Retries per failed operation (stitch, install, set-up) before the
-    /// operation gives up.
+    /// Retries per failed operation (stitch, install, set-up), each
+    /// charged a linear backoff. A spent cap is not a failed call: the
+    /// failure after the last retry is recorded, and the operation then
+    /// runs once more with injection suppressed (a stitch also without
+    /// plans). Only a genuine failure on that run reaches the caller.
     pub max_retries: u32,
     /// Failures recorded against a region before it is quarantined:
     /// pinned to its static fallback copy when the artifact has one,
