@@ -13,7 +13,6 @@
 //! merges.
 
 use dyncomp_ir::BlockId;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// `B→S`: constant branch at block `B` takes successor arc `S`.
@@ -31,7 +30,8 @@ impl fmt::Display for Literal {
     }
 }
 
-type Conj = BTreeSet<Literal>;
+/// A conjunction: literals in ascending order, each at most once.
+type Conj = Vec<Literal>;
 
 /// Number of successor arcs of each constant branch, used by the
 /// "covers all successors" simplification.
@@ -51,9 +51,13 @@ impl BranchArity for std::collections::HashMap<BlockId, u32> {
 /// `Cond::f()` (empty disjunction) is *false* — the strongest condition,
 /// the lattice top of the analysis. `Cond::t()` (the set containing the
 /// empty conjunction) is *true* — the weakest.
+///
+/// Both levels are sets kept as sorted, duplicate-free vectors: the
+/// disjuncts in ascending lexicographic order, which is the order a set of
+/// sets iterates in, so every operation visits them as a set would.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Cond {
-    terms: BTreeSet<Conj>,
+    terms: Vec<Conj>,
 }
 
 /// Cap on the number of disjuncts before a condition is widened to *true*.
@@ -66,16 +70,14 @@ pub const MAX_TERMS: usize = 128;
 impl Cond {
     /// The *false* condition (unreachable); identity of `or`.
     pub fn f() -> Self {
-        Cond {
-            terms: BTreeSet::new(),
-        }
+        Cond { terms: Vec::new() }
     }
 
     /// The *true* condition (always reachable); identity of `and`.
     pub fn t() -> Self {
-        let mut terms = BTreeSet::new();
-        terms.insert(Conj::new());
-        Cond { terms }
+        Cond {
+            terms: vec![Conj::new()],
+        }
     }
 
     /// Whether this is the *false* condition.
@@ -85,16 +87,14 @@ impl Cond {
 
     /// Whether this is exactly the *true* condition.
     pub fn is_true(&self) -> bool {
-        self.terms.len() == 1 && self.terms.iter().next().is_some_and(|c| c.is_empty())
+        matches!(&self.terms[..], [c] if c.is_empty())
     }
 
     /// A condition of a single literal.
     pub fn literal(lit: Literal) -> Self {
-        let mut c = Conj::new();
-        c.insert(lit);
-        let mut terms = BTreeSet::new();
-        terms.insert(c);
-        Cond { terms }
+        Cond {
+            terms: vec![vec![lit]],
+        }
     }
 
     /// Number of disjuncts.
@@ -106,7 +106,7 @@ impl Cond {
     /// Appendix A.2). Disjuncts contradicting the literal are dropped.
     #[must_use]
     pub fn and_literal(&self, lit: Literal) -> Self {
-        let mut terms = BTreeSet::new();
+        let mut terms: Vec<Conj> = Vec::with_capacity(self.terms.len());
         for conj in &self.terms {
             if conj
                 .iter()
@@ -115,10 +115,12 @@ impl Cond {
                 continue; // contradiction: this disjunct can't co-occur
             }
             let mut c = conj.clone();
-            c.insert(lit);
-            terms.insert(c);
+            if let Err(at) = c.binary_search(&lit) {
+                c.insert(at, lit);
+            }
+            terms.push(c);
         }
-        Cond { terms }
+        Cond::from_terms(terms)
     }
 
     /// Disjoin two conditions (the merge meet function of Appendix A.2),
@@ -126,7 +128,24 @@ impl Cond {
     /// `{{A→T,CS},{A→F,CS}} → {{CS}}` successor-cover rule.
     #[must_use]
     pub fn or(&self, other: &Self, arity: &dyn BranchArity) -> Self {
-        let mut terms: BTreeSet<Conj> = self.terms.union(&other.terms).cloned().collect();
+        let mut terms: Vec<Conj> = Vec::with_capacity(self.terms.len() + other.terms.len());
+        let (mut a, mut b) = (self.terms.iter().peekable(), other.terms.iter().peekable());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) if x < y => a.next(),
+                (Some(x), Some(y)) if x > y => b.next(),
+                (Some(_), Some(_)) => {
+                    b.next();
+                    a.next()
+                }
+                (Some(_), None) => a.next(),
+                (None, _) => b.next(),
+            };
+            match next {
+                Some(c) => terms.push(c.clone()),
+                None => break,
+            }
+        }
         simplify(&mut terms, arity);
         if terms.len() > MAX_TERMS {
             return Cond::t(); // widen: weakest condition, sound
@@ -153,8 +172,8 @@ impl Cond {
     }
 
     /// Iterate the disjuncts (each a sorted set of literals).
-    pub fn iter_terms(&self) -> impl Iterator<Item = &BTreeSet<Literal>> {
-        self.terms.iter()
+    pub fn iter_terms(&self) -> impl Iterator<Item = &[Literal]> {
+        self.terms.iter().map(Vec::as_slice)
     }
 
     /// Existentially quantify away every literal whose branch satisfies
@@ -167,11 +186,18 @@ impl Cond {
     /// iteration (back edges) must forget them.
     #[must_use]
     pub fn forget(&self, drop: impl Fn(BlockId) -> bool) -> Self {
-        let terms: BTreeSet<Conj> = self
-            .terms
-            .iter()
-            .map(|conj| conj.iter().copied().filter(|l| !drop(l.branch)).collect())
-            .collect();
+        Cond::from_terms(
+            self.terms
+                .iter()
+                .map(|conj| conj.iter().copied().filter(|l| !drop(l.branch)).collect())
+                .collect(),
+        )
+    }
+
+    /// The set of the given disjuncts, each already a set.
+    fn from_terms(mut terms: Vec<Conj>) -> Self {
+        terms.sort_unstable();
+        terms.dedup();
         Cond { terms }
     }
 }
@@ -199,56 +225,85 @@ impl fmt::Display for Cond {
     }
 }
 
-/// Subsumption + successor-cover simplification, iterated to a fixpoint.
-fn simplify(terms: &mut BTreeSet<Conj>, arity: &dyn BranchArity) {
-    loop {
-        let mut changed = false;
+/// Whether sorted `a` is a subset of sorted `b`.
+fn is_subset(a: &[Literal], b: &[Literal]) -> bool {
+    let mut rest = b.iter();
+    a.len() <= b.len() && a.iter().all(|x| rest.any(|y| y == x))
+}
 
-        // Subsumption: a disjunct that is a superset of another is redundant.
-        let list: Vec<Conj> = terms.iter().cloned().collect();
-        for (i, a) in list.iter().enumerate() {
-            for (j, b) in list.iter().enumerate() {
-                if i != j && a.is_subset(b) && terms.contains(b) && terms.contains(a) {
-                    terms.remove(b);
-                    changed = true;
-                }
-            }
-        }
+/// Whether `a` without its literal at `i` equals `b` without its literal
+/// at `j` (`a` and `b` of equal length).
+fn equal_except(a: &[Literal], i: usize, b: &[Literal], j: usize) -> bool {
+    fn without(c: &[Literal], k: usize) -> impl Iterator<Item = &Literal> {
+        c.iter()
+            .enumerate()
+            .filter(move |&(n, _)| n != k)
+            .map(|(_, l)| l)
+    }
+    without(a, i).eq(without(b, j))
+}
+
+/// Subsumption + successor-cover simplification, iterated to a fixpoint.
+fn simplify(terms: &mut Vec<Conj>, arity: &dyn BranchArity) {
+    // One disjunct (or none) is already simplest: nothing can subsume it
+    // and a cover needs two.
+    if terms.len() <= 1 {
+        return;
+    }
+    loop {
+        // Subsumption: a disjunct that is a superset of another is
+        // redundant. Whatever order pairs are checked in, exactly the
+        // minimal disjuncts remain.
+        let keep: Vec<bool> = terms
+            .iter()
+            .map(|b| !terms.iter().any(|a| a != b && is_subset(a, b)))
+            .collect();
+        let mut changed = keep.contains(&false);
+        let mut k = keep.iter();
+        terms.retain(|_| *k.next().expect("one flag per disjunct"));
 
         // Successor cover: disjuncts equal up to one branch's literal, whose
         // literals jointly cover every successor arc of that branch, merge
-        // into the shared remainder.
-        let list: Vec<Conj> = terms.iter().cloned().collect();
-        'outer: for a in &list {
-            for la in a {
-                let mut rest = a.clone();
-                rest.remove(la);
+        // into the shared remainder. The first cover found, in set order,
+        // is applied; then the whole simplification runs again.
+        let mut cover: Option<(Conj, Vec<usize>)> = None;
+        'outer: for a in terms.iter() {
+            for (ia, la) in a.iter().enumerate() {
                 // Find all disjuncts of the form rest ∪ {la.branch→*}.
-                let mut covered: BTreeSet<u32> = BTreeSet::new();
-                let mut members: Vec<Conj> = Vec::new();
-                for b in &list {
+                let mut covered: Vec<u32> = Vec::new();
+                let mut members: Vec<usize> = Vec::new();
+                for (m, b) in terms.iter().enumerate() {
                     if b.len() != a.len() {
                         continue;
                     }
-                    let mut brest = b.clone();
-                    let Some(lb) = b.iter().find(|l| l.branch == la.branch) else {
+                    let Some(ib) = b.iter().position(|l| l.branch == la.branch) else {
                         continue;
                     };
-                    brest.remove(lb);
-                    if brest == rest {
-                        covered.insert(lb.succ);
-                        members.push(b.clone());
+                    if equal_except(a, ia, b, ib) {
+                        if !covered.contains(&b[ib].succ) {
+                            covered.push(b[ib].succ);
+                        }
+                        members.push(m);
                     }
                 }
                 if covered.len() as u32 >= arity.arity(la.branch) && covered.len() > 1 {
-                    for m in &members {
-                        terms.remove(m);
-                    }
-                    terms.insert(rest);
-                    changed = true;
+                    let mut rest = a.clone();
+                    rest.remove(ia);
+                    cover = Some((rest, members));
                     break 'outer;
                 }
             }
+        }
+        if let Some((rest, members)) = cover {
+            let mut m = 0;
+            terms.retain(|_| {
+                m += 1;
+                members.binary_search(&(m - 1)).is_err()
+            });
+            if let Err(at) = terms.binary_search(&rest) {
+                terms.insert(at, rest);
+            }
+            changed = true;
         }
 
         if !changed {

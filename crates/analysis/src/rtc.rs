@@ -28,7 +28,9 @@
 //! loop headers (the paper's `p := p->next` pointer-chase example).
 
 use crate::cond::{Cond, Literal};
-use dyncomp_ir::{BlockId, DynRegion, Function, IdSet, InstId, InstKind, RegionId, Terminator};
+use dyncomp_ir::{
+    BlockId, DynRegion, Function, IdSet, IndexVec, InstId, InstKind, RegionId, Terminator,
+};
 use std::collections::HashMap;
 
 /// Block sets and headers of `unrolled` loops, used to weaken conditions at
@@ -187,8 +189,21 @@ fn compute_reach(
         .into_iter()
         .filter(|&b| r.blocks.contains(b))
         .collect();
-    let mut reach: HashMap<BlockId, Cond> = rpo.iter().map(|&b| (b, Cond::f())).collect();
-    reach.insert(r.entry, Cond::t());
+    let mut reach: IndexVec<BlockId, Cond> = f.blocks.iter().map(|_| Cond::f()).collect();
+    reach[r.entry] = Cond::t();
+    // The arcs into each region block, as `(source, successor index)` in
+    // the order the meet consumes them: sources in RPO, then by index.
+    let mut arcs_into: IndexVec<BlockId, Vec<(BlockId, u32)>> =
+        f.blocks.iter().map(|_| Vec::new()).collect();
+    for &p in &rpo {
+        for (idx, s) in f.blocks[p].term.successors().into_iter().enumerate() {
+            arcs_into[s].push((p, idx as u32));
+        }
+    }
+    // Blocks with an arc from a block whose condition changed since they
+    // were last met. The meet is a function of those conditions alone, so
+    // re-meeting any other block would reproduce its condition.
+    let mut stale: IdSet<BlockId> = rpo.iter().copied().collect();
 
     // Iterate to a fixpoint; the widening in `Cond::or` bounds growth, and
     // the round cap guards against pathological ping-ponging by widening
@@ -197,42 +212,44 @@ fn compute_reach(
     for round in 0..max_rounds {
         let mut changed = false;
         for &b in &rpo {
-            if b == r.entry {
+            if b == r.entry || !stale.remove(b) {
                 continue;
             }
             let mut acc = Cond::f();
-            for &p in &rpo {
-                let succs = f.blocks[p].term.successors();
-                for (idx, &s) in succs.iter().enumerate() {
-                    if s != b {
-                        continue;
-                    }
-                    let base = reach[&p].clone();
-                    let contrib = if const_branches.contains(p) {
-                        base.and_literal(Literal {
-                            branch: p,
-                            succ: idx as u32,
-                        })
-                    } else {
-                        base
-                    };
-                    let contrib = forget_at_boundary(scopes, contrib, p, b);
-                    acc = acc.or(&contrib, &arity);
-                }
+            for &(p, idx) in &arcs_into[b] {
+                let base = &reach[p];
+                let contrib = if const_branches.contains(p) {
+                    base.and_literal(Literal {
+                        branch: p,
+                        succ: idx,
+                    })
+                } else {
+                    base.clone()
+                };
+                let contrib = forget_at_boundary(scopes, contrib, p, b);
+                acc = acc.or(&contrib, &arity);
             }
-            if acc != reach[&b] {
+            if acc != reach[b] {
                 if round + 1 == max_rounds {
                     acc = Cond::t();
                 }
-                reach.insert(b, acc);
+                reach[b] = acc;
                 changed = true;
+                for s in f.blocks[b].term.successors() {
+                    stale.insert(s);
+                }
             }
         }
         if !changed {
             break;
         }
     }
-    reach
+    let mut out: HashMap<BlockId, Cond> = rpo
+        .iter()
+        .map(|&b| (b, std::mem::replace(&mut reach[b], Cond::f())))
+        .collect();
+    out.insert(r.entry, Cond::t());
+    out
 }
 
 /// Per-predecessor arc condition into `b` (OR over parallel arcs).
@@ -340,7 +357,7 @@ fn constants_fixpoint(f: &Function, r: &DynRegion, const_merges: &IdSet<BlockId>
                     const_merges.contains(b) && ins.iter().all(|(_, v)| konst.contains(*v))
                 }
                 InstKind::Load { addr, dynamic, .. } => !*dynamic && konst.contains(*addr),
-                k => k.is_specializable_op() && k.operands().iter().all(|v| konst.contains(*v)),
+                k => k.is_specializable_op() && k.operands().all(|v| konst.contains(v)),
             };
             if !ok {
                 konst.remove(i);

@@ -11,8 +11,8 @@
 use crate::regalloc::{allocate, Allocation, Entity, Loc, FLT_SCRATCH, INT_SCRATCH};
 use crate::CodegenError;
 use dyncomp_ir::{
-    BinOp, BlockId, Const, Function, IdSet, InstId, InstKind, Intrinsic, MemSize, Signedness,
-    TemplateMarker, Terminator, Ty, UnOp,
+    BinOp, BlockId, Const, Function, IdSet, IndexVec, InstId, InstKind, Intrinsic, MemSize,
+    Signedness, TemplateMarker, Terminator, Ty, UnOp,
 };
 use dyncomp_machine::asm::{Assembler, Label};
 use dyncomp_machine::isa::{encode, Inst, Op, Operand, Reg, LIN, RA, SP, ZERO};
@@ -66,7 +66,7 @@ struct Emitter<'a> {
     template_callable: &'a [bool],
     // Template state (set while emitting template blocks).
     tmpl: Option<TemplateBuf>,
-    hole_folds: HashMap<InstId, (InstId, u8)>, // hole -> (user, operand pos)
+    lit_uses: IndexVec<InstId, LitUse>,
     float_pool_used: bool,
     // Static fallback entry block per region (tiered lowering): recorded
     // when a branch conditioned on a `TierProbe` intrinsic is emitted.
@@ -80,6 +80,40 @@ struct TemplateBuf {
     cur_holes: Vec<Hole>,
     cur_branches: Vec<BranchFixup>,
     call_relocs: Vec<(u32, dyncomp_ir::FuncId)>, // (word of Ldiw immediate, callee)
+}
+
+/// How a function uses a value: through an operate instruction's literal
+/// field (the second operand of an integer binary op) only, or not.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LitUse {
+    Unused,
+    /// Every use is a literal-field use; this many of them.
+    Literal(u32),
+    /// Some use is not (another operand position, another instruction, or
+    /// a terminator).
+    Other,
+}
+
+/// Every value's [`LitUse`], from one walk over the function.
+fn literal_uses(f: &Function) -> IndexVec<InstId, LitUse> {
+    let mut uses: IndexVec<InstId, LitUse> = f.insts.iter().map(|_| LitUse::Unused).collect();
+    for (_, blk) in f.iter_blocks() {
+        for &u in &blk.insts {
+            let kind = f.kind(u);
+            let lit_op = matches!(kind, InstKind::Bin(op, ..) if !op.is_float());
+            for (pos, v) in kind.operands().enumerate() {
+                uses[v] = match uses[v] {
+                    LitUse::Unused if lit_op && pos == 1 => LitUse::Literal(1),
+                    LitUse::Literal(n) if lit_op && pos == 1 => LitUse::Literal(n + 1),
+                    _ => LitUse::Other,
+                };
+            }
+        }
+        for v in blk.term.operands() {
+            uses[v] = LitUse::Other;
+        }
+    }
+    uses
 }
 
 impl TemplateBuf {
@@ -114,7 +148,6 @@ pub fn emit_function(
         .copied()
         .filter(|b| !special.contains(*b))
         .collect();
-    let main_count = order.len();
     for s in specs {
         order.extend(s.setup_blocks.iter().copied());
     }
@@ -171,11 +204,10 @@ pub fn emit_function(
         ret_float: f.ret_ty == Ty::Float,
         template_callable,
         tmpl: None,
-        hole_folds: HashMap::new(),
+        lit_uses: literal_uses(f),
         float_pool_used: false,
         fallback_blocks: HashMap::new(),
     };
-    em.compute_hole_folds(specs);
 
     for &b in &order {
         let l = em.asm.fresh_label();
@@ -189,13 +221,12 @@ pub fn emit_function(
     let mut enter_pcs: HashMap<dyncomp_ir::RegionId, usize> = HashMap::new(); // item idx of ENTERREGION
     for (idx, &b) in order[..setup_end].iter().enumerate() {
         em.asm.bind(em.labels[&b]);
-        for &i in &f.blocks[b].insts.clone() {
+        for &i in &f.blocks[b].insts {
             em.inst(i)?;
         }
         let next = order[..setup_end].get(idx + 1).copied();
         em.terminator(b, next, region_base_index, specs, &mut enter_pcs)?;
     }
-    let _ = main_count;
 
     // ---- template blocks (per region, into separate buffers) ----
     let mut templates: HashMap<dyncomp_ir::RegionId, Template> = HashMap::new();
@@ -289,60 +320,20 @@ pub fn emit_function(
 
 impl Emitter<'_> {
     fn value_loc(&self, v: InstId) -> ValueLoc {
-        match self.alloc.loc.get(&Entity::Val(v)) {
-            Some(Loc::Reg(r)) => ValueLoc::Reg(*r),
-            Some(Loc::FReg(r)) => ValueLoc::FReg(*r),
-            Some(Loc::Frame(o)) => ValueLoc::Frame(*o + self.spill_base),
+        match self.alloc.loc(Entity::Val(v)) {
+            Some(Loc::Reg(r)) => ValueLoc::Reg(r),
+            Some(Loc::FReg(r)) => ValueLoc::FReg(r),
+            Some(Loc::Frame(o)) => ValueLoc::Frame(o + self.spill_base),
             None => ValueLoc::Reg(ZERO), // dead value
         }
     }
 
-    /// Decide which integer holes fold into their single use's literal
-    /// field (§4: "the static compiler has selected an instruction that
-    /// admits the hole as an immediate operand").
-    fn compute_hole_folds(&mut self, specs: &[&RegionSpec]) {
-        // Count uses of each hole across the function.
-        let mut use_count: HashMap<InstId, u32> = HashMap::new();
-        let mut single_use: HashMap<InstId, (InstId, u8)> = HashMap::new();
-        for (_, blk) in self.f.iter_blocks() {
-            for &i in &blk.insts {
-                for (pos, v) in self.f.kind(i).operands().into_iter().enumerate() {
-                    if matches!(self.f.kind(v), InstKind::Hole { .. }) {
-                        *use_count.entry(v).or_insert(0) += 1;
-                        single_use.insert(v, (i, pos as u8));
-                    }
-                }
-            }
-            for v in blk.term.operands() {
-                if matches!(self.f.kind(v), InstKind::Hole { .. }) {
-                    *use_count.entry(v).or_insert(0) += 2; // never fold into terminators
-                }
-            }
-        }
-        let _ = specs;
-        for (hole, count) in use_count {
-            if count != 1 {
-                continue;
-            }
-            let InstKind::Hole { float, .. } = self.f.kind(hole) else {
-                continue;
-            };
-            if *float {
-                continue;
-            }
-            let (user, pos) = single_use[&hole];
-            // Foldable: integer binary op with the hole in the second
-            // operand slot (the ISA's literal position).
-            if let InstKind::Bin(op, _, b) = self.f.kind(user) {
-                if !op.is_float() && pos == 1 && *b == hole {
-                    self.hole_folds.insert(hole, (user, 1));
-                }
-            }
-        }
-    }
-
+    /// Whether a hole is patched into its one use's literal field instead
+    /// of loaded (§4: "the static compiler has selected an instruction that
+    /// admits the hole as an immediate operand"). Float holes never are.
     fn is_folded_hole(&self, v: InstId) -> bool {
-        self.hole_folds.contains_key(&v)
+        matches!(self.f.kind(v), InstKind::Hole { float: false, .. })
+            && self.lit_uses[v] == LitUse::Literal(1)
     }
 
     // ---- low-level emission (routes to template buffer when active) ----
@@ -368,7 +359,7 @@ impl Emitter<'_> {
     // ---- operand access ----
 
     fn loc(&self, e: Entity) -> Option<Loc> {
-        self.alloc.loc.get(&e).copied()
+        self.alloc.loc(e)
     }
 
     /// Materialize entity into an integer register (possibly a scratch).
@@ -509,7 +500,7 @@ impl Emitter<'_> {
 
     fn inst(&mut self, i: InstId) -> Result<(), CodegenError> {
         let e = Entity::Val(i);
-        match self.f.kind(i).clone() {
+        match *self.f.kind(i) {
             InstKind::Const(Const::Int(v)) => {
                 if self.const_fully_foldable(i) {
                     return Ok(());
@@ -590,8 +581,8 @@ impl Emitter<'_> {
                     self.push(Inst::mem(op, rv, ra, 0));
                 }
             }
-            InstKind::Call { callee, args } => self.call(i, callee, &args)?,
-            InstKind::CallIntrinsic { which, args } => self.intrinsic(i, which, &args)?,
+            InstKind::Call { callee, ref args } => self.call(i, callee, args)?,
+            InstKind::CallIntrinsic { which, ref args } => self.intrinsic(i, which, args)?,
             InstKind::GetVar(v) => {
                 if self.f.vars[v].frame_size.is_some() {
                     return Err(CodegenError::Internal("GetVar of frame variable".into()));
@@ -650,7 +641,7 @@ impl Emitter<'_> {
                 self.push(Inst::mem(Op::Lda, rd, SP, off as i16));
                 self.writeback(e, rd, false);
             }
-            InstKind::Hole { slot, float } => {
+            InstKind::Hole { ref slot, float } => {
                 if self.is_folded_hole(i) {
                     return Ok(()); // patched inline at the use
                 }
@@ -665,7 +656,7 @@ impl Emitter<'_> {
                     self.tmpl.as_mut().unwrap().cur_holes.push(Hole {
                         at,
                         field: HoleField::MemDisp { float: true },
-                        slot,
+                        slot: slot.clone(),
                     });
                     self.writeback(e, fd, true);
                 } else {
@@ -674,7 +665,7 @@ impl Emitter<'_> {
                     self.tmpl.as_mut().unwrap().cur_holes.push(Hole {
                         at,
                         field: HoleField::MemDisp { float: false },
-                        slot,
+                        slot: slot.clone(),
                     });
                     self.writeback(e, rd, false);
                 }
@@ -719,31 +710,8 @@ impl Emitter<'_> {
     /// A constant needs no materialization when every use folds it into a
     /// literal field.
     fn const_fully_foldable(&self, i: InstId) -> bool {
-        let Some(Const::Int(v)) = self.f.as_const(i) else {
-            return false;
-        };
-        if !(0..=255).contains(&v) {
-            return false;
-        }
-        let mut any = false;
-        for (_, blk) in self.f.iter_blocks() {
-            for &u in &blk.insts {
-                for (pos, opnd) in self.f.kind(u).operands().into_iter().enumerate() {
-                    if opnd == i {
-                        any = true;
-                        let ok = matches!(self.f.kind(u), InstKind::Bin(op, _, b)
-                            if !op.is_float() && pos == 1 && *b == i);
-                        if !ok {
-                            return false;
-                        }
-                    }
-                }
-            }
-            if blk.term.operands().contains(&i) {
-                return false;
-            }
-        }
-        any
+        matches!(self.f.as_const(i), Some(Const::Int(v)) if (0..=255).contains(&v))
+            && matches!(self.lit_uses[i], LitUse::Literal(_))
     }
 
     fn unop(&mut self, i: InstId, op: UnOp, a: InstId) -> Result<(), CodegenError> {
@@ -857,7 +825,7 @@ impl Emitter<'_> {
         let ra = self.read_int(Entity::Val(a), 0)?;
         // Folded hole in the literal position?
         let rb = if self.is_folded_hole(b) {
-            let InstKind::Hole { slot, .. } = self.f.kind(b).clone() else {
+            let InstKind::Hole { slot, .. } = self.f.kind(b) else {
                 unreachable!()
             };
             let t = self
@@ -867,7 +835,7 @@ impl Emitter<'_> {
             t.cur_holes.push(Hole {
                 at: t.at(),
                 field: HoleField::Lit,
-                slot,
+                slot: slot.clone(),
             });
             Operand::Lit(0)
         } else {
@@ -1020,7 +988,7 @@ impl Emitter<'_> {
         specs: &[&RegionSpec],
         enter_pcs: &mut HashMap<dyncomp_ir::RegionId, usize>,
     ) -> Result<(), CodegenError> {
-        match self.f.blocks[b].term.clone() {
+        match self.f.blocks[b].term {
             Terminator::Jump(t) => {
                 if next != Some(t) {
                     self.asm.branch_to(Op::Br, ZERO, self.labels[&t]);
@@ -1051,10 +1019,10 @@ impl Emitter<'_> {
             }
             Terminator::Switch {
                 val,
-                cases,
+                ref cases,
                 default,
             } => {
-                for (c, t) in cases {
+                for &(c, t) in cases {
                     // Reload per comparison: load_const may clobber both
                     // scratch registers for 64-bit cases.
                     if (0..=255).contains(&c) {
@@ -1137,7 +1105,8 @@ impl Emitter<'_> {
 
     fn template_block(&mut self, b: BlockId, spec: &RegionSpec) -> Result<(), CodegenError> {
         let start = self.tmpl.as_ref().expect("template mode").at();
-        for &i in &self.f.blocks[b].insts.clone() {
+        let f = self.f;
+        for &i in &f.blocks[b].insts {
             self.inst(i)?;
         }
         let marker = self.f.blocks[b].marker.clone().map(|m| match m {
@@ -1148,7 +1117,7 @@ impl Emitter<'_> {
         let label_of =
             |t: &TemplateBuf, b2: BlockId| -> Option<u32> { t.label_of.get(&b2).copied() };
         let exit =
-            match self.f.blocks[b].term.clone() {
+            match f.blocks[b].term {
                 Terminator::Jump(t) => {
                     let tb = self.tmpl.as_ref().unwrap();
                     match label_of(tb, t) {
@@ -1180,13 +1149,13 @@ impl Emitter<'_> {
                     TmplExit::CondBranch { at, taken, fall }
                 }
                 Terminator::ConstBranch {
-                    slot,
+                    ref slot,
                     then_b,
                     else_b,
                 } => {
                     let tb = self.tmpl.as_ref().unwrap();
                     TmplExit::ConstBranch {
-                        slot,
+                        slot: slot.clone(),
                         then_l: label_of(tb, then_b)
                             .ok_or_else(|| CodegenError::Internal("constbranch target".into()))?,
                         else_l: label_of(tb, else_b)
@@ -1194,8 +1163,8 @@ impl Emitter<'_> {
                     }
                 }
                 Terminator::ConstSwitch {
-                    slot,
-                    cases,
+                    ref slot,
+                    ref cases,
                     default,
                 } => {
                     let tb = self.tmpl.as_ref().unwrap();
@@ -1204,7 +1173,7 @@ impl Emitter<'_> {
                         .map(|(c, t)| label_of(tb, *t).map(|l| (*c, l)))
                         .collect();
                     TmplExit::ConstSwitch {
-                        slot,
+                        slot: slot.clone(),
                         cases: cs
                             .ok_or_else(|| CodegenError::Internal("constswitch target".into()))?,
                         default: label_of(tb, default)
@@ -1229,7 +1198,7 @@ impl Emitter<'_> {
                     self.epilogue();
                     TmplExit::Return
                 }
-                other => {
+                ref other => {
                     return Err(CodegenError::Internal(format!(
                         "terminator {other:?} inside template"
                     )))

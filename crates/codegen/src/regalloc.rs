@@ -10,9 +10,9 @@
 //! (the prologue saves them); others prefer caller-saved. Exhaustion spills
 //! to frame slots; reloads use the two reserved codegen scratch registers.
 
-use dyncomp_ir::{BlockId, Function, IdSet, InstId, InstKind, Ty, VarId};
+use dyncomp_ir::ids::set_bits;
+use dyncomp_ir::{BlockId, Function, IndexVec, InstId, InstKind, Ty, VarId};
 use dyncomp_machine::isa::Reg;
-use std::collections::HashMap;
 
 /// An allocatable entity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -53,14 +53,93 @@ pub const FLT_SCRATCH: [Reg; 2] = [29, 30];
 /// The allocation result.
 #[derive(Debug)]
 pub struct Allocation {
-    /// Location of every entity that appears in the ordered blocks.
-    pub loc: HashMap<Entity, Loc>,
+    /// Location by dense entity index (see [`Entities`]); `None` for an
+    /// entity that appears nowhere in the ordered blocks.
+    loc: Vec<Option<Loc>>,
+    entities: Entities,
     /// Callee-saved integer registers used (prologue must save).
     pub used_int_callee: Vec<Reg>,
     /// Callee-saved float registers used.
     pub used_flt_callee: Vec<Reg>,
     /// Bytes of spill area needed.
     pub spill_bytes: u32,
+}
+
+impl Allocation {
+    /// Where `e` lives; `None` when it appears in none of the ordered
+    /// blocks (a dead value).
+    pub fn loc(&self, e: Entity) -> Option<Loc> {
+        self.loc[self.entities.index(e)]
+    }
+}
+
+/// Dense numbering of a function's entities: its values, then its
+/// φ-variables. The numbering preserves [`Entity`]'s order.
+#[derive(Clone, Copy, Debug)]
+struct Entities {
+    insts: usize,
+    vars: usize,
+}
+
+impl Entities {
+    fn of(f: &Function) -> Self {
+        Entities {
+            insts: f.insts.len(),
+            vars: f.vars.len(),
+        }
+    }
+
+    fn len(self) -> usize {
+        self.insts + self.vars
+    }
+
+    fn index(self, e: Entity) -> usize {
+        match e {
+            Entity::Val(v) => v.index(),
+            Entity::Var(v) => self.insts + v.index(),
+        }
+    }
+
+    fn entity(self, ix: usize) -> Entity {
+        if ix < self.insts {
+            Entity::Val(InstId::from_index(ix))
+        } else {
+            Entity::Var(VarId::from_index(ix - self.insts))
+        }
+    }
+}
+
+/// One bit set of entities per block of the allocation order.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    fn new(rows: usize, entities: usize) -> Self {
+        let words = entities.div_ceil(64);
+        BitRows {
+            words,
+            bits: vec![0; rows * words],
+        }
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    fn insert(&mut self, r: usize, ix: usize) {
+        self.bits[r * self.words + ix / 64] |= 1 << (ix % 64);
+    }
+
+    fn contains(&self, r: usize, ix: usize) -> bool {
+        self.bits[r * self.words + ix / 64] & (1 << (ix % 64)) != 0
+    }
+
+    /// The members of row `r`, ascending.
+    fn members(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        set_bits(self.row(r))
+    }
 }
 
 struct Interval {
@@ -71,109 +150,97 @@ struct Interval {
     crosses_call: bool,
 }
 
-fn uses_defs(f: &Function, i: InstId) -> (Vec<Entity>, Option<Entity>) {
+/// The entities instruction `i` reads, and the one it writes.
+fn uses_defs(f: &Function, i: InstId) -> (impl Iterator<Item = Entity> + '_, Option<Entity>) {
     let k = f.kind(i);
-    let mut uses: Vec<Entity> = k.operands().into_iter().map(Entity::Val).collect();
-    let mut def = if k.has_result() {
-        Some(Entity::Val(i))
-    } else {
-        None
-    };
+    let mut def = k.has_result().then_some(Entity::Val(i));
+    let mut var_use = None;
     match k {
         InstKind::GetVar(v) if f.vars[*v].frame_size.is_none() => {
-            uses.push(Entity::Var(*v));
+            var_use = Some(Entity::Var(*v));
         }
         InstKind::SetVar(v, _) if f.vars[*v].frame_size.is_none() => {
             def = Some(Entity::Var(*v));
         }
         _ => {}
     }
-    (uses, def)
+    (k.operands().map(Entity::Val).chain(var_use), def)
 }
 
 /// Compute per-block live-in/out over the given block order, then assign
 /// locations with linear scan.
 pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
+    let entities = Entities::of(f);
+    let n = entities.len();
+
     // ---- instruction numbering ----
-    let mut pos_of_block_start: HashMap<BlockId, u32> = HashMap::new();
-    let mut pos_of_block_end: HashMap<BlockId, u32> = HashMap::new();
-    let mut inst_pos: HashMap<InstId, u32> = HashMap::new();
+    let mut row_of: IndexVec<BlockId, Option<usize>> = f.blocks.iter().map(|_| None).collect();
+    let mut block_start: Vec<u32> = Vec::with_capacity(order.len());
+    let mut block_end: Vec<u32> = Vec::with_capacity(order.len());
+    let mut inst_pos: IndexVec<InstId, u32> = f.insts.iter().map(|_| 0).collect();
     let mut call_positions: Vec<u32> = Vec::new();
     let mut pos: u32 = 0;
-    for &b in order {
-        pos_of_block_start.insert(b, pos);
+    for (r, &b) in order.iter().enumerate() {
+        row_of[b] = Some(r);
+        block_start.push(pos);
         for &i in &f.blocks[b].insts {
-            inst_pos.insert(i, pos);
+            inst_pos[i] = pos;
             if matches!(f.kind(i), InstKind::Call { .. }) {
                 call_positions.push(pos);
             }
             pos += 1;
         }
         pos += 1; // terminator slot
-        pos_of_block_end.insert(b, pos);
+        block_end.push(pos);
         pos += 1; // inter-block gap
     }
 
     // ---- per-block use/def sets ----
-    let in_order: IdSet<BlockId> = order.iter().copied().collect();
-    let mut block_use: HashMap<BlockId, Vec<Entity>> = HashMap::new();
-    let mut block_def: HashMap<BlockId, Vec<Entity>> = HashMap::new();
-    for &b in order {
-        let mut uses = Vec::new();
-        let mut defs: Vec<Entity> = Vec::new();
+    let mut block_use = BitRows::new(order.len(), n);
+    let mut block_def = BitRows::new(order.len(), n);
+    for (r, &b) in order.iter().enumerate() {
         for &i in &f.blocks[b].insts {
-            let (u, d) = uses_defs(f, i);
-            for e in u {
-                if !defs.contains(&e) {
-                    uses.push(e);
+            let (uses, def) = uses_defs(f, i);
+            for e in uses {
+                let ix = entities.index(e);
+                if !block_def.contains(r, ix) {
+                    block_use.insert(r, ix);
                 }
             }
-            if let Some(d) = d {
-                defs.push(d);
+            if let Some(d) = def {
+                block_def.insert(r, entities.index(d));
             }
         }
         for v in f.blocks[b].term.operands() {
-            let e = Entity::Val(v);
-            if !defs.contains(&e) {
-                uses.push(e);
+            let ix = entities.index(Entity::Val(v));
+            if !block_def.contains(r, ix) {
+                block_use.insert(r, ix);
             }
         }
-        block_use.insert(b, uses);
-        block_def.insert(b, defs);
     }
 
     // ---- backward liveness fixpoint ----
-    let mut live_in: HashMap<BlockId, Vec<Entity>> = order.iter().map(|&b| (b, vec![])).collect();
-    let mut live_out: HashMap<BlockId, Vec<Entity>> = order.iter().map(|&b| (b, vec![])).collect();
+    let mut live_in = BitRows::new(order.len(), n);
+    let mut live_out = BitRows::new(order.len(), n);
+    let words = live_in.words;
+    let mut out = vec![0u64; words];
     loop {
         let mut changed = false;
-        for &b in order.iter().rev() {
-            let mut out: Vec<Entity> = Vec::new();
+        for (r, &b) in order.iter().enumerate().rev() {
+            out.fill(0);
             for s in f.blocks[b].term.successors() {
-                if !in_order.contains(s) {
-                    continue;
-                }
-                for &e in &live_in[&s] {
-                    if !out.contains(&e) {
-                        out.push(e);
+                if let Some(sr) = row_of[s] {
+                    for (o, &w) in out.iter_mut().zip(live_in.row(sr)) {
+                        *o |= w;
                     }
                 }
             }
-            let mut inn: Vec<Entity> = block_use[&b].clone();
-            for &e in &out {
-                if !block_def[&b].contains(&e) && !inn.contains(&e) {
-                    inn.push(e);
-                }
-            }
-            inn.sort();
-            out.sort();
-            if inn != live_in[&b] {
-                live_in.insert(b, inn);
-                changed = true;
-            }
-            if out != live_out[&b] {
-                live_out.insert(b, out);
-                changed = true;
+            let at = r * words;
+            for (w, &o) in out.iter().enumerate() {
+                let inn = block_use.bits[at + w] | (o & !block_def.bits[at + w]);
+                changed |= live_in.bits[at + w] != inn || live_out.bits[at + w] != o;
+                live_in.bits[at + w] = inn;
+                live_out.bits[at + w] = o;
             }
         }
         if !changed {
@@ -188,49 +255,56 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
             Entity::Var(v) => f.vars[v].ty,
         }
     };
-    let mut ivals: HashMap<Entity, (u32, u32)> = HashMap::new();
-    let touch = |e: Entity, p: u32, ivals: &mut HashMap<Entity, (u32, u32)>| {
-        let ent = ivals.entry(e).or_insert((p, p));
-        ent.0 = ent.0.min(p);
-        ent.1 = ent.1.max(p);
+    // `(start, end)` per entity; `start == u32::MAX` while untouched.
+    let mut ivals: Vec<(u32, u32)> = vec![(u32::MAX, 0); n];
+    let mut touch = |e: Entity, p: u32| {
+        let iv = &mut ivals[entities.index(e)];
+        iv.0 = iv.0.min(p);
+        iv.1 = iv.1.max(p);
     };
-    for &b in order {
+    for (r, &b) in order.iter().enumerate() {
         for &i in &f.blocks[b].insts {
-            let p = inst_pos[&i];
-            let (u, d) = uses_defs(f, i);
-            for e in u {
-                touch(e, p, &mut ivals);
+            let p = inst_pos[i];
+            let (uses, def) = uses_defs(f, i);
+            for e in uses {
+                touch(e, p);
             }
-            if let Some(d) = d {
-                touch(d, p, &mut ivals);
+            if let Some(d) = def {
+                touch(d, p);
             }
         }
-        let tp = pos_of_block_end[&b] - 1;
+        let tp = block_end[r] - 1;
         for v in f.blocks[b].term.operands() {
-            touch(Entity::Val(v), tp, &mut ivals);
+            touch(Entity::Val(v), tp);
         }
         // Widen by block liveness.
-        let (s, e) = (pos_of_block_start[&b], pos_of_block_end[&b]);
-        for &ent in &live_in[&b] {
-            touch(ent, s, &mut ivals);
+        for ix in live_in.members(r) {
+            touch(entities.entity(ix), block_start[r]);
         }
-        for &ent in &live_out[&b] {
-            touch(ent, e, &mut ivals);
+        for ix in live_out.members(r) {
+            touch(entities.entity(ix), block_end[r]);
         }
     }
 
     let mut intervals: Vec<Interval> = ivals
-        .into_iter()
-        .map(|(ent, (start, end))| Interval {
-            ent,
-            start,
-            end,
-            ty: ty_of(ent),
-            crosses_call: call_positions.iter().any(|&c| start < c && c < end),
+        .iter()
+        .enumerate()
+        .filter(|(_, &(start, _))| start != u32::MAX)
+        .map(|(ix, &(start, end))| {
+            let ent = entities.entity(ix);
+            // The first call after `start`, if any, must come before `end`.
+            let next_call = call_positions.partition_point(|&c| c <= start);
+            Interval {
+                ent,
+                start,
+                end,
+                ty: ty_of(ent),
+                crosses_call: call_positions.get(next_call).is_some_and(|&c| c < end),
+            }
         })
         .collect();
-    // The entity tie-breaker makes the scan order — and hence register
-    // assignment — independent of `ivals`'s hash iteration order.
+    // The scan order, and hence register assignment, is `(start, end,
+    // entity)`.
     intervals.sort_by_key(|iv| (iv.start, iv.end, iv.ent));
 
     // ---- linear scan ----
@@ -247,7 +321,7 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
     let mut free_flt_callee: Vec<Reg> = FLT_CALLEE.to_vec();
     let mut used_int_callee: Vec<Reg> = Vec::new();
     let mut used_flt_callee: Vec<Reg> = Vec::new();
-    let mut loc: HashMap<Entity, Loc> = HashMap::new();
+    let mut loc: Vec<Option<Loc>> = vec![None; n];
     let mut spill_off: i32 = 0;
 
     for iv in &intervals {
@@ -308,10 +382,10 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
                     float,
                     callee,
                 });
-                loc.insert(iv.ent, if float { Loc::FReg(r) } else { Loc::Reg(r) });
+                loc[entities.index(iv.ent)] = Some(if float { Loc::FReg(r) } else { Loc::Reg(r) });
             }
             None => {
-                loc.insert(iv.ent, Loc::Frame(spill_off));
+                loc[entities.index(iv.ent)] = Some(Loc::Frame(spill_off));
                 spill_off += 8;
             }
         }
@@ -321,6 +395,7 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
     used_flt_callee.sort_unstable();
     Allocation {
         loc,
+        entities,
         used_int_callee,
         used_flt_callee,
         spill_bytes: spill_off as u32,
@@ -342,7 +417,7 @@ mod tests {
         f.blocks[e].term = Terminator::Return(Some(s));
         let alloc = allocate(&f, &[e]);
         for ent in [Entity::Val(a), Entity::Val(b), Entity::Val(s)] {
-            assert!(matches!(alloc.loc[&ent], Loc::Reg(_)), "{ent:?}");
+            assert!(matches!(alloc.loc(ent).unwrap(), Loc::Reg(_)), "{ent:?}");
         }
         assert_eq!(alloc.spill_bytes, 0);
         assert!(alloc.used_int_callee.is_empty());
@@ -363,7 +438,7 @@ mod tests {
         let s = f.bin(e, BinOp::Add, a, c);
         f.blocks[e].term = Terminator::Return(Some(s));
         let alloc = allocate(&f, &[e]);
-        match alloc.loc[&Entity::Val(a)] {
+        match alloc.loc(Entity::Val(a)).unwrap() {
             Loc::Reg(r) => assert!(INT_CALLEE.contains(&r), "r{r} should be callee-saved"),
             other => panic!("unexpected {other:?}"),
         }
@@ -392,8 +467,8 @@ mod tests {
         f.blocks[exit].term = Terminator::Return(Some(u));
         let alloc = allocate(&f, &[e, h, body, exit]);
         // u is live-out of body across the back edge (used at exit).
-        assert!(alloc.loc.contains_key(&Entity::Val(u)));
-        assert!(alloc.loc.contains_key(&Entity::Val(v)));
+        assert!(alloc.loc(Entity::Val(u)).is_some());
+        assert!(alloc.loc(Entity::Val(v)).is_some());
     }
 
     #[test]
@@ -417,10 +492,10 @@ mod tests {
         }
         f.blocks[e].term = Terminator::Return(Some(acc));
         let alloc = allocate(&f, &[e]);
-        let spilled = alloc
-            .loc
-            .values()
-            .filter(|l| matches!(l, Loc::Frame(_)))
+        let spilled = f
+            .insts
+            .ids()
+            .filter(|&v| matches!(alloc.loc(Entity::Val(v)), Some(Loc::Frame(_))))
             .count();
         assert!(spilled > 0, "40 overlapping values exceed 16 registers");
         assert!(alloc.spill_bytes >= 8 * spilled as u32);
@@ -436,8 +511,8 @@ mod tests {
         let s = f.bin(e, BinOp::FAdd, a, bf);
         f.blocks[e].term = Terminator::Return(Some(s));
         let alloc = allocate(&f, &[e]);
-        assert!(matches!(alloc.loc[&Entity::Val(a)], Loc::FReg(_)));
-        assert!(matches!(alloc.loc[&Entity::Val(b)], Loc::Reg(_)));
-        assert!(matches!(alloc.loc[&Entity::Val(s)], Loc::FReg(_)));
+        assert!(matches!(alloc.loc(Entity::Val(a)).unwrap(), Loc::FReg(_)));
+        assert!(matches!(alloc.loc(Entity::Val(b)).unwrap(), Loc::Reg(_)));
+        assert!(matches!(alloc.loc(Entity::Val(s)).unwrap(), Loc::FReg(_)));
     }
 }

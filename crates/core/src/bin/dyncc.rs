@@ -8,7 +8,7 @@
 //!                 [--speculate] [--native] [--no-native-chain]
 //!                 [--trace-out FILE] [--trace-format {jsonl,chrome}]
 //!                 [--fault-seed N] [--code-budget B] [--connect ADDR]
-//!                 [--persist-dir DIR]
+//!                 [--persist-dir DIR] [--time-passes]
 //! ```
 //!
 //! Anything else — an unknown flag, a stray word, `--stitch-workers` or
@@ -79,6 +79,10 @@
 //!   stitcher. Loads are untrusted — any corruption degrades to
 //!   recompilation with a typed `persist` health entry — and a summary
 //!   of hits/misses/rejects is printed after `--run`
+//! * `--time-passes` print the host time of each phase of one static
+//!   compile of the file, under the layer names of the host-time
+//!   benchmark (with `--persist-dir`, the file is compiled for the timing
+//!   even when the cache holds it)
 //!
 //! Every failure path exits through a typed [`CliError`]: usage
 //! problems exit 2, everything else (I/O, compile, run, network) exits
@@ -86,8 +90,8 @@
 
 use dyncomp::server::{escape, Client, Json};
 use dyncomp::{
-    CompileOptions, Compiler, Engine, EngineOptions, FaultPlan, InlineOptions, PersistentCache,
-    RecoveryPolicy, Session, SharedCodeCache, TieredOptions, TraceOptions,
+    CompileOptions, Compiler, Engine, EngineOptions, FaultPlan, InlineOptions, PassTimes,
+    PersistentCache, Phase, RecoveryPolicy, Session, SharedCodeCache, TieredOptions, TraceOptions,
 };
 use dyncomp_machine::disasm::disassemble;
 use dyncomp_machine::template::{HoleField, LoopMarker, TmplExit};
@@ -164,6 +168,7 @@ const FLAGS: &[(&str, &str, Option<&str>)] = &[
     ("--code-budget", "B", None),
     ("--connect", "ADDR", None),
     ("--persist-dir", "DIR", None),
+    ("--time-passes", "", None),
 ];
 
 fn main() {
@@ -182,6 +187,25 @@ fn main() {
         }
         exit(e.code());
     }
+}
+
+/// `--time-passes`: host µs and share of the compile per phase, then the
+/// time no phase accounts for.
+fn print_pass_times(path: &str, times: &PassTimes) {
+    let total = times.total_ns().max(1) as f64;
+    println!("time-passes {path}: host time per phase of one compile");
+    let rows = Phase::ALL
+        .iter()
+        .map(|&p| (p.name(), times.ns(p)))
+        .chain([("unattributed", times.unattributed_ns())]);
+    for (name, ns) in rows {
+        println!(
+            "  {name:<24} {:>10.1} us {:>5.1} %",
+            ns as f64 / 1e3,
+            ns as f64 * 100.0 / total
+        );
+    }
+    println!("  {:<24} {:>10.1} us", "total", total / 1e3);
 }
 
 /// Refuse what [`FLAGS`] does not list: an unknown flag, a word no flag
@@ -287,14 +311,24 @@ fn run(args: &[String]) -> Result<(), CliError> {
         })?)),
         None => None,
     };
-    let (program, artifact_cached) = match &persist {
-        Some(cache) => {
+    let timed = if flag("--time-passes") {
+        let (p, times) = compiler
+            .compile_timed(&src)
+            .map_err(|e| CliError::Compile(e.to_string()))?;
+        print_pass_times(path, &times);
+        Some(p)
+    } else {
+        None
+    };
+    let (program, artifact_cached) = match (&persist, timed) {
+        (Some(cache), _) => {
             let (p, cached) = cache
                 .load_or_compile(&compiler, &src)
                 .map_err(|e| CliError::Compile(e.to_string()))?;
             (Arc::new(p), cached)
         }
-        None => (
+        (None, Some(p)) => (Arc::new(p), false),
+        (None, None) => (
             Arc::new(
                 compiler
                     .compile(&src)

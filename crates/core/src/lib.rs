@@ -119,6 +119,7 @@ use dyncomp_native::Artifact;
 use dyncomp_specialize::{RegionSpec, SpecError, SpecStats};
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Any compilation or execution failure.
 #[derive(Debug)]
@@ -335,47 +336,77 @@ impl Compiler {
     /// Reports the first front-end, analysis, specialization or code
     /// generation failure.
     pub fn compile(&self, src: &str) -> Result<Program, Error> {
-        let lowered = dyncomp_frontend::compile(
-            src,
-            &LowerOptions {
-                honor_annotations: self.options.dynamic,
-                tiered_fallback: self.options.tiered_fallback,
-            },
-        )?;
+        self.compile_clocked(src, &mut Clock(None))
+    }
+
+    /// [`Compiler::compile`], also reporting the host time each phase
+    /// took (`dyncc --time-passes`).
+    ///
+    /// # Errors
+    /// As [`Compiler::compile`].
+    pub fn compile_timed(&self, src: &str) -> Result<(Program, PassTimes), Error> {
+        let mut times = PassTimes::default();
+        let t0 = Instant::now();
+        let program = self.compile_clocked(src, &mut Clock(Some(&mut times)))?;
+        times.total_ns = elapsed_ns(t0);
+        Ok((program, times))
+    }
+
+    fn compile_clocked(&self, src: &str, clock: &mut Clock<'_>) -> Result<Program, Error> {
+        let lowered = clock.time(Phase::Frontend, || {
+            dyncomp_frontend::compile(
+                src,
+                &LowerOptions {
+                    honor_annotations: self.options.dynamic,
+                    tiered_fallback: self.options.tiered_fallback,
+                },
+            )
+        })?;
         let mut module = lowered.module;
         let mut specs: Vec<(FuncId, RegionSpec)> = Vec::new();
 
         // Phase 1: per-function prep (SSA, global optimization, CFG
         // invariants). Region-independent, so it runs for every function
         // before any cross-function work.
-        for fid in module.funcs.ids().collect::<Vec<_>>() {
-            self.prep_function(&mut module.funcs[fid])?;
+        for fid in module.funcs.ids() {
+            self.prep_function(&mut module.funcs[fid], clock)?;
         }
 
         // Phase 2: demand-driven inlining through dynamic regions (off at
         // depth 0, leaving phases 1+3 exactly the historical pipeline).
         let inline_sites = if self.options.dynamic && self.options.inline.depth > 0 {
-            self.inline_fixpoint(&mut module)?
+            self.inline_fixpoint(&mut module, clock)?
         } else {
             Vec::new()
         };
 
         // Phase 3: per-region specialization and post-split optimization.
-        for fid in module.funcs.ids().collect::<Vec<_>>() {
+        let config = &self.options.analysis;
+        for fid in module.funcs.ids() {
             let f = &mut module.funcs[fid];
             let mut template_scope = dyncomp_ir::IdSet::new();
-            for rid in f.regions.ids().collect::<Vec<_>>() {
-                let mut analysis = dyncomp_analysis::analyze_region(f, rid, &self.options.analysis);
-                if dyncomp_specialize::legalize_dynamic_switches(f, rid, &analysis) {
+            for rid in f.regions.ids() {
+                let mut analysis = clock.time(Phase::Analysis, || {
+                    dyncomp_analysis::analyze_region(f, rid, config)
+                });
+                if clock.time(Phase::Specialize, || {
+                    dyncomp_specialize::legalize_dynamic_switches(f, rid, &analysis)
+                }) {
                     // New compare-chain blocks exist: restore the
                     // split-critical-edges invariant and refresh the
                     // analysis over the new CFG.
-                    dyncomp_ir::cfg::split_critical_edges(f);
-                    dyncomp_ir::verify::verify(f)?;
-                    analysis = dyncomp_analysis::analyze_region(f, rid, &self.options.analysis);
+                    clock.time(Phase::CfgVerify, || {
+                        dyncomp_ir::cfg::split_critical_edges(f);
+                        dyncomp_ir::verify::verify(f)
+                    })?;
+                    analysis = clock.time(Phase::Analysis, || {
+                        dyncomp_analysis::analyze_region(f, rid, config)
+                    });
                 }
-                let spec = dyncomp_specialize::specialize_region(f, rid, &analysis)?;
-                dyncomp_ir::verify::verify(f)?;
+                let spec = clock.time(Phase::Specialize, || {
+                    dyncomp_specialize::specialize_region(f, rid, &analysis)
+                })?;
+                clock.time(Phase::CfgVerify, || dyncomp_ir::verify::verify(f))?;
                 for &b in &spec.template_blocks {
                     template_scope.insert(b);
                 }
@@ -383,20 +414,24 @@ impl Compiler {
             }
             if self.options.optimize && !f.regions.is_empty() {
                 // Post-split optimization with the hole barrier (§3.3).
-                dyncomp_opt::optimize(
-                    f,
-                    &dyncomp_opt::OptOptions {
-                        cfg_simplify: false,
-                        hole_scope: Some(template_scope),
-                    },
-                );
-                dyncomp_ir::verify::verify(f)?;
+                clock.time(Phase::Optimize, || {
+                    dyncomp_opt::optimize(
+                        f,
+                        &dyncomp_opt::OptOptions {
+                            cfg_simplify: false,
+                            hole_scope: Some(template_scope),
+                        },
+                    )
+                });
+                clock.time(Phase::CfgVerify, || dyncomp_ir::verify::verify(f))?;
             }
         }
 
         let spec_stats: Vec<(FuncId, SpecStats)> =
             specs.iter().map(|(f, s)| (*f, s.stats)).collect();
-        let compiled = dyncomp_codegen::compile_module(&mut module, &specs)?;
+        let compiled = clock.time(Phase::Codegen, || {
+            dyncomp_codegen::compile_module(&mut module, &specs)
+        })?;
         Ok(Program {
             id: NEXT_PROGRAM_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             artifact_hash: self.artifact_hash(src),
@@ -412,22 +447,30 @@ impl Compiler {
     /// Phase-1 prep for one function: into SSA, optimize, restore the
     /// split-critical-edges invariant, canonicalize region roots, verify.
     /// Also used to re-establish the invariants after each inline step.
-    fn prep_function(&self, f: &mut dyncomp_ir::Function) -> Result<(), Error> {
+    fn prep_function(
+        &self,
+        f: &mut dyncomp_ir::Function,
+        clock: &mut Clock<'_>,
+    ) -> Result<(), Error> {
         if !f.is_ssa {
-            dyncomp_ir::ssa::construct_ssa(f);
+            clock.time(Phase::Ssa, || dyncomp_ir::ssa::construct_ssa(f));
         }
         if self.options.optimize {
-            dyncomp_opt::optimize(
-                f,
-                &dyncomp_opt::OptOptions {
-                    cfg_simplify: true,
-                    hole_scope: None,
-                },
-            );
+            clock.time(Phase::Optimize, || {
+                dyncomp_opt::optimize(
+                    f,
+                    &dyncomp_opt::OptOptions {
+                        cfg_simplify: true,
+                        hole_scope: None,
+                    },
+                )
+            });
         }
-        dyncomp_ir::cfg::split_critical_edges(f);
-        f.canonicalize_region_roots();
-        dyncomp_ir::verify::verify(f)?;
+        clock.time(Phase::CfgVerify, || {
+            dyncomp_ir::cfg::split_critical_edges(f);
+            f.canonicalize_region_roots();
+            dyncomp_ir::verify::verify(f)
+        })?;
         Ok(())
     }
 
@@ -442,7 +485,11 @@ impl Compiler {
     /// callee size and total growth. After every step the prep invariants
     /// are re-established and the verifier runs, so a buggy clone fails
     /// compile-time, not stitch-time.
-    fn inline_fixpoint(&self, module: &mut Module) -> Result<Vec<InlineSite>, Error> {
+    fn inline_fixpoint(
+        &self,
+        module: &mut Module,
+        clock: &mut Clock<'_>,
+    ) -> Result<Vec<InlineSite>, Error> {
         let opts = &self.options.inline;
         let mut sites: Vec<InlineSite> = Vec::new();
         let mut grown: std::collections::HashMap<FuncId, usize> = std::collections::HashMap::new();
@@ -476,7 +523,7 @@ impl Compiler {
                         break;
                     }
                     let Some((rid, block, call, callee)) =
-                        self.find_demand(module, fid, eligible_max, &rejected)
+                        self.find_demand(module, fid, eligible_max, &rejected, clock)
                     else {
                         break;
                     };
@@ -492,7 +539,7 @@ impl Compiler {
                                 depth: round,
                                 cloned_insts: done.cloned_insts,
                             });
-                            self.prep_function(&mut module.funcs[fid])?;
+                            self.prep_function(&mut module.funcs[fid], clock)?;
                             any = true;
                         }
                         Err(_refused) => {
@@ -507,7 +554,9 @@ impl Compiler {
                 break;
             }
         }
-        dyncomp_ir::verify::verify_module(module)?;
+        clock.time(Phase::CfgVerify, || {
+            dyncomp_ir::verify::verify_module(module)
+        })?;
         Ok(sites)
     }
 
@@ -520,6 +569,7 @@ impl Compiler {
         fid: FuncId,
         eligible_max: usize,
         rejected: &[dyncomp_ir::InstId],
+        clock: &mut Clock<'_>,
     ) -> Option<(
         dyncomp_ir::RegionId,
         dyncomp_ir::BlockId,
@@ -528,7 +578,9 @@ impl Compiler {
     )> {
         let f = &module.funcs[fid];
         for rid in f.regions.ids() {
-            let analysis = dyncomp_analysis::analyze_region(f, rid, &self.options.analysis);
+            let analysis = clock.time(Phase::Analysis, || {
+                dyncomp_analysis::analyze_region(f, rid, &self.options.analysis)
+            });
             let r = &f.regions[rid];
             for b in r.blocks.iter() {
                 for &i in &f.blocks[b].insts {
@@ -560,6 +612,97 @@ impl Compiler {
         }
         None
     }
+}
+
+/// A phase of the static compiler, named as the host-time benchmark names
+/// its layers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// Parse and lower to IR.
+    Frontend,
+    /// SSA construction.
+    Ssa,
+    /// The global optimizer, before and after region splitting.
+    Optimize,
+    /// Edge splitting, root canonicalization and the IR verifier.
+    CfgVerify,
+    /// The run-time-constants and reachability analyses.
+    Analysis,
+    /// Switch legalization and region specialization.
+    Specialize,
+    /// Out of SSA, register allocation and emission.
+    Codegen,
+}
+
+impl Phase {
+    /// Every phase, in pipeline order.
+    pub const ALL: [Phase; 7] = [
+        Phase::Frontend,
+        Phase::Ssa,
+        Phase::Optimize,
+        Phase::CfgVerify,
+        Phase::Analysis,
+        Phase::Specialize,
+        Phase::Codegen,
+    ];
+
+    /// The phase's layer name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Frontend => "frontend.compile",
+            Phase::Ssa => "ir.ssa",
+            Phase::Optimize => "opt.optimize",
+            Phase::CfgVerify => "ir.cfg_verify",
+            Phase::Analysis => "analysis.analyze_region",
+            Phase::Specialize => "specialize.region",
+            Phase::Codegen => "codegen.compile_module",
+        }
+    }
+}
+
+/// Host time of one [`Compiler::compile_timed`], per [`Phase`].
+#[derive(Clone, Debug, Default)]
+pub struct PassTimes {
+    ns: [u64; 7],
+    total_ns: u64,
+}
+
+impl PassTimes {
+    /// Nanoseconds spent in `phase`.
+    pub fn ns(&self, phase: Phase) -> u64 {
+        self.ns[phase as usize]
+    }
+
+    /// Nanoseconds of the whole compile.
+    pub fn total_ns(&self) -> u64 {
+        self.total_ns
+    }
+
+    /// Nanoseconds of the compile no phase accounts for (the inliner's
+    /// own work, module bookkeeping).
+    pub fn unattributed_ns(&self) -> u64 {
+        self.total_ns.saturating_sub(self.ns.iter().sum())
+    }
+}
+
+/// Charges each phase's host time to a [`PassTimes`], when there is one;
+/// without one it only runs the phase.
+struct Clock<'a>(Option<&'a mut PassTimes>);
+
+impl Clock<'_> {
+    fn time<T>(&mut self, phase: Phase, work: impl FnOnce() -> T) -> T {
+        let Some(times) = self.0.as_deref_mut() else {
+            return work();
+        };
+        let t0 = Instant::now();
+        let out = work();
+        times.ns[phase as usize] += elapsed_ns(t0);
+        out
+    }
+}
+
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Process-wide program identity source: every compile gets a distinct id

@@ -280,11 +280,7 @@ impl<I: IdIndex> IdSet<I> {
 
     /// Iterate members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = I> + '_ {
-        self.bits.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1 << b) != 0)
-                .map(move |b| I::from_index(wi * 64 + b))
-        })
+        set_bits(&self.bits).map(I::from_index)
     }
 
     /// Set union in place; returns true if `self` changed.
@@ -312,6 +308,21 @@ impl<I: IdIndex> IdSet<I> {
         }
         changed
     }
+}
+
+/// The positions of the set bits of a bit vector, ascending: bit `b` of
+/// word `w` is position `64 * w + b`.
+pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let b = rest.trailing_zeros() as usize;
+            (rest != 0).then(|| {
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 impl<I: IdIndex> fmt::Debug for IdSet<I>

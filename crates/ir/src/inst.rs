@@ -245,27 +245,89 @@ pub enum InstKind {
     },
 }
 
+/// The value operands of an instruction or terminator, in order, walked
+/// without allocating: up to three held inline, or a borrowed argument or
+/// φ list.
+#[derive(Clone, Debug)]
+pub struct Operands<'a>(OperandsRepr<'a>);
+
+#[derive(Clone, Debug)]
+enum OperandsRepr<'a> {
+    Inline {
+        vals: [InstId; 3],
+        next: u8,
+        len: u8,
+    },
+    Args(std::slice::Iter<'a, InstId>),
+    Phi(std::slice::Iter<'a, (BlockId, InstId)>),
+}
+
+impl Operands<'_> {
+    fn inline(ops: &[InstId]) -> Self {
+        let mut vals = [InstId(0); 3];
+        vals[..ops.len()].copy_from_slice(ops);
+        Operands(OperandsRepr::Inline {
+            vals,
+            next: 0,
+            len: ops.len() as u8,
+        })
+    }
+}
+
+impl Iterator for Operands<'_> {
+    type Item = InstId;
+
+    fn next(&mut self) -> Option<InstId> {
+        match &mut self.0 {
+            OperandsRepr::Inline { vals, next, len } => {
+                if next == len {
+                    return None;
+                }
+                *next += 1;
+                Some(vals[usize::from(*next) - 1])
+            }
+            OperandsRepr::Args(it) => it.next().copied(),
+            OperandsRepr::Phi(it) => it.next().map(|&(_, v)| v),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            OperandsRepr::Inline { next, len, .. } => usize::from(len - next),
+            OperandsRepr::Args(it) => it.len(),
+            OperandsRepr::Phi(it) => it.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Operands<'_> {}
+
 impl InstKind {
     /// Operand values of the instruction (not including block refs of φ).
-    pub fn operands(&self) -> Vec<InstId> {
+    pub fn operands(&self) -> Operands<'_> {
         match self {
             InstKind::Const(_)
             | InstKind::GetVar(_)
             | InstKind::Param(_)
             | InstKind::GlobalAddr(_)
             | InstKind::FrameAddr(_)
-            | InstKind::Hole { .. } => vec![],
-            InstKind::Copy(a) | InstKind::Un(_, a) | InstKind::SetVar(_, a) => vec![*a],
-            InstKind::Bin(_, a, b) => vec![*a, *b],
+            | InstKind::Hole { .. } => Operands::inline(&[]),
+            InstKind::Copy(a) | InstKind::Un(_, a) | InstKind::SetVar(_, a) => {
+                Operands::inline(&[*a])
+            }
+            InstKind::Bin(_, a, b) => Operands::inline(&[*a, *b]),
             InstKind::Select {
                 cond,
                 if_true,
                 if_false,
-            } => vec![*cond, *if_true, *if_false],
-            InstKind::Load { addr, .. } => vec![*addr],
-            InstKind::Store { addr, val, .. } => vec![*addr, *val],
-            InstKind::Call { args, .. } | InstKind::CallIntrinsic { args, .. } => args.clone(),
-            InstKind::Phi(ins) => ins.iter().map(|(_, v)| *v).collect(),
+            } => Operands::inline(&[*cond, *if_true, *if_false]),
+            InstKind::Load { addr, .. } => Operands::inline(&[*addr]),
+            InstKind::Store { addr, val, .. } => Operands::inline(&[*addr, *val]),
+            InstKind::Call { args, .. } | InstKind::CallIntrinsic { args, .. } => {
+                Operands(OperandsRepr::Args(args.iter()))
+            }
+            InstKind::Phi(ins) => Operands(OperandsRepr::Phi(ins.iter())),
         }
     }
 
@@ -462,13 +524,13 @@ impl Terminator {
     }
 
     /// Value operands of the terminator.
-    pub fn operands(&self) -> Vec<InstId> {
+    pub fn operands(&self) -> Operands<'_> {
         match self {
-            Terminator::Branch { cond, .. } => vec![*cond],
-            Terminator::Switch { val, .. } => vec![*val],
-            Terminator::Return(Some(v)) => vec![*v],
-            Terminator::EndSetup { table, .. } => vec![*table],
-            _ => vec![],
+            Terminator::Branch { cond: v, .. }
+            | Terminator::Switch { val: v, .. }
+            | Terminator::Return(Some(v))
+            | Terminator::EndSetup { table: v, .. } => Operands::inline(&[*v]),
+            _ => Operands::inline(&[]),
         }
     }
 
@@ -523,13 +585,17 @@ mod tests {
     fn operands_roundtrip_through_map() {
         let mut k = InstKind::Bin(BinOp::Add, InstId(1), InstId(2));
         k.map_operands(|v| InstId(v.0 + 10));
-        assert_eq!(k.operands(), vec![InstId(11), InstId(12)]);
+        assert_eq!(k.operands().collect::<Vec<_>>(), [InstId(11), InstId(12)]);
+        assert_eq!(k.operands().len(), 2);
+        let t = Terminator::Return(Some(InstId(4)));
+        assert_eq!(t.operands().collect::<Vec<_>>(), [InstId(4)]);
+        assert_eq!(Terminator::Return(None).operands().count(), 0);
     }
 
     #[test]
     fn phi_operands() {
         let k = InstKind::Phi(vec![(BlockId(0), InstId(1)), (BlockId(1), InstId(2))]);
-        assert_eq!(k.operands(), vec![InstId(1), InstId(2)]);
+        assert_eq!(k.operands().collect::<Vec<_>>(), [InstId(1), InstId(2)]);
         assert!(k.has_result());
         assert!(!k.has_side_effect());
     }

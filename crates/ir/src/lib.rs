@@ -80,5 +80,5 @@ pub mod zeroed;
 pub use func::{Block, DynRegion, Function, Global, InstData, Module, VarInfo};
 pub use ids::{BlockId, FuncId, GlobalId, IdSet, IndexVec, InstId, RegionId, VarId};
 pub use inline::{inline_call, InlineError, InlinedCall};
-pub use inst::{InstKind, Intrinsic, SlotPath, TemplateMarker, Terminator, Ty};
+pub use inst::{InstKind, Intrinsic, Operands, SlotPath, TemplateMarker, Terminator, Ty};
 pub use ops::{BinOp, Const, MemSize, Signedness, UnOp};

@@ -34,11 +34,12 @@ impl std::error::Error for VerifyError {}
 pub fn verify(f: &Function) -> Result<(), VerifyError> {
     let err = |m: String| Err(VerifyError(format!("{}: {m}", f.name)));
 
-    // Placement map.
+    // Placement map, and each placed instruction's position in its block.
     let mut place: IndexVec<InstId, Option<BlockId>> = (0..f.insts.len()).map(|_| None).collect();
+    let mut pos: IndexVec<InstId, usize> = (0..f.insts.len()).map(|_| 0).collect();
     for (b, blk) in f.iter_blocks() {
         let mut seen_non_phi = false;
-        for &i in &blk.insts {
+        for (p, &i) in blk.insts.iter().enumerate() {
             if i.index() >= f.insts.len() {
                 return err(format!("block {b} references nonexistent inst {i}"));
             }
@@ -46,6 +47,7 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
                 return err(format!("inst {i} placed in both {prev} and {b}"));
             }
             place[i] = Some(b);
+            pos[i] = p;
             if matches!(f.kind(i), InstKind::Phi(_)) {
                 if seen_non_phi {
                     return err(format!("φ {i} not at start of block {b}"));
@@ -97,26 +99,17 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
 
     // Operands must be placed instructions (in reachable code).
     let live = crate::cfg::reachable(f);
-    let check_op = |user: String, v: InstId| -> Result<(), VerifyError> {
-        if v.index() >= f.insts.len() {
-            return Err(VerifyError(format!(
-                "{}: {user} uses nonexistent value {v}",
-                f.name
-            )));
-        }
-        if place[v].is_none() {
-            return Err(VerifyError(format!(
-                "{}: {user} uses unplaced value {v}",
-                f.name
-            )));
-        }
-        if !f.kind(v).has_result() {
-            return Err(VerifyError(format!(
-                "{}: {user} uses value of result-less inst {v}",
-                f.name
-            )));
-        }
-        Ok(())
+    let check_op = |user: User, v: InstId| -> Result<(), VerifyError> {
+        let what = if v.index() >= f.insts.len() {
+            "uses nonexistent value"
+        } else if place[v].is_none() {
+            "uses unplaced value"
+        } else if !f.kind(v).has_result() {
+            "uses value of result-less inst"
+        } else {
+            return Ok(());
+        };
+        err(format!("{user} {what} {v}"))
     };
     for (b, blk) in f.iter_blocks() {
         if !live.contains(b) {
@@ -124,19 +117,36 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
         }
         for &i in &blk.insts {
             for v in f.kind(i).operands() {
-                check_op(format!("inst {i} in {b}"), v)?;
+                check_op(User::Inst(i, b), v)?;
             }
         }
         for v in blk.term.operands() {
-            check_op(format!("terminator of {b}"), v)?;
+            check_op(User::Term(b), v)?;
         }
     }
 
     if f.is_ssa {
-        verify_ssa(f, &place, &live)?;
+        verify_ssa(f, &place, &pos, &live)?;
     }
 
     Ok(())
+}
+
+/// Who uses an operand, named in an error message only when the check
+/// fails.
+#[derive(Clone, Copy)]
+enum User {
+    Inst(InstId, BlockId),
+    Term(BlockId),
+}
+
+impl fmt::Display for User {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            User::Inst(i, b) => write!(f, "inst {i} in {b}"),
+            User::Term(b) => write!(f, "terminator of {b}"),
+        }
+    }
 }
 
 /// Check cross-function invariants of `m`, then [`verify`] each function:
@@ -188,17 +198,19 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 fn verify_ssa(
     f: &Function,
     place: &IndexVec<InstId, Option<BlockId>>,
+    pos: &IndexVec<InstId, usize>,
     live: &IdSet<BlockId>,
 ) -> Result<(), VerifyError> {
     let err = |m: String| Err(VerifyError(format!("{}: {m}", f.name)));
     let preds = Preds::compute(f);
     let dom = DomTree::compute(f);
+    let (mut ps, mut got): (Vec<BlockId>, Vec<BlockId>) = (Vec::new(), Vec::new());
 
     for (b, blk) in f.iter_blocks() {
         if !live.contains(b) {
             continue;
         }
-        for (pos, &i) in blk.insts.iter().enumerate() {
+        for (at, &i) in blk.insts.iter().enumerate() {
             match f.kind(i) {
                 InstKind::GetVar(v) | InstKind::SetVar(v, _) => {
                     if f.vars[*v].frame_size.is_none() {
@@ -206,9 +218,11 @@ fn verify_ssa(
                     }
                 }
                 InstKind::Phi(ins) => {
-                    let mut ps: Vec<BlockId> = preds.of(b).to_vec();
+                    ps.clear();
+                    ps.extend_from_slice(preds.of(b));
                     ps.sort();
-                    let mut got: Vec<BlockId> = ins.iter().map(|(p, _)| *p).collect();
+                    got.clear();
+                    got.extend(ins.iter().map(|(p, _)| *p));
                     got.sort();
                     got.dedup();
                     if got.len() != ins.len() {
@@ -245,7 +259,7 @@ fn verify_ssa(
                         let db = place[v].expect("checked placed");
                         let ok = if db == b {
                             // Same block: definition must come earlier.
-                            blk.insts[..pos].contains(&v)
+                            pos[v] < at
                         } else {
                             dom.dominates(db, b)
                         };
@@ -261,12 +275,7 @@ fn verify_ssa(
         // Terminator uses.
         for v in blk.term.operands() {
             let db = place[v].expect("checked placed");
-            let ok = if db == b {
-                blk.insts.contains(&v)
-            } else {
-                dom.dominates(db, b)
-            };
-            if !ok {
+            if db != b && !dom.dominates(db, b) {
                 return err(format!("terminator of {b} uses non-dominating value {v}"));
             }
         }
@@ -287,9 +296,48 @@ fn verify_ssa(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::func::{DynRegion, VarInfo};
+    use crate::ids::RegionId;
     use crate::inst::Ty;
-    use crate::ops::BinOp;
+    use crate::ops::{BinOp, Const, MemSize, UnOp};
     use crate::ssa::construct_ssa;
+
+    /// The verifier's message for `f`, which must fail.
+    fn rejection(f: &Function) -> String {
+        verify(f).expect_err("the verifier rejects the function").0
+    }
+
+    /// `entry → (then, else) → join`, branching on parameter 0; `then`
+    /// and `else` each define a constant. Returns the function and the
+    /// blocks and constants.
+    fn diamond(name: &str) -> (Function, [BlockId; 4], [InstId; 3]) {
+        let mut f = Function::new(name, vec![Ty::Int], Ty::Int);
+        let e = f.entry;
+        let t = f.add_block();
+        let el = f.add_block();
+        let j = f.add_block();
+        let p = f.append(e, InstKind::Param(0));
+        f.blocks[e].term = Terminator::Branch {
+            cond: p,
+            then_b: t,
+            else_b: el,
+        };
+        let c1 = f.const_int(t, 1);
+        f.blocks[t].term = Terminator::Jump(j);
+        let c2 = f.const_int(el, 2);
+        f.blocks[el].term = Terminator::Jump(j);
+        f.is_ssa = true;
+        (f, [e, t, el, j], [p, c1, c2])
+    }
+
+    fn region(entry: BlockId, blocks: &[BlockId], const_roots: Vec<InstId>) -> DynRegion {
+        DynRegion {
+            entry,
+            blocks: blocks.iter().copied().collect(),
+            const_roots,
+            key_roots: vec![],
+        }
+    }
 
     #[test]
     fn accepts_well_formed() {
@@ -308,13 +356,21 @@ mod tests {
         let mut f = Function::new("bad", vec![], Ty::Int);
         let e = f.entry;
         // Create an add whose operand is defined *after* it.
-        let c = f.create_inst(InstKind::Const(crate::ops::Const::Int(1)));
+        let c = f.create_inst(InstKind::Const(Const::Int(1)));
         let s = f.create_inst(InstKind::Bin(BinOp::Add, c, c));
         f.blocks[e].insts.push(s);
         f.blocks[e].insts.push(c);
         f.blocks[e].term = Terminator::Return(Some(s));
         f.is_ssa = true;
-        assert!(verify(&f).is_err());
+        assert_eq!(
+            rejection(&f),
+            "bad: inst v1 in b0 uses v0 (defined in b0) that does not dominate it"
+        );
+        assert_eq!(
+            verify(&f).unwrap_err().to_string(),
+            "IR verification failed: bad: inst v1 in b0 uses v0 (defined in b0) that does not \
+             dominate it"
+        );
     }
 
     #[test]
@@ -324,42 +380,29 @@ mod tests {
         let c = f.const_int(e, 1);
         f.blocks[e].insts.push(c);
         f.blocks[e].term = Terminator::Return(None);
-        assert!(verify(&f).is_err());
+        assert_eq!(rejection(&f), "dup: inst v0 placed in both b0 and b0");
     }
 
     #[test]
     fn rejects_phi_missing_pred() {
-        let mut f = Function::new("phi", vec![Ty::Int], Ty::Int);
-        let e = f.entry;
-        let t = f.add_block();
-        let el = f.add_block();
-        let j = f.add_block();
-        let p = f.append(e, InstKind::Param(0));
-        f.blocks[e].term = Terminator::Branch {
-            cond: p,
-            then_b: t,
-            else_b: el,
-        };
-        let c1 = f.const_int(t, 1);
-        f.blocks[t].term = Terminator::Jump(j);
-        let _c2 = f.const_int(el, 2);
-        f.blocks[el].term = Terminator::Jump(j);
+        let (mut f, [_, t, _, j], [_, c1, _]) = diamond("phi");
         // φ only lists one of the two predecessors.
         let phi = f.append(j, InstKind::Phi(vec![(t, c1)]));
         f.blocks[j].term = Terminator::Return(Some(phi));
-        f.is_ssa = true;
-        let e2 = verify(&f).unwrap_err();
-        assert!(e2.0.contains("missing operand"), "{e2}");
+        assert_eq!(
+            rejection(&f),
+            "phi: φ v3 missing operand for predecessor b2"
+        );
     }
 
     #[test]
     fn rejects_unplaced_operand() {
         let mut f = Function::new("unp", vec![], Ty::Int);
         let e = f.entry;
-        let ghost = f.create_inst(InstKind::Const(crate::ops::Const::Int(7)));
+        let ghost = f.create_inst(InstKind::Const(Const::Int(7)));
         let s = f.append(e, InstKind::Copy(ghost));
         f.blocks[e].term = Terminator::Return(Some(s));
-        assert!(verify(&f).is_err());
+        assert_eq!(rejection(&f), "unp: inst v1 in b0 uses unplaced value v0");
     }
 
     #[test]
@@ -370,18 +413,13 @@ mod tests {
         let e = f.entry;
         let p = f.append(e, InstKind::Param(0));
         f.blocks[e].term = Terminator::Return(Some(p));
-        let mut blocks = IdSet::new();
-        blocks.insert(e);
-        blocks.insert(BlockId::from_index(17));
-        f.regions.push(crate::func::DynRegion {
-            entry: e,
-            blocks,
-            const_roots: vec![p],
-            key_roots: vec![],
-        });
+        f.regions
+            .push(region(e, &[e, BlockId::from_index(17)], vec![p]));
         f.is_ssa = true;
-        let err = verify(&f).unwrap_err();
-        assert!(err.0.contains("nonexistent block"), "{err}");
+        assert_eq!(
+            rejection(&f),
+            "dangle: region dr0 contains nonexistent block b17"
+        );
     }
 
     #[test]
@@ -392,18 +430,10 @@ mod tests {
         let e = f.entry;
         let p = f.append(e, InstKind::Param(0));
         f.blocks[e].term = Terminator::Return(Some(p));
-        let ghost = f.create_inst(InstKind::Const(crate::ops::Const::Int(9)));
-        let mut blocks = IdSet::new();
-        blocks.insert(e);
-        f.regions.push(crate::func::DynRegion {
-            entry: e,
-            blocks,
-            const_roots: vec![ghost],
-            key_roots: vec![],
-        });
+        let ghost = f.create_inst(InstKind::Const(Const::Int(9)));
+        f.regions.push(region(e, &[e], vec![ghost]));
         f.is_ssa = true;
-        let err = verify(&f).unwrap_err();
-        assert!(err.0.contains("not placed"), "{err}");
+        assert_eq!(rejection(&f), "unrooted: region dr0 root v1 is not placed");
     }
 
     #[test]
@@ -434,29 +464,47 @@ mod tests {
             h.is_ssa = true;
             h
         };
+        let rejection = |m: &Module| verify_module(m).expect_err("the module is rejected").0;
 
         // Arity mismatch.
         let mut m = Module::new();
         m.funcs.push(mk_caller(2));
         m.funcs.push(callee(Ty::Int));
         m.retype_calls();
-        let err = verify_module(&m).unwrap_err();
-        assert!(err.0.contains("expects 1 arguments, got 2"), "{err}");
+        assert_eq!(
+            rejection(&m),
+            "caller: call v1 in b0: `helper` expects 1 arguments, got 2"
+        );
 
         // Stale call type (retype_calls not re-run).
         let mut m = Module::new();
         m.funcs.push(mk_caller(1)); // call ty defaults to Int
         m.funcs.push(callee(Ty::Float));
-        let err = verify_module(&m).unwrap_err();
-        assert!(err.0.contains("retype_calls"), "{err}");
+        assert_eq!(
+            rejection(&m),
+            "caller: call v1 in b0: result kind Int disagrees with `helper` returning Float \
+             (missing `retype_calls`?)"
+        );
         m.retype_calls();
         verify_module(&m).unwrap();
 
         // Nonexistent callee.
         let mut m = Module::new();
         m.funcs.push(mk_caller(1));
-        let err = verify_module(&m).unwrap_err();
-        assert!(err.0.contains("does not exist"), "{err}");
+        assert_eq!(
+            rejection(&m),
+            "caller: call v1 in b0: callee f1 does not exist"
+        );
+
+        // A function-level failure names the function.
+        let mut m = Module::new();
+        let mut bad = callee(Ty::Int);
+        bad.blocks[bad.entry].term = Terminator::Jump(BlockId(3));
+        m.funcs.push(bad);
+        assert_eq!(
+            rejection(&m),
+            "fn f0: helper: block b0 targets nonexistent block b3"
+        );
     }
 
     #[test]
@@ -472,6 +520,161 @@ mod tests {
         };
         f.blocks[d].term = Terminator::Return(None);
         f.is_ssa = true;
-        assert!(verify(&f).is_err());
+        assert_eq!(rejection(&f), "sw: switch in b0 has duplicate case values");
+    }
+
+    #[test]
+    fn rejects_malformed_placement_and_cfg() {
+        // A block naming an instruction that does not exist.
+        let mut f = Function::new("ghost", vec![], Ty::None);
+        let e = f.entry;
+        f.blocks[e].insts.push(InstId(99));
+        f.blocks[e].term = Terminator::Return(None);
+        assert_eq!(
+            rejection(&f),
+            "ghost: block b0 references nonexistent inst v99"
+        );
+
+        // A φ after a non-φ.
+        let (mut f, [_, t, el, j], [_, c1, c2]) = diamond("order");
+        let k = f.const_int(j, 3);
+        let phi = f.append(j, InstKind::Phi(vec![(t, c1), (el, c2)]));
+        f.blocks[j].term = Terminator::Return(Some(k));
+        assert_eq!(
+            rejection(&f),
+            format!("order: φ {phi} not at start of block b3")
+        );
+
+        // A jump to a block that does not exist.
+        let mut f = Function::new("jump", vec![], Ty::None);
+        let e = f.entry;
+        f.blocks[e].term = Terminator::Jump(BlockId(7));
+        assert_eq!(rejection(&f), "jump: block b0 targets nonexistent block b7");
+
+        // An entry past the block list.
+        let mut f = Function::new("entry", vec![], Ty::None);
+        f.blocks[f.entry].term = Terminator::Return(None);
+        f.entry = BlockId(5);
+        assert_eq!(rejection(&f), "entry: entry block out of range");
+    }
+
+    #[test]
+    fn rejects_bad_operands() {
+        // An operand that does not exist.
+        let mut f = Function::new("nonex", vec![], Ty::Int);
+        let e = f.entry;
+        let s = f.append(e, InstKind::Un(UnOp::Neg, InstId(99)));
+        f.blocks[e].term = Terminator::Return(Some(s));
+        assert_eq!(
+            rejection(&f),
+            "nonex: inst v0 in b0 uses nonexistent value v99"
+        );
+
+        // An operand that produces no value.
+        let mut f = Function::new("noval", vec![Ty::Int], Ty::Int);
+        let e = f.entry;
+        let p = f.append(e, InstKind::Param(0));
+        let st = f.append(
+            e,
+            InstKind::Store {
+                size: MemSize::B8,
+                addr: p,
+                val: p,
+                float: false,
+            },
+        );
+        let s = f.append(e, InstKind::Copy(st));
+        f.blocks[e].term = Terminator::Return(Some(s));
+        assert_eq!(
+            rejection(&f),
+            "noval: inst v2 in b0 uses value of result-less inst v1"
+        );
+
+        // A terminator reading an unplaced value.
+        let mut f = Function::new("term", vec![], Ty::Int);
+        let ghost = f.create_inst(InstKind::Const(Const::Int(1)));
+        f.blocks[f.entry].term = Terminator::Return(Some(ghost));
+        assert_eq!(
+            rejection(&f),
+            "term: terminator of b0 uses unplaced value v0"
+        );
+    }
+
+    #[test]
+    fn rejects_phi_predecessor_mismatch() {
+        // The same predecessor twice.
+        let (mut f, [_, t, _, j], [_, c1, _]) = diamond("twice");
+        let phi = f.append(j, InstKind::Phi(vec![(t, c1), (t, c1)]));
+        f.blocks[j].term = Terminator::Return(Some(phi));
+        assert_eq!(
+            rejection(&f),
+            "twice: φ v3 has duplicate predecessor operands"
+        );
+
+        // A block that is no predecessor.
+        let (mut f, [e, t, el, j], [_, c1, c2]) = diamond("stranger");
+        let phi = f.append(j, InstKind::Phi(vec![(t, c1), (el, c2), (e, c1)]));
+        f.blocks[j].term = Terminator::Return(Some(phi));
+        assert_eq!(rejection(&f), "stranger: φ v3 names non-predecessor b0");
+
+        // An operand whose definition does not dominate its predecessor.
+        let (mut f, [_, t, el, j], [_, c1, _]) = diamond("reach");
+        let phi = f.append(j, InstKind::Phi(vec![(t, c1), (el, c1)]));
+        f.blocks[j].term = Terminator::Return(Some(phi));
+        assert_eq!(
+            rejection(&f),
+            "reach: φ v3 operand v1 (defined in b1) does not dominate pred b2"
+        );
+    }
+
+    #[test]
+    fn rejects_non_dominating_uses() {
+        // An instruction of the join reading a value of one arm.
+        let (mut f, [_, _, _, j], [_, c1, _]) = diamond("arm");
+        let s = f.append(j, InstKind::Copy(c1));
+        f.blocks[j].term = Terminator::Return(Some(s));
+        assert_eq!(
+            rejection(&f),
+            "arm: inst v3 in b3 uses v1 (defined in b1) that does not dominate it"
+        );
+
+        // The join's terminator reading it.
+        let (mut f, [_, _, _, j], [_, c1, _]) = diamond("tail");
+        f.blocks[j].term = Terminator::Return(Some(c1));
+        assert_eq!(
+            rejection(&f),
+            "tail: terminator of b3 uses non-dominating value v1"
+        );
+    }
+
+    #[test]
+    fn rejects_variable_access_in_ssa() {
+        let mut f = Function::new("vars", vec![], Ty::Int);
+        let x = f.vars.push(VarInfo {
+            name: "x".into(),
+            ty: Ty::Int,
+            frame_size: None,
+        });
+        let e = f.entry;
+        let g = f.append(e, InstKind::GetVar(x));
+        f.blocks[e].term = Terminator::Return(Some(g));
+        f.is_ssa = true;
+        assert_eq!(
+            rejection(&f),
+            "vars: SSA function contains variable access v0"
+        );
+    }
+
+    #[test]
+    fn rejects_bad_region_metadata() {
+        let mut f = Function::new("far", vec![Ty::Int], Ty::Int);
+        let e = f.entry;
+        let p = f.append(e, InstKind::Param(0));
+        f.blocks[e].term = Terminator::Return(Some(p));
+        f.regions.push(region(BlockId(9), &[e], vec![p]));
+        assert_eq!(rejection(&f), "far: region dr0 entry b9 out of range");
+
+        f.regions[RegionId(0)] = region(e, &[e], vec![InstId(40)]);
+        assert_eq!(rejection(&f), "far: region dr0 root v40 does not exist");
     }
 }

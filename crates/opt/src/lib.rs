@@ -23,8 +23,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use dyncomp_ir::{BinOp, BlockId, Const, Function, IdSet, InstId, InstKind, Terminator};
-use std::collections::HashMap;
+use dyncomp_ir::fxhash::FxHashMap;
+use dyncomp_ir::{
+    BinOp, BlockId, Const, Function, GlobalId, IdSet, IndexVec, InstId, InstKind, Terminator, UnOp,
+    VarId,
+};
+use std::collections::hash_map::Entry;
 
 /// Counters of what the optimizer did (one `optimize` call).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,16 +76,27 @@ pub struct OptOptions {
 }
 
 /// Run all passes to a fixpoint.
+///
+/// The passes run in a fixed order, in rounds, until a round changes
+/// nothing. The reachable block list they walk is computed once and reused
+/// until a pass can have changed it: only folding a branch or simplifying
+/// the CFG rewrites a terminator's successors.
 pub fn optimize(f: &mut Function, opts: &OptOptions) -> OptStats {
     let mut total = OptStats::default();
+    let mut placed = placed_blocks(f);
+    let mut cse = FxHashMap::default();
     for _ in 0..50 {
         let mut round = OptStats::default();
-        round.add(&fold_constants(f));
-        round.add(&copy_propagate(f, opts.hole_scope.as_ref()));
-        round.add(&local_cse(f));
-        round.add(&eliminate_dead_code(f));
+        round.add(&fold_constants_in(f, &placed));
+        if round.branches_folded > 0 {
+            placed = placed_blocks(f);
+        }
+        round.add(&copy_propagate_in(f, &placed, opts.hole_scope.as_ref()));
+        round.add(&local_cse_in(f, &placed, &mut cse));
+        round.add(&eliminate_dead_code_in(f, &placed));
         if opts.cfg_simplify {
             round.add(&simplify_cfg(f));
+            placed = placed_blocks(f);
         }
         let progressed = round.any();
         total.add(&round);
@@ -98,13 +113,18 @@ fn placed_blocks(f: &Function) -> Vec<BlockId> {
 
 /// Constant folding, algebraic identities, and static branch folding.
 pub fn fold_constants(f: &mut Function) -> OptStats {
+    let placed = placed_blocks(f);
+    fold_constants_in(f, &placed)
+}
+
+fn fold_constants_in(f: &mut Function, placed: &[BlockId]) -> OptStats {
     let mut stats = OptStats::default();
-    for b in placed_blocks(f) {
-        let insts = f.blocks[b].insts.clone();
+    for &b in placed {
         let mut phi_folded = false;
-        for i in insts {
-            let kind = f.kind(i).clone();
-            let new = match &kind {
+        for at in 0..f.blocks[b].insts.len() {
+            let i = f.blocks[b].insts[at];
+            let kind = f.kind(i);
+            let new = match kind {
                 InstKind::Un(op, a) => f.as_const(*a).and_then(|c| op.eval(c)).map(InstKind::Const),
                 InstKind::Bin(op, a, b2) => fold_bin(f, *op, *a, *b2),
                 InstKind::CallIntrinsic { which, args } => {
@@ -152,37 +172,33 @@ pub fn fold_constants(f: &mut Function) -> OptStats {
             list.sort_by_key(|&i| !matches!(f.insts[i].kind, InstKind::Phi(_)));
         }
         // Fold terminators on constants.
-        match f.blocks[b].term.clone() {
+        let folded = match &f.blocks[b].term {
             Terminator::Branch {
                 cond,
                 then_b,
                 else_b,
-            } => {
-                if let Some(c) = f.as_const(cond) {
-                    f.blocks[b].term =
-                        Terminator::Jump(if c.is_truthy() { then_b } else { else_b });
-                    stats.branches_folded += 1;
-                } else if then_b == else_b {
-                    f.blocks[b].term = Terminator::Jump(then_b);
-                    stats.branches_folded += 1;
-                }
-            }
+            } => match f.as_const(*cond) {
+                Some(c) => Some(if c.is_truthy() { *then_b } else { *else_b }),
+                None => (then_b == else_b).then_some(*then_b),
+            },
             Terminator::Switch {
                 val,
                 cases,
                 default,
-            } => {
-                if let Some(Const::Int(v)) = f.as_const(val) {
-                    let target = cases
+            } => match f.as_const(*val) {
+                Some(Const::Int(v)) => Some(
+                    cases
                         .iter()
                         .find(|(c, _)| *c == v)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(default);
-                    f.blocks[b].term = Terminator::Jump(target);
-                    stats.branches_folded += 1;
-                }
-            }
-            _ => {}
+                        .map_or(*default, |(_, t)| *t),
+                ),
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Some(target) = folded {
+            f.blocks[b].term = Terminator::Jump(target);
+            stats.branches_folded += 1;
         }
     }
     stats
@@ -273,64 +289,70 @@ fn fold_bin(f: &Function, op: BinOp, a: InstId, b: InstId) -> Option<InstKind> {
 /// barrier: a chain ending at a [`InstKind::Hole`] is only forwarded to
 /// uses inside `hole_scope`.
 pub fn copy_propagate(f: &mut Function, hole_scope: Option<&IdSet<BlockId>>) -> OptStats {
+    let placed = placed_blocks(f);
+    copy_propagate_in(f, &placed, hole_scope)
+}
+
+fn copy_propagate_in(
+    f: &mut Function,
+    placed: &[BlockId],
+    hole_scope: Option<&IdSet<BlockId>>,
+) -> OptStats {
     let mut stats = OptStats::default();
-    // Resolve copy chains.
-    let mut target: HashMap<InstId, InstId> = HashMap::new();
+    // Each copy's source and each hole, by instruction.
+    let mut target: IndexVec<InstId, Option<InstId>> = f.insts.iter().map(|_| None).collect();
+    let mut holes: IdSet<InstId> = IdSet::with_domain(f.insts.len());
+    let mut copies = 0;
     for (i, inst) in f.insts.iter_enumerated() {
-        if let InstKind::Copy(src) = inst.kind {
-            target.insert(i, src);
+        match inst.kind {
+            InstKind::Copy(src) => {
+                target[i] = Some(src);
+                copies += 1;
+            }
+            InstKind::Hole { .. } => {
+                holes.insert(i);
+            }
+            _ => {}
         }
     }
+    if copies == 0 {
+        return stats;
+    }
+    // Resolve copy chains.
     let resolve = |mut v: InstId| {
         let mut seen = 0;
-        while let Some(&t) = target.get(&v) {
+        while let Some(t) = target[v] {
             v = t;
             seen += 1;
-            if seen > target.len() {
+            if seen > copies {
                 break; // cycle safety (malformed input)
             }
         }
         v
     };
-    for b in placed_blocks(f) {
-        let insts = f.blocks[b].insts.clone();
-        let in_scope = hole_scope.map(|s| s.contains(b));
-        for i in insts {
-            let mut kind = f.kind(i).clone();
+    for &b in placed {
+        // Hole barrier: never forward a hole value to a use outside the
+        // template blocks.
+        let barred = hole_scope.is_some_and(|s| !s.contains(b));
+        let forward = |v: InstId, changed: &mut bool| {
+            let r = resolve(v);
+            if r == v || (barred && holes.contains(r)) {
+                return v;
+            }
+            *changed = true;
+            r
+        };
+        let Function { blocks, insts, .. } = &mut *f;
+        for &i in &blocks[b].insts {
             let mut changed = false;
-            kind.map_operands(|v| {
-                let r = resolve(v);
-                if r == v {
-                    return v;
-                }
-                // Hole barrier: never forward a hole value to a use outside
-                // the template blocks.
-                if matches!(f.kind(r), InstKind::Hole { .. }) && in_scope == Some(false) {
-                    return v;
-                }
-                changed = true;
-                r
-            });
+            insts[i].kind.map_operands(|v| forward(v, &mut changed));
             if changed {
-                f.insts[i].kind = kind;
                 stats.copies_propagated += 1;
             }
         }
-        let mut term = f.blocks[b].term.clone();
         let mut changed = false;
-        term.map_operands(|v| {
-            let r = resolve(v);
-            if r == v {
-                return v;
-            }
-            if matches!(f.kind(r), InstKind::Hole { .. }) && in_scope == Some(false) {
-                return v;
-            }
-            changed = true;
-            r
-        });
+        blocks[b].term.map_operands(|v| forward(v, &mut changed));
         if changed {
-            f.blocks[b].term = term;
             stats.copies_propagated += 1;
         }
     }
@@ -339,81 +361,116 @@ pub fn copy_propagate(f: &mut Function, hole_scope: Option<&IdSet<BlockId>>) -> 
 
 /// Remove pure instructions whose results are unused.
 pub fn eliminate_dead_code(f: &mut Function) -> OptStats {
+    let placed = placed_blocks(f);
+    eliminate_dead_code_in(f, &placed)
+}
+
+fn eliminate_dead_code_in(f: &mut Function, placed: &[BlockId]) -> OptStats {
+    // Uses of each value by the instructions and terminators of reachable
+    // blocks; region roots are observed by the specializer and the
+    // runtime, so they count as used.
+    let mut uses: IndexVec<InstId, u32> = f.insts.iter().map(|_| 0).collect();
+    let mut reachable: IdSet<InstId> = IdSet::with_domain(f.insts.len());
+    for &b in placed {
+        for &i in &f.blocks[b].insts {
+            reachable.insert(i);
+            for v in f.kind(i).operands() {
+                uses[v] += 1;
+            }
+        }
+        for v in f.blocks[b].term.operands() {
+            uses[v] += 1;
+        }
+    }
+    for r in f.regions.iter() {
+        for &v in r.const_roots.iter().chain(r.key_roots.iter()) {
+            uses[v] += 1;
+        }
+    }
+    // Remove every pure, unused instruction, then whatever that leaves
+    // unused. Removing one never makes another used again, so this ends
+    // with the same set as repeated sweeps would.
+    let removable = |k: &InstKind| !k.has_side_effect() && k.has_result();
+    let mut dead: Vec<InstId> = reachable
+        .iter()
+        .filter(|&i| uses[i] == 0 && removable(f.kind(i)))
+        .collect();
+    let mut removed: IdSet<InstId> = IdSet::with_domain(f.insts.len());
+    while let Some(i) = dead.pop() {
+        removed.insert(i);
+        for v in f.kind(i).operands() {
+            uses[v] -= 1;
+            if uses[v] == 0 && reachable.contains(v) && removable(f.kind(v)) {
+                dead.push(v);
+            }
+        }
+    }
     let mut stats = OptStats::default();
-    loop {
-        let mut used: IdSet<InstId> = IdSet::with_domain(f.insts.len());
-        for b in placed_blocks(f) {
-            for &i in &f.blocks[b].insts {
-                for v in f.kind(i).operands() {
-                    used.insert(v);
-                }
-            }
-            for v in f.blocks[b].term.operands() {
-                used.insert(v);
-            }
-        }
-        // Region roots are observed by the specializer and the runtime.
-        for r in f.regions.iter() {
-            for &v in r.const_roots.iter().chain(r.key_roots.iter()) {
-                used.insert(v);
-            }
-        }
-        let mut removed = 0;
-        for b in placed_blocks(f) {
-            let before = f.blocks[b].insts.len();
-            let keep: Vec<InstId> = f.blocks[b]
-                .insts
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let k = f.kind(i);
-                    k.has_side_effect() || !k.has_result() || used.contains(i)
-                })
-                .collect();
-            removed += before - keep.len();
-            f.blocks[b].insts = keep;
-        }
-        if removed == 0 {
-            break;
-        }
-        stats.dead_removed += removed;
+    if removed.is_empty() {
+        return stats;
+    }
+    for &b in placed {
+        let list = &mut f.blocks[b].insts;
+        let before = list.len();
+        list.retain(|&i| !removed.contains(i));
+        stats.dead_removed += before - list.len();
     }
     stats
 }
 
+/// What local CSE unifies: two instructions with the same key compute the
+/// same value.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum CseKey {
+    /// Commutative operands normalized to ascending order.
+    Bin(BinOp, InstId, InstId),
+    Un(UnOp, InstId),
+    Int(i64),
+    /// By bit pattern, so `0.0` and `-0.0` stay apart.
+    Float(u64),
+    Global(GlobalId),
+    Frame(VarId),
+}
+
 /// Local common-subexpression elimination (within each block).
 pub fn local_cse(f: &mut Function) -> OptStats {
+    let placed = placed_blocks(f);
+    local_cse_in(f, &placed, &mut FxHashMap::default())
+}
+
+fn local_cse_in(
+    f: &mut Function,
+    placed: &[BlockId],
+    seen: &mut FxHashMap<CseKey, InstId>,
+) -> OptStats {
     let mut stats = OptStats::default();
-    for b in placed_blocks(f) {
-        let mut seen: HashMap<String, InstId> = HashMap::new();
-        let insts = f.blocks[b].insts.clone();
-        for i in insts {
-            let kind = f.kind(i).clone();
-            let key = match &kind {
+    for &b in placed {
+        seen.clear();
+        let Function { blocks, insts, .. } = &mut *f;
+        for &i in &blocks[b].insts {
+            let key = match insts[i].kind {
                 InstKind::Bin(op, a, b2) => {
-                    // Normalize commutative operands.
                     let (x, y) = if op.is_commutative() && b2 < a {
-                        (*b2, *a)
+                        (b2, a)
                     } else {
-                        (*a, *b2)
+                        (a, b2)
                     };
-                    Some(format!("bin:{op:?}:{x}:{y}"))
+                    CseKey::Bin(op, x, y)
                 }
-                InstKind::Un(op, a) => Some(format!("un:{op:?}:{a}")),
-                InstKind::Const(Const::Int(v)) => Some(format!("ci:{v}")),
-                InstKind::Const(Const::Float(v)) => Some(format!("cf:{:x}", v.to_bits())),
-                InstKind::GlobalAddr(g) => Some(format!("ga:{g}")),
-                InstKind::FrameAddr(v) => Some(format!("fa:{v}")),
-                _ => None,
+                InstKind::Un(op, a) => CseKey::Un(op, a),
+                InstKind::Const(Const::Int(v)) => CseKey::Int(v),
+                InstKind::Const(Const::Float(v)) => CseKey::Float(v.to_bits()),
+                InstKind::GlobalAddr(g) => CseKey::Global(g),
+                InstKind::FrameAddr(v) => CseKey::Frame(v),
+                _ => continue,
             };
-            let Some(key) = key else { continue };
-            match seen.get(&key) {
-                Some(&prev) => {
-                    f.insts[i].kind = InstKind::Copy(prev);
+            match seen.entry(key) {
+                Entry::Occupied(prev) => {
+                    insts[i].kind = InstKind::Copy(*prev.get());
                     stats.cse_hits += 1;
                 }
-                None => {
-                    seen.insert(key, i);
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
                 }
             }
         }
@@ -445,23 +502,25 @@ pub fn simplify_cfg(f: &mut Function) -> OptStats {
     }
 
     // 1. Thread jumps through empty forwarding blocks.
-    let mut forward: HashMap<BlockId, BlockId> = HashMap::new();
+    let mut forward: IndexVec<BlockId, Option<BlockId>> = f.blocks.iter().map(|_| None).collect();
+    let mut forwards = 0;
     for (b, blk) in f.iter_blocks() {
         if protected.contains(b) || !blk.insts.is_empty() {
             continue;
         }
         if let Terminator::Jump(t) = blk.term {
             if t != b {
-                forward.insert(b, t);
+                forward[b] = Some(t);
+                forwards += 1;
             }
         }
     }
     let resolve = |mut b: BlockId| {
         let mut n = 0;
-        while let Some(&t) = forward.get(&b) {
+        while let Some(t) = forward[b] {
             b = t;
             n += 1;
-            if n > forward.len() {
+            if n > forwards {
                 break;
             }
         }
@@ -472,19 +531,16 @@ pub fn simplify_cfg(f: &mut Function) -> OptStats {
     // has no φs.
     let has_phi: Vec<bool> = f
         .blocks
-        .ids()
-        .map(|b| {
-            f.blocks[b]
-                .insts
+        .iter()
+        .map(|blk| {
+            blk.insts
                 .first()
-                .map(|&i| matches!(f.kind(i), InstKind::Phi(_)))
-                .unwrap_or(false)
+                .is_some_and(|&i| matches!(f.kind(i), InstKind::Phi(_)))
         })
         .collect();
-    for b in f.blocks.ids().collect::<Vec<_>>() {
-        let mut term = f.blocks[b].term.clone();
+    for blk in f.blocks.iter_mut() {
         let mut changed = false;
-        term.map_successors(|s| {
+        blk.term.map_successors(|s| {
             let r = resolve(s);
             if r != s && !has_phi[r.index()] {
                 changed = true;
@@ -494,7 +550,6 @@ pub fn simplify_cfg(f: &mut Function) -> OptStats {
             }
         });
         if changed {
-            f.blocks[b].term = term;
             stats.cfg_simplified += 1;
         }
     }
@@ -503,7 +558,7 @@ pub fn simplify_cfg(f: &mut Function) -> OptStats {
     //    (reachable) predecessor is b.
     let live = dyncomp_ir::cfg::reachable(f);
     let preds = dyncomp_ir::cfg::Preds::compute(f);
-    for b in f.blocks.ids().collect::<Vec<_>>() {
+    for b in f.blocks.ids() {
         if !live.contains(b) {
             continue;
         }
@@ -513,13 +568,8 @@ pub fn simplify_cfg(f: &mut Function) -> OptStats {
         if t == b || protected.contains(t) {
             continue;
         }
-        let tpreds: Vec<BlockId> = preds
-            .of(t)
-            .iter()
-            .copied()
-            .filter(|p| live.contains(*p))
-            .collect();
-        if tpreds != [b] {
+        let mut tpreds = preds.of(t).iter().filter(|p| live.contains(**p));
+        if tpreds.next() != Some(&b) || tpreds.next().is_some() {
             continue;
         }
         if has_phi[t.index()] {
@@ -531,10 +581,10 @@ pub fn simplify_cfg(f: &mut Function) -> OptStats {
         f.blocks[b].insts.extend(t_insts);
         f.blocks[b].term = t_term;
         // Retarget φ operands naming t as predecessor.
-        for ob in f.blocks.ids().collect::<Vec<_>>() {
-            let insts = f.blocks[ob].insts.clone();
-            for i in insts {
-                if let InstKind::Phi(ins) = &mut f.insts[i].kind {
+        let Function { blocks, insts, .. } = &mut *f;
+        for blk in blocks.iter() {
+            for &i in &blk.insts {
+                if let InstKind::Phi(ins) = &mut insts[i].kind {
                     for (p, _) in ins.iter_mut() {
                         if *p == t {
                             *p = b;

@@ -46,13 +46,14 @@
 
 use dyncomp_analysis::unroll::check_unrollable;
 use dyncomp_analysis::{RegionAnalysis, UnrollError};
+use dyncomp_ir::cfg::Preds;
 use dyncomp_ir::dom::DomTree;
 use dyncomp_ir::loops::{find_loops, LoopForest};
 use dyncomp_ir::{
-    BinOp, Block, BlockId, Const, Function, IdSet, InstId, InstKind, Intrinsic, MemSize, RegionId,
-    SlotPath, TemplateMarker, Terminator, Ty, UnOp,
+    BinOp, Block, BlockId, Const, Function, IdSet, IndexVec, InstId, InstKind, Intrinsic, MemSize,
+    RegionId, SlotPath, TemplateMarker, Terminator, Ty, UnOp,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Counters of the dynamic optimizations the split *plans* (Table 3).
@@ -302,12 +303,10 @@ pub fn specialize_region(
     let r = f.regions[region].clone();
 
     // Region entry must only be entered from outside.
-    {
-        let preds = dyncomp_ir::cfg::Preds::compute(f);
-        for &p in preds.of(r.entry) {
-            if r.blocks.contains(p) {
-                return Err(SpecError::MultipleEntries(r.entry));
-            }
+    let preds = Preds::compute(f);
+    for &p in preds.of(r.entry) {
+        if r.blocks.contains(p) {
+            return Err(SpecError::MultipleEntries(r.entry));
         }
     }
 
@@ -330,11 +329,13 @@ pub fn specialize_region(
         analysis,
         forest: &forest,
         uloops,
+        preds,
         rpo: Vec::new(),
         rpo_pos: HashMap::new(),
+        def_block: IndexVec::new(),
         ext_blocks: HashMap::new(),
         ctx_cache: HashMap::new(),
-        requirements: HashMap::new(),
+        requirements: BTreeMap::new(),
         loop_layout: HashMap::new(),
         static_len: 0,
         stats: SpecStats::default(),
@@ -397,14 +398,22 @@ struct Spec<'a> {
     analysis: &'a RegionAnalysis,
     forest: &'a LoopForest,
     uloops: Vec<usize>,
+    /// Predecessors of the region's blocks. Every block specialization
+    /// adds (template copies, markers, exit stubs, set-up code) jumps only
+    /// to blocks it adds or to the region's exit targets, so these lists
+    /// hold until the region is rewired.
+    preds: Preds,
     rpo: Vec<BlockId>,
     rpo_pos: HashMap<BlockId, usize>,
+    /// The region block defining each value that existed before
+    /// specialization.
+    def_block: IndexVec<InstId, Option<BlockId>>,
     /// Extended membership per unrolled loop: natural blocks plus region
     /// blocks unreachable without the loop (per-iteration exit tails).
     ext_blocks: HashMap<usize, IdSet<BlockId>>,
     ctx_cache: HashMap<BlockId, Ctx>,
     /// (value, context) → leaf slot index.
-    requirements: HashMap<(InstId, Ctx), u32>,
+    requirements: BTreeMap<(InstId, Ctx), u32>,
     loop_layout: HashMap<usize, LoopLayout>,
     static_len: u32,
     stats: SpecStats,
@@ -416,8 +425,12 @@ impl Spec<'_> {
             .into_iter()
             .filter(|b| self.r.blocks.contains(*b))
             .collect();
+        self.def_block = self.f.insts.iter().map(|_| None).collect();
         for (i, &b) in rpo.iter().enumerate() {
             self.rpo_pos.insert(b, i);
+            for &v in &self.f.blocks[b].insts {
+                self.def_block[v].get_or_insert(b);
+            }
         }
         self.rpo = rpo;
     }
@@ -522,12 +535,10 @@ impl Spec<'_> {
     /// The context in which a value is defined (empty for region roots and
     /// other out-of-region values).
     fn def_ctx(&mut self, v: InstId) -> Ctx {
-        for b in self.rpo.clone() {
-            if self.f.blocks[b].insts.contains(&v) {
-                return self.ctx_of(b);
-            }
+        match self.def_block.get(v).copied().flatten() {
+            Some(b) => self.ctx_of(b),
+            None => Vec::new(),
         }
-        Vec::new()
     }
 
     /// Record that constant `v` must be available at `use_ctx`; returns the
@@ -579,7 +590,6 @@ impl Spec<'_> {
     }
 
     fn collect_requirements(&mut self) {
-        let preds = dyncomp_ir::cfg::Preds::compute(self.f);
         for b in self.rpo.clone() {
             let b_ctx = self.ctx_of(b);
             for i in self.f.blocks[b].insts.clone() {
@@ -620,7 +630,6 @@ impl Spec<'_> {
                 }
             }
         }
-        let _ = preds;
     }
 
     /// Number the slots: static area first (values then top-level loop
@@ -646,9 +655,7 @@ impl Spec<'_> {
             .filter(|&li| parent_of(self, li).is_none())
             .collect();
 
-        // Sorted requirement keys for determinism.
-        let mut reqs: Vec<(InstId, Ctx)> = self.requirements.keys().cloned().collect();
-        reqs.sort_by(|a, b| (a.0 .0, &a.1).cmp(&(b.0 .0, &b.1)));
+        let reqs: Vec<(InstId, Ctx)> = self.requirements.keys().cloned().collect();
 
         // Static area.
         let mut idx: u32 = 0;
@@ -1182,7 +1189,6 @@ impl Spec<'_> {
         b: BlockId,
         rb_override: Option<InstId>,
     ) {
-        let preds = dyncomp_ir::cfg::Preds::compute(self.f);
         // Reachability boolean.
         let rb_b = if let Some(v) = rb_override {
             v
@@ -1191,7 +1197,7 @@ impl Spec<'_> {
         } else {
             let my_pos = self.rpo_pos[&b];
             let mut acc: Option<InstId> = None;
-            for &p in preds.of(b) {
+            for p in self.preds.of(b).to_vec() {
                 if !self.r.blocks.contains(p) {
                     continue;
                 }
@@ -1332,8 +1338,8 @@ impl Spec<'_> {
     fn store_slots(&mut self, g: &mut SetupGen, v: InstId, level: &Ctx) {
         let reqs: Vec<(Ctx, u32)> = self
             .requirements
-            .iter()
-            .filter(|((rv, _), _)| *rv == v)
+            .range((v, Ctx::new())..)
+            .take_while(|((rv, _), _)| *rv == v)
             .map(|((_, c), &leaf)| (c.clone(), leaf))
             .collect();
         for (ctx, leaf) in reqs {
@@ -1374,10 +1380,10 @@ impl Spec<'_> {
             c
         };
         let layout = self.loop_layout[&li].clone();
-        let preds = dyncomp_ir::cfg::Preds::compute(self.f);
 
         // Entry condition and entry φ-values (computed in the pre block).
-        let entry_preds: Vec<BlockId> = preds
+        let entry_preds: Vec<BlockId> = self
+            .preds
             .of(h)
             .iter()
             .copied()

@@ -374,3 +374,34 @@ fn native_flag_runs_and_summarizes() {
         assert!(out.contains("unavailable on this host"), "{out}");
     }
 }
+
+#[test]
+fn time_passes_reports_every_phase() {
+    let p = write_temp("power_time.mc", POWER);
+    let (out, err, ok) = dyncc(&[
+        p.to_str().unwrap(),
+        "--time-passes",
+        "--run",
+        "power",
+        "5",
+        "3",
+    ]);
+    assert!(ok, "{err}");
+    for phase in [
+        "frontend.compile",
+        "ir.ssa",
+        "opt.optimize",
+        "ir.cfg_verify",
+        "analysis.analyze_region",
+        "specialize.region",
+        "codegen.compile_module",
+        "unattributed",
+    ] {
+        assert!(
+            out.lines().any(|l| l.trim_start().starts_with(phase)),
+            "no {phase} row: {out}"
+        );
+    }
+    // The timed compile is the one that runs.
+    assert!(out.contains("power(5, 3) = 243"), "{out}");
+}
