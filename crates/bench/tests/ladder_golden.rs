@@ -1,6 +1,7 @@
 //! Golden for the probe ladder: the FNV-1a-64 of every session's
-//! `trace_jsonl()` and of its `health()` failure records (`at`, region,
-//! kind, injected, message), over the five paper kernels in each mode the
+//! `trace_jsonl()`, of its `health()` failure records (`at`, region,
+//! kind, injected, message) and of its `native_report()` (every count but
+//! the host-time `translate_ns` and the host-dependent `active`), over the five paper kernels in each mode the
 //! ladder distinguishes and under every fault point, plus three small
 //! programs for the declines no kernel provokes: stale table reads, a
 //! refused relocation and a genuine stitcher error.
@@ -20,34 +21,36 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// `(case, FNV of the traces, FNV of the failure records)`.
+/// `(case, FNV of the traces, FNV of the failure records, FNV of the
+/// native reports)`. The native column is compared only on hosts with
+/// the backend.
 #[rustfmt::skip]
-const GOLDEN: &[(&str, u64, u64)] = &[
-    ("default", 0x10746a8c0175c9cc, 0xcbf29ce484222325),
-    ("shared", 0xf1853603b3cc54a0, 0xcbf29ce484222325),
-    ("persist", 0x1938206d83759a6b, 0xcbf29ce484222325),
-    ("tiered-speculate", 0xbf35d7910e961bae, 0xcbf29ce484222325),
-    ("native-chained", 0xdad3d47929835f01, 0xcbf29ce484222325),
-    ("capacity-1", 0x8e1bf7112a72dc0f, 0xcbf29ce484222325),
-    ("code-budget", 0xc10fb0044aa1ad6e, 0xcbf29ce484222325),
-    ("SetupVmTrap x3", 0x8a0c9186bdc55c9e, 0x00849fa0b32c1557),
-    ("CodeArenaExhausted x3", 0x8cfd276375a0e3a5, 0x12c986837e32d91d),
-    ("StitchBadTemplate", 0x24ac57b8b5be7558, 0x9c24f1bae7ba07d0),
-    ("CodeArenaExhausted", 0x59c1a4b587e88fb6, 0xf02fc258cd250086),
-    ("CodeCorruption", 0x2911979133b03013, 0x0bc424e1f0dd976e),
-    ("SharedCacheInstall", 0xbd7f0f2fa6560358, 0x88ac4484522cadae),
-    ("SharedCachePoisonedShard", 0x49696eb75c89bb68, 0x84b65904d2774e4d),
-    ("WorkerPanic", 0xf051670b5f0f816d, 0x7836bd32348cc378),
-    ("WorkerSlow", 0xea5d9f182490a746, 0xcbf29ce484222325),
-    ("SetupVmTrap", 0x41ae122f84dbb447, 0xa8ad455016befec2),
-    ("NativeArenaExhausted", 0x79d7884d20a553ce, 0xa3d080f339b983d6),
-    ("NativeChainPatch", 0x492ce2f2fe50c0d8, 0xc0191348a898e8fc),
-    ("PersistWriteTorn", 0xc58402823beeed52, 0xb7262c181557a614),
-    ("PersistLoadCorrupt", 0x1f0ee931195dc64b, 0xfd46d7b323bd383e),
-    ("PersistLockContended", 0x14debbab0c6084f4, 0x59b790ee52618e2c),
-    ("stale-reads", 0x305bc9e5749205f8, 0x37474d2640afa577),
-    ("refused-relocation", 0xca71bc4b5f3ca3fe, 0x3742ba646223b796),
-    ("runaway-unroll", 0xc34e4a97bcfccfae, 0xc102a9a87a69402b),
+const GOLDEN: &[(&str, u64, u64, u64)] = &[
+    ("default", 0x10746a8c0175c9cc, 0xcbf29ce484222325, 0x64b93b7504ac92ca),
+    ("shared", 0xf1853603b3cc54a0, 0xcbf29ce484222325, 0xb8a56c74b820526d),
+    ("persist", 0x1938206d83759a6b, 0xcbf29ce484222325, 0xb8a56c74b820526d),
+    ("tiered-speculate", 0xbf35d7910e961bae, 0xcbf29ce484222325, 0x64b93b7504ac92ca),
+    ("native-chained", 0xdad3d47929835f01, 0xcbf29ce484222325, 0x9b03ba1d02a40504),
+    ("capacity-1", 0x8e1bf7112a72dc0f, 0xcbf29ce484222325, 0x64b93b7504ac92ca),
+    ("code-budget", 0xc10fb0044aa1ad6e, 0xcbf29ce484222325, 0x64b93b7504ac92ca),
+    ("SetupVmTrap x3", 0x8a0c9186bdc55c9e, 0x00849fa0b32c1557, 0x64b93b7504ac92ca),
+    ("CodeArenaExhausted x3", 0x8cfd276375a0e3a5, 0x12c986837e32d91d, 0x64b93b7504ac92ca),
+    ("StitchBadTemplate", 0x24ac57b8b5be7558, 0x9c24f1bae7ba07d0, 0x64b93b7504ac92ca),
+    ("CodeArenaExhausted", 0x59c1a4b587e88fb6, 0xf02fc258cd250086, 0x64b93b7504ac92ca),
+    ("CodeCorruption", 0x2911979133b03013, 0x0bc424e1f0dd976e, 0x64b93b7504ac92ca),
+    ("SharedCacheInstall", 0xbd7f0f2fa6560358, 0x88ac4484522cadae, 0xb8a56c74b820526d),
+    ("SharedCachePoisonedShard", 0x49696eb75c89bb68, 0x84b65904d2774e4d, 0xb8a56c74b820526d),
+    ("WorkerPanic", 0xf051670b5f0f816d, 0x7836bd32348cc378, 0x64b93b7504ac92ca),
+    ("WorkerSlow", 0xea5d9f182490a746, 0xcbf29ce484222325, 0x64b93b7504ac92ca),
+    ("SetupVmTrap", 0x41ae122f84dbb447, 0xa8ad455016befec2, 0x64b93b7504ac92ca),
+    ("NativeArenaExhausted", 0x79d7884d20a553ce, 0xa3d080f339b983d6, 0x792c4af95a180456),
+    ("NativeChainPatch", 0x492ce2f2fe50c0d8, 0xc0191348a898e8fc, 0x073efe4a347dd640),
+    ("PersistWriteTorn", 0xc58402823beeed52, 0xb7262c181557a614, 0xb8a56c74b820526d),
+    ("PersistLoadCorrupt", 0x1f0ee931195dc64b, 0xfd46d7b323bd383e, 0x60b1e9081fb257a2),
+    ("PersistLockContended", 0x14debbab0c6084f4, 0x59b790ee52618e2c, 0xb8a56c74b820526d),
+    ("stale-reads", 0x305bc9e5749205f8, 0x37474d2640afa577, 0x003e82573308d3cd),
+    ("refused-relocation", 0xca71bc4b5f3ca3fe, 0x3742ba646223b796, 0x813baf406446c81a),
+    ("runaway-unroll", 0xc34e4a97bcfccfae, 0xc102a9a87a69402b, 0x813baf406446c81a),
 ];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -66,6 +69,7 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
 struct Cell {
     trace: u64,
     health: u64,
+    native: u64,
     seen: BTreeMap<String, usize>,
 }
 
@@ -74,6 +78,7 @@ impl Cell {
         Cell {
             trace: FNV_OFFSET,
             health: FNV_OFFSET,
+            native: FNV_OFFSET,
             seen: BTreeMap::new(),
         }
     }
@@ -109,6 +114,19 @@ impl Cell {
             let sig = format!("{}|{}|{}", f.kind.name(), f.injected, f.message);
             *self.seen.entry(sig).or_default() += 1;
         }
+        let n = session.native_report();
+        let report = format!(
+            "{}|{}|{}|{}|{}|{}|{}|{}\n",
+            n.enabled,
+            n.installs,
+            n.declined,
+            n.entries,
+            n.chained,
+            n.bytes,
+            n.translated_instructions,
+            n.covered_instructions
+        );
+        self.native = fnv(self.native, report.as_bytes());
     }
 
     fn count(&self, sig: &str) -> usize {
@@ -506,12 +524,13 @@ fn ladder_traces_and_health_match_the_golden() {
         if case == "native-chained" && !native {
             continue; // no backend here: a different, equally valid trace
         }
-        let golden = GOLDEN.iter().find(|(name, _, _)| name == case);
-        let want = golden.map(|&(_, t, h)| (t, h));
-        if want != Some((cell.trace, cell.health)) {
+        let golden = GOLDEN.iter().find(|(name, ..)| name == case);
+        let mask = |n: u64| if native { n } else { 0 };
+        let want = golden.map(|&(_, t, h, n)| (t, h, mask(n)));
+        if want != Some((cell.trace, cell.health, mask(cell.native))) {
             drift.push(format!(
-                "    (\"{case}\", 0x{:016x}, 0x{:016x}),",
-                cell.trace, cell.health
+                "    (\"{case}\", 0x{:016x}, 0x{:016x}, 0x{:016x}),",
+                cell.trace, cell.health, cell.native
             ));
         }
     }

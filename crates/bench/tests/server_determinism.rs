@@ -274,6 +274,9 @@ fn forced_native_state_loss_degrades_one_session_only() {
 /// Engine-level version of the same invariant (no server): force the
 /// loss mid-session and keep calling — results stay correct, exactly one
 /// `engine-state` failure is recorded, and the session never panics.
+/// Keys first seen after the loss stitch fresh instances that arm no
+/// dispatch mark: a mark with no backend behind it would dispatch and
+/// record a second `engine-state` entry.
 #[test]
 fn engine_survives_native_state_loss_mid_session() {
     let program = Arc::new(Compiler::new().compile(KERNEL).unwrap());
@@ -296,6 +299,17 @@ fn engine_survives_native_state_loss_mid_session() {
         let x = 10 + call;
         assert_eq!(s.call("poly", &[3, x]).unwrap(), 3 * x * x + 3 * x + 3);
     }
+    let stitches = s.region_report(0).stitches;
+    for c in 4..8u64 {
+        for x in 1..4u64 {
+            assert_eq!(s.call("poly", &[c, x]).unwrap(), c * x * x + c * x + c);
+        }
+    }
+    assert_eq!(
+        s.region_report(0).stitches,
+        stitches + 4,
+        "every new key stitches after the loss"
+    );
     let h = s.health();
     let entries = h
         .failures
