@@ -46,7 +46,6 @@ use crate::persist::{InstanceProbe, PersistentCache, StoreOutcome};
 use crate::tiered::{TierDecision, TieredOptions, TieredState};
 use crate::trace::{ClockDomain, EventKind, RegionProfile, TraceOptions, TraceState};
 use crate::{Error, Program};
-use dyncomp_ir::eval::EvalError;
 use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_machine::heap::HeapBuilder;
 use dyncomp_machine::isa::{decode, encode, Inst, Op, CTP, SP};
@@ -56,7 +55,10 @@ use dyncomp_machine::vm::{Stop, Vm, VmError};
 use dyncomp_stitcher::{StitchError, StitchOptions, StitchStats, Stitched};
 use std::borrow::Borrow;
 use std::sync::Arc;
-use std::time::Instant;
+
+mod native;
+pub(crate) use native::keyslot;
+use native::NativeState;
 
 /// Session configuration.
 #[derive(Clone, Debug)]
@@ -132,7 +134,7 @@ pub struct EngineOptions {
     /// between native instances without bouncing through the VM loop.
     /// Keyed `EnterRegion` traps additionally get patchable monomorphic
     /// inline-cache guards (unless another option needs the trap: see
-    /// `Session::guards_enabled`). Chained transfers charge *exactly* the
+    /// DESIGN.md § "Engine: one miss path…"). Chained transfers charge *exactly* the
     /// simulated cycles and fuel the VM-dispatched path would, so all
     /// simulated quantities stay bit-identical. On by default; `false`
     /// reproduces the PR 6 one-instance-per-dispatch behaviour (the
@@ -189,55 +191,6 @@ pub const DISPATCH_CYCLES: u64 = 25;
 /// Virtual-cycle backoff charged per retry, scaled linearly by the
 /// attempt number (attempt `n` charges `n * RETRY_BACKOFF_CYCLES`).
 pub const RETRY_BACKOFF_CYCLES: u64 = 200;
-
-/// Native dispatches within a single `call` before the whole-static-code
-/// instance is installed (chain mode). Kernels that bounce between
-/// native instances and the VM loop cross this within their first
-/// post-install call; kernels that enter native once per call never do,
-/// and never pay the snapshot's one-time translate cost. Purely a
-/// host-side heuristic: simulated cycles are identical either way.
-const STATIC_CHAIN_THRESHOLD: u64 = 4;
-
-/// Per-session state of the host-native backend (`Some` iff
-/// [`EngineOptions::native`] was set). All counters are host-side
-/// bookkeeping: nothing here charges simulated cycles.
-#[derive(Default)]
-struct NativeState {
-    /// Installed instances and their executable arena.
-    backend: dyncomp_native::Backend,
-    /// Set after an install-layer failure (unsupported host, mapping
-    /// refused): no further installs are attempted this session.
-    disabled: bool,
-    /// Whether the `backend-unavailable` health entry was recorded (it
-    /// is recorded at most once per session).
-    reported: bool,
-    /// Artifact pre-translated by `end_setup` (so the published
-    /// [`Stitched`] carries its native footprint), keyed by install base
-    /// and consumed by `index_instance`.
-    pending: Option<(u32, dyncomp_native::Artifact)>,
-    /// The session-accumulated counters of [`Session::native_report`]
-    /// (`enabled`, `active`, `chained` and `bytes` are read off the
-    /// backend when the report is taken).
-    counters: NativeReport,
-    /// Whether the whole-static-code instance install was attempted
-    /// (chain mode; tried once, lazily, when a single call shows
-    /// repeated native dispatches — the VM-bounce pattern chaining
-    /// exists to collapse).
-    static_attempted: bool,
-    /// Value of `counters.entries` when the current `call` started; the
-    /// install heuristic compares against it to detect repeated
-    /// dispatches within one call.
-    call_entries: u64,
-    /// pcs marked for native dispatch, per install base — retired when
-    /// the instance is severed so the VM never bounces on a dead pc.
-    marks: FxHashMap<u32, Vec<u32>>,
-    /// Install base → owning region ([`crate::STATIC_REGION`] for the
-    /// static-code instance), for attributing chained transfers.
-    region_of: FxHashMap<u32, u16>,
-    /// Direct transfers attributed to the static-code instance (it has
-    /// no per-region report row).
-    static_chained: u64,
-}
 
 /// Host-native backend counters ([`Session::native_report`]). All
 /// wall-clock figures are host-side measurements; the simulated cycle
@@ -390,12 +343,10 @@ pub struct Session<P: Borrow<Program> = Arc<Program>> {
     /// Recovery bookkeeping: the bounded failure ring, per-region
     /// quarantine, the byte-budget ladder.
     recovery: RecoveryState,
-    /// Host-native backend state; `Some` iff [`EngineOptions::native`]
-    /// was set. Boxed: the default VM-only path carries one pointer.
+    /// The host-native backend facet ([`native`]); `Some` iff
+    /// [`EngineOptions::native`] was set. Boxed: the default VM-only path
+    /// carries one pointer.
     native: Option<Box<NativeState>>,
-    /// Set once the `engine-state` health entry for a lost native state
-    /// has been recorded (it is recorded at most once per session).
-    native_lost: bool,
 }
 
 /// Single-owner compatibility alias: a [`Session`] borrowing the program.
@@ -431,7 +382,7 @@ impl<P: Borrow<Program>> Session<P> {
             .as_ref()
             .map(|plan| Box::new(FaultState::new(plan)));
         let recovery = RecoveryState::new(options.recovery.clone(), p.compiled.regions.len());
-        let native = options.native.then(Box::<NativeState>::default);
+        let native = options.native.then(|| Box::new(NativeState::new(&options)));
         Session {
             program,
             vm,
@@ -442,7 +393,6 @@ impl<P: Borrow<Program>> Session<P> {
             faults,
             recovery,
             native,
-            native_lost: false,
         }
     }
 
@@ -462,10 +412,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// VM faults, stitching failures, unknown names.
     pub fn call(&mut self, name: &str, args: &[u64]) -> Result<u64, Error> {
         if let Some(ns) = self.native.as_deref_mut() {
-            // Call boundary for the static-instance install heuristic:
-            // only repeated dispatches *within* one call count as the
-            // bounce pattern worth paying the snapshot translate for.
-            ns.call_entries = ns.counters.entries;
+            ns.begin_call();
         }
         let entry = self
             .program
@@ -499,50 +446,10 @@ impl<P: Borrow<Program>> Session<P> {
         }
     }
 
-    /// Checked accessor for the native-backend state at call sites whose
-    /// surrounding control flow has already established it exists (the
-    /// former `expect("checked above")` sites). A refactor slip that
-    /// breaks the invariant must not abort the process — the session may
-    /// be one of thousands multiplexed in a `dynccd` server — so a
-    /// missing state records one typed `engine-state` health entry,
-    /// retires every native dispatch mark (degrading this session to the
-    /// pure-VM path), and returns `None` for the caller to skip the
-    /// native-side work. Results stay correct either way: the VM is the
-    /// oracle and native state is host-side bookkeeping only.
-    fn native_checked(&mut self, region: u16) -> Option<&mut NativeState> {
-        if self.native.is_none() {
-            self.native_state_lost(region);
-            return None;
-        }
-        self.native.as_deref_mut()
-    }
-
-    /// The "checked above" invariant broke: degrade this session to the
-    /// VM path (clear every dispatch mark so the interpreter never traps
-    /// into the missing backend again) and record one `engine-state`
-    /// entry in the health ring. `region` is an attribution hint; the
-    /// [`crate::STATIC_REGION`] sentinel is fine.
-    #[cold]
-    fn native_state_lost(&mut self, region: u16) {
-        self.vm.clear_native_marks();
-        if !self.native_lost {
-            self.native_lost = true;
-            self.record_failure(
-                region,
-                FailureKind::EngineState,
-                false,
-                "native-backend state missing at a checked dispatch site: \
-                 session degraded to the VM path"
-                    .to_string(),
-            );
-        }
-    }
-
-    /// Test hook: drop the native-backend state while leaving its VM
-    /// dispatch marks armed — the exact state mismatch
-    /// [`Session::native_checked`] exists to survive. The next dispatch
-    /// must degrade this one session to the VM path (recording one
-    /// `engine-state` health entry), never panic.
+    /// Test hook: drop the native facet while leaving its VM dispatch
+    /// marks armed. The next dispatch must degrade this one session to
+    /// the VM path (recording one `engine-state` health entry), never
+    /// panic.
     #[doc(hidden)]
     pub fn force_native_state_loss(&mut self) {
         self.native = None;
@@ -556,426 +463,83 @@ impl<P: Borrow<Program>> Session<P> {
     #[doc(hidden)]
     pub fn fail_native_reseals(&mut self, n: u32) {
         if let Some(ns) = self.native.as_deref_mut() {
-            ns.backend.fail_next_reseals(n);
+            ns.fail_reseals(n);
         }
     }
 
-    /// Serve a [`Stop::Native`] dispatch: run the installed host
-    /// instance, then resume the VM at the native exit pc (or surface
-    /// the identical `VmError` the interpreter would have produced).
+    /// Serve a [`Stop::Native`] dispatch through the native facet and
+    /// book the direct transfers it took.
     ///
-    /// A bail-out that made no progress — fuel too low to charge the
-    /// first block, or an entry the translator could not cover — hands
-    /// the pc back to the interpreter exactly once
-    /// ([`Vm::skip_native_once`]), so execution always advances.
+    /// A dispatch mark with no facet behind it is the one reachable state
+    /// loss ([`Session::force_native_state_loss`]): it clears every mark,
+    /// so the VM interprets this pc and all others from here on, and
+    /// records one `engine-state` entry. Only the facet arms marks, so
+    /// none comes back to record a second.
     fn native_dispatch(&mut self, at: u32) -> Result<(), Error> {
-        let (out, delta, region) = {
-            // Field-level borrow (not `native_checked`): the backend run
-            // needs `&mut self.vm` alongside the state. The degrade path
-            // is the same one the accessor takes.
-            let Some(ns) = self.native.as_deref_mut() else {
-                // A dispatch mark with no backend state behind it: the
-                // "checked above" invariant broke. Record the mismatch,
-                // retire every mark, and let the VM interpret this pc
-                // (and all others) from here on.
-                self.native_state_lost(crate::STATIC_REGION);
-                return Ok(());
-            };
-            let before = ns.backend.chained();
-            let out = ns.backend.run(at, &mut self.vm);
-            let delta = ns.backend.chained() - before;
-            let region = ns
-                .backend
-                .base_of(at)
-                .and_then(|b| ns.region_of.get(&b).copied());
-            (out, delta, region)
-        };
-        // An entry is a dispatch that made progress: a bail-out straight
-        // back to the dispatch pc (fuel too short for the first block)
-        // and a raced eviction are not entries.
-        let progressed = match out {
-            dyncomp_native::RunOutcome::Missing => false,
-            dyncomp_native::RunOutcome::Exit { pc } => pc != at || delta > 0,
-            _ => true,
-        };
-        if progressed {
-            let mut bounce = false;
-            if let Some(ns) = self.native_checked(region.unwrap_or(crate::STATIC_REGION)) {
-                ns.counters.entries += 1;
-                // The bounce heuristic: one call re-dispatching this
-                // often is ping-ponging between native code and the VM
-                // loop, so the one-time static-snapshot translate will
-                // pay for itself. Kernels that enter native once per
-                // call never trip it and never pay.
-                bounce = !ns.static_attempted
-                    && ns.counters.entries - ns.call_entries >= STATIC_CHAIN_THRESHOLD;
-            }
-            if bounce {
-                self.install_static_native();
-            }
-        }
-        if delta > 0 {
-            match region {
-                Some(r) if (r as usize) < self.regions.len() => {
-                    self.regions[r as usize].report.native_chained += delta;
-                    self.tr(EventKind::NativeChained {
-                        region: r,
-                        count: delta,
-                    });
-                }
-                _ => {
-                    if let Some(ns) = self.native_checked(crate::STATIC_REGION) {
-                        ns.static_chained += delta;
-                    }
-                    self.tr(EventKind::NativeChained {
-                        region: crate::STATIC_REGION,
-                        count: delta,
-                    });
-                }
-            }
-        }
-        match out {
-            dyncomp_native::RunOutcome::Exit { pc } => {
-                if pc == at {
-                    self.vm.skip_native_once(at);
-                }
-                self.vm.pc = pc;
-                Ok(())
-            }
-            dyncomp_native::RunOutcome::MemFault { addr } => {
-                Err(Error::Vm(VmError::Mem(EvalError::OutOfBounds { addr })))
-            }
-            dyncomp_native::RunOutcome::DivFault { pc } => {
-                Err(Error::Vm(VmError::DivideByZero { pc }))
-            }
-            dyncomp_native::RunOutcome::Missing => {
-                self.vm.unmark_native(at);
-                Ok(())
-            }
-        }
-    }
-
-    /// Fold one translation's host wall-clock and coverage into the
-    /// session counters (skipped, via [`Session::native_checked`], if the
-    /// state vanished between the caller's check and here).
-    fn note_translation(&mut self, region: u16, start: Instant, a: &dyncomp_native::Artifact) {
-        if let Some(ns) = self.native_checked(region) {
-            ns.counters.translate_ns += start.elapsed().as_nanos() as u64;
-            ns.counters.translated_instructions += u64::from(a.instructions);
-            ns.counters.covered_instructions += u64::from(a.covered);
-        }
-    }
-
-    /// Translate the `len` code words installed at `base` for the native
-    /// backend.
-    fn translate_native(&mut self, region: u16, base: u32, len: u32) -> dyncomp_native::Artifact {
-        let start = Instant::now();
-        let code = &self.vm.code[base as usize..(base as usize + len as usize)];
-        // Chain mode lowers Jmp/Jsr through the dispatch table; region
-        // instances carry no guard sleds (those live in the static-code
-        // instance, in front of the EnterRegion traps themselves).
-        let spec = dyncomp_native::ChainSpec {
-            indirect: self.options.native_chain,
-            guards: Vec::new(),
-            leaders: Vec::new(),
-        };
-        let artifact = dyncomp_native::translate_with(code, base, &self.vm.model, &spec);
-        self.note_translation(region, start, &artifact);
-        artifact
-    }
-
-    /// Whether `EnterRegion` inline-cache guards may be patched: a guard
-    /// hit bypasses the trap handler, so not under tiering (the key
-    /// predictor feeds on traps) nor under a `keyed_cache_capacity` bound
-    /// (hits touch the LRU).
-    fn guards_enabled(&self) -> bool {
-        self.options.native_chain
-            && self.options.keyed_cache_capacity.is_none()
-            && self.options.tiered.is_none()
-    }
-
-    /// Install the whole static code region as one native instance
-    /// (chain mode): every supported block leader becomes a dispatch
-    /// point and a published chain target, `Jmp`/`Jsr` thread through
-    /// the dispatch table, and `EnterRegion` pcs reserve patchable guard
-    /// sleds. Attempted once, lazily, when the bounce heuristic fires
-    /// ([`STATIC_CHAIN_THRESHOLD`] dispatches within one call); a decline
-    /// (nothing lowered, arena refused) leaves the session on the
-    /// per-instance path. The translation is the program's
-    /// ([`Program::native_snapshot`]), made from the code as compiled, so
-    /// traps retired before the install still appear as `EnterRegion`
-    /// words — their guard sleds are armed retroactively below.
-    fn install_static_native(&mut self) {
-        if !self.options.native_chain {
-            return;
-        }
         let Some(ns) = self.native.as_deref_mut() else {
-            return;
+            self.vm.clear_native_marks();
+            self.record_failure(
+                crate::STATIC_REGION,
+                FailureKind::EngineState,
+                false,
+                "native-backend state missing at a checked dispatch site: \
+                 session degraded to the VM path"
+                    .to_string(),
+            );
+            return Ok(());
         };
-        if ns.static_attempted || ns.disabled {
-            return;
-        }
-        ns.static_attempted = true;
-        if !dyncomp_native::available() || self.program.borrow().compiled.code.is_empty() {
-            // `maybe_install_native` reports host unavailability once.
-            return;
-        }
-        let start = Instant::now();
-        let artifact = self
-            .program
-            .borrow()
-            .native_snapshot(&self.vm.model, self.guards_enabled());
-        self.note_translation(crate::STATIC_REGION, start, &artifact);
-        let Some(ns) = self.native_checked(crate::STATIC_REGION) else {
-            return;
-        };
-        if ns.backend.install_any(0, &artifact).is_err() {
-            return;
-        }
-        ns.counters.installs += 1;
-        ns.region_of.insert(0, crate::STATIC_REGION);
-        // Deliberately mark *no* VM dispatch pc for the static snapshot:
-        // marking every leader would hand the VM off into many short
-        // native runs (one per stretch between unsupported ops), and the
-        // per-dispatch FFI overhead of those bounces costs more than the
-        // VM interpreting the same stretch. The snapshot is reached only
-        // through chained transfers — dispatch-table jumps and patched
-        // exits from region instances, and patched entry guards — where
-        // control is already native and the transfer is a bare `jmp`.
-        ns.marks.insert(0, Vec::new());
-        ns.backend.chain(0);
-        self.retire_discarded_native();
-        // Unkeyed regions whose trap retired before this install left
-        // their guard sleds unarmed (retirement arms the guard, but the
-        // sled did not exist yet). Arm them now; keyed guards re-arm on
-        // the next cache hit without help.
-        let retired: Vec<(u16, u32)> = self
-            .program
-            .borrow()
-            .compiled
-            .regions
-            .iter()
-            .enumerate()
-            .filter(|(_, rc)| rc.key_locs.is_empty())
-            .filter_map(|(i, _)| {
-                let entry = self.regions[i].cache.get(&[] as &[u64])?;
-                Some((i as u16, entry.base))
-            })
-            .collect();
-        for (region, base) in retired {
-            self.maybe_patch_guard(region, &[], base);
-        }
-    }
-
-    /// Retire the dispatch marks of every instance the backend removed
-    /// on its own because a patch on it, or on a link it held, failed:
-    /// the VM must not bounce on a pc whose code is gone.
-    fn retire_discarded_native(&mut self) {
-        let Some(ns) = self.native.as_deref_mut() else {
-            return;
-        };
-        for base in ns.backend.take_discarded() {
-            ns.region_of.remove(&base);
-            for pc in ns.marks.remove(&base).unwrap_or_default() {
-                self.vm.unmark_native(pc);
+        let retired = self.regions.iter().enumerate().filter_map(|(i, st)| {
+            let entry = st.cache.get(&[] as &[u64])?;
+            Some((i as u16, entry.base))
+        });
+        let (region, count, resume) = ns.dispatch(at, &mut self.vm, self.program.borrow(), retired);
+        if count > 0 {
+            if let Some(st) = self.regions.get_mut(usize::from(region)) {
+                st.report.native_chained += count;
             }
+            self.tr(EventKind::NativeChained { region, count });
         }
+        Ok(resume?)
     }
 
-    /// Request direct threading for the freshly installed instance at
-    /// `base`. The fault plan is consulted *before* any availability
-    /// check — an injected chain-patch failure is exercised (and
-    /// counted) on every host — and a declined request leaves the
-    /// instance installed but unchained, excluded from chaining in both
-    /// directions.
-    fn request_chain(&mut self, region: u16, base: u32) {
-        if self.native.is_none() || !self.options.native_chain {
-            return;
-        }
-        if self.injected(FaultPoint::NativeChainPatch, region) {
+    /// The served sink's native step for the instance just installed at
+    /// `base`: install, then chain, each behind its fault point (consulted
+    /// on every host, so injected faults are exercised where the backend
+    /// cannot run). A declined chain leaves the instance unchained. The
+    /// facet is looked up after each fault point, whose record may
+    /// quarantine the region and sever through it. Returns the host bytes
+    /// installed, which count against the byte budget.
+    fn install_native(&mut self, region: u16, base: u32, len: u32) -> u64 {
+        let Some(chains) = self.native.as_deref().map(NativeState::chains) else {
+            return 0;
+        };
+        let exhausted = self.injected(FaultPoint::NativeArenaExhausted, region);
+        let installed = match self.native.as_deref_mut() {
+            Some(ns) if !exhausted => ns.install(&mut self.vm, region, base, len),
+            _ => Ok(0),
+        };
+        let bytes = installed.unwrap_or_else(|msg| {
+            self.record_failure(region, FailureKind::BackendUnavailable, false, msg);
+            0
+        });
+        if chains && self.injected(FaultPoint::NativeChainPatch, region) {
             self.tr(EventKind::NativeUnchained { region });
-            return;
+        } else if let Some(ns) = self.native.as_deref_mut() {
+            ns.chain(&mut self.vm, base);
         }
-        let Some(ns) = self.native_checked(region) else {
-            return;
-        };
-        if ns.disabled || !ns.backend.has(base) {
-            return;
-        }
-        ns.backend.chain(base);
-        self.retire_discarded_native();
+        bytes
     }
 
-    /// Chain mode: patch the static instance's guard sled at this
-    /// region's `EnterRegion` into a direct entry to the chained
-    /// instance at `base`.
-    ///
-    /// Keyed regions (called on a keyed trap hit, `key` non-empty) get
-    /// a monomorphic inline cache: the guard compares the live key
-    /// locations against `key` and on a hit charges exactly what the
-    /// trap path does (1 fuel; trap + lookup + per-key cycles). Unkeyed
-    /// regions (called at trap retirement, `key` empty) get an
-    /// unconditional entry charging what the VM pays interpreting the
-    /// retirement `Br` it replaces (1 fuel; one taken branch). Any miss
-    /// — different key, low fuel, unreadable frame slot — falls back to
-    /// the VM path, uncharged. At most one guard per region is live at
-    /// a time.
-    fn maybe_patch_guard(&mut self, region: u16, key: &[u64], base: u32) {
-        if !self.guards_enabled() {
-            return;
-        }
-        let Some(ns) = self.native.as_deref() else {
-            return;
-        };
-        if ns.disabled || !ns.backend.has(0) {
-            return;
-        }
-        let rc = &self.program.borrow().compiled.regions[region as usize];
-        let enter_pc = rc.enter_pc;
-        let keys: Vec<(dyncomp_native::KeySlot, u64)> = rc
-            .key_locs
-            .iter()
-            .zip(key)
-            .map(|(l, &v)| (keyslot(l), v))
-            .collect();
-        let cycles = if key.is_empty() {
-            self.vm.model.cost(Op::Br, true)
-        } else {
-            TRAP_CYCLES + KEYED_LOOKUP_CYCLES + PER_KEY_CYCLES * key.len() as u64
-        };
-        let Some(ns) = self.native_checked(region) else {
-            return;
-        };
-        if ns.backend.patch_guard(0, enter_pc, &keys, SP, cycles, base) {
-            // The guard lives and dies with its target: record the mark
-            // under `base` so severing the instance retires it too.
-            ns.marks.entry(base).or_default().push(enter_pc);
-            self.vm.mark_native(enter_pc);
-        }
-        self.retire_discarded_native();
-    }
-
-    /// Tear down the native instance at `base` (evicted, quarantined,
-    /// or shed by the byte-budget ladder): every chain link through it
-    /// is severed before its pages are released, and its dispatch marks
-    /// are retired so the VM never bounces on a dead pc. Chain mode
-    /// only — the unchained backend keeps instances installed for the
-    /// append-only code space, exactly as in PR 6.
-    fn sever_native(&mut self, region: u16, base: u32) {
-        if !self.options.native_chain {
-            return;
-        }
+    /// The one sever sink: tear down `region`'s native instances at
+    /// `bases` (evicted keys, or every instance of a region that
+    /// quarantine or the byte budget shut), one `NativeUnchained` event
+    /// per instance the facet held.
+    fn sever_native(&mut self, region: u16, bases: Vec<u32>) {
         let Some(ns) = self.native.as_deref_mut() else {
             return;
         };
-        if !ns.backend.remove(base) {
-            return;
-        }
-        ns.region_of.remove(&base);
-        let marks = ns.marks.remove(&base).unwrap_or_default();
-        for pc in marks {
-            self.vm.unmark_native(pc);
-        }
-        self.retire_discarded_native();
-        self.tr(EventKind::NativeUnchained { region });
-    }
-
-    /// Sever every native instance belonging to `region` (quarantine,
-    /// budget degradation): stale chains must never outlive a target the
-    /// session will not trust again.
-    fn sever_region_native(&mut self, region: u16) {
-        if self.native.is_none() || !self.options.native_chain {
-            return;
-        }
-        let bases: Vec<u32> = self.regions[region as usize]
-            .instances
-            .iter()
-            .map(|&(_, b, _)| b)
-            .collect();
-        for b in bases {
-            self.sever_native(region, b);
-        }
-    }
-
-    /// Attempt a native install for the instance at `base` (all three
-    /// install paths funnel through [`Session::index_instance`], which
-    /// calls this). Returns the host bytes actually installed, so the
-    /// caller can fold them into the byte-budget ladder. Never fails the
-    /// session: every degradation leaves the instance running on the VM
-    /// backend, recorded as a `backend-unavailable` health entry.
-    fn maybe_install_native(&mut self, region: u16, base: u32, len: u32) -> u64 {
-        if self.native.is_none() {
-            return 0;
-        }
-        // Consult the fault plan before the availability checks, so an
-        // injected arena exhaustion is exercised (and counted) even on
-        // hosts where the real backend cannot run.
-        if self.injected(FaultPoint::NativeArenaExhausted, region) {
-            return 0;
-        }
-        let Some(ns) = self.native_checked(region) else {
-            return 0;
-        };
-        if ns.disabled {
-            return 0;
-        }
-        let pending = ns.pending.take();
-        if !dyncomp_native::available() {
-            ns.disabled = true;
-            if !std::mem::replace(&mut ns.reported, true) {
-                self.record_failure(
-                    region,
-                    FailureKind::BackendUnavailable,
-                    false,
-                    "native backend unsupported on this host: session runs on the VM backend"
-                        .to_string(),
-                );
-            }
-            return 0;
-        }
-        let artifact = match pending {
-            Some((b, a)) if b == base => a,
-            _ => self.translate_native(region, base, len),
-        };
-        if !artifact.entry_supported {
-            if let Some(ns) = self.native_checked(region) {
-                ns.counters.declined += 1;
-            }
-            return 0;
-        }
-        let bytes = artifact.bytes.len() as u64;
-        let chain = self.options.native_chain;
-        let Some(ns) = self.native_checked(region) else {
-            return 0;
-        };
-        match ns.backend.install(base, &artifact) {
-            Ok(()) => {
-                ns.counters.installs += 1;
-                ns.region_of.insert(base, region);
-                // Chain mode marks every dispatchable leader, so the VM
-                // re-enters native code mid-instance after any exit;
-                // unchained mode keeps the PR 6 base-only mark.
-                let marks: Vec<u32> = if chain {
-                    artifact.entries.iter().map(|&(pc, _)| pc).collect()
-                } else {
-                    vec![base]
-                };
-                ns.marks.insert(base, marks.clone());
-                for pc in marks {
-                    self.vm.mark_native(pc);
-                }
-                bytes
-            }
-            Err(e) => {
-                ns.disabled = true;
-                self.record_failure(
-                    region,
-                    FailureKind::BackendUnavailable,
-                    false,
-                    format!("native install failed: {e}; session runs on the VM backend"),
-                );
-                0
-            }
+        for _ in 0..ns.sever(&mut self.vm, bases) {
+            self.tr(EventKind::NativeUnchained { region });
         }
     }
 
@@ -1079,7 +643,9 @@ impl<P: Borrow<Program>> Session<P> {
             // The quarantined region's optimized instances will never be
             // trusted again: sever any chains into them before the
             // session degrades to set-up or fallback execution.
-            self.sever_region_native(region);
+            let st = &self.regions[region as usize];
+            let bases = st.instances.iter().map(|&(_, b, _)| b).collect();
+            self.sever_native(region, bases);
         }
     }
 
@@ -1177,6 +743,13 @@ impl<P: Borrow<Program>> Session<P> {
     /// set-up, which took the key along).
     fn served(&mut self, rung: Rung, served: Served, mut e: Entry) -> Result<(), Error> {
         match served {
+            // A keyed hit in this session's cache re-arms its guard sled.
+            Served::Resume(pc) if rung == Rung::Session && !e.key.is_empty() => {
+                if let Some(ns) = self.native.as_deref_mut() {
+                    ns.guard(&mut self.vm, self.program.borrow(), e.region, &e.key, pc);
+                }
+                self.vm.pc = pc;
+            }
             Served::Resume(pc) => self.vm.pc = pc,
             Served::Installed(base, len) => {
                 // At the trap the key still feeds the predictor below.
@@ -1213,7 +786,6 @@ impl<P: Borrow<Program>> Session<P> {
         self.tr(EventKind::KeyedLookup { region, hit });
         let hit = cached.ok_or(Decline::Miss)?;
         self.regions[region as usize].lru.touch(hit.lru);
-        self.maybe_patch_guard(region, &e.key, hit.base);
         Ok(Served::Resume(hit.base))
     }
 
@@ -1265,10 +837,8 @@ impl<P: Borrow<Program>> Session<P> {
         }
         let (base, words) = self.copy_install(&inst.stitched)?;
         self.vm.cycles += SHARED_LOOKUP_CYCLES;
-        if inst.install_base == base {
-            if let (Some(ns), Some(artifact)) = (self.native.as_deref_mut(), inst.native) {
-                ns.pending = Some((base, artifact));
-            }
+        if let Some(ns) = self.native.as_deref_mut() {
+            ns.carry(base, inst.install_base, inst.native);
         }
         self.regions[region as usize].report.persist_hits += 1;
         self.tr(EventKind::PersistLookup { region, hit: true });
@@ -1381,16 +951,8 @@ impl<P: Borrow<Program>> Session<P> {
         self.arena_backoff(region, Rung::Stitch)?;
         let (base, len) = (self.vm.code.len() as u32, stitched.code.len() as u32);
         self.vm.append_code(&stitched.code);
-        if self.native.is_some() {
-            let artifact = self.translate_native(region, base, len);
-            stitched.native_bytes = if artifact.entry_supported {
-                artifact.bytes.len() as u64
-            } else {
-                0
-            };
-            if let Some(ns) = self.native_checked(region) {
-                ns.pending = Some((base, artifact));
-            }
+        if let Some(ns) = self.native.as_deref_mut() {
+            stitched.native_bytes = ns.pretranslate(&self.vm, base, len);
         }
         let st = &mut self.regions[region as usize];
         st.report.stitches += 1;
@@ -1669,16 +1231,10 @@ impl<P: Borrow<Program>> Session<P> {
         }
         let torn = self.injected(FaultPoint::PersistWriteTorn, region);
         let hash = self.program.borrow().artifact_hash();
-        let outcome = {
-            // Persist the native stubs only when the stitch rung
-            // pre-translated this very base (`index_instance` has not
-            // consumed it yet) and the translation can serve entries.
-            let native = self.native.as_deref().and_then(|ns| match &ns.pending {
-                Some((b, a)) if *b == base && a.entry_supported => Some(a),
-                _ => None,
-            });
-            cache.store_instance(hash, region, key, stitched, base, native, torn)
-        };
+        // The native stubs go along when the stitch rung pre-translated
+        // this very base and they can serve entries.
+        let native = self.native.as_deref().and_then(|ns| ns.held(base));
+        let outcome = cache.store_instance(hash, region, key, stitched, base, native, torn);
         if let StoreOutcome::Failed(reason) = outcome {
             self.record_failure(
                 region,
@@ -1761,15 +1317,8 @@ impl<P: Borrow<Program>> Session<P> {
         base: u32,
         len: u32,
     ) -> Result<(), Error> {
-        // Offer the instance to the native backend first: the host bytes
-        // it actually installs count against the same byte budget as the
-        // stitched code words, so `with_byte_budget` and the degradation
-        // ladder govern both backends.
-        let native_bytes = self.maybe_install_native(region, base, len);
-        // Then request direct threading for it: publish its blocks in
-        // the dispatch table and back-patch every exit blob that now has
-        // a native continuation (its own and other chained instances').
-        self.request_chain(region, base);
+        // Native first: `with_byte_budget` and the ladder govern both backends.
+        let native_bytes = self.install_native(region, base, len);
         // Account the installed bytes against the session's code budget;
         // crossing a ladder step is a trace event (the step itself takes
         // effect at the next stitch / entry). At level 2 the ladder
@@ -1785,20 +1334,16 @@ impl<P: Borrow<Program>> Session<P> {
         let st = &mut self.regions[region as usize];
         st.instances.push((key.clone(), base, len));
         let mut evicted = 0u64;
-        let mut evicted_bases: Vec<u32> = Vec::new();
+        let mut severed: Vec<u32> = Vec::new();
         let lru = if keyed {
             if let Some(cap) = self.options.keyed_cache_capacity {
                 while st.cache.len() >= cap.max(1) {
-                    match st.lru.pop_lru() {
-                        Some(victim) => {
-                            if let Some(e) = st.cache.remove(&victim) {
-                                evicted_bases.push(e.base);
-                            }
-                            st.report.evictions += 1;
-                            evicted += 1;
-                        }
-                        None => break,
-                    }
+                    let Some(victim) = st.lru.pop_lru() else {
+                        break;
+                    };
+                    severed.extend(st.cache.remove(&victim).map(|e| e.base));
+                    st.report.evictions += 1;
+                    evicted += 1;
                 }
             }
             st.lru.insert(key.clone())
@@ -1806,18 +1351,17 @@ impl<P: Borrow<Program>> Session<P> {
             usize::MAX // unkeyed: the trap is patched away below
         };
         st.cache.insert(key, CacheEntry { base, lru });
+        if degraded {
+            severed.extend(st.instances.iter().map(|&(_, b, _)| b));
+        }
         for _ in 0..evicted {
             self.tr(EventKind::KeyedEvict { region });
         }
-        // Sever chains into evicted instances *before* anything can
-        // dispatch again: their keys are gone from the cache, so the
-        // next entry with them re-stitches at a fresh base.
-        for b in evicted_bases {
-            self.sever_native(region, b);
-        }
-        if degraded {
-            self.sever_region_native(region);
-        }
+        // Sever chains into evicted instances (and, degraded, into every
+        // instance of the region) *before* anything can dispatch again:
+        // their keys are gone from the cache, so the next entry with them
+        // re-stitches at a fresh base.
+        self.sever_native(region, severed);
 
         // Unkeyed regions: retire the trap — patch EnterRegion into a
         // direct branch to the stitched code (§1: the templates "become
@@ -1840,7 +1384,9 @@ impl<P: Borrow<Program>> Session<P> {
             // this pc; patch its guard sled into an unconditional entry
             // so chained control need not bounce through the VM to take
             // the retired branch.
-            self.maybe_patch_guard(region, &[], base);
+            if let Some(ns) = self.native.as_deref_mut() {
+                ns.guard(&mut self.vm, self.program.borrow(), region, &[], base);
+            }
         }
 
         self.vm.pc = base;
@@ -1879,16 +1425,8 @@ impl<P: Borrow<Program>> Session<P> {
     /// Host-native backend counters. All-zero (with `enabled: false`)
     /// when [`EngineOptions::native`] was not set.
     pub fn native_report(&self) -> NativeReport {
-        match self.native.as_deref() {
-            None => NativeReport::default(),
-            Some(ns) => NativeReport {
-                enabled: true,
-                active: !ns.disabled && dyncomp_native::available(),
-                chained: ns.backend.chained(),
-                bytes: ns.backend.bytes(),
-                ..ns.counters
-            },
-        }
+        let native = self.native.as_deref();
+        native.map_or_else(NativeReport::default, NativeState::report)
     }
 
     /// Per-region trace aggregates ([`RegionProfile`]), when tracing.
@@ -2048,16 +1586,6 @@ enum Served {
     Resume(u32),
     /// Resume in the instance just installed at `base` (`len` words).
     Installed(u32, u32),
-}
-
-/// Mirror a region-key [`ValueLoc`] into the native translator's
-/// [`dyncomp_native::KeySlot`] (same kinds, crate-local type).
-pub(crate) fn keyslot(l: &ValueLoc) -> dyncomp_native::KeySlot {
-    match *l {
-        ValueLoc::Reg(r) => dyncomp_native::KeySlot::Reg(r),
-        ValueLoc::FReg(r) => dyncomp_native::KeySlot::FReg(r),
-        ValueLoc::Frame(off) => dyncomp_native::KeySlot::Frame(off),
-    }
 }
 
 /// Word positions in `code` that begin an instruction (never an `Ldiw`

@@ -790,18 +790,14 @@ impl Program {
     /// the translation is made once per (model, guards) and shared: each
     /// session installs and patches its own copy of the bytes.
     pub fn native_snapshot(&self, model: &CycleModel, guards: bool) -> Arc<Artifact> {
-        let find = |memo: &[(CycleModel, bool, Arc<Artifact>)]| {
-            memo.iter()
-                .find(|(m, g, _)| m == model && *g == guards)
-                .map(|(_, _, a)| Arc::clone(a))
-        };
-        let lock = || {
-            self.native_snapshots
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-        };
-        if let Some(a) = find(&lock()) {
-            return a;
+        // Held across the translation: a second session wanting the same
+        // snapshot waits for it instead of making the same bytes again.
+        let mut memo = self
+            .native_snapshots
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        if let Some((_, _, a)) = memo.iter().find(|(m, g, _)| m == model && *g == guards) {
+            return Arc::clone(a);
         }
         let code = &self.compiled.code;
         let regions = &self.compiled.regions;
@@ -822,12 +818,6 @@ impl Program {
                 .collect(),
         };
         let artifact = Arc::new(dyncomp_native::translate_with(code, 0, model, &spec));
-        // Two sessions may race to the first translation; both made the
-        // same bytes, and the first one stored is the one shared.
-        let mut memo = lock();
-        if let Some(a) = find(&memo) {
-            return a;
-        }
         memo.push((model.clone(), guards, Arc::clone(&artifact)));
         artifact
     }
