@@ -12,7 +12,10 @@
 //! the VM too and the differential degenerates to a self-check; the
 //! pinned-checksum assertions still hold.
 
-use dyncomp::{run_session_differential, Compiler, EngineOptions, KernelSetup, TieredOptions};
+use dyncomp::{
+    run_session_differential, run_session_timed, BackendRun, Compiler, EngineOptions, KernelSetup,
+    PersistentCache, Program, TieredOptions,
+};
 use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
 use std::sync::Arc;
 
@@ -201,4 +204,85 @@ fn native_report_counts_installs_and_coverage() {
         n.covered_instructions > 0 && n.covered_instructions <= n.translated_instructions,
         "coverage counters are sane: {n:?}"
     );
+}
+
+/// One session over `setup` on the persistent cache at `cache`: native
+/// in chain mode `chain`, or the VM oracle when `chain` is `None`.
+fn persisted_run(
+    program: &Arc<Program>,
+    setup: &KernelSetup<'static>,
+    cache: &Arc<PersistentCache>,
+    chain: Option<bool>,
+) -> BackendRun {
+    let options = EngineOptions {
+        persist: Some(Arc::clone(cache)),
+        native: chain.is_some(),
+        native_chain: chain.unwrap_or(true),
+        ..EngineOptions::default()
+    };
+    run_session_timed(program, setup, options).expect("session runs")
+}
+
+/// A persisted native section records the chain mode it was translated
+/// under: a reader in the other mode translates again instead of
+/// installing stubs whose `Jmp`/`Jsr` were (or were not) lowered through
+/// the dispatch table. For the seven kernels and each writer × reader
+/// chain mode, the reader matches a VM reader's checksum and cycles, and
+/// its native entries and chained transfers are those of a reader whose
+/// writer used the reader's own mode.
+#[test]
+fn persisted_native_sections_follow_the_reader_chain_mode() {
+    let native = dyncomp_native::available();
+    let mut drift = Vec::new();
+    for (name, setup) in [
+        ("calculator", calculator::setup(80)),
+        ("smatmul", smatmul::setup(8, 16, 8)),
+        ("spmv", spmv::setup(12, 3, 20)),
+        ("dispatch", dispatch::setup(10, 60)),
+        ("sorter", sorter::setup(40, 4, 5)),
+        ("protomsg", protomsg::setup(8, 40)),
+        ("queryexec", queryexec::setup(4, 16, 40)),
+    ] {
+        let program = Arc::new(Compiler::new().compile(setup.src).expect("compiles"));
+        // (writer mode, reader mode) -> the reader's run.
+        let mut readers = Vec::new();
+        for writer in [true, false] {
+            for reader in [true, false] {
+                let dir = std::env::temp_dir().join(format!(
+                    "dyncomp-cross-chain-{}-{name}-{writer}-{reader}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+                persisted_run(&program, &setup, &cache, Some(writer));
+                let run = persisted_run(&program, &setup, &cache, Some(reader));
+                let vm = persisted_run(&program, &setup, &cache, None);
+                assert_eq!(
+                    (run.outcome.checksum, run.outcome.total_cycles),
+                    (vm.outcome.checksum, vm.outcome.total_cycles),
+                    "{name}: writer chain {writer}, reader chain {reader} left the VM oracle"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+                readers.push((writer, reader, run.native));
+            }
+        }
+        if !native {
+            continue;
+        }
+        for &(writer, reader, got) in &readers {
+            let same = readers
+                .iter()
+                .find(|&&(w, r, _)| w == reader && r == reader)
+                .map(|&(_, _, n)| n)
+                .expect("the same-mode reader ran");
+            if (got.entries, got.chained) != (same.entries, same.chained) {
+                drift.push(format!(
+                    "{name}: a chain-{reader} reader after a chain-{writer} writer took \
+                     {} entries, {} chained; after a chain-{reader} writer {}, {}",
+                    got.entries, got.chained, same.entries, same.chained
+                ));
+            }
+        }
+    }
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
 }

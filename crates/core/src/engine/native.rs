@@ -236,11 +236,12 @@ impl NativeState {
     }
 
     /// The persist rung's carried translation of the instance it
-    /// installed at `base`. Stubs are position-dependent: they are used
-    /// only when the publisher installed at the same base.
+    /// installed at `base`. Stubs are position-dependent and lower
+    /// `Jmp`/`Jsr` for one chain mode: they are used only when the
+    /// publisher installed at the same base in this session's mode.
     pub(super) fn carry(&mut self, base: u32, published_at: u32, artifact: Option<Artifact>) {
-        if published_at == base && artifact.is_some() {
-            self.pending = artifact.map(|a| (base, a));
+        if let Some(a) = artifact.filter(|a| published_at == base && a.indirect == self.chain) {
+            self.pending = Some((base, a));
         }
     }
 

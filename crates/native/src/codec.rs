@@ -24,7 +24,7 @@ use dyncomp_machine::codec::{Codec, CodecError, Reader, Writer};
 
 /// Version of the generated code (stub set + context ABI). Part of the
 /// host tag; bump on any change to emitted byte sequences.
-pub const NATIVE_CODE_VERSION: u32 = 1;
+pub const NATIVE_CODE_VERSION: u32 = 2;
 
 /// The tag identifying code this host can execute: architecture, OS and
 /// stub-set version. Cached native sections with any other tag are
@@ -44,6 +44,7 @@ dyncomp_ir::codec! {
     struct Artifact {
         bytes: Vec<u8>,
         entry_supported: bool,
+        indirect: bool,
         instructions: u32,
         covered: u32,
         blocks: u32,
@@ -83,6 +84,7 @@ mod tests {
         Artifact {
             bytes: vec![0x90, 0xc3, 0x55],
             entry_supported: true,
+            indirect: true,
             instructions: 7,
             covered: 6,
             blocks: 2,

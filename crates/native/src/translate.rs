@@ -108,6 +108,10 @@ pub struct Artifact {
     /// false, installing would bounce every dispatch straight back to
     /// the VM, so callers should decline the install.
     pub entry_supported: bool,
+    /// Whether `Jmp`/`Jsr` were lowered through the dispatch table
+    /// ([`ChainSpec::indirect`]): the bytes serve only a backend in that
+    /// chain mode, so a consumer in the other mode translates again.
+    pub indirect: bool,
     /// SimAlpha instructions in the instance.
     pub instructions: u32,
     /// Of those, how many lowered to native stubs.
@@ -703,6 +707,7 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
     Artifact {
         bytes: a.finish(),
         entry_supported,
+        indirect,
         instructions: insts.len() as u32,
         covered,
         blocks: leader_list.len() as u32,
