@@ -134,9 +134,9 @@ pub struct EngineOptions {
     /// between native instances without bouncing through the VM loop.
     /// Keyed `EnterRegion` traps additionally get patchable monomorphic
     /// inline-cache guards (unless another option needs the trap: see
-    /// DESIGN.md § "Engine: one miss path…"). Chained transfers charge *exactly* the
-    /// simulated cycles and fuel the VM-dispatched path would, so all
-    /// simulated quantities stay bit-identical. On by default; `false`
+    /// DESIGN.md § "Engine: one miss path…"). Chained transfers charge
+    /// *exactly* the simulated cycles and fuel the VM-dispatched path would,
+    /// so all simulated quantities stay bit-identical. On by default; `false`
     /// reproduces the PR 6 one-instance-per-dispatch behaviour (the
     /// `--no-native-chain` ablation).
     pub native_chain: bool,
@@ -535,10 +535,9 @@ impl<P: Borrow<Program>> Session<P> {
     /// quarantine or the byte budget shut), one `NativeUnchained` event
     /// per instance the facet held.
     fn sever_native(&mut self, region: u16, bases: Vec<u32>) {
-        let Some(ns) = self.native.as_deref_mut() else {
-            return;
-        };
-        for _ in 0..ns.sever(&mut self.vm, bases) {
+        let native = self.native.as_deref_mut();
+        let severed = native.map_or(0, |ns| ns.sever(&mut self.vm, bases));
+        for _ in 0..severed {
             self.tr(EventKind::NativeUnchained { region });
         }
     }
@@ -743,14 +742,15 @@ impl<P: Borrow<Program>> Session<P> {
     /// set-up, which took the key along).
     fn served(&mut self, rung: Rung, served: Served, mut e: Entry) -> Result<(), Error> {
         match served {
-            // A keyed hit in this session's cache re-arms its guard sled.
-            Served::Resume(pc) if rung == Rung::Session && !e.key.is_empty() => {
-                if let Some(ns) = self.native.as_deref_mut() {
+            Served::Resume(pc) => {
+                // A keyed hit in this session's cache re-arms its guard sled
+                // (an unkeyed hit means its trap never retired: no guard).
+                let hit = rung == Rung::Session && !e.key.is_empty();
+                if let Some(ns) = self.native.as_deref_mut().filter(|_| hit) {
                     ns.guard(&mut self.vm, self.program.borrow(), e.region, &e.key, pc);
                 }
                 self.vm.pc = pc;
             }
-            Served::Resume(pc) => self.vm.pc = pc,
             Served::Installed(base, len) => {
                 // At the trap the key still feeds the predictor below.
                 let key = match e.setup {

@@ -270,7 +270,6 @@ impl NativeState {
         if self.disabled {
             return Ok(0);
         }
-        let pending = self.pending.take();
         if !dyncomp_native::available() {
             self.disabled = true;
             return Err(
@@ -278,7 +277,7 @@ impl NativeState {
                     .to_string(),
             );
         }
-        let artifact = match pending {
+        let artifact = match self.pending.take() {
             Some((b, a)) if b == base => a,
             _ => self.translate(vm, base, len),
         };
