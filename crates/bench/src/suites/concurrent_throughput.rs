@@ -11,8 +11,8 @@
 //! stitched-code cache enabled, where sessions reuse each other's
 //! stitched code instead of re-running set-up + stitching; a third pass
 //! runs in tiered mode (statically compiled fallback + background stitch
-//! workers), where each session additionally owns a small host worker
-//! pool.
+//! jobs on virtual worker clocks), where each session additionally runs
+//! its stitch jobs on forks of its machine, on its own thread.
 //!
 //! Usage: `bench concurrent_throughput [--smoke]`
 

@@ -7,7 +7,7 @@
 //! For each kernel the harness first measures a fault-free reference,
 //! then re-runs the full workload once per fault point with
 //! `FaultPlan::single(point, 2)` armed (two fires, any region, default
-//! recovery policy). Worker faults run under a tiered pool; shared-cache
+//! recovery policy). Worker faults run in a tiered session; shared-cache
 //! faults run against a pre-warmed [`SharedCodeCache`]. Every row
 //! records the checksum, the fault/recovery counters, and whether the
 //! checksum matched — any mismatch or unfired injection exits non-zero.
@@ -44,7 +44,7 @@ fn run_twice(
     (run.outcome.checksum, run.session)
 }
 
-/// Engine options arming `point`: worker faults get a tiered pool,
+/// Engine options arming `point`: worker faults get a tiered session,
 /// shared-cache faults get the pre-warmed cache, everything else runs
 /// the default synchronous engine.
 fn options_for(point: FaultPoint, warmed: &Arc<SharedCodeCache>) -> EngineOptions {

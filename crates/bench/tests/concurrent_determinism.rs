@@ -107,9 +107,9 @@ fn shared_cache_preserves_results_across_threads() {
     }
 }
 
-/// Tiered mode must not weaken the determinism guarantee: background
-/// stitch workers make wall-clock progress, but install visibility is
-/// decided on virtual clocks, so eight threaded sessions with tiering
+/// Tiered mode must not weaken the determinism guarantee: install
+/// visibility is decided on virtual worker clocks, not by when a stitch
+/// job ran on the host, so eight threaded sessions with tiering
 /// (and speculation) are still bit-identical to the single-threaded run —
 /// checksums, cycle counts, and full reports including tiered counters.
 #[test]

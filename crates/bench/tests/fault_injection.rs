@@ -1,8 +1,9 @@
-//! Background-worker fault injection: a panicking stitch job must never
-//! abort the session. The worker catches the panic (`catch_unwind`), the
-//! job resolves as `Failed`, the region is pinned to its statically
-//! compiled fallback copy permanently, a `BgFailed` event is traced, and
-//! the session's results stay bit-identical to a synchronous run.
+//! Background-job failures: a panicking stitch job must never abort the
+//! session. The panic is caught (`catch_unwind`), the job resolves as
+//! `Failed`, the region is pinned to its statically compiled fallback
+//! copy permanently, a `BgFailed` event is traced, and the session's
+//! results stay bit-identical to a synchronous run. A job that fails
+//! with an ordinary error pins nothing: the entry runs set-up itself.
 
 use dyncomp::measure::{run_session, SessionRun};
 use dyncomp::{
@@ -122,5 +123,82 @@ fn panic_free_control_run_installs_background_code() {
     assert!(report.bg_installs > 0, "background install landed");
     let t = session.trace().expect("tracing on");
     assert_eq!(t.profiles()[0].bg_failed, 0);
+    session.trace_self_check().expect("attribution exact");
+}
+
+/// Results of `f(tbl, key, 1)` over `keys` on a fresh session, with
+/// `tbl = [5, 6]` at the bottom of the heap.
+fn strided_table_calls(
+    compiler: Compiler,
+    options: EngineOptions,
+    keys: &[u64],
+) -> (Vec<u64>, Session) {
+    let src =
+        "int f(int *tbl, int i, int x) { dynamicRegion key(i) (tbl, i) { return tbl[i] + x; } }";
+    let program = Arc::new(compiler.compile(src).expect("compiles"));
+    let mut session = Session::with_options(program, options);
+    let tbl = session.heap().array_u64(&[5, 6]).expect("fits");
+    let results = keys
+        .iter()
+        .map(|&k| session.call("f", &[tbl, k, 1]).expect("session survives"))
+        .collect();
+    (results, session)
+}
+
+#[test]
+fn background_error_falls_back_to_synchronous_set_up() {
+    // Three keys 700,000 apart confirm a stride; the predicted keys then
+    // load past the end of the 16 MiB data memory in their set-up, so
+    // each speculative job fails with an ordinary error (no panic). The
+    // failures are recorded and traced, the region stays on the
+    // background path, and every demanded key still gets its value.
+    let keys = [0, 700_000, 1_400_000, 1, 1, 1];
+    let (sync, _) = strided_table_calls(Compiler::new(), EngineOptions::default(), &keys);
+    let options = EngineOptions {
+        trace: Some(TraceOptions::default()),
+        tiered: Some(TieredOptions {
+            speculate: true,
+            ..TieredOptions::default()
+        }),
+        ..EngineOptions::default()
+    };
+    let (tiered, session) = strided_table_calls(Compiler::tiered(), options, &keys);
+    assert_eq!(sync, [6, 1, 1, 7, 7, 7]);
+    assert_eq!(tiered, sync, "results equal a synchronous session");
+
+    assert!(
+        !session.region_pinned(0),
+        "an error does not pin the region"
+    );
+    let health = session.health();
+    let errors: Vec<_> = health
+        .failures
+        .iter()
+        .filter(|r| r.kind == FailureKind::Background { panicked: false })
+        .collect();
+    assert_eq!(
+        errors.len(),
+        4,
+        "one per failed speculative job: {errors:?}"
+    );
+    assert!(errors
+        .iter()
+        .all(|r| r.kind.name() == "background-error" && !r.injected));
+    assert_eq!(health.total_failures, 4);
+
+    let t = session.trace().expect("tracing on");
+    let failed = t
+        .events()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::BgFailed {
+                    panicked: false,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(failed, 4, "one BgFailed event per failed job");
     session.trace_self_check().expect("attribution exact");
 }

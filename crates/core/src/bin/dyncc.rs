@@ -34,10 +34,12 @@
 //! * `--advise`    ignore annotations and report, per function, what each
 //!   parameter would buy as a run-time constant (the §7 annotation tool)
 //! * `--tiered`    lower statically compiled fallback copies for every
-//!   region and run with background stitch workers: cold entries execute
-//!   the fallback while a worker stitches off-thread (deterministic
-//!   virtual-clock overlap model)
-//! * `--stitch-workers N` background workers for `--tiered` (default 1)
+//!   region and stitch in the background: cold entries execute the
+//!   fallback while a stitch job's set-up and stitch cycles run on a
+//!   virtual worker clock (deterministic overlap model; the job itself
+//!   runs on the session's thread)
+//! * `--stitch-workers N` virtual background workers for `--tiered`
+//!   (default 1)
 //! * `--inline-depth N` demand-driven inlining: pull region-free callees
 //!   whose call sites have at least one run-time-constant argument into
 //!   the region, to `N` rounds of nesting (default 0 = off); prints the

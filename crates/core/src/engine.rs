@@ -376,7 +376,7 @@ impl<P: Borrow<Program>> Session<P> {
         let tiered = options
             .tiered
             .clone()
-            .map(|t| TieredState::new(&p.compiled.regions, t, trace.is_some()));
+            .map(|t| TieredState::new(p.compiled.regions.len(), t, trace.is_some()));
         let faults = options
             .faults
             .as_ref()
@@ -858,6 +858,7 @@ impl<P: Borrow<Program>> Session<P> {
         let (decision, enqueued) = tiered.decide(
             &self.vm,
             region,
+            &self.program.borrow().compiled.regions[region as usize],
             &e.key,
             &self.options.stitch,
             self.vm.cycles,
@@ -1153,6 +1154,7 @@ impl<P: Borrow<Program>> Session<P> {
         let enqueued = tiered.observe_and_speculate(
             &self.vm,
             region,
+            &self.program.borrow().compiled.regions[region as usize],
             key,
             &is_cached,
             &self.options.stitch,

@@ -5,7 +5,7 @@
 //! same answer through some slower path. This module makes that property
 //! testable. A [`FaultPlan`] arms named [`FaultPoint`]s threaded through
 //! every fallible layer of the runtime — the stitcher, the shared cache,
-//! the tiered worker pool, and set-up code itself — and a seeded
+//! tiered background jobs, and set-up code itself — and a seeded
 //! [`SplitMix64`] decides, deterministically, when each armed point
 //! fires. Because every decision is driven by simulated state (region
 //! numbers, fire counts, a fixed seed) and never by host time or

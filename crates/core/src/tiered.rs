@@ -1,22 +1,26 @@
-//! Tiered execution: background stitch workers and speculative
+//! Tiered execution: background stitch jobs and speculative
 //! pre-stitching of predicted keys.
 //!
 //! In tiered mode a session entering a cold dynamic region does not stall
 //! for set-up + stitching: it enqueues a *stitch job* — a forked snapshot
-//! of the whole simulated machine — to a pool of host worker threads and
-//! immediately resumes in the region's statically compiled fallback copy
-//! (lowered behind a [`dyncomp_ir::Intrinsic::TierProbe`] guard, entered by
-//! redirecting the `EnterRegion` trap to `RegionCode::fallback_pc`). The
-//! worker runs the region's set-up code on the fork, stitches into the
-//! fork's detached memory, and replies with a relocatable
-//! [`Stitched`] artifact; a later entry installs it via the same
-//! bulk-copy + patch relocation path the shared cache uses.
+//! of the whole simulated machine — and immediately resumes in the
+//! region's statically compiled fallback copy (lowered behind a
+//! [`dyncomp_ir::Intrinsic::TierProbe`] guard, entered by redirecting the
+//! `EnterRegion` trap to `RegionCode::fallback_pc`). The job runs the
+//! region's set-up code on the fork, stitches into the fork's detached
+//! memory, and keeps a relocatable [`Stitched`] artifact; a later entry
+//! installs it via the same bulk-copy + patch relocation path the shared
+//! cache uses.
+//!
+//! "Background" is a property of the cycle model, not of the host: the
+//! job body runs on the session's own thread, at enqueue, and only its
+//! result is kept (a fork is a whole [`Vm`], data memory included, and
+//! some jobs are never resolved).
 //!
 //! # Deterministic overlap model
 //!
-//! Host threads make wall-clock progress, but *when* a stitched instance
-//! becomes visible to the session is decided purely on virtual clocks, so
-//! tiered runs are exactly repeatable and independent of host scheduling:
+//! *When* a stitched instance becomes visible to the session is decided
+//! purely on virtual clocks, so tiered runs are exactly repeatable:
 //!
 //! * Jobs are numbered in enqueue order, stamped with the session's cycle
 //!   counter at enqueue time (after the trap/lookup/dispatch charges).
@@ -28,14 +32,12 @@
 //!   advances to it.
 //! * An entry picks up a finished job only once the session's own cycle
 //!   counter has passed that completion time (`ready_at`); until then it
-//!   keeps running the fallback. Host completion is awaited (a blocking
-//!   `recv`) only at resolution points, which affects wall-clock time but
-//!   never simulated results.
+//!   keeps running the fallback.
 //!
 //! The session is charged [`DISPATCH_CYCLES`] per enqueued job and
 //! [`crate::engine::SHARED_INSTALL_CYCLES_PER_WORD`] per installed word;
-//! the worker's set-up and stitch cycles are spent on the worker's clock,
-//! never the session's.
+//! the job's set-up and stitch cycles are spent on a virtual worker's
+//! clock, never the session's.
 //!
 //! # Speculative pre-stitching
 //!
@@ -60,15 +62,14 @@ use dyncomp_machine::vm::{Stop, Vm};
 use dyncomp_stitcher::{StitchOptions, Stitched};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 
 /// Tiered-mode configuration ([`crate::EngineOptions::tiered`]).
 #[derive(Clone, Debug)]
 pub struct TieredOptions {
-    /// Number of background stitch workers (host threads *and* virtual
-    /// worker clocks; the virtual count is what the cycle model sees).
+    /// Number of virtual background stitch workers: the width of the
+    /// overlap model's clock set (see the module docs). Jobs themselves
+    /// run on the session's thread.
     pub workers: usize,
     /// Enqueue predicted keys ahead of demand.
     pub speculate: bool,
@@ -89,7 +90,7 @@ const SPECULATE_DEPTH: usize = 4;
 /// unbounded queue growth regardless of the key stream.
 const MAX_INFLIGHT: usize = 8;
 /// Instruction budget for each background fork (a runaway set-up loop
-/// fails the job instead of hanging a worker).
+/// fails the job instead of hanging the session).
 const JOB_FUEL: u64 = 2_000_000_000;
 
 /// Lightweight per-region key predictor: element-wise stride over the last
@@ -168,7 +169,7 @@ impl KeyPredictor {
     }
 }
 
-/// What a worker produces for one job.
+/// What a finished job produces.
 struct JobOutput {
     stitched: Stitched,
     setup_cycles: u64,
@@ -180,42 +181,30 @@ enum JobFailure {
     /// The entry retries synchronously so a real failure reproduces
     /// deterministically on the session.
     Error(String),
-    /// The job body panicked. The worker thread survives
-    /// (`catch_unwind`), the region is pinned to its static fallback
-    /// permanently, and the session keeps running.
+    /// The job body panicked. The panic is caught (`catch_unwind`), the
+    /// region is pinned to its static fallback permanently, and the
+    /// session keeps running.
     Panic(String),
 }
 
 type JobReply = Result<JobOutput, JobFailure>;
 
-/// A stitch job shipped to the worker pool: a forked machine plus
-/// everything needed to run set-up and stitch detached from the session.
-struct JobRequest {
-    fork: Box<Vm>,
-    rc: Arc<RegionCode>,
-    stitch_opts: StitchOptions,
-    /// `Some` for speculative jobs: write these key values over the key
-    /// locations before running set-up (the reverse of `read_key`).
-    key_override: Option<Vec<u64>>,
-    /// Fault injection ([`FaultPoint::WorkerPanic`]): panic at the top
-    /// of the job body, exercising the `catch_unwind` hardening path.
+/// Run one stitch job on `fork`, detached from the session: write
+/// `key_override` (speculative jobs) over the key locations, run the
+/// region's set-up, and stitch into the fork's memory. `inject_panic`
+/// ([`FaultPoint::WorkerPanic`]) panics at the top of the body,
+/// exercising the `catch_unwind` hardening path.
+fn run_job(
+    mut fork: Vm,
+    rc: &RegionCode,
+    stitch_opts: &StitchOptions,
+    key_override: Option<&[u64]>,
     inject_panic: bool,
-    reply: mpsc::Sender<JobReply>,
-}
-
-fn run_job(req: JobRequest) -> Result<JobOutput, String> {
-    let JobRequest {
-        mut fork,
-        rc,
-        stitch_opts,
-        key_override,
-        inject_panic,
-        ..
-    } = req;
+) -> Result<JobOutput, String> {
     if inject_panic {
         panic!("injected background stitch panic (fault plan)");
     }
-    if let Some(key) = &key_override {
+    if let Some(key) = key_override {
         for (loc, &v) in rc.key_locs.iter().zip(key.iter()) {
             match *loc {
                 ValueLoc::Reg(r) => fork.set_reg(r, v),
@@ -240,7 +229,7 @@ fn run_job(req: JobRequest) -> Result<JobOutput, String> {
     // Stitch into the fork's detached code space / memory; the linearized
     // table is rebuilt in the installing session by `Stitched::relocate`.
     let base = fork.code.len() as u32;
-    let stitched = dyncomp_stitcher::stitch(&rc, table, &mut fork.mem, base, &stitch_opts)
+    let stitched = dyncomp_stitcher::stitch(rc, table, &mut fork.mem, base, stitch_opts)
         .map_err(|e| format!("background stitch failed: {e}"))?;
     Ok(JobOutput {
         stitched,
@@ -259,70 +248,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A pool of host worker threads consuming [`JobRequest`]s.
-struct WorkerPool {
-    tx: Option<mpsc::Sender<JobRequest>>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> Self {
-        let (tx, rx) = mpsc::channel::<JobRequest>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                thread::spawn(move || loop {
-                    // A sibling worker panicking mid-`recv` poisons the
-                    // queue mutex; the queue itself is still consistent,
-                    // so recover and keep serving.
-                    let req = match rx.lock().unwrap_or_else(|p| p.into_inner()).recv() {
-                        Ok(r) => r,
-                        Err(_) => break, // pool dropped
-                    };
-                    let reply = req.reply.clone();
-                    let out: JobReply = match catch_unwind(AssertUnwindSafe(|| run_job(req))) {
-                        Ok(r) => r.map_err(JobFailure::Error),
-                        // `&*payload`, not `&payload`: a `&Box<dyn Any>`
-                        // would itself coerce to `&dyn Any` and the
-                        // downcast would always miss.
-                        Err(payload) => Err(JobFailure::Panic(panic_message(&*payload))),
-                    };
-                    let _ = reply.send(out);
-                })
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            handles,
-        }
-    }
-
-    /// Ship a job to the pool. Worker threads only exit when the queue
-    /// sender is dropped (pool drop), and panics inside job bodies are
-    /// caught, so a send can only fail if the pool is being torn down —
-    /// in which case the job is silently dropped and the entry resolves
-    /// it as a failure.
-    fn submit(&self, req: JobRequest) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(req).is_ok(),
-            None => false,
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // workers see a closed queue and exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// State of one enqueued job, keyed by `(region, key)`.
 enum JobState {
-    /// Submitted; not yet resolved against the virtual worker clocks.
+    /// Enqueued; not yet resolved against the virtual worker clocks.
     Pending,
     /// Finished: installable once the session clock reaches `ready_at`.
     Ready {
@@ -337,9 +265,8 @@ enum JobState {
     Failed,
 }
 
-/// An unresolved job in enqueue order. The receiver is wrapped in a
-/// `Mutex` only to keep `Session` `Sync`; it is consumed exactly once, at
-/// resolution, by whoever holds the session mutably.
+/// An unresolved job in enqueue order, holding the reply its body
+/// produced at enqueue.
 struct QueuedJob {
     region: u16,
     key: Vec<u64>,
@@ -348,14 +275,14 @@ struct QueuedJob {
     /// Whether the fault plan armed a worker panic for this job (so a
     /// resulting failure is recorded as injected, not genuine).
     injected_panic: bool,
-    rx: Mutex<mpsc::Receiver<JobReply>>,
+    reply: JobReply,
 }
 
 /// A background failure drained by the session into its health log.
 pub(crate) struct BgFailure {
     /// The region whose job failed.
     pub(crate) region: u16,
-    /// Whether the worker panicked (vs. an ordinary error).
+    /// Whether the job panicked (vs. an ordinary error).
     pub(crate) panicked: bool,
     /// Whether the failure was injected by the fault plan.
     pub(crate) injected: bool,
@@ -382,13 +309,10 @@ pub(crate) enum TierDecision {
     Synchronous,
 }
 
-/// Per-session tiered run-time state: the worker pool, virtual worker
-/// clocks, outstanding jobs and per-region key predictors.
+/// Per-session tiered run-time state: virtual worker clocks, outstanding
+/// jobs and per-region key predictors.
 pub(crate) struct TieredState {
     opts: TieredOptions,
-    pool: WorkerPool,
-    /// One immutable region descriptor per region, shareable with workers.
-    rcs: Vec<Arc<RegionCode>>,
     /// Virtual worker clocks (cycle model; see module docs).
     clocks: Vec<u64>,
     /// Unresolved jobs, strictly in enqueue order.
@@ -413,18 +337,16 @@ pub(crate) struct TieredState {
 }
 
 impl TieredState {
-    pub(crate) fn new(regions: &[RegionCode], opts: TieredOptions, collect_events: bool) -> Self {
+    pub(crate) fn new(regions: usize, opts: TieredOptions, collect_events: bool) -> Self {
         let workers = opts.workers.max(1);
         TieredState {
             opts,
-            pool: WorkerPool::new(workers),
-            rcs: regions.iter().map(|rc| Arc::new(rc.clone())).collect(),
             clocks: vec![0; workers],
             queue: VecDeque::new(),
             jobs: FxHashMap::default(),
-            predictors: regions.iter().map(|_| KeyPredictor::default()).collect(),
+            predictors: (0..regions).map(|_| KeyPredictor::default()).collect(),
             spec_inflight: 0,
-            pinned: vec![false; regions.len()],
+            pinned: vec![false; regions],
             failures: Vec::new(),
             events: Vec::new(),
             collect: collect_events,
@@ -449,22 +371,19 @@ impl TieredState {
         std::mem::take(&mut self.failures)
     }
 
-    /// Whether a job for `(region, key)` is already tracked.
-    fn has_job(&self, region: u16, key: &[u64]) -> bool {
-        self.jobs.contains_key(&(region, key.to_vec()))
-    }
-
-    /// Enqueue a stitch job on a fork of `vm`. `key_override` is `Some`
-    /// for speculative keys. `now` is the session cycle counter *after*
-    /// the dispatch charge. The fault plan is consulted for
-    /// [`FaultPoint::WorkerPanic`] at enqueue time — deterministic, since
-    /// enqueue order is part of the simulated schedule.
+    /// Enqueue the stitch job `(region, key)` on a fork of `vm`, running
+    /// its body on `rc` (the region's code) now and keeping the reply.
+    /// Speculative jobs write `key` over the key locations first. `now`
+    /// is the session cycle counter *after* the dispatch charge. The
+    /// fault plan is consulted for [`FaultPoint::WorkerPanic`] at enqueue
+    /// time — deterministic, since enqueue order is part of the simulated
+    /// schedule.
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &mut self,
         vm: &Vm,
-        region: u16,
-        key: Vec<u64>,
+        rc: &RegionCode,
+        (region, key): (u16, Vec<u64>),
         speculative: bool,
         stitch_opts: &StitchOptions,
         now: u64,
@@ -472,26 +391,26 @@ impl TieredState {
     ) {
         let inject_panic =
             faults.is_some_and(|f| f.fire(FaultPoint::WorkerPanic, region).is_some());
-        let (tx, rx) = mpsc::channel();
         let mut fork = vm.clone();
-        // Background workers interpret only; native dispatch marks belong to
+        // Background jobs interpret only; native dispatch marks belong to
         // the foreground session.
         fork.clear_native_marks();
-        self.pool.submit(JobRequest {
-            fork: Box::new(fork),
-            rc: Arc::clone(&self.rcs[region as usize]),
-            stitch_opts: stitch_opts.clone(),
-            key_override: speculative.then(|| key.clone()),
-            inject_panic,
-            reply: tx,
-        });
+        let key_override = speculative.then_some(key.as_slice());
+        let reply = match catch_unwind(AssertUnwindSafe(|| {
+            run_job(fork, rc, stitch_opts, key_override, inject_panic)
+        })) {
+            Ok(r) => r.map_err(JobFailure::Error),
+            // `&*payload`, not `&payload`: a `&Box<dyn Any>` would itself
+            // coerce to `&dyn Any` and the downcast would always miss.
+            Err(payload) => Err(JobFailure::Panic(panic_message(&*payload))),
+        };
         self.queue.push_back(QueuedJob {
             region,
             key: key.clone(),
             enqueue_cycles: now,
             speculative,
             injected_panic: inject_panic,
-            rx: Mutex::new(rx),
+            reply,
         });
         self.jobs.insert((region, key), JobState::Pending);
         if speculative {
@@ -499,39 +418,21 @@ impl TieredState {
         }
     }
 
-    /// Resolve unresolved jobs, in enqueue order, up to and including the
-    /// job for `(region, key)`. Blocks on host completion (wall clock
-    /// only); virtual completion times come from the worker clocks. The
-    /// fault plan is consulted for [`FaultPoint::WorkerSlow`] per
-    /// resolved job, delaying its virtual `ready_at`.
-    fn resolve_until(&mut self, region: u16, key: &[u64], mut faults: Option<&mut FaultState>) {
-        while let Some(front) = self.queue.front() {
-            let target = front.region == region && front.key == key;
-            let job = self.queue.pop_front().expect("front exists");
-            // Receivers are consumed exactly once and the Mutex exists
-            // only to keep `Session` `Sync`; a poisoned one (a panic
-            // elsewhere on this thread) still holds a valid receiver.
-            let reply = job
-                .rx
-                .into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .recv()
-                // Workers catch job panics, so a dead channel means the
-                // pool was torn down under us; treat like a panic so the
-                // region degrades to its fallback rather than aborting.
-                .unwrap_or_else(|_| {
-                    Err(JobFailure::Panic(
-                        "background stitch worker dropped its reply channel".to_string(),
-                    ))
-                });
-            let slot = self
-                .jobs
-                .get_mut(&(job.region, job.key.clone()))
-                .expect("queued job tracked");
+    /// Resolve unresolved jobs against the virtual worker clocks, in
+    /// enqueue order, up to and including the job `id`, and return that
+    /// job's state (the others go back into `jobs`). The fault plan is
+    /// consulted for [`FaultPoint::WorkerSlow`] per resolved job, delaying
+    /// its virtual `ready_at`.
+    fn resolve_until(
+        &mut self,
+        id: &(u16, Vec<u64>),
+        mut faults: Option<&mut FaultState>,
+    ) -> JobState {
+        while let Some(job) = self.queue.pop_front() {
             if job.speculative {
                 self.spec_inflight -= 1;
             }
-            *slot = match reply {
+            let state = match job.reply {
                 Ok(out) => {
                     let stitch_cycles = out.stitched.stats.cycles;
                     // Min-clock virtual worker assignment (ties: lowest
@@ -595,21 +496,25 @@ impl TieredState {
                     JobState::Failed
                 }
             };
-            if target {
-                return;
+            if job.region == id.0 && job.key == id.1 {
+                return state;
             }
+            self.jobs.insert((job.region, job.key), state);
         }
+        JobState::Pending
     }
 
     /// Decide how a cold entry to `(region, key)` proceeds, enqueuing a
-    /// demand job if none exists. `now` is the session cycle counter after
-    /// the trap/lookup charges; the caller adds the dispatch charge that
-    /// [`TierDecision::Fallback`] with a fresh job implies via
-    /// [`TieredState::charge_for_enqueues`].
+    /// demand job on `rc`, the region's code, if none exists. `now` is the session cycle counter
+    /// after the trap/lookup charges; the second result is the number of
+    /// jobs enqueued, for which the caller charges [`DISPATCH_CYCLES`]
+    /// each.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn decide(
         &mut self,
         vm: &Vm,
         region: u16,
+        rc: &RegionCode,
         key: &[u64],
         stitch_opts: &StitchOptions,
         now: u64,
@@ -618,63 +523,52 @@ impl TieredState {
         if self.pinned[region as usize] {
             return (TierDecision::Fallback, 0);
         }
-        let mut enqueued = 0u64;
-        if !self.has_job(region, key) {
-            let at = now + DISPATCH_CYCLES;
-            self.enqueue(vm, region, key.to_vec(), false, stitch_opts, at, faults);
-            enqueued = 1;
-            return (TierDecision::Fallback, enqueued);
-        }
-        if matches!(
-            self.jobs.get(&(region, key.to_vec())),
-            Some(JobState::Pending)
-        ) {
-            self.resolve_until(region, key, faults);
-        }
-        let decision = match self.jobs.get(&(region, key.to_vec())) {
-            Some(JobState::Ready { ready_at, .. }) if *ready_at <= now => {
-                match self.jobs.remove(&(region, key.to_vec())) {
-                    Some(JobState::Ready {
-                        stitched,
-                        setup_cycles,
-                        stitch_cycles,
-                        speculative,
-                        ..
-                    }) => TierDecision::Install {
-                        stitched,
-                        setup_cycles,
-                        stitch_cycles,
-                        speculative,
-                    },
-                    _ => unreachable!("checked above"),
-                }
+        let id = (region, key.to_vec());
+        let state = match self.jobs.remove(&id) {
+            None => {
+                let at = now + DISPATCH_CYCLES;
+                self.enqueue(vm, rc, id, false, stitch_opts, at, faults);
+                return (TierDecision::Fallback, 1);
             }
-            Some(JobState::Ready { .. }) => TierDecision::Fallback,
-            Some(JobState::Pending) => TierDecision::Fallback,
-            Some(JobState::Failed) | None => {
-                self.jobs.remove(&(region, key.to_vec()));
-                if self.pinned[region as usize] {
-                    // Resolution just pinned the region (worker panic):
-                    // stay on the fallback copy forever.
-                    TierDecision::Fallback
-                } else {
-                    TierDecision::Synchronous
-                }
-            }
+            Some(JobState::Pending) => self.resolve_until(&id, faults),
+            Some(state) => state,
         };
-        (decision, enqueued)
+        let decision = match state {
+            JobState::Ready {
+                stitched,
+                ready_at,
+                setup_cycles,
+                stitch_cycles,
+                speculative,
+            } if ready_at <= now => TierDecision::Install {
+                stitched,
+                setup_cycles,
+                stitch_cycles,
+                speculative,
+            },
+            JobState::Ready { .. } | JobState::Pending => {
+                self.jobs.insert(id, state);
+                TierDecision::Fallback
+            }
+            // Resolution may just have pinned the region (a panicking
+            // job): stay on the fallback copy forever.
+            JobState::Failed if self.pinned[region as usize] => TierDecision::Fallback,
+            JobState::Failed => TierDecision::Synchronous,
+        };
+        (decision, 0)
     }
 
     /// Feed the predictor for `region` with an observed key and, with
-    /// speculation enabled, enqueue predicted keys that are neither cached
-    /// (`is_cached`) nor already jobbed, up to the in-flight cap. Returns
-    /// the number of jobs enqueued (the caller charges dispatch cycles for
-    /// each).
+    /// speculation enabled, enqueue jobs on `rc` (the region's code) for
+    /// predicted keys that are neither cached (`is_cached`) nor already
+    /// jobbed, up to the in-flight cap. Returns the number of jobs
+    /// enqueued (the caller charges dispatch cycles for each).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn observe_and_speculate(
         &mut self,
         vm: &Vm,
         region: u16,
+        rc: &RegionCode,
         key: &[u64],
         is_cached: &dyn Fn(&[u64]) -> bool,
         stitch_opts: &StitchOptions,
@@ -693,11 +587,12 @@ impl TieredState {
             if self.spec_inflight >= MAX_INFLIGHT {
                 break;
             }
-            if pk.as_slice() == key || is_cached(&pk) || self.has_job(region, &pk) {
+            let id = (region, pk);
+            if id.1 == key || is_cached(&id.1) || self.jobs.contains_key(&id) {
                 continue;
             }
             let at = now + (enqueued + 1) * DISPATCH_CYCLES;
-            self.enqueue(vm, region, pk, true, stitch_opts, at, faults.as_deref_mut());
+            self.enqueue(vm, rc, id, true, stitch_opts, at, faults.as_deref_mut());
             enqueued += 1;
         }
         enqueued

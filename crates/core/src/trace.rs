@@ -35,7 +35,7 @@
 //! [`TraceState::self_check`] asserts that cycle attribution summed over
 //! trace events equals the engine's [`crate::RegionReport`] counters
 //! exactly — any drift between the scattered accounting sites (engine,
-//! shared cache, tiered pool) and the event stream is an error.
+//! shared cache, tiered jobs) and the event stream is an error.
 
 use crate::faults::FaultPoint;
 use crate::RegionReport;

@@ -269,7 +269,7 @@ impl Slot {
 /// `Clone` forks the whole machine — code, predecode cache (native marks
 /// included), registers, memory, cycle state — giving an independent
 /// machine that can run elsewhere (the tiered runtime forks the session VM
-/// so background workers can execute region set-up code against a
+/// so background stitch jobs can execute region set-up code against a
 /// detached snapshot).
 #[derive(Clone)]
 pub struct Vm {
