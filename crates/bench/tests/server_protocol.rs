@@ -576,3 +576,39 @@ fn ping_round_trips_are_not_held_by_delayed_ack() {
     drop(c);
     handle.join().unwrap();
 }
+
+/// `curl http://host:port/metrics`: a raw `GET` on the frame port gets
+/// one `200` response whose `Content-Length` is the body's byte length,
+/// and the body is the metrics document with the pool's lines.
+#[test]
+fn http_get_metrics_serves_the_plaintext_document() {
+    use std::io::Read;
+    let (addr, handle) = spawn_server();
+    let mut admin = Client::connect(&addr).unwrap();
+    upload_and_tenant(&mut admin);
+    ok(&admin
+        .request("{\"op\":\"open\",\"tenant\":\"t\",\"program\":\"poly\",\"session\":\"s\"}")
+        .unwrap());
+    let mut http = std::net::TcpStream::connect(&addr).unwrap();
+    http.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    http.write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .unwrap();
+    let mut response = Vec::new();
+    http.read_to_end(&mut response).unwrap();
+    let response = String::from_utf8(response).expect("a UTF-8 response");
+    let (head, body) = response.split_once("\r\n\r\n").expect("a head and a body");
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("a Content-Length header")
+        .parse()
+        .expect("a decimal length");
+    assert_eq!(length, body.len());
+    assert!(body.contains("\ndynccd_pool_workers 2\n"), "{body}");
+    assert!(body.contains("\ndynccd_sessions_open 1\n"), "{body}");
+    let _ = admin.request("{\"op\":\"shutdown\"}");
+    drop(admin);
+    handle.join().unwrap();
+}

@@ -10,10 +10,11 @@
 //! `Arc<Program>` per uploaded artifact, and enforces per-tenant
 //! isolation with the recovery primitives ([`state`]): per-session
 //! stitched-code byte budgets, per-tenant shared-cache byte budgets,
-//! and per-tenant session quotas. Trace /
-//! region-profile counters and [`crate::Session::health`] are exported
-//! as a plaintext metrics document ([`ServerEngine::metrics_text`]),
-//! also reachable over plain HTTP `GET` on the same port ([`net`]).
+//! and per-tenant session quotas. Per-tenant counters and latency
+//! histograms, and the [`crate::Session::health`] and region-profile
+//! counters of each tenant's busiest sessions, are exported as a
+//! plaintext metrics document ([`ServerEngine::metrics_text`]), also
+//! reachable over plain HTTP `GET` on the same port ([`net`]).
 //!
 //! Everything here is `std`-only: the JSON parser, the framing, the
 //! pool and the transport introduce no dependencies.

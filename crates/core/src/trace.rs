@@ -423,12 +423,16 @@ impl Default for CycleHistogram {
 impl CycleHistogram {
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
-        let b = if v == 0 {
+        self.buckets[Self::bucket(v)] += 1;
+    }
+
+    /// The bucket a sample of `v` falls in.
+    pub fn bucket(v: u64) -> usize {
+        if v == 0 {
             0
         } else {
             (64 - v.leading_zeros()).min(32) as usize
-        };
-        self.buckets[b] += 1;
+        }
     }
 
     /// Total samples recorded.
