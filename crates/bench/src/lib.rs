@@ -28,6 +28,7 @@ pub mod kernels {
 
 pub mod driver;
 pub mod row;
+pub mod synthetic;
 
 mod suites {
     //! The evaluation suites `bench` runs: one module per

@@ -17,10 +17,10 @@
 use dyncomp::Compiler;
 use dyncomp_analysis::AnalysisConfig;
 use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
+use dyncomp_bench::synthetic;
 use dyncomp_codegen::CompiledModule;
 use dyncomp_frontend::LowerOptions;
 use dyncomp_ir::codec::{Codec, Writer};
-use dyncomp_ir::prng::SplitMix64;
 use dyncomp_ir::{FuncId, IdSet};
 use dyncomp_opt::{optimize, OptOptions, OptStats};
 use dyncomp_specialize::RegionSpec;
@@ -524,79 +524,6 @@ fn unit_row(name: String, src: &str, mode: Mode) -> Row {
     )
 }
 
-/// A seeded `n_funcs`-function unit mixing three shapes: an unrolled
-/// `switch` interpreter over a constant table, a keyed region over
-/// redundant integer arithmetic, and region-free loops with floats and
-/// calls. Every shape leaves work for each optimizer pass.
-fn synthetic_unit(n_funcs: usize, seed: u64) -> String {
-    let mut rng = SplitMix64::new(seed);
-    let mut src = String::from("struct Tab { int n; int *kind; int *val; };\n");
-    let mut plain: Vec<usize> = Vec::new();
-    for i in 0..n_funcs {
-        let (a, b, c) = (
-            rng.range_i64(1, 100),
-            rng.range_i64(2, 9),
-            rng.range_i64(1, 5),
-        );
-        match rng.below(3) {
-            0 => src.push_str(&format!(
-                "int f{i}(struct Tab *t, int x) {{
-    dynamicRegion (t) {{
-        int acc = {a};
-        int j;
-        unrolled for (j = 0; j < t->n; j++) {{
-            switch (t->kind[j]) {{
-                case 0: acc = acc + t->val[j] * x; break;
-                case 1: acc = acc - (x & t->val[j]); break;
-                case 2: acc = acc * {b} + t->val[j]; break;
-                default: acc = acc + (x >> {c}) - t->val[j]; break;
-            }}
-        }}
-        return acc;
-    }}
-}}
-"
-            )),
-            1 => src.push_str(&format!(
-                "int f{i}(int k, int x) {{
-    int p = x * {b} + x * {b};
-    int q = (x + {a}) * (x + {a}) - p;
-    dynamicRegion key(k) (k) {{
-        int j;
-        int acc = q + 0;
-        unrolled for (j = 0; j < k; j++) {{
-            acc = acc + (x ^ j) * {b} + j * k;
-        }}
-        return acc + k * {c} - (k + 0) * 1;
-    }}
-}}
-"
-            )),
-            _ => {
-                let call = match plain.last() {
-                    Some(&g) => format!("f{g}(n - 1, x)"),
-                    None => "0".to_string(),
-                };
-                src.push_str(&format!(
-                    "int f{i}(int n, int x) {{
-    double s = 0.0;
-    int c = 0;
-    int j;
-    for (j = 0; j < n; j++) {{
-        s = s + (double) (x * j) * 0.5;
-        if (j - (j / 3) * 3 == 0) {{ c = c + (x & j) * {b}; }} else {{ c = c - {c}; }}
-    }}
-    return c + (int) s + {a} * 1 + {call};
-}}
-"
-                ));
-                plain.push(i);
-            }
-        }
-    }
-    src
-}
-
 fn rows() -> Vec<Row> {
     let kernels: [(&str, &str); 7] = [
         ("calculator", calculator::SRC),
@@ -614,7 +541,7 @@ fn rows() -> Vec<Row> {
         }
     }
     for (n, seed) in [(8, 0x5eed_0008), (64, 0x5eed_0064)] {
-        let src = synthetic_unit(n, seed);
+        let src = synthetic::unit(n, seed);
         rows.push(unit_row(
             format!("synthetic{n}.dynamic"),
             &src,
