@@ -1,4 +1,7 @@
-//! MiniC abstract syntax.
+//! MiniC abstract syntax. Names are [`Sym`]s of the [`Program`]'s
+//! [`Names`].
+
+pub use crate::names::{Names, Sym};
 
 /// A named base type plus pointer depth (arrays live in declarators).
 #[derive(Clone, Debug, PartialEq)]
@@ -32,7 +35,7 @@ pub enum BaseType {
     /// `double`
     Double,
     /// `struct <name>`
-    Struct(String),
+    Struct(Sym),
 }
 
 /// Binary operators at the source level.
@@ -95,7 +98,7 @@ pub enum Expr {
     /// Float literal.
     FloatLit(f64),
     /// Variable reference.
-    Ident(String),
+    Ident(Sym),
     /// Unary operation.
     Un(UnAop, Box<Expr>),
     /// `*e` — pointer dereference; `dynamic` per the §2 annotation.
@@ -121,7 +124,7 @@ pub enum Expr {
     /// Function or intrinsic call.
     Call {
         /// Callee name.
-        name: String,
+        name: Sym,
         /// Arguments.
         args: Vec<Expr>,
     },
@@ -139,7 +142,7 @@ pub enum Expr {
         /// Struct or pointer-to-struct expression.
         base: Box<Expr>,
         /// Field name.
-        field: String,
+        field: Sym,
         /// `->` (true) vs `.` (false).
         arrow: bool,
         /// `dynamic->` annotation.
@@ -186,7 +189,7 @@ pub enum Stmt {
         /// Declared type.
         ty: TypeName,
         /// Name.
-        name: String,
+        name: Sym,
         /// Array length, if an array declarator.
         array: Option<u64>,
         /// Initializer.
@@ -222,16 +225,16 @@ pub enum Stmt {
     /// `return`.
     Return(Option<Expr>),
     /// `goto label`.
-    Goto(String),
+    Goto(Sym),
     /// `label: stmt`.
-    Label(String, Box<Stmt>),
+    Label(Sym, Box<Stmt>),
     /// `dynamicRegion key(kvars) (cvars) { … }` (§2). The key variables
     /// are implicitly constants as well.
     DynamicRegion {
         /// Annotated run-time constant variables.
-        consts: Vec<String>,
+        consts: Vec<Sym>,
         /// Cache-key variables.
-        keys: Vec<String>,
+        keys: Vec<Sym>,
         /// Region body.
         body: Box<Stmt>,
     },
@@ -243,16 +246,16 @@ pub enum Top {
     /// `struct S { ... };`
     Struct {
         /// Struct tag.
-        name: String,
+        name: Sym,
         /// Fields: type, name, optional array length.
-        fields: Vec<(TypeName, String, Option<u64>)>,
+        fields: Vec<(TypeName, Sym, Option<u64>)>,
     },
     /// Global variable.
     Global {
         /// Declared type.
         ty: TypeName,
         /// Name.
-        name: String,
+        name: Sym,
         /// Array length, if any.
         array: Option<u64>,
         /// Scalar or array initializer values.
@@ -263,9 +266,9 @@ pub enum Top {
         /// Return type.
         ret: TypeName,
         /// Name.
-        name: String,
+        name: Sym,
         /// Parameters.
-        params: Vec<(TypeName, String)>,
+        params: Vec<(TypeName, Sym)>,
         /// Body (a block).
         body: Stmt,
     },
@@ -273,7 +276,9 @@ pub enum Top {
 
 /// A parsed translation unit.
 #[derive(Clone, Debug, PartialEq, Default)]
-pub struct Program {
+pub struct Program<'a> {
     /// Top-level items in source order.
     pub tops: Vec<Top>,
+    /// The names its [`Sym`]s stand for.
+    pub names: Names<'a>,
 }

@@ -1,12 +1,18 @@
 //! MiniC lexer.
+//!
+//! One pass over the source bytes. Identifiers are slices of the source
+//! (the parser interns them); numbers are parsed from slices; punctuators
+//! come from one `match` on up to three bytes. Identifiers start with an
+//! ASCII letter or `_` and continue with any alphanumeric char, and
+//! columns count chars, not bytes.
 
 use std::fmt;
 
 /// Token kinds.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Tok<'a> {
     /// Identifier.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Float literal.
@@ -159,7 +165,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -171,10 +177,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Token<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// 1-based line.
     pub line: u32,
     /// 1-based column.
@@ -200,57 +206,130 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
+/// The keyword `word` spells, if any.
+fn keyword(word: &str) -> Option<Tok<'static>> {
+    Some(match word {
+        "int" => Tok::KwInt,
+        "unsigned" => Tok::KwUnsigned,
+        "signed" => Tok::KwSigned,
+        "char" => Tok::KwChar,
+        "short" => Tok::KwShort,
+        "long" => Tok::KwLong,
+        "double" => Tok::KwDouble,
+        "float" => Tok::KwDouble, // MiniC floats are doubles
+        "void" => Tok::KwVoid,
+        "struct" => Tok::KwStruct,
+        "if" => Tok::KwIf,
+        "else" => Tok::KwElse,
+        "while" => Tok::KwWhile,
+        "do" => Tok::KwDo,
+        "for" => Tok::KwFor,
+        "switch" => Tok::KwSwitch,
+        "case" => Tok::KwCase,
+        "default" => Tok::KwDefault,
+        "break" => Tok::KwBreak,
+        "continue" => Tok::KwContinue,
+        "return" => Tok::KwReturn,
+        "goto" => Tok::KwGoto,
+        "sizeof" => Tok::KwSizeof,
+        "dynamicRegion" => Tok::KwDynamicRegion,
+        "key" => Tok::KwKey,
+        "unrolled" => Tok::KwUnrolled,
+        "dynamic" => Tok::KwDynamic,
+        _ => return None,
+    })
+}
+
+/// The punctuator `s` starts with, longest first, and its length.
+fn punctuator(s: &[u8]) -> Option<(Tok<'static>, usize)> {
+    let at = |k: usize| s.get(k).copied().unwrap_or(0);
+    Some(match (at(0), at(1), at(2)) {
+        (b'<', b'<', b'=') => (Tok::ShlEq, 3),
+        (b'>', b'>', b'=') => (Tok::ShrEq, 3),
+        (b'-', b'>', _) => (Tok::Arrow, 2),
+        (b'+', b'+', _) => (Tok::PlusPlus, 2),
+        (b'-', b'-', _) => (Tok::MinusMinus, 2),
+        (b'<', b'<', _) => (Tok::Shl, 2),
+        (b'>', b'>', _) => (Tok::Shr, 2),
+        (b'<', b'=', _) => (Tok::Le, 2),
+        (b'>', b'=', _) => (Tok::Ge, 2),
+        (b'=', b'=', _) => (Tok::EqEq, 2),
+        (b'!', b'=', _) => (Tok::Ne, 2),
+        (b'&', b'&', _) => (Tok::AndAnd, 2),
+        (b'|', b'|', _) => (Tok::OrOr, 2),
+        (b'+', b'=', _) => (Tok::PlusEq, 2),
+        (b'-', b'=', _) => (Tok::MinusEq, 2),
+        (b'*', b'=', _) => (Tok::StarEq, 2),
+        (b'/', b'=', _) => (Tok::SlashEq, 2),
+        (b'%', b'=', _) => (Tok::PercentEq, 2),
+        (b'&', b'=', _) => (Tok::AmpEq, 2),
+        (b'|', b'=', _) => (Tok::PipeEq, 2),
+        (b'^', b'=', _) => (Tok::CaretEq, 2),
+        (b'(', ..) => (Tok::LParen, 1),
+        (b')', ..) => (Tok::RParen, 1),
+        (b'{', ..) => (Tok::LBrace, 1),
+        (b'}', ..) => (Tok::RBrace, 1),
+        (b'[', ..) => (Tok::LBracket, 1),
+        (b']', ..) => (Tok::RBracket, 1),
+        (b';', ..) => (Tok::Semi, 1),
+        (b',', ..) => (Tok::Comma, 1),
+        (b':', ..) => (Tok::Colon, 1),
+        (b'?', ..) => (Tok::Question, 1),
+        (b'.', ..) => (Tok::Dot, 1),
+        (b'+', ..) => (Tok::Plus, 1),
+        (b'-', ..) => (Tok::Minus, 1),
+        (b'*', ..) => (Tok::Star, 1),
+        (b'/', ..) => (Tok::Slash, 1),
+        (b'%', ..) => (Tok::Percent, 1),
+        (b'&', ..) => (Tok::Amp, 1),
+        (b'|', ..) => (Tok::Pipe, 1),
+        (b'^', ..) => (Tok::Caret, 1),
+        (b'~', ..) => (Tok::Tilde, 1),
+        (b'!', ..) => (Tok::Bang, 1),
+        (b'<', ..) => (Tok::Lt, 1),
+        (b'>', ..) => (Tok::Gt, 1),
+        (b'=', ..) => (Tok::Eq, 1),
+        _ => return None,
+    })
+}
+
+/// Length in bytes of the UTF-8 char whose first byte is `b`.
+fn char_len(b: u8) -> usize {
+    match b {
+        0..=0x7f => 1,
+        0xc0..=0xdf => 2,
+        0xe0..=0xef => 3,
+        _ => 4,
+    }
+}
+
 /// Tokenize MiniC source.
 ///
 /// # Errors
 /// Fails on unterminated comments, malformed numbers or stray characters.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut out = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+    let bytes = src.as_bytes();
+    let mut out = Vec::with_capacity(src.len() / 3);
     let mut i = 0usize;
     let (mut line, mut col) = (1u32, 1u32);
 
     macro_rules! err {
         ($($a:tt)*) => { return Err(LexError { msg: format!($($a)*), line, col }) };
     }
-
-    let keyword = |s: &str| -> Option<Tok> {
-        Some(match s {
-            "int" => Tok::KwInt,
-            "unsigned" => Tok::KwUnsigned,
-            "signed" => Tok::KwSigned,
-            "char" => Tok::KwChar,
-            "short" => Tok::KwShort,
-            "long" => Tok::KwLong,
-            "double" => Tok::KwDouble,
-            "float" => Tok::KwDouble, // MiniC floats are doubles
-            "void" => Tok::KwVoid,
-            "struct" => Tok::KwStruct,
-            "if" => Tok::KwIf,
-            "else" => Tok::KwElse,
-            "while" => Tok::KwWhile,
-            "do" => Tok::KwDo,
-            "for" => Tok::KwFor,
-            "switch" => Tok::KwSwitch,
-            "case" => Tok::KwCase,
-            "default" => Tok::KwDefault,
-            "break" => Tok::KwBreak,
-            "continue" => Tok::KwContinue,
-            "return" => Tok::KwReturn,
-            "goto" => Tok::KwGoto,
-            "sizeof" => Tok::KwSizeof,
-            "dynamicRegion" => Tok::KwDynamicRegion,
-            "key" => Tok::KwKey,
-            "unrolled" => Tok::KwUnrolled,
-            "dynamic" => Tok::KwDynamic,
-            _ => return None,
-        })
-    };
+    // Advance `i` over ASCII bytes matching `pred`, one column each.
+    macro_rules! skip_while {
+        ($pred:expr) => {
+            while i < bytes.len() && $pred(bytes[i]) {
+                i += 1;
+                col += 1;
+            }
+        };
+    }
 
     while i < bytes.len() {
         let c = bytes[i];
         let (tline, tcol) = (line, col);
-        let mut push = |tok: Tok| {
+        let mut push = |tok: Tok<'static>| {
             out.push(Token {
                 tok,
                 line: tline,
@@ -258,69 +337,79 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             })
         };
         match c {
-            ' ' | '\t' | '\r' => {
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
                 col += 1;
             }
-            '\n' => {
+            b'\n' => {
                 i += 1;
                 line += 1;
                 col = 1;
             }
-            '/' if bytes.get(i + 1) == Some(&'/') => {
-                while i < bytes.len() && bytes[i] != '\n' {
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                // The column stays put: the newline resets it.
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
             }
-            '/' if bytes.get(i + 1) == Some(&'*') => {
+            b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 i += 2;
                 col += 2;
                 loop {
-                    if i + 1 >= bytes.len() {
+                    // A comment must close before the source's last char.
+                    if i >= bytes.len() || i + char_len(bytes[i]) >= bytes.len() {
                         err!("unterminated block comment");
                     }
-                    if bytes[i] == '*' && bytes[i + 1] == '/' {
+                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
                         i += 2;
                         col += 2;
                         break;
                     }
-                    if bytes[i] == '\n' {
+                    if bytes[i] == b'\n' {
                         line += 1;
                         col = 1;
                     } else {
                         col += 1;
                     }
-                    i += 1;
+                    i += char_len(bytes[i]);
                 }
             }
-            'a'..='z' | 'A'..='Z' | '_' => {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let start = i;
-                while i < bytes.len() && (bytes[i].is_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
+                while i < bytes.len() {
+                    let b = bytes[i];
+                    let len = if b.is_ascii_alphanumeric() || b == b'_' {
+                        1
+                    } else if b >= 0x80
+                        && src[i..].chars().next().is_some_and(char::is_alphanumeric)
+                    {
+                        char_len(b)
+                    } else {
+                        break;
+                    };
+                    i += len;
                     col += 1;
                 }
-                let word: String = bytes[start..i].iter().collect();
-                match keyword(&word) {
-                    Some(k) => push(k),
-                    None => push(Tok::Ident(word)),
-                }
+                let word = &src[start..i];
+                out.push(Token {
+                    tok: keyword(word).unwrap_or(Tok::Ident(word)),
+                    line: tline,
+                    col: tcol,
+                });
             }
-            '0'..='9' => {
+            b'0'..=b'9' => {
                 let start = i;
                 let mut is_float = false;
-                if c == '0' && bytes.get(i + 1).is_some_and(|&c| c == 'x' || c == 'X') {
+                if c == b'0' && matches!(bytes.get(i + 1), Some(b'x' | b'X')) {
                     i += 2;
                     col += 2;
                     let hstart = i;
-                    while i < bytes.len() && bytes[i].is_ascii_hexdigit() {
-                        i += 1;
-                        col += 1;
-                    }
-                    let hex: String = bytes[hstart..i].iter().collect();
+                    skip_while!(|b: u8| b.is_ascii_hexdigit());
+                    let hex = &src[hstart..i];
                     if hex.is_empty() {
                         err!("malformed hex literal");
                     }
-                    let v = u64::from_str_radix(&hex, 16).map_err(|e| LexError {
+                    let v = u64::from_str_radix(hex, 16).map_err(|e| LexError {
                         msg: format!("bad hex literal: {e}"),
                         line,
                         col,
@@ -328,36 +417,24 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     push(Tok::Int(v as i64));
                     continue;
                 }
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                    col += 1;
-                }
-                if i < bytes.len()
-                    && bytes[i] == '.'
-                    && bytes.get(i + 1).is_some_and(|c| c.is_ascii_digit())
-                {
+                skip_while!(|b: u8| b.is_ascii_digit());
+                if bytes.get(i) == Some(&b'.') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
                     is_float = true;
                     i += 1;
                     col += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                        col += 1;
-                    }
+                    skip_while!(|b: u8| b.is_ascii_digit());
                 }
-                if i < bytes.len() && (bytes[i] == 'e' || bytes[i] == 'E') {
+                if matches!(bytes.get(i), Some(b'e' | b'E')) {
                     is_float = true;
                     i += 1;
                     col += 1;
-                    if i < bytes.len() && (bytes[i] == '+' || bytes[i] == '-') {
+                    if matches!(bytes.get(i), Some(b'+' | b'-')) {
                         i += 1;
                         col += 1;
                     }
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                        col += 1;
-                    }
+                    skip_while!(|b: u8| b.is_ascii_digit());
                 }
-                let text: String = bytes[start..i].iter().collect();
+                let text = &src[start..i];
                 if is_float {
                     let v = text.parse::<f64>().map_err(|e| LexError {
                         msg: format!("bad float: {e}"),
@@ -374,70 +451,17 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     push(Tok::Int(v));
                 }
             }
-            _ => {
-                // Multi-char operators, longest first.
-                let rest: String = bytes[i..bytes.len().min(i + 3)].iter().collect();
-                let table: &[(&str, Tok)] = &[
-                    ("<<=", Tok::ShlEq),
-                    (">>=", Tok::ShrEq),
-                    ("->", Tok::Arrow),
-                    ("++", Tok::PlusPlus),
-                    ("--", Tok::MinusMinus),
-                    ("<<", Tok::Shl),
-                    (">>", Tok::Shr),
-                    ("<=", Tok::Le),
-                    (">=", Tok::Ge),
-                    ("==", Tok::EqEq),
-                    ("!=", Tok::Ne),
-                    ("&&", Tok::AndAnd),
-                    ("||", Tok::OrOr),
-                    ("+=", Tok::PlusEq),
-                    ("-=", Tok::MinusEq),
-                    ("*=", Tok::StarEq),
-                    ("/=", Tok::SlashEq),
-                    ("%=", Tok::PercentEq),
-                    ("&=", Tok::AmpEq),
-                    ("|=", Tok::PipeEq),
-                    ("^=", Tok::CaretEq),
-                    ("(", Tok::LParen),
-                    (")", Tok::RParen),
-                    ("{", Tok::LBrace),
-                    ("}", Tok::RBrace),
-                    ("[", Tok::LBracket),
-                    ("]", Tok::RBracket),
-                    (";", Tok::Semi),
-                    (",", Tok::Comma),
-                    (":", Tok::Colon),
-                    ("?", Tok::Question),
-                    (".", Tok::Dot),
-                    ("+", Tok::Plus),
-                    ("-", Tok::Minus),
-                    ("*", Tok::Star),
-                    ("/", Tok::Slash),
-                    ("%", Tok::Percent),
-                    ("&", Tok::Amp),
-                    ("|", Tok::Pipe),
-                    ("^", Tok::Caret),
-                    ("~", Tok::Tilde),
-                    ("!", Tok::Bang),
-                    ("<", Tok::Lt),
-                    (">", Tok::Gt),
-                    ("=", Tok::Eq),
-                ];
-                let mut matched = false;
-                for (s, t) in table {
-                    if rest.starts_with(s) {
-                        push(t.clone());
-                        i += s.len();
-                        col += s.len() as u32;
-                        matched = true;
-                        break;
-                    }
+            _ => match punctuator(&bytes[i..]) {
+                Some((tok, len)) => {
+                    push(tok);
+                    i += len;
+                    col += len as u32;
                 }
-                if !matched {
+                None => {
+                    let c = src[i..].chars().next().unwrap_or('?');
                     err!("unexpected character `{c}`");
                 }
-            }
+            },
         }
     }
     out.push(Token {
@@ -452,7 +476,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -462,7 +486,7 @@ mod tests {
             kinds("int x unrolled dynamicRegion dynamic key"),
             vec![
                 Tok::KwInt,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::KwUnrolled,
                 Tok::KwDynamicRegion,
                 Tok::KwDynamic,
@@ -493,9 +517,9 @@ mod tests {
         assert_eq!(
             kinds("a->b <<= >> >= = == != ++x"),
             vec![
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Arrow,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::ShlEq,
                 Tok::Shr,
                 Tok::Ge,
@@ -503,7 +527,7 @@ mod tests {
                 Tok::EqEq,
                 Tok::Ne,
                 Tok::PlusPlus,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Eof
             ]
         );
@@ -513,7 +537,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             kinds("a // line\n /* block \n comment */ b"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Eof]
         );
     }
 

@@ -39,6 +39,7 @@
 pub mod ast;
 pub mod lexer;
 pub mod lower;
+pub mod names;
 pub mod parser;
 pub mod types;
 

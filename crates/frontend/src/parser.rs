@@ -37,31 +37,37 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 /// Returns the first syntax error with its position.
-pub fn parse(src: &str) -> Result<Program, ParseError> {
+pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    p.program()
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        names: Names::default(),
+    };
+    let tops = p.program()?;
+    Ok(Program {
+        tops,
+        names: p.names,
+    })
 }
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'a> {
+    toks: Vec<Token<'a>>,
     pos: usize,
+    names: Names<'a>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        self.toks
-            .get(self.pos + 1)
-            .map(|t| &t.tok)
-            .unwrap_or(&Tok::Eof)
+    fn peek2(&self) -> Tok<'a> {
+        self.toks.get(self.pos + 1).map_or(Tok::Eof, |t| t.tok)
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos].tok;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -77,8 +83,8 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, tok: Tok) -> Result<(), ParseError> {
-        if *self.peek() == tok {
+    fn expect(&mut self, tok: Tok<'_>) -> Result<(), ParseError> {
+        if self.peek() == tok {
             self.bump();
             Ok(())
         } else {
@@ -86,8 +92,8 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, tok: &Tok) -> bool {
-        if self.peek() == tok {
+    fn eat(&mut self, tok: &Tok<'_>) -> bool {
+        if self.peek() == *tok {
             self.bump();
             true
         } else {
@@ -95,11 +101,11 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> Result<Sym, ParseError> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
-                Ok(s)
+                Ok(self.names.intern(s))
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
@@ -140,7 +146,7 @@ impl Parser {
                 _ => break,
             }
         }
-        let b = match self.peek().clone() {
+        let b = match self.peek() {
             Tok::KwChar => {
                 self.bump();
                 BaseType::Int { size: 1, signed }
@@ -189,17 +195,17 @@ impl Parser {
 
     // ---- top level ----
 
-    fn program(&mut self) -> Result<Program, ParseError> {
+    fn program(&mut self) -> Result<Vec<Top>, ParseError> {
         let mut tops = Vec::new();
-        while *self.peek() != Tok::Eof {
+        while self.peek() != Tok::Eof {
             tops.push(self.top()?);
         }
-        Ok(Program { tops })
+        Ok(tops)
     }
 
     fn top(&mut self) -> Result<Top, ParseError> {
         // struct definition?
-        if *self.peek() == Tok::KwStruct {
+        if self.peek() == Tok::KwStruct {
             if let Tok::Ident(_) = self.peek2() {
                 // Lookahead for '{' after the tag => definition.
                 if self.toks.get(self.pos + 2).map(|t| &t.tok) == Some(&Tok::LBrace) {
@@ -209,7 +215,7 @@ impl Parser {
         }
         let ty = self.type_name()?;
         let name = self.ident()?;
-        if *self.peek() == Tok::LParen {
+        if self.peek() == Tok::LParen {
             self.func_def(ty, name)
         } else {
             self.global_decl(ty, name)
@@ -255,7 +261,7 @@ impl Parser {
     }
 
     fn int_lit(&mut self) -> Result<i64, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(v)
@@ -264,7 +270,7 @@ impl Parser {
         }
     }
 
-    fn global_decl(&mut self, ty: TypeName, name: String) -> Result<Top, ParseError> {
+    fn global_decl(&mut self, ty: TypeName, name: Sym) -> Result<Top, ParseError> {
         let array = if self.eat(&Tok::LBracket) {
             let n = self.int_lit()?;
             self.expect(Tok::RBracket)?;
@@ -295,11 +301,11 @@ impl Parser {
         })
     }
 
-    fn func_def(&mut self, ret: TypeName, name: String) -> Result<Top, ParseError> {
+    fn func_def(&mut self, ret: TypeName, name: Sym) -> Result<Top, ParseError> {
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
         if !self.eat(&Tok::RParen) {
-            if *self.peek() == Tok::KwVoid && *self.peek2() == Tok::RParen {
+            if self.peek() == Tok::KwVoid && self.peek2() == Tok::RParen {
                 self.bump();
                 self.expect(Tok::RParen)?;
             } else {
@@ -335,7 +341,7 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LBrace => self.block(),
             Tok::KwIf => {
                 self.bump();
@@ -369,7 +375,7 @@ impl Parser {
             }
             Tok::KwUnrolled => {
                 self.bump();
-                if *self.peek() != Tok::KwFor {
+                if self.peek() != Tok::KwFor {
                     return self.err("`unrolled` must be followed by `for`");
                 }
                 self.for_stmt(true)
@@ -383,7 +389,7 @@ impl Parser {
                 self.expect(Tok::LBrace)?;
                 let mut items = Vec::new();
                 while !self.eat(&Tok::RBrace) {
-                    match self.peek().clone() {
+                    match self.peek() {
                         Tok::KwCase => {
                             self.bump();
                             let neg = self.eat(&Tok::Minus);
@@ -459,9 +465,10 @@ impl Parser {
                 let body = Box::new(self.block()?);
                 Ok(Stmt::DynamicRegion { consts, keys, body })
             }
-            Tok::Ident(name) if *self.peek2() == Tok::Colon => {
+            Tok::Ident(name) if self.peek2() == Tok::Colon => {
                 self.bump();
                 self.bump();
+                let name = self.names.intern(name);
                 Ok(Stmt::Label(name, Box::new(self.stmt()?)))
             }
             _ if self.at_type_start() => self.decl_stmt(),
@@ -527,13 +534,13 @@ impl Parser {
             self.expect(Tok::Semi)?;
             Some(Box::new(Stmt::Expr(e)))
         };
-        let cond = if *self.peek() == Tok::Semi {
+        let cond = if self.peek() == Tok::Semi {
             None
         } else {
             Some(self.expr()?)
         };
         self.expect(Tok::Semi)?;
-        let step = if *self.peek() == Tok::RParen {
+        let step = if self.peek() == Tok::RParen {
             None
         } else {
             Some(self.expr()?)
@@ -592,7 +599,7 @@ impl Parser {
         }
     }
 
-    fn bin_op_prec(tok: &Tok) -> Option<(BinAop, u8)> {
+    fn bin_op_prec(tok: &Tok<'_>) -> Option<(BinAop, u8)> {
         Some(match tok {
             Tok::OrOr => (BinAop::LogOr, 1),
             Tok::AndAnd => (BinAop::LogAnd, 2),
@@ -618,7 +625,7 @@ impl Parser {
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
-        while let Some((op, prec)) = Self::bin_op_prec(self.peek()) {
+        while let Some((op, prec)) = Self::bin_op_prec(&self.peek()) {
             if prec < min_prec {
                 break;
             }
@@ -631,7 +638,7 @@ impl Parser {
 
     fn is_type_cast_ahead(&self) -> bool {
         // '(' followed by a type keyword means a cast.
-        *self.peek() == Tok::LParen
+        self.peek() == Tok::LParen
             && matches!(
                 self.peek2(),
                 Tok::KwInt
@@ -647,7 +654,7 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Minus => {
                 self.bump();
                 Ok(Expr::Un(UnAop::Neg, Box::new(self.unary()?)))
@@ -667,7 +674,7 @@ impl Parser {
                     dynamic: false,
                 })
             }
-            Tok::KwDynamic if *self.peek2() == Tok::Star => {
+            Tok::KwDynamic if self.peek2() == Tok::Star => {
                 self.bump();
                 self.bump();
                 Ok(Expr::Deref {
@@ -713,7 +720,7 @@ impl Parser {
     fn postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.expr()?;
@@ -746,7 +753,7 @@ impl Parser {
                 }
                 Tok::KwDynamic => {
                     // `p dynamic-> f` and `a dynamic[ i ]` (§2).
-                    match self.peek2().clone() {
+                    match self.peek2() {
                         Tok::Arrow => {
                             self.bump();
                             self.bump();
@@ -793,7 +800,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v))
@@ -804,6 +811,7 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 self.bump();
+                let name = self.names.intern(name);
                 if self.eat(&Tok::LParen) {
                     let mut args = Vec::new();
                     if !self.eat(&Tok::RParen) {
@@ -869,12 +877,12 @@ mod tests {
         let Top::Func { name, body, .. } = &prog.tops[3] else {
             panic!("expected func")
         };
-        assert_eq!(name, "cacheLookup");
+        assert_eq!(prog.names.name(*name), "cacheLookup");
         let Stmt::Block(stmts) = body else { panic!() };
         let Stmt::DynamicRegion { consts, keys, body } = &stmts[0] else {
             panic!("expected dynamicRegion, got {:?}", stmts[0])
         };
-        assert_eq!(consts, &["cache"]);
+        assert_eq!(consts, &[prog.names.get("cache").unwrap()]);
         assert!(keys.is_empty());
         // The unrolled loop with the dynamic-> annotation is in there.
         let Stmt::Block(inner) = body.as_ref() else {
@@ -917,8 +925,9 @@ mod tests {
         let Stmt::DynamicRegion { consts, keys, .. } = &b[0] else {
             panic!()
         };
-        assert_eq!(keys, &["c"]);
-        assert_eq!(consts, &["c"]);
+        let c = prog.names.get("c").unwrap();
+        assert_eq!(keys, &[c]);
+        assert_eq!(consts, &[c]);
     }
 
     #[test]
