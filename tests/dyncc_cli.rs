@@ -392,6 +392,7 @@ fn time_passes_reports_every_phase() {
         "ir.ssa",
         "opt.optimize",
         "ir.cfg_verify",
+        "core.inline",
         "analysis.analyze_region",
         "specialize.region",
         "codegen.compile_module",
