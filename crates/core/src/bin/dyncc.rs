@@ -83,8 +83,9 @@
 //!   of hits/misses/rejects is printed after `--run`
 //! * `--time-passes` print the host time of each phase of one static
 //!   compile of the file, under the layer names of the host-time
-//!   benchmark (with `--persist-dir`, the file is compiled for the timing
-//!   even when the cache holds it)
+//!   benchmark, plus `core.inline` for the inliner's own work (with
+//!   `--persist-dir`, the file is compiled for the timing even when the
+//!   cache holds it)
 //!
 //! Every failure path exits through a typed [`CliError`]: usage
 //! problems exit 2, everything else (I/O, compile, run, network) exits
