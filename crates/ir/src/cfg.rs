@@ -1,7 +1,7 @@
 //! CFG utilities: predecessor maps, traversal orders, edge splitting.
 
 use crate::func::{Block, Function};
-use crate::ids::{BlockId, IdSet, IndexVec};
+use crate::ids::{BlockId, IdSet, IndexVec, InstId};
 use crate::inst::{InstKind, Terminator};
 
 /// Predecessor lists for every block, with duplicate edges preserved
@@ -40,11 +40,11 @@ pub fn reachable(f: &Function) -> IdSet<BlockId> {
     let mut stack = vec![f.entry];
     seen.insert(f.entry);
     while let Some(b) = stack.pop() {
-        for s in f.blocks[b].term.successors() {
+        f.blocks[b].term.for_each_successor(|s| {
             if seen.insert(s) {
                 stack.push(s);
             }
-        }
+        });
     }
     seen
 }
@@ -152,33 +152,44 @@ pub fn split_critical_edges(f: &mut Function) -> usize {
     nsplit
 }
 
+/// What [`prune_unreachable`] removed, in order.
+#[derive(Clone, Debug, Default)]
+pub struct Pruned {
+    /// Each block it detached, with the instructions and terminator it held.
+    pub cleared: Vec<(BlockId, Vec<InstId>, Terminator)>,
+    /// Each φ-operand it dropped: the φ's block and the operand's value.
+    pub cut: Vec<(BlockId, InstId)>,
+}
+
 /// Remove blocks unreachable from the entry, fixing φ-operand lists.
-/// Returns the number of blocks detached (their storage is retained but
-/// they are emptied and self-looped out of the CFG).
-pub fn prune_unreachable(f: &mut Function) -> usize {
+/// Detached blocks keep their storage but are emptied and end in
+/// [`Terminator::Unreachable`]; the return value lists what went.
+pub fn prune_unreachable(f: &mut Function) -> Pruned {
     let live = reachable(f);
-    let mut pruned = 0;
-    let ids: Vec<BlockId> = f.blocks.ids().collect();
-    for b in ids {
-        if !live.contains(b) {
-            let blk = &mut f.blocks[b];
-            if !blk.insts.is_empty() || blk.term != Terminator::Unreachable {
-                blk.insts.clear();
-                blk.term = Terminator::Unreachable;
-                pruned += 1;
-            }
+    let mut pruned = Pruned::default();
+    for b in f.blocks.ids() {
+        let blk = &mut f.blocks[b];
+        if !live.contains(b) && (!blk.insts.is_empty() || blk.term != Terminator::Unreachable) {
+            let insts = std::mem::take(&mut blk.insts);
+            let term = std::mem::replace(&mut blk.term, Terminator::Unreachable);
+            pruned.cleared.push((b, insts, term));
         }
     }
-    // Drop φ-operands that name now-unreachable predecessors.
-    for b in f.blocks.ids().collect::<Vec<_>>() {
-        if !live.contains(b) {
-            continue;
-        }
-        let insts = f.blocks[b].insts.clone();
-        for id in insts {
-            if let InstKind::Phi(ins) = &mut f.insts[id].kind {
-                ins.retain(|(p, _)| live.contains(*p));
-            }
+    // Drop φ-operands that name now-unreachable predecessors. φs form a
+    // prefix of their block (`verify` checks it).
+    let Function { blocks, insts, .. } = &mut *f;
+    for b in live.iter() {
+        for &i in &blocks[b].insts {
+            let InstKind::Phi(ins) = &mut insts[i].kind else {
+                break;
+            };
+            ins.retain(|&(p, v)| {
+                let keep = live.contains(p);
+                if !keep {
+                    pruned.cut.push((b, v));
+                }
+                keep
+            });
         }
     }
     pruned
@@ -286,8 +297,10 @@ mod tests {
         let mut f = diamond();
         let orphan = f.add_block();
         f.blocks[orphan].term = Terminator::Jump(f.entry);
-        let n = prune_unreachable(&mut f);
-        assert_eq!(n, 1);
+        let pruned = prune_unreachable(&mut f);
+        assert_eq!(pruned.cleared.len(), 1);
+        assert_eq!(pruned.cleared[0].0, orphan);
+        assert!(pruned.cut.is_empty());
         assert_eq!(f.blocks[orphan].term, Terminator::Unreachable);
     }
 }

@@ -485,19 +485,30 @@ pub enum Terminator {
 impl Terminator {
     /// Successor blocks, in order.
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut v = Vec::new();
+        self.for_each_successor(|b| v.push(b));
+        v
+    }
+
+    /// Call `visit` on each successor block, in order, without allocating.
+    pub fn for_each_successor(&self, mut visit: impl FnMut(BlockId)) {
         match self {
-            Terminator::Jump(b) => vec![*b],
+            Terminator::Jump(b)
+            | Terminator::EnterRegion { setup: b, .. }
+            | Terminator::EndSetup { template: b, .. } => visit(*b),
             Terminator::Branch { then_b, else_b, .. }
-            | Terminator::ConstBranch { then_b, else_b, .. } => vec![*then_b, *else_b],
+            | Terminator::ConstBranch { then_b, else_b, .. } => {
+                visit(*then_b);
+                visit(*else_b);
+            }
             Terminator::Switch { cases, default, .. }
             | Terminator::ConstSwitch { cases, default, .. } => {
-                let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
+                for (_, b) in cases {
+                    visit(*b);
+                }
+                visit(*default);
             }
-            Terminator::Return(_) | Terminator::Unreachable => vec![],
-            Terminator::EnterRegion { setup, .. } => vec![*setup],
-            Terminator::EndSetup { template, .. } => vec![*template],
+            Terminator::Return(_) | Terminator::Unreachable => {}
         }
     }
 
