@@ -27,6 +27,7 @@ pub mod kernels {
 }
 
 pub mod driver;
+pub mod lattice;
 pub mod row;
 pub mod synthetic;
 

@@ -18,6 +18,7 @@
 
 use crate::driver::{Args, Report};
 use crate::kernels::{calculator, dispatch, smatmul, sorter, spmv};
+use crate::lattice::{Kernel, Size};
 use crate::Scale;
 use dyncomp::{
     run_session, Compiler, EngineOptions, KernelSetup, Program, SharedCodeCache, TieredOptions,
@@ -35,13 +36,10 @@ pub fn run(args: &Args) -> Report {
     // replicas), so the sizes sit below the Table 2 rows of the same
     // scale — the unit measured is sessions per second, not a Table 2 row.
     let workloads: Vec<(&str, KernelSetup<'static>)> = match args.scale {
-        Scale::Smoke => vec![
-            ("calculator", calculator::setup(40)),
-            ("smatmul", smatmul::setup(8, 16, 8)),
-            ("spmv", spmv::setup(12, 3, 10)),
-            ("dispatch", dispatch::setup(10, 30)),
-            ("sorter", sorter::setup(40, 4, 3)),
-        ],
+        Scale::Smoke => Kernel::PAPER
+            .iter()
+            .map(|k| (k.name(), k.setup(Size::Concurrent)))
+            .collect(),
         Scale::Paper => vec![
             ("calculator", calculator::setup(400)),
             ("smatmul", smatmul::setup(32, 64, 32)),

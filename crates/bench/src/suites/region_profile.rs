@@ -12,25 +12,17 @@
 
 use crate::driver::{Args, Report};
 use crate::kernel_workloads;
+use crate::lattice::{self, Mode};
 use crate::row::{f4, Row, Value};
 use dyncomp::server::Json;
-use dyncomp::{
-    run_session_profiled, Compiler, EngineOptions, ProfiledSession, RegionProfile, TieredOptions,
-};
+use dyncomp::{run_session_profiled, Compiler, EngineOptions, ProfiledSession, RegionProfile};
 
 /// The three engine configurations profiled per kernel.
 fn modes() -> [(&'static str, EngineOptions); 3] {
-    let tiered = |speculate| EngineOptions {
-        tiered: Some(TieredOptions {
-            workers: 2,
-            speculate,
-        }),
-        ..EngineOptions::default()
-    };
     [
-        ("sync", EngineOptions::default()),
-        ("tiered", tiered(false)),
-        ("tiered+spec", tiered(true)),
+        ("sync", lattice::options(&[])),
+        ("tiered", lattice::options(&[Mode::Tiered(2, false)])),
+        ("tiered+spec", lattice::options(&[Mode::Tiered(2, true)])),
     ]
 }
 

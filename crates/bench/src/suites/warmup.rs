@@ -22,17 +22,11 @@
 //! Usage: `bench warmup [--smoke] [--json <path>] [--check <path>]`
 
 use crate::driver::{Args, Report};
+use crate::lattice::{self, Mode};
 use crate::row::Row;
 use crate::{kernel_workloads, Scale};
 use dyncomp::measure::{run_session_trace, SessionTrace};
-use dyncomp::{Compiler, EngineOptions, TieredOptions};
-
-fn tiered_engine(workers: usize, speculate: bool) -> EngineOptions {
-    EngineOptions {
-        tiered: Some(TieredOptions { workers, speculate }),
-        ..EngineOptions::default()
-    }
-}
+use dyncomp::{Compiler, EngineOptions};
 
 /// One kernel × mode: print its line of the report and return its
 /// `BENCH_warmup.json` object.
@@ -132,10 +126,11 @@ pub fn run(args: &Args) -> Report {
         let static_trace = trace(&static_prog, EngineOptions::default());
         let (sync_prog, tiered_prog) =
             (w.compile(&Compiler::new()), w.compile(&Compiler::tiered()));
+        let tiered = |speculate| lattice::options(&[Mode::Tiered(workers, speculate)]);
         for (mode, program, options) in [
             ("sync", &sync_prog, EngineOptions::default()),
-            ("tiered", &tiered_prog, tiered_engine(workers, false)),
-            ("tiered+spec", &tiered_prog, tiered_engine(workers, true)),
+            ("tiered", &tiered_prog, tiered(false)),
+            ("tiered+spec", &tiered_prog, tiered(true)),
         ] {
             rows.push(row(name, mode, &static_trace, &trace(program, options)));
         }

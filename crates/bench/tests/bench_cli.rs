@@ -2,6 +2,7 @@
 //! gate compares, and what the `bench` command line accepts.
 
 use dyncomp_bench::driver::SUITES;
+use dyncomp_bench::lattice::ScratchDir;
 use dyncomp_bench::row::{drift, f1, f4, render_json_array, Row, Value};
 use std::process::Command;
 
@@ -79,16 +80,10 @@ fn bench(args: &[&str], dir: &std::path::Path) -> std::process::Output {
         .expect("bench runs")
 }
 
-fn scratch_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dyncomp-bench-cli-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
-}
-
 #[test]
 fn usage_errors_exit_2_before_anything_runs() {
-    let dir = scratch_dir("usage");
+    let scratch = ScratchDir::new("bench-cli");
+    let dir = scratch.path();
     for args in [
         &["table2", "--smok"][..],
         &["table2", "--smoke", "--json"],
@@ -98,21 +93,21 @@ fn usage_errors_exit_2_before_anything_runs() {
         &["no_such_suite"],
         &[],
     ] {
-        let out = bench(args, &dir);
+        let out = bench(args, dir);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
-    let left: Vec<_> = std::fs::read_dir(&dir).expect("readable").collect();
+    let left: Vec<_> = std::fs::read_dir(dir).expect("readable").collect();
     assert!(left.is_empty(), "a usage error wrote {left:?}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_bare_smoke_run_writes_the_smoke_artifact() {
-    let dir = scratch_dir("smoke");
-    let out = bench(&["inline_bench", "--smoke"], &dir);
+    let scratch = ScratchDir::new("bench-cli");
+    let dir = scratch.path();
+    let out = bench(&["inline_bench", "--smoke"], dir);
     assert!(out.status.success(), "{out:?}");
-    let names: Vec<String> = std::fs::read_dir(&dir)
+    let names: Vec<String> = std::fs::read_dir(dir)
         .expect("readable")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .collect();
@@ -125,14 +120,13 @@ fn a_bare_smoke_run_writes_the_smoke_artifact() {
         std::fs::write(dir.join("reference.json"), reference).expect("reference copy");
         bench(
             &["inline_bench", "--smoke", "--check", "reference.json"],
-            &dir,
+            dir,
         )
     };
     assert!(check(doc.clone()).status.success());
     let tampered = doc.replacen("\"iterations\": 40", "\"iterations\": 41", 1);
     assert_ne!(tampered, doc);
     assert_eq!(check(tampered).status.code(), Some(1));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! a byte-budgeted `SharedCodeCache` as its quota, so a stats/byte drift
 //! under contention would silently corrupt tenant accounting.
 
-use dyncomp::{Compiler, EngineOptions, Session, SharedCodeCache};
+use dyncomp::{fold_checksum, Compiler, EngineOptions, Session, SharedCodeCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,7 +51,7 @@ fn concurrent_install_evict_reconciles_on_one_shard() {
                     let k = (t as u64 * KEYS_PER_THREAD) / 2 + i;
                     let r = session.call("f", &[k, 10]).unwrap();
                     assert_eq!(r, k * 100 + k * 10 + k, "wrong result for key {k}");
-                    local = local.wrapping_mul(1099511628211).wrapping_add(r);
+                    local = fold_checksum(local, r);
                 }
                 checksum.fetch_xor(local, Ordering::Relaxed);
             });

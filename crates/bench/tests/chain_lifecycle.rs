@@ -10,7 +10,8 @@
 //! code: exactly the pattern the chaining layer collapses (and therefore
 //! the pattern whose links the teardown paths must sever correctly).
 
-use dyncomp::{Compiler, EngineOptions, FaultPlan, FaultPoint, Injection, RecoveryPolicy, Session};
+use dyncomp::{fold_checksum, Compiler, EngineOptions, RecoveryPolicy, Session};
+use dyncomp_bench::lattice::{self, Mode};
 use std::sync::Arc;
 
 /// A keyed region entered eight times per call: the enclosing loop makes
@@ -41,7 +42,7 @@ fn drive(session: &mut Session, keys: u64) -> u64 {
             let r = session
                 .call("sweep", &[c, 8])
                 .expect("severed sessions must still answer");
-            checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
+            checksum = fold_checksum(checksum, r);
         }
     }
     checksum
@@ -52,13 +53,6 @@ fn run(options: EngineOptions, keys: u64) -> (u64, Session) {
     let mut session = Session::with_options(program, options);
     let checksum = drive(&mut session, keys);
     (checksum, session)
-}
-
-fn native_options() -> EngineOptions {
-    EngineOptions {
-        native: true,
-        ..EngineOptions::default()
-    }
 }
 
 /// On a supported host the workload must actually chain — otherwise the
@@ -83,7 +77,7 @@ fn chain_then_evict_keeps_results_identical() {
     let (clean, _) = run(EngineOptions::default(), 4);
     let options = EngineOptions {
         keyed_cache_capacity: Some(2),
-        ..native_options()
+        ..lattice::options(&[Mode::Native(true)])
     };
     let (checksum, session) = run(options, 4);
     assert_eq!(checksum, clean, "eviction-severed chains change no result");
@@ -108,21 +102,7 @@ fn chain_then_evict_keeps_results_identical() {
 #[test]
 fn chain_then_quarantine_keeps_results_identical() {
     let (clean, _) = run(EngineOptions::default(), 6);
-    let options = EngineOptions {
-        faults: Some(FaultPlan {
-            seed: 1,
-            injections: vec![Injection {
-                max_fires: u32::MAX,
-                ..Injection::new(FaultPoint::SetupVmTrap)
-            }],
-        }),
-        recovery: RecoveryPolicy {
-            max_retries: 0,
-            quarantine_after: 2,
-            ..RecoveryPolicy::default()
-        },
-        ..native_options()
-    };
+    let options = lattice::options(&[Mode::Quarantine(None), Mode::Native(true)]);
     let (checksum, session) = run(options, 6);
     assert_eq!(
         checksum, clean,
@@ -149,7 +129,7 @@ fn chain_then_quarantine_keeps_results_identical() {
 /// ladder is policy, not a fault).
 #[test]
 fn chain_then_budget_degrade_keeps_results_identical() {
-    let (clean, probe) = run(native_options(), 8);
+    let (clean, probe) = run(lattice::options(&[Mode::Native(true)]), 8);
     let installed = probe.health().code_bytes_installed;
     let (vm_clean, _) = run(EngineOptions::default(), 8);
     assert_eq!(clean, vm_clean, "native backend changes no result");
@@ -159,7 +139,7 @@ fn chain_then_budget_degrade_keeps_results_identical() {
             code_budget_bytes: Some(installed / 2),
             ..RecoveryPolicy::default()
         },
-        ..native_options()
+        ..lattice::options(&[Mode::Native(true)])
     };
     let (checksum, session) = run(options, 8);
     assert_eq!(checksum, clean, "budget-severed chains change no result");
@@ -223,7 +203,7 @@ fn run_armed(src: &str, options: EngineOptions, keys: u64, arm_at: u64, n: u32) 
             let r = session
                 .call("sweep", &[c, 8])
                 .expect("sessions with discarded holders must still answer");
-            checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
+            checksum = fold_checksum(checksum, r);
         }
     }
     (checksum, session)
@@ -252,24 +232,15 @@ fn failed_reseals_discard_holders_and_keep_results_identical() {
 fn failed_reseals_keep_results_identical(src: &str) {
     const KEYS: u64 = 6;
     let (clean, _) = run_armed(src, EngineOptions::default(), KEYS, u64::MAX, 0);
-    let (native, reference) = run_armed(src, native_options(), KEYS, u64::MAX, 0);
+    let (native, reference) = run_armed(
+        src,
+        lattice::options(&[Mode::Native(true)]),
+        KEYS,
+        u64::MAX,
+        0,
+    );
     assert_eq!(native, clean, "native backend changes no result");
-    let quarantine = EngineOptions {
-        faults: Some(FaultPlan {
-            seed: 1,
-            injections: vec![Injection {
-                region: Some(0),
-                max_fires: u32::MAX,
-                ..Injection::new(FaultPoint::SetupVmTrap)
-            }],
-        }),
-        recovery: RecoveryPolicy {
-            max_retries: 0,
-            quarantine_after: 2,
-            ..RecoveryPolicy::default()
-        },
-        ..native_options()
-    };
+    let quarantine = lattice::options(&[Mode::Quarantine(Some(0)), Mode::Native(true)]);
     let (_, severed) = run_armed(src, quarantine.clone(), KEYS, u64::MAX, 0);
     assert_eq!(
         severed.health().quarantined,
@@ -277,7 +248,7 @@ fn failed_reseals_keep_results_identical(src: &str) {
         "region 0 quarantined"
     );
     let mut discarded_somewhere = false;
-    for options in [native_options(), quarantine] {
+    for options in [lattice::options(&[Mode::Native(true)]), quarantine] {
         for arm_at in 0..3 * KEYS {
             for n in [1, u32::MAX] {
                 let (checksum, session) = run_armed(src, options.clone(), KEYS, arm_at, n);

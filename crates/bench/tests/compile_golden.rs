@@ -14,13 +14,13 @@
 //! deterministic, so a changed constant means a pass now rewrites
 //! differently: fix the pass, do not re-take the constant.
 
-use dyncomp::Compiler;
 use dyncomp_analysis::AnalysisConfig;
-use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
+use dyncomp_bench::lattice::{self, Comp};
 use dyncomp_bench::synthetic;
 use dyncomp_codegen::CompiledModule;
 use dyncomp_frontend::LowerOptions;
 use dyncomp_ir::codec::{Codec, Writer};
+use dyncomp_ir::fnv::Fnv;
 use dyncomp_ir::{FuncId, IdSet};
 use dyncomp_opt::{optimize, OptOptions, OptStats};
 use dyncomp_specialize::RegionSpec;
@@ -334,79 +334,35 @@ const GOLDEN: [Pinned; 30] = [
     ),
 ];
 
-/// FNV-1a-64, fed incrementally.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn words(&mut self, words: &[u32]) {
-        self.u64(words.len() as u64);
-        for w in words {
-            self.bytes(&w.to_le_bytes());
-        }
-    }
-
-    /// The value's persisted wire form.
-    fn wire<T: Codec>(&mut self, v: &T) {
-        let mut w = Writer::new();
-        v.encode(&mut w);
-        let bytes = w.into_bytes();
-        self.u64(bytes.len() as u64);
-        self.bytes(&bytes);
+/// `words`, length first.
+fn words(h: &mut Fnv, words: &[u32]) {
+    h.u64(words.len() as u64);
+    for &w in words {
+        h.u32(w);
     }
 }
 
-#[derive(Clone, Copy)]
-enum Mode {
-    Static,
-    Dynamic,
-    Inline2,
-    Tiered,
+/// The value's persisted wire form, length first.
+fn wire<T: Codec>(h: &mut Fnv, v: &T) {
+    let mut w = Writer::new();
+    v.encode(&mut w);
+    let bytes = w.into_bytes();
+    h.u64(bytes.len() as u64);
+    h.bytes(&bytes);
 }
 
-impl Mode {
-    const ALL: [(Mode, &'static str); 4] = [
-        (Mode::Static, "static"),
-        (Mode::Dynamic, "dynamic"),
-        (Mode::Inline2, "inline2"),
-        (Mode::Tiered, "tiered"),
-    ];
-
-    fn compiler(self) -> Compiler {
-        match self {
-            Mode::Static => Compiler::static_baseline(),
-            Mode::Dynamic => Compiler::new(),
-            Mode::Inline2 => Compiler::with_inline_depth(2),
-            Mode::Tiered => Compiler::tiered(),
-        }
-    }
-
-    /// The front end's options, when the pipeline can be replayed.
-    fn replayable(self) -> Option<LowerOptions> {
-        let (honor_annotations, tiered_fallback) = match self {
-            Mode::Static => (false, false),
-            Mode::Dynamic => (true, false),
-            Mode::Tiered => (true, true),
-            Mode::Inline2 => return None,
-        };
-        Some(LowerOptions {
-            honor_annotations,
-            tiered_fallback,
-        })
-    }
+/// The front end's options, when the pipeline can be replayed.
+fn replayable(comp: Comp) -> Option<LowerOptions> {
+    let (honor_annotations, tiered_fallback) = match comp {
+        Comp::Static => (false, false),
+        Comp::Dynamic => (true, false),
+        Comp::Tiered => (true, true),
+        Comp::Inline2 => return None,
+    };
+    Some(LowerOptions {
+        honor_annotations,
+        tiered_fallback,
+    })
 }
 
 /// Phases 1 and 3 of `Compiler::compile` at inline depth 0, call for call,
@@ -468,27 +424,27 @@ fn replay(src: &str, lower: &LowerOptions) -> (Vec<OptStats>, CompiledModule) {
     (stats, compiled)
 }
 
-fn unit_row(name: String, src: &str, mode: Mode) -> Row {
-    let program = mode.compiler().compile(src).expect("unit compiles");
+fn unit_row(name: String, src: &str, comp: Comp) -> Row {
+    let program = comp.compiler().compile(src).expect("unit compiles");
     let compiled = &program.compiled;
     let mut code = Fnv::new();
-    code.words(&compiled.code);
+    words(&mut code, &compiled.code);
     let (mut templates, mut plans, mut holes) = (Fnv::new(), Fnv::new(), Fnv::new());
     for r in &compiled.regions {
-        templates.words(&r.template.code);
+        words(&mut templates, &r.template.code);
         for blk in &r.template.blocks {
-            plans.wire(&blk.plan);
-            holes.wire(&blk.holes);
+            wire(&mut plans, &blk.plan);
+            wire(&mut holes, &blk.holes);
         }
     }
     let mut module = Fnv::new();
-    module.wire(compiled);
+    wire(&mut module, compiled);
     let mut spec = Fnv::new();
     for (fid, s) in &program.spec_stats {
         spec.u64(fid.index() as u64);
-        spec.wire(s);
+        wire(&mut spec, s);
     }
-    let opt = match mode.replayable() {
+    let opt = match replayable(comp) {
         None => 0,
         Some(lower) => {
             let (stats, replayed) = replay(src, &lower);
@@ -509,35 +465,21 @@ fn unit_row(name: String, src: &str, mode: Mode) -> Row {
                     h.u64(v as u64);
                 }
             }
-            h.0
+            h.finish()
         }
     };
-    (
-        name,
-        code.0,
-        templates.0,
-        plans.0,
-        holes.0,
-        module.0,
-        spec.0,
-        opt,
-    )
+    let hashes = [code, templates, plans, holes, module, spec].map(|h| h.finish());
+    let [a, b, c, d, e, f] = hashes;
+    (name, a, b, c, d, e, f, opt)
 }
 
 fn rows() -> Vec<Row> {
-    let kernels: [(&str, &str); 7] = [
-        ("calculator", calculator::SRC),
-        ("smatmul", smatmul::SRC),
-        ("spmv", spmv::SRC),
-        ("dispatch", dispatch::SRC),
-        ("sorter", sorter::SRC),
-        ("protomsg", protomsg::SRC),
-        ("queryexec", queryexec::SRC),
-    ];
+    let plan = lattice::plan("compile_golden::matrix");
     let mut rows = Vec::new();
-    for (kernel, src) in kernels {
-        for (mode, tag) in Mode::ALL {
-            rows.push(unit_row(format!("{kernel}.{tag}"), src, mode));
+    for k in &plan.programs {
+        for c in &plan.cells {
+            let name = format!("{}.{}", k.name(), c.comp.name());
+            rows.push(unit_row(name, k.src(), c.comp));
         }
     }
     for (n, seed) in [(8, 0x5eed_0008), (64, 0x5eed_0064)] {
@@ -545,7 +487,7 @@ fn rows() -> Vec<Row> {
         rows.push(unit_row(
             format!("synthetic{n}.dynamic"),
             &src,
-            Mode::Dynamic,
+            Comp::Dynamic,
         ));
     }
     rows

@@ -10,7 +10,7 @@ use dyncomp::{
     Compiler, EngineOptions, EventKind, FailureKind, FaultPlan, FaultPoint, Injection, Session,
     TieredOptions, TraceOptions,
 };
-use dyncomp_bench::kernels::calculator;
+use dyncomp_bench::lattice::{self, Comp, Kernel, Mode, Size};
 use std::sync::Arc;
 
 /// A fault plan panicking the first background stitch job for `region`.
@@ -24,26 +24,24 @@ fn panic_plan(region: u16) -> FaultPlan {
     }
 }
 
-fn traced_tiered(faults: Option<FaultPlan>) -> EngineOptions {
-    EngineOptions {
-        trace: Some(TraceOptions::default()),
-        tiered: Some(TieredOptions {
-            workers: 2,
-            ..TieredOptions::default()
-        }),
+/// Run the calculator workload traced on two virtual workers under
+/// `faults`, on a session we can inspect afterwards; and the checksum of
+/// a synchronous run.
+fn run_inspectable(faults: Option<FaultPlan>) -> (u64, Session, u64) {
+    let (k, setup) = (Kernel::Calculator, Kernel::Calculator.setup(Size::Smoke));
+    let sync = run_session(&k.compiled(Comp::Dynamic), &setup, EngineOptions::default());
+    let options = EngineOptions {
         faults,
-        ..EngineOptions::default()
-    }
-}
-
-/// Run the calculator workload on a session we can inspect afterwards.
-fn run_inspectable(options: EngineOptions) -> (u64, Session) {
-    let setup = calculator::setup(80);
-    let program = Arc::new(Compiler::tiered().compile(setup.src).expect("compiles"));
-    let mut run = SessionRun::start(&program, &setup, options);
+        ..lattice::options(&[Mode::Traced, Mode::Tiered(2, false)])
+    };
+    let mut run = SessionRun::start(&k.compiled(Comp::Tiered), &setup, options);
     run.pass(|_, _| {})
         .expect("session must survive background failures");
-    (run.outcome.checksum, run.session)
+    (
+        run.outcome.checksum,
+        run.session,
+        sync.expect("runs").checksum,
+    )
 }
 
 /// Messages of the `background` entries in the session's health ring.
@@ -57,13 +55,9 @@ fn background_failures(session: &Session) -> Vec<String> {
 
 #[test]
 fn background_worker_panic_does_not_abort_the_session() {
-    let setup = calculator::setup(80);
-    let sync_prog = Arc::new(Compiler::new().compile(setup.src).expect("compiles"));
-    let sync = run_session(&sync_prog, &setup, EngineOptions::default()).expect("runs");
-
-    let (checksum, session) = run_inspectable(traced_tiered(Some(panic_plan(0))));
+    let (checksum, session, sync) = run_inspectable(Some(panic_plan(0)));
     assert_eq!(
-        checksum, sync.checksum,
+        checksum, sync,
         "results must be bit-identical despite the worker panic"
     );
 
@@ -82,7 +76,7 @@ fn background_worker_panic_does_not_abort_the_session() {
         "no synchronous re-stitch either: pinned"
     );
     assert!(
-        report.fallback_runs >= setup.iterations,
+        report.fallback_runs >= Kernel::Calculator.setup(Size::Smoke).iterations,
         "every entry served by the fallback ({} runs)",
         report.fallback_runs
     );
@@ -112,11 +106,8 @@ fn background_worker_panic_does_not_abort_the_session() {
 fn panic_free_control_run_installs_background_code() {
     // Same workload without injection: the background path works, the
     // region is not pinned, and no failure is recorded.
-    let (checksum, session) = run_inspectable(traced_tiered(None));
-    let setup = calculator::setup(80);
-    let sync_prog = Arc::new(Compiler::new().compile(setup.src).expect("compiles"));
-    let sync = run_session(&sync_prog, &setup, EngineOptions::default()).expect("runs");
-    assert_eq!(checksum, sync.checksum);
+    let (checksum, session, sync) = run_inspectable(None);
+    assert_eq!(checksum, sync);
     assert!(!session.region_pinned(0));
     assert!(background_failures(&session).is_empty());
     let report = session.region_report(0);

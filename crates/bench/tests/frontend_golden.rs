@@ -13,28 +13,22 @@
 //! interned names. A changed constant means a token, a position or a
 //! message moved: fix the front end, do not re-take the constant.
 
-use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
+use dyncomp_bench::kernels::calculator;
+use dyncomp_bench::lattice;
 use dyncomp_bench::synthetic;
 use dyncomp_frontend::lexer::lex;
 use dyncomp_frontend::{compile, LowerOptions};
-
-/// FNV-1a-64 of `bytes`, continuing from `h`.
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use dyncomp_ir::fnv::Fnv;
 
 /// The hash of one source's token stream: each token's `Debug` form and
 /// its position, one line per token.
 fn stream_hash(src: &str) -> u64 {
     let toks = lex(src).expect("the corpus lexes");
-    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::new();
     for t in &toks {
-        h = fnv(h, format!("{:?} {}:{}\n", t.tok, t.line, t.col).as_bytes());
+        h.bytes(format!("{:?} {}:{}\n", t.tok, t.line, t.col).as_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Every punctuator the lexer knows, longest-match adjacent, separated by
@@ -55,24 +49,20 @@ const LITERALS: &str = "0 007 0x0 0XaBcD 0xffffffffffffffff 9223372036854775807 
 
 #[test]
 fn token_streams_match_the_pinned_hashes() {
-    let corpus: [(&str, String); 13] = [
-        ("calculator", calculator::SRC.to_string()),
-        (
-            "calculator_global_stack",
-            calculator::SRC_GLOBAL_STACK.to_string(),
-        ),
-        ("smatmul", smatmul::SRC.to_string()),
-        ("spmv", spmv::SRC.to_string()),
-        ("dispatch", dispatch::SRC.to_string()),
-        ("sorter", sorter::SRC.to_string()),
-        ("protomsg", protomsg::SRC.to_string()),
-        ("queryexec", queryexec::SRC.to_string()),
+    let mut corpus: Vec<(&str, String)> = lattice::plan("frontend_golden::corpus")
+        .programs
+        .iter()
+        .map(|k| (k.name(), k.src().to_string()))
+        .collect();
+    let global_stack = calculator::SRC_GLOBAL_STACK.to_string();
+    corpus.insert(1, ("calculator_global_stack", global_stack));
+    corpus.extend([
         ("synthetic8", synthetic::unit(8, 0x5eed_0008)),
         ("punctuators", PUNCTUATORS.to_string()),
         ("non_ascii", NON_ASCII.to_string()),
         ("literals", LITERALS.to_string()),
         ("empty", String::new()),
-    ];
+    ]);
     let got: Vec<(&str, u64)> = corpus.iter().map(|(n, s)| (*n, stream_hash(s))).collect();
     let want: [(&str, u64); 13] = [
         ("calculator", 0xbda9_9d59_3dc6_6eb1),

@@ -12,13 +12,10 @@
 //! one miss path…" at least once; the evidence for each is what the rung
 //! or the decline sink leaves in a trace or the health ring.
 
-use dyncomp::{
-    Compiler, EngineOptions, FaultPlan, FaultPoint, KernelSetup, PersistentCache, Program,
-    RecoveryPolicy, Session, SessionRun, SharedCodeCache, TieredOptions, TraceOptions,
-};
-use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
+use dyncomp::{Compiler, EngineOptions, Session};
+use dyncomp_bench::lattice::{self, Caches, Mode};
+use dyncomp_ir::fnv::Fnv;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// `(case, FNV of the traces, FNV of the failure records, FNV of the
@@ -53,39 +50,21 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("runaway-unroll", 0xc34e4a97bcfccfae, 0xc102a9a87a69402b, 0x813baf406446c81a),
 ];
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// One case's fingerprint, folded over every session it observed, plus a
 /// count of each event (`name`, `name:hit`, `name:miss`) and each failure
 /// (`kind|injected|message`) for the reach check.
+#[derive(Default)]
 struct Cell {
-    trace: u64,
-    health: u64,
-    native: u64,
+    trace: Fnv,
+    health: Fnv,
+    native: Fnv,
     seen: BTreeMap<String, usize>,
 }
 
 impl Cell {
-    fn new() -> Self {
-        Cell {
-            trace: FNV_OFFSET,
-            health: FNV_OFFSET,
-            native: FNV_OFFSET,
-            seen: BTreeMap::new(),
-        }
-    }
-
     fn observe(&mut self, session: &mut Session) {
         let jsonl = session.trace_jsonl().expect("every case traces");
-        self.trace = fnv(self.trace, jsonl.as_bytes());
+        self.trace.bytes(jsonl.as_bytes());
         for line in jsonl.lines() {
             let event = line
                 .split("\"event\":\"")
@@ -110,7 +89,7 @@ impl Cell {
                 f.injected,
                 f.message
             );
-            self.health = fnv(self.health, record.as_bytes());
+            self.health.bytes(record.as_bytes());
             let sig = format!("{}|{}|{}", f.kind.name(), f.injected, f.message);
             *self.seen.entry(sig).or_default() += 1;
         }
@@ -126,7 +105,7 @@ impl Cell {
             n.translated_instructions,
             n.covered_instructions
         );
-        self.native = fnv(self.native, report.as_bytes());
+        self.native.bytes(report.as_bytes());
     }
 
     fn count(&self, sig: &str) -> usize {
@@ -138,186 +117,30 @@ impl Cell {
     }
 }
 
-/// A paper kernel compiled both ways: plain, and with static fallback
-/// copies (tiered execution, quarantine and the byte budget need them).
-struct Kernel {
-    name: &'static str,
-    setup: KernelSetup<'static>,
-    plain: Arc<Program>,
-    tiered: Arc<Program>,
-}
-
-fn kernels() -> Vec<Kernel> {
-    [
-        ("calculator", calculator::setup(80)),
-        ("smatmul", smatmul::setup(8, 16, 8)),
-        ("spmv", spmv::setup(12, 3, 20)),
-        ("dispatch", dispatch::setup(10, 60)),
-        ("sorter", sorter::setup(40, 4, 5)),
-    ]
-    .into_iter()
-    .map(|(name, setup)| Kernel {
-        name,
-        plain: Arc::new(Compiler::new().compile(setup.src).expect("compiles")),
-        tiered: Arc::new(Compiler::tiered().compile(setup.src).expect("compiles")),
-        setup,
-    })
-    .collect()
-}
-
-fn traced(options: EngineOptions) -> EngineOptions {
-    EngineOptions {
-        trace: Some(TraceOptions::default()),
-        ..options
+/// The golden's name for a cell of the ladder plan.
+fn case_name(modes: &[Mode]) -> String {
+    match modes[0] {
+        Mode::Fault(point, 2) => point.name().to_string(),
+        Mode::Fault(point, fires) => format!("{} x{fires}", point.name()),
+        Mode::PersistWarm => "persist".to_string(),
+        Mode::Tiered(..) => "tiered-speculate".to_string(),
+        mode => mode.to_string(),
     }
 }
 
-/// A fresh traced session over the kernel's workload, two passes (every
-/// key re-enters, background jobs resolve), observed into `cell`.
-fn run(cell: &mut Cell, program: &Arc<Program>, k: &Kernel, options: EngineOptions) {
-    let mut run = SessionRun::start(program, &k.setup, traced(options));
-    for _ in 0..2 {
-        run.pass(|_, _| {})
-            .unwrap_or_else(|e| panic!("{}: session must answer: {e}", k.name));
-    }
-    cell.observe(&mut run.session);
-}
-
-/// A fresh persistent-cache directory under the OS temp dir.
-fn scratch_dir(case: &str, kernel: &str) -> (PathBuf, Arc<PersistentCache>) {
-    let root = std::env::temp_dir().join(format!(
-        "dyncomp-ladder-golden-{}-{case}-{kernel}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    let cache = Arc::new(PersistentCache::open(&root).expect("temp dir is writable"));
-    (root, cache)
-}
-
-fn shared() -> Arc<SharedCodeCache> {
-    Arc::new(SharedCodeCache::new(4, 64))
-}
-
-/// `FaultPlan::single(point, fires)` in the mode that gives `point` an
-/// opportunity (the fault sweep's assignment), on the fallback-copy build.
-fn fault_case(cell: &mut Cell, k: &Kernel, point: FaultPoint, fires: u32) {
-    let mut options = EngineOptions {
-        faults: Some(FaultPlan::single(point, fires)),
-        ..EngineOptions::default()
-    };
-    let mut dir = None;
-    match point {
-        FaultPoint::WorkerPanic | FaultPoint::WorkerSlow => {
-            options.tiered = Some(TieredOptions {
-                workers: 2,
-                ..TieredOptions::default()
-            });
-        }
-        FaultPoint::SharedCacheInstall | FaultPoint::SharedCachePoisonedShard => {
-            let cache = shared();
-            let warm = EngineOptions {
-                shared_cache: Some(Arc::clone(&cache)),
-                ..EngineOptions::default()
-            };
-            run(cell, &k.tiered, k, warm);
-            options.shared_cache = Some(cache);
-        }
-        FaultPoint::NativeArenaExhausted | FaultPoint::NativeChainPatch => options.native = true,
-        FaultPoint::PersistWriteTorn
-        | FaultPoint::PersistLoadCorrupt
-        | FaultPoint::PersistLockContended => {
-            let (root, cache) = scratch_dir(point.name(), k.name);
-            if point == FaultPoint::PersistLoadCorrupt {
-                let populate = EngineOptions {
-                    persist: Some(Arc::clone(&cache)),
-                    ..EngineOptions::default()
-                };
-                run(cell, &k.tiered, k, populate);
-            }
-            options.persist = Some(Arc::clone(&cache));
-            dir = Some((root, cache));
-        }
-        _ => {}
-    }
-    run(cell, &k.tiered, k, options);
-    if let Some((root, cache)) = dir {
-        // A clean process after the faulted one: torn files are refused.
-        let warm = EngineOptions {
-            persist: Some(cache),
-            ..EngineOptions::default()
-        };
-        run(cell, &k.tiered, k, warm);
-        let _ = std::fs::remove_dir_all(root);
-    }
-}
-
-/// The per-kernel cases, in `GOLDEN` order after the crafted ones.
-fn kernel_case(case: &str, cell: &mut Cell, k: &Kernel) {
-    match case {
-        "default" => run(cell, &k.plain, k, EngineOptions::default()),
-        "shared" => {
-            let cache = shared();
-            for _ in 0..2 {
-                let options = EngineOptions {
-                    shared_cache: Some(Arc::clone(&cache)),
-                    ..EngineOptions::default()
-                };
-                run(cell, &k.plain, k, options);
-            }
-        }
-        "persist" => {
-            let (root, cache) = scratch_dir(case, k.name);
-            for _ in 0..2 {
-                let options = EngineOptions {
-                    persist: Some(Arc::clone(&cache)),
-                    ..EngineOptions::default()
-                };
-                run(cell, &k.plain, k, options);
-            }
-            let _ = std::fs::remove_dir_all(root);
-        }
-        "tiered-speculate" => {
-            let options = EngineOptions {
-                tiered: Some(TieredOptions {
-                    workers: 2,
-                    speculate: true,
-                }),
-                ..EngineOptions::default()
-            };
-            run(cell, &k.tiered, k, options);
-        }
-        "native-chained" => {
-            let options = EngineOptions {
-                native: true,
-                ..EngineOptions::default()
-            };
-            run(cell, &k.plain, k, options);
-        }
-        "capacity-1" => {
-            let options = EngineOptions {
-                keyed_cache_capacity: Some(1),
-                ..EngineOptions::default()
-            };
-            run(cell, &k.plain, k, options);
-        }
-        "code-budget" => {
-            let options = EngineOptions {
-                recovery: RecoveryPolicy {
-                    code_budget_bytes: Some(256),
-                    ..RecoveryPolicy::default()
-                },
-                ..EngineOptions::default()
-            };
-            run(cell, &k.tiered, k, options);
-        }
-        "SetupVmTrap x3" => fault_case(cell, k, FaultPoint::SetupVmTrap, 3),
-        "CodeArenaExhausted x3" => fault_case(cell, k, FaultPoint::CodeArenaExhausted, 3),
-        _ => {
-            let point = FaultPoint::ALL
-                .into_iter()
-                .find(|p| p.name() == case)
-                .unwrap_or_else(|| panic!("unknown case {case}"));
-            fault_case(cell, k, point, 2);
+/// Every session of one cell on every paper kernel, traced, observed
+/// into `cell`: the prelude its mode needs, its own session and, after a
+/// faulted persist session, a clean one (torn files are refused).
+fn kernel_case(cell: &mut Cell, c: &lattice::Cell, plan: &lattice::Plan) {
+    let modes = [&c.modes[..], &[Mode::Traced]].concat();
+    for k in &plan.programs {
+        let (setup, program) = (k.setup(plan.size), k.compiled(c.comp));
+        let caches = lattice::sessions(&program, &setup, &modes, |run, _| {
+            cell.observe(&mut run.session)
+        });
+        if caches.persist.is_some() && matches!(modes[0], Mode::Fault(..)) {
+            let mut clean = caches.twice(&program, &setup, &[Mode::Traced]);
+            cell.observe(&mut clean.session);
         }
     }
 }
@@ -330,17 +153,10 @@ fn stale_reads(cell: &mut Cell) {
         dynamicRegion (p) { return p[0] * x + p[1]; }
     }";
     let program = Arc::new(Compiler::new().compile(src).expect("compiles"));
-    let cache = shared();
-    let (root, disk) = scratch_dir("stale", "f");
+    let modes = [Mode::Shared, Mode::PersistCold, Mode::Traced];
+    let caches = Caches::new(&modes);
     for value in [3u64, 5] {
-        let mut s = Session::with_options(
-            Arc::clone(&program),
-            traced(EngineOptions {
-                shared_cache: Some(Arc::clone(&cache)),
-                persist: Some(Arc::clone(&disk)),
-                ..EngineOptions::default()
-            }),
-        );
+        let mut s = Session::with_options(Arc::clone(&program), caches.options(&modes));
         let p = s.heap().alloc(16).expect("fits");
         s.heap().put_u64(p, value).expect("fits");
         s.heap().put_u64(p + 8, 7).expect("fits");
@@ -349,7 +165,6 @@ fn stale_reads(cell: &mut Cell) {
         }
         cell.observe(&mut s);
     }
-    let _ = std::fs::remove_dir_all(root);
 }
 
 /// A background instance with a linearized constants table, finished
@@ -362,14 +177,10 @@ fn refused_relocation(cell: &mut Cell) {
     let program = Arc::new(Compiler::tiered().compile(src).expect("compiles"));
     let mut s = Session::with_options(
         program,
-        traced(EngineOptions {
+        EngineOptions {
             memory_bytes: 1 << 16,
-            tiered: Some(TieredOptions {
-                workers: 1,
-                speculate: false,
-            }),
-            ..EngineOptions::default()
-        }),
+            ..lattice::options(&[Mode::Tiered(1, false), Mode::Traced])
+        },
     );
     let k = 0x1234_5678_9abc_u64;
     let want = |x: u64| x.wrapping_mul(k).wrapping_add(k);
@@ -397,7 +208,7 @@ fn runaway_unroll(cell: &mut Cell) {
         }
     }";
     let program = Arc::new(Compiler::new().compile(src).expect("compiles"));
-    let mut s = Session::with_options(program, traced(EngineOptions::default()));
+    let mut s = Session::with_options(program, lattice::options(&[Mode::Traced]));
     assert_eq!(s.call("h", &[3, 5]).expect("small trip count"), 15);
     let err = s
         .call("h", &[210_000, 5])
@@ -406,45 +217,28 @@ fn runaway_unroll(cell: &mut Cell) {
     cell.observe(&mut s);
 }
 
-fn case_names() -> Vec<String> {
-    let mut names: Vec<String> = [
-        "default",
-        "shared",
-        "persist",
-        "tiered-speculate",
-        "native-chained",
-        "capacity-1",
-        "code-budget",
-        "SetupVmTrap x3",
-        "CodeArenaExhausted x3",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect();
-    names.extend(FaultPoint::ALL.iter().map(|p| p.name().to_string()));
-    names.extend(["stale-reads", "refused-relocation", "runaway-unroll"].map(String::from));
-    names
-}
-
 fn run_matrix() -> Vec<(String, Cell)> {
-    let kernels = kernels();
-    case_names()
-        .into_iter()
-        .map(|case| {
-            let mut cell = Cell::new();
-            match case.as_str() {
-                "stale-reads" => stale_reads(&mut cell),
-                "refused-relocation" => refused_relocation(&mut cell),
-                "runaway-unroll" => runaway_unroll(&mut cell),
-                _ => {
-                    for k in &kernels {
-                        kernel_case(&case, &mut cell, k);
-                    }
-                }
-            }
-            (case, cell)
+    let plan = lattice::plan("ladder_golden::matrix");
+    let mut matrix: Vec<(String, Cell)> = plan
+        .cells
+        .iter()
+        .map(|c| {
+            let mut cell = Cell::default();
+            kernel_case(&mut cell, c, &plan);
+            (case_name(&c.modes), cell)
         })
-        .collect()
+        .collect();
+    let crafted = [
+        ("stale-reads", stale_reads as fn(&mut Cell)),
+        ("refused-relocation", refused_relocation),
+        ("runaway-unroll", runaway_unroll),
+    ];
+    for (case, run) in crafted {
+        let mut cell = Cell::default();
+        run(&mut cell);
+        matrix.push((case.to_string(), cell));
+    }
+    matrix
 }
 
 /// Where each rung and each decline leaves its mark. The names are the
@@ -526,11 +320,15 @@ fn ladder_traces_and_health_match_the_golden() {
         }
         let golden = GOLDEN.iter().find(|(name, ..)| name == case);
         let mask = |n: u64| if native { n } else { 0 };
+        let (t, h, n) = (
+            cell.trace.finish(),
+            cell.health.finish(),
+            cell.native.finish(),
+        );
         let want = golden.map(|&(_, t, h, n)| (t, h, mask(n)));
-        if want != Some((cell.trace, cell.health, mask(cell.native))) {
+        if want != Some((t, h, mask(n))) {
             drift.push(format!(
-                "    (\"{case}\", 0x{:016x}, 0x{:016x}, 0x{:016x}),",
-                cell.trace, cell.health, cell.native
+                "    (\"{case}\", 0x{t:016x}, 0x{h:016x}, 0x{n:016x}),"
             ));
         }
     }

@@ -12,26 +12,9 @@
 //! the VM too and the differential degenerates to a self-check; the
 //! pinned-checksum assertions still hold.
 
-use dyncomp::{
-    run_session_differential, run_session_timed, BackendRun, Compiler, EngineOptions, KernelSetup,
-    PersistentCache, Program, TieredOptions,
-};
-use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
-use std::sync::Arc;
-
-/// The smoke-scale Table 2 configurations, in `BENCH_table2_smoke.json`
-/// row order.
-fn smoke_setups() -> Vec<(&'static str, KernelSetup<'static>)> {
-    vec![
-        ("calculator", calculator::setup(80)),
-        ("smatmul", smatmul::setup(8, 16, 8)),
-        ("spmv 12x12", spmv::setup(12, 3, 20)),
-        ("spmv 8x8", spmv::setup(8, 2, 20)),
-        ("dispatch", dispatch::setup(10, 60)),
-        ("sorter 4-key", sorter::setup(40, 4, 5)),
-        ("sorter 12-key", sorter::setup(40, 12, 5)),
-    ]
-}
+use dyncomp::{run_session_differential, run_session_timed, BackendRun, EngineOptions};
+use dyncomp_bench::lattice::{self, Caches, Kernel, Mode};
+use dyncomp_bench::{table2_workloads, Scale};
 
 /// Checksums pinned in the committed smoke reference, parsed with a
 /// string scan (the workspace takes no JSON dependency).
@@ -45,40 +28,30 @@ fn committed_checksums() -> Vec<u64> {
     out
 }
 
-fn tiered_options(speculate: bool) -> EngineOptions {
-    EngineOptions {
-        tiered: Some(TieredOptions {
-            workers: 1,
-            speculate,
-        }),
-        ..EngineOptions::default()
-    }
-}
-
-/// One mode's sweep over all seven smoke configurations: run the
-/// differential (which itself asserts checksum and cycle equality
-/// between the backends) and pin the agreed checksum to the committed
-/// reference.
-fn sweep(mode: &str, options: &EngineOptions, tiered_artifact: bool) {
+/// One mode's sweep over the seven smoke-scale Table 2 rows, in
+/// `BENCH_table2_smoke.json` order: run the differential (which itself
+/// asserts checksum and cycle equality between the backends) in the
+/// plan's cell and pin the agreed checksum to the committed reference.
+fn sweep(mode: &str) {
+    let plan = lattice::plan(&format!("native_differential::{mode}"));
+    let cell = &plan.cells[0];
     let expected = committed_checksums();
     assert_eq!(expected.len(), 7, "smoke reference has seven rows");
     let mut native_served = 0u64;
-    for ((name, setup), want) in smoke_setups().into_iter().zip(expected) {
-        let compiler = if tiered_artifact {
-            Compiler::tiered()
-        } else {
-            Compiler::new()
-        };
-        let program = Arc::new(compiler.compile(setup.src).expect("kernel compiles"));
-        let d = run_session_differential(&program, &setup, options.clone())
-            .unwrap_or_else(|e| panic!("{name} ({mode}): {e}"));
+    for (w, want) in table2_workloads(Scale::Smoke).into_iter().zip(expected) {
+        let program = w.compile(&cell.comp.compiler());
+        let options = lattice::options(&cell.modes);
+        let d = run_session_differential(&program, &w.setup, options)
+            .unwrap_or_else(|e| panic!("{} ({mode}): {e}", w.config));
         assert_eq!(
             d.native.outcome.checksum, want,
-            "{name} ({mode}): native checksum drifted from BENCH_table2_smoke.json"
+            "{} ({mode}): native checksum drifted from BENCH_table2_smoke.json",
+            w.config
         );
         assert!(
             d.native.native.enabled,
-            "{name} ({mode}): native half must request the backend"
+            "{} ({mode}): native half must request the backend",
+            w.config
         );
         native_served += d.native.native.entries;
     }
@@ -96,28 +69,24 @@ fn sweep(mode: &str, options: &EngineOptions, tiered_artifact: bool) {
 #[test]
 fn sync_mode_matches_oracle_and_reference() {
     // Chaining is on by default: this is the chained-mode sweep.
-    sweep("sync", &EngineOptions::default(), false);
+    sweep("sync");
 }
 
 #[test]
 fn unchained_mode_matches_oracle_and_reference() {
     // `--no-native-chain` ablation: the per-instance dispatch path must
     // still match the oracle and the committed reference on its own.
-    let options = EngineOptions {
-        native_chain: false,
-        ..EngineOptions::default()
-    };
-    sweep("unchained", &options, false);
+    sweep("unchained");
 }
 
 #[test]
 fn tiered_mode_matches_oracle_and_reference() {
-    sweep("tiered", &tiered_options(false), true);
+    sweep("tiered");
 }
 
 #[test]
 fn speculate_mode_matches_oracle_and_reference() {
-    sweep("speculate", &tiered_options(true), true);
+    sweep("speculate");
 }
 
 /// The cross-function inlining workloads — whose opened regions span
@@ -126,32 +95,7 @@ fn speculate_mode_matches_oracle_and_reference() {
 /// substitution; every simulated quantity is identical).
 #[test]
 fn inline_workloads_match_oracle_in_both_chain_modes() {
-    for (name, setup) in [
-        ("protomsg", protomsg::setup(8, 40)),
-        ("queryexec", queryexec::setup(6, 30, 5)),
-    ] {
-        let program = Arc::new(
-            Compiler::with_inline_depth(2)
-                .compile(setup.src)
-                .expect("kernel compiles"),
-        );
-        let chained = run_session_differential(&program, &setup, EngineOptions::default())
-            .unwrap_or_else(|e| panic!("{name} (chained): {e}"));
-        let unchained_opts = EngineOptions {
-            native_chain: false,
-            ..EngineOptions::default()
-        };
-        let unchained = run_session_differential(&program, &setup, unchained_opts)
-            .unwrap_or_else(|e| panic!("{name} (unchained): {e}"));
-        assert_eq!(
-            chained.native.outcome.checksum, unchained.native.outcome.checksum,
-            "{name}: chain mode changed the checksum"
-        );
-        assert_eq!(
-            chained.native.outcome.total_cycles, unchained.native.outcome.total_cycles,
-            "{name}: chain mode changed simulated cycles"
-        );
-    }
+    lattice::check("native_differential::inline_chain_modes");
 }
 
 /// The tentpole's observable effect: with chaining on, the sorter's
@@ -161,14 +105,11 @@ fn inline_workloads_match_oracle_in_both_chain_modes() {
 #[test]
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn chained_sorter_collapses_vm_dispatches() {
-    let setup = sorter::setup(40, 4, 5);
-    let program = Arc::new(Compiler::new().compile(setup.src).expect("compiles"));
+    let setup = Kernel::Sorter.setup(lattice::Size::Smoke);
+    let program = Kernel::Sorter.compiled(lattice::Comp::Dynamic);
     let d = run_session_differential(&program, &setup, EngineOptions::default()).expect("runs");
-    let unchained_opts = EngineOptions {
-        native_chain: false,
-        ..EngineOptions::default()
-    };
-    let u = run_session_differential(&program, &setup, unchained_opts).expect("runs");
+    let unchained = lattice::options(&[Mode::Native(false)]);
+    let u = run_session_differential(&program, &setup, unchained).expect("runs");
     let (chained, unchained) = (d.native.native, u.native.native);
     assert!(
         chained.chained > 0,
@@ -188,12 +129,9 @@ fn chained_sorter_collapses_vm_dispatches() {
 #[test]
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn native_report_counts_installs_and_coverage() {
-    let setup = calculator::setup(80);
-    let program = Arc::new(Compiler::new().compile(setup.src).expect("compiles"));
-    let options = EngineOptions {
-        native: true,
-        ..EngineOptions::default()
-    };
+    let setup = Kernel::Calculator.setup(lattice::Size::Smoke);
+    let program = Kernel::Calculator.compiled(lattice::Comp::Dynamic);
+    let options = lattice::options(&[Mode::Native(true)]);
     let run = dyncomp::run_session_timed(&program, &setup, options).expect("runs");
     let n = run.native;
     assert!(n.enabled && n.active, "backend stays active: {n:?}");
@@ -206,23 +144,6 @@ fn native_report_counts_installs_and_coverage() {
     );
 }
 
-/// One session over `setup` on the persistent cache at `cache`: native
-/// in chain mode `chain`, or the VM oracle when `chain` is `None`.
-fn persisted_run(
-    program: &Arc<Program>,
-    setup: &KernelSetup<'static>,
-    cache: &Arc<PersistentCache>,
-    chain: Option<bool>,
-) -> BackendRun {
-    let options = EngineOptions {
-        persist: Some(Arc::clone(cache)),
-        native: chain.is_some(),
-        native_chain: chain.unwrap_or(true),
-        ..EngineOptions::default()
-    };
-    run_session_timed(program, setup, options).expect("session runs")
-}
-
 /// A persisted native section records the chain mode it was translated
 /// under: a reader in the other mode translates again instead of
 /// installing stubs whose `Jmp`/`Jsr` were (or were not) lowered through
@@ -233,37 +154,27 @@ fn persisted_run(
 #[test]
 fn persisted_native_sections_follow_the_reader_chain_mode() {
     let native = dyncomp_native::available();
+    let plan = lattice::plan("native_differential::persisted");
     let mut drift = Vec::new();
-    for (name, setup) in [
-        ("calculator", calculator::setup(80)),
-        ("smatmul", smatmul::setup(8, 16, 8)),
-        ("spmv", spmv::setup(12, 3, 20)),
-        ("dispatch", dispatch::setup(10, 60)),
-        ("sorter", sorter::setup(40, 4, 5)),
-        ("protomsg", protomsg::setup(8, 40)),
-        ("queryexec", queryexec::setup(4, 16, 40)),
-    ] {
-        let program = Arc::new(Compiler::new().compile(setup.src).expect("compiles"));
+    for k in &plan.programs {
+        let (name, setup) = (k.name(), k.setup(plan.size));
+        let program = k.compiled(plan.cells[0].comp);
         // (writer mode, reader mode) -> the reader's run.
         let mut readers = Vec::new();
-        for writer in [true, false] {
-            for reader in [true, false] {
-                let dir = std::env::temp_dir().join(format!(
-                    "dyncomp-cross-chain-{}-{name}-{writer}-{reader}",
-                    std::process::id()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
-                persisted_run(&program, &setup, &cache, Some(writer));
-                let run = persisted_run(&program, &setup, &cache, Some(reader));
-                let vm = persisted_run(&program, &setup, &cache, None);
+        for writer in &plan.cells {
+            for reader in &plan.cells {
+                let caches = Caches::new(&reader.modes);
+                let run = |modes| -> BackendRun {
+                    run_session_timed(&program, &setup, caches.options(modes)).expect("runs")
+                };
+                run(&writer.modes);
+                let (got, vm) = (run(&reader.modes), run(&[]));
                 assert_eq!(
-                    (run.outcome.checksum, run.outcome.total_cycles),
+                    (got.outcome.checksum, got.outcome.total_cycles),
                     (vm.outcome.checksum, vm.outcome.total_cycles),
-                    "{name}: writer chain {writer}, reader chain {reader} left the VM oracle"
+                    "{name}: writer [{writer}], reader [{reader}] left the VM oracle"
                 );
-                let _ = std::fs::remove_dir_all(&dir);
-                readers.push((writer, reader, run.native));
+                readers.push((writer, reader, got.native));
             }
         }
         if !native {
@@ -277,8 +188,8 @@ fn persisted_native_sections_follow_the_reader_chain_mode() {
                 .expect("the same-mode reader ran");
             if (got.entries, got.chained) != (same.entries, same.chained) {
                 drift.push(format!(
-                    "{name}: a chain-{reader} reader after a chain-{writer} writer took \
-                     {} entries, {} chained; after a chain-{reader} writer {}, {}",
+                    "{name}: a [{reader}] reader after a [{writer}] writer took \
+                     {} entries, {} chained; after a [{reader}] writer {}, {}",
                     got.entries, got.chained, same.entries, same.chained
                 ));
             }

@@ -13,7 +13,7 @@
 //! in a dynamic region, plus a few shapes that corpus reaches rarely.
 
 use dyncomp_analysis::AnalysisConfig;
-use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
+use dyncomp_bench::lattice::{self, Comp};
 use dyncomp_bench::synthetic;
 use dyncomp_frontend::LowerOptions;
 use dyncomp_ir::prng::SplitMix64;
@@ -213,25 +213,18 @@ fn lower(honor_annotations: bool, tiered_fallback: bool) -> LowerOptions {
 
 #[test]
 fn optimize_matches_the_reference_over_the_compile_golden_matrix() {
-    let kernels: [(&str, &str); 7] = [
-        ("calculator", calculator::SRC),
-        ("smatmul", smatmul::SRC),
-        ("spmv", spmv::SRC),
-        ("dispatch", dispatch::SRC),
-        ("sorter", sorter::SRC),
-        ("protomsg", protomsg::SRC),
-        ("queryexec", queryexec::SRC),
-    ];
-    let modes = [
-        ("static", lower(false, false), 0),
-        ("dynamic", lower(true, false), 0),
-        ("inline2", lower(true, false), 2),
-        ("tiered", lower(true, true), 0),
-    ];
+    let plan = lattice::plan("opt_differential::matrix");
     let mut calls = 0;
-    for (kernel, src) in kernels {
-        for (tag, opts, depth) in &modes {
-            calls += replay(src, opts, *depth, &format!("{kernel}.{tag}"));
+    for k in &plan.programs {
+        for c in &plan.cells {
+            let (opts, depth) = match c.comp {
+                Comp::Static => (lower(false, false), 0),
+                Comp::Dynamic => (lower(true, false), 0),
+                Comp::Inline2 => (lower(true, false), 2),
+                Comp::Tiered => (lower(true, true), 0),
+            };
+            let unit = format!("{}.{}", k.name(), c.comp.name());
+            calls += replay(k.src(), &opts, depth, &unit);
         }
     }
     for (n, seed) in [(8, 0x5eed_0008), (64, 0x5eed_0064)] {

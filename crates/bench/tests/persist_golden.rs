@@ -4,10 +4,10 @@
 //! (PR 24). A changed constant means a persisted byte moved, which needs
 //! a `FORMAT_VERSION` (or `NATIVE_CODE_VERSION`) bump, not a new constant.
 
-use dyncomp::{Compiler, Engine, EngineOptions, PersistentCache};
-use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
+use dyncomp::{Compiler, Engine, EngineOptions};
+use dyncomp_bench::lattice::{self, Comp, ScratchDir};
+use dyncomp_ir::fnv::fnv1a;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// The two-region program of `tests/persist_corruption.rs`.
 const INSTANCE_SRC: &str = r#"
@@ -49,18 +49,6 @@ const INSTANCES_VM: [u64; 2] = [0xeb6d_771d_b0c5_c585, 0xc328_28af_e202_a5d7];
 /// The same two files when the session translated natively.
 const INSTANCES_NATIVE: [u64; 2] = [0x3ec1_023b_ef0f_e98a, 0xaa0c_ef24_cd02_73ba];
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dyncomp-golden-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Hashes of every file with extension `ext` under `dir`, in path order.
 fn file_hashes(dir: &Path, ext: &str) -> Vec<u64> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -85,63 +73,59 @@ fn file_hashes(dir: &Path, ext: &str) -> Vec<u64> {
 
 #[test]
 fn artifact_files_match_the_pinned_hashes() {
-    let cases: [(&str, Compiler, &str); 9] = [
-        ("calculator", Compiler::new(), calculator::SRC),
-        ("smatmul", Compiler::new(), smatmul::SRC),
-        ("spmv", Compiler::new(), spmv::SRC),
-        ("dispatch", Compiler::new(), dispatch::SRC),
-        ("sorter", Compiler::new(), sorter::SRC),
-        ("protomsg", Compiler::new(), protomsg::SRC),
-        ("queryexec", Compiler::new(), queryexec::SRC),
-        ("calculator-tiered", Compiler::tiered(), calculator::SRC),
-        (
-            "queryexec-inline2",
-            Compiler::with_inline_depth(2),
-            queryexec::SRC,
-        ),
-    ];
     let mut got = Vec::new();
-    for (name, compiler, src) in &cases {
-        let dir = fresh_dir(name);
-        let cache = PersistentCache::open(&dir).expect("cache opens");
-        let (_, cached) = cache.load_or_compile(compiler, src).expect("compiles");
-        assert!(!cached);
-        let hashes = file_hashes(&dir, "dyna");
-        assert_eq!(hashes.len(), 1, "{name}: one artifact file");
-        got.push((*name, hashes[0]));
-        let _ = std::fs::remove_dir_all(&dir);
+    for group in ["dynamic", "tiered", "inline2"] {
+        let plan = lattice::plan(&format!("persist_golden::{group}"));
+        for k in &plan.programs {
+            let comp = plan.cells[0].comp;
+            let name = match comp {
+                Comp::Dynamic => k.name().to_string(),
+                _ => format!("{}-{}", k.name(), comp.name()),
+            };
+            let dir = ScratchDir::new("persist-golden");
+            let cache = dir.persistent_cache();
+            let (_, cached) = cache
+                .load_or_compile(&comp.compiler(), k.src())
+                .expect("compiles");
+            assert!(!cached);
+            let hashes = file_hashes(dir.path(), "dyna");
+            assert_eq!(hashes.len(), 1, "{name}: one artifact file");
+            got.push((name, hashes[0]));
+        }
     }
-    assert_eq!(got, ARTIFACTS, "got {got:#x?}");
+    assert_eq!(
+        got,
+        ARTIFACTS.map(|(n, h)| (n.to_string(), h)),
+        "got {got:#x?}"
+    );
 }
 
 /// One cold session over [`INSTANCE_SRC`]; the `.dyns` hashes it leaves.
-fn instance_hashes(tag: &str, native: bool) -> Vec<u64> {
-    let dir = fresh_dir(tag);
-    let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+fn instance_hashes(native: bool) -> Vec<u64> {
+    let dir = ScratchDir::new("persist-golden");
+    let cache = dir.persistent_cache();
     let (program, _) = cache
         .load_or_compile(&Compiler::new(), INSTANCE_SRC)
         .expect("compiles");
     let mut engine = Engine::with_options(
         &program,
         EngineOptions {
-            persist: Some(Arc::clone(&cache)),
+            persist: Some(cache),
             native,
             ..EngineOptions::default()
         },
     );
     assert_eq!(engine.call("keyed", &[3, 5]).expect("keyed runs"), 36);
     assert_eq!(engine.call("unkeyed", &[9]).expect("unkeyed runs"), 784);
-    let hashes = file_hashes(&dir, "dyns");
-    let _ = std::fs::remove_dir_all(&dir);
-    hashes
+    file_hashes(dir.path(), "dyns")
 }
 
 #[test]
 fn instance_files_match_the_pinned_hashes() {
-    let vm = instance_hashes("inst-vm", false);
+    let vm = instance_hashes(false);
     assert_eq!(vm, INSTANCES_VM, "got {vm:#x?}");
     if dyncomp_native::codec::host_tag() == GOLDEN_HOST_TAG {
-        let native = instance_hashes("inst-native", true);
+        let native = instance_hashes(true);
         assert_eq!(native, INSTANCES_NATIVE, "got {native:#x?}");
         assert_ne!(native, vm, "a native session persists a native section");
     }

@@ -5,113 +5,38 @@
 //! region instance. Plans only change *how fast* the stitcher produces
 //! code, never the code.
 
-use dyncomp::{Compiler, Engine, EngineOptions};
-use dyncomp_bench::kernels::{calculator, dispatch, smatmul, sorter, spmv};
-use dyncomp_stitcher::StitchOptions;
-
-/// Per-kernel workload: source, entry function, heap preparation, and the
-/// argument vector for each call.
-type Prepare = Box<dyn Fn(&mut Engine) -> Vec<u64>>;
-type Calls = Box<dyn Fn(u64, &[u64]) -> Vec<u64>>;
-
-struct Workload {
-    name: &'static str,
-    src: &'static str,
-    func: &'static str,
-    prepare: Prepare,
-    calls: Calls,
-    n_calls: u64,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "calculator",
-            src: calculator::SRC,
-            func: "calc",
-            prepare: Box::new(|e| vec![calculator::build_program(e)]),
-            calls: Box::new(|i, p| vec![p[0], 3 + i, 7 + 2 * i]),
-            n_calls: 6,
-        },
-        Workload {
-            name: "smatmul",
-            src: smatmul::SRC,
-            func: "smatmul",
-            prepare: Box::new(|e| {
-                let (src, dst, len) = smatmul::build_matrices(e, 8, 16);
-                vec![src, dst, len]
-            }),
-            calls: Box::new(|i, p| vec![i + 1, p[2], p[0], p[1]]),
-            n_calls: 5,
-        },
-        Workload {
-            name: "spmv",
-            src: spmv::SRC,
-            func: "spmv",
-            prepare: Box::new(|e| {
-                let m = spmv::gen_matrix(16, 3, 42);
-                let (mp, xp, yp) = spmv::build(e, &m);
-                vec![mp, xp, yp]
-            }),
-            calls: Box::new(|_, p| vec![p[0], p[1], p[2]]),
-            n_calls: 3,
-        },
-        Workload {
-            name: "dispatcher",
-            src: dispatch::SRC,
-            func: "dispatch",
-            prepare: Box::new(|e| {
-                let t = dispatch::gen_guards(10, 11);
-                vec![dispatch::build(e, &t)]
-            }),
-            calls: Box::new(|i, p| vec![p[0], 13 + i, 2]),
-            n_calls: 6,
-        },
-        Workload {
-            name: "sorter",
-            src: sorter::SRC,
-            func: "sortrecs",
-            prepare: Box::new(|e| {
-                let recs = sorter::gen_records(40, 4, 5);
-                let (spec, master, work, n) = sorter::build(e, &recs);
-                vec![spec, master, work, n]
-            }),
-            calls: Box::new(|_, p| vec![p[0], p[1], p[2], p[3]]),
-            n_calls: 2,
-        },
-    ]
-}
+use dyncomp::{Compiler, KernelSetup, Session};
+use dyncomp_bench::kernels::spmv;
+use dyncomp_bench::lattice::{self, Mode};
+use std::sync::Arc;
 
 /// Stitched history for every region: `(key, code words)` per instance,
 /// plus the call results and the plan hit/miss totals.
 #[allow(clippy::type_complexity)]
-fn run(w: &Workload, plans: bool) -> (Vec<u64>, Vec<Vec<(Vec<u64>, Vec<u32>)>>, u32, u32) {
-    let program = Compiler::new().compile(w.src).expect("compiles");
-    let options = EngineOptions {
-        stitch: StitchOptions {
-            plans,
-            ..StitchOptions::default()
-        },
-        ..EngineOptions::default()
-    };
-    let mut engine = Engine::with_options(&program, options);
-    let prepared = (w.prepare)(&mut engine);
-    let mut results = Vec::new();
-    for i in 0..w.n_calls {
-        let args = (w.calls)(i, &prepared);
-        results.push(engine.call(w.func, &args).expect("runs"));
-    }
+fn run(
+    setup: &KernelSetup<'_>,
+    modes: &[Mode],
+) -> (Vec<u64>, Vec<Vec<(Vec<u64>, Vec<u32>)>>, u32, u32) {
+    let program = Compiler::new().compile(setup.src).expect("compiles");
+    let mut session = Session::with_options(Arc::new(program), lattice::options(modes));
+    let prepared = (setup.prepare)(&mut session);
+    let results = (0..setup.iterations)
+        .map(|i| {
+            session
+                .call(setup.func, &(setup.args)(i, &prepared))
+                .expect("runs")
+        })
+        .collect();
     let mut instances = Vec::new();
     let (mut hits, mut misses) = (0, 0);
-    for r in 0..program.region_count() {
+    for r in 0..session.program().region_count() {
+        let stitched = session.stitched_instances(r).into_iter();
         instances.push(
-            engine
-                .stitched_instances(r)
-                .into_iter()
+            stitched
                 .map(|(k, c)| (k.to_vec(), c.to_vec()))
                 .collect::<Vec<_>>(),
         );
-        let stats = engine.region_report(r).stitch_stats;
+        let stats = session.region_report(r).stitch_stats;
         hits += stats.plan_hits;
         misses += stats.plan_misses;
     }
@@ -120,37 +45,35 @@ fn run(w: &Workload, plans: bool) -> (Vec<u64>, Vec<Vec<(Vec<u64>, Vec<u32>)>>, 
 
 #[test]
 fn plan_path_bit_identical_across_paper_kernels() {
-    for w in workloads() {
-        let (res_plan, inst_plan, hits, _misses) = run(&w, true);
-        let (res_interp, inst_interp, ihits, imisses) = run(&w, false);
+    let plan = lattice::plan("plan_identity::paper");
+    let (on, off) = (
+        &plan.reference.expect("plans on").modes,
+        &plan.cells[0].modes,
+    );
+    for k in &plan.programs {
+        let (name, setup) = (k.name(), k.setup(plan.size));
+        let (res_plan, inst_plan, hits, _misses) = run(&setup, on);
+        let (res_interp, inst_interp, ihits, imisses) = run(&setup, off);
         assert_eq!(
             res_plan, res_interp,
-            "{}: call results differ with plans on",
-            w.name
+            "{name}: call results differ with plans on"
         );
         assert_eq!(
             inst_plan.len(),
             inst_interp.len(),
-            "{}: region count differs",
-            w.name
+            "{name}: region count differs"
         );
         for (r, (a, b)) in inst_plan.iter().zip(&inst_interp).enumerate() {
             assert_eq!(
                 a, b,
-                "{}: region {} stitched instances differ (keys or code words)",
-                w.name, r
+                "{name}: region {r} stitched instances differ (keys or code words)"
             );
         }
-        assert!(
-            hits > 0,
-            "{}: expected at least one plan hit (got 0)",
-            w.name
-        );
+        assert!(hits > 0, "{name}: expected at least one plan hit (got 0)");
         assert_eq!(
             (ihits, imisses),
             (0, 0),
-            "{}: plans-off run must never touch the plan path",
-            w.name
+            "{name}: plans-off run must never touch the plan path"
         );
     }
 }
@@ -172,22 +95,22 @@ fn plan_path_bit_identical_on_adversarial_literals() {
     // Crosses the 8-bit literal boundary (the old plan patcher truncated
     // `v as u8`), plus full-width and sign-bit-set values.
     let keys: [u64; 8] = [3, 200, 255, 256, 300, 70_000, 1 << 40, u64::MAX];
-    let w = Workload {
-        name: "adversarial literals",
+    let w = KernelSetup {
         src: ADVERSARIAL_LIT_SRC,
         func: "f",
+        iterations: keys.len() as u64,
         prepare: Box::new(|_| vec![]),
-        calls: Box::new(move |i, _| vec![keys[i as usize], 10]),
-        n_calls: keys.len() as u64,
+        args: Box::new(move |i, _| vec![keys[i as usize], 10]),
     };
-    let (res_plan, inst_plan, hits, misses) = run(&w, true);
-    let (res_interp, inst_interp, _, _) = run(&w, false);
+    let (res_plan, inst_plan, hits, misses) = run(&w, &[]);
+    let (res_interp, inst_interp, _, _) = run(&w, &[Mode::PlansOff]);
     assert_eq!(res_plan, res_interp, "results differ with plans on");
     assert_eq!(inst_plan, inst_interp, "stitched code differs");
     // Expected semantics, independently: x + k wrapping.
     for (i, &k) in keys.iter().enumerate() {
         assert_eq!(res_plan[i], k.wrapping_add(10), "key {k}");
     }
+
     assert!(hits > 0, "small keys should hit the plan");
     assert!(
         misses > 0,
@@ -201,25 +124,25 @@ fn plan_path_bit_identical_beyond_displacement_range() {
     // linearized-table offsets past the 14-bit displacement range
     // (±8 KiB), forcing the far-entry sequence — the old memdisp patcher
     // masked such offsets to 14 bits.
-    let w = Workload {
-        name: "far table offsets",
+    let prepare = |e: &mut Session| {
+        let m = spmv::gen_matrix(56, 28, 13);
+        assert!(
+            m.val.len() > 1100,
+            "need >1024 distinct table values, got {}",
+            m.val.len()
+        );
+        let (mp, xp, yp) = spmv::build(e, &m);
+        vec![mp, xp, yp]
+    };
+    let w = KernelSetup {
         src: spmv::SRC,
         func: "spmv",
-        prepare: Box::new(|e| {
-            let m = spmv::gen_matrix(56, 28, 13);
-            assert!(
-                m.val.len() > 1100,
-                "need >1024 distinct table values, got {}",
-                m.val.len()
-            );
-            let (mp, xp, yp) = spmv::build(e, &m);
-            vec![mp, xp, yp]
-        }),
-        calls: Box::new(|_, p| vec![p[0], p[1], p[2]]),
-        n_calls: 2,
+        iterations: 2,
+        prepare: Box::new(prepare),
+        args: Box::new(|_, p| vec![p[0], p[1], p[2]]),
     };
-    let (res_plan, inst_plan, _, _) = run(&w, true);
-    let (res_interp, inst_interp, _, _) = run(&w, false);
+    let (res_plan, inst_plan, _, _) = run(&w, &[]);
+    let (res_interp, inst_interp, _, _) = run(&w, &[Mode::PlansOff]);
     assert_eq!(res_plan, res_interp, "results differ with plans on");
     assert_eq!(inst_plan, inst_interp, "stitched code differs");
 }

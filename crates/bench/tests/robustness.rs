@@ -6,9 +6,10 @@
 //! runs.
 
 use dyncomp::{
-    Compiler, EngineOptions, FailureKind, FaultPlan, FaultPoint, Injection, RecoveryPolicy,
-    Session, SharedCodeCache, TieredOptions,
+    fold_checksum, Compiler, EngineOptions, FailureKind, FaultPlan, FaultPoint, RecoveryPolicy,
+    Session, SharedCodeCache,
 };
+use dyncomp_bench::lattice::{self, Mode};
 use std::sync::Arc;
 
 const POLY: &str = "int poly(int c, int x) {
@@ -26,7 +27,7 @@ fn drive(session: &mut Session, keys: u64) -> u64 {
             let r = session
                 .call("poly", &[c, 10 + rep])
                 .expect("faulted sessions must still answer");
-            checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
+            checksum = fold_checksum(checksum, r);
         }
     }
     checksum
@@ -46,22 +47,7 @@ fn quarantine_pins_failing_region_to_fallback() {
     let (clean, clean_session) = run(EngineOptions::default(), 6);
 
     // Every set-up attempt traps; no retries; two failures quarantine.
-    let options = EngineOptions {
-        faults: Some(FaultPlan {
-            seed: 1,
-            injections: vec![Injection {
-                max_fires: u32::MAX,
-                ..Injection::new(FaultPoint::SetupVmTrap)
-            }],
-        }),
-        recovery: RecoveryPolicy {
-            max_retries: 0,
-            quarantine_after: 2,
-            ..RecoveryPolicy::default()
-        },
-        ..EngineOptions::default()
-    };
-    let (checksum, session) = run(options, 6);
+    let (checksum, session) = run(lattice::options(&[Mode::Quarantine(None)]), 6);
     assert_eq!(checksum, clean, "fallback path computes identical results");
 
     let health = session.health();
@@ -100,10 +86,7 @@ fn injected_stitch_faults_past_the_retry_cap_still_answer() {
         for (tiered, compiler) in [(false, Compiler::new()), (true, Compiler::tiered())] {
             for fires in [2u32, 3] {
                 let program = Arc::new(compiler.compile(POLY).expect("compiles"));
-                let options = EngineOptions {
-                    faults: Some(FaultPlan::single(point, fires)),
-                    ..EngineOptions::default()
-                };
+                let options = lattice::options(&[Mode::Fault(point, fires)]);
                 let mut session = Session::with_options(program, options);
                 let case = format!("{} x{fires}, fallback copy {tiered}", point.name());
                 match session.call("poly", &[3, 10]) {
@@ -146,25 +129,14 @@ fn failure_ring_keeps_records_for_every_failing_region() {
     let program = Arc::new(Compiler::tiered().compile(src).expect("compiles"));
     let mut session = Session::with_options(
         Arc::clone(&program),
-        EngineOptions {
-            tiered: Some(TieredOptions {
-                workers: 2,
-                ..TieredOptions::default()
-            }),
-            faults: Some(FaultPlan::single(FaultPoint::WorkerPanic, 2)),
-            ..EngineOptions::default()
-        },
+        lattice::options(&[Mode::Fault(FaultPoint::WorkerPanic, 2)]),
     );
     // Constant keys so the second entry resolves the (panicking) job.
     let mut checksum = 0u64;
     for i in 1..=4u64 {
         let a = session.call("f", &[3, 100 + i]).expect("f survives");
         let b = session.call("g", &[5, 200 + i]).expect("g survives");
-        checksum = checksum
-            .wrapping_mul(1099511628211)
-            .wrapping_add(a)
-            .wrapping_mul(1099511628211)
-            .wrapping_add(b);
+        checksum = fold_checksum(fold_checksum(checksum, a), b);
     }
 
     // Fault-free reference on a plain session.
@@ -173,11 +145,7 @@ fn failure_ring_keeps_records_for_every_failing_region() {
     for i in 1..=4u64 {
         let a = clean.call("f", &[3, 100 + i]).expect("runs");
         let b = clean.call("g", &[5, 200 + i]).expect("runs");
-        expect = expect
-            .wrapping_mul(1099511628211)
-            .wrapping_add(a)
-            .wrapping_mul(1099511628211)
-            .wrapping_add(b);
+        expect = fold_checksum(fold_checksum(expect, a), b);
     }
     assert_eq!(checksum, expect);
 
@@ -277,11 +245,7 @@ fn native_arena_exhaustion_degrades_to_vm_backend() {
     // `backend-unavailable` health entry, the instances run on the VM,
     // and every result is bit-identical. The fault fires before the
     // availability check, so this holds on every host architecture.
-    let options = EngineOptions {
-        native: true,
-        faults: Some(FaultPlan::single(FaultPoint::NativeArenaExhausted, 2)),
-        ..EngineOptions::default()
-    };
+    let options = lattice::options(&[Mode::Fault(FaultPoint::NativeArenaExhausted, 2)]);
     let (checksum, session) = run(options, 8);
     assert_eq!(checksum, clean, "exhausted arena changes no result");
 
@@ -320,12 +284,7 @@ fn byte_budget_accounts_native_stub_bytes() {
     // (The chained mode adds a whole-static-code snapshot that shows up
     // in `NativeReport::bytes` but is deliberately not budget-charged —
     // it is baseline code, not an optimized install.)
-    let native_options = EngineOptions {
-        native: true,
-        native_chain: false,
-        ..EngineOptions::default()
-    };
-    let (checksum, native_session) = run(native_options, 12);
+    let (checksum, native_session) = run(lattice::options(&[Mode::Native(false)]), 12);
     assert_eq!(checksum, clean, "native backend changes no result");
     let native_bytes = native_session.health().code_bytes_installed;
 
@@ -343,13 +302,11 @@ fn byte_budget_accounts_native_stub_bytes() {
         // early under the native backend: the ladder sheds installs and
         // past-budget keys run the fallback, results unchanged.
         let options = EngineOptions {
-            native: true,
-            native_chain: false,
             recovery: RecoveryPolicy {
                 code_budget_bytes: Some(vm_bytes),
                 ..RecoveryPolicy::default()
             },
-            ..EngineOptions::default()
+            ..lattice::options(&[Mode::Native(false)])
         };
         let (budgeted, budget_session) = run(options, 12);
         assert_eq!(budgeted, clean, "degraded session computes the same");

@@ -8,6 +8,7 @@
 
 use dyncomp::server::{escape, Client, Json, Server, ServerOptions};
 use dyncomp::{Compiler, Session};
+use dyncomp_bench::lattice::ScratchDir;
 use std::io::Write;
 use std::net::Shutdown;
 use std::sync::Arc;
@@ -419,14 +420,14 @@ fn tree(dir: &std::path::Path) -> Vec<String> {
 /// A name must be one normal path component, persisting or not.
 #[test]
 fn tenant_names_are_one_normal_path_component() {
-    let base = std::env::temp_dir().join(format!("dyncomp-proto-names-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let scratch = ScratchDir::new("proto-names");
+    let base = scratch.path();
     let root = base.join("a").join("b").join("root");
     std::fs::create_dir_all(&root).unwrap();
     let (addr, handle) = spawn_server_at(Some(root.display().to_string()));
     let mut c = Client::connect(&addr).unwrap();
     upload_and_tenant(&mut c);
-    let before = tree(&base);
+    let before = tree(base);
 
     let absolute = base.join("abs").display().to_string();
     let too_long = "n".repeat(65);
@@ -456,7 +457,7 @@ fn tenant_names_are_one_normal_path_component() {
         }
     }
     assert_eq!(
-        tree(&base),
+        tree(base),
         before,
         "a refused name creates nothing anywhere"
     );
@@ -471,7 +472,7 @@ fn tenant_names_are_one_normal_path_component() {
             .unwrap());
         assert!(root.join("tenants").join(name).join("artifacts").is_dir());
     }
-    let outside: Vec<String> = tree(&base)
+    let outside: Vec<String> = tree(base)
         .into_iter()
         .filter(|p| !std::path::Path::new(p).starts_with("a/b/root") && !before.contains(p))
         .collect();
@@ -487,7 +488,6 @@ fn tenant_names_are_one_normal_path_component() {
     let _ = c.request("{\"op\":\"shutdown\"}");
     drop(c);
     handle.join().unwrap();
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]

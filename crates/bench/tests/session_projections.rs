@@ -7,42 +7,19 @@
 use dyncomp::measure::{
     run_session, run_session_profiled, run_session_timed, run_session_trace, SessionRun,
 };
-use dyncomp::{Compiler, EngineOptions, TieredOptions};
-use dyncomp_bench::kernels::{calculator, smatmul};
-use std::sync::Arc;
-
-fn tiered() -> EngineOptions {
-    EngineOptions {
-        tiered: Some(TieredOptions {
-            workers: 2,
-            ..TieredOptions::default()
-        }),
-        ..EngineOptions::default()
-    }
-}
-
-fn native() -> EngineOptions {
-    EngineOptions {
-        native: true,
-        ..EngineOptions::default()
-    }
-}
-
-/// (mode, options, whether every stitch is on the session's own clock)
-type Mode = (&'static str, fn() -> EngineOptions, bool);
+use dyncomp_bench::lattice::{self, Mode};
 
 #[test]
 fn the_four_projections_agree_in_every_mode() {
-    let modes: [Mode; 3] = [
-        ("default", EngineOptions::default, true),
-        ("tiered", tiered, false),
-        ("native", native, true),
-    ];
+    let plan = lattice::plan("session_projections::modes");
     // Keyed (one instance per scalar) and unkeyed (trap retired).
-    for setup in [smatmul::setup(8, 16, 8), calculator::setup(80)] {
-        let program = Arc::new(Compiler::tiered().compile(setup.src).expect("compiles"));
-        for (mode, options, synchronous) in modes {
-            let at = format!("{} [{mode}]", setup.func);
+    for k in &plan.programs {
+        let (setup, program) = (k.setup(plan.size), k.compiled(plan.cells[0].comp));
+        for c in &plan.cells {
+            let options = || lattice::options(&c.modes);
+            // Whether every stitch is on the session's own clock.
+            let synchronous = !c.modes.iter().any(|m| matches!(m, Mode::Tiered(..)));
+            let at = format!("{} [{c}]", setup.func);
             let plain = run_session(&program, &setup, options()).expect("runs");
             let trace = run_session_trace(&program, &setup, options()).expect("runs");
             let profiled = run_session_profiled(&program, &setup, options()).expect("runs");

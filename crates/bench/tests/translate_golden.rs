@@ -12,8 +12,9 @@
 //! here); a changed constant means an emitted byte moved, which needs a
 //! `NATIVE_CODE_VERSION` bump, not a new constant.
 
-use dyncomp::{Compiler, EngineOptions, KernelSetup, Program, SessionRun};
-use dyncomp_bench::kernels::{calculator, dispatch, protomsg, queryexec, smatmul, sorter, spmv};
+use dyncomp::{EngineOptions, KernelSetup, Program, SessionRun};
+use dyncomp_bench::lattice;
+use dyncomp_ir::fnv::Fnv;
 use dyncomp_machine::template::ValueLoc;
 use dyncomp_machine::CycleModel;
 use dyncomp_native::{translate_with, Artifact, ChainSpec, GuardSpec, KeySlot};
@@ -66,47 +67,29 @@ const GOLDEN: [(&str, u64, u64, u64); 7] = [
     ),
 ];
 
-/// FNV-1a-64, fed incrementally.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+fn pairs(h: &mut Fnv, pairs: &[(u32, u32)]) {
+    h.u32(pairs.len() as u32);
+    for &(a, b) in pairs {
+        h.u32(a);
+        h.u32(b);
     }
+}
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// Every byte, table and count of one translation.
+fn artifact(h: &mut Fnv, a: &Artifact) {
+    h.u32(a.bytes.len() as u32);
+    h.bytes(&a.bytes);
+    h.u8(u8::from(a.entry_supported));
+    for v in [a.instructions, a.covered, a.blocks, a.base, a.end] {
+        h.u32(v);
     }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn pairs(&mut self, pairs: &[(u32, u32)]) {
-        self.u32(pairs.len() as u32);
-        for &(a, b) in pairs {
-            self.u32(a);
-            self.u32(b);
-        }
-    }
-
-    fn artifact(&mut self, a: &Artifact) {
-        self.u32(a.bytes.len() as u32);
-        self.bytes(&a.bytes);
-        self.bytes(&[u8::from(a.entry_supported)]);
-        for v in [a.instructions, a.covered, a.blocks, a.base, a.end] {
-            self.u32(v);
-        }
-        self.pairs(&a.entries);
-        self.pairs(&a.block_offsets);
-        self.pairs(&a.exit_sites);
-        self.u32(a.guard_areas.len() as u32);
-        for g in &a.guard_areas {
-            for v in [g.pc, g.offset, g.len] {
-                self.u32(v);
-            }
+    pairs(h, &a.entries);
+    pairs(h, &a.block_offsets);
+    pairs(h, &a.exit_sites);
+    h.u32(a.guard_areas.len() as u32);
+    for g in &a.guard_areas {
+        for v in [g.pc, g.offset, g.len] {
+            h.u32(v);
         }
     }
 }
@@ -146,9 +129,8 @@ fn static_spec(program: &Program, guards: bool) -> ChainSpec {
 
 /// Run `setup` on a VM session and hash every translation the engine
 /// would make of what it leaves behind.
-fn kernel_hashes(compiler: &Compiler, setup: &KernelSetup<'_>) -> (u64, u64, u64) {
-    let program = Arc::new(compiler.compile(setup.src).expect("kernel compiles"));
-    let mut run = SessionRun::start(&program, setup, EngineOptions::default());
+fn kernel_hashes(program: &Arc<Program>, setup: &KernelSetup<'_>) -> (u64, u64, u64) {
+    let mut run = SessionRun::start(program, setup, EngineOptions::default());
     run.pass(|_, _| {}).expect("kernel runs");
     let session = &run.session;
     let model = CycleModel::default();
@@ -166,7 +148,7 @@ fn kernel_hashes(compiler: &Compiler, setup: &KernelSetup<'_>) -> (u64, u64, u64
                     guards: Vec::new(),
                     leaders: Vec::new(),
                 };
-                instances.artifact(&translate_with(code, base, &model, &spec));
+                artifact(&mut instances, &translate_with(code, base, &model, &spec));
             }
             count += 1;
         }
@@ -175,41 +157,33 @@ fn kernel_hashes(compiler: &Compiler, setup: &KernelSetup<'_>) -> (u64, u64, u64
     let code = &program.compiled.code;
     let snapshot = |guards: bool| {
         let mut h = Fnv::new();
-        h.artifact(&translate_with(
-            code,
-            0,
-            &model,
-            &static_spec(&program, guards),
-        ));
+        let spec = static_spec(program, guards);
+        artifact(&mut h, &translate_with(code, 0, &model, &spec));
         // What sessions install is the program's memo of the same
         // translation.
         let mut memo = Fnv::new();
-        memo.artifact(&program.native_snapshot(&model, guards));
-        assert_eq!(memo.0, h.0, "{}: memoized snapshot", setup.func);
-        h.0
+        artifact(&mut memo, &program.native_snapshot(&model, guards));
+        assert_eq!(
+            memo.finish(),
+            h.finish(),
+            "{}: memoized snapshot",
+            setup.func
+        );
+        h.finish()
     };
-    (instances.0, snapshot(false), snapshot(true))
+    (instances.finish(), snapshot(false), snapshot(true))
 }
 
 #[test]
 fn translations_match_the_pinned_hashes() {
-    let plain = Compiler::new();
-    let inlined = Compiler::with_inline_depth(2);
-    let cases: [(&str, &Compiler, KernelSetup<'static>); 7] = [
-        ("calculator", &plain, calculator::setup(4)),
-        ("smatmul", &plain, smatmul::setup(8, 16, 8)),
-        ("spmv", &plain, spmv::setup(12, 3, 4)),
-        ("dispatch", &plain, dispatch::setup(10, 12)),
-        ("sorter", &plain, sorter::setup(40, 4, 2)),
-        ("protomsg", &inlined, protomsg::setup(8, 6)),
-        ("queryexec", &inlined, queryexec::setup(6, 30, 2)),
-    ];
-    let got: Vec<(&str, u64, u64, u64)> = cases
-        .iter()
-        .map(|(name, compiler, setup)| {
-            let (i, off, on) = kernel_hashes(compiler, setup);
-            (*name, i, off, on)
-        })
-        .collect();
+    let mut got = Vec::new();
+    for group in ["translate_golden::paper", "translate_golden::inline"] {
+        let plan = lattice::plan(group);
+        for k in &plan.programs {
+            let program = k.compiled(plan.cells[0].comp);
+            let (i, off, on) = kernel_hashes(&program, &k.setup(plan.size));
+            got.push((k.name(), i, off, on));
+        }
+    }
     assert_eq!(got, GOLDEN, "got {got:#x?}");
 }

@@ -317,7 +317,7 @@ impl Compiler {
     /// across processes — it keys the [`persist`] on-disk cache.
     pub fn artifact_hash(&self, src: &str) -> u64 {
         let o = &self.options;
-        let mut h = persist::format::Fnv::new();
+        let mut h = dyncomp_ir::fnv::Fnv::new();
         h.bytes(src.as_bytes());
         h.u8(u8::from(o.dynamic));
         h.u8(u8::from(o.optimize));

@@ -37,40 +37,7 @@ pub(crate) const KIND_ARTIFACT: u8 = 1;
 /// Kind byte: a stitched region instance.
 pub(crate) const KIND_INSTANCE: u8 = 2;
 
-/// Incremental FNV-1a-64 hasher — the same fold the rest of the repo
-/// uses for stable, dependency-free content hashes.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn u8(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    pub(crate) fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.u8(b);
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a-64 of a byte slice.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(bytes);
-    h.finish()
-}
+use dyncomp_ir::fnv::fnv1a;
 
 /// Why a cache file was refused at the framing layer.
 #[derive(Debug)]

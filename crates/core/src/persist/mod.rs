@@ -220,7 +220,7 @@ impl PersistentCache {
     }
 
     fn instance_path(&self, artifact_hash: u64, region: u16, key: &[u64]) -> PathBuf {
-        let mut h = format::Fnv::new();
+        let mut h = dyncomp_ir::fnv::Fnv::new();
         h.u64(u64::from(region));
         for &k in key {
             h.u64(k);

@@ -248,11 +248,6 @@ impl<'m> Evaluator<'m> {
         self.steps_left = steps;
     }
 
-    /// Address of a global in the memory image.
-    pub fn global_addr(&self, g: GlobalId) -> u64 {
-        self.global_addrs[g]
-    }
-
     /// Call function `fid` with raw-bit arguments.
     ///
     /// # Errors

@@ -292,14 +292,6 @@ impl Module {
             .map(|(id, _)| id)
     }
 
-    /// Find a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.globals
-            .iter_enumerated()
-            .find(|(_, g)| g.name == name)
-            .map(|(id, _)| id)
-    }
-
     /// Re-infer the result kind of every `Call` instruction from its
     /// callee's signature. Run once after all functions are constructed
     /// (calls may reference functions lowered later).

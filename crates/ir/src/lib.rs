@@ -63,6 +63,7 @@ pub mod cfg;
 pub mod codec;
 pub mod dom;
 pub mod eval;
+pub mod fnv;
 pub mod func;
 pub mod fxhash;
 pub mod ids;

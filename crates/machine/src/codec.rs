@@ -190,9 +190,7 @@ mod tests {
         let mut w = Writer::new();
         rc.encode(&mut w);
         let bytes = w.into_bytes();
-        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let fnv = dyncomp_ir::fnv::fnv1a(&bytes);
         assert_eq!((bytes.len(), fnv), (197, 0x1a41_5f5e_9db2_a283));
         let mut r = Reader::new(&bytes);
         let back = RegionCode::decode(&mut r).expect("round trip");

@@ -40,11 +40,6 @@ impl<'m> HeapBuilder<'m> {
         self.mem.write_u64(addr, v.to_bits())
     }
 
-    /// Write a 32-bit word.
-    pub fn put_u32(&mut self, addr: u64, v: u32) -> Result<(), EvalError> {
-        self.mem.write(addr, dyncomp_ir::MemSize::B4, u64::from(v))
-    }
-
     /// Allocate and fill an array of 64-bit words; returns its address.
     ///
     /// # Errors

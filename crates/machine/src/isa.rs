@@ -186,26 +186,6 @@ impl Op {
     pub fn from_u8(v: u8) -> Option<Op> {
         OP_TABLE.get(v as usize).copied()
     }
-
-    /// Whether this is a float-operand operate instruction.
-    pub fn is_float_op(self) -> bool {
-        use Op::*;
-        matches!(
-            self,
-            Addt | Subt
-                | Mult
-                | Divt
-                | Cmpteq
-                | Cmptlt
-                | Cmptle
-                | Sqrtt
-                | Cvttq
-                | Fmov
-                | Fneg
-                | Ldt
-                | Stt
-        )
-    }
 }
 
 /// The second operand of an operate instruction.

@@ -523,11 +523,6 @@ impl Backend {
         self.chained
     }
 
-    /// Whether `pc` is a dispatchable entry of some installed instance.
-    pub fn has_entry(&self, pc: u32) -> bool {
-        self.entry_index.contains_key(&pc)
-    }
-
     /// The install base of the instance serving dispatches at `pc`.
     pub fn base_of(&self, pc: u32) -> Option<u32> {
         self.entry_index.get(&pc).copied()

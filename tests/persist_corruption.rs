@@ -17,7 +17,7 @@
 //! word that still decodes is outside what any load-time check can see —
 //! but it never includes a panic.
 
-use dyncomp::{Compiler, Engine, EngineOptions, PersistentCache};
+use dyncomp::{fold_checksum, Compiler, Engine, EngineOptions, PersistentCache};
 use dyncomp_ir::prng::SplitMix64;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -68,7 +68,7 @@ fn run_once(root: &Path) -> Outcome {
         },
     );
     let mut checksum = 0u64;
-    let mut fold = |r: u64| checksum = checksum.wrapping_mul(1099511628211).wrapping_add(r);
+    let mut fold = |r: u64| checksum = fold_checksum(checksum, r);
     for k in 1..=4u64 {
         for x in [3u64, 5] {
             fold(engine.call("keyed", &[k, x]).expect("keyed call survives"));
@@ -211,9 +211,7 @@ fn every_mutation_degrades_to_recompilation_with_typed_entries() {
 /// Frame `payload` the way `persist::format` documents it: `file`'s
 /// magic, version and kind, then the payload's length and FNV-1a-64.
 fn reseal(file: &[u8], payload: &[u8]) -> Vec<u8> {
-    let fnv = payload.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let fnv = dyncomp_ir::fnv::fnv1a(payload);
     let mut out = file[..9].to_vec();
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv.to_le_bytes());
@@ -255,7 +253,7 @@ fn replay(root: &Path) -> Replay {
     for (func, args) in calls {
         engine.vm.fuel = 1_000_000;
         checksum = match (checksum, engine.call(func, &args)) {
-            (Some(c), Ok(r)) => Some(c.wrapping_mul(1099511628211).wrapping_add(r)),
+            (Some(c), Ok(r)) => Some(fold_checksum(c, r)),
             _ => None,
         };
     }
