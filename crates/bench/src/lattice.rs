@@ -438,7 +438,8 @@ fn plans() -> Vec<(&'static str, Plan)> {
     use Mode::*;
     let (paper, inline, all) = (Kernel::PAPER, Kernel::INLINE, &Kernel::ALL[..]);
     let compiled = || Comp::ALL.map(|comp| cell(comp, &[])).to_vec();
-    let (t, tt) = (|w, s| cell(T, &[Tiered(w, s)]), |w, s| cell(T, &[Tiered(w, s), Traced]));
+    let t = |w, s| cell(T, &[Tiered(w, s)]);
+    let tt = |w, s| cell(T, &[Tiered(w, s), Traced]);
     let mut ladder = vec![
         cell(D, &[Default]), cell(D, &[Shared]), cell(D, &[PersistWarm]), t(2, true),
         cell(D, &[Native(true)]), cell(D, &[Capacity1]), cell(T, &[CodeBudget]),
@@ -628,26 +629,24 @@ fn observe(
     modes: &[Mode],
     caches: &Caches,
 ) -> Observed {
-    let (o, fail) = (caches.options(modes), |e: dyncomp::Error| -> ! {
-        panic!("{}: {e}", setup.func)
-    });
+    let options = caches.options(modes);
+    let fail = |e: dyncomp::Error| -> ! { panic!("{}: {e}", setup.func) };
     if modes.contains(&Mode::Traced) {
-        let p = run_session_profiled(program, setup, o).unwrap_or_else(|e| fail(e));
+        let p = run_session_profiled(program, setup, options).unwrap_or_else(|e| fail(e));
         assert_eq!(p.dropped, 0, "{}: traces must fit the ring", setup.func);
-        let (outcome, jsonl, chrome) = (p.outcome, p.jsonl, p.chrome);
         return Observed {
-            outcome,
-            jsonl,
-            chrome,
+            outcome: p.outcome,
+            jsonl: p.jsonl,
+            chrome: p.chrome,
         };
     }
-    let outcome = if o.native {
-        run_session_differential(program, setup, o)
+    let outcome = if options.native {
+        run_session_differential(program, setup, options)
             .unwrap_or_else(|e| fail(e))
             .native
             .outcome
     } else {
-        dyncomp::run_session(program, setup, o).unwrap_or_else(|e| fail(e))
+        dyncomp::run_session(program, setup, options).unwrap_or_else(|e| fail(e))
     };
     Observed {
         outcome,

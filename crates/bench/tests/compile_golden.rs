@@ -468,9 +468,16 @@ fn unit_row(name: String, src: &str, comp: Comp) -> Row {
             h.finish()
         }
     };
-    let hashes = [code, templates, plans, holes, module, spec].map(|h| h.finish());
-    let [a, b, c, d, e, f] = hashes;
-    (name, a, b, c, d, e, f, opt)
+    (
+        name,
+        code.finish(),
+        templates.finish(),
+        plans.finish(),
+        holes.finish(),
+        module.finish(),
+        spec.finish(),
+        opt,
+    )
 }
 
 fn rows() -> Vec<Row> {
