@@ -5,9 +5,9 @@
 //! region instance. Plans only change *how fast* the stitcher produces
 //! code, never the code.
 
-use dyncomp::{Compiler, KernelSetup, Session};
+use dyncomp::{KernelSetup, Session};
 use dyncomp_bench::kernels::spmv;
-use dyncomp_bench::lattice::{self, Mode};
+use dyncomp_bench::lattice::{self, Comp, Mode};
 use std::sync::Arc;
 
 /// Stitched history for every region: `(key, code words)` per instance,
@@ -15,9 +15,10 @@ use std::sync::Arc;
 #[allow(clippy::type_complexity)]
 fn run(
     setup: &KernelSetup<'_>,
+    comp: Comp,
     modes: &[Mode],
 ) -> (Vec<u64>, Vec<Vec<(Vec<u64>, Vec<u32>)>>, u32, u32) {
-    let program = Compiler::new().compile(setup.src).expect("compiles");
+    let program = comp.compiler().compile(setup.src).expect("compiles");
     let mut session = Session::with_options(Arc::new(program), lattice::options(modes));
     let prepared = (setup.prepare)(&mut session);
     let results = (0..setup.iterations)
@@ -46,14 +47,11 @@ fn run(
 #[test]
 fn plan_path_bit_identical_across_paper_kernels() {
     let plan = lattice::plan("plan_identity::paper");
-    let (on, off) = (
-        &plan.reference.expect("plans on").modes,
-        &plan.cells[0].modes,
-    );
+    let (on, off) = (plan.reference.expect("plans on"), &plan.cells[0]);
     for k in &plan.programs {
         let (name, setup) = (k.name(), k.setup(plan.size));
-        let (res_plan, inst_plan, hits, _misses) = run(&setup, on);
-        let (res_interp, inst_interp, ihits, imisses) = run(&setup, off);
+        let (res_plan, inst_plan, hits, _misses) = run(&setup, on.comp, &on.modes);
+        let (res_interp, inst_interp, ihits, imisses) = run(&setup, off.comp, &off.modes);
         assert_eq!(
             res_plan, res_interp,
             "{name}: call results differ with plans on"
@@ -102,8 +100,8 @@ fn plan_path_bit_identical_on_adversarial_literals() {
         prepare: Box::new(|_| vec![]),
         args: Box::new(move |i, _| vec![keys[i as usize], 10]),
     };
-    let (res_plan, inst_plan, hits, misses) = run(&w, &[]);
-    let (res_interp, inst_interp, _, _) = run(&w, &[Mode::PlansOff]);
+    let (res_plan, inst_plan, hits, misses) = run(&w, Comp::Dynamic, &[]);
+    let (res_interp, inst_interp, _, _) = run(&w, Comp::Dynamic, &[Mode::PlansOff]);
     assert_eq!(res_plan, res_interp, "results differ with plans on");
     assert_eq!(inst_plan, inst_interp, "stitched code differs");
     // Expected semantics, independently: x + k wrapping.
@@ -141,8 +139,8 @@ fn plan_path_bit_identical_beyond_displacement_range() {
         prepare: Box::new(prepare),
         args: Box::new(|_, p| vec![p[0], p[1], p[2]]),
     };
-    let (res_plan, inst_plan, _, _) = run(&w, &[]);
-    let (res_interp, inst_interp, _, _) = run(&w, &[Mode::PlansOff]);
+    let (res_plan, inst_plan, _, _) = run(&w, Comp::Dynamic, &[]);
+    let (res_interp, inst_interp, _, _) = run(&w, Comp::Dynamic, &[Mode::PlansOff]);
     assert_eq!(res_plan, res_interp, "results differ with plans on");
     assert_eq!(inst_plan, inst_interp, "stitched code differs");
 }
