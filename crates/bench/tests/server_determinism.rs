@@ -327,3 +327,83 @@ fn engine_survives_native_state_loss_mid_session() {
         "backend is gone for this session"
     );
 }
+
+/// Every option key a `tenant` or `upload` frame carries, at the edges of
+/// what it accepts: each integer key at 0, 1, its bound, bound + 1, −1
+/// and a string (keys with no bound of their own are bounded by the
+/// wire's `i64`); each boolean key at 0, 1, true, false, −1 and a
+/// string; `upload.inline` at −1, 0, 2, 8 and 9, and `upload.tiered`
+/// both ways. Every tenant then gets `open`, `call`, `health` and
+/// `close`. Each request and its reply are one line of
+/// `tests/wire_script.txt`, compared byte for byte; on a mismatch the
+/// whole transcript is printed, so a deliberate change of a reply is one
+/// copy into that file.
+#[test]
+fn option_frames_replies_are_pinned() {
+    const MAX: &str = "9223372036854775807";
+    const MAX_PLUS_ONE: &str = "9223372036854775808";
+    let ints: [(&str, &str, &str); 7] = [
+        ("max_sessions", MAX, MAX_PLUS_ONE),
+        ("memory_bytes", "1073741824", "1073741825"),
+        ("code_budget_bytes", MAX, MAX_PLUS_ONE),
+        ("cache_bytes", MAX, MAX_PLUS_ONE),
+        ("cache_shards", "1024", "1025"),
+        ("cache_capacity", "1048576", "1048577"),
+        ("quarantine_after", "4294967295", "4294967296"),
+    ];
+    let engine = engine_with_kernel();
+    let mut transcript = String::new();
+    let mut send = |body: String| {
+        let reply = req(&engine, &body);
+        transcript.push_str(&format!("> {body}\n< {reply}\n"));
+    };
+    for (i, inline) in ["-1", "0", "2", "8", "9"].iter().enumerate() {
+        send(format!(
+            "{{\"op\":\"upload\",\"name\":\"inline{i}\",\"src\":{},\"inline\":{inline}}}",
+            dyncomp::server::escape(KERNEL)
+        ));
+    }
+    for tiered in ["true", "false"] {
+        send(format!(
+            "{{\"op\":\"upload\",\"name\":\"tiered-{tiered}\",\"src\":{},\"tiered\":{tiered}}}",
+            dyncomp::server::escape(KERNEL)
+        ));
+    }
+    let bools =
+        ["native", "trace", "persist"].map(|key| (key, ["0", "1", "true", "false", "-1", "\"x\""]));
+    let cases = ints
+        .iter()
+        .map(|&(key, bound, over)| (key, ["0", "1", bound, over, "-1", "\"x\""]))
+        .chain(bools);
+    for (key, values) in cases {
+        for (i, value) in values.iter().enumerate() {
+            let name = format!("{key}-{i}");
+            send(format!(
+                "{{\"op\":\"tenant\",\"tenant\":\"{name}\",\"{key}\":{value}}}"
+            ));
+            send(format!(
+                "{{\"op\":\"open\",\"tenant\":\"{name}\",\"program\":\"poly\",\"session\":\"{name}\"}}"
+            ));
+            send(format!(
+                "{{\"op\":\"call\",\"session\":\"{name}\",\"func\":\"poly\",\"args\":[3,10]}}"
+            ));
+            send(format!("{{\"op\":\"health\",\"session\":\"{name}\"}}"));
+            send(format!("{{\"op\":\"close\",\"session\":\"{name}\"}}"));
+        }
+    }
+    // Only hosts with the native backend report it active.
+    let host = |text: &str| match cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        true => text.to_string(),
+        false => text.replace("\"native_active\":true", "\"native_active\":false"),
+    };
+    let expected = host(include_str!("wire_script.txt"));
+    let got = host(&transcript);
+    if got != expected {
+        for (n, (g, e)) in got.lines().zip(expected.lines()).enumerate() {
+            if g != e {
+                eprintln!("line {}:\n  got      {g}\n  expected {e}", n + 1);
+            }
+        }
+        panic!("the replies moved; the whole transcript:\n{transcript}");
+    }
+}

@@ -406,3 +406,141 @@ fn time_passes_reports_every_phase() {
     // The timed compile is the one that runs.
     assert!(out.contains("power(5, 3) = 243"), "{out}");
 }
+
+// ---- pinned transcripts: one successful run per option flag ----
+
+/// Replace every run of digits after `marker` in `line` (up to the next
+/// space) with `…`.
+fn mask_number(line: &str, marker: &str) -> String {
+    match line.split_once(marker) {
+        Some((head, tail)) => {
+            let rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+            format!("{head}{marker}…{rest}")
+        }
+        None => line.to_string(),
+    }
+}
+
+/// The stdout of `dyncc args…` with what varies by host masked: the
+/// program and scratch paths, native translation time, whether the host
+/// has the native backend at all, and what the interleaving of
+/// `--threads` sessions decides (which session stitches and which reuses
+/// its code, and so each one's cycles).
+fn transcript(args: &[&str], paths: &[(&str, &str)]) -> String {
+    let (out, err, ok) = dyncc(args);
+    assert!(ok, "dyncc {args:?} failed: {err}");
+    let native_host = cfg!(all(target_arch = "x86_64", target_os = "linux"));
+    let mut shown: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let mut text = out;
+    for (path, name) in paths {
+        text = text.replace(path, name);
+        shown = shown.iter().map(|a| a.replace(path, name)).collect();
+    }
+    let mut masked = format!("$ dyncc {}\n", shown.join(" "));
+    for line in text.lines() {
+        let line = if line.starts_with("native backend:") && !native_host {
+            "native backend: …".to_string()
+        } else if line.starts_with("  session ") {
+            line.split_once(" in ")
+                .map_or(line.to_string(), |(head, _)| format!("{head} in …"))
+        } else if line.starts_with("  cache: ") {
+            "  cache: …".to_string()
+        } else {
+            mask_number(line, "translated in ")
+        };
+        masked.push_str(&line);
+        masked.push('\n');
+    }
+    masked
+}
+
+/// Each option flag in one successful run, stdout compared with
+/// `tests/dyncc_cli_transcripts.txt`; `--persist-dir` runs twice, and
+/// the second run loads the artifact and every instance from disk. On a
+/// mismatch the whole transcript is printed.
+#[test]
+fn option_flag_transcripts_are_pinned() {
+    let p = write_temp("pinned.mc", POWER);
+    let file = p.to_str().unwrap();
+    let dir = std::env::temp_dir()
+        .join("dyncc-cli-tests")
+        .join("pinned-persist");
+    let _ = std::fs::remove_dir_all(&dir);
+    let persist = dir.to_str().unwrap();
+    let paths = [(persist, "<dir>"), (file, "<file>")];
+    let run = ["--run", "power", "5", "3"];
+    let with = |flags: &[&'static str]| -> Vec<&str> {
+        let mut args = vec![file];
+        args.extend(run);
+        args.extend(flags);
+        args
+    };
+    let mut got = String::new();
+    for flags in [
+        &["--sessions", "3", "--threads", "2", "--shared-cache"][..],
+        &[
+            "--tiered",
+            "--stitch-workers",
+            "2",
+            "--speculate",
+            "--report",
+        ],
+        &["--native", "--no-native-chain"],
+        &["--fault-seed", "7"],
+        &["--code-budget", "256"],
+    ] {
+        got.push_str(&transcript(&with(flags), &paths));
+    }
+    for _ in 0..2 {
+        let mut args = with(&[]);
+        args.extend(["--persist-dir", persist]);
+        got.push_str(&transcript(&args, &paths));
+    }
+    assert!(
+        got.contains("(artifact loaded from the persistent cache)"),
+        "{got}"
+    );
+    let expected = include_str!("dyncc_cli_transcripts.txt");
+    if got != expected {
+        for (n, (g, e)) in got.lines().zip(expected.lines()).enumerate() {
+            if g != e {
+                eprintln!("line {}:\n  got      {g}\n  expected {e}", n + 1);
+            }
+        }
+        panic!("the transcripts moved; the whole text:\n{got}");
+    }
+}
+
+/// Every flag that takes a value, given a malformed one, is a usage error
+/// naming the flag.
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    let p = write_temp("good13.mc", "int f(int x) { return x; }");
+    let file = p.to_str().unwrap();
+    for (flag, value) in [
+        ("--inline-depth", "-1"),
+        ("--sessions", "many"),
+        ("--threads", "-2"),
+        ("--stitch-workers", "1.5"),
+        ("--trace-format", "xml"),
+        ("--fault-seed", "seven"),
+        ("--code-budget", "-256"),
+    ] {
+        let mut args = vec![file, "--run", "f", "1", "--tiered", flag, value];
+        if flag == "--trace-format" {
+            args.extend(["--trace-out", "/dev/null"]);
+        }
+        let (code, err) = dyncc_code(&args);
+        assert_eq!(code, 2, "{flag} {value}: {err}");
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+    }
+    // A value flag at the end of the line has no value at all.
+    for flag in ["--trace-out", "--persist-dir", "--connect", "--sessions"] {
+        let (code, err) = dyncc_code(&[file, "--run", "f", "1", flag]);
+        assert_eq!(code, 2, "{flag}: {err}");
+        assert!(
+            err.contains(&format!("{flag} needs a value")),
+            "{flag}: {err}"
+        );
+    }
+}
