@@ -273,11 +273,14 @@ impl ServerEngine {
     fn op_upload(&self, req: &Json) -> Result<String, ProtoError> {
         let name = str_field(req, "name")?;
         let src = str_field(req, "src")?;
-        let inline_depth = req.get("inline").and_then(Json::as_int).unwrap_or(0);
+        let inline_depth = match req.get("inline").and_then(Json::as_int) {
+            Some(v) => bounded_field(v, "inline", 8)? as u32,
+            None => 0,
+        };
         let tiered = req.get("tiered").and_then(Json::as_bool).unwrap_or(false);
         let options = CompileOptions {
             tiered_fallback: tiered,
-            inline: InlineOptions::at_depth(inline_depth.clamp(0, 8) as u32),
+            inline: InlineOptions::at_depth(inline_depth),
             ..Default::default()
         };
         // Compile outside the lock: uploads must not stall calls. With a
