@@ -288,30 +288,28 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
 
-    if let Some(addr) = str_opt(args, "--connect")? {
+    if let Some(addr) = value::<String>(args, "--connect")? {
         return run_connected(args, path, &src, &addr);
     }
 
     let tiered = flag("--tiered");
-    let inline_depth = match str_opt(args, "--inline-depth")? {
-        Some(v) => v.parse::<u32>().map_err(|_| {
-            CliError::Usage("--inline-depth needs a non-negative integer".to_string())
-        })?,
-        None => 0,
-    };
+    let inline_depth = value(args, "--inline-depth")?.unwrap_or(0);
     let compiler = Compiler::with_options(CompileOptions {
         dynamic: !flag("--static"),
         tiered_fallback: tiered,
         inline: InlineOptions::at_depth(inline_depth),
         ..CompileOptions::default()
     });
-    let persist = match str_opt(args, "--persist-dir")? {
-        Some(dir) => Some(Arc::new(PersistentCache::open(&dir).map_err(|e| {
-            CliError::Io {
-                path: dir.clone(),
-                err: e.to_string(),
+    let persist = match value::<String>(args, "--persist-dir")? {
+        Some(path) => match PersistentCache::open(&path) {
+            Ok(cache) => Some(Arc::new(cache)),
+            Err(e) => {
+                return Err(CliError::Io {
+                    path,
+                    err: e.to_string(),
+                })
             }
-        })?)),
+        },
         None => None,
     };
     let timed = if flag("--time-passes") {
@@ -466,81 +464,55 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if let Some(pos) = args.iter().position(|a| a == "--run") {
         let (func, call_args) = parse_run(args, pos)?;
 
-        let sessions = numeric(args, "--sessions", 1)?.max(1);
-        let threads = numeric(args, "--threads", 1)?.max(1);
-        let tiered_options = match tiered {
-            true => Some(TieredOptions {
-                workers: numeric(args, "--stitch-workers", 1)?.max(1),
-                speculate: flag("--speculate"),
-            }),
-            false => None,
-        };
-        let fault_seed = num_u64(args, "--fault-seed")?;
-        let code_budget = num_u64(args, "--code-budget")?;
-        let recovery = RecoveryPolicy {
-            code_budget_bytes: code_budget,
-            ..RecoveryPolicy::default()
-        };
-        let trace_out = str_opt(args, "--trace-out")?;
-        let trace_format = str_opt(args, "--trace-format")?.unwrap_or_else(|| "jsonl".to_string());
+        let sessions = value(args, "--sessions")?.unwrap_or(1).max(1);
+        let threads = value(args, "--threads")?.unwrap_or(1).max(1);
+        let workers = value(args, "--stitch-workers")?.unwrap_or(1).max(1);
+        let trace_out = value::<String>(args, "--trace-out")?;
+        let trace_format = value(args, "--trace-format")?.unwrap_or_else(|| "jsonl".to_string());
         if !matches!(trace_format.as_str(), "jsonl" | "chrome") {
             return Err(CliError::Usage(format!(
                 "--trace-format must be `jsonl` or `chrome`, got `{trace_format}`"
             )));
         }
-        let native = flag("--native");
-        let native_chain = !flag("--no-native-chain");
-        if sessions > 1 || flag("--shared-cache") {
+        let options = EngineOptions {
+            shared_cache: flag("--shared-cache").then(|| Arc::new(SharedCodeCache::default())),
+            trace: trace_out.as_ref().map(|_| TraceOptions::default()),
+            tiered: tiered.then(|| TieredOptions {
+                workers,
+                speculate: flag("--speculate"),
+            }),
+            faults: value(args, "--fault-seed")?.map(FaultPlan::seeded),
+            recovery: RecoveryPolicy {
+                code_budget_bytes: value(args, "--code-budget")?,
+                ..RecoveryPolicy::default()
+            },
+            native: flag("--native"),
+            native_chain: !flag("--no-native-chain"),
+            persist,
+            ..EngineOptions::default()
+        };
+        if sessions > 1 || options.shared_cache.is_some() {
             if trace_out.is_some() {
                 return Err(CliError::Usage(
                     "--trace-out traces a single session; drop --sessions/--shared-cache"
                         .to_string(),
                 ));
             }
-            return run_multi_session(
-                &program,
-                &func,
-                &call_args,
-                sessions,
-                threads,
-                flag("--shared-cache"),
-                tiered_options,
-                fault_seed.map(FaultPlan::seeded),
-                recovery,
-                native,
-                native_chain,
-                persist,
-            );
+            return run_multi_session(&program, &func, &call_args, sessions, threads, &options);
         }
 
-        let mut engine = Engine::with_options(
-            &program,
-            EngineOptions {
-                tiered: tiered_options,
-                trace: trace_out.as_ref().map(|_| TraceOptions::default()),
-                faults: fault_seed.map(FaultPlan::seeded),
-                recovery,
-                native,
-                native_chain,
-                persist: persist.clone(),
-                ..EngineOptions::default()
-            },
-        );
+        let mut engine = Engine::with_options(&program, options.clone());
         let before = engine.cycles();
         let v = engine
             .call(&func, &call_args)
             .map_err(|e| CliError::Run(format!("run failed: {e}")))?;
         println!(
             "\n{func}({}) = {v} ({} as signed) in {} cycles",
-            call_args
-                .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
+            listed(&call_args),
             v as i64,
             engine.cycles() - before
         );
-        if native {
+        if options.native {
             let n = engine.native_report();
             if n.active {
                 println!(
@@ -562,7 +534,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 );
             }
         }
-        if let Some(cache) = &persist {
+        if let Some(cache) = &options.persist {
             let s = cache.stats();
             println!(
                 "\npersistent cache ({}): artifact {}/{} hit(s) ({} reject(s)), \
@@ -585,7 +557,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 );
             }
         }
-        if fault_seed.is_some() || code_budget.is_some() {
+        if options.faults.is_some() || options.recovery.code_budget_bytes.is_some() {
             let h = engine.health();
             println!(
                 "\nhealth: {} fault(s) injected, {} retr{}, {} failure(s) ({} dropped), \
@@ -705,13 +677,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     let key_str = if key.is_empty() {
                         String::new()
                     } else {
-                        format!(
-                            " key ({})",
-                            key.iter()
-                                .map(|k| k.to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )
+                        format!(" key ({})", listed(key))
                     };
                     println!(
                         "\nstitched code for region {i}{key_str} ({} words):",
@@ -746,37 +712,23 @@ fn parse_run(args: &[String], pos: usize) -> Result<(String, Vec<u64>), CliError
     Ok((func.clone(), call_args))
 }
 
-/// A `NAME value` flag parsed as usize, with a default.
-fn numeric(args: &[String], name: &str, default: usize) -> Result<usize, CliError> {
-    match str_opt(args, name)? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("{name} needs a positive integer"))),
-        None => Ok(default),
-    }
+/// The value of a `NAME value` flag, if it is given.
+fn value<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
+    let Some(p) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let v = args
+        .get(p + 1)
+        .ok_or_else(|| CliError::Usage(format!("{name} needs a value")))?;
+    v.parse()
+        .map(Some)
+        .map_err(|_| CliError::Usage(format!("{name} cannot take `{v}`")))
 }
 
-/// A `NAME value` flag parsed as u64, if present.
-fn num_u64(args: &[String], name: &str) -> Result<Option<u64>, CliError> {
-    match str_opt(args, name)? {
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| CliError::Usage(format!("{name} needs a non-negative integer"))),
-        None => Ok(None),
-    }
-}
-
-/// A `NAME value` flag's value, if present.
-fn str_opt(args: &[String], name: &str) -> Result<Option<String>, CliError> {
-    match args.iter().position(|a| a == name) {
-        Some(p) => args
-            .get(p + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| CliError::Usage(format!("{name} needs a value"))),
-        None => Ok(None),
-    }
+/// `values` as `a, b, c`.
+fn listed(values: &[u64]) -> String {
+    let shown: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+    shown.join(", ")
 }
 
 /// Serve `--run` through a running `dynccd`: upload the program, open a
@@ -831,11 +783,7 @@ fn run_connected(args: &[String], path: &str, src: &str, addr: &str) -> Result<(
     let cycles = called.get("cycles").and_then(Json::as_int).unwrap_or(0);
     println!(
         "\n{func}({}) = {} ({result} as signed) in {cycles} cycles (served by {addr})",
-        call_args
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
+        listed(&call_args),
         result as u64,
     );
     let closed = request("{\"op\":\"close\",\"session\":\"cli\"}".to_string())?;
@@ -861,51 +809,29 @@ struct SessionRow {
 
 /// Run the same call in `n` independent sessions over one shared program,
 /// spread across `threads` host threads, and print per-session cycle
-/// counts. With `shared`, sessions publish and reuse stitched code through
-/// a process-wide [`SharedCodeCache`]. A session that fails — or panics;
-/// each session body runs under `catch_unwind` — fails the command with
-/// exit 1 after every session has reported.
-#[allow(clippy::too_many_arguments)]
+/// counts. With a shared cache in `options`, sessions publish and reuse
+/// stitched code through it. A session that fails — or panics; each
+/// session body runs under `catch_unwind` — fails the command with exit 1
+/// after every session has reported.
 fn run_multi_session(
     program: &Arc<dyncomp::Program>,
     func: &str,
     call_args: &[u64],
     n: usize,
     threads: usize,
-    shared: bool,
-    tiered: Option<TieredOptions>,
-    faults: Option<FaultPlan>,
-    recovery: RecoveryPolicy,
-    native: bool,
-    native_chain: bool,
-    persist: Option<Arc<PersistentCache>>,
+    options: &EngineOptions,
 ) -> Result<(), CliError> {
-    let cache = shared.then(|| Arc::new(SharedCodeCache::default()));
     let mut rows: Vec<Result<SessionRow, String>> = (0..n)
         .map(|_| Err("session never ran".to_string()))
         .collect();
     let chunk = n.div_ceil(threads);
     std::thread::scope(|s| {
         for slots in rows.chunks_mut(chunk) {
-            let cache = cache.clone();
-            let tiered = tiered.clone();
-            let faults = faults.clone();
-            let recovery = recovery.clone();
-            let persist = persist.clone();
             s.spawn(move || {
                 for slot in slots {
-                    let options = EngineOptions {
-                        shared_cache: cache.clone(),
-                        tiered: tiered.clone(),
-                        faults: faults.clone(),
-                        recovery: recovery.clone(),
-                        native,
-                        native_chain,
-                        persist: persist.clone(),
-                        ..EngineOptions::default()
-                    };
                     let ran = catch_unwind(AssertUnwindSafe(|| {
-                        let mut session = Session::with_options(Arc::clone(program), options);
+                        let mut session =
+                            Session::with_options(Arc::clone(program), options.clone());
                         session.call(func, call_args).map(|result| {
                             let mut stitches = 0;
                             let mut shared_hits = 0;
@@ -933,12 +859,8 @@ fn run_multi_session(
 
     println!(
         "\n{n} session(s) of {func}({}) on {threads} thread(s){}:",
-        call_args
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        if shared {
+        listed(call_args),
+        if options.shared_cache.is_some() {
             ", shared stitched-code cache"
         } else {
             ""
@@ -958,7 +880,7 @@ fn run_multi_session(
             }
         }
     }
-    if let Some(cache) = &cache {
+    if let Some(cache) = &options.shared_cache {
         let st = cache.stats();
         println!(
             "  cache: {} hit(s), {} miss(es), {} insertion(s), {} eviction(s) \

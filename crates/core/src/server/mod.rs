@@ -38,4 +38,4 @@ pub use proto::{
     read_frame, read_frame_into, write_frame, ErrorKind, Frame, ProtoError, MAX_FRAME,
     MAX_SESSION_MEMORY,
 };
-pub use state::{ServerEngine, TenantOptions};
+pub use state::ServerEngine;

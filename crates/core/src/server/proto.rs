@@ -10,7 +10,7 @@
 //! a malformed frame fails that request (or drops that connection) and
 //! can never poison another tenant's session.
 
-use super::json::escape;
+use super::json::{escape, Json};
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
 
@@ -33,6 +33,106 @@ pub const MAX_CACHE_SHARDS: usize = 1 << 10;
 /// Most instances per stripe a `tenant` frame may ask its shared code
 /// cache to keep.
 pub const MAX_CACHE_CAPACITY: usize = 1 << 20;
+
+/// The bound of a wire integer whose own type has none: every
+/// non-negative JSON integer.
+const ANY: u64 = i64::MAX as u64;
+
+/// The JSON kind of a [`WireField`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// An integer, refused with a typed `bad-request` outside `0..=bound`.
+    Int,
+    /// `true` or `false`, read as 1 or 0.
+    Bool,
+}
+
+/// Why a [`WireField`] has the bound it has: what the number does once
+/// it is in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// Sizes an allocation made when the tenant or session is created; an
+    /// allocation that fails aborts the process.
+    Allocation,
+    /// Bounds a loop the server runs for the request.
+    Loop,
+    /// Selects a mode.
+    Mode,
+    /// Counts against a quota or budget.
+    Count,
+}
+
+/// One option key of a request frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WireField {
+    /// The frame's `op`.
+    pub op: &'static str,
+    /// The JSON key.
+    pub key: &'static str,
+    /// Its JSON kind.
+    pub kind: Kind,
+    /// The largest value accepted (1 for a boolean).
+    pub bound: u64,
+    /// What the value does.
+    pub role: Role,
+}
+
+/// Every option key of the `tenant` and `upload` frames, in the order
+/// [`decode`] reads them. DESIGN.md § "Options in use" names the option
+/// each one sets.
+#[rustfmt::skip]
+pub const WIRE_FIELDS: [WireField; 12] = {
+    use {Kind::*, Role::*};
+    const fn row(op: &'static str, key: &'static str, kind: Kind, bound: u64, role: Role) -> WireField {
+        WireField { op, key, kind, bound, role }
+    }
+    [
+        row("tenant", "max_sessions",      Int,  ANY,                       Count),
+        row("tenant", "memory_bytes",      Int,  MAX_SESSION_MEMORY as u64, Allocation),
+        row("tenant", "code_budget_bytes", Int,  ANY,                       Count),
+        row("tenant", "cache_bytes",       Int,  ANY,                       Count),
+        row("tenant", "cache_shards",      Int,  MAX_CACHE_SHARDS as u64,   Allocation),
+        row("tenant", "cache_capacity",    Int,  MAX_CACHE_CAPACITY as u64, Allocation),
+        row("tenant", "quarantine_after",  Int,  u32::MAX as u64,           Count),
+        row("tenant", "native",            Bool, 1,                         Mode),
+        row("tenant", "trace",             Bool, 1,                         Mode),
+        row("tenant", "persist",           Bool, 1,                         Mode),
+        // Rounds of the inliner's search, each over the whole unit.
+        row("upload", "inline",            Int,  8,                         Loop),
+        row("upload", "tiered",            Bool, 1,                         Mode),
+    ]
+};
+
+/// Read each of `op`'s [`WIRE_FIELDS`] that `req` carries, in table
+/// order, and hand its key and value to `set`. A key that is absent, or
+/// whose value is of another JSON kind, is skipped: its default stands.
+///
+/// # Errors
+/// [`ErrorKind::BadRequest`] for the first integer outside its row's
+/// `0..=bound`.
+pub fn decode(req: &Json, op: &str, mut set: impl FnMut(&str, u64)) -> Result<(), ProtoError> {
+    for f in WIRE_FIELDS.iter().filter(|f| f.op == op) {
+        let value = req.get(f.key);
+        let Some(v) = (match f.kind {
+            Kind::Bool => value.and_then(Json::as_bool).map(i64::from),
+            Kind::Int => value.and_then(Json::as_int),
+        }) else {
+            continue;
+        };
+        let why = match u64::try_from(v) {
+            Ok(n) if n <= f.bound => {
+                set(f.key, n);
+                continue;
+            }
+            _ if f.bound == u64::from(u32::MAX) => "must fit an unsigned 32-bit count".into(),
+            Ok(_) => format!("exceeds the bound of {}", f.bound),
+            Err(_) => "must be non-negative".into(),
+        };
+        let msg = format!("field `{}` {why}", f.key);
+        return Err(ProtoError::new(ErrorKind::BadRequest, msg));
+    }
+    Ok(())
+}
 
 /// Longest tenant name, in bytes (see [`check_tenant_name`]).
 pub const MAX_TENANT_NAME: usize = 64;

@@ -34,13 +34,10 @@
 
 use super::json::{escape, escape_into, Json};
 use super::pool::PoolStats;
-use super::proto::{
-    check_tenant_name, ErrorKind, ProtoError, MAX_CACHE_CAPACITY, MAX_CACHE_SHARDS,
-    MAX_SESSION_MEMORY,
-};
+use super::proto::{check_tenant_name, decode, ErrorKind, ProtoError};
 use crate::cache::SharedCodeCache;
 use crate::engine::{EngineOptions, NativeReport, Session};
-use crate::faults::{HealthReport, RecoveryPolicy};
+use crate::faults::HealthReport;
 use crate::measure::fold_checksum;
 use crate::persist::PersistentCache;
 use crate::trace::{CycleHistogram, RegionProfile, TraceOptions};
@@ -54,64 +51,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Per-tenant quota and configuration knobs, set by the `tenant` op.
-#[derive(Clone, Debug)]
-pub struct TenantOptions {
-    /// Maximum concurrently open sessions.
-    pub max_sessions: usize,
-    /// Per-session VM data memory. The server default (64 KiB) is small
-    /// on purpose: 10k concurrent sessions must fit in host memory.
-    pub memory_bytes: usize,
-    /// Per-session stitched-code byte budget
-    /// ([`RecoveryPolicy::code_budget_bytes`]).
-    pub code_budget_bytes: Option<u64>,
-    /// Per-shard byte budget of the tenant's shared stitched-code cache.
-    pub cache_bytes: Option<u64>,
-    /// Shard count of the tenant's shared cache.
-    pub cache_shards: usize,
-    /// Per-shard instance capacity of the tenant's shared cache.
-    pub cache_capacity: usize,
-    /// Region failures before quarantine
-    /// ([`RecoveryPolicy::quarantine_after`]).
-    pub quarantine_after: u32,
-    /// Enable the host-native backend for this tenant's sessions.
-    pub native: bool,
-    /// Enable structured tracing (exposes per-region profile counters on
-    /// the metrics endpoint).
-    pub trace: bool,
-    /// Give this tenant's sessions a persistent stitched-code cache
-    /// under the server's `--persist-root` (its own subdirectory —
-    /// tenants never share persisted instances, the same isolation rule
-    /// as the in-memory cache). Ignored when the server has no
-    /// persist root.
-    pub persist: bool,
-}
-
-impl Default for TenantOptions {
-    fn default() -> Self {
-        TenantOptions {
-            max_sessions: 1024,
-            memory_bytes: 1 << 16,
-            code_budget_bytes: None,
-            cache_bytes: None,
-            cache_shards: 8,
-            cache_capacity: 64,
-            quarantine_after: RecoveryPolicy::default().quarantine_after,
-            native: false,
-            trace: false,
-            persist: false,
-        }
-    }
-}
-
 struct Tenant {
-    options: TenantOptions,
-    /// The tenant's private shared-code cache: sessions of one tenant
-    /// reuse each other's stitched instances; tenants never cross.
-    cache: Arc<SharedCodeCache>,
-    /// The tenant's private on-disk cache (`Some` iff the tenant asked
-    /// for `persist` and the server has a persist root).
-    persist: Option<Arc<PersistentCache>>,
+    /// Most sessions open at once.
+    max_sessions: usize,
+    /// What every session of the tenant opens with, built once by the
+    /// `tenant` op. It carries the tenant's private shared-code cache
+    /// (sessions of one tenant reuse each other's stitched instances;
+    /// tenants never cross) and, when the tenant persists, its private
+    /// on-disk cache.
+    options: EngineOptions,
     counters: TenantCounters,
 }
 
@@ -273,16 +221,12 @@ impl ServerEngine {
     fn op_upload(&self, req: &Json) -> Result<String, ProtoError> {
         let name = str_field(req, "name")?;
         let src = str_field(req, "src")?;
-        let inline_depth = match req.get("inline").and_then(Json::as_int) {
-            Some(v) => bounded_field(v, "inline", 8)? as u32,
-            None => 0,
-        };
-        let tiered = req.get("tiered").and_then(Json::as_bool).unwrap_or(false);
-        let options = CompileOptions {
-            tiered_fallback: tiered,
-            inline: InlineOptions::at_depth(inline_depth),
-            ..Default::default()
-        };
+        let mut options = CompileOptions::default();
+        decode(req, "upload", |key, v| match key {
+            "inline" => options.inline = InlineOptions::at_depth(v as u32),
+            "tiered" => options.tiered_fallback = v == 1,
+            _ => {}
+        })?;
         // Compile outside the lock: uploads must not stall calls. With a
         // persist root, identical (source, options) uploads across server
         // restarts load the artifact from disk instead of recompiling.
@@ -310,59 +254,45 @@ impl ServerEngine {
     fn op_tenant(&self, req: &Json) -> Result<String, ProtoError> {
         let name = str_field(req, "tenant")?;
         check_tenant_name(name)?;
-        let mut options = TenantOptions::default();
-        if let Some(v) = req.get("max_sessions").and_then(Json::as_int) {
-            options.max_sessions = usize_field(v, "max_sessions")?;
-        }
-        if let Some(v) = req.get("memory_bytes").and_then(Json::as_int) {
-            let bytes = bounded_field(v, "memory_bytes", MAX_SESSION_MEMORY)?;
-            options.memory_bytes = bytes.max(1 << 12);
-        }
-        if let Some(v) = req.get("code_budget_bytes").and_then(Json::as_int) {
-            options.code_budget_bytes = Some(usize_field(v, "code_budget_bytes")? as u64);
-        }
-        if let Some(v) = req.get("cache_bytes").and_then(Json::as_int) {
-            options.cache_bytes = Some(usize_field(v, "cache_bytes")? as u64);
-        }
-        if let Some(v) = req.get("cache_shards").and_then(Json::as_int) {
-            options.cache_shards = bounded_field(v, "cache_shards", MAX_CACHE_SHARDS)?.max(1);
-        }
-        if let Some(v) = req.get("cache_capacity").and_then(Json::as_int) {
-            options.cache_capacity = bounded_field(v, "cache_capacity", MAX_CACHE_CAPACITY)?.max(1);
-        }
-        if let Some(v) = req.get("quarantine_after").and_then(Json::as_int) {
-            options.quarantine_after = u32::try_from(v).map_err(|_| {
-                let msg = "field `quarantine_after` must fit an unsigned 32-bit count";
-                ProtoError::new(ErrorKind::BadRequest, msg)
-            })?;
-        }
-        options.native = req.get("native").and_then(Json::as_bool).unwrap_or(false);
-        options.trace = req.get("trace").and_then(Json::as_bool).unwrap_or(false);
-        options.persist = req.get("persist").and_then(Json::as_bool).unwrap_or(false);
-        let cache = Arc::new(SharedCodeCache::with_byte_budget(
-            options.cache_shards,
-            options.cache_capacity,
-            options.cache_bytes,
-        ));
+        let (mut max_sessions, mut shards, mut capacity) = (1024, 8, 64);
+        let (mut cache_bytes, mut persist) = (None, false);
+        // The server's session memory (64 KiB) is small on purpose: 10k
+        // concurrent sessions must fit in host memory.
+        let mut options = EngineOptions {
+            memory_bytes: 1 << 16,
+            ..EngineOptions::default()
+        };
+        decode(req, "tenant", |key, v| match key {
+            "max_sessions" => max_sessions = usize::try_from(v).unwrap_or(usize::MAX),
+            "memory_bytes" => options.memory_bytes = (v as usize).max(1 << 12),
+            "code_budget_bytes" => options.recovery.code_budget_bytes = Some(v),
+            "cache_bytes" => cache_bytes = Some(v),
+            "cache_shards" => shards = v as usize,
+            "cache_capacity" => capacity = v as usize,
+            "quarantine_after" => options.recovery.quarantine_after = v as u32,
+            "native" => options.native = v == 1,
+            "trace" => options.trace = (v == 1).then(TraceOptions::default),
+            "persist" => persist = v == 1,
+            _ => {}
+        })?;
+        let cache = SharedCodeCache::with_byte_budget(shards, capacity, cache_bytes);
+        options.shared_cache = Some(Arc::new(cache));
         // Each persisting tenant gets its own subdirectory: persisted
         // instances are part of the tenant isolation boundary, exactly
         // like the in-memory cache. An unusable directory degrades to no
         // persistence for this tenant (the cache is an accelerator).
-        let persist = if options.persist {
-            self.persist_root
-                .as_ref()
-                .and_then(|root| PersistentCache::open(root.join("tenants").join(name)).ok())
-                .map(Arc::new)
-        } else {
-            None
-        };
+        options.persist = self
+            .persist_root
+            .as_ref()
+            .filter(|_| persist)
+            .and_then(|root| PersistentCache::open(root.join("tenants").join(name)).ok())
+            .map(Arc::new);
         let mut inner = self.lock();
         inner.tenants.insert(
             name.to_string(),
             Tenant {
+                max_sessions,
                 options,
-                cache,
-                persist,
                 counters: TenantCounters::default(),
             },
         );
@@ -383,12 +313,12 @@ impl ServerEngine {
             .tenants
             .get(tenant_name)
             .ok_or_else(|| no_such(ErrorKind::NoSuchTenant, "tenant", tenant_name))?;
-        if tenant.counters.open_sessions >= tenant.options.max_sessions {
+        if tenant.counters.open_sessions >= tenant.max_sessions {
             return Err(ProtoError::new(
                 ErrorKind::TenantQuota,
                 format!(
                     "tenant `{tenant_name}` is at its session quota ({})",
-                    tenant.options.max_sessions
+                    tenant.max_sessions
                 ),
             ));
         }
@@ -398,12 +328,7 @@ impl ServerEngine {
                 format!("session `{session_name}` is already open"),
             ));
         }
-        let opts = engine_options(
-            &tenant.options,
-            Arc::clone(&tenant.cache),
-            tenant.persist.clone(),
-        );
-        let session = Box::new(Session::with_options(program, opts));
+        let session = Box::new(Session::with_options(program, tenant.options.clone()));
         let tenant = inner
             .tenants
             .get_mut(tenant_name)
@@ -730,8 +655,7 @@ impl ServerEngine {
                 alive,
                 busy,
                 dead,
-                cache: Arc::clone(&t.cache),
-                persist: t.persist.clone(),
+                options: t.options.clone(),
                 top: top
                     .into_iter()
                     .map(|(name, slot)| SessionSnapshot {
@@ -840,8 +764,8 @@ struct TenantSnapshot {
     busy: u64,
     /// Slots a panic poisoned.
     dead: u64,
-    cache: Arc<SharedCodeCache>,
-    persist: Option<Arc<PersistentCache>>,
+    /// The caches are the tenant's `shared_cache` and `persist`.
+    options: EngineOptions,
     /// In rank order.
     top: Vec<SessionSnapshot>,
 }
@@ -1011,15 +935,17 @@ impl MetricsOut {
         self.sample("dynccd_tenant_sessions_dead", &l, t.dead);
         self.sample("dynccd_tenant_calls_total", &l, c.calls);
         self.sample("dynccd_tenant_call_errors_total", &l, c.call_errors);
-        let s = t.cache.stats();
-        self.sample("dynccd_tenant_cache_hits_total", &l, s.hits);
-        self.sample("dynccd_tenant_cache_misses_total", &l, s.misses);
-        self.sample("dynccd_tenant_cache_insertions_total", &l, s.insertions);
-        self.sample("dynccd_tenant_cache_replacements_total", &l, s.replacements);
-        self.sample("dynccd_tenant_cache_evictions_total", &l, s.evictions);
-        self.sample("dynccd_tenant_cache_resident_bytes", &l, t.cache.bytes());
-        self.sample("dynccd_tenant_cache_resident", &l, t.cache.len() as u64);
-        if let Some(p) = &t.persist {
+        if let Some(cache) = &t.options.shared_cache {
+            let s = cache.stats();
+            self.sample("dynccd_tenant_cache_hits_total", &l, s.hits);
+            self.sample("dynccd_tenant_cache_misses_total", &l, s.misses);
+            self.sample("dynccd_tenant_cache_insertions_total", &l, s.insertions);
+            self.sample("dynccd_tenant_cache_replacements_total", &l, s.replacements);
+            self.sample("dynccd_tenant_cache_evictions_total", &l, s.evictions);
+            self.sample("dynccd_tenant_cache_resident_bytes", &l, cache.bytes());
+            self.sample("dynccd_tenant_cache_resident", &l, cache.len() as u64);
+        }
+        if let Some(p) = &t.options.persist {
             let s = p.stats();
             self.sample("dynccd_tenant_persist_hits_total", &l, s.instance_hits);
             self.sample("dynccd_tenant_persist_misses_total", &l, s.instance_misses);
@@ -1077,26 +1003,6 @@ impl MetricsOut {
     }
 }
 
-fn engine_options(
-    t: &TenantOptions,
-    cache: Arc<SharedCodeCache>,
-    persist: Option<Arc<PersistentCache>>,
-) -> EngineOptions {
-    EngineOptions {
-        memory_bytes: t.memory_bytes,
-        shared_cache: Some(cache),
-        persist,
-        recovery: RecoveryPolicy {
-            code_budget_bytes: t.code_budget_bytes,
-            quarantine_after: t.quarantine_after,
-            ..Default::default()
-        },
-        native: t.native,
-        trace: t.trace.then(TraceOptions::default),
-        ..Default::default()
-    }
-}
-
 fn str_field<'a>(req: &'a Json, key: &str) -> Result<&'a str, ProtoError> {
     req.get(key).and_then(Json::as_str).ok_or_else(|| {
         ProtoError::new(
@@ -1104,28 +1010,6 @@ fn str_field<'a>(req: &'a Json, key: &str) -> Result<&'a str, ProtoError> {
             format!("missing string field `{key}`"),
         )
     })
-}
-
-fn usize_field(v: i64, key: &str) -> Result<usize, ProtoError> {
-    usize::try_from(v).map_err(|_| {
-        ProtoError::new(
-            ErrorKind::BadRequest,
-            format!("field `{key}` must be non-negative"),
-        )
-    })
-}
-
-/// A non-negative wire integer that sizes an allocation: refused above
-/// `max` where it arrives, never clamped silently.
-fn bounded_field(v: i64, key: &str, max: usize) -> Result<usize, ProtoError> {
-    let n = usize_field(v, key)?;
-    if n > max {
-        return Err(ProtoError::new(
-            ErrorKind::BadRequest,
-            format!("field `{key}` exceeds the bound of {max}"),
-        ));
-    }
-    Ok(n)
 }
 
 fn no_such(kind: ErrorKind, what: &str, name: &str) -> ProtoError {
