@@ -56,9 +56,8 @@
 //!   1/8 from a seeded PRNG, recovery retries/quarantines per policy,
 //!   and results must not change; prints a health summary afterwards
 //! * `--code-budget B` with `--run`, cap installed stitched code at `B`
-//!   bytes: past ¾ budget new stitches drop copy-and-patch plans, past
-//!   the budget regions with a static fallback copy stop installing
-//!   code entirely
+//!   bytes: past the budget regions with a static fallback copy stop
+//!   installing code entirely (degradation level 2)
 //! * `--native`    with `--run`, execute stitched instances through the
 //!   host-native copy-and-patch backend (x86-64 stubs in a W^X arena;
 //!   see DESIGN.md). Results and simulated cycles are bit-identical to

@@ -1249,22 +1249,21 @@ impl<P: Borrow<Program>> Session<P> {
 
     /// One stitch attempt for `region` at the end of the code space:
     /// consult the fault plan (injected bad template, post-stitch
-    /// corruption) unless `trusted`, stitch interpretively when the
-    /// budget ladder, quarantine or a trusted retry demands it, and run
+    /// corruption) unless `trusted`, stitch interpretively when
+    /// quarantine or a trusted retry demands it, and run
     /// the pre-install verifier over the result. Never installs anything.
     fn stitch_once(&mut self, region: u16, table: u64, trusted: bool) -> Result<Stitched, Decline> {
         if !trusted {
             self.inject(FaultPoint::StitchBadTemplate, region)?;
         }
         // Recording plan patches is host-side bookkeeping only (no stats,
-        // no cycles); request it only when there is a trace to feed. The
-        // degradation ladder's first step, quarantine without a fallback
-        // copy and a trusted retry turn copy-and-patch plans off —
-        // interpretive stitching, bit-identical output, no plan
-        // bookkeeping.
+        // no cycles); request it only when there is a trace to feed.
+        // Quarantine without a fallback copy and a trusted retry turn
+        // copy-and-patch plans off — interpretive stitching,
+        // bit-identical output, no plan bookkeeping.
         let record = self.trace.is_some() && !self.options.stitch.record_patches;
-        let degrade_plans = self.options.stitch.plans
-            && (trusted || self.recovery.level() >= 1 || self.recovery.is_quarantined(region));
+        let degrade_plans =
+            self.options.stitch.plans && (trusted || self.recovery.is_quarantined(region));
         let stitch_opts = if record || degrade_plans {
             let mut o = self.options.stitch.clone();
             o.record_patches = o.record_patches || record;
@@ -1322,15 +1321,15 @@ impl<P: Borrow<Program>> Session<P> {
         // Native first: `with_byte_budget` and the ladder govern both backends.
         let native_bytes = self.install_native(region, base, len);
         // Account the installed bytes against the session's code budget;
-        // crossing a ladder step is a trace event (the step itself takes
-        // effect at the next stitch / entry). At level 2 the ladder
-        // sheds optimized execution for the region, so its native
-        // instances are severed — a stale chain must not outlive them.
-        let mut degraded = false;
-        if let Some(level) = self.recovery.add_bytes(4 * u64::from(len) + native_bytes) {
-            self.tr(EventKind::BudgetDegrade { region, level });
-            degraded = level >= 2;
-        }
+        // reaching the budget is a trace event (the step itself takes
+        // effect at the next entry). There the ladder sheds optimized
+        // execution for the region, so its native instances are
+        // severed — a stale chain must not outlive them.
+        let degraded = self
+            .recovery
+            .add_bytes(4 * u64::from(len) + native_bytes)
+            .inspect(|&level| self.tr(EventKind::BudgetDegrade { region, level }))
+            .is_some();
         let rc = &self.program.borrow().compiled.regions[region as usize];
         let (keyed, enter_pc) = (!rc.key_locs.is_empty(), rc.enter_pc);
         let st = &mut self.regions[region as usize];

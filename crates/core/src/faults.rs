@@ -28,9 +28,10 @@
 //!   injected faults model *optimized-path* failures);
 //! * **degradation ladder** — under a configurable stitched-code byte
 //!   budget ([`RecoveryPolicy::code_budget_bytes`]) the session sheds
-//!   work in steps: at 3/4 budget copy-and-patch plans are disabled
-//!   (interpretive stitching), at full budget regions with a fallback
-//!   copy stop installing new code entirely.
+//!   the code the budget counts: at full budget regions with a fallback
+//!   copy stop installing new code entirely (ladder level 2). There is
+//!   no earlier step: turning copy-and-patch plans off would shed no
+//!   byte the budget counts, since plans emit bit-identical words.
 //!
 //! Every failure is recorded in a bounded ring surfaced through
 //! [`crate::Session::health`], and every injection, retry, quarantine
@@ -377,9 +378,8 @@ pub struct RecoveryPolicy {
     /// suppressed.
     pub quarantine_after: u32,
     /// Stitched-code byte budget for this session (`None`: unbounded,
-    /// the paper's model). At 3/4 of the budget, copy-and-patch plans
-    /// are disabled (interpretive stitching); at the full budget,
-    /// regions with a fallback copy stop installing new code.
+    /// the paper's model). At the full budget, regions with a fallback
+    /// copy stop installing new code.
     pub code_budget_bytes: Option<u64>,
 }
 
@@ -484,9 +484,11 @@ pub struct HealthReport {
     pub code_bytes_installed: u64,
     /// The configured byte budget, if any.
     pub code_budget_bytes: Option<u64>,
-    /// Current degradation-ladder level: 0 = full stitching, 1 = plans
-    /// disabled (interpretive stitching), 2 = fallback only (regions
-    /// with a static fallback copy stop installing new code).
+    /// Current degradation-ladder level: 0 = full stitching, 2 =
+    /// fallback only (regions with a static fallback copy stop
+    /// installing new code). Level 1 is not used: turning plans off
+    /// would shed nothing the budget counts, since plans emit the same
+    /// words.
     pub degradation_level: u8,
 }
 
@@ -575,15 +577,9 @@ impl RecoveryState {
     /// Current degradation-ladder level (see
     /// [`HealthReport::degradation_level`]).
     pub(crate) fn level(&self) -> u8 {
-        let Some(budget) = self.policy.code_budget_bytes else {
-            return 0;
-        };
-        if self.bytes_installed >= budget {
-            2
-        } else if self.bytes_installed.saturating_mul(4) >= budget.saturating_mul(3) {
-            1
-        } else {
-            0
+        match self.policy.code_budget_bytes {
+            Some(budget) if self.bytes_installed >= budget => 2,
+            _ => 0,
         }
     }
 
@@ -709,11 +705,10 @@ mod tests {
             1,
         );
         assert_eq!(r.level(), 0);
-        assert_eq!(r.add_bytes(74), None);
+        assert_eq!(r.add_bytes(75), None, "3/4 budget sheds nothing");
+        assert_eq!(r.add_bytes(24), None);
         assert_eq!(r.level(), 0);
-        assert_eq!(r.add_bytes(1), Some(1), "3/4 budget: plans off");
-        assert_eq!(r.add_bytes(10), None);
-        assert_eq!(r.add_bytes(15), Some(2), "full budget: fallback only");
+        assert_eq!(r.add_bytes(1), Some(2), "full budget: fallback only");
         assert_eq!(r.add_bytes(1000), None, "no re-report past the top");
     }
 

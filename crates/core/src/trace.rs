@@ -360,7 +360,7 @@ events! {
     BudgetDegrade {
         /// Region whose installation crossed the step.
         region: u16,
-        /// The new ladder level (1 = plans off, 2 = fallback only).
+        /// The new ladder level (2 = fallback only).
         level: u8,
     },
     /// A native dispatch took `count` direct (chained) transfers —
