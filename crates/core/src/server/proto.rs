@@ -422,6 +422,46 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ProtoError> {
 mod tests {
     use super::*;
 
+    /// DESIGN.md § "Options in use" tables [`WIRE_FIELDS`] row for row,
+    /// and the op that reads each row handles its key (a row nothing
+    /// handles would be decoded, checked and dropped).
+    #[test]
+    fn design_wire_table_is_the_code() {
+        let design = include_str!("../../../../DESIGN.md");
+        let header = "| op | key | kind | bound | role | target field |";
+        let start = design.find(header).expect("DESIGN.md has the wire table");
+        let table: Vec<Vec<String>> = design[start..]
+            .lines()
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|row| {
+                let cells = row.split('|').skip(1).take(5);
+                cells
+                    .map(|c| c.trim().trim_matches('`').to_string())
+                    .collect()
+            })
+            .collect();
+        let code: Vec<Vec<String>> = WIRE_FIELDS
+            .iter()
+            .map(|f| {
+                let bound = match f.bound {
+                    ANY => "any".to_string(),
+                    n => n.to_string(),
+                };
+                let kind = format!("{:?}", f.kind).to_lowercase();
+                let role = format!("{:?}", f.role).to_lowercase();
+                vec![f.op.to_string(), f.key.to_string(), kind, bound, role]
+            })
+            .collect();
+        assert_eq!(table, code);
+        let state = include_str!("state.rs");
+        let state = &state[..state.find("#[cfg(test)]").unwrap_or(state.len())];
+        for f in &WIRE_FIELDS {
+            let arm = format!("\"{}\" => ", f.key);
+            assert!(state.contains(&arm), "the `{}` op drops `{}`", f.op, f.key);
+        }
+    }
+
     #[test]
     fn frames_round_trip() {
         let mut buf = Vec::new();
