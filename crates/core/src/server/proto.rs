@@ -124,6 +124,7 @@ pub fn decode(req: &Json, op: &str, mut set: impl FnMut(&str, u64)) -> Result<()
                 set(f.key, n);
                 continue;
             }
+            // A row bounded by its `u32` field names the type, not a number.
             _ if f.bound == u64::from(u32::MAX) => "must fit an unsigned 32-bit count".into(),
             Ok(_) => format!("exceeds the bound of {}", f.bound),
             Err(_) => "must be non-negative".into(),
