@@ -104,30 +104,32 @@ pub const WIRE_FIELDS: [WireField; 12] = {
 };
 
 /// Read each of `op`'s [`WIRE_FIELDS`] that `req` carries, in table
-/// order, and hand its key and value to `set`. A key that is absent, or
-/// whose value is of another JSON kind, is skipped: its default stands.
+/// order, and hand its key and value to `set`. A key that is absent is
+/// skipped: its default stands.
 ///
 /// # Errors
-/// [`ErrorKind::BadRequest`] for the first integer outside its row's
+/// [`ErrorKind::BadRequest`] for the first present key whose value is
+/// not of its row's JSON kind, or is an integer outside its row's
 /// `0..=bound`.
 pub fn decode(req: &Json, op: &str, mut set: impl FnMut(&str, u64)) -> Result<(), ProtoError> {
     for f in WIRE_FIELDS.iter().filter(|f| f.op == op) {
-        let value = req.get(f.key);
-        let Some(v) = (match f.kind {
-            Kind::Bool => value.and_then(Json::as_bool).map(i64::from),
-            Kind::Int => value.and_then(Json::as_int),
-        }) else {
+        let Some(value) = req.get(f.key) else {
             continue;
         };
-        let why = match u64::try_from(v) {
-            Ok(n) if n <= f.bound => {
+        let (v, kind) = match f.kind {
+            Kind::Bool => (value.as_bool().map(i64::from), "a boolean"),
+            Kind::Int => (value.as_int(), "an integer"),
+        };
+        let why = match v.map(u64::try_from) {
+            None => format!("must be {kind}"),
+            Some(Ok(n)) if n <= f.bound => {
                 set(f.key, n);
                 continue;
             }
             // A row bounded by its `u32` field names the type, not a number.
             _ if f.bound == u64::from(u32::MAX) => "must fit an unsigned 32-bit count".into(),
-            Ok(_) => format!("exceeds the bound of {}", f.bound),
-            Err(_) => "must be non-negative".into(),
+            Some(Ok(_)) => format!("exceeds the bound of {}", f.bound),
+            Some(Err(_)) => "must be non-negative".into(),
         };
         let msg = format!("field `{}` {why}", f.key);
         return Err(ProtoError::new(ErrorKind::BadRequest, msg));
