@@ -512,7 +512,8 @@ fn option_flag_transcripts_are_pinned() {
 }
 
 /// Every flag that takes a value, given a malformed one, is a usage error
-/// naming the flag.
+/// naming the flag, with `--run` or without it; so is `0` for the three
+/// counts.
 #[test]
 fn malformed_flag_values_are_usage_errors() {
     let p = write_temp("good13.mc", "int f(int x) { return x; }");
@@ -525,14 +526,21 @@ fn malformed_flag_values_are_usage_errors() {
         ("--trace-format", "xml"),
         ("--fault-seed", "seven"),
         ("--code-budget", "-256"),
+        ("--sessions", "0"),
+        ("--threads", "0"),
+        ("--stitch-workers", "0"),
     ] {
-        let mut args = vec![file, "--run", "f", "1", "--tiered", flag, value];
-        if flag == "--trace-format" {
-            args.extend(["--trace-out", "/dev/null"]);
+        for run in [&["--run", "f", "1"][..], &[]] {
+            let mut args = vec![file];
+            args.extend(run);
+            args.extend(["--tiered", flag, value]);
+            if flag == "--trace-format" {
+                args.extend(["--trace-out", "/dev/null"]);
+            }
+            let (code, err) = dyncc_code(&args);
+            assert_eq!(code, 2, "{args:?}: {err}");
+            assert!(err.contains(flag), "{args:?}: {err}");
         }
-        let (code, err) = dyncc_code(&args);
-        assert_eq!(code, 2, "{flag} {value}: {err}");
-        assert!(err.contains(flag), "{flag} {value}: {err}");
     }
     // A value flag at the end of the line has no value at all.
     for flag in ["--trace-out", "--persist-dir", "--connect", "--sessions"] {
