@@ -14,8 +14,7 @@
 //! the interpreter compiles itself away.
 
 use crate::{KernelResult, Workload};
-use dyncomp::{Error, KernelSetup, Program, Session};
-use std::borrow::Borrow;
+use dyncomp::{Compiler, EngineOptions, Error, KernelSetup, Session};
 
 /// Opcodes: 0 push-literal, 1 push-x, 2 push-y, 3 add, 4 sub, 5 mul.
 pub const SRC: &str = r#"
@@ -121,7 +120,7 @@ pub fn expected(x: i64, y: i64) -> i64 {
 }
 
 /// Build the constant program in VM memory; returns the `Prog*`.
-pub fn build_program<P: Borrow<Program>>(engine: &mut Session<P>) -> u64 {
+pub fn build_program(engine: &mut Session) -> u64 {
     let (ops, args) = program();
     let mut h = engine.heap();
     let ops_a = h.array_i64(&ops).unwrap();
@@ -130,7 +129,7 @@ pub fn build_program<P: Borrow<Program>>(engine: &mut Session<P>) -> u64 {
 }
 
 /// The calculator workload: `iterations` interpretations with varying
-/// `x`, `y` (shared by [`measure`] and the concurrency harnesses).
+/// `x`, `y` (shared by [`workload`] and the concurrency harnesses).
 pub fn setup(iterations: u64) -> KernelSetup<'static> {
     KernelSetup {
         src: SRC,
@@ -158,12 +157,6 @@ pub fn workload(iterations: u64) -> Workload {
     }
 }
 
-/// Measure the calculator over `iterations` interpretations with varying
-/// `x`, `y`.
-pub fn measure(iterations: u64) -> Result<KernelResult, Error> {
-    workload(iterations).measure_with(dyncomp::EngineOptions::default())
-}
-
 /// Measure the global-stack variant, optionally with register actions
 /// promoting up to `k` stack slots (the paper's §5 experiment: 1.7× → 4.1×).
 pub fn measure_regactions(iterations: u64, k: Option<usize>) -> Result<KernelResult, Error> {
@@ -178,9 +171,9 @@ pub fn measure_regactions(iterations: u64, k: Option<usize>) -> Result<KernelRes
             vec![p[0], x as u64, y as u64]
         }),
     };
-    let mut opts = dyncomp::EngineOptions::default();
+    let mut opts = EngineOptions::default();
     opts.stitch.register_actions = k;
-    let m = dyncomp::measure_kernel_with(&setup, opts)?;
+    let m = dyncomp::measure_kernel_full(&setup, &Compiler::new(), opts)?;
     Ok(KernelResult {
         name: "Calculator (global stack)",
         config: match k {
@@ -196,7 +189,8 @@ pub fn measure_regactions(iterations: u64, k: Option<usize>) -> Result<KernelRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncomp::{Compiler, Engine};
+    use dyncomp::Session;
+    use std::sync::Arc;
 
     #[test]
     fn interpreter_matches_native_expression() {
@@ -206,8 +200,8 @@ mod tests {
             } else {
                 Compiler::static_baseline()
             };
-            let p = c.compile(SRC).unwrap();
-            let mut e = Engine::new(&p);
+            let p = Arc::new(c.compile(SRC).unwrap());
+            let mut e = Session::new(p);
             let prog = build_program(&mut e);
             for (x, y) in [(2i64, 3i64), (0, 0), (-4, 7), (10, -10)] {
                 let r = e.call("calc", &[prog, x as u64, y as u64]).unwrap() as i64;
@@ -224,8 +218,8 @@ mod tests {
             } else {
                 Compiler::static_baseline()
             };
-            let p = c.compile(SRC_GLOBAL_STACK).unwrap();
-            let mut e = Engine::new(&p);
+            let p = Arc::new(c.compile(SRC_GLOBAL_STACK).unwrap());
+            let mut e = Session::new(p);
             let prog = build_program(&mut e);
             for (x, y) in [(2i64, 3i64), (-1, 4)] {
                 let r = e.call("calc", &[prog, x as u64, y as u64]).unwrap() as i64;
@@ -255,7 +249,9 @@ mod tests {
 
     #[test]
     fn small_measurement_speeds_up() {
-        let r = measure(60).unwrap();
+        let r = workload(60)
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
         let m = &r.measurement;
         assert!(
             m.speedup > 1.0,

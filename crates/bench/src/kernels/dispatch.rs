@@ -9,10 +9,9 @@
 //! parameters as immediates — leaving a flat sequence of compare-and-act
 //! code, one per installed guard.
 
-use crate::{KernelResult, Workload};
-use dyncomp::{Error, KernelSetup, Program, Session};
+use crate::Workload;
+use dyncomp::{KernelSetup, Session};
 use dyncomp_ir::prng::SplitMix64;
-use std::borrow::Borrow;
 
 /// Predicate kinds: 0 eq, 1 ne, 2 lt, 3 gt, 4 mask, 5 range-low.
 pub const SRC: &str = r#"
@@ -85,7 +84,7 @@ pub fn reference(t: &GuardTable, ev: i64, arg: i64) -> i64 {
 }
 
 /// Install the guard table; returns the `Guards*`.
-pub fn build<P: Borrow<Program>>(engine: &mut Session<P>, t: &GuardTable) -> u64 {
+pub fn build(engine: &mut Session, t: &GuardTable) -> u64 {
     let mut h = engine.heap();
     let kind = h.array_i64(&t.kind).unwrap();
     let param = h.array_i64(&t.param).unwrap();
@@ -121,15 +120,11 @@ pub fn workload(n_guards: u64, iterations: u64) -> Workload {
     }
 }
 
-/// Measure `iterations` event dispatches against `n_guards` guards.
-pub fn measure(n_guards: u64, iterations: u64) -> Result<KernelResult, Error> {
-    workload(n_guards, iterations).measure_with(dyncomp::EngineOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncomp::{Compiler, Engine};
+    use dyncomp::{Compiler, EngineOptions, Session};
+    use std::sync::Arc;
 
     #[test]
     fn dispatch_matches_host_reference() {
@@ -140,8 +135,8 @@ mod tests {
             } else {
                 Compiler::static_baseline()
             };
-            let p = c.compile(SRC).unwrap();
-            let mut e = Engine::new(&p);
+            let p = Arc::new(c.compile(SRC).unwrap());
+            let mut e = Session::new(p);
             let g = build(&mut e, &t);
             for ev in 0..40i64 {
                 let got = e.call("dispatch", &[g, ev as u64, 2]).unwrap() as i64;
@@ -152,7 +147,9 @@ mod tests {
 
     #[test]
     fn small_measurement_eliminates_guard_switches() {
-        let r = measure(10, 50).unwrap();
+        let r = workload(10, 50)
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
         let m = &r.measurement;
         let o = m.optimizations();
         assert!(o.static_branch_elimination, "kind switches resolved");

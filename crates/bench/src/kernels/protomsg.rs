@@ -10,10 +10,9 @@
 //! field's kind `switch` resolves at stitch time, and the decode
 //! parameters fold to immediates — the speedup *requires* inlining.
 
-use crate::KernelResult;
-use dyncomp::{Compiler, Error, KernelSetup, Program, Session};
+use crate::Workload;
+use dyncomp::{KernelSetup, Session};
 use dyncomp_ir::prng::SplitMix64;
-use std::borrow::Borrow;
 
 /// Decode kinds: 0 raw, 1 biased, 2 scaled, 3 byte-extract, 4 masked,
 /// 5 threshold flag.
@@ -94,7 +93,7 @@ pub fn reference(l: &Layout, msg: &[i64]) -> i64 {
 }
 
 /// Install the layout table; returns the `Layout*`.
-pub fn build<P: Borrow<Program>>(engine: &mut Session<P>, l: &Layout) -> u64 {
+pub fn build(engine: &mut Session, l: &Layout) -> u64 {
     let mut h = engine.heap();
     let kind = h.array_i64(&l.kind).unwrap();
     let param = h.array_i64(&l.param).unwrap();
@@ -122,38 +121,25 @@ pub fn setup(n_fields: u64, iterations: u64) -> KernelSetup<'static> {
     }
 }
 
-/// Measure `iterations` decodes of `n_fields`-field messages under an
-/// explicit dynamic-side compiler (the inline-ablation hook) and engine
-/// options.
-pub fn measure_full(
-    n_fields: u64,
-    iterations: u64,
-    compiler: &Compiler,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    let m = dyncomp::measure_kernel_full(&setup(n_fields, iterations), compiler, options)?;
-    Ok(KernelResult {
+/// The decoder row for [`setup`]`(n_fields, iterations)`, measured with
+/// the inliner off and on by `inline_bench`.
+pub fn workload(n_fields: u64, iterations: u64) -> Workload {
+    Workload {
+        kernel: "protomsg",
+        config: format!("{n_fields} fields, {iterations} messages"),
+        setup: setup(n_fields, iterations),
         name: "Protocol message field decoder",
-        config: format!("6 decode kinds; {n_fields}-field wire layout"),
+        table2_config: format!("6 decode kinds; {n_fields}-field wire layout"),
         unit: "messages decoded",
         unit_scale: 1,
-        measurement: m,
-    })
-}
-
-/// [`measure_full`] with the default (non-inlining) dynamic compiler.
-pub fn measure_with(
-    n_fields: u64,
-    iterations: u64,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    measure_full(n_fields, iterations, &Compiler::new(), options)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncomp::{Compiler, Engine};
+    use dyncomp::{Compiler, EngineOptions, Session};
+    use std::sync::Arc;
 
     #[test]
     fn decode_matches_host_reference_in_every_mode() {
@@ -163,8 +149,8 @@ mod tests {
             Compiler::new(),
             Compiler::with_inline_depth(2),
         ] {
-            let p = compiler.compile(SRC).unwrap();
-            let mut e = Engine::new(&p);
+            let p = Arc::new(compiler.compile(SRC).unwrap());
+            let mut e = Session::new(p);
             let layout = build(&mut e, &l);
             for seed in 0..4 {
                 let msg = gen_msg(9, 200 + seed);
@@ -184,14 +170,13 @@ mod tests {
 
     #[test]
     fn inlined_measurement_beats_template_calls() {
-        let plain = measure_with(8, 40, dyncomp::EngineOptions::default()).unwrap();
-        let inlined = measure_full(
-            8,
-            40,
-            &Compiler::with_inline_depth(2),
-            dyncomp::EngineOptions::default(),
-        )
-        .unwrap();
+        let w = workload(8, 40);
+        let plain = w
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
+        let inlined = w
+            .measure(&Compiler::with_inline_depth(2), EngineOptions::default())
+            .unwrap();
         assert_eq!(plain.measurement.checksum, inlined.measurement.checksum);
         assert!(
             inlined.measurement.dynamic_cycles < plain.measurement.dynamic_cycles,

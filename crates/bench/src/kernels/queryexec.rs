@@ -15,10 +15,9 @@
 //! predicates it satisfies before the first failure — so the scan's
 //! checksum reflects every evaluated predicate, not just accepted rows.
 
-use crate::KernelResult;
-use dyncomp::{Compiler, Error, KernelSetup, Program, Session};
+use crate::Workload;
+use dyncomp::{KernelSetup, Session};
 use dyncomp_ir::prng::SplitMix64;
-use std::borrow::Borrow;
 
 /// Operators: 0 `==`, 1 `!=`, 2 `<`, 3 `>`, 4 divisible-by, 5 mask-set.
 pub const SRC: &str = r#"
@@ -124,11 +123,7 @@ pub fn reference(q: &Query, rows: &[Vec<i64>]) -> i64 {
 }
 
 /// Install the plan and rows; returns `(query, rows, n)`.
-pub fn build<P: Borrow<Program>>(
-    engine: &mut Session<P>,
-    q: &Query,
-    rows: &[Vec<i64>],
-) -> (u64, u64, u64) {
+pub fn build(engine: &mut Session, q: &Query, rows: &[Vec<i64>]) -> (u64, u64, u64) {
     let mut h = engine.heap();
     let op = h.array_i64(&q.op).unwrap();
     let field = h.array_i64(&q.field).unwrap();
@@ -162,40 +157,25 @@ pub fn setup(n_preds: u64, n_rows: u64, iterations: u64) -> KernelSetup<'static>
     }
 }
 
-/// Measure `iterations` scans of `n_rows` rows under an
-/// `n_preds`-predicate plan, with an explicit dynamic-side compiler (the
-/// inline-ablation hook) and engine options.
-pub fn measure_full(
-    n_preds: u64,
-    n_rows: u64,
-    iterations: u64,
-    compiler: &Compiler,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    let m = dyncomp::measure_kernel_full(&setup(n_preds, n_rows, iterations), compiler, options)?;
-    Ok(KernelResult {
+/// The row-filter row for [`setup`]`(n_preds, n_rows, iterations)`,
+/// measured with the inliner off and on by `inline_bench`.
+pub fn workload(n_preds: u64, n_rows: u64, iterations: u64) -> Workload {
+    Workload {
+        kernel: "queryexec",
+        config: format!("{n_preds} predicates, {n_rows} rows"),
+        setup: setup(n_preds, n_rows, iterations),
         name: "Query-compiler row filter",
-        config: format!("6 operators; {n_preds} predicates over {n_rows} rows"),
+        table2_config: format!("6 operators; {n_preds} predicates over {n_rows} rows"),
         unit: "rows filtered",
         unit_scale: n_rows,
-        measurement: m,
-    })
-}
-
-/// [`measure_full`] with the default (non-inlining) dynamic compiler.
-pub fn measure_with(
-    n_preds: u64,
-    n_rows: u64,
-    iterations: u64,
-    options: dyncomp::EngineOptions,
-) -> Result<KernelResult, Error> {
-    measure_full(n_preds, n_rows, iterations, &Compiler::new(), options)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncomp::{Compiler, Engine};
+    use dyncomp::{Compiler, EngineOptions, Session};
+    use std::sync::Arc;
 
     #[test]
     fn filter_matches_host_reference_in_every_mode() {
@@ -210,8 +190,8 @@ mod tests {
             Compiler::new(),
             Compiler::with_inline_depth(2),
         ] {
-            let p = compiler.compile(SRC).unwrap();
-            let mut e = Engine::new(&p);
+            let p = Arc::new(compiler.compile(SRC).unwrap());
+            let mut e = Session::new(p);
             let (query, rows_a, n) = build(&mut e, &q, &rows);
             let got = e.call("runquery", &[query, rows_a, n]).unwrap() as i64;
             assert_eq!(got, want);
@@ -227,15 +207,13 @@ mod tests {
 
     #[test]
     fn inlined_measurement_beats_template_calls() {
-        let plain = measure_with(6, 30, 5, dyncomp::EngineOptions::default()).unwrap();
-        let inlined = measure_full(
-            6,
-            30,
-            5,
-            &Compiler::with_inline_depth(2),
-            dyncomp::EngineOptions::default(),
-        )
-        .unwrap();
+        let w = workload(6, 30, 5);
+        let plain = w
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
+        let inlined = w
+            .measure(&Compiler::with_inline_depth(2), EngineOptions::default())
+            .unwrap();
         assert_eq!(plain.measurement.checksum, inlined.measurement.checksum);
         assert!(
             inlined.measurement.dynamic_cycles < plain.measurement.dynamic_cycles,

@@ -8,9 +8,8 @@
 //! strength reduction: `element * scalar` becomes shifts/adds chosen for
 //! the actual scalar, plus the constant trip count as an immediate.
 
-use crate::{KernelResult, Workload};
-use dyncomp::{Error, KernelSetup, Program, Session};
-use std::borrow::Borrow;
+use crate::Workload;
+use dyncomp::{KernelSetup, Session};
 
 /// The kernel: `dst[i] = src[i] * s` over a flattened matrix.
 pub const SRC: &str = r#"
@@ -27,11 +26,7 @@ pub const SRC: &str = r#"
 
 /// Build `rows × cols` source/destination matrices; returns
 /// `(src, dst, len)`.
-pub fn build_matrices<P: Borrow<Program>>(
-    engine: &mut Session<P>,
-    rows: u64,
-    cols: u64,
-) -> (u64, u64, u64) {
+pub fn build_matrices(engine: &mut Session, rows: u64, cols: u64) -> (u64, u64, u64) {
     let len = rows * cols;
     let data: Vec<i64> = (0..len).map(|i| (i as i64 % 97) - 48).collect();
     let mut h = engine.heap();
@@ -68,20 +63,16 @@ pub fn workload(rows: u64, cols: u64, n_scalars: u64) -> Workload {
     }
 }
 
-/// Measure `n_scalars` full multiplications of a `rows × cols` matrix.
-pub fn measure(rows: u64, cols: u64, n_scalars: u64) -> Result<KernelResult, Error> {
-    workload(rows, cols, n_scalars).measure_with(dyncomp::EngineOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncomp::{Compiler, Engine};
+    use dyncomp::{Compiler, EngineOptions, Session};
+    use std::sync::Arc;
 
     #[test]
     fn multiplies_correctly_per_scalar() {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(Compiler::new().compile(SRC).unwrap());
+        let mut e = Session::new(p);
         let (src, dst, len) = build_matrices(&mut e, 3, 4);
         for s in [1u64, 2, 7] {
             e.call("smatmul", &[s, len, src, dst]).unwrap();
@@ -97,7 +88,9 @@ mod tests {
 
     #[test]
     fn small_measurement_strength_reduces() {
-        let r = measure(4, 8, 6).unwrap();
+        let r = workload(4, 8, 6)
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
         let m = &r.measurement;
         assert!(m.stitch.strength_reductions > 0, "{:?}", m.stitch);
         let o = m.optimizations();

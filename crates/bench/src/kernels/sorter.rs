@@ -8,10 +8,9 @@
 //! and the offsets become immediates. QuickSort itself stays ordinary
 //! static code calling the (once-stitched) comparator.
 
-use crate::{KernelResult, Workload};
-use dyncomp::{Error, KernelSetup, Program, Session};
+use crate::Workload;
+use dyncomp::{KernelSetup, Session};
 use dyncomp_ir::prng::SplitMix64;
-use std::borrow::Borrow;
 
 /// Key types: 0 int ascending, 1 int descending, 2 unsigned ascending,
 /// 3 magnitude ascending.
@@ -75,10 +74,7 @@ pub fn gen_records(n: u64, nkeys: u64, seed: u64) -> Vec<Vec<i64>> {
 }
 
 /// Install the key spec and records; returns `(spec, master, work, n)`.
-pub fn build<P: Borrow<Program>>(
-    engine: &mut Session<P>,
-    records: &[Vec<i64>],
-) -> (u64, u64, u64, u64) {
+pub fn build(engine: &mut Session, records: &[Vec<i64>]) -> (u64, u64, u64, u64) {
     let nkeys = records.first().map(|r| r.len()).unwrap_or(0) as u64;
     let mut h = engine.heap();
     let off: Vec<i64> = (0..nkeys as i64).collect();
@@ -124,15 +120,11 @@ pub fn workload(n: u64, nkeys: u64, sorts: u64) -> Workload {
     }
 }
 
-/// Measure `sorts` sorts of `n` records with `nkeys`-key comparators.
-pub fn measure(n: u64, nkeys: u64, sorts: u64) -> Result<KernelResult, Error> {
-    workload(n, nkeys, sorts).measure_with(dyncomp::EngineOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncomp::{Compiler, Engine};
+    use dyncomp::{Compiler, EngineOptions, Session};
+    use std::sync::Arc;
 
     /// Host reference comparator mirroring the MiniC one.
     fn host_cmp(a: &[i64], b: &[i64]) -> std::cmp::Ordering {
@@ -165,8 +157,8 @@ mod tests {
             } else {
                 Compiler::static_baseline()
             };
-            let p = c.compile(SRC).unwrap();
-            let mut e = Engine::new(&p);
+            let p = Arc::new(c.compile(SRC).unwrap());
+            let mut e = Session::new(p);
             let (spec, master, work, n) = build(&mut e, &recs);
             let got = e.call("sortrecs", &[spec, master, work, n]).unwrap() as i64;
             assert_eq!(got, want, "dyn={dynamic}");
@@ -175,7 +167,9 @@ mod tests {
 
     #[test]
     fn small_measurement_specializes_comparator() {
-        let r = measure(30, 4, 6).unwrap();
+        let r = workload(30, 4, 6)
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
         let m = &r.measurement;
         let o = m.optimizations();
         assert!(o.complete_loop_unrolling, "key loop unrolled");

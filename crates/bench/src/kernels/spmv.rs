@@ -8,10 +8,9 @@
 //! patches the matrix values through the linearized constants table
 //! (floats never fit immediates, §4).
 
-use crate::{KernelResult, Workload};
-use dyncomp::{Error, KernelSetup, Program, Session};
+use crate::Workload;
+use dyncomp::{KernelSetup, Session};
 use dyncomp_ir::prng::SplitMix64;
-use std::borrow::Borrow;
 
 /// CSR sparse matrix–vector multiply; returns a scaled-integer checksum of
 /// the result so both compilations can be cross-checked.
@@ -73,7 +72,7 @@ pub fn gen_matrix(n: u64, per_row: u64, seed: u64) -> Csr {
 
 /// Install the matrix and a dense vector in VM memory; returns
 /// `(matrix_ptr, x_ptr, y_ptr)`.
-pub fn build<P: Borrow<Program>>(engine: &mut Session<P>, m: &Csr) -> (u64, u64, u64) {
+pub fn build(engine: &mut Session, m: &Csr) -> (u64, u64, u64) {
     let x: Vec<f64> = (0..m.n).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut h = engine.heap();
     let rowptr = h.array_i64(&m.rowptr).unwrap();
@@ -129,16 +128,11 @@ pub fn workload(n: u64, per_row: u64, iterations: u64) -> Workload {
     }
 }
 
-/// Measure `iterations` multiplications of an `n × n` matrix with
-/// `per_row` entries per row.
-pub fn measure(n: u64, per_row: u64, iterations: u64) -> Result<KernelResult, Error> {
-    workload(n, per_row, iterations).measure_with(dyncomp::EngineOptions::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncomp::{Compiler, Engine};
+    use dyncomp::{Compiler, EngineOptions, Session};
+    use std::sync::Arc;
 
     #[test]
     fn result_matches_host_reference() {
@@ -150,8 +144,8 @@ mod tests {
             } else {
                 Compiler::static_baseline()
             };
-            let p = c.compile(SRC).unwrap();
-            let mut e = Engine::new(&p);
+            let p = Arc::new(c.compile(SRC).unwrap());
+            let mut e = Session::new(p);
             let (mp, xp, yp) = build(&mut e, &m);
             let got = e.call("spmv", &[mp, xp, yp]).unwrap() as i64;
             assert_eq!(got, want, "dyn={dynamic}");
@@ -163,7 +157,9 @@ mod tests {
 
     #[test]
     fn small_measurement_unrolls_and_eliminates_loads() {
-        let r = measure(6, 2, 25).unwrap();
+        let r = workload(6, 2, 25)
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
         let m = &r.measurement;
         let o = m.optimizations();
         assert!(o.complete_loop_unrolling);

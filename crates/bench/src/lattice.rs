@@ -27,7 +27,7 @@ use crate::{kernel_workloads, Scale};
 use dyncomp::measure::{run_session_differential, run_session_profiled, SessionRun};
 use dyncomp::{
     Compiler, EngineOptions, FaultPlan, FaultPoint, Injection, KernelSetup, PersistentCache,
-    Program, SessionOutcome, SharedCodeCache, TraceOptions,
+    Program, SessionOutcome, SharedCodeCache,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -268,7 +268,7 @@ impl Mode {
             Mode::Capacity1 => o.keyed_cache_capacity = Some(1),
             Mode::CodeBudget => o.recovery.code_budget_bytes = Some(256),
             Mode::PlansOff => o.stitch.plans = false,
-            Mode::Traced => o.trace = Some(TraceOptions::default()),
+            Mode::Traced => o.trace = true,
             Mode::Fault(point, fires) => {
                 fault_mode(point).apply(o);
                 o.faults = Some(FaultPlan::single(point, fires));

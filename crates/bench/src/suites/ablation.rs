@@ -19,12 +19,10 @@
 use crate::driver::{Args, Report};
 use crate::kernels::{calculator, smatmul};
 use crate::Scale;
-use dyncomp::{
-    measure_kernel_full, measure_kernel_with, CompileOptions, Compiler, Engine, EngineOptions,
-    KernelSetup,
-};
+use dyncomp::{measure_kernel_full, CompileOptions, Compiler, EngineOptions, KernelSetup, Session};
 use dyncomp_analysis::AnalysisConfig;
 use dyncomp_stitcher::StitchCost;
+use std::sync::Arc;
 
 pub fn run(args: &Args) -> Report {
     let smoke = matches!(args.scale, Scale::Smoke);
@@ -32,11 +30,13 @@ pub fn run(args: &Args) -> Report {
 
     println!("== Ablation 1: directive-interpreting stitcher vs fused fast path ==");
     {
-        let default = calculator::measure(iters).unwrap();
+        let default = calculator::workload(iters)
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
         let mut opts = EngineOptions::default();
         opts.stitch.cost = StitchCost::fused();
         let setup = calculator::setup(iters);
-        let fused = measure_kernel_with(&setup, opts).unwrap();
+        let fused = measure_kernel_full(&setup, &Compiler::new(), opts).unwrap();
         let d = &default.measurement;
         println!(
             "  directive interpreter: overhead {} cycles ({} setup + {} stitch), breakeven {:?}",
@@ -66,11 +66,11 @@ pub fn run(args: &Args) -> Report {
         // linearized table (3 cycles) or is constructed inline from 13-bit
         // chunks (9 instructions).
         let setup = bigconst_setup(iters.min(400));
-        let on = measure_kernel_with(&setup, EngineOptions::default()).unwrap();
+        let on = measure_kernel_full(&setup, &Compiler::new(), EngineOptions::default()).unwrap();
         let setup = bigconst_setup(iters.min(400));
         let mut opts = EngineOptions::default();
         opts.stitch.linearized_table = false;
-        let off = measure_kernel_with(&setup, opts).unwrap();
+        let off = measure_kernel_full(&setup, &Compiler::new(), opts).unwrap();
         println!(
             "  with table:    dynamic {:.0} cycles/exec, {} instrs stitched",
             on.dynamic_cycles, on.instructions_stitched
@@ -86,11 +86,13 @@ pub fn run(args: &Args) -> Report {
     {
         let rows = if smoke { 8 } else { 40 };
         let scalars = if smoke { 8 } else { 60 };
-        let on = smatmul::measure(rows, 16, scalars).unwrap();
+        let on = smatmul::workload(rows, 16, scalars)
+            .measure(&Compiler::new(), EngineOptions::default())
+            .unwrap();
         let setup = smatmul::setup(rows, 16, scalars);
         let mut opts = EngineOptions::default();
         opts.stitch.peephole = false;
-        let off = measure_kernel_with(&setup, opts).unwrap();
+        let off = measure_kernel_full(&setup, &Compiler::new(), opts).unwrap();
         println!(
             "  peephole on:  speedup {:.2}x, {} strength reductions",
             on.measurement.speedup, on.measurement.stitch.strength_reductions
@@ -139,9 +141,9 @@ pub fn run(args: &Args) -> Report {
         "#;
         let rounds = if smoke { 20 } else { 200 };
         for cap in [None, Some(4), Some(2), Some(1)] {
-            let p = Compiler::new().compile(src).unwrap();
-            let mut e = Engine::with_options(
-                &p,
+            let p = Arc::new(Compiler::new().compile(src).unwrap());
+            let mut e = Session::with_options(
+                p,
                 EngineOptions {
                     keyed_cache_capacity: cap,
                     ..EngineOptions::default()

@@ -18,7 +18,7 @@
 use crate::driver::{Args, Report};
 use crate::kernels::{protomsg, queryexec};
 use crate::row::{f4, Row};
-use crate::{KernelResult, Scale};
+use crate::{KernelResult, Scale, Workload};
 use dyncomp::{Compiler, EngineOptions};
 
 /// Inline depth used for the "on" mode (2 covers helper-in-helper
@@ -78,18 +78,16 @@ pub fn run(args: &Args) -> Report {
         Scale::Smoke => ((8, 40), (6, 30, 5)),
         Scale::Paper => ((16, 2000), (12, 200, 50)),
     };
+    let measure = |w: Workload| InlineRow {
+        plain: w
+            .measure(&Compiler::new(), opts())
+            .unwrap_or_else(|e| fail(e)),
+        inlined: w.measure(&on, opts()).unwrap_or_else(|e| fail(e)),
+        inline_sites: sites(w.setup.src),
+    };
     let rows = vec![
-        InlineRow {
-            plain: protomsg::measure_with(pm.0, pm.1, opts()).unwrap_or_else(|e| fail(e)),
-            inlined: protomsg::measure_full(pm.0, pm.1, &on, opts()).unwrap_or_else(|e| fail(e)),
-            inline_sites: sites(protomsg::SRC),
-        },
-        InlineRow {
-            plain: queryexec::measure_with(qe.0, qe.1, qe.2, opts()).unwrap_or_else(|e| fail(e)),
-            inlined: queryexec::measure_full(qe.0, qe.1, qe.2, &on, opts())
-                .unwrap_or_else(|e| fail(e)),
-            inline_sites: sites(queryexec::SRC),
-        },
+        measure(protomsg::workload(pm.0, pm.1)),
+        measure(queryexec::workload(qe.0, qe.1, qe.2)),
     ];
 
     println!(

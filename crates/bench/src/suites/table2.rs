@@ -21,13 +21,13 @@
 
 use crate::driver::{Args, Report};
 use crate::{run_all_with, table2_header};
-use dyncomp::{EngineOptions, FaultPlan, TraceOptions};
+use dyncomp::{EngineOptions, FaultPlan};
 
 pub fn run(args: &Args) -> Report {
     let scale = args.scale;
     let mut options = EngineOptions::default();
     if args.has("--trace") {
-        options.trace = Some(TraceOptions::default());
+        options.trace = true;
     }
     if args.has("--faults-idle") {
         options.faults = Some(FaultPlan::idle());

@@ -8,7 +8,7 @@
 use dyncomp::measure::{run_session, SessionRun};
 use dyncomp::{
     Compiler, EngineOptions, EventKind, FailureKind, FaultPlan, FaultPoint, Injection, Session,
-    TieredOptions, TraceOptions,
+    TieredOptions,
 };
 use dyncomp_bench::lattice::{self, Comp, Kernel, Mode, Size};
 use std::sync::Arc;
@@ -146,7 +146,7 @@ fn background_error_falls_back_to_synchronous_set_up() {
     let keys = [0, 700_000, 1_400_000, 1, 1, 1];
     let (sync, _) = strided_table_calls(Compiler::new(), EngineOptions::default(), &keys);
     let options = EngineOptions {
-        trace: Some(TraceOptions::default()),
+        trace: true,
         tiered: Some(TieredOptions {
             speculate: true,
             ..TieredOptions::default()

@@ -4,10 +4,11 @@
 //! (PR 24). A changed constant means a persisted byte moved, which needs
 //! a `FORMAT_VERSION` (or `NATIVE_CODE_VERSION`) bump, not a new constant.
 
-use dyncomp::{Compiler, Engine, EngineOptions};
+use dyncomp::{Compiler, EngineOptions, Session};
 use dyncomp_bench::lattice::{self, Comp, ScratchDir};
 use dyncomp_ir::fnv::fnv1a;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The two-region program of `tests/persist_corruption.rs`.
 const INSTANCE_SRC: &str = r#"
@@ -107,8 +108,8 @@ fn instance_hashes(native: bool) -> Vec<u64> {
     let (program, _) = cache
         .load_or_compile(&Compiler::new(), INSTANCE_SRC)
         .expect("compiles");
-    let mut engine = Engine::with_options(
-        &program,
+    let mut engine = Session::with_options(
+        Arc::new(program),
         EngineOptions {
             persist: Some(cache),
             native,

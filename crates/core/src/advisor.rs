@@ -30,9 +30,8 @@
 //! # Ok::<(), dyncomp::Error>(())
 //! ```
 
-use crate::Error;
+use crate::{Clock, Compiler, Error};
 use dyncomp_analysis::{analyze_region, AnalysisConfig, RegionAnalysis};
-use dyncomp_frontend::LowerOptions;
 use dyncomp_ir::dom::DomTree;
 use dyncomp_ir::loops::find_loops;
 use dyncomp_ir::{BlockId, DynRegion, Function, IdSet, InstId, InstKind, Terminator};
@@ -102,38 +101,23 @@ impl FunctionAdvice {
 /// program, the way a programmer annotating from scratch would).
 ///
 /// # Errors
-/// Front-end failures only; the advisor never rejects a hypothesis, it
-/// just scores it.
+/// Front-end failures, and a verifier failure of the prepped IR (a bug in
+/// the compiler); the advisor never rejects a hypothesis, it just scores
+/// it.
 pub fn advise(src: &str) -> Result<Vec<FunctionAdvice>, Error> {
-    let lowered = dyncomp_frontend::compile(
-        src,
-        &LowerOptions {
-            honor_annotations: false,
-            tiered_fallback: false,
-        },
-    )?;
-    let mut module = lowered.module;
+    // The static baseline's front end and prep, verifier included:
+    // annotations ignored, every function in SSA and optimized.
+    let (module, _) = Compiler::static_baseline().lower_and_prep(src, &mut Clock(None))?;
     let mut out = Vec::new();
-    for fid in module.funcs.ids().collect::<Vec<_>>() {
-        let f = &mut module.funcs[fid];
-        dyncomp_ir::ssa::construct_ssa(f);
-        dyncomp_opt::optimize(
-            f,
-            &dyncomp_opt::OptOptions {
-                cfg_simplify: true,
-                hole_scope: None,
-            },
-        );
-        dyncomp_ir::cfg::split_critical_edges(f);
-        let n_params = f.params.len();
-        let template = f.clone();
+    for template in module.funcs.iter() {
+        let n_params = template.params.len();
 
         let mut params = Vec::new();
         for p in 0..n_params {
-            params.push(evaluate(&template, &[p]));
+            params.push(evaluate(template, &[p]));
         }
         let all: Vec<usize> = (0..n_params).collect();
-        let all_params = evaluate(&template, &all);
+        let all_params = evaluate(template, &all);
         out.push(FunctionAdvice {
             func: template.name.clone(),
             params,

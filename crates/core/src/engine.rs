@@ -6,8 +6,7 @@
 //! space, registers, data memory, cycle counter), per-region bookkeeping
 //! and keyed code cache. Many sessions can therefore run the same
 //! `Arc<Program>` concurrently, each with deterministic, bit-identical
-//! simulated results. [`Engine`] is a thin compatibility alias
-//! (`Session<&Program>`) for single-owner callers.
+//! simulated results.
 //!
 //! On the first entry to a dynamic region the session redirects execution
 //! to the region's set-up code (measured in VM cycles, like everything the
@@ -44,7 +43,7 @@ use crate::faults::{
 };
 use crate::persist::{InstanceProbe, PersistentCache, StoreOutcome};
 use crate::tiered::{TierDecision, TieredOptions, TieredState};
-use crate::trace::{ClockDomain, EventKind, RegionProfile, TraceOptions, TraceState};
+use crate::trace::{ClockDomain, EventKind, RegionProfile, TraceState};
 use crate::{Error, Program};
 use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_machine::heap::HeapBuilder;
@@ -53,7 +52,6 @@ use dyncomp_machine::template::ValueLoc;
 use dyncomp_machine::verify::{verify_code, CodeVerifyError};
 use dyncomp_machine::vm::{Stop, Vm, VmError};
 use dyncomp_stitcher::{StitchError, StitchOptions, StitchStats, Stitched};
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 mod native;
@@ -89,12 +87,13 @@ pub struct EngineOptions {
     /// tables. Needs a per-region fallback copy; regions without one
     /// stitch synchronously.
     pub tiered: Option<TieredOptions>,
-    /// Structured tracing ([`crate::trace`]). `None` (the default) records
-    /// nothing and allocates nothing. When set, every region-lifecycle
-    /// transition is recorded as a cycle-stamped [`crate::TraceEvent`];
-    /// tracing charges **zero** simulated cycles, so all cycle accounting
-    /// is identical with it on or off.
-    pub trace: Option<TraceOptions>,
+    /// Structured tracing ([`crate::trace`]). Off (the default) records
+    /// nothing and allocates nothing. On, every region-lifecycle
+    /// transition is recorded as a cycle-stamped [`crate::TraceEvent`] in
+    /// a ring of [`crate::trace::TRACE_RING`] events; tracing charges
+    /// **zero** simulated cycles, so all cycle accounting is identical
+    /// with it on or off.
+    pub trace: bool,
     /// Deterministic fault-injection plan ([`crate::faults`]). `None`
     /// (the default) disables injection entirely — no state is allocated
     /// and no fault point costs anything, so the paper tables never see
@@ -150,7 +149,7 @@ impl Default for EngineOptions {
             keyed_cache_capacity: None,
             shared_cache: None,
             tiered: None,
-            trace: None,
+            trace: false,
             faults: None,
             recovery: RecoveryPolicy::default(),
             native: false,
@@ -318,14 +317,12 @@ pub struct RegionReport {
 
 /// One execution session over a shared, immutable [`Program`].
 ///
-/// `P` is how the session holds the program: `Arc<Program>` (the default;
-/// sessions on several threads share one artifact) or `&Program` (the
-/// [`Engine`] compatibility alias). All mutable state — the VM, region
-/// bookkeeping, the keyed code cache — is owned by the session, so
-/// `Session<Arc<Program>>` is `Send` and sessions never contend except on
-/// an explicitly configured [`SharedCodeCache`].
-pub struct Session<P: Borrow<Program> = Arc<Program>> {
-    program: P,
+/// Sessions on several threads share one `Arc<Program>`. All mutable
+/// state — the VM, region bookkeeping, the keyed code cache — is owned by
+/// the session, so a `Session` is `Send` and sessions never contend
+/// except on an explicitly configured [`SharedCodeCache`].
+pub struct Session {
+    program: Arc<Program>,
     /// The simulated machine (public for harnesses that need cycle counts
     /// or direct memory access).
     pub vm: Vm,
@@ -349,21 +346,15 @@ pub struct Session<P: Borrow<Program> = Arc<Program>> {
     native: Option<Box<NativeState>>,
 }
 
-/// Single-owner compatibility alias: a [`Session`] borrowing the program.
-///
-/// Existing `Engine::new(&program)` callers keep working unchanged;
-/// multi-session callers migrate to `Session::new(Arc<Program>)`.
-pub type Engine<'p> = Session<&'p Program>;
-
-impl<P: Borrow<Program>> Session<P> {
+impl Session {
     /// A session with default options.
-    pub fn new(program: P) -> Self {
+    pub fn new(program: Arc<Program>) -> Self {
         Self::with_options(program, EngineOptions::default())
     }
 
     /// A session with explicit options.
-    pub fn with_options(program: P, options: EngineOptions) -> Self {
-        let p = program.borrow();
+    pub fn with_options(program: Arc<Program>, options: EngineOptions) -> Self {
+        let p = &*program;
         let mut vm = Vm::new(options.memory_bytes);
         dyncomp_codegen::install(&p.compiled, &p.module, &mut vm);
         let regions = (0..p.compiled.regions.len())
@@ -371,8 +362,7 @@ impl<P: Borrow<Program>> Session<P> {
             .collect();
         let trace = options
             .trace
-            .as_ref()
-            .map(|t| Box::new(TraceState::new(t, p.compiled.regions.len())));
+            .then(|| Box::new(TraceState::new(p.compiled.regions.len())));
         let tiered = options
             .tiered
             .clone()
@@ -398,7 +388,7 @@ impl<P: Borrow<Program>> Session<P> {
 
     /// The program this session executes.
     pub fn program(&self) -> &Program {
-        self.program.borrow()
+        &self.program
     }
 
     /// Build data structures in VM memory.
@@ -416,7 +406,6 @@ impl<P: Borrow<Program>> Session<P> {
         }
         let entry = self
             .program
-            .borrow()
             .compiled
             .entry_of(name)
             .ok_or_else(|| Error::NoSuchFunction(name.to_string()))?;
@@ -492,7 +481,7 @@ impl<P: Borrow<Program>> Session<P> {
             let entry = st.cache.get(&[] as &[u64])?;
             Some((i as u16, entry.base))
         });
-        let (region, count, resume) = ns.dispatch(at, &mut self.vm, self.program.borrow(), retired);
+        let (region, count, resume) = ns.dispatch(at, &mut self.vm, &self.program, retired);
         if count > 0 {
             if let Some(st) = self.regions.get_mut(usize::from(region)) {
                 st.report.native_chained += count;
@@ -622,7 +611,6 @@ impl<P: Borrow<Program>> Session<P> {
         };
         for (point, region) in f.drain_pending() {
             self.regions[region as usize].report.faults_injected += 1;
-            self.recovery.note_fault();
             self.tr(EventKind::FaultInjected { region, point });
         }
     }
@@ -654,7 +642,6 @@ impl<P: Borrow<Program>> Session<P> {
         let backoff = RETRY_BACKOFF_CYCLES * u64::from(attempt);
         self.vm.cycles += backoff;
         self.regions[region as usize].report.retries += 1;
-        self.recovery.note_retry();
         self.tr(EventKind::RecoveryRetry {
             region,
             attempt,
@@ -663,7 +650,7 @@ impl<P: Borrow<Program>> Session<P> {
     }
 
     fn enter_region(&mut self, region: u16, _at: u32) -> Result<(), Error> {
-        let rc = &self.program.borrow().compiled.regions[region as usize];
+        let rc = &self.program.compiled.regions[region as usize];
         let key = self.read_key(&rc.key_locs)?;
         let (keyed, fallback) = (!rc.key_locs.is_empty(), rc.fallback_pc);
         self.regions[region as usize].report.invocations += 1;
@@ -692,7 +679,7 @@ impl<P: Borrow<Program>> Session<P> {
         fallback: Option<u32>,
         setup: Option<(u64, u64)>,
     ) -> Result<(), Error> {
-        let keyed = !self.program.borrow().compiled.regions[region as usize]
+        let keyed = !self.program.compiled.regions[region as usize]
             .key_locs
             .is_empty();
         let shut = fallback.is_some()
@@ -747,7 +734,7 @@ impl<P: Borrow<Program>> Session<P> {
                 // (an unkeyed hit means its trap never retired: no guard).
                 let hit = rung == Rung::Session && !e.key.is_empty();
                 if let Some(ns) = self.native.as_deref_mut().filter(|_| hit) {
-                    ns.guard(&mut self.vm, self.program.borrow(), e.region, &e.key, pc);
+                    ns.guard(&mut self.vm, &self.program, e.region, &e.key, pc);
                 }
                 self.vm.pc = pc;
             }
@@ -816,7 +803,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// off. Its stubs are reused only at the publisher's base.
     fn persist_rung(&mut self, e: &Entry, cache: &PersistentCache) -> Result<Served, Decline> {
         let region = e.region;
-        let hash = self.program.borrow().artifact_hash();
+        let hash = self.program.artifact_hash();
         let inst = match cache.load_instance(hash, region, &e.key) {
             InstanceProbe::Hit(inst) => inst,
             InstanceProbe::Reject(reason) => return Err(Decline::PersistReject(reason)),
@@ -858,7 +845,7 @@ impl<P: Borrow<Program>> Session<P> {
         let (decision, enqueued) = tiered.decide(
             &self.vm,
             region,
-            &self.program.borrow().compiled.regions[region as usize],
+            &self.program.compiled.regions[region as usize],
             &e.key,
             &self.options.stitch,
             self.vm.cycles,
@@ -910,7 +897,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// the region is quarantined, declined for its fallback copy.
     fn setup_rung(&mut self, e: &mut Entry) -> Result<Served, Decline> {
         let region = e.region;
-        let setup_pc = self.program.borrow().compiled.regions[region as usize].setup_pc;
+        let setup_pc = self.program.compiled.regions[region as usize].setup_pc;
         self.retrying(region, Rung::Setup, e.fallback.is_some(), |s, trusted| {
             let fired = (!trusted).then(|| s.fire(FaultPoint::SetupVmTrap, region));
             let Some(fuel) = fired.flatten() else {
@@ -935,7 +922,7 @@ impl<P: Borrow<Program>> Session<P> {
         st.pending_key = Some(std::mem::take(&mut e.key));
         st.setup_start = self.vm.cycles;
         self.tr(EventKind::SetupStart { region: e.region });
-        Served::Resume(self.program.borrow().compiled.regions[e.region as usize].setup_pc)
+        Served::Resume(self.program.compiled.regions[e.region as usize].setup_pc)
     }
 
     /// Stitch rung: stitch the filled constants table under the recovery
@@ -985,7 +972,6 @@ impl<P: Borrow<Program>> Session<P> {
         // the report counter so `trace_self_check` covers the pass.
         let inlined: Vec<(u32, u32)> = self
             .program
-            .borrow()
             .inline_sites_for(region)
             .map(|s| (s.callee.index() as u32, s.depth))
             .collect();
@@ -1154,7 +1140,7 @@ impl<P: Borrow<Program>> Session<P> {
         let enqueued = tiered.observe_and_speculate(
             &self.vm,
             region,
-            &self.program.borrow().compiled.regions[region as usize],
+            &self.program.compiled.regions[region as usize],
             key,
             &is_cached,
             &self.options.stitch,
@@ -1194,7 +1180,7 @@ impl<P: Borrow<Program>> Session<P> {
     /// This session's name for `(region, key)` in the process-wide cache.
     fn shared_key(&self, region: u16, key: &[u64]) -> SharedKey {
         SharedKey {
-            program: self.program.borrow().id(),
+            program: self.program.id(),
             region,
             key: key.to_vec(),
         }
@@ -1232,7 +1218,7 @@ impl<P: Borrow<Program>> Session<P> {
             return;
         }
         let torn = self.injected(FaultPoint::PersistWriteTorn, region);
-        let hash = self.program.borrow().artifact_hash();
+        let hash = self.program.artifact_hash();
         // The native stubs go along when the stitch rung pre-translated
         // this very base and they can serve entries.
         let native = self.native.as_deref().and_then(|ns| ns.held(base));
@@ -1273,7 +1259,7 @@ impl<P: Borrow<Program>> Session<P> {
             None
         };
         let base = self.vm.code.len() as u32;
-        let rc = &self.program.borrow().compiled.regions[region as usize];
+        let rc = &self.program.compiled.regions[region as usize];
         let mut stitched = dyncomp_stitcher::stitch(
             rc,
             table,
@@ -1330,7 +1316,7 @@ impl<P: Borrow<Program>> Session<P> {
             .add_bytes(4 * u64::from(len) + native_bytes)
             .inspect(|&level| self.tr(EventKind::BudgetDegrade { region, level }))
             .is_some();
-        let rc = &self.program.borrow().compiled.regions[region as usize];
+        let rc = &self.program.compiled.regions[region as usize];
         let (keyed, enter_pc) = (!rc.key_locs.is_empty(), rc.enter_pc);
         let st = &mut self.regions[region as usize];
         st.instances.push((key.clone(), base, len));
@@ -1386,7 +1372,7 @@ impl<P: Borrow<Program>> Session<P> {
             // so chained control need not bounce through the VM to take
             // the retired branch.
             if let Some(ns) = self.native.as_deref_mut() {
-                ns.guard(&mut self.vm, self.program.borrow(), region, &[], base);
+                ns.guard(&mut self.vm, &self.program, region, &[], base);
             }
         }
 
@@ -1420,7 +1406,10 @@ impl<P: Borrow<Program>> Session<P> {
     /// log, quarantined regions, injected-fault and retry counts, and the
     /// degradation-ladder level. Cheap; safe to poll.
     pub fn health(&self) -> HealthReport {
-        self.recovery.report()
+        let sum =
+            |count: fn(&RegionReport) -> u64| self.regions.iter().map(|r| count(&r.report)).sum();
+        self.recovery
+            .report(sum(|r| r.faults_injected), sum(|r| r.retries))
     }
 
     /// Host-native backend counters. All-zero (with `enabled: false`)
@@ -1481,7 +1470,7 @@ impl<P: Borrow<Program>> Session<P> {
     pub fn restitch_all(&mut self, opts: &StitchOptions) -> Result<StitchStats, Error> {
         let mut total = StitchStats::default();
         let base = self.vm.code.len() as u32;
-        let program = self.program.borrow();
+        let program = &*self.program;
         for (idx, rc) in program.compiled.regions.iter().enumerate() {
             for &table in &self.regions[idx].tables {
                 let s = dyncomp_stitcher::stitch(rc, table, &mut self.vm.mem, base, opts)?;

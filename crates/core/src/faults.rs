@@ -502,8 +502,6 @@ pub(crate) struct RecoveryState {
     per_region: Vec<u32>,
     quarantined: Vec<bool>,
     bytes_installed: u64,
-    retries: u64,
-    faults: u64,
 }
 
 impl RecoveryState {
@@ -516,8 +514,6 @@ impl RecoveryState {
             per_region: vec![0; regions],
             quarantined: vec![false; regions],
             bytes_installed: 0,
-            retries: 0,
-            faults: 0,
         }
     }
 
@@ -557,14 +553,6 @@ impl RecoveryState {
             .unwrap_or(false)
     }
 
-    pub(crate) fn note_retry(&mut self) {
-        self.retries += 1;
-    }
-
-    pub(crate) fn note_fault(&mut self) {
-        self.faults += 1;
-    }
-
     /// Account installed code bytes against the budget. Returns the new
     /// degradation level when this installation crossed a ladder step.
     pub(crate) fn add_bytes(&mut self, bytes: u64) -> Option<u8> {
@@ -583,7 +571,9 @@ impl RecoveryState {
         }
     }
 
-    pub(crate) fn report(&self) -> HealthReport {
+    /// The health snapshot, with the fault and retry totals the session
+    /// sums from its per-region reports.
+    pub(crate) fn report(&self, faults_injected: u64, retries: u64) -> HealthReport {
         HealthReport {
             failures: self.ring.iter().cloned().collect(),
             total_failures: self.total,
@@ -592,8 +582,8 @@ impl RecoveryState {
                 .filter(|&i| self.quarantined[i])
                 .map(|i| i as u16)
                 .collect(),
-            faults_injected: self.faults,
-            retries: self.retries,
+            faults_injected,
+            retries,
             code_bytes_installed: self.bytes_installed,
             code_budget_bytes: self.policy.code_budget_bytes,
             degradation_level: self.level(),
@@ -688,7 +678,7 @@ mod tests {
         for _ in 4..=FAILURE_LOG {
             r.record(rec(0));
         }
-        let h = r.report();
+        let h = r.report(0, 0);
         assert_eq!(h.failures.len(), FAILURE_LOG);
         assert_eq!(h.total_failures, FAILURE_LOG as u64 + 1);
         assert_eq!(h.dropped, 1);

@@ -9,7 +9,7 @@
 //! profile of Table 3 comes from the specializer's and stitcher's
 //! counters.
 
-use crate::trace::{RegionProfile, TraceOptions};
+use crate::trace::RegionProfile;
 use crate::{Compiler, EngineOptions, Error, Program, RegionReport, Session};
 use dyncomp_specialize::SpecStats;
 use dyncomp_stitcher::StitchStats;
@@ -98,9 +98,10 @@ pub struct OptProfile {
     pub strength_reduction: bool,
 }
 
-/// Run one kernel both ways and measure, the dynamic version under
-/// `engine_options` (ablations: peephole off, fused cost model, register
-/// actions).
+/// Run one kernel both ways and measure: the static baseline, and the
+/// dynamic version compiled by `dynamic_compiler` (analysis ablations,
+/// inlining) and run under `engine_options` (ablations: peephole off,
+/// fused cost model, register actions).
 ///
 /// # Errors
 /// Compilation or execution failure in either version.
@@ -108,15 +109,6 @@ pub struct OptProfile {
 /// # Panics
 /// Panics when the static and dynamic versions disagree on any result —
 /// a mismatch is a correctness bug, not an environmental error.
-pub fn measure_kernel_with(
-    setup: &KernelSetup<'_>,
-    engine_options: EngineOptions,
-) -> Result<KernelMeasurement, Error> {
-    measure_kernel_full(setup, &Compiler::new(), engine_options)
-}
-
-/// [`measure_kernel_with`] (same errors, same panic) with an explicit
-/// compiler for the dynamic version as well (analysis ablations, inlining).
 pub fn measure_kernel_full(
     setup: &KernelSetup<'_>,
     dynamic_compiler: &Compiler,
@@ -334,8 +326,7 @@ pub struct ProfiledSession {
     pub dropped: u64,
 }
 
-/// Like [`run_session`], with [`EngineOptions::trace`] forced on (using
-/// the given options' trace configuration, or the default one) and the
+/// Like [`run_session`], with [`EngineOptions::trace`] forced on and the
 /// cycle-attribution self-check run before returning.
 ///
 /// # Errors
@@ -346,7 +337,7 @@ pub fn run_session_profiled(
     setup: &KernelSetup<'_>,
     mut options: EngineOptions,
 ) -> Result<ProfiledSession, Error> {
-    options.trace.get_or_insert_with(TraceOptions::default);
+    options.trace = true;
     let mut run = SessionRun::start(program, setup, options);
     run.pass(|_, _| {})?;
     let session = &mut run.session;

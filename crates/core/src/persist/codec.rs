@@ -219,8 +219,8 @@ mod tests {
             format!("{:?}", back.compiled.code),
             format!("{:?}", p.compiled.code)
         );
-        let mut cold = crate::Engine::new(&p);
-        let mut warm = crate::Engine::new(&back);
+        let mut cold = crate::Session::new(std::sync::Arc::new(p));
+        let mut warm = crate::Session::new(std::sync::Arc::new(back));
         assert_eq!(
             cold.call("poly", &[3, 10]).unwrap(),
             warm.call("poly", &[3, 10]).unwrap()

@@ -452,7 +452,7 @@ mod tests {
         assert!(hit);
         assert_eq!(warm.artifact_hash(), cold.artifact_hash());
         let mut other = Compiler::new();
-        other.options.inline.depth = 2;
+        other.options.inline_depth = 2;
         assert_ne!(other.artifact_hash(SRC), compiler.artifact_hash(SRC));
         let s = cache.stats();
         assert_eq!(

@@ -40,8 +40,8 @@ use crate::engine::{EngineOptions, NativeReport, Session};
 use crate::faults::HealthReport;
 use crate::measure::fold_checksum;
 use crate::persist::PersistentCache;
-use crate::trace::{CycleHistogram, RegionProfile, TraceOptions};
-use crate::{CompileOptions, Compiler, InlineOptions, Program};
+use crate::trace::{CycleHistogram, RegionProfile};
+use crate::{CompileOptions, Compiler, Program};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -85,7 +85,7 @@ const CLOSE: usize = 2;
 /// A session slot's occupancy.
 enum SlotState {
     /// Session at rest, ready for a call.
-    Idle(Box<Session<Arc<Program>>>),
+    Idle(Box<Session>),
     /// A call is executing on some worker; concurrent calls get
     /// `session-busy` instead of blocking a connection thread.
     Busy,
@@ -223,7 +223,7 @@ impl ServerEngine {
         let src = str_field(req, "src")?;
         let mut options = CompileOptions::default();
         decode(req, "upload", |key, v| match key {
-            "inline" => options.inline = InlineOptions::at_depth(v as u32),
+            "inline" => options.inline_depth = v as u32,
             "tiered" => options.tiered_fallback = v == 1,
             _ => {}
         })?;
@@ -271,7 +271,7 @@ impl ServerEngine {
             "cache_capacity" => capacity = v as usize,
             "quarantine_after" => options.recovery.quarantine_after = v as u32,
             "native" => options.native = v == 1,
-            "trace" => options.trace = (v == 1).then(TraceOptions::default),
+            "trace" => options.trace = v == 1,
             "persist" => persist = v == 1,
             _ => {}
         })?;

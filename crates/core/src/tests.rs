@@ -1,21 +1,24 @@
 //! End-to-end tests: full static pipeline + VM + stitcher, with
 //! differential checks against the static baseline and speedup sanity.
 
-use crate::{measure_kernel_with, Compiler, Engine, EngineOptions, KernelSetup, Session};
+use crate::{measure_kernel_full, Compiler, EngineOptions, KernelSetup, Session};
+use std::sync::Arc;
 
 /// Run the same calls on static and dynamic builds; results must agree.
 /// Each argument set gets a fresh dynamic engine: an unkeyed region's
 /// annotated constants must not change across executions (§2), and the
 /// argument sets here vary them.
 fn differential(src: &str, func: &str, argsets: &[Vec<u64>]) {
-    let stat = Compiler::static_baseline()
-        .compile(src)
-        .expect("static compiles");
-    let dynp = Compiler::new().compile(src).expect("dynamic compiles");
-    let mut se = Engine::new(&stat);
+    let stat = Arc::new(
+        Compiler::static_baseline()
+            .compile(src)
+            .expect("static compiles"),
+    );
+    let dynp = Arc::new(Compiler::new().compile(src).expect("dynamic compiles"));
+    let mut se = Session::new(stat);
     for args in argsets {
         let a = se.call(func, args).expect("static runs");
-        let mut de = Engine::new(&dynp);
+        let mut de = Session::new(Arc::clone(&dynp));
         let b = de.call(func, args).expect("dynamic runs");
         assert_eq!(a, b, "{func}({args:?})");
         // And again on the stitched fast path.
@@ -27,9 +30,9 @@ fn differential(src: &str, func: &str, argsets: &[Vec<u64>]) {
 #[test]
 fn quickstart_region_runs_and_caches() {
     let src = "int poly(int c, int x) { dynamicRegion (c) { return c * x * x + c * x + c; } }";
-    let p = Compiler::new().compile(src).unwrap();
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
     assert_eq!(p.region_count(), 1);
-    let mut e = Engine::new(&p);
+    let mut e = Session::new(Arc::clone(&p));
     assert_eq!(e.call("poly", &[3, 10]).unwrap(), 330 + 3);
     assert_eq!(e.call("poly", &[3, 1]).unwrap(), 9);
     assert_eq!(e.call("poly", &[3, 0]).unwrap(), 3);
@@ -43,8 +46,8 @@ fn quickstart_region_runs_and_caches() {
 #[test]
 fn patched_entry_skips_trap_for_unkeyed_regions() {
     let src = "int f(int k, int x) { dynamicRegion (k) { return k * 3 + x; } }";
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     e.call("f", &[5, 1]).unwrap();
     // Second call: the EnterRegion trap was patched to a branch, so the
     // engine never sees another trap — invocations stays at 1.
@@ -64,8 +67,8 @@ fn second_call_is_cheaper_than_first() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let c0 = e.cycles();
     e.call("f", &[10, 3]).unwrap();
     let first = e.cycles() - c0;
@@ -107,7 +110,7 @@ fn dynamic_beats_static_on_unrolled_kernel() {
         }),
         args: Box::new(|i, prepared| vec![prepared[0], i % 17]),
     };
-    let m = measure_kernel_with(&setup, EngineOptions::default()).unwrap();
+    let m = measure_kernel_full(&setup, &Compiler::new(), EngineOptions::default()).unwrap();
     assert!(
         m.speedup > 1.05,
         "expected speedup, got {:.3} (static {:.0}, dynamic {:.0})",
@@ -130,8 +133,8 @@ fn keyed_region_stitches_per_key() {
             dynamicRegion key(k) (k) { return k * x + k; }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     assert_eq!(e.call("f", &[2, 10]).unwrap(), 22);
     assert_eq!(e.call("f", &[3, 10]).unwrap(), 33);
     assert_eq!(e.call("f", &[2, 20]).unwrap(), 42);
@@ -176,8 +179,8 @@ fn differential_cache_lookup() {
         } else {
             Compiler::static_baseline()
         };
-        let p = compiler.compile(src).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(compiler.compile(src).unwrap());
+        let mut e = Session::new(p);
         // Build a 4-line, 32B-block, 2-way cache.
         let (lines, bs, assoc) = (4u64, 32u64, 2u64);
         let mut set_ptrs = Vec::new();
@@ -304,8 +307,8 @@ fn nested_unrolled_loops_through_vm() {
         } else {
             Compiler::static_baseline()
         };
-        let p = compiler.compile(src).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(compiler.compile(src).unwrap());
+        let mut e = Session::new(p);
         let rowlen = e.heap().array_i64(&[2, 0, 3]).unwrap();
         let mat = e.heap().record(&[3, rowlen]).unwrap();
         let want = (7) + (7 + 1) + (7 + 200) + (7 + 201) + (7 + 202);
@@ -325,8 +328,8 @@ fn float_region() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let r = e
         .call_f("scale", &[3.0f64.to_bits(), 2.0f64.to_bits()])
         .unwrap();
@@ -344,8 +347,8 @@ fn strength_reduction_fires_on_multiply_kernel() {
             dynamicRegion (s) { return x * s; }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     assert_eq!(e.call("smul", &[8, 13]).unwrap(), 104);
     let r = e.region_report(0);
     assert!(
@@ -373,7 +376,7 @@ fn measurement_checksums_agree_and_report_is_consistent() {
         prepare: Box::new(|_| vec![12]),
         args: Box::new(|i, p| vec![p[0], i]),
     };
-    let m = measure_kernel_with(&setup, EngineOptions::default()).unwrap();
+    let m = measure_kernel_full(&setup, &Compiler::new(), EngineOptions::default()).unwrap();
     assert!(m.static_cycles > 0.0);
     assert!(m.dynamic_cycles > 0.0);
     assert!(m.setup_cycles > 0);
@@ -387,8 +390,9 @@ fn measurement_checksums_agree_and_report_is_consistent() {
 
 mod option_ablations {
     //! Every stitcher configuration must preserve semantics.
-    use crate::{Compiler, Engine, EngineOptions};
+    use crate::{Compiler, EngineOptions, Session};
     use dyncomp_stitcher::StitchCost;
+    use std::sync::Arc;
 
     const SRC: &str = r#"
         struct Cfg { int n; int *w; };
@@ -405,8 +409,8 @@ mod option_ablations {
     "#;
 
     fn run_with(opts: EngineOptions) -> Vec<u64> {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut e = Engine::with_options(&p, opts);
+        let p = Arc::new(Compiler::new().compile(SRC).unwrap());
+        let mut e = Session::with_options(p, opts);
         let w = e.heap().array_i64(&[2, 8, 16, 5, 256, 65536]).unwrap();
         let cfg = e.heap().record(&[6, w]).unwrap();
         (0..8).map(|x| e.call("f", &[cfg, x]).unwrap()).collect()
@@ -431,15 +435,16 @@ mod option_ablations {
 }
 
 mod degenerate_regions {
-    use crate::{Compiler, Engine};
+    use crate::{Compiler, Session};
+    use std::sync::Arc;
 
     #[test]
     fn region_with_unused_constant() {
         // The annotated constant feeds nothing: the region still splits,
         // stitches and runs.
         let src = "int f(int k, int x) { dynamicRegion (k) { return x + 1; } }";
-        let p = Compiler::new().compile(src).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(Compiler::new().compile(src).unwrap());
+        let mut e = Session::new(p);
         assert_eq!(e.call("f", &[99, 5]).unwrap(), 6);
         assert_eq!(e.call("f", &[99, 7]).unwrap(), 8);
     }
@@ -448,8 +453,8 @@ mod degenerate_regions {
     fn region_with_only_constant_computation() {
         // The whole region result is a run-time constant.
         let src = "int f(int k) { dynamicRegion (k) { return k * 3 + 1; } }";
-        let p = Compiler::new().compile(src).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(Compiler::new().compile(src).unwrap());
+        let mut e = Session::new(p);
         assert_eq!(e.call("f", &[5]).unwrap(), 16);
         assert_eq!(e.call("f", &[5]).unwrap(), 16);
         let r = e.region_report(0);
@@ -459,8 +464,8 @@ mod degenerate_regions {
     #[test]
     fn empty_region_body() {
         let src = "int f(int k, int x) { dynamicRegion (k) { } return x; }";
-        let p = Compiler::new().compile(src).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(Compiler::new().compile(src).unwrap());
+        let mut e = Session::new(p);
         assert_eq!(e.call("f", &[1, 42]).unwrap(), 42);
     }
 
@@ -475,9 +480,9 @@ mod degenerate_regions {
                 }
             }
         "#;
-        let p = Compiler::new().compile(src).unwrap();
+        let p = Arc::new(Compiler::new().compile(src).unwrap());
         for (k, want) in [(5u64, 1i64), (0u64.wrapping_sub(3), -1), (0, 0)] {
-            let mut e = Engine::new(&p);
+            let mut e = Session::new(Arc::clone(&p));
             assert_eq!(e.call("sign", &[k]).unwrap() as i64, want, "k={k}");
         }
     }
@@ -494,8 +499,8 @@ mod degenerate_regions {
                 }
             }
         "#;
-        let p = Compiler::new().compile(src).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(Compiler::new().compile(src).unwrap());
+        let mut e = Session::new(p);
         assert_eq!(e.call("f", &[0]).unwrap(), 100);
         assert_eq!(e.region_report(0).stitch_stats.loop_iterations, 0);
     }
@@ -513,9 +518,9 @@ mod keyed_cache_policy {
 
     #[test]
     fn bounded_cache_evicts_lru_and_restitches() {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut e = Engine::with_options(
-            &p,
+        let p = Arc::new(Compiler::new().compile(SRC).unwrap());
+        let mut e = Session::with_options(
+            p,
             EngineOptions {
                 keyed_cache_capacity: Some(2),
                 ..EngineOptions::default()
@@ -544,9 +549,9 @@ mod keyed_cache_policy {
 
     #[test]
     fn capacity_one_thrashes_but_stays_correct() {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut e = Engine::with_options(
-            &p,
+        let p = Arc::new(Compiler::new().compile(SRC).unwrap());
+        let mut e = Session::with_options(
+            p,
             EngineOptions {
                 keyed_cache_capacity: Some(1),
                 ..EngineOptions::default()
@@ -568,8 +573,8 @@ mod keyed_cache_policy {
 
     #[test]
     fn unbounded_default_never_evicts() {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(Compiler::new().compile(SRC).unwrap());
+        let mut e = Session::new(p);
         for k in 1..=20u64 {
             assert_eq!(e.call("f", &[k, 1]).unwrap(), 2 * k);
         }
@@ -588,9 +593,9 @@ mod keyed_cache_policy {
                 dynamicRegion (k) { return k + x; }
             }
         "#;
-        let p = Compiler::new().compile(src).unwrap();
-        let mut e = Engine::with_options(
-            &p,
+        let p = Arc::new(Compiler::new().compile(src).unwrap());
+        let mut e = Session::with_options(
+            p,
             EngineOptions {
                 keyed_cache_capacity: Some(1),
                 ..EngineOptions::default()
@@ -612,8 +617,8 @@ fn stitched_instances_expose_final_code() {
             dynamicRegion key(k) (k) { return k + x; }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     assert!(e.stitched_instances(0).is_empty(), "nothing stitched yet");
     e.call("f", &[5, 1]).unwrap();
     e.call("f", &[9, 1]).unwrap();
@@ -645,7 +650,7 @@ fn bounded_cache_is_semantically_transparent() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
     let mut rng = 0x2545F4914F6CDD1Du64;
     let mut step = move || {
         rng ^= rng << 13;
@@ -655,14 +660,14 @@ fn bounded_cache_is_semantically_transparent() {
     };
     let seq: Vec<(u64, u64)> = (0..120).map(|_| (step() % 6 + 1, step() % 50)).collect();
     let expect: Vec<u64> = {
-        let mut e = Engine::new(&p);
+        let mut e = Session::new(Arc::clone(&p));
         seq.iter()
             .map(|&(k, x)| e.call("f", &[k, x]).unwrap())
             .collect()
     };
     for cap in [1usize, 2, 3, 5, 64] {
-        let mut e = Engine::with_options(
-            &p,
+        let mut e = Session::with_options(
+            Arc::clone(&p),
             crate::EngineOptions {
                 keyed_cache_capacity: Some(cap),
                 ..crate::EngineOptions::default()
@@ -684,15 +689,12 @@ fn bounded_cache_is_semantically_transparent() {
 
 // ---- artifact/session split -------------------------------------------
 
-/// The compile artifact and Arc-based sessions are thread-shareable; the
-/// borrowed [`Engine`] alias is still `Send` (it can move to a worker).
+/// The compile artifact and sessions are thread-shareable.
 #[test]
 fn program_and_session_are_thread_shareable() {
     fn assert_send_sync<T: Send + Sync>() {}
-    fn assert_send<T: Send>() {}
     assert_send_sync::<crate::Program>();
     assert_send_sync::<crate::Session>();
-    assert_send::<Engine<'static>>();
 }
 
 /// Regression: a faulting frame-slot read during key extraction used to be
@@ -703,10 +705,12 @@ fn faulting_frame_key_read_is_an_error_not_key_zero() {
     use dyncomp_machine::isa::SP;
     use dyncomp_machine::template::ValueLoc;
 
-    let p = Compiler::new()
-        .compile("int f(int x) { return x; }")
-        .unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(
+        Compiler::new()
+            .compile("int f(int x) { return x; }")
+            .unwrap(),
+    );
+    let mut e = Session::new(p);
     e.vm.set_reg(SP, u64::MAX - 1024); // wild stack pointer
     let err = e.read_key(&[ValueLoc::Frame(0)]);
     assert!(err.is_err(), "fault must not alias to key 0");
@@ -876,12 +880,12 @@ fn shared_install_is_cheaper_than_stitching() {
     "#;
     let p = Arc::new(Compiler::new().compile(src).unwrap());
 
-    // Default mode: accounting identical with and without Arc sharing.
+    // Default mode: two sessions over one program account identically.
     let mut plain = crate::Session::new(Arc::clone(&p));
     plain.call("poly", &[3, 10]).unwrap();
-    let mut borrowed = Engine::new(&p);
-    borrowed.call("poly", &[3, 10]).unwrap();
-    assert_eq!(plain.cycles(), borrowed.cycles());
+    let mut again = Session::new(Arc::clone(&p));
+    again.call("poly", &[3, 10]).unwrap();
+    assert_eq!(plain.cycles(), again.cycles());
 
     let cache = Arc::new(crate::SharedCodeCache::default());
     let opts = || crate::EngineOptions {
@@ -912,7 +916,6 @@ fn shared_install_is_cheaper_than_stitching() {
 fn refused_cached_instances_degrade_to_a_local_stitch() {
     use crate::{
         EngineOptions, EventKind, FailureKind, PersistentCache, SharedCodeCache, SharedKey,
-        TraceOptions,
     };
     use std::sync::Arc;
 
@@ -932,7 +935,7 @@ fn refused_cached_instances_degrade_to_a_local_stitch() {
         };
         let options = || EngineOptions {
             memory_bytes: MEMORY,
-            trace: Some(TraceOptions::default()),
+            trace: true,
             ..EngineOptions::default()
         };
 

@@ -42,20 +42,11 @@ use crate::RegionReport;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// Tracing configuration ([`crate::EngineOptions::trace`]).
-#[derive(Clone, Debug)]
-pub struct TraceOptions {
-    /// Ring-buffer capacity in events. When full, the oldest events are
-    /// dropped (counted in [`TraceState::dropped`]); the [`RegionProfile`]
-    /// aggregates are exact regardless.
-    pub capacity: usize,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions { capacity: 1 << 16 }
-    }
-}
+/// Capacity in events of a session's trace ring
+/// ([`crate::EngineOptions::trace`]). When full, the oldest events are
+/// dropped (counted in [`TraceState::dropped`]); the [`RegionProfile`]
+/// aggregates are exact regardless.
+pub const TRACE_RING: usize = 1 << 16;
 
 /// Which simulated clock an event stamp was read from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -568,7 +559,6 @@ fn ratio(n: u64, d: u64) -> f64 {
 /// aggregates. Owned by [`crate::Session`] when tracing is enabled.
 #[derive(Debug)]
 pub struct TraceState {
-    capacity: usize,
     ring: VecDeque<TraceEvent>,
     dropped: u64,
     profiles: Vec<RegionProfile>,
@@ -577,9 +567,8 @@ pub struct TraceState {
 
 impl TraceState {
     /// Fresh state for `regions` regions.
-    pub(crate) fn new(opts: &TraceOptions, regions: usize) -> Self {
+    pub(crate) fn new(regions: usize) -> Self {
         TraceState {
-            capacity: opts.capacity.max(1),
             ring: VecDeque::new(),
             dropped: 0,
             profiles: (0..regions)
@@ -596,7 +585,7 @@ impl TraceState {
     /// (dropping the oldest event when full).
     pub(crate) fn emit(&mut self, at: u64, clock: ClockDomain, kind: EventKind) {
         self.aggregate(at, &kind);
-        if self.ring.len() == self.capacity {
+        if self.ring.len() == TRACE_RING {
             self.ring.pop_front();
             self.dropped += 1;
         }
@@ -907,8 +896,8 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_but_profiles_stay_exact() {
-        let mut t = TraceState::new(&TraceOptions { capacity: 2 }, 1);
-        for i in 0..5u64 {
+        let mut t = TraceState::new(1);
+        for i in 0..TRACE_RING as u64 + 3 {
             t.emit(
                 i,
                 ClockDomain::Session,
@@ -918,14 +907,14 @@ mod tests {
                 },
             );
         }
-        assert_eq!(t.events().count(), 2);
+        assert_eq!(t.events().count(), TRACE_RING);
         assert_eq!(t.dropped(), 3);
-        assert_eq!(t.profiles()[0].invocations, 5);
+        assert_eq!(t.profiles()[0].invocations, TRACE_RING as u64 + 3);
     }
 
     #[test]
     fn jsonl_has_stable_shape() {
-        let mut t = TraceState::new(&TraceOptions::default(), 1);
+        let mut t = TraceState::new(1);
         t.emit(
             7,
             ClockDomain::Session,
@@ -954,7 +943,7 @@ mod tests {
 
     #[test]
     fn seal_is_idempotent_and_emits_waste() {
-        let mut t = TraceState::new(&TraceOptions::default(), 1);
+        let mut t = TraceState::new(1);
         for _ in 0..3 {
             t.emit(
                 1,
@@ -975,7 +964,7 @@ mod tests {
 
     #[test]
     fn self_check_catches_drift() {
-        let mut t = TraceState::new(&TraceOptions::default(), 1);
+        let mut t = TraceState::new(1);
         t.emit(
             1,
             ClockDomain::Session,

@@ -12,7 +12,8 @@
 //! cargo run --release --example bytecode_interpreter
 //! ```
 
-use dyncomp::{Compiler, Engine};
+use dyncomp::{Compiler, Session};
+use std::sync::Arc;
 
 const SRC: &str = r#"
     /* opcodes: 0 lit, 1 arg0, 2 arg1, 3 add, 4 sub, 5 mul, 6 neg, 7 dup */
@@ -101,8 +102,8 @@ fn main() -> Result<(), dyncomp::Error> {
         } else {
             Compiler::static_baseline()
         };
-        let program = compiler.compile(SRC)?;
-        let mut engine = Engine::new(&program);
+        let program = Arc::new(compiler.compile(SRC)?);
+        let mut engine = Session::new(program);
         let prog = {
             let mut h = engine.heap();
             let ops_a = h.array_i64(&ops).unwrap();

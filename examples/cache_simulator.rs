@@ -11,7 +11,8 @@
 //! cargo run --release --example cache_simulator
 //! ```
 
-use dyncomp::{Compiler, Engine};
+use dyncomp::{Compiler, Session};
+use std::sync::Arc;
 
 /// The §2 cacheLookup, keyed by the cache descriptor, plus an insert
 /// routine used by the simulator to fill lines on misses.
@@ -58,7 +59,7 @@ const SRC: &str = r#"
 "#;
 
 /// Build one cache in VM memory; returns the `Cache*`.
-fn build_cache(engine: &mut Engine, block_size: u64, num_lines: u64, assoc: u64) -> u64 {
+fn build_cache(engine: &mut Session, block_size: u64, num_lines: u64, assoc: u64) -> u64 {
     let mut h = engine.heap();
     let mut line_recs = Vec::new();
     for _ in 0..num_lines {
@@ -92,8 +93,8 @@ fn trace(n: usize) -> Vec<u64> {
 }
 
 fn main() -> Result<(), dyncomp::Error> {
-    let program = Compiler::new().compile(SRC)?;
-    let mut engine = Engine::new(&program);
+    let program = Arc::new(Compiler::new().compile(SRC)?);
+    let mut engine = Session::new(program);
 
     // Three configurations simulated against the same trace — one stitched
     // lookup routine per configuration, cached by key.

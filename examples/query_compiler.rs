@@ -17,7 +17,8 @@
 //! instance in the region's code cache, and switching between live
 //! queries is a cache hit, not a re-compile.
 
-use dyncomp::{Compiler, Engine, EngineOptions};
+use dyncomp::{Compiler, EngineOptions, Session};
+use std::sync::Arc;
 
 /// Condition ops in the query encoding.
 const EQ: i64 = 0;
@@ -58,9 +59,9 @@ fn main() -> Result<(), dyncomp::Error> {
             }
         }
     "#;
-    let program = Compiler::new().compile(src)?;
-    let mut engine = Engine::with_options(
-        &program,
+    let program = Arc::new(Compiler::new().compile(src)?);
+    let mut engine = Session::with_options(
+        program,
         // Keep at most 8 compiled queries around (plenty here; with more
         // live queries than capacity, the least recently used would be
         // evicted and re-stitched on return).

@@ -5,7 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use dyncomp::{Compiler, Engine};
+use dyncomp::{Compiler, Session};
+use std::sync::Arc;
 
 fn main() -> Result<(), dyncomp::Error> {
     // A polynomial whose coefficient vector is fixed at run time: the
@@ -25,7 +26,7 @@ fn main() -> Result<(), dyncomp::Error> {
     "#;
 
     // Static compiler: analyses, region splitting, templates, codegen.
-    let program = Compiler::new().compile(src)?;
+    let program = Arc::new(Compiler::new().compile(src)?);
     println!(
         "compiled: {} region(s), {} template instruction(s), {} table slot(s)",
         program.region_count(),
@@ -34,7 +35,7 @@ fn main() -> Result<(), dyncomp::Error> {
     );
 
     // Run-time: build the constant data, call the function.
-    let mut engine = Engine::new(&program);
+    let mut engine = Session::new(Arc::clone(&program));
     let coef = engine.heap().array_i64(&[2, -3, 0, 7]).unwrap();
 
     // First call: set-up code runs, the stitcher instantiates the

@@ -9,7 +9,8 @@
 //! cargo run --release --example sparse_matrix
 //! ```
 
-use dyncomp::{Compiler, Engine};
+use dyncomp::{Compiler, Session};
+use std::sync::Arc;
 
 const SRC: &str = r#"
     struct Sparse { int n; int *rowptr; int *col; double *val; };
@@ -52,8 +53,8 @@ fn main() -> Result<(), dyncomp::Error> {
         } else {
             Compiler::static_baseline()
         };
-        let program = compiler.compile(SRC)?;
-        let mut engine = Engine::new(&program);
+        let program = Arc::new(compiler.compile(SRC)?);
+        let mut engine = Session::new(program);
         let (mp, xp, yp) = {
             let mut h = engine.heap();
             let rp = h.array_i64(&rowptr).unwrap();

@@ -12,8 +12,9 @@
 //!   unrolls into 4 compare sequences, and the lookup behaves like a real
 //!   cache.
 
-use dyncomp::{Compiler, Engine};
+use dyncomp::{Compiler, Session};
 use dyncomp_machine::template::{HoleField, LoopMarker, TmplExit};
+use std::sync::Arc;
 
 const SRC: &str = r#"
     struct setStructure { unsigned tag; };
@@ -49,7 +50,7 @@ struct CacheImage {
     num_lines: u64,
 }
 
-fn build_cache(e: &mut Engine, block_size: u64, num_lines: u64, assoc: u64) -> CacheImage {
+fn build_cache(e: &mut Session, block_size: u64, num_lines: u64, assoc: u64) -> CacheImage {
     let mut h = e.heap();
     let mut line_recs = Vec::new();
     let mut sets = Vec::new();
@@ -139,8 +140,8 @@ fn figure1_template_structure() {
 fn section4_final_code_for_512_line_cache() {
     // "512 lines, 32-byte blocks, and 4-way set associativity": the §4
     // stitched code uses >> 14, >> 5, & 511, and four unrolled compares.
-    let p = Compiler::new().compile(SRC).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(SRC).unwrap());
+    let mut e = Session::new(p);
     let img = build_cache(&mut e, 32, 512, 4);
 
     let addr = 0x123456u64;
@@ -195,8 +196,8 @@ fn section4_final_code_for_512_line_cache() {
 fn lookup_agrees_with_reference_model_across_configs() {
     // Sweep cache geometries; compare against a host-side model.
     for (bs, nl, assoc) in [(16u64, 8u64, 1u64), (32, 16, 2), (64, 4, 4), (8, 32, 3)] {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut e = Engine::new(&p);
+        let p = Arc::new(Compiler::new().compile(SRC).unwrap());
+        let mut e = Session::new(p);
         let img = build_cache(&mut e, bs, nl, assoc);
         // Install some tags.
         let mut model: Vec<Vec<u64>> = vec![vec![u64::MAX; assoc as usize]; nl as usize];
@@ -224,10 +225,10 @@ fn lookup_agrees_with_reference_model_across_configs() {
 
 #[test]
 fn static_and_dynamic_agree_and_dynamic_wins() {
-    let ps = Compiler::static_baseline().compile(SRC).unwrap();
-    let pd = Compiler::new().compile(SRC).unwrap();
-    let mut es = Engine::new(&ps);
-    let mut ed = Engine::new(&pd);
+    let ps = Arc::new(Compiler::static_baseline().compile(SRC).unwrap());
+    let pd = Arc::new(Compiler::new().compile(SRC).unwrap());
+    let mut es = Session::new(ps);
+    let mut ed = Session::new(pd);
     let is_ = build_cache(&mut es, 32, 64, 2);
     let id = build_cache(&mut ed, 32, 64, 2);
     let tag = 7u64;

@@ -1,8 +1,9 @@
 //! Edge cases of the engine's fast paths: the VM's predecode cache across
 //! `EnterRegion` patching, and the keyed-region cache's O(1) LRU eviction.
 
-use dyncomp::{Compiler, Engine, EngineOptions};
+use dyncomp::{Compiler, EngineOptions, Session};
 use dyncomp_machine::isa::{decode, Op};
+use std::sync::Arc;
 
 const UNKEYED_SRC: &str = r#"
     int f(int x) {
@@ -30,8 +31,8 @@ const KEYED_SRC: &str = r#"
 /// the patch really landed via the VM's own fetch path.
 #[test]
 fn predecode_invalidated_when_enter_region_is_patched() {
-    let p = Compiler::new().compile(UNKEYED_SRC).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(UNKEYED_SRC).unwrap());
+    let mut e = Session::new(Arc::clone(&p));
 
     let first = e.call("f", &[10]).unwrap();
     let enter_pc = p.compiled.regions[0].enter_pc;
@@ -60,9 +61,9 @@ fn predecode_invalidated_when_enter_region_is_patched() {
 /// per-call cycle cost.
 #[test]
 fn keyed_lru_eviction_then_restitch_is_identical_and_stable() {
-    let p = Compiler::new().compile(KEYED_SRC).unwrap();
-    let mut e = Engine::with_options(
-        &p,
+    let p = Arc::new(Compiler::new().compile(KEYED_SRC).unwrap());
+    let mut e = Session::with_options(
+        p,
         EngineOptions {
             keyed_cache_capacity: Some(2),
             ..EngineOptions::default()
@@ -115,9 +116,9 @@ fn keyed_lru_eviction_then_restitch_is_identical_and_stable() {
 /// key before inserting a third must evict the other key, not the hit one.
 #[test]
 fn lru_touch_on_hit_protects_recently_used_keys() {
-    let p = Compiler::new().compile(KEYED_SRC).unwrap();
-    let mut e = Engine::with_options(
-        &p,
+    let p = Arc::new(Compiler::new().compile(KEYED_SRC).unwrap());
+    let mut e = Session::with_options(
+        p,
         EngineOptions {
             keyed_cache_capacity: Some(2),
             ..EngineOptions::default()

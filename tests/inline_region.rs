@@ -1,7 +1,8 @@
 //! Cross-function dynamic regions: template calls and demand-driven
 //! inlining, end to end through the VM.
 
-use dyncomp::{Compiler, Engine};
+use dyncomp::{Compiler, Session};
+use std::sync::Arc;
 
 const SRC: &str = r#"
     int helper(int a, int b) { return a * b + 3; }
@@ -16,9 +17,9 @@ const SRC: &str = r#"
 /// template call to the (region-free) callee.
 #[test]
 fn template_call_in_region() {
-    let p = Compiler::new().compile(SRC).unwrap();
+    let p = Arc::new(Compiler::new().compile(SRC).unwrap());
     assert!(p.inline_sites.is_empty());
-    let mut e = Engine::new(&p);
+    let mut e = Session::new(Arc::clone(&p));
     assert_eq!(e.call("poly", &[3, 10]).unwrap(), 36);
     assert_eq!(e.call("poly", &[3, 4]).unwrap(), 18);
 }
@@ -28,13 +29,13 @@ fn template_call_in_region() {
 /// answers are unchanged.
 #[test]
 fn demand_driven_inline_in_region() {
-    let p = Compiler::with_inline_depth(2).compile(SRC).unwrap();
+    let p = Arc::new(Compiler::with_inline_depth(2).compile(SRC).unwrap());
     assert_eq!(p.inline_sites.len(), 1, "one demanded site");
     let site = &p.inline_sites[0];
     assert_eq!(site.callee_name, "helper");
     assert_eq!(site.depth, 1);
     // The inlined artifact must agree with the non-inlined one.
-    let mut e = Engine::new(&p);
+    let mut e = Session::new(Arc::clone(&p));
     assert_eq!(e.call("poly", &[3, 10]).unwrap(), 36);
     assert_eq!(e.call("poly", &[3, 4]).unwrap(), 18);
     // And the call really is gone from the region's function.
@@ -63,14 +64,14 @@ fn inline_depth_bounds_nesting() {
         }
     "#;
     // reference: ((c+1)*x) + c, c=3, x=10 -> 43
-    let d1 = Compiler::with_inline_depth(1).compile(src).unwrap();
+    let d1 = Arc::new(Compiler::with_inline_depth(1).compile(src).unwrap());
     assert_eq!(d1.inline_sites.len(), 1, "depth 1 stops at `outer`");
-    let d2 = Compiler::with_inline_depth(2).compile(src).unwrap();
+    let d2 = Arc::new(Compiler::with_inline_depth(2).compile(src).unwrap());
     assert_eq!(d2.inline_sites.len(), 2, "depth 2 reaches `inner`");
     assert_eq!(d2.inline_sites[1].callee_name, "inner");
     assert_eq!(d2.inline_sites[1].depth, 2);
     for p in [&d1, &d2] {
-        let mut e = Engine::new(p);
+        let mut e = Session::new(Arc::clone(p));
         assert_eq!(e.call("poly", &[3, 10]).unwrap(), 43);
     }
 }
@@ -87,9 +88,9 @@ fn no_demand_no_inline() {
             }
         }
     "#;
-    let p = Compiler::with_inline_depth(3).compile(src).unwrap();
+    let p = Arc::new(Compiler::with_inline_depth(3).compile(src).unwrap());
     assert!(p.inline_sites.is_empty(), "no constant argument, no demand");
-    let mut e = Engine::new(&p);
+    let mut e = Session::new(Arc::clone(&p));
     assert_eq!(e.call("poly", &[3, 10]).unwrap(), 51);
 }
 
@@ -105,8 +106,8 @@ fn calls_outside_regions_untouched() {
             }
         }
     "#;
-    let p = Compiler::with_inline_depth(3).compile(src).unwrap();
+    let p = Arc::new(Compiler::with_inline_depth(3).compile(src).unwrap());
     assert!(p.inline_sites.is_empty());
-    let mut e = Engine::new(&p);
+    let mut e = Session::new(Arc::clone(&p));
     assert_eq!(e.call("main", &[5]).unwrap(), 15);
 }

@@ -17,7 +17,7 @@
 //! word that still decodes is outside what any load-time check can see —
 //! but it never includes a panic.
 
-use dyncomp::{fold_checksum, Compiler, Engine, EngineOptions, PersistentCache};
+use dyncomp::{fold_checksum, Compiler, EngineOptions, PersistentCache, Session};
 use dyncomp_ir::prng::SplitMix64;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -60,8 +60,8 @@ fn run_once(root: &Path) -> Outcome {
         .load_or_compile(&compiler, SRC)
         .expect("source compiles");
     let program = Arc::new(program);
-    let mut engine = Engine::with_options(
-        &program,
+    let mut engine = Session::with_options(
+        program,
         EngineOptions {
             persist: Some(Arc::clone(&cache)),
             ..EngineOptions::default()
@@ -235,8 +235,8 @@ fn replay(root: &Path) -> Replay {
     let (program, _cached) = cache
         .load_or_compile(&Compiler::new(), SRC)
         .expect("source compiles");
-    let mut engine = Engine::with_options(
-        &program,
+    let mut engine = Session::with_options(
+        Arc::new(program),
         EngineOptions {
             persist: Some(Arc::clone(&cache)),
             ..EngineOptions::default()

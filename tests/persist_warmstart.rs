@@ -81,7 +81,7 @@ impl Measurement {
 /// The workload run inside each child process. `persist_dir` is `None`
 /// for the no-persist baseline.
 fn measure(persist_dir: Option<&Path>) -> Measurement {
-    use dyncomp::{Compiler, Engine, EngineOptions, PersistentCache};
+    use dyncomp::{Compiler, EngineOptions, PersistentCache, Session};
     let compiler = Compiler::new();
     let cache =
         persist_dir.map(|dir| Arc::new(PersistentCache::open(dir).expect("child opens the cache")));
@@ -92,8 +92,8 @@ fn measure(persist_dir: Option<&Path>) -> Measurement {
         None => (compiler.compile(SRC).expect("child compiles"), false),
     };
     let program = Arc::new(program);
-    let mut engine = Engine::with_options(
-        &program,
+    let mut engine = Session::with_options(
+        Arc::clone(&program),
         EngineOptions {
             persist: cache.clone(),
             ..EngineOptions::default()

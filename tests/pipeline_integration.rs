@@ -2,7 +2,8 @@
 //! code caches under churn, error reporting, and engine behaviors that the
 //! per-crate unit tests don't reach.
 
-use dyncomp::{Compiler, Engine, Error};
+use dyncomp::{Compiler, Error, Session};
+use std::sync::Arc;
 
 #[test]
 fn regions_in_several_functions() {
@@ -17,9 +18,9 @@ fn regions_in_several_functions() {
             return scale(s, x) + shift(k, x);
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
     assert_eq!(p.region_count(), 2);
-    let mut e = Engine::new(&p);
+    let mut e = Session::new(Arc::clone(&p));
     assert_eq!(e.call("both", &[3, 2, 10]).unwrap(), 30 + 40);
     assert_eq!(e.call("both", &[3, 2, 5]).unwrap(), 15 + 20);
     assert_eq!(e.region_report(0).stitches, 1);
@@ -29,8 +30,8 @@ fn regions_in_several_functions() {
 #[test]
 fn keyed_cache_under_key_churn() {
     let src = "int f(int k, int x) { dynamicRegion key(k) (k) { return x * k + (k << 2); } }";
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     // Cycle through 6 keys, three passes each; 6 stitches total.
     for pass in 0..3u64 {
         for k in 1..=6u64 {
@@ -56,8 +57,8 @@ fn region_inside_called_function_reused_across_callers() {
         int caller_a(int k) { return inner(k, 10); }
         int caller_b(int k) { return inner(k, 20); }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     assert_eq!(e.call("caller_a", &[3]).unwrap(), 31);
     assert_eq!(e.call("caller_b", &[3]).unwrap(), 61);
     assert_eq!(
@@ -81,8 +82,8 @@ fn dynamic_loop_inside_region_stays_a_loop() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     for n in [0u64, 1, 5, 17] {
         let want: u64 = (0..n).map(|i| i * 4).sum();
         assert_eq!(e.call("f", &[4, n]).unwrap(), want, "n={n}");
@@ -109,10 +110,12 @@ fn error_messages_are_actionable() {
     assert!(e.to_string().contains("run-time constant"), "{e}");
 
     // Unknown function at run time.
-    let p = Compiler::new()
-        .compile("int f(int x) { return x; }")
-        .unwrap();
-    let mut engine = Engine::new(&p);
+    let p = Arc::new(
+        Compiler::new()
+            .compile("int f(int x) { return x; }")
+            .unwrap(),
+    );
+    let mut engine = Session::new(p);
     let e = engine.call("nope", &[]).unwrap_err();
     assert!(matches!(e, Error::NoSuchFunction(_)));
 }
@@ -121,16 +124,18 @@ fn error_messages_are_actionable() {
 fn vm_faults_surface_as_errors() {
     // Null dereference inside a region.
     let src = "int f(int k, int *p) { dynamicRegion (k) { return p dynamic[ 0 ] + k; } }";
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let err = e.call("f", &[1, 0]).unwrap_err();
     assert!(matches!(err, Error::Vm(_)), "{err}");
 
     // Division by zero in plain code.
-    let p2 = Compiler::new()
-        .compile("int g(int a, int b) { return a / b; }")
-        .unwrap();
-    let mut e2 = Engine::new(&p2);
+    let p2 = Arc::new(
+        Compiler::new()
+            .compile("int g(int a, int b) { return a / b; }")
+            .unwrap(),
+    );
+    let mut e2 = Session::new(p2);
     assert!(matches!(e2.call("g", &[1, 0]).unwrap_err(), Error::Vm(_)));
 }
 
@@ -158,8 +163,8 @@ fn engine_memory_is_usable_before_and_between_calls() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let arr = e.heap().array_i64(&[1, 2, 3]).unwrap();
     assert_eq!(e.call("sum3", &[10, arr]).unwrap(), 60);
     // Mutate between calls: dynamic loads see the new values.
@@ -191,11 +196,11 @@ fn deeply_nested_control_flow_in_region() {
             }
         }
     "#;
-    let ps = Compiler::static_baseline().compile(src).unwrap();
-    let pd = Compiler::new().compile(src).unwrap();
+    let ps = Arc::new(Compiler::static_baseline().compile(src).unwrap());
+    let pd = Arc::new(Compiler::new().compile(src).unwrap());
     for k in [0u64, 3, 11, 21, 22, 23, 24] {
-        let mut es = Engine::new(&ps);
-        let mut ed = Engine::new(&pd);
+        let mut es = Session::new(Arc::clone(&ps));
+        let mut ed = Session::new(Arc::clone(&pd));
         for x in [0u64, 9] {
             assert_eq!(
                 es.call("f", &[k, x]).unwrap(),
@@ -219,8 +224,8 @@ fn hundred_iteration_unroll() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let want: u64 = (0..100u64).map(|i| 7 ^ i).sum();
     assert_eq!(e.call("f", &[100, 7]).unwrap(), want);
     let r = e.region_report(0);
@@ -253,8 +258,8 @@ fn nested_unrolled_loops_stitch_fully() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let w: Vec<i64> = (1..=12).collect(); // 3x4
     let sum: i64 = w.iter().sum();
     let addr = e.heap().array_i64(&w).unwrap();
@@ -287,8 +292,8 @@ fn unrolled_loop_with_continue_and_break() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let tab = e.heap().array_i64(&[5, 0, 7, 0, 11, 13]).unwrap();
     // Host reference.
     let host = |limit: i64| {
@@ -335,8 +340,8 @@ fn switch_on_per_iteration_constant_inside_unrolled_loop() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let ops = e.heap().array_i64(&[0, 1, 2, 9, 1]).unwrap();
     let host = |x: i64| {
         let mut acc = x;
@@ -380,8 +385,8 @@ fn float_region_end_to_end() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     let a = e.heap().array_f64(&[0.5, -1.25, 2.0]).unwrap();
     let x = e.heap().array_f64(&[4.0, 2.0, 1.5]).unwrap();
     let y = e.heap().array_f64(&[1.0, 1.0, 1.0]).unwrap();
@@ -414,9 +419,9 @@ fn goto_based_state_machine_in_region() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
     for mode in 0..3u64 {
-        let mut e = Engine::new(&p);
+        let mut e = Session::new(Arc::clone(&p));
         for x in [0u64, 5, 20] {
             let expect = match mode {
                 0 => x * 2,
@@ -464,8 +469,8 @@ fn dynamic_switch_in_region_compiles_to_machine_code() {
             }
         }
     "#;
-    let p = Compiler::new().compile(src).unwrap();
-    let mut e = Engine::new(&p);
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    let mut e = Session::new(p);
     for class in 0..5u64 {
         let expect = match class {
             0 => 7,

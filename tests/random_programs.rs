@@ -11,10 +11,11 @@
 //! one property. Programs are generated from a seeded [`SplitMix64`], so
 //! every run tests the identical corpus.
 
-use dyncomp::{Compiler, Engine};
+use dyncomp::{Compiler, Session};
 use dyncomp_frontend::{compile, LowerOptions};
 use dyncomp_ir::eval::{EvalOutcome, Evaluator};
 use dyncomp_ir::prng::SplitMix64;
+use std::sync::Arc;
 
 #[path = "support/random_program.rs"]
 mod random_program;
@@ -44,12 +45,14 @@ fn three_way_agreement() {
         let dyn_src = render_program(&stmts, true);
 
         // Static compile once; dynamic compile once.
-        let static_prog = Compiler::static_baseline()
-            .compile(&plain_src)
-            .expect("static compiles");
-        let dyn_prog = Compiler::new().compile(&dyn_src).expect("dynamic compiles");
-        let mut se = Engine::new(&static_prog);
-        let mut de = Engine::new(&dyn_prog);
+        let static_prog = Arc::new(
+            Compiler::static_baseline()
+                .compile(&plain_src)
+                .expect("static compiles"),
+        );
+        let dyn_prog = Arc::new(Compiler::new().compile(&dyn_src).expect("dynamic compiles"));
+        let mut se = Session::new(static_prog);
+        let mut de = Session::new(dyn_prog);
 
         for &x in &xs {
             let want = run_reference(&plain_src, k, x);
@@ -76,17 +79,19 @@ fn optimizer_preserves_random_programs() {
         let x = rng.below(64);
         let src = render_program(&stmts, false);
         // Unoptimized vs optimized static compilation must agree.
-        let unopt = Compiler::with_options(dyncomp::CompileOptions {
-            dynamic: false,
-            optimize: false,
-            ..Default::default()
-        })
-        .compile(&src)
-        .expect("compiles");
-        let opt = Compiler::static_baseline().compile(&src).expect("compiles");
-        let mut eu = Engine::new(&unopt);
+        let unopt = Arc::new(
+            Compiler::with_options(dyncomp::CompileOptions {
+                dynamic: false,
+                optimize: false,
+                ..Default::default()
+            })
+            .compile(&src)
+            .expect("compiles"),
+        );
+        let opt = Arc::new(Compiler::static_baseline().compile(&src).expect("compiles"));
+        let mut eu = Session::new(unopt);
         let a = eu.call("f", &[k, x]).expect("runs") as i64;
-        let mut eo = Engine::new(&opt);
+        let mut eo = Session::new(opt);
         let b = eo.call("f", &[k, x]).expect("runs") as i64;
         assert_eq!(a, b, "case {case}: optimizer changed behavior\n{src}");
     }
