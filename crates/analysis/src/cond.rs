@@ -40,12 +40,6 @@ pub trait BranchArity {
     fn arity(&self, b: BlockId) -> u32;
 }
 
-impl BranchArity for std::collections::HashMap<BlockId, u32> {
-    fn arity(&self, b: BlockId) -> u32 {
-        *self.get(&b).expect("arity queried for unknown branch")
-    }
-}
-
 /// A reachability condition in CNF-set representation.
 ///
 /// `Cond::f()` (empty disjunction) is *false* — the strongest condition,
@@ -316,6 +310,12 @@ fn simplify(terms: &mut Vec<Conj>, arity: &dyn BranchArity) {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    impl BranchArity for HashMap<BlockId, u32> {
+        fn arity(&self, b: BlockId) -> u32 {
+            *self.get(&b).expect("arity queried for unknown branch")
+        }
+    }
 
     fn lit(b: u32, s: u32) -> Literal {
         Literal {

@@ -31,7 +31,6 @@ use crate::cond::{Cond, Literal};
 use dyncomp_ir::{
     BlockId, DynRegion, Function, IdSet, IndexVec, InstId, InstKind, RegionId, Terminator,
 };
-use std::collections::HashMap;
 
 /// Block sets and headers of `unrolled` loops, used to weaken conditions at
 /// loop boundaries (per-iteration branch outcomes must not escape).
@@ -78,8 +77,9 @@ pub struct RegionAnalysis {
     pub const_branches: IdSet<BlockId>,
     /// Region merge blocks classified as constant merges.
     pub const_merges: IdSet<BlockId>,
-    /// Reachability condition of each region block.
-    pub reach: HashMap<BlockId, Cond>,
+    /// Reachability condition of each block: *false* outside the region
+    /// and for region blocks the entry cannot reach.
+    pub reach: IndexVec<BlockId, Cond>,
 }
 
 impl RegionAnalysis {
@@ -141,7 +141,10 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
         } else {
             // Without reachability every block is treated as plainly
             // reachable; no merge can prove exclusivity.
-            r.blocks.iter().map(|b| (b, Cond::t())).collect()
+            f.blocks
+                .ids()
+                .map(|b| if r.blocks.contains(b) { Cond::t() } else { Cond::f() })
+                .collect()
         };
         let const_merges = classify_merges(f, r, &const_branches, &reach, &scopes, config);
         let new_konst = constants_fixpoint(f, r, &const_merges);
@@ -183,7 +186,7 @@ fn compute_reach(
     r: &DynRegion,
     const_branches: &IdSet<BlockId>,
     scopes: &LoopScopes,
-) -> HashMap<BlockId, Cond> {
+) -> IndexVec<BlockId, Cond> {
     let arity = Arity { f };
     let rpo: Vec<BlockId> = dyncomp_ir::cfg::reverse_postorder(f)
         .into_iter()
@@ -196,7 +199,7 @@ fn compute_reach(
     let mut arcs_into: IndexVec<BlockId, Vec<(BlockId, u32)>> =
         f.blocks.iter().map(|_| Vec::new()).collect();
     for &p in &rpo {
-        for (idx, s) in f.blocks[p].term.successors().into_iter().enumerate() {
+        for (idx, s) in f.blocks[p].term.successors().enumerate() {
             arcs_into[s].push((p, idx as u32));
         }
     }
@@ -244,27 +247,23 @@ fn compute_reach(
             break;
         }
     }
-    let mut out: HashMap<BlockId, Cond> = rpo
-        .iter()
-        .map(|&b| (b, std::mem::replace(&mut reach[b], Cond::f())))
-        .collect();
-    out.insert(r.entry, Cond::t());
-    out
+    reach[r.entry] = Cond::t();
+    reach
 }
 
 /// Per-predecessor arc condition into `b` (OR over parallel arcs).
 fn pred_condition(
     f: &Function,
     const_branches: &IdSet<BlockId>,
-    reach: &HashMap<BlockId, Cond>,
+    reach: &IndexVec<BlockId, Cond>,
     scopes: &LoopScopes,
     p: BlockId,
     b: BlockId,
 ) -> Cond {
     let arity = Arity { f };
     let mut acc = Cond::f();
-    let base = reach.get(&p).cloned().unwrap_or_else(Cond::f);
-    for (idx, &s) in f.blocks[p].term.successors().iter().enumerate() {
+    let base = &reach[p];
+    for (idx, s) in f.blocks[p].term.successors().enumerate() {
         if s != b {
             continue;
         }
@@ -287,7 +286,7 @@ fn classify_merges(
     f: &Function,
     r: &DynRegion,
     const_branches: &IdSet<BlockId>,
-    reach: &HashMap<BlockId, Cond>,
+    reach: &IndexVec<BlockId, Cond>,
     scopes: &LoopScopes,
     config: &AnalysisConfig,
 ) -> IdSet<BlockId> {

@@ -105,21 +105,21 @@ fn constant_test_makes_merge_constant() {
     );
     // Reachability conditions on the arms are the branch literals.
     assert_eq!(
-        a.reach[&t],
+        a.reach[t],
         crate::cond::Cond::literal(Literal {
             branch: body,
             succ: 0
         })
     );
     assert_eq!(
-        a.reach[&el],
+        a.reach[el],
         crate::cond::Cond::literal(Literal {
             branch: body,
             succ: 1
         })
     );
     // After the (covering) merge, the join is plainly reachable again.
-    assert!(a.reach[&j].is_true());
+    assert!(a.reach[j].is_true());
 }
 
 /// Builds the paper's unstructured example:

@@ -87,8 +87,8 @@ pub fn check_unrollable<'l>(
             return false;
         }
         let succs = f.blocks[b].term.successors();
-        let reaches = |s: &BlockId| l.blocks.contains(*s) && latch_reaching.contains(*s);
-        succs.iter().any(reaches) && succs.iter().any(|s| !reaches(s))
+        let reaches = |s: BlockId| l.blocks.contains(s) && latch_reaching.contains(s);
+        succs.clone().any(reaches) && succs.clone().any(|s| !reaches(s))
     });
     if !gated {
         return Err(UnrollError::NoConstantGate(header));
@@ -107,7 +107,7 @@ fn blocks_reaching_latches(f: &Function, l: &NaturalLoop) -> IdSet<BlockId> {
     }
     while let Some(b) = work.pop() {
         for p in l.blocks.iter() {
-            if !out.contains(p) && f.blocks[p].term.successors().contains(&b) {
+            if !out.contains(p) && f.blocks[p].term.successors().contains(b) {
                 // Walking backward never crosses a back edge: back edges
                 // start at latches, and every latch is already in `out`.
                 out.insert(p);

@@ -4,33 +4,52 @@ use crate::func::{Block, Function};
 use crate::ids::{BlockId, IdSet, IndexVec, InstId};
 use crate::inst::{InstKind, Terminator};
 
-/// Predecessor lists for every block, with duplicate edges preserved
-/// (a switch may target the same block from several cases).
+/// Predecessor lists for every block, each predecessor block listed once
+/// per distinct successor (a switch may target the same block from several
+/// cases; φ-operands are keyed by block id). Stored as one flat list with
+/// per-block offsets.
 #[derive(Clone, Debug)]
 pub struct Preds {
-    preds: IndexVec<BlockId, Vec<BlockId>>,
+    /// `list[start[b]..start[b + 1]]` are the predecessors of `b`.
+    start: Vec<u32>,
+    list: Vec<BlockId>,
+}
+
+/// Each distinct `(block, successor)` edge of `f`, blocks in id order and
+/// successors in terminator order.
+fn distinct_edges(f: &Function, mut visit: impl FnMut(BlockId, BlockId)) {
+    // `last[s]` is one past the block that last reached `s`.
+    let mut last: IndexVec<BlockId, u32> = (0..f.blocks.len()).map(|_| 0).collect();
+    for (b, blk) in f.iter_blocks() {
+        for s in blk.term.successors() {
+            if last[s] != b.0 + 1 {
+                last[s] = b.0 + 1;
+                visit(b, s);
+            }
+        }
+    }
 }
 
 impl Preds {
     /// Compute predecessors of every block in `f`.
     pub fn compute(f: &Function) -> Self {
-        let mut preds: IndexVec<BlockId, Vec<BlockId>> =
-            (0..f.blocks.len()).map(|_| Vec::new()).collect();
-        for (b, blk) in f.iter_blocks() {
-            for s in blk.term.successors() {
-                // Record each predecessor block once per distinct successor,
-                // not once per edge: φ-operands are keyed by block id.
-                if !preds[s].contains(&b) {
-                    preds[s].push(b);
-                }
-            }
+        let mut start = vec![0u32; f.blocks.len() + 1];
+        distinct_edges(f, |_, s| start[s.index() + 1] += 1);
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
         }
-        Preds { preds }
+        let mut fill = start.clone();
+        let mut list = vec![BlockId(0); start[f.blocks.len()] as usize];
+        distinct_edges(f, |b, s| {
+            list[fill[s.index()] as usize] = b;
+            fill[s.index()] += 1;
+        });
+        Preds { start, list }
     }
 
     /// Predecessors of `b` (each predecessor block listed once).
     pub fn of(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b]
+        &self.list[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
     }
 }
 
@@ -58,20 +77,17 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     let mut po = Vec::with_capacity(f.blocks.len());
     let mut state: IndexVec<BlockId, u8> = (0..f.blocks.len()).map(|_| 0u8).collect();
     // Iterative DFS computing post-order.
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
+    let mut stack = vec![(f.entry, f.blocks[f.entry].term.successors())];
     state[f.entry] = 1;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = f.blocks[b].term.successors();
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
+    while let Some((b, succs)) = stack.last_mut() {
+        if let Some(s) = succs.next() {
             if state[s] == 0 {
                 state[s] = 1;
-                stack.push((s, 0));
+                stack.push((s, f.blocks[s].term.successors()));
             }
         } else {
-            po.push(b);
-            state[b] = 2;
+            po.push(*b);
+            state[*b] = 2;
             stack.pop();
         }
     }
@@ -95,20 +111,25 @@ pub fn rpo_positions(f: &Function, rpo: &[BlockId]) -> IndexVec<BlockId, usize> 
 /// edge, and a critical edge has no block that executes exactly on it.
 /// Returns the number of edges split.
 pub fn split_critical_edges(f: &mut Function) -> usize {
-    let preds = Preds::compute(f);
+    // Distinct predecessors per block. Splitting keeps every count: a
+    // split replaces predecessor `b` of `s` by the new block.
+    let mut npreds: IndexVec<BlockId, u32> = (0..f.blocks.len()).map(|_| 0).collect();
+    distinct_edges(f, |_, s| npreds[s] += 1);
     let mut nsplit = 0;
-    let block_ids: Vec<BlockId> = f.blocks.ids().collect();
-    for b in block_ids {
-        let succs = f.blocks[b].term.successors();
-        if succs.len() < 2 {
+    let mut succs: Vec<BlockId> = Vec::new();
+    let mut handled: Vec<(BlockId, BlockId)> = Vec::new();
+    for b in (0..f.blocks.len()).map(BlockId::from_index) {
+        if f.blocks[b].term.successors().len() < 2 {
             continue;
         }
+        succs.clear();
+        succs.extend(f.blocks[b].term.successors());
         // Deduplicate: a switch can branch to the same target through
         // several cases; they all must route through ONE new block so that
         // φ-operands (keyed by pred block) stay unambiguous.
-        let mut handled: Vec<(BlockId, BlockId)> = Vec::new();
-        for s in succs {
-            if preds.of(s).len() < 2 {
+        handled.clear();
+        for &s in &succs {
+            if npreds[s] < 2 {
                 continue;
             }
             if let Some(&(_, n)) = handled.iter().find(|(orig, _)| *orig == s) {
@@ -135,9 +156,9 @@ pub fn split_critical_edges(f: &mut Function) -> usize {
                 .term
                 .map_successors(|t| if t == s { n } else { t });
             // Retarget φ-operands in s from b to n.
-            let insts = f.blocks[s].insts.clone();
-            for id in insts {
-                if let InstKind::Phi(ins) = &mut f.insts[id].kind {
+            let Function { blocks, insts, .. } = &mut *f;
+            for &id in &blocks[s].insts {
+                if let InstKind::Phi(ins) = &mut insts[id].kind {
                     for (p, _) in ins.iter_mut() {
                         if *p == b {
                             *p = n;
@@ -265,7 +286,7 @@ mod tests {
         let n = split_critical_edges(&mut f);
         assert_eq!(n, 1);
         // entry's else successor is now a fresh block that jumps to j.
-        let succs = f.blocks[e].term.successors();
+        let succs: Vec<BlockId> = f.blocks[e].term.successors().collect();
         assert_eq!(succs[0], a);
         let fresh = succs[1];
         assert_ne!(fresh, j);

@@ -131,7 +131,7 @@ pub fn inline_call(
     // entry) would need a φ-aware pre-header; the front end never emits
     // this shape, so refuse rather than complicate the clone.
     for blk in callee.blocks.iter() {
-        if blk.term.successors().contains(&callee.entry) {
+        if blk.term.successors().contains(callee.entry) {
             return refuse(format!("`{}`: entry block has predecessors", callee.name));
         }
     }

@@ -482,12 +482,72 @@ pub enum Terminator {
     Unreachable,
 }
 
+/// The successor blocks of a [`Terminator`], in order, without
+/// allocating: up to two targets held inline, or a switch's case slice
+/// borrowed and then its default.
+#[derive(Clone, Debug)]
+pub struct Successors<'a> {
+    cases: std::slice::Iter<'a, (i64, BlockId)>,
+    tail: [BlockId; 2],
+    next: u8,
+    len: u8,
+}
+
+impl<'a> Successors<'a> {
+    fn new(cases: &'a [(i64, BlockId)], tail: &[BlockId]) -> Self {
+        let mut t = [BlockId(0); 2];
+        t[..tail.len()].copy_from_slice(tail);
+        Successors {
+            cases: cases.iter(),
+            tail: t,
+            next: 0,
+            len: tail.len() as u8,
+        }
+    }
+
+    /// Whether `b` is among the remaining successors.
+    pub fn contains(&self, b: BlockId) -> bool {
+        self.clone().any(|s| s == b)
+    }
+}
+
+impl Iterator for Successors<'_> {
+    type Item = BlockId;
+
+    fn next(&mut self) -> Option<BlockId> {
+        if let Some(&(_, b)) = self.cases.next() {
+            return Some(b);
+        }
+        if self.next == self.len {
+            return None;
+        }
+        self.next += 1;
+        Some(self.tail[usize::from(self.next) - 1])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.cases.len() + usize::from(self.len - self.next);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Successors<'_> {}
+
 impl Terminator {
     /// Successor blocks, in order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        let mut v = Vec::new();
-        self.for_each_successor(|b| v.push(b));
-        v
+    pub fn successors(&self) -> Successors<'_> {
+        match self {
+            Terminator::Jump(b)
+            | Terminator::EnterRegion { setup: b, .. }
+            | Terminator::EndSetup { template: b, .. } => Successors::new(&[], &[*b]),
+            Terminator::Branch { then_b, else_b, .. }
+            | Terminator::ConstBranch { then_b, else_b, .. } => {
+                Successors::new(&[], &[*then_b, *else_b])
+            }
+            Terminator::Switch { cases, default, .. }
+            | Terminator::ConstSwitch { cases, default, .. } => Successors::new(cases, &[*default]),
+            Terminator::Return(_) | Terminator::Unreachable => Successors::new(&[], &[]),
+        }
     }
 
     /// Call `visit` on each successor block, in order, without allocating.
@@ -618,9 +678,82 @@ mod tests {
             cases: vec![(1, BlockId(1)), (2, BlockId(2))],
             default: BlockId(3),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2), BlockId(3)]);
+        assert_eq!(
+            t.successors().collect::<Vec<_>>(),
+            vec![BlockId(1), BlockId(2), BlockId(3)]
+        );
         let t = Terminator::Return(None);
-        assert!(t.successors().is_empty());
+        assert_eq!(t.successors().len(), 0);
+    }
+
+    /// Every terminator kind: `successors()` yields what
+    /// `for_each_successor` visits, in the same order and with the same
+    /// duplicates, and `len`/`contains` agree with it.
+    #[test]
+    fn successors_agree_with_for_each_successor() {
+        let (b0, b1, b2, b3) = (BlockId(0), BlockId(1), BlockId(2), BlockId(3));
+        let terms = [
+            Terminator::Jump(b2),
+            Terminator::Branch {
+                cond: InstId(0),
+                then_b: b1,
+                else_b: b2,
+            },
+            Terminator::Branch {
+                cond: InstId(0),
+                then_b: b3,
+                else_b: b3,
+            },
+            Terminator::Switch {
+                val: InstId(0),
+                cases: vec![(1, b1), (2, b3), (3, b1)],
+                default: b3,
+            },
+            Terminator::Switch {
+                val: InstId(0),
+                cases: vec![],
+                default: b2,
+            },
+            Terminator::Return(Some(InstId(1))),
+            Terminator::Return(None),
+            Terminator::ConstBranch {
+                slot: SlotPath::stat(0),
+                then_b: b2,
+                else_b: b1,
+            },
+            Terminator::ConstSwitch {
+                slot: SlotPath::stat(1),
+                cases: vec![(7, b2), (8, b2), (9, b1)],
+                default: b2,
+            },
+            Terminator::EnterRegion {
+                region: RegionId(0),
+                setup: b1,
+            },
+            Terminator::EndSetup {
+                region: RegionId(0),
+                table: InstId(2),
+                template: b3,
+            },
+            Terminator::Unreachable,
+        ];
+        for t in &terms {
+            let mut want = Vec::new();
+            t.for_each_successor(|b| want.push(b));
+            let mut it = t.successors();
+            assert_eq!(it.len(), want.len(), "{t:?}");
+            assert_eq!(it.clone().collect::<Vec<_>>(), want, "{t:?}");
+            for b in [b0, b1, b2, b3] {
+                assert_eq!(it.contains(b), want.contains(&b), "{t:?} {b}");
+            }
+            // Part-way through, the rest agrees too.
+            if it.next().is_some() {
+                assert_eq!(it.len(), want.len() - 1, "{t:?}");
+                assert_eq!(it.collect::<Vec<_>>(), want[1..], "{t:?}");
+            }
+        }
+        assert_eq!(Terminator::Return(None).successors().next(), None);
+        assert_eq!(Terminator::Unreachable.successors().len(), 0);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::cfg::Preds;
 use crate::func::{Function, VarInfo};
 use crate::ids::{BlockId, InstId, VarId};
 use crate::inst::InstKind;
-use std::collections::HashMap;
 
 /// Source of a pending copy during sequentialization.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,41 +32,39 @@ enum Src {
 pub fn destruct_ssa(f: &mut Function) {
     let preds = Preds::compute(f);
 
-    // Fresh variable per φ.
-    let mut phi_of_block: HashMap<BlockId, Vec<(InstId, VarId)>> = HashMap::new();
-    let mut all_phis: Vec<(BlockId, InstId)> = Vec::new();
+    // Fresh variable per φ, block by block: the φs of one block are
+    // neighbours in `phis`.
+    let mut phis: Vec<(BlockId, InstId, VarId)> = Vec::new();
     for (b, blk) in f.iter_blocks() {
         for &i in &blk.insts {
             if matches!(f.kind(i), InstKind::Phi(_)) {
-                all_phis.push((b, i));
+                phis.push((b, i, VarId(0)));
             }
         }
     }
-    for &(b, i) in &all_phis {
-        let ty = f.ty(i);
-        let v = f.vars.push(VarInfo {
+    for (_, i, v) in phis.iter_mut() {
+        *v = f.vars.push(VarInfo {
             name: format!("phi{}", i.0),
-            ty,
+            ty: f.ty(*i),
             frame_size: None,
         });
-        phi_of_block.entry(b).or_default().push((i, v));
     }
 
-    // For each block with φs, plan one parallel copy per predecessor.
-    // Sorted: copy instructions and swap temporaries must be created in a
-    // deterministic order so repeated compiles emit identical artifacts.
-    let mut blocks_with_phis: Vec<BlockId> = phi_of_block.keys().copied().collect();
-    blocks_with_phis.sort_unstable();
-    for b in blocks_with_phis {
-        let phis = phi_of_block[&b].clone();
+    // For each block with φs, plan one parallel copy per predecessor, in
+    // block order: copy instructions and swap temporaries must be created
+    // in a deterministic order so repeated compiles emit identical
+    // artifacts.
+    let mut copies: Vec<(VarId, Src)> = Vec::new();
+    for group in phis.chunk_by(|x, y| x.0 == y.0) {
+        let b = group[0].0;
         for &p in preds.of(b) {
             assert!(
                 f.blocks[p].term.successors().len() == 1,
                 "critical edge {p} -> {b} must be split before SSA destruction"
             );
             // Gather this edge's copies: dst var <- src.
-            let mut copies: Vec<(VarId, Src)> = Vec::new();
-            for &(phi, dst) in &phis {
+            copies.clear();
+            for &(_, phi, dst) in group {
                 let InstKind::Phi(ins) = f.kind(phi) else {
                     unreachable!()
                 };
@@ -77,24 +74,18 @@ pub fn destruct_ssa(f: &mut Function) {
                 // If the source is itself a φ of this same block, its value
                 // at the end of `p` is the *current* value of that φ's
                 // variable (set when the block was last entered).
-                let src = match phis.iter().find(|(other, _)| *other == src_val) {
-                    Some(&(_, var)) => Src::Var(var),
+                let src = match group.iter().find(|(_, other, _)| *other == src_val) {
+                    Some(&(_, _, var)) => Src::Var(var),
                     None => Src::Val(src_val),
                 };
                 copies.push((dst, src));
             }
-            emit_parallel_copy(f, p, copies);
+            emit_parallel_copy(f, p, &mut copies);
         }
     }
 
     // Turn each φ into a read of its variable.
-    for &(_, i) in &all_phis {
-        let var = all_phis
-            .iter()
-            .find(|&&(_, j)| j == i)
-            .and_then(|&(b, _)| phi_of_block[&b].iter().find(|(j, _)| *j == i))
-            .map(|&(_, v)| v)
-            .expect("φ variable exists");
+    for &(_, i, var) in &phis {
         f.insts[i].kind = InstKind::GetVar(var);
     }
 
@@ -102,11 +93,10 @@ pub fn destruct_ssa(f: &mut Function) {
 }
 
 /// Append a sequentialization of the parallel copy `copies` to the end of
-/// block `p` (before its terminator).
-fn emit_parallel_copy(f: &mut Function, p: BlockId, mut copies: Vec<(VarId, Src)>) {
+/// block `p` (before its terminator), draining `copies`.
+fn emit_parallel_copy(f: &mut Function, p: BlockId, copies: &mut Vec<(VarId, Src)>) {
     // Drop no-op copies (x <- x).
     copies.retain(|&(d, s)| s != Src::Var(d));
-    let mut emitted: Vec<InstId> = Vec::new();
     while !copies.is_empty() {
         // A copy is safe when no other pending copy still reads its
         // destination.
@@ -120,12 +110,12 @@ fn emit_parallel_copy(f: &mut Function, p: BlockId, mut copies: Vec<(VarId, Src)
                     Src::Val(v) => v,
                     Src::Var(v) => {
                         let g = f.create_inst(InstKind::GetVar(v));
-                        emitted.push(g);
+                        f.blocks[p].insts.push(g);
                         g
                     }
                 };
                 let st = f.create_inst(InstKind::SetVar(d, val));
-                emitted.push(st);
+                f.blocks[p].insts.push(st);
             }
             None => {
                 // Every pending destination is still read: a cycle. Save one
@@ -140,8 +130,8 @@ fn emit_parallel_copy(f: &mut Function, p: BlockId, mut copies: Vec<(VarId, Src)
                 });
                 let g = f.create_inst(InstKind::GetVar(d0));
                 let st = f.create_inst(InstKind::SetVar(tmp, g));
-                emitted.push(g);
-                emitted.push(st);
+                f.blocks[p].insts.push(g);
+                f.blocks[p].insts.push(st);
                 for (_, s) in copies.iter_mut() {
                     if *s == Src::Var(d0) {
                         *s = Src::Var(tmp);
@@ -150,7 +140,6 @@ fn emit_parallel_copy(f: &mut Function, p: BlockId, mut copies: Vec<(VarId, Src)
             }
         }
     }
-    f.blocks[p].insts.extend(emitted);
 }
 
 #[cfg(test)]

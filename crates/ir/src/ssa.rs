@@ -15,7 +15,6 @@ use crate::func::Function;
 use crate::ids::{BlockId, IndexVec, InstId, VarId};
 use crate::inst::{InstKind, Ty};
 use crate::ops::Const;
-use std::collections::HashMap;
 
 /// Convert `f` to SSA form in place.
 ///
@@ -40,43 +39,61 @@ pub fn construct_ssa(f: &mut Function) {
         }
     }
 
-    // 2. φ placement at iterated dominance frontiers.
-    let mut phi_var: HashMap<InstId, VarId> = HashMap::new();
-    let mut has_phi: IndexVec<BlockId, Vec<VarId>> =
-        (0..f.blocks.len()).map(|_| Vec::new()).collect();
-    for x in f.vars.ids().collect::<Vec<_>>() {
+    // 2. φ placement at iterated dominance frontiers. The φs are created
+    // back to back, so φ `phi_base + k` stands for variable `phi_var[k]`.
+    let phi_base = f.insts.len();
+    let mut phi_var: Vec<VarId> = Vec::new();
+    // `placed[b]` is one past the last variable given a φ in `b`.
+    let mut placed: IndexVec<BlockId, u32> = (0..f.blocks.len()).map(|_| 0).collect();
+    let mut work: Vec<BlockId> = Vec::new();
+    for x in (0..f.vars.len()).map(VarId::from_index) {
         if !renameable[x.index()] || def_blocks[x].is_empty() {
             continue;
         }
         let var_ty = f.vars[x].ty;
-        let mut work = def_blocks[x].clone();
-        let mut placed: Vec<BlockId> = Vec::new();
+        work.clear();
+        work.extend_from_slice(&def_blocks[x]);
         while let Some(b) = work.pop() {
             for &fr in &df[b] {
-                if placed.contains(&fr) {
+                if placed[fr] == x.0 + 1 {
                     continue;
                 }
-                placed.push(fr);
+                placed[fr] = x.0 + 1;
                 let phi = f.insts.push(crate::func::InstData {
                     kind: InstKind::Phi(Vec::new()),
                     ty: var_ty,
                 });
                 f.blocks[fr].insts.insert(0, phi);
-                phi_var.insert(phi, x);
-                has_phi[fr].push(x);
+                phi_var.push(x);
                 if !def_blocks[x].contains(&fr) {
                     work.push(fr);
                 }
             }
         }
     }
+    let phi_of = |i: InstId| {
+        i.index()
+            .checked_sub(phi_base)
+            .and_then(|k| phi_var.get(k).copied())
+    };
 
-    // 3. Renaming walk over the dominator tree.
-    let mut children: IndexVec<BlockId, Vec<BlockId>> =
-        (0..f.blocks.len()).map(|_| Vec::new()).collect();
+    // 3. Renaming walk over the dominator tree: `children[b]` is
+    // `kids[first_kid[b]..first_kid[b + 1]]`, in RPO.
+    let mut first_kid = vec![0usize; f.blocks.len() + 1];
     for &b in dom.rpo() {
         if let Some(d) = dom.idom(b) {
-            children[d].push(b);
+            first_kid[d.index() + 1] += 1;
+        }
+    }
+    for i in 1..first_kid.len() {
+        first_kid[i] += first_kid[i - 1];
+    }
+    let mut fill = first_kid.clone();
+    let mut kids = vec![f.entry; first_kid[f.blocks.len()]];
+    for &b in dom.rpo() {
+        if let Some(d) = dom.idom(b) {
+            kids[fill[d.index()]] = b;
+            fill[d.index()] += 1;
         }
     }
 
@@ -87,29 +104,30 @@ pub fn construct_ssa(f: &mut Function) {
 
     enum Step {
         Enter(BlockId),
-        Leave(Vec<VarId>),
+        /// Pop the variables `pushed[from..]` pushed since the block's
+        /// entry.
+        Leave(usize),
     }
+    let mut pushed: Vec<VarId> = Vec::new();
     let mut walk = vec![Step::Enter(f.entry)];
     while let Some(step) = walk.pop() {
         match step {
             Step::Enter(b) => {
-                let mut pushed: Vec<VarId> = Vec::new();
+                let from = pushed.len();
+                let mut insts = std::mem::take(&mut f.blocks[b].insts);
                 // φs define first.
-                let insts = f.blocks[b].insts.clone();
                 for &i in &insts {
-                    if let Some(&x) = phi_var.get(&i) {
+                    if let Some(x) = phi_of(i) {
                         stacks[x].push(i);
                         pushed.push(x);
                     }
                 }
                 // Body: rewrite reads, record writes, delete SetVar.
-                let mut new_list: Vec<InstId> = Vec::with_capacity(insts.len());
-                for &i in &insts {
-                    if phi_var.contains_key(&i) {
-                        new_list.push(i);
-                        continue;
+                insts.retain(|&i| {
+                    if phi_of(i).is_some() {
+                        return true;
                     }
-                    match f.kind(i).clone() {
+                    match *f.kind(i) {
                         InstKind::GetVar(x) if renameable[x.index()] => {
                             let cur = match stacks[x].last() {
                                 Some(&d) => d,
@@ -119,43 +137,46 @@ pub fn construct_ssa(f: &mut Function) {
                             };
                             f.insts[i].kind = InstKind::Copy(cur);
                             f.insts[i].ty = f.insts[cur].ty;
-                            new_list.push(i);
+                            true
                         }
                         InstKind::SetVar(x, v) if renameable[x.index()] => {
                             stacks[x].push(v);
                             pushed.push(x);
                             // The SetVar instruction is dropped entirely.
+                            false
                         }
-                        _ => new_list.push(i),
+                        _ => true,
                     }
-                }
-                f.blocks[b].insts = new_list;
-                // Fill φ-operands of successors.
-                for s in f.blocks[b].term.successors() {
-                    let succ_insts = f.blocks[s].insts.clone();
-                    for &i in &succ_insts {
-                        if let Some(&x) = phi_var.get(&i) {
-                            let cur = match stacks[x].last() {
-                                Some(&d) => d,
-                                None => {
-                                    undef_value(f, &mut undef_int, &mut undef_float, f.vars[x].ty)
-                                }
-                            };
-                            if let InstKind::Phi(ins) = &mut f.insts[i].kind {
-                                if !ins.iter().any(|(p, _)| *p == b) {
-                                    ins.push((b, cur));
-                                }
+                });
+                f.blocks[b].insts = insts;
+                // Fill φ-operands of successors. Should an undefined value
+                // land at the front of a successor (the entry block), the
+                // walk meets the φ it was at again and finds its operand
+                // already there.
+                for k in 0..f.blocks[b].term.successors().len() {
+                    let s = f.blocks[b].term.successors().nth(k).expect("k < len");
+                    let mut at = 0;
+                    while let Some(&i) = f.blocks[s].insts.get(at) {
+                        at += 1;
+                        let Some(x) = phi_of(i) else { continue };
+                        let cur = match stacks[x].last() {
+                            Some(&d) => d,
+                            None => undef_value(f, &mut undef_int, &mut undef_float, f.vars[x].ty),
+                        };
+                        if let InstKind::Phi(ins) = &mut f.insts[i].kind {
+                            if !ins.iter().any(|(p, _)| *p == b) {
+                                ins.push((b, cur));
                             }
                         }
                     }
                 }
-                walk.push(Step::Leave(pushed));
-                for &c in children[b].iter().rev() {
+                walk.push(Step::Leave(from));
+                for &c in kids[first_kid[b.index()]..first_kid[b.index() + 1]].iter().rev() {
                     walk.push(Step::Enter(c));
                 }
             }
-            Step::Leave(pushed) => {
-                for x in pushed {
+            Step::Leave(from) => {
+                for x in pushed.drain(from..) {
                     stacks[x].pop();
                 }
             }

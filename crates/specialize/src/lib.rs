@@ -53,7 +53,8 @@ use dyncomp_ir::{
     BinOp, Block, BlockId, Const, Function, IdSet, IndexVec, InstId, InstKind, Intrinsic, MemSize,
     RegionId, SlotPath, TemplateMarker, Terminator, Ty, UnOp,
 };
-use std::collections::{BTreeMap, HashMap};
+use dyncomp_ir::fxhash::FxHashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Counters of the dynamic optimizations the split *plans* (Table 3).
@@ -224,12 +225,12 @@ pub fn legalize_dynamic_switches(
             ts.dedup();
             ts
         };
-        let mut phi_val_for_b: HashMap<(BlockId, InstId), InstId> = HashMap::new();
+        let mut phi_val_for_b: Vec<(BlockId, InstId, InstId)> = Vec::new();
         for &t in &targets {
-            for &i in &f.blocks[t].insts.clone() {
+            for &i in &f.blocks[t].insts {
                 if let InstKind::Phi(ins) = f.kind(i) {
                     if let Some(&(_, v)) = ins.iter().find(|(p, _)| *p == b) {
-                        phi_val_for_b.insert((t, i), v);
+                        phi_val_for_b.push((t, i, v));
                     }
                 }
             }
@@ -239,7 +240,7 @@ pub fn legalize_dynamic_switches(
         // case gets a fresh block; the final else-edge goes to `default`.
         let n = cases.len();
         let chain: Vec<BlockId> = (1..n).map(|_| f.add_block()).collect();
-        let mut new_pred: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let mut new_pred: FxHashMap<BlockId, Vec<BlockId>> = FxHashMap::default();
         if n == 0 {
             f.blocks[b].term = Terminator::Jump(default);
             new_pred.entry(default).or_default().push(b);
@@ -270,11 +271,11 @@ pub fn legalize_dynamic_switches(
             preds.sort_unstable();
             preds.dedup();
         }
-        for ((t, phi), v) in phi_val_for_b {
-            let preds = new_pred.get(&t).cloned().unwrap_or_default();
+        for (t, phi, v) in phi_val_for_b {
+            let preds = new_pred.get(&t).map_or(&[][..], Vec::as_slice);
             if let InstKind::Phi(ins) = &mut f.insts[phi].kind {
                 ins.retain(|(p, _)| *p != b);
-                for p in preds {
+                for &p in preds {
                     ins.push((p, v));
                 }
             }
@@ -331,12 +332,12 @@ pub fn specialize_region(
         uloops,
         preds,
         rpo: Vec::new(),
-        rpo_pos: HashMap::new(),
+        rpo_pos: IndexVec::new(),
         def_block: IndexVec::new(),
-        ext_blocks: HashMap::new(),
-        ctx_cache: HashMap::new(),
+        ext_blocks: forest.loops.iter().map(|_| IdSet::new()).collect(),
+        ctx_cache: IndexVec::new(),
         requirements: BTreeMap::new(),
-        loop_layout: HashMap::new(),
+        loop_layout: forest.loops.iter().map(|_| None).collect(),
         static_len: 0,
         stats: SpecStats::default(),
     };
@@ -388,7 +389,7 @@ struct SetupOut {
     table_val: InstId,
     last_block: BlockId,
     /// Final setup value of every constant (for post-region use rewrites).
-    setup_val: HashMap<InstId, InstId>,
+    setup_val: IndexVec<InstId, Option<InstId>>,
 }
 
 struct Spec<'a> {
@@ -404,17 +405,21 @@ struct Spec<'a> {
     /// hold until the region is rewired.
     preds: Preds,
     rpo: Vec<BlockId>,
-    rpo_pos: HashMap<BlockId, usize>,
+    /// Position of each region block in `rpo`; `usize::MAX` for other
+    /// blocks.
+    rpo_pos: IndexVec<BlockId, usize>,
     /// The region block defining each value that existed before
     /// specialization.
     def_block: IndexVec<InstId, Option<BlockId>>,
     /// Extended membership per unrolled loop: natural blocks plus region
     /// blocks unreachable without the loop (per-iteration exit tails).
-    ext_blocks: HashMap<usize, IdSet<BlockId>>,
-    ctx_cache: HashMap<BlockId, Ctx>,
+    /// Indexed by loop-forest index; empty for loops not unrolled.
+    ext_blocks: Vec<IdSet<BlockId>>,
+    ctx_cache: IndexVec<BlockId, Option<Ctx>>,
     /// (value, context) → leaf slot index.
     requirements: BTreeMap<(InstId, Ctx), u32>,
-    loop_layout: HashMap<usize, LoopLayout>,
+    /// Indexed by loop-forest index; `None` for loops not unrolled.
+    loop_layout: Vec<Option<LoopLayout>>,
     static_len: u32,
     stats: SpecStats,
 }
@@ -426,8 +431,10 @@ impl Spec<'_> {
             .filter(|b| self.r.blocks.contains(*b))
             .collect();
         self.def_block = self.f.insts.iter().map(|_| None).collect();
+        self.rpo_pos = self.f.blocks.iter().map(|_| usize::MAX).collect();
+        self.ctx_cache = self.f.blocks.iter().map(|_| None).collect();
         for (i, &b) in rpo.iter().enumerate() {
-            self.rpo_pos.insert(b, i);
+            self.rpo_pos[b] = i;
             for &v in &self.f.blocks[b].insts {
                 self.def_block[v].get_or_insert(b);
             }
@@ -437,6 +444,11 @@ impl Spec<'_> {
 
     fn is_const(&self, v: InstId) -> bool {
         self.analysis.is_const(v)
+    }
+
+    /// The record layout of unrolled loop `li`, once assigned.
+    fn layout(&self, li: usize) -> &LoopLayout {
+        self.loop_layout[li].as_ref().expect("layout assigned")
     }
 
     /// Extended membership of each unrolled loop: its natural blocks plus
@@ -473,7 +485,7 @@ impl Spec<'_> {
                     ext.insert(b);
                 }
             }
-            self.ext_blocks.insert(li, ext);
+            self.ext_blocks[li] = ext;
         }
         // Laminarity: for each pair, extended sets must be nested or
         // disjoint; otherwise strip both back to natural membership.
@@ -482,8 +494,8 @@ impl Spec<'_> {
             let mut violated: Option<(usize, usize)> = None;
             'scan: for (i, &a) in ids.iter().enumerate() {
                 for &b in &ids[i + 1..] {
-                    let ea = &self.ext_blocks[&a];
-                    let eb = &self.ext_blocks[&b];
+                    let ea = &self.ext_blocks[a];
+                    let eb = &self.ext_blocks[b];
                     let mut inter = ea.clone();
                     inter.intersect_with(eb);
                     if inter.is_empty() {
@@ -499,10 +511,8 @@ impl Spec<'_> {
             }
             match violated {
                 Some((a, b)) => {
-                    self.ext_blocks
-                        .insert(a, self.forest.loops[a].blocks.clone());
-                    self.ext_blocks
-                        .insert(b, self.forest.loops[b].blocks.clone());
+                    self.ext_blocks[a] = self.forest.loops[a].blocks.clone();
+                    self.ext_blocks[b] = self.forest.loops[b].blocks.clone();
                 }
                 None => break,
             }
@@ -512,23 +522,25 @@ impl Spec<'_> {
     /// The unrolled-loop context of a block (outer → inner), by extended
     /// membership, ordered outer-first (larger extended set first).
     fn ctx_of(&mut self, b: BlockId) -> Ctx {
-        if let Some(c) = self.ctx_cache.get(&b) {
+        if let Some(Some(c)) = self.ctx_cache.get(b) {
             return c.clone();
         }
         let mut chain: Ctx = self
             .uloops
             .iter()
             .copied()
-            .filter(|&li| self.ext_blocks[&li].contains(b))
+            .filter(|&li| self.ext_blocks[li].contains(b))
             .collect();
         // Outer first: larger extended set; ties broken by header order.
         chain.sort_by_key(|&li| {
             (
-                usize::MAX - self.ext_blocks[&li].len(),
+                usize::MAX - self.ext_blocks[li].len(),
                 self.forest.loops[li].header.index(),
             )
         });
-        self.ctx_cache.insert(b, chain.clone());
+        if let Some(slot) = self.ctx_cache.get_mut(b) {
+            *slot = Some(chain.clone());
+        }
         chain
     }
 
@@ -559,9 +571,9 @@ impl Spec<'_> {
     /// in the per-iteration exit-marker blocks.)
     fn check_escapes(&mut self) -> Result<(), SpecError> {
         // Loops with any exit arc not controlled by a constant branch.
-        let mut dyn_exit: HashMap<usize, bool> = HashMap::new();
+        let mut dyn_exit = vec![false; self.forest.loops.len()];
         for &li in &self.uloops.clone() {
-            let ext = self.ext_blocks[&li].clone();
+            let ext = self.ext_blocks[li].clone();
             let mut has_dyn = false;
             for b in ext.iter() {
                 for s in self.f.blocks[b].term.successors() {
@@ -570,7 +582,7 @@ impl Spec<'_> {
                     }
                 }
             }
-            dyn_exit.insert(li, has_dyn);
+            dyn_exit[li] = has_dyn;
         }
         for (v, ctx) in self.requirements.keys().cloned().collect::<Vec<_>>() {
             let d = self.def_ctx(v);
@@ -578,7 +590,7 @@ impl Spec<'_> {
                 continue;
             }
             for &li in &d[ctx.len()..] {
-                if dyn_exit.get(&li).copied().unwrap_or(false) {
+                if dyn_exit[li] {
                     return Err(SpecError::ConstantEscapesDynamicExit {
                         value: v,
                         header: self.forest.loops[li].header,
@@ -637,16 +649,16 @@ impl Spec<'_> {
     fn assign_slots(&mut self) {
         // Parent = the smallest extended set strictly containing ours.
         let parent_of = |spec: &Spec, li: usize| -> Option<usize> {
-            let mine = &spec.ext_blocks[&li];
+            let mine = &spec.ext_blocks[li];
             spec.uloops
                 .iter()
                 .copied()
                 .filter(|&o| o != li)
                 .filter(|&o| {
-                    let other = &spec.ext_blocks[&o];
+                    let other = &spec.ext_blocks[o];
                     other.len() > mine.len() && mine.iter().all(|x| other.contains(x))
                 })
-                .min_by_key(|&o| spec.ext_blocks[&o].len())
+                .min_by_key(|&o| spec.ext_blocks[o].len())
         };
         let top_loops: Vec<usize> = self
             .uloops
@@ -665,15 +677,12 @@ impl Spec<'_> {
         }
         let mut pending: Vec<(usize, SlotPath)> = Vec::new(); // (loop, parent path prefix)
         for &li in &top_loops {
-            self.loop_layout.insert(
-                li,
-                LoopLayout {
-                    root_path: SlotPath::stat(idx),
-                    root_slot: idx,
-                    next_slot: 0,
-                    record_len: 0,
-                },
-            );
+            self.loop_layout[li] = Some(LoopLayout {
+                root_path: SlotPath::stat(idx),
+                root_slot: idx,
+                next_slot: 0,
+                record_len: 0,
+            });
             pending.push((li, SlotPath::stat(idx)));
             idx += 1;
         }
@@ -708,19 +717,16 @@ impl Spec<'_> {
                 .collect();
             for c in children {
                 let child_root = root_path.child(slot);
-                self.loop_layout.insert(
-                    c,
-                    LoopLayout {
-                        root_path: child_root.clone(),
-                        root_slot: slot,
-                        next_slot: 0,
-                        record_len: 0,
-                    },
-                );
+                self.loop_layout[c] = Some(LoopLayout {
+                    root_path: child_root.clone(),
+                    root_slot: slot,
+                    next_slot: 0,
+                    record_len: 0,
+                });
                 pending.push((c, child_root));
                 slot += 1;
             }
-            let layout = self.loop_layout.get_mut(&li).expect("layout inserted");
+            let layout = self.loop_layout[li].as_mut().expect("layout inserted");
             layout.next_slot = slot;
             layout.record_len = slot + 1;
             layout.root_path = root_path;
@@ -738,7 +744,7 @@ impl Spec<'_> {
         debug_assert_ne!(leaf, u32::MAX, "slot index assigned");
         match ctx.last() {
             None => SlotPath::stat(leaf),
-            Some(&li) => self.loop_layout[&li].root_path.child(leaf),
+            Some(&li) => self.layout(li).root_path.child(leaf),
         }
     }
 
@@ -750,24 +756,25 @@ impl Spec<'_> {
     ) -> (
         BlockId,
         Vec<BlockId>,
-        HashMap<InstId, InstId>,
-        HashMap<(BlockId, BlockId), BlockId>,
+        IndexVec<InstId, Option<InstId>>,
+        FxHashMap<(BlockId, BlockId), BlockId>,
         Vec<BlockId>,
     ) {
-        // Clone blocks.
-        let mut clone_of: HashMap<BlockId, BlockId> = HashMap::new();
+        // Clone blocks: `clone_of[b]` for each region block `b`.
+        let mut clone_of: IndexVec<BlockId, BlockId> = self.f.blocks.ids().collect();
         for b in self.rpo.clone() {
-            let cb = self.f.add_block();
-            clone_of.insert(b, cb);
+            clone_of[b] = self.f.add_block();
         }
-        let mut val_map: HashMap<InstId, InstId> = HashMap::new();
+        // The template copy of each value that existed before the split.
+        let mut val_map: IndexVec<InstId, Option<InstId>> = self.f.insts.iter().map(|_| None).collect();
+        let mut hole_cache: FxHashMap<SlotPath, InstId> = FxHashMap::default();
         let mut phis_to_fix: Vec<(InstId, BlockId)> = Vec::new(); // (cloned φ, orig block)
 
         for b in self.rpo.clone() {
             let b_ctx = self.ctx_of(b);
-            let cb = clone_of[&b];
+            let cb = clone_of[b];
             let mut list: Vec<InstId> = Vec::new();
-            let mut hole_cache: HashMap<SlotPath, InstId> = HashMap::new();
+            hole_cache.clear();
             let insts = self.f.blocks[b].insts.clone();
             for i in insts {
                 if self.is_const(i) {
@@ -800,14 +807,14 @@ impl Spec<'_> {
                             // Defer placement: collect per-pred placement.
                             phis_to_fix.push((hp, *p));
                             *v = hp;
-                        } else if let Some(&m) = val_map.get(v) {
+                        } else if let Some(&Some(m)) = val_map.get(*v) {
                             *v = m;
                         }
                         // Predecessor rewrite happens after arc insertion.
                     }
                     let ni = self.f.create_inst(kind);
                     self.f.insts[ni].ty = self.f.ty(i);
-                    val_map.insert(i, ni);
+                    val_map[i] = Some(ni);
                     list.push(ni);
                     continue;
                 }
@@ -824,12 +831,12 @@ impl Spec<'_> {
                             h
                         })
                     } else {
-                        val_map.get(&v).copied().unwrap_or(v)
+                        mapped(&val_map, v)
                     }
                 });
                 let ni = self.f.create_inst(kind);
                 self.f.insts[ni].ty = self.f.ty(i);
-                val_map.insert(i, ni);
+                val_map[i] = Some(ni);
                 list.push(ni);
             }
             // Terminator.
@@ -876,7 +883,7 @@ impl Spec<'_> {
                                 h
                             })
                         } else {
-                            val_map.get(&v).copied().unwrap_or(v)
+                            mapped(&val_map, v)
                         }
                     });
                     other
@@ -889,26 +896,28 @@ impl Spec<'_> {
         // Place deferred φ-operand holes at the end of the cloned
         // predecessor's instruction list (before its terminator).
         for (hole, orig_pred) in phis_to_fix {
-            let cp = clone_of[&orig_pred];
+            let cp = clone_of[orig_pred];
             self.f.blocks[cp].insts.push(hole);
         }
 
         // Arc transformation: markers, exit stubs, successor remapping.
-        let mut stub_for: HashMap<(BlockId, BlockId), BlockId> = HashMap::new();
+        let mut stub_for: FxHashMap<(BlockId, BlockId), BlockId> = FxHashMap::default();
         let mut exit_targets: Vec<BlockId> = Vec::new();
-        let mut arc_final: HashMap<(BlockId, BlockId), BlockId> = HashMap::new(); // (orig src, orig tgt) -> new pred of tgt's clone
+        let mut arc_final: FxHashMap<(BlockId, BlockId), BlockId> = FxHashMap::default(); // (orig src, orig tgt) -> new pred of tgt's clone
 
+        let mut succs: Vec<BlockId> = Vec::new();
+        // `(original target, first block of its arc chain)`.
+        let mut done: Vec<(BlockId, BlockId)> = Vec::new();
         for b in self.rpo.clone() {
-            let cb = clone_of[&b];
+            let cb = clone_of[b];
             let src_ctx = self.ctx_of(b);
-            let succs: Vec<BlockId> = {
-                // Original successors (the cloned terminator still names
-                // original blocks at this point).
-                self.f.blocks[cb].term.successors()
-            };
-            let mut done: HashMap<BlockId, BlockId> = HashMap::new();
-            for tgt in succs {
-                if done.contains_key(&tgt) {
+            // Original successors (the cloned terminator still names
+            // original blocks at this point).
+            succs.clear();
+            succs.extend(self.f.blocks[cb].term.successors());
+            done.clear();
+            for &tgt in &succs {
+                if done.iter().any(|&(t, _)| t == tgt) {
                     continue;
                 }
                 let in_region = self.r.blocks.contains(tgt);
@@ -937,14 +946,14 @@ impl Spec<'_> {
                     if is_backedge {
                         let li = *tgt_ctx.last().unwrap();
                         markers.push(TemplateMarker::RestartLoop {
-                            next_slot: self.loop_layout[&li].next_slot,
+                            next_slot: self.layout(li).next_slot,
                         });
                     } else if tgt_ctx.len() == common.len() + 1 {
                         // Entering one loop level through its header.
                         let li = *tgt_ctx.last().unwrap();
                         debug_assert_eq!(self.forest.loops[li].header, tgt);
                         markers.push(TemplateMarker::EnterLoop {
-                            root: self.loop_layout[&li].root_path.clone(),
+                            root: self.layout(li).root_path.clone(),
                         });
                     } else {
                         debug_assert_eq!(
@@ -957,7 +966,7 @@ impl Spec<'_> {
 
                 // Final destination.
                 let final_tgt = if in_region {
-                    clone_of[&tgt]
+                    clone_of[tgt]
                 } else {
                     // Exit stub (also records the exit target).
                     if !exit_targets.contains(&tgt) {
@@ -980,7 +989,7 @@ impl Spec<'_> {
                     });
                     first = mb;
                 }
-                done.insert(tgt, first);
+                done.push((tgt, first));
                 arc_final.insert(
                     (b, tgt),
                     if first == final_tgt {
@@ -991,22 +1000,24 @@ impl Spec<'_> {
                 );
             }
             // Retarget the terminator.
-            self.f.blocks[cb]
-                .term
-                .map_successors(|s| *done.get(&s).unwrap_or(&s));
+            self.f.blocks[cb].term.map_successors(|s| {
+                done.iter()
+                    .find(|&&(t, _)| t == s)
+                    .map_or(s, |&(_, first)| first)
+            });
         }
 
         // Fix φ predecessor labels in cloned blocks: each original pred p
         // becomes the last block on the (p → b) arc chain (or p's clone).
-        for b in self.rpo.clone() {
-            let cb = clone_of[&b];
-            let insts = self.f.blocks[cb].insts.clone();
-            for i in insts {
-                if let InstKind::Phi(ins) = &mut self.f.insts[i].kind {
+        for &b in &self.rpo {
+            let cb = clone_of[b];
+            let dyncomp_ir::Function { blocks, insts, .. } = &mut *self.f;
+            for &i in &blocks[cb].insts {
+                if let InstKind::Phi(ins) = &mut insts[i].kind {
                     for (p, _) in ins.iter_mut() {
                         // arc_final maps to the last chain block when a
                         // chain exists, otherwise the cloned predecessor.
-                        *p = arc_final.get(&(*p, b)).copied().unwrap_or(clone_of[p]);
+                        *p = arc_final.get(&(*p, b)).copied().unwrap_or(clone_of[*p]);
                     }
                 }
             }
@@ -1016,7 +1027,7 @@ impl Spec<'_> {
 
         // If the template entry is a loop header, its EnterLoop marker is
         // on the (enter → entry) arc; give the template a dedicated entry.
-        let mut template_entry = clone_of[&self.r.entry];
+        let mut template_entry = clone_of[self.r.entry];
         let entry_ctx = self.ctx_of(self.r.entry);
         if !entry_ctx.is_empty() {
             let mut first = template_entry;
@@ -1027,7 +1038,7 @@ impl Spec<'_> {
                     term: Terminator::Jump(first),
                     unrolled_header: false,
                     marker: Some(TemplateMarker::EnterLoop {
-                        root: self.loop_layout[&li].root_path.clone(),
+                        root: self.layout(li).root_path.clone(),
                     }),
                 });
                 first = mb;
@@ -1039,7 +1050,7 @@ impl Spec<'_> {
         let mut seen: IdSet<BlockId> = IdSet::with_domain(self.f.blocks.len());
         let mut stack = vec![template_entry];
         let mut order: Vec<BlockId> = Vec::new();
-        let region_clone_ids: IdSet<BlockId> = clone_of.values().copied().collect();
+        let region_clone_ids: IdSet<BlockId> = self.rpo.iter().map(|&b| clone_of[b]).collect();
         let stub_ids: IdSet<BlockId> = stub_for.values().copied().collect();
         seen.insert(template_entry);
         while let Some(x) = stack.pop() {
@@ -1070,10 +1081,10 @@ impl Spec<'_> {
         let mut g = SetupGen {
             blocks: Vec::new(),
             cur: BlockId(0),
-            setup_val: HashMap::new(),
-            rb: HashMap::new(),
-            arcbool: HashMap::new(),
-            cur_rec: HashMap::new(),
+            setup_val: self.f.insts.iter().map(|_| None).collect(),
+            rb: self.f.blocks.iter().map(|_| None).collect(),
+            arcbool: FxHashMap::default(),
+            cur_rec: self.forest.loops.iter().map(|_| None).collect(),
             table_val: InstId(0),
             one: InstId(0),
             zero: InstId(0),
@@ -1098,15 +1109,15 @@ impl Spec<'_> {
         g.zero = self.f.append(g.cur, InstKind::Const(Const::Int(0)));
 
         // Roots are available directly.
-        for &root in self.r.const_roots.clone().iter() {
-            g.setup_val.insert(root, root);
+        for &root in &self.r.const_roots {
+            g.setup_val[root] = Some(root);
         }
         // Store root slots (static requirements on roots).
         for &root in self.r.const_roots.clone().iter() {
             self.store_slots(&mut g, root, &Vec::new());
         }
 
-        g.rb.insert(self.r.entry, g.one);
+        g.rb[self.r.entry] = Some(g.one);
 
         let items = self.schedule(&Vec::new());
         self.gen_level(&mut g, &Vec::new(), &items);
@@ -1162,15 +1173,14 @@ impl Spec<'_> {
         if let Some(&ab) = g.arcbool.get(&(p, idx)) {
             return Some(ab);
         }
-        g.rb.get(&p).copied()
+        g.rb.get(p).copied().flatten()
     }
 
     /// All-arc condition from p into b (OR over parallel arcs).
     fn pred_condition(&mut self, g: &mut SetupGen, p: BlockId, b: BlockId) -> Option<InstId> {
-        let succs = self.f.blocks[p].term.successors();
         let mut acc: Option<InstId> = None;
-        for (idx, &s) in succs.iter().enumerate() {
-            if s != b {
+        for idx in 0..self.f.blocks[p].term.successors().len() {
+            if self.f.blocks[p].term.successors().nth(idx) != Some(b) {
                 continue;
             }
             let c = self.contribution(g, p, idx)?;
@@ -1195,7 +1205,7 @@ impl Spec<'_> {
         } else if b == self.r.entry {
             g.one
         } else {
-            let my_pos = self.rpo_pos[&b];
+            let my_pos = self.rpo_pos[b];
             let mut acc: Option<InstId> = None;
             for p in self.preds.of(b).to_vec() {
                 if !self.r.blocks.contains(p) {
@@ -1203,7 +1213,7 @@ impl Spec<'_> {
                 }
                 // Skip retreating arcs (non-unrolled loop back edges): the
                 // documented over-approximation.
-                if self.rpo_pos.get(&p).map(|&pp| pp >= my_pos).unwrap_or(true) {
+                if self.rpo_pos[p] >= my_pos {
                     continue;
                 }
                 if let Some(c) = self.pred_condition(g, p, b) {
@@ -1215,7 +1225,7 @@ impl Spec<'_> {
             }
             acc.unwrap_or(g.zero)
         };
-        g.rb.insert(b, rb_b);
+        g.rb[b] = Some(rb_b);
         let is_header = rb_override.is_some();
 
         // Constant instructions.
@@ -1248,7 +1258,7 @@ impl Spec<'_> {
                         });
                     }
                     let nv = acc.unwrap_or(g.zero);
-                    g.setup_val.insert(i, nv);
+                    g.setup_val[i] = Some(nv);
                 }
                 InstKind::Load {
                     size,
@@ -1281,12 +1291,12 @@ impl Spec<'_> {
                             float,
                         },
                     );
-                    g.setup_val.insert(i, nv);
+                    g.setup_val[i] = Some(nv);
                 }
                 mut k => {
                     k.map_operands(|v| g.val(v));
                     let nv = self.f.append(g.cur, k);
-                    g.setup_val.insert(i, nv);
+                    g.setup_val[i] = Some(nv);
                 }
             }
             self.store_slots(g, i, level);
@@ -1350,7 +1360,7 @@ impl Spec<'_> {
             }
             let base = match ctx.last() {
                 None => g.table_val,
-                Some(li) => g.cur_rec[li],
+                Some(&li) => g.cur_rec[li].expect("record allocated"),
             };
             let off = self
                 .f
@@ -1372,14 +1382,14 @@ impl Spec<'_> {
 
     fn gen_loop(&mut self, g: &mut SetupGen, outer: &Ctx, li: usize) {
         let l = self.forest.loops[li].clone();
-        let ext = self.ext_blocks[&li].clone();
+        let ext = self.ext_blocks[li].clone();
         let h = l.header;
         let level: Ctx = {
             let mut c = outer.clone();
             c.push(li);
             c
         };
-        let layout = self.loop_layout[&li].clone();
+        let layout = self.layout(li).clone();
 
         // Entry condition and entry φ-values (computed in the pre block).
         let entry_preds: Vec<BlockId> = self
@@ -1412,7 +1422,8 @@ impl Spec<'_> {
             .into_iter()
             .filter(|&i| matches!(self.f.kind(i), InstKind::Phi(_)) && self.is_const(i))
             .collect();
-        let mut entry_vals: HashMap<InstId, InstId> = HashMap::new();
+        // Parallel to `phis`.
+        let mut entry_vals: Vec<InstId> = Vec::with_capacity(phis.len());
         for &phi in &phis {
             let InstKind::Phi(ins) = self.f.kind(phi).clone() else {
                 unreachable!()
@@ -1442,14 +1453,14 @@ impl Spec<'_> {
                     }
                 });
             }
-            entry_vals.insert(phi, acc.unwrap_or(g.zero));
+            entry_vals.push(acc.unwrap_or(g.zero));
         }
 
         // Root link address.
         let root_addr = {
             let base = match outer.last() {
                 None => g.table_val,
-                Some(pl) => g.cur_rec[pl],
+                Some(&pl) => g.cur_rec[pl].expect("record allocated"),
             };
             let off = self.f.append(
                 g.cur,
@@ -1485,12 +1496,12 @@ impl Spec<'_> {
             .f
             .append(g.cur, InstKind::Phi(vec![(b_preh, root_addr)]));
         let mut val_phis: Vec<(InstId, InstId)> = Vec::new(); // (orig φ, setup φ)
-        for &phi in &phis {
+        for (&phi, &entry_val) in phis.iter().zip(&entry_vals) {
             let sp = self
                 .f
-                .append(g.cur, InstKind::Phi(vec![(b_preh, entry_vals[&phi])]));
+                .append(g.cur, InstKind::Phi(vec![(b_preh, entry_val)]));
             self.f.insts[sp].ty = self.f.ty(phi);
-            g.setup_val.insert(phi, sp);
+            g.setup_val[phi] = Some(sp);
             val_phis.push((phi, sp));
         }
         let rec_size = self.f.append(
@@ -1513,7 +1524,7 @@ impl Spec<'_> {
                 float: false,
             },
         );
-        g.cur_rec.insert(li, rec);
+        g.cur_rec[li] = Some(rec);
 
         // Store per-iteration slots of the φs themselves.
         for &(phi, _) in &val_phis {
@@ -1607,13 +1618,13 @@ impl Spec<'_> {
         let mut exports: Vec<InstId> = Vec::new();
         for b2 in &loop_block_list {
             for i in self.f.blocks[*b2].insts.clone() {
-                if self.is_const(i) && g.setup_val.contains_key(&i) {
+                if self.is_const(i) && g.setup_val[i].is_some() {
                     exports.push(i);
                 }
             }
         }
         for v in exports {
-            let inner = g.setup_val[&v];
+            let inner = g.val(v);
             let ty = self.f.ty(inner);
             let dead = if ty == Ty::Float {
                 let z = self.f.create_inst(InstKind::Const(Const::Float(0.0)));
@@ -1627,12 +1638,12 @@ impl Spec<'_> {
                 InstKind::Phi(vec![(b_joinf, dead), (b_exitf, inner)]),
             );
             self.f.insts[ex].ty = ty;
-            g.setup_val.insert(v, ex);
+            g.setup_val[v] = Some(ex);
         }
         // Exit arc bools: every arc leaving the loop into the region.
         for b2 in &loop_block_list {
-            let succs = self.f.blocks[*b2].term.successors();
-            for (idx, &s) in succs.iter().enumerate() {
+            for idx in 0..self.f.blocks[*b2].term.successors().len() {
+                let s = self.f.blocks[*b2].term.successors().nth(idx).expect("idx < len");
                 if ext.contains(s) || !self.r.blocks.contains(s) {
                     continue;
                 }
@@ -1644,7 +1655,7 @@ impl Spec<'_> {
                 g.arcbool.insert((*b2, idx), ex);
             }
         }
-        g.cur_rec.remove(&li);
+        g.cur_rec[li] = None;
     }
 
     // ================= rewiring =================
@@ -1653,8 +1664,8 @@ impl Spec<'_> {
         &mut self,
         template_entry: BlockId,
         template_blocks: &[BlockId],
-        val_map: &HashMap<InstId, InstId>,
-        stub_for: &HashMap<(BlockId, BlockId), BlockId>,
+        val_map: &IndexVec<InstId, Option<InstId>>,
+        stub_for: &FxHashMap<(BlockId, BlockId), BlockId>,
         setup: &SetupOut,
     ) -> BlockId {
         let _ = template_entry;
@@ -1752,17 +1763,22 @@ fn remap_out(
     v: InstId,
     defined_in_region: &IdSet<InstId>,
     analysis: &RegionAnalysis,
-    val_map: &HashMap<InstId, InstId>,
-    setup_val: &HashMap<InstId, InstId>,
+    val_map: &IndexVec<InstId, Option<InstId>>,
+    setup_val: &IndexVec<InstId, Option<InstId>>,
 ) -> InstId {
     if !defined_in_region.contains(v) {
         return v;
     }
     if analysis.is_const(v) {
-        setup_val.get(&v).copied().unwrap_or(v)
+        mapped(setup_val, v)
     } else {
-        val_map.get(&v).copied().unwrap_or(v)
+        mapped(val_map, v)
     }
+}
+
+/// `v`'s entry in a value table, or `v` itself when it has none.
+fn mapped(table: &IndexVec<InstId, Option<InstId>>, v: InstId) -> InstId {
+    table.get(v).copied().flatten().unwrap_or(v)
 }
 
 /// Follow a Jump chain from `first` until the block jumping to `final_tgt`.
@@ -1786,10 +1802,14 @@ enum ScheduleItem {
 struct SetupGen {
     blocks: Vec<BlockId>,
     cur: BlockId,
-    setup_val: HashMap<InstId, InstId>,
-    rb: HashMap<BlockId, InstId>,
-    arcbool: HashMap<(BlockId, usize), InstId>,
-    cur_rec: HashMap<usize, InstId>,
+    /// Set-up value of each value that existed before the split.
+    setup_val: IndexVec<InstId, Option<InstId>>,
+    /// Reachability boolean of each region block.
+    rb: IndexVec<BlockId, Option<InstId>>,
+    arcbool: FxHashMap<(BlockId, usize), InstId>,
+    /// Current record of each unrolled loop being generated, by
+    /// loop-forest index.
+    cur_rec: Vec<Option<InstId>>,
     table_val: InstId,
     one: InstId,
     zero: InstId,
@@ -1797,9 +1817,10 @@ struct SetupGen {
 
 impl SetupGen {
     fn val(&self, v: InstId) -> InstId {
-        *self
-            .setup_val
-            .get(&v)
+        self.setup_val
+            .get(v)
+            .copied()
+            .flatten()
             .unwrap_or_else(|| panic!("setup value for {v} not yet generated"))
     }
 }
