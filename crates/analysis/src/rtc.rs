@@ -196,13 +196,25 @@ fn compute_reach(
     reach[r.entry] = Cond::t();
     // The arcs into each region block, as `(source, successor index)` in
     // the order the meet consumes them: sources in RPO, then by index.
-    let mut arcs_into: IndexVec<BlockId, Vec<(BlockId, u32)>> =
-        f.blocks.iter().map(|_| Vec::new()).collect();
+    // Block `b`'s arcs are `arcs[first[b]..first[b + 1]]`.
+    let mut first = vec![0usize; f.blocks.len() + 1];
     for &p in &rpo {
-        for (idx, s) in f.blocks[p].term.successors().enumerate() {
-            arcs_into[s].push((p, idx as u32));
+        for s in f.blocks[p].term.successors() {
+            first[s.index() + 1] += 1;
         }
     }
+    for i in 1..first.len() {
+        first[i] += first[i - 1];
+    }
+    let mut fill = first.clone();
+    let mut arcs = vec![(r.entry, 0u32); first[f.blocks.len()]];
+    for &p in &rpo {
+        for (idx, s) in f.blocks[p].term.successors().enumerate() {
+            arcs[fill[s.index()]] = (p, idx as u32);
+            fill[s.index()] += 1;
+        }
+    }
+    drop(fill);
     // Blocks with an arc from a block whose condition changed since they
     // were last met. The meet is a function of those conditions alone, so
     // re-meeting any other block would reproduce its condition.
@@ -219,7 +231,7 @@ fn compute_reach(
                 continue;
             }
             let mut acc = Cond::f();
-            for &(p, idx) in &arcs_into[b] {
+            for &(p, idx) in &arcs[first[b.index()]..first[b.index() + 1]] {
                 let base = &reach[p];
                 let contrib = if const_branches.contains(p) {
                     base.and_literal(Literal {
@@ -299,7 +311,7 @@ fn classify_merges(
             merges.insert(b);
             continue;
         }
-        let ps: Vec<BlockId> = preds.of(b).to_vec();
+        let ps = preds.of(b);
         if ps.len() <= 1 {
             merges.insert(b); // trivially constant (no real merge)
             continue;

@@ -8,11 +8,11 @@
 //! [`Template`] buffer with hole/branch directives, never executed in
 //! place.
 
-use crate::regalloc::{allocate, Allocation, Entity, Loc, FLT_SCRATCH, INT_SCRATCH};
+use crate::regalloc::{self, allocate_in, Allocation, Entity, Loc, FLT_SCRATCH, INT_SCRATCH};
 use crate::CodegenError;
 use dyncomp_ir::{
     BinOp, BlockId, Const, Function, IdSet, IndexVec, InstId, InstKind, Intrinsic, MemSize,
-    Signedness, TemplateMarker, Terminator, Ty, UnOp,
+    RegionId, Signedness, TemplateMarker, Terminator, Ty, UnOp, VarId,
 };
 use dyncomp_machine::asm::{Assembler, Label};
 use dyncomp_machine::isa::{encode, Inst, Op, Operand, Reg, LIN, RA, SP, ZERO};
@@ -20,7 +20,7 @@ use dyncomp_machine::template::{
     BranchFixup, Hole, HoleField, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, ValueLoc,
 };
 use dyncomp_specialize::RegionSpec;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Result of emitting one function.
 pub struct EmittedFunc {
@@ -45,20 +45,38 @@ pub struct ModuleCtx {
     /// Resolved global addresses.
     pub global_addrs: Vec<u64>,
     /// Float-literal pool: bits → offset within the pool global.
-    pub float_pool: HashMap<u64, u32>,
+    pub float_pool: BTreeMap<u64, u32>,
     /// Address of the float pool in data memory.
     pub float_pool_addr: u64,
+    /// Buffers kept from one function's emission to the next.
+    pub(crate) scratch: Scratch,
+}
+
+/// The emitter's working buffers, reused across the functions of one
+/// [`crate::compile_module`] call: the register allocator's tables, the
+/// block order, the label tables and the assembler's item buffer. Each is
+/// reset before use.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    alloc: regalloc::Scratch,
+    order: Vec<BlockId>,
+    /// Label of each block in the order, by block index.
+    labels: Vec<Option<Label>>,
+    /// Template-local label of each block of the region being emitted, by
+    /// block index; `u32::MAX` for other blocks.
+    label_of: Vec<u32>,
+    asm: Assembler,
 }
 
 struct Emitter<'a> {
     f: &'a Function,
     alloc: Allocation,
     asm: Assembler,
-    labels: HashMap<BlockId, Label>,
+    labels: Vec<Option<Label>>,
     mcx: &'a mut ModuleCtx,
     call_relocs: Vec<(usize, dyncomp_ir::FuncId)>, // (inst item index, callee) — resolved later
     frame_size: u32,
-    var_frame_off: HashMap<dyncomp_ir::VarId, i32>,
+    var_frame_off: IndexVec<VarId, Option<i32>>,
     spill_base: i32,
     save_area: Vec<(Reg, bool, i32)>, // (reg, is_float, offset)
     ra_off: Option<i32>,
@@ -70,13 +88,13 @@ struct Emitter<'a> {
     float_pool_used: bool,
     // Static fallback entry block per region (tiered lowering): recorded
     // when a branch conditioned on a `TierProbe` intrinsic is emitted.
-    fallback_blocks: HashMap<dyncomp_ir::RegionId, BlockId>,
+    fallback_blocks: IndexVec<RegionId, Option<BlockId>>,
 }
 
 struct TemplateBuf {
     code: Vec<u32>,
     blocks: Vec<TmplBlock>,
-    label_of: HashMap<BlockId, u32>,
+    label_of: Vec<u32>,
     cur_holes: Vec<Hole>,
     cur_branches: Vec<BranchFixup>,
     call_relocs: Vec<(u32, dyncomp_ir::FuncId)>, // (word of Ldiw immediate, callee)
@@ -120,6 +138,15 @@ impl TemplateBuf {
     fn at(&self) -> u32 {
         self.code.len() as u32
     }
+
+    /// The template-local label of `b`, when `b` is one of the region's
+    /// template blocks.
+    fn label_of(&self, b: BlockId) -> Option<u32> {
+        self.label_of
+            .get(b.index())
+            .copied()
+            .filter(|&l| l != u32::MAX)
+    }
 }
 
 /// Emit one function.
@@ -135,6 +162,7 @@ pub fn emit_function(
     template_callable: &[bool],
     mcx: &mut ModuleCtx,
 ) -> Result<EmittedFunc, CodegenError> {
+    let mut scratch = std::mem::take(&mut mcx.scratch);
     // ---- block order: main (RPO), then per region setup + template ----
     let mut special: IdSet<BlockId> = IdSet::with_domain(f.blocks.len());
     for s in specs {
@@ -142,12 +170,13 @@ pub fn emit_function(
             special.insert(b);
         }
     }
-    let rpo = dyncomp_ir::cfg::reverse_postorder(f);
-    let mut order: Vec<BlockId> = rpo
-        .iter()
-        .copied()
-        .filter(|b| !special.contains(*b))
-        .collect();
+    let mut order = std::mem::take(&mut scratch.order);
+    order.clear();
+    order.extend(
+        dyncomp_ir::cfg::reverse_postorder(f)
+            .into_iter()
+            .filter(|b| !special.contains(*b)),
+    );
     for s in specs {
         order.extend(s.setup_blocks.iter().copied());
     }
@@ -156,17 +185,21 @@ pub fn emit_function(
         order.extend(s.template_blocks.iter().copied());
     }
 
-    let alloc = allocate(f, &order);
+    let alloc = allocate_in(f, &order, &mut scratch.alloc);
 
     // ---- frame layout: [spills][frame vars][saves][ra] ----
     let mut off: i32 = alloc.spill_bytes as i32;
-    let mut var_frame_off = HashMap::new();
-    for (v, info) in f.vars.iter_enumerated() {
-        if let Some(sz) = info.frame_size {
-            var_frame_off.insert(v, off);
-            off += ((sz + 7) & !7) as i32;
-        }
-    }
+    let var_frame_off: IndexVec<VarId, Option<i32>> = f
+        .vars
+        .iter()
+        .map(|info| {
+            info.frame_size.map(|sz| {
+                let at = off;
+                off += ((sz + 7) & !7) as i32;
+                at
+            })
+        })
+        .collect();
     let has_calls = f
         .insts
         .iter()
@@ -189,11 +222,16 @@ pub fn emit_function(
     };
     let frame_size = ((off + 15) & !15) as u32;
 
+    let mut asm = std::mem::take(&mut scratch.asm);
+    asm.clear();
+    let mut labels = std::mem::take(&mut scratch.labels);
+    labels.clear();
+    labels.resize(f.blocks.len(), None);
     let mut em = Emitter {
         f,
         alloc,
-        asm: Assembler::new(),
-        labels: HashMap::new(),
+        asm,
+        labels,
         mcx,
         call_relocs: Vec::new(),
         frame_size,
@@ -206,21 +244,21 @@ pub fn emit_function(
         tmpl: None,
         lit_uses: literal_uses(f),
         float_pool_used: false,
-        fallback_blocks: HashMap::new(),
+        fallback_blocks: f.regions.iter().map(|_| None).collect(),
     };
 
     for &b in &order {
-        let l = em.asm.fresh_label();
-        em.labels.insert(b, l);
+        em.labels[b.index()] = Some(em.asm.fresh_label());
     }
 
     // ---- prologue ----
     em.prologue()?;
 
     // ---- main + setup blocks ----
-    let mut enter_pcs: HashMap<dyncomp_ir::RegionId, usize> = HashMap::new(); // item idx of ENTERREGION
+    // Item index of each region's ENTERREGION.
+    let mut enter_pcs: IndexVec<RegionId, Option<usize>> = f.regions.iter().map(|_| None).collect();
     for (idx, &b) in order[..setup_end].iter().enumerate() {
-        em.asm.bind(em.labels[&b]);
+        em.asm.bind(em.label(b));
         for &i in &f.blocks[b].insts {
             em.inst(i)?;
         }
@@ -229,26 +267,32 @@ pub fn emit_function(
     }
 
     // ---- template blocks (per region, into separate buffers) ----
-    let mut templates: HashMap<dyncomp_ir::RegionId, Template> = HashMap::new();
-    let mut tmpl_relocs: Vec<(dyncomp_ir::RegionId, u32, dyncomp_ir::FuncId)> = Vec::new();
+    // One template per spec, in `specs` order.
+    let mut templates: Vec<Template> = Vec::with_capacity(specs.len());
+    let mut tmpl_relocs: Vec<(RegionId, u32, dyncomp_ir::FuncId)> = Vec::new();
+    let mut label_of = std::mem::take(&mut scratch.label_of);
     for s in specs {
-        let mut buf = TemplateBuf {
+        label_of.clear();
+        label_of.resize(f.blocks.len(), u32::MAX);
+        for (li, &b) in s.template_blocks.iter().enumerate() {
+            label_of[b.index()] = li as u32;
+        }
+        em.tmpl = Some(TemplateBuf {
             code: Vec::new(),
             blocks: Vec::new(),
-            label_of: HashMap::new(),
+            label_of,
             cur_holes: Vec::new(),
             cur_branches: Vec::new(),
             call_relocs: Vec::new(),
-        };
-        for (li, &b) in s.template_blocks.iter().enumerate() {
-            buf.label_of.insert(b, li as u32);
-        }
-        em.tmpl = Some(buf);
+        });
         for &b in &s.template_blocks {
             em.template_block(b, s)?;
         }
         let buf = em.tmpl.take().expect("template buffer present");
-        let entry = buf.label_of[&s.template_entry];
+        let entry = buf
+            .label_of(s.template_entry)
+            .ok_or_else(|| CodegenError::Internal("template entry outside the template".into()))?;
+        label_of = buf.label_of;
         for (w, callee) in buf.call_relocs {
             tmpl_relocs.push((s.region, w, callee));
         }
@@ -261,7 +305,7 @@ pub fn emit_function(
         // Plans *copy* the code words, so the module driver re-runs this
         // after patching any template-call relocations.
         dyncomp_machine::template::precompile_plans(&mut template);
-        templates.insert(s.region, template);
+        templates.push(template);
     }
 
     // ---- assemble ----
@@ -275,25 +319,27 @@ pub fn emit_function(
         .collect();
 
     // ---- region metadata ----
+    let offset_of = |b: BlockId| -> Result<u32, CodegenError> {
+        out.label_offset(em.label(b))
+            .ok_or_else(|| CodegenError::Internal(format!("block {b} was not laid out")))
+    };
     let mut regions = Vec::new();
-    for (k, s) in specs.iter().enumerate() {
-        let enter_item = enter_pcs[&s.region];
+    for ((k, s), template) in specs.iter().enumerate().zip(templates) {
+        let enter_item = enter_pcs[s.region]
+            .ok_or_else(|| CodegenError::Internal("region without an ENTERREGION".into()))?;
         let enter_pc = out.inst_offsets[enter_item];
-        let setup_pc = out.label_offsets[&em.labels[&s.setup_entry]];
+        let setup_pc = offset_of(s.setup_entry)?;
         let exit_pcs: Vec<u32> = s
             .exit_targets
             .iter()
-            .map(|t| out.label_offsets[&em.labels[t]])
-            .collect();
+            .map(|&t| offset_of(t))
+            .collect::<Result<_, _>>()?;
         let key_locs: Vec<ValueLoc> = f.regions[s.region]
             .key_roots
             .iter()
             .map(|&v| em.value_loc(v))
             .collect();
-        let fallback_pc = em
-            .fallback_blocks
-            .get(&s.region)
-            .map(|b| out.label_offsets[&em.labels[b]]);
+        let fallback_pc = em.fallback_blocks[s.region].map(offset_of).transpose()?;
         regions.push((
             s.region,
             RegionCode {
@@ -301,7 +347,7 @@ pub fn emit_function(
                 enter_pc,
                 setup_pc,
                 fallback_pc,
-                template: templates.remove(&s.region).expect("template built"),
+                template,
                 exit_pcs,
                 key_locs,
                 table_static_len: s.table_static_len,
@@ -309,16 +355,29 @@ pub fn emit_function(
         ));
     }
 
+    let float_pool_used = em.float_pool_used;
+    em.mcx.scratch = Scratch {
+        alloc: scratch.alloc,
+        order,
+        labels: em.labels,
+        label_of,
+        asm: em.asm,
+    };
     Ok(EmittedFunc {
         words: out.words,
         call_relocs,
         tmpl_relocs,
         regions,
-        float_pool_used: em.float_pool_used,
+        float_pool_used,
     })
 }
 
 impl Emitter<'_> {
+    /// The label of block `b`, which is in the emission order.
+    fn label(&self, b: BlockId) -> Label {
+        self.labels[b.index()].expect("block in the emission order")
+    }
+
     fn value_loc(&self, v: InstId) -> ValueLoc {
         match self.alloc.loc(Entity::Val(v)) {
             Some(Loc::Reg(r)) => ValueLoc::Reg(r),
@@ -472,7 +531,8 @@ impl Emitter<'_> {
         if self.frame_size > 0 {
             self.push(Inst::mem(Op::Lda, SP, SP, -(self.frame_size as i32) as i16));
         }
-        for &(r, float, o) in &self.save_area.clone() {
+        for k in 0..self.save_area.len() {
+            let (r, float, o) = self.save_area[k];
             let op = if float { Op::Stt } else { Op::Stq };
             self.push(Inst::mem(op, r, SP, o as i16));
         }
@@ -486,7 +546,8 @@ impl Emitter<'_> {
         if let Some(o) = self.ra_off {
             self.push(Inst::mem(Op::Ldq, RA, SP, o as i16));
         }
-        for &(r, float, o) in &self.save_area.clone() {
+        for k in 0..self.save_area.len() {
+            let (r, float, o) = self.save_area[k];
             let op = if float { Op::Ldt } else { Op::Ldq };
             self.push(Inst::mem(op, r, SP, o as i16));
         }
@@ -633,9 +694,11 @@ impl Emitter<'_> {
                 }
             }
             InstKind::FrameAddr(v) => {
-                let off = *self
+                let off = self
                     .var_frame_off
-                    .get(&v)
+                    .get(v)
+                    .copied()
+                    .flatten()
                     .ok_or_else(|| CodegenError::Internal("FrameAddr of non-frame var".into()))?;
                 let rd = self.def_int(e, 0);
                 self.push(Inst::mem(Op::Lda, rd, SP, off as i16));
@@ -986,12 +1049,12 @@ impl Emitter<'_> {
         next: Option<BlockId>,
         region_base_index: u16,
         specs: &[&RegionSpec],
-        enter_pcs: &mut HashMap<dyncomp_ir::RegionId, usize>,
+        enter_pcs: &mut IndexVec<RegionId, Option<usize>>,
     ) -> Result<(), CodegenError> {
         match self.f.blocks[b].term {
             Terminator::Jump(t) => {
                 if next != Some(t) {
-                    self.asm.branch_to(Op::Br, ZERO, self.labels[&t]);
+                    self.asm.branch_to(Op::Br, ZERO, self.label(t));
                 }
             }
             Terminator::Branch {
@@ -1007,14 +1070,18 @@ impl Emitter<'_> {
                 } = self.f.kind(cond)
                 {
                     if let Some(Const::Int(r)) = args.first().and_then(|&a| self.f.as_const(a)) {
-                        self.fallback_blocks
-                            .insert(dyncomp_ir::RegionId::from_index(r as usize), else_b);
+                        if let Some(slot) = usize::try_from(r)
+                            .ok()
+                            .and_then(|r| self.fallback_blocks.get_mut(RegionId::from_index(r)))
+                        {
+                            *slot = Some(else_b);
+                        }
                     }
                 }
                 let rc = self.read_int(Entity::Val(cond), 0)?;
-                self.asm.branch_to(Op::Bne, rc, self.labels[&then_b]);
+                self.asm.branch_to(Op::Bne, rc, self.label(then_b));
                 if next != Some(else_b) {
-                    self.asm.branch_to(Op::Br, ZERO, self.labels[&else_b]);
+                    self.asm.branch_to(Op::Br, ZERO, self.label(else_b));
                 }
             }
             Terminator::Switch {
@@ -1029,17 +1096,17 @@ impl Emitter<'_> {
                         let rv = self.read_int(Entity::Val(val), 0)?;
                         let sc = INT_SCRATCH[1];
                         self.push(Inst::op3(Op::Cmpeq, rv, Operand::Lit(c as u8), sc));
-                        self.asm.branch_to(Op::Bne, sc, self.labels[&t]);
+                        self.asm.branch_to(Op::Bne, sc, self.label(t));
                     } else {
                         let sc = INT_SCRATCH[1];
                         self.load_const(sc, c);
                         let rv = self.read_int(Entity::Val(val), 0)?;
                         self.push(Inst::op3(Op::Cmpeq, rv, Operand::Reg(sc), sc));
-                        self.asm.branch_to(Op::Bne, sc, self.labels[&t]);
+                        self.asm.branch_to(Op::Bne, sc, self.label(t));
                     }
                 }
                 if next != Some(default) {
-                    self.asm.branch_to(Op::Br, ZERO, self.labels[&default]);
+                    self.asm.branch_to(Op::Br, ZERO, self.label(default));
                 }
             }
             Terminator::Return(v) => {
@@ -1066,7 +1133,7 @@ impl Emitter<'_> {
                     rc: 0,
                     imm: i32::from(region_base_index + k as u16),
                 });
-                enter_pcs.insert(region, item);
+                enter_pcs[region] = Some(item);
             }
             Terminator::EndSetup { region, table, .. } => {
                 let k = specs
@@ -1114,8 +1181,7 @@ impl Emitter<'_> {
             TemplateMarker::RestartLoop { next_slot } => LoopMarker::Restart { next_slot },
             TemplateMarker::ExitLoop => LoopMarker::Exit,
         });
-        let label_of =
-            |t: &TemplateBuf, b2: BlockId| -> Option<u32> { t.label_of.get(&b2).copied() };
+        let label_of = |t: &TemplateBuf, b2: BlockId| -> Option<u32> { t.label_of(b2) };
         let exit =
             match f.blocks[b].term {
                 Terminator::Jump(t) => {

@@ -19,13 +19,12 @@ pub mod emit;
 pub mod regalloc;
 
 use dyncomp_ir::eval::MEM_BASE;
-use dyncomp_ir::{FuncId, Module};
+use dyncomp_ir::{FuncId, IndexVec, Module, RegionId};
 use dyncomp_machine::asm::AsmError;
 use dyncomp_machine::isa::Op;
 use dyncomp_machine::template::RegionCode;
 use dyncomp_machine::vm::Vm;
 use dyncomp_specialize::RegionSpec;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Code-generation failure.
@@ -220,8 +219,9 @@ pub fn compile_module(
     let float_pool_addr = globals_end;
     let mut mcx = emit::ModuleCtx {
         global_addrs: global_addrs.clone(),
-        float_pool: HashMap::new(),
+        float_pool: Default::default(),
         float_pool_addr,
+        scratch: Default::default(),
     };
 
     // Which functions may be called from inside template code: only those
@@ -253,7 +253,8 @@ pub fn compile_module(
             &mut mcx,
         )?;
         let base = code.len() as u32;
-        let mut gidx_of = HashMap::new();
+        // Global region index of each of the function's regions.
+        let mut gidx_of: IndexVec<RegionId, usize> = f.regions.iter().map(|_| usize::MAX).collect();
         for (rid, mut rc) in emitted.regions {
             rc.enter_pc += base;
             rc.setup_pc += base;
@@ -263,14 +264,14 @@ pub fn compile_module(
             for pc in rc.exit_pcs.iter_mut() {
                 *pc += base;
             }
-            gidx_of.insert(rid, regions.len());
+            gidx_of[rid] = regions.len();
             regions.push(rc);
         }
         for (w, callee) in emitted.call_relocs {
             relocs.push((base + w, callee));
         }
         for (rid, w, callee) in emitted.tmpl_relocs {
-            tmpl_relocs.push((gidx_of[&rid], w, callee));
+            tmpl_relocs.push((gidx_of[rid], w, callee));
         }
         funcs.push(CompiledFunc {
             entry: base,

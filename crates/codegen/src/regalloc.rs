@@ -11,7 +11,7 @@
 //! to frame slots; reloads use the two reserved codegen scratch registers.
 
 use dyncomp_ir::ids::set_bits;
-use dyncomp_ir::{BlockId, Function, IndexVec, InstId, InstKind, Ty, VarId};
+use dyncomp_ir::{BlockId, Function, InstId, InstKind, Ty, VarId};
 use dyncomp_machine::isa::Reg;
 
 /// An allocatable entity.
@@ -110,18 +110,18 @@ impl Entities {
 }
 
 /// One bit set of entities per block of the allocation order.
+#[derive(Default)]
 struct BitRows {
     words: usize,
     bits: Vec<u64>,
 }
 
 impl BitRows {
-    fn new(rows: usize, entities: usize) -> Self {
-        let words = entities.div_ceil(64);
-        BitRows {
-            words,
-            bits: vec![0; rows * words],
-        }
+    /// Make every row empty, `rows` rows wide enough for `entities`.
+    fn reset(&mut self, rows: usize, entities: usize) {
+        self.words = entities.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(rows * self.words, 0);
     }
 
     fn row(&self, r: usize) -> &[u64] {
@@ -150,6 +150,38 @@ struct Interval {
     crosses_call: bool,
 }
 
+/// An interval holding a register during the scan.
+struct Active {
+    end: u32,
+    reg: Reg,
+    float: bool,
+    callee: bool,
+}
+
+/// The allocator's working tables, reused across the functions of one
+/// `compile_module` call. Every table is reset before use.
+#[derive(Default)]
+pub struct Scratch {
+    /// Row of each block in the allocation order; `u32::MAX` off it.
+    row_of: Vec<u32>,
+    block_start: Vec<u32>,
+    block_end: Vec<u32>,
+    inst_pos: Vec<u32>,
+    call_positions: Vec<u32>,
+    block_use: BitRows,
+    block_def: BitRows,
+    live_in: BitRows,
+    live_out: BitRows,
+    out: Vec<u64>,
+    /// `(start, end)` per entity; `start == u32::MAX` while untouched.
+    ivals: Vec<(u32, u32)>,
+    intervals: Vec<Interval>,
+    active: Vec<Active>,
+    /// Free registers: integer caller-, integer callee-, float caller-,
+    /// float callee-saved.
+    free: [Vec<Reg>; 4],
+}
+
 /// The entities instruction `i` reads, and the one it writes.
 fn uses_defs(f: &Function, i: InstId) -> (impl Iterator<Item = Entity> + '_, Option<Entity>) {
     let k = f.kind(i);
@@ -170,21 +202,44 @@ fn uses_defs(f: &Function, i: InstId) -> (impl Iterator<Item = Entity> + '_, Opt
 /// Compute per-block live-in/out over the given block order, then assign
 /// locations with linear scan.
 pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
+    allocate_in(f, order, &mut Scratch::default())
+}
+
+/// [`allocate`], working in `scratch`'s tables.
+pub fn allocate_in(f: &Function, order: &[BlockId], scratch: &mut Scratch) -> Allocation {
     let entities = Entities::of(f);
     let n = entities.len();
+    let Scratch {
+        row_of,
+        block_start,
+        block_end,
+        inst_pos,
+        call_positions,
+        block_use,
+        block_def,
+        live_in,
+        live_out,
+        out,
+        ivals,
+        intervals,
+        active,
+        free,
+    } = scratch;
 
     // ---- instruction numbering ----
-    let mut row_of: IndexVec<BlockId, Option<usize>> = f.blocks.iter().map(|_| None).collect();
-    let mut block_start: Vec<u32> = Vec::with_capacity(order.len());
-    let mut block_end: Vec<u32> = Vec::with_capacity(order.len());
-    let mut inst_pos: IndexVec<InstId, u32> = f.insts.iter().map(|_| 0).collect();
-    let mut call_positions: Vec<u32> = Vec::new();
+    row_of.clear();
+    row_of.resize(f.blocks.len(), u32::MAX);
+    block_start.clear();
+    block_end.clear();
+    inst_pos.clear();
+    inst_pos.resize(f.insts.len(), 0);
+    call_positions.clear();
     let mut pos: u32 = 0;
     for (r, &b) in order.iter().enumerate() {
-        row_of[b] = Some(r);
+        row_of[b.index()] = r as u32;
         block_start.push(pos);
         for &i in &f.blocks[b].insts {
-            inst_pos[i] = pos;
+            inst_pos[i.index()] = pos;
             if matches!(f.kind(i), InstKind::Call { .. }) {
                 call_positions.push(pos);
             }
@@ -196,8 +251,8 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
     }
 
     // ---- per-block use/def sets ----
-    let mut block_use = BitRows::new(order.len(), n);
-    let mut block_def = BitRows::new(order.len(), n);
+    block_use.reset(order.len(), n);
+    block_def.reset(order.len(), n);
     for (r, &b) in order.iter().enumerate() {
         for &i in &f.blocks[b].insts {
             let (uses, def) = uses_defs(f, i);
@@ -220,17 +275,19 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
     }
 
     // ---- backward liveness fixpoint ----
-    let mut live_in = BitRows::new(order.len(), n);
-    let mut live_out = BitRows::new(order.len(), n);
+    live_in.reset(order.len(), n);
+    live_out.reset(order.len(), n);
     let words = live_in.words;
-    let mut out = vec![0u64; words];
+    out.clear();
+    out.resize(words, 0);
     loop {
         let mut changed = false;
         for (r, &b) in order.iter().enumerate().rev() {
             out.fill(0);
             for s in f.blocks[b].term.successors() {
-                if let Some(sr) = row_of[s] {
-                    for (o, &w) in out.iter_mut().zip(live_in.row(sr)) {
+                let sr = row_of[s.index()];
+                if sr != u32::MAX {
+                    for (o, &w) in out.iter_mut().zip(live_in.row(sr as usize)) {
                         *o |= w;
                     }
                 }
@@ -255,8 +312,8 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
             Entity::Var(v) => f.vars[v].ty,
         }
     };
-    // `(start, end)` per entity; `start == u32::MAX` while untouched.
-    let mut ivals: Vec<(u32, u32)> = vec![(u32::MAX, 0); n];
+    ivals.clear();
+    ivals.resize(n, (u32::MAX, 0));
     let mut touch = |e: Entity, p: u32| {
         let iv = &mut ivals[entities.index(e)];
         iv.0 = iv.0.min(p);
@@ -264,7 +321,7 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
     };
     for (r, &b) in order.iter().enumerate() {
         for &i in &f.blocks[b].insts {
-            let p = inst_pos[i];
+            let p = inst_pos[i.index()];
             let (uses, def) = uses_defs(f, i);
             for e in uses {
                 touch(e, p);
@@ -286,53 +343,56 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
         }
     }
 
-    let mut intervals: Vec<Interval> = ivals
-        .iter()
-        .enumerate()
-        .filter(|(_, &(start, _))| start != u32::MAX)
-        .map(|(ix, &(start, end))| {
-            let ent = entities.entity(ix);
-            // The first call after `start`, if any, must come before `end`.
-            let next_call = call_positions.partition_point(|&c| c <= start);
-            Interval {
-                ent,
-                start,
-                end,
-                ty: ty_of(ent),
-                crosses_call: call_positions.get(next_call).is_some_and(|&c| c < end),
-            }
-        })
-        .collect();
+    intervals.clear();
+    intervals.extend(
+        ivals
+            .iter()
+            .enumerate()
+            .filter(|(_, &(start, _))| start != u32::MAX)
+            .map(|(ix, &(start, end))| {
+                let ent = entities.entity(ix);
+                // The first call after `start`, if any, must come before
+                // `end`.
+                let next_call = call_positions.partition_point(|&c| c <= start);
+                Interval {
+                    ent,
+                    start,
+                    end,
+                    ty: ty_of(ent),
+                    crosses_call: call_positions.get(next_call).is_some_and(|&c| c < end),
+                }
+            }),
+    );
     // The scan order, and hence register assignment, is `(start, end,
     // entity)`.
-    intervals.sort_by_key(|iv| (iv.start, iv.end, iv.ent));
+    intervals.sort_unstable_by_key(|iv| (iv.start, iv.end, iv.ent));
 
     // ---- linear scan ----
-    struct Active {
-        end: u32,
-        reg: Reg,
-        float: bool,
-        callee: bool,
+    active.clear();
+    let [free_int_caller, free_int_callee, free_flt_caller, free_flt_callee] = free;
+    for (pool, regs) in [
+        (&mut *free_int_caller, INT_CALLER),
+        (&mut *free_int_callee, INT_CALLEE),
+        (&mut *free_flt_caller, FLT_CALLER),
+        (&mut *free_flt_callee, FLT_CALLEE),
+    ] {
+        pool.clear();
+        pool.extend_from_slice(regs);
     }
-    let mut active: Vec<Active> = Vec::new();
-    let mut free_int_caller: Vec<Reg> = INT_CALLER.to_vec();
-    let mut free_int_callee: Vec<Reg> = INT_CALLEE.to_vec();
-    let mut free_flt_caller: Vec<Reg> = FLT_CALLER.to_vec();
-    let mut free_flt_callee: Vec<Reg> = FLT_CALLEE.to_vec();
     let mut used_int_callee: Vec<Reg> = Vec::new();
     let mut used_flt_callee: Vec<Reg> = Vec::new();
     let mut loc: Vec<Option<Loc>> = vec![None; n];
     let mut spill_off: i32 = 0;
 
-    for iv in &intervals {
+    for iv in intervals.iter() {
         // Expire.
         active.retain(|a| {
             if a.end < iv.start {
                 let pool = match (a.float, a.callee) {
-                    (false, false) => &mut free_int_caller,
-                    (false, true) => &mut free_int_callee,
-                    (true, false) => &mut free_flt_caller,
-                    (true, true) => &mut free_flt_callee,
+                    (false, false) => &mut *free_int_caller,
+                    (false, true) => &mut *free_int_callee,
+                    (true, false) => &mut *free_flt_caller,
+                    (true, true) => &mut *free_flt_callee,
                 };
                 pool.push(a.reg);
                 false
@@ -347,14 +407,14 @@ pub fn allocate(f: &Function, order: &[BlockId]) -> Allocation {
         let (first, second) = if iv.crosses_call {
             // Must be callee-saved (or spilled).
             if float {
-                (&mut free_flt_callee, None)
+                (&mut *free_flt_callee, None)
             } else {
-                (&mut free_int_callee, None)
+                (&mut *free_int_callee, None)
             }
         } else if float {
-            (&mut free_flt_caller, Some(&mut free_flt_callee))
+            (&mut *free_flt_caller, Some(&mut *free_flt_callee))
         } else {
-            (&mut free_int_caller, Some(&mut free_int_callee))
+            (&mut *free_int_caller, Some(&mut *free_int_callee))
         };
         let mut choice: Option<(Reg, bool)> = None;
         if let Some(r) = first.pop() {

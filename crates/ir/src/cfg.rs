@@ -16,14 +16,16 @@ pub struct Preds {
 }
 
 /// Each distinct `(block, successor)` edge of `f`, blocks in id order and
-/// successors in terminator order.
-fn distinct_edges(f: &Function, mut visit: impl FnMut(BlockId, BlockId)) {
+/// successors in terminator order. `last` is a table the walk may use:
+/// its contents on entry do not matter.
+fn distinct_edges(f: &Function, last: &mut Vec<u32>, mut visit: impl FnMut(BlockId, BlockId)) {
     // `last[s]` is one past the block that last reached `s`.
-    let mut last: IndexVec<BlockId, u32> = (0..f.blocks.len()).map(|_| 0).collect();
+    last.clear();
+    last.resize(f.blocks.len(), 0);
     for (b, blk) in f.iter_blocks() {
         for s in blk.term.successors() {
-            if last[s] != b.0 + 1 {
-                last[s] = b.0 + 1;
+            if last[s.index()] != b.0 + 1 {
+                last[s.index()] = b.0 + 1;
                 visit(b, s);
             }
         }
@@ -33,17 +35,31 @@ fn distinct_edges(f: &Function, mut visit: impl FnMut(BlockId, BlockId)) {
 impl Preds {
     /// Compute predecessors of every block in `f`.
     pub fn compute(f: &Function) -> Self {
-        let mut start = vec![0u32; f.blocks.len() + 1];
-        distinct_edges(f, |_, s| start[s.index() + 1] += 1);
-        for i in 1..start.len() {
+        let n = f.blocks.len();
+        let mut start = vec![0u32; n + 1];
+        let mut scratch = Vec::new();
+        distinct_edges(f, &mut scratch, |_, s| start[s.index() + 1] += 1);
+        for i in 1..=n {
             start[i] += start[i - 1];
         }
-        let mut fill = start.clone();
-        let mut list = vec![BlockId(0); start[f.blocks.len()] as usize];
-        distinct_edges(f, |b, s| {
-            list[fill[s.index()] as usize] = b;
-            fill[s.index()] += 1;
-        });
+        // Fill each block's run in edge order: `scratch[s]` is the next
+        // free position of `s`'s run.
+        let mut fill = scratch;
+        fill.clear();
+        fill.extend_from_slice(&start[..n]);
+        let mut list = vec![BlockId(0); start[n] as usize];
+        for (b, blk) in f.iter_blocks() {
+            for s in blk.term.successors() {
+                let (first, at) = (start[s.index()], fill[s.index()]);
+                // A repeat of `b → s` comes while `b` is the block walked,
+                // so `b` is then the last predecessor `s` was given.
+                if at > first && list[at as usize - 1] == b {
+                    continue;
+                }
+                list[at as usize] = b;
+                fill[s.index()] += 1;
+            }
+        }
         Preds { start, list }
     }
 
@@ -114,7 +130,7 @@ pub fn split_critical_edges(f: &mut Function) -> usize {
     // Distinct predecessors per block. Splitting keeps every count: a
     // split replaces predecessor `b` of `s` by the new block.
     let mut npreds: IndexVec<BlockId, u32> = (0..f.blocks.len()).map(|_| 0).collect();
-    distinct_edges(f, |_, s| npreds[s] += 1);
+    distinct_edges(f, &mut Vec::new(), |_, s| npreds[s] += 1);
     let mut nsplit = 0;
     let mut succs: Vec<BlockId> = Vec::new();
     let mut handled: Vec<(BlockId, BlockId)> = Vec::new();

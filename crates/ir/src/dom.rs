@@ -19,9 +19,13 @@ impl DomTree {
     /// Compute the dominator tree with the Cooper–Harvey–Kennedy iterative
     /// algorithm ("A Simple, Fast Dominance Algorithm").
     pub fn compute(f: &Function) -> Self {
+        Self::compute_with(f, &Preds::compute(f))
+    }
+
+    /// [`DomTree::compute`], given the predecessors of `f`'s blocks.
+    pub fn compute_with(f: &Function, preds: &Preds) -> Self {
         let rpo = reverse_postorder(f);
         let rpo_pos = rpo_positions(f, &rpo);
-        let preds = Preds::compute(f);
         let mut idom: IndexVec<BlockId, Option<BlockId>> =
             (0..f.blocks.len()).map(|_| None).collect();
         idom[f.entry] = Some(f.entry);
@@ -109,9 +113,9 @@ impl DomTree {
         self.rpo_pos[b]
     }
 
-    /// Dominance frontiers of every block.
-    pub fn frontiers(&self, f: &Function) -> IndexVec<BlockId, Vec<BlockId>> {
-        let preds = Preds::compute(f);
+    /// Dominance frontiers of every block, given the predecessors of `f`'s
+    /// blocks.
+    pub fn frontiers(&self, f: &Function, preds: &Preds) -> IndexVec<BlockId, Vec<BlockId>> {
         let mut df: IndexVec<BlockId, Vec<BlockId>> =
             (0..f.blocks.len()).map(|_| Vec::new()).collect();
         for &b in &self.rpo {

@@ -34,20 +34,19 @@ impl std::error::Error for VerifyError {}
 pub fn verify(f: &Function) -> Result<(), VerifyError> {
     let err = |m: String| Err(VerifyError(format!("{}: {m}", f.name)));
 
-    // Placement map, and each placed instruction's position in its block.
-    let mut place: IndexVec<InstId, Option<BlockId>> = (0..f.insts.len()).map(|_| None).collect();
-    let mut pos: IndexVec<InstId, usize> = (0..f.insts.len()).map(|_| 0).collect();
+    // Each placed instruction's block and position in it.
+    let mut place: IndexVec<InstId, Option<(BlockId, usize)>> =
+        (0..f.insts.len()).map(|_| None).collect();
     for (b, blk) in f.iter_blocks() {
         let mut seen_non_phi = false;
         for (p, &i) in blk.insts.iter().enumerate() {
             if i.index() >= f.insts.len() {
                 return err(format!("block {b} references nonexistent inst {i}"));
             }
-            if let Some(prev) = place[i] {
+            if let Some((prev, _)) = place[i] {
                 return err(format!("inst {i} placed in both {prev} and {b}"));
             }
-            place[i] = Some(b);
-            pos[i] = p;
+            place[i] = Some((b, p));
             if matches!(f.kind(i), InstKind::Phi(_)) {
                 if seen_non_phi {
                     return err(format!("φ {i} not at start of block {b}"));
@@ -126,7 +125,7 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
     }
 
     if f.is_ssa {
-        verify_ssa(f, &place, &pos, &live)?;
+        verify_ssa(f, &place, &live)?;
     }
 
     Ok(())
@@ -197,14 +196,15 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 
 fn verify_ssa(
     f: &Function,
-    place: &IndexVec<InstId, Option<BlockId>>,
-    pos: &IndexVec<InstId, usize>,
+    place: &IndexVec<InstId, Option<(BlockId, usize)>>,
     live: &IdSet<BlockId>,
 ) -> Result<(), VerifyError> {
     let err = |m: String| Err(VerifyError(format!("{}: {m}", f.name)));
+    let block_of = |v: InstId| place[v].expect("checked placed").0;
     let preds = Preds::compute(f);
-    let dom = DomTree::compute(f);
+    let dom = DomTree::compute_with(f, &preds);
     let (mut ps, mut got): (Vec<BlockId>, Vec<BlockId>) = (Vec::new(), Vec::new());
+    let mut vals: Vec<i64> = Vec::new();
 
     for (b, blk) in f.iter_blocks() {
         if !live.contains(b) {
@@ -220,10 +220,10 @@ fn verify_ssa(
                 InstKind::Phi(ins) => {
                     ps.clear();
                     ps.extend_from_slice(preds.of(b));
-                    ps.sort();
+                    ps.sort_unstable();
                     got.clear();
                     got.extend(ins.iter().map(|(p, _)| *p));
-                    got.sort();
+                    got.sort_unstable();
                     got.dedup();
                     if got.len() != ins.len() {
                         return err(format!("φ {i} has duplicate predecessor operands"));
@@ -245,7 +245,7 @@ fn verify_ssa(
                         if !live.contains(*p) {
                             continue;
                         }
-                        let db = place[*v].expect("checked placed");
+                        let db = block_of(*v);
                         if !dom.dominates(db, *p) {
                             return err(format!(
                                 "φ {i} operand {v} (defined in {db}) does not dominate pred {p}"
@@ -256,10 +256,10 @@ fn verify_ssa(
                 _ => {
                     // Non-φ uses: definition must dominate the use point.
                     for v in f.kind(i).operands() {
-                        let db = place[v].expect("checked placed");
+                        let (db, pos) = place[v].expect("checked placed");
                         let ok = if db == b {
                             // Same block: definition must come earlier.
-                            pos[v] < at
+                            pos < at
                         } else {
                             dom.dominates(db, b)
                         };
@@ -274,7 +274,7 @@ fn verify_ssa(
         }
         // Terminator uses.
         for v in blk.term.operands() {
-            let db = place[v].expect("checked placed");
+            let db = block_of(v);
             if db != b && !dom.dominates(db, b) {
                 return err(format!("terminator of {b} uses non-dominating value {v}"));
             }
@@ -282,7 +282,8 @@ fn verify_ssa(
         // Terminator-specific checks.
         if let Terminator::Switch { cases, .. } | Terminator::ConstSwitch { cases, .. } = &blk.term
         {
-            let mut vals: Vec<i64> = cases.iter().map(|(c, _)| *c).collect();
+            vals.clear();
+            vals.extend(cases.iter().map(|(c, _)| *c));
             vals.sort_unstable();
             vals.dedup();
             if vals.len() != cases.len() {

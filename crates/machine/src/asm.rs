@@ -2,7 +2,6 @@
 //! to encoded SimAlpha words. Used by the code generator and by tests.
 
 use crate::isa::{encode, EncodeError, Inst, Op, Reg};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A symbolic code label.
@@ -61,6 +60,8 @@ impl From<EncodeError> for AsmError {
 pub struct Assembler {
     items: Vec<Item>,
     next_label: u32,
+    /// Instruction items pushed so far (labels excluded).
+    insts: usize,
 }
 
 /// Assembled output.
@@ -68,17 +69,33 @@ pub struct Assembler {
 pub struct Assembled {
     /// Encoded code words.
     pub words: Vec<u32>,
-    /// Word offset of each bound label.
-    pub label_offsets: HashMap<Label, u32>,
+    /// Word offset of each label, indexed by label number; `None` for a
+    /// label never bound.
+    pub label_offsets: Vec<Option<u32>>,
     /// Word offset of each input instruction item (in item order, labels
     /// excluded). Useful for attaching directives to emitted positions.
     pub inst_offsets: Vec<u32>,
+}
+
+impl Assembled {
+    /// Word offset of `label`, when it was bound.
+    pub fn label_offset(&self, label: Label) -> Option<u32> {
+        self.label_offsets.get(label.0 as usize).copied().flatten()
+    }
 }
 
 impl Assembler {
     /// A fresh assembler.
     pub fn new() -> Self {
         Assembler::default()
+    }
+
+    /// Forget every item and label, keeping the item buffer's storage:
+    /// the assembler is as [`Assembler::new`] left it.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.next_label = 0;
+        self.insts = 0;
     }
 
     /// Allocate a fresh label.
@@ -91,26 +108,21 @@ impl Assembler {
     /// Append an instruction; returns its item index.
     pub fn push(&mut self, inst: Inst) -> usize {
         self.items.push(Item::Inst(inst));
-        self.inst_count() - 1
+        self.insts += 1;
+        self.insts - 1
     }
 
     /// Append a branch to a label; returns its item index.
     pub fn branch_to(&mut self, op: Op, ra: Reg, target: Label) -> usize {
         debug_assert_eq!(op.format(), crate::isa::Format::Branch);
         self.items.push(Item::BranchTo(op, ra, target));
-        self.inst_count() - 1
+        self.insts += 1;
+        self.insts - 1
     }
 
     /// Bind `label` at the current position.
     pub fn bind(&mut self, label: Label) {
         self.items.push(Item::Bind(label));
-    }
-
-    fn inst_count(&self) -> usize {
-        self.items
-            .iter()
-            .filter(|i| !matches!(i, Item::Bind(_)))
-            .count()
     }
 
     /// Assemble to code words.
@@ -119,13 +131,14 @@ impl Assembler {
     /// Fails on unbound/duplicate labels or out-of-range fields.
     pub fn assemble(&self) -> Result<Assembled, AsmError> {
         // Pass 1: compute word offsets.
-        let mut label_offsets: HashMap<Label, u32> = HashMap::new();
-        let mut inst_offsets: Vec<u32> = Vec::new();
+        let mut label_offsets: Vec<Option<u32>> = vec![None; self.next_label as usize];
+        let mut inst_offsets: Vec<u32> = Vec::with_capacity(self.insts);
         let mut at: u32 = 0;
         for item in &self.items {
             match item {
                 Item::Bind(l) => {
-                    if label_offsets.insert(*l, at).is_some() {
+                    let slot = label_slot(&mut label_offsets, *l);
+                    if slot.replace(at).is_some() {
                         return Err(AsmError::DuplicateLabel(*l));
                     }
                 }
@@ -155,7 +168,11 @@ impl Assembler {
                     }
                 }
                 Item::BranchTo(op, ra, l) => {
-                    let target = *label_offsets.get(l).ok_or(AsmError::UnboundLabel(*l))?;
+                    let target = label_offsets
+                        .get(l.0 as usize)
+                        .copied()
+                        .flatten()
+                        .ok_or(AsmError::UnboundLabel(*l))?;
                     let disp = target as i64 - (pos as i64 + 1);
                     let (w, _) = encode(&Inst::branch(*op, *ra, disp as i32))?;
                     words.push(w);
@@ -169,6 +186,16 @@ impl Assembler {
             inst_offsets,
         })
     }
+}
+
+/// `label`'s entry in `offsets`, growing the table for a label the
+/// assembler did not hand out.
+fn label_slot(offsets: &mut Vec<Option<u32>>, label: Label) -> &mut Option<u32> {
+    let ix = label.0 as usize;
+    if ix >= offsets.len() {
+        offsets.resize(ix + 1, None);
+    }
+    &mut offsets[ix]
 }
 
 #[cfg(test)]
@@ -219,7 +246,7 @@ mod tests {
             imm: 0,
         });
         let out = a.assemble().unwrap();
-        assert_eq!(out.label_offsets[&skip], 3);
+        assert_eq!(out.label_offset(skip), Some(3));
 
         let mut vm = Vm::new(1 << 16);
         let start = vm.append_code(&out.words);

@@ -602,40 +602,47 @@ impl Spec<'_> {
     }
 
     fn collect_requirements(&mut self) {
-        for b in self.rpo.clone() {
+        for k in 0..self.rpo.len() {
+            let b = self.rpo[k];
             let b_ctx = self.ctx_of(b);
-            for i in self.f.blocks[b].insts.clone() {
+            for at in 0..self.f.blocks[b].insts.len() {
+                let i = self.f.blocks[b].insts[at];
                 if self.is_const(i) {
                     continue;
                 }
-                match self.f.kind(i).clone() {
-                    InstKind::Phi(ins) => {
-                        for (p, v) in ins {
-                            if self.is_const(v) {
-                                let p_ctx = self.ctx_of(p);
-                                self.require(v, &p_ctx);
-                            }
-                        }
+                // Operand `n` of `i` (for a φ, with its predecessor); the
+                // requirements do not touch the IR, so the walk re-borrows.
+                let operand = |f: &Function, n: usize| match f.kind(i) {
+                    InstKind::Phi(ins) => ins.get(n).map(|&(p, v)| (Some(p), v)),
+                    kind => kind.operands().nth(n).map(|v| (None, v)),
+                };
+                let mut n = 0;
+                while let Some((p, v)) = operand(self.f, n) {
+                    n += 1;
+                    if !self.is_const(v) {
+                        continue;
                     }
-                    k => {
-                        for v in k.operands() {
-                            if self.is_const(v) {
-                                self.require(v, &b_ctx);
-                            }
+                    match p {
+                        Some(p) => {
+                            let p_ctx = self.ctx_of(p);
+                            self.require(v, &p_ctx);
+                        }
+                        None => {
+                            self.require(v, &b_ctx);
                         }
                     }
                 }
             }
-            let term = self.f.blocks[b].term.clone();
             if self.analysis.const_branches.contains(b) {
-                let test = match &term {
-                    Terminator::Branch { cond, .. } => *cond,
-                    Terminator::Switch { val, .. } => *val,
+                let test = match self.f.blocks[b].term {
+                    Terminator::Branch { cond, .. } => cond,
+                    Terminator::Switch { val, .. } => val,
                     _ => unreachable!("const branch has a branch terminator"),
                 };
                 self.require(test, &b_ctx);
             } else {
-                for v in term.operands() {
+                for n in 0..self.f.blocks[b].term.operands().len() {
+                    let v = self.f.blocks[b].term.operands().nth(n).expect("n < len");
                     if self.is_const(v) {
                         self.require(v, &b_ctx);
                     }
@@ -775,8 +782,8 @@ impl Spec<'_> {
             let cb = clone_of[b];
             let mut list: Vec<InstId> = Vec::new();
             hole_cache.clear();
-            let insts = self.f.blocks[b].insts.clone();
-            for i in insts {
+            for at in 0..self.f.blocks[b].insts.len() {
+                let i = self.f.blocks[b].insts[at];
                 if self.is_const(i) {
                     self.stats.const_insts_eliminated += 1;
                     if matches!(self.f.kind(i), InstKind::Load { .. }) {
@@ -1143,7 +1150,8 @@ impl Spec<'_> {
     fn schedule(&mut self, level: &Ctx) -> Vec<ScheduleItem> {
         let mut items = Vec::new();
         let mut seen_loops: Vec<usize> = Vec::new();
-        for b in self.rpo.clone() {
+        for k in 0..self.rpo.len() {
+            let b = self.rpo[k];
             let c = self.ctx_of(b);
             if c == *level {
                 items.push(ScheduleItem::Block(b));
@@ -1207,7 +1215,8 @@ impl Spec<'_> {
         } else {
             let my_pos = self.rpo_pos[b];
             let mut acc: Option<InstId> = None;
-            for p in self.preds.of(b).to_vec() {
+            for k in 0..self.preds.of(b).len() {
+                let p = self.preds.of(b)[k];
                 if !self.r.blocks.contains(p) {
                     continue;
                 }
@@ -1229,23 +1238,25 @@ impl Spec<'_> {
         let is_header = rb_override.is_some();
 
         // Constant instructions.
-        for i in self.f.blocks[b].insts.clone() {
+        for at in 0..self.f.blocks[b].insts.len() {
+            let i = self.f.blocks[b].insts[at];
             if !self.is_const(i) {
                 continue;
             }
-            match self.f.kind(i).clone() {
-                InstKind::Phi(ins) => {
+            match *self.f.kind(i) {
+                InstKind::Phi(ref ins) => {
                     if is_header {
                         continue; // handled by gen_loop
                     }
                     // Select chain over mutually exclusive arc conditions.
                     let mut acc: Option<InstId> = None;
-                    for (p, v) in ins.iter().rev() {
-                        let val = g.val(*v);
+                    for k in (0..ins.len()).rev() {
+                        let (p, v) = phi_operand(self.f, i, k);
+                        let val = g.val(v);
                         acc = Some(match acc {
                             None => val,
                             Some(rest) => {
-                                let cond = self.pred_condition(g, *p, b).unwrap_or(g.zero);
+                                let cond = self.pred_condition(g, p, b).unwrap_or(g.zero);
                                 self.f.append(
                                     g.cur,
                                     InstKind::Select {
@@ -1293,7 +1304,8 @@ impl Spec<'_> {
                     );
                     g.setup_val[i] = Some(nv);
                 }
-                mut k => {
+                ref k => {
+                    let mut k = k.clone();
                     k.map_operands(|v| g.val(v));
                     let nv = self.f.append(g.cur, k);
                     g.setup_val[i] = Some(nv);
@@ -1304,7 +1316,7 @@ impl Spec<'_> {
 
         // Arc booleans for constant branches.
         if self.analysis.const_branches.contains(b) {
-            match self.f.blocks[b].term.clone() {
+            match self.f.blocks[b].term {
                 Terminator::Branch { cond, .. } => {
                     let cv = g.val(cond);
                     let nb = self
@@ -1318,11 +1330,16 @@ impl Spec<'_> {
                     g.arcbool.insert((b, 0), a0);
                     g.arcbool.insert((b, 1), a1);
                 }
-                Terminator::Switch { val, cases, .. } => {
+                Terminator::Switch { val, ref cases, .. } => {
                     let sv = g.val(val);
                     let mut any: Option<InstId> = None;
-                    for (idx, (c, _)) in cases.iter().enumerate() {
-                        let cc = self.f.append(g.cur, InstKind::Const(Const::Int(*c)));
+                    let ncases = cases.len();
+                    for idx in 0..ncases {
+                        let Terminator::Switch { ref cases, .. } = self.f.blocks[b].term else {
+                            unreachable!("the terminator is a switch")
+                        };
+                        let c = cases[idx].0;
+                        let cc = self.f.append(g.cur, InstKind::Const(Const::Int(c)));
                         let eq = self.f.append(g.cur, InstKind::Bin(BinOp::CmpEq, sv, cc));
                         let ab = self.f.append(g.cur, InstKind::Bin(BinOp::And, rb_b, eq));
                         g.arcbool.insert((b, idx), ab);
@@ -1336,7 +1353,7 @@ impl Spec<'_> {
                         Some(a) => self.f.append(g.cur, InstKind::Un(UnOp::LogNot, a)),
                     };
                     let dab = self.f.append(g.cur, InstKind::Bin(BinOp::And, rb_b, none));
-                    g.arcbool.insert((b, cases.len()), dab);
+                    g.arcbool.insert((b, ncases), dab);
                 }
                 _ => {}
             }
@@ -1346,13 +1363,11 @@ impl Spec<'_> {
     /// Store `v`'s setup value into every slot it requires at contexts
     /// visible from `level`.
     fn store_slots(&mut self, g: &mut SetupGen, v: InstId, level: &Ctx) {
-        let reqs: Vec<(Ctx, u32)> = self
+        let reqs = self
             .requirements
             .range((v, Ctx::new())..)
-            .take_while(|((rv, _), _)| *rv == v)
-            .map(|((_, c), &leaf)| (c.clone(), leaf))
-            .collect();
-        for (ctx, leaf) in reqs {
+            .take_while(|((rv, _), _)| *rv == v);
+        for ((_, ctx), &leaf) in reqs {
             // Only store requirements whose context is a prefix of the
             // current level (records of deeper contexts don't exist here).
             if ctx.len() > level.len() || ctx[..] != level[..ctx.len()] {
@@ -1381,7 +1396,8 @@ impl Spec<'_> {
     }
 
     fn gen_loop(&mut self, g: &mut SetupGen, outer: &Ctx, li: usize) {
-        let l = self.forest.loops[li].clone();
+        let forest = self.forest;
+        let l = &forest.loops[li];
         let ext = self.ext_blocks[li].clone();
         let h = l.header;
         let level: Ctx = {
@@ -1418,27 +1434,25 @@ impl Spec<'_> {
         // Entry values for the header's constant φs.
         let phis: Vec<InstId> = self.f.blocks[h]
             .insts
-            .clone()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&i| matches!(self.f.kind(i), InstKind::Phi(_)) && self.is_const(i))
             .collect();
         // Parallel to `phis`.
         let mut entry_vals: Vec<InstId> = Vec::with_capacity(phis.len());
         for &phi in &phis {
-            let InstKind::Phi(ins) = self.f.kind(phi).clone() else {
-                unreachable!()
-            };
             let mut acc: Option<InstId> = None;
-            for (p, v) in ins.iter().rev() {
-                if l.blocks.contains(*p) {
+            for k in (0..phi_len(self.f, phi)).rev() {
+                let (p, v) = phi_operand(self.f, phi, k);
+                if l.blocks.contains(p) {
                     continue; // latch operand, handled per iteration
                 }
-                let val = g.val(*v);
+                let val = g.val(v);
                 acc = Some(match acc {
                     None => val,
                     Some(rest) => {
-                        let cond = if self.r.blocks.contains(*p) {
-                            self.pred_condition(g, *p, h).unwrap_or(g.zero)
+                        let cond = if self.r.blocks.contains(p) {
+                            self.pred_condition(g, p, h).unwrap_or(g.zero)
                         } else {
                             g.one
                         };
@@ -1564,19 +1578,17 @@ impl Spec<'_> {
 
         // Latch values for the header φs.
         for &(phi, sp) in &val_phis {
-            let InstKind::Phi(ins) = self.f.kind(phi).clone() else {
-                unreachable!()
-            };
             let mut acc: Option<InstId> = None;
-            for (p, v) in ins.iter().rev() {
-                if !l.blocks.contains(*p) {
+            for k in (0..phi_len(self.f, phi)).rev() {
+                let (p, v) = phi_operand(self.f, phi, k);
+                if !l.blocks.contains(p) {
                     continue;
                 }
-                let val = g.val(*v);
+                let val = g.val(v);
                 acc = Some(match acc {
                     None => val,
                     Some(rest) => {
-                        let cond = self.pred_condition(g, *p, h).unwrap_or(g.zero);
+                        let cond = self.pred_condition(g, p, h).unwrap_or(g.zero);
                         self.f.append(
                             g.cur,
                             InstKind::Select {
@@ -1687,10 +1699,12 @@ impl Spec<'_> {
 
         // Retarget predecessors of the region entry and rewrite all
         // out-of-region uses of region-defined values.
-        let region_blocks = self.r.blocks.clone();
+        let region_blocks = &self.r.blocks;
         let setup_block_set: IdSet<BlockId> = setup.blocks.iter().copied().collect();
         let entry = self.r.entry;
-        for b in self.f.blocks.ids().collect::<Vec<_>>() {
+        let remap = |v| remap_out(v, &defined_in_region, self.analysis, val_map, &setup.setup_val);
+        let dyncomp_ir::Function { blocks, insts, .. } = &mut *self.f;
+        for b in blocks.ids() {
             if region_blocks.contains(b) || setup_block_set.contains(b) || b == enter_block {
                 continue;
             }
@@ -1698,52 +1712,24 @@ impl Spec<'_> {
             // (They were created after the original block range; we detect
             // them via val_map usage instead: any block created during
             // build_template references only new ids or out-of-region ids.)
-            let mut term = self.f.blocks[b].term.clone();
-            term.map_successors(|s| if s == entry { enter_block } else { s });
-            self.f.blocks[b].term = term;
-
-            let insts = self.f.blocks[b].insts.clone();
-            for i in insts {
-                let mut kind = self.f.insts[i].kind.clone();
-                if let InstKind::Phi(ins) = &mut kind {
+            let blk = &mut blocks[b];
+            blk.term
+                .map_successors(|s| if s == entry { enter_block } else { s });
+            for &i in &blk.insts {
+                if let InstKind::Phi(ins) = &mut insts[i].kind {
                     for (p, v) in ins.iter_mut() {
                         if region_blocks.contains(*p) {
                             if let Some(&stub) = stub_for.get(&(*p, b)) {
                                 *p = stub;
                             }
                         }
-                        *v = remap_out(
-                            *v,
-                            &defined_in_region,
-                            self.analysis,
-                            val_map,
-                            &setup.setup_val,
-                        );
+                        *v = remap(*v);
                     }
                 } else {
-                    kind.map_operands(|v| {
-                        remap_out(
-                            v,
-                            &defined_in_region,
-                            self.analysis,
-                            val_map,
-                            &setup.setup_val,
-                        )
-                    });
+                    insts[i].kind.map_operands(remap);
                 }
-                self.f.insts[i].kind = kind;
             }
-            let mut term = self.f.blocks[b].term.clone();
-            term.map_operands(|v| {
-                remap_out(
-                    v,
-                    &defined_in_region,
-                    self.analysis,
-                    val_map,
-                    &setup.setup_val,
-                )
-            });
-            self.f.blocks[b].term = term;
+            blk.term.map_operands(remap);
         }
 
         // Detach the original region body.
@@ -1779,6 +1765,22 @@ fn remap_out(
 /// `v`'s entry in a value table, or `v` itself when it has none.
 fn mapped(table: &IndexVec<InstId, Option<InstId>>, v: InstId) -> InstId {
     table.get(v).copied().flatten().unwrap_or(v)
+}
+
+/// The number of operands of φ `phi`.
+fn phi_len(f: &Function, phi: InstId) -> usize {
+    match f.kind(phi) {
+        InstKind::Phi(ins) => ins.len(),
+        _ => unreachable!("{phi} is a φ"),
+    }
+}
+
+/// Operand `k` of φ `phi`: its predecessor and value.
+fn phi_operand(f: &Function, phi: InstId, k: usize) -> (BlockId, InstId) {
+    match f.kind(phi) {
+        InstKind::Phi(ins) => ins[k],
+        _ => unreachable!("{phi} is a φ"),
+    }
 }
 
 /// Follow a Jump chain from `first` until the block jumping to `final_tgt`.
