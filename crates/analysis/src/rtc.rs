@@ -123,8 +123,8 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
     }
 
     // Unrolled-loop scopes for boundary weakening.
+    let dom = dyncomp_ir::dom::DomTree::compute(f);
     let scopes: LoopScopes = {
-        let dom = dyncomp_ir::dom::DomTree::compute(f);
         let forest = dyncomp_ir::loops::find_loops(f, &dom);
         forest
             .loops
@@ -146,7 +146,15 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
                 .map(|b| if r.blocks.contains(b) { Cond::t() } else { Cond::f() })
                 .collect()
         };
-        let const_merges = classify_merges(f, r, &const_branches, &reach, &scopes, config);
+        let const_merges = classify_merges(
+            f,
+            r,
+            dom.preds(),
+            &const_branches,
+            &reach,
+            &scopes,
+            config,
+        );
         let new_konst = constants_fixpoint(f, r, &const_merges);
         if new_konst == konst {
             return RegionAnalysis {
@@ -297,13 +305,13 @@ fn pred_condition(
 fn classify_merges(
     f: &Function,
     r: &DynRegion,
+    preds: &dyncomp_ir::cfg::Preds,
     const_branches: &IdSet<BlockId>,
     reach: &IndexVec<BlockId, Cond>,
     scopes: &LoopScopes,
     config: &AnalysisConfig,
 ) -> IdSet<BlockId> {
     let mut merges = IdSet::with_domain(f.blocks.len());
-    let preds = dyncomp_ir::cfg::Preds::compute(f);
     for b in r.blocks.iter() {
         // Unrolled loop headers are constant merges by fiat (§3.1): at run
         // time exactly one predecessor arc enters each unrolled copy.

@@ -99,6 +99,7 @@ use dyncomp::{
 };
 use dyncomp_machine::disasm::disassemble;
 use dyncomp_machine::template::{HoleField, LoopMarker, TmplExit};
+use std::io::Write;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::exit;
@@ -120,6 +121,8 @@ enum CliError {
     Trace(String),
     /// A `--connect` request failed (connection or server error).
     Net(String),
+    /// Standard output could not be written (say, a closed pipe).
+    Output(std::io::Error),
 }
 
 impl CliError {
@@ -140,6 +143,7 @@ impl std::fmt::Display for CliError {
             CliError::Run(m) => write!(f, "{m}"),
             CliError::Trace(m) => write!(f, "{m}"),
             CliError::Net(m) => write!(f, "{m}"),
+            CliError::Output(e) => write!(f, "cannot write output: {e}"),
         }
     }
 }
@@ -176,9 +180,22 @@ const FLAGS: &[(&str, &str, Option<&str>)] = &[
     ("--time-passes", "", None),
 ];
 
+/// `println!` onto the one stdout writer: a failed write (a closed pipe)
+/// becomes a [`CliError::Output`], never a panic.
+macro_rules! say {
+    ($out:expr) => {
+        writeln!($out).map_err(CliError::Output)?
+    };
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(CliError::Output)?
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = run(&args) {
+    let mut out = std::io::stdout().lock();
+    let done = run(&args, &mut out).and_then(|()| out.flush().map_err(CliError::Output));
+    if let Err(e) = done {
         eprintln!("dyncc: {e}");
         if matches!(e, CliError::Usage(_)) {
             let flags: Vec<String> = FLAGS
@@ -196,21 +213,22 @@ fn main() {
 
 /// `--time-passes`: host µs and share of the compile per phase, then the
 /// time no phase accounts for.
-fn print_pass_times(path: &str, times: &PassTimes) {
+fn print_pass_times(out: &mut impl Write, path: &str, times: &PassTimes) -> Result<(), CliError> {
     let total = times.total_ns().max(1) as f64;
-    println!("time-passes {path}: host time per phase of one compile");
+    say!(out, "time-passes {path}: host time per phase of one compile");
     let rows = Phase::ALL
         .iter()
         .map(|&p| (p.name(), times.ns(p)))
         .chain([("unattributed", times.unattributed_ns())]);
     for (name, ns) in rows {
-        println!(
+        say!(out, 
             "  {name:<24} {:>10.1} us {:>5.1} %",
             ns as f64 / 1e3,
             ns as f64 * 100.0 / total
         );
     }
-    println!("  {:<24} {:>10.1} us", "total", total / 1e3);
+    say!(out, "  {:<24} {:>10.1} us", "total", total / 1e3);
+    Ok(())
 }
 
 /// Refuse what [`FLAGS`] does not list: an unknown flag, a word no flag
@@ -239,7 +257,7 @@ fn check_flags(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     if args.is_empty() || args[0].starts_with("--") {
         return Err(CliError::Usage(
             "the first argument must be a program file".to_string(),
@@ -274,10 +292,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if flag("--advise") {
         let advice = dyncomp::advise(&src).map_err(|e| CliError::Compile(e.to_string()))?;
         for fa in &advice {
-            println!("function {}:", fa.func);
+            say!(out, "function {}:", fa.func);
             for h in &fa.params {
                 let p = h.params[0];
-                println!(
+                say!(out, 
                     "  arg {p} constant: {:>3.0}% of instructions fold \
                      ({}/{}), {}/{} branch(es) resolve, {}/{} loop(s) unroll",
                     h.score() * 100.0,
@@ -290,7 +308,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 );
             }
             let a = &fa.all_params;
-            println!(
+            say!(out, 
                 "  all args constant: {:>3.0}% of instructions fold ({}/{})",
                 a.score() * 100.0,
                 a.const_insts,
@@ -298,17 +316,17 @@ fn run(args: &[String]) -> Result<(), CliError> {
             );
             let rec = fa.recommended(0.3);
             if rec.is_empty() {
-                println!("  recommendation: no single argument is worth annotating");
+                say!(out, "  recommendation: no single argument is worth annotating");
             } else {
                 let list: Vec<String> = rec.iter().map(|p| format!("arg {p}")).collect();
-                println!("  recommendation: annotate {}", list.join(", "));
+                say!(out, "  recommendation: annotate {}", list.join(", "));
             }
         }
         return Ok(());
     }
 
     if let Some(addr) = connect {
-        return run_connected(args, path, &src, &addr);
+        return run_connected(out, args, path, &src, &addr);
     }
 
     let tiered = flag("--tiered");
@@ -334,7 +352,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         let (p, times) = compiler
             .compile_timed(&src)
             .map_err(|e| CliError::Compile(e.to_string()))?;
-        print_pass_times(path, &times);
+        print_pass_times(out, path, &times)?;
         Some(p)
     } else {
         None
@@ -357,7 +375,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         ),
     };
 
-    println!(
+    say!(out, 
         "compiled {path}: {} function(s), {} dynamic region(s), {} code words{}",
         program.module.funcs.len(),
         program.region_count(),
@@ -370,7 +388,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     );
     if inline_depth > 0 {
         for s in &program.inline_sites {
-            println!(
+            say!(out, 
                 "inlined `{}` into region {} of `{}` (round {}, {} instruction(s))",
                 s.callee_name,
                 s.region_index,
@@ -380,20 +398,20 @@ fn run(args: &[String]) -> Result<(), CliError> {
             );
         }
         if program.inline_sites.is_empty() {
-            println!("inlining enabled (depth {inline_depth}): no demanded call sites");
+            say!(out, "inlining enabled (depth {inline_depth}): no demanded call sites");
         }
     }
 
     if flag("--ir") {
         for f in program.module.funcs.iter() {
-            println!("\n{f}");
+            say!(out, "\n{f}");
         }
     }
 
     if flag("--regions") {
         for (i, rc) in program.compiled.regions.iter().enumerate() {
             let holes: usize = rc.template.blocks.iter().map(|b| b.holes.len()).sum();
-            println!(
+            say!(out, 
                 "\nregion {i}: enter@{} setup@{} | {} static table slot(s), {} template \
                  block(s), {} hole(s), key: {:?}",
                 rc.enter_pc,
@@ -408,7 +426,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
     if flag("--templates") {
         for (i, rc) in program.compiled.regions.iter().enumerate() {
-            println!(
+            say!(out, 
                 "\n=== region {i} template (entry L{}) ===",
                 rc.template.entry
             );
@@ -421,7 +439,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     Some(LoopMarker::Exit) => "  EXIT_LOOP".into(),
                     None => String::new(),
                 };
-                println!("L{li}:{marker}");
+                say!(out, "L{li}:{marker}");
                 let code = &rc.template.code[b.start as usize..b.end as usize];
                 let mut hole_iter = b.holes.iter().peekable();
                 for line in disassemble(code, b.start) {
@@ -439,19 +457,19 @@ fn run(args: &[String]) -> Result<(), CliError> {
                             break;
                         }
                     }
-                    println!("    {:>4}: {}{notes}", line.addr, line.text);
+                    say!(out, "    {:>4}: {}{notes}", line.addr, line.text);
                 }
                 match &b.exit {
-                    TmplExit::Jump(l) => println!("    -> L{l}"),
+                    TmplExit::Jump(l) => say!(out, "    -> L{l}"),
                     TmplExit::CondBranch { taken, fall, .. } => {
-                        println!("    branch -> L{taken} | fall L{fall}")
+                        say!(out, "    branch -> L{taken} | fall L{fall}")
                     }
                     TmplExit::ConstBranch {
                         slot,
                         then_l,
                         else_l,
                     } => {
-                        println!("    CONST_BRANCH(t[{slot}]) -> L{then_l} | L{else_l}")
+                        say!(out, "    CONST_BRANCH(t[{slot}]) -> L{then_l} | L{else_l}")
                     }
                     TmplExit::ConstSwitch {
                         slot,
@@ -460,22 +478,22 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     } => {
                         let cs: Vec<String> =
                             cases.iter().map(|(c, l)| format!("{c}=>L{l}")).collect();
-                        println!(
+                        say!(out, 
                             "    CONST_SWITCH(t[{slot}]) [{}] default L{default}",
                             cs.join(", ")
                         )
                     }
-                    TmplExit::Return => println!("    (return)"),
-                    TmplExit::ExitRegion { exit } => println!("    EXIT_REGION({exit})"),
+                    TmplExit::Return => say!(out, "    (return)"),
+                    TmplExit::ExitRegion { exit } => say!(out, "    EXIT_REGION({exit})"),
                 }
             }
         }
     }
 
     if flag("--disasm") {
-        println!();
+        say!(out);
         for line in disassemble(&program.compiled.code, 0) {
-            println!("{:>6}: {}", line.addr, line.text);
+            say!(out, "{:>6}: {}", line.addr, line.text);
         }
     }
 
@@ -505,7 +523,15 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         .to_string(),
                 ));
             }
-            return run_multi_session(&program, &func, &call_args, sessions, threads, &options);
+            return run_multi_session(
+                out,
+                &program,
+                &func,
+                &call_args,
+                sessions,
+                threads,
+                &options,
+            );
         }
 
         let mut engine = Session::with_options(Arc::clone(&program), options.clone());
@@ -513,7 +539,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         let v = engine
             .call(&func, &call_args)
             .map_err(|e| CliError::Run(format!("run failed: {e}")))?;
-        println!(
+        say!(out, 
             "\n{func}({}) = {v} ({} as signed) in {} cycles",
             listed(&call_args),
             v as i64,
@@ -522,7 +548,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         if options.native {
             let n = engine.native_report();
             if n.active {
-                println!(
+                say!(out, 
                     "\nnative backend: {} instance(s) installed ({} bytes), {} declined, \
                      {} dispatch(es), {} chained transfer(s); {}/{} instruction(s) covered, \
                      translated in {} ns",
@@ -536,14 +562,14 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     n.translate_ns
                 );
             } else {
-                println!(
+                say!(out, 
                     "\nnative backend: unavailable on this host; the session ran on the VM backend"
                 );
             }
         }
         if let Some(cache) = &options.persist {
             let s = cache.stats();
-            println!(
+            say!(out, 
                 "\npersistent cache ({}): artifact {}/{} hit(s) ({} reject(s)), \
                  instance {} hit(s), {} miss(es), {} reject(s), {} store(s), \
                  {} lock skip(s)",
@@ -558,7 +584,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 s.lock_skips
             );
             for incident in cache.incidents() {
-                println!(
+                say!(out, 
                     "        [{}] {}: {}",
                     incident.kind, incident.path, incident.reason
                 );
@@ -566,7 +592,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
         if options.faults.is_some() || options.recovery.code_budget_bytes.is_some() {
             let h = engine.health();
-            println!(
+            say!(out, 
                 "\nhealth: {} fault(s) injected, {} retr{}, {} failure(s) ({} dropped), \
                  degradation level {}",
                 h.faults_injected,
@@ -577,16 +603,16 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 h.degradation_level
             );
             if let Some(b) = h.code_budget_bytes {
-                println!(
+                say!(out, 
                     "        {} / {b} stitched-code byte(s) installed",
                     h.code_bytes_installed
                 );
             }
             if !h.quarantined.is_empty() {
-                println!("        quarantined region(s): {:?}", h.quarantined);
+                say!(out, "        quarantined region(s): {:?}", h.quarantined);
             }
             for f in &h.failures {
-                println!(
+                say!(out, 
                     "        [cycle {}] region {} {} failure{}: {}",
                     f.at,
                     f.region,
@@ -610,12 +636,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let t = engine
                 .trace()
                 .ok_or_else(|| CliError::Trace("tracing state missing".to_string()))?;
-            println!(
+            say!(out, 
                 "\nwrote {path} ({trace_format}, {} event(s) recorded, {} dropped); self-check ok",
                 t.events().count(),
                 t.dropped()
             );
-            println!(
+            say!(out, 
                 "{:<4} {:>8} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>7} {:>6} {:>12}",
                 "rgn",
                 "invoc",
@@ -630,7 +656,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 "1st-stitched"
             );
             for p in t.profiles() {
-                println!(
+                say!(out, 
                     "{:<4} {:>8} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>7} {:>6} {:>12}",
                     p.region,
                     p.invocations,
@@ -650,13 +676,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
         if flag("--report") {
             for i in 0..program.region_count() {
                 let r = engine.region_report(i);
-                println!(
+                say!(out, 
                     "region {i}: {} stitch(es), set-up {} cycles, stitcher {} cycles, \
                      {} instruction(s) stitched",
                     r.stitches, r.setup_cycles, r.stitch_cycles, r.instructions_stitched
                 );
                 if r.fallback_runs > 0 || r.bg_installs > 0 {
-                    println!(
+                    say!(out, 
                         "          tiered: {} fallback run(s), {} background install(s) \
                          ({} speculative), background set-up {} + stitch {} cycles",
                         r.fallback_runs,
@@ -667,7 +693,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     );
                 }
                 let s = r.stitch_stats;
-                println!(
+                say!(out, 
                     "          {} hole(s) inline, {} via table, {} constant branch(es), \
                      {} loop iteration(s) unrolled, {} strength reduction(s)",
                     s.holes_inline,
@@ -686,13 +712,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     } else {
                         format!(" key ({})", listed(key))
                     };
-                    println!(
+                    say!(out, 
                         "\nstitched code for region {i}{key_str} ({} words):",
                         code.len()
                     );
                     let base = code_offset_of(&engine, code);
                     for line in disassemble(code, base) {
-                        println!("{:>6}: {}", line.addr, line.text);
+                        say!(out, "{:>6}: {}", line.addr, line.text);
                     }
                 }
             }
@@ -741,7 +767,13 @@ fn listed(values: &[u64]) -> String {
 /// Serve `--run` through a running `dynccd`: upload the program, open a
 /// session under a CLI tenant, call, close (printing the session
 /// checksum the server folded over the call results).
-fn run_connected(args: &[String], path: &str, src: &str, addr: &str) -> Result<(), CliError> {
+fn run_connected(
+    out: &mut impl Write,
+    args: &[String],
+    path: &str,
+    src: &str,
+    addr: &str,
+) -> Result<(), CliError> {
     let pos = args
         .iter()
         .position(|a| a == "--run")
@@ -774,7 +806,7 @@ fn run_connected(args: &[String], path: &str, src: &str, addr: &str) -> Result<(
         escape(src)
     ))?;
     let regions = uploaded.get("regions").and_then(Json::as_int).unwrap_or(0);
-    println!("uploaded {path} to {addr}: {regions} dynamic region(s)");
+    say!(out, "uploaded {path} to {addr}: {regions} dynamic region(s)");
     request("{\"op\":\"tenant\",\"tenant\":\"cli\"}".to_string())?;
     request(format!(
         "{{\"op\":\"open\",\"tenant\":\"cli\",\"program\":{},\"session\":\"cli\"}}",
@@ -788,14 +820,14 @@ fn run_connected(args: &[String], path: &str, src: &str, addr: &str) -> Result<(
     ))?;
     let result = called.get("result").and_then(Json::as_int).unwrap_or(0);
     let cycles = called.get("cycles").and_then(Json::as_int).unwrap_or(0);
-    println!(
+    say!(out, 
         "\n{func}({}) = {} ({result} as signed) in {cycles} cycles (served by {addr})",
         listed(&call_args),
         result as u64,
     );
     let closed = request("{\"op\":\"close\",\"session\":\"cli\"}".to_string())?;
     let checksum = closed.get("checksum").and_then(Json::as_str).unwrap_or("");
-    println!("session closed: checksum {checksum}");
+    say!(out, "session closed: checksum {checksum}");
     Ok(())
 }
 
@@ -821,6 +853,7 @@ struct SessionRow {
 /// session body runs under `catch_unwind` — fails the command with exit 1
 /// after every session has reported.
 fn run_multi_session(
+    out: &mut impl Write,
     program: &Arc<dyncomp::Program>,
     func: &str,
     call_args: &[u64],
@@ -864,7 +897,7 @@ fn run_multi_session(
         }
     });
 
-    println!(
+    say!(out, 
         "\n{n} session(s) of {func}({}) on {threads} thread(s){}:",
         listed(call_args),
         if options.shared_cache.is_some() {
@@ -876,7 +909,7 @@ fn run_multi_session(
     let mut failed = false;
     for (i, row) in rows.iter().enumerate() {
         match row {
-            Ok(r) => println!(
+            Ok(r) => say!(out, 
                 "  session {i}: = {} ({} as signed) in {} cycles, {} stitch(es), \
                  {} shared hit(s)",
                 r.result, r.result as i64, r.cycles, r.stitches, r.shared_hits
@@ -889,7 +922,7 @@ fn run_multi_session(
     }
     if let Some(cache) = &options.shared_cache {
         let st = cache.stats();
-        println!(
+        say!(out, 
             "  cache: {} hit(s), {} miss(es), {} insertion(s), {} eviction(s) \
              across {} shard(s)",
             st.hits,

@@ -489,7 +489,8 @@ impl Compiler {
         clock: &mut Clock<'_>,
     ) -> Result<Vec<InlineSite>, Error> {
         let mut sites: Vec<InlineSite> = Vec::new();
-        let mut grown: std::collections::HashMap<FuncId, usize> = std::collections::HashMap::new();
+        // Instructions cloned into each function so far.
+        let mut grown: dyncomp_ir::IndexVec<FuncId, usize> = module.funcs.iter().map(|_| 0).collect();
         // Global region index = regions of earlier functions + local index
         // (the same fid-order numbering `compile_module` uses).
         let region_base: Vec<u16> = {
@@ -516,7 +517,7 @@ impl Compiler {
                 let eligible_max = module.funcs[fid].insts.len();
                 let mut rejected: Vec<dyncomp_ir::InstId> = Vec::new();
                 loop {
-                    if grown.get(&fid).copied().unwrap_or(0) >= INLINE_MAX_GROWTH {
+                    if grown[fid] >= INLINE_MAX_GROWTH {
                         break;
                     }
                     let Some((rid, block, call, callee)) =
@@ -538,7 +539,7 @@ impl Compiler {
                     });
                     match inlined {
                         Ok(done) => {
-                            *grown.entry(fid).or_insert(0) += done.cloned_insts;
+                            grown[fid] += done.cloned_insts;
                             sites.push(InlineSite {
                                 func: fid,
                                 region_index: region_base[fid.index()] + rid.index() as u16,

@@ -13,17 +13,14 @@ pub struct DomTree {
     idom: IndexVec<BlockId, Option<BlockId>>,
     rpo: Vec<BlockId>,
     rpo_pos: IndexVec<BlockId, usize>,
+    preds: Preds,
 }
 
 impl DomTree {
     /// Compute the dominator tree with the Cooper–Harvey–Kennedy iterative
     /// algorithm ("A Simple, Fast Dominance Algorithm").
     pub fn compute(f: &Function) -> Self {
-        Self::compute_with(f, &Preds::compute(f))
-    }
-
-    /// [`DomTree::compute`], given the predecessors of `f`'s blocks.
-    pub fn compute_with(f: &Function, preds: &Preds) -> Self {
+        let preds = Preds::compute(f);
         let rpo = reverse_postorder(f);
         let rpo_pos = rpo_positions(f, &rpo);
         let mut idom: IndexVec<BlockId, Option<BlockId>> =
@@ -51,7 +48,12 @@ impl DomTree {
                 }
             }
         }
-        DomTree { idom, rpo, rpo_pos }
+        DomTree {
+            idom,
+            rpo,
+            rpo_pos,
+            preds,
+        }
     }
 
     fn intersect(
@@ -113,9 +115,15 @@ impl DomTree {
         self.rpo_pos[b]
     }
 
-    /// Dominance frontiers of every block, given the predecessors of `f`'s
-    /// blocks.
-    pub fn frontiers(&self, f: &Function, preds: &Preds) -> IndexVec<BlockId, Vec<BlockId>> {
+    /// The predecessors of every block, as the tree was computed from
+    /// them.
+    pub fn preds(&self) -> &Preds {
+        &self.preds
+    }
+
+    /// Dominance frontiers of every block.
+    pub fn frontiers(&self, f: &Function) -> IndexVec<BlockId, Vec<BlockId>> {
+        let preds = &self.preds;
         let mut df: IndexVec<BlockId, Vec<BlockId>> =
             (0..f.blocks.len()).map(|_| Vec::new()).collect();
         for &b in &self.rpo {

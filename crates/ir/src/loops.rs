@@ -58,7 +58,7 @@ impl LoopForest {
 
 /// Find all natural loops of `f`.
 pub fn find_loops(f: &Function, dom: &DomTree) -> LoopForest {
-    let preds = crate::cfg::Preds::compute(f);
+    let preds = dom.preds();
     let mut headers: Vec<BlockId> = Vec::new();
     let mut latches_of: Vec<Vec<BlockId>> = Vec::new();
     let mut irreducible = false;

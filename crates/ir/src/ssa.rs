@@ -10,7 +10,6 @@
 //! (arrays, address-taken locals) are not renamed; they stay in memory and
 //! are accessed through [`InstKind::FrameAddr`].
 
-use crate::cfg::Preds;
 use crate::dom::DomTree;
 use crate::func::Function;
 use crate::ids::{BlockId, IndexVec, InstId, VarId};
@@ -23,9 +22,8 @@ use crate::ops::Const;
 /// Panics if the function is already in SSA form.
 pub fn construct_ssa(f: &mut Function) {
     assert!(!f.is_ssa, "function {} is already in SSA form", f.name);
-    let preds = Preds::compute(f);
-    let dom = DomTree::compute_with(f, &preds);
-    let df = dom.frontiers(f, &preds);
+    let dom = DomTree::compute(f);
+    let df = dom.frontiers(f);
 
     // 1. Definition sites per renameable variable.
     let renameable: Vec<bool> = f.vars.iter().map(|v| v.frame_size.is_none()).collect();

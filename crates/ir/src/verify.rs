@@ -1,6 +1,5 @@
 //! The IR verifier: structural well-formedness checks run between passes.
 
-use crate::cfg::Preds;
 use crate::dom::DomTree;
 use crate::func::{Function, Module};
 use crate::ids::{BlockId, IdSet, IndexVec, InstId};
@@ -201,8 +200,8 @@ fn verify_ssa(
 ) -> Result<(), VerifyError> {
     let err = |m: String| Err(VerifyError(format!("{}: {m}", f.name)));
     let block_of = |v: InstId| place[v].expect("checked placed").0;
-    let preds = Preds::compute(f);
-    let dom = DomTree::compute_with(f, &preds);
+    let dom = DomTree::compute(f);
+    let preds = dom.preds();
     let (mut ps, mut got): (Vec<BlockId>, Vec<BlockId>) = (Vec::new(), Vec::new());
     let mut vals: Vec<i64> = Vec::new();
 

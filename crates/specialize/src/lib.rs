@@ -304,7 +304,7 @@ pub fn specialize_region(
     let r = f.regions[region].clone();
 
     // Region entry must only be entered from outside.
-    let preds = Preds::compute(f);
+    let preds = dom.preds().clone();
     for &p in preds.of(r.entry) {
         if r.blocks.contains(p) {
             return Err(SpecError::MultipleEntries(r.entry));

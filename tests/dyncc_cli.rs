@@ -360,6 +360,25 @@ fn advise_ranks_annotation_candidates() {
     assert!(out.contains("recommendation: annotate arg 0"), "{out}");
 }
 
+/// Output into a pipe whose read end is already closed: the first write
+/// fails, and `dyncc` reports it as a `dyncc:` error with exit 1 instead
+/// of panicking.
+#[test]
+fn closed_stdout_pipe_is_an_error_not_a_panic() {
+    let p = write_temp("advise_closed_pipe.mc", POWER);
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_dyncc"))
+        .args([p.to_str().unwrap(), "--advise"])
+        .stdout(writer)
+        .output()
+        .expect("dyncc runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.starts_with("dyncc: cannot write output:"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 #[test]
 fn native_flag_runs_and_summarizes() {
     let p = write_temp("power_native.mc", POWER);
