@@ -134,10 +134,11 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
             .collect()
     };
 
+    let region_arcs = RegionArcs::new(f, r, dom.rpo());
     loop {
         let const_branches = find_const_branches(f, r, &konst);
         let reach = if config.use_reachability {
-            compute_reach(f, r, &const_branches, &scopes)
+            compute_reach(f, r, &region_arcs, &const_branches, &scopes)
         } else {
             // Without reachability every block is treated as plainly
             // reachable; no merge can prove exclusivity.
@@ -188,41 +189,57 @@ fn find_const_branches(f: &Function, r: &DynRegion, konst: &IdSet<InstId>) -> Id
     out
 }
 
+/// The region's reachable blocks in RPO, and the arcs into each, as
+/// `(source, successor index)` in the order the reachability meet
+/// consumes them: sources in RPO, then by index. The CFG does not change
+/// while a region is analyzed, so these are computed once.
+struct RegionArcs {
+    rpo: Vec<BlockId>,
+    /// Block `b`'s arcs are `arcs[first[b]..first[b + 1]]`.
+    first: Vec<usize>,
+    arcs: Vec<(BlockId, u32)>,
+}
+
+impl RegionArcs {
+    fn new(f: &Function, r: &DynRegion, rpo: &[BlockId]) -> Self {
+        let rpo: Vec<BlockId> = rpo.iter().copied().filter(|&b| r.blocks.contains(b)).collect();
+        let mut first = vec![0usize; f.blocks.len() + 1];
+        for &p in &rpo {
+            for s in f.blocks[p].term.successors() {
+                first[s.index() + 1] += 1;
+            }
+        }
+        for i in 1..first.len() {
+            first[i] += first[i - 1];
+        }
+        let mut fill = first.clone();
+        let mut arcs = vec![(r.entry, 0u32); first[f.blocks.len()]];
+        for &p in &rpo {
+            for (idx, s) in f.blocks[p].term.successors().enumerate() {
+                arcs[fill[s.index()]] = (p, idx as u32);
+                fill[s.index()] += 1;
+            }
+        }
+        RegionArcs { rpo, first, arcs }
+    }
+
+    fn arcs_into(&self, b: BlockId) -> &[(BlockId, u32)] {
+        &self.arcs[self.first[b.index()]..self.first[b.index() + 1]]
+    }
+}
+
 /// Forward reachability fixpoint over the region subgraph.
 fn compute_reach(
     f: &Function,
     r: &DynRegion,
+    region_arcs: &RegionArcs,
     const_branches: &IdSet<BlockId>,
     scopes: &LoopScopes,
 ) -> IndexVec<BlockId, Cond> {
     let arity = Arity { f };
-    let rpo: Vec<BlockId> = dyncomp_ir::cfg::reverse_postorder(f)
-        .into_iter()
-        .filter(|&b| r.blocks.contains(b))
-        .collect();
+    let rpo = &region_arcs.rpo;
     let mut reach: IndexVec<BlockId, Cond> = f.blocks.iter().map(|_| Cond::f()).collect();
     reach[r.entry] = Cond::t();
-    // The arcs into each region block, as `(source, successor index)` in
-    // the order the meet consumes them: sources in RPO, then by index.
-    // Block `b`'s arcs are `arcs[first[b]..first[b + 1]]`.
-    let mut first = vec![0usize; f.blocks.len() + 1];
-    for &p in &rpo {
-        for s in f.blocks[p].term.successors() {
-            first[s.index() + 1] += 1;
-        }
-    }
-    for i in 1..first.len() {
-        first[i] += first[i - 1];
-    }
-    let mut fill = first.clone();
-    let mut arcs = vec![(r.entry, 0u32); first[f.blocks.len()]];
-    for &p in &rpo {
-        for (idx, s) in f.blocks[p].term.successors().enumerate() {
-            arcs[fill[s.index()]] = (p, idx as u32);
-            fill[s.index()] += 1;
-        }
-    }
-    drop(fill);
     // Blocks with an arc from a block whose condition changed since they
     // were last met. The meet is a function of those conditions alone, so
     // re-meeting any other block would reproduce its condition.
@@ -234,12 +251,12 @@ fn compute_reach(
     let max_rounds = rpo.len() * 4 + 8;
     for round in 0..max_rounds {
         let mut changed = false;
-        for &b in &rpo {
+        for &b in rpo {
             if b == r.entry || !stale.remove(b) {
                 continue;
             }
             let mut acc = Cond::f();
-            for &(p, idx) in &arcs[first[b.index()]..first[b.index() + 1]] {
+            for &(p, idx) in region_arcs.arcs_into(b) {
                 let base = &reach[p];
                 let contrib = if const_branches.contains(p) {
                     base.and_literal(Literal {

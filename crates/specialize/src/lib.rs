@@ -56,6 +56,7 @@ use dyncomp_ir::{
 use dyncomp_ir::fxhash::FxHashMap;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// Counters of the dynamic optimizations the split *plans* (Table 3).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,14 +175,21 @@ impl From<UnrollError> for SpecError {
 
 /// A context: the chain of unrolled loops (outer → inner) containing a
 /// program point. Loops are identified by their index in the loop forest.
-type Ctx = Vec<usize>;
+/// Shared, so that handing one out copies no loops; ordered as the
+/// sequence is.
+type Ctx = Rc<[usize]>;
 
+/// The longest common prefix of `a` and `b`: one of them when it is the
+/// other's prefix (the usual case), else a new context.
 fn common_prefix(a: &Ctx, b: &Ctx) -> Ctx {
-    a.iter()
-        .zip(b.iter())
-        .take_while(|(x, y)| x == y)
-        .map(|(x, _)| *x)
-        .collect()
+    let k = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
+    if k == a.len() {
+        a.clone()
+    } else if k == b.len() {
+        b.clone()
+    } else {
+        a[..k].into()
+    }
 }
 
 /// Split `region` of `f` into set-up and template code.
@@ -336,6 +344,7 @@ pub fn specialize_region(
         def_block: IndexVec::new(),
         ext_blocks: forest.loops.iter().map(|_| IdSet::new()).collect(),
         ctx_cache: IndexVec::new(),
+        top: Rc::new([]),
         requirements: BTreeMap::new(),
         loop_layout: forest.loops.iter().map(|_| None).collect(),
         static_len: 0,
@@ -416,6 +425,8 @@ struct Spec<'a> {
     /// Indexed by loop-forest index; empty for loops not unrolled.
     ext_blocks: Vec<IdSet<BlockId>>,
     ctx_cache: IndexVec<BlockId, Option<Ctx>>,
+    /// The empty context: outside every unrolled loop.
+    top: Ctx,
     /// (value, context) → leaf slot index.
     requirements: BTreeMap<(InstId, Ctx), u32>,
     /// Indexed by loop-forest index; `None` for loops not unrolled.
@@ -525,19 +536,24 @@ impl Spec<'_> {
         if let Some(Some(c)) = self.ctx_cache.get(b) {
             return c.clone();
         }
-        let mut chain: Ctx = self
+        let mut loops: Vec<usize> = self
             .uloops
             .iter()
             .copied()
             .filter(|&li| self.ext_blocks[li].contains(b))
             .collect();
         // Outer first: larger extended set; ties broken by header order.
-        chain.sort_by_key(|&li| {
+        loops.sort_by_key(|&li| {
             (
                 usize::MAX - self.ext_blocks[li].len(),
                 self.forest.loops[li].header.index(),
             )
         });
+        let chain: Ctx = if loops.is_empty() {
+            self.top.clone()
+        } else {
+            loops.into()
+        };
         if let Some(slot) = self.ctx_cache.get_mut(b) {
             *slot = Some(chain.clone());
         }
@@ -549,7 +565,7 @@ impl Spec<'_> {
     fn def_ctx(&mut self, v: InstId) -> Ctx {
         match self.def_block.get(v).copied().flatten() {
             Some(b) => self.ctx_of(b),
-            None => Vec::new(),
+            None => self.top.clone(),
         }
     }
 
@@ -697,9 +713,9 @@ impl Spec<'_> {
 
         // Records, outer before inner.
         while let Some((li, root_path)) = pending.pop() {
-            let my_ctx_sorted: Ctx = {
+            let my_ctx_sorted: Vec<usize> = {
                 // The loop's context is its ancestors (in uloops) + itself.
-                let mut c: Ctx = Vec::new();
+                let mut c: Vec<usize> = Vec::new();
                 let mut cur = Some(li);
                 while let Some(x) = cur {
                     c.push(x);
@@ -710,7 +726,7 @@ impl Spec<'_> {
             };
             let mut slot: u32 = 0;
             for (v, ctx) in reqs.iter() {
-                if *ctx == my_ctx_sorted {
+                if ctx[..] == my_ctx_sorted[..] {
                     self.requirements.insert((*v, ctx.clone()), slot);
                     slot += 1;
                 }
@@ -755,6 +771,31 @@ impl Spec<'_> {
         }
     }
 
+    /// The hole standing for constant `v` in a template block at `b_ctx`,
+    /// created and appended to `list` at its first use there. Within one
+    /// block a constant's slot is a function of the constant, so `cache`
+    /// is keyed by it.
+    fn hole_for(
+        &mut self,
+        v: InstId,
+        b_ctx: &Ctx,
+        cache: &mut FxHashMap<InstId, InstId>,
+        list: &mut Vec<InstId>,
+    ) -> InstId {
+        if let Some(&h) = cache.get(&v) {
+            return h;
+        }
+        let slot = self.slot_for_use(v, b_ctx);
+        let h = self.f.create_inst(InstKind::Hole {
+            slot,
+            float: self.f.ty(v) == Ty::Float,
+        });
+        self.stats.holes += 1;
+        list.push(h);
+        cache.insert(v, h);
+        h
+    }
+
     // ================= template construction =================
 
     #[allow(clippy::type_complexity)]
@@ -774,13 +815,14 @@ impl Spec<'_> {
         }
         // The template copy of each value that existed before the split.
         let mut val_map: IndexVec<InstId, Option<InstId>> = self.f.insts.iter().map(|_| None).collect();
-        let mut hole_cache: FxHashMap<SlotPath, InstId> = FxHashMap::default();
+        // The hole of each constant the block being cloned uses.
+        let mut hole_cache: FxHashMap<InstId, InstId> = FxHashMap::default();
         let mut phis_to_fix: Vec<(InstId, BlockId)> = Vec::new(); // (cloned φ, orig block)
 
         for b in self.rpo.clone() {
             let b_ctx = self.ctx_of(b);
             let cb = clone_of[b];
-            let mut list: Vec<InstId> = Vec::new();
+            let mut list: Vec<InstId> = Vec::with_capacity(self.f.blocks[b].insts.len());
             hole_cache.clear();
             for at in 0..self.f.blocks[b].insts.len() {
                 let i = self.f.blocks[b].insts[at];
@@ -827,16 +869,7 @@ impl Spec<'_> {
                 }
                 kind.map_operands(|v| {
                     if self.is_const(v) {
-                        let slot = self.slot_for_use(v, &b_ctx);
-                        *hole_cache.entry(slot.clone()).or_insert_with(|| {
-                            let h = self.f.create_inst(InstKind::Hole {
-                                slot,
-                                float: self.f.ty(v) == Ty::Float,
-                            });
-                            self.stats.holes += 1;
-                            list.push(h);
-                            h
-                        })
+                        self.hole_for(v, &b_ctx, &mut hole_cache, &mut list)
                     } else {
                         mapped(&val_map, v)
                     }
@@ -879,16 +912,7 @@ impl Spec<'_> {
                 mut other => {
                     other.map_operands(|v| {
                         if self.is_const(v) {
-                            let slot = self.slot_for_use(v, &b_ctx);
-                            *hole_cache.entry(slot.clone()).or_insert_with(|| {
-                                let h = self.f.create_inst(InstKind::Hole {
-                                    slot,
-                                    float: self.f.ty(v) == Ty::Float,
-                                });
-                                self.stats.holes += 1;
-                                list.push(h);
-                                h
-                            })
+                            self.hole_for(v, &b_ctx, &mut hole_cache, &mut list)
                         } else {
                             mapped(&val_map, v)
                         }
@@ -931,7 +955,7 @@ impl Spec<'_> {
                 let tgt_ctx = if in_region {
                     self.ctx_of(tgt)
                 } else {
-                    Vec::new()
+                    self.top.clone()
                 };
                 let common = common_prefix(&src_ctx, &tgt_ctx);
 
@@ -1121,13 +1145,15 @@ impl Spec<'_> {
         }
         // Store root slots (static requirements on roots).
         for &root in self.r.const_roots.clone().iter() {
-            self.store_slots(&mut g, root, &Vec::new());
+            let top = self.top.clone();
+            self.store_slots(&mut g, root, &top);
         }
 
         g.rb[self.r.entry] = Some(g.one);
 
-        let items = self.schedule(&Vec::new());
-        self.gen_level(&mut g, &Vec::new(), &items);
+        let top = self.top.clone();
+        let items = self.schedule(&top);
+        self.gen_level(&mut g, &top, &items);
 
         let last = g.cur;
         self.f.blocks[last].term = Terminator::EndSetup {
@@ -1365,7 +1391,7 @@ impl Spec<'_> {
     fn store_slots(&mut self, g: &mut SetupGen, v: InstId, level: &Ctx) {
         let reqs = self
             .requirements
-            .range((v, Ctx::new())..)
+            .range((v, self.top.clone())..)
             .take_while(|((rv, _), _)| *rv == v);
         for ((_, ctx), &leaf) in reqs {
             // Only store requirements whose context is a prefix of the
@@ -1400,11 +1426,7 @@ impl Spec<'_> {
         let l = &forest.loops[li];
         let ext = self.ext_blocks[li].clone();
         let h = l.header;
-        let level: Ctx = {
-            let mut c = outer.clone();
-            c.push(li);
-            c
-        };
+        let level: Ctx = outer.iter().copied().chain([li]).collect();
         let layout = self.layout(li).clone();
 
         // Entry condition and entry φ-values (computed in the pre block).
