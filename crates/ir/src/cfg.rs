@@ -64,6 +64,7 @@ impl Preds {
     }
 
     /// Predecessors of `b` (each predecessor block listed once).
+    #[inline]
     pub fn of(&self, b: BlockId) -> &[BlockId] {
         &self.list[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
     }

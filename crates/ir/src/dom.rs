@@ -75,6 +75,7 @@ impl DomTree {
 
     /// Immediate dominator of `b`; `None` for the entry or unreachable
     /// blocks.
+    #[inline]
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
         match self.idom[b] {
             Some(d) if d != b || self.rpo_pos[b] != 0 => Some(d),
@@ -84,11 +85,13 @@ impl DomTree {
     }
 
     /// Whether `b` is reachable (has a dominator entry).
+    #[inline]
     pub fn is_reachable(&self, b: BlockId) -> bool {
         self.idom[b].is_some()
     }
 
     /// Whether `a` dominates `b` (reflexively).
+    #[inline]
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if !self.is_reachable(b) {
             return false;

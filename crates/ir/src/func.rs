@@ -120,11 +120,13 @@ impl Function {
     }
 
     /// The instruction's kind.
+    #[inline]
     pub fn kind(&self, id: InstId) -> &InstKind {
         &self.insts[id].kind
     }
 
     /// The instruction's result kind.
+    #[inline]
     pub fn ty(&self, id: InstId) -> Ty {
         self.insts[id].ty
     }
@@ -204,6 +206,7 @@ impl Function {
     }
 
     /// If `id` is a constant materialization, its value.
+    #[inline]
     pub fn as_const(&self, id: InstId) -> Option<Const> {
         match self.kind(id) {
             InstKind::Const(c) => Some(*c),

@@ -27,20 +27,24 @@ macro_rules! define_id {
 
         impl $name {
             /// Construct from a raw index.
+            #[inline]
             pub fn from_index(idx: usize) -> Self {
                 assert!(idx <= u32::MAX as usize, "id overflow");
                 $name(idx as u32)
             }
             /// The raw index.
+            #[inline]
             pub fn index(self) -> usize {
                 self.0 as usize
             }
         }
 
         impl IdIndex for $name {
+            #[inline]
             fn from_index(idx: usize) -> Self {
                 $name::from_index(idx)
             }
+            #[inline]
             fn index(self) -> usize {
                 $name::index(self)
             }
@@ -312,6 +316,7 @@ impl<I: IdIndex> IdSet<I> {
 
 /// The positions of the set bits of a bit vector, ascending: bit `b` of
 /// word `w` is position `64 * w + b`.
+#[inline]
 pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(w, &word)| {
         let mut rest = word;

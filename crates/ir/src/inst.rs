@@ -263,6 +263,7 @@ enum OperandsRepr<'a> {
 }
 
 impl Operands<'_> {
+    #[inline]
     fn inline(ops: &[InstId]) -> Self {
         let mut vals = [InstId(0); 3];
         vals[..ops.len()].copy_from_slice(ops);
@@ -277,6 +278,7 @@ impl Operands<'_> {
 impl Iterator for Operands<'_> {
     type Item = InstId;
 
+    #[inline]
     fn next(&mut self) -> Option<InstId> {
         match &mut self.0 {
             OperandsRepr::Inline { vals, next, len } => {
@@ -291,6 +293,7 @@ impl Iterator for Operands<'_> {
         }
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = match &self.0 {
             OperandsRepr::Inline { next, len, .. } => usize::from(len - next),
@@ -305,6 +308,7 @@ impl ExactSizeIterator for Operands<'_> {}
 
 impl InstKind {
     /// Operand values of the instruction (not including block refs of φ).
+    #[inline]
     pub fn operands(&self) -> Operands<'_> {
         match self {
             InstKind::Const(_)
@@ -373,6 +377,7 @@ impl InstKind {
     }
 
     /// Whether the instruction produces a value.
+    #[inline]
     pub fn has_result(&self) -> bool {
         !matches!(self, InstKind::Store { .. } | InstKind::SetVar(..))
     }
@@ -494,6 +499,7 @@ pub struct Successors<'a> {
 }
 
 impl<'a> Successors<'a> {
+    #[inline]
     fn new(cases: &'a [(i64, BlockId)], tail: &[BlockId]) -> Self {
         let mut t = [BlockId(0); 2];
         t[..tail.len()].copy_from_slice(tail);
@@ -514,6 +520,7 @@ impl<'a> Successors<'a> {
 impl Iterator for Successors<'_> {
     type Item = BlockId;
 
+    #[inline]
     fn next(&mut self) -> Option<BlockId> {
         if let Some(&(_, b)) = self.cases.next() {
             return Some(b);
@@ -525,6 +532,7 @@ impl Iterator for Successors<'_> {
         Some(self.tail[usize::from(self.next) - 1])
     }
 
+    #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = self.cases.len() + usize::from(self.len - self.next);
         (n, Some(n))
@@ -535,6 +543,7 @@ impl ExactSizeIterator for Successors<'_> {}
 
 impl Terminator {
     /// Successor blocks, in order.
+    #[inline]
     pub fn successors(&self) -> Successors<'_> {
         match self {
             Terminator::Jump(b)
@@ -595,6 +604,7 @@ impl Terminator {
     }
 
     /// Value operands of the terminator.
+    #[inline]
     pub fn operands(&self) -> Operands<'_> {
         match self {
             Terminator::Branch { cond: v, .. }
