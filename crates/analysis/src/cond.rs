@@ -122,24 +122,38 @@ impl Cond {
     /// `{{A→T,CS},{A→F,CS}} → {{CS}}` successor-cover rule.
     #[must_use]
     pub fn or(&self, other: &Self, arity: &dyn BranchArity) -> Self {
-        let mut terms: Vec<Conj> = Vec::with_capacity(self.terms.len() + other.terms.len());
-        let (mut a, mut b) = (self.terms.iter().peekable(), other.terms.iter().peekable());
-        loop {
-            let next = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) if x < y => a.next(),
-                (Some(x), Some(y)) if x > y => b.next(),
-                (Some(_), Some(_)) => {
-                    b.next();
-                    a.next()
+        self.clone().or_owned(other.clone(), arity)
+    }
+
+    /// [`Cond::or`], taking both conditions: their disjuncts move into the
+    /// result instead of being copied.
+    #[must_use]
+    pub fn or_owned(self, other: Self, arity: &dyn BranchArity) -> Self {
+        let mut terms = if self.terms.is_empty() {
+            other.terms
+        } else if other.terms.is_empty() {
+            self.terms
+        } else {
+            let mut terms: Vec<Conj> = Vec::with_capacity(self.terms.len() + other.terms.len());
+            let (mut a, mut b) = (self.terms.into_iter().peekable(), other.terms.into_iter().peekable());
+            loop {
+                let next = match (a.peek(), b.peek()) {
+                    (Some(x), Some(y)) if x < y => a.next(),
+                    (Some(x), Some(y)) if x > y => b.next(),
+                    (Some(_), Some(_)) => {
+                        b.next();
+                        a.next()
+                    }
+                    (Some(_), None) => a.next(),
+                    (None, _) => b.next(),
+                };
+                match next {
+                    Some(c) => terms.push(c),
+                    None => break,
                 }
-                (Some(_), None) => a.next(),
-                (None, _) => b.next(),
-            };
-            match next {
-                Some(c) => terms.push(c.clone()),
-                None => break,
             }
-        }
+            terms
+        };
         simplify(&mut terms, arity);
         if terms.len() > MAX_TERMS {
             return Cond::t(); // widen: weakest condition, sound

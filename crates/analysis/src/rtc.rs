@@ -267,7 +267,7 @@ fn compute_reach(
                     base.clone()
                 };
                 let contrib = forget_at_boundary(scopes, contrib, p, b);
-                acc = acc.or(&contrib, &arity);
+                acc = acc.or_owned(contrib, &arity);
             }
             if acc != reach[b] {
                 if round + 1 == max_rounds {
@@ -313,7 +313,7 @@ fn pred_condition(
             base.clone()
         };
         let contrib = forget_at_boundary(scopes, contrib, p, b);
-        acc = acc.or(&contrib, &arity);
+        acc = acc.or_owned(contrib, &arity);
     }
     acc
 }
