@@ -119,23 +119,20 @@ impl Cond {
 
     /// Disjoin two conditions (the merge meet function of Appendix A.2),
     /// then simplify: subsumption pruning and the paper's
-    /// `{{A→T,CS},{A→F,CS}} → {{CS}}` successor-cover rule.
+    /// `{{A→T,CS},{A→F,CS}} → {{CS}}` successor-cover rule. The disjuncts
+    /// of both move into the result.
     #[must_use]
-    pub fn or(&self, other: &Self, arity: &dyn BranchArity) -> Self {
-        self.clone().or_owned(other.clone(), arity)
-    }
-
-    /// [`Cond::or`], taking both conditions: their disjuncts move into the
-    /// result instead of being copied.
-    #[must_use]
-    pub fn or_owned(self, other: Self, arity: &dyn BranchArity) -> Self {
+    pub fn or(self, other: Self, arity: &dyn BranchArity) -> Self {
         let mut terms = if self.terms.is_empty() {
             other.terms
         } else if other.terms.is_empty() {
             self.terms
         } else {
             let mut terms: Vec<Conj> = Vec::with_capacity(self.terms.len() + other.terms.len());
-            let (mut a, mut b) = (self.terms.into_iter().peekable(), other.terms.into_iter().peekable());
+            let (mut a, mut b) = (
+                self.terms.into_iter().peekable(),
+                other.terms.into_iter().peekable(),
+            );
             loop {
                 let next = match (a.peek(), b.peek()) {
                     (Some(x), Some(y)) if x < y => a.next(),
@@ -346,7 +343,7 @@ mod tests {
     fn true_false_identities() {
         let ar = arity2(&[0]);
         let l = Cond::literal(lit(0, 0));
-        assert_eq!(Cond::f().or(&l, &ar), l);
+        assert_eq!(Cond::f().or(l.clone(), &ar), l);
         assert_eq!(Cond::t().and_literal(lit(0, 0)), l);
         assert!(Cond::f().is_false());
         assert!(Cond::t().is_true());
@@ -373,7 +370,7 @@ mod tests {
         let ar = arity2(&[0, 1]);
         let c1 = Cond::literal(lit(0, 0)).and_literal(lit(1, 1));
         let c2 = Cond::literal(lit(0, 1)).and_literal(lit(1, 1));
-        let merged = c1.or(&c2, &ar);
+        let merged = c1.clone().or(c2.clone(), &ar);
         assert_eq!(merged, Cond::literal(lit(1, 1)));
     }
 
@@ -384,7 +381,7 @@ mod tests {
         ar.insert(BlockId(0), 3);
         let c1 = Cond::literal(lit(0, 0));
         let c2 = Cond::literal(lit(0, 1));
-        let merged = c1.or(&c2, &ar);
+        let merged = c1.clone().or(c2.clone(), &ar);
         assert_eq!(merged.num_terms(), 2);
     }
 
@@ -393,8 +390,8 @@ mod tests {
         let mut ar: HashMap<BlockId, u32> = HashMap::new();
         ar.insert(BlockId(0), 3);
         let c = Cond::literal(lit(0, 0))
-            .or(&Cond::literal(lit(0, 1)), &ar)
-            .or(&Cond::literal(lit(0, 2)), &ar);
+            .or(Cond::literal(lit(0, 1)), &ar)
+            .or(Cond::literal(lit(0, 2)), &ar);
         assert!(c.is_true());
     }
 
@@ -404,8 +401,8 @@ mod tests {
         let ar = arity2(&[0, 1]);
         let strong = Cond::literal(lit(0, 0)).and_literal(lit(1, 1));
         let weak = Cond::literal(lit(0, 0));
-        assert_eq!(weak.or(&strong, &ar), weak);
-        assert_eq!(strong.or(&weak, &ar), weak);
+        assert_eq!(weak.clone().or(strong.clone(), &ar), weak);
+        assert_eq!(strong.or(weak.clone(), &ar), weak);
     }
 
     #[test]
@@ -426,7 +423,9 @@ mod tests {
         let ar: HashMap<BlockId, u32> = [(BlockId(0), 2), (BlockId(1), 3)].into_iter().collect();
         let m = Cond::literal(lit(0, 0));
         let n = Cond::literal(lit(0, 1)).and_literal(lit(1, 0));
-        let o = n.or(&Cond::literal(lit(0, 1)).and_literal(lit(1, 1)), &ar);
+        let o = n
+            .clone()
+            .or(Cond::literal(lit(0, 1)).and_literal(lit(1, 1)), &ar);
         // Merge of M and O's continuation is exclusive (a→T vs a→F).
         assert!(m.exclusive(&o));
         // N vs O's second disjunct share b-literals that differ.
@@ -466,7 +465,7 @@ mod tests {
         let mut c = Cond::f();
         for i in 0..(MAX_TERMS as u32 + 1) {
             let t = Cond::literal(lit(i, 0)).and_literal(lit(i + 1, 1));
-            c = c.or(&t, &ar);
+            c = c.or(t.clone(), &ar);
         }
         assert!(c.is_true());
     }
@@ -498,7 +497,7 @@ mod proptests {
                     succ: rng.below(2) as u32,
                 });
             }
-            c = c.or(&term, &arity);
+            c = c.or(term, &arity);
         }
         c
     }
@@ -529,7 +528,7 @@ mod proptests {
             let a = random_cond(&mut rng);
             let b = random_cond(&mut rng);
             let outcomes = random_outcomes(&mut rng);
-            let joined = a.or(&b, &arity4());
+            let joined = a.clone().or(b.clone(), &arity4());
             assert_eq!(
                 eval(&joined, &outcomes),
                 eval(&a, &outcomes) || eval(&b, &outcomes)
@@ -609,8 +608,8 @@ mod proptests {
         let mut rng = SplitMix64::new(0xc0_0006);
         for _ in 0..500 {
             let a = random_cond(&mut rng);
-            assert_eq!(a.or(&Cond::f(), &arity4()), a.clone());
-            let doubled = a.or(&a, &arity4());
+            assert_eq!(a.clone().or(Cond::f(), &arity4()), a.clone());
+            let doubled = a.clone().or(a.clone(), &arity4());
             // Idempotent up to semantics.
             for outcomes in [[0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]] {
                 assert_eq!(eval(&doubled, &outcomes), eval(&a, &outcomes));

@@ -144,18 +144,17 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
             // reachable; no merge can prove exclusivity.
             f.blocks
                 .ids()
-                .map(|b| if r.blocks.contains(b) { Cond::t() } else { Cond::f() })
+                .map(|b| {
+                    if r.blocks.contains(b) {
+                        Cond::t()
+                    } else {
+                        Cond::f()
+                    }
+                })
                 .collect()
         };
-        let const_merges = classify_merges(
-            f,
-            r,
-            dom.preds(),
-            &const_branches,
-            &reach,
-            &scopes,
-            config,
-        );
+        let const_merges =
+            classify_merges(f, r, dom.preds(), &const_branches, &reach, &scopes, config);
         let new_konst = constants_fixpoint(f, r, &const_merges);
         if new_konst == konst {
             return RegionAnalysis {
@@ -202,7 +201,11 @@ struct RegionArcs {
 
 impl RegionArcs {
     fn new(f: &Function, r: &DynRegion, rpo: &[BlockId]) -> Self {
-        let rpo: Vec<BlockId> = rpo.iter().copied().filter(|&b| r.blocks.contains(b)).collect();
+        let rpo: Vec<BlockId> = rpo
+            .iter()
+            .copied()
+            .filter(|&b| r.blocks.contains(b))
+            .collect();
         let mut first = vec![0usize; f.blocks.len() + 1];
         for &p in &rpo {
             for s in f.blocks[p].term.successors() {
@@ -267,7 +270,7 @@ fn compute_reach(
                     base.clone()
                 };
                 let contrib = forget_at_boundary(scopes, contrib, p, b);
-                acc = acc.or_owned(contrib, &arity);
+                acc = acc.or(contrib, &arity);
             }
             if acc != reach[b] {
                 if round + 1 == max_rounds {
@@ -313,7 +316,7 @@ fn pred_condition(
             base.clone()
         };
         let contrib = forget_at_boundary(scopes, contrib, p, b);
-        acc = acc.or_owned(contrib, &arity);
+        acc = acc.or(contrib, &arity);
     }
     acc
 }

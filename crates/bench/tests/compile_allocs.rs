@@ -88,9 +88,7 @@ const PASSES: [&str; 8] = [
 /// Upper bound on the allocations of each row of [`PASSES`], summed over
 /// the matrix: the larger of the debug and release counts (the optimizer
 /// may elide an allocation in one profile only).
-const BOUND: [u64; 8] = [
-    14_392, 5_274, 9_159, 4_392, 9_014, 12_245, 7_546, 11_775,
-];
+const BOUND: [u64; 8] = [14_392, 5_274, 9_159, 4_392, 9_014, 12_245, 7_546, 11_775];
 
 /// The matrix's total before the compile path stopped allocating per
 /// query (every row at its first pinned bound). The total stays at most

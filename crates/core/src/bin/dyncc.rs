@@ -215,13 +215,17 @@ fn main() {
 /// time no phase accounts for.
 fn print_pass_times(out: &mut impl Write, path: &str, times: &PassTimes) -> Result<(), CliError> {
     let total = times.total_ns().max(1) as f64;
-    say!(out, "time-passes {path}: host time per phase of one compile");
+    say!(
+        out,
+        "time-passes {path}: host time per phase of one compile"
+    );
     let rows = Phase::ALL
         .iter()
         .map(|&p| (p.name(), times.ns(p)))
         .chain([("unattributed", times.unattributed_ns())]);
     for (name, ns) in rows {
-        say!(out, 
+        say!(
+            out,
             "  {name:<24} {:>10.1} us {:>5.1} %",
             ns as f64 / 1e3,
             ns as f64 * 100.0 / total
@@ -295,7 +299,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             say!(out, "function {}:", fa.func);
             for h in &fa.params {
                 let p = h.params[0];
-                say!(out, 
+                say!(
+                    out,
                     "  arg {p} constant: {:>3.0}% of instructions fold \
                      ({}/{}), {}/{} branch(es) resolve, {}/{} loop(s) unroll",
                     h.score() * 100.0,
@@ -308,7 +313,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 );
             }
             let a = &fa.all_params;
-            say!(out, 
+            say!(
+                out,
                 "  all args constant: {:>3.0}% of instructions fold ({}/{})",
                 a.score() * 100.0,
                 a.const_insts,
@@ -316,7 +322,10 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             );
             let rec = fa.recommended(0.3);
             if rec.is_empty() {
-                say!(out, "  recommendation: no single argument is worth annotating");
+                say!(
+                    out,
+                    "  recommendation: no single argument is worth annotating"
+                );
             } else {
                 let list: Vec<String> = rec.iter().map(|p| format!("arg {p}")).collect();
                 say!(out, "  recommendation: annotate {}", list.join(", "));
@@ -375,7 +384,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         ),
     };
 
-    say!(out, 
+    say!(
+        out,
         "compiled {path}: {} function(s), {} dynamic region(s), {} code words{}",
         program.module.funcs.len(),
         program.region_count(),
@@ -388,7 +398,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     );
     if inline_depth > 0 {
         for s in &program.inline_sites {
-            say!(out, 
+            say!(
+                out,
                 "inlined `{}` into region {} of `{}` (round {}, {} instruction(s))",
                 s.callee_name,
                 s.region_index,
@@ -398,7 +409,10 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             );
         }
         if program.inline_sites.is_empty() {
-            say!(out, "inlining enabled (depth {inline_depth}): no demanded call sites");
+            say!(
+                out,
+                "inlining enabled (depth {inline_depth}): no demanded call sites"
+            );
         }
     }
 
@@ -411,7 +425,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     if flag("--regions") {
         for (i, rc) in program.compiled.regions.iter().enumerate() {
             let holes: usize = rc.template.blocks.iter().map(|b| b.holes.len()).sum();
-            say!(out, 
+            say!(
+                out,
                 "\nregion {i}: enter@{} setup@{} | {} static table slot(s), {} template \
                  block(s), {} hole(s), key: {:?}",
                 rc.enter_pc,
@@ -426,7 +441,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
 
     if flag("--templates") {
         for (i, rc) in program.compiled.regions.iter().enumerate() {
-            say!(out, 
+            say!(
+                out,
                 "\n=== region {i} template (entry L{}) ===",
                 rc.template.entry
             );
@@ -478,7 +494,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     } => {
                         let cs: Vec<String> =
                             cases.iter().map(|(c, l)| format!("{c}=>L{l}")).collect();
-                        say!(out, 
+                        say!(
+                            out,
                             "    CONST_SWITCH(t[{slot}]) [{}] default L{default}",
                             cs.join(", ")
                         )
@@ -524,13 +541,7 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 ));
             }
             return run_multi_session(
-                out,
-                &program,
-                &func,
-                &call_args,
-                sessions,
-                threads,
-                &options,
+                out, &program, &func, &call_args, sessions, threads, &options,
             );
         }
 
@@ -539,7 +550,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         let v = engine
             .call(&func, &call_args)
             .map_err(|e| CliError::Run(format!("run failed: {e}")))?;
-        say!(out, 
+        say!(
+            out,
             "\n{func}({}) = {v} ({} as signed) in {} cycles",
             listed(&call_args),
             v as i64,
@@ -548,7 +560,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         if options.native {
             let n = engine.native_report();
             if n.active {
-                say!(out, 
+                say!(
+                    out,
                     "\nnative backend: {} instance(s) installed ({} bytes), {} declined, \
                      {} dispatch(es), {} chained transfer(s); {}/{} instruction(s) covered, \
                      translated in {} ns",
@@ -562,14 +575,16 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     n.translate_ns
                 );
             } else {
-                say!(out, 
+                say!(
+                    out,
                     "\nnative backend: unavailable on this host; the session ran on the VM backend"
                 );
             }
         }
         if let Some(cache) = &options.persist {
             let s = cache.stats();
-            say!(out, 
+            say!(
+                out,
                 "\npersistent cache ({}): artifact {}/{} hit(s) ({} reject(s)), \
                  instance {} hit(s), {} miss(es), {} reject(s), {} store(s), \
                  {} lock skip(s)",
@@ -584,15 +599,19 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 s.lock_skips
             );
             for incident in cache.incidents() {
-                say!(out, 
+                say!(
+                    out,
                     "        [{}] {}: {}",
-                    incident.kind, incident.path, incident.reason
+                    incident.kind,
+                    incident.path,
+                    incident.reason
                 );
             }
         }
         if options.faults.is_some() || options.recovery.code_budget_bytes.is_some() {
             let h = engine.health();
-            say!(out, 
+            say!(
+                out,
                 "\nhealth: {} fault(s) injected, {} retr{}, {} failure(s) ({} dropped), \
                  degradation level {}",
                 h.faults_injected,
@@ -603,7 +622,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 h.degradation_level
             );
             if let Some(b) = h.code_budget_bytes {
-                say!(out, 
+                say!(
+                    out,
                     "        {} / {b} stitched-code byte(s) installed",
                     h.code_bytes_installed
                 );
@@ -612,7 +632,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 say!(out, "        quarantined region(s): {:?}", h.quarantined);
             }
             for f in &h.failures {
-                say!(out, 
+                say!(
+                    out,
                     "        [cycle {}] region {} {} failure{}: {}",
                     f.at,
                     f.region,
@@ -636,12 +657,14 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             let t = engine
                 .trace()
                 .ok_or_else(|| CliError::Trace("tracing state missing".to_string()))?;
-            say!(out, 
+            say!(
+                out,
                 "\nwrote {path} ({trace_format}, {} event(s) recorded, {} dropped); self-check ok",
                 t.events().count(),
                 t.dropped()
             );
-            say!(out, 
+            say!(
+                out,
                 "{:<4} {:>8} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>7} {:>6} {:>12}",
                 "rgn",
                 "invoc",
@@ -656,7 +679,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                 "1st-stitched"
             );
             for p in t.profiles() {
-                say!(out, 
+                say!(
+                    out,
                     "{:<4} {:>8} {:>8} {:>10} {:>10} {:>8} {:>8} {:>8} {:>7} {:>6} {:>12}",
                     p.region,
                     p.invocations,
@@ -676,13 +700,18 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
         if flag("--report") {
             for i in 0..program.region_count() {
                 let r = engine.region_report(i);
-                say!(out, 
+                say!(
+                    out,
                     "region {i}: {} stitch(es), set-up {} cycles, stitcher {} cycles, \
                      {} instruction(s) stitched",
-                    r.stitches, r.setup_cycles, r.stitch_cycles, r.instructions_stitched
+                    r.stitches,
+                    r.setup_cycles,
+                    r.stitch_cycles,
+                    r.instructions_stitched
                 );
                 if r.fallback_runs > 0 || r.bg_installs > 0 {
-                    say!(out, 
+                    say!(
+                        out,
                         "          tiered: {} fallback run(s), {} background install(s) \
                          ({} speculative), background set-up {} + stitch {} cycles",
                         r.fallback_runs,
@@ -693,7 +722,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     );
                 }
                 let s = r.stitch_stats;
-                say!(out, 
+                say!(
+                    out,
                     "          {} hole(s) inline, {} via table, {} constant branch(es), \
                      {} loop iteration(s) unrolled, {} strength reduction(s)",
                     s.holes_inline,
@@ -712,7 +742,8 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     } else {
                         format!(" key ({})", listed(key))
                     };
-                    say!(out, 
+                    say!(
+                        out,
                         "\nstitched code for region {i}{key_str} ({} words):",
                         code.len()
                     );
@@ -806,7 +837,10 @@ fn run_connected(
         escape(src)
     ))?;
     let regions = uploaded.get("regions").and_then(Json::as_int).unwrap_or(0);
-    say!(out, "uploaded {path} to {addr}: {regions} dynamic region(s)");
+    say!(
+        out,
+        "uploaded {path} to {addr}: {regions} dynamic region(s)"
+    );
     request("{\"op\":\"tenant\",\"tenant\":\"cli\"}".to_string())?;
     request(format!(
         "{{\"op\":\"open\",\"tenant\":\"cli\",\"program\":{},\"session\":\"cli\"}}",
@@ -820,7 +854,8 @@ fn run_connected(
     ))?;
     let result = called.get("result").and_then(Json::as_int).unwrap_or(0);
     let cycles = called.get("cycles").and_then(Json::as_int).unwrap_or(0);
-    say!(out, 
+    say!(
+        out,
         "\n{func}({}) = {} ({result} as signed) in {cycles} cycles (served by {addr})",
         listed(&call_args),
         result as u64,
@@ -897,7 +932,8 @@ fn run_multi_session(
         }
     });
 
-    say!(out, 
+    say!(
+        out,
         "\n{n} session(s) of {func}({}) on {threads} thread(s){}:",
         listed(call_args),
         if options.shared_cache.is_some() {
@@ -909,10 +945,15 @@ fn run_multi_session(
     let mut failed = false;
     for (i, row) in rows.iter().enumerate() {
         match row {
-            Ok(r) => say!(out, 
+            Ok(r) => say!(
+                out,
                 "  session {i}: = {} ({} as signed) in {} cycles, {} stitch(es), \
                  {} shared hit(s)",
-                r.result, r.result as i64, r.cycles, r.stitches, r.shared_hits
+                r.result,
+                r.result as i64,
+                r.cycles,
+                r.stitches,
+                r.shared_hits
             ),
             Err(e) => {
                 eprintln!("  session {i}: failed: {e}");
@@ -922,7 +963,8 @@ fn run_multi_session(
     }
     if let Some(cache) = &options.shared_cache {
         let st = cache.stats();
-        say!(out, 
+        say!(
+            out,
             "  cache: {} hit(s), {} miss(es), {} insertion(s), {} eviction(s) \
              across {} shard(s)",
             st.hits,

@@ -490,7 +490,8 @@ impl Compiler {
     ) -> Result<Vec<InlineSite>, Error> {
         let mut sites: Vec<InlineSite> = Vec::new();
         // Instructions cloned into each function so far.
-        let mut grown: dyncomp_ir::IndexVec<FuncId, usize> = module.funcs.iter().map(|_| 0).collect();
+        let mut grown: dyncomp_ir::IndexVec<FuncId, usize> =
+            module.funcs.iter().map(|_| 0).collect();
         // Global region index = regions of earlier functions + local index
         // (the same fid-order numbering `compile_module` uses).
         let region_base: Vec<u16> = {

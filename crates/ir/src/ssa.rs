@@ -171,7 +171,10 @@ pub fn construct_ssa(f: &mut Function) {
                     }
                 }
                 walk.push(Step::Leave(from));
-                for &c in kids[first_kid[b.index()]..first_kid[b.index() + 1]].iter().rev() {
+                for &c in kids[first_kid[b.index()]..first_kid[b.index() + 1]]
+                    .iter()
+                    .rev()
+                {
                     walk.push(Step::Enter(c));
                 }
             }

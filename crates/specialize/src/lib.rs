@@ -48,12 +48,12 @@ use dyncomp_analysis::unroll::check_unrollable;
 use dyncomp_analysis::{RegionAnalysis, UnrollError};
 use dyncomp_ir::cfg::Preds;
 use dyncomp_ir::dom::DomTree;
+use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_ir::loops::{find_loops, LoopForest};
 use dyncomp_ir::{
     BinOp, Block, BlockId, Const, Function, IdSet, IndexVec, InstId, InstKind, Intrinsic, MemSize,
     RegionId, SlotPath, TemplateMarker, Terminator, Ty, UnOp,
 };
-use dyncomp_ir::fxhash::FxHashMap;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -814,7 +814,8 @@ impl Spec<'_> {
             clone_of[b] = self.f.add_block();
         }
         // The template copy of each value that existed before the split.
-        let mut val_map: IndexVec<InstId, Option<InstId>> = self.f.insts.iter().map(|_| None).collect();
+        let mut val_map: IndexVec<InstId, Option<InstId>> =
+            self.f.insts.iter().map(|_| None).collect();
         // The hole of each constant the block being cloned uses.
         let mut hole_cache: FxHashMap<InstId, InstId> = FxHashMap::default();
         let mut phis_to_fix: Vec<(InstId, BlockId)> = Vec::new(); // (cloned φ, orig block)
@@ -1677,7 +1678,11 @@ impl Spec<'_> {
         // Exit arc bools: every arc leaving the loop into the region.
         for b2 in &loop_block_list {
             for idx in 0..self.f.blocks[*b2].term.successors().len() {
-                let s = self.f.blocks[*b2].term.successors().nth(idx).expect("idx < len");
+                let s = self.f.blocks[*b2]
+                    .term
+                    .successors()
+                    .nth(idx)
+                    .expect("idx < len");
                 if ext.contains(s) || !self.r.blocks.contains(s) {
                     continue;
                 }
@@ -1724,7 +1729,15 @@ impl Spec<'_> {
         let region_blocks = &self.r.blocks;
         let setup_block_set: IdSet<BlockId> = setup.blocks.iter().copied().collect();
         let entry = self.r.entry;
-        let remap = |v| remap_out(v, &defined_in_region, self.analysis, val_map, &setup.setup_val);
+        let remap = |v| {
+            remap_out(
+                v,
+                &defined_in_region,
+                self.analysis,
+                val_map,
+                &setup.setup_val,
+            )
+        };
         let dyncomp_ir::Function { blocks, insts, .. } = &mut *self.f;
         for b in blocks.ids() {
             if region_blocks.contains(b) || setup_block_set.contains(b) || b == enter_block {
