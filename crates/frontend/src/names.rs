@@ -11,6 +11,14 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(u32);
 
+impl Sym {
+    /// Position in its [`Names`] (dense from 0, in order of first sight),
+    /// for tables indexed by symbol.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// The identifiers of one parse, borrowed from its source.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Names<'a> {
@@ -31,6 +39,16 @@ impl<'a> Names<'a> {
     #[cfg(test)]
     pub fn get(&self, name: &str) -> Option<Sym> {
         self.syms.get(name).copied()
+    }
+
+    /// How many distinct names the parse saw.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether the parse saw no name.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
     }
 
     /// The name `sym` stands for.

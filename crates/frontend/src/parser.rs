@@ -1,8 +1,22 @@
 //! MiniC recursive-descent parser.
+//!
+//! The parse is bounded: statements nest at most [`MAX_NESTING`] deep,
+//! and so do the parts of an expression (a parenthesized expression, the
+//! operand of a prefix operator or cast, an index, the arguments of a
+//! call, the right side of an assignment, the branches of `?:`). An
+//! expression also holds at most [`MAX_NESTING`] operators along any
+//! path from its root to a leaf, which bounds left-deep chains such as
+//! `x+x+…+x` that the parser builds without recursing. Every later walk
+//! of the tree recurses along that height, so a deeper program is a
+//! positioned [`ParseError`], not a stack overflow.
 
 use crate::ast::*;
 use crate::lexer::{lex, LexError, Tok, Token};
 use std::fmt;
+
+/// How deep statements and expression parts may nest, and how many
+/// operators an expression may hold along one root-to-leaf path.
+pub const MAX_NESTING: usize = 256;
 
 /// Parse failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,21 +54,39 @@ impl From<LexError> for ParseError {
 pub fn parse(src: &str) -> Result<Program<'_>, ParseError> {
     let toks = lex(src)?;
     let mut p = Parser {
+        prog: Program::with_capacity(toks.len()),
+        heights: Vec::with_capacity(toks.len() / 2),
         toks,
         pos: 0,
-        names: Names::default(),
+        stmt_depth: 0,
+        expr_depth: 0,
+        stmts: Vec::new(),
+        exprs: Vec::new(),
+        items: Vec::new(),
+        syms: Vec::new(),
     };
-    let tops = p.program()?;
-    Ok(Program {
-        tops,
-        names: p.names,
-    })
+    while p.peek() != Tok::Eof {
+        let top = p.top()?;
+        p.prog.tops.push(top);
+    }
+    Ok(p.prog)
 }
 
 struct Parser<'a> {
     toks: Vec<Token<'a>>,
     pos: usize,
-    names: Names<'a>,
+    prog: Program<'a>,
+    /// Operators on the longest root-to-leaf path of each expression,
+    /// by [`ExprId`].
+    heights: Vec<u16>,
+    stmt_depth: usize,
+    expr_depth: usize,
+    /// Elements of the lists being parsed, innermost last: a list is
+    /// moved into its arena when it closes.
+    stmts: Vec<StmtId>,
+    exprs: Vec<ExprId>,
+    items: Vec<SwitchItem>,
+    syms: Vec<Sym>,
 }
 
 impl<'a> Parser<'a> {
@@ -105,7 +137,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
-                Ok(self.names.intern(s))
+                Ok(self.prog.names.intern(s))
             }
             other => self.err(format!("expected identifier, found {other}")),
         }
@@ -186,22 +218,99 @@ impl<'a> Parser<'a> {
 
     fn type_name(&mut self) -> Result<TypeName, ParseError> {
         let base = self.base_type()?;
-        let mut ptrs = 0u8;
-        while self.eat(&Tok::Star) {
-            ptrs += 1;
-        }
+        let ptrs = self.stars()?;
         Ok(TypeName { base, ptrs })
     }
 
-    // ---- top level ----
-
-    fn program(&mut self) -> Result<Vec<Top>, ParseError> {
-        let mut tops = Vec::new();
-        while self.peek() != Tok::Eof {
-            tops.push(self.top()?);
+    /// The `*`s of a declarator, at most [`MAX_NESTING`] of them.
+    fn stars(&mut self) -> Result<u16, ParseError> {
+        let mut ptrs = 0u16;
+        while self.peek() == Tok::Star {
+            if usize::from(ptrs) == MAX_NESTING {
+                return self.err(format!(
+                    "pointer type nested more than {MAX_NESTING} levels deep"
+                ));
+            }
+            self.bump();
+            ptrs += 1;
         }
-        Ok(tops)
+        Ok(ptrs)
     }
+
+    /// Run `f` one statement level deeper.
+    fn nested_stmt<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.stmt_depth == MAX_NESTING {
+            return self.err(format!(
+                "statement nested more than {MAX_NESTING} levels deep"
+            ));
+        }
+        self.stmt_depth += 1;
+        let r = f(self);
+        self.stmt_depth -= 1;
+        r
+    }
+
+    /// Run `f` one expression level deeper.
+    fn nested_expr<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.expr_depth == MAX_NESTING {
+            return self.err(format!(
+                "expression nested more than {MAX_NESTING} levels deep"
+            ));
+        }
+        self.expr_depth += 1;
+        let r = f(self);
+        self.expr_depth -= 1;
+        r
+    }
+
+    /// Add an expression node, refusing one that would put more than
+    /// [`MAX_NESTING`] operators on a root-to-leaf path.
+    fn node(&mut self, e: Expr) -> Result<ExprId, ParseError> {
+        let h = |x: ExprId| self.heights[x.index()];
+        let below = match e {
+            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::Ident(_) | Expr::SizeOf(_) => None,
+            Expr::Un(_, a)
+            | Expr::Deref { expr: a, .. }
+            | Expr::AddrOf(a)
+            | Expr::Cast(_, a)
+            | Expr::Member { base: a, .. }
+            | Expr::PostIncDec { lhs: a, .. }
+            | Expr::PreIncDec { lhs: a, .. } => Some(h(a)),
+            Expr::Bin(_, a, b)
+            | Expr::Assign { lhs: a, rhs: b, .. }
+            | Expr::Index {
+                base: a, index: b, ..
+            } => Some(h(a).max(h(b))),
+            Expr::Cond(a, b, c) => Some(h(a).max(h(b)).max(h(c))),
+            Expr::Call { args, .. } => self.prog[args].iter().map(|&a| h(a)).max(),
+        };
+        let height = below.map_or(0, |b| b + 1);
+        if usize::from(height) > MAX_NESTING {
+            return self.err(format!(
+                "expression nested more than {MAX_NESTING} levels deep"
+            ));
+        }
+        self.heights.push(height);
+        Ok(self.prog.push_expr(e))
+    }
+
+    /// The statements pushed on the list stack since `mark`, as a list.
+    fn stmt_list(&mut self, mark: usize) -> List<StmtId> {
+        self.prog.push_list(self.stmts.drain(mark..))
+    }
+
+    /// The expressions pushed on the list stack since `mark`, as a list.
+    fn expr_list(&mut self, mark: usize) -> List<ExprId> {
+        self.prog.push_list(self.exprs.drain(mark..))
+    }
+
+    // ---- top level ----
 
     fn top(&mut self) -> Result<Top, ParseError> {
         // struct definition?
@@ -230,10 +339,7 @@ impl<'a> Parser<'a> {
         while !self.eat(&Tok::RBrace) {
             let base = self.base_type()?;
             loop {
-                let mut ptrs = 0u8;
-                while self.eat(&Tok::Star) {
-                    ptrs += 1;
-                }
+                let ptrs = self.stars()?;
                 let fname = self.ident()?;
                 let array = if self.eat(&Tok::LBracket) {
                     let n = self.int_lit()?;
@@ -242,14 +348,7 @@ impl<'a> Parser<'a> {
                 } else {
                     None
                 };
-                fields.push((
-                    TypeName {
-                        base: base.clone(),
-                        ptrs,
-                    },
-                    fname,
-                    array,
-                ));
+                fields.push((TypeName { base, ptrs }, fname, array));
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
@@ -278,21 +377,24 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        let mut init = Vec::new();
+        let mark = self.exprs.len();
         if self.eat(&Tok::Eq) {
             if self.eat(&Tok::LBrace) {
                 while !self.eat(&Tok::RBrace) {
-                    init.push(self.assignment()?);
+                    let e = self.assignment()?;
+                    self.exprs.push(e);
                     if !self.eat(&Tok::Comma) {
                         self.expect(Tok::RBrace)?;
                         break;
                     }
                 }
             } else {
-                init.push(self.assignment()?);
+                let e = self.assignment()?;
+                self.exprs.push(e);
             }
         }
         self.expect(Tok::Semi)?;
+        let init = self.expr_list(mark);
         Ok(Top::Global {
             ty,
             name,
@@ -320,74 +422,82 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::RParen)?;
             }
         }
+        let mark = self.prog.expr_mark();
         let body = self.block()?;
         Ok(Top::Func {
             ret,
             name,
             params,
             body,
+            exprs: self.prog.exprs_since(mark),
         })
     }
 
     // ---- statements ----
 
-    fn block(&mut self) -> Result<Stmt, ParseError> {
+    fn block(&mut self) -> Result<StmtId, ParseError> {
         self.expect(Tok::LBrace)?;
-        let mut stmts = Vec::new();
+        let mark = self.stmts.len();
         while !self.eat(&Tok::RBrace) {
-            stmts.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.stmts.push(s);
         }
-        Ok(Stmt::Block(stmts))
+        let list = self.stmt_list(mark);
+        Ok(self.prog.push_stmt(Stmt::Block(list)))
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek() {
-            Tok::LBrace => self.block(),
+    fn stmt(&mut self) -> Result<StmtId, ParseError> {
+        self.nested_stmt(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> Result<StmtId, ParseError> {
+        let s = match self.peek() {
+            Tok::LBrace => return self.block(),
             Tok::KwIf => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let c = self.expr()?;
                 self.expect(Tok::RParen)?;
-                let t = Box::new(self.stmt()?);
+                let t = self.stmt()?;
                 let e = if self.eat(&Tok::KwElse) {
-                    Some(Box::new(self.stmt()?))
+                    Some(self.stmt()?)
                 } else {
                     None
                 };
-                Ok(Stmt::If(c, t, e))
+                Stmt::If(c, t, e)
             }
             Tok::KwWhile => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let c = self.expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(Stmt::While(c, Box::new(self.stmt()?)))
+                Stmt::While(c, self.stmt()?)
             }
             Tok::KwDo => {
                 self.bump();
-                let body = Box::new(self.stmt()?);
+                let body = self.stmt()?;
                 self.expect(Tok::KwWhile)?;
                 self.expect(Tok::LParen)?;
                 let c = self.expr()?;
                 self.expect(Tok::RParen)?;
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::DoWhile(body, c))
+                Stmt::DoWhile(body, c)
             }
             Tok::KwUnrolled => {
                 self.bump();
                 if self.peek() != Tok::KwFor {
                     return self.err("`unrolled` must be followed by `for`");
                 }
-                self.for_stmt(true)
+                return self.for_stmt(true);
             }
-            Tok::KwFor => self.for_stmt(false),
+            Tok::KwFor => return self.for_stmt(false),
             Tok::KwSwitch => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let scrut = self.expr()?;
                 self.expect(Tok::RParen)?;
                 self.expect(Tok::LBrace)?;
-                let mut items = Vec::new();
+                let mark = self.items.len();
                 while !self.eat(&Tok::RBrace) {
                     match self.peek() {
                         Tok::KwCase => {
@@ -398,52 +508,57 @@ impl<'a> Parser<'a> {
                                 v = -v;
                             }
                             self.expect(Tok::Colon)?;
-                            items.push(SwitchItem::Label(Some(v)));
+                            self.items.push(SwitchItem::Label(Some(v)));
                         }
                         Tok::KwDefault => {
                             self.bump();
                             self.expect(Tok::Colon)?;
-                            items.push(SwitchItem::Label(None));
+                            self.items.push(SwitchItem::Label(None));
                         }
-                        _ => items.push(SwitchItem::Stmt(self.stmt()?)),
+                        _ => {
+                            let s = self.stmt()?;
+                            self.items.push(SwitchItem::Stmt(s));
+                        }
                     }
                 }
-                Ok(Stmt::Switch(scrut, items))
+                let items = self.prog.push_list(self.items.drain(mark..));
+                Stmt::Switch(scrut, items)
             }
             Tok::KwBreak => {
                 self.bump();
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Break)
+                Stmt::Break
             }
             Tok::KwContinue => {
                 self.bump();
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Continue)
+                Stmt::Continue
             }
             Tok::KwReturn => {
                 self.bump();
                 if self.eat(&Tok::Semi) {
-                    Ok(Stmt::Return(None))
+                    Stmt::Return(None)
                 } else {
                     let e = self.expr()?;
                     self.expect(Tok::Semi)?;
-                    Ok(Stmt::Return(Some(e)))
+                    Stmt::Return(Some(e))
                 }
             }
             Tok::KwGoto => {
                 self.bump();
                 let l = self.ident()?;
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Goto(l))
+                Stmt::Goto(l)
             }
             Tok::KwDynamicRegion => {
                 self.bump();
-                let mut keys = Vec::new();
+                let mark = self.syms.len();
                 if self.eat(&Tok::KwKey) {
                     self.expect(Tok::LParen)?;
                     if !self.eat(&Tok::RParen) {
                         loop {
-                            keys.push(self.ident()?);
+                            let k = self.ident()?;
+                            self.syms.push(k);
                             if !self.eat(&Tok::Comma) {
                                 break;
                             }
@@ -451,43 +566,43 @@ impl<'a> Parser<'a> {
                         self.expect(Tok::RParen)?;
                     }
                 }
+                let keys = self.prog.push_list(self.syms.drain(mark..));
                 self.expect(Tok::LParen)?;
-                let mut consts = Vec::new();
                 if !self.eat(&Tok::RParen) {
                     loop {
-                        consts.push(self.ident()?);
+                        let c = self.ident()?;
+                        self.syms.push(c);
                         if !self.eat(&Tok::Comma) {
                             break;
                         }
                     }
                     self.expect(Tok::RParen)?;
                 }
-                let body = Box::new(self.block()?);
-                Ok(Stmt::DynamicRegion { consts, keys, body })
+                let consts = self.prog.push_list(self.syms.drain(mark..));
+                let body = self.block()?;
+                Stmt::DynamicRegion { consts, keys, body }
             }
             Tok::Ident(name) if self.peek2() == Tok::Colon => {
                 self.bump();
                 self.bump();
-                let name = self.names.intern(name);
-                Ok(Stmt::Label(name, Box::new(self.stmt()?)))
+                let name = self.prog.names.intern(name);
+                Stmt::Label(name, self.stmt()?)
             }
-            _ if self.at_type_start() => self.decl_stmt(),
+            _ if self.at_type_start() => return self.decl_stmt(),
             _ => {
                 let e = self.expr()?;
                 self.expect(Tok::Semi)?;
-                Ok(Stmt::Expr(e))
+                Stmt::Expr(e)
             }
-        }
+        };
+        Ok(self.prog.push_stmt(s))
     }
 
-    fn decl_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn decl_stmt(&mut self) -> Result<StmtId, ParseError> {
         let base = self.base_type()?;
-        let mut decls = Vec::new();
+        let mark = self.stmts.len();
         loop {
-            let mut ptrs = 0u8;
-            while self.eat(&Tok::Star) {
-                ptrs += 1;
-            }
+            let ptrs = self.stars()?;
             let name = self.ident()?;
             let array = if self.eat(&Tok::LBracket) {
                 let n = self.int_lit()?;
@@ -501,38 +616,36 @@ impl<'a> Parser<'a> {
             } else {
                 None
             };
-            decls.push(Stmt::Decl {
-                ty: TypeName {
-                    base: base.clone(),
-                    ptrs,
-                },
+            let decl = self.prog.push_stmt(Stmt::Decl {
+                ty: TypeName { base, ptrs },
                 name,
                 array,
                 init,
             });
+            self.stmts.push(decl);
             if !self.eat(&Tok::Comma) {
                 break;
             }
         }
         self.expect(Tok::Semi)?;
-        Ok(if decls.len() == 1 {
-            decls.pop().unwrap()
-        } else {
-            Stmt::Block(decls)
-        })
+        if self.stmts.len() == mark + 1 {
+            return Ok(self.stmts.pop().expect("one declarator"));
+        }
+        let list = self.stmt_list(mark);
+        Ok(self.prog.push_stmt(Stmt::Block(list)))
     }
 
-    fn for_stmt(&mut self, unrolled: bool) -> Result<Stmt, ParseError> {
+    fn for_stmt(&mut self, unrolled: bool) -> Result<StmtId, ParseError> {
         self.expect(Tok::KwFor)?;
         self.expect(Tok::LParen)?;
         let init = if self.eat(&Tok::Semi) {
             None
         } else if self.at_type_start() {
-            Some(Box::new(self.decl_stmt()?))
+            Some(self.decl_stmt()?)
         } else {
             let e = self.expr()?;
             self.expect(Tok::Semi)?;
-            Some(Box::new(Stmt::Expr(e)))
+            Some(self.prog.push_stmt(Stmt::Expr(e)))
         };
         let cond = if self.peek() == Tok::Semi {
             None
@@ -546,23 +659,23 @@ impl<'a> Parser<'a> {
             Some(self.expr()?)
         };
         self.expect(Tok::RParen)?;
-        let body = Box::new(self.stmt()?);
-        Ok(Stmt::For {
+        let body = self.stmt()?;
+        Ok(self.prog.push_stmt(Stmt::For {
             init,
             cond,
             step,
             body,
             unrolled,
-        })
+        }))
     }
 
     // ---- expressions (precedence climbing) ----
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<ExprId, ParseError> {
         self.assignment()
     }
 
-    fn assignment(&mut self) -> Result<Expr, ParseError> {
+    fn assignment(&mut self) -> Result<ExprId, ParseError> {
         let lhs = self.conditional()?;
         let op = match self.peek() {
             Tok::Eq => None,
@@ -579,21 +692,17 @@ impl<'a> Parser<'a> {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.assignment()?;
-        Ok(Expr::Assign {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
+        let rhs = self.nested_expr(Self::assignment)?;
+        self.node(Expr::Assign { op, lhs, rhs })
     }
 
-    fn conditional(&mut self) -> Result<Expr, ParseError> {
+    fn conditional(&mut self) -> Result<ExprId, ParseError> {
         let c = self.binary(0)?;
         if self.eat(&Tok::Question) {
-            let t = self.expr()?;
+            let t = self.nested_expr(Self::expr)?;
             self.expect(Tok::Colon)?;
-            let e = self.conditional()?;
-            Ok(Expr::Cond(Box::new(c), Box::new(t), Box::new(e)))
+            let e = self.nested_expr(Self::conditional)?;
+            self.node(Expr::Cond(c, t, e))
         } else {
             Ok(c)
         }
@@ -623,7 +732,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn binary(&mut self, min_prec: u8) -> Result<ExprId, ParseError> {
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = Self::bin_op_prec(&self.peek()) {
             if prec < min_prec {
@@ -631,7 +740,7 @@ impl<'a> Parser<'a> {
             }
             self.bump();
             let rhs = self.binary(prec + 1)?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.node(Expr::Bin(op, lhs, rhs))?;
         }
         Ok(lhs)
     }
@@ -653,103 +762,109 @@ impl<'a> Parser<'a> {
             )
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
+    /// The operand of a prefix operator or cast.
+    fn operand(&mut self) -> Result<ExprId, ParseError> {
+        self.nested_expr(Self::unary)
+    }
+
+    fn unary(&mut self) -> Result<ExprId, ParseError> {
+        let e = match self.peek() {
             Tok::Minus => {
                 self.bump();
-                Ok(Expr::Un(UnAop::Neg, Box::new(self.unary()?)))
+                Expr::Un(UnAop::Neg, self.operand()?)
             }
             Tok::Tilde => {
                 self.bump();
-                Ok(Expr::Un(UnAop::BitNot, Box::new(self.unary()?)))
+                Expr::Un(UnAop::BitNot, self.operand()?)
             }
             Tok::Bang => {
                 self.bump();
-                Ok(Expr::Un(UnAop::LogNot, Box::new(self.unary()?)))
+                Expr::Un(UnAop::LogNot, self.operand()?)
             }
             Tok::Star => {
                 self.bump();
-                Ok(Expr::Deref {
-                    expr: Box::new(self.unary()?),
+                Expr::Deref {
+                    expr: self.operand()?,
                     dynamic: false,
-                })
+                }
             }
             Tok::KwDynamic if self.peek2() == Tok::Star => {
                 self.bump();
                 self.bump();
-                Ok(Expr::Deref {
-                    expr: Box::new(self.unary()?),
+                Expr::Deref {
+                    expr: self.operand()?,
                     dynamic: true,
-                })
+                }
             }
             Tok::Amp => {
                 self.bump();
-                Ok(Expr::AddrOf(Box::new(self.unary()?)))
+                Expr::AddrOf(self.operand()?)
             }
             Tok::PlusPlus => {
                 self.bump();
-                Ok(Expr::PreIncDec {
-                    lhs: Box::new(self.unary()?),
+                Expr::PreIncDec {
+                    lhs: self.operand()?,
                     inc: true,
-                })
+                }
             }
             Tok::MinusMinus => {
                 self.bump();
-                Ok(Expr::PreIncDec {
-                    lhs: Box::new(self.unary()?),
+                Expr::PreIncDec {
+                    lhs: self.operand()?,
                     inc: false,
-                })
+                }
             }
             Tok::KwSizeof => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let t = self.type_name()?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr::SizeOf(t))
+                Expr::SizeOf(t)
             }
             Tok::LParen if self.is_type_cast_ahead() => {
                 self.bump();
                 let t = self.type_name()?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr::Cast(t, Box::new(self.unary()?)))
+                Expr::Cast(t, self.operand()?)
             }
-            _ => self.postfix(),
-        }
+            _ => return self.postfix(),
+        };
+        self.node(e)
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
+    fn postfix(&mut self) -> Result<ExprId, ParseError> {
         let mut e = self.primary()?;
         loop {
-            match self.peek() {
+            let next = match self.peek() {
                 Tok::LBracket => {
                     self.bump();
-                    let idx = self.expr()?;
+                    let idx = self.nested_expr(Self::expr)?;
                     self.expect(Tok::RBracket)?;
-                    e = Expr::Index {
-                        base: Box::new(e),
-                        index: Box::new(idx),
+                    Expr::Index {
+                        base: e,
+                        index: idx,
                         dynamic: false,
-                    };
+                    }
                 }
                 Tok::Dot => {
                     self.bump();
                     let f = self.ident()?;
-                    e = Expr::Member {
-                        base: Box::new(e),
+                    Expr::Member {
+                        base: e,
                         field: f,
                         arrow: false,
                         dynamic: false,
-                    };
+                    }
                 }
                 Tok::Arrow => {
                     self.bump();
                     let f = self.ident()?;
-                    e = Expr::Member {
-                        base: Box::new(e),
+                    Expr::Member {
+                        base: e,
                         field: f,
                         arrow: true,
                         dynamic: false,
-                    };
+                    }
                 }
                 Tok::KwDynamic => {
                     // `p dynamic-> f` and `a dynamic[ i ]` (§2).
@@ -758,90 +873,111 @@ impl<'a> Parser<'a> {
                             self.bump();
                             self.bump();
                             let f = self.ident()?;
-                            e = Expr::Member {
-                                base: Box::new(e),
+                            Expr::Member {
+                                base: e,
                                 field: f,
                                 arrow: true,
                                 dynamic: true,
-                            };
+                            }
                         }
                         Tok::LBracket => {
                             self.bump();
                             self.bump();
-                            let idx = self.expr()?;
+                            let idx = self.nested_expr(Self::expr)?;
                             self.expect(Tok::RBracket)?;
-                            e = Expr::Index {
-                                base: Box::new(e),
-                                index: Box::new(idx),
+                            Expr::Index {
+                                base: e,
+                                index: idx,
                                 dynamic: true,
-                            };
+                            }
                         }
                         _ => break,
                     }
                 }
                 Tok::PlusPlus => {
                     self.bump();
-                    e = Expr::PostIncDec {
-                        lhs: Box::new(e),
-                        inc: true,
-                    };
+                    Expr::PostIncDec { lhs: e, inc: true }
                 }
                 Tok::MinusMinus => {
                     self.bump();
-                    e = Expr::PostIncDec {
-                        lhs: Box::new(e),
-                        inc: false,
-                    };
+                    Expr::PostIncDec { lhs: e, inc: false }
                 }
                 _ => break,
-            }
+            };
+            e = self.node(next)?;
         }
         Ok(e)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
+    fn primary(&mut self) -> Result<ExprId, ParseError> {
+        let e = match self.peek() {
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::IntLit(v))
+                Expr::IntLit(v)
             }
             Tok::Float(v) => {
                 self.bump();
-                Ok(Expr::FloatLit(v))
+                Expr::FloatLit(v)
             }
             Tok::Ident(name) => {
                 self.bump();
-                let name = self.names.intern(name);
+                let name = self.prog.names.intern(name);
                 if self.eat(&Tok::LParen) {
-                    let mut args = Vec::new();
+                    let mark = self.exprs.len();
                     if !self.eat(&Tok::RParen) {
                         loop {
-                            args.push(self.assignment()?);
+                            let a = self.nested_expr(Self::assignment)?;
+                            self.exprs.push(a);
                             if !self.eat(&Tok::Comma) {
                                 break;
                             }
                         }
                         self.expect(Tok::RParen)?;
                     }
-                    Ok(Expr::Call { name, args })
+                    let args = self.expr_list(mark);
+                    Expr::Call { name, args }
                 } else {
-                    Ok(Expr::Ident(name))
+                    Expr::Ident(name)
                 }
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested_expr(Self::expr)?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            other => self.err(format!("expected expression, found {other}")),
-        }
+            other => return self.err(format!("expected expression, found {other}")),
+        };
+        self.node(e)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The statements of the body of the `i`th top-level function.
+    fn body<'p>(prog: &'p Program<'_>, i: usize) -> &'p [StmtId] {
+        let Top::Func { body, .. } = &prog.tops[i] else {
+            panic!("expected func")
+        };
+        block(prog, *body)
+    }
+
+    fn block<'p>(prog: &'p Program<'_>, s: StmtId) -> &'p [StmtId] {
+        let Stmt::Block(stmts) = prog[s] else {
+            panic!("expected block, got {:?}", prog[s])
+        };
+        &prog[stmts]
+    }
+
+    /// The expression of `return e;`.
+    fn returned(prog: &Program<'_>, s: StmtId) -> Expr {
+        let Stmt::Return(Some(e)) = prog[s] else {
+            panic!("expected return, got {:?}", prog[s])
+        };
+        prog[e]
+    }
 
     #[test]
     fn parses_cache_lookup_example() {
@@ -874,21 +1010,18 @@ mod tests {
         "#;
         let prog = parse(src).unwrap();
         assert_eq!(prog.tops.len(), 4);
-        let Top::Func { name, body, .. } = &prog.tops[3] else {
+        let Top::Func { name, .. } = &prog.tops[3] else {
             panic!("expected func")
         };
         assert_eq!(prog.names.name(*name), "cacheLookup");
-        let Stmt::Block(stmts) = body else { panic!() };
-        let Stmt::DynamicRegion { consts, keys, body } = &stmts[0] else {
-            panic!("expected dynamicRegion, got {:?}", stmts[0])
+        let stmts = body(&prog, 3);
+        let Stmt::DynamicRegion { consts, keys, body } = prog[stmts[0]] else {
+            panic!("expected dynamicRegion, got {:?}", prog[stmts[0]])
         };
-        assert_eq!(consts, &[prog.names.get("cache").unwrap()]);
+        assert_eq!(&prog[consts], &[prog.names.get("cache").unwrap()]);
         assert!(keys.is_empty());
         // The unrolled loop with the dynamic-> annotation is in there.
-        let Stmt::Block(inner) = body.as_ref() else {
-            panic!()
-        };
-        let unrolled = inner.iter().find_map(|s| match s {
+        let unrolled = block(&prog, body).iter().find_map(|&s| match prog[s] {
             Stmt::For {
                 unrolled: true,
                 body,
@@ -896,19 +1029,18 @@ mod tests {
             } => Some(body),
             _ => None,
         });
-        let loop_body = unrolled.expect("unrolled for parsed");
-        let Stmt::Block(lb) = loop_body.as_ref() else {
+        let lb = block(&prog, unrolled.expect("unrolled for parsed"));
+        let Stmt::If(cond, ..) = prog[lb[0]] else {
             panic!()
         };
-        let Stmt::If(cond, ..) = &lb[0] else { panic!() };
-        let Expr::Bin(BinAop::Eq, lhs, _) = cond else {
+        let Expr::Bin(BinAop::Eq, lhs, _) = prog[cond] else {
             panic!()
         };
         let Expr::Member {
             arrow: true,
             dynamic: true,
             ..
-        } = lhs.as_ref()
+        } = prog[lhs]
         else {
             panic!("dynamic-> parsed as dynamic member access")
         };
@@ -918,16 +1050,13 @@ mod tests {
     fn keyed_region() {
         let src = "int f(int c) { dynamicRegion key(c) (c) { return c; } }";
         let prog = parse(src).unwrap();
-        let Top::Func { body, .. } = &prog.tops[0] else {
-            panic!()
-        };
-        let Stmt::Block(b) = body else { panic!() };
-        let Stmt::DynamicRegion { consts, keys, .. } = &b[0] else {
+        let b = body(&prog, 0);
+        let Stmt::DynamicRegion { consts, keys, .. } = prog[b[0]] else {
             panic!()
         };
         let c = prog.names.get("c").unwrap();
-        assert_eq!(keys, &[c]);
-        assert_eq!(consts, &[c]);
+        assert_eq!(&prog[keys], &[c]);
+        assert_eq!(&prog[consts], &[c]);
     }
 
     #[test]
@@ -946,14 +1075,11 @@ mod tests {
             }
         "#;
         let prog = parse(src).unwrap();
-        let Top::Func { body, .. } = &prog.tops[0] else {
-            panic!()
-        };
-        let Stmt::Block(b) = body else { panic!() };
-        let Stmt::Switch(_, items) = &b[1] else {
+        let b = body(&prog, 0);
+        let Stmt::Switch(_, items) = prog[b[1]] else {
             panic!("switch")
         };
-        let labels: Vec<_> = items
+        let labels: Vec<_> = prog[items]
             .iter()
             .filter_map(|i| match i {
                 SwitchItem::Label(l) => Some(*l),
@@ -961,32 +1087,28 @@ mod tests {
             })
             .collect();
         assert_eq!(labels, vec![Some(1), Some(2), Some(3), None]);
-        assert!(matches!(b[3], Stmt::Label(..)));
+        assert!(matches!(prog[b[3]], Stmt::Label(..)));
     }
 
     #[test]
     fn precedence() {
         let e = parse("int f() { return 1 + 2 * 3 << 1 < 4 == 5 && 6; }").unwrap();
-        let Top::Func { body, .. } = &e.tops[0] else {
-            panic!()
-        };
-        let Stmt::Block(b) = body else { panic!() };
-        let Stmt::Return(Some(Expr::Bin(BinAop::LogAnd, lhs, _))) = &b[0] else {
+        let Expr::Bin(BinAop::LogAnd, lhs, _) = returned(&e, body(&e, 0)[0]) else {
             panic!("&& binds loosest")
         };
-        let Expr::Bin(BinAop::Eq, l2, _) = lhs.as_ref() else {
+        let Expr::Bin(BinAop::Eq, l2, _) = e[lhs] else {
             panic!("== next")
         };
-        let Expr::Bin(BinAop::Lt, l3, _) = l2.as_ref() else {
+        let Expr::Bin(BinAop::Lt, l3, _) = e[l2] else {
             panic!("< next")
         };
-        let Expr::Bin(BinAop::Shl, l4, _) = l3.as_ref() else {
+        let Expr::Bin(BinAop::Shl, l4, _) = e[l3] else {
             panic!("<< next")
         };
-        let Expr::Bin(BinAop::Add, _, r5) = l4.as_ref() else {
+        let Expr::Bin(BinAop::Add, _, r5) = e[l4] else {
             panic!("+ next")
         };
-        assert!(matches!(r5.as_ref(), Expr::Bin(BinAop::Mul, ..)));
+        assert!(matches!(e[r5], Expr::Bin(BinAop::Mul, ..)));
     }
 
     #[test]
@@ -995,24 +1117,14 @@ mod tests {
         // struct S undefined is a *type* error caught at lowering, not parse.
         assert!(p.is_ok());
         let p = parse("double g(int x) { return (double) x; }").unwrap();
-        let Top::Func { body, .. } = &p.tops[0] else {
-            panic!()
-        };
-        let Stmt::Block(b) = body else { panic!() };
-        assert!(matches!(&b[0], Stmt::Return(Some(Expr::Cast(..)))));
+        assert!(matches!(returned(&p, body(&p, 0)[0]), Expr::Cast(..)));
     }
 
     #[test]
     fn declarations_with_multiple_declarators() {
         let p = parse("int f() { int a = 1, b = 2; return a + b; }").unwrap();
-        let Top::Func { body, .. } = &p.tops[0] else {
-            panic!()
-        };
-        let Stmt::Block(b) = body else { panic!() };
-        let Stmt::Block(decls) = &b[0] else {
-            panic!("comma decls split into a block")
-        };
-        assert_eq!(decls.len(), 2);
+        let b = body(&p, 0);
+        assert_eq!(block(&p, b[0]).len(), 2, "comma decls split into a block");
     }
 
     #[test]
@@ -1044,44 +1156,62 @@ mod tests {
     #[test]
     fn ternary_and_incdec() {
         let p = parse("int f(int x) { x++; --x; return x ? x : 0; }").unwrap();
-        let Top::Func { body, .. } = &p.tops[0] else {
-            panic!()
+        let b = body(&p, 0);
+        let expr = |s: StmtId| match p[s] {
+            Stmt::Expr(e) => p[e],
+            other => panic!("expected expression statement, got {other:?}"),
         };
-        let Stmt::Block(b) = body else { panic!() };
-        assert!(matches!(
-            &b[0],
-            Stmt::Expr(Expr::PostIncDec { inc: true, .. })
-        ));
-        assert!(matches!(
-            &b[1],
-            Stmt::Expr(Expr::PreIncDec { inc: false, .. })
-        ));
-        assert!(matches!(&b[2], Stmt::Return(Some(Expr::Cond(..)))));
+        assert!(matches!(expr(b[0]), Expr::PostIncDec { inc: true, .. }));
+        assert!(matches!(expr(b[1]), Expr::PreIncDec { inc: false, .. }));
+        assert!(matches!(returned(&p, b[2]), Expr::Cond(..)));
     }
 
     #[test]
     fn dynamic_star_unary() {
         let p = parse("int f(int* p) { return dynamic* p; }").unwrap();
-        let Top::Func { body, .. } = &p.tops[0] else {
-            panic!()
-        };
-        let Stmt::Block(b) = body else { panic!() };
         assert!(matches!(
-            &b[0],
-            Stmt::Return(Some(Expr::Deref { dynamic: true, .. }))
+            returned(&p, body(&p, 0)[0]),
+            Expr::Deref { dynamic: true, .. }
         ));
     }
 
     #[test]
     fn dynamic_index() {
         let p = parse("int f(int* a, int i) { return a dynamic[ i ]; }").unwrap();
-        let Top::Func { body, .. } = &p.tops[0] else {
+        assert!(matches!(
+            returned(&p, body(&p, 0)[0]),
+            Expr::Index { dynamic: true, .. }
+        ));
+    }
+
+    #[test]
+    fn function_expressions_are_one_run() {
+        let p = parse("int g; int f(int x) { return x + 1; } int h() { return -g; }").unwrap();
+        let runs: Vec<usize> = p
+            .tops
+            .iter()
+            .filter_map(|t| match t {
+                Top::Func { exprs, .. } => Some(exprs.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(runs, [3, 2]);
+        let Top::Func { exprs, .. } = &p.tops[2] else {
             panic!()
         };
-        let Stmt::Block(b) = body else { panic!() };
-        assert!(matches!(
-            &b[0],
-            Stmt::Return(Some(Expr::Index { dynamic: true, .. }))
-        ));
+        assert!(matches!(p[*exprs][1], Expr::Un(UnAop::Neg, _)));
+    }
+
+    #[test]
+    fn pointer_depth_is_bounded() {
+        let ok = format!("int f(int{} p) {{ return 0; }}", "*".repeat(MAX_NESTING));
+        assert!(parse(&ok).is_ok());
+        let deep = format!(
+            "int f(int{} p) {{ return 0; }}",
+            "*".repeat(MAX_NESTING + 1)
+        );
+        let e = parse(&deep).unwrap_err();
+        assert_eq!((e.line, e.col), (1, 10 + MAX_NESTING as u32));
+        assert!(e.msg.contains("nested more than"), "{}", e.msg);
     }
 }

@@ -811,3 +811,90 @@ fn error_messages_name_the_problem() {
         );
     }
 }
+
+/// The four shapes of deep source, each `n` levels deep: parentheses,
+/// a chain of prefix operators, a left-deep chain of binary operators
+/// (which the parser builds without recursing), and statements nested
+/// in one another (blocks, `if`s and `while`s in turn).
+fn deep_programs(n: usize) -> [(&'static str, String); 4] {
+    let parens = format!(
+        "int f(int x) {{ return {}x{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let unary = format!("int f(int x) {{ return {}x; }}", "- ".repeat(n));
+    let chain = format!("int f(int x) {{ return x{}; }}", "+x".repeat(n));
+    let (mut open, mut close) = (String::new(), String::new());
+    for level in (1..n).rev() {
+        match level % 3 {
+            0 => {
+                open.push_str("{ ");
+                close.insert_str(0, " }");
+            }
+            1 => open.push_str("if (x) "),
+            _ => open.push_str("while (x < 9) "),
+        }
+    }
+    let stmt = format!("{open}x = x + 1;{close}");
+    let stmts = format!("int f(int x) {{ {stmt} return x; }}");
+    [
+        ("parentheses", parens),
+        ("prefix operators", unary),
+        ("operator chain", chain),
+        ("nested statements", stmts),
+    ]
+}
+
+/// Run `f` on a thread with a 2 MiB stack: the depth bound must keep
+/// every walk of the tree within it, in debug builds too.
+fn on_small_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, f)
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow")
+    })
+}
+
+#[test]
+fn programs_at_the_nesting_bound_compile_on_a_small_stack() {
+    use crate::parser::MAX_NESTING;
+    on_small_stack(|| {
+        for (shape, src) in deep_programs(MAX_NESTING) {
+            let m = compile(&src, &LowerOptions::default())
+                .unwrap_or_else(|e| panic!("{shape}: {e}"))
+                .module;
+            let mut f = m.funcs[FuncId(0)].clone();
+            dyncomp_ir::ssa::construct_ssa(&mut f);
+            dyncomp_ir::verify::verify(&f).unwrap_or_else(|e| panic!("{shape}: {e}"));
+        }
+    });
+    let chain = on_small_stack(|| build(&deep_programs(MAX_NESTING)[2].1));
+    assert_eq!(run(&chain, "f", &[3]), 3 * (MAX_NESTING as u64 + 1));
+}
+
+#[test]
+fn programs_past_the_nesting_bound_are_positioned_errors() {
+    use crate::parser::MAX_NESTING;
+    use crate::FrontendError;
+    on_small_stack(|| {
+        for n in [MAX_NESTING + 1, 100_000] {
+            for (shape, src) in deep_programs(n) {
+                match compile(&src, &LowerOptions::default()) {
+                    Err(FrontendError::Parse(e)) => {
+                        assert!(
+                            e.msg
+                                .contains(&format!("nested more than {MAX_NESTING} levels deep")),
+                            "{shape} at {n}: {e}"
+                        );
+                        assert_eq!(e.line, 1, "{shape} at {n}: {e}");
+                        assert!(e.col > MAX_NESTING as u32, "{shape} at {n}: {e}");
+                    }
+                    other => panic!("{shape} at {n}: expected a parse error, got {other:?}"),
+                }
+            }
+        }
+    });
+}

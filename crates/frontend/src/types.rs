@@ -4,14 +4,22 @@
 //! 8 bytes (the simalpha word), `short` is 2 and `char` is 1. Struct
 //! fields are aligned to their natural alignment, structs to their widest
 //! field.
+//!
+//! A [`CType`] is `Copy`: the pointee of a pointer and the element of an
+//! array are interned in the [`TypeTable`] and named by a [`CTypeId`], so
+//! typing an expression never clones a chain of boxes.
 
 use crate::ast::{BaseType, TypeName};
 use crate::names::{Names, Sym};
 use dyncomp_ir::fxhash::FxHashMap;
 use std::fmt;
 
+/// An interned [`CType`]: an index into its [`TypeTable`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CTypeId(u32);
+
 /// A resolved MiniC type.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CType {
     /// `void` (function returns only).
     Void,
@@ -25,9 +33,9 @@ pub enum CType {
     /// `double`.
     Double,
     /// Pointer to a pointee type.
-    Ptr(Box<CType>),
+    Ptr(CTypeId),
     /// Fixed-size array.
-    Array(Box<CType>, u64),
+    Array(CTypeId, u64),
     /// Struct by index into the [`TypeTable`].
     Struct(usize),
 }
@@ -50,48 +58,54 @@ impl CType {
     }
 
     /// Whether this is any integer type.
-    pub fn is_integer(&self) -> bool {
+    pub fn is_integer(self) -> bool {
         matches!(self, CType::Int { .. })
     }
 
     /// Whether this is a signed integer.
-    pub fn is_signed(&self) -> bool {
+    pub fn is_signed(self) -> bool {
         matches!(self, CType::Int { signed: true, .. })
     }
 
     /// Whether this is a pointer (or array, which decays).
-    pub fn is_pointer_like(&self) -> bool {
+    pub fn is_pointer_like(self) -> bool {
         matches!(self, CType::Ptr(_) | CType::Array(..))
     }
 
-    /// The pointee of a pointer, or element type of an array.
-    pub fn pointee(&self) -> Option<&CType> {
+    /// The interned pointee of a pointer, or element type of an array.
+    pub fn pointee_id(self) -> Option<CTypeId> {
         match self {
-            CType::Ptr(t) => Some(t),
-            CType::Array(t, _) => Some(t),
+            CType::Ptr(t) | CType::Array(t, _) => Some(t),
             _ => None,
         }
     }
 
     /// Array-to-pointer decay.
-    pub fn decay(&self) -> CType {
+    pub fn decay(self) -> CType {
         match self {
-            CType::Array(t, _) => CType::Ptr(t.clone()),
-            other => other.clone(),
+            CType::Array(t, _) => CType::Ptr(t),
+            other => other,
         }
     }
 }
 
-impl fmt::Display for CType {
+/// A [`CType`] printed with the [`TypeTable`] that interned its parts.
+pub struct Shown<'t> {
+    table: &'t TypeTable,
+    ty: CType,
+}
+
+impl fmt::Display for Shown<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        let inner = |id| self.table.show(self.table.get(id));
+        match self.ty {
             CType::Void => write!(f, "void"),
             CType::Int { size, signed } => {
-                write!(f, "{}int{}", if *signed { "" } else { "u" }, size * 8)
+                write!(f, "{}int{}", if signed { "" } else { "u" }, size * 8)
             }
             CType::Double => write!(f, "double"),
-            CType::Ptr(t) => write!(f, "{t}*"),
-            CType::Array(t, n) => write!(f, "{t}[{n}]"),
+            CType::Ptr(t) => write!(f, "{}*", inner(t)),
+            CType::Array(t, n) => write!(f, "{}[{n}]", inner(t)),
             CType::Struct(i) => write!(f, "struct#{i}"),
         }
     }
@@ -110,12 +124,15 @@ pub struct StructLayout {
     pub align: u64,
 }
 
-/// Registry of struct definitions.
+/// Registry of struct definitions and interned types.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TypeTable {
     structs: Vec<StructLayout>,
     /// Struct index by its tag's symbol in the parse that declared it.
     by_sym: FxHashMap<Sym, usize>,
+    /// Interned types by [`CTypeId`], and the id of each.
+    interned: Vec<CType>,
+    ids: FxHashMap<CType, CTypeId>,
 }
 
 /// Type-resolution error.
@@ -136,37 +153,62 @@ impl TypeTable {
         TypeTable::default()
     }
 
+    /// The id of `t`, interning it on first sight.
+    pub fn intern(&mut self, t: CType) -> CTypeId {
+        *self.ids.entry(t).or_insert_with(|| {
+            self.interned.push(t);
+            CTypeId(self.interned.len() as u32 - 1)
+        })
+    }
+
+    /// The type `id` names.
+    pub fn get(&self, id: CTypeId) -> CType {
+        self.interned[id.0 as usize]
+    }
+
+    /// A pointer to `t`.
+    pub fn ptr_to(&mut self, t: CType) -> CType {
+        CType::Ptr(self.intern(t))
+    }
+
+    /// The pointee of a pointer, or element type of an array.
+    pub fn pointee(&self, t: CType) -> Option<CType> {
+        t.pointee_id().map(|id| self.get(id))
+    }
+
+    /// `t`, printable.
+    pub fn show(&self, ty: CType) -> Shown<'_> {
+        Shown { table: self, ty }
+    }
+
     /// Resolve a syntactic [`TypeName`] (plus optional array suffix) of
     /// the parse whose names are `names`.
     ///
     /// # Errors
     /// Fails on references to undefined structs.
     pub fn resolve(
-        &self,
+        &mut self,
         t: &TypeName,
         array: Option<u64>,
         names: &Names<'_>,
     ) -> Result<CType, TypeError> {
-        let mut ty = match &t.base {
+        let mut ty = match t.base {
             BaseType::Void => CType::Void,
-            BaseType::Int { size, signed } => CType::Int {
-                size: *size,
-                signed: *signed,
-            },
+            BaseType::Int { size, signed } => CType::Int { size, signed },
             BaseType::Double => CType::Double,
             BaseType::Struct(tag) => {
                 let idx = self
                     .by_sym
-                    .get(tag)
-                    .ok_or_else(|| TypeError(format!("undefined struct `{}`", names.name(*tag))))?;
+                    .get(&tag)
+                    .ok_or_else(|| TypeError(format!("undefined struct `{}`", names.name(tag))))?;
                 CType::Struct(*idx)
             }
         };
         for _ in 0..t.ptrs {
-            ty = CType::Ptr(Box::new(ty));
+            ty = self.ptr_to(ty);
         }
         if let Some(n) = array {
-            ty = CType::Array(Box::new(ty), n);
+            ty = CType::Array(self.intern(ty), n);
         }
         Ok(ty)
     }
@@ -208,8 +250,8 @@ impl TypeTable {
             let mut offset = 0u64;
             let mut align = 1u64;
             for (fname, fty) in fields {
-                let fa = self.align_of(&fty)?;
-                let fs = self.size_of(&fty)?;
+                let fa = self.align_of(fty)?;
+                let fs = self.size_of(fty)?;
                 offset = (offset + fa - 1) & !(fa - 1);
                 laid.push((fname, fty, offset));
                 offset += fs;
@@ -228,8 +270,8 @@ impl TypeTable {
         let mut offset = 0u64;
         let mut align = 1u64;
         for (fname, fty) in fields {
-            let fa = self.align_of(&fty)?;
-            let fs = self.size_of(&fty)?;
+            let fa = self.align_of(fty)?;
+            let fs = self.size_of(fty)?;
             offset = (offset + fa - 1) & !(fa - 1);
             laid.push((fname, fty, offset));
             offset += fs;
@@ -251,14 +293,14 @@ impl TypeTable {
     ///
     /// # Errors
     /// Fails for `void`.
-    pub fn size_of(&self, t: &CType) -> Result<u64, TypeError> {
+    pub fn size_of(&self, t: CType) -> Result<u64, TypeError> {
         Ok(match t {
             CType::Void => return Err(TypeError("sizeof(void)".into())),
-            CType::Int { size, .. } => u64::from(*size),
+            CType::Int { size, .. } => u64::from(size),
             CType::Double | CType::Ptr(_) => 8,
-            CType::Array(e, n) => self.size_of(e)? * n,
+            CType::Array(e, n) => self.size_of(self.get(e))? * n,
             CType::Struct(i) => {
-                let s = &self.structs[*i];
+                let s = &self.structs[i];
                 if s.size == 0 {
                     return Err(TypeError(format!(
                         "struct `{}` used by value before its definition",
@@ -274,13 +316,13 @@ impl TypeTable {
     ///
     /// # Errors
     /// Fails for `void`.
-    pub fn align_of(&self, t: &CType) -> Result<u64, TypeError> {
+    pub fn align_of(&self, t: CType) -> Result<u64, TypeError> {
         Ok(match t {
             CType::Void => return Err(TypeError("alignof(void)".into())),
-            CType::Int { size, .. } => u64::from(*size),
+            CType::Int { size, .. } => u64::from(size),
             CType::Double | CType::Ptr(_) => 8,
-            CType::Array(e, _) => self.align_of(e)?,
-            CType::Struct(i) => self.structs[*i].align,
+            CType::Array(e, _) => self.align_of(self.get(e))?,
+            CType::Struct(i) => self.structs[i].align,
         })
     }
 
@@ -288,15 +330,18 @@ impl TypeTable {
     ///
     /// # Errors
     /// Fails when `t` is not a struct or lacks the field.
-    pub fn field(&self, t: &CType, name: &str) -> Result<(u64, CType), TypeError> {
+    pub fn field(&self, t: CType, name: &str) -> Result<(u64, CType), TypeError> {
         let CType::Struct(i) = t else {
-            return Err(TypeError(format!("member access on non-struct {t}")));
+            return Err(TypeError(format!(
+                "member access on non-struct {}",
+                self.show(t)
+            )));
         };
-        let s = &self.structs[*i];
+        let s = &self.structs[i];
         s.fields
             .iter()
             .find(|(n, _, _)| n == name)
-            .map(|(_, ty, off)| (*off, ty.clone()))
+            .map(|(_, ty, off)| (*off, *ty))
             .ok_or_else(|| TypeError(format!("struct `{}` has no field `{name}`", s.name)))
     }
 
@@ -378,20 +423,21 @@ mod tests {
                 ],
             )
             .unwrap();
-        let (off, ty) = tt.field(&CType::Struct(outer), "in").unwrap();
+        let (off, ty) = tt.field(CType::Struct(outer), "in").unwrap();
         assert_eq!(off, 8);
         assert_eq!(ty, CType::Struct(inner));
-        assert_eq!(tt.size_of(&CType::Struct(outer)).unwrap(), 24);
-        assert!(tt.field(&CType::Struct(outer), "nope").is_err());
+        assert_eq!(tt.size_of(CType::Struct(outer)).unwrap(), 24);
+        assert!(tt.field(CType::Struct(outer), "nope").is_err());
     }
 
     #[test]
     fn array_sizes_and_decay() {
-        let tt = TypeTable::new();
-        let a = CType::Array(Box::new(CType::Double), 10);
-        assert_eq!(tt.size_of(&a).unwrap(), 80);
-        assert_eq!(a.decay(), CType::Ptr(Box::new(CType::Double)));
+        let mut tt = TypeTable::new();
+        let a = CType::Array(tt.intern(CType::Double), 10);
+        assert_eq!(tt.size_of(a).unwrap(), 80);
+        assert_eq!(a.decay(), tt.ptr_to(CType::Double));
         assert!(a.is_pointer_like());
+        assert_eq!(tt.show(a).to_string(), "double[10]");
     }
 
     #[test]
@@ -406,10 +452,12 @@ mod tests {
             ptrs: 2,
         };
         let t = tt.resolve(&tn, None, &names).unwrap();
-        assert_eq!(
-            t,
-            CType::Ptr(Box::new(CType::Ptr(Box::new(CType::Struct(0)))))
-        );
+        let inner = tt.ptr_to(CType::Struct(0));
+        assert_eq!(t, tt.ptr_to(inner));
+        assert_eq!(tt.pointee(t), Some(inner));
+        assert_eq!(tt.show(t).to_string(), "struct#0**");
+        let arr = tt.resolve(&tn, Some(3), &names).unwrap();
+        assert_eq!(tt.show(arr).to_string(), "struct#0**[3]");
         assert!(tt
             .resolve(
                 &TypeName {
