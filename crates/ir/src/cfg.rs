@@ -8,11 +8,13 @@ use crate::inst::{InstKind, Terminator};
 /// per distinct successor (a switch may target the same block from several
 /// cases; φ-operands are keyed by block id). Stored as one flat list with
 /// per-block offsets.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Preds {
     /// `list[start[b]..start[b + 1]]` are the predecessors of `b`.
     start: Vec<u32>,
     list: Vec<BlockId>,
+    /// Scratch for [`Preds::recompute`].
+    fill: Vec<u32>,
 }
 
 /// Each distinct `(block, successor)` edge of `f`, blocks in id order and
@@ -35,19 +37,28 @@ fn distinct_edges(f: &Function, last: &mut Vec<u32>, mut visit: impl FnMut(Block
 impl Preds {
     /// Compute predecessors of every block in `f`.
     pub fn compute(f: &Function) -> Self {
+        let mut preds = Preds::default();
+        preds.recompute(f);
+        preds
+    }
+
+    /// Compute predecessors of every block in `f` into this table,
+    /// reusing its storage.
+    pub fn recompute(&mut self, f: &Function) {
         let n = f.blocks.len();
-        let mut start = vec![0u32; n + 1];
-        let mut scratch = Vec::new();
-        distinct_edges(f, &mut scratch, |_, s| start[s.index() + 1] += 1);
+        let Preds { start, list, fill } = self;
+        start.clear();
+        start.resize(n + 1, 0);
+        distinct_edges(f, fill, |_, s| start[s.index() + 1] += 1);
         for i in 1..=n {
             start[i] += start[i - 1];
         }
-        // Fill each block's run in edge order: `scratch[s]` is the next
+        // Fill each block's run in edge order: `fill[s]` is the next
         // free position of `s`'s run.
-        let mut fill = scratch;
         fill.clear();
         fill.extend_from_slice(&start[..n]);
-        let mut list = vec![BlockId(0); start[n] as usize];
+        list.clear();
+        list.resize(start[n] as usize, BlockId(0));
         for (b, blk) in f.iter_blocks() {
             for s in blk.term.successors() {
                 let (first, at) = (start[s.index()], fill[s.index()]);
@@ -60,7 +71,6 @@ impl Preds {
                 fill[s.index()] += 1;
             }
         }
-        Preds { start, list }
     }
 
     /// Predecessors of `b` (each predecessor block listed once).
@@ -72,8 +82,16 @@ impl Preds {
 
 /// Blocks reachable from the entry.
 pub fn reachable(f: &Function) -> IdSet<BlockId> {
-    let mut seen = IdSet::with_domain(f.blocks.len());
-    let mut stack = vec![f.entry];
+    let mut seen = IdSet::new();
+    reachable_into(f, &mut seen, &mut Vec::new());
+    seen
+}
+
+/// [`reachable`] into `seen`, with `stack` as the walk's scratch.
+pub fn reachable_into(f: &Function, seen: &mut IdSet<BlockId>, stack: &mut Vec<BlockId>) {
+    seen.reset(f.blocks.len());
+    stack.clear();
+    stack.push(f.entry);
     seen.insert(f.entry);
     while let Some(b) = stack.pop() {
         f.blocks[b].term.for_each_successor(|s| {
@@ -82,7 +100,6 @@ pub fn reachable(f: &Function) -> IdSet<BlockId> {
             }
         });
     }
-    seen
 }
 
 /// Reverse post-order over reachable blocks, starting at the entry.
@@ -91,34 +108,38 @@ pub fn reachable(f: &Function) -> IdSet<BlockId> {
 /// retreating (loop back) edges, which makes it the canonical iteration
 /// order for forward dataflow.
 pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
-    let mut po = Vec::with_capacity(f.blocks.len());
-    let mut state: IndexVec<BlockId, u8> = (0..f.blocks.len()).map(|_| 0u8).collect();
+    let mut rpo = Vec::with_capacity(f.blocks.len());
+    reverse_postorder_into(f, &mut rpo, &mut IdSet::new(), &mut Vec::new());
+    rpo
+}
+
+/// [`reverse_postorder`] into `rpo`, with `seen` and `stack` as the
+/// walk's scratch (a stack entry is a block and how many of its
+/// successors the walk has taken).
+pub fn reverse_postorder_into(
+    f: &Function,
+    rpo: &mut Vec<BlockId>,
+    seen: &mut IdSet<BlockId>,
+    stack: &mut Vec<(BlockId, u32)>,
+) {
+    rpo.clear();
+    seen.reset(f.blocks.len());
+    stack.clear();
+    stack.push((f.entry, 0));
+    seen.insert(f.entry);
     // Iterative DFS computing post-order.
-    let mut stack = vec![(f.entry, f.blocks[f.entry].term.successors())];
-    state[f.entry] = 1;
-    while let Some((b, succs)) = stack.last_mut() {
-        if let Some(s) = succs.next() {
-            if state[s] == 0 {
-                state[s] = 1;
-                stack.push((s, f.blocks[s].term.successors()));
+    while let Some((b, taken)) = stack.last_mut() {
+        if let Some(s) = f.blocks[*b].term.successors().nth(*taken as usize) {
+            *taken += 1;
+            if seen.insert(s) {
+                stack.push((s, 0));
             }
         } else {
-            po.push(*b);
-            state[*b] = 2;
+            rpo.push(*b);
             stack.pop();
         }
     }
-    po.reverse();
-    po
-}
-
-/// Positions of blocks within an RPO sequence.
-pub fn rpo_positions(f: &Function, rpo: &[BlockId]) -> IndexVec<BlockId, usize> {
-    let mut pos: IndexVec<BlockId, usize> = (0..f.blocks.len()).map(|_| usize::MAX).collect();
-    for (i, &b) in rpo.iter().enumerate() {
-        pos[b] = i;
-    }
-    pos
+    rpo.reverse();
 }
 
 /// Split every critical edge (an edge from a block with multiple successors
@@ -203,8 +224,20 @@ pub struct Pruned {
 /// Detached blocks keep their storage but are emptied and end in
 /// [`Terminator::Unreachable`]; the return value lists what went.
 pub fn prune_unreachable(f: &mut Function) -> Pruned {
-    let live = reachable(f);
     let mut pruned = Pruned::default();
+    prune_unreachable_into(f, &mut pruned, &mut IdSet::new(), &mut Vec::new());
+    pruned
+}
+
+/// [`prune_unreachable`], appending what went to `pruned`; `live` and
+/// `stack` are scratch (`live` ends as the reachable set).
+pub fn prune_unreachable_into(
+    f: &mut Function,
+    pruned: &mut Pruned,
+    live: &mut IdSet<BlockId>,
+    stack: &mut Vec<BlockId>,
+) {
+    reachable_into(f, live, stack);
     for b in f.blocks.ids() {
         let blk = &mut f.blocks[b];
         if !live.contains(b) && (!blk.insts.is_empty() || blk.term != Terminator::Unreachable) {
@@ -230,7 +263,6 @@ pub fn prune_unreachable(f: &mut Function) -> Pruned {
             });
         }
     }
-    pruned
 }
 
 #[cfg(test)]

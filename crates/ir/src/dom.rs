@@ -3,28 +3,74 @@
 //! Used by SSA construction (φ placement at iterated dominance frontiers)
 //! and by the loop finder.
 
-use crate::cfg::{reverse_postorder, rpo_positions, Preds};
+use crate::cfg::{reverse_postorder_into, Preds};
 use crate::func::Function;
-use crate::ids::{BlockId, IndexVec};
+use crate::ids::{BlockId, IdSet, IndexVec};
 
 /// Immediate-dominator tree over the reachable blocks of a function.
-#[derive(Clone, Debug)]
+///
+/// A tree can be recomputed for another function in place
+/// ([`DomTree::recompute`]), reusing its tables: a pass that keeps one
+/// across the functions of a compile allocates for the largest only.
+#[derive(Clone, Debug, Default)]
 pub struct DomTree {
     idom: IndexVec<BlockId, Option<BlockId>>,
     rpo: Vec<BlockId>,
     rpo_pos: IndexVec<BlockId, usize>,
     preds: Preds,
+    /// Scratch for the RPO walk.
+    seen: IdSet<BlockId>,
+    stack: Vec<(BlockId, u32)>,
+}
+
+/// Dominance frontiers of every block, as one flat list with per-block
+/// offsets.
+#[derive(Clone, Debug, Default)]
+pub struct Frontiers {
+    /// `list[start[b]..start[b + 1]]` is the frontier of `b`.
+    start: Vec<u32>,
+    list: Vec<BlockId>,
+    /// Scratch: `(block, frontier member)` in discovery order, and the
+    /// last member each block was given.
+    pairs: Vec<(BlockId, BlockId)>,
+    last: Vec<u32>,
+}
+
+impl Frontiers {
+    /// The dominance frontier of `b`, in discovery order.
+    #[inline]
+    pub fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.list[self.start[b.index()] as usize..self.start[b.index() + 1] as usize]
+    }
 }
 
 impl DomTree {
     /// Compute the dominator tree with the Cooper–Harvey–Kennedy iterative
     /// algorithm ("A Simple, Fast Dominance Algorithm").
     pub fn compute(f: &Function) -> Self {
-        let preds = Preds::compute(f);
-        let rpo = reverse_postorder(f);
-        let rpo_pos = rpo_positions(f, &rpo);
-        let mut idom: IndexVec<BlockId, Option<BlockId>> =
-            (0..f.blocks.len()).map(|_| None).collect();
+        let mut dom = DomTree::default();
+        dom.recompute(f);
+        dom
+    }
+
+    /// Compute the dominator tree of `f` into this one, reusing its
+    /// tables.
+    pub fn recompute(&mut self, f: &Function) {
+        let DomTree {
+            idom,
+            rpo,
+            rpo_pos,
+            preds,
+            seen,
+            stack,
+        } = self;
+        preds.recompute(f);
+        reverse_postorder_into(f, rpo, seen, stack);
+        rpo_pos.reset(f.blocks.len(), usize::MAX);
+        for (i, &b) in rpo.iter().enumerate() {
+            rpo_pos[b] = i;
+        }
+        idom.reset(f.blocks.len(), None);
         idom[f.entry] = Some(f.entry);
         let mut changed = true;
         while changed {
@@ -37,7 +83,7 @@ impl DomTree {
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => Self::intersect(&idom, &rpo_pos, p, cur),
+                        Some(cur) => Self::intersect(idom, rpo_pos, p, cur),
                     });
                 }
                 if let Some(ni) = new_idom {
@@ -47,12 +93,6 @@ impl DomTree {
                     }
                 }
             }
-        }
-        DomTree {
-            idom,
-            rpo,
-            rpo_pos,
-            preds,
         }
     }
 
@@ -125,10 +165,30 @@ impl DomTree {
     }
 
     /// Dominance frontiers of every block.
-    pub fn frontiers(&self, f: &Function) -> IndexVec<BlockId, Vec<BlockId>> {
+    pub fn frontiers(&self, f: &Function) -> Frontiers {
+        let mut df = Frontiers::default();
+        self.frontiers_into(f, &mut df);
+        df
+    }
+
+    /// Dominance frontiers of every block into `df`, reusing its tables.
+    /// Each frontier lists its members in the order the walk meets them
+    /// (blocks in RPO, then their predecessors in order).
+    pub fn frontiers_into(&self, f: &Function, df: &mut Frontiers) {
+        let n = f.blocks.len();
+        let Frontiers {
+            start,
+            list,
+            pairs,
+            last,
+        } = df;
+        pairs.clear();
+        // `last[r]` is one past the block `r` was last given: a block's
+        // members all arrive while that block is walked, so this is the
+        // duplicate check.
+        last.clear();
+        last.resize(n, 0);
         let preds = &self.preds;
-        let mut df: IndexVec<BlockId, Vec<BlockId>> =
-            (0..f.blocks.len()).map(|_| Vec::new()).collect();
         for &b in &self.rpo {
             let ps = preds.of(b);
             if ps.len() < 2 {
@@ -141,8 +201,9 @@ impl DomTree {
                 }
                 let mut runner = p;
                 while runner != idom_b {
-                    if !df[runner].contains(&b) {
-                        df[runner].push(b);
+                    if last[runner.index()] != b.0 + 1 {
+                        last[runner.index()] = b.0 + 1;
+                        pairs.push((runner, b));
                     }
                     match self.idom(runner) {
                         Some(d) => runner = d,
@@ -151,7 +212,23 @@ impl DomTree {
                 }
             }
         }
-        df
+        // Group by block, keeping discovery order within each frontier.
+        start.clear();
+        start.resize(n + 1, 0);
+        for &(r, _) in pairs.iter() {
+            start[r.index() + 1] += 1;
+        }
+        for i in 1..=n {
+            start[i] += start[i - 1];
+        }
+        list.clear();
+        list.resize(pairs.len(), BlockId(0));
+        last.clear();
+        last.extend_from_slice(&start[..n]);
+        for &(r, b) in pairs.iter() {
+            list[last[r.index()] as usize] = b;
+            last[r.index()] += 1;
+        }
     }
 }
 
@@ -209,10 +286,10 @@ mod tests {
         let f = diamond_tail();
         let dt = DomTree::compute(&f);
         let df = dt.frontiers(&f);
-        assert_eq!(df[BlockId(1)], vec![BlockId(3)]);
-        assert_eq!(df[BlockId(2)], vec![BlockId(3)]);
-        assert!(df[BlockId(0)].is_empty());
-        assert!(df[BlockId(3)].is_empty());
+        assert_eq!(df.of(BlockId(1)), [BlockId(3)]);
+        assert_eq!(df.of(BlockId(2)), [BlockId(3)]);
+        assert!(df.of(BlockId(0)).is_empty());
+        assert!(df.of(BlockId(3)).is_empty());
     }
 
     #[test]
@@ -234,8 +311,8 @@ mod tests {
         f.blocks[exit].term = Terminator::Return(None);
         let dt = DomTree::compute(&f);
         let df = dt.frontiers(&f);
-        assert!(df[h].contains(&h));
-        assert!(df[body].contains(&h));
+        assert!(df.of(h).contains(&h));
+        assert!(df.of(body).contains(&h));
         assert_eq!(dt.idom(body), Some(h));
         assert_eq!(dt.idom(exit), Some(h));
     }

@@ -10,51 +10,128 @@
 //! (arrays, address-taken locals) are not renamed; they stay in memory and
 //! are accessed through [`InstKind::FrameAddr`].
 
-use crate::dom::DomTree;
+use crate::dom::{DomTree, Frontiers};
 use crate::func::Function;
 use crate::ids::{BlockId, IndexVec, InstId, VarId};
 use crate::inst::{InstKind, Ty};
 use crate::ops::Const;
+
+/// The tables of SSA construction, kept across calls: a compile makes
+/// one and converts every function through it, so the tables are
+/// allocated for the largest function only.
+#[derive(Default)]
+pub struct SsaScratch {
+    dom: DomTree,
+    df: Frontiers,
+    renameable: Vec<bool>,
+    /// `(variable, block)` per definition site, in RPO; then grouped by
+    /// variable into `def_list[def_start[x]..def_start[x + 1]]`.
+    def_pairs: Vec<(VarId, BlockId)>,
+    def_start: Vec<u32>,
+    def_list: Vec<BlockId>,
+    placed: IndexVec<BlockId, u32>,
+    work: Vec<BlockId>,
+    phi_var: Vec<VarId>,
+    first_kid: Vec<usize>,
+    fill: Vec<usize>,
+    kids: Vec<BlockId>,
+    /// The reaching definition of each variable, and the definitions it
+    /// shadowed, restored when the walk leaves the block that pushed them.
+    top: IndexVec<VarId, Option<InstId>>,
+    pushed: Vec<(VarId, Option<InstId>)>,
+    walk: Vec<Step>,
+}
+
+enum Step {
+    Enter(BlockId),
+    /// Pop the definitions `pushed[from..]` made since the block's entry.
+    Leave(usize),
+}
 
 /// Convert `f` to SSA form in place.
 ///
 /// # Panics
 /// Panics if the function is already in SSA form.
 pub fn construct_ssa(f: &mut Function) {
-    assert!(!f.is_ssa, "function {} is already in SSA form", f.name);
-    let dom = DomTree::compute(f);
-    let df = dom.frontiers(f);
+    construct_ssa_with(f, &mut SsaScratch::default());
+}
 
-    // 1. Definition sites per renameable variable.
-    let renameable: Vec<bool> = f.vars.iter().map(|v| v.frame_size.is_none()).collect();
-    let mut def_blocks: IndexVec<VarId, Vec<BlockId>> =
-        (0..f.vars.len()).map(|_| Vec::new()).collect();
+/// [`construct_ssa`] with the tables in `s`.
+///
+/// # Panics
+/// Panics if the function is already in SSA form.
+pub fn construct_ssa_with(f: &mut Function, s: &mut SsaScratch) {
+    assert!(!f.is_ssa, "function {} is already in SSA form", f.name);
+    let SsaScratch {
+        dom,
+        df,
+        renameable,
+        def_pairs,
+        def_start,
+        def_list,
+        placed,
+        work,
+        phi_var,
+        first_kid,
+        fill,
+        kids,
+        top,
+        pushed,
+        walk,
+    } = s;
+    dom.recompute(f);
+    dom.frontiers_into(f, df);
+
+    // 1. Definition sites per renameable variable, each block once, in
+    // RPO.
+    let nvars = f.vars.len();
+    renameable.clear();
+    renameable.extend(f.vars.iter().map(|v| v.frame_size.is_none()));
+    def_pairs.clear();
     for &b in dom.rpo() {
+        let from = def_pairs.len();
         for &i in &f.blocks[b].insts {
             if let InstKind::SetVar(x, _) = f.kind(i) {
-                if renameable[x.index()] && !def_blocks[*x].contains(&b) {
-                    def_blocks[*x].push(b);
+                if renameable[x.index()] && !def_pairs[from..].iter().any(|&(y, _)| y == *x) {
+                    def_pairs.push((*x, b));
                 }
             }
         }
     }
+    def_start.clear();
+    def_start.resize(nvars + 1, 0);
+    for &(x, _) in def_pairs.iter() {
+        def_start[x.index() + 1] += 1;
+    }
+    for i in 1..=nvars {
+        def_start[i] += def_start[i - 1];
+    }
+    def_list.clear();
+    def_list.resize(def_pairs.len(), BlockId(0));
+    fill.clear();
+    fill.extend(def_start[..nvars].iter().map(|&k| k as usize));
+    for &(x, b) in def_pairs.iter() {
+        def_list[fill[x.index()]] = b;
+        fill[x.index()] += 1;
+    }
+    let defs =
+        |x: VarId| &def_list[def_start[x.index()] as usize..def_start[x.index() + 1] as usize];
 
     // 2. φ placement at iterated dominance frontiers. The φs are created
     // back to back, so φ `phi_base + k` stands for variable `phi_var[k]`.
     let phi_base = f.insts.len();
-    let mut phi_var: Vec<VarId> = Vec::new();
+    phi_var.clear();
     // `placed[b]` is one past the last variable given a φ in `b`.
-    let mut placed: IndexVec<BlockId, u32> = (0..f.blocks.len()).map(|_| 0).collect();
-    let mut work: Vec<BlockId> = Vec::new();
-    for x in (0..f.vars.len()).map(VarId::from_index) {
-        if !renameable[x.index()] || def_blocks[x].is_empty() {
+    placed.reset(f.blocks.len(), 0);
+    for x in (0..nvars).map(VarId::from_index) {
+        if !renameable[x.index()] || defs(x).is_empty() {
             continue;
         }
         let var_ty = f.vars[x].ty;
         work.clear();
-        work.extend_from_slice(&def_blocks[x]);
+        work.extend_from_slice(defs(x));
         while let Some(b) = work.pop() {
-            for &fr in &df[b] {
+            for &fr in df.of(b) {
                 if placed[fr] == x.0 + 1 {
                     continue;
                 }
@@ -65,7 +142,7 @@ pub fn construct_ssa(f: &mut Function) {
                 });
                 f.blocks[fr].insts.insert(0, phi);
                 phi_var.push(x);
-                if !def_blocks[x].contains(&fr) {
+                if !defs(x).contains(&fr) {
                     work.push(fr);
                 }
             }
@@ -79,7 +156,8 @@ pub fn construct_ssa(f: &mut Function) {
 
     // 3. Renaming walk over the dominator tree: `children[b]` is
     // `kids[first_kid[b]..first_kid[b + 1]]`, in RPO.
-    let mut first_kid = vec![0usize; f.blocks.len() + 1];
+    first_kid.clear();
+    first_kid.resize(f.blocks.len() + 1, 0);
     for &b in dom.rpo() {
         if let Some(d) = dom.idom(b) {
             first_kid[d.index() + 1] += 1;
@@ -88,8 +166,10 @@ pub fn construct_ssa(f: &mut Function) {
     for i in 1..first_kid.len() {
         first_kid[i] += first_kid[i - 1];
     }
-    let mut fill = first_kid.clone();
-    let mut kids = vec![f.entry; first_kid[f.blocks.len()]];
+    fill.clear();
+    fill.extend_from_slice(first_kid);
+    kids.clear();
+    kids.resize(first_kid[f.blocks.len()], f.entry);
     for &b in dom.rpo() {
         if let Some(d) = dom.idom(b) {
             kids[fill[d.index()]] = b;
@@ -97,19 +177,14 @@ pub fn construct_ssa(f: &mut Function) {
         }
     }
 
-    let mut stacks: IndexVec<VarId, Vec<InstId>> = (0..f.vars.len()).map(|_| Vec::new()).collect();
+    top.reset(nvars, None);
     // Lazily created "undefined" value (reads before any write).
     let mut undef_int: Option<InstId> = None;
     let mut undef_float: Option<InstId> = None;
 
-    enum Step {
-        Enter(BlockId),
-        /// Pop the variables `pushed[from..]` pushed since the block's
-        /// entry.
-        Leave(usize),
-    }
-    let mut pushed: Vec<VarId> = Vec::new();
-    let mut walk = vec![Step::Enter(f.entry)];
+    pushed.clear();
+    walk.clear();
+    walk.push(Step::Enter(f.entry));
     while let Some(step) = walk.pop() {
         match step {
             Step::Enter(b) => {
@@ -118,8 +193,7 @@ pub fn construct_ssa(f: &mut Function) {
                 // φs define first.
                 for &i in &insts {
                     if let Some(x) = phi_of(i) {
-                        stacks[x].push(i);
-                        pushed.push(x);
+                        pushed.push((x, top[x].replace(i)));
                     }
                 }
                 // Body: rewrite reads, record writes, delete SetVar.
@@ -129,8 +203,8 @@ pub fn construct_ssa(f: &mut Function) {
                     }
                     match *f.kind(i) {
                         InstKind::GetVar(x) if renameable[x.index()] => {
-                            let cur = match stacks[x].last() {
-                                Some(&d) => d,
+                            let cur = match top[x] {
+                                Some(d) => d,
                                 None => {
                                     undef_value(f, &mut undef_int, &mut undef_float, f.vars[x].ty)
                                 }
@@ -140,8 +214,7 @@ pub fn construct_ssa(f: &mut Function) {
                             true
                         }
                         InstKind::SetVar(x, v) if renameable[x.index()] => {
-                            stacks[x].push(v);
-                            pushed.push(x);
+                            pushed.push((x, top[x].replace(v)));
                             // The SetVar instruction is dropped entirely.
                             false
                         }
@@ -159,8 +232,8 @@ pub fn construct_ssa(f: &mut Function) {
                     while let Some(&i) = f.blocks[s].insts.get(at) {
                         at += 1;
                         let Some(x) = phi_of(i) else { continue };
-                        let cur = match stacks[x].last() {
-                            Some(&d) => d,
+                        let cur = match top[x] {
+                            Some(d) => d,
                             None => undef_value(f, &mut undef_int, &mut undef_float, f.vars[x].ty),
                         };
                         if let InstKind::Phi(ins) = &mut f.insts[i].kind {
@@ -179,8 +252,8 @@ pub fn construct_ssa(f: &mut Function) {
                 }
             }
             Step::Leave(from) => {
-                for x in pushed.drain(from..) {
-                    stacks[x].pop();
+                for (x, shadowed) in pushed.drain(from..).rev() {
+                    top[x] = shadowed;
                 }
             }
         }

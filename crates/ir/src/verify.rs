@@ -31,11 +31,32 @@ impl std::error::Error for VerifyError {}
 /// # Errors
 /// Returns the first violation found.
 pub fn verify(f: &Function) -> Result<(), VerifyError> {
+    verify_with(f, &mut VerifyScratch::default())
+}
+
+/// The tables of the verifier, kept across calls: a compile makes one
+/// and verifies every function through it.
+#[derive(Default)]
+pub struct VerifyScratch {
+    place: IndexVec<InstId, Option<(BlockId, usize)>>,
+    live: IdSet<BlockId>,
+    stack: Vec<BlockId>,
+    dom: DomTree,
+    ps: Vec<BlockId>,
+    got: Vec<BlockId>,
+    vals: Vec<i64>,
+}
+
+/// [`verify`] with the tables in `s`.
+///
+/// # Errors
+/// Returns the first violation found.
+pub fn verify_with(f: &Function, s: &mut VerifyScratch) -> Result<(), VerifyError> {
     let err = |m: String| Err(VerifyError(format!("{}: {m}", f.name)));
 
     // Each placed instruction's block and position in it.
-    let mut place: IndexVec<InstId, Option<(BlockId, usize)>> =
-        (0..f.insts.len()).map(|_| None).collect();
+    let place = &mut s.place;
+    place.reset(f.insts.len(), None);
     for (b, blk) in f.iter_blocks() {
         let mut seen_non_phi = false;
         for (p, &i) in blk.insts.iter().enumerate() {
@@ -96,7 +117,8 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
     }
 
     // Operands must be placed instructions (in reachable code).
-    let live = crate::cfg::reachable(f);
+    crate::cfg::reachable_into(f, &mut s.live, &mut s.stack);
+    let (place, live) = (&s.place, &s.live);
     let check_op = |user: User, v: InstId| -> Result<(), VerifyError> {
         let what = if v.index() >= f.insts.len() {
             "uses nonexistent value"
@@ -124,7 +146,8 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
     }
 
     if f.is_ssa {
-        verify_ssa(f, &place, &live)?;
+        s.dom.recompute(f);
+        verify_ssa(f, s)?;
     }
 
     Ok(())
@@ -193,17 +216,21 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     Ok(())
 }
 
-fn verify_ssa(
-    f: &Function,
-    place: &IndexVec<InstId, Option<(BlockId, usize)>>,
-    live: &IdSet<BlockId>,
-) -> Result<(), VerifyError> {
+/// The SSA checks, over the tables [`verify_with`] filled (`s.dom`
+/// computed for `f`).
+fn verify_ssa(f: &Function, s: &mut VerifyScratch) -> Result<(), VerifyError> {
     let err = |m: String| Err(VerifyError(format!("{}: {m}", f.name)));
+    let VerifyScratch {
+        place,
+        live,
+        dom,
+        ps,
+        got,
+        vals,
+        ..
+    } = s;
     let block_of = |v: InstId| place[v].expect("checked placed").0;
-    let dom = DomTree::compute(f);
     let preds = dom.preds();
-    let (mut ps, mut got): (Vec<BlockId>, Vec<BlockId>) = (Vec::new(), Vec::new());
-    let mut vals: Vec<i64> = Vec::new();
 
     for (b, blk) in f.iter_blocks() {
         if !live.contains(b) {
@@ -234,7 +261,7 @@ fn verify_ssa(
                             return err(format!("φ {i} names non-predecessor {p}"));
                         }
                     }
-                    for p in &ps {
+                    for p in ps.iter() {
                         if live.contains(*p) && !got.contains(p) {
                             return err(format!("φ {i} missing operand for predecessor {p}"));
                         }

@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use dyncomp_ir::cfg::{prune_unreachable, reachable, Pruned};
+use dyncomp_ir::cfg::{prune_unreachable_into, reachable_into, Pruned};
 use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_ir::inst::Operands;
 use dyncomp_ir::{
@@ -88,14 +88,28 @@ pub struct OptOptions {
 /// rewrites, their order and every [`OptStats`] count are those of full
 /// rounds.
 pub fn optimize(f: &mut Function, opts: &OptOptions) -> OptStats {
+    optimize_with(f, opts, &mut OptScratch::default())
+}
+
+/// The tables of [`optimize`], kept across calls: a compile makes one
+/// and optimizes every function through it, so the tables are allocated
+/// for the largest function only.
+#[derive(Default)]
+pub struct OptScratch {
+    work: Work,
+    cse: FxHashMap<CseKey, InstId>,
+}
+
+/// [`optimize`] with the tables in `s`.
+pub fn optimize_with(f: &mut Function, opts: &OptOptions, s: &mut OptScratch) -> OptStats {
     let mut total = OptStats::default();
-    let mut w = Work::new(f);
-    let mut cse = FxHashMap::default();
+    let OptScratch { work: w, cse } = s;
+    w.reset(f);
     for _ in 0..50 {
         let mut round = OptStats::default();
         round.add(&w.fold_constants(f));
         round.add(&w.copy_propagate(f, opts.hole_scope.as_ref()));
-        round.add(&w.local_cse(f, &mut cse));
+        round.add(&w.local_cse(f, cse));
         round.add(&w.eliminate_dead_code(f));
         if opts.cfg_simplify && w.cfg_stale {
             round.add(&w.simplify_cfg(f));
@@ -133,8 +147,9 @@ const TERM: u32 = 1 << 31;
 /// not, so the user lists only ever grow. Folding and copy propagation
 /// judge one instruction (or terminator) at a time from its own operands,
 /// so for them a mark also names the instructions to look at again, and a
-/// visit skips the rest of its block. [`Work::new`] marks everything, so
-/// the first round visits every placed block.
+/// visit skips the rest of its block. [`Work::reset`] marks everything,
+/// so the first round visits every placed block.
+#[derive(Default)]
 struct Work {
     /// Reachable blocks in id order: what every pass walks.
     placed: Vec<BlockId>,
@@ -163,26 +178,48 @@ struct Work {
     /// its leading φ, a terminator changed, or its last call changed
     /// something.
     cfg_stale: bool,
+    /// Scratch: the reachable set and its walk, the blocks a dead-code
+    /// sweep emptied, and CFG simplification's tables and edits.
+    live: IdSet<BlockId>,
+    stack: Vec<BlockId>,
+    emptied: Vec<BlockId>,
+    cfg: CfgScratch,
+    edits: CfgEdits,
 }
 
 impl Work {
-    /// Counts, user lists and marks for a first round that visits every
-    /// placed block.
+    /// Tables for `f` alone, kept by the pass functions that run once.
     fn new(f: &Function) -> Work {
-        let n = f.insts.len();
-        let mut w = Work {
-            placed: reachable(f).iter().collect(),
-            dirty: std::array::from_fn(|_| IdSet::with_domain(f.blocks.len())),
-            marked: std::array::from_fn(|_| IdSet::with_domain(n)),
-            term_marked: std::array::from_fn(|_| IdSet::with_domain(f.blocks.len())),
-            uses: vec![0; n],
-            home: vec![NONE; n],
-            users: vec![NONE; n],
-            links: Vec::with_capacity(2 * n),
-            maybe_dead: Vec::new(),
-            has_copies: f.insts.iter().any(|i| matches!(i.kind, InstKind::Copy(_))),
-            cfg_stale: true,
-        };
+        let mut w = Work::default();
+        w.reset(f);
+        w
+    }
+
+    /// Counts, user lists and marks for a first round over `f` that
+    /// visits every placed block, in this scratch's storage.
+    fn reset(&mut self, f: &Function) {
+        let (n, nb) = (f.insts.len(), f.blocks.len());
+        reachable_into(f, &mut self.live, &mut self.stack);
+        self.placed.clear();
+        self.placed.extend(self.live.iter());
+        for set in self.dirty.iter_mut().chain(self.term_marked.iter_mut()) {
+            set.reset(nb);
+        }
+        for set in &mut self.marked {
+            set.reset(n);
+        }
+        for table in [&mut self.uses, &mut self.home, &mut self.users] {
+            table.clear();
+        }
+        self.uses.resize(n, 0);
+        self.home.resize(n, NONE);
+        self.users.resize(n, NONE);
+        self.links.clear();
+        self.links.reserve(2 * n);
+        self.maybe_dead.clear();
+        self.has_copies = f.insts.iter().any(|i| matches!(i.kind, InstKind::Copy(_)));
+        self.cfg_stale = true;
+        let w = self;
         for k in 0..w.placed.len() {
             let b = w.placed[k];
             w.mark_block(f, b);
@@ -207,22 +244,21 @@ impl Work {
             w.maybe_dead
                 .extend(insts.filter(|i| w.uses[i.index()] == 0));
         }
-        w
     }
 
     /// Take the placed blocks anew after the CFG changed. A block that is
     /// no longer reachable takes the uses of its instructions and
     /// terminator with it. Marks stay as they are.
     fn replace(&mut self, f: &Function) {
-        let live = reachable(f);
+        reachable_into(f, &mut self.live, &mut self.stack);
         for k in 0..self.placed.len() {
             let b = self.placed[k];
-            if !live.contains(b) {
+            if !self.live.contains(b) {
                 self.unplace(f, &f.blocks[b].insts, &f.blocks[b].term);
             }
         }
         self.placed.clear();
-        self.placed.extend(live.iter());
+        self.placed.extend(self.live.iter());
     }
 
     /// Drop the uses of a block that left the placed set.
@@ -495,7 +531,8 @@ impl Work {
         // with the same set as repeated sweeps would.
         let removable = |k: &InstKind| !k.has_side_effect() && k.has_result();
         let mut dead = std::mem::take(&mut self.maybe_dead);
-        let mut emptied: Vec<BlockId> = Vec::new();
+        let mut emptied = std::mem::take(&mut self.emptied);
+        emptied.clear();
         while let Some(i) = dead.pop() {
             let home = self.home[i.index()];
             if home == NONE || self.uses[i.index()] != 0 || !removable(f.kind(i)) {
@@ -517,7 +554,7 @@ impl Work {
         emptied.sort_unstable();
         emptied.dedup();
         let mut stats = OptStats::default();
-        for b in emptied {
+        for &b in &emptied {
             let had_phi = leads_with_phi(f, b);
             let list = &mut f.blocks[b].insts;
             let before = list.len();
@@ -525,13 +562,22 @@ impl Work {
             stats.dead_removed += before - list.len();
             self.cfg_stale |= list.is_empty() || (had_phi && !leads_with_phi(f, b));
         }
+        self.emptied = emptied;
         stats
     }
 
     fn simplify_cfg(&mut self, f: &mut Function) -> OptStats {
-        let mut edits = CfgEdits::default();
-        let stats = simplify_cfg_in(f, &mut edits);
-        let Pruned { cleared, cut } = edits.pruned;
+        let mut edits = std::mem::take(&mut self.edits);
+        edits.clear();
+        let stats = simplify_cfg_in(f, &mut edits, &mut self.cfg);
+        let stats = self.apply_cfg_edits(f, &edits, stats);
+        self.edits = edits;
+        stats
+    }
+
+    /// Bring the tables up to date with what one CFG simplification did.
+    fn apply_cfg_edits(&mut self, f: &Function, edits: &CfgEdits, stats: OptStats) -> OptStats {
+        let Pruned { cleared, cut } = &edits.pruned;
         self.cfg_stale = stats.cfg_simplified > 0 || !cleared.is_empty() || !cut.is_empty();
         if !self.cfg_stale {
             return stats;
@@ -544,19 +590,19 @@ impl Work {
                 self.list_user(v, TERM | b.index() as u32);
             }
         }
-        for (b, insts, term) in &cleared {
+        for (b, insts, term) in cleared {
             if self.placed.binary_search(b).is_ok() {
                 self.unplace(f, insts, term);
             }
         }
-        for &(_, v) in &cut {
+        for &(_, v) in cut {
             self.unuse(v);
         }
         self.replace(f);
-        for b in edits.changed {
+        for &b in &edits.changed {
             self.mark_around(f, b);
         }
-        for (b, _) in cut {
+        for &(b, _) in cut {
             self.mark_block(f, b);
         }
         stats
@@ -811,7 +857,7 @@ fn cse_key(kind: &InstKind) -> Option<CseKey> {
 /// CFG simplification: forward empty blocks, merge single-pred/single-succ
 /// chains. Pre-split only (block identity is significant afterwards).
 pub fn simplify_cfg(f: &mut Function) -> OptStats {
-    simplify_cfg_in(f, &mut CfgEdits::default())
+    simplify_cfg_in(f, &mut CfgEdits::default(), &mut CfgScratch::default())
 }
 
 /// What one [`simplify_cfg`] call changed, in order.
@@ -827,12 +873,46 @@ struct CfgEdits {
     pruned: Pruned,
 }
 
-/// [`simplify_cfg`], recording its changes in `edits`.
-fn simplify_cfg_in(f: &mut Function, edits: &mut CfgEdits) -> OptStats {
+impl CfgEdits {
+    fn clear(&mut self) {
+        self.changed.clear();
+        self.moved.clear();
+        self.moved_terms.clear();
+        self.pruned.cleared.clear();
+        self.pruned.cut.clear();
+    }
+}
+
+/// The tables of one [`simplify_cfg`] call, kept across calls.
+#[derive(Default)]
+struct CfgScratch {
+    protected: IdSet<BlockId>,
+    forward: IndexVec<BlockId, Option<BlockId>>,
+    phi_blocks: Vec<BlockId>,
+    has_phi: IdSet<BlockId>,
+    live: IdSet<BlockId>,
+    stack: Vec<BlockId>,
+    npreds: Vec<u32>,
+    last_pred: Vec<u32>,
+}
+
+/// [`simplify_cfg`], recording its changes in `edits`, with the tables
+/// in `s`.
+fn simplify_cfg_in(f: &mut Function, edits: &mut CfgEdits, s: &mut CfgScratch) -> OptStats {
     let mut stats = OptStats::default();
+    let CfgScratch {
+        protected,
+        forward,
+        phi_blocks,
+        has_phi,
+        live,
+        stack,
+        npreds,
+        last_pred,
+    } = s;
 
     // Protected blocks: entry, region entries/bodies' special roles.
-    let mut protected = IdSet::with_domain(f.blocks.len());
+    protected.reset(f.blocks.len());
     protected.insert(f.entry);
     for r in f.regions.iter() {
         protected.insert(r.entry);
@@ -850,7 +930,7 @@ fn simplify_cfg_in(f: &mut Function, edits: &mut CfgEdits) -> OptStats {
     }
 
     // 1. Thread jumps through empty forwarding blocks.
-    let mut forward: IndexVec<BlockId, Option<BlockId>> = f.blocks.iter().map(|_| None).collect();
+    forward.reset(f.blocks.len(), None);
     let mut forwards = 0;
     for (b, blk) in f.iter_blocks() {
         if protected.contains(b) || !blk.insts.is_empty() {
@@ -878,9 +958,10 @@ fn simplify_cfg_in(f: &mut Function, edits: &mut CfgEdits) -> OptStats {
     // (φ operands are keyed by predecessor). Only bypass when the target
     // has no φs. φs form a prefix of their block, so the blocks that lead
     // with one are all the blocks that hold one.
-    let phi_blocks: Vec<BlockId> = f.blocks.ids().filter(|&b| leads_with_phi(f, b)).collect();
-    let mut has_phi = IdSet::with_domain(f.blocks.len());
-    for &b in &phi_blocks {
+    phi_blocks.clear();
+    phi_blocks.extend(f.blocks.ids().filter(|&b| leads_with_phi(f, b)));
+    has_phi.reset(f.blocks.len());
+    for &b in phi_blocks.iter() {
         has_phi.insert(b);
     }
     if forwards > 0 {
@@ -905,9 +986,12 @@ fn simplify_cfg_in(f: &mut Function, edits: &mut CfgEdits) -> OptStats {
     // 2. Merge b -> t when b's only successor is t and t's only
     //    (reachable) predecessor is b. Predecessors are counted once per
     //    distinct edge source, before any merge.
-    let live = reachable(f);
+    reachable_into(f, live, stack);
     let nb = f.blocks.len();
-    let (mut npreds, mut last_pred) = (vec![0u32; nb], vec![NONE; nb]);
+    npreds.clear();
+    npreds.resize(nb, 0);
+    last_pred.clear();
+    last_pred.resize(nb, NONE);
     for p in live.iter() {
         f.blocks[p].term.for_each_successor(|s| {
             if last_pred[s.index()] != p.index() as u32 {
@@ -935,7 +1019,7 @@ fn simplify_cfg_in(f: &mut Function, edits: &mut CfgEdits) -> OptStats {
         f.blocks[b].term = t_term;
         // Retarget φ operands naming t as predecessor.
         let Function { blocks, insts, .. } = &mut *f;
-        for &pb in &phi_blocks {
+        for &pb in phi_blocks.iter() {
             for &i in &blocks[pb].insts {
                 let InstKind::Phi(ins) = &mut insts[i].kind else {
                     break;
@@ -958,7 +1042,7 @@ fn simplify_cfg_in(f: &mut Function, edits: &mut CfgEdits) -> OptStats {
     }
 
     // 3. Clear unreachable blocks and drop φ operands naming them.
-    edits.pruned = prune_unreachable(f);
+    prune_unreachable_into(f, &mut edits.pruned, live, stack);
     stats
 }
 

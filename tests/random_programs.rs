@@ -78,21 +78,24 @@ fn optimizer_preserves_random_programs() {
         let k = rng.below(40);
         let x = rng.below(64);
         let src = render_program(&stmts, false);
-        // Unoptimized vs optimized static compilation must agree.
-        let unopt = Arc::new(
-            Compiler::with_options(dyncomp::CompileOptions {
-                dynamic: false,
-                optimize: false,
-                ..Default::default()
-            })
-            .compile(&src)
-            .expect("compiles"),
-        );
+        // The optimized static compile on the VM must agree with the
+        // reference interpreter on the unoptimized module, as lowered and
+        // in SSA form (the optimizer's input).
+        let want = run_reference(&src, k, x);
+        let mut ssa = compile(&src, &LowerOptions::default())
+            .expect("compiles")
+            .module;
+        for f in ssa.funcs.iter_mut() {
+            dyncomp_ir::ssa::construct_ssa(f);
+        }
+        let fid = ssa.func_by_name("f").unwrap();
+        let unopt = match Evaluator::new(&ssa).call(fid, &[k, x]).expect("SSA runs") {
+            EvalOutcome::Return(Some(v)) => v as i64,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(unopt, want, "case {case}: SSA form vs lowering\n{src}");
         let opt = Arc::new(Compiler::static_baseline().compile(&src).expect("compiles"));
-        let mut eu = Session::new(unopt);
-        let a = eu.call("f", &[k, x]).expect("runs") as i64;
-        let mut eo = Session::new(opt);
-        let b = eo.call("f", &[k, x]).expect("runs") as i64;
-        assert_eq!(a, b, "case {case}: optimizer changed behavior\n{src}");
+        let got = Session::new(opt).call("f", &[k, x]).expect("runs") as i64;
+        assert_eq!(got, want, "case {case}: optimizer changed behavior\n{src}");
     }
 }
