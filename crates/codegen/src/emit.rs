@@ -293,6 +293,7 @@ pub fn emit_function(
             .label_of(s.template_entry)
             .ok_or_else(|| CodegenError::Internal("template entry outside the template".into()))?;
         label_of = buf.label_of;
+        let relocated = !buf.call_relocs.is_empty();
         for (w, callee) in buf.call_relocs {
             tmpl_relocs.push((s.region, w, callee));
         }
@@ -302,9 +303,12 @@ pub fn emit_function(
             entry,
         };
         // Lower value-independent blocks to copy-and-patch stitch plans.
-        // Plans *copy* the code words, so the module driver re-runs this
-        // after patching any template-call relocations.
-        dyncomp_machine::template::precompile_plans(&mut template);
+        // Plans *copy* the code words, so a template with template-call
+        // relocations gets its plans from the module driver, once the
+        // relocations are patched.
+        if !relocated {
+            dyncomp_machine::template::precompile_plans(&mut template);
+        }
         templates.push(template);
     }
 

@@ -287,8 +287,8 @@ pub fn compile_module(
     }
 
     // Patch template-call relocations with absolute callee entries, then
-    // rebuild the affected copy-and-patch plans (plans copy code words, so
-    // they would otherwise embed the unpatched immediate).
+    // build those templates' copy-and-patch plans (plans copy code words,
+    // so they are built only once the immediates are final).
     let mut patched: Vec<usize> = Vec::new();
     for (g, w, callee) in tmpl_relocs {
         regions[g].template.code[w as usize] = funcs[callee.index()].entry;

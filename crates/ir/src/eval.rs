@@ -438,9 +438,9 @@ impl<'m> Evaluator<'m> {
     fn resolve_slot_addr(&mut self, fid: FuncId, path: &SlotPath) -> Result<u64, EvalError> {
         let st = self.current_region_mut(fid);
         if path.is_static() {
-            return Ok(st.table + 8 * u64::from(path.0[0]));
+            return Ok(st.table + 8 * u64::from(path.words()[0]));
         }
-        let root = SlotPath(path.0[..path.0.len() - 1].to_vec());
+        let root = path.parent();
         let cur = st
             .loop_stack
             .iter()

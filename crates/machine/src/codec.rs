@@ -118,14 +118,14 @@ mod tests {
                     holes: vec![Hole {
                         at: 1,
                         field: HoleField::MemDisp { float: true },
-                        slot: SlotPath(vec![2, 0]),
+                        slot: SlotPath::from_words(&[2, 0]),
                     }],
                     branches: vec![BranchFixup { at: 3, target: 0 }],
                     marker: Some(LoopMarker::Enter {
-                        root: SlotPath(vec![1]),
+                        root: SlotPath::from_words(&[1]),
                     }),
                     exit: TmplExit::ConstSwitch {
-                        slot: SlotPath(vec![0]),
+                        slot: SlotPath::from_words(&[0]),
                         cases: vec![(-5, 0), (7, 1)],
                         default: 0,
                     },
@@ -134,7 +134,7 @@ mod tests {
                         patches: vec![PlanPatch {
                             at: 0,
                             field: HoleField::Lit,
-                            slot: SlotPath(vec![4]),
+                            slot: SlotPath::from_words(&[4]),
                         }],
                         insts: 2,
                         sr_candidate: true,
@@ -171,7 +171,7 @@ mod tests {
                 fall: 1,
             },
             TmplExit::ConstBranch {
-                slot: SlotPath(vec![2]),
+                slot: SlotPath::from_words(&[2]),
                 then_l: 0,
                 else_l: 1,
             },

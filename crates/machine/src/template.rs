@@ -205,8 +205,8 @@ pub struct StitchPlan {
 /// oversized literals, far table entries, peephole rewrites — are checked
 /// per stitch and fall back to the interpretive path.
 pub fn precompile_plans(t: &mut Template) {
-    let code = t.code.clone();
-    'blocks: for blk in &mut t.blocks {
+    let Template { code, blocks, .. } = t;
+    'blocks: for blk in blocks {
         if blk.marker.is_some() || !blk.branches.is_empty() {
             continue;
         }

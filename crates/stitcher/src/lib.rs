@@ -616,7 +616,7 @@ impl Stitcher<'_> {
     /// Resolve a slot path to its data-memory address.
     fn slot_addr(&self, path: &SlotPath, ctx: u32) -> Result<u64, StitchError> {
         if path.is_static() {
-            Ok(self.table + 8 * u64::from(path.0[0]))
+            Ok(self.table + 8 * u64::from(path.words()[0]))
         } else {
             let ctx = self.ctx(ctx);
             let depth = path.depth();
