@@ -54,7 +54,9 @@ pub mod rtc;
 pub mod unroll;
 
 pub use cond::{Cond, Literal};
-pub use rtc::{analyze_region, AnalysisConfig, RegionAnalysis};
+pub use rtc::{
+    analyze_region, analyze_region_with, AnalysisConfig, AnalysisScratch, RegionAnalysis,
+};
 pub use unroll::{check_unrollable, UnrollError};
 
 #[cfg(test)]

@@ -106,6 +106,31 @@ impl crate::cond::BranchArity for Arity<'_> {
 /// # Panics
 /// Panics if `f` is not in SSA form.
 pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -> RegionAnalysis {
+    analyze_region_with(f, region, config, &mut AnalysisScratch::default())
+}
+
+/// The tables of [`analyze_region`] that are not its result, kept across
+/// calls: a compile makes one and analyzes every region through it.
+#[derive(Default)]
+pub struct AnalysisScratch {
+    dom: dyncomp_ir::dom::DomTree,
+    arcs: RegionArcs,
+    region_insts: Vec<(BlockId, InstId)>,
+    roots: IdSet<InstId>,
+    stale: IdSet<BlockId>,
+    conds: Vec<Cond>,
+}
+
+/// [`analyze_region`] with the tables in `s`.
+///
+/// # Panics
+/// Panics if `f` is not in SSA form.
+pub fn analyze_region_with(
+    f: &Function,
+    region: RegionId,
+    config: &AnalysisConfig,
+    s: &mut AnalysisScratch,
+) -> RegionAnalysis {
     assert!(f.is_ssa, "analysis requires SSA form");
     let r = &f.regions[region];
 
@@ -123,9 +148,19 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
     }
 
     // Unrolled-loop scopes for boundary weakening.
-    let dom = dyncomp_ir::dom::DomTree::compute(f);
-    let scopes: LoopScopes = {
-        let forest = dyncomp_ir::loops::find_loops(f, &dom);
+    let AnalysisScratch {
+        dom,
+        arcs: region_arcs,
+        region_insts,
+        roots,
+        stale,
+        conds,
+    } = s;
+    dom.recompute(f);
+    let scopes: LoopScopes = if !r.blocks.iter().any(|b| f.blocks[b].unrolled_header) {
+        Vec::new()
+    } else {
+        let forest = dyncomp_ir::loops::find_loops(f, dom);
         forest
             .loops
             .iter()
@@ -134,11 +169,11 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
             .collect()
     };
 
-    let region_arcs = RegionArcs::new(f, r, dom.rpo());
+    region_arcs.rebuild(f, r, dom.rpo());
     loop {
         let const_branches = find_const_branches(f, r, &konst);
         let reach = if config.use_reachability {
-            compute_reach(f, r, &region_arcs, &const_branches, &scopes)
+            compute_reach(f, r, region_arcs, &const_branches, &scopes, stale)
         } else {
             // Without reachability every block is treated as plainly
             // reachable; no merge can prove exclusivity.
@@ -153,9 +188,17 @@ pub fn analyze_region(f: &Function, region: RegionId, config: &AnalysisConfig) -
                 })
                 .collect()
         };
-        let const_merges =
-            classify_merges(f, r, dom.preds(), &const_branches, &reach, &scopes, config);
-        let new_konst = constants_fixpoint(f, r, &const_merges);
+        let const_merges = classify_merges(
+            f,
+            r,
+            dom.preds(),
+            &const_branches,
+            &reach,
+            &scopes,
+            config,
+            conds,
+        );
+        let new_konst = constants_fixpoint(f, r, &const_merges, region_insts, roots);
         if new_konst == konst {
             return RegionAnalysis {
                 region,
@@ -192,22 +235,30 @@ fn find_const_branches(f: &Function, r: &DynRegion, konst: &IdSet<InstId>) -> Id
 /// `(source, successor index)` in the order the reachability meet
 /// consumes them: sources in RPO, then by index. The CFG does not change
 /// while a region is analyzed, so these are computed once.
+#[derive(Default)]
 struct RegionArcs {
     rpo: Vec<BlockId>,
     /// Block `b`'s arcs are `arcs[first[b]..first[b + 1]]`.
     first: Vec<usize>,
     arcs: Vec<(BlockId, u32)>,
+    /// Scratch: the next free position of each block's run.
+    fill: Vec<usize>,
 }
 
 impl RegionArcs {
-    fn new(f: &Function, r: &DynRegion, rpo: &[BlockId]) -> Self {
-        let rpo: Vec<BlockId> = rpo
-            .iter()
-            .copied()
-            .filter(|&b| r.blocks.contains(b))
-            .collect();
-        let mut first = vec![0usize; f.blocks.len() + 1];
-        for &p in &rpo {
+    /// The arcs of region `r`, whose function's blocks in RPO are `rpo`.
+    fn rebuild(&mut self, f: &Function, r: &DynRegion, rpo: &[BlockId]) {
+        let RegionArcs {
+            rpo: region_rpo,
+            first,
+            arcs,
+            fill,
+        } = self;
+        region_rpo.clear();
+        region_rpo.extend(rpo.iter().copied().filter(|&b| r.blocks.contains(b)));
+        first.clear();
+        first.resize(f.blocks.len() + 1, 0);
+        for &p in region_rpo.iter() {
             for s in f.blocks[p].term.successors() {
                 first[s.index() + 1] += 1;
             }
@@ -215,15 +266,16 @@ impl RegionArcs {
         for i in 1..first.len() {
             first[i] += first[i - 1];
         }
-        let mut fill = first.clone();
-        let mut arcs = vec![(r.entry, 0u32); first[f.blocks.len()]];
-        for &p in &rpo {
+        fill.clear();
+        fill.extend_from_slice(first);
+        arcs.clear();
+        arcs.resize(first[f.blocks.len()], (r.entry, 0));
+        for &p in region_rpo.iter() {
             for (idx, s) in f.blocks[p].term.successors().enumerate() {
                 arcs[fill[s.index()]] = (p, idx as u32);
                 fill[s.index()] += 1;
             }
         }
-        RegionArcs { rpo, first, arcs }
     }
 
     fn arcs_into(&self, b: BlockId) -> &[(BlockId, u32)] {
@@ -238,6 +290,7 @@ fn compute_reach(
     region_arcs: &RegionArcs,
     const_branches: &IdSet<BlockId>,
     scopes: &LoopScopes,
+    stale: &mut IdSet<BlockId>,
 ) -> IndexVec<BlockId, Cond> {
     let arity = Arity { f };
     let rpo = &region_arcs.rpo;
@@ -246,7 +299,10 @@ fn compute_reach(
     // Blocks with an arc from a block whose condition changed since they
     // were last met. The meet is a function of those conditions alone, so
     // re-meeting any other block would reproduce its condition.
-    let mut stale: IdSet<BlockId> = rpo.iter().copied().collect();
+    stale.reset(f.blocks.len());
+    for &b in rpo {
+        stale.insert(b);
+    }
 
     // Iterate to a fixpoint; the widening in `Cond::or` bounds growth, and
     // the round cap guards against pathological ping-ponging by widening
@@ -321,7 +377,8 @@ fn pred_condition(
     acc
 }
 
-/// Classify each region merge as constant or not.
+/// Classify each region merge as constant or not; `conds` is scratch.
+#[allow(clippy::too_many_arguments)]
 fn classify_merges(
     f: &Function,
     r: &DynRegion,
@@ -330,6 +387,7 @@ fn classify_merges(
     reach: &IndexVec<BlockId, Cond>,
     scopes: &LoopScopes,
     config: &AnalysisConfig,
+    conds: &mut Vec<Cond>,
 ) -> IdSet<BlockId> {
     let mut merges = IdSet::with_domain(f.blocks.len());
     for b in r.blocks.iter() {
@@ -352,10 +410,11 @@ fn classify_merges(
         if ps.iter().any(|p| !r.blocks.contains(*p)) {
             continue;
         }
-        let conds: Vec<Cond> = ps
-            .iter()
-            .map(|&p| pred_condition(f, const_branches, reach, scopes, p, b))
-            .collect();
+        conds.clear();
+        conds.extend(
+            ps.iter()
+                .map(|&p| pred_condition(f, const_branches, reach, scopes, p, b)),
+        );
         let all_exclusive = conds
             .iter()
             .enumerate()
@@ -369,12 +428,18 @@ fn classify_merges(
 
 /// Greatest-fixpoint constants computation given a merge classification:
 /// start from "everything constant" and delete violators until stable.
-fn constants_fixpoint(f: &Function, r: &DynRegion, const_merges: &IdSet<BlockId>) -> IdSet<InstId> {
+fn constants_fixpoint(
+    f: &Function,
+    r: &DynRegion,
+    const_merges: &IdSet<BlockId>,
+    region_insts: &mut Vec<(BlockId, InstId)>,
+    roots: &mut IdSet<InstId>,
+) -> IdSet<InstId> {
     let mut konst = IdSet::with_domain(f.insts.len());
     for &root in &r.const_roots {
         konst.insert(root);
     }
-    let mut region_insts: Vec<(BlockId, InstId)> = Vec::new();
+    region_insts.clear();
     for b in r.blocks.iter() {
         for &i in &f.blocks[b].insts {
             if f.kind(i).has_result() {
@@ -383,11 +448,14 @@ fn constants_fixpoint(f: &Function, r: &DynRegion, const_merges: &IdSet<BlockId>
             }
         }
     }
-    let roots: IdSet<InstId> = r.const_roots.iter().copied().collect();
+    roots.reset(f.insts.len());
+    for &root in &r.const_roots {
+        roots.insert(root);
+    }
 
     loop {
         let mut changed = false;
-        for &(b, i) in &region_insts {
+        for &(b, i) in region_insts.iter() {
             if !konst.contains(i) || roots.contains(i) {
                 continue;
             }

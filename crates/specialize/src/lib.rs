@@ -304,15 +304,37 @@ pub fn specialize_region(
     region: RegionId,
     analysis: &RegionAnalysis,
 ) -> Result<RegionSpec, SpecError> {
+    specialize_region_with(f, region, analysis, &mut SpecScratch::default())
+}
+
+/// The tables of [`specialize_region`] that outlive no call, kept across
+/// calls: a compile makes one and specializes every region through it.
+#[derive(Default)]
+pub struct SpecScratch {
+    dom: DomTree,
+}
+
+/// [`specialize_region`] with the tables in `s`.
+///
+/// # Errors
+/// As [`specialize_region`].
+pub fn specialize_region_with(
+    f: &mut Function,
+    region: RegionId,
+    analysis: &RegionAnalysis,
+    s: &mut SpecScratch,
+) -> Result<RegionSpec, SpecError> {
     if !f.is_ssa {
         return Err(SpecError::NotSsa);
     }
-    let dom = DomTree::compute(f);
-    let forest = find_loops(f, &dom);
+    let dom = &mut s.dom;
+    dom.recompute(f);
+    let dom = &*dom;
+    let forest = find_loops(f, dom);
     let r = f.regions[region].clone();
 
     // Region entry must only be entered from outside.
-    let preds = dom.preds().clone();
+    let preds = dom.preds();
     for &p in preds.of(r.entry) {
         if r.blocks.contains(p) {
             return Err(SpecError::MultipleEntries(r.entry));
@@ -339,7 +361,7 @@ pub fn specialize_region(
         forest: &forest,
         uloops,
         preds,
-        rpo: Vec::new(),
+        rpo: dom.rpo().to_vec(),
         rpo_pos: IndexVec::new(),
         def_block: IndexVec::new(),
         ext_blocks: forest.loops.iter().map(|_| IdSet::new()).collect(),
@@ -412,7 +434,7 @@ struct Spec<'a> {
     /// adds (template copies, markers, exit stubs, set-up code) jumps only
     /// to blocks it adds or to the region's exit targets, so these lists
     /// hold until the region is rewired.
-    preds: Preds,
+    preds: &'a Preds,
     rpo: Vec<BlockId>,
     /// Position of each region block in `rpo`; `usize::MAX` for other
     /// blocks.
@@ -436,11 +458,11 @@ struct Spec<'a> {
 }
 
 impl Spec<'_> {
+    /// Keep the region's blocks of the function's RPO (which `rpo`
+    /// holds on entry) and index them.
     fn init_order(&mut self) {
-        let rpo: Vec<BlockId> = dyncomp_ir::cfg::reverse_postorder(self.f)
-            .into_iter()
-            .filter(|b| self.r.blocks.contains(*b))
-            .collect();
+        let mut rpo = std::mem::take(&mut self.rpo);
+        rpo.retain(|b| self.r.blocks.contains(*b));
         self.def_block = self.f.insts.iter().map(|_| None).collect();
         self.rpo_pos = self.f.blocks.iter().map(|_| usize::MAX).collect();
         self.ctx_cache = self.f.blocks.iter().map(|_| None).collect();
