@@ -255,14 +255,20 @@ fn simplify(terms: &mut Vec<Conj>, arity: &dyn BranchArity) {
     if terms.len() <= 1 {
         return;
     }
+    // Work lists, allocated once per call.
+    let mut keep: Vec<bool> = Vec::with_capacity(terms.len());
+    let mut covered: Vec<u32> = Vec::new();
+    let mut members: Vec<usize> = Vec::new();
     loop {
         // Subsumption: a disjunct that is a superset of another is
         // redundant. Whatever order pairs are checked in, exactly the
         // minimal disjuncts remain.
-        let keep: Vec<bool> = terms
-            .iter()
-            .map(|b| !terms.iter().any(|a| a != b && is_subset(a, b)))
-            .collect();
+        keep.clear();
+        keep.extend(
+            terms
+                .iter()
+                .map(|b| !terms.iter().any(|a| a != b && is_subset(a, b))),
+        );
         let mut changed = keep.contains(&false);
         let mut k = keep.iter();
         terms.retain(|_| *k.next().expect("one flag per disjunct"));
@@ -271,12 +277,12 @@ fn simplify(terms: &mut Vec<Conj>, arity: &dyn BranchArity) {
         // literals jointly cover every successor arc of that branch, merge
         // into the shared remainder. The first cover found, in set order,
         // is applied; then the whole simplification runs again.
-        let mut cover: Option<(Conj, Vec<usize>)> = None;
+        let mut cover: Option<Conj> = None;
         'outer: for a in terms.iter() {
             for (ia, la) in a.iter().enumerate() {
                 // Find all disjuncts of the form rest ∪ {la.branch→*}.
-                let mut covered: Vec<u32> = Vec::new();
-                let mut members: Vec<usize> = Vec::new();
+                covered.clear();
+                members.clear();
                 for (m, b) in terms.iter().enumerate() {
                     if b.len() != a.len() {
                         continue;
@@ -294,12 +300,12 @@ fn simplify(terms: &mut Vec<Conj>, arity: &dyn BranchArity) {
                 if covered.len() as u32 >= arity.arity(la.branch) && covered.len() > 1 {
                     let mut rest = a.clone();
                     rest.remove(ia);
-                    cover = Some((rest, members));
+                    cover = Some(rest);
                     break 'outer;
                 }
             }
         }
-        if let Some((rest, members)) = cover {
+        if let Some(rest) = cover {
             let mut m = 0;
             terms.retain(|_| {
                 m += 1;

@@ -340,6 +340,49 @@ fn oversized_tenant_memory_is_refused_and_the_server_survives() {
     handle.join().unwrap();
 }
 
+/// Regression: source nested deeper than the front end's bound used to
+/// overflow the connection thread's stack while parsing or lowering,
+/// which aborts the whole server. Each such upload is a `compile-error`
+/// now, and the connection and the server keep serving.
+#[test]
+fn deeply_nested_uploads_are_compile_errors_and_the_server_survives() {
+    let (addr, handle) = spawn_server();
+    let mut c = Client::connect(&addr).unwrap();
+    upload_and_tenant(&mut c);
+    let parens = format!(
+        "int f(int x) {{ return {}x{}; }}",
+        "(".repeat(3000),
+        ")".repeat(3000)
+    );
+    let chain = format!("int f(int x) {{ return x{}; }}", "+x".repeat(3000));
+    for (shape, src) in [("parentheses", parens), ("operator chain", chain)] {
+        assert_eq!(src.len(), 6026, "{shape}");
+        let r = c
+            .request(&format!(
+                "{{\"op\":\"upload\",\"name\":\"deep\",\"src\":{}}}",
+                escape(&src)
+            ))
+            .unwrap();
+        assert_eq!(err_kind(&r), "compile-error", "{shape}: {r}");
+        assert!(r.contains("nested more than"), "{shape}: {r}");
+    }
+    let open = "{\"op\":\"open\",\"tenant\":\"t\",\"program\":\"poly\",\"session\":\"s\"}";
+    let call = "{\"op\":\"call\",\"session\":\"s\",\"func\":\"poly\",\"args\":[3,4]}";
+    ok(&c.request(open).unwrap());
+    let got = ok(&c.request(call).unwrap());
+    assert_eq!(
+        got.get("result").and_then(Json::as_int),
+        Some(3 * 16 + 12 + 3)
+    );
+    let mut second = Client::connect(&addr).unwrap();
+    ok(&second.request("{\"op\":\"ping\"}").unwrap());
+    let again = ok(&second.request(call).unwrap());
+    assert_eq!(again.get("result"), got.get("result"));
+    let _ = c.request("{\"op\":\"shutdown\"}");
+    drop((c, second));
+    handle.join().unwrap();
+}
+
 /// Regression: `cache_shards` reached the shared cache's eager
 /// per-stripe allocation unbounded (2^40 stripes abort the process, and
 /// `op_tenant` is not under `catch_unwind`), `cache_capacity` had no
