@@ -246,6 +246,10 @@ pub enum SwitchItem {
 pub enum Stmt {
     /// `{ ... }`
     Block(List<StmtId>),
+    /// The declarators of one declaration with several (`int a = 1, b;`),
+    /// each a [`Stmt::Decl`]. Unlike a block it opens no scope: the names
+    /// stay visible after the `;`.
+    Decls(List<StmtId>),
     /// Local declaration.
     Decl {
         /// Declared type.

@@ -600,6 +600,11 @@ impl<'a> FnLowerer<'a> {
                 }
                 self.pop_scope();
             }
+            Stmt::Decls(v) => {
+                for &s in &self.prog[v] {
+                    self.stmt(s)?;
+                }
+            }
             Stmt::Decl {
                 ty,
                 name: sym,

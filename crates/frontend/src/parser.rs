@@ -632,7 +632,7 @@ impl<'a> Parser<'a> {
             return Ok(self.stmts.pop().expect("one declarator"));
         }
         let list = self.stmt_list(mark);
-        Ok(self.prog.push_stmt(Stmt::Block(list)))
+        Ok(self.prog.push_stmt(Stmt::Decls(list)))
     }
 
     fn for_stmt(&mut self, unrolled: bool) -> Result<StmtId, ParseError> {
@@ -1124,7 +1124,11 @@ mod tests {
     fn declarations_with_multiple_declarators() {
         let p = parse("int f() { int a = 1, b = 2; return a + b; }").unwrap();
         let b = body(&p, 0);
-        assert_eq!(block(&p, b[0]).len(), 2, "comma decls split into a block");
+        let Stmt::Decls(decls) = p[b[0]] else {
+            panic!("expected declarators, got {:?}", p[b[0]])
+        };
+        assert_eq!(p[decls].len(), 2, "one statement per declarator");
+        assert!(p[decls].iter().all(|&d| matches!(p[d], Stmt::Decl { .. })));
     }
 
     #[test]

@@ -486,3 +486,34 @@ fn dynamic_switch_in_region_compiles_to_machine_code() {
     }
     assert_eq!(e.region_report(0).stitches, 1);
 }
+
+/// Compile `src` with annotations honored and call `f(args)`.
+fn run_f(src: &str, args: &[u64]) -> u64 {
+    let p = Arc::new(Compiler::new().compile(src).unwrap());
+    Session::new(p).call("f", args).unwrap()
+}
+
+// A declaration with several declarators declares every name in the
+// enclosing scope, like one declaration per name.
+
+#[test]
+fn several_declarators_in_a_function_body() {
+    let src = "int f(int x) { int a = 1, b = 2; return a + b + x; }";
+    assert_eq!(run_f(src, &[3]), 6);
+}
+
+#[test]
+fn several_declarators_in_a_nested_block() {
+    let src = "int f(int x) { int r = 0; if (x) { int a = x, b = a * 2; r = a + b; } return r; }";
+    assert_eq!(run_f(src, &[5]), 15);
+    assert_eq!(run_f(src, &[0]), 0);
+}
+
+#[test]
+fn several_declarators_in_a_for_initializer() {
+    let src = "int f(int x) { int s = 0; \
+               for (int i = 0, j = x; i < j; i = i + 1) { s = s + i + j; } return s; }";
+    // i = 0..3, j = 4: (0 + 1 + 2 + 3) + 4 * 4.
+    assert_eq!(run_f(src, &[4]), 22);
+    assert_eq!(run_f(src, &[0]), 0);
+}
