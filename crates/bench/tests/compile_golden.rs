@@ -4,29 +4,25 @@
 //!
 //! Per unit the test pins the executable image, each region's template
 //! words, stitch plans and holes, the whole module's wire form, the
-//! specializer's counters, and the `OptStats` of every `optimize` call.
-//! The last come from a replay of the pipeline through the public pass
-//! functions (inline depth 0 only: the inliner's fixpoint is private to
-//! `dyncomp`), which must itself produce the compiler's exact code.
+//! specializer's counters, and the `OptStats` of every `optimize` call,
+//! the inliner's included. The last come from a pass observer on
+//! `Compiler::compile_observed`, whose code must be `Compiler::compile`'s.
 //!
 //! The constants were taken before the optimizer, verifier, register
 //! allocator and emitter were made linear. The static compiler is
 //! deterministic, so a changed constant means a pass now rewrites
 //! differently: fix the pass, do not re-take the constant.
 
-use dyncomp_analysis::AnalysisConfig;
+use dyncomp::PassObserver;
 use dyncomp_bench::lattice::{self, Comp};
 use dyncomp_bench::synthetic;
-use dyncomp_codegen::CompiledModule;
-use dyncomp_frontend::LowerOptions;
 use dyncomp_ir::codec::{Codec, Writer};
 use dyncomp_ir::fnv::Fnv;
-use dyncomp_ir::{FuncId, IdSet};
-use dyncomp_opt::{optimize, OptOptions, OptStats};
-use dyncomp_specialize::RegionSpec;
+use dyncomp_ir::Function;
+use dyncomp_opt::{OptOptions, OptStats};
 
 /// Per unit: `(name, code, templates, plans, holes, module, spec_stats,
-/// opt_stats)`; `opt_stats` is 0 where the unit cannot be replayed.
+/// opt_stats)`.
 type Row = (String, u64, u64, u64, u64, u64, u64, u64);
 /// A [`Row`] as pinned.
 type Pinned = (&'static str, u64, u64, u64, u64, u64, u64, u64);
@@ -60,7 +56,7 @@ const GOLDEN: [Pinned; 30] = [
         0x85cc_4a1a_3342_fbd6,
         0x8065_f4e4_5c1c_4039,
         0x1950_1e3f_b300_3b53,
-        0x0000_0000_0000_0000,
+        0x11f9_5db8_6bce_d19e,
     ),
     (
         "calculator.tiered",
@@ -100,7 +96,7 @@ const GOLDEN: [Pinned; 30] = [
         0xd40a_f673_4574_5ca5,
         0xa571_f215_68be_ebd2,
         0x53e5_3fce_db6e_880c,
-        0x0000_0000_0000_0000,
+        0x831e_0240_1cb5_c769,
     ),
     (
         "smatmul.tiered",
@@ -140,7 +136,7 @@ const GOLDEN: [Pinned; 30] = [
         0xece1_3fe6_8e08_d646,
         0x2305_dd1b_9ae1_196e,
         0xd344_793d_6866_fcab,
-        0x0000_0000_0000_0000,
+        0x1fdb_62f8_6d04_abba,
     ),
     (
         "spmv.tiered",
@@ -180,7 +176,7 @@ const GOLDEN: [Pinned; 30] = [
         0x2ed1_28a2_1f51_10d7,
         0x8170_ef4a_ac63_91c9,
         0x0790_a4bf_541a_84f1,
-        0x0000_0000_0000_0000,
+        0xd6b7_b3a9_2063_768a,
     ),
     (
         "dispatch.tiered",
@@ -220,7 +216,7 @@ const GOLDEN: [Pinned; 30] = [
         0xa9d5_bf25_b751_5654,
         0xa2f2_9d09_57cf_a50f,
         0xef10_ccbe_386b_d1bd,
-        0x0000_0000_0000_0000,
+        0x277c_03e9_6a37_7295,
     ),
     (
         "sorter.tiered",
@@ -260,7 +256,7 @@ const GOLDEN: [Pinned; 30] = [
         0xb21e_fb51_f53b_aca8,
         0x803f_1635_5a50_e714,
         0x1b9b_c493_d085_1850,
-        0x0000_0000_0000_0000,
+        0x07c1_74c8_529b_901d,
     ),
     (
         "protomsg.tiered",
@@ -300,7 +296,7 @@ const GOLDEN: [Pinned; 30] = [
         0xebd2_3edb_9b8f_4f39,
         0x2e74_59bd_404a_398e,
         0x1e82_20c2_6b9e_8376,
-        0x0000_0000_0000_0000,
+        0x2a6c_b483_c0d0_d377,
     ),
     (
         "queryexec.tiered",
@@ -351,81 +347,35 @@ fn wire<T: Codec>(h: &mut Fnv, v: &T) {
     h.bytes(&bytes);
 }
 
-/// The front end's options, when the pipeline can be replayed.
-fn replayable(comp: Comp) -> Option<LowerOptions> {
-    let (honor_annotations, tiered_fallback) = match comp {
-        Comp::Static => (false, false),
-        Comp::Dynamic => (true, false),
-        Comp::Tiered => (true, true),
-        Comp::Inline2 => return None,
-    };
-    Some(LowerOptions {
-        honor_annotations,
-        tiered_fallback,
-    })
-}
+/// Hashes the counters of every `optimize` call of a compile, in order.
+struct OptHash(Fnv);
 
-/// Phases 1 and 3 of `Compiler::compile` at inline depth 0, call for call,
-/// through the public pass functions: every `optimize` call's counters and
-/// the module they lead to.
-fn replay(src: &str, lower: &LowerOptions) -> (Vec<OptStats>, CompiledModule) {
-    let mut module = dyncomp_frontend::compile(src, lower)
-        .expect("front end accepts the unit")
-        .module;
-    let mut stats = Vec::new();
-    for fid in module.funcs.ids().collect::<Vec<_>>() {
-        let f = &mut module.funcs[fid];
-        if !f.is_ssa {
-            dyncomp_ir::ssa::construct_ssa(f);
-        }
-        stats.push(optimize(
-            f,
-            &OptOptions {
-                cfg_simplify: true,
-                hole_scope: None,
-            },
-        ));
-        dyncomp_ir::cfg::split_critical_edges(f);
-        f.canonicalize_region_roots();
-        dyncomp_ir::verify::verify(f).expect("prep verifies");
-    }
-    let config = AnalysisConfig::default();
-    let mut specs: Vec<(FuncId, RegionSpec)> = Vec::new();
-    for fid in module.funcs.ids().collect::<Vec<_>>() {
-        let f = &mut module.funcs[fid];
-        let mut template_scope = IdSet::new();
-        for rid in f.regions.ids().collect::<Vec<_>>() {
-            let mut analysis = dyncomp_analysis::analyze_region(f, rid, &config);
-            if dyncomp_specialize::legalize_dynamic_switches(f, rid, &analysis) {
-                dyncomp_ir::cfg::split_critical_edges(f);
-                dyncomp_ir::verify::verify(f).expect("legalized IR verifies");
-                analysis = dyncomp_analysis::analyze_region(f, rid, &config);
-            }
-            let spec = dyncomp_specialize::specialize_region(f, rid, &analysis)
-                .expect("region specializes");
-            dyncomp_ir::verify::verify(f).expect("specialized IR verifies");
-            for &b in &spec.template_blocks {
-                template_scope.insert(b);
-            }
-            specs.push((fid, spec));
-        }
-        if !f.regions.is_empty() {
-            stats.push(optimize(
-                f,
-                &OptOptions {
-                    cfg_simplify: false,
-                    hole_scope: Some(template_scope),
-                },
-            ));
-            dyncomp_ir::verify::verify(f).expect("optimized IR verifies");
+impl PassObserver for OptHash {
+    fn optimized(&mut self, _: &Function, _: &OptOptions, s: &OptStats) {
+        for v in [
+            s.folded,
+            s.branches_folded,
+            s.copies_propagated,
+            s.dead_removed,
+            s.cse_hits,
+            s.cfg_simplified,
+        ] {
+            self.0.u64(v as u64);
         }
     }
-    let compiled = dyncomp_codegen::compile_module(&mut module, &specs).expect("codegen");
-    (stats, compiled)
 }
 
 fn unit_row(name: String, src: &str, comp: Comp) -> Row {
-    let program = comp.compiler().compile(src).expect("unit compiles");
+    let compiler = comp.compiler();
+    let mut opt = OptHash(Fnv::new());
+    let program = compiler
+        .compile_observed(src, &mut opt)
+        .expect("unit compiles");
+    let plain = compiler.compile(src).expect("unit compiles");
+    assert_eq!(
+        program.compiled.code, plain.compiled.code,
+        "{name}: the observed compile is the compiler"
+    );
     let compiled = &program.compiled;
     let mut code = Fnv::new();
     words(&mut code, &compiled.code);
@@ -444,30 +394,6 @@ fn unit_row(name: String, src: &str, comp: Comp) -> Row {
         spec.u64(fid.index() as u64);
         wire(&mut spec, s);
     }
-    let opt = match replayable(comp) {
-        None => 0,
-        Some(lower) => {
-            let (stats, replayed) = replay(src, &lower);
-            assert_eq!(
-                replayed.code, compiled.code,
-                "{name}: the replay is the compiler"
-            );
-            let mut h = Fnv::new();
-            for s in &stats {
-                for v in [
-                    s.folded,
-                    s.branches_folded,
-                    s.copies_propagated,
-                    s.dead_removed,
-                    s.cse_hits,
-                    s.cfg_simplified,
-                ] {
-                    h.u64(v as u64);
-                }
-            }
-            h.finish()
-        }
-    };
     (
         name,
         code.finish(),
@@ -476,7 +402,7 @@ fn unit_row(name: String, src: &str, comp: Comp) -> Row {
         holes.finish(),
         module.finish(),
         spec.finish(),
-        opt,
+        opt.0.finish(),
     )
 }
 

@@ -3,24 +3,25 @@
 //! every pass a full walk over the reachable blocks, rounds until one
 //! changes nothing.
 //!
-//! Every `optimize` call the static compiler makes is replayed through the
-//! public layer functions, and at each one the reference runs on a copy of
-//! the same function. The two must report the same `OptStats` and leave
-//! the same printed function. The corpus is the `compile_golden` matrix
-//! (seven kernels under the static, dynamic, tiered and inline-depth-2
-//! front ends, and the synthetic units of 8 and 64 functions) and 512
-//! seeded units of `tests/random_programs.rs`'s generator, each plain and
-//! in a dynamic region, plus a few shapes that corpus reaches rarely.
+//! A pass observer on `Compiler::compile_observed` watches every
+//! `optimize` call the static compiler makes, the inliner's included: it
+//! copies the function before the call, runs the reference on the copy
+//! with the call's options, and after the call the two must report the
+//! same `OptStats` and leave the same printed function. The corpus is the
+//! `compile_golden` matrix (seven kernels under the static, dynamic,
+//! tiered and inline-depth-2 compilers, and the synthetic units of 8 and
+//! 64 functions) and 512 seeded units of `tests/random_programs.rs`'s
+//! generator, each plain and in a dynamic region, plus a few shapes that
+//! corpus reaches rarely.
 
-use dyncomp_analysis::AnalysisConfig;
-use dyncomp_bench::lattice::{self, Comp};
+use dyncomp::{Compiler, PassObserver, Phase};
+use dyncomp_bench::lattice;
 use dyncomp_bench::synthetic;
-use dyncomp_frontend::LowerOptions;
 use dyncomp_ir::prng::SplitMix64;
-use dyncomp_ir::{FuncId, Function, IdSet, InstKind, Module};
+use dyncomp_ir::Function;
 use dyncomp_opt::{
-    copy_propagate, eliminate_dead_code, fold_constants, local_cse, optimize, simplify_cfg,
-    OptOptions, OptStats,
+    copy_propagate, eliminate_dead_code, fold_constants, local_cse, simplify_cfg, OptOptions,
+    OptStats,
 };
 
 #[path = "../../../tests/support/random_program.rs"]
@@ -64,150 +65,61 @@ fn reference(f: &mut Function, opts: &OptOptions) -> OptStats {
     total
 }
 
-/// `optimize(f, opts)`, checked against the reference on a copy of `f`.
-fn checked(f: &mut Function, opts: &OptOptions, what: &str) -> OptStats {
-    let mut want_f = f.clone();
-    let want = reference(&mut want_f, opts);
-    let got = optimize(f, opts);
-    assert_eq!(got, want, "{what}: `{}`'s counters differ", f.name);
-    assert_eq!(
-        f.to_string(),
-        want_f.to_string(),
-        "{what}: `{}` differs after optimize",
-        f.name
-    );
-    got
+/// Checks every `optimize` call of one compile against the reference.
+struct Checked<'a> {
+    /// The unit, for failure messages.
+    what: &'a str,
+    /// The function as the `optimize` call under way found it.
+    before: Option<Function>,
+    /// Calls checked so far.
+    calls: usize,
 }
 
-/// Phase-1 prep of one function, as the compiler runs it.
-fn prep(f: &mut Function, what: &str) {
-    if !f.is_ssa {
-        dyncomp_ir::ssa::construct_ssa(f);
+impl PassObserver for Checked<'_> {
+    fn before(&mut self, phase: Phase, func: Option<&Function>) {
+        if phase == Phase::Optimize {
+            self.before = func.cloned();
+        }
     }
-    checked(
-        f,
-        &OptOptions {
-            cfg_simplify: true,
-            hole_scope: None,
-        },
+
+    fn optimized(&mut self, f: &Function, opts: &OptOptions, got: &OptStats) {
+        let what = self.what;
+        let mut want_f = self
+            .before
+            .take()
+            .expect("optimize is observed before it runs");
+        let want = reference(&mut want_f, opts);
+        assert_eq!(*got, want, "{what}: `{}`'s counters differ", f.name);
+        assert_eq!(
+            f.to_string(),
+            want_f.to_string(),
+            "{what}: `{}` differs after optimize",
+            f.name
+        );
+        self.calls += 1;
+    }
+}
+
+/// Compile `src`, checking every `optimize` call. Returns how many calls
+/// were checked.
+fn check(compiler: &Compiler, src: &str, what: &str) -> usize {
+    let mut checked = Checked {
         what,
-    );
-    dyncomp_ir::cfg::split_critical_edges(f);
-    f.canonicalize_region_roots();
-    dyncomp_ir::verify::verify(f).expect("prep verifies");
+        before: None,
+        calls: 0,
+    };
+    compiler
+        .compile_observed(src, &mut checked)
+        .expect("unit compiles");
+    checked.calls
 }
 
-/// Phase 2 at the given depth: inline region call sites whose arguments
-/// include a run-time constant, re-running the prep after each one.
-/// Returns how many sites were inlined.
-fn inline_demanded(m: &mut Module, depth: u32, config: &AnalysisConfig, what: &str) -> usize {
-    let mut inlined = 0;
-    for _ in 0..depth {
-        let mut any = false;
-        for fid in m.funcs.ids().collect::<Vec<_>>() {
-            let eligible_max = m.funcs[fid].insts.len();
-            let mut rejected = Vec::new();
-            while let Some((block, call, callee)) =
-                demanded_call(m, fid, eligible_max, &rejected, config)
-            {
-                let callee_fn = m.funcs[callee].clone();
-                if dyncomp_ir::inline_call(&mut m.funcs[fid], block, call, &callee_fn).is_ok() {
-                    prep(&mut m.funcs[fid], what);
-                    inlined += 1;
-                    any = true;
-                } else {
-                    rejected.push(call);
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    inlined
-}
-
-fn demanded_call(
-    m: &Module,
-    fid: FuncId,
-    eligible_max: usize,
-    rejected: &[dyncomp_ir::InstId],
-    config: &AnalysisConfig,
-) -> Option<(dyncomp_ir::BlockId, dyncomp_ir::InstId, FuncId)> {
-    let f = &m.funcs[fid];
-    for rid in f.regions.ids() {
-        let analysis = dyncomp_analysis::analyze_region(f, rid, config);
-        let r = &f.regions[rid];
-        for b in r.blocks.iter() {
-            for &i in &f.blocks[b].insts {
-                let InstKind::Call { callee, args } = f.kind(i) else {
-                    continue;
-                };
-                if i.index() >= eligible_max || rejected.contains(&i) || *callee == fid {
-                    continue;
-                }
-                let small = m.funcs[*callee].regions.is_empty()
-                    && m.funcs[*callee].placed_inst_count() <= 512;
-                let demanded = args
-                    .iter()
-                    .any(|&a| analysis.is_const(a) || r.const_roots.contains(&a));
-                if small && demanded {
-                    return Some((b, i, *callee));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// The compiler's three phases through the public layer functions, with
-/// every `optimize` call checked. Returns how many calls were checked.
-fn replay(src: &str, lower: &LowerOptions, inline_depth: u32, what: &str) -> usize {
-    let mut m = dyncomp_frontend::compile(src, lower)
-        .expect("front end accepts the unit")
-        .module;
-    let config = AnalysisConfig::default();
-    let mut calls = 0;
-    for fid in m.funcs.ids().collect::<Vec<_>>() {
-        prep(&mut m.funcs[fid], what);
-        calls += 1;
-    }
-    calls += inline_demanded(&mut m, inline_depth, &config, what);
-    for fid in m.funcs.ids().collect::<Vec<_>>() {
-        let f = &mut m.funcs[fid];
-        let mut template_scope = IdSet::new();
-        for rid in f.regions.ids().collect::<Vec<_>>() {
-            let mut analysis = dyncomp_analysis::analyze_region(f, rid, &config);
-            if dyncomp_specialize::legalize_dynamic_switches(f, rid, &analysis) {
-                dyncomp_ir::cfg::split_critical_edges(f);
-                analysis = dyncomp_analysis::analyze_region(f, rid, &config);
-            }
-            let spec = dyncomp_specialize::specialize_region(f, rid, &analysis)
-                .expect("region specializes");
-            for &b in &spec.template_blocks {
-                template_scope.insert(b);
-            }
-        }
-        if !f.regions.is_empty() {
-            checked(
-                f,
-                &OptOptions {
-                    cfg_simplify: false,
-                    hole_scope: Some(template_scope),
-                },
-                what,
-            );
-            calls += 1;
-            dyncomp_ir::verify::verify(f).expect("optimized IR verifies");
-        }
-    }
-    calls
-}
-
-fn lower(honor_annotations: bool, tiered_fallback: bool) -> LowerOptions {
-    LowerOptions {
-        honor_annotations,
-        tiered_fallback,
+/// The compiler for a unit with or without its annotations.
+fn compiler(dynamic: bool) -> Compiler {
+    if dynamic {
+        Compiler::new()
+    } else {
+        Compiler::static_baseline()
     }
 }
 
@@ -217,37 +129,32 @@ fn optimize_matches_the_reference_over_the_compile_golden_matrix() {
     let mut calls = 0;
     for k in &plan.programs {
         for c in &plan.cells {
-            let (opts, depth) = match c.comp {
-                Comp::Static => (lower(false, false), 0),
-                Comp::Dynamic => (lower(true, false), 0),
-                Comp::Inline2 => (lower(true, false), 2),
-                Comp::Tiered => (lower(true, true), 0),
-            };
             let unit = format!("{}.{}", k.name(), c.comp.name());
-            calls += replay(k.src(), &opts, depth, &unit);
+            calls += check(&c.comp.compiler(), k.src(), &unit);
         }
     }
     for (n, seed) in [(8, 0x5eed_0008), (64, 0x5eed_0064)] {
         let src = synthetic::unit(n, seed);
-        calls += replay(&src, &lower(true, false), 0, &format!("synthetic{n}"));
+        calls += check(&Compiler::new(), &src, &format!("synthetic{n}"));
     }
-    assert!(calls >= 100, "only {calls} optimize calls checked");
+    assert_eq!(calls, 193, "optimize calls checked over the matrix");
 }
 
 #[test]
 fn optimize_matches_the_reference_over_512_random_units() {
     let mut rng = SplitMix64::new(0x0b7d_1ff0);
+    let mut calls = 0;
     for case in 0..512 {
         let stmts = random_program::random_stmts(&mut rng);
         let dynamic = case % 2 == 1;
         let src = random_program::render_program(&stmts, dynamic);
-        replay(
+        calls += check(
+            &compiler(dynamic),
             &src,
-            &lower(dynamic, false),
-            0,
             &format!("random unit {case}\n{src}"),
         );
     }
+    assert!(calls >= 768, "only {calls} optimize calls checked");
 }
 
 /// Shapes the seeded corpus reaches only rarely, each needing one rule of
@@ -279,12 +186,7 @@ fn optimize_matches_the_reference_on_targeted_shapes() {
             } else {
                 src.to_string()
             };
-            replay(
-                &src,
-                &lower(dynamic, false),
-                0,
-                &format!("shape {case}\n{src}"),
-            );
+            check(&compiler(dynamic), &src, &format!("shape {case}\n{src}"));
         }
     }
 }

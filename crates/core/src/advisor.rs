@@ -30,7 +30,7 @@
 //! # Ok::<(), dyncomp::Error>(())
 //! ```
 
-use crate::{Clock, Compiler, Error, Scratch};
+use crate::{Compiler, Error, Scratch};
 use dyncomp_analysis::{analyze_region, AnalysisConfig, RegionAnalysis};
 use dyncomp_ir::dom::DomTree;
 use dyncomp_ir::loops::find_loops;
@@ -107,11 +107,8 @@ impl FunctionAdvice {
 pub fn advise(src: &str) -> Result<Vec<FunctionAdvice>, Error> {
     // The static baseline's front end and prep, verifier included:
     // annotations ignored, every function in SSA and optimized.
-    let (module, _) = Compiler::static_baseline().lower_and_prep(
-        src,
-        &mut Clock(None),
-        &mut Scratch::default(),
-    )?;
+    let (module, _) =
+        Compiler::static_baseline().lower_and_prep(src, &mut (), &mut Scratch::default())?;
     let mut out = Vec::new();
     for template in module.funcs.iter() {
         let n_params = template.params.len();

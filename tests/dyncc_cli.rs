@@ -407,7 +407,8 @@ fn time_passes_reports_every_phase() {
     ]);
     assert!(ok, "{err}");
     for phase in [
-        "frontend.compile",
+        "frontend.parse",
+        "frontend.lower",
         "ir.ssa",
         "opt.optimize",
         "ir.cfg_verify",
