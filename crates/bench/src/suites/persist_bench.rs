@@ -33,28 +33,9 @@
 use crate::driver::{Args, Report};
 use crate::kernel_workloads;
 use crate::row::Row;
-use dyncomp::measure::{run_session_trace, SessionTrace};
+use dyncomp::measure::run_session_trace;
 use dyncomp::{Compiler, EngineOptions, PersistentCache, Program};
 use std::sync::Arc;
-
-/// Least `n` with `Σ trace(1..=n) ≤ Σ static(1..=n)`.
-fn breakeven(trace: &SessionTrace, static_trace: &SessionTrace) -> Option<u64> {
-    let mut cum = 0u64;
-    let mut cum_static = 0u64;
-    for (i, (&c, &s)) in trace
-        .per_call_cycles
-        .iter()
-        .zip(static_trace.per_call_cycles.iter())
-        .enumerate()
-    {
-        cum += c;
-        cum_static += s;
-        if cum <= cum_static {
-            return Some(i as u64 + 1);
-        }
-    }
-    None
-}
 
 fn persist_options(cache: &Arc<PersistentCache>) -> EngineOptions {
     EngineOptions {
@@ -167,7 +148,7 @@ pub fn run(args: &Args) -> Report {
             ("warm", &warm, warm_loaded, warm_stats, warm_ok),
         ] {
             let first = trace.per_call_cycles.first().copied().unwrap_or(0);
-            let breakeven = breakeven(trace, &static_trace);
+            let breakeven = trace.breakeven(&static_trace);
             println!(
                 "{kernel:<12} {mode:<5} | {first:>12} | {:>9} | {:>20} | {:>5} hit {:>5} store {:>3} rej | {}",
                 breakeven.map_or("never".to_string(), |x| x.to_string()),

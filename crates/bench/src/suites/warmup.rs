@@ -36,30 +36,13 @@ fn row(kernel: &str, mode: &str, static_trace: &SessionTrace, trace: &SessionTra
         "{kernel}/{mode}: checksum diverged from the static baseline"
     );
     // 1-based index of the first invocation cheaper than the static
-    // baseline's same invocation, the cumulative cycles through it, and
-    // the least `n` where the mode's cumulative cycles drop to or below
-    // the static baseline's (`None`: not within the measured invocations).
-    let mut first_fast_call = None;
-    let mut time_to_first_fast = None;
-    let mut effective_breakeven = None;
-    let mut cum = 0u64;
-    let mut cum_static = 0u64;
-    for (i, (&c, &s)) in trace
-        .per_call_cycles
-        .iter()
-        .zip(static_trace.per_call_cycles.iter())
-        .enumerate()
-    {
-        cum += c;
-        cum_static += s;
-        if first_fast_call.is_none() && c < s {
-            first_fast_call = Some(i as u64 + 1);
-            time_to_first_fast = Some(cum);
-        }
-        if effective_breakeven.is_none() && cum <= cum_static {
-            effective_breakeven = Some(i as u64 + 1);
-        }
-    }
+    // baseline's same invocation, and the cumulative cycles through it.
+    let per_call = &trace.per_call_cycles;
+    let mut calls = per_call.iter().zip(&static_trace.per_call_cycles);
+    let first_fast = calls.position(|(c, s)| c < s);
+    let first_fast_call = first_fast.map(|i| i as u64 + 1);
+    let time_to_first_fast = first_fast.map(|i| per_call[..=i].iter().sum::<u64>());
+    let effective_breakeven = trace.breakeven(static_trace);
     let sum = |f: &dyn Fn(&dyncomp::RegionReport) -> u64| trace.outcome.reports.iter().map(f).sum();
     let time_to_first_result = trace.per_call_cycles.first().copied().unwrap_or(0);
     // Fallback-copy runs and background installs (tiered modes), and

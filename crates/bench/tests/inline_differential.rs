@@ -8,9 +8,10 @@
 //! find no demand there and leave the compiled artifact — and therefore
 //! the committed `BENCH_table2.json` — byte-identical.
 
-use dyncomp::measure_kernel_full;
+use dyncomp::{measure_kernel_full, Compiler};
 use dyncomp_bench::lattice::{self, Comp};
 use dyncomp_bench::{render_table2_json, run_all, Scale};
+use std::sync::Arc;
 
 /// The plan's reference and cell measured the Table 2 way (each against
 /// the static baseline inside the harness) on every program: checksums
@@ -81,4 +82,44 @@ fn default_mode_table2_rows_are_deterministic() {
     let a = render_table2_json(&run_all(Scale::Smoke).unwrap());
     let b = render_table2_json(&run_all(Scale::Smoke).unwrap());
     assert_eq!(a, b);
+}
+
+/// The inliner and codegen number regions alike (`Module::region_bases`):
+/// in every inline-depth-2 unit, each inline site's `region_index` names
+/// a compiled region whose `EnterRegion` lies inside the code of the
+/// function the call was inlined into. The last unit inlines into its
+/// second function with a region, whose number is not its local one.
+#[test]
+fn inline_sites_name_a_region_of_their_function() {
+    const LATER: &str = "
+        int sq(int v) { return v * v; }
+        int first(int c, int x) { dynamicRegion (c) { return x + c; } }
+        int second(int c, int x) { dynamicRegion (c) { return sq(c) + x; } }
+    ";
+    let later = Compiler::with_inline_depth(2).compile(LATER).unwrap();
+    let mut units: Vec<_> = lattice::Kernel::ALL
+        .iter()
+        .map(|k| (k.name(), k.compiled(Comp::Inline2)))
+        .collect();
+    units.push(("later", Arc::new(later)));
+    for (name, p) in units {
+        let m = &p.compiled;
+        for site in &p.inline_sites {
+            let f = site.func.index();
+            let end = m.funcs.get(f + 1).map_or(m.code.len() as u32, |g| g.entry);
+            let rc = &m.regions[usize::from(site.region_index)];
+            assert!(
+                (m.funcs[f].entry..end).contains(&rc.enter_pc),
+                "{name}: site of `{}` names region {} at pc {}, outside `{}`",
+                site.callee_name,
+                site.region_index,
+                rc.enter_pc,
+                m.funcs[f].name
+            );
+        }
+        assert!(
+            name != "later" || p.inline_sites.iter().any(|s| s.region_index == 1),
+            "the last unit inlines into region 1"
+        );
+    }
 }

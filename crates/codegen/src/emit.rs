@@ -263,7 +263,7 @@ pub fn emit_function(
             em.inst(i)?;
         }
         let next = order[..setup_end].get(idx + 1).copied();
-        em.terminator(b, next, region_base_index, specs, &mut enter_pcs)?;
+        em.terminator(b, next, region_base_index, &mut enter_pcs)?;
     }
 
     // ---- template blocks (per region, into separate buffers) ----
@@ -293,23 +293,14 @@ pub fn emit_function(
             .label_of(s.template_entry)
             .ok_or_else(|| CodegenError::Internal("template entry outside the template".into()))?;
         label_of = buf.label_of;
-        let relocated = !buf.call_relocs.is_empty();
         for (w, callee) in buf.call_relocs {
             tmpl_relocs.push((s.region, w, callee));
         }
-        let mut template = Template {
+        templates.push(Template {
             code: buf.code,
             blocks: buf.blocks,
             entry,
-        };
-        // Lower value-independent blocks to copy-and-patch stitch plans.
-        // Plans *copy* the code words, so a template with template-call
-        // relocations gets its plans from the module driver, once the
-        // relocations are patched.
-        if !relocated {
-            dyncomp_machine::template::precompile_plans(&mut template);
-        }
-        templates.push(template);
+        });
     }
 
     // ---- assemble ----
@@ -328,7 +319,7 @@ pub fn emit_function(
             .ok_or_else(|| CodegenError::Internal(format!("block {b} was not laid out")))
     };
     let mut regions = Vec::new();
-    for ((k, s), template) in specs.iter().enumerate().zip(templates) {
+    for (s, template) in specs.iter().zip(templates) {
         let enter_item = enter_pcs[s.region]
             .ok_or_else(|| CodegenError::Internal("region without an ENTERREGION".into()))?;
         let enter_pc = out.inst_offsets[enter_item];
@@ -347,7 +338,7 @@ pub fn emit_function(
         regions.push((
             s.region,
             RegionCode {
-                region_index: region_base_index + k as u16,
+                region_index: region_base_index + s.region.index() as u16,
                 enter_pc,
                 setup_pc,
                 fallback_pc,
@@ -1052,7 +1043,6 @@ impl Emitter<'_> {
         b: BlockId,
         next: Option<BlockId>,
         region_base_index: u16,
-        specs: &[&RegionSpec],
         enter_pcs: &mut IndexVec<RegionId, Option<usize>>,
     ) -> Result<(), CodegenError> {
         match self.f.blocks[b].term {
@@ -1126,24 +1116,16 @@ impl Emitter<'_> {
                 self.epilogue();
             }
             Terminator::EnterRegion { region, .. } => {
-                let k = specs
-                    .iter()
-                    .position(|s| s.region == region)
-                    .ok_or_else(|| CodegenError::Internal("unknown region".into()))?;
                 let item = self.asm.push(Inst {
                     op: Op::EnterRegion,
                     ra: 0,
                     rb: Operand::Reg(ZERO),
                     rc: 0,
-                    imm: i32::from(region_base_index + k as u16),
+                    imm: i32::from(region_base_index + region.index() as u16),
                 });
                 enter_pcs[region] = Some(item);
             }
             Terminator::EndSetup { region, table, .. } => {
-                let k = specs
-                    .iter()
-                    .position(|s| s.region == region)
-                    .ok_or_else(|| CodegenError::Internal("unknown region".into()))?;
                 let rt = self.read_int(Entity::Val(table), 0)?;
                 self.move_int(dyncomp_machine::isa::CTP, rt);
                 self.asm.push(Inst {
@@ -1151,7 +1133,7 @@ impl Emitter<'_> {
                     ra: 0,
                     rb: Operand::Reg(ZERO),
                     rc: 0,
-                    imm: i32::from(region_base_index + k as u16),
+                    imm: i32::from(region_base_index + region.index() as u16),
                 });
             }
             Terminator::Unreachable => {

@@ -19,9 +19,9 @@ pub mod emit;
 pub mod regalloc;
 
 use dyncomp_ir::eval::MEM_BASE;
-use dyncomp_ir::{FuncId, IndexVec, Module, RegionId};
+use dyncomp_ir::{FuncId, Module};
 use dyncomp_machine::asm::AsmError;
-use dyncomp_machine::isa::Op;
+use dyncomp_machine::isa::{walk, Op};
 use dyncomp_machine::template::RegionCode;
 use dyncomp_machine::vm::Vm;
 use dyncomp_specialize::RegionSpec;
@@ -124,19 +124,14 @@ impl CompiledModule {
         {
             return Err("function entry outside the static image");
         }
-        let mut words = self.code.iter();
-        while let Some(&word) = words.next() {
-            match Op::from_u8((word >> 24) as u8) {
-                Some(Op::Ldiw) => {
-                    words.next(); // the payload word is data
-                }
-                Some(Op::EnterRegion | Op::EndSetup)
-                    if (word & 0x3FFF) as usize >= self.regions.len() =>
-                {
-                    return Err("trap names a region the module does not have");
-                }
-                _ => {}
-            }
+        let stray_trap = walk(&self.code)
+            .filter_map(|step| step.inst.ok())
+            .any(|inst| {
+                matches!(inst.op, Op::EnterRegion | Op::EndSetup)
+                    && inst.imm as usize >= self.regions.len()
+            });
+        if stray_trap {
+            return Err("trap names a region the module does not have");
         }
         self.regions
             .iter()
@@ -237,6 +232,15 @@ pub fn compile_module(
     // (global region index, word offset in that template, callee)
     let mut tmpl_relocs: Vec<(usize, u32, FuncId)> = Vec::new();
 
+    // Each region's number is its place in the region table, so every
+    // region needs its spec, in function then region order.
+    let spec_regions = specs.iter().map(|(fid, s)| (*fid, s.region));
+    let funcs_regions = m.funcs.iter_enumerated();
+    let all_regions = funcs_regions.flat_map(|(fid, f)| f.regions.ids().map(move |r| (fid, r)));
+    if !all_regions.eq(spec_regions) {
+        return Err(CodegenError::Internal("a region without its spec".into()));
+    }
+    let region_bases = m.region_bases();
     let fids: Vec<FuncId> = m.funcs.ids().collect();
     for fid in fids {
         let fspecs: Vec<&RegionSpec> = specs
@@ -245,17 +249,10 @@ pub fn compile_module(
             .map(|(_, s)| s)
             .collect();
         let f = &m.funcs[fid];
-        let emitted = emit::emit_function(
-            f,
-            &fspecs,
-            regions.len() as u16,
-            &template_callable,
-            &mut mcx,
-        )?;
+        let emitted =
+            emit::emit_function(f, &fspecs, region_bases[fid], &template_callable, &mut mcx)?;
         let base = code.len() as u32;
-        // Global region index of each of the function's regions.
-        let mut gidx_of: IndexVec<RegionId, usize> = f.regions.iter().map(|_| usize::MAX).collect();
-        for (rid, mut rc) in emitted.regions {
+        for (_, mut rc) in emitted.regions {
             rc.enter_pc += base;
             rc.setup_pc += base;
             if let Some(p) = rc.fallback_pc.as_mut() {
@@ -264,14 +261,13 @@ pub fn compile_module(
             for pc in rc.exit_pcs.iter_mut() {
                 *pc += base;
             }
-            gidx_of[rid] = regions.len();
             regions.push(rc);
         }
         for (w, callee) in emitted.call_relocs {
             relocs.push((base + w, callee));
         }
         for (rid, w, callee) in emitted.tmpl_relocs {
-            tmpl_relocs.push((gidx_of[rid], w, callee));
+            tmpl_relocs.push((usize::from(region_bases[fid]) + rid.index(), w, callee));
         }
         funcs.push(CompiledFunc {
             entry: base,
@@ -287,17 +283,14 @@ pub fn compile_module(
     }
 
     // Patch template-call relocations with absolute callee entries, then
-    // build those templates' copy-and-patch plans (plans copy code words,
-    // so they are built only once the immediates are final).
-    let mut patched: Vec<usize> = Vec::new();
+    // lower every template's value-independent blocks to copy-and-patch
+    // plans (plans copy code words, so they are built once the immediates
+    // are final).
     for (g, w, callee) in tmpl_relocs {
         regions[g].template.code[w as usize] = funcs[callee.index()].entry;
-        patched.push(g);
     }
-    patched.sort_unstable();
-    patched.dedup();
-    for g in patched {
-        dyncomp_machine::template::precompile_plans(&mut regions[g].template);
+    for rc in &mut regions {
+        dyncomp_machine::template::precompile_plans(&mut rc.template);
     }
 
     let mut float_pool: Vec<(u64, u64)> = mcx

@@ -47,7 +47,7 @@ use crate::trace::{ClockDomain, EventKind, RegionProfile, TraceState};
 use crate::{Error, Program};
 use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_machine::heap::HeapBuilder;
-use dyncomp_machine::isa::{decode, encode, Inst, Op, CTP, SP};
+use dyncomp_machine::isa::{branch_word, walk, Op, CTP, SP, ZERO};
 use dyncomp_machine::template::ValueLoc;
 use dyncomp_machine::verify::{verify_code, CodeVerifyError};
 use dyncomp_machine::vm::{Stop, Vm, VmError};
@@ -1279,7 +1279,7 @@ impl Session {
             // just fired, so the plan state exists; if it vanished
             // anyway, skip the corruption rather than panic.
             if let Some(f) = self.faults.as_mut() {
-                let starts = instruction_starts(&stitched.code);
+                let starts: Vec<usize> = walk(&stitched.code).map(|step| step.at).collect();
                 let pick = f.draw_below(starts.len() as u64) as usize;
                 stitched.code[starts[pick]] = 0xFF00_0000;
                 corrupted = true;
@@ -1354,13 +1354,7 @@ impl Session {
         // direct branch to the stitched code (§1: the templates "become
         // part of the application").
         if !keyed {
-            let disp = base as i64 - (enter_pc as i64 + 1);
-            let (w, _) = encode(&Inst::branch(
-                Op::Br,
-                dyncomp_machine::isa::ZERO,
-                disp as i32,
-            ))
-            .map_err(|e| {
+            let w = branch_word(Op::Br, ZERO, enter_pc.into(), base.into()).map_err(|e| {
                 Error::Stitch(StitchError::BadTemplate(format!(
                     "trap-retirement branch to stitched code does not encode \
                      (region {region}, base {base}, enter_pc {enter_pc}): {e}"
@@ -1576,21 +1570,6 @@ enum Served {
     Resume(u32),
     /// Resume in the instance just installed at `base` (`len` words).
     Installed(u32, u32),
-}
-
-/// Word positions in `code` that begin an instruction (never an `Ldiw`
-/// payload word — corrupting a payload is invisible to any decoder).
-fn instruction_starts(code: &[u32]) -> Vec<usize> {
-    let mut starts = Vec::new();
-    let mut i = 0usize;
-    while i < code.len() {
-        starts.push(i);
-        let wide = decode(code[i], code.get(i + 1).copied())
-            .map(|inst| inst.is_wide())
-            .unwrap_or(false);
-        i += if wide { 2 } else { 1 };
-    }
-    starts
 }
 
 #[cfg(test)]

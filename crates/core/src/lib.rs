@@ -481,20 +481,7 @@ impl Compiler {
         // Instructions cloned into each function so far.
         let mut grown: dyncomp_ir::IndexVec<FuncId, usize> =
             module.funcs.iter().map(|_| 0).collect();
-        // Global region index = regions of earlier functions + local index
-        // (the same fid-order numbering `compile_module` uses).
-        let region_base: Vec<u16> = {
-            let mut base = 0u16;
-            module
-                .funcs
-                .iter()
-                .map(|f| {
-                    let b = base;
-                    base += f.regions.len() as u16;
-                    b
-                })
-                .collect()
-        };
+        let region_base = module.region_bases();
 
         for round in 1..=self.options.inline_depth {
             let mut any = false;
@@ -539,7 +526,7 @@ impl Compiler {
                             grown[fid] += done.cloned_insts;
                             sites.push(InlineSite {
                                 func: fid,
-                                region_index: region_base[fid.index()] + rid.index() as u16,
+                                region_index: region_base[fid] + rid.index() as u16,
                                 callee,
                                 callee_name,
                                 depth: round,
@@ -845,6 +832,17 @@ struct Scratch {
 
 fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A panic payload's message, or `fallback` when it carries no string.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send), fallback: &str) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        fallback.to_string()
+    }
 }
 
 /// Process-wide program identity source: every compile gets a distinct id

@@ -275,6 +275,25 @@ pub struct SessionTrace {
     pub per_call_cycles: Vec<u64>,
 }
 
+impl SessionTrace {
+    /// Effective breakeven against `static_trace`: the least `n` (1-based)
+    /// whose cumulative cycles through invocation `n` are at or below the
+    /// static baseline's (`None`: not within the measured invocations).
+    pub fn breakeven(&self, static_trace: &SessionTrace) -> Option<u64> {
+        let (mut cum, mut cum_static) = (0u64, 0u64);
+        let mut calls = self
+            .per_call_cycles
+            .iter()
+            .zip(&static_trace.per_call_cycles);
+        let n = calls.position(|(&c, &s)| {
+            cum += c;
+            cum_static += s;
+            cum <= cum_static
+        })?;
+        Some(n as u64 + 1)
+    }
+}
+
 /// Like [`run_session`], but recording each invocation's cycle cost
 /// individually.
 ///

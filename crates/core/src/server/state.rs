@@ -434,7 +434,7 @@ impl ServerEngine {
                 }
             }
             Err(payload) => {
-                let msg = panic_message(payload.as_ref());
+                let msg = crate::panic_message(payload.as_ref(), "non-string panic payload");
                 inner.sessions_dead += 1;
                 slot.state = SlotState::Dead(msg.clone());
                 Err(ProtoError::new(
@@ -1014,16 +1014,6 @@ fn str_field<'a>(req: &'a Json, key: &str) -> Result<&'a str, ProtoError> {
 
 fn no_such(kind: ErrorKind, what: &str, name: &str) -> ProtoError {
     ProtoError::new(kind, format!("no {what} named `{name}`"))
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]

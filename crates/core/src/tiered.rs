@@ -237,17 +237,6 @@ fn run_job(
     })
 }
 
-/// Best-effort human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "background stitch worker panicked".to_string()
-    }
-}
-
 /// State of one enqueued job, keyed by `(region, key)`.
 enum JobState {
     /// Enqueued; not yet resolved against the virtual worker clocks.
@@ -402,7 +391,10 @@ impl TieredState {
             Ok(r) => r.map_err(JobFailure::Error),
             // `&*payload`, not `&payload`: a `&Box<dyn Any>` would itself
             // coerce to `&dyn Any` and the downcast would always miss.
-            Err(payload) => Err(JobFailure::Panic(panic_message(&*payload))),
+            Err(payload) => Err(JobFailure::Panic(crate::panic_message(
+                &*payload,
+                "background stitch worker panicked",
+            ))),
         };
         self.queue.push_back(QueuedJob {
             region,

@@ -295,6 +295,22 @@ impl Module {
             .map(|(id, _)| id)
     }
 
+    /// The module-wide region numbering: region `r` of function `f` is
+    /// `region_bases()[f] + r`, every earlier function's regions counted
+    /// first. A compiled module's region table is indexed by it, and the
+    /// `EnterRegion` / `EndSetup` traps carry it.
+    pub fn region_bases(&self) -> IndexVec<FuncId, u16> {
+        let mut next = 0u16;
+        self.funcs
+            .iter()
+            .map(|f| {
+                let base = next;
+                next += f.regions.len() as u16;
+                base
+            })
+            .collect()
+    }
+
     /// Re-infer the result kind of every `Call` instruction from its
     /// callee's signature. Run once after all functions are constructed
     /// (calls may reference functions lowered later).

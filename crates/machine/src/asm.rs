@@ -1,7 +1,7 @@
 //! A two-pass assembler: instruction stream with symbolic labels, resolved
 //! to encoded SimAlpha words. Used by the code generator and by tests.
 
-use crate::isa::{encode, EncodeError, Inst, Op, Reg};
+use crate::isa::{branch_word, encode, EncodeError, Inst, Op, Reg};
 use std::fmt;
 
 /// A symbolic code label.
@@ -144,7 +144,7 @@ impl Assembler {
                 }
                 Item::Inst(i) => {
                     inst_offsets.push(at);
-                    at += if i.is_wide() { 2 } else { 1 };
+                    at += i.op.width() as u32;
                 }
                 Item::BranchTo(..) => {
                     inst_offsets.push(at);
@@ -154,18 +154,13 @@ impl Assembler {
         }
         // Pass 2: encode.
         let mut words = Vec::with_capacity(at as usize);
-        let mut pos: u32 = 0;
         for item in &self.items {
             match item {
                 Item::Bind(_) => {}
                 Item::Inst(i) => {
                     let (w, extra) = encode(i)?;
                     words.push(w);
-                    pos += 1;
-                    if let Some(x) = extra {
-                        words.push(x);
-                        pos += 1;
-                    }
+                    words.extend(extra);
                 }
                 Item::BranchTo(op, ra, l) => {
                     let target = label_offsets
@@ -173,10 +168,8 @@ impl Assembler {
                         .copied()
                         .flatten()
                         .ok_or(AsmError::UnboundLabel(*l))?;
-                    let disp = target as i64 - (pos as i64 + 1);
-                    let (w, _) = encode(&Inst::branch(*op, *ra, disp as i32))?;
-                    words.push(w);
-                    pos += 1;
+                    let at = words.len() as i64;
+                    words.push(branch_word(*op, *ra, at, target.into())?);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Disassembly of SimAlpha code, for inspection tools and debugging.
 
-use crate::isa::{decode, Format, Inst, Op, Operand};
+use crate::isa::{walk, Format, Inst, Op, Operand};
 
 /// One disassembled instruction.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,38 +18,20 @@ pub struct DisasmLine {
 /// `Ldiw` consumes two words; branch targets are annotated with their
 /// absolute word address.
 pub fn disassemble(words: &[u32], base: u32) -> Vec<DisasmLine> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < words.len() {
-        let addr = base + i as u32;
-        let word = words[i];
-        let wide = Op::from_u8((word >> 24) as u8) == Some(Op::Ldiw);
-        let extra = if wide {
-            words.get(i + 1).copied()
-        } else {
-            None
-        };
-        match decode(word, extra) {
-            Ok(inst) => {
-                let text = render(&inst, addr);
-                out.push(DisasmLine {
-                    addr,
-                    inst: Some(inst),
-                    text,
-                });
-                i += if wide { 2 } else { 1 };
+    walk(words)
+        .map(|step| {
+            let addr = base + step.at as u32;
+            let text = match &step.inst {
+                Ok(inst) => render(inst, addr),
+                Err(e) => format!(".word {:#010x}", e.0),
+            };
+            DisasmLine {
+                addr,
+                inst: step.inst.ok(),
+                text,
             }
-            Err(_) => {
-                out.push(DisasmLine {
-                    addr,
-                    inst: None,
-                    text: format!(".word {word:#010x}"),
-                });
-                i += 1;
-            }
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 /// Render one instruction with target annotations.

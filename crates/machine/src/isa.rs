@@ -74,10 +74,12 @@ pub enum Format {
 
 /// Declare the opcode list once: each `Name = Format` row becomes an
 /// [`Op`] variant (discriminants count up from 0 in row order), its slot
-/// in the decode table behind [`Op::from_u8`], and its arm of
-/// [`Op::format`].
+/// in the decode table behind [`Op::from_u8`], and its arms of
+/// [`Op::format`] and [`Op::width`] (one word, or `[n]` after the format).
 macro_rules! opcodes {
-    ($($name:ident = $format:ident),* $(,)?) => {
+    (@width) => { 1 };
+    (@width $width:literal) => { $width };
+    ($($name:ident = $format:ident $([$width:literal])?),* $(,)?) => {
         /// Opcodes.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         #[repr(u8)]
@@ -93,6 +95,14 @@ macro_rules! opcodes {
             pub fn format(self) -> Format {
                 match self {
                     $(Op::$name => Format::$format),*
+                }
+            }
+
+            /// The number of code words an instruction with this opcode
+            /// occupies.
+            pub fn width(self) -> usize {
+                match self {
+                    $(Op::$name => opcodes!(@width $($width)?)),*
                 }
             }
         }
@@ -171,7 +181,7 @@ opcodes! {
     Fneg = Operate,    // fc = -fb
     Fcmovne = Operate, // fc = fb if integer ra != 0
     // Specials.
-    Ldiw = Special,        // rc = sext(imm32 in next word)
+    Ldiw = Special[2],     // rc = sext(imm32 in next word)
     Alloc = Operate,       // rc = bump-allocate ra bytes (operate form)
     EnterRegion = Special, // trap: dynamic region entry; imm = region number
     EndSetup = Special,    // trap: set-up finished, table address in r28; imm = region number
@@ -186,6 +196,18 @@ impl Op {
     pub fn from_u8(v: u8) -> Option<Op> {
         OP_TABLE.get(v as usize).copied()
     }
+
+    /// The opcode in `word`'s opcode field (`None`: no such opcode). The
+    /// one reader of that field.
+    pub fn of_word(word: u32) -> Option<Op> {
+        Op::from_u8((word >> 24) as u8)
+    }
+}
+
+/// The width in words of the instruction whose first word is `word`: a
+/// word with an unknown opcode counts as one.
+pub fn width(word: u32) -> usize {
+    Op::of_word(word).map_or(1, Op::width)
 }
 
 /// The second operand of an operate instruction.
@@ -282,11 +304,6 @@ impl Inst {
             imm,
         }
     }
-
-    /// Whether this instruction occupies two code words.
-    pub fn is_wide(&self) -> bool {
-        self.op == Op::Ldiw
-    }
 }
 
 /// Limits of the encodable fields.
@@ -307,7 +324,7 @@ pub enum EncodeError {
     /// Memory displacement out of the 14-bit signed range.
     DispRange(i32),
     /// Branch displacement out of the 19-bit signed range.
-    BranchRange(i32),
+    BranchRange(i64),
     /// Special immediate out of range.
     ImmRange(i32),
 }
@@ -351,7 +368,7 @@ pub fn encode(inst: &Inst) -> Result<(u32, Option<u32>), EncodeError> {
         }
         Format::Branch => {
             if inst.imm < limits::BDISP_MIN || inst.imm > limits::BDISP_MAX {
-                return Err(EncodeError::BranchRange(inst.imm));
+                return Err(EncodeError::BranchRange(inst.imm.into()));
             }
             op | ra | (inst.imm as u32 & 0x7FFFF)
         }
@@ -380,8 +397,30 @@ pub fn encode(inst: &Inst) -> Result<(u32, Option<u32>), EncodeError> {
     Ok((word, None))
 }
 
+/// The word of branch `op ra` at word address `at` that lands on word
+/// address `target`. The displacement counts from the word after the
+/// branch and is range-checked before it is narrowed to its field.
+///
+/// # Errors
+/// [`EncodeError::BranchRange`] when `target` is out of the branch's reach.
+pub fn branch_word(op: Op, ra: Reg, at: i64, target: i64) -> Result<u32, EncodeError> {
+    let disp = target - (at + 1);
+    let imm = i32::try_from(disp)
+        .ok()
+        .filter(|d| (limits::BDISP_MIN..=limits::BDISP_MAX).contains(d))
+        .ok_or(EncodeError::BranchRange(disp))?;
+    let (word, _) = encode(&Inst {
+        op,
+        ra,
+        rb: Operand::Reg(ZERO),
+        rc: 0,
+        imm,
+    })?;
+    Ok(word)
+}
+
 /// Decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeError(pub u32);
 
 impl fmt::Display for DecodeError {
@@ -397,7 +436,7 @@ impl std::error::Error for DecodeError {}
 /// # Errors
 /// Fails on an unknown opcode byte.
 pub fn decode(word: u32, extra: Option<u32>) -> Result<Inst, DecodeError> {
-    let op = Op::from_u8((word >> 24) as u8).ok_or(DecodeError(word))?;
+    let op = Op::of_word(word).ok_or(DecodeError(word))?;
     let ra = ((word >> 19) & 31) as Reg;
     Ok(match op.format() {
         Format::Operate => {
@@ -465,6 +504,47 @@ pub fn decode(word: u32, extra: Option<u32>) -> Result<Inst, DecodeError> {
                 }
             }
         },
+    })
+}
+
+/// One instruction of a code slice, as [`walk`] finds it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Step {
+    /// Position of its first word in the slice.
+    pub at: usize,
+    /// Its width in words ([`width`]).
+    pub width: usize,
+    /// Its decode. A wide instruction cut off by the end of the slice
+    /// decodes as if its missing words were zero.
+    pub inst: Result<Inst, DecodeError>,
+}
+
+impl Step {
+    /// One past its last word: past the slice's end when it is cut off.
+    pub fn end(&self) -> usize {
+        self.at + self.width
+    }
+}
+
+/// Decode the instruction whose first word is `code[at]` (`None` when
+/// `at` is past the end).
+pub(crate) fn decode_at(code: &[u32], at: usize) -> Option<Step> {
+    let word = *code.get(at)?;
+    Some(Step {
+        at,
+        width: width(word),
+        inst: decode(word, code.get(at + 1).copied()),
+    })
+}
+
+/// Every instruction of `code` in order, each starting where the one
+/// before ends.
+pub fn walk(code: &[u32]) -> impl Iterator<Item = Step> + '_ {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let step = decode_at(code, at)?;
+        at = step.end();
+        Some(step)
     })
 }
 
@@ -572,8 +652,64 @@ mod tests {
 
     #[test]
     fn ldiw_is_wide() {
-        assert!(Inst::ldiw(0, 0).is_wide());
-        assert!(!Inst::op3(Op::Addq, 0, Operand::Lit(0), 0).is_wide());
+        for op in OP_TABLE {
+            assert_eq!(op.width(), if op == Op::Ldiw { 2 } else { 1 }, "{op:?}");
+        }
+        assert_eq!(width(0xFF00_0000), 1, "an unknown opcode is one word");
+    }
+
+    #[test]
+    fn walk_steps_over_payloads_and_reports_a_cut_off_tail() {
+        let (ldiw, payload) = encode(&Inst::ldiw(3, -1)).unwrap();
+        let add = encode(&Inst::op3(Op::Addq, 1, Operand::Lit(2), 3))
+            .unwrap()
+            .0;
+        let code = [ldiw, payload.unwrap(), 0xFF00_0000, add, ldiw];
+        let steps: Vec<Step> = walk(&code).collect();
+        let starts: Vec<(usize, usize)> = steps.iter().map(|s| (s.at, s.width)).collect();
+        assert_eq!(starts, [(0, 2), (2, 1), (3, 1), (4, 2)]);
+        assert_eq!(steps[0].inst, Ok(Inst::ldiw(3, -1)));
+        assert_eq!(steps[1].inst, Err(DecodeError(0xFF00_0000)));
+        assert_eq!(
+            steps[3].end(),
+            code.len() + 1,
+            "the trailing Ldiw is cut off"
+        );
+        assert_eq!(steps[3].inst, Ok(Inst::ldiw(3, 0)));
+    }
+
+    /// The word `branch_word` builds, decoded: its op, ra and target.
+    fn lands_on(word: u32, at: i64) -> (Op, Reg, i64) {
+        let i = decode(word, None).unwrap();
+        (i.op, i.ra, at + 1 + i64::from(i.imm))
+    }
+
+    #[test]
+    fn branch_words_reach_exactly_the_displacement_field() {
+        use limits::{BDISP_MAX, BDISP_MIN};
+        let at = 1i64 << 30;
+        // Forward to the far end of the field and backward to the other.
+        for disp in [i64::from(BDISP_MAX), i64::from(BDISP_MIN), 0, -1] {
+            let w = branch_word(Op::Bne, 4, at, at + 1 + disp).unwrap();
+            assert_eq!(lands_on(w, at), (Op::Bne, 4, at + 1 + disp), "disp {disp}");
+        }
+        // One past either end.
+        for disp in [i64::from(BDISP_MAX) + 1, i64::from(BDISP_MIN) - 1] {
+            assert_eq!(
+                branch_word(Op::Br, ZERO, at, at + 1 + disp),
+                Err(EncodeError::BranchRange(disp))
+            );
+        }
+        // A displacement that narrows to an in-range `i32` is still refused.
+        let far = (1i64 << 32) + 5;
+        assert_eq!(
+            branch_word(Op::Br, ZERO, 0, far),
+            Err(EncodeError::BranchRange(far - 1))
+        );
+        assert_eq!(
+            branch_word(Op::Br, ZERO, far, 0),
+            Err(EncodeError::BranchRange(-far - 1))
+        );
     }
 }
 

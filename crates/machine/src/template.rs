@@ -20,7 +20,7 @@
 //! the per-iteration record chains of unrolled loops (the paper's `4:1`
 //! notation).
 
-use crate::isa::{Format, Op, Reg};
+use crate::isa::{walk, width, Format, Op, Reg};
 use dyncomp_ir::SlotPath;
 
 /// Label of a template block (index into [`Template::blocks`]).
@@ -222,8 +222,7 @@ pub fn precompile_plans(t: &mut Template) {
                 continue 'blocks;
             }
             if let HoleField::Lit = h.field {
-                let op = Op::from_u8((code[at] >> 24) as u8);
-                match op {
+                match Op::of_word(code[at]) {
                     Some(op) if op.format() == Format::Operate => {
                         sr_candidate |= matches!(op, Op::Mulq | Op::Divqu | Op::Remqu);
                     }
@@ -236,21 +235,13 @@ pub fn precompile_plans(t: &mut Template) {
                 slot: h.slot.clone(),
             });
         }
-        // Count instructions (every word except an Ldiw's second).
-        let mut insts = 0u32;
-        let mut w = start;
-        while w < end {
-            insts += 1;
-            if Op::from_u8((code[w] >> 24) as u8) == Some(Op::Ldiw) {
-                w += 1;
-            }
-            w += 1;
-        }
-        if w != end {
+        let block = &code[start..end];
+        let (insts, reach) = walk(block).fold((0u32, 0), |(n, _), step| (n + 1, step.end()));
+        if reach != block.len() {
             continue; // trailing half of a wide instruction: malformed
         }
         blk.plan = Some(StitchPlan {
-            code: code[start..end].to_vec(),
+            code: block.to_vec(),
             patches,
             insts,
             sr_candidate,
@@ -377,8 +368,7 @@ impl RegionCode {
             let mut w = b.start;
             while w < b.end {
                 let hole = holes.next_if(|h| h.at == w).is_some();
-                let ldiw = Op::from_u8((t.code[w as usize] >> 24) as u8) == Some(Op::Ldiw);
-                w += 1 + u32::from(ldiw && !hole);
+                w += if hole { 1 } else { width(t.code[w as usize]) } as u32;
             }
             if w != b.end {
                 return Err("template block ends inside a wide instruction");

@@ -25,7 +25,7 @@
 //! Register-indirect jumps and memory operands cannot be validated
 //! statically; the VM's own bounds checks cover them at execution time.
 
-use crate::isa::{decode, Format, Op};
+use crate::isa::{walk, DecodeError, Format, Op};
 use std::fmt;
 
 /// Why an instance failed verification.
@@ -94,12 +94,11 @@ impl std::error::Error for CodeVerifyError {}
 /// The first failing word, most specific check first.
 pub fn verify_code(code: &[u32], base: u32) -> Result<(), CodeVerifyError> {
     let limit = base + code.len() as u32;
-    let mut i = 0usize;
-    while i < code.len() {
-        let word = code[i];
-        let at = i as u32;
-        let inst = decode(word, code.get(i + 1).copied())
-            .map_err(|_| CodeVerifyError::Undecodable { at, word })?;
+    for step in walk(code) {
+        let at = step.at as u32;
+        let inst = step
+            .inst
+            .map_err(|DecodeError(word)| CodeVerifyError::Undecodable { at, word })?;
         match inst.op {
             Op::EnterRegion | Op::EndSetup => {
                 return Err(CodeVerifyError::TrapInCode { at, op: inst.op });
@@ -112,13 +111,8 @@ pub fn verify_code(code: &[u32], base: u32) -> Result<(), CodeVerifyError> {
                 return Err(CodeVerifyError::BranchOutOfRange { at, target, limit });
             }
         }
-        if inst.is_wide() {
-            if i + 1 >= code.len() {
-                return Err(CodeVerifyError::Truncated { at });
-            }
-            i += 2;
-        } else {
-            i += 1;
+        if step.end() > code.len() {
+            return Err(CodeVerifyError::Truncated { at });
         }
     }
     Ok(())

@@ -7,7 +7,7 @@
 //! branches 2) — all reported results are relative, so the model only needs
 //! to preserve the *shape* of the paper's numbers.
 
-use crate::isa::{decode, Inst, Op, Operand, Reg, RA, SP, ZERO};
+use crate::isa::{decode_at, Inst, Op, Operand, Reg, RA, SP, ZERO};
 use dyncomp_ir::eval::{EvalError, Memory};
 use std::fmt;
 
@@ -579,13 +579,11 @@ impl Vm {
         }
         self.fuel -= 1;
         if flags & UNDECODED != 0 {
-            let w = *self.code.get(i).ok_or(VmError::PcOutOfRange(pc))?;
-            let extra = if Op::from_u8((w >> 24) as u8) == Some(Op::Ldiw) {
-                Some(*self.code.get(i + 1).ok_or(VmError::PcOutOfRange(pc + 1))?)
-            } else {
-                None
-            };
-            let inst = decode(w, extra).map_err(|_| VmError::BadInstruction { pc })?;
+            let step = decode_at(&self.code, i).ok_or(VmError::PcOutOfRange(pc))?;
+            if step.end() > self.code.len() {
+                return Err(VmError::PcOutOfRange(pc + 1));
+            }
+            let inst = step.inst.map_err(|_| VmError::BadInstruction { pc })?;
             let mut slot = Slot::new(&inst, &self.model);
             slot.flags |= self.decoded[i].flags & (NATIVE | SKIP);
             self.decoded[i] = slot;
@@ -804,7 +802,7 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{encode, CTP};
+    use crate::isa::{branch_word, encode, CTP};
 
     fn emit(vm: &mut Vm, i: Inst) -> u32 {
         let (w, extra) = encode(&i).unwrap();
@@ -1235,8 +1233,7 @@ mod tests {
                 at: start
             }
         );
-        let disp = target as i64 - (i64::from(start) + 1);
-        let (w, _) = encode(&Inst::branch(Op::Br, ZERO, disp as i32)).unwrap();
+        let w = branch_word(Op::Br, ZERO, start.into(), i64::from(target)).unwrap();
         vm.patch_code(start, w).unwrap();
         vm.pc = start;
         assert_eq!(vm.run().unwrap(), Stop::Halted);

@@ -39,7 +39,7 @@ use crate::{
     CTX_FDISCARD, CTX_FREGS, CTX_FUEL, CTX_IDISCARD, CTX_MEM_LEN, CTX_MEM_PTR, CTX_REGS,
     CTX_STATUS,
 };
-use dyncomp_machine::isa::{decode, Format, Inst, Op, Operand, Reg};
+use dyncomp_machine::isa::{walk, Format, Inst, Op, Operand, Reg};
 use dyncomp_machine::vm::CycleModel;
 
 /// Where one region-key value lives, mirrored from the engine's key
@@ -417,28 +417,25 @@ pub fn translate_with(code: &[u32], base: u32, model: &CycleModel, spec: &ChainS
     // unsupported terminator.
     let mut insts: Vec<DInst> = Vec::with_capacity(code.len());
     let mut idx_of: Vec<u32> = vec![NONE; code.len()];
-    let mut i = 0usize;
-    while i < code.len() {
-        let inst = decode(code[i], code.get(i + 1).copied()).unwrap_or(Inst {
+    for step in walk(code) {
+        let inst = step.inst.unwrap_or(Inst {
             op: Op::Halt,
             ra: 0,
             rb: Operand::Reg(31),
             rc: 0,
             imm: 0,
         });
-        let len = if inst.is_wide() { 2 } else { 1 };
         let native = supported(&inst, indirect);
         let term =
             inst.op.format() == Format::Branch || matches!(inst.op, Op::Jmp | Op::Jsr) || !native;
-        idx_of[i] = insts.len() as u32;
+        idx_of[step.at] = insts.len() as u32;
         insts.push(DInst {
-            pc: base + i as u32,
+            pc: base + step.at as u32,
             inst,
-            len,
+            len: step.width as u32,
             native,
             term,
         });
-        i += len as usize;
     }
     let is_start = |pc: u32| -> bool {
         let i = pc.wrapping_sub(base) as usize;

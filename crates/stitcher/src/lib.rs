@@ -37,7 +37,9 @@ pub use cost::StitchCost;
 use dyncomp_ir::eval::Memory;
 use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_ir::SlotPath;
-use dyncomp_machine::isa::{decode, encode, Format, Inst, Op, Operand, LIN, SCRATCH0, ZERO};
+use dyncomp_machine::isa::{
+    branch_word, decode, encode, width, EncodeError, Format, Inst, Op, Operand, LIN, SCRATCH0, ZERO,
+};
 use dyncomp_machine::template::{HoleField, LoopMarker, RegionCode, StitchPlan, TmplExit};
 use std::fmt;
 
@@ -284,14 +286,21 @@ impl Stitched {
     /// extends that assumption across sessions.
     ///
     /// # Errors
-    /// Table allocation failure, or an exit branch whose displacement no
-    /// longer encodes from `new_base`.
+    /// An exit branch whose displacement no longer encodes from
+    /// `new_base` (checked first, so `mem` is left untouched), or table
+    /// allocation failure.
     pub fn relocate(
         &self,
         new_base: u32,
         mem: &mut Memory,
     ) -> Result<(Vec<u32>, u64), StitchError> {
         let mut code = self.code.clone();
+        for &(p, target) in &self.exit_patches {
+            let at = i64::from(new_base) + i64::from(p);
+            code[p as usize] = branch_word(Op::Br, ZERO, at, target.into()).map_err(|e| {
+                StitchError::BadTemplate(format!("relocated exit branch does not encode: {e}"))
+            })?;
+        }
         let lin_addr = if self.lin_words.is_empty() {
             0
         } else {
@@ -310,15 +319,13 @@ impl Stitched {
         for &(p, off) in &self.lin_far_addr_patches {
             code[p as usize + 1] = (lin_addr as u32).wrapping_add(off);
         }
-        for &(p, target) in &self.exit_patches {
-            let disp = i64::from(target) - (i64::from(new_base) + i64::from(p) + 1);
-            let (w, _) = encode(&Inst::branch(Op::Br, ZERO, disp as i32)).map_err(|e| {
-                StitchError::BadTemplate(format!("relocated exit branch does not encode: {e}"))
-            })?;
-            code[p as usize] = w;
-        }
         Ok((code, lin_addr))
     }
+}
+
+/// A stitched instruction whose fields do not fit their encoding.
+fn does_not_encode(e: EncodeError) -> StitchError {
+    StitchError::BadTemplate(format!("stitched instruction does not encode: {e}"))
 }
 
 /// Stitching failure.
@@ -586,9 +593,7 @@ impl Stitcher<'_> {
     }
 
     fn emit(&mut self, i: Inst) -> Result<(), StitchError> {
-        let (w, extra) = encode(&i).map_err(|e| {
-            StitchError::BadTemplate(format!("stitched instruction does not encode: {e}"))
-        })?;
+        let (w, extra) = encode(&i).map_err(does_not_encode)?;
         self.out.push(w);
         self.stats.words_emitted += 1;
         self.stats.instructions_stitched += 1;
@@ -596,6 +601,16 @@ impl Stitcher<'_> {
             self.out.push(x);
             self.stats.words_emitted += 1;
         }
+        Ok(())
+    }
+
+    /// Emit an unconditional branch to word address `target`.
+    fn emit_br(&mut self, target: u32) -> Result<(), StitchError> {
+        let at = self.abs_pos().into();
+        let w = branch_word(Op::Br, ZERO, at, target.into()).map_err(does_not_encode)?;
+        self.out.push(w);
+        self.stats.words_emitted += 1;
+        self.stats.instructions_stitched += 1;
         Ok(())
     }
 
@@ -708,8 +723,7 @@ impl Stitcher<'_> {
             if let Some(&target) = self.done.get(&key) {
                 // Re-joining already stitched code: branch to it.
                 self.charge(self.opts.cost.branch_fixup);
-                let disp = target as i64 - (self.abs_pos() as i64 + 1);
-                self.emit(Inst::branch(Op::Br, ZERO, disp as i32))?;
+                self.emit_br(target)?;
                 return Ok(());
             }
             if self.done.len() >= MAX_BLOCKS {
@@ -765,7 +779,6 @@ impl Stitcher<'_> {
             let mut hole_idx = 0usize;
             while w < blk.end as usize {
                 let word = code[w];
-                let is_wide = Op::from_u8((word >> 24) as u8) == Some(Op::Ldiw);
                 // Holes at this template offset?
                 let hole = blk.holes.get(hole_idx).filter(|h| h.at == w as u32);
                 if let Some(h) = hole {
@@ -788,13 +801,13 @@ impl Stitcher<'_> {
                 self.out.push(word);
                 self.stats.words_emitted += 1;
                 self.stats.instructions_stitched += 1;
-                if is_wide {
-                    self.out.push(code[w + 1]);
+                let end = w + width(word);
+                for &payload in &code[w + 1..end] {
+                    self.out.push(payload);
                     self.stats.words_emitted += 1;
                     self.charge(self.opts.cost.copy_word);
-                    w += 1;
                 }
-                w += 1;
+                w = end;
             }
         }
 
@@ -877,9 +890,8 @@ impl Stitcher<'_> {
                     .exit_pcs
                     .get(exit as usize)
                     .ok_or_else(|| StitchError::BadTemplate(format!("exit {exit}")))?;
-                let disp = target as i64 - (self.abs_pos() as i64 + 1);
                 self.exit_patches.push((self.out.len() as u32, target));
-                self.emit(Inst::branch(Op::Br, ZERO, disp as i32))?;
+                self.emit_br(target)?;
                 Ok(None)
             }
         }
@@ -1258,15 +1270,10 @@ impl Stitcher<'_> {
                 .get(&key)
                 .ok_or_else(|| StitchError::BadTemplate("unresolved branch target".into()))?;
             let pos = self.base + at;
-            let disp = target as i64 - (pos as i64 + 1);
             let word = self.out[at as usize];
             let inst = decode(word, None).map_err(|e| StitchError::BadTemplate(e.to_string()))?;
-            let (w, _) = encode(&Inst {
-                imm: disp as i32,
-                ..inst
-            })
-            .map_err(|e| StitchError::BadTemplate(e.to_string()))?;
-            self.out[at as usize] = w;
+            self.out[at as usize] = branch_word(inst.op, inst.ra, pos.into(), target.into())
+                .map_err(|e| StitchError::BadTemplate(e.to_string()))?;
             self.charge(self.opts.cost.branch_fixup);
         }
         Ok(())

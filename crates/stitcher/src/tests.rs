@@ -4,7 +4,7 @@
 use crate::{stitch, StitchError, StitchOptions, MAX_BLOCKS};
 use dyncomp_ir::eval::Memory;
 use dyncomp_ir::SlotPath;
-use dyncomp_machine::isa::{encode, Inst, Op, Operand, Reg, ZERO};
+use dyncomp_machine::isa::{branch_word, decode, encode, limits, Inst, Op, Operand, Reg, ZERO};
 use dyncomp_machine::template::{
     Hole, HoleField, LoopMarker, RegionCode, Template, TmplBlock, TmplExit,
 };
@@ -603,15 +603,15 @@ fn relocate_zero_patch_block_is_a_plain_copy() {
 #[test]
 fn relocate_at_same_base_reproduces_original_exit_branches() {
     // An exit branch at word 2 targeting absolute address 10, originally
-    // stitched for base 100: disp = 10 - (100 + 2 + 1) = -93.
+    // stitched for base 100.
     let base = 100u32;
     let exit_at = 2u32;
     let target = 10u32;
-    let disp = target as i64 - (base as i64 + exit_at as i64 + 1);
+    let exit = |base: u32| branch_word(Op::Br, ZERO, (base + exit_at).into(), target.into());
     let mut code = vec![
         word(Inst::op3(Op::Addq, 1, Operand::Lit(1), 1)),
         word(Inst::op3(Op::Addq, 1, Operand::Lit(1), 1)),
-        word(Inst::branch(Op::Br, ZERO, disp as i32)),
+        exit(base).unwrap(),
     ];
     let mut s = bare_stitched(code.clone());
     s.exit_patches = vec![(exit_at, target)];
@@ -621,9 +621,36 @@ fn relocate_at_same_base_reproduces_original_exit_branches() {
     // And a different base re-encodes the displacement correctly.
     let new_base = 500u32;
     let (out2, _) = s.relocate(new_base, &mut mem).unwrap();
-    let disp2 = target as i64 - (new_base as i64 + exit_at as i64 + 1);
-    code[exit_at as usize] = word(Inst::branch(Op::Br, ZERO, disp2 as i32));
+    code[exit_at as usize] = exit(new_base).unwrap();
     assert_eq!(out2, code);
+}
+
+#[test]
+fn relocate_beyond_branch_reach_fails_and_writes_nothing() {
+    // An exit back to address 10 from word 1, with a table to allocate.
+    let target = 10u32;
+    let mut s = bare_stitched(vec![
+        word(Inst::op3(Op::Addq, 1, Operand::Lit(1), 1)),
+        branch_word(Op::Br, ZERO, 1, target.into()).unwrap(),
+    ]);
+    s.exit_patches = vec![(1, target)];
+    s.lin_words = vec![42];
+    let mut mem = Memory::with_capacity(1 << 16);
+    let brk_before = mem.alloc(0).unwrap();
+    // The last base in reach puts the exit exactly `BDISP_MIN` words back.
+    let last = (i64::from(target) - 2 - i64::from(limits::BDISP_MIN)) as u32;
+    assert_eq!(
+        s.relocate(last + 1, &mut mem),
+        Err(StitchError::BadTemplate(
+            "relocated exit branch does not encode: \
+             branch displacement -262145 out of range"
+                .into()
+        ))
+    );
+    assert_eq!(mem.alloc(0).unwrap(), brk_before, "no table allocated");
+    let (out, _) = s.relocate(last, &mut mem).unwrap();
+    let back = decode(out[1], None).unwrap();
+    assert_eq!(back.imm, limits::BDISP_MIN);
 }
 
 #[test]
