@@ -85,3 +85,53 @@ fn tiered_mode_without_fallback_copy_stays_synchronous() {
         assert!(r.stitches > 0);
     });
 }
+
+/// A region the byte budget shut runs only its keyed-cache hits and its
+/// fallback copy: nothing it enqueues could ever be installed, so no
+/// entry of it speculates after the `BudgetDegrade` event.
+#[test]
+fn shut_region_stops_speculating() {
+    use dyncomp::{Compiler, EngineOptions, EventKind, RecoveryPolicy, Session, TieredOptions};
+    use std::sync::Arc;
+    let src = "int f(int k, int x) { dynamicRegion key(k) (k) { return x * k + (k << 2); } }";
+    let program = Arc::new(Compiler::tiered().compile(src).expect("compiles"));
+    let options = EngineOptions {
+        tiered: Some(TieredOptions {
+            workers: 1,
+            speculate: true,
+        }),
+        trace: true,
+        recovery: RecoveryPolicy {
+            code_budget_bytes: Some(64),
+            ..RecoveryPolicy::default()
+        },
+        ..EngineOptions::default()
+    };
+    let mut session = Session::with_options(program, options);
+    let keys = [
+        [1u64, 2, 3].repeat(6),
+        [1, 2, 3].repeat(20),
+        [3, 2, 1].repeat(5),
+        [1, 3].repeat(5),
+    ];
+    for k in keys.concat() {
+        session.call("f", &[k, 7]).expect("runs");
+    }
+    let events: Vec<&EventKind> = session
+        .trace()
+        .expect("traced")
+        .events()
+        .map(|e| &e.kind)
+        .collect();
+    let degrade = events
+        .iter()
+        .position(|k| matches!(k, EventKind::BudgetDegrade { .. }))
+        .expect("the budget degrades the region");
+    let count = |pred: fn(&EventKind) -> bool| events[degrade..].iter().filter(|k| pred(k)).count();
+    assert_eq!(count(|k| matches!(k, EventKind::BgInstall { .. })), 0);
+    assert_eq!(
+        count(|k| matches!(k, EventKind::SpeculateIssue { .. })),
+        0,
+        "a shut region kept speculating"
+    );
+}
