@@ -300,16 +300,12 @@ impl FaultPlan {
 }
 
 /// Live injection state owned by a session: the plan, per-injection fire
-/// counts, the seeded PRNG, and a log of fires not yet folded into the
-/// session's counters/trace.
+/// counts and the seeded PRNG. The session counts and traces each fire.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     injections: Vec<Injection>,
     fired: Vec<u32>,
     rng: SplitMix64,
-    /// Fires recorded since the session last drained them (the tiered
-    /// state fires injections while the session is borrowed elsewhere).
-    pending: Vec<(FaultPoint, u16)>,
 }
 
 impl FaultState {
@@ -318,14 +314,11 @@ impl FaultState {
             fired: vec![0; plan.injections.len()],
             injections: plan.injections.clone(),
             rng: SplitMix64::new(plan.seed),
-            pending: Vec::new(),
         }
     }
 
     /// Consult the plan at an opportunity for `point` in `region`.
-    /// Returns the injection's effective magnitude when it fires. Every
-    /// fire is appended to the pending log for the session to fold into
-    /// its counters and trace.
+    /// Returns the injection's effective magnitude when it fires.
     pub(crate) fn fire(&mut self, point: FaultPoint, region: u16) -> Option<u64> {
         for (i, inj) in self.injections.iter().enumerate() {
             if inj.point != point || self.fired[i] >= inj.max_fires {
@@ -342,7 +335,6 @@ impl FaultState {
             };
             if roll {
                 self.fired[i] += 1;
-                self.pending.push((point, region));
                 return Some(inj.effective_magnitude());
             }
         }
@@ -352,11 +344,6 @@ impl FaultState {
     /// A deterministic draw below `n` (corruption word positions).
     pub(crate) fn draw_below(&mut self, n: u64) -> u64 {
         self.rng.below(n)
-    }
-
-    /// Drain fires not yet folded into session counters.
-    pub(crate) fn drain_pending(&mut self) -> Vec<(FaultPoint, u16)> {
-        std::mem::take(&mut self.pending)
     }
 }
 
@@ -600,13 +587,13 @@ mod tests {
         let plan = FaultPlan::single(FaultPoint::StitchBadTemplate, 2);
         let mut a = FaultState::new(&plan);
         let mut b = FaultState::new(&plan);
+        let mut fires = 0;
         for _ in 0..5 {
-            assert_eq!(
-                a.fire(FaultPoint::StitchBadTemplate, 0),
-                b.fire(FaultPoint::StitchBadTemplate, 0)
-            );
+            let fired = a.fire(FaultPoint::StitchBadTemplate, 0);
+            assert_eq!(fired, b.fire(FaultPoint::StitchBadTemplate, 0));
+            fires += usize::from(fired.is_some());
         }
-        assert_eq!(a.drain_pending().len(), 2, "max_fires caps the fires");
+        assert_eq!(fires, 2, "max_fires caps the fires");
         assert!(a.fire(FaultPoint::WorkerPanic, 0).is_none(), "unarmed");
     }
 
@@ -635,7 +622,6 @@ mod tests {
                 assert!(f.fire(p, r).is_none());
             }
         }
-        assert!(f.drain_pending().is_empty());
     }
 
     #[test]
