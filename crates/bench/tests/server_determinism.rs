@@ -153,6 +153,36 @@ fn tenant_session_quota_is_enforced() {
     ));
 }
 
+/// A program whose data image does not fit a tenant's session memory is
+/// refused at `open` with a typed `tenant-quota` error naming both
+/// sizes; the engine keeps serving.
+#[test]
+fn data_image_beyond_tenant_memory_is_refused_at_open() {
+    let engine = engine_with_kernel();
+    let src = "long big[20000]; long g = 7; long f(long x) { return x + g; }";
+    ok(&req(
+        &engine,
+        &format!(
+            "{{\"op\":\"upload\",\"name\":\"big\",\"src\":{}}}",
+            dyncomp::server::escape(src)
+        ),
+    ));
+    ok(&req(&engine, "{\"op\":\"tenant\",\"tenant\":\"t\"}"));
+    let resp = req(
+        &engine,
+        "{\"op\":\"open\",\"tenant\":\"t\",\"program\":\"big\",\"session\":\"s\"}",
+    );
+    assert_eq!(err_kind(&resp), "tenant-quota", "{resp}");
+    assert!(
+        resp.contains("data image needs") && resp.contains("65536"),
+        "{resp}"
+    );
+    ok(&req(
+        &engine,
+        "{\"op\":\"open\",\"tenant\":\"t\",\"program\":\"poly\",\"session\":\"s\"}",
+    ));
+}
+
 /// A panic inside one session's call is contained: the caller gets a
 /// typed `run-panic` error, the session is dead (further calls say so),
 /// and every other session — same tenant included — keeps serving.

@@ -533,6 +533,9 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
             persist,
             ..EngineOptions::default()
         };
+        program
+            .check_memory(options.memory_bytes)
+            .map_err(CliError::Run)?;
         if sessions > 1 || options.shared_cache.is_some() {
             if trace_out.is_some() {
                 return Err(CliError::Usage(

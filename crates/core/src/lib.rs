@@ -894,6 +894,24 @@ impl Program {
         self.compiled.regions.len()
     }
 
+    /// Check that a session memory of `memory_bytes` holds this
+    /// program's data image: its global initializers and float pool,
+    /// [`CompiledModule::data_end`] bytes. [`Session::with_options`]
+    /// panics on a memory that does not; a front door checks first.
+    ///
+    /// # Errors
+    /// A message naming both sizes.
+    pub fn check_memory(&self, memory_bytes: usize) -> Result<(), String> {
+        let image = self.compiled.data_end;
+        if image > memory_bytes as u64 {
+            return Err(format!(
+                "the program's data image needs {image} bytes; \
+                 the session memory has {memory_bytes}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Process-unique identity, part of every [`SharedKey`]: stitched code
     /// cached by sessions of one program is never served to another.
     pub fn id(&self) -> u64 {

@@ -187,7 +187,8 @@ pub enum ErrorKind {
     SessionBusy,
     /// The session was poisoned by an earlier panic and closed.
     SessionDead,
-    /// A per-tenant quota (session count) was exceeded.
+    /// A per-tenant quota was exceeded: the session count, or the
+    /// memory size a program's data image needs.
     TenantQuota,
     /// Compilation of an uploaded program failed.
     CompileError,

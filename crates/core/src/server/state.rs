@@ -328,6 +328,14 @@ impl ServerEngine {
                 format!("session `{session_name}` is already open"),
             ));
         }
+        program
+            .check_memory(tenant.options.memory_bytes)
+            .map_err(|m| {
+                ProtoError::new(
+                    ErrorKind::TenantQuota,
+                    format!("tenant `{tenant_name}`: {m}"),
+                )
+            })?;
         let session = Box::new(Session::with_options(program, tenant.options.clone()));
         let tenant = inner
             .tenants

@@ -142,6 +142,23 @@ fn compile_error_exits_one() {
     assert!(err.contains("parse error"), "{err}");
 }
 
+/// A data image larger than the session memory is refused before any
+/// session is built, on the single- and the multi-session path.
+#[test]
+fn data_image_beyond_session_memory_is_a_run_error() {
+    let src = "long big[3000000]; long g = 7; long f(long x) { return x + g; }";
+    let p = write_temp("big_image.mc", src);
+    for extra in [&[][..], &["--sessions", "2"][..]] {
+        let mut args = vec![p.to_str().unwrap(), "--run", "f", "1"];
+        args.extend_from_slice(extra);
+        let (code, err) = dyncc_code(&args);
+        assert_eq!(code, 1, "{args:?}: {err}");
+        assert!(err.contains("data image needs"), "{args:?}: {err}");
+        assert!(err.contains("16777216"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn run_without_function_name_is_a_usage_error() {
     let p = write_temp("good2.mc", "int f(int x) { return x; }");
