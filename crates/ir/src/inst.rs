@@ -142,7 +142,8 @@ impl fmt::Debug for SlotPath {
     }
 }
 
-/// The wire form of a `Vec<u32>`: a `u32` length, then the words.
+/// The wire form of a `Vec<u32>`: a `u32` length, then the words. A
+/// path names a slot, so it has at least one word.
 impl Codec for SlotPath {
     const MIN_BYTES: usize = <Vec<u32> as Codec>::MIN_BYTES;
 
@@ -151,18 +152,15 @@ impl Codec for SlotPath {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.len(u32::MIN_BYTES)?;
-        if n > INLINE_WORDS {
-            return Ok(SlotPath(Words::Spilled(u32::decode_vec(n, r)?.into())));
+        let at = r.offset();
+        let words = Vec::<u32>::decode(r)?;
+        if words.is_empty() {
+            return Err(CodecError {
+                at,
+                what: "empty slot path",
+            });
         }
-        let mut words = [0; INLINE_WORDS];
-        for w in &mut words[..n] {
-            *w = u32::decode(r)?;
-        }
-        Ok(SlotPath(Words::Inline {
-            len: n as u8,
-            words,
-        }))
+        Ok(SlotPath::from_words(&words))
     }
 }
 
@@ -773,6 +771,15 @@ mod tests {
         assert!(!SlotPath::stat(4).child(1).is_static());
         assert_eq!(SlotPath::stat(4).child(1).leaf(), 1);
         assert_eq!(SlotPath::stat(4).child(1).depth(), 1);
+    }
+
+    /// A path of no words names no slot (its `depth` would underflow):
+    /// the decoder refuses it where its length prefix starts.
+    #[test]
+    fn empty_slot_path_is_refused() {
+        use crate::codec::{Codec, Reader};
+        let err = SlotPath::decode(&mut Reader::new(&[0, 0, 0, 0])).unwrap_err();
+        assert_eq!((err.at, err.what), (0, "empty slot path"));
     }
 
     /// Paths of one to five words against a plain `Vec<u32>` model: the
