@@ -70,11 +70,6 @@ pub struct StitchOptions {
     /// aid. Ignored (treated as off) when `register_actions` is active,
     /// whose bookkeeping needs the word-by-word walk.
     pub plans: bool,
-    /// Record every copy-and-patch plan patch applied into
-    /// [`Stitched::plan_patches`] (consumed by the engine's tracing
-    /// layer). Off by default; recording is host-side bookkeeping only and
-    /// never changes stats or cycle charges.
-    pub record_patches: bool,
 }
 
 impl Default for StitchOptions {
@@ -85,13 +80,13 @@ impl Default for StitchOptions {
             cost: StitchCost::default(),
             register_actions: None,
             plans: true,
-            record_patches: false,
         }
     }
 }
 
-/// One recorded copy-and-patch plan patch (filled only with
-/// [`StitchOptions::record_patches`]; feeds `PlanPatch` trace events).
+/// One recorded copy-and-patch plan patch (feeds the engine's
+/// `PlanPatch` trace events). Recording is host-side bookkeeping only:
+/// it never changes stats or cycle charges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanPatchRecord {
     /// Output word position patched, relative to the instance base.
@@ -202,8 +197,7 @@ pub struct Stitched {
     pub exit_patches: Vec<(u32, u32)>,
     /// Counters.
     pub stats: StitchStats,
-    /// Plan patches applied, in application order (empty unless
-    /// [`StitchOptions::record_patches`] was set).
+    /// Plan patches applied, in application order.
     pub plan_patches: Vec<PlanPatchRecord>,
     /// Host-native machine-code bytes translated from this instance
     /// (0 when no native backend translated it). Set by the engine so
@@ -577,7 +571,7 @@ struct Stitcher<'a> {
     reg_known: FxHashMap<u8, u64>,
     /// Output position of the hole load that established each known reg.
     known_load_at: FxHashMap<u8, u32>,
-    /// Applied plan patches (only with [`StitchOptions::record_patches`]).
+    /// Applied plan patches, in order (feeds [`Stitched::plan_patches`]).
     plan_patch_log: Vec<PlanPatchRecord>,
     /// Every data-memory read, in order (feeds [`Stitched::reads`]).
     reads: Vec<(u64, u64)>,
@@ -1067,12 +1061,10 @@ impl Stitcher<'_> {
                     self.stats.holes_big += 1;
                 }
             }
-            if self.opts.record_patches {
-                self.plan_patch_log.push(PlanPatchRecord {
-                    at: at as u32,
-                    value: v,
-                });
-            }
+            self.plan_patch_log.push(PlanPatchRecord {
+                at: at as u32,
+                value: v,
+            });
         }
         Ok(true)
     }
