@@ -9,7 +9,7 @@
 //! [`Module`] stubs rebuilt from persisted names, the native section's
 //! presence flag, and the calls to the cross-reference checks
 //! ([`CompiledModule::check_refs`], the function indices,
-//! [`Stitched::patches_in_range`]). A corrupt payload (one that
+//! [`Stitched::patches_in_range`], [`dyncomp_native::Artifact::check_layout`]). A corrupt payload (one that
 //! somehow passed the file checksum, or a re-sealed buffer) always fails
 //! with a typed [`CodecError`] and never panics or over-allocates.
 //!
@@ -185,6 +185,12 @@ pub(crate) fn read_instance(
     if !stitched.patches_in_range() {
         return Err(r.err("instance patch outside its code"));
     }
+    // The native tables are jumped to and patched at install: they must
+    // cover this instance at its install base and stay inside its bytes.
+    if let Some(a) = &native {
+        a.check_layout(install_base, stitched.code.len())
+            .map_err(|what| r.err(what))?;
+    }
     if file_key != key {
         return Ok(None);
     }
@@ -304,6 +310,60 @@ mod tests {
         let mut w = Writer::new();
         write_instance(&mut w, 1, 0, &[], &stitched, 0, None);
         assert!(read_instance(&mut Reader::new(&w.into_bytes()), 1, 0, &[]).is_err());
+    }
+
+    /// A native section shaped like the translator's for
+    /// [`sample_stitched`] installed at 100: three words, one entry and
+    /// block, one exit site, one guard sled, in 64 bytes.
+    fn sample_native() -> dyncomp_native::Artifact {
+        dyncomp_native::Artifact {
+            bytes: vec![0xCC; 64],
+            entry_supported: true,
+            indirect: true,
+            instructions: 3,
+            covered: 3,
+            blocks: 1,
+            base: 100,
+            end: 103,
+            entries: vec![(100, 0), (102, 40)],
+            block_offsets: vec![(100, 16)],
+            exit_sites: vec![(99, 20)],
+            guard_areas: vec![dyncomp_native::translate::GuardArea {
+                pc: 100,
+                offset: 48,
+                len: 16,
+            }],
+        }
+    }
+
+    #[test]
+    fn native_sections_out_of_their_instance_are_refused() {
+        let reload = |a: &dyncomp_native::Artifact| {
+            let mut w = Writer::new();
+            write_instance(&mut w, 1, 0, &[], &sample_stitched(), 100, Some(a));
+            read_instance(&mut Reader::new(&w.into_bytes()), 1, 0, &[]).map(|_| ())
+        };
+        assert!(reload(&sample_native()).is_ok());
+        type Breaker = fn(&mut dyncomp_native::Artifact);
+        let breakers: [(&str, Breaker); 12] = [
+            ("base", |a| a.base = 101),
+            ("end", |a| a.end = 104),
+            ("entry pc past the end", |a| a.entries[1].0 = 103),
+            ("entry pc near u32::MAX", |a| a.entries[1].0 = u32::MAX - 1),
+            ("entry offset", |a| a.entries[1].1 = 64),
+            ("block pc", |a| a.block_offsets[0].0 = 99),
+            ("block offset", |a| a.block_offsets[0].1 = u32::MAX),
+            ("exit pc inside", |a| a.exit_sites[0].0 = 101),
+            ("exit patch", |a| a.exit_sites[0].1 = 45),
+            ("sled offset", |a| a.guard_areas[0].offset = 49),
+            ("sled len", |a| a.guard_areas[0].len = u32::MAX),
+            ("sled past the end", |a| a.guard_areas[0].offset = 64),
+        ];
+        for (what, breaker) in breakers {
+            let mut a = sample_native();
+            breaker(&mut a);
+            assert!(reload(&a).is_err(), "{what}: loaded");
+        }
     }
 
     fn sample_stitched() -> Stitched {

@@ -37,7 +37,7 @@ use crate::stubs::{self as s, Asm, Cc};
 use crate::{
     CTX_CHAINED, CTX_CYCLES, CTX_DISPATCH, CTX_DISPATCH_LEN, CTX_EXIT_PC, CTX_FAULT_PC,
     CTX_FDISCARD, CTX_FREGS, CTX_FUEL, CTX_IDISCARD, CTX_MEM_LEN, CTX_MEM_PTR, CTX_REGS,
-    CTX_STATUS,
+    CTX_STATUS, EXIT_PATCH_LEN,
 };
 use dyncomp_machine::isa::{walk, Format, Inst, Op, Operand, Reg};
 use dyncomp_machine::vm::CycleModel;
@@ -133,6 +133,41 @@ pub struct Artifact {
     pub exit_sites: Vec<(u32, u32)>,
     /// Reserved `EnterRegion` guard sleds.
     pub guard_areas: Vec<GuardArea>,
+}
+
+impl Artifact {
+    /// Check that every table points where an install may jump or patch:
+    /// the artifact covers exactly the `words` code words at `base`,
+    /// every entry and block pc lies in `base..end` with its offset inside
+    /// `bytes`, every exit site lies outside `base..end` with its whole
+    /// back-patch inside `bytes`, and every guard sled lies inside
+    /// `bytes`. [`translate`] makes only such artifacts; one decoded from
+    /// the persistent cache is checked before anything installs it.
+    ///
+    /// # Errors
+    /// What is out of place, as a static message.
+    pub fn check_layout(&self, base: u32, words: usize) -> Result<(), &'static str> {
+        let inside = |off: u32, len: usize| {
+            (off as usize)
+                .checked_add(len)
+                .is_some_and(|end| end <= self.bytes.len())
+        };
+        let ours = |pc: u32| (self.base..self.end).contains(&pc);
+        if self.base != base || u64::from(base) + words as u64 != u64::from(self.end) {
+            return Err("native artifact does not cover its instance");
+        }
+        let mut leaders = self.entries.iter().chain(&self.block_offsets);
+        if !leaders.all(|&(pc, off)| ours(pc) && inside(off, 1)) {
+            return Err("native entry outside its instance or its code");
+        }
+        if !(self.exit_sites.iter()).all(|&(pc, off)| !ours(pc) && inside(off, EXIT_PATCH_LEN)) {
+            return Err("native exit site inside its instance or past its code");
+        }
+        if !(self.guard_areas.iter()).all(|g| inside(g.offset, g.len as usize)) {
+            return Err("native guard sled past its code");
+        }
+        Ok(())
+    }
 }
 
 /// Context-slot displacement holding integer register `r` for *reads*

@@ -19,6 +19,9 @@
 
 use dyncomp::{fold_checksum, Compiler, EngineOptions, PersistentCache, Session};
 use dyncomp_ir::prng::SplitMix64;
+use dyncomp_machine::codec::{Codec, Reader, Writer};
+use dyncomp_native::translate::GuardArea;
+use dyncomp_native::Artifact;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -54,6 +57,12 @@ struct Outcome {
 /// Compile (through the cache) and run the workload in a fresh session
 /// against a freshly opened cache on `root`.
 fn run_once(root: &Path) -> Outcome {
+    run_with(root, false)
+}
+
+/// [`run_once`], on the native backend when `native` is set (its
+/// instances then carry their native sections to disk).
+fn run_with(root: &Path, native: bool) -> Outcome {
     let cache = Arc::new(PersistentCache::open(root).expect("cache opens"));
     let compiler = Compiler::new();
     let (program, _cached) = cache
@@ -64,6 +73,7 @@ fn run_once(root: &Path) -> Outcome {
         program,
         EngineOptions {
             persist: Some(Arc::clone(&cache)),
+            native,
             ..EngineOptions::default()
         },
     );
@@ -348,6 +358,95 @@ fn resealed_mutations_never_panic_and_never_poison_the_cache() {
             assert_eq!(clean.checksum, Some(cold.checksum), "{what}");
             assert_eq!(clean.artifact_rejects + clean.instance_rejects, 0, "{what}");
         }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The native section of a stored instance, re-sealed with one field out
+/// of place per check of [`Artifact::check_layout`]: install would grow
+/// the dispatch marks to that pc, jump to that offset or patch there.
+/// Each is a typed instance reject, no result moves, and the next run
+/// finds the cache healed.
+#[test]
+fn resealed_native_sections_out_of_their_instance_are_rejected() {
+    if !dyncomp_native::available() {
+        return;
+    }
+    let root = std::env::temp_dir().join(format!("dyncomp-native-reseal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cold = run_with(&root, true);
+    let pristine: Vec<(PathBuf, Vec<u8>)> = cache_files(&root)
+        .into_iter()
+        .map(|p| (p.clone(), std::fs::read(&p).expect("snapshot cache file")))
+        .collect();
+    // The native section is the tagged artifact that ends the payload.
+    let tag = dyncomp_native::codec::host_tag();
+    let native_at = |payload: &[u8]| {
+        let at = payload
+            .windows(tag.len())
+            .position(|w| w == tag.as_bytes())?;
+        Some(at + tag.len())
+    };
+    let (path, bytes, at, artifact) = pristine
+        .iter()
+        .filter(|(p, _)| p.starts_with(root.join("stitched")))
+        .find_map(|(p, b)| {
+            let at = HEADER_LEN + native_at(&b[HEADER_LEN..])?;
+            let a = Artifact::decode(&mut Reader::new(&b[at..])).expect("native section decodes");
+            Some((p, b, at, a))
+        })
+        .expect("a native session stored a native section");
+
+    let n = artifact.bytes.len() as u32;
+    type Breaker = fn(&mut Artifact, u32);
+    let breakers: [(&str, Breaker); 9] = [
+        ("base", |a, _| a.base += 1),
+        ("end", |a, _| a.end += 1),
+        ("entry pc past the end", |a, _| a.entries[0].0 = a.end),
+        ("entry offset past the code", |a, n| a.entries[0].1 = n),
+        ("block pc past the end", |a, _| a.block_offsets[0].0 = a.end),
+        ("block offset past the code", |a, n| {
+            a.block_offsets[0].1 = n
+        }),
+        ("exit pc inside", |a, _| a.exit_sites.push((a.base, 0))),
+        ("exit patch past the code", |a, n| {
+            a.exit_sites.push((a.end, n - 19))
+        }),
+        ("guard sled past the code", |a, n| {
+            let pc = a.base;
+            a.guard_areas.push(GuardArea {
+                pc,
+                offset: n - 3,
+                len: 4,
+            });
+        }),
+    ];
+    for (what, breaker) in breakers {
+        for (p, b) in &pristine {
+            std::fs::write(p, b).expect("restore pristine file");
+        }
+        let mut a = artifact.clone();
+        breaker(&mut a, n);
+        let mut w = Writer::new();
+        a.encode(&mut w);
+        let mut payload = bytes[HEADER_LEN..at].to_vec();
+        payload.extend_from_slice(&w.into_bytes());
+        std::fs::write(path, reseal(bytes, &payload)).expect("write mutated file");
+
+        let mutated = run_with(&root, true);
+        assert_eq!(mutated.checksum, cold.checksum, "{what}: a result moved");
+        assert!(mutated.instance_rejects >= 1, "{what}: loaded");
+        assert!(
+            mutated.health_persist_entries >= 1,
+            "{what}: no typed entry"
+        );
+        let healed = run_with(&root, true);
+        assert_eq!(healed.checksum, cold.checksum, "{what}");
+        assert_eq!(
+            healed.artifact_rejects + healed.instance_rejects,
+            0,
+            "{what}: the cache did not heal"
+        );
     }
     let _ = std::fs::remove_dir_all(&root);
 }
