@@ -437,10 +437,9 @@ impl<'m> Evaluator<'m> {
     /// Address of the table slot named by `path` given current loop state.
     fn resolve_slot_addr(&mut self, fid: FuncId, path: &SlotPath) -> Result<u64, EvalError> {
         let st = self.current_region_mut(fid);
-        if path.is_static() {
-            return Ok(st.table + 8 * u64::from(path.words()[0]));
-        }
-        let root = path.parent();
+        let Some(root) = path.parent() else {
+            return Ok(st.table + 8 * u64::from(path.leaf()));
+        };
         let cur = st
             .loop_stack
             .iter()

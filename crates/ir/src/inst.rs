@@ -100,10 +100,11 @@ impl SlotPath {
     }
 
     /// The path of the record holding this path's slot: every word but
-    /// the last.
-    pub fn parent(&self) -> Self {
-        let words = self.words();
-        SlotPath::from_words(&words[..words.len().saturating_sub(1)])
+    /// the last. A static path's slot is held by the region's table, not
+    /// by a record: `None`.
+    pub fn parent(&self) -> Option<Self> {
+        let (_, outer) = self.words().split_last()?;
+        (!outer.is_empty()).then(|| SlotPath::from_words(outer))
     }
 
     /// Whether the path names a static (non-loop) slot.
@@ -780,6 +781,24 @@ mod tests {
         use crate::codec::{Codec, Reader};
         let err = SlotPath::decode(&mut Reader::new(&[0, 0, 0, 0])).unwrap_err();
         assert_eq!((err.at, err.what), (0, "empty slot path"));
+    }
+
+    /// A loop slot's parent is its record's path; a static slot has none
+    /// (the empty path it would name is refused by the decoder).
+    #[test]
+    fn parent_of_a_static_path_is_none() {
+        assert_eq!(SlotPath::stat(3).parent(), None);
+        let inner = SlotPath::stat(3).child(4).child(5);
+        assert_eq!(inner.parent(), Some(SlotPath::stat(3).child(4)));
+        assert_eq!(
+            inner.parent().and_then(|p| p.parent()),
+            Some(SlotPath::stat(3))
+        );
+        let deep = SlotPath::from_words(&[1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(
+            deep.parent(),
+            Some(SlotPath::from_words(&[1, 2, 3, 4, 5, 6]))
+        );
     }
 
     /// Paths of one to five words against a plain `Vec<u32>` model: the
