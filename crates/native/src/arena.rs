@@ -21,12 +21,13 @@
 //!
 //! Only compiled on x86-64 Linux: the stubs are x86-64 encodings and
 //! the allocation path speaks raw `mmap(2)`/`mprotect(2)` (declared
-//! here directly so the crate adds no dependencies). Other targets use
-//! [`crate::available`] to decline the backend before reaching this
-//! module.
+//! here directly so the crate adds no dependencies). Other targets get
+//! an `ExecMap` that never maps, and [`crate::available`] declines the
+//! backend before reaching it.
 
 #![allow(unsafe_code)]
 
+use crate::Patched;
 use core::ffi::{c_int, c_void};
 use std::sync::Mutex;
 
@@ -77,20 +78,6 @@ fn pool() -> std::sync::MutexGuard<'static, Pool> {
     // The pool's invariants hold between statements; a panic elsewhere
     // while it was held leaves it consistent.
     POOL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// What a batch of edits did to a sealed mapping ([`ExecMap::patch`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Patched {
-    /// Every edit landed and the pages are read-execute again.
-    Applied,
-    /// Nothing changed: an edit fell outside the code, or the kernel
-    /// refused to make the pages writable. The old code still runs.
-    Refused,
-    /// The edits landed but the pages could not be made executable
-    /// again: they are read-write, and running them would fault. The
-    /// holder must be discarded before anything jumps into it.
-    Unsealed,
 }
 
 /// One executable mapping holding a translated instance.
