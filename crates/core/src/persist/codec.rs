@@ -66,7 +66,7 @@ pub(crate) fn read_program(r: &mut Reader<'_>, expected_hash: u64) -> Result<Pro
     if artifact_hash != expected_hash {
         return Err(r.err("artifact hash does not match its file name"));
     }
-    let compiled = CompiledModule::decode(r)?;
+    let mut compiled = CompiledModule::decode(r)?;
     let globals = Vec::<Global>::decode(r)?;
     let names = Vec::<String>::decode(r)?;
     let spec_stats = Vec::<(FuncId, SpecStats)>::decode(r)?;
@@ -80,6 +80,11 @@ pub(crate) fn read_program(r: &mut Reader<'_>, expected_hash: u64) -> Result<Pro
     // What `Compiler::compile` guarantees by construction, and the engine
     // therefore indexes by without asking.
     compiled.check_refs().map_err(|what| r.err(what))?;
+    // A plan only restates its block, so a persisted one is not trusted:
+    // each is rebuilt from the checked block it describes.
+    for rc in &mut compiled.regions {
+        dyncomp_machine::template::precompile_plans(&mut rc.template);
+    }
     let known = |f: FuncId| f.index() < names.len();
     if !(spec_stats.iter().all(|&(f, _)| known(f))
         && inline_sites
@@ -232,6 +237,26 @@ mod tests {
             warm.call("poly", &[3, 10]).unwrap()
         );
         assert_eq!(cold.cycles(), warm.cycles());
+    }
+
+    /// A plan is rebuilt from its block on load: one whose instruction
+    /// count says `u32::MAX` stitches exactly like the compiled one.
+    #[test]
+    fn loaded_plans_are_rebuilt_not_trusted() {
+        let p = Compiler::new().compile(SRC).unwrap();
+        let mut lying = Compiler::new().compile(SRC).unwrap();
+        let plans = lying.compiled.regions.iter_mut();
+        let plans = plans.flat_map(|rc| &mut rc.template.blocks).flat_map(|b| &mut b.plan);
+        assert!(plans.map(|plan| plan.insts = u32::MAX).count() > 0);
+        let back = read_program(&mut Reader::new(&payload(&lying)), p.artifact_hash()).unwrap();
+        let mut cold = crate::Session::new(std::sync::Arc::new(p));
+        let mut warm = crate::Session::new(std::sync::Arc::new(back));
+        assert_eq!(
+            cold.call("poly", &[3, 10]).unwrap(),
+            warm.call("poly", &[3, 10]).unwrap()
+        );
+        assert_eq!(cold.cycles(), warm.cycles());
+        assert_eq!(cold.region_report(0), warm.region_report(0));
     }
 
     /// A global, a callee the inliner expands, and a keyed unrolled loop:

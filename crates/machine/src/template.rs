@@ -196,7 +196,9 @@ pub struct StitchPlan {
 }
 
 /// Lower every eligible block of `t` into a [`StitchPlan`]
-/// (copy-and-patch fast path). Called once at static-compile time.
+/// (copy-and-patch fast path), and clear the plan of every other block.
+/// Called once at static-compile time, and again on every template
+/// decoded from disk, whose persisted plans are not trusted.
 ///
 /// A block is eligible when its directives are value-independent:
 /// no unrolled-loop marker (record-chain walking decides block identity at
@@ -206,47 +208,52 @@ pub struct StitchPlan {
 /// per stitch and fall back to the interpretive path.
 pub fn precompile_plans(t: &mut Template) {
     let Template { code, blocks, .. } = t;
-    'blocks: for blk in blocks {
-        if blk.marker.is_some() || !blk.branches.is_empty() {
-            continue;
+    for blk in blocks {
+        blk.plan = plan_of(code, blk);
+    }
+}
+
+/// The plan of `blk` over `code`, if the block is eligible.
+fn plan_of(code: &[u32], blk: &TmplBlock) -> Option<StitchPlan> {
+    if blk.marker.is_some() || !blk.branches.is_empty() {
+        return None;
+    }
+    let (start, end) = (blk.start as usize, blk.end as usize);
+    if code.len() < end || start > end {
+        return None; // malformed; leave for the interpretive path to report
+    }
+    let mut sr_candidate = false;
+    let mut patches = Vec::with_capacity(blk.holes.len());
+    for h in &blk.holes {
+        let at = h.at as usize;
+        if at < start || at >= end {
+            return None;
         }
-        let (start, end) = (blk.start as usize, blk.end as usize);
-        if code.len() < end || start > end {
-            continue; // malformed; leave for the interpretive path to report
-        }
-        let mut sr_candidate = false;
-        let mut patches = Vec::with_capacity(blk.holes.len());
-        for h in &blk.holes {
-            let at = h.at as usize;
-            if at < start || at >= end {
-                continue 'blocks;
-            }
-            if let HoleField::Lit = h.field {
-                match Op::of_word(code[at]) {
-                    Some(op) if op.format() == Format::Operate => {
-                        sr_candidate |= matches!(op, Op::Mulq | Op::Divqu | Op::Remqu);
-                    }
-                    _ => continue 'blocks, // undecodable hole word
+        if let HoleField::Lit = h.field {
+            match Op::of_word(code[at]) {
+                Some(op) if op.format() == Format::Operate => {
+                    sr_candidate |= matches!(op, Op::Mulq | Op::Divqu | Op::Remqu);
                 }
+                _ => return None, // undecodable hole word
             }
-            patches.push(PlanPatch {
-                at: h.at - blk.start,
-                field: h.field,
-                slot: h.slot.clone(),
-            });
         }
-        let block = &code[start..end];
-        let (insts, reach) = walk(block).fold((0u32, 0), |(n, _), step| (n + 1, step.end()));
-        if reach != block.len() {
-            continue; // trailing half of a wide instruction: malformed
-        }
-        blk.plan = Some(StitchPlan {
-            code: block.to_vec(),
-            patches,
-            insts,
-            sr_candidate,
+        patches.push(PlanPatch {
+            at: h.at - blk.start,
+            field: h.field,
+            slot: h.slot.clone(),
         });
     }
+    let block = &code[start..end];
+    let (insts, reach) = walk(block).fold((0u32, 0), |(n, _), step| (n + 1, step.end()));
+    if reach != block.len() {
+        return None; // trailing half of a wide instruction: malformed
+    }
+    Some(StitchPlan {
+        code: block.to_vec(),
+        patches,
+        insts,
+        sr_candidate,
+    })
 }
 
 /// A complete machine-code template for one dynamic region.
