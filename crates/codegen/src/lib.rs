@@ -282,10 +282,9 @@ pub fn compile_module(
         code[w as usize + 1] = funcs[callee.index()].entry;
     }
 
-    // Patch template-call relocations with absolute callee entries, then
-    // lower every template's value-independent blocks to copy-and-patch
-    // plans (plans copy code words, so they are built once the immediates
-    // are final).
+    // Patch template-call relocations with absolute callee entries, and
+    // mark every template's value-independent blocks as copy-and-patch
+    // plans.
     for (g, w, callee) in tmpl_relocs {
         regions[g].template.code[w as usize] = funcs[callee.index()].entry;
     }

@@ -80,8 +80,8 @@ pub(crate) fn read_program(r: &mut Reader<'_>, expected_hash: u64) -> Result<Pro
     // What `Compiler::compile` guarantees by construction, and the engine
     // therefore indexes by without asking.
     compiled.check_refs().map_err(|what| r.err(what))?;
-    // A plan only restates its block, so a persisted one is not trusted:
-    // each is rebuilt from the checked block it describes.
+    // Plans are not persisted: each is rebuilt from the checked block it
+    // describes.
     for rc in &mut compiled.regions {
         dyncomp_machine::template::precompile_plans(&mut rc.template);
     }
@@ -219,17 +219,19 @@ mod tests {
 
     #[test]
     fn program_round_trips_and_replica_runs_identically() {
+        // The regions come back whole, their unpersisted plans rebuilt.
+        let rich = Compiler::with_inline_depth(2).compile(RICH_SRC).unwrap();
+        let back = read_program(&mut Reader::new(&payload(&rich)), rich.artifact_hash()).unwrap();
+        assert!(rich.compiled.regions.iter().any(has_plans));
+        assert_eq!(back.compiled.regions, rich.compiled.regions);
+
         let p = Compiler::new().compile(SRC).unwrap();
-        let mut w = Writer::new();
-        write_program(&mut w, &p);
-        let bytes = w.into_bytes();
-        let back = read_program(&mut Reader::new(&bytes), p.artifact_hash()).unwrap();
+        let back = read_program(&mut Reader::new(&payload(&p)), p.artifact_hash()).unwrap();
         assert_eq!(back.artifact_hash(), p.artifact_hash());
         assert_ne!(back.id(), p.id());
-        assert_eq!(
-            format!("{:?}", back.compiled.code),
-            format!("{:?}", p.compiled.code)
-        );
+        assert_eq!(back.compiled.code, p.compiled.code);
+        assert!(p.compiled.regions.iter().any(has_plans));
+        assert_eq!(back.compiled.regions, p.compiled.regions);
         let mut cold = crate::Session::new(std::sync::Arc::new(p));
         let mut warm = crate::Session::new(std::sync::Arc::new(back));
         assert_eq!(
@@ -245,9 +247,17 @@ mod tests {
     fn loaded_plans_are_rebuilt_not_trusted() {
         let p = Compiler::new().compile(SRC).unwrap();
         let mut lying = Compiler::new().compile(SRC).unwrap();
-        let plans = lying.compiled.regions.iter_mut();
-        let plans = plans.flat_map(|rc| &mut rc.template.blocks).flat_map(|b| &mut b.plan);
-        assert!(plans.map(|plan| plan.insts = u32::MAX).count() > 0);
+        assert!(lying.compiled.regions.iter().any(has_plans));
+        for b in lying
+            .compiled
+            .regions
+            .iter_mut()
+            .flat_map(|rc| &mut rc.template.blocks)
+        {
+            if let Some(plan) = &mut b.plan {
+                plan.insts = u32::MAX;
+            }
+        }
         let back = read_program(&mut Reader::new(&payload(&lying)), p.artifact_hash()).unwrap();
         let mut cold = crate::Session::new(std::sync::Arc::new(p));
         let mut warm = crate::Session::new(std::sync::Arc::new(back));
@@ -277,17 +287,30 @@ mod tests {
         w.into_bytes()
     }
 
+    fn has_plans(rc: &dyncomp_machine::template::RegionCode) -> bool {
+        rc.template.blocks.iter().any(|b| b.plan.is_some())
+    }
+
+    /// `c` as its wire form holds it: without plans, which
+    /// [`read_program`] rebuilds.
+    fn planless(mut c: CompiledModule) -> CompiledModule {
+        let blocks = c.regions.iter_mut().flat_map(|rc| &mut rc.template.blocks);
+        blocks.for_each(|b| b.plan = None);
+        c
+    }
+
     #[test]
     fn declared_types_hold_their_wire_form() {
         use dyncomp_machine::codec::check_wire;
         let p = Compiler::with_inline_depth(2).compile(RICH_SRC).unwrap();
         assert!(!p.inline_sites.is_empty() && !p.spec_stats.is_empty());
         check_wire(&p.compiled.funcs[0]);
-        check_wire(&p.compiled);
+        let rich = Compiler::with_inline_depth(2).compile(RICH_SRC).unwrap();
+        check_wire(&planless(rich.compiled));
         check_wire(&p.module.globals.iter().cloned().collect::<Vec<Global>>());
         check_wire(&p.spec_stats);
         check_wire(&p.inline_sites);
-        check_wire(&Compiler::tiered().compile(SRC).unwrap().compiled);
+        check_wire(&planless(Compiler::tiered().compile(SRC).unwrap().compiled));
         let stitched = sample_stitched();
         check_wire(&stitched.stats);
         check_wire(&stitched);

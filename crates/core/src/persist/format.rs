@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 /// File magic.
 pub(crate) const MAGIC: [u8; 4] = *b"DYNP";
 /// Format version; bump on any incompatible payload change.
-pub(crate) const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 /// Header size in bytes (see the module docs for the layout).
 pub(crate) const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 8;
 /// Kind byte: a compiled [`crate::Program`] artifact.

@@ -11,10 +11,14 @@
 //! A layout cannot say that a label, operand or word offset names
 //! something that exists; [`RegionCode::check_refs`] does, and what
 //! decodes an artifact calls it.
+//!
+//! A block's [`crate::template::StitchPlan`] is not written: it only
+//! restates the block, so a decoded block has none, and what decodes an
+//! artifact rebuilds them with [`crate::template::precompile_plans`].
 
 use crate::template::{
-    BranchFixup, Hole, HoleField, LoopMarker, PlanPatch, RegionCode, StitchPlan, Template,
-    TmplBlock, TmplExit, TmplLabel, ValueLoc,
+    BranchFixup, Hole, HoleField, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, TmplLabel,
+    ValueLoc,
 };
 use dyncomp_ir::{codec, SlotPath};
 
@@ -33,16 +37,14 @@ codec! {
         4 => Return,
         5 => ExitRegion { exit: u32 },
     }
-    struct PlanPatch { at: u32, field: HoleField, slot: SlotPath }
-    struct StitchPlan { code: Vec<u32>, patches: Vec<PlanPatch>, insts: u32, sr_candidate: bool }
     struct TmplBlock {
         start: u32,
         end: u32,
         holes: Vec<Hole>,
         branches: Vec<BranchFixup>,
         marker: Option<LoopMarker>,
-        exit: TmplExit,
-        plan: Option<StitchPlan>,
+        exit: TmplExit;
+        skip plan
     }
     struct Template { code: Vec<u32>, blocks: Vec<TmplBlock>, entry: TmplLabel }
     struct RegionCode {
@@ -129,16 +131,7 @@ mod tests {
                         cases: vec![(-5, 0), (7, 1)],
                         default: 0,
                     },
-                    plan: Some(StitchPlan {
-                        code: vec![9, 9],
-                        patches: vec![PlanPatch {
-                            at: 0,
-                            field: HoleField::Lit,
-                            slot: SlotPath::from_words(&[4]),
-                        }],
-                        insts: 2,
-                        sr_candidate: true,
-                    }),
+                    plan: None,
                 }],
                 entry: 0,
             },
@@ -158,7 +151,6 @@ mod tests {
         check_wire(&Some(LoopMarker::Restart { next_slot: 2 }));
         check_wire(&LoopMarker::Exit);
         check_wire(&block.exit);
-        check_wire(&block.plan);
         check_wire(block);
         check_wire(&rc.template);
         check_wire(&rc.key_locs);
@@ -184,14 +176,15 @@ mod tests {
 
     #[test]
     fn region_code_round_trips() {
-        // Length and FNV-1a-64 of `write_region_code`'s output on this
-        // sample, taken before the declarations replaced it.
+        // Length and FNV-1a-64 of this sample's wire form. First taken
+        // from `write_region_code` before the declarations replaced it;
+        // re-taken when a block's plan stopped being written (format v2).
         let rc = sample_region();
         let mut w = Writer::new();
         rc.encode(&mut w);
         let bytes = w.into_bytes();
         let fnv = dyncomp_ir::fnv::fnv1a(&bytes);
-        assert_eq!((bytes.len(), fnv), (197, 0x1a41_5f5e_9db2_a283));
+        assert_eq!((bytes.len(), fnv), (162, 0x974e_737f_9710_8e81));
         let mut r = Reader::new(&bytes);
         let back = RegionCode::decode(&mut r).expect("round trip");
         assert!(r.is_exhausted());
@@ -201,7 +194,7 @@ mod tests {
     #[test]
     fn derived_minimums_are_exact() {
         assert_eq!(Hole::MIN_BYTES, 9);
-        assert_eq!(TmplBlock::MIN_BYTES, 19);
+        assert_eq!(TmplBlock::MIN_BYTES, 18);
         assert_eq!(RegionCode::MIN_BYTES, 35);
         assert_eq!(<Option<LoopMarker>>::MIN_BYTES, 1);
     }

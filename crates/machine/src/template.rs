@@ -148,22 +148,10 @@ pub struct TmplBlock {
     pub marker: Option<LoopMarker>,
     /// How control leaves.
     pub exit: TmplExit,
-    /// Precompiled copy-and-patch plan (see [`StitchPlan`]), built at
-    /// static-compile time by [`precompile_plans`]. `None` keeps the block
-    /// on the interpretive directive-walking path.
+    /// Precompiled copy-and-patch plan (see [`StitchPlan`]), built by
+    /// [`precompile_plans`]. `None` keeps the block on the interpretive
+    /// directive-walking path.
     pub plan: Option<StitchPlan>,
-}
-
-/// A hole patch within a [`StitchPlan`], with its word offset relative to
-/// the plan's code block (not to [`Template::code`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PlanPatch {
-    /// Word offset within [`StitchPlan::code`].
-    pub at: u32,
-    /// The instruction field to patch.
-    pub field: HoleField,
-    /// Where the set-up code stored the value.
-    pub slot: SlotPath,
 }
 
 /// A precompiled stitch plan for one template block: the copy-and-patch
@@ -171,24 +159,23 @@ pub struct PlanPatch {
 ///
 /// At static-compile time, a block whose directives are value-independent
 /// — a plain `EMIT` run plus in-place `HOLE` patches, with no unrolling
-/// marker pending — is lowered into a contiguous code block plus an
-/// ordered patch list. At run time the stitcher then *copies the block and
-/// applies the patches* instead of interpreting directives word by word
-/// (the copy-and-patch idiom). Patches are still value-dependent at the
-/// edges: a `Lit` hole whose value exceeds the 8-bit literal, or a
-/// `MemDisp` hole whose linearized-table offset leaves displacement range,
-/// needs extra instructions and therefore falls back to the interpretive
-/// path (a *plan miss*). Peephole-candidate holes (constant multiplies,
-/// unsigned divides/mods) are flagged so the miss decision is one branch.
+/// marker pending — is marked as a plan. At run time the stitcher then
+/// *copies the block's words and patches its holes in place* instead of
+/// interpreting directives word by word (the copy-and-patch idiom). The
+/// block is the plan: its words and holes are not copied here, only the
+/// two facts they do not state at a glance. Patches are still
+/// value-dependent at the edges: a `Lit` hole whose value exceeds the
+/// 8-bit literal, or a `MemDisp` hole whose linearized-table offset leaves
+/// displacement range, needs extra instructions and therefore falls back
+/// to the interpretive path (a *plan miss*). Peephole-candidate holes
+/// (constant multiplies, unsigned divides/mods) are flagged so the miss
+/// decision is one branch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StitchPlan {
-    /// The block's code words, ready to copy (holes still unpatched).
-    pub code: Vec<u32>,
-    /// In-place patches in ascending `at` order.
-    pub patches: Vec<PlanPatch>,
-    /// Instructions in `code` (`Ldiw` counts one instruction, two words).
+    /// Instructions in the block (`Ldiw` counts one instruction, two
+    /// words).
     pub insts: u32,
-    /// Whether any `Lit` patch targets a strength-reduction candidate
+    /// Whether any `Lit` hole targets a strength-reduction candidate
     /// (`mulq`/`divqu`/`remqu`): with peephole optimization enabled such
     /// blocks must take the interpretive path, which may rewrite the
     /// instruction entirely.
@@ -198,14 +185,16 @@ pub struct StitchPlan {
 /// Lower every eligible block of `t` into a [`StitchPlan`]
 /// (copy-and-patch fast path), and clear the plan of every other block.
 /// Called once at static-compile time, and again on every template
-/// decoded from disk, whose persisted plans are not trusted.
+/// decoded from disk, which carries no plans.
 ///
 /// A block is eligible when its directives are value-independent:
 /// no unrolled-loop marker (record-chain walking decides block identity at
 /// stitch time), no intra-block branch fixups, and every hole patches an
 /// instruction in place. Value-dependent decisions that *remain* —
 /// oversized literals, far table entries, peephole rewrites — are checked
-/// per stitch and fall back to the interpretive path.
+/// per stitch and fall back to the interpretive path. A plan depends only
+/// on the block's opcodes and instruction widths, never on an `Ldiw`
+/// payload word.
 pub fn precompile_plans(t: &mut Template) {
     let Template { code, blocks, .. } = t;
     for blk in blocks {
@@ -218,39 +207,22 @@ fn plan_of(code: &[u32], blk: &TmplBlock) -> Option<StitchPlan> {
     if blk.marker.is_some() || !blk.branches.is_empty() {
         return None;
     }
-    let (start, end) = (blk.start as usize, blk.end as usize);
-    if code.len() < end || start > end {
-        return None; // malformed; leave for the interpretive path to report
-    }
+    let block = code.get(blk.start as usize..blk.end as usize)?;
     let mut sr_candidate = false;
-    let mut patches = Vec::with_capacity(blk.holes.len());
     for h in &blk.holes {
-        let at = h.at as usize;
-        if at < start || at >= end {
+        if !(blk.start..blk.end).contains(&h.at) {
             return None;
         }
         if let HoleField::Lit = h.field {
-            match Op::of_word(code[at]) {
-                Some(op) if op.format() == Format::Operate => {
-                    sr_candidate |= matches!(op, Op::Mulq | Op::Divqu | Op::Remqu);
-                }
-                _ => return None, // undecodable hole word
-            }
+            // An undecodable hole word leaves the block interpretive.
+            let op =
+                Op::of_word(code[h.at as usize]).filter(|op| op.format() == Format::Operate)?;
+            sr_candidate |= matches!(op, Op::Mulq | Op::Divqu | Op::Remqu);
         }
-        patches.push(PlanPatch {
-            at: h.at - blk.start,
-            field: h.field,
-            slot: h.slot.clone(),
-        });
     }
-    let block = &code[start..end];
     let (insts, reach) = walk(block).fold((0u32, 0), |(n, _), step| (n + 1, step.end()));
-    if reach != block.len() {
-        return None; // trailing half of a wide instruction: malformed
-    }
-    Some(StitchPlan {
-        code: block.to_vec(),
-        patches,
+    // A block ending in the first half of a wide instruction is malformed.
+    (reach == block.len()).then_some(StitchPlan {
         insts,
         sr_candidate,
     })
@@ -318,8 +290,8 @@ impl RegionCode {
     /// Whether everything this region refers to exists: its code
     /// addresses inside the `code_len`-word static image, its labels
     /// inside its block list, its blocks inside its template code (never
-    /// ending inside a two-word `Ldiw`), every directive inside its block
-    /// or plan, and its key locations among the 32 registers of a bank. The static compiler guarantees all of it by
+    /// ending inside a two-word `Ldiw`), every directive inside its block,
+    /// and its key locations among the 32 registers of a bank. The static compiler guarantees all of it by
     /// construction and the engine and stitcher index by it, so a region
     /// decoded from untrusted bytes is checked before anything runs it.
     ///
@@ -380,13 +352,6 @@ impl RegionCode {
             if w != b.end {
                 return Err("template block ends inside a wide instruction");
             }
-            let patch_ok = |plan: &StitchPlan| {
-                let inside = |p: &PlanPatch| (p.at as usize) < plan.code.len();
-                plan.patches.iter().all(inside)
-            };
-            if !b.plan.iter().all(patch_ok) {
-                return Err("plan patch outside its plan");
-            }
         }
         Ok(())
     }
@@ -416,16 +381,7 @@ mod tests {
                     branches: vec![BranchFixup { at: 3, target: 0 }],
                     marker: None,
                     exit: TmplExit::ExitRegion { exit: 1 },
-                    plan: Some(StitchPlan {
-                        code: vec![9, 9],
-                        patches: vec![PlanPatch {
-                            at: 1,
-                            field: HoleField::Lit,
-                            slot: SlotPath::stat(4),
-                        }],
-                        insts: 2,
-                        sr_candidate: false,
-                    }),
+                    plan: None,
                 }],
                 entry: 0,
             },
@@ -435,7 +391,7 @@ mod tests {
         };
         assert_eq!(valid().check_refs(100), Ok(()));
         assert!(valid().check_refs(99).is_err(), "fallback_pc 99 is outside");
-        let breakers: [fn(&mut RegionCode); 11] = [
+        let breakers: [fn(&mut RegionCode); 10] = [
             |rc| rc.template.entry = 1,
             |rc| rc.template.blocks[0].end = 5,
             |rc| rc.template.blocks[0].start = 5,
@@ -446,11 +402,6 @@ mod tests {
             |rc| rc.template.blocks[0].exit = TmplExit::ExitRegion { exit: 2 },
             |rc| rc.exit_pcs[1] = 100,
             |rc| rc.key_locs.push(ValueLoc::FReg(32)),
-            |rc| {
-                if let Some(plan) = &mut rc.template.blocks[0].plan {
-                    plan.patches[0].at = 2;
-                }
-            },
         ];
         for (i, breaker) in breakers.iter().enumerate() {
             let mut rc = valid();

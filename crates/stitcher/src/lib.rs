@@ -34,13 +34,13 @@ pub mod regactions;
 
 pub use cost::StitchCost;
 
-use dyncomp_ir::eval::Memory;
+use dyncomp_ir::eval::{EvalError, Memory};
 use dyncomp_ir::fxhash::FxHashMap;
 use dyncomp_ir::SlotPath;
 use dyncomp_machine::isa::{
     branch_word, decode, encode, width, EncodeError, Format, Inst, Op, Operand, LIN, SCRATCH0, ZERO,
 };
-use dyncomp_machine::template::{HoleField, LoopMarker, RegionCode, StitchPlan, TmplExit};
+use dyncomp_machine::template::{HoleField, LoopMarker, RegionCode, TmplBlock, TmplExit};
 use std::fmt;
 
 /// Upper bound on stitched blocks per instance: runaway-unrolling
@@ -295,26 +295,42 @@ impl Stitched {
                 StitchError::BadTemplate(format!("relocated exit branch does not encode: {e}"))
             })?;
         }
-        let lin_addr = if self.lin_words.is_empty() {
-            0
-        } else {
-            let addr = mem
-                .alloc(8 * self.lin_words.len() as u64)
-                .map_err(|e| StitchError::Table(e.to_string()))?;
-            for (i, &v) in self.lin_words.iter().enumerate() {
-                mem.write_u64(addr + 8 * i as u64, v)
-                    .map_err(|e| StitchError::Table(e.to_string()))?;
-            }
-            addr
-        };
-        for &p in &self.lin_addr_patches {
-            code[p as usize + 1] = lin_addr as u32;
-        }
-        for &(p, off) in &self.lin_far_addr_patches {
-            code[p as usize + 1] = (lin_addr as u32).wrapping_add(off);
-        }
+        let lin_addr = place_lin_table(
+            mem,
+            &self.lin_words,
+            &mut code,
+            &self.lin_addr_patches,
+            &self.lin_far_addr_patches,
+        )?;
         Ok((code, lin_addr))
     }
+}
+
+/// Allocate the linearized constants table `words` in `mem` and patch its
+/// address into the payload word of each near `Ldiw` at `near` and, plus
+/// the recorded byte offset, of each far-entry `Ldiw` at `far`. Returns
+/// the table address (0, allocating nothing, when `words` is empty).
+fn place_lin_table(
+    mem: &mut Memory,
+    words: &[u64],
+    code: &mut [u32],
+    near: &[u32],
+    far: &[(u32, u32)],
+) -> Result<u64, StitchError> {
+    let addr = if words.is_empty() {
+        0
+    } else {
+        let table_err = |e: EvalError| StitchError::Table(e.to_string());
+        let addr = mem.alloc(8 * words.len() as u64).map_err(table_err)?;
+        for (i, &v) in words.iter().enumerate() {
+            mem.write_u64(addr + 8 * i as u64, v).map_err(table_err)?;
+        }
+        addr
+    };
+    for (p, off) in near.iter().map(|&p| (p, 0)).chain(far.iter().copied()) {
+        code[p as usize + 1] = (addr as u32).wrapping_add(off);
+    }
+    Ok(addr)
 }
 
 /// A stitched instruction whose fields do not fit their encoding.
@@ -423,27 +439,13 @@ pub fn stitch(
     }
     st.resolve_fixups()?;
 
-    // Allocate and fill the linearized table.
-    let lin_addr = if st.lin.is_empty() {
-        0
-    } else {
-        let addr = st
-            .mem
-            .alloc(8 * st.lin.len() as u64)
-            .map_err(|e| StitchError::Table(e.to_string()))?;
-        for (i, &v) in st.lin.iter().enumerate() {
-            st.mem
-                .write_u64(addr + 8 * i as u64, v)
-                .map_err(|e| StitchError::Table(e.to_string()))?;
-        }
-        addr
-    };
-    for &p in &st.lin_ldiw_patches {
-        st.out[p as usize + 1] = lin_addr as u32;
-    }
-    for &(p, off) in &st.lin_far_patches {
-        st.out[p as usize + 1] = (lin_addr as u32).wrapping_add(off);
-    }
+    let lin_addr = place_lin_table(
+        st.mem,
+        &st.lin,
+        &mut st.out,
+        &st.lin_ldiw_patches,
+        &st.lin_far_patches,
+    )?;
 
     // §5 register actions: promote hot constant addresses.
     if let (Some(k), Some(slot_base)) = (opts.register_actions, ra_slots) {
@@ -575,7 +577,7 @@ struct Stitcher<'a> {
     plan_patch_log: Vec<PlanPatchRecord>,
     /// Every data-memory read, in order (feeds [`Stitched::reads`]).
     reads: Vec<(u64, u64)>,
-    /// Scratch for [`Stitcher::try_plan`]: the value of each patch, and
+    /// Scratch for [`Stitcher::try_plan`]: the value of each hole, and
     /// the table entries a hit would append, in order.
     plan_values: Vec<u64>,
     plan_lin: Vec<u64>,
@@ -747,21 +749,14 @@ impl Stitcher<'_> {
             .ok_or_else(|| StitchError::BadTemplate(format!("label {label}")))?;
 
         // ---- copy-and-patch fast path ----
-        // Register actions need the word-by-word walk for their
-        // known-constant bookkeeping, so plans are bypassed entirely there.
         let mut branch_at_out: Option<u32> = None; // output pos of the CondBranch word
-        let mut plan_hit = false;
-        if self.opts.plans && self.opts.register_actions.is_none() {
-            if let Some(plan) = &blk.plan {
-                let out_start = self.out.len() as u32;
-                plan_hit = self.try_plan(plan, ctx)?;
-                if plan_hit {
-                    // Plan output is in place (one word per template word),
-                    // so the exit branch's position is statically known.
-                    if let TmplExit::CondBranch { at, .. } = blk.exit {
-                        branch_at_out = Some(out_start + (at - blk.start));
-                    }
-                }
+        let out_start = self.out.len() as u32;
+        let plan_hit = self.try_plan(blk, ctx)?;
+        if plan_hit {
+            // Plan output is in place (one word per template word), so the
+            // exit branch's position is statically known.
+            if let TmplExit::CondBranch { at, .. } = blk.exit {
+                branch_at_out = Some(out_start + (at - blk.start));
             }
         }
 
@@ -978,15 +973,23 @@ impl Stitcher<'_> {
     /// Attempt a block's precompiled copy-and-patch plan. Returns `Ok(true)`
     /// on a hit (code emitted, stats charged); `Ok(false)` means the block
     /// must take the interpretive path, with no side effects beyond the
-    /// dispatch charge and the miss counter.
+    /// dispatch charge and the miss counter. A block without a plan, or a
+    /// stitch with plans off, returns `Ok(false)` at once, uncharged.
+    /// Register actions need the word-by-word walk for their
+    /// known-constant bookkeeping, so plans are bypassed entirely there.
     ///
-    /// A plan applies when every patch stays in place: `Lit` values fit the
-    /// 8-bit literal, `MemDisp` table offsets stay within displacement
-    /// range, and (with peephole optimization on) no patch targets a
-    /// strength-reduction candidate. The check predicts linearized-table
+    /// The plan is `blk` itself: a hit copies the block's template words
+    /// and patches each of its holes in place. It applies when every hole
+    /// stays in place: `Lit` values fit the 8-bit literal, `MemDisp` table
+    /// offsets stay within displacement range, and (with peephole
+    /// optimization on) no hole targets a strength-reduction candidate. The check predicts linearized-table
     /// offsets without inserting, so a miss leaves the table untouched for
     /// the interpretive fallback.
-    fn try_plan(&mut self, plan: &StitchPlan, ctx: u32) -> Result<bool, StitchError> {
+    fn try_plan(&mut self, blk: &TmplBlock, ctx: u32) -> Result<bool, StitchError> {
+        let plan = match &blk.plan {
+            Some(plan) if self.opts.plans && self.opts.register_actions.is_none() => plan,
+            _ => return Ok(false),
+        };
         self.charge(self.opts.cost.plan_dispatch);
         if self.opts.peephole && plan.sr_candidate {
             self.stats.plan_misses += 1;
@@ -994,13 +997,13 @@ impl Stitcher<'_> {
         }
 
         // ---- applicability (side-effect-free) ----
-        // `plan_values` collects each patch's value, `plan_lin` the new
+        // `plan_values` collects each hole's value, `plan_lin` the new
         // table values in order; both are reused across blocks.
         self.plan_values.clear();
         self.plan_lin.clear();
-        for p in &plan.patches {
-            let v = self.peek_slot(&p.slot, ctx)?;
-            match p.field {
+        for h in &blk.holes {
+            let v = self.peek_slot(&h.slot, ctx)?;
+            match h.field {
                 HoleField::Lit => {
                     if v > 255 {
                         self.stats.plan_misses += 1;
@@ -1029,20 +1032,21 @@ impl Stitcher<'_> {
             self.plan_values.push(v);
         }
 
-        // ---- hit: bulk copy, then patch in place ----
+        // ---- hit: bulk copy of the block, then patch its holes in place ----
         self.stats.plan_hits += 1;
         let out_start = self.out.len();
-        self.out.extend_from_slice(&plan.code);
-        self.charge(self.opts.cost.plan_copy_word * plan.code.len() as u64);
-        self.stats.words_emitted += plan.code.len() as u32;
+        let words = &self.rc.template.code[blk.start as usize..blk.end as usize];
+        self.out.extend_from_slice(words);
+        self.charge(self.opts.cost.plan_copy_word * words.len() as u64);
+        self.stats.words_emitted += words.len() as u32;
         self.stats.instructions_stitched += plan.insts;
-        for (i, p) in plan.patches.iter().enumerate() {
+        for (i, h) in blk.holes.iter().enumerate() {
             let v = self.plan_values[i];
             self.charge(self.opts.cost.table_read + self.opts.cost.plan_patch);
-            self.reads.push((self.slot_addr(&p.slot, ctx)?, v));
-            let at = out_start + p.at as usize;
+            self.reads.push((self.slot_addr(&h.slot, ctx)?, v));
+            let at = out_start + (h.at - blk.start) as usize;
             let word = self.out[at];
-            match p.field {
+            match h.field {
                 HoleField::Lit => {
                     // Decode + re-encode, exactly like the interpretive
                     // path, so the output stays bit-identical. The helper
