@@ -982,9 +982,9 @@ impl Stitcher<'_> {
     /// and patches each of its holes in place. It applies when every hole
     /// stays in place: `Lit` values fit the 8-bit literal, `MemDisp` table
     /// offsets stay within displacement range, and (with peephole
-    /// optimization on) no hole targets a strength-reduction candidate. The check predicts linearized-table
-    /// offsets without inserting, so a miss leaves the table untouched for
-    /// the interpretive fallback.
+    /// optimization on) no hole targets a strength-reduction candidate.
+    /// The check predicts linearized-table offsets without inserting, so a
+    /// miss leaves the table untouched for the interpretive fallback.
     fn try_plan(&mut self, blk: &TmplBlock, ctx: u32) -> Result<bool, StitchError> {
         let plan = match &blk.plan {
             Some(plan) if self.opts.plans && self.opts.register_actions.is_none() => plan,
