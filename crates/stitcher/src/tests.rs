@@ -563,6 +563,225 @@ fn stitcher_cycles_accumulate() {
     let _: Reg = 0;
 }
 
+// ---- Copy-and-patch pricing ---------------------------------------------
+// A block the plan rule admits is charged the plan price when every hole
+// patches in place (a hit) and the walk's own charges plus the dispatch
+// when one does not (a miss). Each outcome is pinned whole: every
+// counter, every cycle, every output word, every read, every plan patch.
+
+/// A one-block template over `code` with `holes`, ending in a return.
+fn one_block(code: Vec<u32>, holes: Vec<Hole>) -> Template {
+    let mut t = Template {
+        blocks: vec![TmplBlock {
+            holes,
+            ..block(0, code.len() as u32, TmplExit::Return)
+        }],
+        code,
+        entry: 0,
+    };
+    dyncomp_machine::template::precompile_plans(&mut t);
+    t
+}
+
+fn hole(at: u32, field: HoleField) -> Hole {
+    Hole {
+        at,
+        field,
+        slot: SlotPath::stat(at),
+    }
+}
+
+/// Stitch `t` at base 0 over a table holding `slots`; returns the
+/// instance and the table address.
+fn stitch_one(t: Template, slots: &[u64], opts: &StitchOptions) -> (crate::Stitched, u64) {
+    let mut mem = Memory::with_capacity(1 << 20);
+    let table = make_table(&mut mem, slots);
+    let rc = region(t, slots.len() as u32);
+    (stitch(&rc, table, &mut mem, 0, opts).unwrap(), table)
+}
+
+/// Everything a stitch reports that the copy-and-patch price can move.
+fn assert_stitched(
+    out: &crate::Stitched,
+    code: &[u32],
+    stats: crate::StitchStats,
+    reads: &[(u64, u64)],
+    patches: &[(u32, u64)],
+) {
+    assert_eq!(out.stats, stats);
+    assert_eq!(out.code, code);
+    assert_eq!(out.reads, reads);
+    let patches: Vec<crate::PlanPatchRecord> = patches
+        .iter()
+        .map(|&(at, value)| crate::PlanPatchRecord { at, value })
+        .collect();
+    assert_eq!(out.plan_patches, patches);
+}
+
+#[test]
+fn plan_prices_are_pinned_per_outcome() {
+    use crate::StitchStats;
+    use dyncomp_machine::isa::{LIN, RA, SCRATCH0};
+    let c = crate::StitchCost::default();
+    let on = StitchOptions::default();
+    let ret = word(Inst::jump(Op::Jmp, ZERO, RA));
+    let ldiw = |r, imm| encode(&Inst::ldiw(r, imm)).unwrap().0;
+    let op = |op, lit| word(Inst::op3(op, 16, Operand::Lit(lit), 0));
+    let lit_block = |o| one_block(vec![op(o, 0), ret], vec![hole(0, HoleField::Lit)]);
+    // The prologue: one directive, `Ldiw LIN` (one instruction, two words).
+    let pro = |insts: u32, words: u32, cycles: u64| StitchStats {
+        instructions_stitched: 1 + insts,
+        words_emitted: 2 + words,
+        cycles: c.directive + cycles,
+        ..StitchStats::default()
+    };
+
+    // A `Lit` hit: the plan price replaces the walk's charges.
+    let (out, t) = stitch_one(lit_block(Op::Addq), &[42], &on);
+    let stats = StitchStats {
+        holes_inline: 1,
+        plan_hits: 1,
+        ..pro(
+            2,
+            2,
+            c.plan_dispatch + 2 * c.plan_copy_word + c.table_read + c.plan_patch,
+        )
+    };
+    let code = [ldiw(LIN, 0), 0, op(Op::Addq, 42), ret];
+    assert_stitched(&out, &code, stats, &[(t, 42)], &[(2, 42)]);
+
+    // A `Lit` miss at 300: the dispatch plus the walk, which builds the
+    // value in the scratch register.
+    let (out, t) = stitch_one(lit_block(Op::Addq), &[300], &on);
+    let walk = 2 * c.directive + c.table_read + c.peephole_try + c.hole_big + c.copy_word;
+    let stats = StitchStats {
+        holes_big: 1,
+        plan_misses: 1,
+        ..pro(3, 3, c.plan_dispatch + walk)
+    };
+    let code = [
+        ldiw(LIN, 0),
+        0,
+        word(Inst::mem(Op::Lda, SCRATCH0, ZERO, 300)),
+        word(Inst::op3(Op::Addq, 16, Operand::Reg(SCRATCH0), 0)),
+        ret,
+    ];
+    assert_stitched(&out, &code, stats, &[(t, 300)], &[]);
+
+    // A near `MemDisp` hit: one new table entry, then the same value
+    // again, deduplicated to the same offset.
+    let v = 0x1234_5678_9abc_u64;
+    let ld = |r, base, disp| word(Inst::mem(Op::Ldq, r, base, disp));
+    let disp = HoleField::MemDisp { float: false };
+    let add = word(Inst::op3(Op::Addq, 1, Operand::Reg(2), 0));
+    let tmpl = one_block(
+        vec![ld(1, LIN, 0), ld(2, LIN, 0), add, ret],
+        vec![hole(0, disp), hole(1, disp)],
+    );
+    let (out, t) = stitch_one(tmpl, &[v, v], &on);
+    let price = c.plan_dispatch + 4 * c.plan_copy_word;
+    let stats = StitchStats {
+        holes_big: 2,
+        plan_hits: 1,
+        ..pro(
+            4,
+            4,
+            price + 2 * (c.table_read + c.plan_patch) + c.lin_append,
+        )
+    };
+    let lin = out.lin_table_addr as u32;
+    let code = [ldiw(LIN, 0), lin, ld(1, LIN, 0), ld(2, LIN, 0), add, ret];
+    let reads = [(t, v), (t + 8, v)];
+    assert_stitched(&out, &code, stats, &reads, &[(2, v), (3, v)]);
+    assert_eq!(out.lin_words, [v]);
+
+    // A far `MemDisp` miss: the 1025th distinct entry leaves displacement
+    // range, so the walk rebases that load onto the scratch register.
+    let n = 1025u32;
+    let mut tmpl_code: Vec<u32> = (0..n).map(|_| ld(1, LIN, 0)).collect();
+    tmpl_code.push(ret);
+    let holes = (0..n).map(|i| hole(i, disp)).collect();
+    let values: Vec<u64> = (0..u64::from(n)).map(|i| 1000 + i).collect();
+    let (out, t) = stitch_one(one_block(tmpl_code, holes), &values, &on);
+    let per_hole = c.directive + c.table_read + c.lin_append + c.hole_big;
+    let walk = c.directive + u64::from(n) * per_hole + c.copy_word;
+    let stats = StitchStats {
+        holes_big: n,
+        plan_misses: 1,
+        ..pro(n + 2, n + 3, c.plan_dispatch + walk)
+    };
+    let lin = out.lin_table_addr as u32;
+    let mut code = vec![ldiw(LIN, 0), lin];
+    code.extend((0..n - 1).map(|i| ld(1, LIN, 8 * i as i16)));
+    code.extend([
+        ldiw(SCRATCH0, 0),
+        lin + 8 * (n - 1),
+        ld(1, SCRATCH0, 0),
+        ret,
+    ]);
+    let reads: Vec<(u64, u64)> = (0..values.len())
+        .map(|i| (t + 8 * i as u64, values[i]))
+        .collect();
+    assert_stitched(&out, &code, stats, &reads, &[]);
+    assert_eq!(out.lin_words, values);
+
+    // A `mulq` hole under peephole: a miss, strength-reduced by the walk.
+    let (out, t) = stitch_one(lit_block(Op::Mulq), &[8], &on);
+    let walk = 2 * c.directive + c.table_read + c.peephole_try + c.peephole_emit + c.copy_word;
+    let stats = StitchStats {
+        strength_reductions: 1,
+        plan_misses: 1,
+        ..pro(2, 2, c.plan_dispatch + walk)
+    };
+    let code = [ldiw(LIN, 0), 0, op(Op::Sll, 3), ret];
+    assert_stitched(&out, &code, stats, &[(t, 8)], &[]);
+
+    // The same hole without peephole: a hit.
+    let off = StitchOptions {
+        peephole: false,
+        ..StitchOptions::default()
+    };
+    let (out, t) = stitch_one(lit_block(Op::Mulq), &[8], &off);
+    let stats = StitchStats {
+        holes_inline: 1,
+        plan_hits: 1,
+        ..pro(
+            2,
+            2,
+            c.plan_dispatch + 2 * c.plan_copy_word + c.table_read + c.plan_patch,
+        )
+    };
+    let code = [ldiw(LIN, 0), 0, op(Op::Mulq, 8), ret];
+    assert_stitched(&out, &code, stats, &[(t, 8)], &[(2, 8)]);
+
+    // The walk's own price: register actions on (no dispatch charge; one
+    // promoted address reserves three preamble words) and plans off.
+    let walk = 2 * c.directive + c.table_read + c.peephole_try + c.hole_inline + c.copy_word;
+    let nop = word(Inst::op3(Op::Bis, ZERO, Operand::Reg(ZERO), ZERO));
+    let actions = StitchOptions {
+        register_actions: Some(1),
+        ..StitchOptions::default()
+    };
+    let (out, t) = stitch_one(lit_block(Op::Addq), &[42], &actions);
+    let stats = StitchStats {
+        holes_inline: 1,
+        ..pro(5, 5, walk)
+    };
+    let code = [ldiw(LIN, 0), 0, nop, nop, nop, op(Op::Addq, 42), ret];
+    assert_stitched(&out, &code, stats, &[(t, 42)], &[]);
+    let plans_off = StitchOptions {
+        plans: false,
+        ..StitchOptions::default()
+    };
+    let (out, t) = stitch_one(lit_block(Op::Addq), &[42], &plans_off);
+    let stats = StitchStats {
+        holes_inline: 1,
+        ..pro(2, 2, walk)
+    };
+    let code = [ldiw(LIN, 0), 0, op(Op::Addq, 42), ret];
+    assert_stitched(&out, &code, stats, &[(t, 42)], &[]);
+}
+
 // ---- Stitched::relocate edge cases -------------------------------------
 // `relocate` is the install path for both the shared code cache and the
 // tiered runtime's background installs, so its corners matter: blocks with
