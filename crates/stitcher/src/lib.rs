@@ -1205,9 +1205,10 @@ impl Stitcher<'_> {
                     self.emit_sr(Inst::op3(Op::Sll, ra, Operand::Lit(k), rc))?;
                     return Ok(true);
                 }
-                // 2^k - 1: shift and subtract.
-                if (v + 1).is_power_of_two() {
-                    let k = (v + 1).trailing_zeros() as u8;
+                // 2^k - 1: shift and subtract (`u64::MAX`, a multiplier
+                // of -1, has no 2^k above it).
+                if let Some(p) = v.checked_add(1).filter(|p| p.is_power_of_two()) {
+                    let k = p.trailing_zeros() as u8;
                     self.emit_sr(Inst::op3(Op::Sll, ra, Operand::Lit(k), SCRATCH0))?;
                     self.emit_sr(Inst::op3(Op::Subq, SCRATCH0, Operand::Reg(ra), rc))?;
                     return Ok(true);

@@ -326,6 +326,8 @@ fn strength_reduction_multiply_by_power_of_two() {
         (0, true),
         (255, true),
         (86, false),
+        (1 << 63, true),
+        (u64::MAX, false), // -1: the stitched code computes -x
     ] {
         let mut mem = Memory::with_capacity(1 << 20);
         let t = make_table(&mut mem, &[mult]);
@@ -338,7 +340,7 @@ fn strength_reduction_multiply_by_power_of_two() {
             out.stats.strength_reductions
         );
         let (r, _) = run_stitched(&out.code, mem, &[13]);
-        assert_eq!(r, 13 * mult, "mult={mult}");
+        assert_eq!(r, 13u64.wrapping_mul(mult), "mult={mult}");
     }
 }
 
