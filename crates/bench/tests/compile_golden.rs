@@ -3,7 +3,7 @@
 //! four compilers and two seeded multi-function units.
 //!
 //! Per unit the test pins the executable image, each region's template
-//! words, stitch plans and holes, the whole module's wire form, the
+//! words and holes, the whole module's wire form, the
 //! specializer's counters, and the `OptStats` of every `optimize` call,
 //! the inliner's included. The last come from a pass observer on
 //! `Compiler::compile_observed`, whose code must be `Compiler::compile`'s.
@@ -11,11 +11,9 @@
 //! The constants were taken before the optimizer, verifier, register
 //! allocator and emitter were made linear. The static compiler is
 //! deterministic, so a changed constant means a pass now rewrites
-//! differently: fix the pass, do not re-take the constant. The `plans`
-//! and `module` columns alone were re-taken when a stitch plan stopped
-//! holding a copy of its block's words and holes: a plan hashes as its
-//! presence, instruction count and strength-reduction flag, and the
-//! module's wire form no longer carries plans.
+//! differently: fix the pass, do not re-take the constant. The `module`
+//! column alone was re-taken when the module's wire form stopped
+//! carrying stitch plans.
 
 use dyncomp::PassObserver;
 use dyncomp_bench::lattice::{self, Comp};
@@ -25,17 +23,16 @@ use dyncomp_ir::fnv::Fnv;
 use dyncomp_ir::Function;
 use dyncomp_opt::{OptOptions, OptStats};
 
-/// Per unit: `(name, code, templates, plans, holes, module, spec_stats,
+/// Per unit: `(name, code, templates, holes, module, spec_stats,
 /// opt_stats)`.
-type Row = (String, u64, u64, u64, u64, u64, u64, u64);
+type Row = (String, u64, u64, u64, u64, u64, u64);
 /// A [`Row`] as pinned.
-type Pinned = (&'static str, u64, u64, u64, u64, u64, u64, u64);
+type Pinned = (&'static str, u64, u64, u64, u64, u64, u64);
 
 const GOLDEN: [Pinned; 30] = [
     (
         "calculator.static",
         0x9fd3_ec3e_4303_707d,
-        0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
         0xc12e_8921_17ea_467e,
@@ -46,7 +43,6 @@ const GOLDEN: [Pinned; 30] = [
         "calculator.dynamic",
         0x76d7_4d2c_c3af_df57,
         0xf2ee_98d2_febf_3483,
-        0x1c36_ec40_1ae7_fff1,
         0x85cc_4a1a_3342_fbd6,
         0xb78b_7ec5_6a4d_e6aa,
         0x1950_1e3f_b300_3b53,
@@ -56,7 +52,6 @@ const GOLDEN: [Pinned; 30] = [
         "calculator.inline2",
         0x76d7_4d2c_c3af_df57,
         0xf2ee_98d2_febf_3483,
-        0x1c36_ec40_1ae7_fff1,
         0x85cc_4a1a_3342_fbd6,
         0xb78b_7ec5_6a4d_e6aa,
         0x1950_1e3f_b300_3b53,
@@ -66,7 +61,6 @@ const GOLDEN: [Pinned; 30] = [
         "calculator.tiered",
         0xdb01_6d62_ac9e_edc3,
         0x098a_824d_5a11_f1e3,
-        0x1c36_ec40_1ae7_fff1,
         0x85cc_4a1a_3342_fbd6,
         0x420a_0a36_e836_409e,
         0x1950_1e3f_b300_3b53,
@@ -77,7 +71,6 @@ const GOLDEN: [Pinned; 30] = [
         0xcb33_27a7_73b3_3a0a,
         0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
-        0xcbf2_9ce4_8422_2325,
         0x7ade_5b37_1ba2_a9bc,
         0xcbf2_9ce4_8422_2325,
         0x81de_8b21_db4f_3881,
@@ -86,7 +79,6 @@ const GOLDEN: [Pinned; 30] = [
         "smatmul.dynamic",
         0x96c3_fd66_1b1a_9bdb,
         0x8393_4431_d768_633e,
-        0xbdcc_fdb0_4223_b4b3,
         0xd40a_f673_4574_5ca5,
         0x268a_4e4b_6ef6_d13a,
         0x53e5_3fce_db6e_880c,
@@ -96,7 +88,6 @@ const GOLDEN: [Pinned; 30] = [
         "smatmul.inline2",
         0x96c3_fd66_1b1a_9bdb,
         0x8393_4431_d768_633e,
-        0xbdcc_fdb0_4223_b4b3,
         0xd40a_f673_4574_5ca5,
         0x268a_4e4b_6ef6_d13a,
         0x53e5_3fce_db6e_880c,
@@ -106,7 +97,6 @@ const GOLDEN: [Pinned; 30] = [
         "smatmul.tiered",
         0x4833_37b2_34ea_e418,
         0xf49e_769f_d353_d403,
-        0xbdcc_fdb0_4223_b4b3,
         0xd40a_f673_4574_5ca5,
         0xe309_6336_7f7e_d4f3,
         0x53e5_3fce_db6e_880c,
@@ -117,7 +107,6 @@ const GOLDEN: [Pinned; 30] = [
         0xf57d_5818_297e_b807,
         0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
-        0xcbf2_9ce4_8422_2325,
         0x96ed_0f8a_5946_b01b,
         0xcbf2_9ce4_8422_2325,
         0x6135_1f4c_866d_1ffd,
@@ -126,7 +115,6 @@ const GOLDEN: [Pinned; 30] = [
         "spmv.dynamic",
         0x0378_4d6a_8841_03f6,
         0x83f5_87b7_706f_0390,
-        0x9d2b_4aa0_3017_0e0f,
         0xece1_3fe6_8e08_d646,
         0x66d5_db68_3abe_a0d4,
         0xd344_793d_6866_fcab,
@@ -136,7 +124,6 @@ const GOLDEN: [Pinned; 30] = [
         "spmv.inline2",
         0x0378_4d6a_8841_03f6,
         0x83f5_87b7_706f_0390,
-        0x9d2b_4aa0_3017_0e0f,
         0xece1_3fe6_8e08_d646,
         0x66d5_db68_3abe_a0d4,
         0xd344_793d_6866_fcab,
@@ -146,7 +133,6 @@ const GOLDEN: [Pinned; 30] = [
         "spmv.tiered",
         0xa6f4_20a4_9b65_d429,
         0x32ef_b7aa_cab0_477a,
-        0x9d2b_4aa0_3017_0e0f,
         0xece1_3fe6_8e08_d646,
         0x4882_342a_f06d_25eb,
         0xd344_793d_6866_fcab,
@@ -157,7 +143,6 @@ const GOLDEN: [Pinned; 30] = [
         0x1e0f_ce52_1ec1_8839,
         0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
-        0xcbf2_9ce4_8422_2325,
         0x68e8_681c_6801_effc,
         0xcbf2_9ce4_8422_2325,
         0xefb3_d1c5_bb58_6d6e,
@@ -166,7 +151,6 @@ const GOLDEN: [Pinned; 30] = [
         "dispatch.dynamic",
         0x8ede_1b6a_d93d_56fa,
         0x3312_e71b_43ae_1c41,
-        0xba55_4bab_f628_d369,
         0x2ed1_28a2_1f51_10d7,
         0x2162_8b8d_052a_3e48,
         0x0790_a4bf_541a_84f1,
@@ -176,7 +160,6 @@ const GOLDEN: [Pinned; 30] = [
         "dispatch.inline2",
         0x8ede_1b6a_d93d_56fa,
         0x3312_e71b_43ae_1c41,
-        0xba55_4bab_f628_d369,
         0x2ed1_28a2_1f51_10d7,
         0x2162_8b8d_052a_3e48,
         0x0790_a4bf_541a_84f1,
@@ -186,7 +169,6 @@ const GOLDEN: [Pinned; 30] = [
         "dispatch.tiered",
         0x9b2e_a3c0_9dfb_ad65,
         0x50aa_c1ba_73cf_e5ee,
-        0xba55_4bab_f628_d369,
         0x2ed1_28a2_1f51_10d7,
         0xc6cb_c262_a95b_ef6f,
         0x0790_a4bf_541a_84f1,
@@ -197,7 +179,6 @@ const GOLDEN: [Pinned; 30] = [
         0xc5c0_b7c0_c7df_4054,
         0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
-        0xcbf2_9ce4_8422_2325,
         0x05f3_06cd_edfc_5326,
         0xcbf2_9ce4_8422_2325,
         0xf556_f1ad_41ff_36b3,
@@ -206,7 +187,6 @@ const GOLDEN: [Pinned; 30] = [
         "sorter.dynamic",
         0x0e34_862f_88f3_7982,
         0xff40_b63f_3b91_4ece,
-        0x00b5_9d37_70db_a90b,
         0xa9d5_bf25_b751_5654,
         0x07d0_e2be_cebd_8c12,
         0xef10_ccbe_386b_d1bd,
@@ -216,7 +196,6 @@ const GOLDEN: [Pinned; 30] = [
         "sorter.inline2",
         0x0e34_862f_88f3_7982,
         0xff40_b63f_3b91_4ece,
-        0x00b5_9d37_70db_a90b,
         0xa9d5_bf25_b751_5654,
         0x07d0_e2be_cebd_8c12,
         0xef10_ccbe_386b_d1bd,
@@ -226,7 +205,6 @@ const GOLDEN: [Pinned; 30] = [
         "sorter.tiered",
         0xf94d_d80c_9861_a7b8,
         0xfa61_335c_1fe6_9e2c,
-        0x00b5_9d37_70db_a90b,
         0xa9d5_bf25_b751_5654,
         0xbff3_49d3_9e08_8814,
         0xef10_ccbe_386b_d1bd,
@@ -237,7 +215,6 @@ const GOLDEN: [Pinned; 30] = [
         0xdc33_6144_b048_0334,
         0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
-        0xcbf2_9ce4_8422_2325,
         0x2d05_5bdd_ecf8_46c6,
         0xcbf2_9ce4_8422_2325,
         0xbb95_2a9a_10a5_8324,
@@ -246,7 +223,6 @@ const GOLDEN: [Pinned; 30] = [
         "protomsg.dynamic",
         0x88ff_9866_b4b8_0c7d,
         0x712c_7a57_dbf6_64f8,
-        0x87a4_9e0a_b496_e2e0,
         0x4bea_21e2_6669_8bdf,
         0x55d6_9d01_9499_4f02,
         0x5a06_a61b_d33b_355c,
@@ -256,7 +232,6 @@ const GOLDEN: [Pinned; 30] = [
         "protomsg.inline2",
         0xb2b8_49cc_9195_b02a,
         0x8bd2_af14_708e_b4d5,
-        0xa028_dfcd_5c59_bd33,
         0xb21e_fb51_f53b_aca8,
         0x08ff_879a_7c39_b5ff,
         0x1b9b_c493_d085_1850,
@@ -266,7 +241,6 @@ const GOLDEN: [Pinned; 30] = [
         "protomsg.tiered",
         0x58a7_b02a_c6a2_805e,
         0x4c3f_183c_0e96_ef95,
-        0x87a4_9e0a_b496_e2e0,
         0x4bea_21e2_6669_8bdf,
         0x742c_f886_95c3_dba9,
         0x5a06_a61b_d33b_355c,
@@ -277,7 +251,6 @@ const GOLDEN: [Pinned; 30] = [
         0x9449_de38_0d92_9f02,
         0xcbf2_9ce4_8422_2325,
         0xcbf2_9ce4_8422_2325,
-        0xcbf2_9ce4_8422_2325,
         0xd85d_4ebe_9929_778d,
         0xcbf2_9ce4_8422_2325,
         0x38cc_8eb3_6d34_6298,
@@ -286,7 +259,6 @@ const GOLDEN: [Pinned; 30] = [
         "queryexec.dynamic",
         0x3983_b58c_83fe_c9c7,
         0x4a68_7915_c01f_0f5b,
-        0x1530_4245_a74f_67c9,
         0xc356_09ea_e0be_5bd3,
         0xe221_3b11_dbd9_9d79,
         0x4173_a460_ece2_45db,
@@ -296,7 +268,6 @@ const GOLDEN: [Pinned; 30] = [
         "queryexec.inline2",
         0x819f_0660_0514_5bbb,
         0xfd1f_d476_b997_ba03,
-        0xedba_c50c_49c7_110d,
         0xebd2_3edb_9b8f_4f39,
         0xbd92_097c_d673_3ce0,
         0x1e82_20c2_6b9e_8376,
@@ -306,7 +277,6 @@ const GOLDEN: [Pinned; 30] = [
         "queryexec.tiered",
         0x4f7b_bca3_9d0f_e5ef,
         0x99ca_eb01_9fef_0a24,
-        0x1530_4245_a74f_67c9,
         0xc356_09ea_e0be_5bd3,
         0x17fa_4067_b3d2_894c,
         0x4173_a460_ece2_45db,
@@ -316,7 +286,6 @@ const GOLDEN: [Pinned; 30] = [
         "synthetic8.dynamic",
         0x1bad_0432_c2e5_287d,
         0xb729_db59_d897_db64,
-        0xa12d_2ddc_f7c6_e668,
         0x0d00_630a_07a1_cb7a,
         0x090d_0fcc_c730_ded4,
         0xd903_6ca0_3072_026b,
@@ -326,7 +295,6 @@ const GOLDEN: [Pinned; 30] = [
         "synthetic64.dynamic",
         0xdcf3_767d_b4a8_cd40,
         0xdec8_9ed3_2933_fcfb,
-        0xb251_d2d7_d26a_d7f7,
         0xb831_d73a_99bb_37b3,
         0x4faa_dc95_f492_6564,
         0xe8b3_fe2b_f45d_1dec,
@@ -383,18 +351,10 @@ fn unit_row(name: String, src: &str, comp: Comp) -> Row {
     let compiled = &program.compiled;
     let mut code = Fnv::new();
     words(&mut code, &compiled.code);
-    let (mut templates, mut plans, mut holes) = (Fnv::new(), Fnv::new(), Fnv::new());
+    let (mut templates, mut holes) = (Fnv::new(), Fnv::new());
     for r in &compiled.regions {
         words(&mut templates, &r.template.code);
         for blk in &r.template.blocks {
-            match &blk.plan {
-                None => plans.u8(0),
-                Some(plan) => {
-                    plans.u8(1);
-                    plans.u32(plan.insts);
-                    plans.u8(plan.sr_candidate.into());
-                }
-            }
             wire(&mut holes, &blk.holes);
         }
     }
@@ -409,7 +369,6 @@ fn unit_row(name: String, src: &str, comp: Comp) -> Row {
         name,
         code.finish(),
         templates.finish(),
-        plans.finish(),
         holes.finish(),
         module.finish(),
         spec.finish(),
@@ -442,7 +401,7 @@ fn compiled_artifacts_match_the_pinned_hashes() {
     let got = rows();
     let want: Vec<Row> = GOLDEN
         .iter()
-        .map(|&(n, a, b, c, d, e, f, g)| (n.to_string(), a, b, c, d, e, f, g))
+        .map(|&(n, a, b, c, d, e, f)| (n.to_string(), a, b, c, d, e, f))
         .collect();
     let moved: Vec<&Row> = got.iter().filter(|r| !want.contains(r)).collect();
     assert!(moved.is_empty(), "moved rows: {moved:#x?}\nall: {got:#x?}");

@@ -1267,7 +1267,6 @@ impl Emitter<'_> {
             branches,
             marker,
             exit,
-            plan: None,
         });
         Ok(())
     }

@@ -282,14 +282,9 @@ pub fn compile_module(
         code[w as usize + 1] = funcs[callee.index()].entry;
     }
 
-    // Patch template-call relocations with absolute callee entries, and
-    // mark every template's value-independent blocks as copy-and-patch
-    // plans.
+    // Patch template-call relocations with absolute callee entries.
     for (g, w, callee) in tmpl_relocs {
         regions[g].template.code[w as usize] = funcs[callee.index()].entry;
-    }
-    for rc in &mut regions {
-        dyncomp_machine::template::precompile_plans(&mut rc.template);
     }
 
     let mut float_pool: Vec<(u64, u64)> = mcx

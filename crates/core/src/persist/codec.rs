@@ -66,7 +66,7 @@ pub(crate) fn read_program(r: &mut Reader<'_>, expected_hash: u64) -> Result<Pro
     if artifact_hash != expected_hash {
         return Err(r.err("artifact hash does not match its file name"));
     }
-    let mut compiled = CompiledModule::decode(r)?;
+    let compiled = CompiledModule::decode(r)?;
     let globals = Vec::<Global>::decode(r)?;
     let names = Vec::<String>::decode(r)?;
     let spec_stats = Vec::<(FuncId, SpecStats)>::decode(r)?;
@@ -80,11 +80,6 @@ pub(crate) fn read_program(r: &mut Reader<'_>, expected_hash: u64) -> Result<Pro
     // What `Compiler::compile` guarantees by construction, and the engine
     // therefore indexes by without asking.
     compiled.check_refs().map_err(|what| r.err(what))?;
-    // Plans are not persisted: each is rebuilt from the checked block it
-    // describes.
-    for rc in &mut compiled.regions {
-        dyncomp_machine::template::precompile_plans(&mut rc.template);
-    }
     let known = |f: FuncId| f.index() < names.len();
     if !(spec_stats.iter().all(|&(f, _)| known(f))
         && inline_sites
@@ -219,10 +214,9 @@ mod tests {
 
     #[test]
     fn program_round_trips_and_replica_runs_identically() {
-        // The regions come back whole, their unpersisted plans rebuilt.
+        // The regions come back whole.
         let rich = Compiler::with_inline_depth(2).compile(RICH_SRC).unwrap();
         let back = read_program(&mut Reader::new(&payload(&rich)), rich.artifact_hash()).unwrap();
-        assert!(rich.compiled.regions.iter().any(has_plans));
         assert_eq!(back.compiled.regions, rich.compiled.regions);
 
         let p = Compiler::new().compile(SRC).unwrap();
@@ -230,7 +224,6 @@ mod tests {
         assert_eq!(back.artifact_hash(), p.artifact_hash());
         assert_ne!(back.id(), p.id());
         assert_eq!(back.compiled.code, p.compiled.code);
-        assert!(p.compiled.regions.iter().any(has_plans));
         assert_eq!(back.compiled.regions, p.compiled.regions);
         let mut cold = crate::Session::new(std::sync::Arc::new(p));
         let mut warm = crate::Session::new(std::sync::Arc::new(back));
@@ -239,34 +232,6 @@ mod tests {
             warm.call("poly", &[3, 10]).unwrap()
         );
         assert_eq!(cold.cycles(), warm.cycles());
-    }
-
-    /// A plan is rebuilt from its block on load: one whose instruction
-    /// count says `u32::MAX` stitches exactly like the compiled one.
-    #[test]
-    fn loaded_plans_are_rebuilt_not_trusted() {
-        let p = Compiler::new().compile(SRC).unwrap();
-        let mut lying = Compiler::new().compile(SRC).unwrap();
-        assert!(lying.compiled.regions.iter().any(has_plans));
-        for b in lying
-            .compiled
-            .regions
-            .iter_mut()
-            .flat_map(|rc| &mut rc.template.blocks)
-        {
-            if let Some(plan) = &mut b.plan {
-                plan.insts = u32::MAX;
-            }
-        }
-        let back = read_program(&mut Reader::new(&payload(&lying)), p.artifact_hash()).unwrap();
-        let mut cold = crate::Session::new(std::sync::Arc::new(p));
-        let mut warm = crate::Session::new(std::sync::Arc::new(back));
-        assert_eq!(
-            cold.call("poly", &[3, 10]).unwrap(),
-            warm.call("poly", &[3, 10]).unwrap()
-        );
-        assert_eq!(cold.cycles(), warm.cycles());
-        assert_eq!(cold.region_report(0), warm.region_report(0));
     }
 
     /// A global, a callee the inliner expands, and a keyed unrolled loop:
@@ -287,18 +252,6 @@ mod tests {
         w.into_bytes()
     }
 
-    fn has_plans(rc: &dyncomp_machine::template::RegionCode) -> bool {
-        rc.template.blocks.iter().any(|b| b.plan.is_some())
-    }
-
-    /// `c` as its wire form holds it: without plans, which
-    /// [`read_program`] rebuilds.
-    fn planless(mut c: CompiledModule) -> CompiledModule {
-        let blocks = c.regions.iter_mut().flat_map(|rc| &mut rc.template.blocks);
-        blocks.for_each(|b| b.plan = None);
-        c
-    }
-
     #[test]
     fn declared_types_hold_their_wire_form() {
         use dyncomp_machine::codec::check_wire;
@@ -306,11 +259,11 @@ mod tests {
         assert!(!p.inline_sites.is_empty() && !p.spec_stats.is_empty());
         check_wire(&p.compiled.funcs[0]);
         let rich = Compiler::with_inline_depth(2).compile(RICH_SRC).unwrap();
-        check_wire(&planless(rich.compiled));
+        check_wire(&rich.compiled);
         check_wire(&p.module.globals.iter().cloned().collect::<Vec<Global>>());
         check_wire(&p.spec_stats);
         check_wire(&p.inline_sites);
-        check_wire(&planless(Compiler::tiered().compile(SRC).unwrap().compiled));
+        check_wire(&Compiler::tiered().compile(SRC).unwrap().compiled);
         let stitched = sample_stitched();
         check_wire(&stitched.stats);
         check_wire(&stitched);

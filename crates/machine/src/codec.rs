@@ -11,10 +11,6 @@
 //! A layout cannot say that a label, operand or word offset names
 //! something that exists; [`RegionCode::check_refs`] does, and what
 //! decodes an artifact calls it.
-//!
-//! A block's [`crate::template::StitchPlan`] is not written: it only
-//! restates the block, so a decoded block has none, and what decodes an
-//! artifact rebuilds them with [`crate::template::precompile_plans`].
 
 use crate::template::{
     BranchFixup, Hole, HoleField, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, TmplLabel,
@@ -43,8 +39,7 @@ codec! {
         holes: Vec<Hole>,
         branches: Vec<BranchFixup>,
         marker: Option<LoopMarker>,
-        exit: TmplExit;
-        skip plan
+        exit: TmplExit,
     }
     struct Template { code: Vec<u32>, blocks: Vec<TmplBlock>, entry: TmplLabel }
     struct RegionCode {
@@ -131,7 +126,6 @@ mod tests {
                         cases: vec![(-5, 0), (7, 1)],
                         default: 0,
                     },
-                    plan: None,
                 }],
                 entry: 0,
             },

@@ -20,7 +20,7 @@
 //! the per-iteration record chains of unrolled loops (the paper's `4:1`
 //! notation).
 
-use crate::isa::{walk, width, Format, Op, Reg};
+use crate::isa::{width, Reg};
 use dyncomp_ir::SlotPath;
 
 /// Label of a template block (index into [`Template::blocks`]).
@@ -148,84 +148,6 @@ pub struct TmplBlock {
     pub marker: Option<LoopMarker>,
     /// How control leaves.
     pub exit: TmplExit,
-    /// Precompiled copy-and-patch plan (see [`StitchPlan`]), built by
-    /// [`precompile_plans`]. `None` keeps the block on the interpretive
-    /// directive-walking path.
-    pub plan: Option<StitchPlan>,
-}
-
-/// A precompiled stitch plan for one template block: the copy-and-patch
-/// fast path.
-///
-/// At static-compile time, a block whose directives are value-independent
-/// — a plain `EMIT` run plus in-place `HOLE` patches, with no unrolling
-/// marker pending — is marked as a plan. At run time the stitcher then
-/// *copies the block's words and patches its holes in place* instead of
-/// interpreting directives word by word (the copy-and-patch idiom). The
-/// block is the plan: its words and holes are not copied here, only the
-/// two facts they do not state at a glance. Patches are still
-/// value-dependent at the edges: a `Lit` hole whose value exceeds the
-/// 8-bit literal, or a `MemDisp` hole whose linearized-table offset leaves
-/// displacement range, needs extra instructions and therefore falls back
-/// to the interpretive path (a *plan miss*). Peephole-candidate holes
-/// (constant multiplies, unsigned divides/mods) are flagged so the miss
-/// decision is one branch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StitchPlan {
-    /// Instructions in the block (`Ldiw` counts one instruction, two
-    /// words).
-    pub insts: u32,
-    /// Whether any `Lit` hole targets a strength-reduction candidate
-    /// (`mulq`/`divqu`/`remqu`): with peephole optimization enabled such
-    /// blocks must take the interpretive path, which may rewrite the
-    /// instruction entirely.
-    pub sr_candidate: bool,
-}
-
-/// Lower every eligible block of `t` into a [`StitchPlan`]
-/// (copy-and-patch fast path), and clear the plan of every other block.
-/// Called once at static-compile time, and again on every template
-/// decoded from disk, which carries no plans.
-///
-/// A block is eligible when its directives are value-independent:
-/// no unrolled-loop marker (record-chain walking decides block identity at
-/// stitch time), no intra-block branch fixups, and every hole patches an
-/// instruction in place. Value-dependent decisions that *remain* —
-/// oversized literals, far table entries, peephole rewrites — are checked
-/// per stitch and fall back to the interpretive path. A plan depends only
-/// on the block's opcodes and instruction widths, never on an `Ldiw`
-/// payload word.
-pub fn precompile_plans(t: &mut Template) {
-    let Template { code, blocks, .. } = t;
-    for blk in blocks {
-        blk.plan = plan_of(code, blk);
-    }
-}
-
-/// The plan of `blk` over `code`, if the block is eligible.
-fn plan_of(code: &[u32], blk: &TmplBlock) -> Option<StitchPlan> {
-    if blk.marker.is_some() || !blk.branches.is_empty() {
-        return None;
-    }
-    let block = code.get(blk.start as usize..blk.end as usize)?;
-    let mut sr_candidate = false;
-    for h in &blk.holes {
-        if !(blk.start..blk.end).contains(&h.at) {
-            return None;
-        }
-        if let HoleField::Lit = h.field {
-            // An undecodable hole word leaves the block interpretive.
-            let op =
-                Op::of_word(code[h.at as usize]).filter(|op| op.format() == Format::Operate)?;
-            sr_candidate |= matches!(op, Op::Mulq | Op::Divqu | Op::Remqu);
-        }
-    }
-    let (insts, reach) = walk(block).fold((0u32, 0), |(n, _), step| (n + 1, step.end()));
-    // A block ending in the first half of a wide instruction is malformed.
-    (reach == block.len()).then_some(StitchPlan {
-        insts,
-        sr_candidate,
-    })
 }
 
 /// A complete machine-code template for one dynamic region.
@@ -360,6 +282,7 @@ impl RegionCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::Op;
 
     #[test]
     fn dangling_references_are_refused() {
@@ -381,7 +304,6 @@ mod tests {
                     branches: vec![BranchFixup { at: 3, target: 0 }],
                     marker: None,
                     exit: TmplExit::ExitRegion { exit: 1 },
-                    plan: None,
                 }],
                 entry: 0,
             },
@@ -428,7 +350,6 @@ mod tests {
                     branches: vec![],
                     marker: None,
                     exit: TmplExit::Jump(1),
-                    plan: None,
                 },
                 TmplBlock {
                     start: 6,
@@ -437,7 +358,6 @@ mod tests {
                     branches: vec![],
                     marker: None,
                     exit: TmplExit::Return,
-                    plan: None,
                 },
             ],
             entry: 0,

@@ -37,8 +37,9 @@ pub struct StitchCost {
     pub peephole_try: u64,
     /// Each instruction emitted by a peephole expansion.
     pub peephole_emit: u64,
-    /// Dispatching to a precompiled stitch plan (one indirect load plus
-    /// the applicability checks, replacing per-directive decode).
+    /// Dispatching a block the plan rule admits as a copy-and-patch plan
+    /// (one indirect load plus the applicability checks; on a hit it
+    /// replaces per-directive decode).
     pub plan_dispatch: u64,
     /// Copying one code word via a plan's bulk copy. Cheaper than
     /// [`StitchCost::copy_word`]: a straight `memcpy` with no directive

@@ -40,7 +40,7 @@ use dyncomp_ir::SlotPath;
 use dyncomp_machine::isa::{
     branch_word, decode, encode, width, EncodeError, Format, Inst, Op, Operand, LIN, SCRATCH0, ZERO,
 };
-use dyncomp_machine::template::{HoleField, LoopMarker, RegionCode, TmplBlock, TmplExit};
+use dyncomp_machine::template::{Hole, HoleField, LoopMarker, RegionCode, TmplExit};
 use std::fmt;
 
 /// Upper bound on stitched blocks per instance: runaway-unrolling
@@ -63,12 +63,12 @@ pub struct StitchOptions {
     /// **Only sound when the promoted memory is scratch** (dead outside
     /// the region): stores are rewritten without write-back.
     pub register_actions: Option<usize>,
-    /// Use precompiled copy-and-patch stitch plans where the static
-    /// compiler produced them (see
-    /// [`dyncomp_machine::template::StitchPlan`]). Plans are bit-identical
-    /// to the interpretive path; turning them off is an ablation/debugging
-    /// aid. Ignored (treated as off) when `register_actions` is active,
-    /// whose bookkeeping needs the word-by-word walk.
+    /// Price the blocks the plan rule admits as copy-and-patch plans (a
+    /// bulk copy plus in-place patches) instead of as directive walks.
+    /// The stitched code is the same either way: this moves only the
+    /// simulated cycles and the `plan_*` counters, so turning it off is
+    /// an ablation/debugging aid. Ignored (treated as off) when
+    /// `register_actions` is active, whose bookkeeping is the walk's.
     pub plans: bool,
 }
 
@@ -84,9 +84,9 @@ impl Default for StitchOptions {
     }
 }
 
-/// One recorded copy-and-patch plan patch (feeds the engine's
-/// `PlanPatch` trace events). Recording is host-side bookkeeping only:
-/// it never changes stats or cycle charges.
+/// One hole a plan hit patched in place (feeds the engine's `PlanPatch`
+/// trace events). Recording is host-side bookkeeping only: it never
+/// changes stats or cycle charges.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanPatchRecord {
     /// Output word position patched, relative to the instance base.
@@ -120,10 +120,12 @@ pub struct StitchStats {
     pub regaction_stores_rewritten: u32,
     /// Register-actions: addresses promoted to the register bank.
     pub regaction_promoted: u32,
-    /// Blocks stitched through a precompiled copy-and-patch plan.
+    /// Blocks the plan rule admits whose every hole the walk patched in
+    /// place, charged the copy-and-patch price.
     pub plan_hits: u32,
-    /// Plan attempts that fell back to the interpretive path (oversized
-    /// literal, far table entry, or a peephole-candidate hole).
+    /// Blocks the plan rule admits that the walk had to expand (an
+    /// oversized literal, a far table entry, or a peephole-candidate
+    /// hole), charged the walk plus the plan dispatch.
     pub plan_misses: u32,
     /// Simulated stitcher cycles.
     pub cycles: u64,
@@ -405,8 +407,6 @@ pub fn stitch(
         known_load_at: FxHashMap::default(),
         plan_patch_log: Vec::new(),
         reads: Vec::new(),
-        plan_values: Vec::new(),
-        plan_lin: Vec::new(),
     };
 
     // Prologue: establish the linearized-table base register. The address
@@ -492,25 +492,6 @@ pub fn stitch(
     })
 }
 
-/// Re-encode `word`'s literal operand with `v`, refusing out-of-range
-/// values instead of truncating (the plan applicability check should have
-/// rejected them; disagreement is a bug surfaced as an error, not silent
-/// corruption).
-pub(crate) fn patch_lit_word(word: u32, v: u64) -> Result<u32, StitchError> {
-    if v > 255 {
-        return Err(StitchError::BadTemplate(format!(
-            "literal hole value {v} does not fit the 8-bit operate literal"
-        )));
-    }
-    let inst = decode(word, None).map_err(|e| StitchError::BadTemplate(e.to_string()))?;
-    let (w, _) = encode(&Inst {
-        rb: Operand::Lit(v as u8),
-        ..inst
-    })
-    .map_err(|e| StitchError::BadTemplate(e.to_string()))?;
-    Ok(w)
-}
-
 /// Rewrite `word`'s memory displacement to the linearized-table offset
 /// `off`, refusing offsets beyond the 14-bit displacement range instead
 /// of masking them (callers that can reach far offsets must take the
@@ -577,10 +558,6 @@ struct Stitcher<'a> {
     plan_patch_log: Vec<PlanPatchRecord>,
     /// Every data-memory read, in order (feeds [`Stitched::reads`]).
     reads: Vec<(u64, u64)>,
-    /// Scratch for [`Stitcher::try_plan`]: the value of each hole, and
-    /// the table entries a hit would append, in order.
-    plan_values: Vec<u64>,
-    plan_lin: Vec<u64>,
 }
 
 impl Stitcher<'_> {
@@ -645,15 +622,6 @@ impl Stitcher<'_> {
         self.mem
             .read_u64(addr)
             .map_err(|e| StitchError::Table(e.to_string()))
-    }
-
-    /// [`Stitcher::read_slot`] without the cycle charge or read record —
-    /// for the plan applicability check, which must stay side-effect-free
-    /// on a miss (the interpretive fallback re-reads and charges normally;
-    /// the plan hit path charges [`StitchCost::table_read`] and records
-    /// the read per patch itself).
-    fn peek_slot(&self, path: &SlotPath, ctx: u32) -> Result<u64, StitchError> {
-        self.read_at(self.slot_addr(path, ctx)?)
     }
 
     /// Append to the linearized table (deduplicated); returns byte offset.
@@ -732,9 +700,23 @@ impl Stitcher<'_> {
 
     /// Stitch one block; returns the next (fall-through) key, if any.
     ///
-    /// The block, its holes, plan and exit are borrowed from the template
-    /// (`rc` outlives the stitcher), and the key is two words: a
-    /// loop-free block allocates nothing here.
+    /// The block, its holes and exit are borrowed from the template (`rc`
+    /// outlives the stitcher), and the key is two words: a loop-free block
+    /// allocates nothing here.
+    ///
+    /// Every block takes the one directive walk. A block the plan rule
+    /// admits is priced as a copy-and-patch plan: plans on, register
+    /// actions off (their bookkeeping is the walk's), no loop marker (the
+    /// record chain decides block identity), no intra-block branch fixup,
+    /// and every `Lit` hole on an operate instruction. Such a block is a
+    /// *hit* when the walk patched every hole in place — a `Lit` value
+    /// that fits the 8-bit literal and, under peephole optimization, is
+    /// not on a strength-reduction candidate; a `MemDisp` table offset
+    /// within displacement range. A hit's walk charges are replaced by the
+    /// plan price (dispatch, bulk copy, one read and patch per hole, the
+    /// table entries it appended) and its patches are recorded in
+    /// [`Stitched::plan_patches`]; a miss pays the dispatch on top of the
+    /// walk.
     fn stitch_block(&mut self, key: Key) -> Result<Option<Key>, StitchError> {
         let (label, mut ctx) = key;
         self.done.insert(key, self.abs_pos());
@@ -747,56 +729,75 @@ impl Stitcher<'_> {
             .blocks
             .get(label as usize)
             .ok_or_else(|| StitchError::BadTemplate(format!("label {label}")))?;
+        let code = &rc.template.code;
+        let operate = |h: &Hole| {
+            h.field != HoleField::Lit
+                || code
+                    .get(h.at as usize)
+                    .and_then(|&w| Op::of_word(w))
+                    .is_some_and(|op| op.format() == Format::Operate)
+        };
+        let plan = self.opts.plans
+            && self.opts.register_actions.is_none()
+            && blk.marker.is_none()
+            && blk.branches.is_empty()
+            && blk.holes.iter().all(operate);
+        let (cycles, lin_len, log_len) =
+            (self.stats.cycles, self.lin.len(), self.plan_patch_log.len());
 
-        // ---- copy-and-patch fast path ----
+        // ---- the walk: copy code, patching holes ----
         let mut branch_at_out: Option<u32> = None; // output pos of the CondBranch word
-        let out_start = self.out.len() as u32;
-        let plan_hit = self.try_plan(blk, ctx)?;
-        if plan_hit {
-            // Plan output is in place (one word per template word), so the
-            // exit branch's position is statically known.
-            if let TmplExit::CondBranch { at, .. } = blk.exit {
-                branch_at_out = Some(out_start + (at - blk.start));
-            }
-        }
-
-        // ---- interpretive path: copy code, patching holes ----
-        if !plan_hit {
-            self.charge(self.opts.cost.directive);
-            let mut w = blk.start as usize;
-            let code = &rc.template.code;
-            let mut hole_idx = 0usize;
-            while w < blk.end as usize {
-                let word = code[w];
-                // Holes at this template offset?
-                let hole = blk.holes.get(hole_idx).filter(|h| h.at == w as u32);
-                if let Some(h) = hole {
-                    hole_idx += 1;
-                    self.charge(self.opts.cost.directive);
-                    self.patch_hole(word, h, ctx)?;
-                    w += 1;
-                    continue;
-                }
-                // The CondBranch exit's branch word needs a fixup later.
-                if let TmplExit::CondBranch { at, .. } = blk.exit {
-                    if at == w as u32 {
-                        branch_at_out = Some(self.out.len() as u32);
+        self.charge(self.opts.cost.directive);
+        let mut w = blk.start as usize;
+        let mut hole_idx = 0usize;
+        while w < blk.end as usize {
+            let word = code[w];
+            // Holes at this template offset?
+            let hole = blk.holes.get(hole_idx).filter(|h| h.at == w as u32);
+            if let Some(h) = hole {
+                hole_idx += 1;
+                self.charge(self.opts.cost.directive);
+                let at = self.out.len() as u32;
+                if let Some(value) = self.patch_hole(word, h, ctx)? {
+                    if plan {
+                        self.plan_patch_log.push(PlanPatchRecord { at, value });
                     }
                 }
-                self.charge(self.opts.cost.copy_word);
-                if self.opts.register_actions.is_some() {
-                    self.track_access(word);
+                w += 1;
+                continue;
+            }
+            // The CondBranch exit's branch word needs a fixup later.
+            if let TmplExit::CondBranch { at, .. } = blk.exit {
+                if at == w as u32 {
+                    branch_at_out = Some(self.out.len() as u32);
                 }
-                self.out.push(word);
-                self.stats.words_emitted += 1;
-                self.stats.instructions_stitched += 1;
-                let end = w + width(word);
-                for &payload in &code[w + 1..end] {
-                    self.out.push(payload);
-                    self.stats.words_emitted += 1;
-                    self.charge(self.opts.cost.copy_word);
-                }
-                w = end;
+            }
+            if self.opts.register_actions.is_some() {
+                self.track_access(word);
+            }
+            let end = w + width(word);
+            self.out.extend_from_slice(&code[w..end]);
+            self.charge(self.opts.cost.copy_word * (end - w) as u64);
+            self.stats.words_emitted += (end - w) as u32;
+            self.stats.instructions_stitched += 1;
+            w = end;
+        }
+
+        // ---- the plan price ----
+        if plan {
+            let patched = self.plan_patch_log.len() - log_len;
+            if patched == blk.holes.len() {
+                let c = &self.opts.cost;
+                self.stats.cycles = cycles
+                    + c.plan_dispatch
+                    + c.plan_copy_word * u64::from(blk.end - blk.start)
+                    + (c.table_read + c.plan_patch) * patched as u64
+                    + c.lin_append * (self.lin.len() - lin_len) as u64;
+                self.stats.plan_hits += 1;
+            } else {
+                self.charge(self.opts.cost.plan_dispatch);
+                self.stats.plan_misses += 1;
+                self.plan_patch_log.truncate(log_len);
             }
         }
 
@@ -970,116 +971,10 @@ impl Stitcher<'_> {
         }
     }
 
-    /// Attempt a block's precompiled copy-and-patch plan. Returns `Ok(true)`
-    /// on a hit (code emitted, stats charged); `Ok(false)` means the block
-    /// must take the interpretive path, with no side effects beyond the
-    /// dispatch charge and the miss counter. A block without a plan, or a
-    /// stitch with plans off, returns `Ok(false)` at once, uncharged.
-    /// Register actions need the word-by-word walk for their
-    /// known-constant bookkeeping, so plans are bypassed entirely there.
-    ///
-    /// The plan is `blk` itself: a hit copies the block's template words
-    /// and patches each of its holes in place. It applies when every hole
-    /// stays in place: `Lit` values fit the 8-bit literal, `MemDisp` table
-    /// offsets stay within displacement range, and (with peephole
-    /// optimization on) no hole targets a strength-reduction candidate.
-    /// The check predicts linearized-table offsets without inserting, so a
-    /// miss leaves the table untouched for the interpretive fallback.
-    fn try_plan(&mut self, blk: &TmplBlock, ctx: u32) -> Result<bool, StitchError> {
-        let plan = match &blk.plan {
-            Some(plan) if self.opts.plans && self.opts.register_actions.is_none() => plan,
-            _ => return Ok(false),
-        };
-        self.charge(self.opts.cost.plan_dispatch);
-        if self.opts.peephole && plan.sr_candidate {
-            self.stats.plan_misses += 1;
-            return Ok(false);
-        }
-
-        // ---- applicability (side-effect-free) ----
-        // `plan_values` collects each hole's value, `plan_lin` the new
-        // table values in order; both are reused across blocks.
-        self.plan_values.clear();
-        self.plan_lin.clear();
-        for h in &blk.holes {
-            let v = self.peek_slot(&h.slot, ctx)?;
-            match h.field {
-                HoleField::Lit => {
-                    if v > 255 {
-                        self.stats.plan_misses += 1;
-                        return Ok(false);
-                    }
-                }
-                HoleField::MemDisp { .. } => {
-                    // Predict the offset lin_offset() would assign.
-                    let off = match self.lin_dedup.get(&v) {
-                        Some(&o) => o as i32,
-                        None => match self.plan_lin.iter().position(|&x| x == v) {
-                            Some(i) => 8 * (self.lin.len() + i) as i32,
-                            None => {
-                                let o = 8 * (self.lin.len() + self.plan_lin.len()) as i32;
-                                self.plan_lin.push(v);
-                                o
-                            }
-                        },
-                    };
-                    if !lin_near(off) {
-                        self.stats.plan_misses += 1;
-                        return Ok(false);
-                    }
-                }
-            }
-            self.plan_values.push(v);
-        }
-
-        // ---- hit: bulk copy of the block, then patch its holes in place ----
-        self.stats.plan_hits += 1;
-        let out_start = self.out.len();
-        let words = &self.rc.template.code[blk.start as usize..blk.end as usize];
-        self.out.extend_from_slice(words);
-        self.charge(self.opts.cost.plan_copy_word * words.len() as u64);
-        self.stats.words_emitted += words.len() as u32;
-        self.stats.instructions_stitched += plan.insts;
-        for (i, h) in blk.holes.iter().enumerate() {
-            let v = self.plan_values[i];
-            self.charge(self.opts.cost.table_read + self.opts.cost.plan_patch);
-            self.reads.push((self.slot_addr(&h.slot, ctx)?, v));
-            let at = out_start + (h.at - blk.start) as usize;
-            let word = self.out[at];
-            match h.field {
-                HoleField::Lit => {
-                    // Decode + re-encode, exactly like the interpretive
-                    // path, so the output stays bit-identical. The helper
-                    // refuses values > 255 — if the applicability check
-                    // ever disagrees with the patcher this errors instead
-                    // of silently truncating.
-                    self.out[at] = patch_lit_word(word, v)?;
-                    self.stats.holes_inline += 1;
-                }
-                HoleField::MemDisp { .. } => {
-                    let off = self.lin_offset(v)?;
-                    // Checked rewrite: an offset the applicability check
-                    // predicted near but is not errors instead of masking
-                    // to 14 bits.
-                    self.out[at] = patch_memdisp_word(word, off)?;
-                    self.stats.holes_big += 1;
-                }
-            }
-            self.plan_patch_log.push(PlanPatchRecord {
-                at: at as u32,
-                value: v,
-            });
-        }
-        Ok(true)
-    }
-
-    /// Patch one hole into the instruction `word`.
-    fn patch_hole(
-        &mut self,
-        word: u32,
-        h: &dyncomp_machine::template::Hole,
-        ctx: u32,
-    ) -> Result<(), StitchError> {
+    /// Patch one hole into the instruction `word`. Returns the hole's
+    /// value when the word was patched in place, as a copy-and-patch plan
+    /// patches it; `None` when the walk expanded or rewrote it.
+    fn patch_hole(&mut self, word: u32, h: &Hole, ctx: u32) -> Result<Option<u64>, StitchError> {
         let v = self.read_slot(&h.slot, ctx)?;
         match h.field {
             HoleField::MemDisp { float } => {
@@ -1117,6 +1012,7 @@ impl Stitcher<'_> {
                         self.known_load_at.insert(dest, load_at);
                     }
                 }
+                Ok(near.then_some(v))
             }
             HoleField::Lit => {
                 let inst =
@@ -1124,8 +1020,9 @@ impl Stitcher<'_> {
                 debug_assert_eq!(inst.op.format(), Format::Operate);
                 // Peephole strength reduction first (§4): constant
                 // multiplies and unsigned divides/mods rewrite entirely.
+                let sr_candidate = matches!(inst.op, Op::Mulq | Op::Divqu | Op::Remqu);
                 if self.opts.peephole && self.try_strength_reduce(&inst, v)? {
-                    return Ok(());
+                    return Ok(None);
                 }
                 if v <= 255 {
                     self.charge(self.opts.cost.hole_inline);
@@ -1134,6 +1031,7 @@ impl Stitcher<'_> {
                         rb: Operand::Lit(v as u8),
                         ..inst
                     })?;
+                    Ok((!(self.opts.peephole && sr_candidate)).then_some(v))
                 } else {
                     self.charge(self.opts.cost.hole_big);
                     self.stats.holes_big += 1;
@@ -1142,10 +1040,10 @@ impl Stitcher<'_> {
                         rb: Operand::Reg(SCRATCH0),
                         ..inst
                     })?;
+                    Ok(None)
                 }
             }
         }
-        Ok(())
     }
 
     /// Bring `v` into the stitcher scratch register `r25`.

@@ -22,7 +22,6 @@ fn block(start: u32, end: u32, exit: TmplExit) -> TmplBlock {
         branches: vec![],
         marker: None,
         exit,
-        plan: None,
     }
 }
 
@@ -80,7 +79,6 @@ fn add_hole_template() -> Template {
             branches: vec![],
             marker: None,
             exit: TmplExit::Return,
-            plan: None,
         }],
         entry: 0,
     }
@@ -203,7 +201,6 @@ fn unrolled_template() -> Template {
                     root: SlotPath::stat(0),
                 }),
                 exit: TmplExit::Jump(1),
-                plan: None,
             },
             // 1: header: constant branch on rec[0].
             block(
@@ -227,7 +224,6 @@ fn unrolled_template() -> Template {
                 branches: vec![],
                 marker: None,
                 exit: TmplExit::Jump(3),
-                plan: None,
             },
             // 3: restart marker back to header.
             TmplBlock {
@@ -237,7 +233,6 @@ fn unrolled_template() -> Template {
                 branches: vec![],
                 marker: Some(LoopMarker::Restart { next_slot: 2 }),
                 exit: TmplExit::Jump(1),
-                plan: None,
             },
             // 4: exit marker then return.
             TmplBlock {
@@ -247,7 +242,6 @@ fn unrolled_template() -> Template {
                 branches: vec![],
                 marker: Some(LoopMarker::Exit),
                 exit: TmplExit::Return,
-                plan: None,
             },
         ],
         entry: 0,
@@ -315,7 +309,6 @@ fn strength_reduction_multiply_by_power_of_two() {
             branches: vec![],
             marker: None,
             exit: TmplExit::Return,
-            plan: None,
         }],
         entry: 0,
     };
@@ -368,7 +361,6 @@ fn strength_reduction_div_rem_by_power_of_two() {
                 branches: vec![],
                 marker: None,
                 exit: TmplExit::Return,
-                plan: None,
             }],
             entry: 0,
         };
@@ -401,7 +393,6 @@ fn peephole_off_keeps_multiply() {
             branches: vec![],
             marker: None,
             exit: TmplExit::Return,
-            plan: None,
         }],
         entry: 0,
     };
@@ -573,16 +564,14 @@ fn stitcher_cycles_accumulate() {
 
 /// A one-block template over `code` with `holes`, ending in a return.
 fn one_block(code: Vec<u32>, holes: Vec<Hole>) -> Template {
-    let mut t = Template {
+    Template {
         blocks: vec![TmplBlock {
             holes,
             ..block(0, code.len() as u32, TmplExit::Return)
         }],
         code,
         entry: 0,
-    };
-    dyncomp_machine::template::precompile_plans(&mut t);
-    t
+    }
 }
 
 fn hole(at: u32, field: HoleField) -> Hole {
@@ -918,24 +907,6 @@ fn relocate_near_table_patch_in_final_code_word() {
     let (out, lin) = s.relocate(64, &mut mem).unwrap();
     assert_eq!(out[1], lin as u32);
     assert_eq!(mem.read_u64(lin).unwrap(), 42);
-}
-
-#[test]
-fn patch_lit_word_rejects_values_over_255() {
-    // Regression: this used to truncate with `v as u8` (silently wrong
-    // code in release builds); it must refuse instead.
-    let w = word(Inst::op3(Op::Addq, 16, Operand::Lit(0), 0));
-    assert_eq!(
-        crate::patch_lit_word(w, 255).unwrap(),
-        word(Inst::op3(Op::Addq, 16, Operand::Lit(255), 0))
-    );
-    for v in [256u64, 300, 70_000, u64::MAX] {
-        let err = crate::patch_lit_word(w, v).unwrap_err();
-        assert!(
-            matches!(err, StitchError::BadTemplate(_)),
-            "value {v}: {err}"
-        );
-    }
 }
 
 #[test]
