@@ -210,7 +210,7 @@ pub enum Mode {
     Capacity1,
     /// A 256-byte code budget.
     CodeBudget,
-    /// Stitch plans off: the interpretive stitcher.
+    /// Stitch plans off: every block priced as a directive walk.
     PlansOff,
     /// Structured tracing on.
     Traced,

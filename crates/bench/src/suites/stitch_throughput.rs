@@ -1,11 +1,12 @@
-//! Stitcher throughput: copy-and-patch plans vs the interpretive
-//! directive walk, on the paper's five kernels.
+//! Stitcher throughput: the one directive walk priced with copy-and-patch
+//! plans on and off, on the paper's five kernels.
 //!
 //! Each kernel runs its [`crate::kernel_workloads`] row once to populate
 //! the per-region constants tables, then the stitcher is re-run over
 //! every recorded `(region, table)` pair — pure stitching work, no
-//! set-up execution, no installation — with plans on and off. Two
-//! numbers per configuration:
+//! set-up execution, no installation — with plans on and off. Both run
+//! the same walk and stitch the same words; plans move only the
+//! simulated price. Two numbers per configuration:
 //!
 //! * **simulated cycles / stitched instruction** — the deterministic
 //!   [`StitchCost`] model (what Tables 2/3 charge);
@@ -69,7 +70,7 @@ pub fn run(args: &Args) -> Report {
         let si = engine.restitch_all(&interp_opts).expect("interp restitch");
         assert_eq!(
             sp.instructions_stitched, si.instructions_stitched,
-            "plan and interpretive paths must stitch the same instructions"
+            "plans on and off must stitch the same instructions"
         );
         let insts = sp.instructions_stitched.max(1) as f64;
         let sim_plan = sp.cycles as f64 / insts;
@@ -89,10 +90,10 @@ pub fn run(args: &Args) -> Report {
             h_interp,
         );
         println!(
-            "{:<12} |        | plan hits {:>4}, misses {:>3} | (interpretive: plans off)",
+            "{:<12} |        | plan hits {:>4}, misses {:>3} | (int.: plans off, the walk's price)",
             "", sp.plan_hits, sp.plan_misses
         );
     }
-    println!("\nhost ns/inst column: plan / interpretive (median of {samples} samples)");
+    println!("\nhost ns/inst column: plans on / off (median of {samples} samples)");
     Report::default()
 }

@@ -1250,7 +1250,7 @@ impl Session {
 
     /// One stitch attempt for `region` at the end of the code space:
     /// consult the fault plan (injected bad template, post-stitch
-    /// corruption) unless `trusted`, stitch interpretively when
+    /// corruption) unless `trusted`, price the stitch without plans when
     /// quarantine or a trusted retry demands it, and run
     /// the pre-install verifier over the result. Never installs anything.
     fn stitch_once(&mut self, region: u16, table: u64, trusted: bool) -> Result<Stitched, Decline> {
@@ -1258,8 +1258,8 @@ impl Session {
             self.inject(FaultPoint::StitchBadTemplate, region)?;
         }
         // Quarantine without a fallback copy and a trusted retry turn
-        // copy-and-patch plans off — interpretive stitching,
-        // bit-identical output, no plan patches.
+        // copy-and-patch plans off: the same walk and words, priced as a
+        // walk, no plan patches.
         let degrade_plans =
             self.options.stitch.plans && (trusted || self.recovery.is_quarantined(region));
         let stitch_opts = degrade_plans.then(|| StitchOptions {

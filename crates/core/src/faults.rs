@@ -18,13 +18,13 @@
 //!   to [`RecoveryPolicy::max_retries`] times, charging a deterministic
 //!   virtual-cycle backoff per attempt; once injected failures spend the
 //!   cap, the operation runs once more with injection suppressed (the
-//!   trusted path: interpretive stitching), so an injected fault never
+//!   trusted path: stitching priced without plans), so an injected fault never
 //!   fails a call — only a genuine error does;
 //! * **per-region quarantine** — after
 //!   [`RecoveryPolicy::quarantine_after`] failures a region stops
 //!   retrying the optimized path: artifacts with a static fallback copy
-//!   serve it permanently, others degrade to the interpretive stitch
-//!   path with injection suppressed (the degraded path is trusted —
+//!   serve it permanently, others degrade to stitching priced without
+//!   plans, with injection suppressed (the degraded path is trusted —
 //!   injected faults model *optimized-path* failures);
 //! * **degradation ladder** — under a configurable stitched-code byte
 //!   budget ([`RecoveryPolicy::code_budget_bytes`]) the session sheds
@@ -361,8 +361,8 @@ pub struct RecoveryPolicy {
     pub max_retries: u32,
     /// Failures recorded against a region before it is quarantined:
     /// pinned to its static fallback copy when the artifact has one,
-    /// otherwise degraded to interpretive stitching with injection
-    /// suppressed.
+    /// otherwise degraded to stitching priced without plans, with
+    /// injection suppressed.
     pub quarantine_after: u32,
     /// Stitched-code byte budget for this session (`None`: unbounded,
     /// the paper's model). At the full budget, regions with a fallback

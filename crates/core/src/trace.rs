@@ -208,9 +208,9 @@ events! {
         const_branches: u32,
         /// Loop iterations unrolled.
         loop_iterations: u32,
-        /// Blocks stitched through a precompiled plan.
+        /// Blocks charged the copy-and-patch price.
         plan_hits: u32,
-        /// Plan attempts that fell back to the interpretive path.
+        /// Blocks the plan rule admitted that the walk had to expand.
         plan_misses: u32,
     },
     /// A call site inside the region was inlined at compile time by the
@@ -334,8 +334,8 @@ events! {
     },
     /// The region crossed [`crate::RecoveryPolicy::quarantine_after`]
     /// failures and is quarantined: served by its static fallback copy
-    /// when the artifact has one, otherwise degraded to interpretive
-    /// stitching.
+    /// when the artifact has one, otherwise degraded to stitching
+    /// priced without plans.
     Quarantined {
         /// Region number.
         region: u16,
