@@ -4,8 +4,10 @@
 //! (PR 24). A changed constant means a persisted byte moved, which needs
 //! a `FORMAT_VERSION` (or `NATIVE_CODE_VERSION`) bump, not a new constant.
 //! Every constant was re-taken at format v2, when artifacts stopped
-//! carrying stitch plans; the `.dyns` files differ from v1's only in the
-//! header's version field.
+//! carrying stitch plans, and at v3, when a hole stopped carrying the
+//! field its instruction names (a tag byte per hole, and a float byte per
+//! table-load hole); at each, the `.dyns` files differ from the previous
+//! version's only in the header's version field.
 
 use dyncomp::{Compiler, EngineOptions, Session};
 use dyncomp_bench::lattice::{self, Comp, ScratchDir};
@@ -37,21 +39,21 @@ const INSTANCE_SRC: &str = r#"
 const GOLDEN_HOST_TAG: &str = "x86_64-linux-v2";
 
 const ARTIFACTS: [(&str, u64); 9] = [
-    ("calculator", 0x0678_ecdb_e7d4_239d),
-    ("smatmul", 0xaf90_0103_225b_9dcc),
-    ("spmv", 0x3852_b0c8_acb1_5976),
-    ("dispatch", 0x161d_c557_83a4_084e),
-    ("sorter", 0xde66_343e_4a62_0c4c),
-    ("protomsg", 0xc53b_a0ca_91e7_bb80),
-    ("queryexec", 0x4763_aade_db70_727b),
-    ("calculator-tiered", 0xdb97_822c_6e1a_9c0b),
-    ("queryexec-inline2", 0x0169_e7a9_c492_c03b),
+    ("calculator", 0x1c92_060a_ffe9_ee7c),
+    ("smatmul", 0x9e9b_edd4_1326_ab92),
+    ("spmv", 0xe2e8_31a8_f393_e3ad),
+    ("dispatch", 0xe6a3_1582_2ce6_f6f5),
+    ("sorter", 0x28cf_1c9f_fcc0_cbd9),
+    ("protomsg", 0xd266_460d_4ce2_fb98),
+    ("queryexec", 0xae93_772c_e602_dfcd),
+    ("calculator-tiered", 0xd19f_2386_6d3a_9f39),
+    ("queryexec-inline2", 0xff49_465f_f506_5eff),
 ];
 
 /// `(keyed r0, unkeyed r1)` without a native section.
-const INSTANCES_VM: [u64; 2] = [0xb95f_b2fa_0bc5_f916, 0xcfb3_33de_8303_f97c];
+const INSTANCES_VM: [u64; 2] = [0x0f49_15bd_ef56_a62f, 0xc680_756c_4810_25dd];
 /// The same two files when the session translated natively.
-const INSTANCES_NATIVE: [u64; 2] = [0xf0e9_d105_000a_6483, 0xf6fd_6ea5_f063_cc6b];
+const INSTANCES_NATIVE: [u64; 2] = [0xb5fc_8a8e_505a_610c, 0xdcb4_3130_ddf0_c788];
 
 /// Hashes of every file with extension `ext` under `dir`, in path order.
 fn file_hashes(dir: &Path, ext: &str) -> Vec<u64> {

@@ -17,7 +17,7 @@ use dyncomp_ir::{
 use dyncomp_machine::asm::{Assembler, Label};
 use dyncomp_machine::isa::{encode, Inst, Op, Operand, Reg, LIN, RA, SP, ZERO};
 use dyncomp_machine::template::{
-    BranchFixup, Hole, HoleField, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, ValueLoc,
+    BranchFixup, Hole, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, ValueLoc,
 };
 use dyncomp_specialize::RegionSpec;
 use std::collections::BTreeMap;
@@ -707,24 +707,18 @@ impl Emitter<'_> {
                     return Err(CodegenError::Internal("hole outside template".into()));
                 }
                 // Static load from the linearized constants table (§4).
-                let at = self.tmpl.as_ref().expect("in template").at();
+                let t = self.tmpl.as_mut().expect("in template");
+                t.cur_holes.push(Hole {
+                    at: t.at(),
+                    slot: slot.clone(),
+                });
                 if float {
                     let fd = self.def_flt(e, 0);
                     self.push(Inst::mem(Op::Ldt, fd, LIN, 0));
-                    self.tmpl.as_mut().unwrap().cur_holes.push(Hole {
-                        at,
-                        field: HoleField::MemDisp { float: true },
-                        slot: slot.clone(),
-                    });
                     self.writeback(e, fd, true);
                 } else {
                     let rd = self.def_int(e, 0);
                     self.push(Inst::mem(Op::Ldq, rd, LIN, 0));
-                    self.tmpl.as_mut().unwrap().cur_holes.push(Hole {
-                        at,
-                        field: HoleField::MemDisp { float: false },
-                        slot: slot.clone(),
-                    });
                     self.writeback(e, rd, false);
                 }
             }
@@ -892,7 +886,6 @@ impl Emitter<'_> {
                 .ok_or_else(|| CodegenError::Internal("folded hole outside template".into()))?;
             t.cur_holes.push(Hole {
                 at: t.at(),
-                field: HoleField::Lit,
                 slot: slot.clone(),
             });
             Operand::Lit(0)

@@ -98,7 +98,8 @@ use dyncomp::{
     RecoveryPolicy, Session, SharedCodeCache, TieredOptions,
 };
 use dyncomp_machine::disasm::disassemble;
-use dyncomp_machine::template::{HoleField, LoopMarker, TmplExit};
+use dyncomp_machine::isa::Op;
+use dyncomp_machine::template::{LoopMarker, TmplExit};
 use std::io::Write;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -462,10 +463,10 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
                     let mut notes = String::new();
                     while let Some(h) = hole_iter.peek() {
                         if h.at == line.addr {
-                            let kind = match h.field {
-                                HoleField::Lit => "HOLE(lit",
-                                HoleField::MemDisp { float: true } => "HOLE(fload",
-                                HoleField::MemDisp { float: false } => "HOLE(load",
+                            let kind = match Op::of_word(rc.template.code[h.at as usize]) {
+                                Some(Op::Ldt) => "HOLE(fload",
+                                Some(Op::Ldq) => "HOLE(load",
+                                _ => "HOLE(lit",
                             };
                             notes.push_str(&format!("   ; {kind}, t[{}])", h.slot));
                             hole_iter.next();

@@ -13,17 +13,15 @@
 //! decodes an artifact calls it.
 
 use crate::template::{
-    BranchFixup, Hole, HoleField, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, TmplLabel,
-    ValueLoc,
+    BranchFixup, Hole, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, TmplLabel, ValueLoc,
 };
 use dyncomp_ir::{codec, SlotPath};
 
 pub use dyncomp_ir::codec::{check_wire, Codec, CodecError, Reader, Writer};
 
 codec! {
-    enum HoleField: "hole-field tag" { 0 => Lit, 1 => MemDisp { float: bool } }
     enum ValueLoc: "value-loc tag" { 0 => Reg(r: u8), 1 => FReg(r: u8), 2 => Frame(offset: i32) }
-    struct Hole { at: u32, field: HoleField, slot: SlotPath }
+    struct Hole { at: u32, slot: SlotPath }
     struct BranchFixup { at: u32, target: TmplLabel }
     enum TmplExit: "template-exit tag" {
         0 => Jump(to: TmplLabel),
@@ -114,7 +112,6 @@ mod tests {
                     end: 4,
                     holes: vec![Hole {
                         at: 1,
-                        field: HoleField::MemDisp { float: true },
                         slot: SlotPath::from_words(&[2, 0]),
                     }],
                     branches: vec![BranchFixup { at: 3, target: 0 }],
@@ -148,7 +145,6 @@ mod tests {
         check_wire(block);
         check_wire(&rc.template);
         check_wire(&rc.key_locs);
-        check_wire(&vec![HoleField::Lit, HoleField::MemDisp { float: false }]);
         let exits = vec![
             TmplExit::Jump(1),
             TmplExit::CondBranch {
@@ -172,13 +168,14 @@ mod tests {
     fn region_code_round_trips() {
         // Length and FNV-1a-64 of this sample's wire form. First taken
         // from `write_region_code` before the declarations replaced it;
-        // re-taken when a block's plan stopped being written (format v2).
+        // re-taken when a block's plan stopped being written (format v2)
+        // and when a hole lost its field tag and float byte (format v3).
         let rc = sample_region();
         let mut w = Writer::new();
         rc.encode(&mut w);
         let bytes = w.into_bytes();
         let fnv = dyncomp_ir::fnv::fnv1a(&bytes);
-        assert_eq!((bytes.len(), fnv), (162, 0x974e_737f_9710_8e81));
+        assert_eq!((bytes.len(), fnv), (160, 0x8376_b0a9_183a_5bc7));
         let mut r = Reader::new(&bytes);
         let back = RegionCode::decode(&mut r).expect("round trip");
         assert!(r.is_exhausted());
@@ -187,7 +184,7 @@ mod tests {
 
     #[test]
     fn derived_minimums_are_exact() {
-        assert_eq!(Hole::MIN_BYTES, 9);
+        assert_eq!(Hole::MIN_BYTES, 8);
         assert_eq!(TmplBlock::MIN_BYTES, 18);
         assert_eq!(RegionCode::MIN_BYTES, 35);
         assert_eq!(<Option<LoopMarker>>::MIN_BYTES, 1);

@@ -5,9 +5,7 @@ use crate::{stitch, StitchError, StitchOptions, MAX_BLOCKS};
 use dyncomp_ir::eval::Memory;
 use dyncomp_ir::SlotPath;
 use dyncomp_machine::isa::{branch_word, decode, encode, limits, Inst, Op, Operand, Reg, ZERO};
-use dyncomp_machine::template::{
-    Hole, HoleField, LoopMarker, RegionCode, Template, TmplBlock, TmplExit,
-};
+use dyncomp_machine::template::{Hole, LoopMarker, RegionCode, Template, TmplBlock, TmplExit};
 use dyncomp_machine::vm::{Stop, Vm};
 
 fn word(i: Inst) -> u32 {
@@ -73,7 +71,6 @@ fn add_hole_template() -> Template {
             end: 2,
             holes: vec![Hole {
                 at: 0,
-                field: HoleField::Lit,
                 slot: SlotPath::stat(0),
             }],
             branches: vec![],
@@ -218,7 +215,6 @@ fn unrolled_template() -> Template {
                 end: 2,
                 holes: vec![Hole {
                     at: 1,
-                    field: HoleField::Lit,
                     slot: SlotPath::stat(0).child(1),
                 }],
                 branches: vec![],
@@ -303,7 +299,6 @@ fn strength_reduction_multiply_by_power_of_two() {
             end: 2,
             holes: vec![Hole {
                 at: 0,
-                field: HoleField::Lit,
                 slot: SlotPath::stat(0),
             }],
             branches: vec![],
@@ -355,7 +350,6 @@ fn strength_reduction_div_rem_by_power_of_two() {
                 end: 2,
                 holes: vec![Hole {
                     at: 0,
-                    field: HoleField::Lit,
                     slot: SlotPath::stat(0),
                 }],
                 branches: vec![],
@@ -387,7 +381,6 @@ fn peephole_off_keeps_multiply() {
             end: 2,
             holes: vec![Hole {
                 at: 0,
-                field: HoleField::Lit,
                 slot: SlotPath::stat(0),
             }],
             branches: vec![],
@@ -574,10 +567,9 @@ fn one_block(code: Vec<u32>, holes: Vec<Hole>) -> Template {
     }
 }
 
-fn hole(at: u32, field: HoleField) -> Hole {
+fn hole(at: u32) -> Hole {
     Hole {
         at,
-        field,
         slot: SlotPath::stat(at),
     }
 }
@@ -618,7 +610,7 @@ fn plan_prices_are_pinned_per_outcome() {
     let ret = word(Inst::jump(Op::Jmp, ZERO, RA));
     let ldiw = |r, imm| encode(&Inst::ldiw(r, imm)).unwrap().0;
     let op = |op, lit| word(Inst::op3(op, 16, Operand::Lit(lit), 0));
-    let lit_block = |o| one_block(vec![op(o, 0), ret], vec![hole(0, HoleField::Lit)]);
+    let lit_block = |o| one_block(vec![op(o, 0), ret], vec![hole(0)]);
     // The prologue: one directive, `Ldiw LIN` (one instruction, two words).
     let pro = |insts: u32, words: u32, cycles: u64| StitchStats {
         instructions_stitched: 1 + insts,
@@ -659,15 +651,14 @@ fn plan_prices_are_pinned_per_outcome() {
     ];
     assert_stitched(&out, &code, stats, &[(t, 300)], &[]);
 
-    // A near `MemDisp` hit: one new table entry, then the same value
+    // A near table-load hit: one new table entry, then the same value
     // again, deduplicated to the same offset.
     let v = 0x1234_5678_9abc_u64;
     let ld = |r, base, disp| word(Inst::mem(Op::Ldq, r, base, disp));
-    let disp = HoleField::MemDisp { float: false };
     let add = word(Inst::op3(Op::Addq, 1, Operand::Reg(2), 0));
     let tmpl = one_block(
         vec![ld(1, LIN, 0), ld(2, LIN, 0), add, ret],
-        vec![hole(0, disp), hole(1, disp)],
+        vec![hole(0), hole(1)],
     );
     let (out, t) = stitch_one(tmpl, &[v, v], &on);
     let price = c.plan_dispatch + 4 * c.plan_copy_word;
@@ -686,12 +677,12 @@ fn plan_prices_are_pinned_per_outcome() {
     assert_stitched(&out, &code, stats, &reads, &[(2, v), (3, v)]);
     assert_eq!(out.lin_words, [v]);
 
-    // A far `MemDisp` miss: the 1025th distinct entry leaves displacement
+    // A far table-load miss: the 1025th distinct entry leaves displacement
     // range, so the walk rebases that load onto the scratch register.
     let n = 1025u32;
     let mut tmpl_code: Vec<u32> = (0..n).map(|_| ld(1, LIN, 0)).collect();
     tmpl_code.push(ret);
-    let holes = (0..n).map(|i| hole(i, disp)).collect();
+    let holes = (0..n).map(hole).collect();
     let values: Vec<u64> = (0..u64::from(n)).map(|i| 1000 + i).collect();
     let (out, t) = stitch_one(one_block(tmpl_code, holes), &values, &on);
     let per_hole = c.directive + c.table_read + c.lin_append + c.hole_big;
@@ -922,6 +913,30 @@ fn patch_memdisp_word_rejects_offsets_beyond_displacement_range() {
         assert!(
             matches!(err, StitchError::BadTemplate(_)),
             "offset {off}: {err}"
+        );
+    }
+}
+
+/// A hole on an instruction without a patchable field is a typed error of
+/// the stitch, never a panic, for a template nothing checked.
+#[test]
+fn a_hole_on_an_unpatchable_instruction_is_a_bad_template() {
+    use dyncomp_machine::isa::{LIN, RA};
+    let ret = word(Inst::jump(Op::Jmp, ZERO, RA));
+    for site in [
+        word(Inst::mem(Op::Stq, 1, LIN, 0)),
+        word(Inst::branch(Op::Beq, 1, 0)),
+        ret,
+        encode(&Inst::ldiw(1, 7)).unwrap().0,
+        0xFF00_0000,
+    ] {
+        let mut mem = Memory::with_capacity(1 << 20);
+        let table = make_table(&mut mem, &[5]);
+        let rc = region(one_block(vec![site, ret], vec![hole(0)]), 1);
+        let err = stitch(&rc, table, &mut mem, 0, &StitchOptions::default()).unwrap_err();
+        assert!(
+            matches!(err, StitchError::BadTemplate(_)),
+            "{site:#x}: {err}"
         );
     }
 }

@@ -13,7 +13,8 @@
 //!   cache.
 
 use dyncomp::{Compiler, Session};
-use dyncomp_machine::template::{HoleField, LoopMarker, TmplExit};
+use dyncomp_machine::isa::{Format, Op};
+use dyncomp_machine::template::{LoopMarker, TmplExit};
 use std::sync::Arc;
 
 const SRC: &str = r#"
@@ -120,10 +121,9 @@ fn figure1_template_structure() {
     );
     // The paper's integer holes become operate literals; address-sized
     // constants (setArray) use the statically inserted table load.
-    assert!(holes.iter().any(|h| matches!(h.field, HoleField::Lit)));
-    assert!(holes
-        .iter()
-        .any(|h| matches!(h.field, HoleField::MemDisp { .. })));
+    let op = |at: u32| Op::of_word(t.code[at as usize]).expect("a hole's opcode");
+    assert!(holes.iter().any(|h| op(h.at).format() == Format::Operate));
+    assert!(holes.iter().any(|h| op(h.at) == Op::Ldq));
 
     // The planned optimizations include the ones §3.1 underlines.
     let (_, stats) = p.spec_stats[0];
