@@ -64,7 +64,6 @@ pub static SUITES: &[Suite] = suites! {
     table3: None, [];
     regactions: None, [];
     ablation: None, [];
-    stitch_throughput: None, [("--samples", true)];
     concurrent_throughput: None, [];
     warmup: Some("warmup"), [];
     region_profile: Some("region_profile"), [];

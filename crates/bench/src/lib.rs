@@ -45,7 +45,6 @@ mod suites {
     pub mod persist_bench;
     pub mod regactions;
     pub mod region_profile;
-    pub mod stitch_throughput;
     pub mod table2;
     pub mod table3;
     pub mod warmup;

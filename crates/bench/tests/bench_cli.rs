@@ -142,5 +142,5 @@ fn list_names_every_suite_and_artifact() {
             }
         }
     }
-    assert_eq!(SUITES.len(), 13);
+    assert_eq!(SUITES.len(), 12);
 }
