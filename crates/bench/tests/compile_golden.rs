@@ -13,8 +13,9 @@
 //! deterministic, so a changed constant means a pass now rewrites
 //! differently: fix the pass, do not re-take the constant. The `module`
 //! column alone was re-taken when the module's wire form stopped
-//! carrying stitch plans, and the `holes` and `module` columns when a
-//! hole stopped carrying the field its instruction already names.
+//! carrying stitch plans and when a block stopped carrying a list of
+//! branch fixups, and the `holes` and `module` columns when a hole
+//! stopped carrying the field its instruction already names.
 
 use dyncomp::PassObserver;
 use dyncomp_bench::lattice::{self, Comp};
@@ -46,7 +47,7 @@ const GOLDEN: [Pinned; 30] = [
         0x76d7_4d2c_c3af_df57,
         0xf2ee_98d2_febf_3483,
         0xfd0a_4ab1_e8a4_af00,
-        0x6b73_a3a0_b5d1_2f8d,
+        0x134c_9b5f_e6ca_0019,
         0x1950_1e3f_b300_3b53,
         0x11f9_5db8_6bce_d19e,
     ),
@@ -55,7 +56,7 @@ const GOLDEN: [Pinned; 30] = [
         0x76d7_4d2c_c3af_df57,
         0xf2ee_98d2_febf_3483,
         0xfd0a_4ab1_e8a4_af00,
-        0x6b73_a3a0_b5d1_2f8d,
+        0x134c_9b5f_e6ca_0019,
         0x1950_1e3f_b300_3b53,
         0x11f9_5db8_6bce_d19e,
     ),
@@ -64,7 +65,7 @@ const GOLDEN: [Pinned; 30] = [
         0xdb01_6d62_ac9e_edc3,
         0x098a_824d_5a11_f1e3,
         0xfd0a_4ab1_e8a4_af00,
-        0x07e1_29c8_3651_bcdc,
+        0xb563_c7d6_c02d_de70,
         0x1950_1e3f_b300_3b53,
         0xaf79_7db1_1504_fa14,
     ),
@@ -82,7 +83,7 @@ const GOLDEN: [Pinned; 30] = [
         0x96c3_fd66_1b1a_9bdb,
         0x8393_4431_d768_633e,
         0x6d71_430c_ad7e_034d,
-        0xb71f_cbb9_d911_211c,
+        0x460d_f3a2_23fb_ffcc,
         0x53e5_3fce_db6e_880c,
         0x831e_0240_1cb5_c769,
     ),
@@ -91,7 +92,7 @@ const GOLDEN: [Pinned; 30] = [
         0x96c3_fd66_1b1a_9bdb,
         0x8393_4431_d768_633e,
         0x6d71_430c_ad7e_034d,
-        0xb71f_cbb9_d911_211c,
+        0x460d_f3a2_23fb_ffcc,
         0x53e5_3fce_db6e_880c,
         0x831e_0240_1cb5_c769,
     ),
@@ -100,7 +101,7 @@ const GOLDEN: [Pinned; 30] = [
         0x4833_37b2_34ea_e418,
         0xf49e_769f_d353_d403,
         0x6d71_430c_ad7e_034d,
-        0xce77_b220_27a9_39b3,
+        0xe56c_c233_f860_edc3,
         0x53e5_3fce_db6e_880c,
         0xed16_7f03_c28b_4164,
     ),
@@ -118,7 +119,7 @@ const GOLDEN: [Pinned; 30] = [
         0x0378_4d6a_8841_03f6,
         0x83f5_87b7_706f_0390,
         0x2335_0e26_49c0_8aa7,
-        0x220f_9ae8_e548_abd7,
+        0x1bc2_62f0_f5ab_32d4,
         0xd344_793d_6866_fcab,
         0x1fdb_62f8_6d04_abba,
     ),
@@ -127,7 +128,7 @@ const GOLDEN: [Pinned; 30] = [
         0x0378_4d6a_8841_03f6,
         0x83f5_87b7_706f_0390,
         0x2335_0e26_49c0_8aa7,
-        0x220f_9ae8_e548_abd7,
+        0x1bc2_62f0_f5ab_32d4,
         0xd344_793d_6866_fcab,
         0x1fdb_62f8_6d04_abba,
     ),
@@ -136,7 +137,7 @@ const GOLDEN: [Pinned; 30] = [
         0xa6f4_20a4_9b65_d429,
         0x32ef_b7aa_cab0_477a,
         0x2335_0e26_49c0_8aa7,
-        0x9b0b_71a5_55b9_e818,
+        0xfd1d_c4ee_e57a_f035,
         0xd344_793d_6866_fcab,
         0x5647_833c_204f_ccf1,
     ),
@@ -154,7 +155,7 @@ const GOLDEN: [Pinned; 30] = [
         0x8ede_1b6a_d93d_56fa,
         0x3312_e71b_43ae_1c41,
         0x0d96_adb1_39bb_5cbd,
-        0xf005_a9e6_ce98_43da,
+        0x37f0_e61a_341e_3b86,
         0x0790_a4bf_541a_84f1,
         0xd6b7_b3a9_2063_768a,
     ),
@@ -163,7 +164,7 @@ const GOLDEN: [Pinned; 30] = [
         0x8ede_1b6a_d93d_56fa,
         0x3312_e71b_43ae_1c41,
         0x0d96_adb1_39bb_5cbd,
-        0xf005_a9e6_ce98_43da,
+        0x37f0_e61a_341e_3b86,
         0x0790_a4bf_541a_84f1,
         0xd6b7_b3a9_2063_768a,
     ),
@@ -172,7 +173,7 @@ const GOLDEN: [Pinned; 30] = [
         0x9b2e_a3c0_9dfb_ad65,
         0x50aa_c1ba_73cf_e5ee,
         0x0d96_adb1_39bb_5cbd,
-        0x6304_4fce_f4a3_ccaf,
+        0xa9db_38f5_17bc_025b,
         0x0790_a4bf_541a_84f1,
         0x2e57_8a02_db3e_67f8,
     ),
@@ -190,7 +191,7 @@ const GOLDEN: [Pinned; 30] = [
         0x0e34_862f_88f3_7982,
         0xff40_b63f_3b91_4ece,
         0xaaf6_190b_f263_df91,
-        0xc27c_573a_f44a_a967,
+        0x6186_e84b_9eff_9272,
         0xef10_ccbe_386b_d1bd,
         0x277c_03e9_6a37_7295,
     ),
@@ -199,7 +200,7 @@ const GOLDEN: [Pinned; 30] = [
         0x0e34_862f_88f3_7982,
         0xff40_b63f_3b91_4ece,
         0xaaf6_190b_f263_df91,
-        0xc27c_573a_f44a_a967,
+        0x6186_e84b_9eff_9272,
         0xef10_ccbe_386b_d1bd,
         0x277c_03e9_6a37_7295,
     ),
@@ -208,7 +209,7 @@ const GOLDEN: [Pinned; 30] = [
         0xf94d_d80c_9861_a7b8,
         0xfa61_335c_1fe6_9e2c,
         0xaaf6_190b_f263_df91,
-        0xfdd5_ff67_61df_17b1,
+        0x7ce7_cfac_fdff_418d,
         0xef10_ccbe_386b_d1bd,
         0x7d76_8e64_d481_56de,
     ),
@@ -226,7 +227,7 @@ const GOLDEN: [Pinned; 30] = [
         0x88ff_9866_b4b8_0c7d,
         0x712c_7a57_dbf6_64f8,
         0xdec3_41a8_937a_3e33,
-        0x639b_949e_e9d3_32a4,
+        0xaee5_ebd5_ff9c_05ec,
         0x5a06_a61b_d33b_355c,
         0x4727_30c9_bf2e_f61f,
     ),
@@ -235,7 +236,7 @@ const GOLDEN: [Pinned; 30] = [
         0xb2b8_49cc_9195_b02a,
         0x8bd2_af14_708e_b4d5,
         0x29bb_05a2_168e_6d66,
-        0x97ed_83aa_48f3_caef,
+        0xd460_8331_e786_266e,
         0x1b9b_c493_d085_1850,
         0x07c1_74c8_529b_901d,
     ),
@@ -244,7 +245,7 @@ const GOLDEN: [Pinned; 30] = [
         0x58a7_b02a_c6a2_805e,
         0x4c3f_183c_0e96_ef95,
         0xdec3_41a8_937a_3e33,
-        0x0175_b974_f12e_43c5,
+        0xaccb_0526_2e10_39fd,
         0x5a06_a61b_d33b_355c,
         0x6818_83f3_e42f_f477,
     ),
@@ -262,7 +263,7 @@ const GOLDEN: [Pinned; 30] = [
         0x3983_b58c_83fe_c9c7,
         0x4a68_7915_c01f_0f5b,
         0xa7d7_7471_8796_6775,
-        0xff61_2d21_0092_762e,
+        0xb7ba_049f_d276_9a2e,
         0x4173_a460_ece2_45db,
         0x3cfb_883a_040d_56fa,
     ),
@@ -271,7 +272,7 @@ const GOLDEN: [Pinned; 30] = [
         0x819f_0660_0514_5bbb,
         0xfd1f_d476_b997_ba03,
         0x1ee7_5d3d_e505_50b4,
-        0xdfd8_7f16_90b5_6327,
+        0x6a69_bec6_3d0f_82ab,
         0x1e82_20c2_6b9e_8376,
         0x2a6c_b483_c0d0_d377,
     ),
@@ -280,7 +281,7 @@ const GOLDEN: [Pinned; 30] = [
         0x4f7b_bca3_9d0f_e5ef,
         0x99ca_eb01_9fef_0a24,
         0xa7d7_7471_8796_6775,
-        0xd434_337b_c1ce_f05a,
+        0x8941_af99_a75e_93da,
         0x4173_a460_ece2_45db,
         0x82a1_45dd_9d76_9fb4,
     ),
@@ -289,7 +290,7 @@ const GOLDEN: [Pinned; 30] = [
         0x1bad_0432_c2e5_287d,
         0xb729_db59_d897_db64,
         0xf692_2f18_cd3c_ced0,
-        0xdf3b_a6a5_ba0c_83c4,
+        0x86a3_c826_58c6_3ef9,
         0xd903_6ca0_3072_026b,
         0xf60d_f1b9_7c8d_315d,
     ),
@@ -298,7 +299,7 @@ const GOLDEN: [Pinned; 30] = [
         0xdcf3_767d_b4a8_cd40,
         0xdec8_9ed3_2933_fcfb,
         0xcff0_8d8f_5ab6_7b93,
-        0x3d4d_f123_dd16_055d,
+        0x28db_3980_02e1_155b,
         0xe8b3_fe2b_f45d_1dec,
         0x67f5_9a09_548b_885a,
     ),

@@ -17,7 +17,7 @@ use dyncomp_ir::{
 use dyncomp_machine::asm::{Assembler, Label};
 use dyncomp_machine::isa::{encode, Inst, Op, Operand, Reg, LIN, RA, SP, ZERO};
 use dyncomp_machine::template::{
-    BranchFixup, Hole, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, ValueLoc,
+    Hole, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, ValueLoc,
 };
 use dyncomp_specialize::RegionSpec;
 use std::collections::BTreeMap;
@@ -96,7 +96,6 @@ struct TemplateBuf {
     blocks: Vec<TmplBlock>,
     label_of: Vec<u32>,
     cur_holes: Vec<Hole>,
-    cur_branches: Vec<BranchFixup>,
     call_relocs: Vec<(u32, dyncomp_ir::FuncId)>, // (word of Ldiw immediate, callee)
 }
 
@@ -282,7 +281,6 @@ pub fn emit_function(
             blocks: Vec::new(),
             label_of,
             cur_holes: Vec::new(),
-            cur_branches: Vec::new(),
             call_relocs: Vec::new(),
         });
         for &b in &s.template_blocks {
@@ -1252,12 +1250,10 @@ impl Emitter<'_> {
         let t = self.tmpl.as_mut().unwrap();
         let end = t.at();
         let holes = std::mem::take(&mut t.cur_holes);
-        let branches = std::mem::take(&mut t.cur_branches);
         t.blocks.push(TmplBlock {
             start,
             end,
             holes,
-            branches,
             marker,
             exit,
         });

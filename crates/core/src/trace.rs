@@ -334,8 +334,8 @@ events! {
     },
     /// The region crossed [`crate::RecoveryPolicy::quarantine_after`]
     /// failures and is quarantined: served by its static fallback copy
-    /// when the artifact has one, otherwise degraded to stitching
-    /// priced without plans.
+    /// when the artifact has one, otherwise stitched as any region is,
+    /// with injection suppressed.
     Quarantined {
         /// Region number.
         region: u16,

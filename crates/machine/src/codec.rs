@@ -13,7 +13,7 @@
 //! decodes an artifact calls it.
 
 use crate::template::{
-    BranchFixup, Hole, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, TmplLabel, ValueLoc,
+    Hole, LoopMarker, RegionCode, Template, TmplBlock, TmplExit, TmplLabel, ValueLoc,
 };
 use dyncomp_ir::{codec, SlotPath};
 
@@ -22,7 +22,6 @@ pub use dyncomp_ir::codec::{check_wire, Codec, CodecError, Reader, Writer};
 codec! {
     enum ValueLoc: "value-loc tag" { 0 => Reg(r: u8), 1 => FReg(r: u8), 2 => Frame(offset: i32) }
     struct Hole { at: u32, slot: SlotPath }
-    struct BranchFixup { at: u32, target: TmplLabel }
     enum TmplExit: "template-exit tag" {
         0 => Jump(to: TmplLabel),
         1 => CondBranch { at: u32, taken: TmplLabel, fall: TmplLabel },
@@ -35,7 +34,6 @@ codec! {
         start: u32,
         end: u32,
         holes: Vec<Hole>,
-        branches: Vec<BranchFixup>,
         marker: Option<LoopMarker>,
         exit: TmplExit,
     }
@@ -114,7 +112,6 @@ mod tests {
                         at: 1,
                         slot: SlotPath::from_words(&[2, 0]),
                     }],
-                    branches: vec![BranchFixup { at: 3, target: 0 }],
                     marker: Some(LoopMarker::Enter {
                         root: SlotPath::from_words(&[1]),
                     }),
@@ -137,7 +134,6 @@ mod tests {
         let rc = sample_region();
         let block = &rc.template.blocks[0];
         check_wire(&block.holes[0]);
-        check_wire(&block.branches[0]);
         check_wire(&block.marker);
         check_wire(&Some(LoopMarker::Restart { next_slot: 2 }));
         check_wire(&LoopMarker::Exit);
@@ -168,14 +164,15 @@ mod tests {
     fn region_code_round_trips() {
         // Length and FNV-1a-64 of this sample's wire form. First taken
         // from `write_region_code` before the declarations replaced it;
-        // re-taken when a block's plan stopped being written (format v2)
-        // and when a hole lost its field tag and float byte (format v3).
+        // re-taken when a block's plan stopped being written (format v2),
+        // when a hole lost its field tag and float byte (format v3) and
+        // when a block lost its branch-fixup list (format v4).
         let rc = sample_region();
         let mut w = Writer::new();
         rc.encode(&mut w);
         let bytes = w.into_bytes();
         let fnv = dyncomp_ir::fnv::fnv1a(&bytes);
-        assert_eq!((bytes.len(), fnv), (160, 0x8376_b0a9_183a_5bc7));
+        assert_eq!((bytes.len(), fnv), (148, 0xbe72_ec5c_c668_f031));
         let mut r = Reader::new(&bytes);
         let back = RegionCode::decode(&mut r).expect("round trip");
         assert!(r.is_exhausted());
@@ -185,7 +182,7 @@ mod tests {
     #[test]
     fn derived_minimums_are_exact() {
         assert_eq!(Hole::MIN_BYTES, 8);
-        assert_eq!(TmplBlock::MIN_BYTES, 18);
+        assert_eq!(TmplBlock::MIN_BYTES, 14);
         assert_eq!(RegionCode::MIN_BYTES, 35);
         assert_eq!(<Option<LoopMarker>>::MIN_BYTES, 1);
     }

@@ -17,7 +17,6 @@ fn block(start: u32, end: u32, exit: TmplExit) -> TmplBlock {
         start,
         end,
         holes: vec![],
-        branches: vec![],
         marker: None,
         exit,
     }
@@ -73,7 +72,6 @@ fn add_hole_template() -> Template {
                 at: 0,
                 slot: SlotPath::stat(0),
             }],
-            branches: vec![],
             marker: None,
             exit: TmplExit::Return,
         }],
@@ -193,7 +191,6 @@ fn unrolled_template() -> Template {
                 start: 0,
                 end: 1,
                 holes: vec![],
-                branches: vec![],
                 marker: Some(LoopMarker::Enter {
                     root: SlotPath::stat(0),
                 }),
@@ -217,7 +214,6 @@ fn unrolled_template() -> Template {
                     at: 1,
                     slot: SlotPath::stat(0).child(1),
                 }],
-                branches: vec![],
                 marker: None,
                 exit: TmplExit::Jump(3),
             },
@@ -226,7 +222,6 @@ fn unrolled_template() -> Template {
                 start: 2,
                 end: 2,
                 holes: vec![],
-                branches: vec![],
                 marker: Some(LoopMarker::Restart { next_slot: 2 }),
                 exit: TmplExit::Jump(1),
             },
@@ -235,7 +230,6 @@ fn unrolled_template() -> Template {
                 start: 2,
                 end: 3,
                 holes: vec![],
-                branches: vec![],
                 marker: Some(LoopMarker::Exit),
                 exit: TmplExit::Return,
             },
@@ -301,7 +295,6 @@ fn strength_reduction_multiply_by_power_of_two() {
                 at: 0,
                 slot: SlotPath::stat(0),
             }],
-            branches: vec![],
             marker: None,
             exit: TmplExit::Return,
         }],
@@ -352,7 +345,6 @@ fn strength_reduction_div_rem_by_power_of_two() {
                     at: 0,
                     slot: SlotPath::stat(0),
                 }],
-                branches: vec![],
                 marker: None,
                 exit: TmplExit::Return,
             }],
@@ -383,7 +375,6 @@ fn peephole_off_keeps_multiply() {
                 at: 0,
                 slot: SlotPath::stat(0),
             }],
-            branches: vec![],
             marker: None,
             exit: TmplExit::Return,
         }],
